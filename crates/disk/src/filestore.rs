@@ -156,6 +156,19 @@ impl FileStore {
         Ok(())
     }
 
+    /// Append one encoded record to the journal and count it.
+    fn append_record(&mut self, record: &[u8]) -> PvfsResult<()> {
+        self.journal
+            .append(record)
+            .map_err(|e| storage_err("append journal", &self.data_path, e))?;
+        self.metrics.journal_appends.fetch_add(1, Ordering::Relaxed);
+        self.metrics
+            .journal_bytes
+            .fetch_add(record.len() as u64, Ordering::Relaxed);
+        self.metrics.journal_depth.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
     /// Fsync the journal if the policy says this write must commit to
     /// stable storage now.
     fn sync_journal_per_policy(&mut self) -> PvfsResult<bool> {
@@ -263,29 +276,26 @@ impl StorageBackend for FileStore {
         self.check_live()?;
         // Clamp each run at the edge of the address space (mirrors
         // SparseStore: dropped, never wrapped) and drop empties.
-        let owned: Vec<(u64, Vec<u8>)> = runs
+        let runs: Vec<(u64, &[u8])> = runs
             .iter()
-            .map(|(offset, data)| {
+            .map(|&(offset, data)| {
                 let addressable = u64::MAX - offset;
-                let data = if (data.len() as u64) > addressable {
-                    &data[..addressable as usize]
-                } else {
-                    data
-                };
-                (*offset, data.to_vec())
+                let keep = (data.len() as u64).min(addressable) as usize;
+                (offset, &data[..keep])
             })
             .filter(|(_, data)| !data.is_empty())
             .collect();
-        if owned.is_empty() {
+        if runs.is_empty() {
             return Ok(());
         }
-        let record = self.journal.make_write_batch(owned);
+        // The one copy journaling costs: the caller's runs go straight
+        // into the record that is written to the journal.
+        let record = self.journal.encode_write_batch(&runs);
         if self.crash == Some(CrashPoint::TornJournal) {
             // Power cut mid-append: half the intent record reaches the
             // journal. The batch never committed.
-            let keep = record.encode().len() / 2;
             self.journal
-                .append_torn(&record, keep)
+                .append_torn(&record, record.len() / 2)
                 .map_err(|e| storage_err("append journal", &self.data_path, e))?;
             self.wedged = true;
             return Err(PvfsError::Storage(format!(
@@ -293,20 +303,9 @@ impl StorageBackend for FileStore {
                 self.data_path.display()
             )));
         }
-        let appended = self
-            .journal
-            .append(&record)
-            .map_err(|e| storage_err("append journal", &self.data_path, e))?;
-        self.metrics.journal_appends.fetch_add(1, Ordering::Relaxed);
-        self.metrics
-            .journal_bytes
-            .fetch_add(appended, Ordering::Relaxed);
-        self.metrics.journal_depth.fetch_add(1, Ordering::Relaxed);
+        self.append_record(&record)?;
         let synced = self.sync_journal_per_policy()?;
-        let JournalRecord::WriteBatch { runs: owned, .. } = &record else {
-            unreachable!("just built a write batch");
-        };
-        for (i, (offset, data)) in owned.iter().enumerate() {
+        for (i, (offset, data)) in runs.iter().enumerate() {
             if self.crash == Some(CrashPoint::AfterCommit { applied: i }) {
                 // Power cut mid-apply: the intent committed, the data
                 // file holds a prefix. Replay finishes the batch.
@@ -318,7 +317,7 @@ impl StorageBackend for FileStore {
                 self.wedged = true;
                 return Err(PvfsError::Storage(format!(
                     "injected crash: power loss after {i} of {} runs on {}",
-                    owned.len(),
+                    runs.len(),
                     self.data_path.display()
                 )));
             }
@@ -346,16 +345,8 @@ impl StorageBackend for FileStore {
         }
         // Journaled: without this, replaying an older write record
         // would resurrect bytes past the new tail.
-        let record = self.journal.make_truncate(size);
-        let appended = self
-            .journal
-            .append(&record)
-            .map_err(|e| storage_err("append journal", &self.data_path, e))?;
-        self.metrics.journal_appends.fetch_add(1, Ordering::Relaxed);
-        self.metrics
-            .journal_bytes
-            .fetch_add(appended, Ordering::Relaxed);
-        self.metrics.journal_depth.fetch_add(1, Ordering::Relaxed);
+        let record = self.journal.encode_truncate(size);
+        self.append_record(&record)?;
         self.sync_journal_per_policy()?;
         self.data
             .set_len(size)

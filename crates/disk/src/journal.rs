@@ -28,6 +28,12 @@
 //! thresholds) the store *checkpoints*: fsync the data file, then
 //! truncate the journal to zero. The journal is the durability
 //! authority between checkpoints; the data file is authoritative after.
+//!
+//! The file is opened in append mode and [`Journal::open`] cuts a torn
+//! tail off, so every record lands directly behind the last committed
+//! one — at offset 0 after a checkpoint. Recovery stops at the first
+//! byte that is not a record; a record written anywhere else (past a
+//! hole a checkpoint left, behind a torn tail) would never replay.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -38,6 +44,9 @@ pub const RECORD_MAGIC: [u8; 4] = *b"PVJR";
 
 const KIND_WRITE_BATCH: u8 = 1;
 const KIND_TRUNCATE: u8 = 2;
+
+/// Bytes of a record around its body: magic, kind, seq, checksum.
+const RECORD_OVERHEAD: usize = 4 + 1 + 8 + 8;
 
 /// One committed intent.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,34 +75,21 @@ impl JournalRecord {
             JournalRecord::Truncate { seq, .. } => *seq,
         }
     }
+}
 
-    /// Serialize with the trailing commit checksum.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64);
-        buf.extend_from_slice(&RECORD_MAGIC);
-        match self {
-            JournalRecord::WriteBatch { seq, runs } => {
-                buf.push(KIND_WRITE_BATCH);
-                buf.extend_from_slice(&seq.to_le_bytes());
-                buf.extend_from_slice(&(runs.len() as u32).to_le_bytes());
-                for (offset, payload) in runs {
-                    buf.extend_from_slice(&offset.to_le_bytes());
-                    buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-                }
-                for (_, payload) in runs {
-                    buf.extend_from_slice(payload);
-                }
-            }
-            JournalRecord::Truncate { seq, size } => {
-                buf.push(KIND_TRUNCATE);
-                buf.extend_from_slice(&seq.to_le_bytes());
-                buf.extend_from_slice(&size.to_le_bytes());
-            }
-        }
-        let sum = fnv1a64(&buf);
-        buf.extend_from_slice(&sum.to_le_bytes());
-        buf
-    }
+/// Serialize one record — `body` writes the `body_len` bytes between
+/// the sequence number and the trailing commit checksum — into a buffer
+/// allocated once at the record's exact size.
+fn encode_record(kind: u8, seq: u64, body_len: usize, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(RECORD_OVERHEAD + body_len);
+    buf.extend_from_slice(&RECORD_MAGIC);
+    buf.push(kind);
+    buf.extend_from_slice(&seq.to_le_bytes());
+    body(&mut buf);
+    let sum = fnv1a64(&buf);
+    buf.extend_from_slice(&sum.to_le_bytes());
+    debug_assert_eq!(buf.len(), RECORD_OVERHEAD + body_len);
+    buf
 }
 
 /// FNV-1a 64 — tiny, dependency-free, and plenty to distinguish a torn
@@ -192,9 +188,8 @@ impl Journal {
     pub fn open(path: &Path) -> io::Result<(Journal, Vec<JournalRecord>)> {
         let mut file = OpenOptions::new()
             .read(true)
-            .write(true)
+            .append(true)
             .create(true)
-            .truncate(false)
             .open(path)?;
         let mut raw = Vec::new();
         file.read_to_end(&mut raw)?;
@@ -203,6 +198,11 @@ impl Journal {
         while let Some((record, next)) = parse_record(&raw, pos) {
             records.push(record);
             pos = next;
+        }
+        if pos < raw.len() {
+            // Cut the torn tail off now: a record appended behind it
+            // would sit where no recovery ever reads.
+            file.set_len(pos as u64)?;
         }
         let next_seq = records.last().map(|r| r.seq() + 1).unwrap_or(0);
         Ok((
@@ -216,34 +216,49 @@ impl Journal {
         ))
     }
 
-    /// Build the next record for a write batch (consuming the sequence
-    /// number).
-    pub fn make_write_batch(&mut self, runs: Vec<(u64, Vec<u8>)>) -> JournalRecord {
+    fn take_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        JournalRecord::WriteBatch { seq, runs }
+        seq
     }
 
-    /// Build the next record for a truncate.
-    pub fn make_truncate(&mut self, size: u64) -> JournalRecord {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        JournalRecord::Truncate { seq, size }
+    /// Encode the next write-batch record (consuming the sequence
+    /// number) straight from the caller's runs: the payload is copied
+    /// once, into the buffer that goes to the file.
+    pub fn encode_write_batch(&mut self, runs: &[(u64, &[u8])]) -> Vec<u8> {
+        let payload: usize = runs.iter().map(|(_, data)| data.len()).sum();
+        let body_len = 4 + 16 * runs.len() + payload;
+        encode_record(KIND_WRITE_BATCH, self.take_seq(), body_len, |buf| {
+            buf.extend_from_slice(&(runs.len() as u32).to_le_bytes());
+            for (offset, data) in runs {
+                buf.extend_from_slice(&offset.to_le_bytes());
+                buf.extend_from_slice(&(data.len() as u64).to_le_bytes());
+            }
+            for (_, data) in runs {
+                buf.extend_from_slice(data);
+            }
+        })
     }
 
-    /// Append one committed record; returns the bytes written.
-    pub fn append(&mut self, record: &JournalRecord) -> io::Result<u64> {
-        let encoded = record.encode();
-        self.file.write_all(&encoded)?;
+    /// Encode the next truncate record.
+    pub fn encode_truncate(&mut self, size: u64) -> Vec<u8> {
+        encode_record(KIND_TRUNCATE, self.take_seq(), 8, |buf| {
+            buf.extend_from_slice(&size.to_le_bytes())
+        })
+    }
+
+    /// Append one encoded record: it is committed once this returns
+    /// (and durable once [`Journal::sync`] has).
+    pub fn append(&mut self, encoded: &[u8]) -> io::Result<()> {
+        self.file.write_all(encoded)?;
         self.depth += 1;
         self.bytes += encoded.len() as u64;
-        Ok(encoded.len() as u64)
+        Ok(())
     }
 
     /// Crash injection: append only the first `keep` bytes of the
     /// record — the torn tail a power cut mid-append leaves behind.
-    pub fn append_torn(&mut self, record: &JournalRecord, keep: usize) -> io::Result<()> {
-        let encoded = record.encode();
+    pub fn append_torn(&mut self, encoded: &[u8], keep: usize) -> io::Result<()> {
         let keep = keep.min(encoded.len().saturating_sub(1));
         self.file.write_all(&encoded[..keep])?;
         self.file.sync_data()?;
@@ -256,7 +271,8 @@ impl Journal {
     }
 
     /// Drop every record: called once the data file itself has been
-    /// fsynced, making the journal's contents redundant.
+    /// fsynced, making the journal's contents redundant. The next
+    /// append starts the file over at offset 0 (append mode).
     pub fn checkpoint(&mut self) -> io::Result<()> {
         self.file.set_len(0)?;
         self.file.sync_data()?;
@@ -281,18 +297,27 @@ mod tests {
     use super::*;
     use crate::scratch::ScratchDir;
 
+    /// Commit a write batch; returns its encoding and the record replay
+    /// must hand back for it.
+    fn append_batch(j: &mut Journal, runs: &[(u64, &[u8])]) -> (Vec<u8>, JournalRecord) {
+        let seq = j.next_seq;
+        let encoded = j.encode_write_batch(runs);
+        j.append(&encoded).unwrap();
+        let runs = runs.iter().map(|(o, d)| (*o, d.to_vec())).collect();
+        (encoded, JournalRecord::WriteBatch { seq, runs })
+    }
+
     #[test]
     fn roundtrip_records_through_a_file() {
         let dir = ScratchDir::new("journal-roundtrip");
         let path = dir.path().join("j");
         let (mut j, replay) = Journal::open(&path).unwrap();
         assert!(replay.is_empty());
-        let a = j.make_write_batch(vec![(0, b"abc".to_vec()), (100, b"defg".to_vec())]);
-        let b = j.make_truncate(50);
-        let c = j.make_write_batch(vec![(7, b"xy".to_vec())]);
-        for r in [&a, &b, &c] {
-            j.append(r).unwrap();
-        }
+        let (_, a) = append_batch(&mut j, &[(0, b"abc"), (100, b"defg")]);
+        let truncate = j.encode_truncate(50);
+        j.append(&truncate).unwrap();
+        let b = JournalRecord::Truncate { seq: 1, size: 50 };
+        let (_, c) = append_batch(&mut j, &[(7, b"xy")]);
         assert_eq!(j.depth(), 3);
         j.sync().unwrap();
         drop(j);
@@ -302,13 +327,24 @@ mod tests {
     }
 
     #[test]
+    fn records_are_encoded_into_exactly_sized_buffers() {
+        let dir = ScratchDir::new("journal-exact");
+        let (mut j, _) = Journal::open(&dir.path().join("j")).unwrap();
+        let batch = j.encode_write_batch(&[(0, &[1u8; 100]), (4096, &[2u8; 28])]);
+        assert_eq!(batch.len(), RECORD_OVERHEAD + 4 + 2 * 16 + 128);
+        assert_eq!(batch.capacity(), batch.len(), "sized once, never regrown");
+        let truncate = j.encode_truncate(9);
+        assert_eq!(truncate.len(), RECORD_OVERHEAD + 8);
+        assert_eq!(truncate.capacity(), truncate.len());
+    }
+
+    #[test]
     fn torn_tail_is_discarded_not_replayed() {
         let dir = ScratchDir::new("journal-torn");
         let path = dir.path().join("j");
         let (mut j, _) = Journal::open(&path).unwrap();
-        let committed = j.make_write_batch(vec![(0, b"committed".to_vec())]);
-        j.append(&committed).unwrap();
-        let torn = j.make_write_batch(vec![(64, vec![0xAA; 128])]);
+        let (_, committed) = append_batch(&mut j, &[(0, b"committed")]);
+        let torn = j.encode_write_batch(&[(64, &[0xAA; 128])]);
         j.append_torn(&torn, 40).unwrap();
         drop(j);
         let (j2, replay) = Journal::open(&path).unwrap();
@@ -318,19 +354,39 @@ mod tests {
     }
 
     #[test]
+    fn record_appended_behind_a_torn_tail_still_replays() {
+        // Reopen cuts the torn bytes off; were they left in place, the
+        // next record would land behind them, where recovery (which
+        // stops at the first byte that is not a record) never looks.
+        let dir = ScratchDir::new("journal-torn-then-append");
+        let path = dir.path().join("j");
+        let (mut j, _) = Journal::open(&path).unwrap();
+        let torn = j.encode_write_batch(&[(0, &[0xAA; 64])]);
+        j.append_torn(&torn, 30).unwrap();
+        drop(j);
+        let (mut j, replay) = Journal::open(&path).unwrap();
+        assert!(replay.is_empty());
+        let (encoded, after) = append_batch(&mut j, &[(8, b"after the tear")]);
+        drop(j);
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            encoded.len() as u64
+        );
+        let (_, replay) = Journal::open(&path).unwrap();
+        assert_eq!(replay, vec![after]);
+    }
+
+    #[test]
     fn corrupt_byte_invalidates_only_the_tail() {
         let dir = ScratchDir::new("journal-corrupt");
         let path = dir.path().join("j");
         let (mut j, _) = Journal::open(&path).unwrap();
-        let a = j.make_write_batch(vec![(0, vec![1; 32])]);
-        let b = j.make_write_batch(vec![(32, vec![2; 32])]);
-        j.append(&a).unwrap();
-        j.append(&b).unwrap();
+        let (a_encoded, a) = append_batch(&mut j, &[(0, &[1; 32])]);
+        append_batch(&mut j, &[(32, &[2; 32])]);
         drop(j);
         // Flip one payload byte inside record b.
         let mut raw = std::fs::read(&path).unwrap();
-        let a_len = a.encode().len();
-        raw[a_len + 30] ^= 0xFF;
+        raw[a_encoded.len() + 30] ^= 0xFF;
         std::fs::write(&path, &raw).unwrap();
         let (_, replay) = Journal::open(&path).unwrap();
         assert_eq!(replay, vec![a]);
@@ -341,8 +397,7 @@ mod tests {
         let dir = ScratchDir::new("journal-checkpoint");
         let path = dir.path().join("j");
         let (mut j, _) = Journal::open(&path).unwrap();
-        let r = j.make_write_batch(vec![(0, vec![9; 8])]);
-        j.append(&r).unwrap();
+        append_batch(&mut j, &[(0, &[9; 8])]);
         j.checkpoint().unwrap();
         assert_eq!(j.depth(), 0);
         assert_eq!(j.bytes(), 0);
@@ -352,6 +407,31 @@ mod tests {
         // Sequence numbers keep rising across a checkpoint within one
         // session; after reopen they restart — both are fine because
         // the journal is empty at every checkpoint boundary.
+    }
+
+    #[test]
+    fn record_appended_after_a_checkpoint_replays_from_offset_zero() {
+        // The regression: checkpoint truncated the file but left the
+        // write position where it was, so the next record landed past a
+        // hole of zeros — the file grew to every byte ever appended and
+        // the record never replayed (offset 0 holds no record).
+        let dir = ScratchDir::new("journal-checkpoint-append");
+        let path = dir.path().join("j");
+        let (mut j, _) = Journal::open(&path).unwrap();
+        append_batch(&mut j, &[(0, &[1; 500]), (4096, &[2; 500])]);
+        j.checkpoint().unwrap();
+        let (encoded, second) = append_batch(&mut j, &[(64, b"committed, not yet applied")]);
+        assert_eq!(j.depth(), 1);
+        assert_eq!(j.bytes(), encoded.len() as u64);
+        j.sync().unwrap();
+        drop(j);
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            encoded.len() as u64,
+            "the journal is exactly one record long"
+        );
+        let (_, replay) = Journal::open(&path).unwrap();
+        assert_eq!(replay, vec![second]);
     }
 
     #[test]

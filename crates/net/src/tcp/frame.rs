@@ -8,6 +8,12 @@
 //! len (4B LE) | frame (len bytes: pvfs-proto header + trailing + bulk)
 //! ```
 //!
+//! A frame goes out as one vectored write of `len ‖ head ‖ tail`
+//! ([`write_frame_parts`]): the prefix never costs a syscall (or, under
+//! `TCP_NODELAY`, a segment) of its own, and a reply whose bulk payload
+//! already sits in its own buffer is never staged behind its head in a
+//! second one.
+//!
 //! Two hard rules keep a malformed peer from hurting the process:
 //!
 //! * the announced length is checked against
@@ -21,7 +27,7 @@
 use bytes::Bytes;
 use pvfs_proto::MAX_WIRE_FRAME;
 use pvfs_types::PvfsError;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Bytes of framing overhead per frame (the length prefix).
 pub const LEN_PREFIX: usize = 4;
@@ -51,17 +57,46 @@ impl FrameError {
 /// Write one length-prefixed frame. Rejects frames over the cap so a
 /// local bug cannot emit a frame no peer would accept.
 pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
-    if frame.len() > MAX_WIRE_FRAME {
+    write_frame_parts(w, frame, &[])
+}
+
+/// Write the frame `head ‖ tail` behind its length prefix without
+/// joining the parts: one `write_vectored` when the writer takes it
+/// all, resumed from wherever a short write stopped otherwise. Rejects
+/// an oversized `head + tail` before anything reaches the wire.
+pub fn write_frame_parts(w: &mut impl Write, head: &[u8], tail: &[u8]) -> io::Result<()> {
+    let len = head.len() + tail.len();
+    if len > MAX_WIRE_FRAME {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
-            format!(
-                "refusing to send a {}-byte frame (cap {MAX_WIRE_FRAME})",
-                frame.len()
-            ),
+            format!("refusing to send a {len}-byte frame (cap {MAX_WIRE_FRAME})"),
         ));
     }
-    w.write_all(&(frame.len() as u32).to_le_bytes())?;
-    w.write_all(frame)
+    let prefix = (len as u32).to_le_bytes();
+    let parts = [&prefix[..], head, tail];
+    let total = LEN_PREFIX + len;
+    let mut sent = 0;
+    while sent < total {
+        // The unsent remainder: drop whole parts already written, cut
+        // into the one a short write stopped in.
+        let mut skip = sent;
+        let mut bufs = [IoSlice::new(&[]); 3];
+        let mut n = 0;
+        for part in parts {
+            if skip < part.len() {
+                bufs[n] = IoSlice::new(&part[skip..]);
+                n += 1;
+            }
+            skip = skip.saturating_sub(part.len());
+        }
+        match w.write_vectored(&bufs[..n]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(k) => sent += k,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Read one length-prefixed frame, surviving arbitrary short reads.
@@ -104,9 +139,10 @@ fn read_exact_or_closed(r: &mut impl Read, buf: &mut [u8]) -> Result<(), FrameEr
     Ok(())
 }
 
-/// Total wire bytes one frame occupies (prefix + body).
-pub fn wire_len(frame: &[u8]) -> u64 {
-    (LEN_PREFIX + frame.len()) as u64
+/// Total wire bytes a frame of `frame_len` bytes occupies (prefix +
+/// body).
+pub fn wire_len(frame_len: usize) -> u64 {
+    (LEN_PREFIX + frame_len) as u64
 }
 
 #[cfg(test)]
@@ -208,6 +244,111 @@ mod tests {
         let mut out = Vec::new();
         assert!(write_frame(&mut out, &huge).is_err());
         assert!(out.is_empty(), "nothing may hit the wire");
+    }
+
+    /// A writer that takes at most `chunk` bytes per call, spread over
+    /// however many of the offered slices that covers — the short
+    /// vectored write of a full socket buffer.
+    struct Dribble {
+        out: Vec<u8>,
+        chunk: usize,
+        calls: usize,
+    }
+
+    impl Write for Dribble {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut room = self.chunk;
+            for buf in bufs {
+                let n = room.min(buf.len());
+                self.out.extend_from_slice(&buf[..n]);
+                room -= n;
+            }
+            Ok(self.chunk - room)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// What the two-`write_all` writer this module used to have put on
+    /// the wire.
+    fn prefixed(frame: &[u8]) -> Vec<u8> {
+        let mut wire = (frame.len() as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(frame);
+        wire
+    }
+
+    #[test]
+    fn vectored_writer_survives_short_writes_byte_identically() {
+        let head: Vec<u8> = (0..20u8).collect();
+        let tail: Vec<u8> = (0..=255u8).rev().cycle().take(700).collect();
+        let whole = [&head[..], &tail[..]].concat();
+        for chunk in [1, 2, 3, 5, 7] {
+            for (h, t) in [
+                (&head[..], &tail[..]),
+                (&whole[..], &[][..]),
+                (&[][..], &whole[..]),
+            ] {
+                let mut w = Dribble {
+                    out: Vec::new(),
+                    chunk,
+                    calls: 0,
+                };
+                write_frame_parts(&mut w, h, t).unwrap();
+                assert_eq!(w.out, prefixed(&whole), "chunk {chunk}");
+                assert_eq!(w.calls, (LEN_PREFIX + whole.len()).div_ceil(chunk));
+                assert_eq!(
+                    read_frame(&mut w.out.as_slice()).unwrap().as_ref(),
+                    &whole[..]
+                );
+            }
+        }
+        // `write_frame` is the same routine with an empty tail, and an
+        // empty frame is still a frame.
+        assert_eq!(framed(&whole), prefixed(&whole));
+        assert_eq!(framed(b""), prefixed(b""));
+    }
+
+    #[test]
+    fn a_writer_that_takes_everything_sees_one_vectored_write() {
+        let mut w = Dribble {
+            out: Vec::new(),
+            chunk: usize::MAX,
+            calls: 0,
+        };
+        write_frame_parts(&mut w, b"head", b"and a tail").unwrap();
+        assert_eq!(w.calls, 1, "prefix, head and tail leave in one call");
+        assert_eq!(w.out, prefixed(b"headand a tail"));
+    }
+
+    #[test]
+    fn oversized_parts_are_refused_with_nothing_on_the_wire() {
+        let head = [0u8; 20];
+        let tail = vec![0u8; MAX_WIRE_FRAME - head.len() + 1];
+        let mut out = Vec::new();
+        let err = write_frame_parts(&mut out, &head, &tail).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(out.is_empty(), "nothing may hit the wire");
+        // One byte less is exactly the cap, and goes out.
+        write_frame_parts(&mut out, &head, &tail[1..]).unwrap();
+        assert_eq!(out.len(), LEN_PREFIX + MAX_WIRE_FRAME);
+    }
+
+    #[test]
+    fn a_writer_that_stops_taking_bytes_is_an_error_not_a_spin() {
+        let mut w = Dribble {
+            out: Vec::new(),
+            chunk: 0,
+            calls: 0,
+        };
+        let err = write_frame_parts(&mut w, b"x", b"y").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
     }
 
     #[test]

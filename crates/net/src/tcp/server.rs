@@ -15,6 +15,9 @@
 //! write half is wrapped in a mutex so workers finishing out of order
 //! (different requests pipelined on one connection) interleave whole
 //! frames, never partial ones; request ids let the peer attribute them.
+//! A `Data` reply leaves as `prefix ‖ head ‖ payload` in one vectored
+//! write ([`send_reply`]): the payload the daemon gathered is the buffer
+//! the socket reads from, never staged behind its head in a second one.
 //!
 //! # Shutdown
 //!
@@ -26,7 +29,9 @@
 //! request is served and its response written before the pool exits.
 
 use bytes::Bytes;
-use pvfs_proto::{decode_frame_id, encode_response, frame_is_stats_scrape, Response};
+use pvfs_proto::{
+    data_response_head, decode_frame_id, encode_response, frame_is_stats_scrape, Response,
+};
 use pvfs_server::{IoDaemon, IodConfig, Manager};
 use pvfs_types::{PvfsError, RequestId};
 use std::io::Write;
@@ -37,7 +42,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use super::frame::{read_frame, wire_len, write_frame, FrameError};
+use super::frame::{read_frame, wire_len, write_frame_parts, FrameError};
 use crate::chan::TrySendError;
 use crate::pool::WorkerPool;
 use crate::transport::serve_frame;
@@ -48,13 +53,18 @@ use crate::transport::serve_frame;
 /// so a scraped snapshot equals the in-process one byte for byte.
 struct ServeHooks {
     /// Request frame in (plus how long it waited queued — traced
-    /// requests record the wait as a `queue` span), encoded response
-    /// frame out.
-    serve: Box<dyn Fn(Bytes, Duration) -> Bytes + Send + Sync>,
+    /// requests record the wait as a `queue` span), response and the
+    /// request id it echoes out.
+    serve: Box<dyn Fn(Bytes, Duration) -> (RequestId, Response) + Send + Sync>,
     /// Called with the wire size of every request frame read.
     on_rx: Box<dyn Fn(u64) + Send + Sync>,
-    /// Called with the wire size of every response frame written.
+    /// Called with the wire size of every response frame, under the
+    /// connection's write lock and *before* the frame is handed to the
+    /// socket: a client that holds a reply can never scrape counters
+    /// that miss that reply's frame.
     on_tx: Box<dyn Fn(u64) + Send + Sync>,
+    /// Takes back an `on_tx` whose write then failed.
+    undo_tx: Box<dyn Fn(u64) + Send + Sync>,
     /// Called when a request frame enters the worker-pool queue.
     on_queued: Box<dyn Fn() + Send + Sync>,
     /// Called with the queue wait when a worker dequeues a request.
@@ -104,8 +114,8 @@ impl TcpServer {
         let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
         let worker_hooks = hooks.clone();
-        let (pool_tx, pool) = WorkerPool::spawn(name, workers, queue_depth, move |msg: TcpMsg| {
-            match msg {
+        let (pool_tx, pool) =
+            WorkerPool::spawn(name, workers, queue_depth, move |msg: TcpMsg| match msg {
                 TcpMsg::Rpc(frame, writer, queued_at) => {
                     let scrape = frame_is_stats_scrape(&frame);
                     let waited = queued_at.elapsed();
@@ -113,25 +123,15 @@ impl TcpServer {
                         (worker_hooks.on_begin)(waited);
                     }
                     let served_at = Instant::now();
-                    let reply = (worker_hooks.serve)(frame, waited);
+                    let (id, response) = (worker_hooks.serve)(frame, waited);
                     if !scrape {
                         (worker_hooks.on_end)(served_at.elapsed());
                     }
-                    // Whole-frame writes under the connection's write
-                    // lock: pipelined responses interleave per frame.
-                    let mut w = writer.lock().unwrap();
-                    if write_frame(&mut *w, &reply)
-                        .and_then(|()| w.flush())
-                        .is_ok()
-                        && !scrape
-                    {
-                        (worker_hooks.on_tx)(wire_len(&reply));
-                    }
+                    send_reply(&writer, id, &response, (!scrape).then_some(&*worker_hooks));
                     ControlFlow::Continue(())
                 }
                 TcpMsg::Shutdown => ControlFlow::Break(()),
-            }
-        });
+            });
 
         let accept_flag = shutting_down.clone();
         let accept_conns = conns.clone();
@@ -239,7 +239,7 @@ fn spawn_reader(
                     Ok(frame) => {
                         let scrape = frame_is_stats_scrape(&frame);
                         if !scrape {
-                            (hooks.on_rx)(wire_len(&frame));
+                            (hooks.on_rx)(wire_len(frame.len()));
                             (hooks.on_queued)();
                         }
                         let msg = TcpMsg::Rpc(frame, writer.clone(), Instant::now());
@@ -266,14 +266,7 @@ fn spawn_reader(
                                 // request is refused.
                                 let err = hooks.shed.as_ref().expect("checked above")();
                                 let id = decode_frame_id(&frame).unwrap_or(RequestId(0));
-                                let reply = encode_response(id, &Response::Error(err));
-                                let mut w = writer.lock().unwrap();
-                                if write_frame(&mut *w, &reply)
-                                    .and_then(|()| w.flush())
-                                    .is_ok()
-                                {
-                                    (hooks.on_tx)(wire_len(&reply));
-                                }
+                                send_reply(&writer, id, &Response::Error(err), Some(&hooks));
                             }
                             Err(TrySendError::Full(TcpMsg::Shutdown)) => {
                                 unreachable!("reader only sends Rpc frames")
@@ -285,15 +278,8 @@ fn spawn_reader(
                         // oversized announcement, but the peer deserves
                         // to know why it is being dropped. Id 0: the
                         // header was never read.
-                        let reply = encode_response(RequestId(0), &Response::Error(e));
-                        let mut w = writer.lock().unwrap();
-                        if write_frame(&mut *w, &reply)
-                            .and_then(|()| w.flush())
-                            .is_ok()
-                        {
-                            (hooks.on_tx)(wire_len(&reply));
-                        }
-                        let _ = w.shutdown(Shutdown::Both);
+                        send_reply(&writer, RequestId(0), &Response::Error(e), Some(&hooks));
+                        let _ = stream.shutdown(Shutdown::Both);
                         break;
                     }
                     Err(_) => break, // peer hung up or died mid-frame
@@ -301,6 +287,41 @@ fn spawn_reader(
             }
         })
         .expect("spawn tcp reader")
+}
+
+/// Write one response frame, whole, under the connection's write lock
+/// (pipelined responses interleave per frame, never within one). A
+/// `Data` reply is `head ‖ payload` written in place; everything else is
+/// small and goes out as encoded. `account` is `None` for stats scrapes,
+/// which must leave no trace in the counters they read. A failed write
+/// needs no handling beyond the accounting: the peer is gone and its
+/// reader sees the same.
+fn send_reply(
+    writer: &Mutex<TcpStream>,
+    id: RequestId,
+    response: &Response,
+    account: Option<&ServeHooks>,
+) {
+    let (head, encoded);
+    let (front, payload): (&[u8], &[u8]) = match response {
+        Response::Data { data } => {
+            head = data_response_head(id, data.len() as u64);
+            (&head, data)
+        }
+        other => {
+            encoded = encode_response(id, other);
+            (&encoded, &[])
+        }
+    };
+    let wire = wire_len(front.len() + payload.len());
+    let mut w = writer.lock().unwrap();
+    if let Some(hooks) = account {
+        (hooks.on_tx)(wire);
+    }
+    let sent = write_frame_parts(&mut *w, front, payload).and_then(|()| w.flush());
+    if let (Err(_), Some(hooks)) = (sent, account) {
+        (hooks.undo_tx)(wire);
+    }
 }
 
 /// The TCP server side of a whole cluster: one [`TcpServer`] per I/O
@@ -319,6 +340,7 @@ impl TcpCluster {
                 let serve_daemon = daemon.clone();
                 let rx_daemon = daemon.clone();
                 let tx_daemon = daemon.clone();
+                let untx_daemon = daemon.clone();
                 let queued_daemon = daemon.clone();
                 let begin_daemon = daemon.clone();
                 let end_daemon = daemon.clone();
@@ -340,10 +362,11 @@ impl TcpCluster {
                             if let Some(stall) = config.emulated_latency {
                                 std::thread::sleep(stall);
                             }
-                            encode_response(id, &response)
+                            (id, response)
                         }),
                         on_rx: Box::new(move |n| rx_daemon.record_wire_rx(n)),
                         on_tx: Box::new(move |n| tx_daemon.record_wire_tx(n)),
+                        undo_tx: Box::new(move |n| untx_daemon.retract_wire_tx(n)),
                         on_queued: Box::new(move || queued_daemon.note_queued()),
                         on_begin: Box::new(move |waited| begin_daemon.begin_service(waited)),
                         on_end: Box::new(move |took| end_daemon.end_service(took)),
@@ -366,6 +389,7 @@ impl TcpCluster {
         let serve_mgr = manager.clone();
         let rx_mgr = manager.clone();
         let tx_mgr = manager.clone();
+        let untx_mgr = manager.clone();
         let end_mgr = manager;
         let mgr = TcpServer::spawn(
             "pvfs-mgr",
@@ -373,13 +397,13 @@ impl TcpCluster {
             config.queue_depth.max(1),
             ServeHooks {
                 serve: Box::new(move |frame, waited| {
-                    let (id, response) = serve_frame(frame, |req, ctx| {
+                    serve_frame(frame, |req, ctx| {
                         serve_mgr.lock().unwrap().handle_traced(req, ctx, waited)
-                    });
-                    encode_response(id, &response)
+                    })
                 }),
                 on_rx: Box::new(move |n| rx_mgr.lock().unwrap().record_wire_rx(n)),
                 on_tx: Box::new(move |n| tx_mgr.lock().unwrap().record_wire_tx(n)),
+                undo_tx: Box::new(move |n| untx_mgr.lock().unwrap().retract_wire_tx(n)),
                 // The manager's single worker has no meaningful queue
                 // gauge; its service time is the whole story.
                 on_queued: Box::new(|| {}),

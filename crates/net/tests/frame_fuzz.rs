@@ -11,13 +11,19 @@
 
 use bytes::Bytes;
 use pvfs_net::tcp::frame::{read_frame, write_frame, FrameError, LEN_PREFIX};
+use pvfs_net::tcp::TcpCluster;
 use pvfs_proto::{
     decode_message, decode_response, encode_message, encode_response, Message, Request, Response,
     MAX_WIRE_FRAME,
 };
-use pvfs_types::{ClientId, FileHandle, PvfsError, Region, RegionList, RequestId, StripeLayout};
+use pvfs_server::{IoDaemon, IodConfig};
+use pvfs_types::{
+    ClientId, FileHandle, PvfsError, Region, RegionList, RequestId, ServerId, StripeLayout,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::net::TcpStream;
+use std::sync::Arc;
 
 fn layout() -> StripeLayout {
     StripeLayout::new(0, 4, 64).unwrap()
@@ -230,4 +236,70 @@ fn arbitrary_garbage_never_panics() {
         let wire: Vec<u8> = (0..len).map(|_| rng.gen::<u8>()).collect();
         decode_stack(&wire);
     }
+}
+
+/// A well-formed frame can still lie about sizes *inside* the message:
+/// a list read naming a 2^40-byte region passes every framing and codec
+/// check. Over a live tcp daemon it must come back as a typed protocol
+/// error — not take the daemon down sizing a reply buffer — and the
+/// same connection must go on being served.
+#[test]
+fn read_naming_a_huge_region_is_answered_and_the_daemon_keeps_serving() {
+    let daemons = vec![Arc::new(IoDaemon::new(ServerId(0), IodConfig::default()))];
+    let tcp = TcpCluster::spawn(&daemons, IodConfig::default());
+    let mut conn = TcpStream::connect(tcp.server_addrs()[0]).unwrap();
+    let l = StripeLayout::new(0, 1, 1 << 16).unwrap();
+    let fh = FileHandle(7);
+    let mut call = |id: u64, request: Request| {
+        let frame = encode_message(&Message {
+            client: ClientId(1),
+            id: RequestId(id),
+            request,
+        })
+        .unwrap();
+        write_frame(&mut conn, &frame).unwrap();
+        let (rid, response) = decode_response(read_frame(&mut conn).unwrap()).unwrap();
+        assert_eq!(rid, RequestId(id));
+        response
+    };
+
+    let written = call(
+        1,
+        Request::Write {
+            handle: fh,
+            layout: l,
+            region: Region::new(0, 8),
+            data: Bytes::from(vec![0x5a; 8]),
+        },
+    );
+    assert_eq!(written, Response::Written { bytes: 8 });
+
+    let hostile = RegionList::from_regions(vec![Region::new(0, 8), Region::new(64, 1 << 40)]);
+    match call(
+        2,
+        Request::ReadList {
+            handle: fh,
+            layout: l,
+            regions: hostile.unwrap(),
+        },
+    ) {
+        Response::Error(PvfsError::Protocol(_)) => {}
+        other => panic!("expected a typed protocol error, got {other:?}"),
+    }
+
+    let read = call(
+        3,
+        Request::Read {
+            handle: fh,
+            layout: l,
+            region: Region::new(0, 8),
+        },
+    );
+    assert_eq!(
+        read,
+        Response::Data {
+            data: Bytes::from(vec![0x5a; 8])
+        }
+    );
+    assert_eq!(daemons[0].stats().errors, 1);
 }

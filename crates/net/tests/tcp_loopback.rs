@@ -108,20 +108,50 @@ fn wire_bytes_count_the_length_prefix() {
     let stats = daemons[0].stats();
     assert_eq!(stats.frames_rx, 1);
     assert_eq!(stats.bytes_rx, wire);
-    // The worker records bytes_tx *after* the response hits the socket,
-    // so the client can observe the reply a beat before the counter
-    // lands — poll briefly instead of racing it.
-    let deadline = Instant::now() + Duration::from_secs(2);
-    loop {
-        let tx = daemons[0].stats().bytes_tx;
-        if tx > 4 {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "response accounting must include its prefix (bytes_tx = {tx})"
+    // LocalSize reply: 12-byte envelope + tag, 8-byte size, 4-byte prefix.
+    assert_eq!(stats.bytes_tx, 4 + 20);
+}
+
+/// A reply is accounted before it is handed to the socket (under the
+/// connection's write lock), so a client that holds reply `k` can never
+/// read counters that miss reply `k`'s frame — prefix included, `Data`
+/// replies (written head-and-payload, vectored) no different.
+#[test]
+fn bytes_tx_includes_every_reply_the_client_already_holds() {
+    let daemons = vec![Arc::new(IoDaemon::new(ServerId(0), IodConfig::default()))];
+    let tcp = TcpCluster::spawn(&daemons, IodConfig::default());
+    let transport = TcpTransport::new(tcp.server_addrs(), tcp.mgr_addr());
+    let l = layout(1);
+    let mut expected_tx = 0u64;
+    for k in 1..=200u64 {
+        let request = if k % 2 == 0 {
+            Request::GetLocalSize {
+                handle: FileHandle(1),
+            }
+        } else {
+            Request::Read {
+                handle: FileHandle(1),
+                layout: l,
+                region: Region::new(0, 3 * k),
+            }
+        };
+        let frame = encode_message(&Message {
+            client: ClientId(1),
+            id: RequestId(k),
+            request,
+        })
+        .unwrap();
+        let reply = transport
+            .start(RpcTarget::Server(ServerId(0)), frame)
+            .unwrap()
+            .wait(Duration::from_secs(5))
+            .unwrap();
+        expected_tx += 4 + reply.len() as u64;
+        assert_eq!(
+            daemons[0].stats().bytes_tx,
+            expected_tx,
+            "reply {k} is in hand but not in the counters"
         );
-        std::thread::yield_now();
     }
 }
 

@@ -110,7 +110,12 @@ pub fn encode_message(m: &Message) -> PvfsResult<Bytes> {
 /// present. `ctx: None` is byte-identical to [`encode_message`], which
 /// is what pins `PVFS_TRACE=off` to zero wire overhead.
 pub fn encode_message_traced(m: &Message, ctx: Option<TraceContext>) -> PvfsResult<Bytes> {
-    let mut buf = BytesMut::with_capacity(80 + m.request.bulk_len() as usize);
+    // Exactly the frame: a frame sized short of its region list regrows,
+    // and a regrow re-copies everything written so far.
+    let trace_len = if ctx.is_some() { 16 } else { 0 };
+    let mut buf = BytesMut::with_capacity(
+        m.request.control_wire_size() as usize + trace_len + m.request.bulk_len() as usize,
+    );
     buf.put_u16_le(MAGIC);
     buf.put_u8(if ctx.is_some() {
         VERSION_TRACED
@@ -399,12 +404,40 @@ pub fn decode_message_traced(mut buf: Bytes) -> PvfsResult<(Message, Option<Trac
     ))
 }
 
-/// Encode a response frame (echoing the request id).
-pub fn encode_response(id: RequestId, resp: &Response) -> Bytes {
-    let mut buf = BytesMut::with_capacity(32 + resp.bulk_len() as usize);
+/// Bytes of a [`Response::Data`] frame before its payload: envelope
+/// (magic, version, request id), tag, payload length.
+pub const DATA_HEAD_LEN: usize = 2 + 1 + 8 + 1 + 8;
+
+/// Every response frame starts with this: magic, version, echoed id.
+fn put_response_envelope(buf: &mut impl BufMut, id: RequestId) {
     buf.put_u16_le(MAGIC);
     buf.put_u8(VERSION);
     buf.put_u64_le(id.0);
+}
+
+/// The head of a [`Response::Data`] frame carrying `payload_len` bytes:
+/// `head ‖ payload` is byte for byte what [`encode_response`] produces.
+/// A stream transport writes the two parts with one vectored write, so
+/// the payload is never staged behind its head in a second buffer.
+pub fn data_response_head(id: RequestId, payload_len: u64) -> [u8; DATA_HEAD_LEN] {
+    let mut head = [0u8; DATA_HEAD_LEN];
+    let mut w = &mut head[..];
+    put_response_envelope(&mut w, id);
+    w.put_u8(RESP_DATA);
+    w.put_u64_le(payload_len);
+    head
+}
+
+/// Encode a response frame (echoing the request id).
+pub fn encode_response(id: RequestId, resp: &Response) -> Bytes {
+    if let Response::Data { data } = resp {
+        let mut buf = BytesMut::with_capacity(DATA_HEAD_LEN + data.len());
+        buf.put_slice(&data_response_head(id, data.len() as u64));
+        buf.put_slice(data);
+        return buf.freeze();
+    }
+    let mut buf = BytesMut::with_capacity(32);
+    put_response_envelope(&mut buf, id);
     match resp {
         Response::Created { handle } => {
             buf.put_u8(RESP_CREATED);
@@ -428,11 +461,7 @@ pub fn encode_response(id: RequestId, resp: &Response) -> Bytes {
             buf.put_u8(RESP_LOCAL_SIZE);
             buf.put_u64_le(*size);
         }
-        Response::Data { data } => {
-            buf.put_u8(RESP_DATA);
-            buf.put_u64_le(data.len() as u64);
-            buf.put_slice(data);
-        }
+        Response::Data { .. } => unreachable!("encoded above"),
         Response::Written { bytes } => {
             buf.put_u8(RESP_WRITTEN);
             buf.put_u64_le(*bytes);

@@ -18,7 +18,7 @@ use pvfs_disk::{
     CacheConfig, CostReport, CrashPoint, DiskModel, FileStore, LocalFile, StorageConfig,
     StorageMetrics,
 };
-use pvfs_proto::{Request, Response};
+use pvfs_proto::{Request, Response, MAX_BULK_BYTES};
 use pvfs_types::trace::{self, FlightRecorder, Span, SpanId, TraceContext};
 use pvfs_types::{
     FileHandle, PvfsError, PvfsResult, Region, RegionList, ServerId, SharedHistogram,
@@ -340,6 +340,19 @@ impl IoDaemon {
         self.stats.bytes_tx.fetch_add(wire_bytes, Ordering::Relaxed);
     }
 
+    /// Take back a [`record_wire_tx`](IoDaemon::record_wire_tx) whose
+    /// frame never left: a stream transport accounts a response before
+    /// it writes it, and the write can fail. Saturating, so a
+    /// `ResetStats` landing in between cannot wrap the counter.
+    pub fn retract_wire_tx(&self, wire_bytes: u64) {
+        let _ = self
+            .stats
+            .bytes_tx
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+                Some(v.saturating_sub(wire_bytes))
+            });
+    }
+
     /// The transport accepted a request onto this daemon's queue. Bumps
     /// the live queue-depth gauge; paired with [`IoDaemon::begin_service`].
     pub fn note_queued(&self) {
@@ -553,24 +566,7 @@ impl IoDaemon {
                     .contiguous_requests
                     .fetch_add(1, Ordering::Relaxed);
                 let slot = self.slot_in(layout)?;
-                let mut cost = ServeCost {
-                    regions: 1,
-                    ..ServeCost::default()
-                };
-                let mut shard = self.shard(*handle).lock().unwrap();
-                let file = self.file_entry(&mut shard, *handle)?;
-                let data = read_region(file, layout, slot, *region, &mut cost)?;
-                drop(shard);
-                self.stats.regions.fetch_add(1, Ordering::Relaxed);
-                self.stats
-                    .bytes_read
-                    .fetch_add(data.len() as u64, Ordering::Relaxed);
-                Ok((
-                    Response::Data {
-                        data: Bytes::from(data),
-                    },
-                    cost,
-                ))
+                self.gather(*handle, layout, slot, 1, || std::iter::once(*region))
             }
             Request::Write {
                 handle,
@@ -615,30 +611,8 @@ impl IoDaemon {
                 self.stats.list_requests.fetch_add(1, Ordering::Relaxed);
                 self.check_list(regions)?;
                 let slot = self.slot_in(layout)?;
-                let mut cost = ServeCost {
-                    regions: regions.count() as u64,
-                    ..ServeCost::default()
-                };
-                let mut out = Vec::new();
-                let mut shard = self.shard(*handle).lock().unwrap();
-                let file = self.file_entry(&mut shard, *handle)?;
-                for region in regions {
-                    let piece = read_region(file, layout, slot, *region, &mut cost)?;
-                    out.extend_from_slice(&piece);
-                }
-                drop(shard);
-                self.stats
-                    .regions
-                    .fetch_add(regions.count() as u64, Ordering::Relaxed);
-                self.stats
-                    .bytes_read
-                    .fetch_add(out.len() as u64, Ordering::Relaxed);
-                Ok((
-                    Response::Data {
-                        data: Bytes::from(out),
-                    },
-                    cost,
-                ))
+                let count = regions.count() as u64;
+                self.gather(*handle, layout, slot, count, || regions.iter().copied())
             }
             Request::WriteList {
                 handle,
@@ -692,30 +666,10 @@ impl IoDaemon {
                 for run in runs {
                     run.validate()?;
                 }
-                let mut cost = ServeCost::default();
-                let mut out = Vec::new();
-                let mut shard = self.shard(*handle).lock().unwrap();
-                let file = self.file_entry(&mut shard, *handle)?;
-                for run in runs {
-                    for region in run.regions() {
-                        cost.regions += 1;
-                        let piece = read_region(file, layout, slot, region, &mut cost)?;
-                        out.extend_from_slice(&piece);
-                    }
-                }
-                drop(shard);
-                self.stats
-                    .regions
-                    .fetch_add(cost.regions, Ordering::Relaxed);
-                self.stats
-                    .bytes_read
-                    .fetch_add(out.len() as u64, Ordering::Relaxed);
-                Ok((
-                    Response::Data {
-                        data: Bytes::from(out),
-                    },
-                    cost,
-                ))
+                let count = runs.iter().fold(0u64, |n, run| n.saturating_add(run.count));
+                self.gather(*handle, layout, slot, count, || {
+                    runs.iter().flat_map(|run| run.regions())
+                })
             }
             Request::WriteVectors {
                 handle,
@@ -881,6 +835,62 @@ impl IoDaemon {
         }
     }
 
+    /// Serve a read: gather this server's share of `regions` —
+    /// concatenated in request order, the convention of
+    /// [`Request::server_share`] — from the handle's local file into one
+    /// buffer that becomes the `Data` reply as is: sized once, every run
+    /// read straight into its place. `Read`, `ReadList` and
+    /// `ReadVectors` all come through here.
+    ///
+    /// Region lengths come off the wire, so the share is checked against
+    /// what one reply frame may carry *before* anything is allocated: a
+    /// frame naming a 2^40-byte region gets a typed error, not an
+    /// allocation failure that takes the daemon down.
+    fn gather<I: Iterator<Item = Region>>(
+        &self,
+        handle: FileHandle,
+        layout: &StripeLayout,
+        slot: u32,
+        region_count: u64,
+        regions: impl Fn() -> I,
+    ) -> Result<(Response, ServeCost), PvfsError> {
+        let mut share = 0u64;
+        for seg in regions().flat_map(|r| layout.segments(r)) {
+            if seg.slot == slot {
+                share += seg.logical.len;
+                if share > MAX_BULK_BYTES as u64 {
+                    return Err(PvfsError::protocol(format!(
+                        "read asks this server for more than the {MAX_BULK_BYTES} bytes \
+                         one reply frame may carry"
+                    )));
+                }
+            }
+        }
+        let mut cost = ServeCost {
+            regions: region_count,
+            ..ServeCost::default()
+        };
+        let mut out = vec![0u8; share as usize];
+        let mut shard = self.shard(handle).lock().unwrap();
+        let file = self.file_entry(&mut shard, handle)?;
+        // One storage:read span per traced request; a no-op when no sink
+        // is active on this thread.
+        let started = std::time::Instant::now();
+        let mut filled = 0usize;
+        for region in regions() {
+            filled += read_region_into(file, layout, slot, region, &mut out[filled..], &mut cost)?;
+        }
+        drop(shard);
+        trace::sink_add("storage:read", started.elapsed());
+        debug_assert_eq!(filled, out.len());
+        self.stats
+            .regions
+            .fetch_add(region_count, Ordering::Relaxed);
+        self.stats.bytes_read.fetch_add(share, Ordering::Relaxed);
+        let data = Bytes::from(out);
+        Ok((Response::Data { data }, cost))
+    }
+
     /// Which slot this server occupies in `layout`, or an error if the
     /// request was misrouted.
     ///
@@ -957,7 +967,9 @@ impl IoDaemon {
     }
 }
 
-/// Read this server's bytes of a logical region, in logical order.
+/// Read this server's bytes of a logical region, in logical order,
+/// into the front of `out` (the unfilled rest of the response buffer);
+/// returns how many bytes that was.
 ///
 /// Consecutive stripes a slot owns are packed contiguously in its
 /// local file, so a logical region spanning many of this server's
@@ -965,15 +977,21 @@ impl IoDaemon {
 /// exactly as the PVFS iod does — and `cost.local_accesses` counts
 /// these merged runs, the unit the simulator charges per-access
 /// server time for.
-fn read_region(
+fn read_region_into(
     file: &mut LocalFile,
     layout: &StripeLayout,
     slot: u32,
     region: Region,
+    out: &mut [u8],
     cost: &mut ServeCost,
-) -> PvfsResult<Vec<u8>> {
-    let started = std::time::Instant::now();
-    let mut out = Vec::with_capacity(layout.bytes_on_slot(region, slot) as usize);
+) -> PvfsResult<usize> {
+    let mut filled = 0usize;
+    let mut read_run = |start: u64, len: u64| -> PvfsResult<()> {
+        let end = filled + len as usize;
+        cost.merge_disk(file.read_into(start, &mut out[filled..end])?);
+        filled = end;
+        Ok(())
+    };
     let mut run: Option<(u64, u64)> = None; // (local offset, len)
     for seg in layout.segments(region) {
         if seg.slot != slot {
@@ -984,23 +1002,16 @@ fn read_region(
                 run = Some((start, len + seg.logical.len));
             }
             Some((start, len)) => {
-                let (piece, report) = file.read_at(start, len as usize)?;
-                cost.merge_disk(report);
-                out.extend_from_slice(&piece);
+                read_run(start, len)?;
                 run = Some((seg.local_offset, seg.logical.len));
             }
             None => run = Some((seg.local_offset, seg.logical.len)),
         }
     }
     if let Some((start, len)) = run {
-        let (piece, report) = file.read_at(start, len as usize)?;
-        cost.merge_disk(report);
-        out.extend_from_slice(&piece);
+        read_run(start, len)?;
     }
-    // Per-region calls aggregate into one storage:read span per traced
-    // request; a no-op when no sink is active on this thread.
-    trace::sink_add("storage:read", started.elapsed());
-    Ok(out)
+    Ok(filled)
 }
 
 /// Plan this server's merged local runs of one logical region: each
@@ -1296,6 +1307,63 @@ mod tests {
             regions,
         });
         assert!(matches!(resp, Response::Error(PvfsError::Protocol(_))));
+    }
+
+    #[test]
+    fn oversized_read_share_is_a_typed_error_before_any_allocation() {
+        // Region lengths are wire input. Each of these asks this daemon
+        // for 2^38 bytes — far over what one reply frame may carry — and
+        // must be refused from the arithmetic alone: sizing the reply
+        // buffer first would abort the process on allocation failure.
+        let l = StripeLayout::new(0, 4, 1 << 20).unwrap();
+        let huge = Region::new(0, 1 << 40);
+        let d = IoDaemon::with_defaults(ServerId(2));
+        let requests = [
+            Request::Read {
+                handle: fh(),
+                layout: l,
+                region: huge,
+            },
+            Request::ReadList {
+                handle: fh(),
+                layout: l,
+                regions: RegionList::from_regions(vec![Region::new(0, 8), huge.shifted(64)])
+                    .unwrap(),
+            },
+            Request::ReadVectors {
+                handle: fh(),
+                layout: l,
+                runs: vec![pvfs_proto::VectorRun {
+                    base: 0,
+                    blocklen: 1 << 30,
+                    stride: 1 << 30,
+                    count: 1 << 10,
+                }],
+            },
+        ];
+        for request in &requests {
+            match d.handle(request).0 {
+                Response::Error(PvfsError::Protocol(why)) => {
+                    assert!(why.contains("one reply frame"), "{why}")
+                }
+                other => panic!(
+                    "{}: expected a protocol error, got {other:?}",
+                    request.op_name()
+                ),
+            }
+        }
+        assert_eq!(d.stats().errors, 3);
+        assert_eq!(d.stats().bytes_read, 0);
+        // Exactly the cap is served, and the daemon is as alive as ever.
+        let at_cap = Request::Read {
+            handle: fh(),
+            layout: StripeLayout::new(2, 1, 1 << 20).unwrap(),
+            region: Region::new(0, MAX_BULK_BYTES as u64),
+        };
+        match d.handle(&at_cap).0 {
+            Response::Data { data } => assert_eq!(data.len(), MAX_BULK_BYTES),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]
@@ -1846,28 +1914,87 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// This daemon's share of `regions` read off the flat model: the
+    /// bytes of its stripe segments, concatenated in request order;
+    /// anything the model never saw reads as zeros.
+    fn model_share(flat: &[u8], l: &StripeLayout, slot: u32, regions: &[Region]) -> Vec<u8> {
+        regions
+            .iter()
+            .flat_map(|r| l.segments(*r))
+            .filter(|s| s.slot == slot)
+            .flat_map(|s| s.logical.offset..s.logical.end())
+            .map(|at| flat.get(at as usize).copied().unwrap_or(0))
+            .collect()
+    }
+
     proptest! {
         /// Writing any byte range through per-server contiguous requests
-        /// and reading it back through per-server reads reproduces the
-        /// data for arbitrary layouts.
+        /// and reading it back — whole through per-server `Read`s, and
+        /// strided through `ReadList` and `ReadVectors` (every read arm
+        /// shares one gather) — reproduces a flat in-memory model of
+        /// the file, for arbitrary layouts, on both storage backends.
         #[test]
         fn scatter_gather_roundtrip(
             pcount in 1u32..8,
             ssize in 1u64..64,
             offset in 0u64..500,
             len in 1usize..700,
+            first in 0u64..600,
+            blocklen in 1u64..150,
+            gap in 0u64..90,
+            count in 1u64..12,
         ) {
             let l = StripeLayout::new(0, pcount, ssize).unwrap();
-            let mut daemons: Vec<IoDaemon> =
-                (0..pcount).map(|i| IoDaemon::with_defaults(ServerId(i))).collect();
             let data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
-            super::tests::write_all(&mut daemons, &l, offset, &data);
-            let back = super::tests::read_all(
-                &mut daemons,
-                &l,
-                Region::new(offset, len as u64),
-            );
-            prop_assert_eq!(back, data);
+            let mut flat = vec![0u8; offset as usize];
+            flat.extend_from_slice(&data);
+            let run = pvfs_proto::VectorRun {
+                base: first,
+                blocklen,
+                stride: blocklen + gap,
+                count,
+            };
+            let strided: Vec<Region> = run.regions().collect();
+
+            let scratch = pvfs_disk::ScratchDir::new("iod-gather");
+            let on_disk = StorageConfig::File {
+                dir: scratch.path().to_path_buf(),
+                sync: pvfs_disk::SyncPolicy::Never,
+            };
+            for storage in [StorageConfig::Mem, on_disk] {
+                let mut daemons: Vec<IoDaemon> = (0..pcount)
+                    .map(|i| {
+                        IoDaemon::with_storage(
+                            ServerId(i),
+                            IodConfig::default(),
+                            storage.for_daemon(i),
+                        )
+                    })
+                    .collect();
+                super::tests::write_all(&mut daemons, &l, offset, &data);
+                let back = super::tests::read_all(
+                    &mut daemons,
+                    &l,
+                    Region::new(offset, len as u64),
+                );
+                prop_assert_eq!(&back, &data);
+
+                for (slot, d) in daemons.iter().enumerate() {
+                    let want = Bytes::from(model_share(&flat, &l, slot as u32, &strided));
+                    let (listed, _) = d.handle(&Request::ReadList {
+                        handle: FileHandle(1),
+                        layout: l,
+                        regions: RegionList::from_regions(strided.clone()).unwrap(),
+                    });
+                    prop_assert_eq!(listed, Response::Data { data: want.clone() });
+                    let (vectored, _) = d.handle(&Request::ReadVectors {
+                        handle: FileHandle(1),
+                        layout: l,
+                        runs: vec![run],
+                    });
+                    prop_assert_eq!(vectored, Response::Data { data: want });
+                }
+            }
         }
     }
 }

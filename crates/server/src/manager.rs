@@ -93,6 +93,17 @@ impl Manager {
         self.stats.bytes_tx.fetch_add(wire_bytes, Ordering::Relaxed);
     }
 
+    /// Take back a [`record_wire_tx`](Manager::record_wire_tx) whose
+    /// frame never left (accounted before a write that then failed).
+    pub fn retract_wire_tx(&self, wire_bytes: u64) {
+        let _ = self
+            .stats
+            .bytes_tx
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+                Some(v.saturating_sub(wire_bytes))
+            });
+    }
+
     /// Record how long one metadata request took to serve (wall clock,
     /// recorded by the transport loop around [`Manager::handle`]).
     pub fn record_service(&self, took: Duration) {

@@ -138,6 +138,42 @@ fn committed_list_write_completes_after_restart() {
 }
 
 #[test]
+fn batch_committed_after_a_checkpoint_completes_after_restart() {
+    // The same crash, but with a checkpoint behind the store: the sync
+    // barrier truncates the journal, and the intent record committed
+    // next must sit at the front of the file, where recovery reads — a
+    // record stranded past the truncated bytes would never replay.
+    let dir = ScratchDir::new("dur-commit-after-checkpoint");
+    let layout = StripeLayout::new(0, 1, 1 << 16).unwrap();
+    let baseline = verify::content(0, 4096);
+    let batch = crash_batch();
+    {
+        let cluster = spawn_file(1, dir.path(), SyncPolicy::Always, TransportKind::Chan);
+        let client = cluster.client();
+        let mut f = PvfsFile::create(&client, "/pvfs/crash", layout).unwrap();
+        f.write_at(0, &baseline).unwrap();
+        assert_eq!(f.sync().unwrap(), 4096);
+
+        let daemon = cluster.daemon(ServerId(0)).unwrap();
+        daemon.inject_storage_crash(f.handle(), CrashPoint::AfterCommit { applied: 0 });
+        list_write(&mut f, &batch, 0xEE).unwrap_err();
+    }
+
+    let cluster = spawn_file(1, dir.path(), SyncPolicy::Always, TransportKind::Chan);
+    let client = cluster.client();
+    let mut f = PvfsFile::create(&client, "/pvfs/crash", layout).unwrap();
+    let expect = overlay(&baseline, &batch, 0xEE);
+    let mut got = vec![0u8; expect.len()];
+    f.read_at(0, &mut got).unwrap();
+    assert_eq!(
+        got, expect,
+        "a batch committed after a checkpoint must replay in full"
+    );
+    let snap = cluster.daemon(ServerId(0)).unwrap().stats_snapshot();
+    assert_eq!(snap.journal_replays, 1, "exactly the one record replays");
+}
+
+#[test]
 fn partially_applied_batch_is_completed_not_double_applied() {
     let dir = ScratchDir::new("dur-partial");
     let layout = StripeLayout::new(0, 1, 1 << 16).unwrap();
