@@ -7,9 +7,10 @@
 //! live in `pvfs_core::exec`, shared with the simulator.
 
 use pvfs_core::exec::{
-    alloc_temps, apply_copies, copy_bytes, scatter_response, wire_request, Buffers,
+    alloc_temps, apply_copies, copy_bytes, scatter_response, stage_copies, wire_request, Buffers,
+    Sources,
 };
-use pvfs_core::{AccessPlan, Step};
+use pvfs_core::{AccessPlan, IoKind, Step};
 use pvfs_net::ClusterClient;
 use pvfs_proto::Response;
 use pvfs_types::{Histogram, PvfsError, PvfsResult};
@@ -171,20 +172,51 @@ impl ExecReport {
     }
 }
 
+/// The caller's buffer as a plan uses it: a read plan fills it, a write
+/// plan only reads it — so a write runs straight out of the borrowed
+/// `&[u8]`, never out of a copy.
+pub enum UserBuf<'a> {
+    /// Destination of a read plan.
+    Read(&'a mut [u8]),
+    /// Source of a write plan.
+    Write(&'a [u8]),
+}
+
+impl UserBuf<'_> {
+    fn source(&self) -> &[u8] {
+        match self {
+            UserBuf::Read(buf) => buf,
+            UserBuf::Write(buf) => buf,
+        }
+    }
+
+    /// The buffer as a scatter destination. A write plan scatters only
+    /// into its temps (data sieving's read-modify-write window), so its
+    /// side is empty: a planner bug indexes out of bounds instead of
+    /// writing the caller's memory.
+    fn dest(&mut self) -> &mut [u8] {
+        match self {
+            UserBuf::Read(buf) => buf,
+            UserBuf::Write(_) => &mut [],
+        }
+    }
+}
+
 /// Execute a plan to completion against the live cluster.
 ///
 /// `user` is the caller's buffer (destination for reads, source for
 /// writes). Returns the measured execution report.
 pub fn execute_plan(
     mut plan: AccessPlan,
-    user: &mut [u8],
+    mut user: UserBuf<'_>,
     client: &ClusterClient,
 ) -> PvfsResult<ExecReport> {
+    if plan.kind == IoKind::Read && matches!(user, UserBuf::Write(_)) {
+        return Err(PvfsError::invalid(
+            "a read plan needs a destination buffer, not a write source",
+        ));
+    }
     let mut temps = alloc_temps(&plan.temp_sizes);
-    let mut bufs = Buffers {
-        user,
-        temps: &mut temps,
-    };
     let mut report = ExecReport::default();
     let stats_before = client.stats();
     let latency_before = client.latency_snapshot();
@@ -204,7 +236,11 @@ pub fn execute_plan(
                     let requests: Vec<_> = ops
                         .iter()
                         .map(|wire| {
-                            let req = wire_request(wire, plan.handle, &plan.layout, &bufs);
+                            let sources = Sources {
+                                user: user.source(),
+                                temps: &temps,
+                            };
+                            let req = wire_request(wire, plan.handle, &plan.layout, sources);
                             report.bytes_sent += req.bulk_len();
                             (wire.server, req)
                         })
@@ -221,7 +257,10 @@ pub fn execute_plan(
                                     &plan.layout,
                                     wire.server,
                                     &data,
-                                    &mut bufs,
+                                    &mut Buffers {
+                                        user: user.dest(),
+                                        temps: &mut temps,
+                                    },
                                 )?;
                             }
                             Response::Written { .. } => {}
@@ -238,7 +277,16 @@ pub fn execute_plan(
                     report.copy_bytes += copy_bytes(&pairs);
                     let copy_started = Instant::now();
                     let copy_ns = pvfs_types::trace::now_ns();
-                    apply_copies(&pairs, &mut bufs);
+                    match &mut user {
+                        UserBuf::Read(user) => apply_copies(
+                            &pairs,
+                            &mut Buffers {
+                                user,
+                                temps: &mut temps,
+                            },
+                        ),
+                        UserBuf::Write(user) => stage_copies(&pairs, user, &mut temps),
+                    }
                     report.phase_merge_ns += copy_started.elapsed().as_nanos() as u64;
                     if let Some(a) = &active {
                         a.span(a.root(), "phase_merge", copy_ns, Vec::new());

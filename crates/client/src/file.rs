@@ -1,6 +1,6 @@
 //! `PvfsFile`: the user-facing file handle.
 
-use crate::executor::{execute_plan, ExecReport};
+use crate::executor::{execute_plan, ExecReport, UserBuf};
 use pvfs_core::{IoKind, ListRequest, Method, MethodConfig};
 use pvfs_net::{ClusterClient, RpcTarget};
 use pvfs_proto::{Request, Response};
@@ -253,8 +253,7 @@ impl PvfsFile {
             self.layout,
             &self.config,
         )?;
-        let mut user = data.to_vec();
-        execute_plan(plan, &mut user, &self.client)
+        execute_plan(plan, UserBuf::Write(data), &self.client)
     }
 
     /// Contiguous read at `offset` into `buf`.
@@ -271,7 +270,7 @@ impl PvfsFile {
             self.layout,
             &self.config,
         )?;
-        execute_plan(plan, buf, &self.client)
+        execute_plan(plan, UserBuf::Read(buf), &self.client)
     }
 
     /// Noncontiguous read — the paper's `pvfs_read_list`. `mem` regions
@@ -294,7 +293,7 @@ impl PvfsFile {
             self.layout,
             &self.config,
         )?;
-        execute_plan(plan, buf, &self.client)
+        execute_plan(plan, UserBuf::Read(buf), &self.client)
     }
 
     /// Noncontiguous write — the paper's `pvfs_write_list`.
@@ -315,10 +314,7 @@ impl PvfsFile {
             self.layout,
             &self.config,
         )?;
-        // Write plans only read the user buffer, but data sieving also
-        // stages through temps; a mutable borrow keeps one executor.
-        let mut user = buf.to_vec();
-        execute_plan(plan, &mut user, &self.client)
+        execute_plan(plan, UserBuf::Write(buf), &self.client)
     }
 
     /// Noncontiguous read described by MPI-like datatypes (§5 future
@@ -343,7 +339,7 @@ impl PvfsFile {
             self.layout,
             &self.config,
         )?;
-        execute_plan(plan, buf, &self.client)
+        execute_plan(plan, UserBuf::Read(buf), &self.client)
     }
 
     /// Noncontiguous write described by MPI-like datatypes.
@@ -366,8 +362,7 @@ impl PvfsFile {
             self.layout,
             &self.config,
         )?;
-        let mut user = buf.to_vec();
-        execute_plan(plan, &mut user, &self.client)
+        execute_plan(plan, UserBuf::Write(buf), &self.client)
     }
 
     fn check_buffer(&self, request: &ListRequest, buf_len: usize) -> PvfsResult<()> {

@@ -20,6 +20,6 @@ pub mod executor;
 pub mod file;
 pub mod scrub;
 
-pub use executor::{execute_plan, ExecReport};
+pub use executor::{execute_plan, ExecReport, UserBuf};
 pub use file::PvfsFile;
 pub use scrub::{replicas_converged, scrub_file, scrub_file_with_chunk, SCRUB_CHUNK};

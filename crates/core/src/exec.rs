@@ -26,15 +26,38 @@ pub struct Buffers<'a> {
     pub temps: &'a mut [Vec<u8>],
 }
 
-impl Buffers<'_> {
-    fn slice(&self, s: MemSlice) -> &[u8] {
+/// What a write payload is gathered from: the same buffers, read-only.
+/// A write plan never needs more of the caller's buffer than this, so
+/// the live executor builds one straight from the `&[u8]` it was handed;
+/// `&Buffers` converts for everyone holding the mutable form.
+#[derive(Clone, Copy)]
+pub struct Sources<'a> {
+    /// The user buffer.
+    pub user: &'a [u8],
+    /// Plan-owned temporaries.
+    pub temps: &'a [Vec<u8>],
+}
+
+impl<'a> From<&'a Buffers<'_>> for Sources<'a> {
+    fn from(bufs: &'a Buffers<'_>) -> Sources<'a> {
+        Sources {
+            user: bufs.user,
+            temps: bufs.temps,
+        }
+    }
+}
+
+impl<'a> Sources<'a> {
+    fn slice(self, s: MemSlice) -> &'a [u8] {
         let (off, len) = (s.offset as usize, s.len as usize);
         match s.space {
             Space::User => &self.user[off..off + len],
             Space::Temp(i) => &self.temps[i][off..off + len],
         }
     }
+}
 
+impl Buffers<'_> {
     fn slice_mut(&mut self, s: MemSlice) -> &mut [u8] {
         let (off, len) = (s.offset as usize, s.len as usize);
         match s.space {
@@ -49,17 +72,15 @@ pub fn alloc_temps(sizes: &[u64]) -> Vec<Vec<u8>> {
     sizes.iter().map(|&n| vec![0u8; n as usize]).collect()
 }
 
-/// The file regions a wire op names, in request order.
-fn op_regions<'a>(op: &'a OpKind) -> Box<dyn Iterator<Item = Region> + 'a> {
+/// Call `f` with each file region a wire op names, in request order.
+fn for_each_region(op: &OpKind, mut f: impl FnMut(Region)) {
     match op {
-        OpKind::Read { region, .. } | OpKind::Write { region, .. } => {
-            Box::new(std::iter::once(*region))
-        }
+        OpKind::Read { region, .. } | OpKind::Write { region, .. } => f(*region),
         OpKind::ReadList { regions, .. } | OpKind::WriteList { regions, .. } => {
-            Box::new(regions.iter().copied())
+            regions.iter().copied().for_each(f)
         }
         OpKind::ReadVectors { runs, .. } | OpKind::WriteVectors { runs, .. } => {
-            Box::new(runs.iter().flat_map(|r| r.regions()))
+            runs.iter().flat_map(|r| r.regions()).for_each(f)
         }
     }
 }
@@ -94,18 +115,21 @@ pub fn server_share(op: &OpKind, layout: &StripeLayout, server: ServerId) -> u64
         return 0;
     }
     let slot = server.0 - layout.base;
-    op_regions(op).map(|r| layout.bytes_on_slot(r, slot)).sum()
+    let mut share = 0;
+    for_each_region(op, |r| share += layout.bytes_on_slot(r, slot));
+    share
 }
 
 /// Build the wire request for a wire op (gathering the write payload
 /// from `bufs` when the op is a write).
-pub fn wire_request(
+pub fn wire_request<'a>(
     wire: &WireOp,
     handle: FileHandle,
     layout: &StripeLayout,
-    bufs: &Buffers<'_>,
+    bufs: impl Into<Sources<'a>>,
 ) -> pvfs_proto::Request {
     use pvfs_proto::Request;
+    let bufs = bufs.into();
     match &wire.op {
         OpKind::Read { region, .. } => Request::Read {
             handle,
@@ -145,11 +169,11 @@ pub fn wire_request(
 
 /// Gather the write payload for `server`: its share of every region in
 /// request order, pulled from the op's source target.
-pub fn gather_payload(
+pub fn gather_payload<'a>(
     op: &OpKind,
     layout: &StripeLayout,
     server: ServerId,
-    bufs: &Buffers<'_>,
+    bufs: impl Into<Sources<'a>>,
 ) -> Bytes {
     gather_payload_counted(op, layout, server, bufs).0
 }
@@ -157,19 +181,20 @@ pub fn gather_payload(
 /// [`gather_payload`], also reporting how many contiguous memory
 /// fragments were touched — the unit the client cost model charges
 /// per-fragment processing for.
-pub fn gather_payload_counted(
+pub fn gather_payload_counted<'a>(
     op: &OpKind,
     layout: &StripeLayout,
     server: ServerId,
-    bufs: &Buffers<'_>,
+    bufs: impl Into<Sources<'a>>,
 ) -> (Bytes, u64) {
     debug_assert!(op.is_write());
+    let bufs = bufs.into();
     let slot = server.0 - layout.base;
     let mut payload = Vec::with_capacity(server_share(op, layout, server) as usize);
     let target = op_target(op);
     let mut slices = Vec::with_capacity(4);
     let mut fragments = 0u64;
-    for region in op_regions(op) {
+    for_each_region(op, |region| {
         for seg in layout.segments(region) {
             if seg.slot != slot {
                 continue;
@@ -181,7 +206,7 @@ pub fn gather_payload_counted(
                 payload.extend_from_slice(bufs.slice(*s));
             }
         }
-    }
+    });
     if matches!(target, Target::Window { .. }) && !payload.is_empty() {
         fragments = 1; // windows stream contiguously: one fragment per op
     }
@@ -221,7 +246,7 @@ pub fn scatter_response(
     let mut consumed = 0usize;
     let mut fragments = 0u64;
     let mut slices = Vec::with_capacity(4);
-    for region in op_regions(op) {
+    for_each_region(op, |region| {
         for seg in layout.segments(region) {
             if seg.slot != slot {
                 continue;
@@ -236,7 +261,7 @@ pub fn scatter_response(
                 consumed += n;
             }
         }
-    }
+    });
     if matches!(target, Target::Window { .. }) && !data.is_empty() {
         fragments = 1;
     }
@@ -244,23 +269,68 @@ pub fn scatter_response(
     Ok(fragments)
 }
 
-/// Apply a copy step (`src` → `dst` for each pair).
+/// `(source start, destination start, length)` of one copy pair.
+fn copy_span(p: &CopyPair) -> (usize, usize, usize) {
+    debug_assert_eq!(p.src.len, p.dst.len);
+    (
+        p.src.offset as usize,
+        p.dst.offset as usize,
+        p.src.len as usize,
+    )
+}
+
+/// Copy `n` bytes from temp `s` at `src` to temp `d` at `dst`: a split
+/// borrow between two temps, `copy_within` (memmove: the source is read
+/// as it was before the copy, overlap or not) inside one.
+fn copy_between_temps(temps: &mut [Vec<u8>], s: usize, src: usize, d: usize, dst: usize, n: usize) {
+    if s == d {
+        temps[s].copy_within(src..src + n, dst);
+        return;
+    }
+    let (lo, hi) = temps.split_at_mut(s.max(d));
+    let (from, to) = if s < d {
+        (&lo[s], &mut hi[0])
+    } else {
+        (&hi[0], &mut lo[d])
+    };
+    to[dst..dst + n].copy_from_slice(&from[src..src + n]);
+}
+
+/// One pair whose destination is a temp — all a write plan stages, and
+/// what a read plan's pairs share with it. The user buffer is only read.
+fn copy_into_temp(p: &CopyPair, user: &[u8], temps: &mut [Vec<u8>]) {
+    let (src, dst, n) = copy_span(p);
+    match (p.src.space, p.dst.space) {
+        (Space::User, Space::Temp(t)) => {
+            temps[t][dst..dst + n].copy_from_slice(&user[src..src + n])
+        }
+        (Space::Temp(s), Space::Temp(d)) => copy_between_temps(temps, s, src, d, dst, n),
+        (_, Space::User) => panic!("a write plan copies into the caller's buffer: {p:?}"),
+    }
+}
+
+/// Apply a copy step (`src` → `dst` for each pair, in order; a pair
+/// whose two slices overlap in one buffer copies as `memmove` does).
 pub fn apply_copies(pairs: &[CopyPair], bufs: &mut Buffers<'_>) {
     for p in pairs {
-        debug_assert_eq!(p.src.len, p.dst.len);
-        if p.src.space == p.dst.space {
-            // Same buffer: go through a scratch copy to satisfy borrow
-            // rules; plans only do this in degenerate cases.
-            let tmp = bufs.slice(p.src).to_vec();
-            bufs.slice_mut(p.dst).copy_from_slice(&tmp);
-        } else {
-            // Distinct buffers: split the borrow by space.
-            let (src_ptr, dst_slice): (Vec<u8>, &mut [u8]) = {
-                let src = bufs.slice(p.src).to_vec();
-                (src, bufs.slice_mut(p.dst))
-            };
-            dst_slice.copy_from_slice(&src_ptr);
+        let (src, dst, n) = copy_span(p);
+        match (p.src.space, p.dst.space) {
+            (Space::User, Space::User) => bufs.user.copy_within(src..src + n, dst),
+            (Space::Temp(t), Space::User) => {
+                bufs.user[dst..dst + n].copy_from_slice(&bufs.temps[t][src..src + n])
+            }
+            (_, Space::Temp(_)) => copy_into_temp(p, bufs.user, bufs.temps),
         }
+    }
+}
+
+/// [`apply_copies`] for a write plan, which holds the caller's buffer
+/// read-only: every pair stages into a temp (data sieving's
+/// user → sieve-buffer merge). A pair aimed at the caller's buffer is a
+/// planner bug and panics.
+pub fn stage_copies(pairs: &[CopyPair], user: &[u8], temps: &mut [Vec<u8>]) {
+    for p in pairs {
+        copy_into_temp(p, user, temps);
     }
 }
 
@@ -406,6 +476,90 @@ mod tests {
         apply_copies(&pairs, &mut bufs);
         assert_eq!(temps[0], vec![0, 1, 2, 3]);
         assert_eq!(copy_bytes(&pairs), 3);
+    }
+
+    fn pair(dst: (Space, u64), src: (Space, u64), len: u64) -> CopyPair {
+        let slice = |(space, offset)| MemSlice { space, offset, len };
+        CopyPair {
+            dst: slice(dst),
+            src: slice(src),
+        }
+    }
+
+    /// What `apply_copies` did before it stopped staging every pair
+    /// through a scratch vector: read the whole source, then write.
+    fn copy_through_scratch(pairs: &[CopyPair], user: &mut [u8], temps: &mut [Vec<u8>]) {
+        for p in pairs {
+            let (src, dst, n) = copy_span(p);
+            let scratch = match p.src.space {
+                Space::User => user[src..src + n].to_vec(),
+                Space::Temp(t) => temps[t][src..src + n].to_vec(),
+            };
+            match p.dst.space {
+                Space::User => user[dst..dst + n].copy_from_slice(&scratch),
+                Space::Temp(t) => temps[t][dst..dst + n].copy_from_slice(&scratch),
+            }
+        }
+    }
+
+    #[test]
+    fn copies_match_the_scratch_copy_semantics_overlap_included() {
+        use Space::{Temp, User};
+        let pairs = [
+            // Same buffer, overlapping, forwards and backwards.
+            pair((User, 2), (User, 0), 6),
+            pair((User, 1), (User, 3), 5),
+            pair((Temp(0), 4), (Temp(0), 2), 5),
+            pair((Temp(1), 0), (Temp(1), 3), 4),
+            // Distinct buffers, every direction.
+            pair((Temp(0), 0), (User, 4), 4),
+            pair((User, 0), (Temp(1), 2), 3),
+            pair((Temp(1), 1), (Temp(0), 3), 5),
+            pair((Temp(0), 6), (Temp(1), 0), 2),
+            pair((User, 7), (User, 7), 1),
+        ];
+        let fresh = || {
+            (
+                (0..10u8).collect::<Vec<_>>(),
+                vec![(100..110u8).collect::<Vec<_>>(), (200..208u8).collect()],
+            )
+        };
+        let (mut want_user, mut want_temps) = fresh();
+        copy_through_scratch(&pairs, &mut want_user, &mut want_temps);
+        let (mut user, mut temps) = fresh();
+        apply_copies(
+            &pairs,
+            &mut Buffers {
+                user: &mut user,
+                temps: &mut temps,
+            },
+        );
+        assert_eq!((user, temps), (want_user, want_temps));
+    }
+
+    #[test]
+    fn staging_copies_read_the_user_buffer_without_owning_it() {
+        use Space::{Temp, User};
+        let pairs = [
+            pair((Temp(0), 1), (User, 0), 3),
+            pair((Temp(1), 0), (Temp(0), 0), 4),
+            pair((Temp(1), 1), (Temp(1), 0), 3),
+        ];
+        let user: Vec<u8> = (1..=4).collect();
+        let fresh = || vec![vec![0u8; 4], vec![9u8; 4]];
+        let mut want = fresh();
+        copy_through_scratch(&pairs, &mut user.clone(), &mut want);
+        let mut temps = fresh();
+        stage_copies(&pairs, &user, &mut temps);
+        assert_eq!(temps, want);
+        assert_eq!(temps[1], vec![0, 0, 1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "copies into the caller's buffer")]
+    fn staging_refuses_to_write_the_user_buffer() {
+        let pairs = [pair((Space::User, 0), (Space::Temp(0), 0), 1)];
+        stage_copies(&pairs, &[0u8; 4], &mut [vec![0u8; 4]]);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::method::MethodConfig;
 use crate::plan::{AccessPlan, IoKind, OpKind, PieceMap, PlanStats, Step, Target, WireOp};
 use crate::planutil::servers_for;
 use crate::request::ListRequest;
-use pvfs_types::{FileHandle, PvfsResult, RegionList, StripeLayout};
+use pvfs_types::{FileHandle, PvfsResult, StripeLayout};
 use std::sync::Arc;
 
 /// Compile a list-I/O plan.
@@ -33,36 +33,36 @@ pub fn plan(
         )));
     }
     let pieces = Arc::new(PieceMap::new(request.pieces()?));
-    // Chunk lazily over a shared region vector: a million-region plan
-    // must not duplicate its region list per chunk.
-    let regions: Arc<[pvfs_types::Region]> = Arc::from(request.file.regions().to_vec());
+    // Chunk lazily over the request's own (shared) region list: every
+    // chunk is an O(1) sub-list of it, so a million-region plan never
+    // duplicates its regions — not per chunk, not per server, not once.
+    let regions = request.file.clone();
     let max = config.max_list_regions;
-    let n_chunks = regions.len().div_ceil(max);
+    let n_chunks = regions.count().div_ceil(max);
 
     let mut stats = PlanStats {
         rounds: n_chunks as u64,
         useful_bytes: request.total_len(),
         ..PlanStats::default()
     };
-    for chunk in regions.chunks(max) {
+    for chunk in regions.regions().chunks(max) {
         stats.requests += servers_for(&layout, chunk.iter().copied()).len() as u64;
     }
     stats.list_requests = stats.requests;
 
     let steps = (0..n_chunks).map(move |i| {
-        let chunk = &regions[i * max..((i + 1) * max).min(regions.len())];
-        let chunk_list = RegionList::from_regions_slice(chunk);
+        let chunk = regions.slice(i * max..((i + 1) * max).min(regions.count()));
         let ops = servers_for(&layout, chunk.iter().copied())
             .into_iter()
             .map(|server| WireOp {
                 server,
                 op: match kind {
                     IoKind::Read => OpKind::ReadList {
-                        regions: chunk_list.clone(),
+                        regions: chunk.clone(),
                         dest: Target::Pieces(pieces.clone()),
                     },
                     IoKind::Write => OpKind::WriteList {
-                        regions: chunk_list.clone(),
+                        regions: chunk.clone(),
                         src: Target::Pieces(pieces.clone()),
                     },
                 },
@@ -77,6 +77,7 @@ pub fn plan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pvfs_types::RegionList;
 
     fn layout() -> StripeLayout {
         StripeLayout::new(0, 4, 10).unwrap()

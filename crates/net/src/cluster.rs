@@ -45,8 +45,8 @@
 use bytes::Bytes;
 use pvfs_disk::StorageConfig;
 use pvfs_proto::{
-    decode_response, encode_message_traced, encode_response, frame_is_stats_scrape, Message,
-    OpClass, Request, Response,
+    decode_response, encode_frame, encode_response, frame_is_stats_scrape, Frame, Message, OpClass,
+    Request, Response,
 };
 use pvfs_replica::{ReplicaMap, ReplicaPolicy, ReplicaTarget};
 use pvfs_server::{IoDaemon, IodConfig, Manager, ServerStats};
@@ -210,7 +210,7 @@ impl LiveCluster {
                                     // Stats scrapes observe without
                                     // perturbing: no wire or timing
                                     // accounting for their own frames.
-                                    let scrape = frame_is_stats_scrape(&frame);
+                                    let scrape = frame_is_stats_scrape(&frame.head);
                                     if !scrape {
                                         manager.record_wire_rx(frame.len() as u64);
                                     }
@@ -363,11 +363,11 @@ fn spawn_chan_server(daemon: Arc<IoDaemon>, config: IodConfig) -> (Sender<NodeMs
                 // Stats scrapes are pure observers: no wire accounting,
                 // no queue/service samples, so the snapshot they carry
                 // back equals the in-process one byte for byte.
-                let scrape = frame_is_stats_scrape(&frame);
+                let scrape = frame_is_stats_scrape(&frame.head);
                 let waited = queued_at.elapsed();
                 if !scrape {
                     // The channel transport has no length prefix; its
-                    // wire size is the frame itself.
+                    // wire size is the frame itself, head and payload.
                     daemon.record_wire_rx(frame.len() as u64);
                     daemon.begin_service(waited);
                 }
@@ -658,9 +658,9 @@ impl ClusterClient {
         &self,
         request: Request,
         ctx: Option<TraceContext>,
-    ) -> PvfsResult<(RequestId, Bytes)> {
+    ) -> PvfsResult<(RequestId, Frame)> {
         let id = RequestId(self.next_request.fetch_add(1, Ordering::Relaxed));
-        let frame = encode_message_traced(
+        let frame = encode_frame(
             &Message {
                 client: self.id,
                 id,
@@ -1775,7 +1775,7 @@ mod tests {
         assert_ne!(id, RequestId(0), "request ids must never be 0");
         // Truncate the body (keep the 16-byte header + a few bytes) so
         // decode_message fails but decode_frame_id succeeds.
-        let corrupted = frame.slice(0..20);
+        let corrupted = Frame::from(frame.head.slice(0..20));
         let raw = cluster
             .transport()
             .start(RpcTarget::Server(ServerId(0)), corrupted)
@@ -1793,7 +1793,10 @@ mod tests {
         let cluster = LiveCluster::spawn(1);
         let raw = cluster
             .transport()
-            .start(RpcTarget::Server(ServerId(0)), Bytes::from(vec![0xffu8; 7]))
+            .start(
+                RpcTarget::Server(ServerId(0)),
+                Bytes::from(vec![0xffu8; 7]).into(),
+            )
             .unwrap()
             .wait(Duration::from_secs(5))
             .unwrap();
@@ -1844,7 +1847,7 @@ mod tests {
         let fake = std::thread::spawn(move || {
             while let Ok(NodeMsg::Rpc(frame, reply, _)) = fake_rx.recv() {
                 // Echo a *wrong* (but nonzero) id.
-                let id = decode_frame_id(&frame).unwrap();
+                let id = decode_frame_id(&frame.head).unwrap();
                 let _ = reply.send(encode_response(
                     RequestId(id.0 + 1000),
                     &Response::LocalSize { size: 0 },

@@ -41,6 +41,7 @@
 //! it exactly.
 
 use bytes::Bytes;
+use pvfs_proto::Frame;
 use pvfs_types::{PvfsError, PvfsResult};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -373,7 +374,7 @@ impl Transport for FaultyTransport {
         self.inner.n_servers()
     }
 
-    fn start(&self, target: RpcTarget, frame: Bytes) -> PvfsResult<Box<dyn PendingReply>> {
+    fn start(&self, target: RpcTarget, frame: Frame) -> PvfsResult<Box<dyn PendingReply>> {
         let Some(kind) = self.roll(target) else {
             return self.inner.start(target, frame);
         };
@@ -582,7 +583,7 @@ mod tests {
         fn n_servers(&self) -> u32 {
             4
         }
-        fn start(&self, _: RpcTarget, _: Bytes) -> PvfsResult<Box<dyn PendingReply>> {
+        fn start(&self, _: RpcTarget, _: Frame) -> PvfsResult<Box<dyn PendingReply>> {
             panic!("NullTransport::start must not be called")
         }
         fn kind(&self) -> TransportKind {

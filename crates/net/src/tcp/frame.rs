@@ -99,22 +99,81 @@ pub fn write_frame_parts(w: &mut impl Write, head: &[u8], tail: &[u8]) -> io::Re
     Ok(())
 }
 
-/// Read one length-prefixed frame, surviving arbitrary short reads.
-/// Blocking: the caller controls deadlines via socket read timeouts
-/// (client pool) or by shutting the socket down (server teardown).
-pub fn read_frame(r: &mut impl Read) -> Result<Bytes, FrameError> {
-    let mut prefix = [0u8; LEN_PREFIX];
-    read_exact_or_closed(r, &mut prefix)?;
-    let len = u32::from_le_bytes(prefix) as usize;
-    if len > MAX_WIRE_FRAME {
-        return Err(FrameError::TooLarge(PvfsError::FrameTooLarge {
-            len: len as u64,
-            max: MAX_WIRE_FRAME as u64,
-        }));
+/// A spare receive buffer with more capacity than this is dropped, not
+/// kept: one 32 MiB sieving reply must not pin that much memory for the
+/// life of a connection.
+pub const MAX_SPARE_CAPACITY: usize = 1 << 20;
+
+/// The receiving end of one connection: reads length-prefixed frames,
+/// each into the buffer the previous one arrived in whenever that buffer
+/// is free again.
+///
+/// The reader keeps a handle on the last frame it handed out and, when
+/// the *next* frame's prefix has arrived, takes the buffer back
+/// ([`Bytes::try_reclaim`]) — which succeeds exactly when every view of
+/// the old frame (the frame itself, a decoded payload slice, the
+/// daemon's write runs) has been dropped. On a request/reply connection
+/// that is always the case by then: the peer only sends again after it
+/// has our answer to the last frame. If something does still hold a
+/// view, the reader simply allocates, as a one-shot [`read_frame`]
+/// does; a buffer a live `Bytes` points into is never written.
+#[derive(Debug, Default)]
+pub struct FrameReader {
+    last: Option<Bytes>,
+}
+
+impl FrameReader {
+    /// A reader with no spare buffer yet.
+    pub fn new() -> FrameReader {
+        FrameReader::default()
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body).map_err(FrameError::Io)?;
-    Ok(Bytes::from(body))
+
+    /// Read one length-prefixed frame, surviving arbitrary short reads.
+    /// Blocking: the caller controls deadlines via socket read timeouts
+    /// (client pool) or by shutting the socket down (server teardown).
+    pub fn read_frame(&mut self, r: &mut impl Read) -> Result<Bytes, FrameError> {
+        let mut prefix = [0u8; LEN_PREFIX];
+        read_exact_or_closed(r, &mut prefix)?;
+        let len = u32::from_le_bytes(prefix) as usize;
+        if len > MAX_WIRE_FRAME {
+            return Err(FrameError::TooLarge(PvfsError::FrameTooLarge {
+                len: len as u64,
+                max: MAX_WIRE_FRAME as u64,
+            }));
+        }
+        let mut body = match self.last.take().map(Bytes::try_reclaim) {
+            Some(Ok(mut spare)) if spare.capacity() >= len => {
+                spare.clear();
+                spare
+            }
+            _ => Vec::with_capacity(len),
+        };
+        // Appending through `take` fills the vector's spare capacity as
+        // is: a reused buffer is not zeroed again before it is
+        // overwritten.
+        let got = r
+            .by_ref()
+            .take(len as u64)
+            .read_to_end(&mut body)
+            .map_err(FrameError::Io)?;
+        if got < len {
+            return Err(FrameError::Io(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "peer died mid-frame",
+            )));
+        }
+        let keep = body.capacity() <= MAX_SPARE_CAPACITY;
+        let frame = Bytes::from(body);
+        if keep {
+            self.last = Some(frame.clone());
+        }
+        Ok(frame)
+    }
+}
+
+/// Read one length-prefixed frame: a [`FrameReader`] used once.
+pub fn read_frame(r: &mut impl Read) -> Result<Bytes, FrameError> {
+    FrameReader::new().read_frame(r)
 }
 
 /// `read_exact`, but a clean EOF before the first byte is
@@ -349,6 +408,121 @@ mod tests {
         };
         let err = write_frame_parts(&mut w, b"x", b"y").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+    }
+
+    #[test]
+    fn a_connection_receives_into_the_buffer_it_already_has() {
+        let mut wire = framed(&[1u8; 300]);
+        wire.extend_from_slice(&framed(&[2u8; 200]));
+        wire.extend_from_slice(&framed(&[3u8; 300]));
+        let mut r = wire.as_slice();
+        let mut frames = FrameReader::new();
+
+        let first = frames.read_frame(&mut r).unwrap();
+        let buffer = first.as_ptr();
+        assert_eq!(first.as_ref(), &[1u8; 300][..]);
+        // Every view gone (the frame, and a slice cut from it, as a
+        // decoded payload would be) before the next frame arrives.
+        let view = first.slice(100..);
+        drop(first);
+        drop(view);
+
+        // Shorter and equal-length frames land in the same allocation.
+        let second = frames.read_frame(&mut r).unwrap();
+        assert_eq!(second.as_ptr(), buffer, "spare buffer not reused");
+        assert_eq!(second.as_ref(), &[2u8; 200][..]);
+        drop(second);
+        let third = frames.read_frame(&mut r).unwrap();
+        assert_eq!(third.as_ptr(), buffer);
+        assert_eq!(third.as_ref(), &[3u8; 300][..]);
+        assert!(matches!(frames.read_frame(&mut r), Err(FrameError::Closed)));
+    }
+
+    #[test]
+    fn a_live_view_keeps_its_buffer_and_the_reader_allocates() {
+        let mut wire = framed(&[1u8; 64]);
+        wire.extend_from_slice(&framed(&[2u8; 64]));
+        wire.extend_from_slice(&framed(&[3u8; 64]));
+        let mut r = wire.as_slice();
+        let mut frames = FrameReader::new();
+
+        let first = frames.read_frame(&mut r).unwrap();
+        // Only a slice of the first frame survives — a write run the
+        // daemon has not applied yet, say.
+        let held = first.slice(8..24);
+        drop(first);
+        let second = frames.read_frame(&mut r).unwrap();
+        assert_ne!(second.as_ptr(), held.as_ptr().wrapping_sub(8));
+        assert_eq!(held.as_ref(), &[1u8; 16][..], "a live view was overwritten");
+        assert_eq!(second.as_ref(), &[2u8; 64][..]);
+
+        // The reader follows the newest frame: once *it* is free, the
+        // third lands in the second's buffer; the held slice is still
+        // untouched.
+        let buffer = second.as_ptr();
+        drop(second);
+        let third = frames.read_frame(&mut r).unwrap();
+        assert_eq!(third.as_ptr(), buffer);
+        assert_eq!(held.as_ref(), &[1u8; 16][..]);
+    }
+
+    #[test]
+    fn a_frame_longer_than_the_spare_gets_a_buffer_of_its_own() {
+        let mut wire = framed(&[1u8; 16]);
+        wire.extend_from_slice(&framed(&[2u8; 4096]));
+        let mut r = wire.as_slice();
+        let mut frames = FrameReader::new();
+        drop(frames.read_frame(&mut r).unwrap());
+        assert_eq!(
+            frames.read_frame(&mut r).unwrap().as_ref(),
+            &[2u8; 4096][..]
+        );
+    }
+
+    #[test]
+    fn an_oversized_spare_is_dropped_not_pinned() {
+        let big = vec![7u8; MAX_SPARE_CAPACITY + 1];
+        let mut wire = framed(&big);
+        wire.extend_from_slice(&framed(&big[1..]));
+        wire.extend_from_slice(&framed(&[2u8; 8]));
+        let mut r = wire.as_slice();
+        let mut frames = FrameReader::new();
+
+        let first = frames.read_frame(&mut r).unwrap();
+        assert_eq!(first.len(), big.len());
+        // The reader kept no handle: the caller's is the only one, so
+        // dropping the frame frees the 1 MiB right away.
+        assert_eq!(first.try_reclaim().map(|v| v.len()), Ok(big.len()));
+        // One byte less is exactly the cap, and is kept.
+        let at_cap = frames.read_frame(&mut r).unwrap();
+        let buffer = at_cap.as_ptr();
+        drop(at_cap);
+        assert_eq!(frames.read_frame(&mut r).unwrap().as_ptr(), buffer);
+    }
+
+    #[test]
+    fn reused_buffer_survives_trickled_and_truncated_frames() {
+        let a: Vec<u8> = (0..200u8).collect();
+        let b: Vec<u8> = (0..90u8).rev().collect();
+        let mut wire = framed(&a);
+        wire.extend_from_slice(&framed(&b));
+        let cut = wire.len() - 3;
+        let mut frames = FrameReader::new();
+        for chunk in [1, 3, 64] {
+            let mut r = Trickle {
+                data: wire[..cut].to_vec(),
+                pos: 0,
+                chunk,
+            };
+            assert_eq!(frames.read_frame(&mut r).unwrap().as_ref(), &a[..]);
+            // The second frame dies three bytes short — into the reused
+            // buffer — and the reader recovers on the next stream.
+            assert!(matches!(frames.read_frame(&mut r), Err(FrameError::Io(_))));
+        }
+        assert_eq!(
+            frames.read_frame(&mut wire.as_slice()).unwrap().as_ref(),
+            &a[..]
+        );
     }
 
     #[test]

@@ -42,13 +42,14 @@
 //! decides.
 
 use bytes::Bytes;
+use pvfs_proto::Frame;
 use pvfs_types::{PvfsError, PvfsResult};
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use super::frame::{read_frame, write_frame, FrameError};
+use super::frame::{write_frame_parts, FrameError, FrameReader};
 use crate::transport::{PendingReply, RpcTarget, Transport, TransportKind, WaitError};
 
 /// A pooled TCP [`Transport`] to one cluster.
@@ -61,7 +62,23 @@ struct PoolInner {
     mgr_addr: SocketAddr,
     /// One idle-connection stack per server, plus one for the manager
     /// (last slot). LIFO: the hottest connection is reused first.
-    idle: Vec<Mutex<Vec<TcpStream>>>,
+    idle: Vec<Mutex<Vec<Conn>>>,
+}
+
+/// One connection: the socket and its receiving end, parked together so
+/// the next reply on it arrives in the buffer the last one used.
+struct Conn {
+    stream: TcpStream,
+    reader: FrameReader,
+}
+
+impl Conn {
+    /// Send `head ‖ payload` behind its length prefix in one vectored
+    /// write: a write's payload goes from the buffer it was gathered
+    /// into straight to the socket.
+    fn send(&mut self, frame: &Frame) -> io::Result<()> {
+        write_frame_parts(&mut self.stream, &frame.head, &frame.payload)
+    }
 }
 
 impl TcpTransport {
@@ -113,21 +130,25 @@ impl PoolInner {
     }
 
     /// Pop an idle (possibly stale) connection, if any is parked.
-    fn checkout_idle(&self, slot: usize) -> Option<TcpStream> {
+    fn checkout_idle(&self, slot: usize) -> Option<Conn> {
         self.idle[slot].lock().unwrap().pop()
     }
 
     /// Dial a fresh connection.
-    fn dial(&self, slot: usize) -> PvfsResult<TcpStream> {
+    fn dial(&self, slot: usize) -> PvfsResult<Conn> {
         let addr = self.addr(slot);
-        let conn = TcpStream::connect(addr)
+        let stream = TcpStream::connect(addr)
             .map_err(|e| PvfsError::Transport(format!("connect {addr}: {e}")))?;
-        conn.set_nodelay(true)
+        stream
+            .set_nodelay(true)
             .map_err(|e| PvfsError::Transport(format!("set TCP_NODELAY on {addr}: {e}")))?;
-        Ok(conn)
+        Ok(Conn {
+            stream,
+            reader: FrameReader::new(),
+        })
     }
 
-    fn park(&self, slot: usize, conn: TcpStream) {
+    fn park(&self, slot: usize, conn: Conn) {
         self.idle[slot].lock().unwrap().push(conn);
     }
 }
@@ -137,13 +158,13 @@ impl Transport for TcpTransport {
         self.inner.server_addrs.len() as u32
     }
 
-    fn start(&self, target: RpcTarget, frame: Bytes) -> PvfsResult<Box<dyn PendingReply>> {
+    fn start(&self, target: RpcTarget, frame: Frame) -> PvfsResult<Box<dyn PendingReply>> {
         let slot = self.inner.slot(target)?;
         // Prefer a parked connection; if the send fails on it, the
         // connection went stale while idle — evict it (drop) and heal
         // by re-dialing. Only a fresh connection's failure is fatal.
         let (conn, reused) = match self.inner.checkout_idle(slot) {
-            Some(mut conn) => match write_frame(&mut conn, &frame) {
+            Some(mut conn) => match conn.send(&frame) {
                 Ok(()) => (Some(conn), true),
                 Err(_) => (None, false),
             },
@@ -153,7 +174,7 @@ impl Transport for TcpTransport {
             Some(conn) => conn,
             None => {
                 let mut conn = self.inner.dial(slot)?;
-                write_frame(&mut conn, &frame).map_err(|e| {
+                conn.send(&frame).map_err(|e| {
                     PvfsError::Transport(format!("send to {}: {e}", self.inner.addr(slot)))
                 })?;
                 conn
@@ -175,13 +196,13 @@ impl Transport for TcpTransport {
 
 /// One in-flight TCP RPC, exclusively owning its connection until the
 /// response frame is read (or the RPC fails). Keeps the request frame
-/// so the stale-keepalive race can be replayed once on a fresh
-/// connection.
+/// (two O(1) handles on its parts) so the stale-keepalive race can be
+/// replayed once on a fresh connection.
 struct TcpPending {
     inner: Arc<PoolInner>,
     slot: usize,
-    conn: TcpStream,
-    frame: Bytes,
+    conn: Conn,
+    frame: Frame,
     /// Whether `conn` came from the idle pool (only then may the
     /// peer-gone-before-any-byte race be healed by replaying).
     reused: bool,
@@ -192,16 +213,16 @@ impl PendingReply for TcpPending {
         let deadline = Instant::now() + timeout;
         loop {
             let mut stream = DeadlineStream {
-                conn: &self.conn,
+                conn: &self.conn.stream,
                 deadline,
                 timed_out: false,
                 got_bytes: false,
             };
-            let error = match read_frame(&mut stream) {
+            let error = match self.conn.reader.read_frame(&mut stream) {
                 Ok(frame) => {
                     // Healthy connection, response fully consumed: park
                     // it for reuse (blocking mode restored first).
-                    if self.conn.set_read_timeout(None).is_ok() {
+                    if self.conn.stream.set_read_timeout(None).is_ok() {
                         self.inner.park(self.slot, self.conn);
                     }
                     return Ok(frame);
@@ -237,7 +258,7 @@ impl TcpPending {
     /// a re-send of the kept request frame.
     fn redial_and_resend(&mut self) -> PvfsResult<()> {
         let mut conn = self.inner.dial(self.slot)?;
-        write_frame(&mut conn, &self.frame).map_err(|e| {
+        conn.send(&self.frame).map_err(|e| {
             PvfsError::Transport(format!(
                 "resend to {} after stale connection: {e}",
                 self.inner.addr(self.slot)

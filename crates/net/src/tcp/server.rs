@@ -19,6 +19,13 @@
 //! write ([`send_reply`]): the payload the daemon gathered is the buffer
 //! the socket reads from, never staged behind its head in a second one.
 //!
+//! A connection costs the daemon one reader thread and one entry in its
+//! connection table (a duplicate of the socket, kept so shutdown can
+//! stop the reader). Both are the reader's to give back: when the peer
+//! hangs up the reader removes its own entry — closing the duplicate, so
+//! the socket really closes — and the acceptor joins finished readers
+//! before it registers the next one.
+//!
 //! # Shutdown
 //!
 //! [`TcpServer::shutdown`] drains gracefully: stop accepting (flag +
@@ -34,6 +41,7 @@ use pvfs_proto::{
 };
 use pvfs_server::{IoDaemon, IodConfig, Manager};
 use pvfs_types::{PvfsError, RequestId};
+use std::collections::HashMap;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::ops::ControlFlow;
@@ -42,7 +50,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use super::frame::{read_frame, wire_len, write_frame_parts, FrameError};
+use super::frame::{wire_len, write_frame_parts, FrameError, FrameReader};
 use crate::chan::TrySendError;
 use crate::pool::WorkerPool;
 use crate::transport::serve_frame;
@@ -95,9 +103,13 @@ pub(crate) struct TcpServer {
     accept_thread: Option<JoinHandle<()>>,
     pool_tx: crate::chan::Sender<TcpMsg>,
     pool: Option<WorkerPool>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+    conns: Conns,
     readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
+
+/// The open connections of one daemon, by accept index: a duplicate of
+/// each socket, through which shutdown stops the connection's reader.
+type Conns = Arc<Mutex<HashMap<usize, TcpStream>>>;
 
 impl TcpServer {
     fn spawn(
@@ -110,7 +122,7 @@ impl TcpServer {
         let addr = listener.local_addr()?;
         let hooks = Arc::new(hooks);
         let shutting_down = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns: Conns = Arc::new(Mutex::new(HashMap::new()));
         let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
         let worker_hooks = hooks.clone();
@@ -151,14 +163,25 @@ impl TcpServer {
                     let Ok(read_half) = stream.try_clone() else {
                         continue;
                     };
-                    accept_conns.lock().unwrap().push(read_half);
+                    accept_conns.lock().unwrap().insert(i, read_half);
                     let reader = spawn_reader(
                         format!("{accept_name}-conn{i}"),
                         stream,
                         accept_tx.clone(),
                         accept_hooks.clone(),
+                        i,
+                        accept_conns.clone(),
                     );
-                    accept_readers.lock().unwrap().push(reader);
+                    // Reap the readers whose peers have hung up since
+                    // the last accept, so the handle list follows the
+                    // live connections instead of every one ever made.
+                    let mut readers = accept_readers.lock().unwrap();
+                    let done: Vec<_> = readers.extract_if(.., |r| r.is_finished()).collect();
+                    readers.push(reader);
+                    drop(readers);
+                    for r in done {
+                        let _ = r.join();
+                    }
                 }
             })
             .expect("spawn tcp acceptor");
@@ -182,6 +205,11 @@ impl TcpServer {
         self.pool.as_ref().map(|p| p.workers()).unwrap_or(0)
     }
 
+    /// Connections whose reader is still running.
+    fn open_connections(&self) -> usize {
+        self.conns.lock().unwrap().len()
+    }
+
     /// Graceful teardown: close the listener, drain in-flight requests,
     /// join every thread. Idempotent.
     pub(crate) fn shutdown(&mut self) {
@@ -196,7 +224,7 @@ impl TcpServer {
         // Stop the readers at their next read; frames already read keep
         // flowing into the pool (a reader blocked on a full queue
         // finishes its send first — workers are still draining).
-        for conn in self.conns.lock().unwrap().iter() {
+        for conn in self.conns.lock().unwrap().values() {
             let _ = conn.shutdown(Shutdown::Read);
         }
         let readers: Vec<_> = self.readers.lock().unwrap().drain(..).collect();
@@ -209,7 +237,6 @@ impl TcpServer {
             let _ = self.pool_tx.send(TcpMsg::Shutdown);
         }
         pool.join();
-        self.conns.lock().unwrap().clear();
     }
 }
 
@@ -220,22 +247,40 @@ impl Drop for TcpServer {
 }
 
 /// Read frames off one connection into the pool until the peer hangs
-/// up, dies mid-frame, or violates the frame cap.
+/// up, dies mid-frame, or violates the frame cap; then take the
+/// connection's entry (`key` in `conns`) back out, so the daemon's
+/// duplicate of the socket closes with the connection.
 fn spawn_reader(
     name: String,
     mut stream: TcpStream,
     pool_tx: crate::chan::Sender<TcpMsg>,
     hooks: Arc<ServeHooks>,
+    key: usize,
+    conns: Conns,
 ) -> JoinHandle<()> {
+    /// Removes the entry however the reader exits.
+    struct Deregister(usize, Conns);
+    impl Drop for Deregister {
+        fn drop(&mut self) {
+            if let Ok(mut conns) = self.1.lock() {
+                conns.remove(&self.0);
+            }
+        }
+    }
     std::thread::Builder::new()
         .name(name)
         .spawn(move || {
+            let _deregister = Deregister(key, conns);
             let writer = Arc::new(Mutex::new(match stream.try_clone() {
                 Ok(w) => w,
                 Err(_) => return,
             }));
+            // Requests on a connection are answered before the peer
+            // sends the next one, so each arrives in the last one's
+            // buffer.
+            let mut frames = FrameReader::new();
             loop {
-                match read_frame(&mut stream) {
+                match frames.read_frame(&mut stream) {
                     Ok(frame) => {
                         let scrape = frame_is_stats_scrape(&frame);
                         if !scrape {
@@ -354,7 +399,7 @@ impl TcpCluster {
                     config.queue_depth.max(1),
                     ServeHooks {
                         serve: Box::new(move |frame, waited| {
-                            let (id, response) = serve_frame(frame, |req, ctx| {
+                            let (id, response) = serve_frame(frame.into(), |req, ctx| {
                                 serve_daemon.handle_traced(req, ctx, waited).0
                             });
                             // Emulated service time occupies the worker,
@@ -397,7 +442,7 @@ impl TcpCluster {
             config.queue_depth.max(1),
             ServeHooks {
                 serve: Box::new(move |frame, waited| {
-                    serve_frame(frame, |req, ctx| {
+                    serve_frame(frame.into(), |req, ctx| {
                         serve_mgr.lock().unwrap().handle_traced(req, ctx, waited)
                     })
                 }),
@@ -428,6 +473,18 @@ impl TcpCluster {
 
     pub(crate) fn workers_per_server(&self) -> usize {
         self.servers.first().map(|s| s.workers()).unwrap_or(0)
+    }
+
+    /// Connections currently open across the I/O daemons and the
+    /// manager — each costs its daemon a reader thread and a descriptor
+    /// until the peer hangs up (diagnostics; a connection a client has
+    /// closed leaves this count as soon as its reader sees the EOF).
+    pub fn open_connections(&self) -> usize {
+        self.servers
+            .iter()
+            .chain([&self.mgr])
+            .map(|s| s.open_connections())
+            .sum()
     }
 
     /// Drain and stop every listener, reader and worker.

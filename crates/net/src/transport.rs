@@ -17,7 +17,7 @@
 
 use bytes::Bytes;
 use pvfs_proto::{
-    decode_frame_id, decode_message_traced, frame_is_stats_scrape, Message, Request, Response,
+    decode_frame, decode_frame_id, frame_is_stats_scrape, Frame, Message, Request, Response,
 };
 use pvfs_types::{PvfsError, PvfsResult, RequestId, ServerId, TraceContext};
 use std::sync::Arc;
@@ -103,7 +103,10 @@ pub trait Transport: Send + Sync {
 
     /// Ship one encoded request frame toward `target`; the returned
     /// handle yields the encoded response. Blocks only on backpressure.
-    fn start(&self, target: RpcTarget, frame: Bytes) -> PvfsResult<Box<dyn PendingReply>>;
+    /// The frame arrives in two parts (`head ‖ payload`, see [`Frame`])
+    /// and a transport sends it that way — a write's payload is never
+    /// joined to its head in a staging buffer.
+    fn start(&self, target: RpcTarget, frame: Frame) -> PvfsResult<Box<dyn PendingReply>>;
 
     /// Which kind of transport this is (diagnostics / benchmarks).
     fn kind(&self) -> TransportKind;
@@ -126,22 +129,23 @@ pub trait Transport: Send + Sync {
 /// carried (None for untraced version-1 frames), so daemons can record
 /// spans parented to the client's RPC span.
 pub(crate) fn serve_frame(
-    frame: Bytes,
+    frame: Frame,
     serve: impl FnOnce(&Request, Option<TraceContext>) -> Response,
 ) -> (RequestId, Response) {
-    let header_id = decode_frame_id(&frame);
-    match decode_message_traced(frame) {
+    let header_id = decode_frame_id(&frame.head);
+    match decode_frame(frame) {
         Ok((Message { id, request, .. }, ctx)) => (id, serve(&request, ctx)),
         Err(e) => (header_id.unwrap_or(RequestId(0)), Response::Error(e)),
     }
 }
 
-/// A message to a channel-backed daemon: the encoded request frame, the
-/// channel for the encoded reply, and when the frame was enqueued (the
-/// worker derives queue wait from it).
+/// A message to a channel-backed daemon: the encoded request frame
+/// (both parts, exactly as the client built them), the channel for the
+/// encoded reply, and when the frame was enqueued (the worker derives
+/// queue wait from it).
 #[derive(Debug)]
 pub(crate) enum NodeMsg {
-    Rpc(Bytes, Sender<Bytes>, Instant),
+    Rpc(Frame, Sender<Bytes>, Instant),
     Shutdown,
 }
 
@@ -213,7 +217,7 @@ impl Transport for ChanTransport {
         self.server_txs.len() as u32
     }
 
-    fn start(&self, target: RpcTarget, frame: Bytes) -> PvfsResult<Box<dyn PendingReply>> {
+    fn start(&self, target: RpcTarget, frame: Frame) -> PvfsResult<Box<dyn PendingReply>> {
         let (reply_tx, reply_rx) = bounded(1);
         let tx = self.tx_for(target)?;
         match target {
@@ -223,7 +227,7 @@ impl Transport for ChanTransport {
                 // they fetch equals the in-process one — and they wait
                 // out a full queue instead of shedding, so observation
                 // never perturbs the shed counter either.
-                if frame_is_stats_scrape(&frame) {
+                if frame_is_stats_scrape(&frame.head) {
                     tx.send(NodeMsg::Rpc(frame, reply_tx, Instant::now()))
                         .map_err(|_| PvfsError::Transport("server thread gone".into()))?;
                     return Ok(Box::new(ChanPending { reply_rx }));

@@ -10,7 +10,7 @@
 //! than arbitrary noise. Seeds are fixed: a failure reproduces exactly.
 
 use bytes::Bytes;
-use pvfs_net::tcp::frame::{read_frame, write_frame, FrameError, LEN_PREFIX};
+use pvfs_net::tcp::frame::{read_frame, write_frame, FrameError, FrameReader, LEN_PREFIX};
 use pvfs_net::tcp::TcpCluster;
 use pvfs_proto::{
     decode_message, decode_response, encode_message, encode_response, Message, Request, Response,
@@ -126,10 +126,13 @@ fn corpus_wire() -> Vec<Vec<u8>> {
 /// Feed mangled wire bytes through the full decode stack. The only
 /// acceptable outcomes are a typed frame error or a frame that then
 /// either decodes or fails with a typed `PvfsError` — never a panic.
-fn decode_stack(wire: &[u8]) {
+/// `frames` is the test's one long-lived connection reader: every round
+/// receives into whatever buffer the rounds before left it, which is how
+/// a real connection meets a mangled frame.
+fn decode_stack(frames: &mut FrameReader, wire: &[u8]) {
     let mut r = wire;
     loop {
-        match read_frame(&mut r) {
+        match frames.read_frame(&mut r) {
             Ok(frame) => {
                 // Both interpretations must be panic-free: a mangled
                 // stream does not say which peer sent it.
@@ -155,11 +158,17 @@ fn decode_stack(wire: &[u8]) {
 /// not sampled: truncation is the failure disconnect injection produces.
 #[test]
 fn every_truncation_point_is_a_typed_error() {
+    let mut frames = FrameReader::new();
     for wire in corpus_wire() {
+        // A reader that has just failed mid-frame is not poisoned: the
+        // whole frame still arrives intact through it afterwards.
+        let whole = frames.read_frame(&mut wire.as_slice()).unwrap();
+        assert_eq!(whole.as_ref(), &wire[LEN_PREFIX..]);
+        drop(whole);
         for cut in 0..wire.len() {
             let t = &wire[..cut];
             let mut r = t;
-            match read_frame(&mut r) {
+            match frames.read_frame(&mut r) {
                 Ok(frame) => {
                     // Only possible when the whole announced frame fit
                     // before the cut (cut inside a *following* frame is
@@ -175,6 +184,12 @@ fn every_truncation_point_is_a_typed_error() {
                     panic!("truncation cannot announce an oversized frame")
                 }
             }
+            let again = frames.read_frame(&mut wire.as_slice()).unwrap();
+            assert_eq!(
+                again.as_ref(),
+                &wire[LEN_PREFIX..],
+                "cut {cut} poisoned the reader"
+            );
         }
     }
 }
@@ -186,6 +201,7 @@ fn every_truncation_point_is_a_typed_error() {
 #[test]
 fn random_bit_flips_never_panic() {
     let corpus = corpus_wire();
+    let mut frames = FrameReader::new();
     let mut rng = StdRng::seed_from_u64(0xf1f1_f1f1);
     for round in 0..2_000usize {
         let mut wire = corpus[round % corpus.len()].clone();
@@ -195,7 +211,7 @@ fn random_bit_flips_never_panic() {
             let bit = rng.gen_range(0u32..8);
             wire[byte] ^= 1 << bit;
         }
-        decode_stack(&wire);
+        decode_stack(&mut frames, &wire);
     }
 }
 
@@ -207,6 +223,7 @@ fn random_bit_flips_never_panic() {
 #[test]
 fn length_lying_prefixes_are_typed_errors() {
     let corpus = corpus_wire();
+    let mut frames = FrameReader::new();
     let mut rng = StdRng::seed_from_u64(0x11ed_cafe);
     for round in 0..2_000usize {
         let mut wire = corpus[round % corpus.len()].clone();
@@ -222,7 +239,7 @@ fn length_lying_prefixes_are_typed_errors() {
             _ => rng.gen::<u64>() as u32,
         };
         wire[..LEN_PREFIX].copy_from_slice(&lie.to_le_bytes());
-        decode_stack(&wire);
+        decode_stack(&mut frames, &wire);
     }
 }
 
@@ -230,11 +247,12 @@ fn length_lying_prefixes_are_typed_errors() {
 /// the whole stack, plus the pathological empty-and-tiny prefixes.
 #[test]
 fn arbitrary_garbage_never_panics() {
+    let mut frames = FrameReader::new();
     let mut rng = StdRng::seed_from_u64(0xbad_f00d);
     for _ in 0..2_000usize {
         let len = rng.gen_range(0usize..512);
         let wire: Vec<u8> = (0..len).map(|_| rng.gen::<u8>()).collect();
-        decode_stack(&wire);
+        decode_stack(&mut frames, &wire);
     }
 }
 

@@ -99,6 +99,47 @@ const ERR_CONFIG: u8 = 11;
 const ERR_UNAVAILABLE: u8 = 12;
 const ERR_OVERLOADED: u8 = 13;
 
+/// A request frame in two parts: `head ‖ payload` is the wire frame,
+/// byte for byte what [`encode_message_traced`] produces in one buffer.
+///
+/// In all three write requests the bulk payload is the last field, so
+/// the frame splits cleanly behind the payload's length word: `head` is
+/// everything the encoder writes (header, trace context, layout, region
+/// list, payload length), `payload` is the buffer the client gathered —
+/// shared, never copied behind the head. Every other request is all
+/// head. A stream transport writes the two parts with one vectored
+/// write; the channel transport hands both to the daemon untouched.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Frame {
+    /// Everything before the bulk payload (the whole frame when there
+    /// is none, or when it arrived contiguous off a socket).
+    pub head: Bytes,
+    /// A write request's bulk payload; empty otherwise.
+    pub payload: Bytes,
+}
+
+impl Frame {
+    /// Bytes the frame occupies on the wire (before any stream framing).
+    pub fn len(&self) -> usize {
+        self.head.len() + self.payload.len()
+    }
+
+    /// True iff both parts are empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// A frame received (or encoded) as one contiguous buffer.
+impl From<Bytes> for Frame {
+    fn from(head: Bytes) -> Frame {
+        Frame {
+            head,
+            payload: Bytes::new(),
+        }
+    }
+}
+
 /// Encode a request message to its wire frame (header + trailing data +
 /// bulk payload). Always an untraced [`VERSION`] frame — the historical
 /// layout, byte for byte.
@@ -112,10 +153,38 @@ pub fn encode_message(m: &Message) -> PvfsResult<Bytes> {
 pub fn encode_message_traced(m: &Message, ctx: Option<TraceContext>) -> PvfsResult<Bytes> {
     // Exactly the frame: a frame sized short of its region list regrows,
     // and a regrow re-copies everything written so far.
-    let trace_len = if ctx.is_some() { 16 } else { 0 };
-    let mut buf = BytesMut::with_capacity(
-        m.request.control_wire_size() as usize + trace_len + m.request.bulk_len() as usize,
-    );
+    let mut buf = BytesMut::with_capacity(head_len(m, ctx) + m.request.bulk_len() as usize);
+    if let Some(payload) = put_head(&mut buf, m, ctx)? {
+        buf.put_slice(payload);
+    }
+    Ok(buf.freeze())
+}
+
+/// Encode a request as a two-part [`Frame`]: the same head encoder as
+/// [`encode_message_traced`], with a write's payload shared instead of
+/// copied behind it.
+pub fn encode_frame(m: &Message, ctx: Option<TraceContext>) -> PvfsResult<Frame> {
+    let mut buf = BytesMut::with_capacity(head_len(m, ctx));
+    let payload = put_head(&mut buf, m, ctx)?.cloned().unwrap_or_default();
+    Ok(Frame {
+        head: buf.freeze(),
+        payload,
+    })
+}
+
+/// Exact size of what [`put_head`] writes.
+fn head_len(m: &Message, ctx: Option<TraceContext>) -> usize {
+    m.request.control_wire_size() as usize + if ctx.is_some() { 16 } else { 0 }
+}
+
+/// The one request encoder: write everything up to (and including) a
+/// write request's payload length into `buf` and return the payload that
+/// belongs behind it — `None` for requests that carry none.
+fn put_head<'m>(
+    buf: &mut BytesMut,
+    m: &'m Message,
+    ctx: Option<TraceContext>,
+) -> PvfsResult<Option<&'m Bytes>> {
     buf.put_u16_le(MAGIC);
     buf.put_u8(if ctx.is_some() {
         VERSION_TRACED
@@ -129,14 +198,15 @@ pub fn encode_message_traced(m: &Message, ctx: Option<TraceContext>) -> PvfsResu
         buf.put_u64_le(ctx.trace.0);
         buf.put_u64_le(ctx.parent.0);
     }
+    let mut payload = None;
     match &m.request {
         Request::Create { path, layout } => {
-            put_string(&mut buf, path);
-            put_layout(&mut buf, layout);
+            put_string(buf, path);
+            put_layout(buf, layout);
         }
-        Request::Open { path } => put_string(&mut buf, path),
+        Request::Open { path } => put_string(buf, path),
         Request::Close { handle } => buf.put_u64_le(handle.0),
-        Request::Remove { path } => put_string(&mut buf, path),
+        Request::Remove { path } => put_string(buf, path),
         Request::ListDir => {}
         Request::GetLocalSize { handle } => buf.put_u64_le(handle.0),
         Request::Read {
@@ -145,8 +215,8 @@ pub fn encode_message_traced(m: &Message, ctx: Option<TraceContext>) -> PvfsResu
             region,
         } => {
             buf.put_u64_le(handle.0);
-            put_layout(&mut buf, layout);
-            put_region(&mut buf, *region);
+            put_layout(buf, layout);
+            put_region(buf, *region);
         }
         Request::Write {
             handle,
@@ -155,10 +225,10 @@ pub fn encode_message_traced(m: &Message, ctx: Option<TraceContext>) -> PvfsResu
             data,
         } => {
             buf.put_u64_le(handle.0);
-            put_layout(&mut buf, layout);
-            put_region(&mut buf, *region);
+            put_layout(buf, layout);
+            put_region(buf, *region);
             buf.put_u64_le(data.len() as u64);
-            buf.put_slice(data);
+            payload = Some(data);
         }
         Request::ReadList {
             handle,
@@ -167,8 +237,8 @@ pub fn encode_message_traced(m: &Message, ctx: Option<TraceContext>) -> PvfsResu
         } => {
             check_list(regions)?;
             buf.put_u64_le(handle.0);
-            put_layout(&mut buf, layout);
-            put_trailing(&mut buf, regions);
+            put_layout(buf, layout);
+            put_trailing(buf, regions);
         }
         Request::WriteList {
             handle,
@@ -178,10 +248,10 @@ pub fn encode_message_traced(m: &Message, ctx: Option<TraceContext>) -> PvfsResu
         } => {
             check_list(regions)?;
             buf.put_u64_le(handle.0);
-            put_layout(&mut buf, layout);
-            put_trailing(&mut buf, regions);
+            put_layout(buf, layout);
+            put_trailing(buf, regions);
             buf.put_u64_le(data.len() as u64);
-            buf.put_slice(data);
+            payload = Some(data);
         }
         Request::ReadVectors {
             handle,
@@ -190,8 +260,8 @@ pub fn encode_message_traced(m: &Message, ctx: Option<TraceContext>) -> PvfsResu
         } => {
             check_runs(runs)?;
             buf.put_u64_le(handle.0);
-            put_layout(&mut buf, layout);
-            put_runs(&mut buf, runs);
+            put_layout(buf, layout);
+            put_runs(buf, runs);
         }
         Request::WriteVectors {
             handle,
@@ -201,10 +271,10 @@ pub fn encode_message_traced(m: &Message, ctx: Option<TraceContext>) -> PvfsResu
         } => {
             check_runs(runs)?;
             buf.put_u64_le(handle.0);
-            put_layout(&mut buf, layout);
-            put_runs(&mut buf, runs);
+            put_layout(buf, layout);
+            put_runs(buf, runs);
             buf.put_u64_le(data.len() as u64);
-            buf.put_slice(data);
+            payload = Some(data);
         }
         Request::Sync { handle } => buf.put_u64_le(handle.0),
         Request::Flush => {}
@@ -219,7 +289,7 @@ pub fn encode_message_traced(m: &Message, ctx: Option<TraceContext>) -> PvfsResu
         }
         Request::GetTrace { trace } => buf.put_u64_le(trace.0),
     }
-    Ok(buf.freeze())
+    Ok(payload)
 }
 
 /// True when `frame` is a well-formed header whose opcode is a control
@@ -271,7 +341,22 @@ pub fn decode_message(buf: Bytes) -> PvfsResult<Message> {
 /// is a [`VERSION_TRACED`] one. Old-format ([`VERSION`]) frames decode
 /// exactly as before with `None` — backward compatibility is pinned by
 /// the codec regression and fuzz tests.
-pub fn decode_message_traced(mut buf: Bytes) -> PvfsResult<(Message, Option<TraceContext>)> {
+pub fn decode_message_traced(buf: Bytes) -> PvfsResult<(Message, Option<TraceContext>)> {
+    decode_frame(buf.into())
+}
+
+/// Decode a request [`Frame`] — the one request decoder. A write's
+/// payload is taken (as an O(1) view) from whichever part holds it: the
+/// tail of a contiguous frame, as a socket delivers it, or the payload
+/// part of a frame split at the head/payload boundary, as
+/// [`encode_frame`] builds it. A payload part shorter than announced, or
+/// bytes left over in either part, are the same typed errors a short or
+/// over-long contiguous frame gets.
+pub fn decode_frame(frame: Frame) -> PvfsResult<(Message, Option<TraceContext>)> {
+    let Frame {
+        head: mut buf,
+        mut payload,
+    } = frame;
     let magic = get_u16(&mut buf)?;
     if magic != MAGIC {
         return Err(PvfsError::protocol(format!("bad magic {magic:#06x}")));
@@ -321,7 +406,7 @@ pub fn decode_message_traced(mut buf: Bytes) -> PvfsResult<(Message, Option<Trac
             let handle = FileHandle(get_u64(&mut buf)?);
             let layout = get_layout(&mut buf)?;
             let region = get_region(&mut buf)?;
-            let data = get_bulk(&mut buf)?;
+            let data = get_payload(&mut buf, &mut payload)?;
             Request::Write {
                 handle,
                 layout,
@@ -343,7 +428,7 @@ pub fn decode_message_traced(mut buf: Bytes) -> PvfsResult<(Message, Option<Trac
             let handle = FileHandle(get_u64(&mut buf)?);
             let layout = get_layout(&mut buf)?;
             let regions = get_trailing(&mut buf)?;
-            let data = get_bulk(&mut buf)?;
+            let data = get_payload(&mut buf, &mut payload)?;
             Request::WriteList {
                 handle,
                 layout,
@@ -360,7 +445,7 @@ pub fn decode_message_traced(mut buf: Bytes) -> PvfsResult<(Message, Option<Trac
             let handle = FileHandle(get_u64(&mut buf)?);
             let layout = get_layout(&mut buf)?;
             let runs = get_runs(&mut buf)?;
-            let data = get_bulk(&mut buf)?;
+            let data = get_payload(&mut buf, &mut payload)?;
             Request::WriteVectors {
                 handle,
                 layout,
@@ -388,10 +473,10 @@ pub fn decode_message_traced(mut buf: Bytes) -> PvfsResult<(Message, Option<Trac
         },
         other => return Err(PvfsError::protocol(format!("unknown opcode {other}"))),
     };
-    if buf.has_remaining() {
+    let garbage = buf.remaining() + payload.remaining();
+    if garbage > 0 {
         return Err(PvfsError::protocol(format!(
-            "{} bytes of garbage after frame",
-            buf.remaining()
+            "{garbage} bytes of garbage after frame"
         )));
     }
     Ok((
@@ -549,8 +634,9 @@ pub fn decode_response(mut buf: Bytes) -> PvfsResult<(RequestId, Response)> {
         RESP_LOCAL_SIZE => Response::LocalSize {
             size: get_u64(&mut buf)?,
         },
+        // A reply always arrives contiguous: no separate payload part.
         RESP_DATA => Response::Data {
-            data: get_bulk(&mut buf)?,
+            data: get_payload(&mut buf, &mut Bytes::new())?,
         },
         RESP_WRITTEN => Response::Written {
             bytes: get_u64(&mut buf)?,
@@ -903,12 +989,16 @@ fn get_histogram(buf: &mut Bytes) -> PvfsResult<Histogram> {
         .ok_or_else(|| PvfsError::protocol("invalid histogram buckets on wire"))
 }
 
-fn get_bulk(buf: &mut Bytes) -> PvfsResult<Bytes> {
-    let len = get_u64(buf)? as usize;
-    if buf.remaining() < len {
+/// A write request's bulk payload: the length word, then that many
+/// bytes out of the rest of the head (a contiguous frame) or, once the
+/// head is spent, out of the frame's payload part.
+fn get_payload(head: &mut Bytes, payload: &mut Bytes) -> PvfsResult<Bytes> {
+    let len = get_u64(head)? as usize;
+    let part = if head.has_remaining() { head } else { payload };
+    if part.remaining() < len {
         return Err(PvfsError::protocol("short frame reading bulk data"));
     }
-    Ok(buf.split_to(len))
+    Ok(part.split_to(len))
 }
 
 fn put_error(buf: &mut BytesMut, e: &PvfsError) {
@@ -1840,7 +1930,147 @@ mod tests {
                 "control size mismatch for {}",
                 m.request.op_name()
             );
+            assert_frame_matches_contiguous(&m);
         }
+    }
+
+    fn payload_of(request: &Request) -> Option<&Bytes> {
+        match request {
+            Request::Write { data, .. }
+            | Request::WriteList { data, .. }
+            | Request::WriteVectors { data, .. } => Some(data),
+            _ => None,
+        }
+    }
+
+    /// `Frame` against the contiguous encoder, traced and untraced:
+    /// `head ‖ payload` is the same bytes, the head is exactly the
+    /// control part, the payload is the request's own buffer (shared,
+    /// not copied), and both forms decode to the same message.
+    pub(super) fn assert_frame_matches_contiguous(m: &Message) {
+        let ctx = TraceContext {
+            trace: TraceId(0xfeed),
+            parent: SpanId(0xf00d),
+        };
+        for ctx in [None, Some(ctx)] {
+            let whole = encode_message_traced(m, ctx).unwrap();
+            let frame = encode_frame(m, ctx).unwrap();
+            assert_eq!(
+                [&frame.head[..], &frame.payload[..]].concat(),
+                whole.as_ref(),
+                "{}",
+                m.request.op_name()
+            );
+            assert_eq!(frame.len(), whole.len());
+            assert_eq!(frame.payload.len() as u64, m.request.bulk_len());
+            if let Some(data) = payload_of(&m.request).filter(|d| !d.is_empty()) {
+                assert_eq!(frame.payload.as_ptr(), data.as_ptr(), "payload was copied");
+            }
+            assert_eq!(decode_frame(frame).unwrap(), (m.clone(), ctx));
+            assert_eq!(decode_frame(Frame::from(whole)).unwrap(), (m.clone(), ctx));
+        }
+    }
+
+    #[test]
+    fn an_untraced_frame_is_encode_message_split_behind_the_length_word() {
+        let data = Bytes::from((0..200u8).collect::<Vec<_>>());
+        let m = msg(Request::WriteList {
+            handle: FileHandle(3),
+            layout: layout(),
+            regions: RegionList::from_pairs([(0, 100), (4096, 100)]).unwrap(),
+            data: data.clone(),
+        });
+        let whole = encode_message(&m).unwrap();
+        let frame = encode_frame(&m, None).unwrap();
+        assert_eq!(frame.head.as_ref(), &whole[..whole.len() - 200]);
+        assert_eq!(&frame.head[frame.head.len() - 8..], 200u64.to_le_bytes());
+        assert_eq!(frame.payload, data);
+        // A request without a payload is all head.
+        let ping = encode_frame(&msg(Request::Ping), None).unwrap();
+        assert_eq!(ping.head, encode_message(&msg(Request::Ping)).unwrap());
+        assert!(ping.payload.is_empty());
+        assert!(Frame::default().is_empty());
+    }
+
+    #[test]
+    fn frame_encoding_enforces_the_same_limits() {
+        let too_many = RegionList::from_pairs((0..65u64).map(|i| (i * 10, 1))).unwrap();
+        let m = msg(Request::WriteList {
+            handle: FileHandle(1),
+            layout: layout(),
+            regions: too_many,
+            data: Bytes::from(vec![0u8; 65]),
+        });
+        assert_eq!(
+            encode_frame(&m, None).unwrap_err(),
+            encode_message(&m).unwrap_err()
+        );
+    }
+
+    #[test]
+    fn short_and_over_long_payload_parts_are_typed_errors() {
+        let m = msg(Request::Write {
+            handle: FileHandle(1),
+            layout: layout(),
+            region: Region::new(0, 64),
+            data: Bytes::from(vec![7u8; 64]),
+        });
+        let frame = encode_frame(&m, None).unwrap();
+        let whole = encode_message(&m).unwrap();
+        let contiguous_err = |raw: Bytes| decode_message(raw).unwrap_err();
+
+        // Short: the same error a truncated contiguous frame gets.
+        let short = Frame {
+            head: frame.head.clone(),
+            payload: frame.payload.slice(..63),
+        };
+        assert_eq!(
+            decode_frame(short).unwrap_err(),
+            contiguous_err(whole.slice(..whole.len() - 1))
+        );
+        let missing = Frame::from(frame.head.clone());
+        assert_eq!(
+            decode_frame(missing).unwrap_err(),
+            PvfsError::protocol("short frame reading bulk data")
+        );
+
+        // Over-long: the same error trailing garbage gets.
+        let mut padded = whole.to_vec();
+        padded.extend_from_slice(&[0, 0, 0]);
+        let long = Frame {
+            head: frame.head.clone(),
+            payload: Bytes::from([&frame.payload[..], &[0, 0, 0]].concat()),
+        };
+        assert_eq!(
+            decode_frame(long).unwrap_err(),
+            contiguous_err(Bytes::from(padded))
+        );
+
+        // A payload part behind a request that carries none is garbage,
+        // and so is one behind a frame whose head already holds it.
+        let ping = Frame {
+            head: encode_message(&msg(Request::Ping)).unwrap(),
+            payload: Bytes::from(vec![1u8]),
+        };
+        assert_eq!(
+            decode_frame(ping).unwrap_err(),
+            PvfsError::protocol("1 bytes of garbage after frame")
+        );
+        let doubled = Frame {
+            head: whole.clone(),
+            payload: frame.payload.clone(),
+        };
+        assert_eq!(
+            decode_frame(doubled).unwrap_err(),
+            PvfsError::protocol("64 bytes of garbage after frame")
+        );
+
+        // A split anywhere but the head/payload boundary is not a frame.
+        let straddling = Frame {
+            head: whole.slice(..whole.len() - 10),
+            payload: whole.slice(whole.len() - 10..),
+        };
+        assert!(decode_frame(straddling).is_err());
     }
 
     #[test]
@@ -1931,6 +2161,19 @@ mod proptests {
             let encoded = encode_message(&m).unwrap();
             let decoded = decode_message(encoded).unwrap();
             prop_assert_eq!(decoded, m);
+        }
+
+        #[test]
+        fn any_request_frame_is_its_contiguous_encoding_in_two_parts(
+            request in arb_request(),
+            client in 0u32..1024,
+            id in 0u64..u64::MAX,
+        ) {
+            super::tests::assert_frame_matches_contiguous(&Message {
+                client: ClientId(client),
+                id: RequestId(id),
+                request,
+            });
         }
 
         #[test]

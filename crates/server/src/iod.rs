@@ -590,7 +590,7 @@ impl IoDaemon {
                     ..ServeCost::default()
                 };
                 let mut consumed = 0usize;
-                let mut runs = Vec::new();
+                let mut runs = Vec::with_capacity(1);
                 plan_region_runs(layout, slot, *region, data, &mut consumed, &mut runs);
                 let written = consumed as u64;
                 let mut shard = self.shard(*handle).lock().unwrap();
@@ -623,7 +623,7 @@ impl IoDaemon {
                 self.stats.list_requests.fetch_add(1, Ordering::Relaxed);
                 self.check_list(regions)?;
                 let slot = self.slot_in(layout)?;
-                let expected: u64 = regions.iter().map(|r| layout.bytes_on_slot(*r, slot)).sum();
+                let (expected, owned) = owned_share(layout, slot, regions.iter().copied());
                 if data.len() as u64 != expected {
                     return Err(PvfsError::protocol(format!(
                         "write_list payload is {} bytes but this server owns {expected}",
@@ -639,7 +639,7 @@ impl IoDaemon {
                 // ⌈n/64⌉-region list write is a single journal record,
                 // all-or-nothing across a crash.
                 let mut consumed = 0usize;
-                let mut runs = Vec::new();
+                let mut runs = Vec::with_capacity(owned);
                 for region in regions {
                     plan_region_runs(layout, slot, *region, data, &mut consumed, &mut runs);
                 }
@@ -682,11 +682,8 @@ impl IoDaemon {
                 for run in runs {
                     run.validate()?;
                 }
-                let expected: u64 = runs
-                    .iter()
-                    .flat_map(|run| run.regions())
-                    .map(|r| layout.bytes_on_slot(r, slot))
-                    .sum();
+                let (expected, owned) =
+                    owned_share(layout, slot, runs.iter().flat_map(|run| run.regions()));
                 if data.len() as u64 != expected {
                     return Err(PvfsError::protocol(format!(
                         "write_vectors payload is {} bytes but this server owns {expected}",
@@ -695,7 +692,7 @@ impl IoDaemon {
                 }
                 let mut cost = ServeCost::default();
                 let mut consumed = 0usize;
-                let mut wruns = Vec::new();
+                let mut wruns = Vec::with_capacity(owned);
                 for run in runs {
                     for region in run.regions() {
                         cost.regions += 1;
@@ -1014,18 +1011,34 @@ fn read_region_into(
     Ok(filled)
 }
 
+/// What `slot` owns of a request's regions: `(bytes, regions it owns
+/// any byte of)`. The first is what the payload must measure; the second
+/// is how many local runs the request plans — the stripes a slot owns of
+/// one region sit back to back in its local file, so each owned region
+/// is one merged run.
+fn owned_share(
+    layout: &StripeLayout,
+    slot: u32,
+    regions: impl Iterator<Item = Region>,
+) -> (u64, usize) {
+    regions.fold((0, 0), |(bytes, owned), r| {
+        let share = layout.bytes_on_slot(r, slot);
+        (bytes + share, owned + usize::from(share > 0))
+    })
+}
+
 /// Plan this server's merged local runs of one logical region: each
-/// planned run is `(local offset, payload)` with the payload consumed
+/// planned run is `(local offset, payload)` with the payload borrowed
 /// from `data` in logical order starting at `*consumed`. Consecutive
 /// local stripes merge into single runs exactly as reads do — the run
 /// count is what the simulator charges per-access server time for.
-fn plan_region_runs(
+fn plan_region_runs<'d>(
     layout: &StripeLayout,
     slot: u32,
     region: Region,
-    data: &Bytes,
+    data: &'d [u8],
     consumed: &mut usize,
-    runs: &mut Vec<(u64, Bytes)>,
+    runs: &mut Vec<(u64, &'d [u8])>,
 ) {
     let mut run: Option<(u64, u64)> = None;
     for seg in layout.segments(region) {
@@ -1037,7 +1050,7 @@ fn plan_region_runs(
                 run = Some((start, len + seg.logical.len));
             }
             Some((start, len)) => {
-                runs.push((start, data.slice(*consumed..*consumed + len as usize)));
+                runs.push((start, &data[*consumed..*consumed + len as usize]));
                 *consumed += len as usize;
                 run = Some((seg.local_offset, seg.logical.len));
             }
@@ -1045,7 +1058,7 @@ fn plan_region_runs(
         }
     }
     if let Some((start, len)) = run {
-        runs.push((start, data.slice(*consumed..*consumed + len as usize)));
+        runs.push((start, &data[*consumed..*consumed + len as usize]));
         *consumed += len as usize;
     }
 }
@@ -1053,15 +1066,14 @@ fn plan_region_runs(
 /// Commit planned runs to a local file as one all-or-nothing batch.
 fn apply_batch(
     file: &mut LocalFile,
-    runs: &[(u64, Bytes)],
+    runs: &[(u64, &[u8])],
     cost: &mut ServeCost,
 ) -> PvfsResult<()> {
     if runs.is_empty() {
         return Ok(());
     }
     let started = std::time::Instant::now();
-    let refs: Vec<(u64, &[u8])> = runs.iter().map(|(o, d)| (*o, d.as_ref())).collect();
-    let report = file.write_batch(&refs)?;
+    let report = file.write_batch(runs)?;
     cost.disk.merge(report);
     cost.local_accesses += runs.len() as u64;
     trace::sink_add("storage:write", started.elapsed());

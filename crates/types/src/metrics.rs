@@ -20,8 +20,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     /// bucket i covers [2^(i/2), 2^((i+1)/2)) ns, with bucket 0
-    /// holding everything below 1 ns.
-    buckets: Vec<u64>,
+    /// holding everything below 1 ns. Inline: a snapshot, a delta or a
+    /// default histogram costs no allocation.
+    buckets: [u64; BUCKETS],
     count: u64,
     sum: u128,
     min: u64,
@@ -34,7 +35,7 @@ impl Histogram {
     /// An empty histogram.
     pub fn new() -> Histogram {
         Histogram {
-            buckets: vec![0; BUCKETS],
+            buckets: [0; BUCKETS],
             count: 0,
             sum: 0,
             min: u64::MAX,

@@ -10,6 +10,7 @@
 
 use crate::error::{PvfsError, PvfsResult};
 use std::fmt;
+use std::sync::Arc;
 
 /// A contiguous run of bytes: `[offset, offset + len)`.
 ///
@@ -170,32 +171,50 @@ impl fmt::Display for Region {
 /// as *file* descriptions by the planners are usually sorted and disjoint
 /// (checked by [`RegionList::is_sorted_disjoint`]) but the type itself
 /// allows arbitrary order, as the paper's interface does.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// The regions sit behind one shared allocation (as `bytes::Bytes` keeps
+/// its buffer): [`clone`](Clone::clone), [`slice`](RegionList::slice) and
+/// [`chunks`](RegionList::chunks) are O(1) and alias it, so a request's
+/// list travels from the caller through the planner to the wire encoder
+/// without being copied. [`push`](RegionList::push) writes in place while
+/// the list is the only handle on its storage and copies it out first
+/// otherwise, so a clone never observes a later push.
+#[derive(Clone, Default)]
 pub struct RegionList {
-    regions: Vec<Region>,
+    /// `None` for a list that never held a region (allocates nothing).
+    shared: Option<Arc<Vec<Region>>>,
+    /// This list is `shared[start..end]`.
+    start: usize,
+    end: usize,
 }
 
 impl RegionList {
     /// Empty list.
     pub const fn new() -> RegionList {
         RegionList {
-            regions: Vec::new(),
+            shared: None,
+            start: 0,
+            end: 0,
         }
     }
 
     /// Empty list with reserved capacity.
     pub fn with_capacity(n: usize) -> RegionList {
         RegionList {
-            regions: Vec::with_capacity(n),
+            shared: (n > 0).then(|| Arc::new(Vec::with_capacity(n))),
+            start: 0,
+            end: 0,
         }
     }
 
-    /// Build from regions, rejecting empty regions.
+    /// Build from regions, rejecting empty regions. Takes over the
+    /// vector's allocation — the cheapest way to build a long list is to
+    /// fill a `Vec<Region>` and freeze it here.
     pub fn from_regions(regions: Vec<Region>) -> PvfsResult<RegionList> {
         if regions.iter().any(|r| r.is_empty()) {
             return Err(PvfsError::invalid("region list contains an empty region"));
         }
-        Ok(RegionList { regions })
+        Ok(RegionList::from_regions_unchecked(regions))
     }
 
     /// Build from `(offset, len)` pairs — the shape of the paper's
@@ -207,16 +226,18 @@ impl RegionList {
     /// Build without checking (used internally where emptiness is already
     /// impossible).
     pub(crate) fn from_regions_unchecked(regions: Vec<Region>) -> RegionList {
-        RegionList { regions }
+        let end = regions.len();
+        RegionList {
+            shared: (end > 0).then(|| Arc::new(regions)),
+            start: 0,
+            end,
+        }
     }
 
-    /// Clone a slice of already-validated regions into a list (planner
-    /// fast path for chunking shared region vectors).
+    /// Copy a slice of already-validated regions into a list of its own.
     pub fn from_regions_slice(regions: &[Region]) -> RegionList {
         debug_assert!(regions.iter().all(|r| !r.is_empty()));
-        RegionList {
-            regions: regions.to_vec(),
-        }
+        RegionList::from_regions_unchecked(regions.to_vec())
     }
 
     /// A single contiguous region as a list.
@@ -224,53 +245,85 @@ impl RegionList {
         if len == 0 {
             RegionList::new()
         } else {
-            RegionList {
-                regions: vec![Region::new(offset, len)],
-            }
+            RegionList::from_regions_unchecked(vec![Region::new(offset, len)])
         }
     }
 
     /// Append a region; empty regions are silently skipped so that
     /// generators can emit degenerate pieces without special-casing.
     pub fn push(&mut self, region: Region) {
-        if !region.is_empty() {
-            self.regions.push(region);
+        if region.is_empty() {
+            return;
+        }
+        match self.shared.as_mut().and_then(Arc::get_mut) {
+            // Sole handle: grow in place (dropping whatever a wider,
+            // since-dropped list left behind this one's end).
+            Some(regions) => {
+                regions.truncate(self.end);
+                regions.push(region);
+                self.end += 1;
+            }
+            // Clones or sub-lists alias the storage: leave it to them.
+            None => {
+                let mut regions = Vec::with_capacity((self.count() + 1).max(4));
+                regions.extend_from_slice(self.regions());
+                regions.push(region);
+                *self = RegionList::from_regions_unchecked(regions);
+            }
         }
     }
 
     /// Number of regions.
     #[inline]
     pub fn count(&self) -> usize {
-        self.regions.len()
+        self.end - self.start
     }
 
     /// True iff there are no regions.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.regions.is_empty()
+        self.start == self.end
     }
 
     /// The regions as a slice.
     #[inline]
     pub fn regions(&self) -> &[Region] {
-        &self.regions
+        match &self.shared {
+            Some(regions) => &regions[self.start..self.end],
+            None => &[],
+        }
+    }
+
+    /// The sub-list of regions `range` (indices into this list). O(1):
+    /// shares this list's storage.
+    pub fn slice(&self, range: std::ops::Range<usize>) -> RegionList {
+        assert!(
+            range.start <= range.end && range.end <= self.count(),
+            "sub-list {range:?} out of bounds of {} regions",
+            self.count()
+        );
+        RegionList {
+            shared: self.shared.clone(),
+            start: self.start + range.start,
+            end: self.start + range.end,
+        }
     }
 
     /// Iterate over the regions.
     pub fn iter(&self) -> std::slice::Iter<'_, Region> {
-        self.regions.iter()
+        self.regions().iter()
     }
 
     /// Total bytes covered (counting duplicates if regions overlap).
     pub fn total_len(&self) -> u64 {
-        self.regions.iter().map(|r| r.len).sum()
+        self.iter().map(|r| r.len).sum()
     }
 
     /// The smallest contiguous region covering every listed region, or
     /// `None` for an empty list. This is the window data sieving reads.
     pub fn extent(&self) -> Option<Region> {
-        let start = self.regions.iter().map(|r| r.offset).min()?;
-        let end = self.regions.iter().map(|r| r.end()).max()?;
+        let start = self.iter().map(|r| r.offset).min()?;
+        let end = self.iter().map(|r| r.end()).max()?;
         Some(Region::new(start, end - start))
     }
 
@@ -278,7 +331,7 @@ impl RegionList {
     /// overlap — the usual shape of file lists produced by access-pattern
     /// generators.
     pub fn is_sorted_disjoint(&self) -> bool {
-        self.regions.windows(2).all(|w| w[0].end() <= w[1].offset)
+        self.regions().windows(2).all(|w| w[0].end() <= w[1].offset)
     }
 
     /// A copy with adjacent/overlapping regions merged. The input is
@@ -286,10 +339,10 @@ impl RegionList {
     /// disjoint. Coalescing is what turns "1024 single-byte accesses of a
     /// contiguous run" into one wire region.
     pub fn coalesced(&self) -> RegionList {
-        if self.regions.len() <= 1 {
+        if self.count() <= 1 {
             return self.clone();
         }
-        let mut sorted = self.regions.clone();
+        let mut sorted = self.regions().to_vec();
         sorted.sort_unstable_by_key(|r| r.offset);
         let mut out: Vec<Region> = Vec::with_capacity(sorted.len());
         for r in sorted {
@@ -300,29 +353,27 @@ impl RegionList {
                 _ => out.push(r),
             }
         }
-        RegionList { regions: out }
+        RegionList::from_regions_unchecked(out)
     }
 
     /// Intersect every region with `window`, preserving order and
     /// dropping empty leftovers. Data sieving uses this to find which
     /// requested pieces fall inside the sieve buffer.
     pub fn clip_to(&self, window: Region) -> RegionList {
-        let regions = self
-            .regions
-            .iter()
-            .filter_map(|r| r.intersect(window))
-            .collect();
-        RegionList { regions }
+        RegionList::from_regions_unchecked(
+            self.iter().filter_map(|r| r.intersect(window)).collect(),
+        )
     }
 
     /// Split the list into consecutive chunks of at most `max_regions`
     /// regions each — exactly how list I/O breaks a long request into
-    /// several ≤64-region wire requests.
+    /// several ≤64-region wire requests. Each chunk is an O(1)
+    /// [`slice`](RegionList::slice) of this list.
     pub fn chunks(&self, max_regions: usize) -> impl Iterator<Item = RegionList> + '_ {
         assert!(max_regions > 0, "chunk size must be positive");
-        self.regions.chunks(max_regions).map(|c| RegionList {
-            regions: c.to_vec(),
-        })
+        (0..self.count())
+            .step_by(max_regions)
+            .map(move |at| self.slice(at..(at + max_regions).min(self.count())))
     }
 
     /// Locate the region containing the `pos`-th byte of the *list's byte
@@ -330,7 +381,7 @@ impl RegionList {
     /// Returns `(region index, offset within that region)`.
     pub fn locate(&self, pos: u64) -> Option<(usize, u64)> {
         let mut remaining = pos;
-        for (i, r) in self.regions.iter().enumerate() {
+        for (i, r) in self.iter().enumerate() {
             if remaining < r.len {
                 return Some((i, remaining));
             }
@@ -350,10 +401,28 @@ impl RegionList {
 
     /// Gap lengths between consecutive regions of a sorted-disjoint list.
     pub fn gaps(&self) -> Vec<u64> {
-        self.regions
+        self.regions()
             .windows(2)
             .map(|w| w[1].offset.saturating_sub(w[0].end()))
             .collect()
+    }
+}
+
+/// Lists are equal when they name the same regions in the same order,
+/// whatever storage they share.
+impl PartialEq for RegionList {
+    fn eq(&self, other: &RegionList) -> bool {
+        self.regions() == other.regions()
+    }
+}
+
+impl Eq for RegionList {}
+
+impl fmt::Debug for RegionList {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RegionList")
+            .field("regions", &self.regions())
+            .finish()
     }
 }
 
@@ -361,7 +430,7 @@ impl IntoIterator for RegionList {
     type Item = Region;
     type IntoIter = std::vec::IntoIter<Region>;
     fn into_iter(self) -> Self::IntoIter {
-        self.regions.into_iter()
+        self.regions().to_vec().into_iter()
     }
 }
 
@@ -369,24 +438,20 @@ impl<'a> IntoIterator for &'a RegionList {
     type Item = &'a Region;
     type IntoIter = std::slice::Iter<'a, Region>;
     fn into_iter(self) -> Self::IntoIter {
-        self.regions.iter()
+        self.iter()
     }
 }
 
 impl FromIterator<Region> for RegionList {
     fn from_iter<T: IntoIterator<Item = Region>>(iter: T) -> Self {
-        let mut list = RegionList::new();
-        for r in iter {
-            list.push(r);
-        }
-        list
+        RegionList::from_regions_unchecked(iter.into_iter().filter(|r| !r.is_empty()).collect())
     }
 }
 
 impl fmt::Display for RegionList {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, r) in self.regions.iter().enumerate() {
+        for (i, r) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -626,6 +691,92 @@ mod tests {
         assert_eq!(chunks[2].count(), 1);
         let total: u64 = chunks.iter().map(|c| c.total_len()).sum();
         assert_eq!(total, l.total_len());
+    }
+
+    #[test]
+    fn clones_and_sub_lists_alias_the_parents_storage() {
+        let l = rl(&[(0, 1), (2, 1), (4, 1), (6, 1), (8, 1)]);
+        let base = l.regions().as_ptr();
+        assert_eq!(l.clone().regions().as_ptr(), base);
+        let sub = l.slice(1..4);
+        assert_eq!(sub.regions().as_ptr(), base.wrapping_add(1));
+        assert_eq!(sub, rl(&[(2, 1), (4, 1), (6, 1)]));
+        assert_eq!(sub.slice(1..3).regions().as_ptr(), base.wrapping_add(2));
+        for (i, chunk) in l.chunks(2).enumerate() {
+            assert_eq!(chunk.regions().as_ptr(), base.wrapping_add(2 * i));
+        }
+        assert!(l.slice(2..2).is_empty());
+        // A sub-list outlives the list it was cut from.
+        drop(l);
+        assert_eq!(sub.total_len(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn sub_list_past_the_end_panics() {
+        let _ = rl(&[(0, 1), (2, 1)]).slice(1..3);
+    }
+
+    #[test]
+    fn push_after_clone_does_not_disturb_the_clone() {
+        let mut l = rl(&[(0, 4), (8, 4)]);
+        let snapshot = l.clone();
+        let head = l.slice(0..1);
+        l.push(Region::new(16, 4));
+        assert_eq!(l, rl(&[(0, 4), (8, 4), (16, 4)]));
+        assert_eq!(snapshot, rl(&[(0, 4), (8, 4)]));
+        assert_eq!(head, rl(&[(0, 4)]));
+        // Pushing onto a sub-list neither touches the parent nor
+        // resurrects the regions behind the sub-list's end.
+        let mut head = head;
+        head.push(Region::new(100, 1));
+        assert_eq!(head, rl(&[(0, 4), (100, 1)]));
+        assert_eq!(snapshot, rl(&[(0, 4), (8, 4)]));
+        drop((l, snapshot));
+    }
+
+    #[test]
+    fn a_sole_handle_pushes_in_place() {
+        let mut l = RegionList::with_capacity(3);
+        l.push(Region::new(0, 1));
+        let at = l.regions().as_ptr();
+        l.push(Region::new(2, 1));
+        l.push(Region::new(4, 1));
+        assert_eq!(l.regions().as_ptr(), at, "within capacity: no regrowth");
+        assert_eq!(l, rl(&[(0, 1), (2, 1), (4, 1)]));
+    }
+
+    #[test]
+    fn a_sole_sub_list_drops_the_tail_it_never_covered() {
+        let l = rl(&[(0, 1), (2, 1), (4, 1)]);
+        let mut mid = l.slice(1..2);
+        drop(l);
+        mid.push(Region::new(9, 1));
+        assert_eq!(mid, rl(&[(2, 1), (9, 1)]));
+    }
+
+    #[test]
+    fn equality_and_debug_ignore_how_storage_is_shared() {
+        let whole = rl(&[(0, 4), (8, 4), (16, 4)]);
+        let own = rl(&[(8, 4)]);
+        let cut = whole.slice(1..2);
+        assert_eq!(cut, own);
+        assert_ne!(cut, whole);
+        assert_eq!(format!("{cut:?}"), format!("{own:?}"));
+        assert_eq!(
+            format!("{own:?}"),
+            "RegionList { regions: [Region { offset: 8, len: 4 }] }"
+        );
+        assert_eq!(
+            format!("{:?}", RegionList::new()),
+            "RegionList { regions: [] }"
+        );
+        assert_eq!(RegionList::new(), RegionList::with_capacity(8));
+        assert_eq!(cut.coalesced(), own);
+        assert_eq!(
+            whole.slice(0..2).into_iter().collect::<Vec<_>>(),
+            vec![Region::new(0, 4), Region::new(8, 4)]
+        );
     }
 
     #[test]

@@ -148,8 +148,10 @@ impl FlashIo {
                 self.nprocs
             )));
         }
-        let mut file = RegionList::with_capacity(self.file_region_count() as usize);
-        let mut mem = RegionList::with_capacity(self.mem_region_count() as usize);
+        // Plain vectors, frozen into lists once: a rank names ~10^5
+        // memory regions, and a push must cost no more than `Vec::push`.
+        let mut file = Vec::with_capacity(self.file_region_count() as usize);
+        let mut mem = Vec::with_capacity(self.mem_region_count() as usize);
         let chunk = NXB * NXB * NXB * VAR_BYTES;
         for v in 0..NVAR {
             for b in 0..self.blocks {
@@ -165,7 +167,10 @@ impl FlashIo {
                 }
             }
         }
-        ListRequest::new(mem, file)
+        ListRequest::new(
+            RegionList::from_regions(mem)?,
+            RegionList::from_regions(file)?,
+        )
     }
 }
 

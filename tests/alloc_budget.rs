@@ -1,0 +1,157 @@
+//! The allocation budget of one list-I/O op, pinned where the
+//! live-cluster benchmark (`perf/`, outside tier 1) is not run.
+//!
+//! A counting global allocator sees every heap allocation in the
+//! process — client and the four daemons alike. One `Cyclic{8, 1024}` ×
+//! 128 B `write_list` (128 KiB in 64 request frames of 2 KiB payload +
+//! 1 KiB region list) used to ask the allocator for ≈ 9 bytes per
+//! payload byte and its read-back for ≈ 6.4: the write was copied whole
+//! before planning, its region list copied per request, its payload
+//! gathered into one buffer and staged into another, and both ends of
+//! every connection allocated a fresh receive buffer per frame. With one
+//! buffer per hop the same ops stay under the budgets below — and the
+//! count is exact, so it must repeat from one op to the next.
+
+use pvfs::client::PvfsFile;
+use pvfs::core::Method;
+use pvfs::disk::StorageConfig;
+use pvfs::net::{LiveCluster, TransportKind};
+use pvfs::server::IodConfig;
+use pvfs::types::StripeLayout;
+use pvfs::workloads::{verify, Cyclic};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// The system allocator with a call counter and a byte counter in front.
+struct Counting;
+
+fn count(bytes: usize) {
+    // Relaxed: the counters publish no other data.
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counters touch no
+// allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller's `layout` obligations pass straight through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        // SAFETY: `ptr` came from this allocator, which is `System`
+        // underneath, with this `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// `(allocations, bytes requested)` of running `op`, process-wide.
+fn allocated_by(op: impl FnOnce()) -> (u64, u64) {
+    let before = (
+        ALLOCS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    );
+    op();
+    (
+        ALLOCS.load(Ordering::Relaxed) - before.0,
+        BYTES.load(Ordering::Relaxed) - before.1,
+    )
+}
+
+const WRITE_BUDGET: f64 = 3.5;
+const READ_BUDGET: f64 = 3.2;
+
+#[test]
+fn a_list_op_allocates_a_fixed_small_multiple_of_its_payload() {
+    // Hermetic, as `perf` is: every knob of the program is a `PVFS_*`
+    // variable (fault injection and tracing among them). Nothing else
+    // runs in this binary, so the environment is ours to edit.
+    for (name, _) in std::env::vars_os() {
+        if name.to_string_lossy().starts_with("PVFS_") {
+            std::env::remove_var(name);
+        }
+    }
+    let pattern = Cyclic {
+        clients: 8,
+        accesses_per_client: 1024,
+        aggregate_bytes: 8 * 1024 * 128,
+    };
+    let request = pattern.request_for(3).unwrap();
+    let payload = request.total_len() as usize;
+    assert_eq!((request.file.count(), payload), (1024, 128 * 1024));
+    let content = verify::content(7, payload);
+
+    for kind in [TransportKind::Chan, TransportKind::Tcp] {
+        let config = IodConfig {
+            workers: 2,
+            queue_depth: 64,
+            ..IodConfig::default()
+        };
+        let cluster = LiveCluster::spawn_storage(4, config, kind, StorageConfig::Mem);
+        let client = cluster.client();
+        let layout = StripeLayout::new(0, 4, 16 * 1024).unwrap();
+        let mut file = PvfsFile::create(&client, "/pvfs/budget", layout).unwrap();
+        let mut back = vec![0u8; payload];
+
+        let write = |file: &mut PvfsFile| {
+            allocated_by(|| {
+                file.write_list(&request.mem, &request.file, &content, Method::List)
+                    .unwrap();
+            })
+        };
+        // Warm up: connections dialed, reader threads spawned, receive
+        // buffers in place, the daemons' stores grown to size.
+        write(&mut file);
+        let writes = [write(&mut file), write(&mut file)];
+
+        let mut read = |file: &mut PvfsFile| {
+            allocated_by(|| {
+                file.read_list(&request.mem, &request.file, &mut back, Method::List)
+                    .unwrap();
+            })
+        };
+        read(&mut file);
+        let reads = [read(&mut file), read(&mut file)];
+        assert_eq!(back, content, "{kind}: read-back differs");
+
+        assert_eq!(writes[0], writes[1], "{kind}: write count is not exact");
+        assert_eq!(reads[0], reads[1], "{kind}: read count is not exact");
+        if kind == TransportKind::Tcp {
+            let per_byte = |(_, bytes): (u64, u64)| bytes as f64 / payload as f64;
+            let (w, r) = (per_byte(writes[0]), per_byte(reads[0]));
+            assert!(
+                w <= WRITE_BUDGET,
+                "write_list allocates {w:.2} bytes per payload byte (budget {WRITE_BUDGET}; \
+                 {} allocations)",
+                writes[0].0
+            );
+            assert!(
+                r <= READ_BUDGET,
+                "read_list allocates {r:.2} bytes per payload byte (budget {READ_BUDGET}; \
+                 {} allocations)",
+                reads[0].0
+            );
+        }
+    }
+}
