@@ -1,30 +1,25 @@
-//! Threaded cluster and its RPC client.
+//! The RPC client of a live cluster, and its one request pipeline.
 //!
-//! # Concurrency model
+//! A [`ClusterClient`] is an endpoint over any [`Transport`] — the
+//! in-process channels or TCP sockets of a [`LiveCluster`](crate::LiveCluster),
+//! a remote cluster's listeners, a test double — and is identical over
+//! all of them: same codec, same request ids, same deadlines, same
+//! diagnostics.
 //!
-//! Each I/O daemon is served by a **pool** of [`IodConfig::workers`]
-//! threads (default [`pvfs_server::default_workers`]) sharing one
-//! request queue bounded at [`IodConfig::queue_depth`] messages. The
-//! daemon itself is thread-safe ([`IoDaemon::handle`] takes `&self`
-//! over a handle-sharded file table), so requests for different file
-//! handles execute genuinely in parallel; the bounded queue gives
-//! backpressure instead of unbounded memory growth when clients outrun
-//! a server. The manager stays single-threaded — metadata operations
-//! are rare and order-sensitive.
+//! # The request pipeline
 //!
-//! # Transports
-//!
-//! The cluster speaks one of two [`Transport`]s, chosen by
-//! [`TransportKind::from_env`] (`PVFS_TRANSPORT=chan|tcp`, default
-//! `chan`) or explicitly via [`LiveCluster::spawn_transport`]:
-//!
-//! * **chan** — every daemon queue is an in-process bounded channel;
-//! * **tcp** — every daemon gets a loopback `TcpListener`
-//!   ([`crate::tcp`]), and clients speak length-prefixed frames over a
-//!   pooled socket per in-flight request.
-//!
-//! [`ClusterClient`] is identical over both: same codec, same request
-//! ids, same deadlines, same diagnostics.
+//! Every RPC — a lone [`ClusterClient::call`], the fan-out of a
+//! [`ClusterClient::round`], unreplicated or mirrored, traced or not —
+//! runs through one private driver, `drive`: expand the caller's ops
+//! into sub-ops (one per op; one per copy under replication) → ship
+//! and land them in **waves** → between waves fail reads over to a
+//! mirror, or back off and retry what failed transiently → assemble
+//! one response per op (a replicated write under its quorum). One
+//! `ship` (breaker admission, span, encode, [`Transport::start`]) and
+//! one `land` (wait, decode, attribute the id, feed latency and health,
+//! close the span) serve every attempt; a hedged read is only a
+//! different way to wait inside `land`. What distinguishes a `call`
+//! from a round op is one parameter, `sole` (see `drive`).
 //!
 //! # RPC discipline
 //!
@@ -43,398 +38,33 @@
 //! yields [`PvfsError::Timeout`] instead of hanging the client.
 
 use bytes::Bytes;
-use pvfs_disk::StorageConfig;
-use pvfs_proto::{
-    decode_response, encode_frame, encode_response, frame_is_stats_scrape, Frame, Message, OpClass,
-    Request, Response,
-};
+use pvfs_proto::{decode_response, encode_frame, Frame, Message, OpClass, Request, Response};
 use pvfs_replica::{ReplicaMap, ReplicaPolicy, ReplicaTarget};
-use pvfs_server::{IoDaemon, IodConfig, Manager, ServerStats};
 use pvfs_types::trace::now_ns;
 use pvfs_types::{
-    ClientId, Histogram, PvfsError, PvfsResult, RequestId, ServerId, SpanId, StatsSnapshot,
-    StripeLayout, TraceContext, TraceId, TraceMode, TraceTree,
+    ClientId, Histogram, PvfsError, PvfsResult, RequestId, ServerId, SpanId, StripeLayout,
+    TraceContext, TraceId, TraceMode, TraceTree,
 };
-use std::collections::VecDeque;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::chan::{bounded, RecvTimeoutError, Sender};
-use crate::fault::{FaultPlan, FaultyTransport};
+use crate::chan::{bounded, Receiver, RecvTimeoutError, Sender};
 use crate::gate::SerialGate;
 use crate::health::{BreakerPolicy, BreakerState, HealthTracker, HedgePolicy};
 use crate::latency::RpcLatency;
-use crate::pool::WorkerPool;
 use crate::retry::{AtomicClientStats, Backoff, ClientStats, RetryPolicy};
-use crate::tcp::{TcpCluster, TcpTransport};
 use crate::trace::{ActiveTrace, Tracer};
-use crate::transport::{
-    serve_frame, ChanTransport, NodeMsg, RpcTarget, Transport, TransportKind, WaitError,
-};
+use crate::transport::{PendingReply, RpcTarget, Transport, WaitError};
 
 /// Default deadline for one RPC before the client reports
 /// [`PvfsError::Timeout`]. Generous: the in-process servers answer in
 /// microseconds unless wedged.
 pub const DEFAULT_RPC_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// The daemon-side machinery behind a [`LiveCluster`], per transport.
-enum Backend {
-    Chan {
-        server_txs: Vec<Sender<NodeMsg>>,
-        mgr_tx: Sender<NodeMsg>,
-        pools: Vec<WorkerPool>,
-        mgr_thread: Option<JoinHandle<()>>,
-    },
-    Tcp(TcpCluster),
-}
-
-/// A live PVFS cluster: a worker pool per I/O daemon plus a manager,
-/// fronted by a channel or TCP transport. Dropping the cluster shuts
-/// every thread (and listener) down.
-pub struct LiveCluster {
-    daemons: Vec<Arc<IoDaemon>>,
-    transport: Arc<dyn Transport>,
-    backend: Backend,
-    next_client: AtomicU32,
-    gate: Arc<SerialGate>,
-    /// Data directory this cluster created for itself from
-    /// `PVFS_STORAGE` (deleted when the guard drops — last field, so
-    /// removal happens after both transport backends have joined their
-    /// threads). Clusters given an explicit [`StorageConfig`] own
-    /// nothing: their directories outlive them, which is what lets
-    /// restart tests recover a predecessor's data.
-    _scratch_storage: Option<StorageScratch>,
-}
-
-/// Removes an env-derived storage directory on drop.
-struct StorageScratch(PathBuf);
-
-impl Drop for StorageScratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-/// Distinguishes the data directories of concurrently-spawned clusters
-/// within one process (env-derived storage only).
-static NEXT_STORAGE_RUN: AtomicU64 = AtomicU64::new(0);
-
-impl LiveCluster {
-    /// Spawn a cluster with `n_servers` I/O daemons (ids `0..n`) using
-    /// paper-default disk and cache models and the default worker pool.
-    pub fn spawn(n_servers: u32) -> LiveCluster {
-        LiveCluster::spawn_with(n_servers, IodConfig::default())
-    }
-
-    /// Spawn with explicit daemon configuration (including
-    /// [`IodConfig::workers`] and [`IodConfig::queue_depth`]). The
-    /// transport comes from `PVFS_TRANSPORT` (default: channels).
-    pub fn spawn_with(n_servers: u32, config: IodConfig) -> LiveCluster {
-        LiveCluster::spawn_transport(n_servers, config, TransportKind::from_env())
-    }
-
-    /// Spawn with an explicit transport. The storage backend comes from
-    /// `PVFS_STORAGE`/`PVFS_SYNC` (default: memory); a `file:<dir>`
-    /// selection gets a per-cluster unique subdirectory of `<dir>` that
-    /// is deleted when the cluster drops, so concurrent test clusters
-    /// never collide on handle numbers and leave nothing behind.
-    pub fn spawn_transport(n_servers: u32, config: IodConfig, kind: TransportKind) -> LiveCluster {
-        let storage = StorageConfig::from_env().expect("PVFS_STORAGE/PVFS_SYNC");
-        let (storage, scratch) = match storage {
-            StorageConfig::File { dir, sync } => {
-                let unique = dir.join(format!(
-                    "run-{}-{}",
-                    std::process::id(),
-                    NEXT_STORAGE_RUN.fetch_add(1, Ordering::Relaxed)
-                ));
-                (
-                    StorageConfig::File {
-                        dir: unique.clone(),
-                        sync,
-                    },
-                    Some(StorageScratch(unique)),
-                )
-            }
-            mem => (mem, None),
-        };
-        LiveCluster::spawn_inner(n_servers, config, kind, storage, scratch)
-    }
-
-    /// Spawn with an explicit transport *and* storage backend. The file
-    /// backend's directory is used exactly as given and is NOT deleted
-    /// at Drop — spawn a second cluster over the same directory to
-    /// exercise crash recovery.
-    pub fn spawn_storage(
-        n_servers: u32,
-        config: IodConfig,
-        kind: TransportKind,
-        storage: StorageConfig,
-    ) -> LiveCluster {
-        LiveCluster::spawn_inner(n_servers, config, kind, storage, None)
-    }
-
-    fn spawn_inner(
-        n_servers: u32,
-        config: IodConfig,
-        kind: TransportKind,
-        storage: StorageConfig,
-        scratch_storage: Option<StorageScratch>,
-    ) -> LiveCluster {
-        assert!(n_servers > 0, "need at least one I/O server");
-        let daemons: Vec<Arc<IoDaemon>> = (0..n_servers)
-            .map(|i| {
-                Arc::new(IoDaemon::with_storage(
-                    ServerId(i),
-                    config,
-                    storage.for_daemon(i),
-                ))
-            })
-            .collect();
-        let (transport, backend): (Arc<dyn Transport>, Backend) = match kind {
-            TransportKind::Chan => {
-                let (server_txs, pools): (Vec<_>, Vec<_>) = daemons
-                    .iter()
-                    .map(|daemon| spawn_chan_server(daemon.clone(), config))
-                    .unzip();
-                let (mgr_tx, mgr_rx) = bounded::<NodeMsg>(config.queue_depth.max(1));
-                let mgr_thread = std::thread::Builder::new()
-                    .name("pvfs-mgr".into())
-                    .spawn(move || {
-                        let mut manager = Manager::new();
-                        while let Ok(msg) = mgr_rx.recv() {
-                            match msg {
-                                NodeMsg::Rpc(frame, reply, queued_at) => {
-                                    // Stats scrapes observe without
-                                    // perturbing: no wire or timing
-                                    // accounting for their own frames.
-                                    let scrape = frame_is_stats_scrape(&frame.head);
-                                    if !scrape {
-                                        manager.record_wire_rx(frame.len() as u64);
-                                    }
-                                    let waited = queued_at.elapsed();
-                                    let served_at = Instant::now();
-                                    let (id, response) = serve_frame(frame, |req, ctx| {
-                                        manager.handle_traced(req, ctx, waited)
-                                    });
-                                    let encoded = encode_response(id, &response);
-                                    if !scrape {
-                                        manager.record_service(served_at.elapsed());
-                                        manager.record_wire_tx(encoded.len() as u64);
-                                    }
-                                    let _ = reply.send(encoded);
-                                }
-                                NodeMsg::Shutdown => break,
-                            }
-                        }
-                    })
-                    .expect("spawn manager thread");
-                let queue_marks: Vec<Arc<dyn Fn() + Send + Sync>> = daemons
-                    .iter()
-                    .map(|d| {
-                        let d = d.clone();
-                        Arc::new(move || d.note_queued()) as Arc<dyn Fn() + Send + Sync>
-                    })
-                    .collect();
-                let shed_marks: Vec<Arc<dyn Fn() + Send + Sync>> = daemons
-                    .iter()
-                    .map(|d| {
-                        let d = d.clone();
-                        Arc::new(move || d.note_shed()) as Arc<dyn Fn() + Send + Sync>
-                    })
-                    .collect();
-                (
-                    Arc::new(
-                        ChanTransport::new(server_txs.clone(), mgr_tx.clone())
-                            .with_queue_marks(queue_marks)
-                            .with_shed_marks(shed_marks),
-                    ),
-                    Backend::Chan {
-                        server_txs,
-                        mgr_tx,
-                        pools,
-                        mgr_thread: Some(mgr_thread),
-                    },
-                )
-            }
-            TransportKind::Tcp => {
-                let tcp = TcpCluster::spawn(&daemons, config);
-                (
-                    Arc::new(TcpTransport::new(tcp.server_addrs(), tcp.mgr_addr())),
-                    Backend::Tcp(tcp),
-                )
-            }
-        };
-        // One env var turns any suite into a chaos suite: wrap the real
-        // transport in the seeded fault injector.
-        let transport = match FaultPlan::from_env() {
-            Some(plan) if plan.is_active() => {
-                Arc::new(FaultyTransport::new(transport, plan)) as Arc<dyn Transport>
-            }
-            _ => transport,
-        };
-        LiveCluster {
-            daemons,
-            transport,
-            backend,
-            next_client: AtomicU32::new(0),
-            gate: Arc::new(SerialGate::new()),
-            _scratch_storage: scratch_storage,
-        }
-    }
-
-    /// Wrap this cluster's transport in a chaos layer injecting `plan`
-    /// (the programmatic equivalent of `PVFS_FAULTS`; layers stack).
-    /// Call before creating clients — existing [`ClusterClient`]s keep
-    /// the transport they were built with.
-    pub fn inject_faults(&mut self, plan: FaultPlan) {
-        self.transport = Arc::new(FaultyTransport::new(self.transport.clone(), plan));
-    }
-
-    /// Number of I/O servers.
-    pub fn n_servers(&self) -> u32 {
-        self.daemons.len() as u32
-    }
-
-    /// Which transport the cluster speaks.
-    pub fn transport_kind(&self) -> TransportKind {
-        self.transport.kind()
-    }
-
-    /// The client-side transport — the same handle every
-    /// [`ClusterClient`] of this cluster uses.
-    pub fn transport(&self) -> Arc<dyn Transport> {
-        self.transport.clone()
-    }
-
-    /// Worker threads serving each I/O daemon.
-    pub fn workers_per_server(&self) -> usize {
-        match &self.backend {
-            Backend::Chan { pools, .. } => pools.first().map(|p| p.workers()).unwrap_or(0),
-            Backend::Tcp(tcp) => tcp.workers_per_server(),
-        }
-    }
-
-    /// A new client endpoint (unique client id; cheap to create, cheap
-    /// to clone).
-    pub fn client(&self) -> ClusterClient {
-        ClusterClient::with_transport(
-            ClientId(self.next_client.fetch_add(1, Ordering::Relaxed)),
-            self.transport.clone(),
-            self.gate.clone(),
-        )
-    }
-
-    /// Statistics snapshot of one I/O daemon.
-    pub fn server_stats(&self, server: ServerId) -> Option<ServerStats> {
-        self.daemons.get(server.index()).map(|d| d.stats())
-    }
-
-    /// Direct handle on one I/O daemon (verification oracles and storage
-    /// crash injection in tests).
-    pub fn daemon(&self, server: ServerId) -> Option<Arc<IoDaemon>> {
-        self.daemons.get(server.index()).cloned()
-    }
-
-    /// Full in-process statistics snapshot of one I/O daemon — the same
-    /// [`StatsSnapshot`] the `GetStats` RPC returns, counters and
-    /// histograms included.
-    pub fn stats_snapshot(&self, server: ServerId) -> Option<StatsSnapshot> {
-        self.daemons.get(server.index()).map(|d| d.stats_snapshot())
-    }
-
-    /// The cluster-wide serialization gate (data sieving writes).
-    pub fn gate(&self) -> Arc<SerialGate> {
-        self.gate.clone()
-    }
-}
-
-/// One channel-backed I/O daemon: its bounded queue and worker pool.
-fn spawn_chan_server(daemon: Arc<IoDaemon>, config: IodConfig) -> (Sender<NodeMsg>, WorkerPool) {
-    let name = format!("iod{}", daemon.id().0);
-    WorkerPool::spawn(
-        &name,
-        config.workers.max(1),
-        config.queue_depth.max(1),
-        move |msg: NodeMsg| match msg {
-            NodeMsg::Rpc(frame, reply, queued_at) => {
-                // Stats scrapes are pure observers: no wire accounting,
-                // no queue/service samples, so the snapshot they carry
-                // back equals the in-process one byte for byte.
-                let scrape = frame_is_stats_scrape(&frame.head);
-                let waited = queued_at.elapsed();
-                if !scrape {
-                    // The channel transport has no length prefix; its
-                    // wire size is the frame itself, head and payload.
-                    daemon.record_wire_rx(frame.len() as u64);
-                    daemon.begin_service(waited);
-                }
-                let served_at = Instant::now();
-                let (id, response) =
-                    serve_frame(frame, |req, ctx| daemon.handle_traced(req, ctx, waited).0);
-                // Emulated service time occupies the worker, the way a
-                // blocking disk access would; replies only after the
-                // stall.
-                if let Some(stall) = config.emulated_latency {
-                    std::thread::sleep(stall);
-                }
-                let encoded = encode_response(id, &response);
-                if !scrape {
-                    daemon.end_service(served_at.elapsed());
-                    daemon.record_wire_tx(encoded.len() as u64);
-                }
-                let _ = reply.send(encoded);
-                std::ops::ControlFlow::Continue(())
-            }
-            NodeMsg::Shutdown => std::ops::ControlFlow::Break(()),
-        },
-    )
-}
-
-impl Drop for LiveCluster {
-    fn drop(&mut self) {
-        // PVFS_STATS=dump: one JSON line per daemon to stderr at
-        // teardown, so any run (bench, shell, test) can be scraped
-        // post-hoc without instrumenting the caller.
-        if std::env::var("PVFS_STATS").as_deref() == Ok("dump") {
-            for daemon in &self.daemons {
-                eprintln!(
-                    "{{\"daemon\":\"iod{}\",\"stats\":{}}}",
-                    daemon.id().0,
-                    daemon.stats_snapshot().to_json()
-                );
-            }
-        }
-        // The TCP backend tears itself down (TcpCluster/TcpServer Drop);
-        // the channel backend drains here.
-        if let Backend::Chan {
-            server_txs,
-            mgr_tx,
-            pools,
-            mgr_thread,
-        } = &mut self.backend
-        {
-            for (tx, pool) in server_txs.iter().zip(pools.iter()) {
-                // One Shutdown per worker: each worker consumes exactly
-                // one and exits.
-                for _ in 0..pool.workers() {
-                    let _ = tx.send(NodeMsg::Shutdown);
-                }
-            }
-            let _ = mgr_tx.send(NodeMsg::Shutdown);
-            for pool in pools.drain(..) {
-                pool.join();
-            }
-            if let Some(t) = mgr_thread.take() {
-                let _ = t.join();
-            }
-        }
-    }
-}
-
-/// A client endpoint of a [`LiveCluster`] (or any [`Transport`]).
+/// A client endpoint of a [`LiveCluster`](crate::LiveCluster) (or any
+/// [`Transport`]).
 #[derive(Clone)]
 pub struct ClusterClient {
     id: ClientId,
@@ -458,7 +88,8 @@ pub struct ClusterClient {
 }
 
 impl ClusterClient {
-    /// A client endpoint over an explicit transport. [`LiveCluster::client`]
+    /// A client endpoint over an explicit transport.
+    /// [`LiveCluster::client`](crate::LiveCluster::client)
     /// is the usual way in; this is the seam for pointing a client at a
     /// remote cluster's listeners (or a test double).
     pub fn with_transport(
@@ -671,8 +302,11 @@ impl ClusterClient {
         Ok((id, frame))
     }
 
-    /// One synchronous RPC. Errors returned by the server come back as
-    /// `Err`; no reply within the deadline is [`PvfsError::Timeout`].
+    /// One synchronous RPC, addressed literally: `request` goes to
+    /// `target` as given, whatever the replication policy (`scrub`
+    /// addresses specific copies this way). Errors returned by the
+    /// server come back as `Err`; no reply within the deadline is
+    /// [`PvfsError::Timeout`]. With [`HedgePolicy`] on, a read is hedged.
     ///
     /// Transient failures ([`PvfsError::is_retryable`]) are retried
     /// under this endpoint's [`RetryPolicy`], each attempt on a fresh
@@ -691,346 +325,11 @@ impl ClusterClient {
         } else {
             self.tracer.begin("call")
         };
-        let result = self.call_traced(target, request, active.as_ref());
+        let result = self.drive(&[(target, request)], true, active.as_ref());
         if let Some(a) = active {
             self.tracer.finish(a);
         }
-        result
-    }
-
-    fn call_traced(
-        &self,
-        target: RpcTarget,
-        request: Request,
-        trace: Option<&ActiveTrace>,
-    ) -> PvfsResult<Response> {
-        let started = Instant::now();
-        let mut backoff: Option<Backoff> = None;
-        let mut attempt = 1u32;
-        // Control scrapes stay off the books on this side of the wire
-        // too (the daemons already exclude them): scraping `stats` or a
-        // trace must not advance the very counters being read.
-        let scrape = request.is_control_scrape();
-        loop {
-            if !scrape {
-                self.stats.record_attempts(1);
-            }
-            let err = match self.call_once(target, request.clone(), trace.map(|a| (a, attempt))) {
-                Ok(response) => return Ok(response),
-                Err(e) => e,
-            };
-            let replayable = request.is_idempotent() || err.is_definitely_not_executed();
-            if !err.is_retryable()
-                || !replayable
-                || attempt >= self.retry.max_attempts
-                || started.elapsed() >= self.retry.budget
-            {
-                return Err(err);
-            }
-            let delay = backoff
-                .get_or_insert_with(|| self.new_backoff())
-                .next_delay()
-                .min(self.retry.budget.saturating_sub(started.elapsed()));
-            if !scrape {
-                self.stats.record_retries(1, delay);
-            }
-            std::thread::sleep(delay);
-            attempt += 1;
-        }
-    }
-
-    /// One attempt of one RPC: breaker admission, ship, wait, decode,
-    /// attribute, and feed the outcome back to the failure detector.
-    /// With a trace attached, the attempt records an `rpc:<op>` span
-    /// (noted `retry#n` past the first attempt) with `send`/`recv`
-    /// children, and stamps its context into the frame so server-side
-    /// spans parent under the attempt.
-    fn call_once(
-        &self,
-        target: RpcTarget,
-        request: Request,
-        trace: Option<(&ActiveTrace, u32)>,
-    ) -> PvfsResult<Response> {
-        if let RpcTarget::Server(server) = target {
-            // An open breaker fails fast before touching the wire; the
-            // manager is never gated (metadata is rare and precious).
-            if let Err(e) = self.health.admit(server) {
-                self.stats.record_breaker_rejection();
-                return Err(e);
-            }
-            if self.hedge.enabled && request.op_class() == OpClass::Read {
-                return self.call_hedged(server, request, trace);
-            }
-        }
-        let class = request.op_class();
-        let op = request.op_name();
-        let shipped_at = Instant::now();
-        let rpc_span = trace.map(|(a, attempt)| (a, SpanId::next(), now_ns(), attempt));
-        let ctx = rpc_span.as_ref().map(|(a, sid, _, _)| a.ctx(*sid));
-        let (id, frame) = self.encode(request, ctx)?;
-        let outcome = self.transport.start(target, frame).and_then(|pending| {
-            if let Some((a, sid, sent_ns, _)) = &rpc_span {
-                a.span(*sid, "send", *sent_ns, Vec::new());
-            }
-            let recv_ns = now_ns();
-            let reply = self.await_reply(target, id, pending);
-            if let Some((a, sid, _, _)) = &rpc_span {
-                a.span(*sid, "recv", recv_ns, Vec::new());
-            }
-            reply
-        });
-        if let Some((a, sid, start_ns, attempt)) = rpc_span {
-            let notes = if attempt > 1 {
-                vec![format!("retry#{attempt}")]
-            } else {
-                Vec::new()
-            };
-            let dur = now_ns().saturating_sub(start_ns);
-            a.span_with_id(sid, a.root(), format!("rpc:{op}"), start_ns, dur, notes);
-        }
-        match outcome {
-            Ok(response) => {
-                self.latency.record(target, class, shipped_at.elapsed());
-                if let RpcTarget::Server(server) = target {
-                    // Any decoded response — server errors included —
-                    // proves the daemon is alive and timely.
-                    self.health.record_success(server, shipped_at.elapsed());
-                }
-                let result = response.into_result();
-                if let Err(e) = &result {
-                    self.note_shed(e);
-                }
-                result
-            }
-            Err(e) => {
-                if let RpcTarget::Server(server) = target {
-                    self.observe_failure(server, &e);
-                }
-                Err(e)
-            }
-        }
-    }
-
-    /// Wait for, decode, and attribute the reply to one single RPC
-    /// (`id` is the only request awaiting this handle).
-    fn await_reply(
-        &self,
-        target: RpcTarget,
-        id: RequestId,
-        pending: Box<dyn crate::transport::PendingReply>,
-    ) -> PvfsResult<Response> {
-        let raw = pending.wait(self.rpc_timeout).map_err(|e| match e {
-            WaitError::Timeout => PvfsError::timeout(format!(
-                "no reply to request {id} from {target:?} within {:?}",
-                self.rpc_timeout
-            )),
-            WaitError::Failed(e) => e,
-        })?;
-        let (rid, response) = decode_response(raw)?;
-        if rid == id {
-            return Ok(response);
-        }
-        if rid == RequestId(0) {
-            // Unattributable error response: only this request awaited
-            // this reply, so surfacing the server's error is safe — but
-            // only an *error* is acceptable under id 0.
-            if let Response::Error(e) = response {
-                return Err(e);
-            }
-            return Err(PvfsError::protocol(format!(
-                "non-error response with reserved id 0 (request id {id})"
-            )));
-        }
-        Err(PvfsError::protocol(format!(
-            "response id {rid} does not match request id {id}"
-        )))
-    }
-
-    /// One *hedged* read attempt: ship the RPC, and if no reply lands
-    /// within a percentile of this daemon's observed read latency
-    /// ([`HedgePolicy`]), ship an identical duplicate on a second
-    /// connection and take whichever response arrives first. The loser
-    /// drains in a background thread (bounded by the RPC deadline) so
-    /// a late reply never crosses wires with a later request. Only
-    /// read-class RPCs come through here — they are idempotent, so the
-    /// duplicate is harmless by construction.
-    fn call_hedged(
-        &self,
-        server: ServerId,
-        request: Request,
-        trace: Option<(&ActiveTrace, u32)>,
-    ) -> PvfsResult<Response> {
-        let target = RpcTarget::Server(server);
-        let class = request.op_class();
-        let op = request.op_name();
-        let observed = {
-            let snap = self.latency.snapshot(target, class);
-            (snap.count() > 0)
-                .then(|| Duration::from_nanos(snap.percentile_ns(self.hedge.percentile)))
-        };
-        let hedge_after = self.hedge.delay(observed).min(self.rpc_timeout);
-        let shipped_at = Instant::now();
-        let deadline = shipped_at + self.rpc_timeout;
-        // The primary and its hedge are sibling attempt spans; server
-        // spans parent under whichever frame carried their context.
-        let primary_span = trace.map(|(a, attempt)| (a, SpanId::next(), now_ns(), attempt));
-        let primary_ctx = primary_span.as_ref().map(|(a, sid, _, _)| a.ctx(*sid));
-        let (id, frame) = self.encode(request.clone(), primary_ctx)?;
-        // Both replies race into one channel, tagged by origin; each
-        // waiter ships and owns its own pending handle and dies with
-        // the deadline. Shipping on the waiter thread matters: a
-        // stalled connect/send (an injected delay fault, a jammed
-        // socket buffer) must not hold the hedge clock hostage.
-        let (tx, rx) = bounded::<(bool, Result<Bytes, WaitError>)>(2);
-        let timeout = self.rpc_timeout;
-        {
-            let tx = tx.clone();
-            let transport = self.transport.clone();
-            std::thread::spawn(move || {
-                let outcome = match transport.start(target, frame) {
-                    Ok(pending) => pending.wait(timeout),
-                    Err(e) => Err(WaitError::Failed(e)),
-                };
-                let _ = tx.send((false, outcome));
-            });
-        }
-        let mut outcomes: Vec<(bool, Result<Bytes, WaitError>)> = Vec::new();
-        let mut hedge_id: Option<RequestId> = None;
-        let mut hedge_span: Option<(SpanId, u64)> = None;
-        match rx.recv_timeout(hedge_after) {
-            Ok(first) => outcomes.push(first),
-            Err(RecvTimeoutError::Disconnected) => {}
-            Err(RecvTimeoutError::Timeout) => {
-                // The primary is slower than the hedge trigger: fire
-                // the duplicate. A failure to even ship it (full
-                // queue, dead transport) falls back to the primary
-                // alone rather than failing the op.
-                let hctx = primary_span.as_ref().map(|(a, _, _, _)| {
-                    let sid = SpanId::next();
-                    hedge_span = Some((sid, now_ns()));
-                    a.ctx(sid)
-                });
-                let (hid, hframe) = self.encode(request, hctx)?;
-                if let Ok(hedge_pending) = self.transport.start(target, hframe) {
-                    hedge_id = Some(hid);
-                    let tx = tx.clone();
-                    std::thread::spawn(move || {
-                        let _ = tx.send((true, hedge_pending.wait(timeout)));
-                    });
-                } else {
-                    hedge_span = None;
-                }
-            }
-        }
-        let expected = 1 + usize::from(hedge_id.is_some());
-        let winner = loop {
-            if let Some(pos) = outcomes.iter().position(|(_, r)| r.is_ok()) {
-                break Some(outcomes.swap_remove(pos));
-            }
-            if outcomes.len() >= expected {
-                break None;
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                break None;
-            }
-            match rx.recv_timeout(remaining) {
-                Ok(m) => outcomes.push(m),
-                Err(_) => break None,
-            }
-        };
-        if hedge_id.is_some() {
-            self.stats.record_hedge(matches!(&winner, Some((true, _))));
-        }
-        if let Some((a, sid, start_ns, attempt)) = primary_span {
-            let hedge_won = matches!(&winner, Some((true, _)));
-            let end = now_ns();
-            let mut notes = if attempt > 1 {
-                vec![format!("retry#{attempt}")]
-            } else {
-                Vec::new()
-            };
-            if !hedge_won && hedge_span.is_some() {
-                notes.push("win".into());
-            }
-            a.span_with_id(
-                sid,
-                a.root(),
-                format!("rpc:{op}"),
-                start_ns,
-                end.saturating_sub(start_ns),
-                notes,
-            );
-            if let Some((hsid, hstart)) = hedge_span {
-                let mut hnotes = vec!["hedge".to_string()];
-                if hedge_won {
-                    hnotes.push("win".into());
-                }
-                a.span_with_id(
-                    hsid,
-                    a.root(),
-                    format!("rpc:{op}"),
-                    hstart,
-                    end.saturating_sub(hstart),
-                    hnotes,
-                );
-            }
-        }
-        match winner {
-            Some((from_hedge, Ok(raw))) => {
-                let expect = if from_hedge { hedge_id.unwrap() } else { id };
-                let (rid, response) = decode_response(raw)?;
-                if rid != expect {
-                    // With two requests in flight even an id-0 error is
-                    // ambiguous; reject anything misattributed.
-                    return Err(PvfsError::protocol(format!(
-                        "hedged response id {rid} does not match request id {expect}"
-                    )));
-                }
-                self.latency.record(target, class, shipped_at.elapsed());
-                self.health.record_success(server, shipped_at.elapsed());
-                let result = response.into_result();
-                if let Err(e) = &result {
-                    self.note_shed(e);
-                }
-                result
-            }
-            _ => {
-                let err = outcomes
-                    .into_iter()
-                    .find_map(|(_, r)| match r {
-                        Err(WaitError::Failed(e)) => Some(e),
-                        _ => None,
-                    })
-                    .unwrap_or_else(|| {
-                        PvfsError::timeout(format!(
-                            "no reply to hedged request {id} from server {server} within {:?}",
-                            self.rpc_timeout
-                        ))
-                    });
-                self.observe_failure(server, &err);
-                Err(err)
-            }
-        }
-    }
-
-    /// Feed one failed server RPC to the failure detector. Only
-    /// transport-class failures (connection loss, timeout) count
-    /// toward tripping a breaker; a shed ([`PvfsError::Overloaded`])
-    /// proves the daemon's acceptor is alive, so it only bumps the
-    /// client's shed counter, and logical server errors are neutral.
-    fn observe_failure(&self, server: ServerId, e: &PvfsError) {
-        match e {
-            PvfsError::Transport(_) | PvfsError::Timeout(_) => self.health.record_failure(server),
-            _ => self.note_shed(e),
-        }
-    }
-
-    /// Count a witnessed server-side shed.
-    fn note_shed(&self, e: &PvfsError) {
-        if matches!(e, PvfsError::Overloaded { .. }) {
-            self.stats.record_shed_seen();
-        }
+        result.map(|mut responses| responses.pop().expect("one op, one response"))
     }
 
     /// Issue several requests in parallel (the fan-out of one plan
@@ -1057,11 +356,12 @@ impl ClusterClient {
     /// A daemon whose circuit breaker is open fails its ops *at ship
     /// time* with [`PvfsError::Unavailable`] — no queueing, no
     /// timeout wait — while every other daemon's ops in the same
-    /// round ship, execute, and land in `results` as usual. The round
-    /// then surfaces the `Unavailable` (it is deliberately
-    /// non-retryable: spinning against an open breaker would defeat
-    /// it), so a round touching one dead daemon costs microseconds,
-    /// not an RPC timeout per attempt.
+    /// round ship, execute, and land as usual. The round then surfaces
+    /// the `Unavailable` (it is deliberately non-retryable: spinning
+    /// against an open breaker would defeat it), so a round touching
+    /// one dead daemon costs microseconds, not an RPC timeout per
+    /// attempt.
+    ///
     /// # Replication
     ///
     /// With `PVFS_REPLICAS` > 1 every data op expands transparently:
@@ -1069,8 +369,8 @@ impl ClusterClient {
     /// succeed once the configured quorum acknowledges; reads go to the
     /// healthiest copy (breaker state, then latency EWMA) and *fail
     /// over* to the next mirror on breaker-open/timeout instead of
-    /// erroring the round. `r = 1` (the default) takes the unreplicated
-    /// fast path below, byte-for-byte today's behavior.
+    /// erroring the round. At `r = 1` (the default) every op goes out
+    /// as given — the same pipeline, with nothing to expand.
     pub fn round(&self, requests: Vec<(ServerId, Request)>) -> PvfsResult<Vec<Response>> {
         let active = self.tracer.begin("round");
         let result = self.round_in(requests, active.as_ref());
@@ -1089,246 +389,205 @@ impl ClusterClient {
         requests: Vec<(ServerId, Request)>,
         trace: Option<&ActiveTrace>,
     ) -> PvfsResult<Vec<Response>> {
-        if self.replica.policy().enabled() {
-            self.round_replicated(requests, trace)
-        } else {
-            self.round_single(requests, trace)
-        }
+        self.drive(&requests, false, trace)
     }
 
-    fn round_single(
-        &self,
-        requests: Vec<(ServerId, Request)>,
-        trace: Option<&ActiveTrace>,
-    ) -> PvfsResult<Vec<Response>> {
-        let mut results: Vec<Option<Response>> = (0..requests.len()).map(|_| None).collect();
-        let mut pending: Vec<usize> = (0..requests.len()).collect();
-        let started = Instant::now();
-        let mut backoff: Option<Backoff> = None;
-        let mut attempt = 1u32;
-        loop {
-            self.stats.record_attempts(pending.len() as u64);
-            let notes: Vec<String> = if attempt > 1 {
-                vec![format!("retry#{attempt}")]
-            } else {
-                Vec::new()
-            };
-            let mut failures =
-                self.round_attempt(&requests, &pending, &mut results, trace, &|_| notes.clone());
-            if failures.is_empty() {
-                return Ok(results
-                    .into_iter()
-                    .map(|r| r.expect("every op resolved"))
-                    .collect());
-            }
-            if let Some((_, e)) = failures.iter().find(|(i, e)| {
-                !e.is_retryable()
-                    || !(requests[*i].1.is_idempotent() || e.is_definitely_not_executed())
-            }) {
-                return Err(e.clone());
-            }
-            if attempt >= self.retry.max_attempts || started.elapsed() >= self.retry.budget {
-                return Err(failures.swap_remove(0).1);
-            }
-            let delay = backoff
-                .get_or_insert_with(|| self.new_backoff())
-                .next_delay()
-                .min(self.retry.budget.saturating_sub(started.elapsed()));
-            self.stats.record_retries(failures.len() as u64, delay);
-            std::thread::sleep(delay);
-            pending = failures.into_iter().map(|(i, _)| i).collect();
-            pending.sort_unstable();
-            attempt += 1;
-        }
-    }
-
-    /// The replicated fan-out: expand each data op into per-copy
-    /// sub-ops, ship them in waves over the ordinary round-attempt
-    /// machinery, fail reads over along their mirror chain, and
-    /// assemble per-op results under the write quorum.
+    /// The request pipeline — every RPC this endpoint makes runs here:
+    /// expand `ops` into sub-ops (one per op, or one per copy under
+    /// replication), then **wave** after wave — [`ship`](Self::ship)
+    /// everything due, [`land`](Self::land) everything shipped — until
+    /// each sub-op is done or has failed for good, then assemble one
+    /// response per op, in op order.
     ///
-    /// Failover waves re-ship immediately and consume no retry
-    /// attempts — abandoning a dead copy is progress, not a retry —
-    /// so a round that loses one daemon costs one timeout (or one
-    /// fast breaker rejection), never a retry storm.
-    fn round_replicated(
+    /// Between waves, a read whose copy is unreachable *fails over* to
+    /// its next mirror at once (abandoning a dead copy is progress, not
+    /// a retry: it consumes no attempt and no backoff, so losing a
+    /// daemon costs one timeout or one fast breaker rejection, never a
+    /// retry storm); otherwise the transiently failed sub-ops — and
+    /// only those — are re-shipped after a backoff, while attempts and
+    /// budget last. This is the client's one retry loop.
+    ///
+    /// `sole` is the one distinction between [`call`](Self::call) and
+    /// a round, a parameter rather than a path: a sole op is a *lone
+    /// RPC addressed literally*, a round op *one of several, routed by
+    /// placement*. So only a sole op (1) may take an id-0 error reply as
+    /// its own, (2) is never expanded across replicas, (3) is hedged
+    /// when it is a read, and (4) reports errors without the
+    /// ` [server …, request …]` suffix.
+    fn drive<T: Copy + Into<RpcTarget>>(
         &self,
-        requests: Vec<(ServerId, Request)>,
+        ops: &[(T, Request)],
+        sole: bool,
         trace: Option<&ActiveTrace>,
     ) -> PvfsResult<Vec<Response>> {
-        struct SubMeta {
-            /// Remaining read mirrors, next-preferred first.
-            fallbacks: VecDeque<(ServerId, Request)>,
-            /// One copy of a replicated write (quorum-assembled).
-            write_copy: bool,
-        }
-        let map = Arc::clone(&self.replica);
-        let mut sub_reqs: Vec<(ServerId, Request)> = Vec::new();
-        let mut sub_meta: Vec<SubMeta> = Vec::new();
-        let mut orig_subs: Vec<Vec<usize>> = vec![Vec::new(); requests.len()];
-        for (oi, (server, request)) in requests.iter().enumerate() {
-            let Some(layout) = request_layout(request) else {
-                // Placement-free ops (pings, barriers, scrapes) pass
-                // through to their original target untouched.
-                orig_subs[oi].push(sub_reqs.len());
-                sub_meta.push(SubMeta {
-                    fallbacks: VecDeque::new(),
-                    write_copy: false,
-                });
-                sub_reqs.push((*server, request.clone()));
-                continue;
-            };
-            let slot = pvfs_replica::slot_of_server(layout, *server);
-            debug_assert!(slot < layout.pcount, "round target is not in the layout");
-            if request.op_class() == OpClass::Write {
-                // Writes fan out to every copy; the quorum decides
-                // success at assembly below.
-                for target in map.copies(layout, slot) {
-                    orig_subs[oi].push(sub_reqs.len());
-                    sub_meta.push(SubMeta {
-                        fallbacks: VecDeque::new(),
-                        write_copy: true,
-                    });
-                    sub_reqs.push((
-                        target.server,
-                        map.rewrite_request(request, slot, target.copy),
-                    ));
-                }
-            } else {
-                // Reads go to the healthiest copy; the others queue up
-                // as an ordered failover chain.
-                let mut targets = map.copies(layout, slot);
-                targets.sort_by_key(|t| self.read_copy_key(*t));
-                let mut chain: VecDeque<(ServerId, Request)> = targets
-                    .iter()
-                    .map(|t| (t.server, map.rewrite_request(request, slot, t.copy)))
-                    .collect();
-                let first = chain.pop_front().expect("at least one copy");
-                orig_subs[oi].push(sub_reqs.len());
-                sub_meta.push(SubMeta {
-                    fallbacks: chain,
-                    write_copy: false,
-                });
-                sub_reqs.push(first);
-            }
-        }
-
-        let mut results: Vec<Option<Response>> = (0..sub_reqs.len()).map(|_| None).collect();
-        let mut errors: Vec<Option<PvfsError>> = (0..sub_reqs.len()).map(|_| None).collect();
-        let mut pending: Vec<usize> = (0..sub_reqs.len()).collect();
-        // Sub-ops re-aimed at a mirror carry a `failover` note on their
-        // next attempt's span, so the waterfall shows the abandonment.
-        let mut failed_over: Vec<bool> = vec![false; sub_reqs.len()];
+        let (mut subs, copies) = self.expand(ops, sole);
+        let mut results: Vec<Option<Response>> = (0..ops.len()).map(|_| None).collect();
+        // Control scrapes stay off the books on this side of the wire
+        // too (the daemons already exclude them): scraping `stats` or a
+        // trace must not advance the very counters being read.
+        let booked = !ops.iter().all(|(_, request)| request.is_control_scrape());
         let started = Instant::now();
         let mut backoff: Option<Backoff> = None;
         let mut attempt = 1u32;
         loop {
-            self.stats.record_attempts(pending.len() as u64);
-            let failures = {
-                let wave = attempt;
-                let failed_over = &failed_over;
-                let notes_for = move |si: usize| {
-                    let mut notes = Vec::new();
-                    if wave > 1 {
-                        notes.push(format!("retry#{wave}"));
+            let mut shipped = 0;
+            for sub in subs.iter_mut() {
+                if matches!(sub.progress, Progress::Ship(_)) {
+                    let (target, request) = sub.addressed(ops, &copies);
+                    shipped += 1;
+                    match self.ship(target, request, sole, trace, sub.notes(trace, attempt)) {
+                        Ok(flight) => sub.progress = Progress::Flying(flight),
+                        Err(e) => self.settle(sub, request, e),
                     }
-                    if failed_over[si] {
-                        notes.push("failover".into());
-                    }
-                    notes
-                };
-                self.round_attempt(&sub_reqs, &pending, &mut results, trace, &notes_for)
-            };
-            let mut immediate: Vec<usize> = Vec::new();
-            let mut retriable: Vec<(usize, PvfsError)> = Vec::new();
-            for (si, e) in failures {
-                let meta = &mut sub_meta[si];
-                if !meta.fallbacks.is_empty() && failover_worthy(&e) {
-                    // This replica is unreachable, gated, or shedding:
-                    // abandon it and re-aim the sub-op at the next
-                    // mirror. The op itself has not failed.
-                    sub_reqs[si] = meta.fallbacks.pop_front().expect("nonempty chain");
-                    self.stats.record_replica_failover();
-                    failed_over[si] = true;
-                    immediate.push(si);
-                    continue;
-                }
-                let replayable = sub_reqs[si].1.is_idempotent() || e.is_definitely_not_executed();
-                if e.is_retryable() && replayable {
-                    retriable.push((si, e));
-                } else {
-                    // Terminal for this sub-op. A failed write *copy*
-                    // does not abort the round — its siblings may still
-                    // make quorum — so park the error for assembly.
-                    errors[si] = Some(e);
                 }
             }
-            if immediate.is_empty() && retriable.is_empty() {
+            if booked {
+                self.stats.record_attempts(shipped);
+            }
+            for sub in subs.iter_mut() {
+                let flight = match std::mem::replace(&mut sub.progress, Progress::Done) {
+                    Progress::Flying(flight) => flight,
+                    other => {
+                        sub.progress = other;
+                        continue;
+                    }
+                };
+                let (target, request) = sub.addressed(ops, &copies);
+                let notes = sub.notes(trace, attempt);
+                match self.land(flight, target, request, sole, trace, notes) {
+                    // Copies of a write apply identical local runs, so
+                    // any acknowledged copy's reply stands for the op.
+                    Ok(response) => {
+                        results[sub.op].get_or_insert(response);
+                    }
+                    Err(e) => self.settle(sub, request, e),
+                }
+            }
+            // Sub-ops due out again: at once (`retry == false`, a
+            // failover) or after a backoff (a transient failure).
+            let due = |retry| {
+                subs.iter()
+                    .filter(|s| matches!(&s.progress, Progress::Ship(e) if e.is_some() == retry))
+                    .count() as u64
+            };
+            let (failovers, retries) = (due(false), due(true));
+            // A failed write *copy* dooms nothing — its siblings may
+            // still make quorum; any other sub-op is all its op has.
+            let doomed = |s: &Sub| !s.quorum && matches!(s.progress, Progress::Failed(_));
+            if subs.iter().any(doomed) || failovers + retries == 0 {
                 break;
             }
-            if immediate.is_empty() {
+            if failovers == 0 {
                 if attempt >= self.retry.max_attempts || started.elapsed() >= self.retry.budget {
-                    for (si, e) in retriable {
-                        errors[si] = Some(e);
-                    }
                     break;
                 }
                 let delay = backoff
                     .get_or_insert_with(|| self.new_backoff())
                     .next_delay()
                     .min(self.retry.budget.saturating_sub(started.elapsed()));
-                self.stats.record_retries(retriable.len() as u64, delay);
+                if booked {
+                    self.stats.record_retries(retries, delay);
+                }
                 std::thread::sleep(delay);
                 attempt += 1;
             }
-            pending = immediate
-                .into_iter()
-                .chain(retriable.iter().map(|(si, _)| *si))
-                .collect();
-            pending.sort_unstable();
         }
 
-        // Assemble per original op, in order. Reads and passthroughs
-        // resolved to one sub-op; writes need `required()` of their
-        // copies to have acknowledged.
-        let required = map.policy().required();
-        let expected = map.replicas();
-        let mut out = Vec::with_capacity(requests.len());
-        for subs in &orig_subs {
-            if !sub_meta[subs[0]].write_copy {
-                let si = subs[0];
-                match results[si].take() {
-                    Some(r) => out.push(r),
-                    None => return Err(errors[si].take().expect("unresolved sub-op has an error")),
-                }
-                continue;
-            }
-            let oks = subs.iter().filter(|&&si| results[si].is_some()).count() as u32;
-            if oks < required {
-                let e = subs
-                    .iter()
-                    .find_map(|&si| errors[si].clone())
-                    .expect("failed quorum has a copy error");
-                return Err(e);
-            }
-            if oks < expected {
-                // Quorum met but a copy missed the write: divergence
-                // for a later scrub to repair.
-                self.stats.record_quorum_shortfall();
-            }
-            if let Some(a) = trace {
-                a.annotate(format!("quorum_ack:{oks}/{expected}"));
-            }
-            // Copies apply identical local runs, so any acknowledged
-            // copy's reply stands for the op; take the first in copy
-            // order for determinism.
-            let si = *subs
+        // Assemble per op, in order: an op with one sub-op needs it
+        // done; a replicated write needs `required()` of its copies.
+        let (required, copies_per_write) =
+            (self.replica.policy().required(), self.replica.replicas());
+        for group in subs.chunk_by_mut(|a, b| a.op == b.op) {
+            let quorum = group[0].quorum;
+            let acks = group
                 .iter()
-                .find(|&&si| results[si].is_some())
-                .expect("quorum met");
-            out.push(results[si].take().expect("just checked"));
+                .filter(|s| matches!(s.progress, Progress::Done))
+                .count() as u32;
+            if acks < if quorum { required } else { 1 } {
+                let error = group.iter_mut().find_map(|s| {
+                    match std::mem::replace(&mut s.progress, Progress::Done) {
+                        Progress::Failed(e) | Progress::Ship(Some(e)) => Some(e),
+                        _ => None,
+                    }
+                });
+                return Err(error.expect("an unresolved op has an error"));
+            }
+            if quorum {
+                if acks < copies_per_write {
+                    // Quorum met but a copy missed the write:
+                    // divergence for a later scrub to repair.
+                    self.stats.record_quorum_shortfall();
+                }
+                if let Some(a) = trace {
+                    a.annotate(format!("quorum_ack:{acks}/{copies_per_write}"));
+                }
+            }
         }
-        Ok(out)
+        // In place: `Option<Response>` and `Response` share a layout, so
+        // this reuses `results`' allocation.
+        Ok(results
+            .into_iter()
+            .map(|r| r.expect("every op resolved"))
+            .collect())
+    }
+
+    /// Expand `ops` into sub-ops, in op order. Without replication (or
+    /// for a `sole` op, or a placement-free one — pings, barriers,
+    /// scrapes) an op is its own single sub-op and nothing is allocated
+    /// beyond the sub-op list. Under replication the per-copy rewritten
+    /// requests go into one side vector and each sub-op owns a range of
+    /// it: a write becomes one sub-op per copy (ranges of one; the
+    /// quorum decides at assembly), a read one sub-op whose range is
+    /// the healthiest copy followed by the failover chain.
+    fn expand<T: Copy + Into<RpcTarget>>(
+        &self,
+        ops: &[(T, Request)],
+        sole: bool,
+    ) -> (Vec<Sub>, Vec<(ServerId, Request)>) {
+        let map = &self.replica;
+        let replicate = !sole && map.policy().enabled();
+        let mut copies = Vec::new();
+        let per_op = if replicate {
+            map.replicas() as usize
+        } else {
+            1
+        };
+        let mut subs = Vec::with_capacity(ops.len() * per_op);
+        for (op, (target, request)) in ops.iter().enumerate() {
+            let sub = |copies, quorum| Sub {
+                op,
+                copies,
+                quorum,
+                failed_over: false,
+                progress: Progress::Ship(None),
+            };
+            let (server, layout) = match ((*target).into(), request_layout(request)) {
+                (RpcTarget::Server(server), Some(layout)) if replicate => (server, layout),
+                _ => {
+                    subs.push(sub(0..0, false));
+                    continue;
+                }
+            };
+            let slot = pvfs_replica::slot_of_server(layout, server);
+            debug_assert!(slot < layout.pcount, "round target is not in the layout");
+            let mut targets = map.copies(layout, slot);
+            let write = request.op_class() == OpClass::Write;
+            if !write {
+                targets.sort_by_key(|t| self.read_copy_key(*t));
+            }
+            let first = copies.len();
+            copies.extend(
+                targets
+                    .iter()
+                    .map(|t| (t.server, map.rewrite_request(request, slot, t.copy))),
+            );
+            if write {
+                subs.extend((first..copies.len()).map(|c| sub(c..c + 1, true)));
+            } else {
+                subs.push(sub(first..copies.len(), false));
+            }
+        }
+        (subs, copies)
     }
 
     /// Read-preference sort key for one copy: closed breakers first,
@@ -1344,141 +603,285 @@ impl ClusterClient {
         (open, ewma, t.copy)
     }
 
-    /// One fan-out attempt over the `pending` subset of `requests`:
-    /// ship every op first, then wait on every reply, filling `results`
-    /// and returning the `(index, error)` of each op that failed.
-    ///
-    /// With a trace attached, every shipped op records an `rpc:<op>`
-    /// span (annotated by `notes_for`, e.g. `retry#2` / `failover`)
-    /// with `send`/`recv` children, and its frame carries the span's
-    /// context so daemon-side spans land under the right attempt.
-    fn round_attempt(
-        &self,
-        requests: &[(ServerId, Request)],
-        pending: &[usize],
-        results: &mut [Option<Response>],
-        trace: Option<&ActiveTrace>,
-        notes_for: &dyn Fn(usize) -> Vec<String>,
-    ) -> Vec<(usize, PvfsError)> {
-        let mut failures = Vec::new();
-        let mut inflight = Vec::with_capacity(pending.len());
-        for &i in pending {
-            let (server, request) = &requests[i];
-            let class = request.op_class();
-            // Breaker admission before spending any work on the op: an
-            // open breaker fails this op fast without blocking the
-            // round's other ops.
-            if let Err(e) = self.health.admit(*server) {
-                self.stats.record_breaker_rejection();
-                failures.push((i, e));
-                continue;
-            }
-            let rpc_span = trace.map(|_| (SpanId::next(), now_ns()));
-            let ctx = trace.zip(rpc_span).map(|(a, (sid, _))| a.ctx(sid));
-            match self.encode(request.clone(), ctx) {
-                Err(e) => failures.push((i, e)),
-                Ok((id, frame)) => {
-                    let shipped_at = Instant::now();
-                    let op = request.op_name();
-                    match self.transport.start(RpcTarget::Server(*server), frame) {
-                        Err(e) => {
-                            if let (Some(a), Some((sid, t0))) = (trace, rpc_span) {
-                                let mut notes = notes_for(i);
-                                notes.push("error".into());
-                                a.span_with_id(
-                                    sid,
-                                    a.root(),
-                                    format!("rpc:{op}"),
-                                    t0,
-                                    now_ns().saturating_sub(t0),
-                                    notes,
-                                );
-                            }
-                            self.observe_failure(*server, &e);
-                            failures.push((i, annotate_round_error(*server, id, e)));
-                        }
-                        Ok(handle) => {
-                            if let (Some(a), Some((sid, t0))) = (trace, rpc_span) {
-                                a.span(sid, "send", t0, Vec::new());
-                            }
-                            inflight
-                                .push((i, *server, id, class, shipped_at, handle, rpc_span, op));
-                        }
-                    }
-                }
-            }
-        }
-        for (i, server, id, class, shipped_at, handle, rpc_span, op) in inflight {
-            let recv_ns = now_ns();
-            let outcome = self.collect_reply(server, id, handle);
-            if let (Some(a), Some((sid, t0))) = (trace, rpc_span) {
-                a.span(sid, "recv", recv_ns, Vec::new());
-                let mut notes = notes_for(i);
-                if outcome.is_err() {
-                    notes.push("error".into());
-                }
-                a.span_with_id(
-                    sid,
-                    a.root(),
-                    format!("rpc:{op}"),
-                    t0,
-                    now_ns().saturating_sub(t0),
-                    notes,
-                );
-            }
-            match outcome {
-                Ok(response) => {
-                    // Latency is measured from each op's own ship time:
-                    // the client-perceived completion latency under
-                    // fan-out concurrency.
-                    self.latency
-                        .record(RpcTarget::Server(server), class, shipped_at.elapsed());
-                    self.health.record_success(server, shipped_at.elapsed());
-                    results[i] = Some(response);
-                }
-                Err(e) => {
-                    self.observe_failure(server, &e);
-                    failures.push((i, e));
-                }
-            }
-        }
-        failures
+    /// Decide what becomes of a sub-op whose attempt failed with `e`.
+    fn settle(&self, sub: &mut Sub, request: &Request, e: PvfsError) {
+        sub.progress = if sub.copies.len() > 1 && failover_worthy(&e) {
+            // This replica is unreachable, gated, or shedding: abandon
+            // it and re-aim the sub-op at the next mirror. The op
+            // itself has not failed.
+            sub.copies.start += 1;
+            sub.failed_over = true;
+            self.stats.record_replica_failover();
+            Progress::Ship(None)
+        } else if e.is_retryable() && (request.is_idempotent() || e.is_definitely_not_executed()) {
+            Progress::Ship(Some(e))
+        } else {
+            Progress::Failed(e)
+        };
     }
 
-    /// Wait for and validate one fan-out reply.
-    fn collect_reply(
+    /// Ship one attempt of one request: breaker admission, the
+    /// attempt's `rpc:<op>` span (opened before encode, its context
+    /// stamped into the frame so server-side spans parent under the
+    /// attempt; `send` child once the frame is away), encode under a
+    /// fresh request id, [`Transport::start`]. `notes` annotate the span
+    /// if shipping fails.
+    ///
+    /// A hedged read (see [`race`](Self::race)) ships on a waiter
+    /// thread instead: a stalled connect/send — an injected delay
+    /// fault, a jammed socket buffer — must not hold the hedge clock
+    /// hostage.
+    fn ship(
         &self,
-        server: ServerId,
-        id: RequestId,
-        handle: Box<dyn crate::transport::PendingReply>,
-    ) -> PvfsResult<Response> {
-        let raw = handle.wait(self.rpc_timeout).map_err(|e| match e {
-            WaitError::Timeout => PvfsError::timeout(format!(
-                "no reply to request {id} from server {server} within {:?}",
-                self.rpc_timeout
-            )),
-            WaitError::Failed(e) => annotate_round_error(server, id, e),
-        })?;
-        let (rid, response) =
-            decode_response(raw).map_err(|e| annotate_round_error(server, id, e))?;
-        if rid == RequestId(0) {
-            return Err(PvfsError::protocol(format!(
-                "server {server} answered request {id} with the unattributable id 0 \
-                 ({})",
-                match response {
-                    Response::Error(e) => format!("server error: {e}"),
-                    other => format!("response {other:?}"),
+        target: RpcTarget,
+        request: &Request,
+        sole: bool,
+        trace: Option<&ActiveTrace>,
+        mut notes: Vec<String>,
+    ) -> PvfsResult<Flight> {
+        let mut hedged = false;
+        if let RpcTarget::Server(server) = target {
+            // An open breaker fails this op fast, before any work is
+            // spent on it and without touching the wire; the manager is
+            // never gated (metadata is rare and precious).
+            if let Err(e) = self.health.admit(server) {
+                self.stats.record_breaker_rejection();
+                return Err(e);
+            }
+            hedged = sole && self.hedge.enabled && request.op_class() == OpClass::Read;
+        }
+        let span = trace.map(|a| (a, SpanId::next(), now_ns()));
+        let ctx = span.map(|(a, sid, _)| a.ctx(sid));
+        let (id, frame) = self.encode(request.clone(), ctx)?;
+        // Latency runs from each op's own ship time: the
+        // client-perceived completion latency under fan-out concurrency.
+        let shipped_at = Instant::now();
+        let reply = if hedged {
+            let lanes = bounded::<Lane>(2);
+            let (transport, timeout, lane) =
+                (self.transport.clone(), self.rpc_timeout, lanes.0.clone());
+            std::thread::spawn(move || {
+                let outcome = match transport.start(target, frame) {
+                    Ok(pending) => pending.wait(timeout),
+                    Err(e) => Err(WaitError::Failed(e)),
+                };
+                let _ = lane.send((false, outcome));
+            });
+            Reply::Raced(lanes.0, lanes.1)
+        } else {
+            match self.transport.start(target, frame) {
+                Ok(pending) => Reply::Direct(pending),
+                Err(e) => {
+                    if let Some((a, sid, t0)) = span {
+                        notes.push("error".into());
+                        let (op, dur) = (request.op_name(), now_ns().saturating_sub(t0));
+                        a.span_with_id(sid, a.root(), format!("rpc:{op}"), t0, dur, notes);
+                    }
+                    self.observe_failure(target, &e);
+                    return Err(blame(sole, target, id, e));
                 }
-            )));
+            }
+        };
+        let span = span.map(|(a, sid, t0)| {
+            if !hedged {
+                a.span(sid, "send", t0, Vec::new());
+            }
+            (sid, t0)
+        });
+        Ok(Flight {
+            id,
+            shipped_at,
+            span,
+            reply,
+        })
+    }
+
+    /// Land one shipped attempt: wait for the reply under the RPC
+    /// deadline, decode it, attribute its id, feed latency and health,
+    /// close the attempt's span (`recv` child; `notes`, plus `error` on
+    /// failure), and turn a server-side error into `Err`.
+    ///
+    /// One rule for every entry point: any decoded, attributed response
+    /// — server errors included — proves the daemon alive and timely,
+    /// so it records a latency sample, clears the failure streak and
+    /// closes a half-open breaker. Only transport-class failures
+    /// (connection loss, timeout) count toward tripping one.
+    fn land(
+        &self,
+        flight: Flight,
+        target: RpcTarget,
+        request: &Request,
+        sole: bool,
+        trace: Option<&ActiveTrace>,
+        mut notes: Vec<String>,
+    ) -> PvfsResult<Response> {
+        let Flight {
+            id,
+            shipped_at,
+            span,
+            reply,
+        } = flight;
+        let recv_ns = now_ns();
+        // The hedge is a different way to wait; it also decides which
+        // id the reply must carry, and with two requests in flight even
+        // an id-0 error is ambiguous.
+        let (raw, id, lone) = match reply {
+            Reply::Direct(pending) => (pending.wait(self.rpc_timeout), id, sole),
+            Reply::Raced(tx, rx) => {
+                let (raw, hedge_id, outran_hedge) =
+                    self.race((tx, rx), target, request, shipped_at, trace);
+                if outran_hedge {
+                    notes.push("win".into());
+                }
+                (raw, hedge_id.unwrap_or(id), false)
+            }
+        };
+        let outcome = raw
+            .map_err(|e| match e {
+                WaitError::Timeout => PvfsError::timeout(format!(
+                    "no reply to request {id} from {target} within {:?}",
+                    self.rpc_timeout
+                )),
+                WaitError::Failed(e) => blame(sole, target, id, e),
+            })
+            .and_then(|raw| decode_response(raw).map_err(|e| blame(sole, target, id, e)))
+            .and_then(|(rid, response)| attribute(target, id, rid, response, lone));
+        if let Some((a, (sid, t0))) = trace.zip(span) {
+            a.span(sid, "recv", recv_ns, Vec::new());
+            if outcome.is_err() {
+                notes.push("error".into());
+            }
+            let (op, dur) = (request.op_name(), now_ns().saturating_sub(t0));
+            a.span_with_id(sid, a.root(), format!("rpc:{op}"), t0, dur, notes);
         }
-        if rid != id {
-            return Err(PvfsError::protocol(format!(
-                "server {server} answered request {id} with mismatched response id {rid}"
-            )));
+        match outcome {
+            Ok(response) => {
+                self.latency
+                    .record(target, request.op_class(), shipped_at.elapsed());
+                if let RpcTarget::Server(server) = target {
+                    self.health.record_success(server, shipped_at.elapsed());
+                }
+                response.into_result().map_err(|e| {
+                    self.note_shed(&e);
+                    blame(sole, target, id, e)
+                })
+            }
+            Err(e) => {
+                self.observe_failure(target, &e);
+                Err(e)
+            }
         }
-        response
-            .into_result()
-            .map_err(|e| annotate_round_error(server, id, e))
+    }
+
+    /// The *hedged* wait of one read: if the primary (shipping and
+    /// waiting on its own thread, reporting into `lanes`) has not
+    /// answered within a percentile of this daemon's observed read
+    /// latency ([`HedgePolicy`]), [`ship`](Self::ship) an identical
+    /// duplicate on a second connection and take whichever response
+    /// arrives first. The loser drains on its waiter thread (bounded by
+    /// the RPC deadline) so a late reply never crosses wires with a
+    /// later request. Reads are idempotent, so the duplicate is harmless
+    /// by construction.
+    ///
+    /// Returns the raw outcome, the hedge's request id when the reply
+    /// is the hedge's (it must carry exactly that id), and whether the
+    /// primary outran a hedge that was sent. The hedge's own span
+    /// (noted `hedge`, plus `win`) is closed here.
+    fn race(
+        &self,
+        lanes: (Sender<Lane>, Receiver<Lane>),
+        target: RpcTarget,
+        request: &Request,
+        shipped_at: Instant,
+        trace: Option<&ActiveTrace>,
+    ) -> (Result<Bytes, WaitError>, Option<RequestId>, bool) {
+        let (tx, rx) = lanes;
+        let history = self.latency.snapshot(target, request.op_class());
+        let observed = (history.count() > 0)
+            .then(|| Duration::from_nanos(history.percentile_ns(self.hedge.percentile)));
+        let hedge_after = self.hedge.delay(observed).min(self.rpc_timeout);
+        let deadline = shipped_at + self.rpc_timeout;
+        let mut outcomes: Vec<Lane> = Vec::new();
+        let mut hedge = None;
+        match rx.recv_timeout(hedge_after) {
+            Ok(first) => outcomes.push(first),
+            Err(RecvTimeoutError::Disconnected) => {}
+            Err(RecvTimeoutError::Timeout) => {
+                // The primary is slower than the hedge trigger: fire the
+                // duplicate — one of two in flight now, so not `sole`. A
+                // failure to even ship it (full queue, dead transport)
+                // falls back to the primary alone rather than failing
+                // the op.
+                if let Ok(Flight {
+                    id,
+                    span,
+                    reply: Reply::Direct(pending),
+                    ..
+                }) = self.ship(target, request, false, trace, vec!["hedge".into()])
+                {
+                    let timeout = self.rpc_timeout;
+                    std::thread::spawn(move || {
+                        let _ = tx.send((true, pending.wait(timeout)));
+                    });
+                    hedge = Some((id, span));
+                }
+            }
+        }
+        let expected = 1 + usize::from(hedge.is_some());
+        let winner = loop {
+            if let Some(pos) = outcomes.iter().position(|(_, r)| r.is_ok()) {
+                break Some(outcomes.swap_remove(pos));
+            }
+            if outcomes.len() >= expected {
+                break None;
+            }
+            match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+                Ok(m) => outcomes.push(m),
+                Err(_) => break None,
+            }
+        };
+        let hedge_won = matches!(winner, Some((true, _)));
+        if let Some((_, span)) = hedge {
+            self.stats.record_hedge(hedge_won);
+            if let Some((a, (sid, t0))) = trace.zip(span) {
+                let mut notes = vec!["hedge".to_string()];
+                if hedge_won {
+                    notes.push("win".into());
+                }
+                let (op, dur) = (request.op_name(), now_ns().saturating_sub(t0));
+                a.span_with_id(sid, a.root(), format!("rpc:{op}"), t0, dur, notes);
+            }
+        }
+        let raw = match winner {
+            Some((_, raw)) => raw,
+            None => Err(outcomes
+                .into_iter()
+                .find_map(|(_, r)| r.err().filter(|e| matches!(e, WaitError::Failed(_))))
+                .unwrap_or(WaitError::Timeout)),
+        };
+        let hedge_id = hedge.filter(|_| hedge_won).map(|(id, _)| id);
+        (raw, hedge_id, hedge.is_some() && !hedge_won)
+    }
+
+    /// Feed one failed RPC to the failure detector. Only transport-class
+    /// failures (connection loss, timeout) of an I/O daemon count
+    /// toward tripping a breaker; a shed ([`PvfsError::Overloaded`])
+    /// proves the daemon's acceptor is alive, so it only bumps the
+    /// client's shed counter, and logical errors are neutral.
+    fn observe_failure(&self, target: RpcTarget, e: &PvfsError) {
+        match (target, e) {
+            (RpcTarget::Server(server), PvfsError::Transport(_) | PvfsError::Timeout(_)) => {
+                self.health.record_failure(server)
+            }
+            _ => self.note_shed(e),
+        }
+    }
+
+    /// Count a witnessed server-side shed.
+    fn note_shed(&self, e: &PvfsError) {
+        if matches!(e, PvfsError::Overloaded { .. }) {
+            self.stats.record_shed_seen();
+        }
     }
 
     /// A fresh per-operation backoff sequence, seeded from the request
@@ -1521,10 +924,14 @@ fn request_layout(request: &Request) -> Option<&StripeLayout> {
     }
 }
 
-/// Attach which-server / which-request context to a server-side error
-/// from a fan-out round, preserving the variant (callers match on it).
-fn annotate_round_error(server: ServerId, id: RequestId, e: PvfsError) -> PvfsError {
-    let ctx = format!(" [server {server}, request {id}]");
+/// Attach which-server / which-request context to an error from a
+/// fan-out round, preserving the variant (callers match on it). A
+/// `sole` RPC's caller already knows both, and gets the error as is.
+fn blame(sole: bool, target: RpcTarget, id: RequestId, e: PvfsError) -> PvfsError {
+    if sole {
+        return e;
+    }
+    let ctx = format!(" [server {target}, request {id}]");
     match e {
         PvfsError::InvalidArgument(m) => PvfsError::InvalidArgument(m + &ctx),
         PvfsError::Protocol(m) => PvfsError::Protocol(m + &ctx),
@@ -1536,10 +943,127 @@ fn annotate_round_error(server: ServerId, id: RequestId, e: PvfsError) -> PvfsEr
     }
 }
 
+/// Match a decoded reply (carrying id `rid`) to request `id`, the one
+/// that awaited it. The reserved id 0 marks a reply the server could
+/// not attribute: a `lone` RPC — the only request that can have caused
+/// it — takes an id-0 *error* as its own; with several requests in
+/// flight it could belong to any of them, so it is a hard protocol
+/// error. Any other mismatch always is.
+fn attribute(
+    target: RpcTarget,
+    id: RequestId,
+    rid: RequestId,
+    response: Response,
+    lone: bool,
+) -> PvfsResult<Response> {
+    if rid == id {
+        return Ok(response);
+    }
+    if rid != RequestId(0) {
+        return Err(PvfsError::protocol(format!(
+            "{target} answered request {id} with mismatched response id {rid}"
+        )));
+    }
+    let what = match response {
+        Response::Error(_) if lone => return Ok(response),
+        Response::Error(e) => format!("server error: {e}"),
+        other => format!("response {other:?}"),
+    };
+    Err(PvfsError::protocol(format!(
+        "{target} answered request {id} with the unattributable id 0 ({what})"
+    )))
+}
+
+/// One sub-op of a driven operation: op `op` as addressed to one copy.
+struct Sub {
+    /// Index of the caller's op this sub-op serves.
+    op: usize,
+    /// The rewritten per-copy requests this sub-op may still address:
+    /// the first is the one addressed now, the rest (a read's mirrors)
+    /// its failover chain. Empty: the op exactly as the caller gave it.
+    copies: Range<usize>,
+    /// One copy of a replicated write: its failure is judged against
+    /// the quorum at assembly, not on its own.
+    quorum: bool,
+    /// Re-aimed at a mirror: its next attempt's span is noted
+    /// `failover`, so the waterfall shows the abandonment.
+    failed_over: bool,
+    progress: Progress,
+}
+
+enum Progress {
+    /// Goes out with the next wave — for the first time or after a
+    /// failover (`None`), or as a retry of an attempt that failed
+    /// transiently with this error.
+    Ship(Option<PvfsError>),
+    Flying(Flight),
+    Failed(PvfsError),
+    Done,
+}
+
+impl Sub {
+    /// Where this sub-op goes right now, and with which request.
+    fn addressed<'a, T: Copy + Into<RpcTarget>>(
+        &self,
+        ops: &'a [(T, Request)],
+        copies: &'a [(ServerId, Request)],
+    ) -> (RpcTarget, &'a Request) {
+        if self.copies.is_empty() {
+            let (target, request) = &ops[self.op];
+            ((*target).into(), request)
+        } else {
+            let (server, request) = &copies[self.copies.start];
+            ((*server).into(), request)
+        }
+    }
+
+    /// Span notes for this sub-op's attempt in retry wave `attempt`
+    /// (none when the operation is untraced: nobody would read them).
+    fn notes(&self, trace: Option<&ActiveTrace>, attempt: u32) -> Vec<String> {
+        let mut notes = Vec::new();
+        if trace.is_none() {
+            return notes;
+        }
+        if attempt > 1 {
+            notes.push(format!("retry#{attempt}"));
+        }
+        if self.failed_over {
+            notes.push("failover".into());
+        }
+        notes
+    }
+}
+
+/// One shipped attempt awaiting its reply. Kept small — a round holds
+/// one per op: where it went and what it asked is read back off the
+/// sub-op when it lands.
+struct Flight {
+    id: RequestId,
+    shipped_at: Instant,
+    /// The attempt's `rpc:<op>` span: its id (minted before encode, the
+    /// frame carries it) and start.
+    span: Option<(SpanId, u64)>,
+    reply: Reply,
+}
+
+enum Reply {
+    /// Shipped on the caller's thread; waited for in place.
+    Direct(Box<dyn PendingReply>),
+    /// A hedged read: a waiter thread ships and waits, and reports into
+    /// the race's channel (see [`ClusterClient::race`]).
+    Raced(Sender<Lane>, Receiver<Lane>),
+}
+
+/// One racer's outcome, tagged `true` when it is the hedge's.
+type Lane = (bool, Result<Bytes, WaitError>);
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pvfs_proto::decode_frame_id;
+    use crate::transport::{ChanNode, ChanTransport, NodeMsg};
+    use crate::LiveCluster;
+    use pvfs_proto::{decode_frame_id, encode_response};
+    use pvfs_server::IodConfig;
     use pvfs_types::{FileHandle, Region, RegionList, StripeLayout};
 
     fn layout(n: u32) -> StripeLayout {
@@ -1551,9 +1075,10 @@ mod tests {
     fn client_over(fake_tx: Sender<NodeMsg>) -> ClusterClient {
         let (mgr_tx, _mgr_rx) = bounded::<NodeMsg>(1);
         // _mgr_rx may drop: these tests never address the manager.
+        let bare = |tx| ChanNode { tx, service: None };
         ClusterClient::with_transport(
             ClientId(9),
-            Arc::new(ChanTransport::new(vec![fake_tx], mgr_tx)),
+            Arc::new(ChanTransport::new(vec![bare(fake_tx)], bare(mgr_tx))),
             Arc::new(SerialGate::new()),
         )
     }
@@ -1869,6 +1394,96 @@ mod tests {
         );
         drop(c);
         fake.join().unwrap();
+    }
+
+    /// A daemon that answers — even with an error — is alive: on the
+    /// round path, as on `call`, its reply clears the failure streak.
+    /// Two lost replies, one `InvalidArgument` reply, one more lost
+    /// reply is a streak of 2 + 1, never the 3 that trip the breaker.
+    #[test]
+    fn round_counts_an_error_reply_as_a_sign_of_life() {
+        let (fake_tx, fake_rx) = bounded::<NodeMsg>(8);
+        let fake = std::thread::spawn(move || {
+            let mut seen = 0;
+            while let Ok(NodeMsg::Rpc(frame, reply, _)) = fake_rx.recv() {
+                seen += 1;
+                if seen == 3 {
+                    let id = decode_frame_id(&frame.head).unwrap();
+                    let refusal = Response::Error(PvfsError::invalid("no such region"));
+                    let _ = reply.send(encode_response(id, &refusal));
+                }
+                // Otherwise the reply channel drops unanswered.
+            }
+        });
+        let c = client_over(fake_tx)
+            .with_retry_policy(RetryPolicy::none())
+            .with_breaker_policy(BreakerPolicy {
+                threshold: 3,
+                open_for: Duration::from_secs(60),
+            });
+        let errors: Vec<PvfsError> = (0..4)
+            .map(|_| {
+                let handle = FileHandle(1);
+                c.round(vec![(ServerId(0), Request::GetLocalSize { handle })])
+                    .unwrap_err()
+            })
+            .collect();
+        assert!(
+            matches!(
+                &errors[..],
+                [
+                    PvfsError::Transport(_),
+                    PvfsError::Transport(_),
+                    PvfsError::InvalidArgument(_),
+                    PvfsError::Transport(_)
+                ]
+            ),
+            "got {errors:?}"
+        );
+        assert_eq!(
+            c.health().total_trips(),
+            0,
+            "the error reply broke the streak"
+        );
+        assert_eq!(c.health().state(ServerId(0)), BreakerState::Closed);
+        drop(c);
+        fake.join().unwrap();
+    }
+
+    /// `attribute` is where `sole` meets the reserved id: a lone RPC
+    /// takes an id-0 *error* as its own (and nothing else under id 0);
+    /// one of several in flight takes nothing it cannot prove is its.
+    #[test]
+    fn only_a_lone_rpc_takes_an_unattributable_error_as_its_own() {
+        let target = RpcTarget::Server(ServerId(0));
+        let (id, zero) = (RequestId(7), RequestId(0));
+        let error = || Response::Error(PvfsError::protocol("scrambled"));
+        let size = Response::LocalSize { size: 0 };
+        assert_eq!(
+            attribute(target, id, id, size.clone(), false),
+            Ok(size.clone())
+        );
+        assert_eq!(attribute(target, id, zero, error(), true), Ok(error()));
+        for (rid, response, lone, names) in [
+            (zero, error(), false, "id 0 (server error"),
+            (zero, size.clone(), true, "id 0 (response"),
+            (
+                RequestId(8),
+                size.clone(),
+                true,
+                "mismatched response id req8",
+            ),
+        ] {
+            match attribute(target, id, rid, response, lone) {
+                Err(PvfsError::Protocol(m)) => {
+                    assert!(
+                        m.contains(names) && m.contains("iod0 answered request req7"),
+                        "{m}"
+                    )
+                }
+                other => panic!("expected a protocol error, got {other:?}"),
+            }
+        }
     }
 
     /// A server that never replies must yield PvfsError::Timeout, not a

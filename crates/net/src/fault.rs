@@ -49,6 +49,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use crate::envspec;
 use crate::transport::{PendingReply, RpcTarget, Transport, TransportKind, WaitError};
 
 /// Which fault an injection point chose.
@@ -127,23 +128,17 @@ impl FaultPlan {
     /// reason naming the offending token.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
-        for token in spec.split(',') {
-            let token = token.trim();
-            if token.is_empty() {
-                continue;
-            }
-            if let Some((key, value)) = token.split_once('=') {
-                match key.trim() {
+        for (token, option) in envspec::tokens(spec) {
+            if let Some((key, value)) = option {
+                match key {
                     "seed" => {
                         plan.seed = value
-                            .trim()
                             .parse()
                             .map_err(|_| format!("seed {value:?} is not a u64"))?;
                     }
                     "target" => {
                         plan.target = Some(
                             value
-                                .trim()
                                 .parse()
                                 .map_err(|_| format!("target {value:?} is not a server id"))?,
                         );
@@ -151,7 +146,6 @@ impl FaultPlan {
                     "limit" => {
                         plan.limit = Some(
                             value
-                                .trim()
                                 .parse()
                                 .map_err(|_| format!("limit {value:?} is not a count"))?,
                         );
@@ -205,13 +199,11 @@ impl FaultPlan {
     /// `None` when unset/empty. Panics on a malformed spec — a typo'd
     /// chaos run must not silently test nothing.
     pub fn from_env() -> Option<FaultPlan> {
-        match std::env::var("PVFS_FAULTS") {
-            Ok(v) if !v.trim().is_empty() => Some(
-                FaultPlan::parse(&v)
-                    .unwrap_or_else(|e| panic!("PVFS_FAULTS={v:?} is not a fault plan: {e}")),
-            ),
-            _ => None,
-        }
+        let parse = |v: &str| match v.trim() {
+            "" => Ok(None),
+            v => FaultPlan::parse(v).map(Some),
+        };
+        envspec::from_env("PVFS_FAULTS", "fault plan", parse, None)
     }
 
     /// Sum of all fault probabilities.

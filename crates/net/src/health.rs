@@ -41,6 +41,8 @@ use pvfs_types::{PvfsError, ServerId};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use crate::envspec::{self, parse_duration};
+
 /// When a per-daemon circuit breaker opens and for how long.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerPolicy {
@@ -82,11 +84,12 @@ impl BreakerPolicy {
     ///
     /// Panics on a malformed spec, like the other `PVFS_*` variables.
     pub fn from_env() -> BreakerPolicy {
-        match std::env::var("PVFS_BREAKER") {
-            Ok(v) => BreakerPolicy::parse(&v)
-                .unwrap_or_else(|e| panic!("PVFS_BREAKER={v:?} is not a breaker policy: {e}")),
-            Err(_) => BreakerPolicy::default(),
-        }
+        envspec::from_env(
+            "PVFS_BREAKER",
+            "breaker policy",
+            BreakerPolicy::parse,
+            BreakerPolicy::default(),
+        )
     }
 
     /// Parse a `PVFS_BREAKER` spec (see [`BreakerPolicy::from_env`]).
@@ -96,18 +99,11 @@ impl BreakerPolicy {
             return Ok(BreakerPolicy::off());
         }
         let mut policy = BreakerPolicy::default();
-        for token in spec.split(',') {
-            let token = token.trim();
-            if token.is_empty() {
-                continue;
-            }
-            let (key, value) = token
-                .split_once('=')
-                .ok_or_else(|| format!("expected key=value, got {token:?}"))?;
-            match key.trim() {
+        for option in envspec::options(spec) {
+            let (key, value) = option?;
+            match key {
                 "threshold" => {
                     policy.threshold = value
-                        .trim()
                         .parse()
                         .map_err(|_| format!("threshold {value:?} is not a count"))?;
                     if policy.threshold == 0 {
@@ -166,11 +162,12 @@ impl HedgePolicy {
     ///
     /// Panics on a malformed spec, like the other `PVFS_*` variables.
     pub fn from_env() -> HedgePolicy {
-        match std::env::var("PVFS_HEDGE") {
-            Ok(v) => HedgePolicy::parse(&v)
-                .unwrap_or_else(|e| panic!("PVFS_HEDGE={v:?} is not a hedge policy: {e}")),
-            Err(_) => HedgePolicy::default(),
-        }
+        envspec::from_env(
+            "PVFS_HEDGE",
+            "hedge policy",
+            HedgePolicy::parse,
+            HedgePolicy::default(),
+        )
     }
 
     /// Parse a `PVFS_HEDGE` spec (see [`HedgePolicy::from_env`]).
@@ -183,18 +180,11 @@ impl HedgePolicy {
             return Ok(HedgePolicy::on());
         }
         let mut policy = HedgePolicy::on();
-        for token in spec.split(',') {
-            let token = token.trim();
-            if token.is_empty() {
-                continue;
-            }
-            let (key, value) = token
-                .split_once('=')
-                .ok_or_else(|| format!("expected key=value, got {token:?}"))?;
-            match key.trim() {
+        for option in envspec::options(spec) {
+            let (key, value) = option?;
+            match key {
                 "p" => {
                     let pct: f64 = value
-                        .trim()
                         .parse()
                         .map_err(|_| format!("percentile {value:?} is not a number"))?;
                     if !(50.0..=100.0).contains(&pct) {
@@ -217,22 +207,6 @@ impl HedgePolicy {
             .unwrap_or(Duration::ZERO)
             .max(self.floor)
     }
-}
-
-/// Parse `"250ms"` / `"2s"` / bare milliseconds.
-fn parse_duration(s: &str) -> Result<Duration, String> {
-    let s = s.trim();
-    let (digits, scale) = if let Some(d) = s.strip_suffix("ms") {
-        (d, 1)
-    } else if let Some(d) = s.strip_suffix('s') {
-        (d, 1000)
-    } else {
-        (s, 1)
-    };
-    digits
-        .parse::<u64>()
-        .map(|n| Duration::from_millis(n * scale))
-        .map_err(|_| format!("duration {s:?} is malformed (try 250ms or 2s)"))
 }
 
 /// A breaker's observable state (diagnostics and tests).

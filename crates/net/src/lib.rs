@@ -15,12 +15,22 @@
 //!   feeding the same bounded worker pools, and a client-side pool of
 //!   persistent `TCP_NODELAY` connections.
 //!
-//! Concurrency model (see [`cluster`] for details):
+//! One path on each side of the wire:
+//!
+//! * every client RPC — [`ClusterClient::call`], [`ClusterClient::round`],
+//!   at any replication factor, hedged or not, traced or not — runs
+//!   through one request pipeline ([`cluster`]: expand → waves of
+//!   ship/land → failover, backoff → assemble);
+//! * every daemon is a `Service` (serve a request; account wire
+//!   traffic, queue and service time; say whether a full queue sheds),
+//!   and both transports' workers drive it through the one `serve_rpc`.
+//!
+//! Concurrency model (see [`live`] for details):
 //!
 //! * each daemon is served by `IodConfig::workers` threads (default
 //!   `min(4, cores)`) sharing one request queue bounded at
 //!   `IodConfig::queue_depth` messages (default 64) — the bound is the
-//!   backpressure;
+//!   backpressure; the manager is a pool of one;
 //! * the daemon state itself is sharded by file handle and counts
 //!   statistics with atomics, so workers serve disjoint handles in
 //!   parallel;
@@ -75,21 +85,25 @@
 
 pub mod chan;
 pub mod cluster;
+mod envspec;
 pub mod fault;
 pub mod gate;
 pub mod health;
 pub mod latency;
+pub mod live;
 pub mod pool;
 pub mod retry;
+mod serve;
 pub mod tcp;
 pub mod trace;
 pub mod transport;
 
-pub use cluster::{ClusterClient, LiveCluster, DEFAULT_RPC_TIMEOUT};
+pub use cluster::{ClusterClient, DEFAULT_RPC_TIMEOUT};
 pub use fault::{FaultCounts, FaultKind, FaultPlan, FaultyTransport};
 pub use gate::SerialGate;
 pub use health::{BreakerPolicy, BreakerState, HealthTracker, HedgePolicy, ServerHealthSnapshot};
 pub use latency::RpcLatency;
+pub use live::LiveCluster;
 pub use pool::WorkerPool;
 pub use pvfs_replica::{ReplicaMap, ReplicaPolicy, ReplicaTarget, WriteQuorum};
 pub use retry::{ClientStats, RetryPolicy};

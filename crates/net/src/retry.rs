@@ -21,6 +21,8 @@ use rand::{RngCore, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use crate::envspec::{self, parse_duration};
+
 /// When and how a [`ClusterClient`](crate::ClusterClient) retries
 /// failed RPCs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,11 +69,12 @@ impl RetryPolicy {
     /// Panics on a malformed spec, like the other `PVFS_*` variables: a
     /// typo'd chaos run must not silently change the policy under test.
     pub fn from_env() -> RetryPolicy {
-        match std::env::var("PVFS_RETRY") {
-            Ok(v) => RetryPolicy::parse(&v)
-                .unwrap_or_else(|e| panic!("PVFS_RETRY={v:?} is not a retry policy: {e}")),
-            Err(_) => RetryPolicy::default(),
-        }
+        envspec::from_env(
+            "PVFS_RETRY",
+            "retry policy",
+            RetryPolicy::parse,
+            RetryPolicy::default(),
+        )
     }
 
     /// Parse a `PVFS_RETRY` spec (see [`RetryPolicy::from_env`]).
@@ -81,18 +84,11 @@ impl RetryPolicy {
             return Ok(RetryPolicy::none());
         }
         let mut policy = RetryPolicy::default();
-        for token in spec.split(',') {
-            let token = token.trim();
-            if token.is_empty() {
-                continue;
-            }
-            let (key, value) = token
-                .split_once('=')
-                .ok_or_else(|| format!("expected key=value, got {token:?}"))?;
-            match key.trim() {
+        for option in envspec::options(spec) {
+            let (key, value) = option?;
+            match key {
                 "attempts" => {
                     policy.max_attempts = value
-                        .trim()
                         .parse()
                         .map_err(|_| format!("attempts {value:?} is not a count"))?;
                     if policy.max_attempts == 0 {
@@ -112,22 +108,6 @@ impl RetryPolicy {
     pub fn enabled(&self) -> bool {
         self.max_attempts > 1
     }
-}
-
-/// Parse `"250ms"` / `"2s"` / bare milliseconds.
-fn parse_duration(s: &str) -> Result<Duration, String> {
-    let s = s.trim();
-    let (digits, scale) = if let Some(d) = s.strip_suffix("ms") {
-        (d, 1)
-    } else if let Some(d) = s.strip_suffix('s') {
-        (d, 1000)
-    } else {
-        (s, 1)
-    };
-    digits
-        .parse::<u64>()
-        .map(|n| Duration::from_millis(n * scale))
-        .map_err(|_| format!("duration {s:?} is malformed (try 250ms or 2s)"))
 }
 
 /// The decorrelated-jitter backoff sequence for one operation's

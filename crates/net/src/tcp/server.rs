@@ -7,9 +7,9 @@
 //! push them into the pool's **bounded** queue. When workers fall
 //! behind, daemon readers **load-shed**: a frame meeting a full queue
 //! is answered immediately with `PvfsError::Overloaded` instead of
-//! being parked (see [`ServeHooks::shed`]). The manager and stats
-//! scrapes keep the old behavior — readers block in `send`, stop
-//! draining their sockets, and TCP flow control pushes back.
+//! being parked (see [`Service::shed`]). The manager and stats scrapes
+//! do not shed — readers block in `send`, stop draining their sockets,
+//! and TCP flow control pushes back.
 //!
 //! Responses go back over the connection the request arrived on. The
 //! write half is wrapped in a mutex so workers finishing out of order
@@ -40,7 +40,7 @@ use pvfs_proto::{
     data_response_head, decode_frame_id, encode_response, frame_is_stats_scrape, Response,
 };
 use pvfs_server::{IoDaemon, IodConfig, Manager};
-use pvfs_types::{PvfsError, RequestId};
+use pvfs_types::RequestId;
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -48,45 +48,12 @@ use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use super::frame::{wire_len, write_frame_parts, FrameError, FrameReader};
 use crate::chan::TrySendError;
 use crate::pool::WorkerPool;
-use crate::transport::serve_frame;
-
-/// How one TCP daemon turns request frames into response frames and
-/// accounts the wire traffic plus queue/service timing. Stats scrape
-/// frames (`GetStats`/`ResetStats`) bypass every hook except `serve`,
-/// so a scraped snapshot equals the in-process one byte for byte.
-struct ServeHooks {
-    /// Request frame in (plus how long it waited queued — traced
-    /// requests record the wait as a `queue` span), response and the
-    /// request id it echoes out.
-    serve: Box<dyn Fn(Bytes, Duration) -> (RequestId, Response) + Send + Sync>,
-    /// Called with the wire size of every request frame read.
-    on_rx: Box<dyn Fn(u64) + Send + Sync>,
-    /// Called with the wire size of every response frame, under the
-    /// connection's write lock and *before* the frame is handed to the
-    /// socket: a client that holds a reply can never scrape counters
-    /// that miss that reply's frame.
-    on_tx: Box<dyn Fn(u64) + Send + Sync>,
-    /// Takes back an `on_tx` whose write then failed.
-    undo_tx: Box<dyn Fn(u64) + Send + Sync>,
-    /// Called when a request frame enters the worker-pool queue.
-    on_queued: Box<dyn Fn() + Send + Sync>,
-    /// Called with the queue wait when a worker dequeues a request.
-    on_begin: Box<dyn Fn(Duration) + Send + Sync>,
-    /// Called with the service time when a worker finishes a request.
-    on_end: Box<dyn Fn(Duration) + Send + Sync>,
-    /// Load shedding: when set, a request arriving at a full worker
-    /// queue is **not** queued — the hook accounts the shed (undoing
-    /// `on_queued`) and returns the typed `Overloaded` error the
-    /// reader writes straight back. `None` (the manager) keeps the
-    /// block-in-`send` backpressure: metadata ops are rare and
-    /// non-idempotent, so waiting beats shedding them.
-    shed: Option<Box<dyn Fn() -> PvfsError + Send + Sync>>,
-}
+use crate::serve::{serve_rpc, Service};
 
 enum TcpMsg {
     /// A reassembled request frame, the (shared) write half of the
@@ -116,30 +83,27 @@ impl TcpServer {
         name: &str,
         workers: usize,
         queue_depth: usize,
-        hooks: ServeHooks,
+        service: Arc<dyn Service>,
     ) -> std::io::Result<TcpServer> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
-        let hooks = Arc::new(hooks);
         let shutting_down = Arc::new(AtomicBool::new(false));
         let conns: Conns = Arc::new(Mutex::new(HashMap::new()));
         let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
-        let worker_hooks = hooks.clone();
+        let worker_service = service.clone();
         let (pool_tx, pool) =
             WorkerPool::spawn(name, workers, queue_depth, move |msg: TcpMsg| match msg {
                 TcpMsg::Rpc(frame, writer, queued_at) => {
                     let scrape = frame_is_stats_scrape(&frame);
-                    let waited = queued_at.elapsed();
-                    if !scrape {
-                        (worker_hooks.on_begin)(waited);
-                    }
-                    let served_at = Instant::now();
-                    let (id, response) = (worker_hooks.serve)(frame, waited);
-                    if !scrape {
-                        (worker_hooks.on_end)(served_at.elapsed());
-                    }
-                    send_reply(&writer, id, &response, (!scrape).then_some(&*worker_hooks));
+                    let (id, response) =
+                        serve_rpc(&*worker_service, frame.into(), queued_at, scrape);
+                    send_reply(
+                        &writer,
+                        id,
+                        &response,
+                        (!scrape).then_some(&*worker_service),
+                    );
                     ControlFlow::Continue(())
                 }
                 TcpMsg::Shutdown => ControlFlow::Break(()),
@@ -148,7 +112,6 @@ impl TcpServer {
         let accept_flag = shutting_down.clone();
         let accept_conns = conns.clone();
         let accept_readers = readers.clone();
-        let accept_hooks = hooks.clone();
         let accept_tx = pool_tx.clone();
         let accept_name = name.to_string();
         let accept_thread = std::thread::Builder::new()
@@ -168,7 +131,7 @@ impl TcpServer {
                         format!("{accept_name}-conn{i}"),
                         stream,
                         accept_tx.clone(),
-                        accept_hooks.clone(),
+                        service.clone(),
                         i,
                         accept_conns.clone(),
                     );
@@ -254,7 +217,7 @@ fn spawn_reader(
     name: String,
     mut stream: TcpStream,
     pool_tx: crate::chan::Sender<TcpMsg>,
-    hooks: Arc<ServeHooks>,
+    service: Arc<dyn Service>,
     key: usize,
     conns: Conns,
 ) -> JoinHandle<()> {
@@ -284,38 +247,36 @@ fn spawn_reader(
                     Ok(frame) => {
                         let scrape = frame_is_stats_scrape(&frame);
                         if !scrape {
-                            (hooks.on_rx)(wire_len(frame.len()));
-                            (hooks.on_queued)();
+                            service.wire_rx(wire_len(frame.len()));
+                            service.queued();
                         }
                         let msg = TcpMsg::Rpc(frame, writer.clone(), Instant::now());
-                        if scrape || hooks.shed.is_none() {
-                            // Scrapes must observe, not perturb, and the
-                            // manager never sheds: block until the queue
-                            // drains — TCP flow control is the
-                            // backpressure.
-                            if pool_tx.send(msg).is_err() {
-                                break;
-                            }
+                        let full = match pool_tx.try_send(msg) {
+                            Ok(()) => continue,
+                            Err(TrySendError::Disconnected(_)) => break,
+                            Err(TrySendError::Full(msg)) => msg,
+                        };
+                        // Scrapes must observe, not perturb: they never
+                        // meet the shed decision.
+                        if let Some(refusal) = (!scrape).then(|| service.shed()).flatten() {
+                            // Load shed: answer `Overloaded` from the
+                            // reader itself instead of parking the frame
+                            // behind a full queue. The request provably
+                            // never executed, so the client may replay it
+                            // — even a write. The connection stays
+                            // healthy; only this request is refused.
+                            let TcpMsg::Rpc(frame, ..) = full else {
+                                unreachable!("reader only sends Rpc frames")
+                            };
+                            let id = decode_frame_id(&frame).unwrap_or(RequestId(0));
+                            let refusal = Response::Error(refusal);
+                            send_reply(&writer, id, &refusal, Some(&*service));
                             continue;
                         }
-                        match pool_tx.try_send(msg) {
-                            Ok(()) => {}
-                            Err(TrySendError::Disconnected(_)) => break,
-                            Err(TrySendError::Full(TcpMsg::Rpc(frame, writer, _))) => {
-                                // Load shed: answer `Overloaded` from the
-                                // reader itself instead of parking the
-                                // frame behind a full queue. The request
-                                // provably never executed, so the client
-                                // may replay it — even a write. The
-                                // connection stays healthy; only this
-                                // request is refused.
-                                let err = hooks.shed.as_ref().expect("checked above")();
-                                let id = decode_frame_id(&frame).unwrap_or(RequestId(0));
-                                send_reply(&writer, id, &Response::Error(err), Some(&hooks));
-                            }
-                            Err(TrySendError::Full(TcpMsg::Shutdown)) => {
-                                unreachable!("reader only sends Rpc frames")
-                            }
+                        // No shedding: block until the queue drains — TCP
+                        // flow control is the backpressure.
+                        if pool_tx.send(full).is_err() {
+                            break;
                         }
                     }
                     Err(FrameError::TooLarge(e)) => {
@@ -323,7 +284,7 @@ fn spawn_reader(
                         // oversized announcement, but the peer deserves
                         // to know why it is being dropped. Id 0: the
                         // header was never read.
-                        send_reply(&writer, RequestId(0), &Response::Error(e), Some(&hooks));
+                        send_reply(&writer, RequestId(0), &Response::Error(e), Some(&*service));
                         let _ = stream.shutdown(Shutdown::Both);
                         break;
                     }
@@ -345,7 +306,7 @@ fn send_reply(
     writer: &Mutex<TcpStream>,
     id: RequestId,
     response: &Response,
-    account: Option<&ServeHooks>,
+    account: Option<&dyn Service>,
 ) {
     let (head, encoded);
     let (front, payload): (&[u8], &[u8]) = match response {
@@ -360,12 +321,12 @@ fn send_reply(
     };
     let wire = wire_len(front.len() + payload.len());
     let mut w = writer.lock().unwrap();
-    if let Some(hooks) = account {
-        (hooks.on_tx)(wire);
+    if let Some(service) = account {
+        service.wire_tx(wire);
     }
     let sent = write_frame_parts(&mut *w, front, payload).and_then(|()| w.flush());
-    if let (Err(_), Some(hooks)) = (sent, account) {
-        (hooks.undo_tx)(wire);
+    if let (Err(_), Some(service)) = (sent, account) {
+        service.retract_wire_tx(wire);
     }
 }
 
@@ -379,85 +340,19 @@ pub struct TcpCluster {
 impl TcpCluster {
     /// Put TCP listeners in front of `daemons` and a fresh manager.
     pub fn spawn(daemons: &[Arc<IoDaemon>], config: IodConfig) -> TcpCluster {
+        let depth = config.queue_depth.max(1);
         let servers = daemons
             .iter()
             .map(|daemon| {
-                let serve_daemon = daemon.clone();
-                let rx_daemon = daemon.clone();
-                let tx_daemon = daemon.clone();
-                let untx_daemon = daemon.clone();
-                let queued_daemon = daemon.clone();
-                let begin_daemon = daemon.clone();
-                let end_daemon = daemon.clone();
-                let shed_daemon = daemon.clone();
-                let shed_id = daemon.id().0;
-                let shed_depth = config.queue_depth.max(1) as u64;
                 let name = format!("iod{}", daemon.id().0);
-                TcpServer::spawn(
-                    &name,
-                    config.workers.max(1),
-                    config.queue_depth.max(1),
-                    ServeHooks {
-                        serve: Box::new(move |frame, waited| {
-                            let (id, response) = serve_frame(frame.into(), |req, ctx| {
-                                serve_daemon.handle_traced(req, ctx, waited).0
-                            });
-                            // Emulated service time occupies the worker,
-                            // the way a blocking disk access would.
-                            if let Some(stall) = config.emulated_latency {
-                                std::thread::sleep(stall);
-                            }
-                            (id, response)
-                        }),
-                        on_rx: Box::new(move |n| rx_daemon.record_wire_rx(n)),
-                        on_tx: Box::new(move |n| tx_daemon.record_wire_tx(n)),
-                        undo_tx: Box::new(move |n| untx_daemon.retract_wire_tx(n)),
-                        on_queued: Box::new(move || queued_daemon.note_queued()),
-                        on_begin: Box::new(move |waited| begin_daemon.begin_service(waited)),
-                        on_end: Box::new(move |took| end_daemon.end_service(took)),
-                        shed: Some(Box::new(move || {
-                            shed_daemon.note_shed();
-                            PvfsError::Overloaded {
-                                server: shed_id,
-                                queue_depth: shed_depth,
-                            }
-                        })),
-                    },
-                )
-                .expect("bind tcp i/o daemon")
+                TcpServer::spawn(&name, config.workers.max(1), depth, daemon.clone())
+                    .expect("bind tcp i/o daemon")
             })
             .collect();
-        // Metadata operations are rare and order-sensitive: a single
-        // worker over a mutexed manager keeps them serialized, exactly
-        // like the dedicated manager thread of the channel backend.
+        // One worker keeps metadata operations serialized in arrival
+        // order.
         let manager = Arc::new(Mutex::new(Manager::new()));
-        let serve_mgr = manager.clone();
-        let rx_mgr = manager.clone();
-        let tx_mgr = manager.clone();
-        let untx_mgr = manager.clone();
-        let end_mgr = manager;
-        let mgr = TcpServer::spawn(
-            "pvfs-mgr",
-            1,
-            config.queue_depth.max(1),
-            ServeHooks {
-                serve: Box::new(move |frame, waited| {
-                    serve_frame(frame.into(), |req, ctx| {
-                        serve_mgr.lock().unwrap().handle_traced(req, ctx, waited)
-                    })
-                }),
-                on_rx: Box::new(move |n| rx_mgr.lock().unwrap().record_wire_rx(n)),
-                on_tx: Box::new(move |n| tx_mgr.lock().unwrap().record_wire_tx(n)),
-                undo_tx: Box::new(move |n| untx_mgr.lock().unwrap().retract_wire_tx(n)),
-                // The manager's single worker has no meaningful queue
-                // gauge; its service time is the whole story.
-                on_queued: Box::new(|| {}),
-                on_begin: Box::new(|_| {}),
-                on_end: Box::new(move |took| end_mgr.lock().unwrap().record_service(took)),
-                shed: None,
-            },
-        )
-        .expect("bind tcp manager");
+        let mgr = TcpServer::spawn("pvfs-mgr", 1, depth, manager).expect("bind tcp manager");
         TcpCluster { servers, mgr }
     }
 

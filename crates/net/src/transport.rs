@@ -16,14 +16,13 @@
 //! fan a whole plan round out before waiting on any reply.
 
 use bytes::Bytes;
-use pvfs_proto::{
-    decode_frame, decode_frame_id, frame_is_stats_scrape, Frame, Message, Request, Response,
-};
-use pvfs_types::{PvfsError, PvfsResult, RequestId, ServerId, TraceContext};
+use pvfs_proto::{frame_is_stats_scrape, Frame};
+use pvfs_types::{PvfsError, PvfsResult, ServerId};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::chan::{bounded, Receiver, RecvTimeoutError, SendTimeoutError, Sender, TrySendError};
+use crate::serve::Service;
 
 /// Where an RPC is addressed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,6 +31,22 @@ pub enum RpcTarget {
     Manager,
     /// An I/O daemon (data).
     Server(ServerId),
+}
+
+impl From<ServerId> for RpcTarget {
+    fn from(server: ServerId) -> RpcTarget {
+        RpcTarget::Server(server)
+    }
+}
+
+/// `manager` / `iod3` — how diagnostics name the peer.
+impl std::fmt::Display for RpcTarget {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RpcTarget::Manager => write!(f, "manager"),
+            RpcTarget::Server(s) => write!(f, "{s}"),
+        }
+    }
 }
 
 /// Which transport a cluster speaks.
@@ -119,26 +134,6 @@ pub trait Transport: Send + Sync {
     }
 }
 
-/// Decode a frame, serve it, and return the id + response — the
-/// transport-independent server half of one RPC. When the body fails to
-/// decode but the fixed header is readable, the error response carries
-/// the *real* request id so the client can attribute it; only a frame
-/// with an unreadable header falls back to the reserved id 0.
-///
-/// The serve closure receives the trace context a version-2 frame
-/// carried (None for untraced version-1 frames), so daemons can record
-/// spans parented to the client's RPC span.
-pub(crate) fn serve_frame(
-    frame: Frame,
-    serve: impl FnOnce(&Request, Option<TraceContext>) -> Response,
-) -> (RequestId, Response) {
-    let header_id = decode_frame_id(&frame.head);
-    match decode_frame(frame) {
-        Ok((Message { id, request, .. }, ctx)) => (id, serve(&request, ctx)),
-        Err(e) => (header_id.unwrap_or(RequestId(0)), Response::Error(e)),
-    }
-}
-
 /// A message to a channel-backed daemon: the encoded request frame
 /// (both parts, exactly as the client built them), the channel for the
 /// encoded reply, and when the frame was enqueued (the worker derives
@@ -149,132 +144,85 @@ pub(crate) enum NodeMsg {
     Shutdown,
 }
 
+/// One channel-fronted daemon as the sending side sees it: its bounded
+/// queue and the [`Service`] behind it, which the transport tells about
+/// every frame it enqueues. Bare queues (protocol tests that play the
+/// server themselves) have no service and account nothing.
+pub(crate) struct ChanNode {
+    pub(crate) tx: Sender<NodeMsg>,
+    pub(crate) service: Option<Arc<dyn Service>>,
+}
+
 /// The in-process transport: every daemon is a bounded channel feeding
 /// its worker pool, every reply comes back on a per-request channel.
-/// A full daemon queue **sheds** instead of blocking: the enqueue
-/// fast-fails with [`PvfsError::Overloaded`] (retryable, provably
-/// unexecuted), mirroring what the TCP acceptor does on the socket
-/// path. Manager enqueues are bounded by [`DEFAULT_RPC_TIMEOUT`]
-/// instead — metadata ops are rare and non-idempotent, so waiting
-/// briefly beats shedding them, but a wedged manager must still yield
-/// [`PvfsError::Timeout`] rather than hang the sender forever.
+/// `start` is to a daemon's queue what a TCP connection's reader is:
+/// it accounts the arriving frame, and when the queue is full the
+/// daemon's [`Service::shed`] decides — an I/O daemon **sheds** (the
+/// enqueue fast-fails with [`PvfsError::Overloaded`], retryable and
+/// provably unexecuted), the manager does not, and the sender waits for
+/// room at most [`DEFAULT_RPC_TIMEOUT`]: metadata ops are rare and
+/// non-idempotent, so waiting briefly beats shedding them, but a wedged
+/// manager must still yield [`PvfsError::Timeout`] rather than hang the
+/// sender forever.
 ///
 /// [`DEFAULT_RPC_TIMEOUT`]: crate::DEFAULT_RPC_TIMEOUT
 pub struct ChanTransport {
-    server_txs: Vec<Sender<NodeMsg>>,
-    mgr_tx: Sender<NodeMsg>,
-    /// Per-server queue-depth marks, called as a frame enters a daemon
-    /// queue ([`IoDaemon::note_queued`](pvfs_server::IoDaemon::note_queued)
-    /// behind a closure). Empty for bare transports built in tests.
-    queue_marks: Vec<Arc<dyn Fn() + Send + Sync>>,
-    /// Per-server shed marks, called when a full queue fast-fails an
-    /// enqueue ([`IoDaemon::note_shed`](pvfs_server::IoDaemon::note_shed)):
-    /// undoes the queued gauge and counts the shed.
-    shed_marks: Vec<Arc<dyn Fn() + Send + Sync>>,
+    servers: Vec<ChanNode>,
+    mgr: ChanNode,
 }
 
 impl ChanTransport {
-    pub(crate) fn new(server_txs: Vec<Sender<NodeMsg>>, mgr_tx: Sender<NodeMsg>) -> ChanTransport {
-        ChanTransport {
-            server_txs,
-            mgr_tx,
-            queue_marks: Vec::new(),
-            shed_marks: Vec::new(),
-        }
-    }
-
-    /// Attach per-server queue-depth marks (index = server id).
-    pub(crate) fn with_queue_marks(
-        mut self,
-        marks: Vec<Arc<dyn Fn() + Send + Sync>>,
-    ) -> ChanTransport {
-        self.queue_marks = marks;
-        self
-    }
-
-    /// Attach per-server shed marks (index = server id).
-    pub(crate) fn with_shed_marks(
-        mut self,
-        marks: Vec<Arc<dyn Fn() + Send + Sync>>,
-    ) -> ChanTransport {
-        self.shed_marks = marks;
-        self
-    }
-
-    fn tx_for(&self, target: RpcTarget) -> PvfsResult<&Sender<NodeMsg>> {
-        match target {
-            RpcTarget::Manager => Ok(&self.mgr_tx),
-            RpcTarget::Server(s) => self
-                .server_txs
-                .get(s.index())
-                .ok_or(PvfsError::NoSuchServer(s.0)),
-        }
+    pub(crate) fn new(servers: Vec<ChanNode>, mgr: ChanNode) -> ChanTransport {
+        ChanTransport { servers, mgr }
     }
 }
 
 impl Transport for ChanTransport {
     fn n_servers(&self) -> u32 {
-        self.server_txs.len() as u32
+        self.servers.len() as u32
     }
 
     fn start(&self, target: RpcTarget, frame: Frame) -> PvfsResult<Box<dyn PendingReply>> {
-        let (reply_tx, reply_rx) = bounded(1);
-        let tx = self.tx_for(target)?;
-        match target {
-            RpcTarget::Server(s) => {
-                // Stats scrapes are observers: they skip the queue-depth
-                // gauge (and all daemon-side accounting) so the snapshot
-                // they fetch equals the in-process one — and they wait
-                // out a full queue instead of shedding, so observation
-                // never perturbs the shed counter either.
-                if frame_is_stats_scrape(&frame.head) {
-                    tx.send(NodeMsg::Rpc(frame, reply_tx, Instant::now()))
-                        .map_err(|_| PvfsError::Transport("server thread gone".into()))?;
-                    return Ok(Box::new(ChanPending { reply_rx }));
-                }
-                if let Some(mark) = self.queue_marks.get(s.index()) {
-                    mark();
-                }
-                match tx.try_send(NodeMsg::Rpc(frame, reply_tx, Instant::now())) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(_)) => {
-                        // Undo the queued gauge and count the shed on the
-                        // daemon, then fast-fail the sender.
-                        if let Some(shed) = self.shed_marks.get(s.index()) {
-                            shed();
-                        }
-                        return Err(PvfsError::Overloaded {
-                            server: s.0,
-                            queue_depth: tx.capacity() as u64,
-                        });
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        return Err(PvfsError::Transport("server thread gone".into()));
-                    }
-                }
-            }
-            RpcTarget::Manager => {
-                // Bounded wait instead of shed: manager ops are rare and
-                // non-idempotent, but a wedged manager must not hang the
-                // sending thread forever.
-                match tx.send_timeout(
-                    NodeMsg::Rpc(frame, reply_tx, Instant::now()),
-                    crate::DEFAULT_RPC_TIMEOUT,
-                ) {
-                    Ok(()) => {}
-                    Err(SendTimeoutError::Timeout(_)) => {
-                        return Err(PvfsError::timeout(format!(
-                            "manager queue stayed full for {:?}",
-                            crate::DEFAULT_RPC_TIMEOUT
-                        )))
-                    }
-                    Err(SendTimeoutError::Disconnected(_)) => {
-                        return Err(PvfsError::Transport("server thread gone".into()))
-                    }
-                }
-            }
+        let node = match target {
+            RpcTarget::Manager => &self.mgr,
+            RpcTarget::Server(s) => self
+                .servers
+                .get(s.index())
+                .ok_or(PvfsError::NoSuchServer(s.0))?,
+        };
+        // Stats scrapes are observers: they skip all daemon-side
+        // accounting so the snapshot they fetch equals the in-process
+        // one — and they wait out a full queue instead of shedding, so
+        // observation never perturbs the shed counter either.
+        let service = node
+            .service
+            .as_ref()
+            .filter(|_| !frame_is_stats_scrape(&frame.head));
+        if let Some(service) = service {
+            // The channel transport has no length prefix; its wire size
+            // is the frame itself, head and payload.
+            service.wire_rx(frame.len() as u64);
+            service.queued();
         }
-        Ok(Box::new(ChanPending { reply_rx }))
+        let (reply_tx, reply_rx) = bounded(1);
+        let msg = NodeMsg::Rpc(frame, reply_tx, Instant::now());
+        let gone = || PvfsError::Transport("server thread gone".into());
+        let msg = match node.tx.try_send(msg) {
+            Ok(()) => return Ok(Box::new(ChanPending { reply_rx })),
+            Err(TrySendError::Disconnected(_)) => return Err(gone()),
+            Err(TrySendError::Full(msg)) => msg,
+        };
+        if let Some(refusal) = service.and_then(|s| s.shed()) {
+            return Err(refusal);
+        }
+        match node.tx.send_timeout(msg, crate::DEFAULT_RPC_TIMEOUT) {
+            Ok(()) => Ok(Box::new(ChanPending { reply_rx })),
+            Err(SendTimeoutError::Timeout(_)) => Err(PvfsError::timeout(format!(
+                "{target}'s queue stayed full for {:?}",
+                crate::DEFAULT_RPC_TIMEOUT
+            ))),
+            Err(SendTimeoutError::Disconnected(_)) => Err(gone()),
+        }
     }
 
     fn kind(&self) -> TransportKind {

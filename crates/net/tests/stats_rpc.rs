@@ -6,9 +6,12 @@
 
 use bytes::Bytes;
 use pvfs_net::{ClusterClient, LiveCluster, RpcTarget, TransportKind};
-use pvfs_proto::{OpClass, Request, Response};
+use pvfs_proto::{decode_response, encode_frame, Frame, Message, OpClass, Request, Response};
 use pvfs_server::{IodConfig, ServerStats};
-use pvfs_types::{FileHandle, Region, ServerId, StatsSnapshot, StripeLayout};
+use pvfs_types::{
+    ClientId, FileHandle, PvfsError, Region, RequestId, ServerId, StatsSnapshot, StripeLayout,
+};
+use std::time::Duration;
 
 fn layout(n: u32) -> StripeLayout {
     StripeLayout::new(0, n, 16).unwrap()
@@ -105,6 +108,123 @@ fn scraped_stats_match_in_process_over_chan() {
 #[test]
 fn scraped_stats_match_in_process_over_tcp() {
     assert_scrape_matches_in_process(TransportKind::Tcp);
+}
+
+/// One daemon's books after the same mixed traffic over `kind`: a write
+/// and a read, one frame whose body is corrupt, and three pings at a
+/// one-worker, one-slot daemon of which exactly one is shed.
+fn books_after_mixed_traffic(kind: TransportKind) -> StatsSnapshot {
+    let config = IodConfig {
+        workers: 1,
+        queue_depth: 1,
+        emulated_latency: Some(Duration::from_millis(100)),
+        ..IodConfig::default()
+    };
+    let cluster = LiveCluster::spawn_transport(1, config, kind);
+    let client = cluster.client();
+    let target = RpcTarget::Server(ServerId(0));
+    let (fh, l) = (FileHandle(1), layout(1));
+    let region = Region::new(0, 16);
+    let data = Bytes::from(vec![7u8; 16]);
+    for request in [
+        Request::Write {
+            handle: fh,
+            layout: l,
+            region,
+            data,
+        },
+        Request::Read {
+            handle: fh,
+            layout: l,
+            region,
+        },
+    ] {
+        client.call(target, request).unwrap();
+    }
+
+    let transport = cluster.transport();
+    let frame = |id, request| {
+        let message = Message {
+            client: ClientId(77),
+            id: RequestId(id),
+            request,
+        };
+        encode_frame(&message, None).unwrap()
+    };
+    let reply = |pending: Box<dyn pvfs_net::PendingReply>| {
+        let raw = pending.wait(Duration::from_secs(10)).unwrap();
+        decode_response(raw).unwrap()
+    };
+    // Header intact, body cut short: answered under the header's id,
+    // and a worker was busy with it even though no request was served.
+    let whole = frame(100, Request::GetLocalSize { handle: fh }).head;
+    let cut = Frame::from(whole.slice(0..whole.len() - 3));
+    let (id, response) = reply(transport.start(target, cut).unwrap());
+    assert_eq!(id, RequestId(100), "[{kind}]");
+    assert!(matches!(response, Response::Error(PvfsError::Protocol(_))));
+
+    // One ping occupies the worker, the next fills the queue's one
+    // slot, the third meets a full queue. (Over tcp the last two race
+    // for the slot on separate connections; either way one gets it.)
+    let busy = transport.start(target, frame(101, Request::Ping)).unwrap();
+    while cluster.stats_snapshot(ServerId(0)).unwrap().busy_workers == 0 {
+        std::thread::yield_now();
+    }
+    let rest = [102, 103].map(|id| transport.start(target, frame(id, Request::Ping)));
+    let mut answers = vec![reply(busy).1];
+    for pending in rest {
+        answers.push(match pending {
+            // chan refuses at the queue's door, tcp with a reply frame.
+            Err(refusal) => Response::Error(refusal),
+            Ok(pending) => reply(pending).1,
+        });
+    }
+    let shed = |r: &&Response| matches!(r, Response::Error(PvfsError::Overloaded { .. }));
+    assert_eq!(
+        answers.iter().filter(shed).count(),
+        1,
+        "[{kind}] {answers:?}"
+    );
+    let pong = |r: &&Response| matches!(r, Response::Pong { .. });
+    assert_eq!(
+        answers.iter().filter(pong).count(),
+        2,
+        "[{kind}] {answers:?}"
+    );
+    scrape(&client, target)
+}
+
+/// Both transports drive the daemon through the same `Service` and the
+/// same `serve_rpc`, so the same traffic — a corrupt frame and a shed
+/// included — leaves the same books. Only the byte counters differ, by
+/// the framing: tcp prefixes every frame with its length, and answers a
+/// shed with a frame where chan refuses the enqueue.
+#[test]
+fn chan_and_tcp_keep_the_same_books() {
+    let chan = books_after_mixed_traffic(TransportKind::Chan);
+    let tcp = books_after_mixed_traffic(TransportKind::Tcp);
+    for ((name, over_chan), (_, over_tcp)) in chan.counters().into_iter().zip(tcp.counters()) {
+        if !name.starts_with("bytes_") || name == "bytes_read" || name == "bytes_written" {
+            assert_eq!(
+                over_chan, over_tcp,
+                "{name}: chan {over_chan} != tcp {over_tcp}"
+            );
+        }
+    }
+    assert_eq!((chan.requests, chan.errors), (4, 0));
+    assert_eq!(
+        chan.frames_rx, 6,
+        "the corrupt and the shed frame arrived too"
+    );
+    assert_eq!(chan.requests_shed, 1);
+    assert_eq!(tcp.bytes_rx, chan.bytes_rx + 4 * chan.frames_rx);
+    assert!(tcp.bytes_tx > chan.bytes_tx);
+    for books in [&chan, &tcp] {
+        // Five frames reached a worker: the shed one never did.
+        assert_eq!(books.queue_wait.count(), 5);
+        assert_eq!(books.service_time.count(), 5);
+        assert_eq!((books.queue_depth, books.busy_workers), (0, 0));
+    }
 }
 
 fn assert_manager_scrape_works(kind: TransportKind) {

@@ -27,7 +27,7 @@
 //! version byte [`VERSION_TRACED`]. Untraced requests keep version
 //! [`VERSION`] and the original layout, so `PVFS_TRACE=off` produces
 //! frames byte-identical to a pre-tracing build, and old-format frames
-//! decode unchanged ([`decode_message_traced`] accepts both).
+//! decode unchanged ([`decode_frame`] accepts both).
 
 use crate::limits::{list_request_fits_frame, MAX_LIST_REGIONS, MAX_VECTOR_RUNS};
 
@@ -100,7 +100,8 @@ const ERR_UNAVAILABLE: u8 = 12;
 const ERR_OVERLOADED: u8 = 13;
 
 /// A request frame in two parts: `head ‖ payload` is the wire frame,
-/// byte for byte what [`encode_message_traced`] produces in one buffer.
+/// byte for byte what [`encode_message`] produces in one buffer (plus
+/// the trace context, when there is one).
 ///
 /// In all three write requests the bulk payload is the last field, so
 /// the frame splits cleanly behind the payload's length word: `head` is
@@ -144,25 +145,20 @@ impl From<Bytes> for Frame {
 /// bulk payload). Always an untraced [`VERSION`] frame — the historical
 /// layout, byte for byte.
 pub fn encode_message(m: &Message) -> PvfsResult<Bytes> {
-    encode_message_traced(m, None)
-}
-
-/// Encode a request, attaching `ctx` as a [`VERSION_TRACED`] frame when
-/// present. `ctx: None` is byte-identical to [`encode_message`], which
-/// is what pins `PVFS_TRACE=off` to zero wire overhead.
-pub fn encode_message_traced(m: &Message, ctx: Option<TraceContext>) -> PvfsResult<Bytes> {
     // Exactly the frame: a frame sized short of its region list regrows,
     // and a regrow re-copies everything written so far.
-    let mut buf = BytesMut::with_capacity(head_len(m, ctx) + m.request.bulk_len() as usize);
-    if let Some(payload) = put_head(&mut buf, m, ctx)? {
+    let mut buf = BytesMut::with_capacity(head_len(m, None) + m.request.bulk_len() as usize);
+    if let Some(payload) = put_head(&mut buf, m, None)? {
         buf.put_slice(payload);
     }
     Ok(buf.freeze())
 }
 
-/// Encode a request as a two-part [`Frame`]: the same head encoder as
-/// [`encode_message_traced`], with a write's payload shared instead of
-/// copied behind it.
+/// Encode a request as a two-part [`Frame`] — the same head encoder as
+/// [`encode_message`], with a write's payload shared instead of copied
+/// behind it — attaching `ctx` as a [`VERSION_TRACED`] frame when
+/// present. `ctx: None` is byte-identical to [`encode_message`], which
+/// is what pins `PVFS_TRACE=off` to zero wire overhead.
 pub fn encode_frame(m: &Message, ctx: Option<TraceContext>) -> PvfsResult<Frame> {
     let mut buf = BytesMut::with_capacity(head_len(m, ctx));
     let payload = put_head(&mut buf, m, ctx)?.cloned().unwrap_or_default();
@@ -331,21 +327,16 @@ pub fn decode_frame_id(frame: &Bytes) -> Option<RequestId> {
     Some(RequestId(buf.get_u64_le()))
 }
 
-/// Decode a request frame produced by [`encode_message`] or
-/// [`encode_message_traced`], dropping any trace context.
+/// Decode a contiguous request frame, dropping any trace context.
 pub fn decode_message(buf: Bytes) -> PvfsResult<Message> {
-    decode_message_traced(buf).map(|(m, _)| m)
+    decode_frame(buf.into()).map(|(m, _)| m)
 }
 
-/// Decode a request frame, returning the trace context when the frame
-/// is a [`VERSION_TRACED`] one. Old-format ([`VERSION`]) frames decode
-/// exactly as before with `None` — backward compatibility is pinned by
-/// the codec regression and fuzz tests.
-pub fn decode_message_traced(buf: Bytes) -> PvfsResult<(Message, Option<TraceContext>)> {
-    decode_frame(buf.into())
-}
-
-/// Decode a request [`Frame`] — the one request decoder. A write's
+/// Decode a request [`Frame`] — the one request decoder — returning the
+/// trace context when the frame is a [`VERSION_TRACED`] one. Old-format
+/// ([`VERSION`]) frames decode exactly as before with `None` — backward
+/// compatibility is pinned by the codec regression and fuzz tests. A
+/// contiguous buffer converts with `.into()`. A write's
 /// payload is taken (as an O(1) view) from whichever part holds it: the
 /// tail of a contiguous frame, as a socket delivers it, or the payload
 /// part of a frame split at the head/payload boundary, as
@@ -833,7 +824,11 @@ fn get_span(buf: &mut Bytes) -> PvfsResult<Span> {
     })
 }
 
-fn check_list(regions: &RegionList) -> PvfsResult<()> {
+/// The limits every list request must meet, on the wire and at a
+/// daemon's door alike: at least one region, at most
+/// [`MAX_LIST_REGIONS`], header plus trailing data within one Ethernet
+/// frame.
+pub fn check_list(regions: &RegionList) -> PvfsResult<()> {
     if regions.is_empty() {
         return Err(PvfsError::protocol("list request with no regions"));
     }
@@ -1132,6 +1127,13 @@ fn get_u64(buf: &mut Bytes) -> PvfsResult<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A request's whole wire frame in one buffer, as a socket delivers
+    /// it.
+    pub(super) fn contiguous(m: &Message, ctx: Option<TraceContext>) -> PvfsResult<Bytes> {
+        let frame = encode_frame(m, ctx)?;
+        Ok([&frame.head[..], &frame.payload[..]].concat().into())
+    }
     use crate::limits::{ETHERNET_MTU, LIST_HEADER_SIZE};
 
     fn layout() -> StripeLayout {
@@ -1244,9 +1246,9 @@ mod tests {
             },
         ] {
             let m = msg(request);
-            let frame = encode_message_traced(&m, Some(ctx)).unwrap();
+            let frame = contiguous(&m, Some(ctx)).unwrap();
             assert_eq!(frame[2], VERSION_TRACED);
-            let (decoded, got) = decode_message_traced(frame).unwrap();
+            let (decoded, got) = decode_frame(frame.into()).unwrap();
             assert_eq!(decoded, m);
             assert_eq!(got, Some(ctx));
         }
@@ -1269,10 +1271,10 @@ mod tests {
         ] {
             let m = msg(request);
             let legacy = encode_message(&m).unwrap();
-            let untraced = encode_message_traced(&m, None).unwrap();
+            let untraced = contiguous(&m, None).unwrap();
             assert_eq!(legacy, untraced, "{}", m.request.op_name());
             assert_eq!(legacy[2], VERSION);
-            let (decoded, ctx) = decode_message_traced(legacy).unwrap();
+            let (decoded, ctx) = decode_frame(legacy.into()).unwrap();
             assert_eq!(decoded, m);
             assert_eq!(ctx, None, "old frames must carry no context");
         }
@@ -1290,7 +1292,7 @@ mod tests {
             parent: SpanId(2),
         };
         let plain = encode_message(&m).unwrap();
-        let traced = encode_message_traced(&m, Some(ctx)).unwrap();
+        let traced = contiguous(&m, Some(ctx)).unwrap();
         assert_eq!(traced.len(), plain.len() + 16);
     }
 
@@ -1300,7 +1302,7 @@ mod tests {
             trace: TraceId(7),
             parent: SpanId(8),
         };
-        let full = encode_message_traced(
+        let full = contiguous(
             &msg(Request::Read {
                 handle: FileHandle(1),
                 layout: layout(),
@@ -1311,7 +1313,7 @@ mod tests {
         .unwrap();
         for cut in 0..full.len() {
             assert!(
-                decode_message_traced(full.slice(0..cut)).is_err(),
+                decode_frame(full.slice(0..cut).into()).is_err(),
                 "cut at {cut} should fail"
             );
         }
@@ -1323,7 +1325,7 @@ mod tests {
             trace: TraceId(7),
             parent: SpanId(8),
         };
-        let full = encode_message_traced(
+        let full = contiguous(
             &msg(Request::Close {
                 handle: FileHandle(1),
             }),
@@ -1494,7 +1496,7 @@ mod tests {
         )));
         // Version-2 headers are recognized too (a traced client's
         // scrape frame must not sneak into the wire accounting).
-        let traced = encode_message_traced(
+        let traced = contiguous(
             &msg(Request::GetStats),
             Some(TraceContext {
                 trace: TraceId(1),
@@ -1943,7 +1945,7 @@ mod tests {
         }
     }
 
-    /// `Frame` against the contiguous encoder, traced and untraced:
+    /// `Frame` against the contiguous form, traced and untraced:
     /// `head ‖ payload` is the same bytes, the head is exactly the
     /// control part, the payload is the request's own buffer (shared,
     /// not copied), and both forms decode to the same message.
@@ -1953,7 +1955,12 @@ mod tests {
             parent: SpanId(0xf00d),
         };
         for ctx in [None, Some(ctx)] {
-            let whole = encode_message_traced(m, ctx).unwrap();
+            // Untraced, the contiguous encoder is the independent
+            // witness; traced, only the split form exists.
+            let whole = match ctx {
+                None => encode_message(m).unwrap(),
+                Some(_) => contiguous(m, ctx).unwrap(),
+            };
             let frame = encode_frame(m, ctx).unwrap();
             assert_eq!(
                 [&frame.head[..], &frame.payload[..]].concat(),
@@ -2085,6 +2092,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::contiguous;
     use super::*;
     use proptest::prelude::*;
 
@@ -2215,8 +2223,8 @@ mod proptests {
                 trace: TraceId(trace),
                 parent: SpanId(parent),
             };
-            let encoded = encode_message_traced(&m, Some(ctx)).unwrap();
-            let (decoded, got) = decode_message_traced(encoded).unwrap();
+            let encoded = contiguous(&m, Some(ctx)).unwrap();
+            let (decoded, got) = decode_frame(encoded.into()).unwrap();
             prop_assert_eq!(decoded, m);
             prop_assert_eq!(got, Some(ctx));
         }

@@ -21,8 +21,8 @@ use pvfs_disk::{
 use pvfs_proto::{Request, Response, MAX_BULK_BYTES};
 use pvfs_types::trace::{self, FlightRecorder, Span, SpanId, TraceContext};
 use pvfs_types::{
-    FileHandle, PvfsError, PvfsResult, Region, RegionList, ServerId, SharedHistogram,
-    StatsSnapshot, StripeLayout,
+    FileHandle, PvfsError, PvfsResult, Region, ServerId, SharedHistogram, StatsSnapshot,
+    StripeLayout,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -609,7 +609,7 @@ impl IoDaemon {
                 regions,
             } => {
                 self.stats.list_requests.fetch_add(1, Ordering::Relaxed);
-                self.check_list(regions)?;
+                pvfs_proto::check_list(regions)?;
                 let slot = self.slot_in(layout)?;
                 let count = regions.count() as u64;
                 self.gather(*handle, layout, slot, count, || regions.iter().copied())
@@ -621,7 +621,7 @@ impl IoDaemon {
                 data,
             } => {
                 self.stats.list_requests.fetch_add(1, Ordering::Relaxed);
-                self.check_list(regions)?;
+                pvfs_proto::check_list(regions)?;
                 let slot = self.slot_in(layout)?;
                 let (expected, owned) = owned_share(layout, slot, regions.iter().copied());
                 if data.len() as u64 != expected {
@@ -949,19 +949,6 @@ impl IoDaemon {
             }
         }
     }
-
-    fn check_list(&self, regions: &RegionList) -> Result<(), PvfsError> {
-        if regions.is_empty() {
-            return Err(PvfsError::protocol("empty region list"));
-        }
-        if regions.count() > pvfs_proto::MAX_LIST_REGIONS {
-            return Err(PvfsError::protocol(format!(
-                "list request with {} regions exceeds the trailing-data limit",
-                regions.count()
-            )));
-        }
-        Ok(())
-    }
 }
 
 /// Read this server's bytes of a logical region, in logical order,
@@ -1083,6 +1070,7 @@ fn apply_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pvfs_types::RegionList;
 
     fn layout() -> StripeLayout {
         StripeLayout::new(0, 4, 10).unwrap()
@@ -1925,6 +1913,7 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use pvfs_types::RegionList;
 
     /// This daemon's share of `regions` read off the flat model: the
     /// bytes of its stripe segments, concatenated in request order;

@@ -11,6 +11,10 @@
 //! every connection allocated a fresh receive buffer per frame. With one
 //! buffer per hop the same ops stay under the budgets below — and the
 //! count is exact, so it must repeat from one op to the next.
+//!
+//! The same pattern read with `Method::Multiple` is 1024 single-region
+//! RPCs, which pins the other end of the scale: the fixed cost of one
+//! client round, where `perf`'s `cyclic_multiple_read` is not run.
 
 use pvfs::client::PvfsFile;
 use pvfs::core::Method;
@@ -81,6 +85,13 @@ fn allocated_by(op: impl FnOnce()) -> (u64, u64) {
 
 const WRITE_BUDGET: f64 = 3.5;
 const READ_BUDGET: f64 = 3.2;
+/// What one single-region RPC over chan may ask the allocator for, all
+/// told (round bookkeeping, frame, hand-off, daemon dispatch, reply):
+/// 16.0 allocations and 1080 bytes today. Before the client's rounds
+/// shared one pipeline it was 17.0 — a round kept three vectors where
+/// it now keeps two.
+const RPC_ALLOCS: f64 = 16.1;
+const RPC_BYTES: f64 = 1100.0;
 
 #[test]
 fn a_list_op_allocates_a_fixed_small_multiple_of_its_payload() {
@@ -137,6 +148,28 @@ fn a_list_op_allocates_a_fixed_small_multiple_of_its_payload() {
 
         assert_eq!(writes[0], writes[1], "{kind}: write count is not exact");
         assert_eq!(reads[0], reads[1], "{kind}: read count is not exact");
+        if kind == TransportKind::Chan {
+            // Multiple I/O is one single-region RPC per region, each its
+            // own one-op round: 1024 × 128 B with no sockets and next to
+            // no payload, so what is counted is the round's fixed cost.
+            let mut read = |file: &mut PvfsFile| {
+                allocated_by(|| {
+                    file.read_list(&request.mem, &request.file, &mut back, Method::Multiple)
+                        .unwrap();
+                })
+            };
+            read(&mut file);
+            let rpcs = [read(&mut file), read(&mut file)];
+            assert_eq!(back, content, "{kind}: multiple read-back differs");
+            assert_eq!(rpcs[0], rpcs[1], "{kind}: multiple-read count is not exact");
+            let per_rpc = |n: u64| n as f64 / request.file.count() as f64;
+            let (allocs, bytes) = (per_rpc(rpcs[0].0), per_rpc(rpcs[0].1));
+            assert!(
+                allocs <= RPC_ALLOCS && bytes <= RPC_BYTES,
+                "one 128 B RPC costs {allocs:.2} allocations and {bytes:.0} bytes (budget \
+                 {RPC_ALLOCS} and {RPC_BYTES})"
+            );
+        }
         if kind == TransportKind::Tcp {
             let per_byte = |(_, bytes): (u64, u64)| bytes as f64 / payload as f64;
             let (w, r) = (per_byte(writes[0]), per_byte(reads[0]));
