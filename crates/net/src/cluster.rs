@@ -15,10 +15,12 @@
 //! and land them in **waves** → between waves fail reads over to a
 //! mirror, or back off and retry what failed transiently → assemble
 //! one response per op (a replicated write under its quorum). One
-//! `ship` (breaker admission, span, encode, [`Transport::start`]) and
-//! one `land` (wait, decode, attribute the id, feed latency and health,
-//! close the span) serve every attempt; a hedged read is only a
-//! different way to wait inside `land`. What distinguishes a `call`
+//! `ship` (breaker admission, then `launch`: span, encode,
+//! [`Transport::start`]) and one `land` (wait, decode, attribute the
+//! id, feed latency and health, close the span) serve every attempt; a
+//! hedged read is only a different way to wait inside `land`, its
+//! duplicate a second `launch` of an attempt admitted and judged once.
+//! What distinguishes a `call`
 //! from a round op is one parameter, `sole` (see `drive`).
 //!
 //! # RPC discipline
@@ -472,9 +474,13 @@ impl ClusterClient {
             };
             let (failovers, retries) = (due(false), due(true));
             // A failed write *copy* dooms nothing — its siblings may
-            // still make quorum; any other sub-op is all its op has.
-            let doomed = |s: &Sub| !s.quorum && matches!(s.progress, Progress::Failed(_));
-            if subs.iter().any(doomed) || failovers + retries == 0 {
+            // still make quorum; any other sub-op is all its op has, so
+            // its error is the round's, ahead of any sibling's transient
+            // one or pending failover.
+            if let Some(e) = subs.iter_mut().find_map(Sub::doom) {
+                return Err(e);
+            }
+            if failovers + retries == 0 {
                 break;
             }
             if failovers == 0 {
@@ -495,6 +501,8 @@ impl ClusterClient {
 
         // Assemble per op, in order: an op with one sub-op needs it
         // done; a replicated write needs `required()` of its copies.
+        // No failover is pending here and nothing doomed the round, so
+        // what is not done is out of attempts or a failed write copy.
         let (required, copies_per_write) =
             (self.replica.policy().required(), self.replica.replicas());
         for group in subs.chunk_by_mut(|a, b| a.op == b.op) {
@@ -620,24 +628,16 @@ impl ClusterClient {
         };
     }
 
-    /// Ship one attempt of one request: breaker admission, the
-    /// attempt's `rpc:<op>` span (opened before encode, its context
-    /// stamped into the frame so server-side spans parent under the
-    /// attempt; `send` child once the frame is away), encode under a
-    /// fresh request id, [`Transport::start`]. `notes` annotate the span
-    /// if shipping fails.
-    ///
-    /// A hedged read (see [`race`](Self::race)) ships on a waiter
-    /// thread instead: a stalled connect/send — an injected delay
-    /// fault, a jammed socket buffer — must not hold the hedge clock
-    /// hostage.
+    /// Ship one attempt of one request: breaker admission, then
+    /// [`launch`](Self::launch); a failure to get the frame away is fed
+    /// to the failure detector.
     fn ship(
         &self,
         target: RpcTarget,
         request: &Request,
         sole: bool,
         trace: Option<&ActiveTrace>,
-        mut notes: Vec<String>,
+        notes: Vec<String>,
     ) -> PvfsResult<Flight> {
         let mut hedged = false;
         if let RpcTarget::Server(server) = target {
@@ -650,6 +650,32 @@ impl ClusterClient {
             }
             hedged = sole && self.hedge.enabled && request.op_class() == OpClass::Read;
         }
+        self.launch(target, request, sole, hedged, trace, notes)
+            .inspect_err(|e| self.observe_failure(target, e))
+    }
+
+    /// Put one frame on the wire, off the books: the attempt's
+    /// `rpc:<op>` span (opened before encode, its context stamped into
+    /// the frame so server-side spans parent under the attempt; `send`
+    /// child once the frame is away), encode under a fresh request id,
+    /// [`Transport::start`]. `notes` annotate the span if that fails.
+    /// [`ship`](Self::ship) does the booking around it; the duplicate
+    /// of a hedged read comes here directly, so one read is admitted
+    /// and judged once however many frames carry it.
+    ///
+    /// A `hedged` read (see [`race`](Self::race)) starts on a waiter
+    /// thread instead: a stalled connect/send — an injected delay
+    /// fault, a jammed socket buffer — must not hold the hedge clock
+    /// hostage.
+    fn launch(
+        &self,
+        target: RpcTarget,
+        request: &Request,
+        sole: bool,
+        hedged: bool,
+        trace: Option<&ActiveTrace>,
+        mut notes: Vec<String>,
+    ) -> PvfsResult<Flight> {
         let span = trace.map(|a| (a, SpanId::next(), now_ns()));
         let ctx = span.map(|(a, sid, _)| a.ctx(sid));
         let (id, frame) = self.encode(request.clone(), ctx)?;
@@ -677,7 +703,6 @@ impl ClusterClient {
                         let (op, dur) = (request.op_name(), now_ns().saturating_sub(t0));
                         a.span_with_id(sid, a.root(), format!("rpc:{op}"), t0, dur, notes);
                     }
-                    self.observe_failure(target, &e);
                     return Err(blame(sole, target, id, e));
                 }
             }
@@ -776,7 +801,7 @@ impl ClusterClient {
     /// The *hedged* wait of one read: if the primary (shipping and
     /// waiting on its own thread, reporting into `lanes`) has not
     /// answered within a percentile of this daemon's observed read
-    /// latency ([`HedgePolicy`]), [`ship`](Self::ship) an identical
+    /// latency ([`HedgePolicy`]), [`launch`](Self::launch) an identical
     /// duplicate on a second connection and take whichever response
     /// arrives first. The loser drains on its waiter thread (bounded by
     /// the RPC deadline) so a late reply never crosses wires with a
@@ -809,15 +834,17 @@ impl ClusterClient {
             Err(RecvTimeoutError::Timeout) => {
                 // The primary is slower than the hedge trigger: fire the
                 // duplicate — one of two in flight now, so not `sole`. A
-                // failure to even ship it (full queue, dead transport)
+                // failure to even launch it (full queue, dead transport)
                 // falls back to the primary alone rather than failing
-                // the op.
+                // the op, and counts for nothing: the read was admitted
+                // once and its one outcome is booked in `land`.
+                let notes = vec!["hedge".into()];
                 if let Ok(Flight {
                     id,
                     span,
                     reply: Reply::Direct(pending),
                     ..
-                }) = self.ship(target, request, false, trace, vec!["hedge".into()])
+                }) = self.launch(target, request, false, false, trace, notes)
                 {
                     let timeout = self.rpc_timeout;
                     std::thread::spawn(move || {
@@ -1017,6 +1044,18 @@ impl Sub {
         }
     }
 
+    /// Take the error that dooms the whole operation, if this sub-op
+    /// holds one: it failed for good and is not one copy of a write.
+    fn doom(&mut self) -> Option<PvfsError> {
+        if self.quorum || !matches!(self.progress, Progress::Failed(_)) {
+            return None;
+        }
+        match std::mem::replace(&mut self.progress, Progress::Done) {
+            Progress::Failed(e) => Some(e),
+            _ => None,
+        }
+    }
+
     /// Span notes for this sub-op's attempt in retry wave `attempt`
     /// (none when the operation is untraced: nobody would read them).
     fn notes(&self, trace: Option<&ActiveTrace>, attempt: u32) -> Vec<String> {
@@ -1063,6 +1102,7 @@ mod tests {
     use crate::transport::{ChanNode, ChanTransport, NodeMsg};
     use crate::LiveCluster;
     use pvfs_proto::{decode_frame_id, encode_response};
+    use pvfs_replica::WriteQuorum;
     use pvfs_server::IodConfig;
     use pvfs_types::{FileHandle, Region, RegionList, StripeLayout};
 
@@ -1073,12 +1113,18 @@ mod tests {
     /// A client whose single "server 0" is the given raw channel (the
     /// manager slot is a dead end); for protocol-violation tests.
     fn client_over(fake_tx: Sender<NodeMsg>) -> ClusterClient {
+        client_over_all(vec![fake_tx])
+    }
+
+    /// Likewise, with one raw channel per server.
+    fn client_over_all(fake_txs: Vec<Sender<NodeMsg>>) -> ClusterClient {
         let (mgr_tx, _mgr_rx) = bounded::<NodeMsg>(1);
         // _mgr_rx may drop: these tests never address the manager.
         let bare = |tx| ChanNode { tx, service: None };
+        let iods = fake_txs.into_iter().map(bare).collect();
         ClusterClient::with_transport(
             ClientId(9),
-            Arc::new(ChanTransport::new(vec![bare(fake_tx)], bare(mgr_tx))),
+            Arc::new(ChanTransport::new(iods, bare(mgr_tx))),
             Arc::new(SerialGate::new()),
         )
     }
@@ -1448,6 +1494,111 @@ mod tests {
         assert_eq!(c.health().state(ServerId(0)), BreakerState::Closed);
         drop(c);
         fake.join().unwrap();
+    }
+
+    /// A round in which one daemon is silent and another refuses
+    /// outright fails with the refusal — the error that decided it —
+    /// whatever else is pending: a retry of the silent op (r = 1) or
+    /// its failover to a mirror (r = 2), which has no error of its own
+    /// to report.
+    #[test]
+    fn round_surfaces_the_refusal_over_a_pending_retry_or_failover() {
+        for replicas in [1, 2] {
+            let (silent_tx, silent_rx) = bounded::<NodeMsg>(8);
+            let (refusing_tx, refusing_rx) = bounded::<NodeMsg>(8);
+            let silent = std::thread::spawn(move || {
+                // Every reply channel drops unanswered.
+                while let Ok(NodeMsg::Rpc(..)) = silent_rx.recv() {}
+            });
+            let refusing = std::thread::spawn(move || {
+                while let Ok(NodeMsg::Rpc(frame, reply, _)) = refusing_rx.recv() {
+                    let id = decode_frame_id(&frame.head).unwrap();
+                    let refusal = Response::Error(PvfsError::invalid("no such region"));
+                    let _ = reply.send(encode_response(id, &refusal));
+                }
+            });
+            let policy = ReplicaPolicy::new(replicas, WriteQuorum::All, 2).unwrap();
+            let c = client_over_all(vec![silent_tx, refusing_tx])
+                .with_retry_policy(RetryPolicy::default())
+                .with_breaker_policy(BreakerPolicy::off())
+                .with_replica_policy(policy);
+            let read = |server| {
+                let request = Request::Read {
+                    handle: FileHandle(1),
+                    layout: layout(2),
+                    region: Region::new(0, 32),
+                };
+                (ServerId(server), request)
+            };
+            let err = c.round(vec![read(0), read(1)]).unwrap_err();
+            assert!(
+                matches!(&err, PvfsError::InvalidArgument(m) if m.contains("iod1")),
+                "r = {replicas}: got {err:?}"
+            );
+            assert_eq!(c.stats().replica_failovers, u64::from(replicas - 1));
+            drop(c);
+            silent.join().unwrap();
+            refusing.join().unwrap();
+        }
+    }
+
+    /// A hedged read is one read: admitted once, judged once. A hedge
+    /// that cannot even be launched falls back to the primary and
+    /// counts for nothing — here, with a breaker that trips on one
+    /// failure, the transport refuses the duplicate, the slow primary
+    /// answers, and the daemon's record stays clean.
+    #[test]
+    fn a_hedge_that_cannot_launch_counts_for_nothing() {
+        struct SlowReply(Bytes);
+        impl PendingReply for SlowReply {
+            fn wait(self: Box<Self>, _: Duration) -> Result<Bytes, WaitError> {
+                std::thread::sleep(Duration::from_millis(60));
+                Ok(self.0)
+            }
+        }
+        /// Serves the first frame, slowly; refuses every later one.
+        struct OneLane(AtomicU64);
+        impl Transport for OneLane {
+            fn n_servers(&self) -> u32 {
+                1
+            }
+            fn start(&self, _: RpcTarget, frame: Frame) -> PvfsResult<Box<dyn PendingReply>> {
+                if self.0.fetch_add(1, Ordering::Relaxed) > 0 {
+                    return Err(PvfsError::Transport("no second lane".into()));
+                }
+                let id = decode_frame_id(&frame.head).unwrap();
+                let reply = encode_response(id, &Response::LocalSize { size: 7 });
+                Ok(Box::new(SlowReply(reply)))
+            }
+            fn kind(&self) -> crate::TransportKind {
+                crate::TransportKind::Chan
+            }
+        }
+        let transport = Arc::new(OneLane(AtomicU64::new(0)));
+        let gate = Arc::new(SerialGate::new());
+        let c = ClusterClient::with_transport(ClientId(9), transport.clone(), gate)
+            .with_retry_policy(RetryPolicy::none())
+            .with_hedge_policy(HedgePolicy::on())
+            .with_breaker_policy(BreakerPolicy {
+                threshold: 1,
+                open_for: Duration::from_secs(60),
+            });
+        let read = Request::Read {
+            handle: FileHandle(1),
+            layout: layout(1),
+            region: Region::new(0, 16),
+        };
+        let response = c.call(RpcTarget::Server(ServerId(0)), read).unwrap();
+        assert_eq!(response, Response::LocalSize { size: 7 });
+        assert_eq!(
+            transport.0.load(Ordering::Relaxed),
+            2,
+            "the hedge was tried"
+        );
+        let stats = c.stats();
+        assert_eq!((stats.hedges_sent, stats.breaker_rejections), (0, 0));
+        assert_eq!(c.health().total_trips(), 0);
+        assert_eq!(c.health().state(ServerId(0)), BreakerState::Closed);
     }
 
     /// `attribute` is where `sole` meets the reserved id: a lone RPC
