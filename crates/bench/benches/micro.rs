@@ -80,14 +80,20 @@ fn bench_piecemap(c: &mut Criterion) {
     g.warm_up_time(Duration::from_millis(300));
     g.measurement_time(Duration::from_secs(2));
     let req = ListRequest::gather(strided(65_536, 64, 100));
-    let map = PieceMap::new(req.pieces().unwrap());
+    let map = PieceMap::new(&req.mem, &req.file).unwrap();
     g.bench_function("lookup_64k_pieces", |b| {
-        let mut out = Vec::with_capacity(8);
         b.iter(|| {
-            out.clear();
-            map.slices_for(black_box(Region::new(3_276_800, 64)), &mut out);
-            out.len()
+            let mut slices = 0usize;
+            map.for_each_slice(black_box(Region::new(3_276_800, 64)), |_| slices += 1);
+            slices
         })
+    });
+    // One FLASH checkpoint op: 98 304 eight-byte memory fragments
+    // feeding 192 × 4 KiB file regions.
+    let mem = strided(98_304, 8, 192);
+    let file = strided(192, 4096, 1 << 20);
+    g.bench_function("piece_map_build_98304x192", |b| {
+        b.iter(|| PieceMap::new(black_box(&mem), black_box(&file)).unwrap())
     });
     g.finish();
 }

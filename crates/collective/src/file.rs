@@ -44,7 +44,7 @@ use pvfs_client::{ExecReport, PvfsFile};
 use pvfs_core::{Method, PieceMap};
 use pvfs_net::{ActiveTrace, ClusterClient};
 use pvfs_types::trace::now_ns;
-use pvfs_types::{PvfsError, PvfsResult, Region, RegionList, StripeLayout};
+use pvfs_types::{aligned, Aligned, PvfsError, PvfsResult, Region, RegionList, StripeLayout};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -210,8 +210,8 @@ impl CollectiveFile {
             .map(|_| PieceBatch::default())
             .collect();
         let layout = self.file.layout();
-        for (m, f) in &pieces {
-            for seg in layout.segments(*f) {
+        for (m, f) in pieces {
+            for seg in layout.segments(f) {
                 let agg = dmap.aggregator_of_slot(seg.slot);
                 let src = (m.offset + (seg.logical.offset - f.offset)) as usize;
                 outbound[agg].push(seg.logical, &buf[src..src + seg.logical.len as usize]);
@@ -286,7 +286,7 @@ impl CollectiveFile {
         let active = self.file.client().tracer().begin("read_all");
         let plan_started = Instant::now();
         let plan_ns0 = now_ns();
-        let local = validate_local(mem, file, buf.len());
+        let local = validate_local(mem, file, buf.len()).and_then(|_| PieceMap::new(mem, file));
         let mut plan_ns = plan_started.elapsed().as_nanos() as u64;
         phase_span(&active, "phase_plan", plan_ns0);
         let exchange_started = Instant::now();
@@ -302,7 +302,7 @@ impl CollectiveFile {
         }
         let plan_started = Instant::now();
         let plan_ns0 = now_ns();
-        let pieces = local.expect("checked above");
+        let map = local.expect("checked above");
         let all_files: Vec<RegionList> = shared.into_iter().map(|(f, _)| f).collect();
         let dmap = DomainMap::new(self.file.layout(), self.comm.size(), &self.config)?;
         plan_ns += plan_started.elapsed().as_nanos() as u64;
@@ -358,19 +358,15 @@ impl CollectiveFile {
         phase_span(&active, "phase_exchange", exchange_ns0);
         let merge_started = Instant::now();
         let merge_ns0 = now_ns();
-        let map = PieceMap::new(pieces);
-        let mut slices = Vec::new();
         for env in inbox {
             let batch: PieceBatch = env.msg;
             let mut doff = 0usize;
             for r in &batch.regions {
-                slices.clear();
-                map.slices_for(*r, &mut slices);
-                for s in &slices {
+                map.for_each_slice(*r, |s| {
                     let (o, l) = (s.offset as usize, s.len as usize);
                     buf[o..o + l].copy_from_slice(&batch.data[doff..doff + l]);
                     doff += l;
-                }
+                });
             }
         }
         report.phase_merge_ns += merge_started.elapsed().as_nanos() as u64;
@@ -505,20 +501,10 @@ fn phase_span(active: &Option<ActiveTrace>, op: &str, started_ns: u64) {
 }
 
 /// Per-rank argument checks, permitting the fully-empty request a
-/// non-contributing rank passes. Returns the aligned (memory, file)
-/// transfer pieces.
-fn validate_local(
-    mem: &RegionList,
-    file: &RegionList,
-    buf_len: usize,
-) -> PvfsResult<Vec<(Region, Region)>> {
-    if mem.total_len() != file.total_len() {
-        return Err(PvfsError::invalid(format!(
-            "memory list covers {} bytes but file list covers {}",
-            mem.total_len(),
-            file.total_len()
-        )));
-    }
+/// non-contributing rank passes. Returns the lazy walk over the aligned
+/// (memory, file) transfer pieces.
+fn validate_local(mem: &RegionList, file: &RegionList, buf_len: usize) -> PvfsResult<Aligned> {
+    let pieces = aligned(mem, file)?; // equal totals
     if !file.is_sorted_disjoint() {
         return Err(PvfsError::invalid(
             "collective I/O requires a sorted, disjoint file list per rank",
@@ -532,7 +518,7 @@ fn validate_local(
             )));
         }
     }
-    pvfs_types::align_lists(mem, file)
+    Ok(pieces)
 }
 
 /// Byte offset of each region inside the window's packed staging

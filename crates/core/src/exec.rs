@@ -96,12 +96,12 @@ fn op_target(op: &OpKind) -> &Target {
     }
 }
 
-/// Memory slices backing file subregion `file` under `target`, appended
-/// to `out` in file order.
-fn target_slices(target: &Target, file: Region, out: &mut Vec<MemSlice>) {
+/// Call `f` with each memory slice backing file subregion `file` under
+/// `target`, in file order.
+fn for_each_slice(target: &Target, file: Region, mut f: impl FnMut(MemSlice)) {
     match target {
-        Target::Pieces(map) => map.slices_for(file, out),
-        Target::Window { temp, base } => out.push(MemSlice {
+        Target::Pieces(map) => map.for_each_slice(file, f),
+        Target::Window { temp, base } => f(MemSlice {
             space: Space::Temp(*temp),
             offset: file.offset - base,
             len: file.len,
@@ -109,12 +109,50 @@ fn target_slices(target: &Target, file: Region, out: &mut Vec<MemSlice>) {
     }
 }
 
+/// Call `f` with each slice of client memory that stripe slot `slot`'s
+/// share of `op` streams through, in wire order (each region in request
+/// order, each of the slot's segments of it in logical order — the
+/// daemon's convention); returns how many contiguous
+/// memory fragments that is — the unit the client cost model charges
+/// per-fragment processing for. A pieces target pays per slice, a
+/// window streams contiguously: one fragment per op.
+fn for_each_share_slice(
+    op: &OpKind,
+    layout: &StripeLayout,
+    slot: u32,
+    mut f: impl FnMut(MemSlice),
+) -> u64 {
+    let target = op_target(op);
+    let mut slices = 0u64;
+    for_each_region(op, |region| {
+        for seg in layout.segments(region) {
+            if seg.slot == slot {
+                for_each_slice(target, seg.logical, |s| {
+                    slices += 1;
+                    f(s)
+                });
+            }
+        }
+    });
+    match target {
+        Target::Pieces(_) => slices,
+        Target::Window { .. } => slices.min(1),
+    }
+}
+
+/// The stripe slot `server` holds under `layout`, if it holds one.
+fn slot_of(layout: &StripeLayout, server: ServerId) -> Option<u32> {
+    server
+        .0
+        .checked_sub(layout.base)
+        .filter(|slot| *slot < layout.pcount)
+}
+
 /// Bytes of this op stored on `server`.
 pub fn server_share(op: &OpKind, layout: &StripeLayout, server: ServerId) -> u64 {
-    if server.0 < layout.base || server.0 >= layout.base + layout.pcount {
+    let Some(slot) = slot_of(layout, server) else {
         return 0;
-    }
-    let slot = server.0 - layout.base;
+    };
     let mut share = 0;
     for_each_region(op, |r| share += layout.bytes_on_slot(r, slot));
     share
@@ -189,37 +227,14 @@ pub fn gather_payload_counted<'a>(
 ) -> (Bytes, u64) {
     debug_assert!(op.is_write());
     let bufs = bufs.into();
-    let slot = server.0 - layout.base;
+    let Some(slot) = slot_of(layout, server) else {
+        return (Bytes::new(), 0);
+    };
     let mut payload = Vec::with_capacity(server_share(op, layout, server) as usize);
-    let target = op_target(op);
-    let mut slices = Vec::with_capacity(4);
-    let mut fragments = 0u64;
-    for_each_region(op, |region| {
-        for seg in layout.segments(region) {
-            if seg.slot != slot {
-                continue;
-            }
-            slices.clear();
-            target_slices(target, seg.logical, &mut slices);
-            fragments += fragment_increment(target, &slices);
-            for s in &slices {
-                payload.extend_from_slice(bufs.slice(*s));
-            }
-        }
+    let fragments = for_each_share_slice(op, layout, slot, |s| {
+        payload.extend_from_slice(bufs.slice(s))
     });
-    if matches!(target, Target::Window { .. }) && !payload.is_empty() {
-        fragments = 1; // windows stream contiguously: one fragment per op
-    }
     (Bytes::from(payload), fragments)
-}
-
-/// Pieces targets pay per memory slice; window targets are counted as a
-/// single fragment by their caller.
-fn fragment_increment(target: &Target, slices: &[MemSlice]) -> u64 {
-    match target {
-        Target::Window { .. } => 0,
-        Target::Pieces(_) => slices.len() as u64,
-    }
 }
 
 /// Scatter a read response from `server` into the op's destination
@@ -241,30 +256,16 @@ pub fn scatter_response(
             data.len()
         )));
     }
-    let slot = server.0 - layout.base;
-    let target = op_target(op);
+    let Some(slot) = slot_of(layout, server) else {
+        return Ok(0); // no share, and the reply was checked to be empty
+    };
     let mut consumed = 0usize;
-    let mut fragments = 0u64;
-    let mut slices = Vec::with_capacity(4);
-    for_each_region(op, |region| {
-        for seg in layout.segments(region) {
-            if seg.slot != slot {
-                continue;
-            }
-            slices.clear();
-            target_slices(target, seg.logical, &mut slices);
-            fragments += fragment_increment(target, &slices);
-            for s in &slices {
-                let n = s.len as usize;
-                bufs.slice_mut(*s)
-                    .copy_from_slice(&data[consumed..consumed + n]);
-                consumed += n;
-            }
-        }
+    let fragments = for_each_share_slice(op, layout, slot, |s| {
+        let n = s.len as usize;
+        bufs.slice_mut(s)
+            .copy_from_slice(&data[consumed..consumed + n]);
+        consumed += n;
     });
-    if matches!(target, Target::Window { .. }) && !data.is_empty() {
-        fragments = 1;
-    }
     debug_assert_eq!(consumed, data.len());
     Ok(fragments)
 }
@@ -343,14 +344,18 @@ pub fn copy_bytes(pairs: &[CopyPair]) -> u64 {
 mod tests {
     use super::*;
     use crate::plan::PieceMap;
+    use pvfs_types::RegionList;
     use std::sync::Arc;
 
     fn layout() -> StripeLayout {
         StripeLayout::new(0, 4, 10).unwrap()
     }
 
-    fn pieces_target(pieces: Vec<(Region, Region)>) -> Target {
-        Target::Pieces(Arc::new(PieceMap::new(pieces)))
+    /// A pieces target mapping the `(offset, len)` memory regions onto
+    /// the file regions.
+    fn pieces_target(mem: &[(u64, u64)], file: &[(u64, u64)]) -> Target {
+        let list = |pairs: &[(u64, u64)]| RegionList::from_pairs(pairs.iter().copied()).unwrap();
+        Target::Pieces(Arc::new(PieceMap::new(&list(mem), &list(file)).unwrap()))
     }
 
     #[test]
@@ -367,13 +372,49 @@ mod tests {
         let l = layout();
         let op = OpKind::Read {
             region: Region::new(5, 20),
-            dest: pieces_target(vec![(Region::new(0, 20), Region::new(5, 20))]),
+            dest: pieces_target(&[(0, 20)], &[(5, 20)]),
         };
         assert_eq!(server_share(&op, &l, ServerId(0)), 5);
         assert_eq!(server_share(&op, &l, ServerId(1)), 10);
         assert_eq!(server_share(&op, &l, ServerId(2)), 5);
         assert_eq!(server_share(&op, &l, ServerId(3)), 0);
         assert_eq!(server_share(&op, &l, ServerId(99)), 0);
+    }
+
+    #[test]
+    fn ops_addressed_outside_the_layout_have_an_empty_share() {
+        // Servers 2..6 hold the file; 0 is below `base`, 6 past the end.
+        // `server.0 - base` used to be computed before any range check:
+        // an overflow panic in debug builds, a wrapped slot in release.
+        let l = StripeLayout::new(2, 4, 10).unwrap();
+        let mut user: Vec<u8> = (0..20u8).collect();
+        let mut temps = vec![];
+        let mut bufs = Buffers {
+            user: &mut user,
+            temps: &mut temps,
+        };
+        let target = pieces_target(&[(0, 20)], &[(5, 20)]);
+        let write = OpKind::Write {
+            region: Region::new(5, 20),
+            src: target.clone(),
+        };
+        let read = OpKind::Read {
+            region: Region::new(5, 20),
+            dest: target,
+        };
+        for outsider in [ServerId(0), ServerId(1), ServerId(6)] {
+            assert_eq!(server_share(&write, &l, outsider), 0);
+            let (payload, fragments) = gather_payload_counted(&write, &l, outsider, &bufs);
+            assert_eq!((payload.len(), fragments), (0, 0));
+            assert_eq!(
+                scatter_response(&read, &l, outsider, &[], &mut bufs).unwrap(),
+                0
+            );
+            assert!(scatter_response(&read, &l, outsider, &[1], &mut bufs).is_err());
+        }
+        // The in-range neighbours are unaffected: slot 0 is server 2.
+        assert_eq!(gather_payload(&write, &l, ServerId(2), &bufs).len(), 5);
+        assert_eq!(user, (0..20u8).collect::<Vec<_>>());
     }
 
     #[test]
@@ -389,7 +430,7 @@ mod tests {
         };
         let op = OpKind::Write {
             region: Region::new(5, 20),
-            src: pieces_target(vec![(Region::new(0, 20), Region::new(5, 20))]),
+            src: pieces_target(&[(0, 20)], &[(5, 20)]),
         };
         let payload = gather_payload(&op, &l, ServerId(1), &bufs);
         // Server 1's bytes are file [10,20) => mem [5,15) => values 5..15.
@@ -407,7 +448,7 @@ mod tests {
         };
         let op = OpKind::Read {
             region: Region::new(5, 20),
-            dest: pieces_target(vec![(Region::new(0, 20), Region::new(5, 20))]),
+            dest: pieces_target(&[(0, 20)], &[(5, 20)]),
         };
         // Server 1 returns its 10 bytes (file [10, 20)).
         scatter_response(&op, &l, ServerId(1), &[9u8; 10], &mut bufs).unwrap();
@@ -427,7 +468,7 @@ mod tests {
         };
         let op = OpKind::Read {
             region: Region::new(5, 20),
-            dest: pieces_target(vec![(Region::new(0, 20), Region::new(5, 20))]),
+            dest: pieces_target(&[(0, 20)], &[(5, 20)]),
         };
         assert!(scatter_response(&op, &l, ServerId(1), &[9u8; 3], &mut bufs).is_err());
     }
@@ -567,11 +608,8 @@ mod tests {
         // Write then read a two-region list against a single daemon's
         // convention (both regions on server 0).
         let l = layout();
-        let regions = pvfs_types::RegionList::from_pairs([(0, 5), (40, 5)]).unwrap();
-        let map = pieces_target(vec![
-            (Region::new(0, 5), Region::new(0, 5)),
-            (Region::new(5, 5), Region::new(40, 5)),
-        ]);
+        let regions = RegionList::from_pairs([(0, 5), (40, 5)]).unwrap();
+        let map = pieces_target(&[(0, 10)], &[(0, 5), (40, 5)]);
         let mut user: Vec<u8> = (10..20u8).collect();
         let mut temps = vec![];
         let bufs = Buffers {
@@ -606,12 +644,7 @@ mod tests {
             count: 4,
         }];
         // Regions [0,2) [10,12) [20,22) [30,32): one per server.
-        let map = pieces_target(vec![
-            (Region::new(0, 2), Region::new(0, 2)),
-            (Region::new(2, 2), Region::new(10, 2)),
-            (Region::new(4, 2), Region::new(20, 2)),
-            (Region::new(6, 2), Region::new(30, 2)),
-        ]);
+        let map = pieces_target(&[(0, 8)], &[(0, 2), (10, 2), (20, 2), (30, 2)]);
         let op = OpKind::WriteVectors { runs, src: map };
         for s in 0..4 {
             assert_eq!(server_share(&op, &l, ServerId(s)), 2);

@@ -42,12 +42,16 @@ pub fn plan(
     layout: StripeLayout,
     config: &MethodConfig,
 ) -> PvfsResult<AccessPlan> {
-    let mut pieces = request.pieces()?;
-    pieces.sort_unstable_by_key(|(_, f)| f.offset);
-    let piece_map = Arc::new(PieceMap::new(pieces.clone()));
+    let piece_map = Arc::new(PieceMap::new(&request.mem, &request.file)?);
 
     let items = match kind {
-        IoKind::Read => build_read_items(&pieces, request, config),
+        // Only the sieved windows need the pieces themselves (their copy
+        // lists are cut from them), so only reads materialise them.
+        IoKind::Read => {
+            let mut pieces = request.pieces()?;
+            pieces.sort_unstable_by_key(|(_, f)| f.offset);
+            build_read_items(&pieces, request, config)
+        }
         // Writes: coalesce gapless neighbours, then plain list chunks.
         IoKind::Write => request
             .file

@@ -32,7 +32,7 @@ pub fn plan(
             pvfs_proto::MAX_LIST_REGIONS
         )));
     }
-    let pieces = Arc::new(PieceMap::new(request.pieces()?));
+    let pieces = Arc::new(PieceMap::new(&request.mem, &request.file)?);
     // Chunk lazily over the request's own (shared) region list: every
     // chunk is an O(1) sub-list of it, so a million-region plan never
     // duplicates its regions — not per chunk, not per server, not once.

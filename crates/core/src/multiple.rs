@@ -15,7 +15,7 @@ use crate::method::MethodConfig;
 use crate::plan::{AccessPlan, IoKind, OpKind, PieceMap, PlanStats, Step, Target, WireOp};
 use crate::planutil::{servers_for, touched_count};
 use crate::request::ListRequest;
-use pvfs_types::{FileHandle, PvfsResult, StripeLayout};
+use pvfs_types::{aligned, FileHandle, PvfsResult, StripeLayout};
 use std::sync::Arc;
 
 /// Compile a multiple-I/O plan.
@@ -26,21 +26,23 @@ pub fn plan(
     layout: StripeLayout,
     _config: &MethodConfig,
 ) -> PvfsResult<AccessPlan> {
-    let pieces = request.pieces()?;
-    let piece_map = Arc::new(PieceMap::new(pieces.clone()));
-    let total = request.total_len();
+    // Two passes over one lazy walk of the aligned pieces — count, then
+    // stream the rounds — rather than one entry per piece held for the
+    // life of the plan.
+    let pieces = aligned(&request.mem, &request.file)?;
+    let piece_map = Arc::new(PieceMap::new(&request.mem, &request.file)?);
 
     let mut stats = PlanStats {
-        rounds: pieces.len() as u64,
-        useful_bytes: total,
+        useful_bytes: request.total_len(),
         ..PlanStats::default()
     };
-    for (_, file) in &pieces {
-        stats.requests += touched_count(&layout, *file);
+    for (_, file) in pieces.clone() {
+        stats.rounds += 1;
+        stats.requests += touched_count(&layout, file);
     }
     stats.contig_requests = stats.requests;
 
-    let steps = pieces.into_iter().map(move |(_, region)| {
+    let steps = pieces.map(move |(_, region)| {
         let ops = servers_for(&layout, [region])
             .into_iter()
             .map(|server| WireOp {

@@ -129,7 +129,7 @@ pub fn plan(
             pvfs_proto::MAX_VECTOR_RUNS
         )));
     }
-    let pieces = Arc::new(PieceMap::new(request.pieces()?));
+    let pieces = Arc::new(PieceMap::new(&request.mem, &request.file)?);
     let runs = compress_runs(request.file.regions());
     let chunks: Vec<Vec<VectorRun>> = runs
         .chunks(config.max_vector_runs)

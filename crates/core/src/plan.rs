@@ -12,7 +12,9 @@
 //! multiple-I/O plan would otherwise materialize a million rounds up
 //! front; the planners instead stream steps from compact state.
 
-use pvfs_types::{FileHandle, Region, RegionList, ServerId, StripeLayout};
+use pvfs_types::{
+    AlignCursor, FileHandle, PvfsError, PvfsResult, Region, RegionList, ServerId, StripeLayout,
+};
 use std::fmt;
 use std::sync::Arc;
 
@@ -54,64 +56,132 @@ pub struct CopyPair {
     pub src: MemSlice,
 }
 
-/// The scatter/gather map of one request: aligned (memory, file) pieces
-/// sorted by file offset, supporting O(log n) lookup of the memory
-/// slices backing any file subregion.
+/// Every `MARK_STRIDE`-th region of each list has its byte-stream offset
+/// recorded; a lookup walks fewer than this many regions past a mark.
+const MARK_STRIDE: usize = 64;
+
+/// The scatter/gather map of one request: which user-buffer slices back
+/// any file subregion.
+///
+/// The map is *implicit*: it holds the request's two region lists (O(1)
+/// clones sharing the caller's storage) and, for every
+/// [`MARK_STRIDE`]-th region of each, the offset of that region in the
+/// list's byte stream — `(n_mem + n_file) / 8` bytes, where the aligned
+/// (memory, file) pieces themselves would take 32 bytes each (3 MiB for
+/// one 768 KiB FLASH checkpoint op). The k-th byte of the file stream
+/// pairs with the k-th byte of the memory stream, so a lookup is one
+/// binary search over the sorted file list, one over the memory marks,
+/// a walk of fewer than `MARK_STRIDE` regions on each side, and then the
+/// same in-step walk [`pvfs_types::aligned`] makes, from there.
 ///
 /// Built once per [`crate::ListRequest`] and shared (`Arc`) by every
-/// wire op of the plan.
+/// wire op of the plan; never mutated, which is also what keeps the
+/// list clones O(1).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PieceMap {
-    /// (memory slice in user space, file region), sorted by file offset,
-    /// file-disjoint.
-    pieces: Vec<(Region, Region)>,
+    mem: RegionList,
+    /// Sorted and disjoint.
+    file: RegionList,
+    mem_marks: Vec<u64>,
+    file_marks: Vec<u64>,
+}
+
+/// Byte-stream offset of every `MARK_STRIDE`-th region, and the total.
+fn stream_marks(list: &RegionList) -> (Vec<u64>, u64) {
+    let mut marks = Vec::with_capacity(list.count().div_ceil(MARK_STRIDE));
+    let mut at = 0u64;
+    for block in list.regions().chunks(MARK_STRIDE) {
+        marks.push(at);
+        at += block.iter().map(|r| r.len).sum::<u64>();
+    }
+    (marks, at)
 }
 
 impl PieceMap {
-    /// Build from aligned pieces (as produced by
-    /// [`crate::ListRequest::pieces`]). Sorts by file offset.
-    pub fn new(mut pieces: Vec<(Region, Region)>) -> PieceMap {
-        pieces.sort_unstable_by_key(|(_, f)| f.offset);
-        debug_assert!(
-            pieces.windows(2).all(|w| w[0].1.end() <= w[1].1.offset),
-            "file pieces must be disjoint"
-        );
-        PieceMap { pieces }
+    /// Map a request's memory list onto its file list. Errors unless
+    /// the two cover the same number of bytes and the file list is
+    /// sorted and disjoint (what [`crate::ListRequest::validate`]
+    /// demands of a request).
+    pub fn new(mem: &RegionList, file: &RegionList) -> PvfsResult<PieceMap> {
+        let (mem_marks, mem_total) = stream_marks(mem);
+        let (file_marks, file_total) = stream_marks(file);
+        if mem_total != file_total {
+            return Err(PvfsError::invalid(format!(
+                "memory list covers {mem_total} bytes but file list covers {file_total}"
+            )));
+        }
+        if !file.is_sorted_disjoint() {
+            return Err(PvfsError::invalid(
+                "file regions must be sorted and disjoint",
+            ));
+        }
+        Ok(PieceMap {
+            mem: mem.clone(),
+            file: file.clone(),
+            mem_marks,
+            file_marks,
+        })
     }
 
-    /// Number of aligned pieces.
-    pub fn len(&self) -> usize {
-        self.pieces.len()
+    /// Where the walk over both lists stands at file offset `offset`,
+    /// or `None` when no file region holds that byte.
+    fn seek(&self, offset: u64) -> Option<AlignCursor> {
+        let (mem, file) = (self.mem.regions(), self.file.regions());
+        let file_index = file.partition_point(|r| r.end() <= offset);
+        let file_used = offset.checked_sub(file.get(file_index)?.offset)?;
+        // Stream position of `offset`: the mark behind its region, the
+        // regions between the two, the bytes into the region.
+        let block = file_index / MARK_STRIDE;
+        let skipped = &file[block * MARK_STRIDE..file_index];
+        let pos = self.file_marks[block] + skipped.iter().map(|r| r.len).sum::<u64>() + file_used;
+        // The memory region holding stream byte `pos`: the last mark at
+        // or before it (the first mark is 0), then forward. `pos` is
+        // inside the stream, so the walk stops on a region.
+        let block = self.mem_marks.partition_point(|&mark| mark <= pos) - 1;
+        let mut mem_index = block * MARK_STRIDE;
+        let mut at = self.mem_marks[block];
+        while at + mem[mem_index].len <= pos {
+            at += mem[mem_index].len;
+            mem_index += 1;
+        }
+        Some(AlignCursor::at(
+            mem,
+            mem_index,
+            pos - at,
+            file,
+            file_index,
+            file_used,
+        ))
     }
 
-    /// True when the map is empty.
-    pub fn is_empty(&self) -> bool {
-        self.pieces.is_empty()
-    }
-
-    /// The user-space memory slices backing file region `file`, in file
-    /// order. `file` must be fully covered by mapped pieces (planners
-    /// only ask about regions they derived from the same request).
-    pub fn slices_for(&self, file: Region, out: &mut Vec<MemSlice>) {
+    /// Call `f` with each user-space memory slice backing file region
+    /// `file`, in file order: one slice per aligned piece the region
+    /// touches, cut where either list's region ends. `file` must be
+    /// fully covered by mapped file regions (planners only ask about
+    /// regions they derived from the same request); it may span
+    /// adjacent ones.
+    pub fn for_each_slice(&self, file: Region, mut f: impl FnMut(MemSlice)) {
         if file.is_empty() {
             return;
         }
-        // First piece whose file end is beyond file.offset.
-        let mut idx = self.pieces.partition_point(|(_, f)| f.end() <= file.offset);
+        let (mem_list, file_list) = (self.mem.regions(), self.file.regions());
         let mut covered = 0;
-        while idx < self.pieces.len() && covered < file.len {
-            let (mem, f) = self.pieces[idx];
-            let Some(overlap) = f.intersect(file) else {
-                break;
-            };
-            let delta = overlap.offset - f.offset;
-            out.push(MemSlice {
-                space: Space::User,
-                offset: mem.offset + delta,
-                len: overlap.len,
-            });
-            covered += overlap.len;
-            idx += 1;
+        if let Some(mut at) = self.seek(file.offset) {
+            while let Some((mem, piece)) = at.step(mem_list, file_list) {
+                if piece.offset != file.offset + covered {
+                    break; // a gap in the file list inside `file`
+                }
+                let len = mem.len.min(file.len - covered);
+                f(MemSlice {
+                    space: Space::User,
+                    offset: mem.offset,
+                    len,
+                });
+                covered += len;
+                if covered == file.len {
+                    break;
+                }
+            }
         }
         debug_assert_eq!(covered, file.len, "file region {file} not fully mapped");
     }
@@ -299,69 +369,151 @@ impl fmt::Debug for AccessPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    type PiecePair = ((u64, u64), (u64, u64));
+    fn rl(pairs: &[(u64, u64)]) -> RegionList {
+        RegionList::from_pairs(pairs.iter().copied()).unwrap()
+    }
 
-    fn pm(pieces: &[PiecePair]) -> PieceMap {
-        PieceMap::new(
-            pieces
-                .iter()
-                .map(|((mo, ml), (fo, fl))| (Region::new(*mo, *ml), Region::new(*fo, *fl)))
-                .collect(),
-        )
+    fn user(offset: u64, len: u64) -> MemSlice {
+        MemSlice {
+            space: Space::User,
+            offset,
+            len,
+        }
+    }
+
+    fn slices(map: &PieceMap, file: Region) -> Vec<MemSlice> {
+        let mut out = Vec::new();
+        map.for_each_slice(file, |s| out.push(s));
+        out
     }
 
     #[test]
     fn piecemap_lookup_exact_piece() {
-        let map = pm(&[((0, 10), (100, 10)), ((10, 10), (200, 10))]);
-        let mut out = Vec::new();
-        map.slices_for(Region::new(200, 10), &mut out);
-        assert_eq!(
-            out,
-            vec![MemSlice {
-                space: Space::User,
-                offset: 10,
-                len: 10
-            }]
-        );
+        let map = PieceMap::new(&rl(&[(0, 20)]), &rl(&[(100, 10), (200, 10)])).unwrap();
+        assert_eq!(slices(&map, Region::new(200, 10)), vec![user(10, 10)]);
     }
 
     #[test]
     fn piecemap_lookup_partial_and_spanning() {
-        let map = pm(&[((0, 10), (100, 10)), ((10, 10), (110, 10))]);
-        let mut out = Vec::new();
-        map.slices_for(Region::new(105, 10), &mut out);
+        // One slice per aligned piece, also where only the file list
+        // has a boundary (the fragment counts of the cost model).
+        let map = PieceMap::new(&rl(&[(0, 20)]), &rl(&[(100, 10), (110, 10)])).unwrap();
         assert_eq!(
-            out,
-            vec![
-                MemSlice {
-                    space: Space::User,
-                    offset: 5,
-                    len: 5
-                },
-                MemSlice {
-                    space: Space::User,
-                    offset: 10,
-                    len: 5
-                },
-            ]
+            slices(&map, Region::new(105, 10)),
+            vec![user(5, 5), user(10, 5)]
         );
+        // …and where only the memory list has one, unsorted at that.
+        let map = PieceMap::new(&rl(&[(50, 4), (0, 16)]), &rl(&[(100, 20)])).unwrap();
+        assert_eq!(
+            slices(&map, Region::new(102, 6)),
+            vec![user(52, 2), user(0, 4)]
+        );
+        // The slice that ends the stream leaves the walk one past the
+        // last region of both lists.
+        assert_eq!(slices(&map, Region::new(119, 1)), vec![user(15, 1)]);
     }
 
     #[test]
-    fn piecemap_sorts_input() {
-        let map = pm(&[((10, 10), (200, 10)), ((0, 10), (100, 10))]);
-        let mut out = Vec::new();
-        map.slices_for(Region::new(100, 5), &mut out);
-        assert_eq!(out[0].offset, 0);
+    fn piecemap_rejects_what_a_request_may_not_be() {
+        let err = PieceMap::new(&rl(&[(0, 20)]), &rl(&[(200, 10), (100, 10)])).unwrap_err();
+        assert!(err.to_string().contains("sorted and disjoint"), "{err}");
+        let err = PieceMap::new(&rl(&[(0, 19)]), &rl(&[(100, 20)])).unwrap_err();
+        assert!(err.to_string().contains("19 bytes"), "{err}");
     }
 
     #[test]
     fn piecemap_empty_region_lookup() {
-        let map = pm(&[((0, 10), (100, 10))]);
-        let mut out = Vec::new();
-        map.slices_for(Region::new(100, 0), &mut out);
-        assert!(out.is_empty());
+        let map = PieceMap::new(&rl(&[(0, 10)]), &rl(&[(100, 10)])).unwrap();
+        assert!(slices(&map, Region::new(100, 0)).is_empty());
+    }
+
+    /// The slices the materialised pieces give for `file` — what
+    /// `PieceMap` computed when it held one entry per aligned piece.
+    fn slices_from_pieces(pieces: &[(Region, Region)], file: Region) -> Vec<MemSlice> {
+        pieces
+            .iter()
+            .filter_map(|(mem, f)| {
+                let overlap = f.intersect(file)?;
+                Some(user(mem.offset + (overlap.offset - f.offset), overlap.len))
+            })
+            .collect()
+    }
+
+    /// A sorted, disjoint file list of `n` regions (some adjacent) and
+    /// a memory list shredding the same total into regions of
+    /// `mem_len` bytes (the last one shorter), scattered out of order.
+    fn random_lists(
+        rng: &mut StdRng,
+        n: usize,
+        mem_len: std::ops::RangeInclusive<u64>,
+    ) -> (RegionList, RegionList) {
+        let mut file = Vec::with_capacity(n);
+        let mut at = rng.gen_range(0..100u64);
+        for _ in 0..n {
+            if rng.gen_bool(0.6) {
+                at += rng.gen_range(1..50u64);
+            }
+            let len = rng.gen_range(1..40u64);
+            file.push(Region::new(at, len));
+            at += len;
+        }
+        let mut left: u64 = file.iter().map(|r| r.len).sum();
+        let mut mem = Vec::new();
+        while left > 0 {
+            let len = rng.gen_range(mem_len.clone()).min(left);
+            // Slot k of a 256-byte grid, slots visited out of order.
+            let slot = mem.len() as u64 ^ 5;
+            mem.push(Region::new(slot * 256 + rng.gen_range(0..16u64), len));
+            left -= len;
+        }
+        (
+            RegionList::from_regions(mem).unwrap(),
+            RegionList::from_regions(file).unwrap(),
+        )
+    }
+
+    #[test]
+    fn implicit_map_yields_the_slices_of_the_materialised_pieces() {
+        let mut rng = StdRng::seed_from_u64(0x91EC_35A9);
+        // Region counts straddling the mark stride, then anything.
+        let counts = [1, 2, 63, 64, 65, 127, 128, 129, 300];
+        for round in 0..300 {
+            let n = match counts.get(round) {
+                Some(&n) => n,
+                None => rng.gen_range(1..=300usize),
+            };
+            let mem_len = if round % 2 == 0 { 1..=3 } else { 200..=200 };
+            let (mem, file) = random_lists(&mut rng, n, mem_len);
+            let map = PieceMap::new(&mem, &file).unwrap();
+            let pieces = pvfs_types::align_lists(&mem, &file).unwrap();
+            let check = |query: Region| {
+                assert_eq!(
+                    slices(&map, query),
+                    slices_from_pieces(&pieces, query),
+                    "round {round}: {n} file regions, query {query}"
+                );
+            };
+            for (i, r) in file.iter().enumerate() {
+                check(*r);
+                // Cut inside the region.
+                let lo = rng.gen_range(0..r.len);
+                let hi = rng.gen_range(lo + 1..=r.len);
+                check(Region::new(r.offset + lo, hi - lo));
+                // Across every region adjacent to this one, ends cut.
+                let mut end = r.end();
+                for next in &file.regions()[i + 1..] {
+                    if next.offset != end {
+                        break;
+                    }
+                    end = next.end();
+                    check(Region::new(r.offset + lo, end - (r.offset + lo)));
+                    check(Region::new(r.offset, end - 1 - r.offset));
+                }
+            }
+        }
     }
 
     #[test]

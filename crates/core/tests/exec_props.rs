@@ -51,7 +51,7 @@ proptest! {
     /// per server, for the list-op flavor.
     #[test]
     fn gather_then_scatter_is_identity(request in arb_request(), layout in arb_layout()) {
-        let pieces = Arc::new(PieceMap::new(request.pieces().unwrap()));
+        let pieces = Arc::new(PieceMap::new(&request.mem, &request.file).unwrap());
         let buf_len = request.mem.extent().map(|e| e.end()).unwrap_or(0) as usize;
         let source_copy: Vec<u8> =
             (0..buf_len).map(|i| (i as u8).wrapping_mul(37).wrapping_add(11)).collect();
@@ -108,7 +108,7 @@ proptest! {
     /// op flavor.
     #[test]
     fn shares_partition_total(request in arb_request(), layout in arb_layout()) {
-        let pieces = Arc::new(PieceMap::new(request.pieces().unwrap()));
+        let pieces = Arc::new(PieceMap::new(&request.mem, &request.file).unwrap());
         let regions = request.file.clone();
         let ops = vec![
             OpKind::ReadList { regions: regions.clone(), dest: Target::Pieces(pieces.clone()) },

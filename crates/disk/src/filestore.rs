@@ -20,7 +20,7 @@
 //! leaves fsync to explicit [`FileStore::sync`] barriers.
 
 use crate::backend::{CrashPoint, StorageBackend, StorageMetrics, SyncPolicy};
-use crate::journal::{Journal, JournalRecord};
+use crate::journal::{write_batch_record_len, Journal, JournalRecord};
 use pvfs_types::{PvfsError, PvfsResult};
 use std::fs::{File, OpenOptions};
 use std::io;
@@ -49,8 +49,9 @@ pub struct FileStore {
     last_sync: Instant,
     metrics: Arc<StorageMetrics>,
     crash: Option<CrashPoint>,
-    /// Set once an injected crash fires: the store is dead until the
-    /// daemon restarts, like a powered-off disk.
+    /// Set once an injected crash fires, or a failed journal append
+    /// cannot be cut back off: the store is dead until the daemon
+    /// restarts, like a powered-off disk.
     wedged: bool,
 }
 
@@ -149,22 +150,25 @@ impl FileStore {
     fn check_live(&self) -> PvfsResult<()> {
         if self.wedged {
             return Err(PvfsError::Storage(format!(
-                "store {} is wedged by an injected crash (restart the daemon to recover)",
+                "store {} is wedged by a crash or a journal it cannot append to \
+                 (restart the daemon to recover)",
                 self.data_path.display()
             )));
         }
         Ok(())
     }
 
-    /// Append one encoded record to the journal and count it.
-    fn append_record(&mut self, record: &[u8]) -> PvfsResult<()> {
-        self.journal
-            .append(record)
-            .map_err(|e| storage_err("append journal", &self.data_path, e))?;
+    /// Count the record a journal append committed, or fail the
+    /// operation it was for. A failed append was cut back off the
+    /// journal; where it could not be, nothing can commit behind it and
+    /// the store is dead until the daemon restarts.
+    fn committed(&mut self, appended: io::Result<u64>) -> PvfsResult<()> {
+        let len = appended.map_err(|e| {
+            self.wedged |= self.journal.is_torn();
+            storage_err("append journal", &self.data_path, e)
+        })?;
         self.metrics.journal_appends.fetch_add(1, Ordering::Relaxed);
-        self.metrics
-            .journal_bytes
-            .fetch_add(record.len() as u64, Ordering::Relaxed);
+        self.metrics.journal_bytes.fetch_add(len, Ordering::Relaxed);
         self.metrics.journal_depth.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -275,27 +279,29 @@ impl StorageBackend for FileStore {
     fn write_batch(&mut self, runs: &[(u64, &[u8])]) -> PvfsResult<()> {
         self.check_live()?;
         // Clamp each run at the edge of the address space (mirrors
-        // SparseStore: dropped, never wrapped) and drop empties.
-        let runs: Vec<(u64, &[u8])> = runs
-            .iter()
-            .map(|&(offset, data)| {
-                let addressable = u64::MAX - offset;
-                let keep = (data.len() as u64).min(addressable) as usize;
-                (offset, &data[..keep])
-            })
-            .filter(|(_, data)| !data.is_empty())
-            .collect();
+        // SparseStore: dropped, never wrapped) and drop empties. Sized
+        // up front, so the vector never regrows as it fills.
+        let mut kept: Vec<(u64, &[u8])> = Vec::with_capacity(runs.len());
+        for &(offset, data) in runs {
+            let addressable = u64::MAX - offset;
+            let keep = (data.len() as u64).min(addressable) as usize;
+            if keep > 0 {
+                kept.push((offset, &data[..keep]));
+            }
+        }
+        let runs = kept;
         if runs.is_empty() {
             return Ok(());
         }
-        // The one copy journaling costs: the caller's runs go straight
-        // into the record that is written to the journal.
-        let record = self.journal.encode_write_batch(&runs);
+        // Journaling copies nothing: the record's payloads go to the
+        // journal file from the caller's runs.
         if self.crash == Some(CrashPoint::TornJournal) {
             // Power cut mid-append: half the intent record reaches the
             // journal. The batch never committed.
+            let half = write_batch_record_len(&runs) / 2;
             self.journal
-                .append_torn(&record, record.len() / 2)
+                .append_write_batch(&runs, Some(half))
+                .and_then(|_| self.journal.sync())
                 .map_err(|e| storage_err("append journal", &self.data_path, e))?;
             self.wedged = true;
             return Err(PvfsError::Storage(format!(
@@ -303,7 +309,8 @@ impl StorageBackend for FileStore {
                 self.data_path.display()
             )));
         }
-        self.append_record(&record)?;
+        let appended = self.journal.append_write_batch(&runs, None);
+        self.committed(appended)?;
         let synced = self.sync_journal_per_policy()?;
         for (i, (offset, data)) in runs.iter().enumerate() {
             if self.crash == Some(CrashPoint::AfterCommit { applied: i }) {
@@ -345,8 +352,8 @@ impl StorageBackend for FileStore {
         }
         // Journaled: without this, replaying an older write record
         // would resurrect bytes past the new tail.
-        let record = self.journal.encode_truncate(size);
-        self.append_record(&record)?;
+        let appended = self.journal.append_truncate(size);
+        self.committed(appended)?;
         self.sync_journal_per_policy()?;
         self.data
             .set_len(size)

@@ -34,9 +34,17 @@
 //! one — at offset 0 after a checkpoint. Recovery stops at the first
 //! byte that is not a record; a record written anywhere else (past a
 //! hole a checkpoint left, behind a torn tail) would never replay.
+//!
+//! A record is never assembled in memory: one routine builds its head
+//! (everything up to the payloads), streams the checksum over the head
+//! and then the caller's runs where they lie, and appends
+//! `head ‖ runs ‖ checksum` with vectored writes. An append that fails
+//! part-way is cut back off the file before the error is returned, for
+//! the same reason `open` cuts a torn tail; if even that fails the
+//! journal refuses every later append ([`Journal::is_torn`]).
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::path::Path;
 
 /// Leading magic of every journal record.
@@ -47,6 +55,12 @@ const KIND_TRUNCATE: u8 = 2;
 
 /// Bytes of a record around its body: magic, kind, seq, checksum.
 const RECORD_OVERHEAD: usize = 4 + 1 + 8 + 8;
+
+/// Length of the record that commits `runs` as one write batch.
+pub fn write_batch_record_len(runs: &[(u64, &[u8])]) -> usize {
+    let payload: usize = runs.iter().map(|(_, data)| data.len()).sum();
+    RECORD_OVERHEAD + 4 + 16 * runs.len() + payload
+}
 
 /// One committed intent.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,25 +91,17 @@ impl JournalRecord {
     }
 }
 
-/// Serialize one record — `body` writes the `body_len` bytes between
-/// the sequence number and the trailing commit checksum — into a buffer
-/// allocated once at the record's exact size.
-fn encode_record(kind: u8, seq: u64, body_len: usize, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(RECORD_OVERHEAD + body_len);
-    buf.extend_from_slice(&RECORD_MAGIC);
-    buf.push(kind);
-    buf.extend_from_slice(&seq.to_le_bytes());
-    body(&mut buf);
-    let sum = fnv1a64(&buf);
-    buf.extend_from_slice(&sum.to_le_bytes());
-    debug_assert_eq!(buf.len(), RECORD_OVERHEAD + body_len);
-    buf
-}
-
 /// FNV-1a 64 — tiny, dependency-free, and plenty to distinguish a torn
 /// record from a committed one.
 pub fn fnv1a64(data: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a64_more(FNV_OFFSET_BASIS, data)
+}
+
+const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continue an FNV-1a 64 hash over `data`: hashing a buffer piece by
+/// piece gives the hash of the pieces concatenated.
+fn fnv1a64_more(mut hash: u64, data: &[u8]) -> u64 {
     for &b in data {
         hash ^= b as u64;
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
@@ -168,16 +174,50 @@ fn parse_record(buf: &[u8], pos: usize) -> Option<(JournalRecord, usize)> {
     Some((record, pos + sum_end))
 }
 
+/// What the journal appends to: a sink for bytes that can cut a failed
+/// append back off. A `File` in production; the tests substitute one
+/// that fails part-way.
+pub trait Tail: Write {
+    /// Shorten the file to `len` bytes.
+    fn cut_to(&mut self, len: u64) -> io::Result<()>;
+}
+
+impl Tail for File {
+    fn cut_to(&mut self, len: u64) -> io::Result<()> {
+        self.set_len(len)
+    }
+}
+
+/// Write every byte of `parts`, in order, with vectored writes. One
+/// call takes at most `IOV_MAX` slices and may write short, so resume
+/// from the byte count until nothing is left.
+fn write_all_vectored(out: &mut impl Write, mut parts: &mut [IoSlice<'_>]) -> io::Result<()> {
+    while !parts.is_empty() {
+        match out.write_vectored(parts) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
 /// The on-disk journal of one [`FileStore`](crate::FileStore).
 #[derive(Debug)]
-pub struct Journal {
-    file: File,
+pub struct Journal<F = File> {
+    file: F,
     /// Records committed since the last checkpoint.
     depth: u64,
-    /// Bytes appended since the last checkpoint.
+    /// Bytes appended since the last checkpoint (== the file's length
+    /// while the journal is not torn).
     bytes: u64,
     /// Next record sequence number.
     next_seq: u64,
+    /// Bytes sit behind the last committed record — a failed append
+    /// that could not be cut off, or an injected tear: nothing appended
+    /// now would replay.
+    torn: bool,
 }
 
 impl Journal {
@@ -211,58 +251,10 @@ impl Journal {
                 depth: records.len() as u64,
                 bytes: pos as u64,
                 next_seq,
+                torn: false,
             },
             records,
         ))
-    }
-
-    fn take_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
-    /// Encode the next write-batch record (consuming the sequence
-    /// number) straight from the caller's runs: the payload is copied
-    /// once, into the buffer that goes to the file.
-    pub fn encode_write_batch(&mut self, runs: &[(u64, &[u8])]) -> Vec<u8> {
-        let payload: usize = runs.iter().map(|(_, data)| data.len()).sum();
-        let body_len = 4 + 16 * runs.len() + payload;
-        encode_record(KIND_WRITE_BATCH, self.take_seq(), body_len, |buf| {
-            buf.extend_from_slice(&(runs.len() as u32).to_le_bytes());
-            for (offset, data) in runs {
-                buf.extend_from_slice(&offset.to_le_bytes());
-                buf.extend_from_slice(&(data.len() as u64).to_le_bytes());
-            }
-            for (_, data) in runs {
-                buf.extend_from_slice(data);
-            }
-        })
-    }
-
-    /// Encode the next truncate record.
-    pub fn encode_truncate(&mut self, size: u64) -> Vec<u8> {
-        encode_record(KIND_TRUNCATE, self.take_seq(), 8, |buf| {
-            buf.extend_from_slice(&size.to_le_bytes())
-        })
-    }
-
-    /// Append one encoded record: it is committed once this returns
-    /// (and durable once [`Journal::sync`] has).
-    pub fn append(&mut self, encoded: &[u8]) -> io::Result<()> {
-        self.file.write_all(encoded)?;
-        self.depth += 1;
-        self.bytes += encoded.len() as u64;
-        Ok(())
-    }
-
-    /// Crash injection: append only the first `keep` bytes of the
-    /// record — the torn tail a power cut mid-append leaves behind.
-    pub fn append_torn(&mut self, encoded: &[u8], keep: usize) -> io::Result<()> {
-        let keep = keep.min(encoded.len().saturating_sub(1));
-        self.file.write_all(&encoded[..keep])?;
-        self.file.sync_data()?;
-        Ok(())
     }
 
     /// Fsync the journal file (the commit barrier).
@@ -278,7 +270,109 @@ impl Journal {
         self.file.sync_data()?;
         self.depth = 0;
         self.bytes = 0;
+        self.torn = false;
         Ok(())
+    }
+}
+
+impl<F: Tail> Journal<F> {
+    /// Start the next record (consuming its sequence number): magic,
+    /// kind, sequence number, and room for `more` bytes of head.
+    fn head(&mut self, kind: u8, more: usize) -> Vec<u8> {
+        let mut head = Vec::with_capacity(RECORD_OVERHEAD - 8 + more);
+        head.extend_from_slice(&RECORD_MAGIC);
+        head.push(kind);
+        head.extend_from_slice(&self.next_seq.to_le_bytes());
+        self.next_seq += 1;
+        head
+    }
+
+    /// The one routine that writes a record: `head ‖ runs ‖ checksum`,
+    /// the payloads going to the file from where the caller holds them.
+    /// Returns the record's length; it is committed once this returns
+    /// (and durable once [`Journal::sync`] has).
+    ///
+    /// `keep` is crash injection: only the first `keep` bytes of the
+    /// record (never all of it) reach the file — the torn tail a power
+    /// cut mid-append leaves behind — and nothing is committed.
+    ///
+    /// On an error the bytes that did land are cut back off, so the next
+    /// append still sits directly behind the last committed record.
+    fn append(
+        &mut self,
+        head: &[u8],
+        runs: &[(u64, &[u8])],
+        keep: Option<usize>,
+    ) -> io::Result<u64> {
+        if self.torn {
+            return Err(io::Error::other(
+                "journal has a torn tail that could not be cut off",
+            ));
+        }
+        let mut sum = fnv1a64(head);
+        let mut len = head.len() + 8;
+        for (_, data) in runs {
+            sum = fnv1a64_more(sum, data);
+            len += data.len();
+        }
+        let sum = sum.to_le_bytes();
+        let mut left = keep.map_or(len, |keep| keep.min(len - 1));
+        // Sized once: regrowing this four times per append is what the
+        // allocation counters would see.
+        let mut parts = Vec::with_capacity(runs.len() + 2);
+        let payloads = runs.iter().map(|(_, data)| *data);
+        for part in std::iter::once(head).chain(payloads).chain([&sum[..]]) {
+            let part = &part[..part.len().min(left)];
+            left -= part.len();
+            if !part.is_empty() {
+                parts.push(IoSlice::new(part));
+            }
+        }
+        if let Err(e) = write_all_vectored(&mut self.file, &mut parts) {
+            self.torn = self.file.cut_to(self.bytes).is_err();
+            return Err(e);
+        }
+        if keep.is_some() {
+            self.torn = true;
+        } else {
+            self.depth += 1;
+            self.bytes += len as u64;
+        }
+        Ok(len as u64)
+    }
+
+    /// Commit one write batch — every `(offset, payload)` run of it, in
+    /// application order — as a single record; returns its length.
+    /// `tear` is crash injection: `Some(keep)` lets only the first `keep`
+    /// bytes of the record (never all of it) reach the file and commits
+    /// nothing.
+    pub fn append_write_batch(
+        &mut self,
+        runs: &[(u64, &[u8])],
+        tear: Option<usize>,
+    ) -> io::Result<u64> {
+        let mut head = self.head(KIND_WRITE_BATCH, 4 + 16 * runs.len());
+        head.extend_from_slice(&(runs.len() as u32).to_le_bytes());
+        for (offset, data) in runs {
+            head.extend_from_slice(&offset.to_le_bytes());
+            head.extend_from_slice(&(data.len() as u64).to_le_bytes());
+        }
+        self.append(&head, runs, tear)
+    }
+
+    /// Commit a truncate of the data file to `size` bytes; returns the
+    /// record's length.
+    pub fn append_truncate(&mut self, size: u64) -> io::Result<u64> {
+        let mut head = self.head(KIND_TRUNCATE, 8);
+        head.extend_from_slice(&size.to_le_bytes());
+        self.append(&head, &[], None)
+    }
+
+    /// True once a failed append could not be cut back off the file
+    /// (or a tear was injected): the journal accepts nothing more until
+    /// it is reopened, or checkpointed to empty.
+    pub fn is_torn(&self) -> bool {
+        self.torn
     }
 
     /// Records committed since the last checkpoint.
@@ -297,12 +391,51 @@ mod tests {
     use super::*;
     use crate::scratch::ScratchDir;
 
+    /// The contiguous encoding the journal used to build in memory
+    /// before appending it in one write — the reference the vectored
+    /// append's file bytes are held to.
+    fn reference_record(kind: u8, seq: u64, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&RECORD_MAGIC);
+        buf.push(kind);
+        buf.extend_from_slice(&seq.to_le_bytes());
+        body(&mut buf);
+        let sum = fnv1a64(&buf);
+        buf.extend_from_slice(&sum.to_le_bytes());
+        buf
+    }
+
+    fn reference_write_batch(seq: u64, runs: &[(u64, &[u8])]) -> Vec<u8> {
+        reference_record(KIND_WRITE_BATCH, seq, |buf| {
+            buf.extend_from_slice(&(runs.len() as u32).to_le_bytes());
+            for (offset, data) in runs {
+                buf.extend_from_slice(&offset.to_le_bytes());
+                buf.extend_from_slice(&(data.len() as u64).to_le_bytes());
+            }
+            for (_, data) in runs {
+                buf.extend_from_slice(data);
+            }
+        })
+    }
+
+    fn reference_truncate(seq: u64, size: u64) -> Vec<u8> {
+        reference_record(KIND_TRUNCATE, seq, |buf| {
+            buf.extend_from_slice(&size.to_le_bytes())
+        })
+    }
+
     /// Commit a write batch; returns its encoding and the record replay
     /// must hand back for it.
-    fn append_batch(j: &mut Journal, runs: &[(u64, &[u8])]) -> (Vec<u8>, JournalRecord) {
+    fn append_batch<F: Tail>(
+        j: &mut Journal<F>,
+        runs: &[(u64, &[u8])],
+    ) -> (Vec<u8>, JournalRecord) {
         let seq = j.next_seq;
-        let encoded = j.encode_write_batch(runs);
-        j.append(&encoded).unwrap();
+        let encoded = reference_write_batch(seq, runs);
+        assert_eq!(
+            j.append_write_batch(runs, None).unwrap(),
+            encoded.len() as u64
+        );
         let runs = runs.iter().map(|(o, d)| (*o, d.to_vec())).collect();
         (encoded, JournalRecord::WriteBatch { seq, runs })
     }
@@ -314,8 +447,7 @@ mod tests {
         let (mut j, replay) = Journal::open(&path).unwrap();
         assert!(replay.is_empty());
         let (_, a) = append_batch(&mut j, &[(0, b"abc"), (100, b"defg")]);
-        let truncate = j.encode_truncate(50);
-        j.append(&truncate).unwrap();
+        j.append_truncate(50).unwrap();
         let b = JournalRecord::Truncate { seq: 1, size: 50 };
         let (_, c) = append_batch(&mut j, &[(7, b"xy")]);
         assert_eq!(j.depth(), 3);
@@ -327,15 +459,181 @@ mod tests {
     }
 
     #[test]
-    fn records_are_encoded_into_exactly_sized_buffers() {
-        let dir = ScratchDir::new("journal-exact");
-        let (mut j, _) = Journal::open(&dir.path().join("j")).unwrap();
-        let batch = j.encode_write_batch(&[(0, &[1u8; 100]), (4096, &[2u8; 28])]);
-        assert_eq!(batch.len(), RECORD_OVERHEAD + 4 + 2 * 16 + 128);
-        assert_eq!(batch.capacity(), batch.len(), "sized once, never regrown");
-        let truncate = j.encode_truncate(9);
-        assert_eq!(truncate.len(), RECORD_OVERHEAD + 8);
-        assert_eq!(truncate.capacity(), truncate.len());
+    fn vectored_records_are_byte_identical_to_the_contiguous_encoding() {
+        let dir = ScratchDir::new("journal-golden");
+        let path = dir.path().join("j");
+        let (mut j, _) = Journal::open(&path).unwrap();
+        // More runs than one `writev` takes (IOV_MAX is 1024), an empty
+        // run among them, and a batch of none.
+        let payload: Vec<u8> = (0..5000u32).map(|i| (i * 7) as u8).collect();
+        let many: Vec<(u64, &[u8])> = payload
+            .chunks(3)
+            .enumerate()
+            .map(|(i, c)| (i as u64 * 10, c))
+            .collect();
+        assert!(many.len() > 1024);
+        let batches: [&[(u64, &[u8])]; 4] = [
+            &[(0, &[1u8; 100]), (4096, &[2u8; 28])],
+            &many,
+            &[(8, b""), (9, b"x")],
+            &[],
+        ];
+        let mut want = Vec::new();
+        for (seq, runs) in batches.into_iter().enumerate() {
+            let len = j.append_write_batch(runs, None).unwrap();
+            assert_eq!(len as usize, write_batch_record_len(runs));
+            want.extend(reference_write_batch(seq as u64, runs));
+        }
+        assert_eq!(j.append_truncate(9).unwrap() as usize, RECORD_OVERHEAD + 8);
+        want.extend(reference_truncate(4, 9));
+        assert_eq!(j.bytes(), want.len() as u64);
+        assert_eq!(j.depth(), 5);
+        drop(j);
+        assert!(
+            std::fs::read(&path).unwrap() == want,
+            "journal bytes differ"
+        );
+        let (_, replay) = Journal::open(&path).unwrap();
+        assert_eq!(replay.len(), 5);
+    }
+
+    #[test]
+    fn every_proper_prefix_of_a_record_is_discarded_at_open() {
+        // Every write boundary of an append: whatever prefix of the
+        // record a crash leaves — cut inside the head, inside either
+        // run, inside the checksum — commits nothing, and the record
+        // before it still replays.
+        let dir = ScratchDir::new("journal-prefixes");
+        let runs: [(u64, &[u8]); 2] = [(64, &[0xAA; 19]), (4096, b"second run")];
+        let len = write_batch_record_len(&runs);
+        for keep in 0..len {
+            let path = dir.path().join(format!("j{keep}"));
+            let (mut j, _) = Journal::open(&path).unwrap();
+            let (first, committed) = append_batch(&mut j, &[(0, b"committed")]);
+            assert_eq!(j.append_write_batch(&runs, Some(keep)).unwrap(), len as u64);
+            assert_eq!((j.depth(), j.bytes()), (1, first.len() as u64));
+            assert!(j.is_torn());
+            drop(j);
+            assert_eq!(
+                std::fs::metadata(&path).unwrap().len(),
+                (first.len() + keep) as u64
+            );
+            let (j, replay) = Journal::open(&path).unwrap();
+            assert_eq!(replay, vec![committed], "prefix of {keep} bytes");
+            assert_eq!(j.bytes(), first.len() as u64);
+        }
+        // Asking to keep the whole record still tears it.
+        let path = dir.path().join("all");
+        let (mut j, _) = Journal::open(&path).unwrap();
+        j.append_write_batch(&runs, Some(usize::MAX)).unwrap();
+        drop(j);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), len as u64 - 1);
+        assert!(Journal::open(&path).unwrap().1.is_empty());
+    }
+
+    /// A journal file that takes `budget` more bytes and then fails
+    /// every write (ENOSPC, as it were); optionally it cannot be cut
+    /// back either.
+    struct Flaky {
+        file: File,
+        budget: usize,
+        cut_fails: bool,
+    }
+
+    impl Write for Flaky {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.budget == 0 {
+                return Err(io::Error::other("injected: no space left on device"));
+            }
+            // Short on purpose: at most 7 bytes a call, so an append
+            // also has to resume mid-slice.
+            let n = buf.len().min(self.budget).min(7);
+            self.budget -= n;
+            self.file.write(&buf[..n])
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.file.flush()
+        }
+    }
+
+    impl Tail for Flaky {
+        fn cut_to(&mut self, len: u64) -> io::Result<()> {
+            if self.cut_fails {
+                return Err(io::Error::other("injected: cannot truncate"));
+            }
+            self.file.set_len(len)
+        }
+    }
+
+    fn flaky_journal(path: &Path, budget: usize, cut_fails: bool) -> Journal<Flaky> {
+        let (j, replay) = Journal::open(path).unwrap();
+        assert!(replay.is_empty());
+        Journal {
+            file: Flaky {
+                file: j.file,
+                budget,
+                cut_fails,
+            },
+            depth: 0,
+            bytes: 0,
+            next_seq: 0,
+            torn: false,
+        }
+    }
+
+    #[test]
+    fn failed_append_is_cut_off_so_the_next_commit_replays() {
+        // The bug: a `write_all` that failed part-way left its bytes at
+        // the tail, and the next (successful) record landed behind them
+        // — acknowledged, and gone at restart.
+        let dir = ScratchDir::new("journal-failed-append");
+        let lost: [(u64, &[u8]); 2] = [(0, &[0x11; 40]), (100, &[0x22; 40])];
+        let head = 13 + 4 + 2 * 16;
+        // Fail inside the head, inside the first run, inside the
+        // second, inside the checksum, and before a single byte.
+        for accepted in [0, 5, head + 3, head + 40 + 7, head + 80 + 2] {
+            let path = dir.path().join(format!("j{accepted}"));
+            let mut j = flaky_journal(&path, usize::MAX, false);
+            let (first, a) = append_batch(&mut j, &[(7, b"before")]);
+            j.file.budget = accepted;
+            let err = j.append_write_batch(&lost, None).unwrap_err();
+            assert!(err.to_string().contains("no space left"), "{err}");
+            assert_eq!((j.depth(), j.bytes()), (1, first.len() as u64));
+            assert!(!j.is_torn());
+            assert_eq!(
+                std::fs::metadata(&path).unwrap().len(),
+                first.len() as u64,
+                "{accepted} bytes of the failed record were left behind"
+            );
+            j.file.budget = usize::MAX;
+            let (_, b) = append_batch(&mut j, &[(9, b"after the failure")]);
+            assert_eq!(j.depth(), 2);
+            drop(j);
+            let (_, replay) = Journal::open(&path).unwrap();
+            assert_eq!(replay, vec![a, b], "failed after {accepted} bytes");
+        }
+    }
+
+    #[test]
+    fn a_tail_that_cannot_be_cut_off_refuses_later_appends() {
+        let dir = ScratchDir::new("journal-stuck-tail");
+        let path = dir.path().join("j");
+        let mut j = flaky_journal(&path, usize::MAX, true);
+        let (_, a) = append_batch(&mut j, &[(7, b"before")]);
+        j.file.budget = 20;
+        j.append_write_batch(&[(0, &[0x11; 40])], None).unwrap_err();
+        assert!(j.is_torn());
+        // Space is back, but a record written now would sit behind the
+        // torn bytes: refuse rather than acknowledge what cannot replay.
+        j.file.budget = usize::MAX;
+        let err = j.append_write_batch(&[(9, b"after")], None).unwrap_err();
+        assert!(err.to_string().contains("torn tail"), "{err}");
+        assert!(j.append_truncate(3).is_err());
+        assert_eq!(j.depth(), 1);
+        drop(j);
+        let (_, replay) = Journal::open(&path).unwrap();
+        assert_eq!(replay, vec![a]);
     }
 
     #[test]
@@ -344,8 +642,8 @@ mod tests {
         let path = dir.path().join("j");
         let (mut j, _) = Journal::open(&path).unwrap();
         let (_, committed) = append_batch(&mut j, &[(0, b"committed")]);
-        let torn = j.encode_write_batch(&[(64, &[0xAA; 128])]);
-        j.append_torn(&torn, 40).unwrap();
+        j.append_write_batch(&[(64, &[0xAA; 128])], Some(40))
+            .unwrap();
         drop(j);
         let (j2, replay) = Journal::open(&path).unwrap();
         assert_eq!(replay, vec![committed]);
@@ -361,8 +659,7 @@ mod tests {
         let dir = ScratchDir::new("journal-torn-then-append");
         let path = dir.path().join("j");
         let (mut j, _) = Journal::open(&path).unwrap();
-        let torn = j.encode_write_batch(&[(0, &[0xAA; 64])]);
-        j.append_torn(&torn, 30).unwrap();
+        j.append_write_batch(&[(0, &[0xAA; 64])], Some(30)).unwrap();
         drop(j);
         let (mut j, replay) = Journal::open(&path).unwrap();
         assert!(replay.is_empty());

@@ -36,7 +36,7 @@ pub use datatype::Datatype;
 pub use error::{PvfsError, PvfsResult};
 pub use ids::{ClientId, FileHandle, RequestId, ServerId};
 pub use metrics::{Histogram, ScrubReport, SharedHistogram, StatsSnapshot};
-pub use region::{align_lists, Region, RegionList, TransferPiece};
+pub use region::{align_lists, aligned, AlignCursor, Aligned, Region, RegionList, TransferPiece};
 pub use striping::{StripeLayout, StripeSegment};
 pub use trace::{
     FlightRecorder, Span, SpanId, TraceContext, TraceId, TraceMode, TraceTree, DEFAULT_TRACE_CAP,

@@ -465,17 +465,29 @@ impl fmt::Display for RegionList {
 /// positionally with `piece.1` bytes in file; both have the same length.
 pub type TransferPiece = (Region, Region);
 
-/// Align a memory list with a file list into pieces contiguous in *both*
-/// spaces.
+/// Walk a memory list and a file list in step, yielding the pieces
+/// contiguous in *both* spaces, lazily.
 ///
 /// The byte streams of the two lists are zipped: the k-th byte of the
 /// memory stream corresponds to the k-th byte of the file stream. Each
-/// output piece is the longest run contiguous in both, so scatter/gather
-/// can be performed piece-by-piece with plain `copy_from_slice`.
+/// piece is the longest run contiguous in both, so scatter/gather can be
+/// performed piece-by-piece with plain `copy_from_slice`. The walk keeps
+/// an O(1) clone of each list and two cursors — nothing proportional to
+/// the piece count, which for a shredded memory side (FLASH: 98 304
+/// eight-byte fragments per 768 KiB) dwarfs the payload.
 ///
 /// Errors if the two lists cover different total lengths — the same
 /// precondition `pvfs_read_list` imposes on its arguments.
-pub fn align_lists(mem: &RegionList, file: &RegionList) -> PvfsResult<Vec<TransferPiece>> {
+pub fn aligned(mem: &RegionList, file: &RegionList) -> PvfsResult<Aligned> {
+    same_totals(mem, file)?;
+    Ok(Aligned {
+        at: AlignCursor::at(mem.regions(), 0, 0, file.regions(), 0, 0),
+        mem: mem.clone(),
+        file: file.clone(),
+    })
+}
+
+fn same_totals(mem: &RegionList, file: &RegionList) -> PvfsResult<()> {
     if mem.total_len() != file.total_len() {
         return Err(PvfsError::invalid(format!(
             "memory list covers {} bytes but file list covers {}",
@@ -483,28 +495,115 @@ pub fn align_lists(mem: &RegionList, file: &RegionList) -> PvfsResult<Vec<Transf
             file.total_len()
         )));
     }
-    let mut pieces = Vec::with_capacity(mem.count().max(file.count()));
-    let mut mi = 0;
-    let mut fi = 0;
-    let mut mrem: Option<Region> = mem.regions().first().copied();
-    let mut frem: Option<Region> = file.regions().first().copied();
-    while let (Some(m), Some(f)) = (mrem, frem) {
-        let n = m.len.min(f.len);
-        let (mtake, mrest) = m.take(n);
-        let (ftake, frest) = f.take(n);
-        pieces.push((mtake, ftake));
-        mrem = if mrest.is_empty() {
-            mi += 1;
-            mem.regions().get(mi).copied()
-        } else {
-            Some(mrest)
+    Ok(())
+}
+
+/// Where an aligned walk over a memory and a file region slice stands.
+/// The cursor borrows nothing: each [`step`](AlignCursor::step) is
+/// handed the two slices it was made for, so whoever owns the lists
+/// (an [`Aligned`], a scatter/gather map) can keep a cursor beside them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AlignCursor {
+    /// Index of the current region of each list…
+    mem_index: usize,
+    file_index: usize,
+    /// …and the part of it no earlier piece took (whatever, once the
+    /// index is past the end).
+    mem_rest: Region,
+    file_rest: Region,
+}
+
+impl AlignCursor {
+    /// A cursor standing `mem_used` bytes into region `mem_index` of
+    /// `mem` and `file_used` bytes into region `file_index` of `file`
+    /// (each `used` less than its region's length, or the index one
+    /// past the end). The caller vouches that the two positions are the
+    /// same byte of the two streams.
+    pub fn at(
+        mem: &[Region],
+        mem_index: usize,
+        mem_used: u64,
+        file: &[Region],
+        file_index: usize,
+        file_used: u64,
+    ) -> AlignCursor {
+        let rest = |list: &[Region], index: usize, used: u64| match list.get(index) {
+            Some(r) => Region::new(r.offset + used, r.len - used),
+            None => Region::new(0, 0),
         };
-        frem = if frest.is_empty() {
-            fi += 1;
-            file.regions().get(fi).copied()
-        } else {
-            Some(frest)
-        };
+        AlignCursor {
+            mem_index,
+            file_index,
+            mem_rest: rest(mem, mem_index, mem_used),
+            file_rest: rest(file, file_index, file_used),
+        }
+    }
+
+    /// The piece at the cursor — the longest run contiguous in both
+    /// lists — moving the cursor past it; `None` once either list is
+    /// exhausted.
+    #[inline]
+    pub fn step(&mut self, mem: &[Region], file: &[Region]) -> Option<TransferPiece> {
+        if self.mem_index >= mem.len() || self.file_index >= file.len() {
+            return None;
+        }
+        let n = self.mem_rest.len.min(self.file_rest.len);
+        Some((
+            take_front(&mut self.mem_rest, &mut self.mem_index, mem, n),
+            take_front(&mut self.file_rest, &mut self.file_index, file, n),
+        ))
+    }
+}
+
+/// Take `n` bytes off the front of `rest`, the unconsumed part of
+/// `list[index]`, moving on to the next region once it is used up.
+#[inline]
+fn take_front(rest: &mut Region, index: &mut usize, list: &[Region], n: u64) -> Region {
+    // `n <= rest.len`, so neither part's end passes `rest.end()`.
+    let taken = Region {
+        offset: rest.offset,
+        len: n,
+    };
+    *rest = Region {
+        offset: rest.offset + n,
+        len: rest.len - n,
+    };
+    if rest.is_empty() {
+        *index += 1;
+        if let Some(next) = list.get(*index) {
+            *rest = *next;
+        }
+    }
+    taken
+}
+
+/// The lazy walk [`aligned`] returns.
+#[derive(Debug, Clone)]
+pub struct Aligned {
+    mem: RegionList,
+    file: RegionList,
+    at: AlignCursor,
+}
+
+impl Iterator for Aligned {
+    type Item = TransferPiece;
+
+    #[inline]
+    fn next(&mut self) -> Option<TransferPiece> {
+        self.at.step(self.mem.regions(), self.file.regions())
+    }
+}
+
+/// The walk of [`aligned`], materialised: one `Vec` entry per piece.
+/// The planners that re-sort or re-walk the pieces (data sieving,
+/// hybrid) and the tests' oracles use this; the data path walks lazily.
+pub fn align_lists(mem: &RegionList, file: &RegionList) -> PvfsResult<Vec<TransferPiece>> {
+    same_totals(mem, file)?;
+    let (mem, file) = (mem.regions(), file.regions());
+    let mut at = AlignCursor::at(mem, 0, 0, file, 0, 0);
+    let mut pieces = Vec::with_capacity(mem.len().max(file.len()));
+    while let Some(piece) = at.step(mem, file) {
+        pieces.push(piece);
     }
     Ok(pieces)
 }
@@ -817,6 +916,27 @@ mod tests {
                 (Region::new(100, 2), Region::new(30, 2)),
             ]
         );
+    }
+
+    #[test]
+    fn lazy_walk_and_a_cursor_set_down_mid_stream_give_the_same_pieces() {
+        let mem = rl(&[(0, 6), (100, 2), (50, 4)]);
+        let file = rl(&[(10, 3), (20, 3), (30, 2), (40, 4)]);
+        let pieces = align_lists(&mem, &file).unwrap();
+        assert_eq!(aligned(&mem, &file).unwrap().collect::<Vec<_>>(), pieces);
+        assert!(aligned(&mem, &rl(&[(0, 11)])).is_err());
+        // Stream byte 7: one byte into memory region 1 and into file
+        // region 2; the walk from there is the tail of the full walk,
+        // its first piece cut short.
+        let (m, f) = (mem.regions(), file.regions());
+        let mut at = AlignCursor::at(m, 1, 1, f, 2, 1);
+        let mut tail = Vec::new();
+        while let Some(piece) = at.step(m, f) {
+            tail.push(piece);
+        }
+        assert_eq!(tail[0], (Region::new(101, 1), Region::new(31, 1)));
+        assert_eq!(tail[1..], pieces[3..]);
+        assert_eq!(at.step(m, f), None);
     }
 
     #[test]
