@@ -1,18 +1,22 @@
 //! The live plan executor.
 //!
 //! Pulls steps from an [`AccessPlan`] and runs them against a
-//! [`ClusterClient`]: rounds fan out as parallel RPCs, copies run at
-//! memcpy speed, and serial sections take the cluster-wide
-//! [`SerialGate`](pvfs_net::SerialGate) (data sieving writes). The scatter/gather semantics
-//! live in `pvfs_core::exec`, shared with the simulator.
+//! [`ClusterClient`]: rounds stream through the client's windowed
+//! request pipeline — every maximal run of independent rounds as one
+//! stream, no barrier between them ([`Stretch`]) — copies run at memcpy
+//! speed, and serial sections take the cluster-wide
+//! [`SerialGate`](pvfs_net::SerialGate) (data sieving writes). The
+//! scatter/gather semantics live in `pvfs_core::exec`, shared with the
+//! simulator — which keeps executing rounds lock-step, as the paper's
+//! client did.
 
 use pvfs_core::exec::{
     alloc_temps, apply_copies, copy_bytes, scatter_response, stage_copies, wire_request, Buffers,
     Sources,
 };
-use pvfs_core::{AccessPlan, IoKind, Step};
-use pvfs_net::ClusterClient;
-use pvfs_proto::Response;
+use pvfs_core::{AccessPlan, IoKind, Step, Target, WireOp};
+use pvfs_net::{ClusterClient, OpStream, RpcTarget};
+use pvfs_proto::{Request, Response};
 use pvfs_types::{Histogram, PvfsError, PvfsResult};
 use std::time::Instant;
 
@@ -202,10 +206,105 @@ impl UserBuf<'_> {
     }
 }
 
+/// One barrier-free stretch of a plan, as the request pipeline pulls
+/// it: the round that opened it and — if that round scatters and
+/// gathers through [`Target::Pieces`] only — every following round that
+/// does too, up to the first step that is not such a round. A request's
+/// file list is sorted and disjoint, so those ops touch disjoint bytes
+/// of the file and of the caller's buffer and may be built, sent and
+/// landed in any order. A round through a [`Target::Window`] temp
+/// (sieving's read → modify → write) is a stretch of its own: it
+/// depends on the steps around it.
+struct Stretch<'a, 'u> {
+    plan: &'a mut AccessPlan,
+    user: &'a mut UserBuf<'u>,
+    temps: &'a mut [Vec<u8>],
+    report: &'a mut ExecReport,
+    /// What is left of the round being sent.
+    round: std::vec::IntoIter<WireOp>,
+    /// Whether the plan's next round may join this stretch.
+    open: bool,
+    /// The step that ended the stretch: pulled off the plan, not run.
+    ended_by: Option<Step>,
+}
+
+fn through_pieces(ops: &[WireOp]) -> bool {
+    ops.iter()
+        .all(|wire| matches!(wire.op.target(), Target::Pieces(_)))
+}
+
+impl Stretch<'_, '_> {
+    fn begin_round(&mut self, ops: Vec<WireOp>) {
+        self.report.rounds += 1;
+        self.report.requests += ops.len() as u64;
+        for wire in &ops {
+            self.report.bump_server(wire.server);
+        }
+        self.round = ops.into_iter();
+    }
+}
+
+impl OpStream for Stretch<'_, '_> {
+    type Ticket = WireOp;
+
+    fn next_op(&mut self) -> Option<(RpcTarget, Request, WireOp)> {
+        let wire = loop {
+            if let Some(wire) = self.round.next() {
+                break wire;
+            }
+            if !self.open {
+                return None;
+            }
+            match self.plan.next_step() {
+                Some(Step::Round(ops)) if through_pieces(&ops) => self.begin_round(ops),
+                step => {
+                    self.open = false;
+                    self.ended_by = step;
+                    return None;
+                }
+            }
+        };
+        let sources = Sources {
+            user: self.user.source(),
+            temps: self.temps,
+        };
+        let request = wire_request(&wire, self.plan.handle, &self.plan.layout, sources);
+        self.report.bytes_sent += request.bulk_len();
+        Some((wire.server.into(), request, wire))
+    }
+
+    fn landed(&mut self, wire: WireOp, response: Response) -> PvfsResult<()> {
+        match response {
+            Response::Data { data } => {
+                self.report.bytes_received += data.len() as u64;
+                let mut bufs = Buffers {
+                    user: self.user.dest(),
+                    temps: self.temps,
+                };
+                scatter_response(&wire.op, &self.plan.layout, wire.server, &data, &mut bufs)?;
+                Ok(())
+            }
+            Response::Written { .. } => Ok(()),
+            other => Err(PvfsError::protocol(format!(
+                "unexpected response to {:?}: {other:?}",
+                wire.op
+            ))),
+        }
+    }
+}
+
 /// Execute a plan to completion against the live cluster.
 ///
 /// `user` is the caller's buffer (destination for reads, source for
 /// writes). Returns the measured execution report.
+///
+/// Rounds are not barriers unless the plan needs them to be: each
+/// [`Stretch`] of independent rounds goes through
+/// [`ClusterClient::stream_in`] as one stream — requests built as the
+/// pipeline's window opens, replies scattered as they land — so a list
+/// op's ⌈n/64⌉ rounds overlap on the daemons. `Copy`, `SerialBegin` and
+/// `SerialEnd` steps, and any round through a temp, run strictly in
+/// plan order. [`ExecReport::rounds`] counts plan rounds either way.
 pub fn execute_plan(
     mut plan: AccessPlan,
     mut user: UserBuf<'_>,
@@ -220,58 +319,30 @@ pub fn execute_plan(
     let mut report = ExecReport::default();
     let stats_before = client.stats();
     let latency_before = client.latency_snapshot();
-    // One trace per plan execution: every round's RPC attempts and
+    // One trace per plan execution: every stretch's RPC attempts and
     // every merge/copy phase land in a single tree under this root.
     let active = client.tracer().begin("execute");
     let mut holding_gate = false;
     let result = (|| -> PvfsResult<()> {
-        while let Some(step) = plan.next_step() {
+        let mut held = None;
+        while let Some(step) = held.take().or_else(|| plan.next_step()) {
             match step {
                 Step::Round(ops) => {
-                    report.rounds += 1;
-                    report.requests += ops.len() as u64;
-                    for wire in &ops {
-                        report.bump_server(wire.server);
-                    }
-                    let requests: Vec<_> = ops
-                        .iter()
-                        .map(|wire| {
-                            let sources = Sources {
-                                user: user.source(),
-                                temps: &temps,
-                            };
-                            let req = wire_request(wire, plan.handle, &plan.layout, sources);
-                            report.bytes_sent += req.bulk_len();
-                            (wire.server, req)
-                        })
-                        .collect();
-                    let round_started = Instant::now();
-                    let responses = client.round_in(requests, active.as_ref())?;
-                    report.phase_wire_ns += round_started.elapsed().as_nanos() as u64;
-                    for (wire, response) in ops.iter().zip(responses) {
-                        match response {
-                            Response::Data { data } => {
-                                report.bytes_received += data.len() as u64;
-                                scatter_response(
-                                    &wire.op,
-                                    &plan.layout,
-                                    wire.server,
-                                    &data,
-                                    &mut Buffers {
-                                        user: user.dest(),
-                                        temps: &mut temps,
-                                    },
-                                )?;
-                            }
-                            Response::Written { .. } => {}
-                            other => {
-                                return Err(PvfsError::protocol(format!(
-                                    "unexpected response to {:?}: {other:?}",
-                                    wire.op
-                                )))
-                            }
-                        }
-                    }
+                    let mut stretch = Stretch {
+                        open: through_pieces(&ops),
+                        plan: &mut plan,
+                        user: &mut user,
+                        temps: &mut temps,
+                        report: &mut report,
+                        round: Vec::new().into_iter(),
+                        ended_by: None,
+                    };
+                    stretch.begin_round(ops);
+                    let wire_started = Instant::now();
+                    let outcome = client.stream_in(&mut stretch, active.as_ref());
+                    held = stretch.ended_by;
+                    report.phase_wire_ns += wire_started.elapsed().as_nanos() as u64;
+                    outcome?;
                 }
                 Step::Copy(pairs) => {
                     report.copy_bytes += copy_bytes(&pairs);

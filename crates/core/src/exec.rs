@@ -85,17 +85,6 @@ fn for_each_region(op: &OpKind, mut f: impl FnMut(Region)) {
     }
 }
 
-fn op_target(op: &OpKind) -> &Target {
-    match op {
-        OpKind::Read { dest, .. }
-        | OpKind::ReadList { dest, .. }
-        | OpKind::ReadVectors { dest, .. } => dest,
-        OpKind::Write { src, .. }
-        | OpKind::WriteList { src, .. }
-        | OpKind::WriteVectors { src, .. } => src,
-    }
-}
-
 /// Call `f` with each memory slice backing file subregion `file` under
 /// `target`, in file order.
 fn for_each_slice(target: &Target, file: Region, mut f: impl FnMut(MemSlice)) {
@@ -122,7 +111,7 @@ fn for_each_share_slice(
     slot: u32,
     mut f: impl FnMut(MemSlice),
 ) -> u64 {
-    let target = op_target(op);
+    let target = op.target();
     let mut slices = 0u64;
     for_each_region(op, |region| {
         for seg in layout.segments(region) {

@@ -234,6 +234,19 @@ pub enum OpKind {
 }
 
 impl OpKind {
+    /// Where this op's byte stream comes from (writes) or goes to
+    /// (reads) on the client.
+    pub fn target(&self) -> &Target {
+        match self {
+            OpKind::Read { dest, .. }
+            | OpKind::ReadList { dest, .. }
+            | OpKind::ReadVectors { dest, .. } => dest,
+            OpKind::Write { src, .. }
+            | OpKind::WriteList { src, .. }
+            | OpKind::WriteVectors { src, .. } => src,
+        }
+    }
+
     /// True for write ops.
     pub fn is_write(&self) -> bool {
         matches!(

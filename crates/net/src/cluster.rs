@@ -9,19 +9,24 @@
 //! # The request pipeline
 //!
 //! Every RPC — a lone [`ClusterClient::call`], the fan-out of a
-//! [`ClusterClient::round`], unreplicated or mirrored, traced or not —
-//! runs through one private driver, `drive`: expand the caller's ops
-//! into sub-ops (one per op; one per copy under replication) → ship
-//! and land them in **waves** → between waves fail reads over to a
-//! mirror, or back off and retry what failed transiently → assemble
-//! one response per op (a replicated write under its quorum). One
-//! `ship` (breaker admission, then `launch`: span, encode,
-//! [`Transport::start`]) and one `land` (wait, decode, attribute the
-//! id, feed latency and health, close the span) serve every attempt; a
-//! hedged read is only a different way to wait inside `land`, its
-//! duplicate a second `launch` of an attempt admitted and judged once.
-//! What distinguishes a `call`
-//! from a round op is one parameter, `sole` (see `drive`).
+//! [`ClusterClient::round`], a whole stretch of a plan through
+//! [`ClusterClient::stream_in`]; unreplicated or mirrored, traced or
+//! not — runs through one private driver, `drive`, and its one `Pump`:
+//! ops are pulled lazily from an [`OpStream`] and expanded into
+//! sub-ops (one per op; one per copy under replication), each daemon
+//! has at most [`WINDOW`] of them in flight, a daemon's oldest flight
+//! is landed when its window is full, and every op's outcome goes back
+//! to the stream as it resolves (a replicated write under its quorum).
+//! There is no barrier and no wave: a failed attempt is settled where
+//! it lands — a read fails over to a mirror, a transient failure backs
+//! off and goes out again, that sub-op alone — while the rest of the
+//! window flies on. One `ship` (breaker admission, then `launch`: span,
+//! encode, [`Transport::start`]) and one `land` (wait out what is left
+//! of the deadline, decode, attribute the id, feed latency and health,
+//! close the span) serve every attempt; a hedged read is only a
+//! different way to wait inside `land`, its duplicate a second `launch`
+//! of an attempt admitted and judged once. What distinguishes a `call`
+//! from any other op is one parameter, `sole` (see `drive`).
 //!
 //! # RPC discipline
 //!
@@ -35,9 +40,11 @@
 //! error (it could belong to *any* in-flight request). Every receive
 //! carries a deadline ([`ClusterClient::with_rpc_timeout`], default
 //! [`DEFAULT_RPC_TIMEOUT`]) that bounds the **total** elapsed time of
-//! the RPC — a TCP response dribbling in over many partial reads is
-//! charged against one deadline, not one per read — so a wedged server
-//! yields [`PvfsError::Timeout`] instead of hanging the client.
+//! the RPC from the moment its frame left — a TCP response dribbling in
+//! over many partial reads is charged against one deadline, not one per
+//! read, and so is the time a flight spends waiting its turn in the
+//! window — so a wedged server yields [`PvfsError::Timeout`] instead of
+//! hanging the client, and several wedged servers cost one timeout.
 
 use bytes::Bytes;
 use pvfs_proto::{decode_response, encode_frame, Frame, Message, OpClass, Request, Response};
@@ -47,6 +54,7 @@ use pvfs_types::{
     ClientId, Histogram, PvfsError, PvfsResult, RequestId, ServerId, SpanId, StripeLayout,
     TraceContext, TraceId, TraceMode, TraceTree,
 };
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -327,11 +335,13 @@ impl ClusterClient {
         } else {
             self.tracer.begin("call")
         };
-        let result = self.drive(&[(target, request)], true, active.as_ref());
+        let mut lone = Batch::new(std::iter::once((target, request)));
+        let result = self.drive(&mut lone, true, active.as_ref());
         if let Some(a) = active {
             self.tracer.finish(a);
         }
-        result.map(|mut responses| responses.pop().expect("one op, one response"))
+        let mut responses = result.and_then(|()| lone.finish())?;
+        Ok(responses.pop().expect("one op, one response"))
     }
 
     /// Issue several requests in parallel (the fan-out of one plan
@@ -351,7 +361,9 @@ impl ClusterClient {
     /// request is idempotent ([`Request::is_idempotent`]): replaying
     /// the failed subset cannot corrupt regions whose writes already
     /// applied. A deterministic error (or an exhausted
-    /// [`RetryPolicy`]) aborts the round with that error.
+    /// [`RetryPolicy`]) fails the round with that error — the first
+    /// such, ahead of any sibling's transient one — once the other ops
+    /// have run their course.
     ///
     /// # Brown-out behavior
     ///
@@ -383,219 +395,79 @@ impl ClusterClient {
     }
 
     /// [`ClusterClient::round`] under a caller-owned trace — the seam
-    /// for higher layers (the plan executor, the collective engines)
-    /// that open their own root span and want the round's RPC attempts
-    /// recorded inside it. `None` runs the round untraced.
+    /// for higher layers that open their own root span and want the
+    /// round's RPC attempts recorded inside it. `None` runs the round
+    /// untraced.
     pub fn round_in(
         &self,
         requests: Vec<(ServerId, Request)>,
         trace: Option<&ActiveTrace>,
     ) -> PvfsResult<Vec<Response>> {
-        self.drive(&requests, false, trace)
+        let mut round = Batch::new(requests.into_iter());
+        self.drive(&mut round, false, trace)?;
+        round.finish()
     }
 
-    /// The request pipeline — every RPC this endpoint makes runs here:
-    /// expand `ops` into sub-ops (one per op, or one per copy under
-    /// replication), then **wave** after wave — [`ship`](Self::ship)
-    /// everything due, [`land`](Self::land) everything shipped — until
-    /// each sub-op is done or has failed for good, then assemble one
-    /// response per op, in op order.
-    ///
-    /// Between waves, a read whose copy is unreachable *fails over* to
-    /// its next mirror at once (abandoning a dead copy is progress, not
-    /// a retry: it consumes no attempt and no backoff, so losing a
-    /// daemon costs one timeout or one fast breaker rejection, never a
-    /// retry storm); otherwise the transiently failed sub-ops — and
-    /// only those — are re-shipped after a backoff, while attempts and
-    /// budget last. This is the client's one retry loop.
+    /// Run a whole [`OpStream`] through the request pipeline: ops are
+    /// pulled from the stream only as the window has room for them —
+    /// up to [`WINDOW`] in flight per daemon, never more than `WINDOW` ×
+    /// daemons pulled and unanswered — and each reply is handed back as
+    /// it lands, a daemon's oldest flight first, in no order across
+    /// daemons. This is the plan executor's entry point: a stretch of
+    /// independent rounds goes through with no barrier between them
+    /// (and a million-round plan in O(window) memory). Everything
+    /// [`ClusterClient::round`] says about recovery, brown-outs and
+    /// replication holds per op; the retry budget spans the stream.
+    /// An op that fails for good goes to [`OpStream::failed`], and by
+    /// default that ends the stream with the op's own error: nothing
+    /// more is pulled or shipped, and flights still in the air are
+    /// collected and dropped (a failed list write may have applied any
+    /// subset of its frames).
+    pub fn stream_in(
+        &self,
+        stream: &mut impl OpStream,
+        trace: Option<&ActiveTrace>,
+    ) -> PvfsResult<()> {
+        self.drive(stream, false, trace)
+    }
+
+    /// The request pipeline — every RPC this endpoint makes runs here,
+    /// through one [`Pump`].
     ///
     /// `sole` is the one distinction between [`call`](Self::call) and
-    /// a round, a parameter rather than a path: a sole op is a *lone
-    /// RPC addressed literally*, a round op *one of several, routed by
-    /// placement*. So only a sole op (1) may take an id-0 error reply as
-    /// its own, (2) is never expanded across replicas, (3) is hedged
-    /// when it is a read, and (4) reports errors without the
-    /// ` [server …, request …]` suffix.
-    fn drive<T: Copy + Into<RpcTarget>>(
+    /// everything else, a parameter rather than a path: a sole op is a
+    /// *lone RPC addressed literally*, any other *one of several,
+    /// routed by placement*. So only a sole op (1) may take an id-0
+    /// error reply as its own, (2) is never expanded across replicas,
+    /// (3) is hedged when it is a read, and (4) reports errors without
+    /// the ` [server …, request …]` suffix.
+    fn drive<S: OpStream>(
         &self,
-        ops: &[(T, Request)],
+        stream: &mut S,
         sole: bool,
         trace: Option<&ActiveTrace>,
-    ) -> PvfsResult<Vec<Response>> {
-        let (mut subs, copies) = self.expand(ops, sole);
-        let mut results: Vec<Option<Response>> = (0..ops.len()).map(|_| None).collect();
-        // Control scrapes stay off the books on this side of the wire
-        // too (the daemons already exclude them): scraping `stats` or a
-        // trace must not advance the very counters being read.
-        let booked = !ops.iter().all(|(_, request)| request.is_control_scrape());
-        let started = Instant::now();
-        let mut backoff: Option<Backoff> = None;
-        let mut attempt = 1u32;
-        loop {
-            let mut shipped = 0;
-            for sub in subs.iter_mut() {
-                if matches!(sub.progress, Progress::Ship(_)) {
-                    let (target, request) = sub.addressed(ops, &copies);
-                    shipped += 1;
-                    match self.ship(target, request, sole, trace, sub.notes(trace, attempt)) {
-                        Ok(flight) => sub.progress = Progress::Flying(flight),
-                        Err(e) => self.settle(sub, request, e),
-                    }
-                }
-            }
-            if booked {
-                self.stats.record_attempts(shipped);
-            }
-            for sub in subs.iter_mut() {
-                let flight = match std::mem::replace(&mut sub.progress, Progress::Done) {
-                    Progress::Flying(flight) => flight,
-                    other => {
-                        sub.progress = other;
-                        continue;
-                    }
-                };
-                let (target, request) = sub.addressed(ops, &copies);
-                let notes = sub.notes(trace, attempt);
-                match self.land(flight, target, request, sole, trace, notes) {
-                    // Copies of a write apply identical local runs, so
-                    // any acknowledged copy's reply stands for the op.
-                    Ok(response) => {
-                        results[sub.op].get_or_insert(response);
-                    }
-                    Err(e) => self.settle(sub, request, e),
-                }
-            }
-            // Sub-ops due out again: at once (`retry == false`, a
-            // failover) or after a backoff (a transient failure).
-            let due = |retry| {
-                subs.iter()
-                    .filter(|s| matches!(&s.progress, Progress::Ship(e) if e.is_some() == retry))
-                    .count() as u64
-            };
-            let (failovers, retries) = (due(false), due(true));
-            // A failed write *copy* dooms nothing — its siblings may
-            // still make quorum; any other sub-op is all its op has, so
-            // its error is the round's, ahead of any sibling's transient
-            // one or pending failover.
-            if let Some(e) = subs.iter_mut().find_map(Sub::doom) {
-                return Err(e);
-            }
-            if failovers + retries == 0 {
-                break;
-            }
-            if failovers == 0 {
-                if attempt >= self.retry.max_attempts || started.elapsed() >= self.retry.budget {
-                    break;
-                }
-                let delay = backoff
-                    .get_or_insert_with(|| self.new_backoff())
-                    .next_delay()
-                    .min(self.retry.budget.saturating_sub(started.elapsed()));
-                if booked {
-                    self.stats.record_retries(retries, delay);
-                }
-                std::thread::sleep(delay);
-                attempt += 1;
-            }
-        }
-
-        // Assemble per op, in order: an op with one sub-op needs it
-        // done; a replicated write needs `required()` of its copies.
-        // No failover is pending here and nothing doomed the round, so
-        // what is not done is out of attempts or a failed write copy.
-        let (required, copies_per_write) =
-            (self.replica.policy().required(), self.replica.replicas());
-        for group in subs.chunk_by_mut(|a, b| a.op == b.op) {
-            let quorum = group[0].quorum;
-            let acks = group
-                .iter()
-                .filter(|s| matches!(s.progress, Progress::Done))
-                .count() as u32;
-            if acks < if quorum { required } else { 1 } {
-                let error = group.iter_mut().find_map(|s| {
-                    match std::mem::replace(&mut s.progress, Progress::Done) {
-                        Progress::Failed(e) | Progress::Ship(Some(e)) => Some(e),
-                        _ => None,
-                    }
-                });
-                return Err(error.expect("an unresolved op has an error"));
-            }
-            if quorum {
-                if acks < copies_per_write {
-                    // Quorum met but a copy missed the write:
-                    // divergence for a later scrub to repair.
-                    self.stats.record_quorum_shortfall();
-                }
-                if let Some(a) = trace {
-                    a.annotate(format!("quorum_ack:{acks}/{copies_per_write}"));
-                }
-            }
-        }
-        // In place: `Option<Response>` and `Response` share a layout, so
-        // this reuses `results`' allocation.
-        Ok(results
-            .into_iter()
-            .map(|r| r.expect("every op resolved"))
-            .collect())
-    }
-
-    /// Expand `ops` into sub-ops, in op order. Without replication (or
-    /// for a `sole` op, or a placement-free one — pings, barriers,
-    /// scrapes) an op is its own single sub-op and nothing is allocated
-    /// beyond the sub-op list. Under replication the per-copy rewritten
-    /// requests go into one side vector and each sub-op owns a range of
-    /// it: a write becomes one sub-op per copy (ranges of one; the
-    /// quorum decides at assembly), a read one sub-op whose range is
-    /// the healthiest copy followed by the failover chain.
-    fn expand<T: Copy + Into<RpcTarget>>(
-        &self,
-        ops: &[(T, Request)],
-        sole: bool,
-    ) -> (Vec<Sub>, Vec<(ServerId, Request)>) {
-        let map = &self.replica;
-        let replicate = !sole && map.policy().enabled();
-        let mut copies = Vec::new();
-        let per_op = if replicate {
-            map.replicas() as usize
-        } else {
+    ) -> PvfsResult<()> {
+        let room = if sole {
             1
+        } else {
+            WINDOW * self.transport.n_servers().max(1) as usize
         };
-        let mut subs = Vec::with_capacity(ops.len() * per_op);
-        for (op, (target, request)) in ops.iter().enumerate() {
-            let sub = |copies, quorum| Sub {
-                op,
-                copies,
-                quorum,
-                failed_over: false,
-                progress: Progress::Ship(None),
-            };
-            let (server, layout) = match ((*target).into(), request_layout(request)) {
-                (RpcTarget::Server(server), Some(layout)) if replicate => (server, layout),
-                _ => {
-                    subs.push(sub(0..0, false));
-                    continue;
-                }
-            };
-            let slot = pvfs_replica::slot_of_server(layout, server);
-            debug_assert!(slot < layout.pcount, "round target is not in the layout");
-            let mut targets = map.copies(layout, slot);
-            let write = request.op_class() == OpClass::Write;
-            if !write {
-                targets.sort_by_key(|t| self.read_copy_key(*t));
-            }
-            let first = copies.len();
-            copies.extend(
-                targets
-                    .iter()
-                    .map(|t| (t.server, map.rewrite_request(request, slot, t.copy))),
-            );
-            if write {
-                subs.extend((first..copies.len()).map(|c| sub(c..c + 1, true)));
-            } else {
-                subs.push(sub(first..copies.len(), false));
-            }
+        let mut pump = Pump {
+            client: self,
+            stream,
+            sole,
+            trace,
+            subs: VecDeque::with_capacity(room),
+            ops: Vec::with_capacity(room),
+            room,
+            started: Instant::now(),
+            backoff: None,
+        };
+        let result = pump.run();
+        if result.is_err() {
+            pump.wind_down();
         }
-        (subs, copies)
+        result
     }
 
     /// Read-preference sort key for one copy: closed breakers first,
@@ -609,23 +481,6 @@ impl ClusterClient {
             .map(|d| d.as_nanos())
             .unwrap_or(0);
         (open, ewma, t.copy)
-    }
-
-    /// Decide what becomes of a sub-op whose attempt failed with `e`.
-    fn settle(&self, sub: &mut Sub, request: &Request, e: PvfsError) {
-        sub.progress = if sub.copies.len() > 1 && failover_worthy(&e) {
-            // This replica is unreachable, gated, or shedding: abandon
-            // it and re-aim the sub-op at the next mirror. The op
-            // itself has not failed.
-            sub.copies.start += 1;
-            sub.failed_over = true;
-            self.stats.record_replica_failover();
-            Progress::Ship(None)
-        } else if e.is_retryable() && (request.is_idempotent() || e.is_definitely_not_executed()) {
-            Progress::Ship(Some(e))
-        } else {
-            Progress::Failed(e)
-        };
     }
 
     /// Ship one attempt of one request: breaker admission, then
@@ -751,7 +606,14 @@ impl ClusterClient {
         // id the reply must carry, and with two requests in flight even
         // an id-0 error is ambiguous.
         let (raw, id, lone) = match reply {
-            Reply::Direct(pending) => (pending.wait(self.rpc_timeout), id, sole),
+            // The deadline runs from ship time, as `race`'s does: a
+            // flight that waited its turn behind others of its window
+            // has that much less left (a reply already here is taken
+            // even with nothing left).
+            Reply::Direct(pending) => {
+                let left = self.rpc_timeout.saturating_sub(shipped_at.elapsed());
+                (pending.wait(left), id, sole)
+            }
             Reply::Raced(tx, rx) => {
                 let (raw, hedge_id, outran_hedge) =
                     self.race((tx, rx), target, request, shipped_at, trace);
@@ -1001,70 +863,191 @@ fn attribute(
     )))
 }
 
-/// One sub-op of a driven operation: op `op` as addressed to one copy.
-struct Sub {
-    /// Index of the caller's op this sub-op serves.
-    op: usize,
-    /// The rewritten per-copy requests this sub-op may still address:
-    /// the first is the one addressed now, the rest (a read's mirrors)
-    /// its failover chain. Empty: the op exactly as the caller gave it.
-    copies: Range<usize>,
-    /// One copy of a replicated write: its failure is judged against
-    /// the quorum at assembly, not on its own.
+/// How many requests the pipeline keeps in flight per daemon: enough to
+/// cover a daemon's worker pool (two by default) with as many queued
+/// behind it, so a worker never waits for the client's next frame; more
+/// would only deepen the daemon's queue.
+pub const WINDOW: usize = 4;
+
+/// What the request pipeline runs: a lazy source of ops and the sink
+/// their replies land in — one object, because the two halves of a real
+/// stream share state (the plan executor gathers a write's payload out
+/// of the buffers a read's reply is scattered into).
+pub trait OpStream {
+    /// What the sink needs back with an op's reply.
+    type Ticket;
+
+    /// The next op to send, built now: the pipeline asks only when the
+    /// window has room for it. `None` ends the stream; it is not asked
+    /// again.
+    fn next_op(&mut self) -> Option<(RpcTarget, Request, Self::Ticket)>;
+
+    /// One op's reply has landed. An error ends the stream.
+    fn landed(&mut self, ticket: Self::Ticket, response: Response) -> PvfsResult<()>;
+
+    /// One op has failed for good (a deterministic error, retries
+    /// exhausted, a write short of its quorum). What that means for the
+    /// rest is the stream's call: returning an error — the default,
+    /// this op's own — ends the stream; `Ok` lets the others run on.
+    fn failed(&mut self, _ticket: Self::Ticket, error: PvfsError) -> PvfsResult<()> {
+        Err(error)
+    }
+}
+
+/// A fixed batch of ops as a stream — a `call`, a `round`: every op is
+/// sent whatever becomes of the others (a round touching one dead
+/// daemon still does its work on the healthy ones), and the batch
+/// yields all their responses, in op order, or the first failure.
+struct Batch<I> {
+    ops: std::iter::Enumerate<I>,
+    responses: Vec<Option<Response>>,
+    error: Option<PvfsError>,
+}
+
+impl<I: ExactSizeIterator> Batch<I> {
+    fn new(ops: I) -> Batch<I> {
+        Batch {
+            responses: (0..ops.len()).map(|_| None).collect(),
+            ops: ops.enumerate(),
+            error: None,
+        }
+    }
+
+    fn finish(self) -> PvfsResult<Vec<Response>> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
+        // In place: `Option<Response>` and `Response` share a layout,
+        // so this reuses the vector's allocation.
+        Ok(self
+            .responses
+            .into_iter()
+            .map(|r| r.expect("every op resolved"))
+            .collect())
+    }
+}
+
+impl<T: Into<RpcTarget>, I: Iterator<Item = (T, Request)>> OpStream for Batch<I> {
+    type Ticket = usize;
+
+    fn next_op(&mut self) -> Option<(RpcTarget, Request, usize)> {
+        let (index, (target, request)) = self.ops.next()?;
+        Some((target.into(), request, index))
+    }
+
+    fn landed(&mut self, index: usize, response: Response) -> PvfsResult<()> {
+        self.responses[index] = Some(response);
+        Ok(())
+    }
+
+    fn failed(&mut self, _index: usize, error: PvfsError) -> PvfsResult<()> {
+        self.error.get_or_insert(error);
+        Ok(())
+    }
+}
+
+/// One run of the request pipeline: the **window** over an
+/// [`OpStream`].
+///
+/// Every op pulled from the stream expands into sub-ops (one; under
+/// replication one per write copy, or one read owning its failover
+/// chain) that sit in `subs` until resolved. A sub-op is either *due
+/// out* (just pulled, failed over, or backed off after a transient
+/// failure) or *flying*. [`run`](Self::run) is the one loop: a due
+/// sub-op ships as soon as its daemon has fewer than [`WINDOW`] flights
+/// — landing that daemon's oldest flight makes the room; with nothing
+/// due and fewer than `room` sub-ops in the window the next op is
+/// pulled; otherwise the oldest flight of all lands. `subs` is kept in
+/// ship order (due sub-ops at the back), so "oldest" is "first".
+///
+/// A landed reply resolves its sub-op; a failed attempt is settled at
+/// once — a read whose copy is unreachable *fails over* to its next
+/// mirror (abandoning a dead copy is progress, not a retry: it consumes
+/// no attempt and no backoff, so losing a daemon costs one timeout or
+/// one fast breaker rejection, never a retry storm), a transient
+/// failure backs off and goes out again, that sub-op alone, while its
+/// attempts and the stream's budget last — this is the client's one
+/// retry loop — and anything else fails the sub-op for good. Each
+/// flight owns its connection or reply channel, so nothing here orders
+/// or multiplexes frames: the window only decides *when* to wait.
+struct Pump<'a, S: OpStream> {
+    client: &'a ClusterClient,
+    stream: &'a mut S,
+    sole: bool,
+    trace: Option<&'a ActiveTrace>,
+    subs: VecDeque<Sub>,
+    /// The ops `subs` serve, a slab indexed by [`Sub::op`].
+    ops: Vec<Option<Op<S::Ticket>>>,
+    /// The most sub-ops the window holds before it stops pulling.
+    room: usize,
+    /// The retry budget runs from here, across the whole stream.
+    started: Instant,
+    backoff: Option<Backoff>,
+}
+
+/// One op in the window, from pull to the sink.
+struct Op<K> {
+    ticket: K,
+    /// The request as the stream gave it.
+    request: Request,
+    /// Under replication, the per-copy rewritten requests its sub-ops
+    /// address ([`Sub::copies`] index it); empty otherwise.
+    copies: Vec<(ServerId, Request)>,
+    /// A replicated write: its sub-ops are copies, judged together
+    /// against the quorum rather than each on its own.
     quorum: bool,
+    /// Sub-ops not yet resolved.
+    pending: usize,
+    acks: u32,
+    /// Copies of a write apply identical local runs, so any
+    /// acknowledged copy's reply stands for the op.
+    response: Option<Response>,
+    /// Why a copy of a quorum write failed, should the quorum fail.
+    error: Option<PvfsError>,
+}
+
+impl<K> Op<K> {
+    /// The request `sub` sends right now.
+    fn request(&self, sub: &Sub) -> &Request {
+        if sub.copies.is_empty() {
+            &self.request
+        } else {
+            &self.copies[sub.copies.start].1
+        }
+    }
+}
+
+/// One sub-op: an op as addressed to one copy.
+struct Sub {
+    /// Slab index of the op this sub-op serves.
+    op: usize,
+    /// Where it goes right now.
+    target: RpcTarget,
+    /// The copies it may still address: the first is the one addressed
+    /// now, the rest (a read's mirrors) its failover chain. Empty: the
+    /// op exactly as the stream gave it.
+    copies: Range<usize>,
     /// Re-aimed at a mirror: its next attempt's span is noted
     /// `failover`, so the waterfall shows the abandonment.
     failed_over: bool,
-    progress: Progress,
-}
-
-enum Progress {
-    /// Goes out with the next wave — for the first time or after a
-    /// failover (`None`), or as a retry of an attempt that failed
-    /// transiently with this error.
-    Ship(Option<PvfsError>),
-    Flying(Flight),
-    Failed(PvfsError),
-    Done,
+    /// Which attempt is out (or due out), from 1.
+    attempt: u32,
+    /// Its last backoff sleep, which the next one is drawn from.
+    backoff: Duration,
+    /// `None` while due out.
+    flight: Option<Flight>,
 }
 
 impl Sub {
-    /// Where this sub-op goes right now, and with which request.
-    fn addressed<'a, T: Copy + Into<RpcTarget>>(
-        &self,
-        ops: &'a [(T, Request)],
-        copies: &'a [(ServerId, Request)],
-    ) -> (RpcTarget, &'a Request) {
-        if self.copies.is_empty() {
-            let (target, request) = &ops[self.op];
-            ((*target).into(), request)
-        } else {
-            let (server, request) = &copies[self.copies.start];
-            ((*server).into(), request)
-        }
-    }
-
-    /// Take the error that dooms the whole operation, if this sub-op
-    /// holds one: it failed for good and is not one copy of a write.
-    fn doom(&mut self) -> Option<PvfsError> {
-        if self.quorum || !matches!(self.progress, Progress::Failed(_)) {
-            return None;
-        }
-        match std::mem::replace(&mut self.progress, Progress::Done) {
-            Progress::Failed(e) => Some(e),
-            _ => None,
-        }
-    }
-
-    /// Span notes for this sub-op's attempt in retry wave `attempt`
-    /// (none when the operation is untraced: nobody would read them).
-    fn notes(&self, trace: Option<&ActiveTrace>, attempt: u32) -> Vec<String> {
+    /// Span notes for this sub-op's attempt (none when the operation
+    /// is untraced: nobody would read them).
+    fn notes(&self, trace: Option<&ActiveTrace>) -> Vec<String> {
         let mut notes = Vec::new();
         if trace.is_none() {
             return notes;
         }
-        if attempt > 1 {
-            notes.push(format!("retry#{attempt}"));
+        if self.attempt > 1 {
+            notes.push(format!("retry#{}", self.attempt));
         }
         if self.failed_over {
             notes.push("failover".into());
@@ -1073,9 +1056,248 @@ impl Sub {
     }
 }
 
-/// One shipped attempt awaiting its reply. Kept small — a round holds
-/// one per op: where it went and what it asked is read back off the
-/// sub-op when it lands.
+impl<S: OpStream> Pump<'_, S> {
+    fn run(&mut self) -> PvfsResult<()> {
+        let mut more = true;
+        loop {
+            if let Some(due) = self.subs.iter().position(|s| s.flight.is_none()) {
+                let target = self.subs[due].target;
+                let flying = |s: &Sub| s.flight.is_some() && s.target == target;
+                if self.subs.iter().filter(|s| flying(s)).count() < WINDOW {
+                    self.ship(due)?;
+                } else {
+                    let oldest = self.subs.iter().position(flying);
+                    self.land(oldest.expect("a full window has an oldest flight"))?;
+                }
+            } else if more && self.subs.len() < self.room {
+                match self.stream.next_op() {
+                    Some(op) => self.admit(op),
+                    None => more = false,
+                }
+            } else if self.subs.is_empty() {
+                return Ok(());
+            } else {
+                self.land(0)?;
+            }
+        }
+    }
+
+    /// Take one op into the window: its sub-ops, due out. Without
+    /// replication (or for a `sole` op, or a placement-free one —
+    /// pings, barriers, scrapes) an op is its own single sub-op. Under
+    /// replication a write becomes one sub-op per copy (the quorum
+    /// decides when the last resolves), a read one sub-op aimed at the
+    /// healthiest copy with the others as its failover chain.
+    fn admit(&mut self, (target, request, ticket): (RpcTarget, Request, S::Ticket)) {
+        let client = self.client;
+        let map = &client.replica;
+        let op = match self.ops.iter().position(Option::is_none) {
+            Some(free) => free,
+            None => {
+                self.ops.push(None);
+                self.ops.len() - 1
+            }
+        };
+        let sub = move |target: RpcTarget, copies| Sub {
+            op,
+            target,
+            copies,
+            failed_over: false,
+            attempt: 1,
+            backoff: client.retry.base_backoff,
+            flight: None,
+        };
+        let mut copies = Vec::new();
+        let mut quorum = false;
+        match (target, request_layout(&request)) {
+            (RpcTarget::Server(server), Some(layout)) if !self.sole && map.policy().enabled() => {
+                let slot = pvfs_replica::slot_of_server(layout, server);
+                debug_assert!(slot < layout.pcount, "op target is not in the layout");
+                let mut targets = map.copies(layout, slot);
+                quorum = request.op_class() == OpClass::Write;
+                if !quorum {
+                    targets.sort_by_key(|t| client.read_copy_key(*t));
+                }
+                copies.extend(
+                    targets
+                        .iter()
+                        .map(|t| (t.server, map.rewrite_request(&request, slot, t.copy))),
+                );
+                let aimed = |c: usize| RpcTarget::Server(copies[c].0);
+                if quorum {
+                    self.subs
+                        .extend((0..copies.len()).map(|c| sub(aimed(c), c..c + 1)));
+                } else {
+                    self.subs.push_back(sub(aimed(0), 0..copies.len()));
+                }
+            }
+            _ => self.subs.push_back(sub(target, 0..0)),
+        }
+        self.ops[op] = Some(Op {
+            ticket,
+            request,
+            pending: if quorum { copies.len() } else { 1 },
+            copies,
+            quorum,
+            acks: 0,
+            response: None,
+            error: None,
+        });
+    }
+
+    fn op(&self, sub: &Sub) -> &Op<S::Ticket> {
+        self.ops[sub.op]
+            .as_ref()
+            .expect("a sub-op's op is in the window")
+    }
+
+    /// Ship the due sub-op at `at`, in place.
+    fn ship(&mut self, at: usize) -> PvfsResult<()> {
+        let client = self.client;
+        let sub = &self.subs[at];
+        let request = self.op(sub).request(sub);
+        // Control scrapes stay off the books on this side of the wire
+        // too (the daemons already exclude them): scraping `stats` or a
+        // trace must not advance the very counters being read.
+        if !request.is_control_scrape() {
+            client.stats.record_attempts(1);
+        }
+        let notes = sub.notes(self.trace);
+        match client.ship(sub.target, request, self.sole, self.trace, notes) {
+            Ok(flight) => {
+                self.subs[at].flight = Some(flight);
+                Ok(())
+            }
+            Err(e) => {
+                let sub = self.subs.remove(at).expect("the sub-op just addressed");
+                self.settle(sub, e)
+            }
+        }
+    }
+
+    /// Land the flying sub-op at `at`: out of the window, resolved or
+    /// settled.
+    fn land(&mut self, at: usize) -> PvfsResult<()> {
+        let mut sub = self.subs.remove(at).expect("a sub-op in the window");
+        let flight = sub.flight.take().expect("only flights land");
+        let request = self.op(&sub).request(&sub);
+        let notes = sub.notes(self.trace);
+        match self
+            .client
+            .land(flight, sub.target, request, self.sole, self.trace, notes)
+        {
+            Ok(response) => self.resolve(sub, Ok(response)),
+            Err(e) => self.settle(sub, e),
+        }
+    }
+
+    /// Decide what becomes of a sub-op whose attempt failed with `e`:
+    /// back into the window (re-aimed, or after its backoff), or failed
+    /// for good.
+    fn settle(&mut self, mut sub: Sub, e: PvfsError) -> PvfsResult<()> {
+        let client = self.client;
+        let retry = client.retry;
+        let op = self.op(&sub);
+        let request = op.request(&sub);
+        if sub.copies.len() > 1 && failover_worthy(&e) {
+            // This replica is unreachable, gated, or shedding: abandon
+            // it and re-aim the sub-op at the next mirror. The op
+            // itself has not failed.
+            sub.copies.start += 1;
+            sub.target = RpcTarget::Server(op.copies[sub.copies.start].0);
+            sub.failed_over = true;
+            client.stats.record_replica_failover();
+        } else if e.is_retryable()
+            && (request.is_idempotent() || e.is_definitely_not_executed())
+            && sub.attempt < retry.max_attempts
+            && self.started.elapsed() < retry.budget
+        {
+            let booked = !request.is_control_scrape();
+            let delay = self
+                .backoff
+                .get_or_insert_with(|| client.new_backoff())
+                .next_delay(sub.backoff)
+                .min(retry.budget.saturating_sub(self.started.elapsed()));
+            if booked {
+                client.stats.record_retries(1, delay);
+            }
+            std::thread::sleep(delay);
+            sub.attempt += 1;
+            sub.backoff = delay;
+        } else {
+            return self.resolve(sub, Err(e));
+        }
+        self.subs.push_back(sub);
+        Ok(())
+    }
+
+    /// Book a sub-op's final outcome with its op, and hand the op to
+    /// the stream once its last sub-op is in.
+    fn resolve(&mut self, sub: Sub, outcome: PvfsResult<Response>) -> PvfsResult<()> {
+        let op = self.ops[sub.op]
+            .as_mut()
+            .expect("a sub-op's op is in the window");
+        op.pending -= 1;
+        match outcome {
+            Ok(response) => {
+                op.acks += 1;
+                op.response.get_or_insert(response);
+            }
+            Err(e) => {
+                op.error.get_or_insert(e);
+            }
+        }
+        if op.pending > 0 {
+            return Ok(());
+        }
+        let op = self.ops[sub.op].take().expect("just booked");
+        // An op with one sub-op needs it acknowledged; a replicated
+        // write needs `required()` of its copies — a failed copy dooms
+        // nothing while its siblings make quorum.
+        let map = &self.client.replica;
+        let required = if op.quorum {
+            map.policy().required()
+        } else {
+            1
+        };
+        if op.acks < required {
+            let e = op.error.expect("an op short of its acks lost a sub-op");
+            return self.stream.failed(op.ticket, e);
+        }
+        if op.quorum {
+            if op.acks < map.replicas() {
+                // Quorum met but a copy missed the write: divergence
+                // for a later scrub to repair.
+                self.client.stats.record_quorum_shortfall();
+            }
+            if let Some(a) = self.trace {
+                a.annotate(format!("quorum_ack:{}/{}", op.acks, map.replicas()));
+            }
+        }
+        let response = op.response.expect("an acknowledged op has a response");
+        self.stream.landed(op.ticket, response)
+    }
+
+    /// The stream ended on an error with sub-ops still in the window:
+    /// those due out never go, and what is in the air is landed for the
+    /// books alone (latency, health, spans, the connection back in its
+    /// pool) — the stream hears no more of it.
+    fn wind_down(&mut self) {
+        while let Some(mut sub) = self.subs.pop_front() {
+            if let Some(flight) = sub.flight.take() {
+                let request = self.op(&sub).request(&sub);
+                let notes = sub.notes(self.trace);
+                let _ = self
+                    .client
+                    .land(flight, sub.target, request, self.sole, self.trace, notes);
+            }
+        }
+    }
+}
+
+/// One shipped attempt awaiting its reply. Kept small — the window
+/// holds one per flying sub-op: where it went and what it asked is read
+/// back off the sub-op when it lands.
 struct Flight {
     id: RequestId,
     shipped_at: Instant,
@@ -1669,6 +1891,214 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, PvfsError::Timeout(_)), "got {err:?}");
         drop(wedged_rx);
+    }
+
+    /// The deadline of an RPC runs from when its frame left, not from
+    /// when the client got round to waiting for it: a round to four
+    /// wedged daemons fails in one timeout — each later wait finds its
+    /// budget already spent — where a fresh budget per wait made it
+    /// four.
+    #[test]
+    fn the_rpc_deadline_runs_from_ship_time() {
+        let timeout = Duration::from_millis(100);
+        let (txs, _wedged): (Vec<_>, Vec<_>) = (0..4).map(|_| bounded::<NodeMsg>(8)).unzip();
+        let c = client_over_all(txs)
+            .with_rpc_timeout(timeout)
+            .with_retry_policy(RetryPolicy::none())
+            .with_breaker_policy(BreakerPolicy::off());
+        let size = |s| {
+            let handle = FileHandle(1);
+            (ServerId(s), Request::GetLocalSize { handle })
+        };
+        let started = Instant::now();
+        let err = c.round((0..4).map(size).collect()).unwrap_err();
+        let elapsed = started.elapsed();
+        assert!(
+            matches!(&err, PvfsError::Timeout(m) if m.contains("iod0")),
+            "the first op to time out is the round's error, got {err:?}"
+        );
+        assert!(
+            timeout <= elapsed && elapsed < timeout * 5 / 2,
+            "four wedged daemons cost one {timeout:?} deadline, not four (took {elapsed:?})"
+        );
+    }
+
+    /// What a [`Recorder`] saw: per daemon, the flights in the air now
+    /// and the most there ever were; overall, frames started and
+    /// replies collected.
+    #[derive(Default)]
+    struct Book {
+        flying: Vec<usize>,
+        peak: Vec<usize>,
+        started: usize,
+        collected: usize,
+    }
+
+    /// A transport with no daemons behind it: every frame is answered
+    /// `LocalSize` on the spot — except the `refused`-th (counted over
+    /// all daemons, from 0), which is answered `InvalidArgument`.
+    struct Recorder {
+        book: Arc<std::sync::Mutex<Book>>,
+        refused: Option<usize>,
+    }
+
+    struct Recorded {
+        book: Arc<std::sync::Mutex<Book>>,
+        server: usize,
+        reply: Bytes,
+    }
+
+    impl Recorder {
+        fn over(daemons: usize, refused: Option<usize>) -> Recorder {
+            let book = Book {
+                flying: vec![0; daemons],
+                peak: vec![0; daemons],
+                ..Book::default()
+            };
+            Recorder {
+                book: Arc::new(std::sync::Mutex::new(book)),
+                refused,
+            }
+        }
+    }
+
+    impl Transport for Recorder {
+        fn n_servers(&self) -> u32 {
+            self.book.lock().unwrap().flying.len() as u32
+        }
+
+        fn start(&self, target: RpcTarget, frame: Frame) -> PvfsResult<Box<dyn PendingReply>> {
+            let RpcTarget::Server(server) = target else {
+                panic!("only daemons are addressed here");
+            };
+            let server = server.index();
+            let mut book = self.book.lock().unwrap();
+            let response = if self.refused == Some(book.started) {
+                Response::Error(PvfsError::invalid("no such region"))
+            } else {
+                Response::LocalSize { size: 7 }
+            };
+            book.started += 1;
+            book.flying[server] += 1;
+            book.peak[server] = book.peak[server].max(book.flying[server]);
+            Ok(Box::new(Recorded {
+                book: self.book.clone(),
+                server,
+                reply: encode_response(decode_frame_id(&frame.head).unwrap(), &response),
+            }))
+        }
+
+        fn kind(&self) -> crate::TransportKind {
+            crate::TransportKind::Chan
+        }
+    }
+
+    impl PendingReply for Recorded {
+        fn wait(self: Box<Self>, _: Duration) -> Result<Bytes, WaitError> {
+            let mut book = self.book.lock().unwrap();
+            book.flying[self.server] -= 1;
+            book.collected += 1;
+            Ok(self.reply)
+        }
+    }
+
+    /// `left` ops dealt round-robin over `daemons`, counting how far
+    /// the pipeline pulls ahead of the replies it has handed back.
+    struct Dealt {
+        daemons: u32,
+        left: usize,
+        pulled: usize,
+        landed: usize,
+        most_ahead: usize,
+        pulled_at_failure: Option<usize>,
+    }
+
+    impl Dealt {
+        fn new(daemons: u32, ops: usize) -> Dealt {
+            Dealt {
+                daemons,
+                left: ops,
+                pulled: 0,
+                landed: 0,
+                most_ahead: 0,
+                pulled_at_failure: None,
+            }
+        }
+    }
+
+    impl OpStream for Dealt {
+        type Ticket = ();
+
+        fn next_op(&mut self) -> Option<(RpcTarget, Request, ())> {
+            self.left = self.left.checked_sub(1)?;
+            let server = ServerId(self.pulled as u32 % self.daemons);
+            self.pulled += 1;
+            self.most_ahead = self.most_ahead.max(self.pulled - self.landed);
+            let handle = FileHandle(1);
+            Some((server.into(), Request::GetLocalSize { handle }, ()))
+        }
+
+        fn landed(&mut self, (): (), response: Response) -> PvfsResult<()> {
+            assert_eq!(response, Response::LocalSize { size: 7 });
+            self.landed += 1;
+            Ok(())
+        }
+
+        fn failed(&mut self, (): (), error: PvfsError) -> PvfsResult<()> {
+            self.pulled_at_failure = Some(self.pulled);
+            Err(error)
+        }
+    }
+
+    fn client_recorded(recorder: Recorder) -> (ClusterClient, Arc<std::sync::Mutex<Book>>) {
+        let book = recorder.book.clone();
+        let gate = Arc::new(SerialGate::new());
+        let c = ClusterClient::with_transport(ClientId(9), Arc::new(recorder), gate);
+        (c, book)
+    }
+
+    /// The shape of the window, by count: never more than [`WINDOW`]
+    /// flights per daemon, and that many reached; never more than
+    /// `WINDOW` × daemons ops pulled and unanswered — whether the
+    /// stream is the 64 frames of a 16-round list plan or a hundred
+    /// thousand one-op rounds, which is what keeps a million-round plan
+    /// in O(window) memory.
+    #[test]
+    fn the_window_is_w_flights_per_daemon_however_long_the_stream() {
+        for ops in [64, 100_000] {
+            let (c, book) = client_recorded(Recorder::over(4, None));
+            let mut dealt = Dealt::new(4, ops);
+            c.stream_in(&mut dealt, None).unwrap();
+            assert_eq!((dealt.pulled, dealt.landed), (ops, ops));
+            assert_eq!(dealt.most_ahead, WINDOW * 4, "{ops} ops");
+            let book = book.lock().unwrap();
+            assert_eq!(book.peak, [WINDOW; 4], "{ops} ops");
+            assert_eq!((book.started, book.collected), (ops, ops));
+            assert_eq!(c.stats().retries, 0);
+        }
+    }
+
+    /// An op that fails for good mid-stream ends the stream with *its*
+    /// error; from then on nothing is pulled and nothing is shipped,
+    /// and what was in the air is collected, not left hanging.
+    #[test]
+    fn a_doomed_op_ends_the_stream_with_its_error_and_nothing_more_is_pulled() {
+        let (c, book) = client_recorded(Recorder::over(4, Some(21)));
+        let mut dealt = Dealt::new(4, 64);
+        let err = c.stream_in(&mut dealt, None).unwrap_err();
+        assert!(
+            matches!(&err, PvfsError::InvalidArgument(m) if m.contains("iod1")),
+            "frame 21 went to iod1 and was refused, got {err:?}"
+        );
+        assert_eq!(dealt.pulled_at_failure, Some(dealt.pulled));
+        assert!(dealt.pulled < 64 && dealt.landed < dealt.pulled);
+        let book = book.lock().unwrap();
+        assert_eq!(
+            book.started, dealt.pulled,
+            "every pulled op was shipped once"
+        );
+        assert_eq!(book.collected, book.started, "and its reply collected");
+        assert_eq!(book.flying, [0; 4]);
     }
 
     /// Stress: many clients hammer shared handles with contiguous and

@@ -98,7 +98,7 @@ pub mod tcp;
 pub mod trace;
 pub mod transport;
 
-pub use cluster::{ClusterClient, DEFAULT_RPC_TIMEOUT};
+pub use cluster::{ClusterClient, OpStream, DEFAULT_RPC_TIMEOUT, WINDOW};
 pub use fault::{FaultCounts, FaultKind, FaultPlan, FaultyTransport};
 pub use gate::SerialGate;
 pub use health::{BreakerPolicy, BreakerState, HealthTracker, HedgePolicy, ServerHealthSnapshot};

@@ -110,11 +110,10 @@ impl RetryPolicy {
     }
 }
 
-/// The decorrelated-jitter backoff sequence for one operation's
+/// The decorrelated-jitter backoff draws for one operation's
 /// retries. Seeded per operation so a serial test run is reproducible.
 pub(crate) struct Backoff {
     policy: RetryPolicy,
-    prev: Duration,
     rng: StdRng,
 }
 
@@ -122,23 +121,21 @@ impl Backoff {
     pub(crate) fn new(policy: RetryPolicy, seed: RequestId) -> Backoff {
         Backoff {
             policy,
-            prev: policy.base_backoff,
             rng: StdRng::seed_from_u64(seed.0 ^ 0xb0ff_0ff5),
         }
     }
 
-    /// The next sleep: uniform in `[base, 3 * previous]`, clamped to
-    /// the cap.
-    pub(crate) fn next_delay(&mut self) -> Duration {
+    /// The sleep after `prev` (an RPC's previous sleep;
+    /// [`RetryPolicy::base_backoff`] before its first): uniform in
+    /// `[base, 3 * prev]`, clamped to the cap. One operation's RPCs
+    /// share the jitter stream, but each escalates on its own failures
+    /// only.
+    pub(crate) fn next_delay(&mut self, prev: Duration) -> Duration {
         let base = self.policy.base_backoff.as_micros() as u64;
-        let hi = (self.prev.as_micros() as u64)
-            .saturating_mul(3)
-            .max(base + 1);
+        let hi = (prev.as_micros() as u64).saturating_mul(3).max(base + 1);
         let cap = self.policy.max_backoff.as_micros() as u64;
         let drawn = base + self.rng.next_u64() % (hi - base);
-        let delay = Duration::from_micros(drawn.min(cap.max(base)));
-        self.prev = delay;
-        delay
+        Duration::from_micros(drawn.min(cap.max(base)))
     }
 }
 
@@ -356,7 +353,13 @@ mod tests {
         };
         let draws = |seed: u64| -> Vec<Duration> {
             let mut b = Backoff::new(policy, RequestId(seed));
-            (0..32).map(|_| b.next_delay()).collect()
+            let mut prev = policy.base_backoff;
+            (0..32)
+                .map(|_| {
+                    prev = b.next_delay(prev);
+                    prev
+                })
+                .collect()
         };
         let a = draws(7);
         assert_eq!(a, draws(7), "same seed, same sequence");

@@ -6,10 +6,11 @@
 //! algorithm would hold back waiting for a full segment — and parked in
 //! a per-daemon idle stack after each successful RPC, so steady-state
 //! traffic reuses persistent connections instead of paying a handshake
-//! per request. Each in-flight RPC *owns* its connection: a fan-out
-//! [`round`](crate::ClusterClient::round) to one daemon simply checks
-//! out (or dials) several connections, which is what lets the daemon's
-//! worker pool serve the requests in parallel.
+//! per request. Each in-flight RPC *owns* its connection: the client's
+//! window of [`WINDOW`](crate::WINDOW) requests per daemon simply checks
+//! out (or dials) that many connections, which is what lets the
+//! daemon's worker pool serve them in parallel — and bounds the pool at
+//! `WINDOW` connections per daemon per concurrent operation.
 //!
 //! # Deadlines
 //!
@@ -17,6 +18,9 @@
 //! every partial read against it ([`DeadlineStream`]). The read timeout
 //! is *never* reset just because bytes arrived — a peer trickling a
 //! response one byte at a time cannot stretch an RPC past its budget.
+//! A wait whose budget is already spent (the client charges an RPC's
+//! deadline from ship time, and this flight waited its turn) still
+//! collects a response that has arrived; it only never blocks for one.
 //! A connection whose RPC failed or timed out is dropped, not parked:
 //! the response may still arrive later, and a parked connection with a
 //! stale response queued would corrupt the next RPC on it.
@@ -304,14 +308,14 @@ struct DeadlineStream<'a> {
 
 impl Read for DeadlineStream<'_> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let remaining = self.deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            self.timed_out = true;
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "rpc deadline elapsed",
-            ));
-        }
+        // Past the deadline the read still polls (the shortest timeout
+        // a socket takes): a response that arrived in time but is
+        // collected late — its RPC waited its turn behind others of its
+        // window — is a response, not a timeout.
+        let remaining = self
+            .deadline
+            .saturating_duration_since(Instant::now())
+            .max(Duration::from_micros(1));
         self.conn.set_read_timeout(Some(remaining))?;
         match self.conn.read(buf) {
             Err(e)

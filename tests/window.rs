@@ -1,0 +1,318 @@
+//! The windowed request pipeline under the plan executor, watched from
+//! the transport seam of a live cluster.
+//!
+//! `pvfs-net`'s unit tests pin the window's shape against a fake
+//! transport; here the real executor drives real daemons and a
+//! [`Watched`] transport in between counts what crosses: how many
+//! flights each daemon has in the air, what each frame asks, and
+//! whether the serial gate was held when it left.
+
+use bytes::Bytes;
+use pvfs::client::PvfsFile;
+use pvfs::core::{Method, MethodConfig};
+use pvfs::net::tcp::{TcpCluster, TcpTransport};
+use pvfs::net::{
+    ClusterClient, FaultPlan, LiveCluster, PendingReply, RpcTarget, SerialGate, Transport,
+    TransportKind, WaitError, WINDOW,
+};
+use pvfs::proto::{decode_frame, Frame};
+use pvfs::server::{IoDaemon, IodConfig};
+use pvfs::types::{ClientId, PvfsResult, RegionList, ServerId, StripeLayout};
+use pvfs::workloads::{verify, Cyclic};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+
+/// One frame to a daemon, as it left: what it asked, how many flights
+/// that daemon then had in the air (this one included), how many
+/// flights of a *different* op were in the air anywhere, and how often
+/// the serial gate had been taken by then.
+struct Departure {
+    op: &'static str,
+    flying_there: usize,
+    others_flying: usize,
+    gate_acquisitions: u64,
+}
+
+struct Watch {
+    /// Per daemon: the ops of the flights in the air.
+    flying: Vec<Vec<&'static str>>,
+    departures: Vec<Departure>,
+}
+
+/// A live cluster's transport with a [`Watch`] on the daemons' lanes.
+struct Watched {
+    inner: Arc<dyn Transport>,
+    gate: Arc<SerialGate>,
+    watch: Arc<Mutex<Watch>>,
+}
+
+struct WatchedReply {
+    inner: Box<dyn PendingReply>,
+    watch: Arc<Mutex<Watch>>,
+    server: usize,
+    op: &'static str,
+}
+
+impl Transport for Watched {
+    fn n_servers(&self) -> u32 {
+        self.inner.n_servers()
+    }
+
+    fn start(&self, target: RpcTarget, frame: Frame) -> PvfsResult<Box<dyn PendingReply>> {
+        let RpcTarget::Server(server) = target else {
+            return self.inner.start(target, frame);
+        };
+        let (message, _) = decode_frame(frame.clone())?;
+        let (op, server) = (message.request.op_name(), server.index());
+        let inner = self.inner.start(target, frame)?;
+        let mut watch = self.watch.lock().unwrap();
+        watch.flying[server].push(op);
+        let departure = Departure {
+            op,
+            flying_there: watch.flying[server].len(),
+            others_flying: watch.flying.iter().flatten().filter(|o| **o != op).count(),
+            gate_acquisitions: self.gate.acquisitions(),
+        };
+        watch.departures.push(departure);
+        Ok(Box::new(WatchedReply {
+            inner,
+            watch: self.watch.clone(),
+            server,
+            op,
+        }))
+    }
+
+    fn kind(&self) -> TransportKind {
+        self.inner.kind()
+    }
+}
+
+impl PendingReply for WatchedReply {
+    fn wait(self: Box<Self>, timeout: Duration) -> Result<Bytes, WaitError> {
+        let reply = self.inner.wait(timeout);
+        let mut watch = self.watch.lock().unwrap();
+        let lane = &mut watch.flying[self.server];
+        let at = lane.iter().position(|op| *op == self.op).unwrap();
+        lane.remove(at);
+        reply
+    }
+}
+
+/// A client of `cluster` whose frames to the daemons are watched.
+fn watched_client(cluster: &LiveCluster) -> (ClusterClient, Arc<Mutex<Watch>>) {
+    let watch = Arc::new(Mutex::new(Watch {
+        flying: vec![Vec::new(); cluster.n_servers() as usize],
+        departures: Vec::new(),
+    }));
+    let transport = Watched {
+        inner: cluster.transport(),
+        gate: cluster.gate(),
+        watch: watch.clone(),
+    };
+    let client = ClusterClient::with_transport(ClientId(77), Arc::new(transport), cluster.gate());
+    (client, watch)
+}
+
+/// Rank 3 of the benchmark's cyclic pattern: 1024 regions of 128 B,
+/// 16 rounds of 4 list frames over four daemons.
+fn cyclic_1024() -> (RegionList, RegionList, Vec<u8>) {
+    let pattern = Cyclic {
+        clients: 8,
+        accesses_per_client: 1024,
+        aggregate_bytes: 8 * 1024 * 128,
+    };
+    let request = pattern.request_for(3).unwrap();
+    let content = verify::content(5, request.total_len() as usize);
+    (request.mem, request.file, content)
+}
+
+fn layout() -> StripeLayout {
+    StripeLayout::new(0, 4, 16 * 1024).unwrap()
+}
+
+fn frames_rx(cluster: &LiveCluster) -> Vec<u64> {
+    (0..cluster.n_servers())
+        .map(|s| cluster.server_stats(ServerId(s)).unwrap().frames_rx)
+        .collect()
+}
+
+/// A 16-round list plan fills the window — `WINDOW` flights on every
+/// daemon, never one more — and on a healthy cluster that costs no
+/// retry, no shed and not one extra frame.
+#[test]
+fn a_list_plan_keeps_w_flights_on_every_daemon_and_sends_nothing_twice() {
+    let cluster = LiveCluster::spawn_with(4, IodConfig::default());
+    let (client, watch) = watched_client(&cluster);
+    let (mem, file_regions, content) = cyclic_1024();
+    let mut file = PvfsFile::create(&client, "/pvfs/window", layout()).unwrap();
+
+    let written = file
+        .write_list(&mem, &file_regions, &content, Method::List)
+        .unwrap();
+    let mut back = vec![0u8; content.len()];
+    let read = file
+        .read_list(&mem, &file_regions, &mut back, Method::List)
+        .unwrap();
+    assert_eq!(back, content);
+
+    for report in [&written, &read] {
+        assert_eq!((report.rounds, report.requests), (16, 64));
+        assert_eq!((report.attempts, report.retries), (64, 0));
+        assert_eq!(report.sheds_seen, 0);
+        assert_eq!(report.requests_by_server, [16; 4]);
+    }
+    assert_eq!(frames_rx(&cluster), [32; 4], "one frame per request");
+    let watch = watch.lock().unwrap();
+    let peak = |op| {
+        let lanes = watch.departures.iter().filter(|d| d.op == op);
+        lanes.map(|d| d.flying_there).max().unwrap()
+    };
+    assert_eq!((peak("write_list"), peak("read_list")), (WINDOW, WINDOW));
+}
+
+/// A sieving write is read → modify → write under the serial gate, and
+/// stays so: its rounds go through a temp, so each is a barrier — no
+/// write leaves while a read is in the air (nor the reverse), every
+/// frame leaves with the gate taken, and the bytes come out right,
+/// which they only do when the copy ran between the two.
+#[test]
+fn a_sieving_write_still_runs_read_copy_write_strictly_in_order() {
+    let cluster = LiveCluster::spawn_with(4, IodConfig::default());
+    let (client, watch) = watched_client(&cluster);
+    let layout = StripeLayout::new(0, 4, 64).unwrap();
+    let mut file = PvfsFile::create(&client, "/pvfs/sieve", layout).unwrap();
+    // Four windows: the write of one is followed at once by the read of
+    // the next, through the same buffer.
+    file.set_method_config(MethodConfig {
+        sieve_buffer: 1024,
+        ..MethodConfig::paper_default()
+    });
+    let base = verify::content(9, 4096);
+    file.write_at(0, &base).unwrap();
+    watch.lock().unwrap().departures.clear();
+
+    let holes = RegionList::from_pairs((0..40u64).map(|i| (16 + i * 100, 24))).unwrap();
+    let mem = RegionList::contiguous(0, holes.total_len());
+    let fill = vec![0xe1u8; holes.total_len() as usize];
+    let report = file
+        .write_list(&mem, &holes, &fill, Method::DataSieving)
+        .unwrap();
+    assert!(report.serial_sections == 1 && report.copy_bytes > 0);
+    let sieve = std::mem::take(&mut watch.lock().unwrap().departures);
+
+    let mut expect = base.clone();
+    for r in holes.iter() {
+        expect[r.offset as usize..r.end() as usize].fill(0xe1);
+    }
+    let mut back = vec![0u8; expect.len()];
+    file.read_at(0, &mut back).unwrap();
+    assert_eq!(back, expect, "the merge ran between the read and the write");
+
+    // Window by window: the reads, then the writes.
+    let ops: Vec<_> = sieve.iter().map(|d| d.op).collect();
+    let runs: Vec<_> = ops.chunk_by(|a, b| a == b).map(|run| run[0]).collect();
+    assert_eq!(runs, ["read", "write"].repeat(4), "{ops:?}");
+    for d in &sieve {
+        assert_eq!(d.others_flying, 0, "a {} left across a barrier", d.op);
+        assert_eq!(d.gate_acquisitions, 1, "a {} left before the gate", d.op);
+    }
+}
+
+/// A transient failure in the middle of a streamed plan re-ships the
+/// failed frame alone: the healthy daemons see exactly their 16 frames.
+#[test]
+fn a_transient_failure_mid_stream_reships_only_the_failed_frame() {
+    let mut cluster = LiveCluster::spawn_with(4, IodConfig::default());
+    cluster.inject_faults(FaultPlan {
+        disconnect: 1.0,
+        target: Some(2),
+        limit: Some(1),
+        ..FaultPlan::default()
+    });
+    let client = cluster.client();
+    let (mem, file_regions, content) = cyclic_1024();
+    let mut file = PvfsFile::create(&client, "/pvfs/replay", layout()).unwrap();
+    let report = file
+        .write_list(&mem, &file_regions, &content, Method::List)
+        .unwrap();
+    assert_eq!(
+        (report.requests, report.attempts, report.retries),
+        (64, 65, 1)
+    );
+    assert_eq!(frames_rx(&cluster), [16, 16, 17, 16]);
+    let mut back = vec![0u8; content.len()];
+    file.read_list(&mem, &file_regions, &mut back, Method::List)
+        .unwrap();
+    assert_eq!(back, content);
+}
+
+/// The one coarse clock check: with every request taking 20 ms at its
+/// daemon, the 16 rounds of a 1024-region list read cost 16 × 20 ms
+/// behind a barrier each; through the window a daemon's two workers
+/// work off its 16 frames in 8 × 20 ms.
+#[test]
+fn a_list_read_overlaps_its_rounds_on_the_daemons() {
+    let latency = Duration::from_millis(20);
+    let config = IodConfig {
+        workers: 2,
+        emulated_latency: Some(latency),
+        ..IodConfig::default()
+    };
+    let cluster = LiveCluster::spawn_with(4, config);
+    let client = cluster.client();
+    let (mem, file_regions, _) = cyclic_1024();
+    let mut file = PvfsFile::create(&client, "/pvfs/overlap", layout()).unwrap();
+    let mut back = vec![0u8; mem.total_len() as usize];
+    let started = Instant::now();
+    let report = file
+        .read_list(&mem, &file_regions, &mut back, Method::List)
+        .unwrap();
+    let elapsed = started.elapsed();
+    assert_eq!(report.rounds, 16);
+    assert!(
+        latency * 8 <= elapsed && elapsed < latency * 14,
+        "16 rounds took {elapsed:?}: lock-step is {:?}, two workers' ceiling {:?}",
+        latency * 16,
+        latency * 8
+    );
+}
+
+/// The window dials up to `WINDOW` connections per daemon and then
+/// stops: after a hundred windowed list ops both ends hold no more than
+/// daemons × `WINDOW` (+ the manager's one), no more than after the
+/// first — and set-up, a contiguous write and read, still dials one
+/// connection per daemon.
+#[test]
+fn the_tcp_pool_stays_bounded_by_the_window() {
+    let config = IodConfig::default();
+    let daemons: Vec<_> = (0..4)
+        .map(|s| Arc::new(IoDaemon::new(ServerId(s), config)))
+        .collect();
+    let tcp = TcpCluster::spawn(&daemons, config);
+    let transport = Arc::new(TcpTransport::new(tcp.server_addrs(), tcp.mgr_addr()));
+    let gate = Arc::new(SerialGate::new());
+    let client = ClusterClient::with_transport(ClientId(1), transport.clone(), gate);
+
+    let (mem, file_regions, content) = cyclic_1024();
+    let mut file = PvfsFile::create(&client, "/pvfs/pool", layout()).unwrap();
+    file.write_at(0, &content).unwrap();
+    let mut back = vec![0u8; content.len()];
+    file.read_at(0, &mut back).unwrap();
+    assert_eq!(back, content);
+    let connections = || (tcp.open_connections(), transport.idle_connections());
+    assert_eq!(connections(), (5, 5), "one per daemon, one for the manager");
+
+    let bound = 4 * WINDOW + 1;
+    let mut after_first = None;
+    for _ in 0..50 {
+        file.write_list(&mem, &file_regions, &content, Method::List)
+            .unwrap();
+        file.read_list(&mem, &file_regions, &mut back, Method::List)
+            .unwrap();
+        let now = connections();
+        assert!(now.0 <= bound && now.1 <= bound, "{now:?} > {bound}");
+        assert_eq!(*after_first.get_or_insert(now), now, "the pool grew");
+    }
+    assert_eq!(back, content);
+    assert_eq!(after_first, Some((bound, bound)));
+}
