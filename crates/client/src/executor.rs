@@ -92,7 +92,11 @@ pub struct ExecReport {
     /// Nanoseconds spent in the inter-client exchange phase
     /// (collective two-phase only).
     pub phase_exchange_ns: u64,
-    /// Nanoseconds spent inside wire rounds (RPC fan-out + collect).
+    /// Nanoseconds spent inside the request pipeline's streams: the
+    /// RPCs of every round *and* the gather of each request as its
+    /// window slot opens and the scatter of each reply as it lands —
+    /// they overlap the wire and cannot be told apart from it. `Copy`
+    /// steps count as [`phase_merge_ns`](Self::phase_merge_ns).
     pub phase_wire_ns: u64,
     /// Nanoseconds spent merging/copying data between buffers (the
     /// scatter/gather memcpy phase).
@@ -211,8 +215,13 @@ impl UserBuf<'_> {
 /// gathers through [`Target::Pieces`] only — every following round that
 /// does too, up to the first step that is not such a round. A request's
 /// file list is sorted and disjoint, so those ops touch disjoint bytes
-/// of the file and of the caller's buffer and may be built, sent and
-/// landed in any order. A round through a [`Target::Window`] temp
+/// of the file and — each file byte having its own memory byte — of the
+/// caller's buffer, and may be built, sent and landed in any order.
+/// (The memory list is the caller's: nothing checks that it is
+/// disjoint, and a write may well gather one byte twice. A *read* into
+/// overlapping memory regions leaves in the overlap whichever reply
+/// landed last — see [`PvfsFile::read_list`](crate::PvfsFile::read_list).)
+/// A round through a [`Target::Window`] temp
 /// (sieving's read → modify → write) is a stretch of its own: it
 /// depends on the steps around it.
 struct Stretch<'a, 'u> {

@@ -275,7 +275,10 @@ impl PvfsFile {
 
     /// Noncontiguous read — the paper's `pvfs_read_list`. `mem` regions
     /// index into `buf`; `file` regions are logical file offsets; the
-    /// two must cover equal totals.
+    /// two must cover equal totals. The `mem` regions should not
+    /// overlap: replies are scattered as they land, in no fixed order
+    /// across daemons and rounds, so bytes of `buf` named twice end up
+    /// with either of their file bytes.
     pub fn read_list(
         &mut self,
         mem: &RegionList,

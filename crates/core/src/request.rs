@@ -70,7 +70,10 @@ impl ListRequest {
         self.file.count()
     }
 
-    /// Check the invariants the planners rely on.
+    /// Check the invariants the planners rely on. The memory list is
+    /// not among them — it may be unsorted, and a write may name a byte
+    /// twice; only a read into overlapping memory regions is
+    /// ill-defined (the executor scatters replies in landing order).
     pub fn validate(&self) -> PvfsResult<()> {
         if self.mem.total_len() != self.file.total_len() {
             return Err(PvfsError::invalid(format!(

@@ -20,13 +20,16 @@
 //! There is no barrier and no wave: a failed attempt is settled where
 //! it lands — a read fails over to a mirror, a transient failure backs
 //! off and goes out again, that sub-op alone — while the rest of the
-//! window flies on. One `ship` (breaker admission, then `launch`: span,
-//! encode, [`Transport::start`]) and one `land` (wait out what is left
-//! of the deadline, decode, attribute the id, feed latency and health,
-//! close the span) serve every attempt; a hedged read is only a
-//! different way to wait inside `land`, its duplicate a second `launch`
-//! of an attempt admitted and judged once. What distinguishes a `call`
-//! from any other op is one parameter, `sole` (see `drive`).
+//! window flies on; a frame a daemon *sheds* off its full queue is that
+//! daemon narrowing the window (many clients' windows share one
+//! queue), not a failed attempt. One `ship` (breaker admission, then
+//! `launch`: span, encode, [`Transport::start`]) and one `land` (wait
+//! out what is left of the deadline, decode, attribute the id, feed
+//! latency and health, close the span) serve every attempt; a hedged
+//! read is only a different way to wait inside `land`, its duplicate a
+//! second `launch` of an attempt admitted and judged once. What
+//! distinguishes a `call` from any other op is one parameter, `sole`
+//! (see `drive`).
 //!
 //! # RPC discipline
 //!
@@ -326,7 +329,11 @@ impl ClusterClient {
     /// e.g. a server-side shed): replaying an op that never ran cannot
     /// duplicate its effect. Backoff sleeps are clamped to the
     /// remaining per-op budget, so the error surfaces at the budget
-    /// boundary instead of after one last full-length sleep.
+    /// boundary instead of after one last full-length sleep. A shed
+    /// ([`PvfsError::Overloaded`]) backs off like any transient failure
+    /// but spends only the budget, never one of the policy's attempts:
+    /// the daemon is alive and working its queue off, and the request
+    /// provably did not run.
     pub fn call(&self, target: RpcTarget, request: Request) -> PvfsResult<Response> {
         // Control scrapes are never traced: tracing the collection of
         // traces would perturb the very rings being observed.
@@ -387,35 +394,23 @@ impl ClusterClient {
     /// as given — the same pipeline, with nothing to expand.
     pub fn round(&self, requests: Vec<(ServerId, Request)>) -> PvfsResult<Vec<Response>> {
         let active = self.tracer.begin("round");
-        let result = self.round_in(requests, active.as_ref());
+        let mut round = Batch::new(requests.into_iter());
+        let result = self.drive(&mut round, false, active.as_ref());
         if let Some(a) = active {
             self.tracer.finish(a);
         }
-        result
-    }
-
-    /// [`ClusterClient::round`] under a caller-owned trace — the seam
-    /// for higher layers that open their own root span and want the
-    /// round's RPC attempts recorded inside it. `None` runs the round
-    /// untraced.
-    pub fn round_in(
-        &self,
-        requests: Vec<(ServerId, Request)>,
-        trace: Option<&ActiveTrace>,
-    ) -> PvfsResult<Vec<Response>> {
-        let mut round = Batch::new(requests.into_iter());
-        self.drive(&mut round, false, trace)?;
-        round.finish()
+        result.and_then(|()| round.finish())
     }
 
     /// Run a whole [`OpStream`] through the request pipeline: ops are
     /// pulled from the stream only as the window has room for them —
-    /// up to [`WINDOW`] in flight per daemon, never more than `WINDOW` ×
-    /// daemons pulled and unanswered — and each reply is handed back as
-    /// it lands, a daemon's oldest flight first, in no order across
-    /// daemons. This is the plan executor's entry point: a stretch of
-    /// independent rounds goes through with no barrier between them
-    /// (and a million-round plan in O(window) memory). Everything
+    /// up to [`WINDOW`] in flight per daemon (fewer at a daemon that
+    /// has been shedding), never more than `WINDOW` × daemons pulled and
+    /// unanswered — and each reply is handed back as it lands: as a
+    /// rule a daemon's oldest flight first, in no order across daemons.
+    /// This is the plan executor's entry point: a stretch of independent
+    /// rounds goes through with no barrier between them (and a
+    /// million-round plan in O(window) memory). Everything
     /// [`ClusterClient::round`] says about recovery, brown-outs and
     /// replication holds per op; the retry budget spans the stream.
     /// An op that fails for good goes to [`OpStream::failed`], and by
@@ -458,6 +453,7 @@ impl ClusterClient {
             sole,
             trace,
             subs: VecDeque::with_capacity(room),
+            flying: 0,
             ops: Vec::with_capacity(room),
             room,
             started: Instant::now(),
@@ -649,7 +645,7 @@ impl ClusterClient {
                     self.health.record_success(server, shipped_at.elapsed());
                 }
                 response.into_result().map_err(|e| {
-                    self.note_shed(&e);
+                    self.note_shed(target, &e);
                     blame(sole, target, id, e)
                 })
             }
@@ -755,21 +751,34 @@ impl ClusterClient {
     /// Feed one failed RPC to the failure detector. Only transport-class
     /// failures (connection loss, timeout) of an I/O daemon count
     /// toward tripping a breaker; a shed ([`PvfsError::Overloaded`])
-    /// proves the daemon's acceptor is alive, so it only bumps the
-    /// client's shed counter, and logical errors are neutral.
+    /// proves the daemon's acceptor is alive, so it only closes this
+    /// endpoint's window on it a little, and logical errors are neutral.
     fn observe_failure(&self, target: RpcTarget, e: &PvfsError) {
         match (target, e) {
             (RpcTarget::Server(server), PvfsError::Transport(_) | PvfsError::Timeout(_)) => {
                 self.health.record_failure(server)
             }
-            _ => self.note_shed(e),
+            _ => self.note_shed(target, e),
         }
     }
 
-    /// Count a witnessed server-side shed.
-    fn note_shed(&self, e: &PvfsError) {
+    /// Count a witnessed server-side shed, and take it as that daemon's
+    /// word on how much of its queue this endpoint may fill.
+    fn note_shed(&self, target: RpcTarget, e: &PvfsError) {
         if matches!(e, PvfsError::Overloaded { .. }) {
             self.stats.record_shed_seen();
+            if let RpcTarget::Server(server) = target {
+                self.health.record_shed(server);
+            }
+        }
+    }
+
+    /// How many flights one stream may have in the air at `target` right
+    /// now: [`WINDOW`], less what that daemon's sheds have closed of it.
+    fn window(&self, target: RpcTarget) -> usize {
+        match target {
+            RpcTarget::Server(server) => self.health.window(server),
+            RpcTarget::Manager => WINDOW,
         }
     }
 
@@ -869,6 +878,10 @@ fn attribute(
 /// would only deepen the daemon's queue.
 pub const WINDOW: usize = 4;
 
+/// How long the pipeline waits on a daemon's oldest flight before it
+/// glances at the newer ones (see `Pump::land_oldest`).
+const GLANCE: Duration = Duration::from_millis(10);
+
 /// What the request pipeline runs: a lazy source of ops and the sink
 /// their replies land in — one object, because the two halves of a real
 /// stream share state (the plan executor gathers a write's payload out
@@ -952,30 +965,42 @@ impl<T: Into<RpcTarget>, I: Iterator<Item = (T, Request)>> OpStream for Batch<I>
 /// Every op pulled from the stream expands into sub-ops (one; under
 /// replication one per write copy, or one read owning its failover
 /// chain) that sit in `subs` until resolved. A sub-op is either *due
-/// out* (just pulled, failed over, or backed off after a transient
-/// failure) or *flying*. [`run`](Self::run) is the one loop: a due
-/// sub-op ships as soon as its daemon has fewer than [`WINDOW`] flights
-/// — landing that daemon's oldest flight makes the room; with nothing
-/// due and fewer than `room` sub-ops in the window the next op is
-/// pulled; otherwise the oldest flight of all lands. `subs` is kept in
-/// ship order (due sub-ops at the back), so "oldest" is "first".
+/// out* (just pulled, failed over, shed, or backed off after a
+/// transient failure) or *flying*. [`run`](Self::run) is the one loop:
+/// a due sub-op ships as soon as its daemon's window has room — landing
+/// that daemon's oldest flight makes the room; with nothing ready to go
+/// and fewer than `room` sub-ops in the window the next op is pulled;
+/// otherwise the oldest flight of all lands.
 ///
 /// A landed reply resolves its sub-op; a failed attempt is settled at
 /// once — a read whose copy is unreachable *fails over* to its next
 /// mirror (abandoning a dead copy is progress, not a retry: it consumes
 /// no attempt and no backoff, so losing a daemon costs one timeout or
 /// one fast breaker rejection, never a retry storm), a transient
-/// failure backs off and goes out again, that sub-op alone, while its
-/// attempts and the stream's budget last — this is the client's one
-/// retry loop — and anything else fails the sub-op for good. Each
-/// flight owns its connection or reply channel, so nothing here orders
-/// or multiplexes frames: the window only decides *when* to wait.
+/// failure is given a not-before instant and goes out again, that
+/// sub-op alone, while its attempts and the stream's budget last — this
+/// is the client's one retry loop, and nothing else waits for it — and
+/// anything else fails the sub-op for good. Each flight owns its
+/// connection or reply channel, so nothing here orders or multiplexes
+/// frames: the window only decides *when* to wait.
+///
+/// A daemon's window is [`WINDOW`] until that daemon sheds: many
+/// clients' windows share one bounded queue, and `Overloaded` is the
+/// daemon saying this endpoint's share was too wide. Each shed halves
+/// the window ([`HealthTracker::record_shed`]; it reopens with calm
+/// traffic) and costs no attempt — the frame never ran, so it
+/// goes again, after the stream's other flights at that daemon have
+/// landed or, with none there to wait for, after a backoff.
 struct Pump<'a, S: OpStream> {
     client: &'a ClusterClient,
     stream: &'a mut S,
     sole: bool,
     trace: Option<&'a ActiveTrace>,
+    /// The window: first the sub-ops in the air, in ship order — so
+    /// "oldest" is "first" — then those due out.
     subs: VecDeque<Sub>,
+    /// How many of `subs` are in the air.
+    flying: usize,
     /// The ops `subs` serve, a slab indexed by [`Sub::op`].
     ops: Vec<Option<Op<S::Ticket>>>,
     /// The most sub-ops the window holds before it stops pulling.
@@ -1032,8 +1057,10 @@ struct Sub {
     failed_over: bool,
     /// Which attempt is out (or due out), from 1.
     attempt: u32,
-    /// Its last backoff sleep, which the next one is drawn from.
+    /// Its last backoff, which the next one is drawn from.
     backoff: Duration,
+    /// Backed off: due out, but not before this.
+    not_before: Option<Instant>,
     /// `None` while due out.
     flight: Option<Flight>,
 }
@@ -1060,26 +1087,36 @@ impl<S: OpStream> Pump<'_, S> {
     fn run(&mut self) -> PvfsResult<()> {
         let mut more = true;
         loop {
-            if let Some(due) = self.subs.iter().position(|s| s.flight.is_none()) {
+            let ready = |s: &Sub| s.not_before.is_none_or(|at| at <= Instant::now());
+            let due = (self.flying..self.subs.len()).find(|&at| ready(&self.subs[at]));
+            if let Some(due) = due {
                 let target = self.subs[due].target;
-                let flying = |s: &Sub| s.flight.is_some() && s.target == target;
-                if self.subs.iter().filter(|s| flying(s)).count() < WINDOW {
+                if self.flying_at(target) < self.client.window(target) {
                     self.ship(due)?;
                 } else {
-                    let oldest = self.subs.iter().position(flying);
-                    self.land(oldest.expect("a full window has an oldest flight"))?;
+                    self.land_oldest(target)?;
                 }
             } else if more && self.subs.len() < self.room {
                 match self.stream.next_op() {
                     Some(op) => self.admit(op),
                     None => more = false,
                 }
-            } else if self.subs.is_empty() {
-                return Ok(());
+            } else if self.flying > 0 {
+                self.land_oldest(self.subs[0].target)?;
+            } else if let Some(wake) = self.subs.iter().filter_map(|s| s.not_before).min() {
+                // Nothing in the air and nothing to send yet: only now
+                // does a backoff cost the stream any time.
+                std::thread::sleep(wake.saturating_duration_since(Instant::now()));
             } else {
-                self.land(0)?;
+                return Ok(());
             }
         }
+    }
+
+    /// This stream's flights in the air at `target`.
+    fn flying_at(&self, target: RpcTarget) -> usize {
+        let flights = self.subs.iter().take(self.flying);
+        flights.filter(|s| s.target == target).count()
     }
 
     /// Take one op into the window: its sub-ops, due out. Without
@@ -1105,6 +1142,7 @@ impl<S: OpStream> Pump<'_, S> {
             failed_over: false,
             attempt: 1,
             backoff: client.retry.base_backoff,
+            not_before: None,
             flight: None,
         };
         let mut copies = Vec::new();
@@ -1151,11 +1189,11 @@ impl<S: OpStream> Pump<'_, S> {
             .expect("a sub-op's op is in the window")
     }
 
-    /// Ship the due sub-op at `at`, in place.
+    /// Ship the due sub-op at `at`: it joins the flights, the newest.
     fn ship(&mut self, at: usize) -> PvfsResult<()> {
         let client = self.client;
-        let sub = &self.subs[at];
-        let request = self.op(sub).request(sub);
+        let mut sub = self.subs.remove(at).expect("a due sub-op");
+        let request = self.op(&sub).request(&sub);
         // Control scrapes stay off the books on this side of the wire
         // too (the daemons already exclude them): scraping `stats` or a
         // trace must not advance the very counters being read.
@@ -1165,21 +1203,41 @@ impl<S: OpStream> Pump<'_, S> {
         let notes = sub.notes(self.trace);
         match client.ship(sub.target, request, self.sole, self.trace, notes) {
             Ok(flight) => {
-                self.subs[at].flight = Some(flight);
+                sub.flight = Some(flight);
+                self.subs.insert(self.flying, sub);
+                self.flying += 1;
                 Ok(())
             }
-            Err(e) => {
-                let sub = self.subs.remove(at).expect("the sub-op just addressed");
-                self.settle(sub, e)
+            Err(e) => self.settle(sub, e),
+        }
+    }
+
+    /// Land one of `target`'s flights: the oldest — a daemon queues
+    /// frames as they come, so usually the first answered — unless a
+    /// newer one's reply shows up while the oldest's has not: over
+    /// sockets a big reply occupies a worker until it is read, and the
+    /// oldest flight may be queued behind just those workers.
+    fn land_oldest(&mut self, target: RpcTarget) -> PvfsResult<()> {
+        loop {
+            let mut theirs = (0..self.flying).filter(|&at| self.subs[at].target == target);
+            let oldest = theirs.next().expect("a flight to land");
+            let flight = |at: usize| self.subs[at].flight.as_ref().expect("in the air");
+            let left =
+                (self.client.rpc_timeout).saturating_sub(flight(oldest).shipped_at.elapsed());
+            if left.is_zero() || flight(oldest).arriving(left.min(GLANCE)) {
+                return self.land(oldest);
+            }
+            if let Some(newer) = theirs.find(|&at| flight(at).arriving(Duration::ZERO)) {
+                return self.land(newer);
             }
         }
     }
 
-    /// Land the flying sub-op at `at`: out of the window, resolved or
-    /// settled.
+    /// Land the flight at `at`: out of the window, resolved or settled.
     fn land(&mut self, at: usize) -> PvfsResult<()> {
         let mut sub = self.subs.remove(at).expect("a sub-op in the window");
         let flight = sub.flight.take().expect("only flights land");
+        self.flying -= 1;
         let request = self.op(&sub).request(&sub);
         let notes = sub.notes(self.trace);
         match self
@@ -1192,7 +1250,7 @@ impl<S: OpStream> Pump<'_, S> {
     }
 
     /// Decide what becomes of a sub-op whose attempt failed with `e`:
-    /// back into the window (re-aimed, or after its backoff), or failed
+    /// back into the window (re-aimed, shed, or backed off), or failed
     /// for good.
     fn settle(&mut self, mut sub: Sub, e: PvfsError) -> PvfsResult<()> {
         let client = self.client;
@@ -1212,18 +1270,27 @@ impl<S: OpStream> Pump<'_, S> {
             && sub.attempt < retry.max_attempts
             && self.started.elapsed() < retry.budget
         {
+            // A shed frame never ran: it spends the budget, never an
+            // attempt. With more of this stream at that daemon the
+            // (now narrower) window is all the wait it needs.
+            let shed = matches!(e, PvfsError::Overloaded { .. });
             let booked = !request.is_control_scrape();
-            let delay = self
-                .backoff
-                .get_or_insert_with(|| client.new_backoff())
-                .next_delay(sub.backoff)
-                .min(retry.budget.saturating_sub(self.started.elapsed()));
+            let delay = if shed && self.flying_at(sub.target) > 0 {
+                Duration::ZERO
+            } else {
+                let delay = self
+                    .backoff
+                    .get_or_insert_with(|| client.new_backoff())
+                    .next_delay(sub.backoff)
+                    .min(retry.budget.saturating_sub(self.started.elapsed()));
+                sub.not_before = Some(Instant::now() + delay);
+                sub.backoff = delay;
+                delay
+            };
             if booked {
                 client.stats.record_retries(1, delay);
             }
-            std::thread::sleep(delay);
-            sub.attempt += 1;
-            sub.backoff = delay;
+            sub.attempt += u32::from(!shed);
         } else {
             return self.resolve(sub, Err(e));
         }
@@ -1305,6 +1372,17 @@ struct Flight {
     /// frame carries it) and start.
     span: Option<(SpanId, u64)>,
     reply: Reply,
+}
+
+impl Flight {
+    /// Whether the reply has begun to arrive, waiting up to `within`
+    /// for it (see [`PendingReply::arriving`]).
+    fn arriving(&self, within: Duration) -> bool {
+        match &self.reply {
+            Reply::Direct(pending) => pending.arriving(within),
+            Reply::Raced(..) => true,
+        }
+    }
 }
 
 enum Reply {
@@ -1924,40 +2002,48 @@ mod tests {
     }
 
     /// What a [`Recorder`] saw: per daemon, the flights in the air now
-    /// and the most there ever were; overall, frames started and
-    /// replies collected.
+    /// (`queued`: those of them not shed) and the most there ever were;
+    /// overall, frames started, replies collected, and how many had
+    /// been collected when the last frame started.
     #[derive(Default)]
     struct Book {
         flying: Vec<usize>,
+        queued: Vec<usize>,
         peak: Vec<usize>,
         started: usize,
         collected: usize,
+        collected_at_last_start: usize,
     }
 
     /// A transport with no daemons behind it: every frame is answered
-    /// `LocalSize` on the spot — except the `refused`-th (counted over
-    /// all daemons, from 0), which is answered `InvalidArgument`.
+    /// on the spot, with what `answer` makes of the book as the frame
+    /// finds it (`started` is its index, counted over all daemons from
+    /// 0) and the daemon it goes to.
     struct Recorder {
         book: Arc<std::sync::Mutex<Book>>,
-        refused: Option<usize>,
+        answer: fn(&Book, usize) -> Response,
     }
+
+    const SIZE: Response = Response::LocalSize { size: 7 };
 
     struct Recorded {
         book: Arc<std::sync::Mutex<Book>>,
         server: usize,
+        queued: usize,
         reply: Bytes,
     }
 
     impl Recorder {
-        fn over(daemons: usize, refused: Option<usize>) -> Recorder {
+        fn over(daemons: usize, answer: fn(&Book, usize) -> Response) -> Recorder {
             let book = Book {
                 flying: vec![0; daemons],
+                queued: vec![0; daemons],
                 peak: vec![0; daemons],
                 ..Book::default()
             };
             Recorder {
                 book: Arc::new(std::sync::Mutex::new(book)),
-                refused,
+                answer,
             }
         }
     }
@@ -1973,17 +2059,18 @@ mod tests {
             };
             let server = server.index();
             let mut book = self.book.lock().unwrap();
-            let response = if self.refused == Some(book.started) {
-                Response::Error(PvfsError::invalid("no such region"))
-            } else {
-                Response::LocalSize { size: 7 }
-            };
+            let response = (self.answer)(&book, server);
+            book.collected_at_last_start = book.collected;
+            let shed = matches!(response, Response::Error(PvfsError::Overloaded { .. }));
+            let queued = usize::from(!shed);
             book.started += 1;
             book.flying[server] += 1;
+            book.queued[server] += queued;
             book.peak[server] = book.peak[server].max(book.flying[server]);
             Ok(Box::new(Recorded {
                 book: self.book.clone(),
                 server,
+                queued,
                 reply: encode_response(decode_frame_id(&frame.head).unwrap(), &response),
             }))
         }
@@ -1997,6 +2084,7 @@ mod tests {
         fn wait(self: Box<Self>, _: Duration) -> Result<Bytes, WaitError> {
             let mut book = self.book.lock().unwrap();
             book.flying[self.server] -= 1;
+            book.queued[self.server] -= self.queued;
             book.collected += 1;
             Ok(self.reply)
         }
@@ -2039,7 +2127,7 @@ mod tests {
         }
 
         fn landed(&mut self, (): (), response: Response) -> PvfsResult<()> {
-            assert_eq!(response, Response::LocalSize { size: 7 });
+            assert_eq!(response, SIZE);
             self.landed += 1;
             Ok(())
         }
@@ -2066,7 +2154,7 @@ mod tests {
     #[test]
     fn the_window_is_w_flights_per_daemon_however_long_the_stream() {
         for ops in [64, 100_000] {
-            let (c, book) = client_recorded(Recorder::over(4, None));
+            let (c, book) = client_recorded(Recorder::over(4, |_, _| SIZE));
             let mut dealt = Dealt::new(4, ops);
             c.stream_in(&mut dealt, None).unwrap();
             assert_eq!((dealt.pulled, dealt.landed), (ops, ops));
@@ -2083,7 +2171,10 @@ mod tests {
     /// and what was in the air is collected, not left hanging.
     #[test]
     fn a_doomed_op_ends_the_stream_with_its_error_and_nothing_more_is_pulled() {
-        let (c, book) = client_recorded(Recorder::over(4, Some(21)));
+        let (c, book) = client_recorded(Recorder::over(4, |book, _| match book.started {
+            21 => Response::Error(PvfsError::invalid("no such region")),
+            _ => SIZE,
+        }));
         let mut dealt = Dealt::new(4, 64);
         let err = c.stream_in(&mut dealt, None).unwrap_err();
         assert!(
@@ -2099,6 +2190,108 @@ mod tests {
         );
         assert_eq!(book.collected, book.started, "and its reply collected");
         assert_eq!(book.flying, [0; 4]);
+    }
+
+    /// Daemons that shed whatever finds two frames already in their
+    /// queue: each shed halves the window on that daemon and sends the
+    /// frame again once the stream's flights there have landed — no
+    /// attempt spent (there are more sheds here than the policy has
+    /// attempts), no backoff slept — and the endpoint remembers: its
+    /// next stream starts as narrow as this one ended, and is shed
+    /// nothing.
+    #[test]
+    fn a_shed_narrows_the_window_and_costs_no_attempt() {
+        fn shed_beyond_two(book: &Book, server: usize) -> Response {
+            if book.queued[server] < 2 {
+                return SIZE;
+            }
+            Response::Error(PvfsError::Overloaded {
+                server: server as u32,
+                queue_depth: 2,
+            })
+        }
+        let (c, book) = client_recorded(Recorder::over(4, shed_beyond_two));
+        let c = c.with_retry_policy(RetryPolicy {
+            max_attempts: 2,
+            ..RetryPolicy::default()
+        });
+        let mut dealt = Dealt::new(4, 64);
+        c.stream_in(&mut dealt, None).unwrap();
+        assert_eq!(dealt.landed, 64);
+        // Per daemon: the third and fourth frame of the first window.
+        let stats = c.stats();
+        assert_eq!((stats.sheds_seen, stats.retries), (8, 8));
+        assert_eq!((stats.attempts, stats.backoff_ms), (72, 0));
+        assert_eq!(book.lock().unwrap().started, 72);
+        for s in 0..4 {
+            assert_eq!(c.health().window(ServerId(s)), 1, "4 → 2 → 1 on iod{s}");
+        }
+
+        book.lock().unwrap().peak = vec![0; 4];
+        let mut dealt = Dealt::new(4, 64);
+        c.stream_in(&mut dealt, None).unwrap();
+        assert_eq!(dealt.landed, 64);
+        assert_eq!(c.stats().sheds_seen, 8, "the narrowed window fits");
+        assert_eq!(book.lock().unwrap().peak, [1; 4]);
+    }
+
+    /// A shed with nothing of the stream at that daemon to wait for is
+    /// the one that backs off — and still spends no attempt: five in a
+    /// row are absorbed by a policy of four attempts. With retries off
+    /// a shed surfaces like any other error.
+    #[test]
+    fn a_lone_shed_backs_off_without_spending_an_attempt() {
+        fn shed_the_first_five(book: &Book, server: usize) -> Response {
+            if book.started >= 5 {
+                return SIZE;
+            }
+            Response::Error(PvfsError::Overloaded {
+                server: server as u32,
+                queue_depth: 64,
+            })
+        }
+        let size = Request::GetLocalSize {
+            handle: FileHandle(1),
+        };
+        let (c, book) = client_recorded(Recorder::over(1, shed_the_first_five));
+        assert_eq!(c.retry_policy().max_attempts, 4);
+        assert_eq!(c.call(ServerId(0).into(), size.clone()).unwrap(), SIZE);
+        let stats = c.stats();
+        assert_eq!((stats.attempts, stats.retries), (6, 5));
+        assert!(stats.backoff_ms >= 5, "five backoffs of 1 ms at least");
+
+        book.lock().unwrap().started = 0;
+        let c = c.with_retry_policy(RetryPolicy::none());
+        let err = c.call(ServerId(0).into(), size).unwrap_err();
+        assert!(matches!(err, PvfsError::Overloaded { .. }), "got {err:?}");
+    }
+
+    /// A backed-off sub-op stalls nobody: while the one failed frame of
+    /// a stream waits out its 50 ms, every other op ships and lands, so
+    /// when it goes out again it is the only one left.
+    #[test]
+    fn the_window_flies_on_while_a_failed_frame_backs_off() {
+        let (c, book) = client_recorded(Recorder::over(4, |book, _| match book.started {
+            5 => Response::Error(PvfsError::Transport("connection reset".into())),
+            _ => SIZE,
+        }));
+        let backoff = Duration::from_millis(50);
+        let c = c.with_retry_policy(RetryPolicy {
+            base_backoff: backoff,
+            max_backoff: backoff,
+            ..RetryPolicy::default()
+        });
+        let mut dealt = Dealt::new(4, 64);
+        let started = Instant::now();
+        c.stream_in(&mut dealt, None).unwrap();
+        assert!(started.elapsed() >= backoff);
+        assert_eq!((dealt.landed, c.stats().retries), (64, 1));
+        let book = book.lock().unwrap();
+        assert_eq!(book.started, 65);
+        assert_eq!(
+            book.collected_at_last_start, 64,
+            "the re-sent frame left last, after the other 63 had landed"
+        );
     }
 
     /// Stress: many clients hammer shared handles with contiguous and

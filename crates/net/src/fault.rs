@@ -418,6 +418,10 @@ impl PendingReply for DisconnectPending {
             self.target
         ))))
     }
+
+    fn arriving(&self, within: Duration) -> bool {
+        self.inner.arriving(within)
+    }
 }
 
 /// The response frame is truncated mid-body, the way a flaky link or a
@@ -433,6 +437,10 @@ impl PendingReply for CorruptPending {
     fn wait(self: Box<Self>, timeout: Duration) -> Result<Bytes, WaitError> {
         let frame = self.inner.wait(timeout)?;
         Ok(frame.slice(0..frame.len() / 2))
+    }
+
+    fn arriving(&self, within: Duration) -> bool {
+        self.inner.arriving(within)
     }
 }
 

@@ -27,7 +27,13 @@
 //! Only *transport-class* failures (connection loss, timeout) trip
 //! the breaker. A shed ([`PvfsError::Overloaded`]) is explicitly a
 //! sign of life — the daemon answered quickly, just with "not now" —
-//! so the caller records it as neither success nor failure.
+//! so it counts as neither success nor failure. What it does say is
+//! that the daemon's queue, which every client shares, is full: the
+//! tracker keeps, beside each breaker, how many flights one request
+//! stream may have in the air at that daemon
+//! ([`HealthTracker::window`]) — [`WINDOW`] until the daemon sheds,
+//! halved by each shed, reopened by one after 64 replies in a row
+//! without one — so that many clients' windows settle into one queue.
 //!
 //! [`HedgePolicy`] is the complementary tail-latency tool: instead of
 //! waiting for a slow daemon to cross into failure, a hedged read
@@ -41,6 +47,7 @@ use pvfs_types::{PvfsError, ServerId};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use crate::cluster::WINDOW;
 use crate::envspec::{self, parse_duration};
 
 /// When a per-daemon circuit breaker opens and for how long.
@@ -244,6 +251,13 @@ enum Circuit {
     HalfOpen,
 }
 
+/// Replies in a row without a shed that reopen a daemon's window by one
+/// flight: a default queue's worth. (Measured with 32 and 64 clients on
+/// four daemons: 16, 64, 256 and 1024 shed and finish alike — nearly
+/// all sheds fall in the first op, when every client opens at
+/// [`WINDOW`].)
+const REOPEN_AFTER: u32 = 64;
+
 #[derive(Debug)]
 struct ServerHealth {
     /// Smoothed RPC latency in nanoseconds; 0.0 until the first sample.
@@ -253,6 +267,11 @@ struct ServerHealth {
     circuit: Circuit,
     /// Lifetime count of closed→open transitions (diagnostics).
     trips: u64,
+    /// Flights one stream may keep in the air here: [`WINDOW`] until
+    /// the daemon sheds.
+    window: usize,
+    /// Replies since the last shed, or since the window last reopened.
+    calm: u32,
 }
 
 impl ServerHealth {
@@ -263,6 +282,8 @@ impl ServerHealth {
             consecutive_failures: 0,
             circuit: Circuit::Closed,
             trips: 0,
+            window: WINDOW,
+            calm: 0,
         }
     }
 }
@@ -350,6 +371,31 @@ impl HealthTracker {
         h.samples += 1;
         h.consecutive_failures = 0;
         h.circuit = Circuit::Closed;
+        if h.window < WINDOW {
+            h.calm += 1;
+            if h.calm == REOPEN_AFTER {
+                h.window += 1;
+                h.calm = 0;
+            }
+        }
+    }
+
+    /// `server` shed a request off its full queue: it is alive — this is
+    /// no failure — but its queue is shared, and this endpoint's share
+    /// was too wide. Halves the window on it, never below one flight;
+    /// 64 replies in a row without a shed reopen it by one.
+    pub fn record_shed(&self, server: ServerId) {
+        if let Some(lock) = self.servers.get(server.index()) {
+            let mut h = lock.lock().unwrap();
+            h.window = (h.window / 2).max(1);
+            h.calm = 0;
+        }
+    }
+
+    /// How many flights one stream may keep in the air at `server`.
+    pub fn window(&self, server: ServerId) -> usize {
+        let health = self.servers.get(server.index());
+        health.map_or(WINDOW, |lock| lock.lock().unwrap().window)
     }
 
     /// Feed a transport-class failure (connection loss, timeout) to
@@ -531,6 +577,31 @@ mod tests {
         t.record_success(S0, Duration::from_micros(1000));
         let e = t.ewma(S0).unwrap();
         assert!(e > Duration::from_micros(150) && e < Duration::from_micros(400));
+    }
+
+    #[test]
+    fn sheds_halve_the_window_and_calm_replies_reopen_it() {
+        let t = HealthTracker::new(2, BreakerPolicy::default());
+        let reply = || t.record_success(S0, Duration::from_micros(50));
+        assert_eq!(t.window(S0), WINDOW);
+        t.record_shed(S0);
+        assert_eq!(t.window(S0), WINDOW / 2);
+        for _ in 0..4 {
+            t.record_shed(S0);
+        }
+        assert_eq!(t.window(S0), 1, "never below one flight");
+        assert_eq!(t.state(S0), BreakerState::Closed, "a shed is no failure");
+        assert_eq!(t.window(ServerId(1)), WINDOW, "per daemon");
+
+        (0..REOPEN_AFTER - 1).for_each(|_| reply());
+        assert_eq!(t.window(S0), 1);
+        t.record_shed(S0);
+        (0..REOPEN_AFTER - 1).for_each(|_| reply());
+        assert_eq!(t.window(S0), 1, "a shed starts the count over");
+        reply();
+        assert_eq!(t.window(S0), 2);
+        (0..10 * REOPEN_AFTER).for_each(|_| reply());
+        assert_eq!(t.window(S0), WINDOW, "and never above WINDOW");
     }
 
     #[test]

@@ -255,6 +255,22 @@ impl PendingReply for TcpPending {
             ));
         }
     }
+
+    /// A peek at the socket. Anything but "nothing yet" — bytes, EOF,
+    /// an error — is for [`wait`](PendingReply::wait) to make sense of.
+    fn arriving(&self, within: Duration) -> bool {
+        let stream = &self.conn.stream;
+        let peeked = if within.is_zero() {
+            let _ = stream.set_nonblocking(true);
+            let peeked = stream.peek(&mut [0]);
+            let _ = stream.set_nonblocking(false);
+            peeked
+        } else {
+            let _ = stream.set_read_timeout(Some(within));
+            stream.peek(&mut [0])
+        };
+        !matches!(peeked, Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut))
+    }
 }
 
 impl TcpPending {

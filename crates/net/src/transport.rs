@@ -109,6 +109,18 @@ pub trait PendingReply: Send {
     /// total — a transport that reassembles the response from many
     /// partial reads must charge them all against one deadline.
     fn wait(self: Box<Self>, timeout: Duration) -> Result<Bytes, WaitError>;
+
+    /// Whether the response has begun to arrive, waiting up to `within`
+    /// for its first byte. Where the sender waits on the receiver — a
+    /// socket: a response larger than its buffers holds a daemon's
+    /// worker until it is read — the answer must be true to the wire,
+    /// so that the pipeline can read a newer flight's response ahead of
+    /// an older one's that is still queued behind it. Where responses
+    /// are handed over whole nobody waits on the reader, and the
+    /// default — "wait on me" — is always right.
+    fn arriving(&self, _within: Duration) -> bool {
+        true
+    }
 }
 
 /// A client-side RPC transport to one cluster.

@@ -5,15 +5,18 @@
 //! transport; here the real executor drives real daemons and a
 //! [`Watched`] transport in between counts what crosses: how many
 //! flights each daemon has in the air, what each frame asks, and
-//! whether the serial gate was held when it left.
+//! whether the serial gate was held when it left. The last two tests
+//! are about what one client's window does to everybody else's: 48
+//! clients on four daemons' shared queues, and replies too big for a
+//! socket's buffers.
 
 use bytes::Bytes;
 use pvfs::client::PvfsFile;
 use pvfs::core::{Method, MethodConfig};
 use pvfs::net::tcp::{TcpCluster, TcpTransport};
 use pvfs::net::{
-    ClusterClient, FaultPlan, LiveCluster, PendingReply, RpcTarget, SerialGate, Transport,
-    TransportKind, WaitError, WINDOW,
+    ClusterClient, FaultPlan, LiveCluster, PendingReply, RetryPolicy, RpcTarget, SerialGate,
+    Transport, TransportKind, WaitError, WINDOW,
 };
 use pvfs::proto::{decode_frame, Frame};
 use pvfs::server::{IoDaemon, IodConfig};
@@ -95,6 +98,10 @@ impl PendingReply for WatchedReply {
         let at = lane.iter().position(|op| *op == self.op).unwrap();
         lane.remove(at);
         reply
+    }
+
+    fn arriving(&self, within: Duration) -> bool {
+        self.inner.arriving(within)
     }
 }
 
@@ -315,4 +322,89 @@ fn the_tcp_pool_stays_bounded_by_the_window() {
     }
     assert_eq!(back, content);
     assert_eq!(after_first, Some((bound, bound)));
+}
+
+/// The window is per client, the daemons' queues are not: 48 clients ×
+/// `WINDOW` frames overrun the default `queue_depth` of 64 three times
+/// over. A shed frame is the daemon pushing back on this client's
+/// window, not a failed attempt: every op completes, as it did when a
+/// client had one frame per daemon in the air.
+#[test]
+fn many_clients_overrunning_the_daemons_queues_lose_no_op() {
+    const CLIENTS: u64 = 48;
+    let config = IodConfig {
+        workers: 2,
+        emulated_latency: Some(Duration::from_millis(1)),
+        ..IodConfig::default()
+    };
+    let cluster = LiveCluster::spawn_with(4, config);
+    let pattern = Cyclic {
+        clients: CLIENTS,
+        accesses_per_client: 1024,
+        aggregate_bytes: CLIENTS * 1024 * 128,
+    };
+    let setup = cluster.client();
+    PvfsFile::create(&setup, "/pvfs/crowd", layout()).unwrap();
+    let outcomes: Vec<_> = std::thread::scope(|scope| {
+        let ranks: Vec<_> = (0..CLIENTS)
+            .map(|rank| {
+                let (client, request) = (cluster.client(), pattern.request_for(rank).unwrap());
+                scope.spawn(move || {
+                    let mut file = PvfsFile::open(&client, "/pvfs/crowd").unwrap();
+                    let content = verify::content(rank, request.total_len() as usize);
+                    let written =
+                        file.write_list(&request.mem, &request.file, &content, Method::List);
+                    let mut back = vec![0u8; content.len()];
+                    let read = file.read_list(&request.mem, &request.file, &mut back, Method::List);
+                    (written.and(read).map(|_| back == content), client.stats())
+                })
+            })
+            .collect();
+        ranks.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    let failed: Vec<_> = outcomes.iter().filter(|(o, _)| *o != Ok(true)).collect();
+    let sheds: u64 = outcomes.iter().map(|(_, s)| s.sheds_seen).sum();
+    let retries: u64 = outcomes.iter().map(|(_, s)| s.retries).sum();
+    assert!(
+        failed.is_empty(),
+        "{} of {CLIENTS} clients failed ({sheds} sheds, {retries} retries), e.g. {:?}",
+        failed.len(),
+        failed[0].0
+    );
+}
+
+/// Replies too big for the socket buffers: a worker serving one blocks
+/// in its send until the client reads. The daemon queues a client's
+/// frames in the order their connections' reader threads get to run,
+/// not the order they left, so both workers can be stuck sending the
+/// replies to newer flights while the oldest is still in the queue —
+/// the pump must not sit on that one until the deadline (which, with
+/// retries off, would fail the read).
+#[test]
+fn replies_larger_than_the_socket_buffers_do_not_stall_the_window() {
+    const REGION: u64 = 12 << 20;
+    let config = IodConfig::default();
+    let daemons = [Arc::new(IoDaemon::new(ServerId(0), config))];
+    let tcp = TcpCluster::spawn(&daemons, config);
+    let transport = Arc::new(TcpTransport::new(tcp.server_addrs(), tcp.mgr_addr()));
+    let gate = Arc::new(SerialGate::new());
+    let client = ClusterClient::with_transport(ClientId(1), transport, gate)
+        .with_rpc_timeout(Duration::from_secs(5))
+        .with_retry_policy(RetryPolicy::none());
+    let layout = StripeLayout::new(0, 1, 1 << 20).unwrap();
+    let mut file = PvfsFile::create(&client, "/pvfs/big", layout).unwrap();
+
+    // One round per region under `Multiple`, all to the one daemon.
+    let regions = RegionList::from_pairs((0..2 * WINDOW as u64).map(|i| (i * 2 * REGION, REGION)));
+    let regions = regions.unwrap();
+    let mem = RegionList::contiguous(0, regions.total_len());
+    let content = verify::content(3, regions.total_len() as usize);
+    file.write_list(&mem, &regions, &content, Method::Multiple)
+        .unwrap();
+    let mut back = vec![0u8; content.len()];
+    let report = file
+        .read_list(&mem, &regions, &mut back, Method::Multiple)
+        .unwrap();
+    assert_eq!(report.rounds, 2 * WINDOW as u64);
+    assert!(back == content);
 }
