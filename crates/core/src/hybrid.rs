@@ -95,7 +95,7 @@ pub fn plan(
     let steps = items.into_iter().flat_map(move |item| match item {
         Item::Sieve { window, copies } => {
             let ops = servers_for(&layout, [window])
-                .into_iter()
+                .iter()
                 .map(|server| WireOp {
                     server,
                     op: OpKind::Read {
@@ -111,7 +111,7 @@ pub fn plan(
         }
         Item::Chunk(chunk) => {
             let ops = servers_for(&layout, chunk.iter().copied())
-                .into_iter()
+                .iter()
                 .map(|server| WireOp {
                     server,
                     op: match kind {

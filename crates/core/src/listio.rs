@@ -53,7 +53,7 @@ pub fn plan(
     let steps = (0..n_chunks).map(move |i| {
         let chunk = regions.slice(i * max..((i + 1) * max).min(regions.count()));
         let ops = servers_for(&layout, chunk.iter().copied())
-            .into_iter()
+            .iter()
             .map(|server| WireOp {
                 server,
                 op: match kind {

@@ -44,7 +44,7 @@ pub fn plan(
 
     let steps = pieces.map(move |(_, region)| {
         let ops = servers_for(&layout, [region])
-            .into_iter()
+            .iter()
             .map(|server| WireOp {
                 server,
                 op: match kind {

@@ -208,7 +208,7 @@ impl<I: Iterator<Item = Window>> Iterator for WindowSteps<I> {
                 match self.kind {
                     IoKind::Read => {
                         let ops = servers
-                            .into_iter()
+                            .iter()
                             .map(|server| WireOp {
                                 server,
                                 op: OpKind::Read {
@@ -227,7 +227,7 @@ impl<I: Iterator<Item = Window>> Iterator for WindowSteps<I> {
                     IoKind::Write => {
                         let read_ops = servers
                             .iter()
-                            .map(|&server| WireOp {
+                            .map(|server| WireOp {
                                 server,
                                 op: OpKind::Read {
                                     region: w.region,
@@ -239,7 +239,7 @@ impl<I: Iterator<Item = Window>> Iterator for WindowSteps<I> {
                             })
                             .collect();
                         let write_ops = servers
-                            .into_iter()
+                            .iter()
                             .map(|server| WireOp {
                                 server,
                                 op: OpKind::Write {

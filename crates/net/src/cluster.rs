@@ -14,22 +14,25 @@
 //! not — runs through one private driver, `drive`, and its one `Pump`:
 //! ops are pulled lazily from an [`OpStream`] and expanded into
 //! sub-ops (one per op; one per copy under replication), each daemon
-//! has at most [`WINDOW`] of them in flight, a daemon's oldest flight
-//! is landed when its window is full, and every op's outcome goes back
-//! to the stream as it resolves (a replicated write under its quorum).
+//! has at most [`WINDOW`] of them in flight, all on one [`Lane`] — the
+//! pump checks out one per daemon for as long as the stream runs —
+//! whichever of a daemon's flights its next reply answers is landed
+//! when its window is full, and every op's outcome goes back to the
+//! stream as it resolves (a replicated write under its quorum).
 //! There is no barrier and no wave: a failed attempt is settled where
 //! it lands — a read fails over to a mirror, a transient failure backs
 //! off and goes out again, that sub-op alone — while the rest of the
 //! window flies on; a frame a daemon *sheds* off its full queue is that
 //! daemon narrowing the window (many clients' windows share one
 //! queue), not a failed attempt. One `ship` (breaker admission, then
-//! `launch`: span, encode, [`Transport::start`]) and one `land` (wait
-//! out what is left of the deadline, decode, attribute the id, feed
-//! latency and health, close the span) serve every attempt; a hedged
-//! read is only a different way to wait inside `land`, its duplicate a
-//! second `launch` of an attempt admitted and judged once. What
-//! distinguishes a `call` from any other op is one parameter, `sole`
-//! (see `drive`).
+//! `launch`: span, encode, [`Lane::send`]) and one `land` (feed latency
+//! and health, close the span) serve every attempt, with the pump in
+//! between: flush every lane with frames queued, wait on one for what
+//! is left of its oldest flight's deadline, decode what comes, match it
+//! to its flight by request id. A hedged read is only a different way
+//! to wait, on lanes of its own, its duplicate a second `launch` of an
+//! attempt admitted and judged once. What distinguishes a `call` from
+//! any other op is one parameter, `sole` (see `drive`).
 //!
 //! # RPC discipline
 //!
@@ -37,10 +40,13 @@
 //! cannot be attributed to a request (the frame's header itself was
 //! unreadable). Servers echo the real request id on error responses
 //! whenever the fixed header is parsable ([`pvfs_proto::decode_frame_id`]),
-//! even if the body is corrupt. Clients verify that every response id
-//! matches the request that awaited it; on the multi-request
-//! [`ClusterClient::round`] path an id-0 response is a hard protocol
-//! error (it could belong to *any* in-flight request). Every receive
+//! even if the body is corrupt. Clients match every response to the
+//! request in flight at that daemon that carries its id; a response
+//! whose id none of them carries is dropped if it answers a request the
+//! client has given up waiting for (a late reply), and is otherwise a
+//! hard protocol error charged to the daemon's oldest flight — as is,
+//! on the multi-request [`ClusterClient::round`] path, an id-0 response
+//! (it could belong to *any* in-flight request). Every receive
 //! carries a deadline ([`ClusterClient::with_rpc_timeout`], default
 //! [`DEFAULT_RPC_TIMEOUT`]) that bounds the **total** elapsed time of
 //! the RPC from the moment its frame left — a TCP response dribbling in
@@ -49,8 +55,10 @@
 //! window — so a wedged server yields [`PvfsError::Timeout`] instead of
 //! hanging the client, and several wedged servers cost one timeout.
 
-use bytes::Bytes;
-use pvfs_proto::{decode_response, encode_frame, Frame, Message, OpClass, Request, Response};
+use pvfs_proto::{
+    decode_response_frame, decode_response_id, encode_frame, Frame, Message, OpClass, Request,
+    Response,
+};
 use pvfs_replica::{ReplicaMap, ReplicaPolicy, ReplicaTarget};
 use pvfs_types::trace::now_ns;
 use pvfs_types::{
@@ -69,7 +77,7 @@ use crate::health::{BreakerPolicy, BreakerState, HealthTracker, HedgePolicy};
 use crate::latency::RpcLatency;
 use crate::retry::{AtomicClientStats, Backoff, ClientStats, RetryPolicy};
 use crate::trace::{ActiveTrace, Tracer};
-use crate::transport::{PendingReply, RpcTarget, Transport, WaitError};
+use crate::transport::{Lane, RpcTarget, Transport, WaitError};
 
 /// Default deadline for one RPC before the client reports
 /// [`PvfsError::Timeout`]. Generous: the in-process servers answer in
@@ -455,9 +463,13 @@ impl ClusterClient {
             subs: VecDeque::with_capacity(room),
             flying: 0,
             ops: Vec::with_capacity(room),
+            lanes: Vec::with_capacity(room.div_ceil(WINDOW)),
+            given_up: [RequestId(0); 4 * WINDOW],
+            next_given_up: 0,
             room,
             started: Instant::now(),
             backoff: None,
+            over: false,
         };
         let result = pump.run();
         if result.is_err() {
@@ -480,17 +492,19 @@ impl ClusterClient {
     }
 
     /// Ship one attempt of one request: breaker admission, then
-    /// [`launch`](Self::launch); a failure to get the frame away is fed
-    /// to the failure detector.
+    /// [`launch`](Self::launch) on the pump's lane to that daemon
+    /// (checked out now if this is its first frame); a failure to get
+    /// the frame away is fed to the failure detector.
     fn ship(
         &self,
         target: RpcTarget,
         request: &Request,
         sole: bool,
+        lane: &mut Option<Box<dyn Lane>>,
         trace: Option<&ActiveTrace>,
         notes: Vec<String>,
     ) -> PvfsResult<Flight> {
-        let mut hedged = false;
+        let mut via = Via::Lane(lane);
         if let RpcTarget::Server(server) = target {
             // An open breaker fails this op fast, before any work is
             // spent on it and without touching the wire; the manager is
@@ -499,31 +513,28 @@ impl ClusterClient {
                 self.stats.record_breaker_rejection();
                 return Err(e);
             }
-            hedged = sole && self.hedge.enabled && request.op_class() == OpClass::Read;
+            if sole && self.hedge.enabled && request.op_class() == OpClass::Read {
+                via = Via::Race;
+            }
         }
-        self.launch(target, request, sole, hedged, trace, notes)
+        self.launch(target, request, sole, via, trace, notes)
             .inspect_err(|e| self.observe_failure(target, e))
     }
 
-    /// Put one frame on the wire, off the books: the attempt's
-    /// `rpc:<op>` span (opened before encode, its context stamped into
-    /// the frame so server-side spans parent under the attempt; `send`
-    /// child once the frame is away), encode under a fresh request id,
-    /// [`Transport::start`]. `notes` annotate the span if that fails.
+    /// Send one frame, off the books: the attempt's `rpc:<op>` span
+    /// (opened before encode, its context stamped into the frame so
+    /// server-side spans parent under the attempt; `send` child once
+    /// the frame is on its lane), encode under a fresh request id, then
+    /// the way `via` says. `notes` annotate the span if that fails.
     /// [`ship`](Self::ship) does the booking around it; the duplicate
     /// of a hedged read comes here directly, so one read is admitted
     /// and judged once however many frames carry it.
-    ///
-    /// A `hedged` read (see [`race`](Self::race)) starts on a waiter
-    /// thread instead: a stalled connect/send — an injected delay
-    /// fault, a jammed socket buffer — must not hold the hedge clock
-    /// hostage.
     fn launch(
         &self,
         target: RpcTarget,
         request: &Request,
         sole: bool,
-        hedged: bool,
+        via: Via<'_>,
         trace: Option<&ActiveTrace>,
         mut notes: Vec<String>,
     ) -> PvfsResult<Flight> {
@@ -533,33 +544,42 @@ impl ClusterClient {
         // Latency runs from each op's own ship time: the
         // client-perceived completion latency under fan-out concurrency.
         let shipped_at = Instant::now();
-        let reply = if hedged {
-            let lanes = bounded::<Lane>(2);
-            let (transport, timeout, lane) =
-                (self.transport.clone(), self.rpc_timeout, lanes.0.clone());
-            std::thread::spawn(move || {
-                let outcome = match transport.start(target, frame) {
-                    Ok(pending) => pending.wait(timeout),
-                    Err(e) => Err(WaitError::Failed(e)),
+        let sent = match via {
+            Via::Lane(lane) => {
+                let lane = match lane {
+                    Some(lane) => Ok(lane),
+                    None => self.transport.lane(target).map(|l| lane.insert(l)),
                 };
-                let _ = lane.send((false, outcome));
-            });
-            Reply::Raced(lanes.0, lanes.1)
-        } else {
-            match self.transport.start(target, frame) {
-                Ok(pending) => Reply::Direct(pending),
-                Err(e) => {
-                    if let Some((a, sid, t0)) = span {
-                        notes.push("error".into());
-                        let (op, dur) = (request.op_name(), now_ns().saturating_sub(t0));
-                        a.span_with_id(sid, a.root(), format!("rpc:{op}"), t0, dur, notes);
-                    }
-                    return Err(blame(sole, target, id, e));
+                lane.and_then(|lane| lane.send(frame)).map(|()| Reply::Lane)
+            }
+            Via::Own => self.transport.dispatch(target, frame).map(Reply::Own),
+            Via::Race => {
+                let racers = bounded::<Racer>(2);
+                let (transport, timeout, tx) =
+                    (self.transport.clone(), self.rpc_timeout, racers.0.clone());
+                std::thread::spawn(move || {
+                    let lane = transport.dispatch(target, frame);
+                    let outcome = lane
+                        .map_err(WaitError::Failed)
+                        .and_then(|mut lane| lane.recv(timeout));
+                    let _ = tx.send((false, outcome));
+                });
+                Ok(Reply::Raced(racers.0, racers.1))
+            }
+        };
+        let reply = match sent {
+            Ok(reply) => reply,
+            Err(e) => {
+                if let Some((a, sid, t0)) = span {
+                    notes.push("error".into());
+                    let (op, dur) = (request.op_name(), now_ns().saturating_sub(t0));
+                    a.span_with_id(sid, a.root(), format!("rpc:{op}"), t0, dur, notes);
                 }
+                return Err(blame(sole, target, id, e));
             }
         };
         let span = span.map(|(a, sid, t0)| {
-            if !hedged {
+            if !matches!(reply, Reply::Raced(..)) {
                 a.span(sid, "send", t0, Vec::new());
             }
             (sid, t0)
@@ -572,19 +592,48 @@ impl ClusterClient {
         })
     }
 
-    /// Land one shipped attempt: wait for the reply under the RPC
-    /// deadline, decode it, attribute its id, feed latency and health,
-    /// close the attempt's span (`recv` child; `notes`, plus `error` on
-    /// failure), and turn a server-side error into `Err`.
+    /// What the attempt that sent request `id` makes of what came back
+    /// for it: a lane's failure named, a reply decoded and its id
+    /// attributed (see [`attribute`] for `lone`).
+    fn read_reply(
+        &self,
+        raw: Result<Frame, WaitError>,
+        id: RequestId,
+        target: RpcTarget,
+        sole: bool,
+        lone: bool,
+    ) -> PvfsResult<Response> {
+        raw.map_err(|e| match e {
+            WaitError::Timeout => self.timed_out(id, target),
+            WaitError::Lost(_, e) | WaitError::Failed(e) => blame(sole, target, id, e),
+        })
+        .and_then(|raw| decode_response_frame(raw).map_err(|e| blame(sole, target, id, e)))
+        .and_then(|(rid, response)| attribute(target, id, rid, response, lone))
+    }
+
+    fn timed_out(&self, id: RequestId, target: RpcTarget) -> PvfsError {
+        PvfsError::timeout(format!(
+            "no reply to request {id} from {target} within {:?}",
+            self.rpc_timeout
+        ))
+    }
+
+    /// Land one attempt, waited for since `recv_ns`, with its `outcome`:
+    /// feed latency and health, close the attempt's span (`recv` child;
+    /// `notes`, plus `error` on failure), and turn a server-side error
+    /// into `Err`.
     ///
     /// One rule for every entry point: any decoded, attributed response
     /// — server errors included — proves the daemon alive and timely,
     /// so it records a latency sample, clears the failure streak and
     /// closes a half-open breaker. Only transport-class failures
     /// (connection loss, timeout) count toward tripping one.
+    #[allow(clippy::too_many_arguments)]
     fn land(
         &self,
         flight: Flight,
+        recv_ns: u64,
+        outcome: PvfsResult<Response>,
         target: RpcTarget,
         request: &Request,
         sole: bool,
@@ -595,40 +644,8 @@ impl ClusterClient {
             id,
             shipped_at,
             span,
-            reply,
+            ..
         } = flight;
-        let recv_ns = now_ns();
-        // The hedge is a different way to wait; it also decides which
-        // id the reply must carry, and with two requests in flight even
-        // an id-0 error is ambiguous.
-        let (raw, id, lone) = match reply {
-            // The deadline runs from ship time, as `race`'s does: a
-            // flight that waited its turn behind others of its window
-            // has that much less left (a reply already here is taken
-            // even with nothing left).
-            Reply::Direct(pending) => {
-                let left = self.rpc_timeout.saturating_sub(shipped_at.elapsed());
-                (pending.wait(left), id, sole)
-            }
-            Reply::Raced(tx, rx) => {
-                let (raw, hedge_id, outran_hedge) =
-                    self.race((tx, rx), target, request, shipped_at, trace);
-                if outran_hedge {
-                    notes.push("win".into());
-                }
-                (raw, hedge_id.unwrap_or(id), false)
-            }
-        };
-        let outcome = raw
-            .map_err(|e| match e {
-                WaitError::Timeout => PvfsError::timeout(format!(
-                    "no reply to request {id} from {target} within {:?}",
-                    self.rpc_timeout
-                )),
-                WaitError::Failed(e) => blame(sole, target, id, e),
-            })
-            .and_then(|raw| decode_response(raw).map_err(|e| blame(sole, target, id, e)))
-            .and_then(|(rid, response)| attribute(target, id, rid, response, lone));
         if let Some((a, (sid, t0))) = trace.zip(span) {
             a.span(sid, "recv", recv_ns, Vec::new());
             if outcome.is_err() {
@@ -657,14 +674,14 @@ impl ClusterClient {
     }
 
     /// The *hedged* wait of one read: if the primary (shipping and
-    /// waiting on its own thread, reporting into `lanes`) has not
-    /// answered within a percentile of this daemon's observed read
+    /// waiting on its own thread and lane, reporting into `racers`) has
+    /// not answered within a percentile of this daemon's observed read
     /// latency ([`HedgePolicy`]), [`launch`](Self::launch) an identical
-    /// duplicate on a second connection and take whichever response
-    /// arrives first. The loser drains on its waiter thread (bounded by
-    /// the RPC deadline) so a late reply never crosses wires with a
-    /// later request. Reads are idempotent, so the duplicate is harmless
-    /// by construction.
+    /// duplicate on a lane of its own — a second connection — and take
+    /// whichever response arrives first. The loser drains on its waiter
+    /// thread (bounded by the RPC deadline) so a late reply never
+    /// crosses wires with a later request. Reads are idempotent, so the
+    /// duplicate is harmless by construction.
     ///
     /// Returns the raw outcome, the hedge's request id when the reply
     /// is the hedge's (it must carry exactly that id), and whether the
@@ -672,19 +689,19 @@ impl ClusterClient {
     /// (noted `hedge`, plus `win`) is closed here.
     fn race(
         &self,
-        lanes: (Sender<Lane>, Receiver<Lane>),
+        racers: (&Sender<Racer>, &Receiver<Racer>),
         target: RpcTarget,
         request: &Request,
         shipped_at: Instant,
         trace: Option<&ActiveTrace>,
-    ) -> (Result<Bytes, WaitError>, Option<RequestId>, bool) {
-        let (tx, rx) = lanes;
+    ) -> (Result<Frame, WaitError>, Option<RequestId>, bool) {
+        let (tx, rx) = racers;
         let history = self.latency.snapshot(target, request.op_class());
         let observed = (history.count() > 0)
             .then(|| Duration::from_nanos(history.percentile_ns(self.hedge.percentile)));
         let hedge_after = self.hedge.delay(observed).min(self.rpc_timeout);
         let deadline = shipped_at + self.rpc_timeout;
-        let mut outcomes: Vec<Lane> = Vec::new();
+        let mut outcomes: Vec<Racer> = Vec::new();
         let mut hedge = None;
         match rx.recv_timeout(hedge_after) {
             Ok(first) => outcomes.push(first),
@@ -700,13 +717,13 @@ impl ClusterClient {
                 if let Ok(Flight {
                     id,
                     span,
-                    reply: Reply::Direct(pending),
+                    reply: Reply::Own(mut lane),
                     ..
-                }) = self.launch(target, request, false, false, trace, notes)
+                }) = self.launch(target, request, false, Via::Own, trace, notes)
                 {
-                    let timeout = self.rpc_timeout;
+                    let (timeout, tx) = (self.rpc_timeout, tx.clone());
                     std::thread::spawn(move || {
-                        let _ = tx.send((true, pending.wait(timeout)));
+                        let _ = tx.send((true, lane.recv(timeout)));
                     });
                     hedge = Some((id, span));
                 }
@@ -741,7 +758,7 @@ impl ClusterClient {
             Some((_, raw)) => raw,
             None => Err(outcomes
                 .into_iter()
-                .find_map(|(_, r)| r.err().filter(|e| matches!(e, WaitError::Failed(_))))
+                .find_map(|(_, r)| r.err().filter(|e| !matches!(e, WaitError::Timeout)))
                 .unwrap_or(WaitError::Timeout)),
         };
         let hedge_id = hedge.filter(|_| hedge_won).map(|(id, _)| id);
@@ -878,10 +895,6 @@ fn attribute(
 /// would only deepen the daemon's queue.
 pub const WINDOW: usize = 4;
 
-/// How long the pipeline waits on a daemon's oldest flight before it
-/// glances at the newer ones (see `Pump::land_oldest`).
-const GLANCE: Duration = Duration::from_millis(10);
-
 /// What the request pipeline runs: a lazy source of ops and the sink
 /// their replies land in — one object, because the two halves of a real
 /// stream share state (the plan executor gathers a write's payload out
@@ -968,9 +981,18 @@ impl<T: Into<RpcTarget>, I: Iterator<Item = (T, Request)>> OpStream for Batch<I>
 /// out* (just pulled, failed over, shed, or backed off after a
 /// transient failure) or *flying*. [`run`](Self::run) is the one loop:
 /// a due sub-op ships as soon as its daemon's window has room — landing
-/// that daemon's oldest flight makes the room; with nothing ready to go
+/// one of that daemon's flights makes the room; with nothing ready to go
 /// and fewer than `room` sub-ops in the window the next op is pulled;
-/// otherwise the oldest flight of all lands.
+/// otherwise a flight of the daemon with the oldest one lands.
+///
+/// All of a daemon's flights share one [`Lane`], checked out when the
+/// first ships and held until the pump is done: shipping queues a frame
+/// on it, and before the pump blocks — to land, to sleep — it flushes
+/// every lane with frames queued, so the frames shipped since the last
+/// wait leave together, one write per daemon. Landing takes the lane's
+/// *next* reply, whichever flight it answers (a daemon with several
+/// workers answers in no particular order), and matches it to its
+/// flight by request id.
 ///
 /// A landed reply resolves its sub-op; a failed attempt is settled at
 /// once — a read whose copy is unreachable *fails over* to its next
@@ -980,9 +1002,12 @@ impl<T: Into<RpcTarget>, I: Iterator<Item = (T, Request)>> OpStream for Batch<I>
 /// failure is given a not-before instant and goes out again, that
 /// sub-op alone, while its attempts and the stream's budget last — this
 /// is the client's one retry loop, and nothing else waits for it — and
-/// anything else fails the sub-op for good. Each flight owns its
-/// connection or reply channel, so nothing here orders or multiplexes
-/// frames: the window only decides *when* to wait.
+/// anything else fails the sub-op for good. A flight whose deadline
+/// passes is given up on by itself: its id is remembered (`given_up`) so
+/// that its reply, should it still come, is dropped, and the lane and
+/// its other flights carry on. Only a failure of the lane itself (the
+/// connection) fails every flight on it; the next frame for that daemon
+/// checks out a fresh one.
 ///
 /// A daemon's window is [`WINDOW`] until that daemon sheds: many
 /// clients' windows share one bounded queue, and `Overloaded` is the
@@ -1003,11 +1028,29 @@ struct Pump<'a, S: OpStream> {
     flying: usize,
     /// The ops `subs` serve, a slab indexed by [`Sub::op`].
     ops: Vec<Option<Op<S::Ticket>>>,
+    /// The daemons this stream has shipped to, each with its lane.
+    lanes: Vec<PumpLane>,
+    /// The requests last given up on with their lane still sound, whose
+    /// replies may yet arrive on it (0, never a request's id, where
+    /// there is none): a ring, overwritten oldest first.
+    given_up: [RequestId; 4 * WINDOW],
+    next_given_up: usize,
     /// The most sub-ops the window holds before it stops pulling.
     room: usize,
     /// The retry budget runs from here, across the whole stream.
     started: Instant,
     backoff: Option<Backoff>,
+    /// The stream has ended on an error: what is still in the air lands
+    /// for the books alone.
+    over: bool,
+}
+
+/// One daemon as the pump reaches it.
+struct PumpLane {
+    target: RpcTarget,
+    /// Checked out by the first frame shipped; `None` again once it has
+    /// failed.
+    lane: Option<Box<dyn Lane>>,
 }
 
 /// One op in the window, from pull to the sink.
@@ -1094,7 +1137,7 @@ impl<S: OpStream> Pump<'_, S> {
                 if self.flying_at(target) < self.client.window(target) {
                     self.ship(due)?;
                 } else {
-                    self.land_oldest(target)?;
+                    self.land_at(target)?;
                 }
             } else if more && self.subs.len() < self.room {
                 match self.stream.next_op() {
@@ -1102,7 +1145,7 @@ impl<S: OpStream> Pump<'_, S> {
                     None => more = false,
                 }
             } else if self.flying > 0 {
-                self.land_oldest(self.subs[0].target)?;
+                self.land_at(self.subs[0].target)?;
             } else if let Some(wake) = self.subs.iter().filter_map(|s| s.not_before).min() {
                 // Nothing in the air and nothing to send yet: only now
                 // does a backoff cost the stream any time.
@@ -1183,17 +1226,18 @@ impl<S: OpStream> Pump<'_, S> {
         });
     }
 
-    fn op(&self, sub: &Sub) -> &Op<S::Ticket> {
-        self.ops[sub.op]
-            .as_ref()
-            .expect("a sub-op's op is in the window")
+    /// Where `target`'s lane is kept (from the first frame shipped there
+    /// on).
+    fn lane_at(&self, target: RpcTarget) -> Option<usize> {
+        self.lanes.iter().position(|l| l.target == target)
     }
 
-    /// Ship the due sub-op at `at`: it joins the flights, the newest.
+    /// Ship the due sub-op at `at`: queued on its daemon's lane, it
+    /// joins the flights, the newest.
     fn ship(&mut self, at: usize) -> PvfsResult<()> {
         let client = self.client;
         let mut sub = self.subs.remove(at).expect("a due sub-op");
-        let request = self.op(&sub).request(&sub);
+        let request = op_of(&self.ops, &sub).request(&sub);
         // Control scrapes stay off the books on this side of the wire
         // too (the daemons already exclude them): scraping `stats` or a
         // trace must not advance the very counters being read.
@@ -1201,7 +1245,15 @@ impl<S: OpStream> Pump<'_, S> {
             client.stats.record_attempts(1);
         }
         let notes = sub.notes(self.trace);
-        match client.ship(sub.target, request, self.sole, self.trace, notes) {
+        let at = self.lane_at(sub.target).unwrap_or_else(|| {
+            self.lanes.push(PumpLane {
+                target: sub.target,
+                lane: None,
+            });
+            self.lanes.len() - 1
+        });
+        let lane = &mut self.lanes[at].lane;
+        match client.ship(sub.target, request, self.sole, lane, self.trace, notes) {
             Ok(flight) => {
                 sub.flight = Some(flight);
                 self.subs.insert(self.flying, sub);
@@ -1212,38 +1264,167 @@ impl<S: OpStream> Pump<'_, S> {
         }
     }
 
-    /// Land one of `target`'s flights: the oldest — a daemon queues
-    /// frames as they come, so usually the first answered — unless a
-    /// newer one's reply shows up while the oldest's has not: over
-    /// sockets a big reply occupies a worker until it is read, and the
-    /// oldest flight may be queued behind just those workers.
-    fn land_oldest(&mut self, target: RpcTarget) -> PvfsResult<()> {
-        loop {
-            let mut theirs = (0..self.flying).filter(|&at| self.subs[at].target == target);
-            let oldest = theirs.next().expect("a flight to land");
-            let flight = |at: usize| self.subs[at].flight.as_ref().expect("in the air");
-            let left =
-                (self.client.rpc_timeout).saturating_sub(flight(oldest).shipped_at.elapsed());
-            if left.is_zero() || flight(oldest).arriving(left.min(GLANCE)) {
-                return self.land(oldest);
+    /// Land one of `target`'s flights: whichever its lane's next reply
+    /// answers, or the oldest if none comes before that one's deadline.
+    /// First every lane with frames queued is flushed — the pump is
+    /// about to block. (A reply to a flight already given up on lands
+    /// nothing, and is dropped.)
+    fn land_at(&mut self, target: RpcTarget) -> PvfsResult<()> {
+        self.flush()?;
+        let mut theirs = (0..self.flying).filter(|&at| self.subs[at].target == target);
+        let Some(oldest) = theirs.next() else {
+            // The flush failed the lane, and its flights with it.
+            return Ok(());
+        };
+        let flight = self.subs[oldest].flight.as_ref().expect("in the air");
+        if let Reply::Raced(..) = flight.reply {
+            return self.land_raced(oldest);
+        }
+        let (oldest_id, shipped_at) = (flight.id, flight.shipped_at);
+        let (sole, recv_ns) = (self.sole, now_ns());
+        // The deadline runs from ship time, as `race`'s does: a flight
+        // that waited its turn behind others of its window has that
+        // much less left (a reply already here is taken even with
+        // nothing left).
+        let left = (self.client.rpc_timeout).saturating_sub(shipped_at.elapsed());
+        // A lane that fails takes its flights with it (`fail_lane`), so
+        // a flight in the air has its lane.
+        let lane = self
+            .lane_at(target)
+            .and_then(|at| self.lanes[at].lane.as_mut());
+        let reply = match lane.expect("a flight's lane").recv(left) {
+            Ok(reply) => reply,
+            Err(WaitError::Timeout) => {
+                self.given_up[self.next_given_up] = oldest_id;
+                self.next_given_up = (self.next_given_up + 1) % self.given_up.len();
+                let timeout = self.client.timed_out(oldest_id, target);
+                return self.land(oldest, recv_ns, Err(timeout));
             }
-            if let Some(newer) = theirs.find(|&at| flight(at).arriving(Duration::ZERO)) {
-                return self.land(newer);
+            Err(WaitError::Lost(id, e)) => {
+                return match self.flight_with(target, id) {
+                    Some(at) => self.land(at, recv_ns, Err(blame(sole, target, id, e))),
+                    None => Ok(()),
+                };
+            }
+            Err(WaitError::Failed(e)) => return self.fail_lane(target, e),
+        };
+        let rid = decode_response_id(&reply.head);
+        let decoded = decode_response_frame(reply);
+        if let Some(id) = rid.filter(|rid| *rid != RequestId(0)) {
+            if let Some(at) = self.flight_with(target, id) {
+                let outcome = decoded
+                    .map(|(_, response)| response)
+                    .map_err(|e| blame(sole, target, id, e));
+                return self.land(at, recv_ns, outcome);
+            }
+            if self.given_up.contains(&id) {
+                return Ok(());
             }
         }
+        // Unattributable (id 0), an id never shipped, no readable id at
+        // all: the protocol error it is, charged to the daemon's oldest
+        // flight — unless that is a lone RPC and this the error its
+        // frame provoked.
+        let outcome = decoded
+            .map_err(|e| blame(sole, target, oldest_id, e))
+            .and_then(|(rid, response)| attribute(target, oldest_id, rid, response, sole));
+        self.land(oldest, recv_ns, outcome)
     }
 
-    /// Land the flight at `at`: out of the window, resolved or settled.
-    fn land(&mut self, at: usize) -> PvfsResult<()> {
+    /// The flight in the air at `target` that went out as request `id`.
+    fn flight_with(&self, target: RpcTarget, id: RequestId) -> Option<usize> {
+        (0..self.flying).find(|&at| {
+            let sub = &self.subs[at];
+            sub.target == target && sub.flight.as_ref().is_some_and(|f| f.id == id)
+        })
+    }
+
+    /// Push out every frame queued on a lane since its last flush (a
+    /// lane with none has nothing to do). A lane that fails at it fails
+    /// with all its flights.
+    fn flush(&mut self) -> PvfsResult<()> {
+        for at in 0..self.lanes.len() {
+            let PumpLane { target, lane } = &mut self.lanes[at];
+            if let Some(Err(e)) = lane.as_mut().map(|lane| lane.flush()) {
+                let target = *target;
+                self.fail_lane(target, e)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// `target`'s lane has failed with `e`: so has every flight on it.
+    /// Should one of them end the stream, the rest still land, for the
+    /// books.
+    fn fail_lane(&mut self, target: RpcTarget, e: PvfsError) -> PvfsResult<()> {
+        if let Some(at) = self.lane_at(target) {
+            self.lanes[at].lane = None;
+        }
+        let mut result = Ok(());
+        let on_lane = |s: &Sub| {
+            let flight = s.flight.as_ref().expect("in the air");
+            s.target == target && matches!(flight.reply, Reply::Lane)
+        };
+        while let Some(at) = (0..self.flying).find(|&at| on_lane(&self.subs[at])) {
+            let id = self.subs[at].flight.as_ref().expect("in the air").id;
+            let lost = Err(blame(self.sole, target, id, e.clone()));
+            if let Err(ended) = self.land(at, now_ns(), lost) {
+                self.over = true;
+                result = result.and(Err(ended));
+            }
+        }
+        result
+    }
+
+    /// Land a hedged read: wait the race out (see
+    /// [`ClusterClient::race`]). The hedge is a different way to wait;
+    /// it also decides which id the reply must carry, and with two
+    /// requests in flight even an id-0 error is ambiguous.
+    fn land_raced(&mut self, at: usize) -> PvfsResult<()> {
+        let recv_ns = now_ns();
+        let sub = &self.subs[at];
+        let flight = sub.flight.as_ref().expect("in the air");
+        let Reply::Raced(tx, rx) = &flight.reply else {
+            unreachable!("only a raced flight lands here");
+        };
+        let request = op_of(&self.ops, sub).request(sub);
+        let (client, target) = (self.client, sub.target);
+        let (raw, hedge_id, outran_hedge) =
+            client.race((tx, rx), target, request, flight.shipped_at, self.trace);
+        let id = hedge_id.unwrap_or(flight.id);
+        let outcome = client.read_reply(raw, id, target, self.sole, false);
+        // The reply, and any error from here on, is under the id it
+        // came by.
+        self.subs[at].flight.as_mut().expect("in the air").id = id;
+        self.land_noting(at, recv_ns, outcome, outran_hedge.then_some("win"))
+    }
+
+    /// Land the flight at `at`, waited for since `recv_ns`, with its
+    /// `outcome`: out of the window, resolved or settled.
+    fn land(&mut self, at: usize, recv_ns: u64, outcome: PvfsResult<Response>) -> PvfsResult<()> {
+        self.land_noting(at, recv_ns, outcome, None)
+    }
+
+    /// [`land`](Self::land), with one more `note` on the attempt's span.
+    fn land_noting(
+        &mut self,
+        at: usize,
+        recv_ns: u64,
+        outcome: PvfsResult<Response>,
+        note: Option<&str>,
+    ) -> PvfsResult<()> {
         let mut sub = self.subs.remove(at).expect("a sub-op in the window");
         let flight = sub.flight.take().expect("only flights land");
         self.flying -= 1;
-        let request = self.op(&sub).request(&sub);
-        let notes = sub.notes(self.trace);
-        match self
-            .client
-            .land(flight, sub.target, request, self.sole, self.trace, notes)
-        {
+        let request = op_of(&self.ops, &sub).request(&sub);
+        let mut notes = sub.notes(self.trace);
+        notes.extend(note.map(String::from));
+        let (sole, trace) = (self.sole, self.trace);
+        let landed = (self.client).land(
+            flight, recv_ns, outcome, sub.target, request, sole, trace, notes,
+        );
+        match landed {
+            _ if self.over => Ok(()),
             Ok(response) => self.resolve(sub, Ok(response)),
             Err(e) => self.settle(sub, e),
         }
@@ -1255,7 +1436,7 @@ impl<S: OpStream> Pump<'_, S> {
     fn settle(&mut self, mut sub: Sub, e: PvfsError) -> PvfsResult<()> {
         let client = self.client;
         let retry = client.retry;
-        let op = self.op(&sub);
+        let op = op_of(&self.ops, &sub);
         let request = op.request(&sub);
         if sub.copies.len() > 1 && failover_worthy(&e) {
             // This replica is unreachable, gated, or shedding: abandon
@@ -1347,19 +1528,23 @@ impl<S: OpStream> Pump<'_, S> {
 
     /// The stream ended on an error with sub-ops still in the window:
     /// those due out never go, and what is in the air is landed for the
-    /// books alone (latency, health, spans, the connection back in its
-    /// pool) — the stream hears no more of it.
+    /// books alone (latency, health, spans, each lane answered in full
+    /// so that its connection can go back in its pool) — the stream
+    /// hears no more of it.
     fn wind_down(&mut self) {
-        while let Some(mut sub) = self.subs.pop_front() {
-            if let Some(flight) = sub.flight.take() {
-                let request = self.op(&sub).request(&sub);
-                let notes = sub.notes(self.trace);
-                let _ = self
-                    .client
-                    .land(flight, sub.target, request, self.sole, self.trace, notes);
-            }
+        self.over = true;
+        self.subs.truncate(self.flying);
+        while self.flying > 0 {
+            let _ = self.land_at(self.subs[0].target);
         }
     }
+}
+
+/// The op a sub-op in the window serves.
+fn op_of<'o, K>(ops: &'o [Option<Op<K>>], sub: &Sub) -> &'o Op<K> {
+    ops[sub.op]
+        .as_ref()
+        .expect("a sub-op's op is in the window")
 }
 
 /// One shipped attempt awaiting its reply. Kept small — the window
@@ -1374,33 +1559,39 @@ struct Flight {
     reply: Reply,
 }
 
-impl Flight {
-    /// Whether the reply has begun to arrive, waiting up to `within`
-    /// for it (see [`PendingReply::arriving`]).
-    fn arriving(&self, within: Duration) -> bool {
-        match &self.reply {
-            Reply::Direct(pending) => pending.arriving(within),
-            Reply::Raced(..) => true,
-        }
-    }
+/// How [`ClusterClient::launch`] sends a frame.
+enum Via<'a> {
+    /// Queued on the pump's lane to that daemon, which is checked out
+    /// now if this is its first frame.
+    Lane(&'a mut Option<Box<dyn Lane>>),
+    /// Sent and flushed on a lane of its own (a hedge's duplicate).
+    Own,
+    /// On a waiter thread, on a lane of its own (a hedged read): a
+    /// stalled connect/send — an injected delay fault, a jammed socket
+    /// buffer — must not hold the hedge clock hostage.
+    Race,
 }
 
+/// Where a flight's reply will come.
 enum Reply {
-    /// Shipped on the caller's thread; waited for in place.
-    Direct(Box<dyn PendingReply>),
-    /// A hedged read: a waiter thread ships and waits, and reports into
-    /// the race's channel (see [`ClusterClient::race`]).
-    Raced(Sender<Lane>, Receiver<Lane>),
+    /// On its daemon's lane in the pump, to be matched by id.
+    Lane,
+    /// On this lane, the flight's own.
+    Own(Box<dyn Lane>),
+    /// Into the race's channel, from the waiter thread that ships and
+    /// waits (see [`ClusterClient::race`]).
+    Raced(Sender<Racer>, Receiver<Racer>),
 }
 
 /// One racer's outcome, tagged `true` when it is the hedge's.
-type Lane = (bool, Result<Bytes, WaitError>);
+type Racer = (bool, Result<Frame, WaitError>);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::transport::{ChanNode, ChanTransport, NodeMsg};
     use crate::LiveCluster;
+    use bytes::Bytes;
     use pvfs_proto::{decode_frame_id, encode_response};
     use pvfs_replica::WriteQuorum;
     use pvfs_server::IodConfig;
@@ -1649,11 +1840,11 @@ mod tests {
         let corrupted = Frame::from(frame.head.slice(0..20));
         let raw = cluster
             .transport()
-            .start(RpcTarget::Server(ServerId(0)), corrupted)
+            .dispatch(RpcTarget::Server(ServerId(0)), corrupted)
             .unwrap()
-            .wait(Duration::from_secs(5))
+            .recv(Duration::from_secs(5))
             .unwrap();
-        let (rid, response) = decode_response(raw).unwrap();
+        let (rid, response) = decode_response_frame(raw).unwrap();
         assert_eq!(rid, id, "server must echo the request id from the header");
         assert!(matches!(response, Response::Error(PvfsError::Protocol(_))));
     }
@@ -1664,14 +1855,14 @@ mod tests {
         let cluster = LiveCluster::spawn(1);
         let raw = cluster
             .transport()
-            .start(
+            .dispatch(
                 RpcTarget::Server(ServerId(0)),
                 Bytes::from(vec![0xffu8; 7]).into(),
             )
             .unwrap()
-            .wait(Duration::from_secs(5))
+            .recv(Duration::from_secs(5))
             .unwrap();
-        let (rid, response) = decode_response(raw).unwrap();
+        let (rid, response) = decode_response_frame(raw).unwrap();
         assert_eq!(rid, RequestId(0));
         assert!(matches!(response, Response::Error(_)));
     }
@@ -1684,7 +1875,7 @@ mod tests {
         let (fake_tx, fake_rx) = bounded::<NodeMsg>(8);
         let fake = std::thread::spawn(move || {
             while let Ok(NodeMsg::Rpc(_, reply, _)) = fake_rx.recv() {
-                let _ = reply.send(encode_response(
+                reply.send(encode_response(
                     RequestId(0),
                     &Response::Error(PvfsError::protocol("scrambled")),
                 ));
@@ -1719,7 +1910,7 @@ mod tests {
             while let Ok(NodeMsg::Rpc(frame, reply, _)) = fake_rx.recv() {
                 // Echo a *wrong* (but nonzero) id.
                 let id = decode_frame_id(&frame.head).unwrap();
-                let _ = reply.send(encode_response(
+                reply.send(encode_response(
                     RequestId(id.0 + 1000),
                     &Response::LocalSize { size: 0 },
                 ));
@@ -1756,7 +1947,7 @@ mod tests {
                 if seen == 3 {
                     let id = decode_frame_id(&frame.head).unwrap();
                     let refusal = Response::Error(PvfsError::invalid("no such region"));
-                    let _ = reply.send(encode_response(id, &refusal));
+                    reply.send(encode_response(id, &refusal));
                 }
                 // Otherwise the reply channel drops unanswered.
             }
@@ -1814,7 +2005,7 @@ mod tests {
                 while let Ok(NodeMsg::Rpc(frame, reply, _)) = refusing_rx.recv() {
                     let id = decode_frame_id(&frame.head).unwrap();
                     let refusal = Response::Error(PvfsError::invalid("no such region"));
-                    let _ = reply.send(encode_response(id, &refusal));
+                    reply.send(encode_response(id, &refusal));
                 }
             });
             let policy = ReplicaPolicy::new(replicas, WriteQuorum::All, 2).unwrap();
@@ -1849,26 +2040,33 @@ mod tests {
     /// answers, and the daemon's record stays clean.
     #[test]
     fn a_hedge_that_cannot_launch_counts_for_nothing() {
-        struct SlowReply(Bytes);
-        impl PendingReply for SlowReply {
-            fn wait(self: Box<Self>, _: Duration) -> Result<Bytes, WaitError> {
+        /// Answers the one frame sent on it, slowly.
+        struct SlowLane(Option<Frame>);
+        impl Lane for SlowLane {
+            fn send(&mut self, frame: Frame) -> PvfsResult<()> {
+                let id = decode_frame_id(&frame.head).unwrap();
+                self.0 = Some(encode_response(id, &Response::LocalSize { size: 7 }).into());
+                Ok(())
+            }
+            fn flush(&mut self) -> PvfsResult<()> {
+                Ok(())
+            }
+            fn recv(&mut self, _: Duration) -> Result<Frame, WaitError> {
                 std::thread::sleep(Duration::from_millis(60));
-                Ok(self.0)
+                self.0.take().ok_or(WaitError::Timeout)
             }
         }
-        /// Serves the first frame, slowly; refuses every later one.
+        /// Has one lane to give; refuses to open a second.
         struct OneLane(AtomicU64);
         impl Transport for OneLane {
             fn n_servers(&self) -> u32 {
                 1
             }
-            fn start(&self, _: RpcTarget, frame: Frame) -> PvfsResult<Box<dyn PendingReply>> {
+            fn lane(&self, _: RpcTarget) -> PvfsResult<Box<dyn Lane>> {
                 if self.0.fetch_add(1, Ordering::Relaxed) > 0 {
                     return Err(PvfsError::Transport("no second lane".into()));
                 }
-                let id = decode_frame_id(&frame.head).unwrap();
-                let reply = encode_response(id, &Response::LocalSize { size: 7 });
-                Ok(Box::new(SlowReply(reply)))
+                Ok(Box::new(SlowLane(None)))
             }
             fn kind(&self) -> crate::TransportKind {
                 crate::TransportKind::Chan
@@ -2026,11 +2224,14 @@ mod tests {
 
     const SIZE: Response = Response::LocalSize { size: 7 };
 
+    /// A [`Recorder`]'s lane to one daemon: the answers to the frames
+    /// sent on it and not yet collected, each with whether its frame
+    /// was queued (not shed).
     struct Recorded {
         book: Arc<std::sync::Mutex<Book>>,
+        answer: fn(&Book, usize) -> Response,
         server: usize,
-        queued: usize,
-        reply: Bytes,
+        replies: VecDeque<(usize, Bytes)>,
     }
 
     impl Recorder {
@@ -2053,11 +2254,26 @@ mod tests {
             self.book.lock().unwrap().flying.len() as u32
         }
 
-        fn start(&self, target: RpcTarget, frame: Frame) -> PvfsResult<Box<dyn PendingReply>> {
+        fn lane(&self, target: RpcTarget) -> PvfsResult<Box<dyn Lane>> {
             let RpcTarget::Server(server) = target else {
                 panic!("only daemons are addressed here");
             };
-            let server = server.index();
+            Ok(Box::new(Recorded {
+                book: self.book.clone(),
+                answer: self.answer,
+                server: server.index(),
+                replies: VecDeque::new(),
+            }))
+        }
+
+        fn kind(&self) -> crate::TransportKind {
+            crate::TransportKind::Chan
+        }
+    }
+
+    impl Lane for Recorded {
+        fn send(&mut self, frame: Frame) -> PvfsResult<()> {
+            let server = self.server;
             let mut book = self.book.lock().unwrap();
             let response = (self.answer)(&book, server);
             book.collected_at_last_start = book.collected;
@@ -2067,26 +2283,22 @@ mod tests {
             book.flying[server] += 1;
             book.queued[server] += queued;
             book.peak[server] = book.peak[server].max(book.flying[server]);
-            Ok(Box::new(Recorded {
-                book: self.book.clone(),
-                server,
-                queued,
-                reply: encode_response(decode_frame_id(&frame.head).unwrap(), &response),
-            }))
+            let reply = encode_response(decode_frame_id(&frame.head).unwrap(), &response);
+            self.replies.push_back((queued, reply));
+            Ok(())
         }
 
-        fn kind(&self) -> crate::TransportKind {
-            crate::TransportKind::Chan
+        fn flush(&mut self) -> PvfsResult<()> {
+            Ok(())
         }
-    }
 
-    impl PendingReply for Recorded {
-        fn wait(self: Box<Self>, _: Duration) -> Result<Bytes, WaitError> {
+        fn recv(&mut self, _: Duration) -> Result<Frame, WaitError> {
+            let (queued, reply) = self.replies.pop_front().ok_or(WaitError::Timeout)?;
             let mut book = self.book.lock().unwrap();
             book.flying[self.server] -= 1;
-            book.queued[self.server] -= self.queued;
+            book.queued[self.server] -= queued;
             book.collected += 1;
-            Ok(self.reply)
+            Ok(reply.into())
         }
     }
 

@@ -13,9 +13,9 @@
 //!
 //! | fault        | where it bites                 | client-visible error      |
 //! |--------------|--------------------------------|---------------------------|
-//! | `drop`       | request frame lost on send     | `Transport` at `start`    |
+//! | `drop`       | request frame lost on send     | `Transport` at `send`     |
 //! | `delay`      | request stalled in flight      | none (latency only)       |
-//! | `disconnect` | connection cut before response | `Transport` at `wait`     |
+//! | `disconnect` | connection cut before response | `Transport` at `recv`     |
 //! | `corrupt`    | response frame mangled in flight | `Protocol` at decode    |
 //! | `wedge`      | response never arrives         | `Timeout` after deadline  |
 //!
@@ -25,6 +25,11 @@
 //! ([`PvfsError::is_definitely_not_executed`]) that makes per-region
 //! write idempotency load-bearing for retries. `drop` never forwards:
 //! the server provably saw nothing.
+//!
+//! Injection is per frame, at the [`Lane`] seam: one draw as each frame
+//! is sent, and a fault that bites the response is remembered against
+//! that frame's request id and bites when *its* reply comes back — the
+//! other frames sharing the lane (the connection) never notice.
 //!
 //! # Scope and determinism
 //!
@@ -40,17 +45,16 @@
 //! rate stays statistically pinned and [`FaultPlan::limit`] can bound
 //! it exactly.
 
-use bytes::Bytes;
-use pvfs_proto::Frame;
-use pvfs_types::{PvfsError, PvfsResult};
+use pvfs_proto::{decode_frame_id, decode_response_id, Frame, RESPONSE_ENVELOPE_LEN};
+use pvfs_types::{PvfsError, PvfsResult, RequestId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::envspec;
-use crate::transport::{PendingReply, RpcTarget, Transport, TransportKind, WaitError};
+use crate::transport::{Lane, RpcTarget, Transport, TransportKind, WaitError};
 
 /// Which fault an injection point chose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -287,33 +291,43 @@ impl AtomicFaultCounts {
 /// path. See the module docs for the taxonomy.
 pub struct FaultyTransport {
     inner: Arc<dyn Transport>,
+    dice: Arc<Dice>,
+}
+
+/// What the transport and the lanes it hands out share: the plan, its
+/// one RNG stream, the counters.
+struct Dice {
     plan: FaultPlan,
     rng: Mutex<StdRng>,
-    counts: Arc<AtomicFaultCounts>,
+    counts: AtomicFaultCounts,
 }
 
 impl FaultyTransport {
     /// Wrap `inner`, injecting faults per `plan`.
     pub fn new(inner: Arc<dyn Transport>, plan: FaultPlan) -> FaultyTransport {
         let rng = Mutex::new(StdRng::seed_from_u64(plan.seed));
-        FaultyTransport {
-            inner,
-            plan,
-            rng,
-            counts: Arc::new(AtomicFaultCounts::default()),
-        }
+        let counts = AtomicFaultCounts::default();
+        let dice = Arc::new(Dice { plan, rng, counts });
+        FaultyTransport { inner, dice }
     }
 
     /// Injection counters so far.
     pub fn counts(&self) -> FaultCounts {
-        self.counts.snapshot()
+        self.dice.counts.snapshot()
     }
 
     /// The plan in force.
     pub fn plan(&self) -> &FaultPlan {
-        &self.plan
+        &self.dice.plan
     }
 
+    #[cfg(test)]
+    fn roll(&self, target: RpcTarget) -> Option<FaultKind> {
+        self.dice.roll(target)
+    }
+}
+
+impl Dice {
     /// Decide whether this RPC gets a fault, honoring target filtering
     /// and the global limit. Claiming against the limit is atomic, so
     /// `limit=1` injects exactly one fault even under concurrency.
@@ -366,31 +380,13 @@ impl Transport for FaultyTransport {
         self.inner.n_servers()
     }
 
-    fn start(&self, target: RpcTarget, frame: Frame) -> PvfsResult<Box<dyn PendingReply>> {
-        let Some(kind) = self.roll(target) else {
-            return self.inner.start(target, frame);
-        };
-        match kind {
-            FaultKind::Drop => Err(PvfsError::Transport(format!(
-                "injected fault: request frame to {target:?} dropped"
-            ))),
-            FaultKind::Delay => {
-                std::thread::sleep(self.plan.delay_for);
-                self.inner.start(target, frame)
-            }
-            // The remaining faults deliver the request — the server
-            // executes it — and sabotage only the response path.
-            FaultKind::Disconnect => Ok(Box::new(DisconnectPending {
-                inner: self.inner.start(target, frame)?,
-                target,
-            })),
-            FaultKind::Corrupt => Ok(Box::new(CorruptPending {
-                inner: self.inner.start(target, frame)?,
-            })),
-            FaultKind::Wedge => Ok(Box::new(WedgedPending {
-                _inner: self.inner.start(target, frame)?,
-            })),
-        }
+    fn lane(&self, target: RpcTarget) -> PvfsResult<Box<dyn Lane>> {
+        Ok(Box::new(FaultyLane {
+            inner: self.inner.lane(target)?,
+            dice: self.dice.clone(),
+            target,
+            doomed: Vec::new(),
+        }))
     }
 
     fn kind(&self) -> TransportKind {
@@ -398,63 +394,88 @@ impl Transport for FaultyTransport {
     }
 
     fn faults_injected(&self) -> u64 {
-        self.counts.injected.load(Ordering::Relaxed)
+        self.dice.counts.injected.load(Ordering::Relaxed)
     }
 }
 
-/// The request was delivered, but the connection "dies" before the
-/// response: the real reply is awaited (so server-side effects and
-/// accounting happen) and then discarded.
-struct DisconnectPending {
-    inner: Box<dyn PendingReply>,
+/// A lane whose frames draw faults, one draw each.
+struct FaultyLane {
+    inner: Box<dyn Lane>,
+    dice: Arc<Dice>,
     target: RpcTarget,
+    /// The requests delivered with a fault waiting for their reply.
+    doomed: Vec<(RequestId, FaultKind)>,
 }
 
-impl PendingReply for DisconnectPending {
-    fn wait(self: Box<Self>, timeout: Duration) -> Result<Bytes, WaitError> {
-        let _ = self.inner.wait(timeout);
-        Err(WaitError::Failed(PvfsError::Transport(format!(
-            "injected fault: connection to {:?} lost before the response",
-            self.target
-        ))))
+impl Lane for FaultyLane {
+    fn send(&mut self, frame: Frame) -> PvfsResult<()> {
+        let target = self.target;
+        match self.dice.roll(target) {
+            None => self.inner.send(frame),
+            Some(FaultKind::Drop) => Err(PvfsError::Transport(format!(
+                "injected fault: request frame to {target:?} dropped"
+            ))),
+            Some(FaultKind::Delay) => {
+                std::thread::sleep(self.dice.plan.delay_for);
+                self.inner.send(frame)
+            }
+            // The remaining faults deliver the request — the server
+            // executes it — and sabotage only the response path.
+            Some(kind) => {
+                let id = decode_frame_id(&frame.head);
+                self.inner.send(frame)?;
+                self.doomed.extend(id.map(|id| (id, kind)));
+                Ok(())
+            }
+        }
     }
 
-    fn arriving(&self, within: Duration) -> bool {
-        self.inner.arriving(within)
+    fn flush(&mut self) -> PvfsResult<()> {
+        self.inner.flush()
+    }
+
+    fn recv(&mut self, timeout: Duration) -> Result<Frame, WaitError> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let reply = self.inner.recv(left)?;
+            let fault = decode_response_id(&reply.head).and_then(|id| {
+                let at = self.doomed.iter().position(|(doomed, _)| *doomed == id)?;
+                Some(self.doomed.swap_remove(at))
+            });
+            match fault {
+                None => return Ok(reply),
+                // The connection "dies" before the response: the real
+                // reply was awaited (so server-side effects and
+                // accounting happened) and is discarded.
+                Some((id, FaultKind::Disconnect)) => {
+                    let lost = format!(
+                        "injected fault: connection to {:?} lost before the response",
+                        self.target
+                    );
+                    return Err(WaitError::Lost(id, PvfsError::Transport(lost)));
+                }
+                // The response never arrives: the request was delivered
+                // (and executed), its reply is swallowed, and the
+                // client's deadline for it fires as for a wedged server.
+                Some((_, FaultKind::Wedge)) => {}
+                Some(_) => return Ok(truncated(reply)),
+            }
+        }
     }
 }
 
-/// The response frame is truncated mid-body, the way a flaky link or a
-/// buggy NIC would mangle it. Truncation (rather than a random bit
-/// flip) guarantees the codec *detects* the damage — a flip in bulk
-/// data would decode cleanly and silently corrupt user bytes, which no
-/// transport can catch without checksums.
-struct CorruptPending {
-    inner: Box<dyn PendingReply>,
-}
-
-impl PendingReply for CorruptPending {
-    fn wait(self: Box<Self>, timeout: Duration) -> Result<Bytes, WaitError> {
-        let frame = self.inner.wait(timeout)?;
-        Ok(frame.slice(0..frame.len() / 2))
-    }
-
-    fn arriving(&self, within: Duration) -> bool {
-        self.inner.arriving(within)
-    }
-}
-
-/// The response never arrives: the request was delivered (and executed)
-/// but `wait` burns the full deadline and reports a timeout, exercising
-/// the same path as a wedged server.
-struct WedgedPending {
-    _inner: Box<dyn PendingReply>,
-}
-
-impl PendingReply for WedgedPending {
-    fn wait(self: Box<Self>, timeout: Duration) -> Result<Bytes, WaitError> {
-        std::thread::sleep(timeout);
-        Err(WaitError::Timeout)
+/// The response frame truncated mid-body, the way a flaky link or a
+/// buggy NIC would mangle it — behind its envelope, so that the reply
+/// still says whose it is. Truncation (rather than a random bit flip)
+/// guarantees the codec *detects* the damage — a flip in bulk data would
+/// decode cleanly and silently corrupt user bytes, which no transport
+/// can catch without checksums.
+fn truncated(reply: Frame) -> Frame {
+    let Frame { head, payload } = reply;
+    Frame {
+        head: head.slice(0..(head.len() / 2).max(RESPONSE_ENVELOPE_LEN)),
+        payload: payload.slice(0..payload.len() / 2),
     }
 }
 
@@ -583,8 +604,8 @@ mod tests {
         fn n_servers(&self) -> u32 {
             4
         }
-        fn start(&self, _: RpcTarget, _: Frame) -> PvfsResult<Box<dyn PendingReply>> {
-            panic!("NullTransport::start must not be called")
+        fn lane(&self, _: RpcTarget) -> PvfsResult<Box<dyn Lane>> {
+            panic!("NullTransport::lane must not be called")
         }
         fn kind(&self) -> TransportKind {
             TransportKind::Chan

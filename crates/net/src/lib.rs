@@ -109,4 +109,4 @@ pub use pvfs_replica::{ReplicaMap, ReplicaPolicy, ReplicaTarget, WriteQuorum};
 pub use retry::{ClientStats, RetryPolicy};
 pub use tcp::TcpTransport;
 pub use trace::{ActiveTrace, Tracer};
-pub use transport::{PendingReply, RpcTarget, Transport, TransportKind, WaitError};
+pub use transport::{Lane, RpcTarget, Transport, TransportKind, WaitError};

@@ -21,8 +21,9 @@
 //!
 //! * **chan** — every daemon queue is an in-process bounded channel;
 //! * **tcp** — every daemon gets a loopback `TcpListener`
-//!   ([`crate::tcp`]), and clients speak length-prefixed frames over a
-//!   pooled socket per in-flight request.
+//!   ([`crate::tcp`]), and clients speak length-prefixed frames over
+//!   one pooled socket per daemon, their window of requests pipelined
+//!   on it.
 //!
 //! Both drive every daemon through the same [`Service`] and the same
 //! [`serve_rpc`] ([`crate::serve`]); [`ClusterClient`] is identical
@@ -30,7 +31,7 @@
 //! diagnostics.
 
 use pvfs_disk::StorageConfig;
-use pvfs_proto::{encode_response, frame_is_stats_scrape};
+use pvfs_proto::{data_response_head, encode_response, frame_is_stats_scrape, Frame, Response};
 use pvfs_server::{IoDaemon, IodConfig, Manager, ServerStats};
 use pvfs_types::{ClientId, ServerId, StatsSnapshot};
 use std::ops::ControlFlow;
@@ -285,11 +286,20 @@ fn spawn_chan_server(
         NodeMsg::Rpc(frame, reply, queued_at) => {
             let scrape = frame_is_stats_scrape(&frame.head);
             let (id, response) = serve_rpc(&*worker_service, frame, queued_at, scrape);
-            let encoded = encode_response(id, &response);
+            // A `Data` reply goes back as `head ‖ payload`, the payload
+            // being the buffer the daemon gathered: never staged behind
+            // its head in a second one.
+            let encoded = match response {
+                Response::Data { data } => Frame {
+                    head: data_response_head(id, data.len() as u64).to_vec().into(),
+                    payload: data,
+                },
+                other => encode_response(id, &other).into(),
+            };
             if !scrape {
                 worker_service.wire_tx(encoded.len() as u64);
             }
-            let _ = reply.send(encoded);
+            reply.send(encoded);
             ControlFlow::Continue(())
         }
         NodeMsg::Shutdown => ControlFlow::Break(()),

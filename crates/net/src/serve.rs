@@ -290,17 +290,17 @@ mod tests {
         };
 
         let (service, _rx, transport) = transport_over(Some(overloaded.clone()));
-        transport.start(target, frame(1, Request::Ping)).unwrap();
+        transport.dispatch(target, frame(1, Request::Ping)).unwrap();
         assert_eq!(service.calls(), ["wire_rx", "queued"]);
-        let refused = transport.start(target, frame(2, Request::Ping));
+        let refused = transport.dispatch(target, frame(2, Request::Ping));
         assert_eq!(refused.err(), Some(overloaded));
         assert_eq!(service.calls(), ["wire_rx", "queued", "shed"]);
 
         let (service, rx, transport) = transport_over(None);
-        transport.start(target, frame(1, Request::Ping)).unwrap();
+        transport.dispatch(target, frame(1, Request::Ping)).unwrap();
         let sender = {
             let transport = transport.clone();
-            std::thread::spawn(move || transport.start(target, frame(2, Request::Ping)).is_ok())
+            std::thread::spawn(move || transport.dispatch(target, frame(2, Request::Ping)).is_ok())
         };
         // Once `shed` has declined, the sender is waiting on a queue
         // only this thread can make room in.

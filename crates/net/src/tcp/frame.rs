@@ -10,9 +10,10 @@
 //!
 //! A frame goes out as one vectored write of `len ‖ head ‖ tail`
 //! ([`write_frame_parts`]): the prefix never costs a syscall (or, under
-//! `TCP_NODELAY`, a segment) of its own, and a reply whose bulk payload
+//! `TCP_NODELAY`, a segment) of its own, and a frame whose bulk payload
 //! already sits in its own buffer is never staged behind its head in a
-//! second one.
+//! second one. Several frames queued for one connection leave the same
+//! way, together ([`write_frames`]).
 //!
 //! Two hard rules keep a malformed peer from hurting the process:
 //!
@@ -23,14 +24,28 @@
 //! * reassembly uses `read_exact`-style loops, so a frame split across
 //!   arbitrarily many 1-byte segments, or several frames concatenated
 //!   into one TCP segment, decode identically.
+//!
+//! [`FrameReader`] asks its stream for exactly the bytes of the frame it
+//! is assembling, so it never reads past a frame's end. A connection puts
+//! a `BufReader` of [`STAGING`] bytes under it: several small frames that
+//! arrived together then cost one `read`, while a body larger than the
+//! staging buffer is still read straight into its own frame buffer
+//! (`BufReader` steps aside for a read at least its own size).
 
 use bytes::Bytes;
-use pvfs_proto::MAX_WIRE_FRAME;
+use pvfs_proto::{Frame, MAX_WIRE_FRAME};
 use pvfs_types::PvfsError;
 use std::io::{self, IoSlice, Read, Write};
 
+use crate::WINDOW;
+
 /// Bytes of framing overhead per frame (the length prefix).
 pub const LEN_PREFIX: usize = 4;
+
+/// The staging buffer a connection reads through: room for a window of
+/// list-I/O request frames (64 regions ≈ 1 KiB of trailing data, plus a
+/// small payload) or of small replies.
+pub const STAGING: usize = WINDOW * 4096;
 
 /// Why reading a frame off a stream failed.
 #[derive(Debug)]
@@ -52,6 +67,15 @@ impl FrameError {
             FrameError::Io(e) => PvfsError::Transport(format!("{peer}: {e}")),
         }
     }
+
+    /// The stream's read timeout elapsed with the frame still on its
+    /// way: the reader has kept what it got, and reading again resumes.
+    pub fn is_timeout(&self) -> bool {
+        matches!(self, FrameError::Io(e) if matches!(
+            e.kind(),
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+        ))
+    }
 }
 
 /// Write one length-prefixed frame. Rejects frames over the cap so a
@@ -65,22 +89,51 @@ pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
 /// all, resumed from wherever a short write stopped otherwise. Rejects
 /// an oversized `head + tail` before anything reaches the wire.
 pub fn write_frame_parts(w: &mut impl Write, head: &[u8], tail: &[u8]) -> io::Result<()> {
-    let len = head.len() + tail.len();
+    let prefix = prefix_of(head.len() + tail.len())?;
+    write_all_vectored(w, [&prefix, head, tail])
+}
+
+/// Write `frames`, each `prefix ‖ head ‖ payload`, in one
+/// `write_vectored` per [`WINDOW`] of them (resumed after a short write,
+/// as [`write_frame_parts`] is). An oversized frame is rejected before
+/// anything of its batch reaches the wire.
+pub fn write_frames(w: &mut impl Write, frames: &[Frame]) -> io::Result<()> {
+    for batch in frames.chunks(WINDOW) {
+        let mut prefixes = [[0u8; LEN_PREFIX]; WINDOW];
+        for (prefix, frame) in prefixes.iter_mut().zip(batch) {
+            *prefix = prefix_of(frame.len())?;
+        }
+        let mut parts: [&[u8]; 3 * WINDOW] = [&[]; 3 * WINDOW];
+        for (i, (prefix, frame)) in prefixes.iter().zip(batch).enumerate() {
+            parts[3 * i..3 * i + 3].copy_from_slice(&[prefix, &frame.head, &frame.payload]);
+        }
+        write_all_vectored(w, parts)?;
+    }
+    Ok(())
+}
+
+/// The length prefix of a frame of `len` bytes, if a peer would take it.
+fn prefix_of(len: usize) -> io::Result<[u8; LEN_PREFIX]> {
     if len > MAX_WIRE_FRAME {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
             format!("refusing to send a {len}-byte frame (cap {MAX_WIRE_FRAME})"),
         ));
     }
-    let prefix = (len as u32).to_le_bytes();
-    let parts = [&prefix[..], head, tail];
-    let total = LEN_PREFIX + len;
+    Ok((len as u32).to_le_bytes())
+}
+
+/// Write every byte of `parts`, in order: one `write_vectored` when the
+/// writer takes them all, resumed from wherever a short write stopped
+/// otherwise.
+fn write_all_vectored<const N: usize>(w: &mut impl Write, parts: [&[u8]; N]) -> io::Result<()> {
+    let total: usize = parts.iter().map(|p| p.len()).sum();
     let mut sent = 0;
     while sent < total {
         // The unsent remainder: drop whole parts already written, cut
         // into the one a short write stopped in.
         let mut skip = sent;
-        let mut bufs = [IoSlice::new(&[]); 3];
+        let mut bufs = [IoSlice::new(&[]); N];
         let mut n = 0;
         for part in parts {
             if skip < part.len() {
@@ -105,21 +158,51 @@ pub fn write_frame_parts(w: &mut impl Write, head: &[u8], tail: &[u8]) -> io::Re
 pub const MAX_SPARE_CAPACITY: usize = 1 << 20;
 
 /// The receiving end of one connection: reads length-prefixed frames,
-/// each into the buffer the previous one arrived in whenever that buffer
-/// is free again.
+/// each into a buffer an earlier one arrived in whenever one is free
+/// again.
 ///
-/// The reader keeps a handle on the last frame it handed out and, when
-/// the *next* frame's prefix has arrived, takes the buffer back
-/// ([`Bytes::try_reclaim`]) — which succeeds exactly when every view of
-/// the old frame (the frame itself, a decoded payload slice, the
-/// daemon's write runs) has been dropped. On a request/reply connection
-/// that is always the case by then: the peer only sends again after it
-/// has our answer to the last frame. If something does still hold a
-/// view, the reader simply allocates, as a one-shot [`read_frame`]
-/// does; a buffer a live `Bytes` points into is never written.
+/// The reader keeps a handle on up to [`WINDOW`] frames it has handed
+/// out and, when the next frame's prefix has arrived, takes one of their
+/// buffers back ([`Bytes::try_reclaim`]) — which succeeds exactly when
+/// every view of that frame (the frame itself, a decoded payload slice,
+/// the daemon's write runs) has been dropped. On a connection with at
+/// most `WINDOW` unanswered frames one of `WINDOW` always is free by
+/// then — the peer sent this frame only after it had our answer to one
+/// of those — though not a particular one: a daemon's workers finish
+/// out of order.
+///
+/// What a connection allocates must not depend on that order, so a
+/// buffer is reused only when *every* kept buffer would do, whichever
+/// happens to be free: a kept buffer too short for the frame at hand is
+/// let go first, and an empty place is filled (exactly to size) before
+/// any buffer is reused. A connection's first `WINDOW` frames allocate,
+/// the rest reuse, and a longer frame costs as many allocations as there
+/// were shorter buffers. A frame over [`MAX_SPARE_CAPACITY`] gets a
+/// buffer of its own that is not kept. If every buffer is still in use,
+/// the reader simply allocates, as a one-shot [`read_frame`] does; a
+/// buffer a live `Bytes` points into is never written.
+///
+/// A read that gives out with [`FrameError::is_timeout`] loses nothing:
+/// the prefix bytes and the part of the body that arrived are kept, and
+/// the next [`read_frame`](FrameReader::read_frame) carries on from
+/// there. Any other failure resets the reader.
 #[derive(Debug, Default)]
 pub struct FrameReader {
-    last: Option<Bytes>,
+    /// Frames handed out, each with its buffer's capacity.
+    spares: [Option<(Bytes, usize)>; WINDOW],
+    prefix: [u8; LEN_PREFIX],
+    prefix_got: usize,
+    /// The frame being assembled, once its prefix is in.
+    body: Option<Body>,
+}
+
+#[derive(Debug)]
+struct Body {
+    buf: Vec<u8>,
+    /// The frame's announced length.
+    len: usize,
+    /// Which of the `spares` gets a handle on the finished frame.
+    slot: Option<usize>,
 }
 
 impl FrameReader {
@@ -128,46 +211,92 @@ impl FrameReader {
         FrameReader::default()
     }
 
+    /// Whether part of a frame has arrived and the rest has not.
+    pub fn mid_frame(&self) -> bool {
+        self.prefix_got > 0 || self.body.is_some()
+    }
+
     /// Read one length-prefixed frame, surviving arbitrary short reads.
     /// Blocking: the caller controls deadlines via socket read timeouts
     /// (client pool) or by shutting the socket down (server teardown).
     pub fn read_frame(&mut self, r: &mut impl Read) -> Result<Bytes, FrameError> {
-        let mut prefix = [0u8; LEN_PREFIX];
-        read_exact_or_closed(r, &mut prefix)?;
-        let len = u32::from_le_bytes(prefix) as usize;
-        if len > MAX_WIRE_FRAME {
-            return Err(FrameError::TooLarge(PvfsError::FrameTooLarge {
-                len: len as u64,
-                max: MAX_WIRE_FRAME as u64,
-            }));
-        }
-        let mut body = match self.last.take().map(Bytes::try_reclaim) {
-            Some(Ok(mut spare)) if spare.capacity() >= len => {
-                spare.clear();
-                spare
+        self.assemble(r).inspect_err(|e| {
+            if !e.is_timeout() {
+                (self.prefix_got, self.body) = (0, None);
             }
-            _ => Vec::with_capacity(len),
-        };
+        })
+    }
+
+    fn assemble(&mut self, r: &mut impl Read) -> Result<Bytes, FrameError> {
+        if self.body.is_none() {
+            while self.prefix_got < LEN_PREFIX {
+                match r.read(&mut self.prefix[self.prefix_got..]) {
+                    // A clean EOF before the first byte: the peer hung
+                    // up between frames.
+                    Ok(0) if self.prefix_got == 0 => return Err(FrameError::Closed),
+                    Ok(0) => return Err(died_mid_frame()),
+                    Ok(n) => self.prefix_got += n,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(FrameError::Io(e)),
+                }
+            }
+            let len = u32::from_le_bytes(self.prefix) as usize;
+            if len > MAX_WIRE_FRAME {
+                return Err(FrameError::TooLarge(PvfsError::FrameTooLarge {
+                    len: len as u64,
+                    max: MAX_WIRE_FRAME as u64,
+                }));
+            }
+            self.prefix_got = 0;
+            self.body = Some(self.buffer_for(len));
+        }
+        let Body { buf, len, .. } = self.body.as_mut().expect("the prefix is in");
         // Appending through `take` fills the vector's spare capacity as
         // is: a reused buffer is not zeroed again before it is
-        // overwritten.
-        let got = r
-            .by_ref()
-            .take(len as u64)
-            .read_to_end(&mut body)
-            .map_err(FrameError::Io)?;
-        if got < len {
-            return Err(FrameError::Io(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "peer died mid-frame",
-            )));
+        // overwritten. What arrived before an error stays appended.
+        let missing = (*len - buf.len()) as u64;
+        let got = r.by_ref().take(missing).read_to_end(buf);
+        got.map_err(FrameError::Io)?;
+        if buf.len() < *len {
+            return Err(died_mid_frame());
         }
-        let keep = body.capacity() <= MAX_SPARE_CAPACITY;
-        let frame = Bytes::from(body);
-        if keep {
-            self.last = Some(frame.clone());
+        let Body { buf, slot, .. } = self.body.take().expect("just filled");
+        let capacity = buf.capacity();
+        let frame = Bytes::from(buf);
+        if let Some(slot) = slot {
+            self.spares[slot] = Some((frame.clone(), capacity));
         }
         Ok(frame)
+    }
+
+    /// The buffer a frame of `len` bytes is read into.
+    fn buffer_for(&mut self, len: usize) -> Body {
+        let fresh = |slot| Body {
+            buf: Vec::with_capacity(len),
+            len,
+            slot,
+        };
+        if len > MAX_SPARE_CAPACITY {
+            return fresh(None);
+        }
+        for spare in &mut self.spares {
+            spare.take_if(|(_, capacity)| *capacity < len);
+        }
+        if let Some(empty) = self.spares.iter().position(Option::is_none) {
+            return fresh(Some(empty));
+        }
+        for (slot, spare) in self.spares.iter_mut().enumerate() {
+            let (frame, capacity) = spare.take().expect("no place is empty");
+            match frame.try_reclaim() {
+                Ok(mut buf) => {
+                    buf.clear();
+                    let slot = Some(slot);
+                    return Body { buf, len, slot };
+                }
+                Err(in_use) => *spare = Some((in_use, capacity)),
+            }
+        }
+        fresh(None)
     }
 }
 
@@ -176,26 +305,13 @@ pub fn read_frame(r: &mut impl Read) -> Result<Bytes, FrameError> {
     FrameReader::new().read_frame(r)
 }
 
-/// `read_exact`, but a clean EOF before the first byte is
-/// [`FrameError::Closed`] (the peer hung up between frames) while an
-/// EOF mid-buffer is an I/O error (the peer died mid-frame).
-fn read_exact_or_closed(r: &mut impl Read, buf: &mut [u8]) -> Result<(), FrameError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 => return Err(FrameError::Closed),
-            Ok(0) => {
-                return Err(FrameError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "peer died mid-frame",
-                )))
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    Ok(())
+/// An EOF inside a frame (as opposed to [`FrameError::Closed`], between
+/// two).
+fn died_mid_frame() -> FrameError {
+    FrameError::Io(io::Error::new(
+        io::ErrorKind::UnexpectedEof,
+        "peer died mid-frame",
+    ))
 }
 
 /// Total wire bytes a frame of `frame_len` bytes occupies (prefix +
@@ -412,37 +528,44 @@ mod tests {
 
     #[test]
     fn a_connection_receives_into_the_buffer_it_already_has() {
-        let mut wire = framed(&[1u8; 300]);
-        wire.extend_from_slice(&framed(&[2u8; 200]));
-        wire.extend_from_slice(&framed(&[3u8; 300]));
+        // Two windows and a bit, no frame longer than those of the first.
+        let lens: Vec<usize> = (0..2 * WINDOW + 2)
+            .map(|i| if i < WINDOW { 300 } else { 300 - 20 * (i % 3) })
+            .collect();
+        let mut wire = Vec::new();
+        for (i, len) in lens.iter().enumerate() {
+            wire.extend_from_slice(&framed(&vec![i as u8; *len]));
+        }
         let mut r = wire.as_slice();
         let mut frames = FrameReader::new();
-
-        let first = frames.read_frame(&mut r).unwrap();
-        let buffer = first.as_ptr();
-        assert_eq!(first.as_ref(), &[1u8; 300][..]);
-        // Every view gone (the frame, and a slice cut from it, as a
-        // decoded payload would be) before the next frame arrives.
-        let view = first.slice(100..);
-        drop(first);
-        drop(view);
-
-        // Shorter and equal-length frames land in the same allocation.
-        let second = frames.read_frame(&mut r).unwrap();
-        assert_eq!(second.as_ptr(), buffer, "spare buffer not reused");
-        assert_eq!(second.as_ref(), &[2u8; 200][..]);
-        drop(second);
-        let third = frames.read_frame(&mut r).unwrap();
-        assert_eq!(third.as_ptr(), buffer);
-        assert_eq!(third.as_ref(), &[3u8; 300][..]);
+        let mut buffers = Vec::new();
+        for (i, len) in lens.iter().enumerate() {
+            let frame = frames.read_frame(&mut r).unwrap();
+            assert_eq!(frame.as_ref(), &vec![i as u8; *len][..]);
+            // The first window allocates the buffers — however soon the
+            // earlier ones are free again, so that the count does not
+            // hang on timing; from then on a frame lands in one of them.
+            if i < WINDOW {
+                assert!(!buffers.contains(&frame.as_ptr()), "frame {i} reused one");
+                buffers.push(frame.as_ptr());
+            } else {
+                assert!(buffers.contains(&frame.as_ptr()), "frame {i} allocated");
+            }
+            // Every view gone (the frame, and a slice cut from it, as a
+            // decoded payload would be) before the next frame arrives.
+            let view = frame.slice(100..);
+            drop(frame);
+            drop(view);
+        }
         assert!(matches!(frames.read_frame(&mut r), Err(FrameError::Closed)));
     }
 
     #[test]
     fn a_live_view_keeps_its_buffer_and_the_reader_allocates() {
-        let mut wire = framed(&[1u8; 64]);
-        wire.extend_from_slice(&framed(&[2u8; 64]));
-        wire.extend_from_slice(&framed(&[3u8; 64]));
+        let mut wire = Vec::new();
+        for i in 0..3 * WINDOW {
+            wire.extend_from_slice(&framed(&[i as u8 + 1; 64]));
+        }
         let mut r = wire.as_slice();
         let mut frames = FrameReader::new();
 
@@ -451,32 +574,59 @@ mod tests {
         // daemon has not applied yet, say.
         let held = first.slice(8..24);
         drop(first);
-        let second = frames.read_frame(&mut r).unwrap();
-        assert_ne!(second.as_ptr(), held.as_ptr().wrapping_sub(8));
-        assert_eq!(held.as_ref(), &[1u8; 16][..], "a live view was overwritten");
-        assert_eq!(second.as_ref(), &[2u8; 64][..]);
-
-        // The reader follows the newest frame: once *it* is free, the
-        // third lands in the second's buffer; the held slice is still
-        // untouched.
-        let buffer = second.as_ptr();
-        drop(second);
-        let third = frames.read_frame(&mut r).unwrap();
-        assert_eq!(third.as_ptr(), buffer);
+        let mut others = Vec::new();
+        for _ in 1..WINDOW {
+            others.push(frames.read_frame(&mut r).unwrap().as_ptr());
+        }
+        // Every later frame lands in one of the other buffers, in
+        // whatever order the daemon finishes with them.
+        for i in WINDOW..2 * WINDOW {
+            let frame = frames.read_frame(&mut r).unwrap();
+            assert!(others.contains(&frame.as_ptr()));
+            assert_eq!(frame.as_ref(), &[i as u8 + 1; 64][..]);
+            assert_eq!(held.as_ref(), &[1u8; 16][..], "a live view was overwritten");
+        }
+        // With all of them in use the reader allocates — and keeps no
+        // handle on that frame: the set stays `WINDOW` buffers.
+        let mut live: Vec<_> = (2 * WINDOW..3 * WINDOW)
+            .map(|_| frames.read_frame(&mut r).unwrap())
+            .collect();
+        let extra = live.pop().unwrap();
+        assert!(!others.contains(&extra.as_ptr()));
+        assert_ne!(extra.as_ptr(), held.as_ptr().wrapping_sub(8));
+        assert_eq!(extra.try_reclaim().map(|v| v.len()), Ok(64));
         assert_eq!(held.as_ref(), &[1u8; 16][..]);
     }
 
     #[test]
     fn a_frame_longer_than_the_spare_gets_a_buffer_of_its_own() {
-        let mut wire = framed(&[1u8; 16]);
-        wire.extend_from_slice(&framed(&[2u8; 4096]));
+        let mut wire = Vec::new();
+        for _ in 0..WINDOW {
+            wire.extend_from_slice(&framed(&[1u8; 16]));
+        }
+        for _ in 0..WINDOW + 1 {
+            wire.extend_from_slice(&framed(&[2u8; 4096]));
+        }
+        wire.extend_from_slice(&framed(&[3u8; 16]));
         let mut r = wire.as_slice();
         let mut frames = FrameReader::new();
-        drop(frames.read_frame(&mut r).unwrap());
-        assert_eq!(
-            frames.read_frame(&mut r).unwrap().as_ref(),
-            &[2u8; 4096][..]
-        );
+        let mut short = Vec::new();
+        for _ in 0..WINDOW {
+            short.push(frames.read_frame(&mut r).unwrap().as_ptr());
+        }
+        // A window of allocations again, then reuse — by short frames
+        // too.
+        let mut long = Vec::new();
+        for _ in 0..WINDOW {
+            let frame = frames.read_frame(&mut r).unwrap();
+            assert_eq!(frame.as_ref(), &[2u8; 4096][..]);
+            assert!(!long.contains(&frame.as_ptr()));
+            long.push(frame.as_ptr());
+        }
+        assert!(long.contains(&frames.read_frame(&mut r).unwrap().as_ptr()));
+        let last = frames.read_frame(&mut r).unwrap();
+        assert!(long.contains(&last.as_ptr()));
+        assert_eq!(last.as_ref(), &[3u8; 16][..]);
     }
 
     #[test]
@@ -484,7 +634,9 @@ mod tests {
         let big = vec![7u8; MAX_SPARE_CAPACITY + 1];
         let mut wire = framed(&big);
         wire.extend_from_slice(&framed(&big[1..]));
-        wire.extend_from_slice(&framed(&[2u8; 8]));
+        for _ in 0..WINDOW {
+            wire.extend_from_slice(&framed(&[2u8; 8]));
+        }
         let mut r = wire.as_slice();
         let mut frames = FrameReader::new();
 
@@ -493,11 +645,125 @@ mod tests {
         // The reader kept no handle: the caller's is the only one, so
         // dropping the frame frees the 1 MiB right away.
         assert_eq!(first.try_reclaim().map(|v| v.len()), Ok(big.len()));
-        // One byte less is exactly the cap, and is kept.
+        // One byte less is exactly the cap, and is kept: once the set is
+        // complete, a frame lands in it.
         let at_cap = frames.read_frame(&mut r).unwrap();
         let buffer = at_cap.as_ptr();
         drop(at_cap);
+        for _ in 1..WINDOW {
+            assert_ne!(frames.read_frame(&mut r).unwrap().as_ptr(), buffer);
+        }
         assert_eq!(frames.read_frame(&mut r).unwrap().as_ptr(), buffer);
+    }
+
+    /// A stream whose read timeout fires wherever the script says: each
+    /// entry is a run of bytes delivered, then one `WouldBlock`.
+    struct Stalling {
+        data: Vec<u8>,
+        pos: usize,
+        runs: Vec<usize>,
+        left_in_run: usize,
+    }
+
+    impl Read for Stalling {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.left_in_run == 0 {
+                if self.runs.is_empty() {
+                    self.left_in_run = usize::MAX;
+                } else {
+                    self.left_in_run = self.runs.remove(0);
+                    return Err(io::ErrorKind::WouldBlock.into());
+                }
+            }
+            let n = buf
+                .len()
+                .min(self.left_in_run)
+                .min(self.data.len() - self.pos);
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            self.left_in_run -= n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_read_timeout_anywhere_in_a_frame_loses_nothing() {
+        let a: Vec<u8> = (0..200u8).collect();
+        let b: Vec<u8> = (0..90u8).rev().collect();
+        let mut wire = framed(&a);
+        wire.extend_from_slice(&framed(&b));
+        // Stall before the first byte, inside the prefix, on the
+        // prefix/body boundary, inside the body, between the frames,
+        // and inside the second frame's prefix and body.
+        for runs in [
+            vec![0, 2, 2, 50, 150, 1, 3, 40],
+            vec![1; 40],
+            vec![3, 201, 4, 90],
+        ] {
+            let mut r = Stalling {
+                data: wire.clone(),
+                pos: 0,
+                runs,
+                left_in_run: 0,
+            };
+            let mut frames = FrameReader::new();
+            let mut got = Vec::new();
+            let mut stalls = 0;
+            while got.len() < 2 {
+                match frames.read_frame(&mut r) {
+                    Ok(frame) => got.push(frame),
+                    Err(e) if e.is_timeout() => stalls += 1,
+                    Err(e) => panic!("{e:?}"),
+                }
+            }
+            assert_eq!((got[0].as_ref(), got[1].as_ref()), (&a[..], &b[..]));
+            assert!(stalls >= 3 && !frames.mid_frame());
+            assert!(matches!(frames.read_frame(&mut r), Err(FrameError::Closed)));
+        }
+    }
+
+    #[test]
+    fn queued_frames_leave_in_one_vectored_write_of_unchanged_bytes() {
+        let frame = |i: u8, payload: usize| Frame {
+            head: Bytes::from(vec![i; 20 + i as usize]),
+            payload: Bytes::from(vec![!i; payload]),
+        };
+        let frames: Vec<Frame> = (0..2 * WINDOW as u8 + 1)
+            .map(|i| frame(i, 64 * i as usize))
+            .collect();
+        let expected: Vec<u8> = frames
+            .iter()
+            .flat_map(|f| prefixed(&[&f.head[..], &f.payload[..]].concat()))
+            .collect();
+        let mut w = Dribble {
+            out: Vec::new(),
+            chunk: usize::MAX,
+            calls: 0,
+        };
+        write_frames(&mut w, &frames[..WINDOW]).unwrap();
+        assert_eq!(w.calls, 1, "a window of frames is one call");
+        write_frames(&mut w, &frames[WINDOW..]).unwrap();
+        assert_eq!(w.calls, 1 + 2, "and more than a window one call per window");
+        assert_eq!(w.out, expected);
+        // Short writes resume wherever they stopped, across frames.
+        for chunk in [1, 7, 100] {
+            let mut w = Dribble {
+                out: Vec::new(),
+                chunk,
+                calls: 0,
+            };
+            write_frames(&mut w, &frames).unwrap();
+            assert_eq!(w.out, expected, "chunk {chunk}");
+        }
+        // An oversized frame stops its batch before any of it is out.
+        let huge = Frame {
+            head: Bytes::from(vec![0u8; 20]),
+            payload: Bytes::from(vec![0u8; MAX_WIRE_FRAME]),
+        };
+        let mut out = Vec::new();
+        let err = write_frames(&mut out, &[frame(1, 8), huge]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(out.is_empty(), "nothing may hit the wire");
     }
 
     #[test]

@@ -4,39 +4,50 @@
 //! Connections are created lazily, `TCP_NODELAY` on — list I/O is built
 //! from small header+trailing frames, exactly the traffic Nagle's
 //! algorithm would hold back waiting for a full segment — and parked in
-//! a per-daemon idle stack after each successful RPC, so steady-state
+//! a per-daemon idle stack when their lane is dropped, so steady-state
 //! traffic reuses persistent connections instead of paying a handshake
-//! per request. Each in-flight RPC *owns* its connection: the client's
-//! window of [`WINDOW`](crate::WINDOW) requests per daemon simply checks
-//! out (or dials) that many connections, which is what lets the
-//! daemon's worker pool serve them in parallel — and bounds the pool at
-//! `WINDOW` connections per daemon per concurrent operation.
+//! per request. A [`Lane`] *is* one connection, and every frame sent on
+//! the lane shares it: the client's window of [`WINDOW`](crate::WINDOW)
+//! requests per daemon leaves in one vectored write
+//! ([`Lane::flush`]; frames that add up to a staging buffer's worth of
+//! bytes do not wait for it) and the daemon's replies come back on the same
+//! socket in whatever order its workers finish them, several to a
+//! `read` when they arrive together. One operation therefore holds one
+//! connection per daemon, whatever its window; only concurrent
+//! operations (and a hedged read's duplicate) dial more.
 //!
 //! # Deadlines
 //!
-//! [`PendingReply::wait`] computes one deadline up front and charges
-//! every partial read against it ([`DeadlineStream`]). The read timeout
-//! is *never* reset just because bytes arrived — a peer trickling a
-//! response one byte at a time cannot stretch an RPC past its budget.
-//! A wait whose budget is already spent (the client charges an RPC's
-//! deadline from ship time, and this flight waited its turn) still
-//! collects a response that has arrived; it only never blocks for one.
-//! A connection whose RPC failed or timed out is dropped, not parked:
-//! the response may still arrive later, and a parked connection with a
-//! stale response queued would corrupt the next RPC on it.
+//! The socket's read timeout is set once, when the connection is
+//! dialed, to a short slice ([`READ_SLICE`]); [`Lane::recv`] computes
+//! one deadline up front and checks it whenever a slice runs out. The
+//! deadline is *never* reset just because bytes arrived — a peer
+//! trickling a response one byte at a time cannot stretch an RPC past
+//! its budget — and a timeout costs nothing: what has arrived of a frame
+//! is kept and the next `recv` carries on. A `recv` whose budget is
+//! already spent (the client charges an RPC's deadline from ship time)
+//! still collects a response that has arrived; it only never waits for
+//! one (the socket is switched to non-blocking for that one look).
+//!
+//! A lane that is dropped with replies still owed to it (a request
+//! timed out, the stream ended on an error) closes its connection
+//! instead of parking it: the response may still arrive later, and a
+//! parked connection with a stale response queued would corrupt the
+//! next RPC on it. So does any I/O failure.
 //!
 //! # Self-healing (the stale-keepalive race)
 //!
 //! A parked connection can go stale while idle — the server restarts,
-//! times it out, or closes it between RPCs. The pool heals both ways
-//! this surfaces, transparently and at most once per RPC:
+//! times it out, or closes it between RPCs. The lane heals both ways
+//! this surfaces, transparently and at most once:
 //!
-//! * the **send** fails — the stale connection is evicted and the
-//!   frame goes out on a freshly dialed one ([`Transport::start`]);
-//! * the send "succeeds" (into the local socket buffer) but the read
+//! * the **write** fails — the stale connection is evicted and the
+//!   frames go out on a freshly dialed one ([`Lane::flush`]);
+//! * the write "succeeds" (into the local socket buffer) but the read
 //!   side reports the peer gone **before any response byte** arrives —
-//!   [`TcpPending::wait`] re-dials, re-sends the kept request frame,
-//!   and waits out the *remaining* deadline on the new connection.
+//!   [`Lane::recv`] re-dials, re-sends every frame the lane has sent
+//!   (none has been answered), and waits out the *remaining* deadline on
+//!   the new connection.
 //!
 //! The replay is safe for the same reason client-level retries are:
 //! every data-path request is idempotent (reads are side-effect free,
@@ -46,15 +57,20 @@
 //! decides.
 
 use bytes::Bytes;
-use pvfs_proto::Frame;
+use pvfs_proto::{Frame, MAX_WIRE_FRAME};
 use pvfs_types::{PvfsError, PvfsResult};
-use std::io::{self, Read};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use super::frame::{write_frame_parts, FrameError, FrameReader};
-use crate::transport::{PendingReply, RpcTarget, Transport, TransportKind, WaitError};
+use super::frame::{write_frames, FrameError, FrameReader, STAGING};
+use crate::transport::{Lane, RpcTarget, Transport, TransportKind, WaitError};
+use crate::WINDOW;
+
+/// The read timeout every pooled socket carries: how long a blocked
+/// [`Lane::recv`] goes between two looks at its deadline.
+pub const READ_SLICE: Duration = Duration::from_millis(10);
 
 /// A pooled TCP [`Transport`] to one cluster.
 pub struct TcpTransport {
@@ -69,20 +85,72 @@ struct PoolInner {
     idle: Vec<Mutex<Vec<Conn>>>,
 }
 
-/// One connection: the socket and its receiving end, parked together so
-/// the next reply on it arrives in the buffer the last one used.
-struct Conn {
-    stream: TcpStream,
-    reader: FrameReader,
+/// Both directions of one connection's framing over any byte stream
+/// whose reads give out (`WouldBlock`/`TimedOut`) every so often: frames
+/// queued to leave together, and the receiving end — a staging buffer
+/// under a [`FrameReader`].
+struct Wire<S: Read + Write> {
+    stream: BufReader<S>,
+    frames: FrameReader,
+    queued: Vec<Frame>,
+    /// Frames flushed and not yet answered.
+    owed: usize,
 }
 
-impl Conn {
-    /// Send `head ‖ payload` behind its length prefix in one vectored
-    /// write: a write's payload goes from the buffer it was gathered
-    /// into straight to the socket.
-    fn send(&mut self, frame: &Frame) -> io::Result<()> {
-        write_frame_parts(&mut self.stream, &frame.head, &frame.payload)
+impl<S: Read + Write> Wire<S> {
+    fn new(stream: S) -> Wire<S> {
+        Wire {
+            stream: BufReader::with_capacity(STAGING, stream),
+            frames: FrameReader::new(),
+            queued: Vec::with_capacity(WINDOW),
+            owed: 0,
+        }
     }
+
+    /// Everything queued, in one vectored write: a write's payload goes
+    /// from the buffer it was gathered into straight to the socket.
+    fn flush(&mut self) -> io::Result<()> {
+        write_frames(self.stream.get_mut(), &self.queued)?;
+        self.owed += self.queued.len();
+        self.queued.clear();
+        Ok(())
+    }
+
+    /// The next frame, if it is complete by `deadline` (one look at the
+    /// stream even when that has passed).
+    fn recv(&mut self, deadline: Instant) -> Result<Bytes, FrameError> {
+        loop {
+            match self.frames.read_frame(&mut self.stream) {
+                Err(e) if e.is_timeout() && Instant::now() < deadline => {}
+                Ok(frame) => {
+                    self.owed = self.owed.saturating_sub(1);
+                    return Ok(frame);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Whether part of a response is here and unread.
+    fn mid_reply(&self) -> bool {
+        self.frames.mid_frame() || !self.stream.buffer().is_empty()
+    }
+
+    /// Nothing owed, nothing half-read: the next user finds the
+    /// connection as a fresh one.
+    fn is_quiet(&self) -> bool {
+        self.owed == 0 && !self.mid_reply()
+    }
+}
+
+/// One pooled connection. The [`Wire`] is parked whole, so the next
+/// reply on it arrives through the staging buffer, and in the frame
+/// buffers, the last ones used.
+struct Conn {
+    wire: Wire<TcpStream>,
+    /// While the connection is `unproven`: every frame flushed on it, for
+    /// [`TcpLane::heal`] to send again.
+    replay: Vec<Frame>,
 }
 
 impl TcpTransport {
@@ -145,10 +213,13 @@ impl PoolInner {
             .map_err(|e| PvfsError::Transport(format!("connect {addr}: {e}")))?;
         stream
             .set_nodelay(true)
-            .map_err(|e| PvfsError::Transport(format!("set TCP_NODELAY on {addr}: {e}")))?;
+            .and_then(|()| stream.set_read_timeout(Some(READ_SLICE)))
+            .map_err(|e| PvfsError::Transport(format!("set up the socket to {addr}: {e}")))?;
+        // Both queues sized with the connection: a window of frames
+        // never allocates on its way out.
         Ok(Conn {
-            stream,
-            reader: FrameReader::new(),
+            wire: Wire::new(stream),
+            replay: Vec::with_capacity(WINDOW),
         })
     }
 
@@ -162,34 +233,19 @@ impl Transport for TcpTransport {
         self.inner.server_addrs.len() as u32
     }
 
-    fn start(&self, target: RpcTarget, frame: Frame) -> PvfsResult<Box<dyn PendingReply>> {
+    fn lane(&self, target: RpcTarget) -> PvfsResult<Box<dyn Lane>> {
         let slot = self.inner.slot(target)?;
-        // Prefer a parked connection; if the send fails on it, the
-        // connection went stale while idle — evict it (drop) and heal
-        // by re-dialing. Only a fresh connection's failure is fatal.
-        let (conn, reused) = match self.inner.checkout_idle(slot) {
-            Some(mut conn) => match conn.send(&frame) {
-                Ok(()) => (Some(conn), true),
-                Err(_) => (None, false),
-            },
-            None => (None, false),
+        // Prefer a parked connection; whether it is still good shows
+        // when it is first used.
+        let (conn, unproven) = match self.inner.checkout_idle(slot) {
+            Some(conn) => (conn, true),
+            None => (self.inner.dial(slot)?, false),
         };
-        let conn = match conn {
-            Some(conn) => conn,
-            None => {
-                let mut conn = self.inner.dial(slot)?;
-                conn.send(&frame).map_err(|e| {
-                    PvfsError::Transport(format!("send to {}: {e}", self.inner.addr(slot)))
-                })?;
-                conn
-            }
-        };
-        Ok(Box::new(TcpPending {
-            inner: self.inner.clone(),
+        Ok(Box::new(TcpLane {
+            pool: self.inner.clone(),
             slot,
-            conn,
-            frame,
-            reused,
+            conn: Some(conn),
+            unproven,
         }))
     }
 
@@ -198,96 +254,152 @@ impl Transport for TcpTransport {
     }
 }
 
-/// One in-flight TCP RPC, exclusively owning its connection until the
-/// response frame is read (or the RPC fails). Keeps the request frame
-/// (two O(1) handles on its parts) so the stale-keepalive race can be
-/// replayed once on a fresh connection.
-struct TcpPending {
-    inner: Arc<PoolInner>,
+/// One checked-out connection, exclusively this lane's until it drops.
+struct TcpLane {
+    pool: Arc<PoolInner>,
     slot: usize,
-    conn: Conn,
-    frame: Frame,
-    /// Whether `conn` came from the idle pool (only then may the
-    /// peer-gone-before-any-byte race be healed by replaying).
-    reused: bool,
+    /// `None` once the connection has failed: the lane is dead.
+    conn: Option<Conn>,
+    /// The connection came from the idle pool and no response byte has
+    /// arrived on it since: the peer may have closed it while it was
+    /// parked, and only then may a failure be healed by re-dialing.
+    unproven: bool,
 }
 
-impl PendingReply for TcpPending {
-    fn wait(mut self: Box<Self>, timeout: Duration) -> Result<Bytes, WaitError> {
+/// What a lane whose connection has failed says to being used again.
+fn spent() -> PvfsError {
+    PvfsError::Transport("the connection has already failed".into())
+}
+
+impl TcpLane {
+    /// Replace the stale connection with a freshly dialed one carrying a
+    /// re-send of every frame flushed so far (two O(1) handles each; a
+    /// frame still queued goes with the next flush). The fresh
+    /// connection gets no second replay.
+    fn heal(&mut self) -> PvfsResult<()> {
+        self.unproven = false;
+        let stale = self.conn.take().expect("a failed connection to replace");
+        let mut conn = self.pool.dial(self.slot)?;
+        conn.wire.queued = stale.replay;
+        let queued = stale.wire.queued;
+        conn.wire.flush().map_err(|e| {
+            PvfsError::Transport(format!(
+                "resend to {} after stale connection: {e}",
+                self.pool.addr(self.slot)
+            ))
+        })?;
+        conn.wire.queued = queued;
+        self.conn = Some(conn);
+        Ok(())
+    }
+}
+
+impl Lane for TcpLane {
+    fn send(&mut self, frame: Frame) -> PvfsResult<()> {
+        if frame.len() > MAX_WIRE_FRAME {
+            // This frame's own fault; checked here so that it cannot
+            // fail the flush of its lane-mates.
+            return Err(PvfsError::FrameTooLarge {
+                len: frame.len() as u64,
+                max: MAX_WIRE_FRAME as u64,
+            });
+        }
+        let wire = &mut self.conn.as_mut().ok_or_else(spent)?.wire;
+        wire.queued.push(frame);
+        // Queueing is for small frames, which share a write; a staging
+        // buffer's worth of bytes is worth a write of its own, now —
+        // the daemon can be receiving one large payload while the
+        // client gathers the next.
+        if wire.queued.iter().map(Frame::len).sum::<usize>() >= STAGING {
+            return self.flush();
+        }
+        Ok(())
+    }
+
+    fn flush(&mut self) -> PvfsResult<()> {
+        let unproven = self.unproven;
+        let conn = self.conn.as_mut().ok_or_else(spent)?;
+        if conn.wire.queued.is_empty() {
+            return Ok(());
+        }
+        if unproven {
+            conn.replay.extend_from_slice(&conn.wire.queued);
+        }
+        let Err(e) = conn.wire.flush() else {
+            return Ok(());
+        };
+        if unproven {
+            // The connection went stale while idle: evict it and send
+            // on a fresh one. Only a fresh connection's failure is fatal.
+            conn.wire.queued.clear();
+            return self.heal();
+        }
+        self.conn = None;
+        let peer = self.pool.addr(self.slot);
+        Err(PvfsError::Transport(format!("send to {peer}: {e}")))
+    }
+
+    fn recv(&mut self, timeout: Duration) -> Result<Frame, WaitError> {
         let deadline = Instant::now() + timeout;
         loop {
-            let mut stream = DeadlineStream {
-                conn: &self.conn.stream,
-                deadline,
-                timed_out: false,
-                got_bytes: false,
+            let unproven = self.unproven;
+            let conn = self
+                .conn
+                .as_mut()
+                .ok_or_else(|| WaitError::Failed(spent()))?;
+            // With no time left this is a look at what is already here,
+            // and must not wait out a slice for more: whoever is past
+            // their deadline would otherwise never learn it while other
+            // replies keep trickling in. The one case that pays a system
+            // call for its timeout.
+            let received = if timeout.is_zero() {
+                let socket = conn.wire.stream.get_ref();
+                let _ = socket.set_nonblocking(true);
+                let received = conn.wire.recv(deadline);
+                let _ = conn.wire.stream.get_ref().set_nonblocking(false);
+                received
+            } else {
+                conn.wire.recv(deadline)
             };
-            let error = match self.conn.reader.read_frame(&mut stream) {
+            let error = match received {
                 Ok(frame) => {
-                    // Healthy connection, response fully consumed: park
-                    // it for reuse (blocking mode restored first).
-                    if self.conn.stream.set_read_timeout(None).is_ok() {
-                        self.inner.park(self.slot, self.conn);
-                    }
-                    return Ok(frame);
+                    self.unproven = false;
+                    conn.replay.clear();
+                    return Ok(frame.into());
                 }
+                Err(e) if e.is_timeout() => return Err(WaitError::Timeout),
                 Err(e) => e,
             };
-            // On any error the connection is dropped, never parked: it
-            // may still deliver a stale response, which must never
-            // reach a future RPC.
-            if stream.timed_out {
-                return Err(WaitError::Timeout);
-            }
             // Stale-keepalive race: a pooled connection whose peer went
             // away before ANY response byte arrived. The server closed
             // it while it sat idle — replay once on a fresh connection,
             // under the same deadline.
-            if self.reused && !stream.got_bytes && peer_went_away(&error) {
-                match self.redial_and_resend() {
+            if unproven && !conn.wire.mid_reply() && peer_went_away(&error) {
+                match self.heal() {
                     Ok(()) => continue,
                     Err(e) => return Err(WaitError::Failed(e)),
                 }
             }
-            let peer = self.inner.addr(self.slot);
+            // On any error the connection is dropped, never parked: it
+            // may still deliver a stale response, which must never
+            // reach a future RPC.
+            self.conn = None;
+            let peer = self.pool.addr(self.slot);
             return Err(WaitError::Failed(
                 error.into_pvfs(&format!("server {peer}")),
             ));
         }
     }
-
-    /// A peek at the socket. Anything but "nothing yet" — bytes, EOF,
-    /// an error — is for [`wait`](PendingReply::wait) to make sense of.
-    fn arriving(&self, within: Duration) -> bool {
-        let stream = &self.conn.stream;
-        let peeked = if within.is_zero() {
-            let _ = stream.set_nonblocking(true);
-            let peeked = stream.peek(&mut [0]);
-            let _ = stream.set_nonblocking(false);
-            peeked
-        } else {
-            let _ = stream.set_read_timeout(Some(within));
-            stream.peek(&mut [0])
-        };
-        !matches!(peeked, Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut))
-    }
 }
 
-impl TcpPending {
-    /// Replace the stale connection with a freshly dialed one carrying
-    /// a re-send of the kept request frame.
-    fn redial_and_resend(&mut self) -> PvfsResult<()> {
-        let mut conn = self.inner.dial(self.slot)?;
-        conn.send(&self.frame).map_err(|e| {
-            PvfsError::Transport(format!(
-                "resend to {} after stale connection: {e}",
-                self.inner.addr(self.slot)
-            ))
-        })?;
-        self.conn = conn;
-        // The fresh connection gets no second replay.
-        self.reused = false;
-        Ok(())
+impl Drop for TcpLane {
+    fn drop(&mut self) {
+        if let Some(mut conn) = self.conn.take().filter(|c| c.wire.is_quiet()) {
+            // What was queued and never flushed simply did not go.
+            conn.wire.queued.clear();
+            conn.replay.clear();
+            self.pool.park(self.slot, conn);
+        }
     }
 }
 
@@ -310,49 +422,137 @@ fn peer_went_away(e: &FrameError) -> bool {
     }
 }
 
-/// A [`Read`] adapter charging every read against one fixed deadline:
-/// before each read the socket timeout is set to the *remaining* budget,
-/// so partial progress never extends the total allowance.
-struct DeadlineStream<'a> {
-    conn: &'a TcpStream,
-    deadline: Instant,
-    timed_out: bool,
-    /// Whether any response byte has arrived (a partially received
-    /// response rules out the stale-connection replay).
-    got_bytes: bool,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tcp::frame::write_frame;
+    use std::collections::VecDeque;
+    use std::io::IoSlice;
 
-impl Read for DeadlineStream<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        // Past the deadline the read still polls (the shortest timeout
-        // a socket takes): a response that arrived in time but is
-        // collected late — its RPC waited its turn behind others of its
-        // window — is a response, not a timeout.
-        let remaining = self
-            .deadline
-            .saturating_duration_since(Instant::now())
-            .max(Duration::from_micros(1));
-        self.conn.set_read_timeout(Some(remaining))?;
-        match self.conn.read(buf) {
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                self.timed_out = true;
-                Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "rpc deadline elapsed",
-                ))
+    /// A stream that counts the calls it gets. Reads hand out one
+    /// scripted segment each — as a socket hands out what has arrived —
+    /// and give out (`WouldBlock`) once the script is spent.
+    #[derive(Default)]
+    struct Counting {
+        segments: VecDeque<Vec<u8>>,
+        reads: usize,
+        written: Vec<u8>,
+        vectored_writes: usize,
+        plain_writes: usize,
+    }
+
+    impl Read for Counting {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let Some(segment) = self.segments.front_mut() else {
+                return Err(io::ErrorKind::WouldBlock.into());
+            };
+            let n = segment.len().min(buf.len());
+            buf[..n].copy_from_slice(&segment[..n]);
+            segment.drain(..n);
+            if segment.is_empty() {
+                self.segments.pop_front();
             }
-            Ok(n) => {
-                if n > 0 {
-                    self.got_bytes = true;
-                }
-                Ok(n)
-            }
-            other => other,
+            Ok(n)
         }
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.plain_writes += 1;
+            self.written.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.vectored_writes += 1;
+            bufs.iter().for_each(|b| self.written.extend_from_slice(b));
+            Ok(bufs.iter().map(|b| b.len()).sum())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn framed(frames: &[Vec<u8>]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for frame in frames {
+            write_frame(&mut wire, frame).unwrap();
+        }
+        wire
+    }
+
+    /// The syscalls a window costs a connection, by count: its frames
+    /// leave in one vectored write, and replies that arrived together
+    /// are one `read`. The wire sees its stream as `Read + Write` and
+    /// nothing more, so it cannot set a socket option per reply either:
+    /// the read timeout is the pool's to set, once, when it dials.
+    #[test]
+    fn a_window_of_frames_is_one_write_and_its_replies_one_read() {
+        let mut wire = Wire::new(Counting::default());
+        let requests: Vec<Frame> = (0..WINDOW as u8)
+            .map(|i| Frame {
+                head: Bytes::from(vec![i; 1100]),
+                payload: Bytes::from(vec![!i; 2048]),
+            })
+            .collect();
+        wire.queued.extend(requests.iter().cloned());
+        wire.flush().unwrap();
+        let stream = wire.stream.get_ref();
+        assert_eq!((stream.vectored_writes, stream.plain_writes), (1, 0));
+        let joined = |f: &Frame| [&f.head[..], &f.payload[..]].concat();
+        let whole: Vec<Vec<u8>> = requests.iter().map(joined).collect();
+        assert_eq!(
+            stream.written,
+            framed(&whole),
+            "the wire format is unchanged"
+        );
+        assert_eq!(wire.owed, WINDOW);
+
+        // The window's replies, delivered in one segment.
+        let replies: Vec<Vec<u8>> = (0..WINDOW as u8)
+            .map(|i| vec![i; 20 + i as usize])
+            .collect();
+        wire.stream.get_mut().segments.push_back(framed(&replies));
+        let soon = Instant::now() + Duration::from_secs(5);
+        for reply in &replies {
+            assert_eq!(wire.recv(soon).unwrap().as_ref(), &reply[..]);
+        }
+        assert_eq!(wire.stream.get_ref().reads, 1, "one read for the segment");
+        assert!(wire.is_quiet());
+
+        // Nothing more has come: the deadline, not the stream, ends the
+        // wait, and nothing is lost by it.
+        let timed_out = wire.recv(Instant::now()).unwrap_err();
+        assert!(timed_out.is_timeout());
+        assert!(wire.is_quiet());
+    }
+
+    /// A reply longer than the staging buffer is read straight into its
+    /// own frame buffer, and one that arrives in pieces across several
+    /// timeouts is put together from them.
+    #[test]
+    fn a_long_reply_bypasses_the_staging_buffer_and_survives_timeouts() {
+        let mut wire = Wire::new(Counting::default());
+        let long: Vec<u8> = (0..3 * STAGING).map(|i| i as u8).collect();
+        let mut bytes = framed(&[long.clone(), b"short".to_vec()]);
+        // The prefix and a little of the body; then (after a timeout)
+        // most of the body; then the rest and the next frame.
+        let rest = bytes.split_off(STAGING + 100);
+        let (first, second) = (bytes.split_off(10), bytes);
+        wire.stream.get_mut().segments.push_back(second);
+        assert!(wire.recv(Instant::now()).unwrap_err().is_timeout());
+        assert!(wire.mid_reply() && !wire.is_quiet());
+        wire.stream.get_mut().segments.push_back(first);
+        assert!(wire.recv(Instant::now()).unwrap_err().is_timeout());
+        wire.stream.get_mut().segments.push_back(rest);
+        let soon = Instant::now() + Duration::from_secs(5);
+        assert_eq!(wire.recv(soon).unwrap().as_ref(), &long[..]);
+        assert_eq!(wire.recv(soon).unwrap().as_ref(), b"short");
+        // 3 segments, 2 timeouts, and one read that found the stream
+        // dry after the last frame's bytes were in: the body took one
+        // read per segment, however many staging buffers long it is.
+        assert!(wire.stream.get_ref().reads <= 7);
     }
 }

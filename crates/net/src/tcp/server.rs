@@ -3,18 +3,22 @@
 //!
 //! One daemon = one `TcpListener` on loopback + one acceptor thread +
 //! one reader thread per accepted connection + the daemon's worker
-//! pool. Readers do nothing but reassemble length-prefixed frames and
-//! push them into the pool's **bounded** queue. When workers fall
+//! pool. A client keeps one connection per daemon and pipelines its
+//! window of requests on it, so a reader does nothing but reassemble
+//! length-prefixed frames — every complete frame a `read` delivered,
+//! through a staging buffer, before it blocks again — and push them
+//! into the pool's **bounded** queue. When workers fall
 //! behind, daemon readers **load-shed**: a frame meeting a full queue
 //! is answered immediately with `PvfsError::Overloaded` instead of
 //! being parked (see [`Service::shed`]). The manager and stats scrapes
 //! do not shed — readers block in `send`, stop draining their sockets,
 //! and TCP flow control pushes back.
 //!
-//! Responses go back over the connection the request arrived on. The
-//! write half is wrapped in a mutex so workers finishing out of order
-//! (different requests pipelined on one connection) interleave whole
-//! frames, never partial ones; request ids let the peer attribute them.
+//! Responses go back over the connection the request arrived on, in
+//! the order the workers finish. The write half is wrapped in a mutex so
+//! workers finishing out of order (the requests pipelined on one
+//! connection) interleave whole frames, never partial ones; request ids
+//! let the peer attribute them.
 //! A `Data` reply leaves as `prefix ‖ head ‖ payload` in one vectored
 //! write ([`send_reply`]): the payload the daemon gathered is the buffer
 //! the socket reads from, never staged behind its head in a second one.
@@ -42,7 +46,7 @@ use pvfs_proto::{
 use pvfs_server::{IoDaemon, IodConfig, Manager};
 use pvfs_types::RequestId;
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -50,7 +54,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use super::frame::{wire_len, write_frame_parts, FrameError, FrameReader};
+use super::frame::{wire_len, write_frame_parts, FrameError, FrameReader, STAGING};
 use crate::chan::TrySendError;
 use crate::pool::WorkerPool;
 use crate::serve::{serve_rpc, Service};
@@ -215,7 +219,7 @@ impl Drop for TcpServer {
 /// duplicate of the socket closes with the connection.
 fn spawn_reader(
     name: String,
-    mut stream: TcpStream,
+    stream: TcpStream,
     pool_tx: crate::chan::Sender<TcpMsg>,
     service: Arc<dyn Service>,
     key: usize,
@@ -238,10 +242,11 @@ fn spawn_reader(
                 Ok(w) => w,
                 Err(_) => return,
             }));
-            // Requests on a connection are answered before the peer
-            // sends the next one, so each arrives in the last one's
-            // buffer.
+            // The peer keeps at most a window of requests unanswered on
+            // a connection, so each arrives in the buffer of the one a
+            // window before it.
             let mut frames = FrameReader::new();
+            let mut stream = BufReader::with_capacity(STAGING, stream);
             loop {
                 match frames.read_frame(&mut stream) {
                     Ok(frame) => {
@@ -285,7 +290,7 @@ fn spawn_reader(
                         // to know why it is being dropped. Id 0: the
                         // header was never read.
                         send_reply(&writer, RequestId(0), &Response::Error(e), Some(&*service));
-                        let _ = stream.shutdown(Shutdown::Both);
+                        let _ = stream.get_ref().shutdown(Shutdown::Both);
                         break;
                     }
                     Err(_) => break, // peer hung up or died mid-frame

@@ -6,7 +6,7 @@
 
 use bytes::Bytes;
 use pvfs_net::{ClusterClient, LiveCluster, RpcTarget, TransportKind};
-use pvfs_proto::{decode_response, encode_frame, Frame, Message, OpClass, Request, Response};
+use pvfs_proto::{decode_response_frame, encode_frame, Frame, Message, OpClass, Request, Response};
 use pvfs_server::{IodConfig, ServerStats};
 use pvfs_types::{
     ClientId, FileHandle, PvfsError, Region, RequestId, ServerId, StatsSnapshot, StripeLayout,
@@ -151,26 +151,28 @@ fn books_after_mixed_traffic(kind: TransportKind) -> StatsSnapshot {
         };
         encode_frame(&message, None).unwrap()
     };
-    let reply = |pending: Box<dyn pvfs_net::PendingReply>| {
-        let raw = pending.wait(Duration::from_secs(10)).unwrap();
-        decode_response(raw).unwrap()
+    let reply = |mut lane: Box<dyn pvfs_net::Lane>| {
+        let raw = lane.recv(Duration::from_secs(10)).unwrap();
+        decode_response_frame(raw).unwrap()
     };
     // Header intact, body cut short: answered under the header's id,
     // and a worker was busy with it even though no request was served.
     let whole = frame(100, Request::GetLocalSize { handle: fh }).head;
     let cut = Frame::from(whole.slice(0..whole.len() - 3));
-    let (id, response) = reply(transport.start(target, cut).unwrap());
+    let (id, response) = reply(transport.dispatch(target, cut).unwrap());
     assert_eq!(id, RequestId(100), "[{kind}]");
     assert!(matches!(response, Response::Error(PvfsError::Protocol(_))));
 
     // One ping occupies the worker, the next fills the queue's one
     // slot, the third meets a full queue. (Over tcp the last two race
     // for the slot on separate connections; either way one gets it.)
-    let busy = transport.start(target, frame(101, Request::Ping)).unwrap();
+    let busy = transport
+        .dispatch(target, frame(101, Request::Ping))
+        .unwrap();
     while cluster.stats_snapshot(ServerId(0)).unwrap().busy_workers == 0 {
         std::thread::yield_now();
     }
-    let rest = [102, 103].map(|id| transport.start(target, frame(id, Request::Ping)));
+    let rest = [102, 103].map(|id| transport.dispatch(target, frame(id, Request::Ping)));
     let mut answers = vec![reply(busy).1];
     for pending in rest {
         answers.push(match pending {

@@ -8,7 +8,10 @@ use pvfs_net::tcp::{TcpCluster, TcpTransport};
 use pvfs_net::{
     ClusterClient, LiveCluster, RpcTarget, SerialGate, Transport, TransportKind, WaitError,
 };
-use pvfs_proto::{decode_response, encode_frame, encode_message, Message, Request, Response};
+use pvfs_proto::{
+    decode_response, decode_response_frame, encode_frame, encode_message, Message, Request,
+    Response,
+};
 use pvfs_server::{IoDaemon, IodConfig};
 use pvfs_types::{
     ClientId, FileHandle, PvfsError, Region, RegionList, RequestId, ServerId, StripeLayout,
@@ -101,9 +104,9 @@ fn wire_bytes_count_the_length_prefix() {
     .unwrap();
     let wire = 4 + frame.len() as u64;
     transport
-        .start(RpcTarget::Server(ServerId(0)), frame.into())
+        .dispatch(RpcTarget::Server(ServerId(0)), frame.into())
         .unwrap()
-        .wait(Duration::from_secs(5))
+        .recv(Duration::from_secs(5))
         .unwrap();
     let stats = daemons[0].stats();
     assert_eq!(stats.frames_rx, 1);
@@ -142,9 +145,9 @@ fn bytes_tx_includes_every_reply_the_client_already_holds() {
         })
         .unwrap();
         let reply = transport
-            .start(RpcTarget::Server(ServerId(0)), frame.into())
+            .dispatch(RpcTarget::Server(ServerId(0)), frame.into())
             .unwrap()
-            .wait(Duration::from_secs(5))
+            .recv(Duration::from_secs(5))
             .unwrap();
         expected_tx += 4 + reply.len() as u64;
         assert_eq!(
@@ -190,11 +193,11 @@ fn trickled_response_cannot_stretch_the_rpc_deadline() {
         },
     })
     .unwrap();
-    let pending = transport
-        .start(RpcTarget::Server(ServerId(0)), frame.into())
+    let mut lane = transport
+        .dispatch(RpcTarget::Server(ServerId(0)), frame.into())
         .unwrap();
     let start = Instant::now();
-    let err = pending.wait(Duration::from_millis(150)).unwrap_err();
+    let err = lane.recv(Duration::from_millis(150)).unwrap_err();
     let elapsed = start.elapsed();
     assert!(matches!(err, WaitError::Timeout), "got {err:?}");
     assert!(
@@ -250,9 +253,9 @@ fn client_rejects_oversized_response_announcement() {
     })
     .unwrap();
     let err = transport
-        .start(RpcTarget::Server(ServerId(0)), frame.into())
+        .dispatch(RpcTarget::Server(ServerId(0)), frame.into())
         .unwrap()
-        .wait(Duration::from_secs(5))
+        .recv(Duration::from_secs(5))
         .unwrap_err();
     match err {
         WaitError::Failed(PvfsError::FrameTooLarge { len, .. }) => {
@@ -347,11 +350,11 @@ fn second_rpc_after_server_side_disconnect_succeeds() {
         let frame = encode_frame(&message(i), None).unwrap();
         assert_eq!(frame.payload.len(), 600, "the request is a two-part frame");
         let reply = transport
-            .start(RpcTarget::Server(ServerId(0)), frame)
+            .dispatch(RpcTarget::Server(ServerId(0)), frame)
             .unwrap()
-            .wait(Duration::from_secs(5))
+            .recv(Duration::from_secs(5))
             .unwrap_or_else(|e| panic!("rpc {i} after server-side disconnect failed: {e:?}"));
-        let (rid, resp) = decode_response(reply).unwrap();
+        let (rid, resp) = decode_response_frame(reply).unwrap();
         assert_eq!(rid, RequestId(i));
         assert_eq!(resp, Response::Written { bytes: 600 });
     }
@@ -426,9 +429,9 @@ fn a_write_request_is_one_vectored_write_of_unchanged_bytes() {
         got
     });
     TcpTransport::new(vec![addr], addr)
-        .start(RpcTarget::Server(ServerId(0)), frame)
+        .dispatch(RpcTarget::Server(ServerId(0)), frame)
         .unwrap()
-        .wait(Duration::from_secs(5))
+        .recv(Duration::from_secs(5))
         .unwrap();
     assert_eq!(server.join().unwrap(), contiguous);
 }
@@ -601,4 +604,181 @@ fn manager_rpcs_work_over_tcp() {
         )
         .unwrap_err();
     assert!(matches!(err, PvfsError::NoSuchFile(_)));
+}
+
+/// The coalesced-segment case, end to end: a client that pipelines its
+/// window hands a daemon several request frames in one write. Each is
+/// served and answered under its own id, in whatever order the workers
+/// finish — none lost behind the first, none answered twice.
+#[test]
+fn four_request_frames_in_one_write_get_four_replies_with_their_own_ids() {
+    let config = IodConfig {
+        workers: 2,
+        ..IodConfig::default()
+    };
+    let daemons = vec![Arc::new(IoDaemon::new(ServerId(0), config))];
+    let tcp = TcpCluster::spawn(&daemons, config);
+    let mut conn = TcpStream::connect(tcp.server_addrs()[0]).unwrap();
+    let l = layout(1);
+    let mut segment = Vec::new();
+    for id in 1..=4u64 {
+        let frame = encode_message(&Message {
+            client: ClientId(1),
+            id: RequestId(id),
+            request: Request::Write {
+                handle: FileHandle(1),
+                layout: l,
+                region: Region::new(id * 100, id),
+                data: Bytes::from(vec![id as u8; id as usize]),
+            },
+        })
+        .unwrap();
+        write_frame(&mut segment, &frame).unwrap();
+    }
+    conn.write_all(&segment).unwrap();
+    let mut answered: Vec<(u64, Response)> = (0..4)
+        .map(|_| {
+            let (rid, response) = decode_response(read_frame(&mut conn).unwrap()).unwrap();
+            (rid.0, response)
+        })
+        .collect();
+    answered.sort_by_key(|(rid, _)| *rid);
+    let expected: Vec<_> = (1..=4u64)
+        .map(|id| (id, Response::Written { bytes: id }))
+        .collect();
+    assert_eq!(answered, expected);
+    assert_eq!(daemons[0].stats().frames_rx, 4);
+    // Nothing further comes: four frames, four replies.
+    conn.set_read_timeout(Some(Duration::from_millis(50)))
+        .unwrap();
+    assert!(conn.read(&mut [0u8; 1]).is_err());
+}
+
+/// A timeout settles one flight, not its connection. The daemon here
+/// sits on its first request for three deadlines and answers every
+/// other at once: the client gives up on that flight alone, sends it
+/// again, and carries on down the stream on the same connection — and
+/// when the stale reply finally turns up it is dropped by its id, not
+/// handed to whoever is waiting. Every read returns its own bytes, and
+/// the connection goes back to the pool for the next RPC.
+#[test]
+fn a_reply_that_arrives_after_its_flight_timed_out_is_dropped_by_id() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let timeout = Duration::from_millis(100);
+    // What the byte at `offset` of the file reads as.
+    let byte_at = |offset: u64| (offset * 7 + 3) as u8;
+    let server = std::thread::spawn(move || {
+        let (conn, _) = listener.accept().unwrap();
+        let mut requests = std::io::BufReader::new(conn.try_clone().unwrap());
+        let reply_to = |msg: &Message| {
+            let Request::Read { region, .. } = &msg.request else {
+                panic!("unexpected {msg:?}");
+            };
+            let data = (region.offset..region.end())
+                .map(byte_at)
+                .collect::<Vec<u8>>();
+            let data = Bytes::from(data);
+            pvfs_proto::encode_response(msg.id, &Response::Data { data })
+        };
+        let mut late = None;
+        let mut served = 0;
+        while let Ok(frame) = read_frame(&mut requests) {
+            let msg = pvfs_proto::decode_message(frame).unwrap();
+            served += 1;
+            if served == 1 {
+                // Answered three deadlines from now, from the side.
+                let (reply, mut conn) = (reply_to(&msg), conn.try_clone().unwrap());
+                late = Some(std::thread::spawn(move || {
+                    std::thread::sleep(timeout * 3);
+                    write_frame(&mut conn, &reply).unwrap();
+                }));
+                continue;
+            }
+            // Slow enough that the stream is still running by then,
+            // fast enough that a window of these is well inside the
+            // deadline.
+            std::thread::sleep(timeout / 10);
+            write_frame(&mut &conn, &reply_to(&msg)).unwrap();
+        }
+        late.unwrap().join().unwrap();
+        served
+    });
+
+    let transport = Arc::new(TcpTransport::new(vec![addr], addr));
+    let client =
+        ClusterClient::with_transport(ClientId(1), transport.clone(), Arc::new(SerialGate::new()))
+            .with_rpc_timeout(timeout);
+    let read = |i: u64| Request::Read {
+        handle: FileHandle(1),
+        layout: layout(1),
+        region: Region::new(i * 10, 10 + i),
+    };
+    let reads = 48u64;
+    let responses = client
+        .round((0..reads).map(|i| (ServerId(0), read(i))).collect())
+        .unwrap();
+    for (i, response) in (0..reads).zip(responses) {
+        let expected: Vec<u8> = (i * 10..i * 10 + 10 + i).map(byte_at).collect();
+        assert_eq!(
+            response,
+            Response::Data {
+                data: expected.into()
+            },
+            "read {i}"
+        );
+    }
+    let stats = client.stats();
+    assert_eq!((stats.attempts, stats.retries), (reads + 1, 1));
+    // The stale reply came and went while the stream ran, so nothing is
+    // owed on the connection: it was parked, and serves the next RPC.
+    assert_eq!(transport.idle_connections(), 1);
+    let again = client.call(ServerId(0).into(), read(3)).unwrap();
+    let expected: Vec<u8> = (30..43).map(byte_at).collect();
+    assert_eq!(
+        again,
+        Response::Data {
+            data: expected.into()
+        }
+    );
+    assert_eq!(transport.idle_connections(), 1);
+    drop((client, transport));
+    assert_eq!(server.join().unwrap(), reads + 2);
+}
+
+/// Queueing is for small frames: they wait for the flush and leave
+/// together, while a frame worth a write of its own goes at once.
+#[test]
+fn small_frames_wait_for_the_flush_and_a_large_one_does_not() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let transport = TcpTransport::new(vec![addr], addr);
+    let mut lane = transport.lane(RpcTarget::Server(ServerId(0))).unwrap();
+    let (mut conn, _) = listener.accept().unwrap();
+    conn.set_read_timeout(Some(Duration::from_millis(50)))
+        .unwrap();
+    let write = |id: u64, len: usize| {
+        let message = Message {
+            client: ClientId(1),
+            id: RequestId(id),
+            request: Request::Write {
+                handle: FileHandle(1),
+                layout: layout(1),
+                region: Region::new(0, len as u64),
+                data: Bytes::from(vec![id as u8; len]),
+            },
+        };
+        encode_frame(&message, None).unwrap()
+    };
+    let arrived = |conn: &mut TcpStream| read_frame(conn).map(pvfs_proto::decode_message);
+
+    lane.send(write(1, 100)).unwrap();
+    lane.send(write(2, 100)).unwrap();
+    assert!(arrived(&mut conn).is_err(), "a queued frame left unflushed");
+    lane.flush().unwrap();
+    for id in [1, 2] {
+        assert_eq!(arrived(&mut conn).unwrap().unwrap().id, RequestId(id));
+    }
+    lane.send(write(3, 64 << 10)).unwrap();
+    assert_eq!(arrived(&mut conn).unwrap().unwrap().id, RequestId(3));
 }

@@ -99,23 +99,26 @@ const ERR_CONFIG: u8 = 11;
 const ERR_UNAVAILABLE: u8 = 12;
 const ERR_OVERLOADED: u8 = 13;
 
-/// A request frame in two parts: `head ‖ payload` is the wire frame,
-/// byte for byte what [`encode_message`] produces in one buffer (plus
-/// the trace context, when there is one).
+/// A wire frame in two parts: `head ‖ payload` is the frame, byte for
+/// byte what [`encode_message`] (a request; plus the trace context, when
+/// there is one) or [`encode_response`] (a reply) produces in one
+/// buffer.
 ///
 /// In all three write requests the bulk payload is the last field, so
 /// the frame splits cleanly behind the payload's length word: `head` is
 /// everything the encoder writes (header, trace context, layout, region
 /// list, payload length), `payload` is the buffer the client gathered —
 /// shared, never copied behind the head. Every other request is all
-/// head. A stream transport writes the two parts with one vectored
-/// write; the channel transport hands both to the daemon untouched.
+/// head. A [`Response::Data`] reply splits the same way behind its
+/// [`data_response_head`]; every other reply is all head. A stream
+/// transport writes the two parts with one vectored write; the channel
+/// transport hands both over untouched.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Frame {
     /// Everything before the bulk payload (the whole frame when there
     /// is none, or when it arrived contiguous off a socket).
     pub head: Bytes,
-    /// A write request's bulk payload; empty otherwise.
+    /// A write request's or data reply's bulk payload; empty otherwise.
     pub payload: Bytes,
 }
 
@@ -480,9 +483,13 @@ pub fn decode_frame(frame: Frame) -> PvfsResult<(Message, Option<TraceContext>)>
     ))
 }
 
-/// Bytes of a [`Response::Data`] frame before its payload: envelope
-/// (magic, version, request id), tag, payload length.
-pub const DATA_HEAD_LEN: usize = 2 + 1 + 8 + 1 + 8;
+/// Bytes of the envelope every response frame starts with: magic,
+/// version, echoed request id.
+pub const RESPONSE_ENVELOPE_LEN: usize = 2 + 1 + 8;
+
+/// Bytes of a [`Response::Data`] frame before its payload: envelope,
+/// tag, payload length.
+pub const DATA_HEAD_LEN: usize = RESPONSE_ENVELOPE_LEN + 1 + 8;
 
 /// Every response frame starts with this: magic, version, echoed id.
 fn put_response_envelope(buf: &mut impl BufMut, id: RequestId) {
@@ -586,9 +593,39 @@ pub fn encode_response(id: RequestId, resp: &Response) -> Bytes {
     buf.freeze()
 }
 
-/// Decode a response frame, returning the echoed request id and the
-/// response.
-pub fn decode_response(mut buf: Bytes) -> PvfsResult<(RequestId, Response)> {
+/// Extract the echoed request id from a response frame's envelope
+/// without decoding the body, which may be malformed: what lets a client
+/// with several requests on one connection tell whose reply failed to
+/// decode.
+pub fn decode_response_id(frame: &Bytes) -> Option<RequestId> {
+    let mut buf = frame.clone();
+    if buf.remaining() < RESPONSE_ENVELOPE_LEN
+        || buf.get_u16_le() != MAGIC
+        || buf.get_u8() != VERSION
+    {
+        return None;
+    }
+    Some(RequestId(buf.get_u64_le()))
+}
+
+/// Decode a contiguous response frame, returning the echoed request id
+/// and the response.
+pub fn decode_response(buf: Bytes) -> PvfsResult<(RequestId, Response)> {
+    decode_response_frame(buf.into())
+}
+
+/// Decode a response [`Frame`] — the one response decoder. A
+/// [`Response::Data`] payload is taken (as an O(1) view) from whichever
+/// part holds it: the tail of a contiguous frame, as a socket delivers
+/// it, or the payload part behind a [`data_response_head`], as the
+/// channel transport hands it over. A payload part shorter than
+/// announced, or bytes left over in either part, are the same typed
+/// errors a short or over-long contiguous frame gets.
+pub fn decode_response_frame(frame: Frame) -> PvfsResult<(RequestId, Response)> {
+    let Frame {
+        head: mut buf,
+        mut payload,
+    } = frame;
     let magic = get_u16(&mut buf)?;
     if magic != MAGIC {
         return Err(PvfsError::protocol(format!("bad magic {magic:#06x}")));
@@ -625,9 +662,8 @@ pub fn decode_response(mut buf: Bytes) -> PvfsResult<(RequestId, Response)> {
         RESP_LOCAL_SIZE => Response::LocalSize {
             size: get_u64(&mut buf)?,
         },
-        // A reply always arrives contiguous: no separate payload part.
         RESP_DATA => Response::Data {
-            data: get_payload(&mut buf, &mut Bytes::new())?,
+            data: get_payload(&mut buf, &mut payload)?,
         },
         RESP_WRITTEN => Response::Written {
             bytes: get_u64(&mut buf)?,
@@ -683,10 +719,10 @@ pub fn decode_response(mut buf: Bytes) -> PvfsResult<(RequestId, Response)> {
         RESP_ERROR => Response::Error(get_error(&mut buf)?),
         other => return Err(PvfsError::protocol(format!("unknown response tag {other}"))),
     };
-    if buf.has_remaining() {
+    let garbage = buf.remaining() + payload.remaining();
+    if garbage > 0 {
         return Err(PvfsError::protocol(format!(
-            "{} bytes of garbage after response",
-            buf.remaining()
+            "{garbage} bytes of garbage after response"
         )));
     }
     Ok((id, resp))
@@ -2012,6 +2048,62 @@ mod tests {
             encode_frame(&m, None).unwrap_err(),
             encode_message(&m).unwrap_err()
         );
+    }
+
+    #[test]
+    fn a_data_reply_in_two_parts_decodes_as_its_contiguous_encoding() {
+        let data = Bytes::from((0..=255u8).collect::<Vec<_>>());
+        let id = RequestId(9);
+        let whole = encode_response(id, &Response::Data { data: data.clone() });
+        let head = Bytes::copy_from_slice(&data_response_head(id, data.len() as u64));
+        assert_eq!(head.as_ref(), &whole[..DATA_HEAD_LEN]);
+        assert_eq!(decode_response_id(&head), Some(id));
+        assert_eq!(decode_response_id(&whole), Some(id));
+        let parts = |payload: Bytes| Frame {
+            head: head.clone(),
+            payload,
+        };
+        let decoded = decode_response_frame(parts(data.clone())).unwrap();
+        assert_eq!(decoded, decode_response(whole.clone()).unwrap());
+        assert_eq!(decoded, (id, Response::Data { data: data.clone() }));
+
+        // Every truncation of either part is the typed error the same
+        // cut of the contiguous frame gets.
+        for cut in 0..data.len() {
+            assert_eq!(
+                decode_response_frame(parts(data.slice(..cut))).unwrap_err(),
+                decode_response(whole.slice(..DATA_HEAD_LEN + cut)).unwrap_err()
+            );
+        }
+        for cut in 0..DATA_HEAD_LEN {
+            let short = Frame::from(head.slice(..cut));
+            assert_eq!(
+                decode_response_frame(short).unwrap_err(),
+                decode_response(whole.slice(..cut)).unwrap_err()
+            );
+            let id_readable = cut >= RESPONSE_ENVELOPE_LEN;
+            assert_eq!(
+                decode_response_id(&head.slice(..cut)).is_some(),
+                id_readable
+            );
+        }
+
+        // Over-long, and a payload part behind a reply that carries none.
+        let long = parts(Bytes::from([&data[..], &[0, 0, 0]].concat()));
+        assert_eq!(
+            decode_response_frame(long).unwrap_err(),
+            PvfsError::protocol("3 bytes of garbage after response")
+        );
+        let closed = Frame {
+            head: encode_response(id, &Response::Closed),
+            payload: Bytes::from(vec![1u8]),
+        };
+        assert_eq!(
+            decode_response_frame(closed).unwrap_err(),
+            PvfsError::protocol("1 bytes of garbage after response")
+        );
+        // Not a response at all: no id to attribute.
+        assert_eq!(decode_response_id(&Bytes::from(vec![0xffu8; 16])), None);
     }
 
     #[test]

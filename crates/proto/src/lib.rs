@@ -28,8 +28,8 @@ pub mod message;
 
 pub use codec::{
     check_list, data_response_head, decode_frame, decode_frame_id, decode_message, decode_response,
-    encode_frame, encode_message, encode_response, frame_is_stats_scrape, Frame, DATA_HEAD_LEN,
-    VERSION_TRACED,
+    decode_response_frame, decode_response_id, encode_frame, encode_message, encode_response,
+    frame_is_stats_scrape, Frame, DATA_HEAD_LEN, RESPONSE_ENVELOPE_LEN, VERSION_TRACED,
 };
 pub use limits::{
     list_request_fits_frame, max_regions_per_frame, ETHERNET_MTU, MAX_BULK_BYTES, MAX_LIST_REGIONS,
