@@ -11,8 +11,8 @@
 //! client did.
 
 use pvfs_core::exec::{
-    alloc_temps, apply_copies, copy_bytes, scatter_response, stage_copies, wire_request, Buffers,
-    Sources,
+    alloc_temps, apply_copies, copy_bytes, scatter_response, stage_copies, wire_request_into,
+    Buffers, Sources,
 };
 use pvfs_core::{AccessPlan, IoKind, Step, Target, WireOp};
 use pvfs_net::{ClusterClient, OpStream, RpcTarget};
@@ -225,6 +225,9 @@ impl UserBuf<'_> {
 /// (sieving's read → modify → write) is a stretch of its own: it
 /// depends on the steps around it.
 struct Stretch<'a, 'u> {
+    /// Whose spares write payloads are gathered into (and go back to,
+    /// when the pipeline has seen the op resolve).
+    client: &'a ClusterClient,
     plan: &'a mut AccessPlan,
     user: &'a mut UserBuf<'u>,
     temps: &'a mut [Vec<u8>],
@@ -277,7 +280,10 @@ impl OpStream for Stretch<'_, '_> {
             user: self.user.source(),
             temps: self.temps,
         };
-        let request = wire_request(&wire, self.plan.handle, &self.plan.layout, sources);
+        let (handle, layout) = (self.plan.handle, &self.plan.layout);
+        let request = wire_request_into(&wire, handle, layout, sources, |room| {
+            self.client.payload_buffer(room)
+        });
         self.report.bytes_sent += request.bulk_len();
         Some((wire.server.into(), request, wire))
     }
@@ -338,6 +344,7 @@ pub fn execute_plan(
             match step {
                 Step::Round(ops) => {
                     let mut stretch = Stretch {
+                        client,
                         open: through_pieces(&ops),
                         plan: &mut plan,
                         user: &mut user,

@@ -11,9 +11,17 @@
 //! The planners guarantee a wire op is only addressed to servers that
 //! own at least one byte of it; these helpers tolerate zero-share ops
 //! anyway (they produce empty payloads).
+//!
+//! A write's payload is the one payload-sized buffer the client side of
+//! an op needs, and it need not be a new one: [`gather_payload_into`]
+//! (under [`wire_request_into`]) gathers into whatever buffer its caller
+//! hands out — the live executor's come from, and go back to, its
+//! client's spares. [`wire_request`] and [`gather_payload`] are the same
+//! code with a buffer of their own, which is what the simulator and the
+//! benchmark's per-layer timings call.
 
 use crate::plan::{CopyPair, MemSlice, OpKind, Space, Target, WireOp};
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use pvfs_types::{FileHandle, PvfsError, PvfsResult, Region, ServerId, StripeLayout};
 
 /// The client-side buffers a plan operates on: the caller's buffer and
@@ -148,15 +156,27 @@ pub fn server_share(op: &OpKind, layout: &StripeLayout, server: ServerId) -> u64
 }
 
 /// Build the wire request for a wire op (gathering the write payload
-/// from `bufs` when the op is a write).
+/// from `bufs`, into a buffer of its own, when the op is a write).
 pub fn wire_request<'a>(
     wire: &WireOp,
     handle: FileHandle,
     layout: &StripeLayout,
     bufs: impl Into<Sources<'a>>,
 ) -> pvfs_proto::Request {
+    wire_request_into(wire, handle, layout, bufs, BytesMut::with_capacity)
+}
+
+/// [`wire_request`], a write's payload gathered into the buffer `spare`
+/// hands out for it (see [`gather_payload_into`]); a read asks for none.
+pub fn wire_request_into<'a>(
+    wire: &WireOp,
+    handle: FileHandle,
+    layout: &StripeLayout,
+    bufs: impl Into<Sources<'a>>,
+    spare: impl FnOnce(usize) -> BytesMut,
+) -> pvfs_proto::Request {
     use pvfs_proto::Request;
-    let bufs = bufs.into();
+    let payload = || gather_payload_into(&wire.op, layout, wire.server, bufs, spare).0;
     match &wire.op {
         OpKind::Read { region, .. } => Request::Read {
             handle,
@@ -177,19 +197,19 @@ pub fn wire_request<'a>(
             handle,
             layout: *layout,
             region: *region,
-            data: gather_payload(&wire.op, layout, wire.server, bufs),
+            data: payload(),
         },
         OpKind::WriteList { regions, .. } => Request::WriteList {
             handle,
             layout: *layout,
             regions: regions.clone(),
-            data: gather_payload(&wire.op, layout, wire.server, bufs),
+            data: payload(),
         },
         OpKind::WriteVectors { runs, .. } => Request::WriteVectors {
             handle,
             layout: *layout,
             runs: runs.clone(),
-            data: gather_payload(&wire.op, layout, wire.server, bufs),
+            data: payload(),
         },
     }
 }
@@ -214,16 +234,34 @@ pub fn gather_payload_counted<'a>(
     server: ServerId,
     bufs: impl Into<Sources<'a>>,
 ) -> (Bytes, u64) {
+    gather_payload_into(op, layout, server, bufs, BytesMut::with_capacity)
+}
+
+/// [`gather_payload_counted`] into the buffer `spare` hands out when
+/// told how many bytes the payload is (whatever the buffer holds is
+/// dropped first). The payload is that buffer, frozen: a caller that
+/// takes it back once the request is over ([`Bytes::try_into_mut`]) and
+/// hands it out again gathers without allocating — the live executor
+/// does, out of its client's spares. `spare` is not asked when `server`
+/// holds nothing of the op.
+pub fn gather_payload_into<'a>(
+    op: &OpKind,
+    layout: &StripeLayout,
+    server: ServerId,
+    bufs: impl Into<Sources<'a>>,
+    spare: impl FnOnce(usize) -> BytesMut,
+) -> (Bytes, u64) {
     debug_assert!(op.is_write());
     let bufs = bufs.into();
     let Some(slot) = slot_of(layout, server) else {
         return (Bytes::new(), 0);
     };
-    let mut payload = Vec::with_capacity(server_share(op, layout, server) as usize);
+    let mut payload = spare(server_share(op, layout, server) as usize);
+    payload.clear();
     let fragments = for_each_share_slice(op, layout, slot, |s| {
         payload.extend_from_slice(bufs.slice(s))
     });
-    (Bytes::from(payload), fragments)
+    (payload.freeze(), fragments)
 }
 
 /// Scatter a read response from `server` into the op's destination

@@ -279,18 +279,15 @@ impl StorageBackend for FileStore {
     fn write_batch(&mut self, runs: &[(u64, &[u8])]) -> PvfsResult<()> {
         self.check_live()?;
         // Clamp each run at the edge of the address space (mirrors
-        // SparseStore: dropped, never wrapped) and drop empties. Sized
-        // up front, so the vector never regrows as it fills.
-        let mut kept: Vec<(u64, &[u8])> = Vec::with_capacity(runs.len());
-        for &(offset, data) in runs {
+        // SparseStore: dropped, never wrapped) and drop empties — as the
+        // runs are walked, every time they are: nothing is collected.
+        let runs = runs.iter().filter_map(|&(offset, data)| {
             let addressable = u64::MAX - offset;
             let keep = (data.len() as u64).min(addressable) as usize;
-            if keep > 0 {
-                kept.push((offset, &data[..keep]));
-            }
-        }
-        let runs = kept;
-        if runs.is_empty() {
+            (keep > 0).then(|| (offset, &data[..keep]))
+        });
+        let count = runs.clone().count();
+        if count == 0 {
             return Ok(());
         }
         // Journaling copies nothing: the record's payloads go to the
@@ -298,9 +295,9 @@ impl StorageBackend for FileStore {
         if self.crash == Some(CrashPoint::TornJournal) {
             // Power cut mid-append: half the intent record reaches the
             // journal. The batch never committed.
-            let half = write_batch_record_len(&runs) / 2;
+            let half = write_batch_record_len(runs.clone()) / 2;
             self.journal
-                .append_write_batch(&runs, Some(half))
+                .append_write_batch(runs, Some(half))
                 .and_then(|_| self.journal.sync())
                 .map_err(|e| storage_err("append journal", &self.data_path, e))?;
             self.wedged = true;
@@ -309,10 +306,10 @@ impl StorageBackend for FileStore {
                 self.data_path.display()
             )));
         }
-        let appended = self.journal.append_write_batch(&runs, None);
+        let appended = self.journal.append_write_batch(runs.clone(), None);
         self.committed(appended)?;
         let synced = self.sync_journal_per_policy()?;
-        for (i, (offset, data)) in runs.iter().enumerate() {
+        for (i, (offset, data)) in runs.enumerate() {
             if self.crash == Some(CrashPoint::AfterCommit { applied: i }) {
                 // Power cut mid-apply: the intent committed, the data
                 // file holds a prefix. Replay finishes the batch.
@@ -323,13 +320,12 @@ impl StorageBackend for FileStore {
                 self.metrics.record_fsync(t.elapsed());
                 self.wedged = true;
                 return Err(PvfsError::Storage(format!(
-                    "injected crash: power loss after {i} of {} runs on {}",
-                    runs.len(),
+                    "injected crash: power loss after {i} of {count} runs on {}",
                     self.data_path.display()
                 )));
             }
             self.data
-                .write_all_at(data, *offset)
+                .write_all_at(data, offset)
                 .map_err(|e| storage_err("write data file", &self.data_path, e))?;
             self.size = self.size.max(offset + data.len() as u64);
         }

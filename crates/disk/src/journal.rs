@@ -36,9 +36,10 @@
 //! hole a checkpoint left, behind a torn tail) would never replay.
 //!
 //! A record is never assembled in memory: one routine builds its head
-//! (everything up to the payloads), streams the checksum over the head
-//! and then the caller's runs where they lie, and appends
-//! `head ‖ runs ‖ checksum` with vectored writes. An append that fails
+//! (everything up to the payloads) in a buffer the journal keeps,
+//! streams the checksum over the head and then the caller's runs where
+//! they lie, and appends `head ‖ runs ‖ checksum` with vectored writes
+//! whose slices are lined up on the stack — an append allocates nothing. An append that fails
 //! part-way is cut back off the file before the error is returned, for
 //! the same reason `open` cuts a torn tail; if even that fails the
 //! journal refuses every later append ([`Journal::is_torn`]).
@@ -57,9 +58,8 @@ const KIND_TRUNCATE: u8 = 2;
 const RECORD_OVERHEAD: usize = 4 + 1 + 8 + 8;
 
 /// Length of the record that commits `runs` as one write batch.
-pub fn write_batch_record_len(runs: &[(u64, &[u8])]) -> usize {
-    let payload: usize = runs.iter().map(|(_, data)| data.len()).sum();
-    RECORD_OVERHEAD + 4 + 16 * runs.len() + payload
+pub fn write_batch_record_len<'d>(runs: impl Iterator<Item = (u64, &'d [u8])>) -> usize {
+    runs.fold(RECORD_OVERHEAD + 4, |len, (_, data)| len + 16 + data.len())
 }
 
 /// One committed intent.
@@ -203,6 +203,37 @@ fn write_all_vectored(out: &mut impl Write, mut parts: &mut [IoSlice<'_>]) -> io
     Ok(())
 }
 
+/// How many slices one vectored write is handed: the head, the runs of a
+/// full list request and the checksum fit, so such a record is still one
+/// `writev`; a longer one takes several.
+const IOV_BATCH: usize = 72;
+
+/// Write the first `limit` bytes of `parts` laid end to end, from where
+/// they lie: the slices are lined up in a fixed array on the stack, a
+/// batch at a time.
+fn write_parts<'p>(
+    out: &mut impl Write,
+    parts: impl Iterator<Item = &'p [u8]>,
+    mut limit: usize,
+) -> io::Result<()> {
+    let mut batch = [IoSlice::new(&[]); IOV_BATCH];
+    let mut lined_up = 0;
+    for part in parts {
+        let part = &part[..part.len().min(limit)];
+        limit -= part.len();
+        if part.is_empty() {
+            continue;
+        }
+        batch[lined_up] = IoSlice::new(part);
+        lined_up += 1;
+        if lined_up == IOV_BATCH {
+            write_all_vectored(out, &mut batch)?;
+            lined_up = 0;
+        }
+    }
+    write_all_vectored(out, &mut batch[..lined_up])
+}
+
 /// The on-disk journal of one [`FileStore`](crate::FileStore).
 #[derive(Debug)]
 pub struct Journal<F = File> {
@@ -218,6 +249,9 @@ pub struct Journal<F = File> {
     /// that could not be cut off, or an injected tear: nothing appended
     /// now would replay.
     torn: bool,
+    /// Where each record's head is put together: one buffer for the
+    /// journal's life (it has one writer, behind the store's lock).
+    head: Vec<u8>,
 }
 
 impl Journal {
@@ -252,6 +286,7 @@ impl Journal {
                 bytes: pos as u64,
                 next_seq,
                 torn: false,
+                head: Vec::new(),
             },
             records,
         ))
@@ -276,10 +311,14 @@ impl Journal {
 }
 
 impl<F: Tail> Journal<F> {
-    /// Start the next record (consuming its sequence number): magic,
-    /// kind, sequence number, and room for `more` bytes of head.
-    fn head(&mut self, kind: u8, more: usize) -> Vec<u8> {
-        let mut head = Vec::with_capacity(RECORD_OVERHEAD - 8 + more);
+    /// Start the next record (consuming its sequence number) in the
+    /// journal's head buffer, taken out of it for the caller to finish
+    /// and hand to [`append`](Self::append): magic, kind, sequence
+    /// number, and room for `more` bytes of head.
+    fn begin(&mut self, kind: u8, more: usize) -> Vec<u8> {
+        let mut head = std::mem::take(&mut self.head);
+        head.clear();
+        head.reserve(RECORD_OVERHEAD - 8 + more);
         head.extend_from_slice(&RECORD_MAGIC);
         head.push(kind);
         head.extend_from_slice(&self.next_seq.to_le_bytes());
@@ -287,10 +326,11 @@ impl<F: Tail> Journal<F> {
         head
     }
 
-    /// The one routine that writes a record: `head ‖ runs ‖ checksum`,
-    /// the payloads going to the file from where the caller holds them.
-    /// Returns the record's length; it is committed once this returns
-    /// (and durable once [`Journal::sync`] has).
+    /// The one routine that writes a record: `head ‖ payloads ‖
+    /// checksum`, the payloads going to the file from where the caller
+    /// holds them. Returns the record's length; it is committed once
+    /// this returns (and durable once [`Journal::sync`] has). The head
+    /// buffer goes back to the journal.
     ///
     /// `keep` is crash injection: only the first `keep` bytes of the
     /// record (never all of it) reach the file — the torn tail a power
@@ -298,10 +338,21 @@ impl<F: Tail> Journal<F> {
     ///
     /// On an error the bytes that did land are cut back off, so the next
     /// append still sits directly behind the last committed record.
-    fn append(
+    fn append<'d>(
+        &mut self,
+        head: Vec<u8>,
+        payloads: impl Iterator<Item = &'d [u8]> + Clone,
+        keep: Option<usize>,
+    ) -> io::Result<u64> {
+        let appended = self.append_parts(&head, payloads, keep);
+        self.head = head;
+        appended
+    }
+
+    fn append_parts<'d>(
         &mut self,
         head: &[u8],
-        runs: &[(u64, &[u8])],
+        payloads: impl Iterator<Item = &'d [u8]> + Clone,
         keep: Option<usize>,
     ) -> io::Result<u64> {
         if self.torn {
@@ -311,24 +362,17 @@ impl<F: Tail> Journal<F> {
         }
         let mut sum = fnv1a64(head);
         let mut len = head.len() + 8;
-        for (_, data) in runs {
+        for data in payloads.clone() {
             sum = fnv1a64_more(sum, data);
             len += data.len();
         }
         let sum = sum.to_le_bytes();
-        let mut left = keep.map_or(len, |keep| keep.min(len - 1));
-        // Sized once: regrowing this four times per append is what the
-        // allocation counters would see.
-        let mut parts = Vec::with_capacity(runs.len() + 2);
-        let payloads = runs.iter().map(|(_, data)| *data);
-        for part in std::iter::once(head).chain(payloads).chain([&sum[..]]) {
-            let part = &part[..part.len().min(left)];
-            left -= part.len();
-            if !part.is_empty() {
-                parts.push(IoSlice::new(part));
-            }
-        }
-        if let Err(e) = write_all_vectored(&mut self.file, &mut parts) {
+        let limit = keep.map_or(len, |keep| keep.min(len - 1));
+        // (The identity map shortens the payloads' lifetime to the
+        // head's and the checksum's.)
+        let payloads = payloads.map(|data| -> &[u8] { data });
+        let parts = std::iter::once(head).chain(payloads).chain([&sum[..]]);
+        if let Err(e) = write_parts(&mut self.file, parts, limit) {
             self.torn = self.file.cut_to(self.bytes).is_err();
             return Err(e);
         }
@@ -346,26 +390,27 @@ impl<F: Tail> Journal<F> {
     /// `tear` is crash injection: `Some(keep)` lets only the first `keep`
     /// bytes of the record (never all of it) reach the file and commits
     /// nothing.
-    pub fn append_write_batch(
+    pub fn append_write_batch<'d>(
         &mut self,
-        runs: &[(u64, &[u8])],
+        runs: impl Iterator<Item = (u64, &'d [u8])> + Clone,
         tear: Option<usize>,
     ) -> io::Result<u64> {
-        let mut head = self.head(KIND_WRITE_BATCH, 4 + 16 * runs.len());
-        head.extend_from_slice(&(runs.len() as u32).to_le_bytes());
-        for (offset, data) in runs {
+        let count = runs.clone().count();
+        let mut head = self.begin(KIND_WRITE_BATCH, 4 + 16 * count);
+        head.extend_from_slice(&(count as u32).to_le_bytes());
+        for (offset, data) in runs.clone() {
             head.extend_from_slice(&offset.to_le_bytes());
             head.extend_from_slice(&(data.len() as u64).to_le_bytes());
         }
-        self.append(&head, runs, tear)
+        self.append(head, runs.map(|(_, data)| data), tear)
     }
 
     /// Commit a truncate of the data file to `size` bytes; returns the
     /// record's length.
     pub fn append_truncate(&mut self, size: u64) -> io::Result<u64> {
-        let mut head = self.head(KIND_TRUNCATE, 8);
+        let mut head = self.begin(KIND_TRUNCATE, 8);
         head.extend_from_slice(&size.to_le_bytes());
-        self.append(&head, &[], None)
+        self.append(head, std::iter::empty(), None)
     }
 
     /// True once a failed append could not be cut back off the file
@@ -433,7 +478,7 @@ mod tests {
         let seq = j.next_seq;
         let encoded = reference_write_batch(seq, runs);
         assert_eq!(
-            j.append_write_batch(runs, None).unwrap(),
+            j.append_write_batch(runs.iter().copied(), None).unwrap(),
             encoded.len() as u64
         );
         let runs = runs.iter().map(|(o, d)| (*o, d.to_vec())).collect();
@@ -480,8 +525,8 @@ mod tests {
         ];
         let mut want = Vec::new();
         for (seq, runs) in batches.into_iter().enumerate() {
-            let len = j.append_write_batch(runs, None).unwrap();
-            assert_eq!(len as usize, write_batch_record_len(runs));
+            let len = j.append_write_batch(runs.iter().copied(), None).unwrap();
+            assert_eq!(len as usize, write_batch_record_len(runs.iter().copied()));
             want.extend(reference_write_batch(seq as u64, runs));
         }
         assert_eq!(j.append_truncate(9).unwrap() as usize, RECORD_OVERHEAD + 8);
@@ -505,12 +550,16 @@ mod tests {
         // before it still replays.
         let dir = ScratchDir::new("journal-prefixes");
         let runs: [(u64, &[u8]); 2] = [(64, &[0xAA; 19]), (4096, b"second run")];
-        let len = write_batch_record_len(&runs);
+        let len = write_batch_record_len(runs.iter().copied());
         for keep in 0..len {
             let path = dir.path().join(format!("j{keep}"));
             let (mut j, _) = Journal::open(&path).unwrap();
             let (first, committed) = append_batch(&mut j, &[(0, b"committed")]);
-            assert_eq!(j.append_write_batch(&runs, Some(keep)).unwrap(), len as u64);
+            assert_eq!(
+                j.append_write_batch(runs.iter().copied(), Some(keep))
+                    .unwrap(),
+                len as u64
+            );
             assert_eq!((j.depth(), j.bytes()), (1, first.len() as u64));
             assert!(j.is_torn());
             drop(j);
@@ -525,7 +574,8 @@ mod tests {
         // Asking to keep the whole record still tears it.
         let path = dir.path().join("all");
         let (mut j, _) = Journal::open(&path).unwrap();
-        j.append_write_batch(&runs, Some(usize::MAX)).unwrap();
+        j.append_write_batch(runs.iter().copied(), Some(usize::MAX))
+            .unwrap();
         drop(j);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), len as u64 - 1);
         assert!(Journal::open(&path).unwrap().1.is_empty());
@@ -579,6 +629,7 @@ mod tests {
             bytes: 0,
             next_seq: 0,
             torn: false,
+            head: Vec::new(),
         }
     }
 
@@ -597,7 +648,9 @@ mod tests {
             let mut j = flaky_journal(&path, usize::MAX, false);
             let (first, a) = append_batch(&mut j, &[(7, b"before")]);
             j.file.budget = accepted;
-            let err = j.append_write_batch(&lost, None).unwrap_err();
+            let err = j
+                .append_write_batch(lost.iter().copied(), None)
+                .unwrap_err();
             assert!(err.to_string().contains("no space left"), "{err}");
             assert_eq!((j.depth(), j.bytes()), (1, first.len() as u64));
             assert!(!j.is_torn());
@@ -622,12 +675,15 @@ mod tests {
         let mut j = flaky_journal(&path, usize::MAX, true);
         let (_, a) = append_batch(&mut j, &[(7, b"before")]);
         j.file.budget = 20;
-        j.append_write_batch(&[(0, &[0x11; 40])], None).unwrap_err();
+        j.append_write_batch([(0, &[0x11; 40][..])].into_iter(), None)
+            .unwrap_err();
         assert!(j.is_torn());
         // Space is back, but a record written now would sit behind the
         // torn bytes: refuse rather than acknowledge what cannot replay.
         j.file.budget = usize::MAX;
-        let err = j.append_write_batch(&[(9, b"after")], None).unwrap_err();
+        let err = j
+            .append_write_batch([(9, &b"after"[..])].into_iter(), None)
+            .unwrap_err();
         assert!(err.to_string().contains("torn tail"), "{err}");
         assert!(j.append_truncate(3).is_err());
         assert_eq!(j.depth(), 1);
@@ -642,7 +698,7 @@ mod tests {
         let path = dir.path().join("j");
         let (mut j, _) = Journal::open(&path).unwrap();
         let (_, committed) = append_batch(&mut j, &[(0, b"committed")]);
-        j.append_write_batch(&[(64, &[0xAA; 128])], Some(40))
+        j.append_write_batch([(64, &[0xAA; 128][..])].into_iter(), Some(40))
             .unwrap();
         drop(j);
         let (j2, replay) = Journal::open(&path).unwrap();
@@ -659,7 +715,8 @@ mod tests {
         let dir = ScratchDir::new("journal-torn-then-append");
         let path = dir.path().join("j");
         let (mut j, _) = Journal::open(&path).unwrap();
-        j.append_write_batch(&[(0, &[0xAA; 64])], Some(30)).unwrap();
+        j.append_write_batch([(0, &[0xAA; 64][..])].into_iter(), Some(30))
+            .unwrap();
         drop(j);
         let (mut j, replay) = Journal::open(&path).unwrap();
         assert!(replay.is_empty());

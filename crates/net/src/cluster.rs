@@ -34,6 +34,21 @@
 //! attempt admitted and judged once. What distinguishes a `call` from
 //! any other op is one parameter, `sole` (see `drive`).
 //!
+//! # Whose buffers a frame is built in
+//!
+//! No attempt allocates its frame. The head is encoded — from the
+//! request as the pump holds it, borrowed, never cloned — into a buffer
+//! out of this endpoint's [`Spares`], and a write's payload was gathered
+//! into another ([`ClusterClient::payload_buffer`], by the plan
+//! executor) when the op was pulled. The pump hands both back: the head
+//! when its flight lands, the payload when the op resolves. Each comes
+//! back only as the last handle on it ([`bytes::Bytes::try_into_mut`]) —
+//! which it is once the daemon has answered, because a daemon drops its
+//! views of a frame before its reply leaves — so a flight that timed
+//! out, a frame a fault wedged on its way, a hedged read's twin on its
+//! own thread simply do not come back, and the next frame allocates.
+//! The bound is the pipeline's own: [`WINDOW`] per daemon of each kind.
+//!
 //! # RPC discipline
 //!
 //! Request ids start at 1; **id 0 is reserved** for responses that
@@ -55,9 +70,10 @@
 //! window — so a wedged server yields [`PvfsError::Timeout`] instead of
 //! hanging the client, and several wedged servers cost one timeout.
 
+use bytes::{Bytes, BytesMut};
 use pvfs_proto::{
-    decode_response_frame, decode_response_id, encode_frame, Frame, Message, OpClass, Request,
-    Response,
+    decode_response_frame, decode_response_id, encode_frame_into, request_head_len, Frame, OpClass,
+    Request, Response,
 };
 use pvfs_replica::{ReplicaMap, ReplicaPolicy, ReplicaTarget};
 use pvfs_types::trace::now_ns;
@@ -68,7 +84,7 @@ use pvfs_types::{
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::chan::{bounded, Receiver, RecvTimeoutError, Sender};
@@ -76,6 +92,7 @@ use crate::gate::SerialGate;
 use crate::health::{BreakerPolicy, BreakerState, HealthTracker, HedgePolicy};
 use crate::latency::RpcLatency;
 use crate::retry::{AtomicClientStats, Backoff, ClientStats, RetryPolicy};
+use crate::spares::Spares;
 use crate::trace::{ActiveTrace, Tracer};
 use crate::transport::{Lane, RpcTarget, Transport, WaitError};
 
@@ -106,6 +123,24 @@ pub struct ClusterClient {
     /// Trace origin (`PVFS_TRACE`): sampling decisions, the client-side
     /// flight recorder, and the retained-trace index. Shared by clones.
     tracer: Arc<Tracer>,
+    /// The buffers request frames are built in. Shared by clones.
+    spares: Arc<Mutex<FrameSpares>>,
+}
+
+/// The request side of a client's frames: the buffers their heads are
+/// encoded into and the buffers write payloads are gathered into, each
+/// kind its own [`Spares`], bounded by the pipeline's window over the
+/// whole cluster ([`WINDOW`] per daemon) — the most requests one stream
+/// has built and not seen resolved. A head comes back when its flight
+/// lands, a payload when its op resolves: by then the daemon has
+/// answered, and it drops its views of a frame before it answers (see
+/// `serve_rpc`), so the client's handle is the last — unless the
+/// flight timed out, was wedged or dropped on the way, or has a hedged
+/// twin, in which case the handle is not the last, nothing comes back,
+/// and the next frame allocates.
+struct FrameSpares {
+    heads: Spares<BytesMut>,
+    payloads: Spares<BytesMut>,
 }
 
 impl ClusterClient {
@@ -128,6 +163,7 @@ impl ClusterClient {
         let policy = ReplicaPolicy::from_env(transport.n_servers())
             .unwrap_or_else(|e| panic!("replica configuration rejected: {e}"));
         let replica = Arc::new(ReplicaMap::new(transport.n_servers(), policy));
+        let window = WINDOW * transport.n_servers().max(1) as usize;
         ClusterClient {
             id,
             transport,
@@ -142,6 +178,10 @@ impl ClusterClient {
             hedge: HedgePolicy::from_env(),
             replica,
             tracer: Arc::new(Tracer::from_env(format!("client{}", id.0))),
+            spares: Arc::new(Mutex::new(FrameSpares {
+                heads: Spares::new(window),
+                payloads: Spares::new(window),
+            })),
         }
     }
 
@@ -302,24 +342,35 @@ impl ClusterClient {
         self.latency.snapshot_all()
     }
 
-    /// Encode one request, stamping `ctx` into a version-2 frame when
-    /// the operation is traced. Untraced requests (`ctx == None`)
-    /// encode byte-identical version-1 frames — `PVFS_TRACE=off` sends
-    /// exactly the bytes an untraced build sends.
+    /// A buffer to gather a write's `room`-byte payload into
+    /// (`pvfs_core::exec::gather_payload_into`): one of this endpoint's
+    /// spares when one is back, which it is once the op it last carried
+    /// has resolved. The buffer comes as that op left it; the gather
+    /// clears it.
+    pub fn payload_buffer(&self, room: usize) -> BytesMut {
+        self.frame_spares().payloads.buffer(room)
+    }
+
+    fn frame_spares(&self) -> std::sync::MutexGuard<'_, FrameSpares> {
+        // Spares are valid at every step: a panic elsewhere while the
+        // lock was held leaves nothing half-done.
+        self.spares.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Encode one request, borrowed, under a fresh request id, its head
+    /// into one of this endpoint's spares; `ctx` is stamped into a
+    /// version-2 frame when the operation is traced. Untraced requests
+    /// (`ctx == None`) encode byte-identical version-1 frames —
+    /// `PVFS_TRACE=off` sends exactly the bytes an untraced build sends.
     fn encode(
         &self,
-        request: Request,
+        request: &Request,
         ctx: Option<TraceContext>,
     ) -> PvfsResult<(RequestId, Frame)> {
         let id = RequestId(self.next_request.fetch_add(1, Ordering::Relaxed));
-        let frame = encode_frame(
-            &Message {
-                client: self.id,
-                id,
-                request,
-            },
-            ctx,
-        )?;
+        let room = request_head_len(request, ctx);
+        let head = self.frame_spares().heads.buffer(room);
+        let frame = encode_frame_into(self.id, id, request, ctx, head)?;
         Ok((id, frame))
     }
 
@@ -540,7 +591,8 @@ impl ClusterClient {
     ) -> PvfsResult<Flight> {
         let span = trace.map(|a| (a, SpanId::next(), now_ns()));
         let ctx = span.map(|(a, sid, _)| a.ctx(sid));
-        let (id, frame) = self.encode(request.clone(), ctx)?;
+        let (id, frame) = self.encode(request, ctx)?;
+        let head = frame.head.clone();
         // Latency runs from each op's own ship time: the
         // client-perceived completion latency under fan-out concurrency.
         let shipped_at = Instant::now();
@@ -588,6 +640,7 @@ impl ClusterClient {
             id,
             shipped_at,
             span,
+            head,
             reply,
         })
     }
@@ -644,8 +697,13 @@ impl ClusterClient {
             id,
             shipped_at,
             span,
+            head,
             ..
         } = flight;
+        // Landed, however: the frame's head is this endpoint's again if
+        // nothing else still holds it (the lane has sent it, the daemon
+        // — over chan — answered it).
+        self.frame_spares().heads.take_back(head);
         if let Some((a, (sid, t0))) = trace.zip(span) {
             a.span(sid, "recv", recv_ns, Vec::new());
             if outcome.is_err() {
@@ -1498,32 +1556,43 @@ impl<S: OpStream> Pump<'_, S> {
         if op.pending > 0 {
             return Ok(());
         }
-        let op = self.ops[sub.op].take().expect("just booked");
+        let Op {
+            ticket,
+            request,
+            copies,
+            quorum,
+            acks,
+            response,
+            error,
+            ..
+        } = self.ops[sub.op].take().expect("just booked");
+        // The op is over: a write's payload is this endpoint's again, if
+        // no copy of the request and no frame still on its way holds it.
+        drop(copies);
+        if let Some(payload) = request.into_bulk() {
+            self.client.frame_spares().payloads.take_back(payload);
+        }
         // An op with one sub-op needs it acknowledged; a replicated
         // write needs `required()` of its copies — a failed copy dooms
         // nothing while its siblings make quorum.
         let map = &self.client.replica;
-        let required = if op.quorum {
-            map.policy().required()
-        } else {
-            1
-        };
-        if op.acks < required {
-            let e = op.error.expect("an op short of its acks lost a sub-op");
-            return self.stream.failed(op.ticket, e);
+        let required = if quorum { map.policy().required() } else { 1 };
+        if acks < required {
+            let e = error.expect("an op short of its acks lost a sub-op");
+            return self.stream.failed(ticket, e);
         }
-        if op.quorum {
-            if op.acks < map.replicas() {
+        if quorum {
+            if acks < map.replicas() {
                 // Quorum met but a copy missed the write: divergence
                 // for a later scrub to repair.
                 self.client.stats.record_quorum_shortfall();
             }
             if let Some(a) = self.trace {
-                a.annotate(format!("quorum_ack:{}/{}", op.acks, map.replicas()));
+                a.annotate(format!("quorum_ack:{acks}/{}", map.replicas()));
             }
         }
-        let response = op.response.expect("an acknowledged op has a response");
-        self.stream.landed(op.ticket, response)
+        let response = response.expect("an acknowledged op has a response");
+        self.stream.landed(ticket, response)
     }
 
     /// The stream ended on an error with sub-ops still in the window:
@@ -1556,6 +1625,9 @@ struct Flight {
     /// The attempt's `rpc:<op>` span: its id (minted before encode, the
     /// frame carries it) and start.
     span: Option<(SpanId, u64)>,
+    /// A handle on the frame's encoded head, to take its buffer back by
+    /// when the flight lands.
+    head: Bytes,
     reply: Reply,
 }
 
@@ -1591,8 +1663,7 @@ mod tests {
     use super::*;
     use crate::transport::{ChanNode, ChanTransport, NodeMsg};
     use crate::LiveCluster;
-    use bytes::Bytes;
-    use pvfs_proto::{decode_frame_id, encode_response};
+    use pvfs_proto::{decode_frame, decode_frame_id, encode_response};
     use pvfs_replica::WriteQuorum;
     use pvfs_server::IodConfig;
     use pvfs_types::{FileHandle, Region, RegionList, StripeLayout};
@@ -1826,7 +1897,7 @@ mod tests {
         let c = cluster.client();
         let (id, frame) = c
             .encode(
-                Request::Read {
+                &Request::Read {
                     handle: FileHandle(1),
                     layout: layout(1),
                     region: Region::new(0, 16),
@@ -1899,6 +1970,64 @@ mod tests {
         }
         drop(c);
         fake.join().unwrap();
+    }
+
+    /// The client takes a frame's buffers back when the flight has
+    /// landed and the op resolved — but only as the last holder. A daemon
+    /// that sits on a frame past the client's deadline still holds its
+    /// head and its payload when the client gives up on it: neither may
+    /// ever be written again, however many requests follow.
+    #[test]
+    fn a_frame_the_daemon_still_holds_is_never_handed_out_again() {
+        const LEN: usize = 256;
+        let (fake_tx, fake_rx) = bounded::<NodeMsg>(8);
+        // Every third request is held, frame and all, unanswered (and its
+        // reply handle kept, so the client hears nothing: a timeout).
+        let fake = std::thread::spawn(move || {
+            let mut held = Vec::new();
+            while let Ok(NodeMsg::Rpc(frame, reply, _)) = fake_rx.recv() {
+                let id = decode_frame_id(&frame.head).unwrap();
+                if frame.payload[0] % 3 == 0 {
+                    held.push((frame, reply));
+                } else {
+                    let bytes = frame.payload.len() as u64;
+                    drop(frame);
+                    reply.send(encode_response(id, &Response::Written { bytes }));
+                }
+            }
+            held
+        });
+        let c = client_over(fake_tx)
+            .with_rpc_timeout(Duration::from_millis(20))
+            .with_retry_policy(RetryPolicy::none());
+        let write = |i: u8, data: Bytes| Request::Write {
+            handle: FileHandle(1),
+            layout: layout(1),
+            region: Region::new(i as u64 * LEN as u64, LEN as u64),
+            data,
+        };
+        // (Ten times the client's window: every spare it keeps goes
+        // round several times — `tests/alloc_budget.rs` counts that.)
+        for i in 0..40u8 {
+            let mut payload = c.payload_buffer(LEN);
+            payload.clear();
+            payload.extend_from_slice(&[i; LEN]);
+            let outcome = c.call(ServerId(0).into(), write(i, payload.freeze()));
+            match i % 3 {
+                0 => assert!(matches!(outcome, Err(PvfsError::Timeout(_))), "{outcome:?}"),
+                _ => assert_eq!(outcome, Ok(Response::Written { bytes: LEN as u64 })),
+            }
+        }
+        drop(c);
+        // What the daemon held is, to the byte, what was sent.
+        let held = fake.join().unwrap();
+        assert_eq!(held.len(), 14);
+        for (n, (frame, _)) in held.into_iter().enumerate() {
+            let i = 3 * n as u8;
+            let (message, _) = decode_frame(frame).unwrap();
+            assert_eq!(message.client, ClientId(9));
+            assert_eq!(message.request, write(i, Bytes::from(vec![i; LEN])));
+        }
     }
 
     /// round() must reject a response whose id belongs to a *different*

@@ -94,6 +94,7 @@ pub mod live;
 pub mod pool;
 pub mod retry;
 mod serve;
+pub mod spares;
 pub mod tcp;
 pub mod trace;
 pub mod transport;

@@ -30,9 +30,10 @@
 //! over both: same codec, same request ids, same deadlines, same
 //! diagnostics.
 
+use bytes::Bytes;
 use pvfs_disk::StorageConfig;
 use pvfs_proto::{data_response_head, encode_response, frame_is_stats_scrape, Frame, Response};
-use pvfs_server::{IoDaemon, IodConfig, Manager, ServerStats};
+use pvfs_server::{IoDaemon, IodConfig, Manager, Scratch, ServerStats};
 use pvfs_types::{ClientId, ServerId, StatsSnapshot};
 use std::ops::ControlFlow;
 use std::path::PathBuf;
@@ -45,6 +46,7 @@ use crate::fault::{FaultPlan, FaultyTransport};
 use crate::gate::SerialGate;
 use crate::pool::WorkerPool;
 use crate::serve::{serve_rpc, Service};
+use crate::spares::Spares;
 use crate::tcp::{TcpCluster, TcpTransport};
 use crate::transport::{ChanNode, ChanTransport, NodeMsg, Transport, TransportKind};
 
@@ -274,7 +276,8 @@ impl LiveCluster {
 }
 
 /// One channel-backed daemon: its bounded queue (as the transport's
-/// [`ChanNode`]) and the worker pool draining it through [`serve_rpc`].
+/// [`ChanNode`]) and the worker pool draining it through [`serve_rpc`],
+/// out of scratch the queue owns (a [`Spares`] shared by the workers).
 fn spawn_chan_server(
     name: &str,
     workers: usize,
@@ -282,16 +285,26 @@ fn spawn_chan_server(
     service: Arc<dyn Service>,
 ) -> (ChanNode, WorkerPool) {
     let worker_service = service.clone();
+    let spares = Mutex::new(Spares::<Scratch>::default());
     let (tx, pool) = WorkerPool::spawn(name, workers, queue_depth, move |msg| match msg {
         NodeMsg::Rpc(frame, reply, queued_at) => {
             let scrape = frame_is_stats_scrape(&frame.head);
-            let (id, response) = serve_rpc(&*worker_service, frame, queued_at, scrape);
+            let mut scratch = spares.lock().unwrap().take().unwrap_or_default();
+            let (id, response) =
+                serve_rpc(&*worker_service, frame, queued_at, scrape, &mut scratch);
+            // The scratch goes back *before* the reply is handed over:
+            // the frame the client sends on seeing it must find it back.
+            // Not so the buffer of a `Data` reply, which goes with the
+            // reply to the client's thread (see `Scratch::forget_read`).
+            scratch.forget_read();
+            spares.lock().unwrap().give(scratch);
             // A `Data` reply goes back as `head ‖ payload`, the payload
             // being the buffer the daemon gathered: never staged behind
-            // its head in a second one.
+            // its head in a second one. The head, like every fixed-size
+            // reply, is short enough to travel inside its `Bytes`.
             let encoded = match response {
                 Response::Data { data } => Frame {
-                    head: data_response_head(id, data.len() as u64).to_vec().into(),
+                    head: Bytes::copy_from_slice(&data_response_head(id, data.len() as u64)),
                     payload: data,
                 },
                 other => encode_response(id, &other).into(),

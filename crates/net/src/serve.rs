@@ -10,6 +10,16 @@
 //! and service time, and say what to do with a frame that meets a full
 //! queue.
 //!
+//! # Buffers
+//!
+//! What serving a request needs beyond the frame it arrived in — the
+//! list its regions are decoded into, the daemon's read buffer and run
+//! list — is a [`Scratch`] the transport takes from the spares of the
+//! connection (tcp) or the daemon's queue (chan) the frame came by,
+//! never from the worker thread that happens to serve it, and gives back
+//! around the reply; [`serve_rpc`] states the order that makes every
+//! buffer of a frame its owner's again by the time the reply is read.
+//!
 //! # The observer-effect guarantee
 //!
 //! Stats scrape frames (`GetStats`/`ResetStats`/`GetTrace`,
@@ -20,8 +30,8 @@
 //! counters. Transports uphold their share by skipping
 //! `wire_rx`/`queued`/`wire_tx` for frames they flag as scrapes.
 
-use pvfs_proto::{decode_frame, decode_frame_id, Frame, Message, Request, Response};
-use pvfs_server::{IoDaemon, Manager};
+use pvfs_proto::{decode_frame_id, decode_frame_reusing, Frame, Message, Request, Response};
+use pvfs_server::{IoDaemon, Manager, Scratch};
 use pvfs_types::{PvfsError, RequestId, TraceContext};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -30,8 +40,14 @@ use std::time::{Duration, Instant};
 pub(crate) trait Service: Send + Sync {
     /// Serve one decoded request that waited `waited` in the queue,
     /// recording server-side spans under `ctx` when the frame carried
-    /// trace context.
-    fn serve(&self, request: &Request, ctx: Option<TraceContext>, waited: Duration) -> Response;
+    /// trace context, out of the buffers `scratch` holds.
+    fn serve(
+        &self,
+        request: &Request,
+        ctx: Option<TraceContext>,
+        waited: Duration,
+        scratch: &mut Scratch,
+    ) -> Response;
     /// A request frame of `bytes` wire bytes arrived.
     fn wire_rx(&self, bytes: u64);
     /// A response frame of `bytes` wire bytes is about to leave. A
@@ -65,11 +81,29 @@ pub(crate) trait Service: Send + Sync {
 /// error response carries the *real* request id so the client can
 /// attribute it; only a frame with an unreadable header falls back to
 /// the reserved id 0.
+///
+/// # Who holds what when this returns
+///
+/// The request is gone, and with it every view this side had of the
+/// frame it arrived in: whoever owns that frame's buffers — the
+/// connection's [`FrameReader`](crate::tcp::frame::FrameReader), or over
+/// the channel transport the client that encoded and gathered it — is
+/// their last holder once the reply they are waiting for arrives, and
+/// takes them back then. The transport must therefore send the reply
+/// *after* this returns, never from inside [`Service::serve`]. What
+/// outlives the request is in `scratch`, which the transport took from
+/// its [`Spares`](crate::spares::Spares) and gives back: the request's
+/// region list (the next list request is decoded into it), the daemon's
+/// run list, and — behind the `Data` reply returned here, until the
+/// transport has sent it and settled the scratch's read buffer
+/// ([`Scratch::reclaim_read`] or [`Scratch::forget_read`]) — the buffer
+/// the read was gathered into.
 pub(crate) fn serve_rpc(
     service: &dyn Service,
     frame: Frame,
     queued_at: Instant,
     scrape: bool,
+    scratch: &mut Scratch,
 ) -> (RequestId, Response) {
     let waited = queued_at.elapsed();
     if !scrape {
@@ -77,8 +111,16 @@ pub(crate) fn serve_rpc(
     }
     let served_at = Instant::now();
     let header_id = decode_frame_id(&frame.head);
-    let served = match decode_frame(frame) {
-        Ok((Message { id, request, .. }, ctx)) => (id, service.serve(&request, ctx, waited)),
+    let served = match decode_frame_reusing(frame, &mut scratch.regions) {
+        Ok((Message { id, request, .. }, ctx)) => {
+            let response = service.serve(&request, ctx, waited, scratch);
+            // The request ends here, before any reply can leave; of what
+            // it held only the region list stays, back in the scratch.
+            if let Some(regions) = request.into_regions() {
+                scratch.regions = regions;
+            }
+            (id, response)
+        }
         Err(e) => (header_id.unwrap_or(RequestId(0)), Response::Error(e)),
     };
     if !scrape {
@@ -88,8 +130,14 @@ pub(crate) fn serve_rpc(
 }
 
 impl Service for IoDaemon {
-    fn serve(&self, request: &Request, ctx: Option<TraceContext>, waited: Duration) -> Response {
-        let (response, _) = self.handle_traced(request, ctx, waited);
+    fn serve(
+        &self,
+        request: &Request,
+        ctx: Option<TraceContext>,
+        waited: Duration,
+        scratch: &mut Scratch,
+    ) -> Response {
+        let (response, _) = self.handle_traced(request, ctx, waited, scratch);
         // Emulated service time occupies the worker, the way a blocking
         // disk access would; the reply leaves only after the stall.
         if let Some(stall) = self.config().emulated_latency {
@@ -136,7 +184,13 @@ impl Service for IoDaemon {
 /// with one worker the service time is the whole timing story (no queue
 /// gauge).
 impl Service for Mutex<Manager> {
-    fn serve(&self, request: &Request, ctx: Option<TraceContext>, waited: Duration) -> Response {
+    fn serve(
+        &self,
+        request: &Request,
+        ctx: Option<TraceContext>,
+        waited: Duration,
+        _: &mut Scratch,
+    ) -> Response {
         locked(self).handle_traced(request, ctx, waited)
     }
 
@@ -188,7 +242,13 @@ mod tests {
     }
 
     impl Service for Recording {
-        fn serve(&self, request: &Request, _: Option<TraceContext>, _: Duration) -> Response {
+        fn serve(
+            &self,
+            request: &Request,
+            _: Option<TraceContext>,
+            _: Duration,
+            _: &mut Scratch,
+        ) -> Response {
             self.note("serve");
             Response::Error(PvfsError::invalid(request.op_name()))
         }
@@ -228,11 +288,24 @@ mod tests {
     #[test]
     fn a_scrape_frame_reaches_serve_and_nothing_else() {
         let service = Recording::default();
-        let (id, _) = serve_rpc(&service, frame(5, Request::GetStats), Instant::now(), true);
+        let scratch = &mut Scratch::default();
+        let (id, _) = serve_rpc(
+            &service,
+            frame(5, Request::GetStats),
+            Instant::now(),
+            true,
+            scratch,
+        );
         assert_eq!(id, RequestId(5));
         assert_eq!(service.calls(), ["serve"]);
         // Any other frame is booked on both sides of the serve.
-        serve_rpc(&service, frame(6, Request::Ping), Instant::now(), false);
+        serve_rpc(
+            &service,
+            frame(6, Request::Ping),
+            Instant::now(),
+            false,
+            scratch,
+        );
         assert_eq!(service.calls(), ["begin", "serve", "end"]);
     }
 
@@ -248,7 +321,8 @@ mod tests {
         .unwrap();
         // Header intact, body cut short.
         let cut = Frame::from(whole.slice(0..whole.len() - 3));
-        let (id, response) = serve_rpc(&service, cut, Instant::now(), false);
+        let scratch = &mut Scratch::default();
+        let (id, response) = serve_rpc(&service, cut, Instant::now(), false, scratch);
         assert_eq!(id, RequestId(9), "the header's id, not the reserved 0");
         assert!(matches!(response, Response::Error(PvfsError::Protocol(_))));
         assert_eq!(
@@ -262,6 +336,7 @@ mod tests {
             Frame::from(whole.slice(0..7)),
             Instant::now(),
             false,
+            scratch,
         );
         assert_eq!(id, RequestId(0));
     }

@@ -25,6 +25,12 @@
 //!   arbitrarily many 1-byte segments, or several frames concatenated
 //!   into one TCP segment, decode identically.
 //!
+//! A connection's receive buffers belong to its [`FrameReader`], which
+//! takes each back once the frame it handed out, and every view cut from
+//! it, is gone — one owner of [`Spares`](crate::spares::Spares) among
+//! several; the rule they share is in [`crate::spares`]. [`read_frame`]
+//! is a reader used once: the same code, a buffer of its own.
+//!
 //! [`FrameReader`] asks its stream for exactly the bytes of the frame it
 //! is assembling, so it never reads past a frame's end. A connection puts
 //! a `BufReader` of [`STAGING`] bytes under it: several small frames that
@@ -32,11 +38,13 @@
 //! staging buffer is still read straight into its own frame buffer
 //! (`BufReader` steps aside for a read at least its own size).
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use pvfs_proto::{Frame, MAX_WIRE_FRAME};
 use pvfs_types::PvfsError;
 use std::io::{self, IoSlice, Read, Write};
 
+use crate::spares::Spares;
+pub use crate::spares::MAX_SPARE_CAPACITY;
 use crate::WINDOW;
 
 /// Bytes of framing overhead per frame (the length prefix).
@@ -152,35 +160,31 @@ fn write_all_vectored<const N: usize>(w: &mut impl Write, parts: [&[u8]; N]) -> 
     Ok(())
 }
 
-/// A spare receive buffer with more capacity than this is dropped, not
-/// kept: one 32 MiB sieving reply must not pin that much memory for the
-/// life of a connection.
-pub const MAX_SPARE_CAPACITY: usize = 1 << 20;
-
 /// The receiving end of one connection: reads length-prefixed frames,
 /// each into a buffer an earlier one arrived in whenever one is free
 /// again.
 ///
-/// The reader keeps a handle on up to [`WINDOW`] frames it has handed
-/// out and, when the next frame's prefix has arrived, takes one of their
-/// buffers back ([`Bytes::try_reclaim`]) — which succeeds exactly when
-/// every view of that frame (the frame itself, a decoded payload slice,
-/// the daemon's write runs) has been dropped. On a connection with at
-/// most `WINDOW` unanswered frames one of `WINDOW` always is free by
-/// then — the peer sent this frame only after it had our answer to one
-/// of those — though not a particular one: a daemon's workers finish
-/// out of order.
+/// The reader owns the connection's receive buffers — a [`Spares`], so:
+/// the first [`WINDOW`] frames allocate, the rest reuse, the buffer
+/// freed last first; a buffer too short for the frame at hand is let go for one that
+/// fits; a frame over [`MAX_SPARE_CAPACITY`] gets a buffer of its own
+/// that is not kept. Nobody gives a frame's buffer back: the reader keeps
+/// a handle on the (up to `WINDOW`) frames it has handed out and, when
+/// the next frame's prefix has arrived, takes back every buffer it is by
+/// then the last handle on ([`Bytes::try_into_mut`], control block and
+/// all) — which it is exactly when every view of that frame (the frame
+/// itself, a decoded payload slice, the daemon's write runs) has been
+/// dropped. On a connection with at most `WINDOW` unanswered frames one
+/// of `WINDOW` always is free by then — the peer sent this frame only
+/// after it had our answer to one of those, and the answer leaves after
+/// the request's views are gone — though not a particular one: a daemon's
+/// workers finish out of order. If every buffer is still in use the
+/// reader simply allocates, as a one-shot [`read_frame`] does; a buffer a
+/// live `Bytes` points into is never written.
 ///
-/// What a connection allocates must not depend on that order, so a
-/// buffer is reused only when *every* kept buffer would do, whichever
-/// happens to be free: a kept buffer too short for the frame at hand is
-/// let go first, and an empty place is filled (exactly to size) before
-/// any buffer is reused. A connection's first `WINDOW` frames allocate,
-/// the rest reuse, and a longer frame costs as many allocations as there
-/// were shorter buffers. A frame over [`MAX_SPARE_CAPACITY`] gets a
-/// buffer of its own that is not kept. If every buffer is still in use,
-/// the reader simply allocates, as a one-shot [`read_frame`] does; a
-/// buffer a live `Bytes` points into is never written.
+/// A buffer keeps the length of the longest frame it has held — the
+/// frame handed out is a view of its front — so a reused buffer is not
+/// zeroed again before it is overwritten.
 ///
 /// A read that gives out with [`FrameError::is_timeout`] loses nothing:
 /// the prefix bytes and the part of the body that arrived are kept, and
@@ -188,8 +192,9 @@ pub const MAX_SPARE_CAPACITY: usize = 1 << 20;
 /// there. Any other failure resets the reader.
 #[derive(Debug, Default)]
 pub struct FrameReader {
-    /// Frames handed out, each with its buffer's capacity.
-    spares: [Option<(Bytes, usize)>; WINDOW],
+    spares: Spares<BytesMut>,
+    /// The buffers of frames handed out, whole, to be taken back.
+    lent: [Option<Bytes>; WINDOW],
     prefix: [u8; LEN_PREFIX],
     prefix_got: usize,
     /// The frame being assembled, once its prefix is in.
@@ -198,11 +203,12 @@ pub struct FrameReader {
 
 #[derive(Debug)]
 struct Body {
-    buf: Vec<u8>,
+    /// At least `len` bytes long; the frame is its first `len`.
+    buf: BytesMut,
     /// The frame's announced length.
     len: usize,
-    /// Which of the `spares` gets a handle on the finished frame.
-    slot: Option<usize>,
+    /// How much of the frame has arrived.
+    got: usize,
 }
 
 impl FrameReader {
@@ -248,55 +254,48 @@ impl FrameReader {
                 }));
             }
             self.prefix_got = 0;
-            self.body = Some(self.buffer_for(len));
+            let buf = self.buffer_for(len);
+            self.body = Some(Body { buf, len, got: 0 });
         }
-        let Body { buf, len, .. } = self.body.as_mut().expect("the prefix is in");
-        // Appending through `take` fills the vector's spare capacity as
-        // is: a reused buffer is not zeroed again before it is
-        // overwritten. What arrived before an error stays appended.
-        let missing = (*len - buf.len()) as u64;
-        let got = r.by_ref().take(missing).read_to_end(buf);
-        got.map_err(FrameError::Io)?;
-        if buf.len() < *len {
-            return Err(died_mid_frame());
+        let Body { buf, len, got } = self.body.as_mut().expect("the prefix is in");
+        // What arrived before an error stays where it is.
+        while got < len {
+            match r.read(&mut buf[*got..*len]) {
+                Ok(0) => return Err(died_mid_frame()),
+                Ok(n) => *got += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(FrameError::Io(e)),
+            }
         }
-        let Body { buf, slot, .. } = self.body.take().expect("just filled");
-        let capacity = buf.capacity();
-        let frame = Bytes::from(buf);
-        if let Some(slot) = slot {
-            self.spares[slot] = Some((frame.clone(), capacity));
+        let Body { buf, len, .. } = self.body.take().expect("just filled");
+        // An oversized buffer is the frame's alone: no handle kept, it is
+        // freed when the frame is dropped.
+        let keep = buf.capacity() <= MAX_SPARE_CAPACITY;
+        let whole = buf.freeze();
+        let frame = whole.slice(..len);
+        if keep {
+            if let Some(free) = self.lent.iter_mut().find(|lent| lent.is_none()) {
+                *free = Some(whole);
+            }
         }
         Ok(frame)
     }
 
-    /// The buffer a frame of `len` bytes is read into.
-    fn buffer_for(&mut self, len: usize) -> Body {
-        let fresh = |slot| Body {
-            buf: Vec::with_capacity(len),
-            len,
-            slot,
-        };
-        if len > MAX_SPARE_CAPACITY {
-            return fresh(None);
-        }
-        for spare in &mut self.spares {
-            spare.take_if(|(_, capacity)| *capacity < len);
-        }
-        if let Some(empty) = self.spares.iter().position(Option::is_none) {
-            return fresh(Some(empty));
-        }
-        for (slot, spare) in self.spares.iter_mut().enumerate() {
-            let (frame, capacity) = spare.take().expect("no place is empty");
-            match frame.try_reclaim() {
-                Ok(mut buf) => {
-                    buf.clear();
-                    let slot = Some(slot);
-                    return Body { buf, len, slot };
-                }
-                Err(in_use) => *spare = Some((in_use, capacity)),
+    /// The buffer a frame of `len` bytes is read into: at least that
+    /// long.
+    fn buffer_for(&mut self, len: usize) -> BytesMut {
+        for lent in &mut self.lent {
+            match lent.take().map(Bytes::try_into_mut) {
+                Some(Ok(free)) => self.spares.give(free),
+                Some(Err(in_use)) => *lent = Some(in_use),
+                None => {}
             }
         }
-        fresh(None)
+        let mut buf = self.spares.buffer(len);
+        if buf.len() < len {
+            buf.resize(len, 0);
+        }
+        buf
     }
 }
 
@@ -594,7 +593,7 @@ mod tests {
         let extra = live.pop().unwrap();
         assert!(!others.contains(&extra.as_ptr()));
         assert_ne!(extra.as_ptr(), held.as_ptr().wrapping_sub(8));
-        assert_eq!(extra.try_reclaim().map(|v| v.len()), Ok(64));
+        assert_eq!(extra.try_into_mut().map(|b| b.len()), Ok(64));
         assert_eq!(held.as_ref(), &[1u8; 16][..]);
     }
 
@@ -614,15 +613,17 @@ mod tests {
         for _ in 0..WINDOW {
             short.push(frames.read_frame(&mut r).unwrap().as_ptr());
         }
-        // A window of allocations again, then reuse — by short frames
-        // too.
-        let mut long = Vec::new();
-        for _ in 0..WINDOW {
-            let frame = frames.read_frame(&mut r).unwrap();
-            assert_eq!(frame.as_ref(), &[2u8; 4096][..]);
-            assert!(!long.contains(&frame.as_ptr()));
-            long.push(frame.as_ptr());
-        }
+        // A window of longer frames in the air at once meets every one
+        // of the short buffers: a window of allocations again, then reuse
+        // — by short frames too.
+        let window: Vec<_> = (0..WINDOW)
+            .map(|_| frames.read_frame(&mut r).unwrap())
+            .collect();
+        let mut long: Vec<_> = window.iter().map(|frame| frame.as_ptr()).collect();
+        assert!(window.iter().all(|frame| frame.as_ref() == [2u8; 4096]));
+        long.dedup();
+        assert!(long.len() == WINDOW && long.iter().all(|at| !short.contains(at)));
+        drop(window);
         assert!(long.contains(&frames.read_frame(&mut r).unwrap().as_ptr()));
         let last = frames.read_frame(&mut r).unwrap();
         assert!(long.contains(&last.as_ptr()));
@@ -644,16 +645,26 @@ mod tests {
         assert_eq!(first.len(), big.len());
         // The reader kept no handle: the caller's is the only one, so
         // dropping the frame frees the 1 MiB right away.
-        assert_eq!(first.try_reclaim().map(|v| v.len()), Ok(big.len()));
+        assert_eq!(first.try_into_mut().map(|b| b.len()), Ok(big.len()));
         // One byte less is exactly the cap, and is kept: once the set is
-        // complete, a frame lands in it.
+        // complete, a frame lands in it again (the one on top of the
+        // others, newest first; with that one still in use, the next).
         let at_cap = frames.read_frame(&mut r).unwrap();
         let buffer = at_cap.as_ptr();
         drop(at_cap);
+        let mut small = Vec::new();
         for _ in 1..WINDOW {
-            assert_ne!(frames.read_frame(&mut r).unwrap().as_ptr(), buffer);
+            small.push(frames.read_frame(&mut r).unwrap().as_ptr());
+            assert!(!small.contains(&buffer));
         }
-        assert_eq!(frames.read_frame(&mut r).unwrap().as_ptr(), buffer);
+        let top = frames.read_frame(&mut r).unwrap();
+        assert_eq!(Some(&top.as_ptr()), small.last());
+        let wire = framed(&[3u8; 8]).repeat(WINDOW - 1);
+        let mut r = wire.as_slice();
+        let rest: Vec<_> = (1..WINDOW)
+            .map(|_| frames.read_frame(&mut r).unwrap())
+            .collect();
+        assert_eq!(rest.last().map(|frame| frame.as_ptr()), Some(buffer));
     }
 
     /// A stream whose read timeout fires wherever the script says: each

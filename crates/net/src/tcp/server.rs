@@ -43,7 +43,7 @@ use bytes::Bytes;
 use pvfs_proto::{
     data_response_head, decode_frame_id, encode_response, frame_is_stats_scrape, Response,
 };
-use pvfs_server::{IoDaemon, IodConfig, Manager};
+use pvfs_server::{IoDaemon, IodConfig, Manager, Scratch};
 use pvfs_types::RequestId;
 use std::collections::HashMap;
 use std::io::{BufReader, Write};
@@ -58,12 +58,44 @@ use super::frame::{wire_len, write_frame_parts, FrameError, FrameReader, STAGING
 use crate::chan::TrySendError;
 use crate::pool::WorkerPool;
 use crate::serve::{serve_rpc, Service};
+use crate::spares::Spares;
 
 enum TcpMsg {
-    /// A reassembled request frame, the (shared) write half of the
+    /// A reassembled request frame, the (shared) answering side of the
     /// connection it arrived on, and when the frame entered the queue.
-    Rpc(Bytes, Arc<Mutex<TcpStream>>, Instant),
+    Rpc(Bytes, Arc<ConnOut>, Instant),
     Shutdown,
+}
+
+/// The answering side of one connection, shared by the workers serving
+/// its frames: the write half, and the scratch its requests are served
+/// out of.
+///
+/// A worker gives its scratch back while it still holds the stream lock
+/// it wrote its reply under, so a scratch that is out is out for no
+/// longer than a reply takes to write — and whoever serves the frame the
+/// peer sent on seeing that reply can wait for it ([`ConnOut::scratch`])
+/// rather than make another: the connection's `WINDOW` always go round
+/// (see [`Spares`]), whichever worker runs when.
+struct ConnOut {
+    stream: Mutex<TcpStream>,
+    spares: Mutex<Spares<Scratch>>,
+}
+
+impl ConnOut {
+    /// The scratch to serve the connection's next frame out of. Taking
+    /// one never waits for a reply to be written — a worker serves while
+    /// another writes — unless every one is out: then the one that is due
+    /// is being given back by a worker inside the stream lock.
+    fn scratch(&self) -> Scratch {
+        let mut spares = self.spares.lock().unwrap();
+        if spares.all_out() {
+            drop(spares);
+            drop(self.stream.lock().unwrap());
+            spares = self.spares.lock().unwrap();
+        }
+        spares.take().unwrap_or_default()
+    }
 }
 
 /// One TCP-fronted daemon: listener, acceptor, per-connection readers,
@@ -98,14 +130,21 @@ impl TcpServer {
         let worker_service = service.clone();
         let (pool_tx, pool) =
             WorkerPool::spawn(name, workers, queue_depth, move |msg: TcpMsg| match msg {
-                TcpMsg::Rpc(frame, writer, queued_at) => {
+                TcpMsg::Rpc(frame, conn, queued_at) => {
                     let scrape = frame_is_stats_scrape(&frame);
-                    let (id, response) =
-                        serve_rpc(&*worker_service, frame.into(), queued_at, scrape);
+                    let mut scratch = conn.scratch();
+                    let (id, response) = serve_rpc(
+                        &*worker_service,
+                        frame.into(),
+                        queued_at,
+                        scrape,
+                        &mut scratch,
+                    );
                     send_reply(
-                        &writer,
+                        &conn,
                         id,
-                        &response,
+                        response,
+                        Some(scratch),
                         (!scrape).then_some(&*worker_service),
                     );
                     ControlFlow::Continue(())
@@ -238,10 +277,13 @@ fn spawn_reader(
         .name(name)
         .spawn(move || {
             let _deregister = Deregister(key, conns);
-            let writer = Arc::new(Mutex::new(match stream.try_clone() {
-                Ok(w) => w,
-                Err(_) => return,
-            }));
+            let Ok(write_half) = stream.try_clone() else {
+                return;
+            };
+            let writer = Arc::new(ConnOut {
+                stream: Mutex::new(write_half),
+                spares: Mutex::default(),
+            });
             // The peer keeps at most a window of requests unanswered on
             // a connection, so each arrives in the buffer of the one a
             // window before it.
@@ -275,7 +317,7 @@ fn spawn_reader(
                             };
                             let id = decode_frame_id(&frame).unwrap_or(RequestId(0));
                             let refusal = Response::Error(refusal);
-                            send_reply(&writer, id, &refusal, Some(&*service));
+                            send_reply(&writer, id, refusal, None, Some(&*service));
                             continue;
                         }
                         // No shedding: block until the queue drains — TCP
@@ -289,7 +331,8 @@ fn spawn_reader(
                         // oversized announcement, but the peer deserves
                         // to know why it is being dropped. Id 0: the
                         // header was never read.
-                        send_reply(&writer, RequestId(0), &Response::Error(e), Some(&*service));
+                        let refusal = Response::Error(e);
+                        send_reply(&writer, RequestId(0), refusal, None, Some(&*service));
                         let _ = stream.get_ref().shutdown(Shutdown::Both);
                         break;
                     }
@@ -300,21 +343,26 @@ fn spawn_reader(
         .expect("spawn tcp reader")
 }
 
-/// Write one response frame, whole, under the connection's write lock
-/// (pipelined responses interleave per frame, never within one). A
-/// `Data` reply is `head ‖ payload` written in place; everything else is
-/// small and goes out as encoded. `account` is `None` for stats scrapes,
-/// which must leave no trace in the counters they read. A failed write
-/// needs no handling beyond the accounting: the peer is gone and its
-/// reader sees the same.
+/// Write one response frame, whole, under the connection's stream lock
+/// (pipelined responses interleave per frame, never within one), and —
+/// still under it — give back the `scratch` the response was served out
+/// of, its read buffer reclaimed now that the reply has left. Nothing on
+/// the way allocates: a `Data` reply is `head ‖ payload` written in
+/// place, the head a stack array; a fixed-size reply (`Written`, `Pong`,
+/// `Synced`, …) is encoded inside its `Bytes`, on the stack as well;
+/// only the rare variable-size ones are encoded into a buffer. `account` is `None` for
+/// stats scrapes, which must leave no trace in the counters they read. A
+/// failed write needs no handling beyond the accounting: the peer is
+/// gone and its reader sees the same.
 fn send_reply(
-    writer: &Mutex<TcpStream>,
+    conn: &ConnOut,
     id: RequestId,
-    response: &Response,
+    response: Response,
+    scratch: Option<Scratch>,
     account: Option<&dyn Service>,
 ) {
     let (head, encoded);
-    let (front, payload): (&[u8], &[u8]) = match response {
+    let (front, payload): (&[u8], &[u8]) = match &response {
         Response::Data { data } => {
             head = data_response_head(id, data.len() as u64);
             (&head, data)
@@ -325,13 +373,20 @@ fn send_reply(
         }
     };
     let wire = wire_len(front.len() + payload.len());
-    let mut w = writer.lock().unwrap();
+    let mut stream = conn.stream.lock().unwrap();
     if let Some(service) = account {
         service.wire_tx(wire);
     }
-    let sent = write_frame_parts(&mut *w, front, payload).and_then(|()| w.flush());
+    let sent = write_frame_parts(&mut *stream, front, payload).and_then(|()| stream.flush());
     if let (Err(_), Some(service)) = (sent, account) {
         service.retract_wire_tx(wire);
+    }
+    // The reply's view of the read buffer goes before the buffer is
+    // reclaimed through its last handle.
+    drop(response);
+    if let Some(mut scratch) = scratch {
+        scratch.reclaim_read();
+        conn.spares.lock().unwrap().give(scratch);
     }
 }
 

@@ -150,11 +150,19 @@ impl From<Bytes> for Frame {
 pub fn encode_message(m: &Message) -> PvfsResult<Bytes> {
     // Exactly the frame: a frame sized short of its region list regrows,
     // and a regrow re-copies everything written so far.
-    let mut buf = BytesMut::with_capacity(head_len(m, None) + m.request.bulk_len() as usize);
-    if let Some(payload) = put_head(&mut buf, m, None)? {
+    let len = request_head_len(&m.request, None) + m.request.bulk_len() as usize;
+    let mut buf = BytesMut::with_capacity(len);
+    if let Some(payload) = put_head(&mut buf, m.client, m.id, &m.request, None)? {
         buf.put_slice(payload);
     }
     Ok(buf.freeze())
+}
+
+/// Encode a request as a two-part [`Frame`] in a buffer of its own:
+/// [`encode_frame_into`] for callers with no spare to offer.
+pub fn encode_frame(m: &Message, ctx: Option<TraceContext>) -> PvfsResult<Frame> {
+    let head = BytesMut::with_capacity(request_head_len(&m.request, ctx));
+    encode_frame_into(m.client, m.id, &m.request, ctx, head)
 }
 
 /// Encode a request as a two-part [`Frame`] — the same head encoder as
@@ -162,18 +170,32 @@ pub fn encode_message(m: &Message) -> PvfsResult<Bytes> {
 /// behind it — attaching `ctx` as a [`VERSION_TRACED`] frame when
 /// present. `ctx: None` is byte-identical to [`encode_message`], which
 /// is what pins `PVFS_TRACE=off` to zero wire overhead.
-pub fn encode_frame(m: &Message, ctx: Option<TraceContext>) -> PvfsResult<Frame> {
-    let mut buf = BytesMut::with_capacity(head_len(m, ctx));
-    let payload = put_head(&mut buf, m, ctx)?.cloned().unwrap_or_default();
+///
+/// The head is written into `head` (cleared first), which becomes the
+/// frame's: a caller that takes the frame's head back once every handle
+/// on it is gone ([`Bytes::try_into_mut`]) and passes it in again encodes
+/// without allocating. [`request_head_len`] is the room it needs. The
+/// request is only borrowed: nothing of it is cloned but the handle on a
+/// write's payload.
+pub fn encode_frame_into(
+    client: ClientId,
+    id: RequestId,
+    request: &Request,
+    ctx: Option<TraceContext>,
+    mut head: BytesMut,
+) -> PvfsResult<Frame> {
+    head.clear();
+    let payload = put_head(&mut head, client, id, request, ctx)?;
     Ok(Frame {
-        head: buf.freeze(),
-        payload,
+        payload: payload.cloned().unwrap_or_default(),
+        head: head.freeze(),
     })
 }
 
-/// Exact size of what [`put_head`] writes.
-fn head_len(m: &Message, ctx: Option<TraceContext>) -> usize {
-    m.request.control_wire_size() as usize + if ctx.is_some() { 16 } else { 0 }
+/// Exact size of a request frame's head: everything before the bulk
+/// payload, the trace context included when there is one.
+pub fn request_head_len(request: &Request, ctx: Option<TraceContext>) -> usize {
+    request.control_wire_size() as usize + if ctx.is_some() { 16 } else { 0 }
 }
 
 /// The one request encoder: write everything up to (and including) a
@@ -181,7 +203,9 @@ fn head_len(m: &Message, ctx: Option<TraceContext>) -> usize {
 /// belongs behind it — `None` for requests that carry none.
 fn put_head<'m>(
     buf: &mut BytesMut,
-    m: &'m Message,
+    client: ClientId,
+    id: RequestId,
+    request: &'m Request,
     ctx: Option<TraceContext>,
 ) -> PvfsResult<Option<&'m Bytes>> {
     buf.put_u16_le(MAGIC);
@@ -190,15 +214,15 @@ fn put_head<'m>(
     } else {
         VERSION
     });
-    buf.put_u8(opcode(&m.request));
-    buf.put_u32_le(m.client.0);
-    buf.put_u64_le(m.id.0);
+    buf.put_u8(opcode(request));
+    buf.put_u32_le(client.0);
+    buf.put_u64_le(id.0);
     if let Some(ctx) = ctx {
         buf.put_u64_le(ctx.trace.0);
         buf.put_u64_le(ctx.parent.0);
     }
     let mut payload = None;
-    match &m.request {
+    match request {
         Request::Create { path, layout } => {
             put_string(buf, path);
             put_layout(buf, layout);
@@ -347,6 +371,21 @@ pub fn decode_message(buf: Bytes) -> PvfsResult<Message> {
 /// bytes left over in either part, are the same typed errors a short or
 /// over-long contiguous frame gets.
 pub fn decode_frame(frame: Frame) -> PvfsResult<(Message, Option<TraceContext>)> {
+    decode_frame_reusing(frame, &mut RegionList::new())
+}
+
+/// [`decode_frame`], with a list request's regions decoded into the
+/// storage `spare` holds — taken out of it, refilled in place when no
+/// other handle shares it ([`RegionList::clear`]) — so that a daemon
+/// that puts each served request's list back ([`Request::into_regions`])
+/// decodes the next one without allocating. A spare with no room for a
+/// full list (a fresh one, say) is replaced by one with room for
+/// [`MAX_LIST_REGIONS`], whatever this frame's count: every later frame
+/// fits.
+pub fn decode_frame_reusing(
+    frame: Frame,
+    spare: &mut RegionList,
+) -> PvfsResult<(Message, Option<TraceContext>)> {
     let Frame {
         head: mut buf,
         mut payload,
@@ -411,7 +450,7 @@ pub fn decode_frame(frame: Frame) -> PvfsResult<(Message, Option<TraceContext>)>
         OP_READ_LIST => {
             let handle = FileHandle(get_u64(&mut buf)?);
             let layout = get_layout(&mut buf)?;
-            let regions = get_trailing(&mut buf)?;
+            let regions = get_trailing(&mut buf, spare)?;
             Request::ReadList {
                 handle,
                 layout,
@@ -421,7 +460,7 @@ pub fn decode_frame(frame: Frame) -> PvfsResult<(Message, Option<TraceContext>)>
         OP_WRITE_LIST => {
             let handle = FileHandle(get_u64(&mut buf)?);
             let layout = get_layout(&mut buf)?;
-            let regions = get_trailing(&mut buf)?;
+            let regions = get_trailing(&mut buf, spare)?;
             let data = get_payload(&mut buf, &mut payload)?;
             Request::WriteList {
                 handle,
@@ -511,8 +550,44 @@ pub fn data_response_head(id: RequestId, payload_len: u64) -> [u8; DATA_HEAD_LEN
     head
 }
 
-/// Encode a response frame (echoing the request id).
+/// The frame of `resp` if it is a fixed-size reply — a tag and at most
+/// one word: every acknowledgement of the data path (`Written`,
+/// `Synced`, `Flushed`, `Pong`, `LocalSize`) and of the manager
+/// (`Created`, `Closed`, `Removed`) — in an array as long as the longest
+/// of them, and its length; `None` for the variable-size replies. (A
+/// `Data` reply's fixed part is [`data_response_head`].)
+fn short_response(id: RequestId, resp: &Response) -> Option<([u8; DATA_HEAD_LEN], usize)> {
+    let (tag, word) = match resp {
+        Response::Created { handle } => (RESP_CREATED, Some(handle.0)),
+        Response::Closed => (RESP_CLOSED, None),
+        Response::Removed => (RESP_REMOVED, None),
+        Response::LocalSize { size } => (RESP_LOCAL_SIZE, Some(*size)),
+        Response::Written { bytes } => (RESP_WRITTEN, Some(*bytes)),
+        Response::Synced { durable } => (RESP_SYNCED, Some(*durable)),
+        Response::Flushed { files } => (RESP_FLUSHED, Some(*files)),
+        Response::Pong { queue_depth } => (RESP_PONG, Some(*queue_depth)),
+        _ => return None,
+    };
+    let mut frame = [0u8; DATA_HEAD_LEN];
+    let mut w = &mut frame[..];
+    put_response_envelope(&mut w, id);
+    w.put_u8(tag);
+    if let Some(word) = word {
+        w.put_u64_le(word);
+    }
+    let len = DATA_HEAD_LEN - w.len();
+    Some((frame, len))
+}
+
+/// Encode a response frame (echoing the request id). A fixed-size reply
+/// — every acknowledgement there is — is put together on the stack and
+/// comes back inside the `Bytes` ([`bytes::INLINE_CAP`]): nothing is
+/// allocated for it, and nothing about it depends on when its receiver
+/// drops it.
 pub fn encode_response(id: RequestId, resp: &Response) -> Bytes {
+    if let Some((frame, len)) = short_response(id, resp) {
+        return Bytes::copy_from_slice(&frame[..len]);
+    }
     if let Response::Data { data } = resp {
         let mut buf = BytesMut::with_capacity(DATA_HEAD_LEN + data.len());
         buf.put_slice(&data_response_head(id, data.len() as u64));
@@ -522,44 +597,17 @@ pub fn encode_response(id: RequestId, resp: &Response) -> Bytes {
     let mut buf = BytesMut::with_capacity(32);
     put_response_envelope(&mut buf, id);
     match resp {
-        Response::Created { handle } => {
-            buf.put_u8(RESP_CREATED);
-            buf.put_u64_le(handle.0);
-        }
         Response::Opened { handle, layout } => {
             buf.put_u8(RESP_OPENED);
             buf.put_u64_le(handle.0);
             put_layout(&mut buf, layout);
         }
-        Response::Closed => buf.put_u8(RESP_CLOSED),
-        Response::Removed => buf.put_u8(RESP_REMOVED),
         Response::Listing { paths } => {
             buf.put_u8(RESP_LISTING);
             buf.put_u32_le(paths.len() as u32);
             for p in paths {
                 put_string_mut(&mut buf, p);
             }
-        }
-        Response::LocalSize { size } => {
-            buf.put_u8(RESP_LOCAL_SIZE);
-            buf.put_u64_le(*size);
-        }
-        Response::Data { .. } => unreachable!("encoded above"),
-        Response::Written { bytes } => {
-            buf.put_u8(RESP_WRITTEN);
-            buf.put_u64_le(*bytes);
-        }
-        Response::Synced { durable } => {
-            buf.put_u8(RESP_SYNCED);
-            buf.put_u64_le(*durable);
-        }
-        Response::Flushed { files } => {
-            buf.put_u8(RESP_FLUSHED);
-            buf.put_u64_le(*files);
-        }
-        Response::Pong { queue_depth } => {
-            buf.put_u8(RESP_PONG);
-            buf.put_u64_le(*queue_depth);
         }
         Response::Digests {
             version,
@@ -589,6 +637,7 @@ pub fn encode_response(id: RequestId, resp: &Response) -> Bytes {
             buf.put_u8(RESP_ERROR);
             put_error(&mut buf, e);
         }
+        _ => unreachable!("the fixed-size replies and `Data` are encoded above"),
     }
     buf.freeze()
 }
@@ -928,19 +977,28 @@ fn put_trailing(buf: &mut BytesMut, regions: &RegionList) {
     }
 }
 
-fn get_trailing(buf: &mut Bytes) -> PvfsResult<RegionList> {
+fn get_trailing(buf: &mut Bytes, spare: &mut RegionList) -> PvfsResult<RegionList> {
     let count = get_u32(buf)? as usize;
     if count == 0 || count > MAX_LIST_REGIONS {
         return Err(PvfsError::protocol(format!(
             "trailing data region count {count} out of range 1..={MAX_LIST_REGIONS}"
         )));
     }
-    let mut regions = Vec::with_capacity(count);
-    for _ in 0..count {
-        regions.push(get_region(buf)?);
+    let mut regions = std::mem::take(spare);
+    regions.clear();
+    if regions.capacity() < MAX_LIST_REGIONS {
+        regions = RegionList::with_capacity(MAX_LIST_REGIONS);
     }
-    RegionList::from_regions(regions)
-        .map_err(|e| PvfsError::protocol(format!("invalid trailing data: {e}")))
+    for _ in 0..count {
+        let region = get_region(buf)?;
+        if region.is_empty() {
+            return Err(PvfsError::protocol(
+                "invalid trailing data: invalid argument: region list contains an empty region",
+            ));
+        }
+        regions.push(region);
+    }
+    Ok(regions)
 }
 
 fn put_stats(buf: &mut BytesMut, s: &StatsSnapshot) {
@@ -1775,6 +1833,146 @@ mod tests {
             assert_eq!(id, RequestId(11));
             assert_eq!(decoded, resp);
         }
+    }
+
+    /// The byte-for-byte encoding of a tag-and-word reply, written out by
+    /// hand: what `encode_response` produced while it built every reply
+    /// in a `BytesMut`.
+    fn reference_short(id: u64, tag: u8, word: Option<u64>) -> Vec<u8> {
+        let mut frame = vec![0x56, 0x50, VERSION];
+        frame.extend_from_slice(&id.to_le_bytes());
+        frame.push(tag);
+        frame.extend(word.iter().flat_map(|w| w.to_le_bytes()));
+        frame
+    }
+
+    #[test]
+    fn fixed_size_replies_are_inline_and_of_unchanged_bytes() {
+        let cases = [
+            (
+                Response::Created {
+                    handle: FileHandle(7),
+                },
+                RESP_CREATED,
+                Some(7),
+            ),
+            (Response::Closed, RESP_CLOSED, None),
+            (Response::Removed, RESP_REMOVED, None),
+            (
+                Response::LocalSize { size: 1 << 40 },
+                RESP_LOCAL_SIZE,
+                Some(1 << 40),
+            ),
+            (Response::Written { bytes: 2048 }, RESP_WRITTEN, Some(2048)),
+            (
+                Response::Synced { durable: u64::MAX },
+                RESP_SYNCED,
+                Some(u64::MAX),
+            ),
+            (Response::Flushed { files: 3 }, RESP_FLUSHED, Some(3)),
+            (Response::Pong { queue_depth: 0 }, RESP_PONG, Some(0)),
+        ];
+        for (resp, tag, word) in cases {
+            let id = RequestId(0x0102_0304_0506_0708);
+            // The same bytes as ever, held in the handle.
+            let encoded = encode_response(id, &resp);
+            let reference = reference_short(id.0, tag, word);
+            assert_eq!(&encoded[..], &reference[..], "{resp:?}");
+            assert!(encoded.len() <= bytes::INLINE_CAP);
+            assert_eq!(decode_response(encoded).unwrap(), (id, resp));
+        }
+        // Everything else has no fixed size, and a buffer (a `Data`
+        // reply's fixed part is `data_response_head`).
+        for resp in [
+            Response::Data { data: Bytes::new() },
+            Response::Opened {
+                handle: FileHandle(1),
+                layout: layout(),
+            },
+            Response::Listing { paths: vec![] },
+            Response::Error(PvfsError::BadHandle(1)),
+        ] {
+            assert!(short_response(RequestId(1), &resp).is_none(), "{resp:?}");
+        }
+        let head = data_response_head(RequestId(5), 300);
+        assert_eq!(&head[..], &reference_short(5, RESP_DATA, Some(300))[..]);
+    }
+
+    #[test]
+    fn a_head_is_encoded_into_the_buffer_it_is_given() {
+        let list = |n: u64| {
+            msg(Request::WriteList {
+                handle: FileHandle(1),
+                layout: layout(),
+                regions: RegionList::from_pairs((0..n).map(|i| (i * 100, 10))).unwrap(),
+                data: Bytes::from(vec![7u8; 10 * n as usize]),
+            })
+        };
+        let ctx = TraceContext {
+            trace: TraceId(5),
+            parent: SpanId(6),
+        };
+        let mut spare = BytesMut::with_capacity(2048);
+        let at = spare.as_ptr();
+        for (n, ctx) in [(64, None), (3, Some(ctx)), (64, Some(ctx))] {
+            let m = list(n);
+            // Whatever the last frame left in the buffer is gone.
+            let frame = encode_frame_into(m.client, m.id, &m.request, ctx, spare).unwrap();
+            assert_eq!(frame, encode_frame(&m, ctx).unwrap());
+            assert_eq!(frame.head.len(), request_head_len(&m.request, ctx));
+            assert_eq!(frame.head.as_ptr(), at, "encoded where the spare lies");
+            // The request was only borrowed: its payload is shared with
+            // the frame, not copied.
+            assert_eq!(
+                frame.payload.as_ptr(),
+                m.request.clone().into_bulk().unwrap().as_ptr()
+            );
+            let Frame { head, payload } = frame;
+            drop(payload);
+            spare = head.try_into_mut().expect("the frame's last handle");
+        }
+    }
+
+    #[test]
+    fn a_list_is_decoded_into_the_storage_of_the_one_before() {
+        let list = |pairs: &[(u64, u64)]| {
+            let regions = RegionList::from_pairs(pairs.iter().copied()).unwrap();
+            let request = Request::ReadList {
+                handle: FileHandle(1),
+                layout: layout(),
+                regions,
+            };
+            encode_frame(&msg(request), None).unwrap()
+        };
+        let full: Vec<(u64, u64)> = (0..MAX_LIST_REGIONS as u64).map(|i| (i * 64, 8)).collect();
+        let mut spare = RegionList::new();
+        let mut storage = None;
+        for pairs in [&[(5, 5), (50, 5)][..], &full, &[(9, 1)]] {
+            let (message, _) = decode_frame_reusing(list(pairs), &mut spare).unwrap();
+            assert_eq!(message, decode_frame(list(pairs)).unwrap().0);
+            assert!(spare.is_empty() && spare.capacity() == 0, "taken out");
+            // Served, the request gives its list back; the next one —
+            // longer or shorter — lands in the same storage.
+            spare = message.request.into_regions().unwrap();
+            assert!(spare.capacity() >= MAX_LIST_REGIONS);
+            let at = spare.regions().as_ptr();
+            assert_eq!(*storage.get_or_insert(at), at);
+        }
+        // A list someone else still holds is left to them.
+        let held = spare.clone();
+        let (message, _) = decode_frame_reusing(list(&[(1, 1)]), &mut spare).unwrap();
+        let fresh = message.request.into_regions().unwrap();
+        assert_ne!(fresh.regions().as_ptr(), held.regions().as_ptr());
+        assert_eq!(held, RegionList::from_pairs([(9, 1)]).unwrap());
+        // An empty region on the wire is refused, as ever.
+        let mut raw = list(&[(1, 1), (2, 2)]).head.to_vec();
+        let len = raw.len();
+        raw[len - 8..].fill(0);
+        let refused = decode_frame_reusing(Bytes::from(raw).into(), &mut spare).unwrap_err();
+        assert!(matches!(&refused, PvfsError::Protocol(m) if m.contains("empty region")));
+        // Nothing but list requests carry one.
+        assert!(msg(Request::Ping).request.into_regions().is_none());
+        assert!(msg(Request::Ping).request.into_bulk().is_none());
     }
 
     #[test]

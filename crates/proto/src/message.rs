@@ -275,6 +275,27 @@ impl Request {
         }
     }
 
+    /// The bulk payload itself, the request consumed: what a client
+    /// takes back, once the op is over, to gather its next payload into.
+    pub fn into_bulk(self) -> Option<Bytes> {
+        match self {
+            Request::Write { data, .. }
+            | Request::WriteList { data, .. }
+            | Request::WriteVectors { data, .. } => Some(data),
+            _ => None,
+        }
+    }
+
+    /// A list request's region list, the request consumed: what a daemon
+    /// takes back, once the request is served, to decode its next list
+    /// into.
+    pub fn into_regions(self) -> Option<RegionList> {
+        match self {
+            Request::ReadList { regions, .. } | Request::WriteList { regions, .. } => Some(regions),
+            _ => None,
+        }
+    }
+
     /// Size in bytes of the encoded *control* part of this request —
     /// everything except the bulk payload. Computed analytically so
     /// cost models do not have to encode million-request workloads; a

@@ -13,7 +13,7 @@
 //! file regions they carried, because per-region processing is a real
 //! cost the paper's analysis (§3.4) calls out.
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use pvfs_disk::{
     CacheConfig, CostReport, CrashPoint, DiskModel, FileStore, LocalFile, StorageConfig,
     StorageMetrics,
@@ -21,8 +21,8 @@ use pvfs_disk::{
 use pvfs_proto::{Request, Response, MAX_BULK_BYTES};
 use pvfs_types::trace::{self, FlightRecorder, Span, SpanId, TraceContext};
 use pvfs_types::{
-    FileHandle, PvfsError, PvfsResult, Region, ServerId, SharedHistogram, StatsSnapshot,
-    StripeLayout,
+    FileHandle, PvfsError, PvfsResult, Region, RegionList, ServerId, SharedHistogram,
+    StatsSnapshot, StripeLayout,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -179,6 +179,81 @@ impl AtomicStats {
 /// case — each client file maps to one handle) almost never serialize
 /// against each other.
 const FILE_SHARDS: usize = 16;
+
+/// What serving one request needs and the next can use again: the
+/// buffers of the daemon's side of a frame. Whoever drives the daemon
+/// keeps a few of these (a connection, a daemon's queue — never a worker
+/// thread), hands one to [`IoDaemon::handle_with`] with each request and
+/// takes it back when the reply has left; a [`Scratch::default`] owns no
+/// memory and serves any request, allocating as [`IoDaemon::handle`]
+/// always has.
+///
+/// Nothing in it outlives its request as *data*: the read buffer is
+/// dirty when it comes round again, so a read must write every byte of
+/// the share it answers with — holes, the range past EOF and
+/// never-written handles included (the storage backends zero-fill them,
+/// `read_region_into` leaves no gap between runs) — and a failed read
+/// answers with an error and no part of the buffer.
+#[derive(Debug, Default)]
+pub struct Scratch {
+    /// Where the transport decodes a list request's regions
+    /// (`pvfs_proto::decode_frame_reusing`), and where it puts them back
+    /// once the request is served.
+    pub regions: RegionList,
+    /// The buffer a read gathers its share into: kept at the longest
+    /// share it has held and sliced, never cleared and regrown, so it is
+    /// zero-filled once.
+    read: BytesMut,
+    /// The handle on all of `read` while a `Data` reply views it.
+    lent: Option<Bytes>,
+    /// A write's local runs. Empty between requests — so that it can hold
+    /// any request's borrows — but for its capacity.
+    runs: Vec<(u64, &'static [u8])>,
+}
+
+impl Scratch {
+    /// The `Data` reply served from this scratch has left and been
+    /// dropped: the read buffer, now the last handle on it, is this
+    /// scratch's to fill again. If a view is still alive somewhere the
+    /// buffer is let go instead, and the next read allocates.
+    pub fn reclaim_read(&mut self) {
+        if let Some(Ok(read)) = self.lent.take().map(Bytes::try_into_mut) {
+            self.read = read;
+        }
+    }
+
+    /// The `Data` reply served from this scratch is handed to another
+    /// thread, which drops it whenever it does: the buffer goes with it,
+    /// reclaimed never — whether it would have been free in time is
+    /// scheduling, which must not show in what a request allocates.
+    pub fn forget_read(&mut self) {
+        self.lent = None;
+    }
+
+    /// Bytes of memory this scratch pins while it is kept.
+    pub fn capacity(&self) -> usize {
+        self.read.capacity()
+            + self.regions.capacity() * std::mem::size_of::<Region>()
+            + self.runs.capacity() * std::mem::size_of::<(u64, &[u8])>()
+    }
+
+    /// The run list, with room for `room` runs of any request's payload
+    /// (an empty vector's element lifetime shortens freely).
+    fn take_runs<'d>(&mut self, room: usize) -> Vec<(u64, &'d [u8])> {
+        let mut runs: Vec<(u64, &'d [u8])> = std::mem::take(&mut self.runs);
+        runs.reserve(room);
+        runs
+    }
+
+    /// Take the run list back, emptied. Lengthening the element lifetime
+    /// again takes a collect — of nothing, in place: the allocation is
+    /// the same one.
+    fn put_runs(&mut self, mut runs: Vec<(u64, &[u8])>) {
+        runs.clear();
+        let nothing: &'static [u8] = &[];
+        self.runs = runs.into_iter().map(|(at, _)| (at, nothing)).collect();
+    }
+}
 
 /// One PVFS I/O daemon.
 ///
@@ -447,9 +522,17 @@ impl IoDaemon {
         }
     }
 
-    /// Serve one request. `&self`: safe to call from many threads at
-    /// once.
+    /// Serve one request out of buffers of its own. `&self`: safe to
+    /// call from many threads at once.
     pub fn handle(&self, request: &Request) -> (Response, ServeCost) {
+        self.handle_with(request, &mut Scratch::default())
+    }
+
+    /// Serve one request, its buffers taken from (and, but for a `Data`
+    /// reply's, left in) `scratch`. After a `Data` reply the caller owes
+    /// the scratch one of [`Scratch::reclaim_read`] or
+    /// [`Scratch::forget_read`].
+    pub fn handle_with(&self, request: &Request, scratch: &mut Scratch) -> (Response, ServeCost) {
         // Stats scrapes answer before any counter moves: a monitoring
         // poll must observe the daemon, not perturb it, so the snapshot
         // a client scrapes equals the in-process snapshot byte for
@@ -479,7 +562,7 @@ impl IoDaemon {
             _ => {}
         }
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        let result = self.dispatch(request);
+        let result = self.dispatch(request, scratch);
         match result {
             Ok(ok) => ok,
             Err(e) => {
@@ -496,18 +579,19 @@ impl IoDaemon {
     /// thread-local sink — `storage:read`/`storage:write`/
     /// `journal:fsync` children contributed by the storage engine.
     /// Without context (or for control scrapes) this is exactly
-    /// [`IoDaemon::handle`].
+    /// [`IoDaemon::handle_with`].
     pub fn handle_traced(
         &self,
         request: &Request,
         ctx: Option<TraceContext>,
         waited: Duration,
+        scratch: &mut Scratch,
     ) -> (Response, ServeCost) {
         let Some(ctx) = ctx else {
-            return self.handle(request);
+            return self.handle_with(request, scratch);
         };
         if request.is_control_scrape() {
-            return self.handle(request);
+            return self.handle_with(request, scratch);
         }
         let node = format!("iod{}", self.id.0);
         let svc_start = trace::now_ns();
@@ -527,7 +611,9 @@ impl IoDaemon {
             trace: ctx.trace,
             parent: service_id,
         };
-        let result = trace::with_span_sink(child, &node, &self.recorder, || self.handle(request));
+        let result = trace::with_span_sink(child, &node, &self.recorder, || {
+            self.handle_with(request, scratch)
+        });
         self.recorder.push(Span {
             trace: ctx.trace,
             id: service_id,
@@ -541,7 +627,11 @@ impl IoDaemon {
         result
     }
 
-    fn dispatch(&self, request: &Request) -> Result<(Response, ServeCost), PvfsError> {
+    fn dispatch(
+        &self,
+        request: &Request,
+        scratch: &mut Scratch,
+    ) -> Result<(Response, ServeCost), PvfsError> {
         match request {
             Request::GetLocalSize { handle } => {
                 let mut shard = self.shard(*handle).lock().unwrap();
@@ -566,7 +656,9 @@ impl IoDaemon {
                     .contiguous_requests
                     .fetch_add(1, Ordering::Relaxed);
                 let slot = self.slot_in(layout)?;
-                self.gather(*handle, layout, slot, 1, || std::iter::once(*region))
+                self.gather(*handle, layout, slot, 1, scratch, || {
+                    std::iter::once(*region)
+                })
             }
             Request::Write {
                 handle,
@@ -590,13 +682,12 @@ impl IoDaemon {
                     ..ServeCost::default()
                 };
                 let mut consumed = 0usize;
-                let mut runs = Vec::with_capacity(1);
+                let mut runs = scratch.take_runs(1);
                 plan_region_runs(layout, slot, *region, data, &mut consumed, &mut runs);
                 let written = consumed as u64;
-                let mut shard = self.shard(*handle).lock().unwrap();
-                let file = self.file_entry(&mut shard, *handle)?;
-                apply_batch(file, &runs, &mut cost)?;
-                drop(shard);
+                let applied = self.apply(*handle, &runs, &mut cost);
+                scratch.put_runs(runs);
+                applied?;
                 self.stats.regions.fetch_add(1, Ordering::Relaxed);
                 self.stats
                     .bytes_written
@@ -612,7 +703,9 @@ impl IoDaemon {
                 pvfs_proto::check_list(regions)?;
                 let slot = self.slot_in(layout)?;
                 let count = regions.count() as u64;
-                self.gather(*handle, layout, slot, count, || regions.iter().copied())
+                self.gather(*handle, layout, slot, count, scratch, || {
+                    regions.iter().copied()
+                })
             }
             Request::WriteList {
                 handle,
@@ -639,15 +732,14 @@ impl IoDaemon {
                 // ⌈n/64⌉-region list write is a single journal record,
                 // all-or-nothing across a crash.
                 let mut consumed = 0usize;
-                let mut runs = Vec::with_capacity(owned);
+                let mut runs = scratch.take_runs(owned);
                 for region in regions {
                     plan_region_runs(layout, slot, *region, data, &mut consumed, &mut runs);
                 }
                 let written = consumed as u64;
-                let mut shard = self.shard(*handle).lock().unwrap();
-                let file = self.file_entry(&mut shard, *handle)?;
-                apply_batch(file, &runs, &mut cost)?;
-                drop(shard);
+                let applied = self.apply(*handle, &runs, &mut cost);
+                scratch.put_runs(runs);
+                applied?;
                 self.stats
                     .regions
                     .fetch_add(regions.count() as u64, Ordering::Relaxed);
@@ -667,7 +759,7 @@ impl IoDaemon {
                     run.validate()?;
                 }
                 let count = runs.iter().fold(0u64, |n, run| n.saturating_add(run.count));
-                self.gather(*handle, layout, slot, count, || {
+                self.gather(*handle, layout, slot, count, scratch, || {
                     runs.iter().flat_map(|run| run.regions())
                 })
             }
@@ -692,7 +784,7 @@ impl IoDaemon {
                 }
                 let mut cost = ServeCost::default();
                 let mut consumed = 0usize;
-                let mut wruns = Vec::with_capacity(owned);
+                let mut wruns = scratch.take_runs(owned);
                 for run in runs {
                     for region in run.regions() {
                         cost.regions += 1;
@@ -700,10 +792,9 @@ impl IoDaemon {
                     }
                 }
                 let written = consumed as u64;
-                let mut shard = self.shard(*handle).lock().unwrap();
-                let file = self.file_entry(&mut shard, *handle)?;
-                apply_batch(file, &wruns, &mut cost)?;
-                drop(shard);
+                let applied = self.apply(*handle, &wruns, &mut cost);
+                scratch.put_runs(wruns);
+                applied?;
                 self.stats
                     .regions
                     .fetch_add(cost.regions, Ordering::Relaxed);
@@ -834,10 +925,14 @@ impl IoDaemon {
 
     /// Serve a read: gather this server's share of `regions` —
     /// concatenated in request order, the convention of
-    /// [`Request::server_share`] — from the handle's local file into one
-    /// buffer that becomes the `Data` reply as is: sized once, every run
-    /// read straight into its place. `Read`, `ReadList` and
-    /// `ReadVectors` all come through here.
+    /// [`Request::server_share`] — from the handle's local file into the
+    /// scratch's read buffer, the front of which becomes the `Data` reply
+    /// as is: every run read straight into its place. `Read`, `ReadList`
+    /// and `ReadVectors` all come through here.
+    ///
+    /// The buffer is whatever the last read left in it: every byte of
+    /// the share is overwritten (see [`Scratch`]), and on an error the
+    /// buffer stays in the scratch, no part of it in the reply.
     ///
     /// Region lengths come off the wire, so the share is checked against
     /// what one reply frame may carry *before* anything is allocated: a
@@ -849,6 +944,7 @@ impl IoDaemon {
         layout: &StripeLayout,
         slot: u32,
         region_count: u64,
+        scratch: &mut Scratch,
         regions: impl Fn() -> I,
     ) -> Result<(Response, ServeCost), PvfsError> {
         let mut share = 0u64;
@@ -863,11 +959,19 @@ impl IoDaemon {
                 }
             }
         }
+        let share = share as usize;
         let mut cost = ServeCost {
             regions: region_count,
             ..ServeCost::default()
         };
-        let mut out = vec![0u8; share as usize];
+        if scratch.read.capacity() == 0 {
+            // No buffer yet: zeroed memory from the allocator, which for
+            // a large share is cheaper than writing the zeros.
+            scratch.read = BytesMut::zeroed(share);
+        } else if scratch.read.len() < share {
+            scratch.read.resize(share, 0);
+        }
+        let out = &mut scratch.read[..share];
         let mut shard = self.shard(handle).lock().unwrap();
         let file = self.file_entry(&mut shard, handle)?;
         // One storage:read span per traced request; a no-op when no sink
@@ -879,13 +983,43 @@ impl IoDaemon {
         }
         drop(shard);
         trace::sink_add("storage:read", started.elapsed());
-        debug_assert_eq!(filled, out.len());
+        if filled != share {
+            // Whatever was not written is the last reply's bytes.
+            return Err(PvfsError::Storage(format!(
+                "read filled {filled} of the {share} bytes this server owns"
+            )));
+        }
         self.stats
             .regions
             .fetch_add(region_count, Ordering::Relaxed);
-        self.stats.bytes_read.fetch_add(share, Ordering::Relaxed);
-        let data = Bytes::from(out);
+        self.stats
+            .bytes_read
+            .fetch_add(share as u64, Ordering::Relaxed);
+        let whole = std::mem::take(&mut scratch.read).freeze();
+        let data = whole.slice(..share);
+        scratch.lent = Some(whole);
         Ok((Response::Data { data }, cost))
+    }
+
+    /// Commit a write's planned runs to the handle's local file as one
+    /// all-or-nothing batch.
+    fn apply(
+        &self,
+        handle: FileHandle,
+        runs: &[(u64, &[u8])],
+        cost: &mut ServeCost,
+    ) -> PvfsResult<()> {
+        let mut shard = self.shard(handle).lock().unwrap();
+        let file = self.file_entry(&mut shard, handle)?;
+        if runs.is_empty() {
+            return Ok(());
+        }
+        let started = std::time::Instant::now();
+        let report = file.write_batch(runs)?;
+        cost.disk.merge(report);
+        cost.local_accesses += runs.len() as u64;
+        trace::sink_add("storage:write", started.elapsed());
+        Ok(())
     }
 
     /// Which slot this server occupies in `layout`, or an error if the
@@ -1048,23 +1182,6 @@ fn plan_region_runs<'d>(
         runs.push((start, &data[*consumed..*consumed + len as usize]));
         *consumed += len as usize;
     }
-}
-
-/// Commit planned runs to a local file as one all-or-nothing batch.
-fn apply_batch(
-    file: &mut LocalFile,
-    runs: &[(u64, &[u8])],
-    cost: &mut ServeCost,
-) -> PvfsResult<()> {
-    if runs.is_empty() {
-        return Ok(());
-    }
-    let started = std::time::Instant::now();
-    let report = file.write_batch(runs)?;
-    cost.disk.merge(report);
-    cost.local_accesses += runs.len() as u64;
-    trace::sink_add("storage:write", started.elapsed());
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1472,6 +1589,7 @@ mod tests {
             },
             Some(ctx),
             Duration::from_micros(40),
+            &mut Scratch::default(),
         );
         assert_eq!(resp, Response::Written { bytes: 5 });
         let spans = d.recorder().for_trace(ctx.trace);
@@ -1505,6 +1623,7 @@ mod tests {
             },
             None,
             Duration::from_micros(10),
+            &mut Scratch::default(),
         );
         assert!(matches!(resp, Response::Data { .. }));
         assert!(d.recorder().is_empty(), "no context, no spans");
@@ -1527,6 +1646,7 @@ mod tests {
             },
             Some(ctx),
             Duration::ZERO,
+            &mut Scratch::default(),
         );
         let before = d.stats();
         let (resp, cost) = d.handle(&Request::GetTrace { trace: ctx.trace });
@@ -1547,6 +1667,7 @@ mod tests {
                 parent: SpanId(1),
             }),
             Duration::from_micros(3),
+            &mut Scratch::default(),
         );
         match resp2 {
             Response::Spans(s2) => assert_eq!(s2, spans, "scrape perturbed the trace"),
@@ -1890,6 +2011,145 @@ mod tests {
             }
         );
         assert!(d2.stats().journal_replays > 0);
+    }
+
+    /// One scratch serves every request, as a connection's would: the
+    /// read buffer is the same memory each time, dirty from the reply
+    /// before — and no reply shows it.
+    #[test]
+    fn one_scratch_serves_reads_from_a_dirty_buffer_and_writes_from_one_run_list() {
+        let dir = pvfs_disk::ScratchDir::new("iod-scratch");
+        let on_disk = StorageConfig::File {
+            dir: dir.path().to_path_buf(),
+            sync: pvfs_disk::SyncPolicy::Always,
+        };
+        // One server holds everything: local offsets are file offsets.
+        let l = StripeLayout::new(0, 1, 64).unwrap();
+        for storage in [StorageConfig::Mem, on_disk] {
+            let d = IoDaemon::with_storage(ServerId(0), IodConfig::default(), storage);
+            let scratch = &mut Scratch::default();
+            let mut serve = |request: Request| {
+                let (response, _) = d.handle_with(&request, scratch);
+                // The reply leaves (a copy of it stays, for the test to
+                // look at); the buffer is the scratch's again.
+                let (copy, at) = match response {
+                    Response::Data { data } => {
+                        let copy = Bytes::from(data.to_vec());
+                        (Response::Data { data: copy }, data.as_ptr())
+                    }
+                    other => (other, std::ptr::null()),
+                };
+                scratch.reclaim_read();
+                (copy, at, scratch.capacity())
+            };
+            let read = |handle, offset, len| Request::Read {
+                handle,
+                layout: l,
+                region: Region::new(offset, len),
+            };
+            let regions = RegionList::from_pairs([(0, 300), (1000, 300)]).unwrap();
+            let (written, _, room) = serve(Request::WriteList {
+                handle: fh(),
+                layout: l,
+                regions: regions.clone(),
+                data: Bytes::from(vec![0xAB; 600]),
+            });
+            assert_eq!(written, Response::Written { bytes: 600 });
+            // The run list stays with the scratch: the same write again
+            // needs no more room.
+            let again = Request::WriteList {
+                handle: fh(),
+                layout: l,
+                regions,
+                data: Bytes::from(vec![0xAB; 600]),
+            };
+            assert_eq!((serve(again).2, room > 0), (room, true));
+
+            let (dirty, buffer, _) = serve(read(fh(), 0, 300));
+            assert_eq!(
+                dirty,
+                Response::Data {
+                    data: vec![0xAB; 300].into()
+                }
+            );
+            // Shorter and longer than the dirty reply; a hole, the tail
+            // across EOF, all past EOF, a handle never written.
+            for len in [100u64, 300, 290] {
+                for (handle, offset, data) in [
+                    (fh(), 400, 0),
+                    (fh(), 1300 - 50, 50),
+                    (fh(), 1 << 30, 0),
+                    (FileHandle(77), 0, 0),
+                ] {
+                    serve(read(fh(), 0, 300));
+                    let (reply, at, _) = serve(read(handle, offset, len));
+                    let mut expect = vec![0u8; len as usize];
+                    expect[..data].fill(0xAB);
+                    assert_eq!(
+                        reply,
+                        Response::Data {
+                            data: expect.into()
+                        }
+                    );
+                    assert_eq!(at, buffer, "a buffer of its own is no test");
+                }
+            }
+            // A longer reply grows the buffer; the part that is new is
+            // as clean as the rest.
+            let (reply, _, _) = serve(read(fh(), 250, 2000));
+            let mut expect = vec![0u8; 2000];
+            expect[..50].fill(0xAB);
+            expect[750..1050].fill(0xAB);
+            assert_eq!(
+                reply,
+                Response::Data {
+                    data: expect.into()
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn a_failed_read_keeps_the_buffer_and_sends_none_of_it() {
+        let dir = pvfs_disk::ScratchDir::new("iod-failed-read");
+        let storage = StorageConfig::File {
+            dir: dir.path().to_path_buf(),
+            sync: pvfs_disk::SyncPolicy::Always,
+        };
+        let l = StripeLayout::new(0, 1, 64).unwrap();
+        let d = IoDaemon::with_storage(ServerId(0), IodConfig::default(), storage);
+        let scratch = &mut Scratch::default();
+        let write = |offset, scratch: &mut Scratch| {
+            let request = Request::Write {
+                handle: fh(),
+                layout: l,
+                region: Region::new(offset, 100),
+                data: Bytes::from(vec![0xAB; 100]),
+            };
+            d.handle_with(&request, scratch).0
+        };
+        let read = Request::Read {
+            handle: fh(),
+            layout: l,
+            region: Region::new(0, 100),
+        };
+        assert_eq!(write(0, scratch), Response::Written { bytes: 100 });
+        let (dirty, _) = d.handle_with(&read, scratch);
+        assert!(matches!(dirty, Response::Data { .. }));
+        drop(dirty);
+        scratch.reclaim_read();
+        let room = scratch.capacity();
+        // The store wedges: every access fails from here on.
+        d.inject_storage_crash(fh(), pvfs_disk::CrashPoint::TornJournal);
+        assert!(matches!(write(200, scratch), Response::Error(_)));
+        let (refused, _) = d.handle_with(&read, scratch);
+        assert!(matches!(refused, Response::Error(PvfsError::Storage(_))));
+        scratch.reclaim_read();
+        assert_eq!(
+            scratch.capacity(),
+            room,
+            "the buffers stay with the scratch"
+        );
     }
 
     #[test]

@@ -273,6 +273,26 @@ impl RegionList {
         }
     }
 
+    /// Empty the list. The storage stays with it — so that refilling it
+    /// allocates nothing — when the list is the only handle on it;
+    /// clones and sub-lists that alias the storage keep it instead, and
+    /// never observe the refill.
+    pub fn clear(&mut self) {
+        match self.shared.as_mut().and_then(Arc::get_mut) {
+            Some(regions) => {
+                regions.clear();
+                (self.start, self.end) = (0, 0);
+            }
+            None => *self = RegionList::new(),
+        }
+    }
+
+    /// Regions the list's storage has room for (this list's own and
+    /// whatever else of the storage a wider list once filled).
+    pub fn capacity(&self) -> usize {
+        self.shared.as_ref().map_or(0, |regions| regions.capacity())
+    }
+
     /// Number of regions.
     #[inline]
     pub fn count(&self) -> usize {
@@ -843,6 +863,25 @@ mod tests {
         l.push(Region::new(4, 1));
         assert_eq!(l.regions().as_ptr(), at, "within capacity: no regrowth");
         assert_eq!(l, rl(&[(0, 1), (2, 1), (4, 1)]));
+    }
+
+    #[test]
+    fn a_cleared_sole_handle_is_refilled_where_it_lies() {
+        let mut l = rl(&[(0, 1), (2, 1), (4, 1)]);
+        let (at, room) = (l.regions().as_ptr(), l.capacity());
+        // A sub-list that is the last handle keeps the whole storage.
+        l = l.slice(1..3);
+        l.clear();
+        assert!(l.is_empty() && l.capacity() == room);
+        l.push(Region::new(9, 1));
+        assert_eq!((l.regions().as_ptr(), &l), (at, &rl(&[(9, 1)])));
+        // A clone keeps what it had; the cleared handle lets go instead.
+        let kept = l.clone();
+        l.clear();
+        l.push(Region::new(7, 7));
+        assert_eq!((kept, l.capacity() > 0), (rl(&[(9, 1)]), true));
+        assert_ne!(l.regions().as_ptr(), at);
+        assert_eq!(RegionList::new().capacity(), 0);
     }
 
     #[test]
