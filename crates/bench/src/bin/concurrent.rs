@@ -81,7 +81,7 @@ fn run(workers: usize, transport: TransportKind) -> f64 {
     let requests: u64 = (0..SERVERS)
         .map(|s| {
             cluster
-                .server_stats(pvfs_types::ServerId(s))
+                .stats_snapshot(pvfs_types::ServerId(s))
                 .map(|st| st.requests)
                 .unwrap_or(0)
         })

@@ -27,6 +27,7 @@ use pvfs_workloads::{Cyclic, FlashIo};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use crate::live::wire_totals;
 use crate::report::Row;
 use crate::Scale;
 
@@ -46,21 +47,12 @@ fn iod_config() -> IodConfig {
     }
 }
 
-/// Total (frames_rx, bytes_rx + bytes_tx) across every I/O daemon.
-fn totals(cluster: &LiveCluster) -> (u64, u64) {
-    (0..SERVERS)
-        .filter_map(|s| cluster.server_stats(ServerId(s)))
-        .fold((0, 0), |(f, b), st| {
-            (f + st.frames_rx, b + st.bytes_rx + st.bytes_tx)
-        })
-}
-
 /// Per-daemon frame counts, for the requests-per-daemon table.
 fn per_daemon(cluster: &LiveCluster) -> Vec<u64> {
     (0..SERVERS)
         .map(|s| {
             cluster
-                .server_stats(ServerId(s))
+                .stats_snapshot(ServerId(s))
                 .map_or(0, |st| st.frames_rx)
         })
         .collect()
@@ -140,7 +132,7 @@ fn run_two_phase(
         .into_iter()
         .map(|h| h.join().unwrap())
         .collect();
-    let (f0, b0) = totals(&cluster);
+    let (f0, b0) = wire_totals(&cluster);
     let d0 = per_daemon(&cluster);
     let started = Instant::now();
     let reports: Vec<ExecReport> = files
@@ -157,7 +149,7 @@ fn run_two_phase(
         .map(|h| h.join().unwrap())
         .collect();
     let seconds = started.elapsed().as_secs_f64();
-    let (f1, b1) = totals(&cluster);
+    let (f1, b1) = wire_totals(&cluster);
     let d1 = per_daemon(&cluster);
     let daemons = d0.iter().zip(&d1).map(|(a, b)| b - a).collect();
     (seconds, f1 - f0, b1 - b0, daemons, reports)
@@ -178,7 +170,7 @@ fn run_independent(
         .unwrap()
         .close()
         .unwrap();
-    let (f0, b0) = totals(&cluster);
+    let (f0, b0) = wire_totals(&cluster);
     let d0 = per_daemon(&cluster);
     let started = Instant::now();
     let handles: Vec<_> = reqs
@@ -195,7 +187,7 @@ fn run_independent(
         .collect();
     let reports: Vec<ExecReport> = handles.into_iter().map(|h| h.join().unwrap()).collect();
     let seconds = started.elapsed().as_secs_f64();
-    let (f1, b1) = totals(&cluster);
+    let (f1, b1) = wire_totals(&cluster);
     let d1 = per_daemon(&cluster);
     let daemons = d0.iter().zip(&d1).map(|(a, b)| b - a).collect();
     (seconds, f1 - f0, b1 - b0, daemons, reports)

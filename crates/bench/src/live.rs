@@ -5,7 +5,7 @@
 //! cell against a live 4-server cluster — over in-process channels or
 //! real TCP loopback sockets ([`TransportKind`]) — and reports what the
 //! daemons actually saw: wall seconds, request frames received
-//! ([`ServerStats::frames_rx`]), and wire bytes in both directions.
+//! (`frames_rx` in each daemon's ledger), and wire bytes in both directions.
 //! List I/O rides ⌈n/64⌉ frames per server where multiple I/O pays one
 //! frame per region, which is the whole §3.3 story; here the ratio is
 //! counted on the wire rather than derived.
@@ -27,9 +27,9 @@ const REGION_BYTES: u64 = 128;
 const STRIDE: u64 = 256;
 
 /// Total (frames_rx, bytes_rx + bytes_tx) across every I/O daemon.
-fn wire_totals(cluster: &LiveCluster) -> (u64, u64) {
-    (0..SERVERS)
-        .filter_map(|s| cluster.server_stats(ServerId(s)))
+pub(crate) fn wire_totals(cluster: &LiveCluster) -> (u64, u64) {
+    (0..cluster.n_servers())
+        .filter_map(|s| cluster.stats_snapshot(ServerId(s)))
         .fold((0, 0), |(f, b), st| {
             (f + st.frames_rx, b + st.bytes_rx + st.bytes_tx)
         })
@@ -156,7 +156,7 @@ pub fn durability(scale: Scale, kind: TransportKind) -> Vec<Row> {
             let (_, bytes_after) = wire_totals(&cluster);
             let fsyncs: u64 = (0..SERVERS)
                 .filter_map(|s| cluster.daemon(ServerId(s)))
-                .map(|d| d.stats_snapshot().fsyncs)
+                .map(|d| d.ledger().snapshot().fsyncs)
                 .sum();
             rows.push(
                 Row {

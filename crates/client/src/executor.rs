@@ -36,36 +36,12 @@ pub struct ExecReport {
     pub copy_bytes: u64,
     /// Serial sections entered.
     pub serial_sections: u64,
-    /// RPC attempts made (first tries plus retries) — mirrors
-    /// [`pvfs_net::ClientStats`] over this plan's execution.
-    pub attempts: u64,
-    /// Re-sent RPCs after a transient failure. Zero on a healthy
-    /// cluster; bounded by the [`pvfs_net::RetryPolicy`] otherwise.
-    pub retries: u64,
-    /// Total milliseconds slept in retry backoff.
-    pub backoff_ms: u64,
-    /// Faults injected by the transport's fault plan (zero unless
-    /// `PVFS_FAULTS` or [`pvfs_net::FaultyTransport`] is in play).
-    pub faults_injected: u64,
-    /// Hedged duplicate reads shipped (`PVFS_HEDGE`; zero when hedging
-    /// is off).
-    pub hedges_sent: u64,
-    /// Hedged reads where the duplicate beat the primary — the tail
-    /// this execution actually dodged.
-    pub hedge_wins: u64,
-    /// RPCs rejected client-side by an open circuit breaker
-    /// (`PVFS_BREAKER`): the op failed in microseconds instead of
-    /// burning a deadline against a sick daemon.
-    pub breaker_rejections: u64,
-    /// `Overloaded` refusals witnessed from shedding daemons; each one
-    /// was absorbed by a retry or surfaced as the op's error.
-    pub sheds_seen: u64,
-    /// Reads re-aimed at a mirror copy after the preferred replica
-    /// failed (`PVFS_REPLICAS` ≥ 2; zero without replication).
-    pub replica_failovers: u64,
-    /// Replicated writes that met their quorum with at least one copy
-    /// missing — each is divergence that `scrub` will later repair.
-    pub quorum_shortfalls: u64,
+    /// What this plan's RPCs cost in reliability currency — attempts,
+    /// retries and backoff, faults injected, hedges, breaker rejections,
+    /// sheds seen, replica failovers, quorum shortfalls: the endpoint's
+    /// [`pvfs_net::ClientStats`] over this execution. All zero beyond
+    /// `attempts` on a healthy cluster.
+    pub client: pvfs_net::ClientStats,
     /// Wire requests this client issued, broken down per I/O daemon
     /// (indexed by `ServerId`; the vector grows to the highest daemon
     /// addressed). The per-daemon fan-in is the collective-I/O claim:
@@ -121,16 +97,7 @@ impl ExecReport {
             bytes_received,
             copy_bytes,
             serial_sections,
-            attempts,
-            retries,
-            backoff_ms,
-            faults_injected,
-            hedges_sent,
-            hedge_wins,
-            breaker_rejections,
-            sheds_seen,
-            replica_failovers,
-            quorum_shortfalls,
+            client,
             requests_by_server,
             exchange_bytes,
             exchange_msgs,
@@ -146,16 +113,7 @@ impl ExecReport {
         self.bytes_received += bytes_received;
         self.copy_bytes += copy_bytes;
         self.serial_sections += serial_sections;
-        self.attempts += attempts;
-        self.retries += retries;
-        self.backoff_ms += backoff_ms;
-        self.faults_injected += faults_injected;
-        self.hedges_sent += hedges_sent;
-        self.hedge_wins += hedge_wins;
-        self.breaker_rejections += breaker_rejections;
-        self.sheds_seen += sheds_seen;
-        self.replica_failovers += replica_failovers;
-        self.quorum_shortfalls += quorum_shortfalls;
+        self.client.absorb(client);
         self.exchange_bytes += exchange_bytes;
         self.exchange_msgs += exchange_msgs;
         self.rpc_latency.merge(rpc_latency);
@@ -398,31 +356,7 @@ pub fn execute_plan(
     if let Some(a) = active {
         client.tracer().finish(a);
     }
-    // Exhaustive destructuring, like `absorb`: a counter added to
-    // `ClientStats` must be carried into the report (or consciously
-    // dropped here) before this compiles again.
-    let pvfs_net::ClientStats {
-        attempts,
-        retries,
-        backoff_ms,
-        faults_injected,
-        hedges_sent,
-        hedge_wins,
-        breaker_rejections,
-        sheds_seen,
-        replica_failovers,
-        quorum_shortfalls,
-    } = client.stats().since(&stats_before);
-    report.attempts = attempts;
-    report.retries = retries;
-    report.backoff_ms = backoff_ms;
-    report.faults_injected = faults_injected;
-    report.hedges_sent = hedges_sent;
-    report.hedge_wins = hedge_wins;
-    report.breaker_rejections = breaker_rejections;
-    report.sheds_seen = sheds_seen;
-    report.replica_failovers = replica_failovers;
-    report.quorum_shortfalls = quorum_shortfalls;
+    report.client = client.stats().since(&stats_before);
     // The endpoint tracker is shared across clones and plans; the delta
     // isolates exactly the RPCs this execution issued.
     report.rpc_latency = client.latency_snapshot().since(&latency_before);

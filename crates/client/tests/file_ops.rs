@@ -288,11 +288,11 @@ fn list_io_survives_five_percent_faults_with_retries_reported() {
         assert_eq!(back, src, "chaos roundtrip corrupted data for {method}");
 
         for report in [&w, &r] {
-            total_retries += report.retries;
-            total_attempts += report.attempts;
+            total_retries += report.client.retries;
+            total_attempts += report.client.attempts;
             total_requests += report.requests;
             assert!(
-                report.attempts >= report.requests,
+                report.client.attempts >= report.requests,
                 "every wire request is at least one attempt"
             );
             if client.replica_policy().enabled() {
@@ -300,13 +300,13 @@ fn list_io_survives_five_percent_faults_with_retries_reported() {
                 // per copy and read failovers re-aim without retrying,
                 // so attempts exceed requests by more than the retries.
                 assert!(
-                    report.attempts - report.requests >= report.retries,
+                    report.client.attempts - report.requests >= report.client.retries,
                     "mirror copies and failovers only ever add attempts"
                 );
             } else {
                 assert_eq!(
-                    report.attempts - report.requests,
-                    report.retries,
+                    report.client.attempts - report.requests,
+                    report.client.retries,
                     "attempts beyond the requests are exactly the retries"
                 );
             }

@@ -17,41 +17,34 @@
 //! wire traffic.
 
 use std::any::Any;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 
 type BoxedMsg = Box<dyn Any + Send>;
 
-/// What one rank's communicator handle has done — the measured side of
-/// the exchange fabric.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CommStats {
-    /// Explicit `barrier` calls (the internal synchronization inside
-    /// `exchange` is not counted).
-    pub barriers: u64,
-    /// `allgather` calls.
-    pub allgathers: u64,
-    /// `exchange` calls.
-    pub exchanges: u64,
-    /// Messages this rank sent through `exchange`.
-    pub msgs_sent: u64,
-    /// Payload bytes this rank sent through `exchange` (as declared by
-    /// each [`Envelope::bytes`]).
-    pub bytes_sent: u64,
-}
-
-impl CommStats {
-    /// Counter-wise difference (`self - earlier`): what happened
-    /// between two snapshots.
-    pub fn since(&self, earlier: &CommStats) -> CommStats {
-        CommStats {
-            barriers: self.barriers - earlier.barriers,
-            allgathers: self.allgathers - earlier.allgathers,
-            exchanges: self.exchanges - earlier.exchanges,
-            msgs_sent: self.msgs_sent - earlier.msgs_sent,
-            bytes_sent: self.bytes_sent - earlier.bytes_sent,
-        }
+pvfs_types::ledger! {
+    /// What one rank's communicator handle has done — the measured side
+    /// of the exchange fabric.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    snapshot CommStats;
+    /// One rank's [`CommStats`] as they are kept.
+    ledger CommLedger;
+    counters {
+        /// Explicit `barrier` calls (the internal synchronization inside
+        /// `exchange` is not counted).
+        barriers,
+        /// `allgather` calls.
+        allgathers,
+        /// `exchange` calls.
+        exchanges,
+        /// Messages this rank sent through `exchange`.
+        msgs_sent,
+        /// Payload bytes this rank sent through `exchange` (as declared by
+        /// each [`Envelope::bytes`]).
+        bytes_sent,
     }
+    gauges {}
+    histograms {}
 }
 
 /// One point-to-point message: who it goes to (or, on receive, who it
@@ -94,22 +87,13 @@ struct Core {
     mail: Mutex<MailState>,
 }
 
-#[derive(Debug, Default)]
-struct RankCounters {
-    barriers: AtomicU64,
-    allgathers: AtomicU64,
-    exchanges: AtomicU64,
-    msgs_sent: AtomicU64,
-    bytes_sent: AtomicU64,
-}
-
 /// One rank's endpoint of the collective fabric. Obtained from
 /// [`Communicator::group`]; not cloneable — each rank (thread) owns
 /// exactly one handle.
 pub struct Communicator {
     core: Arc<Core>,
     rank: usize,
-    counters: RankCounters,
+    counters: CommLedger,
 }
 
 impl std::fmt::Debug for Communicator {
@@ -145,7 +129,7 @@ impl Communicator {
             .map(|rank| Communicator {
                 core: core.clone(),
                 rank,
-                counters: RankCounters::default(),
+                counters: CommLedger::default(),
             })
             .collect()
     }
@@ -275,13 +259,7 @@ impl Communicator {
 
     /// Snapshot of this rank's counters.
     pub fn stats(&self) -> CommStats {
-        CommStats {
-            barriers: self.counters.barriers.load(Ordering::Relaxed),
-            allgathers: self.counters.allgathers.load(Ordering::Relaxed),
-            exchanges: self.counters.exchanges.load(Ordering::Relaxed),
-            msgs_sent: self.counters.msgs_sent.load(Ordering::Relaxed),
-            bytes_sent: self.counters.bytes_sent.load(Ordering::Relaxed),
-        }
+        self.counters.snapshot()
     }
 }
 

@@ -50,10 +50,10 @@ impl CollectiveConfig {
     /// Malformed values are a [`PvfsError::Config`].
     pub fn from_env() -> PvfsResult<Self> {
         let mut cfg = CollectiveConfig::default();
-        if let Ok(v) = std::env::var("PVFS_AGGREGATORS") {
+        if let Some(v) = pvfs_types::env::lookup("PVFS_AGGREGATORS") {
             cfg.aggregators = Some(parse_aggregators(&v)?);
         }
-        if let Ok(v) = std::env::var("PVFS_CB_BUFFER") {
+        if let Some(v) = pvfs_types::env::lookup("PVFS_CB_BUFFER") {
             cfg.cb_buffer = parse_size(&v)?;
         }
         Ok(cfg)

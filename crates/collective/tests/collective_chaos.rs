@@ -94,9 +94,12 @@ fn two_phase_survives_faulty_tcp() {
     // some rank; a fault mix that injected nothing proves nothing.
     let faults: u64 = reports
         .iter()
-        .map(|(w, r)| w.faults_injected + r.faults_injected)
+        .map(|(w, r)| w.client.faults_injected + r.client.faults_injected)
         .sum();
-    let retries: u64 = reports.iter().map(|(w, r)| w.retries + r.retries).sum();
+    let retries: u64 = reports
+        .iter()
+        .map(|(w, r)| w.client.retries + r.client.retries)
+        .sum();
     assert!(faults > 0, "fault plan injected nothing — test is vacuous");
     assert!(retries > 0, "faults were injected but nothing retried");
 

@@ -18,11 +18,13 @@
 //! journal record), truncate, and an explicit durability barrier
 //! ([`StorageBackend::sync`]). Accounting methods expose what each
 //! backend can promise: resident bytes (memory) and durable bytes
-//! (recoverable after a crash).
+//! (recoverable after a crash). What the durable engine *counts* —
+//! journal appends, fsyncs and their latency, the checkpoint backlog —
+//! it counts straight into the ledger of the daemon that opened it
+//! ([`StorageMetrics`]).
 
-use pvfs_types::{PvfsError, PvfsResult, SharedHistogram};
+use pvfs_types::{PvfsError, PvfsResult};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// How eagerly the [`FileStore`](crate::FileStore) journal reaches
@@ -65,9 +67,9 @@ impl SyncPolicy {
     /// group-commit window wide enough to batch bursts without letting
     /// more than 100 ms of writes ride on a crash).
     pub fn from_env() -> PvfsResult<SyncPolicy> {
-        match std::env::var("PVFS_SYNC") {
-            Ok(v) => SyncPolicy::parse(&v),
-            Err(_) => Ok(SyncPolicy::Interval(Duration::from_millis(100))),
+        match pvfs_types::env::lookup("PVFS_SYNC") {
+            Some(v) => SyncPolicy::parse(&v),
+            None => Ok(SyncPolicy::Interval(Duration::from_millis(100))),
         }
     }
 }
@@ -98,21 +100,28 @@ pub enum StorageConfig {
 }
 
 impl StorageConfig {
+    /// Parse the `PVFS_STORAGE` spelling: `mem`, or `file:<dir>` — the
+    /// durable backend, its journal fsynced as `sync` says.
+    pub fn parse(spec: &str, sync: SyncPolicy) -> PvfsResult<StorageConfig> {
+        match spec.strip_prefix("file:") {
+            None if spec == "mem" => Ok(StorageConfig::Mem),
+            Some(dir) if !dir.is_empty() => Ok(StorageConfig::File {
+                dir: PathBuf::from(dir),
+                sync,
+            }),
+            _ => Err(PvfsError::config(format!(
+                "PVFS_STORAGE={spec:?} is not a backend (mem|file:<dir>)"
+            ))),
+        }
+    }
+
     /// The backend selected by `PVFS_STORAGE` (+ `PVFS_SYNC` for the
     /// file backend). Default: [`StorageConfig::Mem`].
     pub fn from_env() -> PvfsResult<StorageConfig> {
-        match std::env::var("PVFS_STORAGE") {
-            Err(_) => Ok(StorageConfig::Mem),
-            Ok(v) if v == "mem" => Ok(StorageConfig::Mem),
-            Ok(v) => match v.strip_prefix("file:") {
-                Some(dir) if !dir.is_empty() => Ok(StorageConfig::File {
-                    dir: PathBuf::from(dir),
-                    sync: SyncPolicy::from_env()?,
-                }),
-                _ => Err(PvfsError::config(format!(
-                    "PVFS_STORAGE={v:?} is not a backend (mem|file:<dir>)"
-                ))),
-            },
+        let sync = SyncPolicy::from_env()?;
+        match pvfs_types::env::lookup("PVFS_STORAGE") {
+            None => Ok(StorageConfig::Mem),
+            Some(spec) => StorageConfig::parse(&spec, sync),
         }
     }
 
@@ -128,11 +137,6 @@ impl StorageConfig {
             },
         }
     }
-
-    /// Is this the durable file backend?
-    pub fn is_file(&self) -> bool {
-        matches!(self, StorageConfig::File { .. })
-    }
 }
 
 impl std::fmt::Display for StorageConfig {
@@ -146,50 +150,12 @@ impl std::fmt::Display for StorageConfig {
     }
 }
 
-/// Storage-engine counters, shared (`Arc`) between a daemon and every
-/// [`FileStore`](crate::FileStore) it opens, surfaced through
-/// `StatsSnapshot`/`GetStats`. The memory backend leaves them all zero.
-#[derive(Debug, Default)]
-pub struct StorageMetrics {
-    /// Journal records appended (one per committed write batch or
-    /// truncate).
-    pub journal_appends: AtomicU64,
-    /// Bytes appended to journals.
-    pub journal_bytes: AtomicU64,
-    /// Journal records replayed at recovery (daemon restart).
-    pub journal_replays: AtomicU64,
-    /// Durability flushes: checkpoints + explicit sync barriers.
-    pub flushes: AtomicU64,
-    /// `fsync` syscalls issued (journal + data files).
-    pub fsyncs: AtomicU64,
-    /// Journal records committed but not yet checkpointed (a gauge, not
-    /// a counter — excluded from reset).
-    pub journal_depth: AtomicU64,
-    /// Latency of each `fsync` syscall.
-    pub fsync_time: SharedHistogram,
-}
-
-impl StorageMetrics {
-    /// Record one fsync of `took` wall time. Also feeds the serving
-    /// daemon's trace sink, if one is active on this thread, so traced
-    /// requests show their `journal:fsync` hop.
-    pub fn record_fsync(&self, took: Duration) {
-        self.fsyncs.fetch_add(1, Ordering::Relaxed);
-        self.fsync_time.record_duration(took);
-        pvfs_types::trace::sink_add("journal:fsync", took);
-    }
-
-    /// Zero the counters and the fsync histogram. The journal-depth
-    /// gauge survives: it describes on-disk state, not traffic.
-    pub fn reset(&self) {
-        self.journal_appends.store(0, Ordering::Relaxed);
-        self.journal_bytes.store(0, Ordering::Relaxed);
-        self.journal_replays.store(0, Ordering::Relaxed);
-        self.flushes.store(0, Ordering::Relaxed);
-        self.fsyncs.store(0, Ordering::Relaxed);
-        self.fsync_time.reset();
-    }
-}
+/// Where a [`FileStore`](crate::FileStore) keeps its books: the ledger
+/// of the daemon that opened it (`journal_*`, `flushes`, `fsyncs`, the
+/// `journal_depth` gauge, `fsync_time`), shared by `Arc` so that what
+/// the storage engine counts is in the daemon's `GetStats` snapshot with
+/// no copy in between. The memory backend touches none of it.
+pub type StorageMetrics = pvfs_types::Ledger;
 
 /// Crash injection for the durable backend: where a
 /// [`FileStore`](crate::FileStore) "loses power" mid-write. After the
@@ -271,6 +237,7 @@ pub trait StorageBackend: std::fmt::Debug + Send {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn sync_policy_parses_all_spellings() {

@@ -1,4 +1,15 @@
-//! One I/O daemon's local file: content + cache residency + disk cost.
+//! One I/O daemon's local file: the bytes, and — for the simulator —
+//! what reading and writing them would have cost.
+//!
+//! The bytes are a [`StorageBackend`]'s. The cost is a model: an LRU
+//! buffer-cache residency model and a disk timing model with head
+//! tracking, priced per access into a [`CostReport`] whose `disk_ns` the
+//! discrete-event simulator turns into virtual time. Nothing else reads
+//! that number, so only a file built *with* the model
+//! ([`LocalFile::new`], [`LocalFile::with_backend`] — what a simulated
+//! daemon's files are) runs it; a live daemon's files
+//! ([`LocalFile::unmodelled`]) move the bytes, report the byte counts and
+//! price nothing.
 
 use crate::backend::{CrashPoint, StorageBackend};
 use crate::cache::{BufferCache, CacheConfig, CacheOutcome};
@@ -8,7 +19,7 @@ use pvfs_types::PvfsResult;
 
 /// Cost of one storage operation, reported alongside its functional
 /// result. The discrete-event simulator turns `disk_ns` into virtual
-/// time; the live cluster ignores it.
+/// time; an unmodelled file reports the byte counts only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostReport {
     /// Virtual nanoseconds spent on the disk (misses + write-backs).
@@ -32,28 +43,35 @@ impl CostReport {
 }
 
 /// A local file under one I/O daemon: a [`StorageBackend`] for the
-/// bytes (memory or durable file+journal), an LRU buffer cache
-/// residency model, and a disk timing model with head tracking.
+/// bytes (memory or durable file+journal) and, if it was built with one,
+/// the cost model that prices every access to them.
 #[derive(Debug)]
 pub struct LocalFile {
     store: Box<dyn StorageBackend>,
-    cache: BufferCache,
-    model: DiskModel,
-    head: HeadTracker,
+    model: Option<CostModel>,
     /// Mutating ops applied this daemon incarnation. Deliberately not
     /// persisted: a freshly restarted daemon answers 0, so anti-entropy
     /// scrub never mistakes it for the freshest copy.
     write_version: u64,
 }
 
+/// What the simulator charges disk time by: which blocks are resident,
+/// where the head is, what the disk costs.
+#[derive(Debug)]
+struct CostModel {
+    cache: BufferCache,
+    disk: DiskModel,
+    head: HeadTracker,
+}
+
 impl LocalFile {
-    /// New empty memory-backed file with the given cache and disk
-    /// parameters.
+    /// New empty memory-backed file, its accesses priced with the given
+    /// cache and disk parameters.
     pub fn new(cache_config: CacheConfig, model: DiskModel) -> LocalFile {
         LocalFile::with_backend(cache_config, model, Box::new(SparseStore::new()))
     }
 
-    /// A file over an explicit backend (the durable
+    /// A priced file over an explicit backend (the durable
     /// [`FileStore`](crate::FileStore), a test double, ...).
     pub fn with_backend(
         cache_config: CacheConfig,
@@ -61,10 +79,21 @@ impl LocalFile {
         store: Box<dyn StorageBackend>,
     ) -> LocalFile {
         LocalFile {
+            model: Some(CostModel {
+                cache: BufferCache::new(cache_config),
+                disk: model,
+                head: HeadTracker::new(),
+            }),
+            ..LocalFile::unmodelled(store)
+        }
+    }
+
+    /// A file over `store` that prices nothing — a live daemon's: every
+    /// [`CostReport`] it returns carries the byte counts and zeros.
+    pub fn unmodelled(store: Box<dyn StorageBackend>) -> LocalFile {
+        LocalFile {
             store,
-            cache: BufferCache::new(cache_config),
-            model,
-            head: HeadTracker::new(),
+            model: None,
             write_version: 0,
         }
     }
@@ -92,9 +121,12 @@ impl LocalFile {
             .expect("oracle read failed")
     }
 
-    /// Cache statistics.
+    /// Cache statistics (all zero on an unmodelled file).
     pub fn cache_stats(&self) -> crate::cache::CacheStats {
-        self.cache.stats()
+        self.model
+            .as_ref()
+            .map(|m| m.cache.stats())
+            .unwrap_or_default()
     }
 
     /// Read `len` bytes at `offset` (zero-filled past EOF), reporting
@@ -111,6 +143,16 @@ impl LocalFile {
         Ok(self.charge_read(offset, buf.len() as u64))
     }
 
+    fn charge_read(&mut self, offset: u64, len: u64) -> CostReport {
+        match &mut self.model {
+            Some(model) => model.charge_read(offset, len),
+            None => CostReport {
+                bytes_read: len,
+                ..CostReport::default()
+            },
+        }
+    }
+
     /// Write `data` at `offset`, reporting cost.
     pub fn write_at(&mut self, offset: u64, data: &[u8]) -> PvfsResult<CostReport> {
         self.write_batch(&[(offset, data)])
@@ -125,95 +167,26 @@ impl LocalFile {
         self.write_version += 1;
         let mut report = CostReport::default();
         for (offset, data) in runs {
-            report.merge(self.charge_write(*offset, data.len() as u64, prev_size));
-            prev_size = prev_size.max(offset.saturating_add(data.len() as u64));
+            let len = data.len() as u64;
+            match &mut self.model {
+                Some(model) => report.merge(model.charge_write(*offset, len, prev_size)),
+                None => report.bytes_written += len,
+            }
+            prev_size = prev_size.max(offset.saturating_add(len));
         }
         Ok(report)
     }
 
-    fn charge_write(&mut self, offset: u64, len: u64, prev_size: u64) -> CostReport {
-        if len == 0 {
-            return CostReport::default();
-        }
-        let cache = self.cache.access(offset, len, true);
-        let mut disk_ns = 0;
-        // Write-allocate absorbs the data into cache; an unaligned
-        // write into a block that already held data requires a
-        // read-fill of that block. Fresh files (writes at/past the old
-        // EOF block) never read-fill — pages are allocated zeroed.
-        let bs = self.cache.config().block_size;
-        let unaligned =
-            !offset.is_multiple_of(bs) || !offset.saturating_add(len).is_multiple_of(bs);
-        let block_start = (offset / bs) * bs;
-        if unaligned && cache.miss_blocks > 0 && block_start < prev_size {
-            let sequential = self.head.observe(offset, len);
-            disk_ns += self.model.access_ns(bs.min(len), sequential);
-        }
-        if cache.writeback_blocks > 0 {
-            disk_ns += self
-                .model
-                .writeback_ns(cache.writeback_blocks, self.cache.config().block_size);
-        }
-        CostReport {
-            disk_ns,
-            bytes_read: 0,
-            bytes_written: len,
-            cache,
-        }
-    }
-
-    fn charge_read(&mut self, offset: u64, len: u64) -> CostReport {
-        if len == 0 {
-            return CostReport::default();
-        }
-        let mut cache = self.cache.access(offset, len, false);
-        let mut disk_ns = 0;
-        if cache.miss_blocks > 0 {
-            // Foreground read of the missed bytes. Misses within one
-            // access are contiguous enough to count as one positioned
-            // run.
-            let sequential = self.head.observe(offset, len);
-            disk_ns += self.model.access_ns(
-                cache.miss_blocks * self.cache.config().block_size,
-                sequential,
-            );
-            // Sequential misses trigger read-ahead: the next blocks are
-            // pulled in at pure transfer cost (the head is already
-            // positioned), so the next sequential access hits.
-            let ra = self.cache.config().readahead_blocks;
-            if sequential && ra > 0 {
-                let bs = self.cache.config().block_size;
-                let next = (offset + len - 1) / bs + 1;
-                for b in next..next + ra {
-                    cache.writeback_blocks += self.cache.prefetch(b);
-                }
-                disk_ns += self.model.transfer_ns(ra * bs);
-                // The head physically moved through the prefetched
-                // range: the next miss past it is sequential.
-                self.head
-                    .observe(offset + len, (next + ra) * bs - (offset + len));
-            }
-        }
-        if cache.writeback_blocks > 0 {
-            disk_ns += self
-                .model
-                .writeback_ns(cache.writeback_blocks, self.cache.config().block_size);
-        }
-        CostReport {
-            disk_ns,
-            bytes_read: len,
-            bytes_written: 0,
-            cache,
-        }
-    }
-
     /// Flush all dirty blocks to disk, reporting the write-back cost.
     pub fn flush(&mut self) -> CostReport {
-        let blocks = self.cache.flush();
+        let Some(model) = &mut self.model else {
+            return CostReport::default();
+        };
+        let blocks = model.cache.flush();
         CostReport {
-            disk_ns: self
-                .model
-                .writeback_ns(blocks, self.cache.config().block_size),
+            disk_ns: model
+                .disk
+                .writeback_ns(blocks, model.cache.config().block_size),
             ..CostReport::default()
         }
     }
@@ -261,6 +234,84 @@ impl LocalFile {
     /// Arm a storage crash (test fault injection; no-op on memory).
     pub fn inject_crash(&mut self, point: CrashPoint) {
         self.store.inject_crash(point);
+    }
+}
+
+impl CostModel {
+    fn charge_write(&mut self, offset: u64, len: u64, prev_size: u64) -> CostReport {
+        if len == 0 {
+            return CostReport::default();
+        }
+        let cache = self.cache.access(offset, len, true);
+        let mut disk_ns = 0;
+        // Write-allocate absorbs the data into cache; an unaligned
+        // write into a block that already held data requires a
+        // read-fill of that block. Fresh files (writes at/past the old
+        // EOF block) never read-fill — pages are allocated zeroed.
+        let bs = self.cache.config().block_size;
+        let unaligned =
+            !offset.is_multiple_of(bs) || !offset.saturating_add(len).is_multiple_of(bs);
+        let block_start = (offset / bs) * bs;
+        if unaligned && cache.miss_blocks > 0 && block_start < prev_size {
+            let sequential = self.head.observe(offset, len);
+            disk_ns += self.disk.access_ns(bs.min(len), sequential);
+        }
+        if cache.writeback_blocks > 0 {
+            disk_ns += self
+                .disk
+                .writeback_ns(cache.writeback_blocks, self.cache.config().block_size);
+        }
+        CostReport {
+            disk_ns,
+            bytes_read: 0,
+            bytes_written: len,
+            cache,
+        }
+    }
+
+    fn charge_read(&mut self, offset: u64, len: u64) -> CostReport {
+        if len == 0 {
+            return CostReport::default();
+        }
+        let mut cache = self.cache.access(offset, len, false);
+        let mut disk_ns = 0;
+        if cache.miss_blocks > 0 {
+            // Foreground read of the missed bytes. Misses within one
+            // access are contiguous enough to count as one positioned
+            // run.
+            let sequential = self.head.observe(offset, len);
+            disk_ns += self.disk.access_ns(
+                cache.miss_blocks * self.cache.config().block_size,
+                sequential,
+            );
+            // Sequential misses trigger read-ahead: the next blocks are
+            // pulled in at pure transfer cost (the head is already
+            // positioned), so the next sequential access hits.
+            let ra = self.cache.config().readahead_blocks;
+            if sequential && ra > 0 {
+                let bs = self.cache.config().block_size;
+                let next = (offset + len - 1) / bs + 1;
+                for b in next..next + ra {
+                    cache.writeback_blocks += self.cache.prefetch(b);
+                }
+                disk_ns += self.disk.transfer_ns(ra * bs);
+                // The head physically moved through the prefetched
+                // range: the next miss past it is sequential.
+                self.head
+                    .observe(offset + len, (next + ra) * bs - (offset + len));
+            }
+        }
+        if cache.writeback_blocks > 0 {
+            disk_ns += self
+                .disk
+                .writeback_ns(cache.writeback_blocks, self.cache.config().block_size);
+        }
+        CostReport {
+            disk_ns,
+            bytes_read: len,
+            bytes_written: 0,
+            cache,
+        }
     }
 }
 
@@ -494,6 +545,26 @@ mod tests {
         let (v4, d4) = f.digest_chunks(16).unwrap();
         assert_eq!(v4, 4);
         assert_eq!(d4.len(), 1);
+    }
+
+    #[test]
+    fn an_unmodelled_file_moves_the_bytes_and_prices_nothing() {
+        let mut f = LocalFile::unmodelled(Box::new(SparseStore::new()));
+        let w = f
+            .write_batch(&[(3, &[7u8; 10]), (4096, &[8u8; 6])])
+            .unwrap();
+        let mut back = [0u8; 10];
+        let r = f.read_into(3, &mut back).unwrap();
+        assert_eq!(back, [7u8; 10]);
+        let bytes_only = |bytes_read, bytes_written| CostReport {
+            bytes_read,
+            bytes_written,
+            ..CostReport::default()
+        };
+        assert_eq!((w, r), (bytes_only(0, 16), bytes_only(10, 0)));
+        assert_eq!(f.sync().unwrap(), (0, CostReport::default()));
+        assert_eq!(f.cache_stats(), crate::cache::CacheStats::default());
+        assert_eq!(f.write_version(), 1);
     }
 
     #[test]

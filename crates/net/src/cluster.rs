@@ -78,8 +78,8 @@ use pvfs_proto::{
 use pvfs_replica::{ReplicaMap, ReplicaPolicy, ReplicaTarget};
 use pvfs_types::trace::now_ns;
 use pvfs_types::{
-    ClientId, Histogram, PvfsError, PvfsResult, RequestId, ServerId, SpanId, StripeLayout,
-    TraceContext, TraceId, TraceMode, TraceTree,
+    ClientId, ClientLedger, ClientStats, Histogram, PvfsError, PvfsResult, RequestId, ServerId,
+    SpanId, StripeLayout, TraceContext, TraceId, TraceMode, TraceTree,
 };
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -91,7 +91,7 @@ use crate::chan::{bounded, Receiver, RecvTimeoutError, Sender};
 use crate::gate::SerialGate;
 use crate::health::{BreakerPolicy, BreakerState, HealthTracker, HedgePolicy};
 use crate::latency::RpcLatency;
-use crate::retry::{AtomicClientStats, Backoff, ClientStats, RetryPolicy};
+use crate::retry::{Backoff, RetryPolicy};
 use crate::spares::Spares;
 use crate::trace::{ActiveTrace, Tracer};
 use crate::transport::{Lane, RpcTarget, Transport, WaitError};
@@ -111,7 +111,7 @@ pub struct ClusterClient {
     gate: Arc<SerialGate>,
     rpc_timeout: Duration,
     retry: RetryPolicy,
-    stats: Arc<AtomicClientStats>,
+    stats: Arc<ClientLedger>,
     latency: Arc<RpcLatency>,
     /// Per-daemon failure detector + circuit breakers, shared by every
     /// clone: all of an endpoint's traffic contributes health signal.
@@ -172,7 +172,7 @@ impl ClusterClient {
             gate,
             rpc_timeout: DEFAULT_RPC_TIMEOUT,
             retry: RetryPolicy::from_env(),
-            stats: Arc::new(AtomicClientStats::default()),
+            stats: Arc::new(ClientLedger::default()),
             latency,
             health,
             hedge: HedgePolicy::from_env(),
@@ -325,7 +325,10 @@ impl ClusterClient {
     /// Reliability counters of this endpoint and all its clones:
     /// attempts, retries, backoff slept, faults the transport injected.
     pub fn stats(&self) -> ClientStats {
-        self.stats.snapshot(self.transport.faults_injected())
+        ClientStats {
+            faults_injected: self.transport.faults_injected(),
+            ..self.stats.snapshot()
+        }
     }
 
     /// Per-server, per-op-class RPC latency histograms of this endpoint
@@ -561,7 +564,9 @@ impl ClusterClient {
             // spent on it and without touching the wire; the manager is
             // never gated (metadata is rare and precious).
             if let Err(e) = self.health.admit(server) {
-                self.stats.record_breaker_rejection();
+                self.stats
+                    .breaker_rejections
+                    .fetch_add(1, Ordering::Relaxed);
                 return Err(e);
             }
             if sole && self.hedge.enabled && request.op_class() == OpClass::Read {
@@ -802,7 +807,10 @@ impl ClusterClient {
         };
         let hedge_won = matches!(winner, Some((true, _)));
         if let Some((_, span)) = hedge {
-            self.stats.record_hedge(hedge_won);
+            self.stats.hedges_sent.fetch_add(1, Ordering::Relaxed);
+            self.stats
+                .hedge_wins
+                .fetch_add(u64::from(hedge_won), Ordering::Relaxed);
             if let Some((a, (sid, t0))) = trace.zip(span) {
                 let mut notes = vec!["hedge".to_string()];
                 if hedge_won {
@@ -841,7 +849,7 @@ impl ClusterClient {
     /// word on how much of its queue this endpoint may fill.
     fn note_shed(&self, target: RpcTarget, e: &PvfsError) {
         if matches!(e, PvfsError::Overloaded { .. }) {
-            self.stats.record_shed_seen();
+            self.stats.sheds_seen.fetch_add(1, Ordering::Relaxed);
             if let RpcTarget::Server(server) = target {
                 self.health.record_shed(server);
             }
@@ -1300,7 +1308,7 @@ impl<S: OpStream> Pump<'_, S> {
         // too (the daemons already exclude them): scraping `stats` or a
         // trace must not advance the very counters being read.
         if !request.is_control_scrape() {
-            client.stats.record_attempts(1);
+            client.stats.attempts.fetch_add(1, Ordering::Relaxed);
         }
         let notes = sub.notes(self.trace);
         let at = self.lane_at(sub.target).unwrap_or_else(|| {
@@ -1503,7 +1511,10 @@ impl<S: OpStream> Pump<'_, S> {
             sub.copies.start += 1;
             sub.target = RpcTarget::Server(op.copies[sub.copies.start].0);
             sub.failed_over = true;
-            client.stats.record_replica_failover();
+            client
+                .stats
+                .replica_failovers
+                .fetch_add(1, Ordering::Relaxed);
         } else if e.is_retryable()
             && (request.is_idempotent() || e.is_definitely_not_executed())
             && sub.attempt < retry.max_attempts
@@ -1527,7 +1538,11 @@ impl<S: OpStream> Pump<'_, S> {
                 delay
             };
             if booked {
-                client.stats.record_retries(1, delay);
+                client.stats.retries.fetch_add(1, Ordering::Relaxed);
+                client
+                    .stats
+                    .backoff_ms
+                    .fetch_add(delay.as_millis() as u64, Ordering::Relaxed);
             }
             sub.attempt += u32::from(!shed);
         } else {
@@ -1585,7 +1600,10 @@ impl<S: OpStream> Pump<'_, S> {
             if acks < map.replicas() {
                 // Quorum met but a copy missed the write: divergence
                 // for a later scrub to repair.
-                self.client.stats.record_quorum_shortfall();
+                self.client
+                    .stats
+                    .quorum_shortfalls
+                    .fetch_add(1, Ordering::Relaxed);
             }
             if let Some(a) = self.trace {
                 a.annotate(format!("quorum_ack:{acks}/{}", map.replicas()));
@@ -1869,6 +1887,35 @@ mod tests {
         }
     }
 
+    /// A live daemon moves bytes and prices nothing: the buffer-cache and
+    /// disk models are the simulator's.
+    #[test]
+    fn a_live_daemon_runs_no_cost_model() {
+        let cluster = LiveCluster::spawn(1);
+        let c = cluster.client();
+        let l = StripeLayout::new(0, 1, 4096).unwrap();
+        let (handle, region) = (FileHandle(1), Region::new(0, 8192));
+        let data = Bytes::from(vec![3u8; 8192]);
+        let target = RpcTarget::Server(ServerId(0));
+        let write = Request::Write {
+            handle,
+            layout: l,
+            region,
+            data,
+        };
+        c.call(target, write).unwrap();
+        let read = Request::Read {
+            handle,
+            layout: l,
+            region,
+        };
+        c.call(target, read).unwrap();
+        let daemon = cluster.daemon(ServerId(0)).unwrap();
+        let cache = daemon.with_local_file(handle, |f| f.cache_stats());
+        assert_eq!(cache, Some(pvfs_disk::cache::CacheStats::default()));
+        assert_eq!(daemon.flush_handle(handle).disk_ns, 0);
+    }
+
     #[test]
     fn stats_are_observable() {
         let cluster = LiveCluster::spawn(1);
@@ -1880,12 +1927,12 @@ mod tests {
             },
         )
         .unwrap();
-        let stats = cluster.server_stats(ServerId(0)).unwrap();
+        let stats = cluster.stats_snapshot(ServerId(0)).unwrap();
         assert_eq!(stats.requests, 1);
         assert_eq!(stats.frames_rx, 1, "one RPC is one wire frame");
         assert!(stats.bytes_rx > 0);
         assert!(stats.bytes_tx > 0);
-        assert!(cluster.server_stats(ServerId(5)).is_none());
+        assert!(cluster.stats_snapshot(ServerId(5)).is_none());
     }
 
     /// A frame whose header parses but whose body is garbage must come
@@ -2699,7 +2746,7 @@ mod tests {
             h.join().unwrap();
         }
         for s in 0..4u32 {
-            let stats = cluster.server_stats(ServerId(s)).unwrap();
+            let stats = cluster.stats_snapshot(ServerId(s)).unwrap();
             assert_eq!(stats.requests, CLIENTS * ROUNDS * 2);
             assert_eq!(stats.contiguous_requests, CLIENTS * ROUNDS);
             assert_eq!(stats.list_requests, CLIENTS * ROUNDS);

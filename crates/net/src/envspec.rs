@@ -1,6 +1,6 @@
 //! The one parser behind every `PVFS_*` policy spec this crate reads:
-//! comma-separated tokens, `key=value` options, `250ms`/`2s` durations,
-//! and the panic-on-typo environment lookup.
+//! comma-separated tokens, `key=value` options, `250ms`/`2s` durations.
+//! (The environment itself is read in `pvfs_types::env`.)
 
 use std::time::Duration;
 
@@ -37,19 +37,4 @@ pub(crate) fn parse_duration(s: &str) -> Result<Duration, String> {
         .parse::<u64>()
         .map(|n| Duration::from_millis(n * scale))
         .map_err(|_| format!("duration {s:?} is malformed (try 250ms or 2s)"))
-}
-
-/// The value of environment variable `name` parsed as a `what`, or
-/// `default` when unset. Panics on a malformed value: a typo'd run must
-/// not silently change the policy under test.
-pub(crate) fn from_env<T>(
-    name: &str,
-    what: &str,
-    parse: impl FnOnce(&str) -> Result<T, String>,
-    default: T,
-) -> T {
-    match std::env::var(name) {
-        Ok(v) => parse(&v).unwrap_or_else(|e| panic!("{name}={v:?} is not a {what}: {e}")),
-        Err(_) => default,
-    }
 }

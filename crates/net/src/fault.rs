@@ -49,7 +49,7 @@ use pvfs_proto::{decode_frame_id, decode_response_id, Frame, RESPONSE_ENVELOPE_L
 use pvfs_types::{PvfsError, PvfsResult, RequestId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -207,7 +207,7 @@ impl FaultPlan {
             "" => Ok(None),
             v => FaultPlan::parse(v).map(Some),
         };
-        envspec::from_env("PVFS_FAULTS", "fault plan", parse, None)
+        pvfs_types::env::parsed("PVFS_FAULTS", parse, None)
     }
 
     /// Sum of all fault probabilities.
@@ -247,44 +247,28 @@ impl FaultPlan {
     }
 }
 
-/// Lifetime injection counters of one [`FaultyTransport`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultCounts {
-    /// Faults injected, total.
-    pub injected: u64,
-    /// Request frames dropped.
-    pub drops: u64,
-    /// Requests delayed.
-    pub delays: u64,
-    /// Connections cut before the response.
-    pub disconnects: u64,
-    /// Response frames corrupted.
-    pub corrupts: u64,
-    /// Responses wedged into the timeout path.
-    pub wedges: u64,
-}
-
-#[derive(Debug, Default)]
-struct AtomicFaultCounts {
-    injected: AtomicU64,
-    drops: AtomicU64,
-    delays: AtomicU64,
-    disconnects: AtomicU64,
-    corrupts: AtomicU64,
-    wedges: AtomicU64,
-}
-
-impl AtomicFaultCounts {
-    fn snapshot(&self) -> FaultCounts {
-        FaultCounts {
-            injected: self.injected.load(Ordering::Relaxed),
-            drops: self.drops.load(Ordering::Relaxed),
-            delays: self.delays.load(Ordering::Relaxed),
-            disconnects: self.disconnects.load(Ordering::Relaxed),
-            corrupts: self.corrupts.load(Ordering::Relaxed),
-            wedges: self.wedges.load(Ordering::Relaxed),
-        }
+pvfs_types::ledger! {
+    /// Lifetime injection counters of one [`FaultyTransport`].
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    snapshot FaultCounts;
+    /// The books of one [`FaultyTransport`], shared with its lanes.
+    ledger FaultLedger;
+    counters {
+        /// Faults injected, total.
+        injected,
+        /// Request frames dropped.
+        drops,
+        /// Requests delayed.
+        delays,
+        /// Connections cut before the response.
+        disconnects,
+        /// Response frames corrupted.
+        corrupts,
+        /// Responses wedged into the timeout path.
+        wedges,
     }
+    gauges {}
+    histograms {}
 }
 
 /// A [`Transport`] wrapper injecting [`FaultPlan`] faults into the data
@@ -299,14 +283,14 @@ pub struct FaultyTransport {
 struct Dice {
     plan: FaultPlan,
     rng: Mutex<StdRng>,
-    counts: AtomicFaultCounts,
+    counts: FaultLedger,
 }
 
 impl FaultyTransport {
     /// Wrap `inner`, injecting faults per `plan`.
     pub fn new(inner: Arc<dyn Transport>, plan: FaultPlan) -> FaultyTransport {
         let rng = Mutex::new(StdRng::seed_from_u64(plan.seed));
-        let counts = AtomicFaultCounts::default();
+        let counts = FaultLedger::default();
         let dice = Arc::new(Dice { plan, rng, counts });
         FaultyTransport { inner, dice }
     }

@@ -91,9 +91,8 @@ impl BreakerPolicy {
     ///
     /// Panics on a malformed spec, like the other `PVFS_*` variables.
     pub fn from_env() -> BreakerPolicy {
-        envspec::from_env(
+        pvfs_types::env::parsed(
             "PVFS_BREAKER",
-            "breaker policy",
             BreakerPolicy::parse,
             BreakerPolicy::default(),
         )
@@ -169,12 +168,7 @@ impl HedgePolicy {
     ///
     /// Panics on a malformed spec, like the other `PVFS_*` variables.
     pub fn from_env() -> HedgePolicy {
-        envspec::from_env(
-            "PVFS_HEDGE",
-            "hedge policy",
-            HedgePolicy::parse,
-            HedgePolicy::default(),
-        )
+        pvfs_types::env::parsed("PVFS_HEDGE", HedgePolicy::parse, HedgePolicy::default())
     }
 
     /// Parse a `PVFS_HEDGE` spec (see [`HedgePolicy::from_env`]).

@@ -107,7 +107,8 @@ pub use latency::RpcLatency;
 pub use live::LiveCluster;
 pub use pool::WorkerPool;
 pub use pvfs_replica::{ReplicaMap, ReplicaPolicy, ReplicaTarget, WriteQuorum};
-pub use retry::{ClientStats, RetryPolicy};
+pub use pvfs_types::ClientStats;
+pub use retry::RetryPolicy;
 pub use tcp::TcpTransport;
 pub use trace::{ActiveTrace, Tracer};
 pub use transport::{Lane, RpcTarget, Transport, TransportKind, WaitError};

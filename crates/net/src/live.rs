@@ -33,7 +33,7 @@
 use bytes::Bytes;
 use pvfs_disk::StorageConfig;
 use pvfs_proto::{data_response_head, encode_response, frame_is_stats_scrape, Frame, Response};
-use pvfs_server::{IoDaemon, IodConfig, Manager, Scratch, ServerStats};
+use pvfs_server::{IoDaemon, IodConfig, Manager, Scratch};
 use pvfs_types::{ClientId, ServerId, StatsSnapshot};
 use std::ops::ControlFlow;
 use std::path::PathBuf;
@@ -69,6 +69,8 @@ pub struct LiveCluster {
     backend: Backend,
     next_client: AtomicU32,
     gate: Arc<SerialGate>,
+    /// `PVFS_STATS=dump`: print the daemons' books at teardown.
+    dump_stats: bool,
     /// Data directory this cluster created for itself from
     /// `PVFS_STORAGE` (deleted when the guard drops — last field, so
     /// removal happens after both transport backends have joined their
@@ -167,7 +169,7 @@ impl LiveCluster {
                 let depth = config.queue_depth.max(1);
                 // One worker keeps metadata operations serialized in
                 // arrival order.
-                let manager = Arc::new(Mutex::new(Manager::new()));
+                let manager = Arc::new(Manager::new());
                 let (mut nodes, pools): (Vec<_>, Vec<_>) = daemons
                     .iter()
                     .map(|d| {
@@ -205,6 +207,7 @@ impl LiveCluster {
             backend,
             next_client: AtomicU32::new(0),
             gate: Arc::new(SerialGate::new()),
+            dump_stats: pvfs_types::env::parsed("PVFS_STATS", parse_stats, false),
             _scratch_storage: scratch_storage,
         }
     }
@@ -251,11 +254,6 @@ impl LiveCluster {
         )
     }
 
-    /// Statistics snapshot of one I/O daemon.
-    pub fn server_stats(&self, server: ServerId) -> Option<ServerStats> {
-        self.daemons.get(server.index()).map(|d| d.stats())
-    }
-
     /// Direct handle on one I/O daemon (verification oracles and storage
     /// crash injection in tests).
     pub fn daemon(&self, server: ServerId) -> Option<Arc<IoDaemon>> {
@@ -266,12 +264,23 @@ impl LiveCluster {
     /// [`StatsSnapshot`] the `GetStats` RPC returns, counters and
     /// histograms included.
     pub fn stats_snapshot(&self, server: ServerId) -> Option<StatsSnapshot> {
-        self.daemons.get(server.index()).map(|d| d.stats_snapshot())
+        self.daemons
+            .get(server.index())
+            .map(|d| d.ledger().snapshot())
     }
 
     /// The cluster-wide serialization gate (data sieving writes).
     pub fn gate(&self) -> Arc<SerialGate> {
         self.gate.clone()
+    }
+}
+
+/// Parse `PVFS_STATS`: `dump` — one JSON line per daemon on stderr when
+/// a [`LiveCluster`] tears down — is all it can say.
+pub fn parse_stats(spec: &str) -> Result<bool, String> {
+    match spec {
+        "dump" => Ok(true),
+        other => Err(format!("expected `dump`, got {other:?}")),
     }
 }
 
@@ -310,7 +319,7 @@ fn spawn_chan_server(
                 other => encode_response(id, &other).into(),
             };
             if !scrape {
-                worker_service.wire_tx(encoded.len() as u64);
+                worker_service.ledger().wire_tx(encoded.len() as u64);
             }
             reply.send(encoded);
             ControlFlow::Continue(())
@@ -326,12 +335,12 @@ impl Drop for LiveCluster {
         // PVFS_STATS=dump: one JSON line per daemon to stderr at
         // teardown, so any run (bench, shell, test) can be scraped
         // post-hoc without instrumenting the caller.
-        if std::env::var("PVFS_STATS").as_deref() == Ok("dump") {
+        if self.dump_stats {
             for daemon in &self.daemons {
                 eprintln!(
                     "{{\"daemon\":\"iod{}\",\"stats\":{}}}",
                     daemon.id().0,
-                    daemon.stats_snapshot().to_json()
+                    daemon.ledger().snapshot().to_json()
                 );
             }
         }

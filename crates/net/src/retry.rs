@@ -18,7 +18,6 @@
 use pvfs_types::RequestId;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use crate::envspec::{self, parse_duration};
@@ -69,12 +68,7 @@ impl RetryPolicy {
     /// Panics on a malformed spec, like the other `PVFS_*` variables: a
     /// typo'd chaos run must not silently change the policy under test.
     pub fn from_env() -> RetryPolicy {
-        envspec::from_env(
-            "PVFS_RETRY",
-            "retry policy",
-            RetryPolicy::parse,
-            RetryPolicy::default(),
-        )
+        pvfs_types::env::parsed("PVFS_RETRY", RetryPolicy::parse, RetryPolicy::default())
     }
 
     /// Parse a `PVFS_RETRY` spec (see [`RetryPolicy::from_env`]).
@@ -139,156 +133,10 @@ impl Backoff {
     }
 }
 
-/// What a client endpoint's RPCs cost in reliability currency: the
-/// measured counterpart of [`RetryPolicy`]. Shared by every clone of
-/// the endpoint (a `PvfsFile` counts into the client it came from).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClientStats {
-    /// RPC attempts issued (first tries and retries alike).
-    pub attempts: u64,
-    /// Attempts that were retries of a failed op.
-    pub retries: u64,
-    /// Total milliseconds slept in retry backoff.
-    pub backoff_ms: u64,
-    /// Faults the transport injected (0 on a clean transport).
-    pub faults_injected: u64,
-    /// Hedged duplicates issued for slow reads (`PVFS_HEDGE`).
-    pub hedges_sent: u64,
-    /// Hedged reads where the duplicate answered before the original.
-    pub hedge_wins: u64,
-    /// RPCs rejected client-side by an open circuit breaker
-    /// (`PvfsError::Unavailable`) without touching the wire.
-    pub breaker_rejections: u64,
-    /// `PvfsError::Overloaded` responses observed (server-side sheds
-    /// this endpoint ran into).
-    pub sheds_seen: u64,
-    /// Replicated reads that abandoned one copy and moved to the next
-    /// mirror instead of erroring the round (`PVFS_REPLICAS` > 1).
-    pub replica_failovers: u64,
-    /// Replicated writes that met their quorum while at least one copy
-    /// failed — divergence a later `scrub` will repair.
-    pub quorum_shortfalls: u64,
-}
-
-impl ClientStats {
-    /// Every counter, named, in declaration order. The destructuring is
-    /// deliberately exhaustive: adding a field to [`ClientStats`]
-    /// without listing it here fails to compile, so a new counter can
-    /// never again be silently absent from `stats` renderings (that is
-    /// exactly how `hedges_sent`..`quorum_shortfalls` went missing from
-    /// the shell before this existed).
-    pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        let ClientStats {
-            attempts,
-            retries,
-            backoff_ms,
-            faults_injected,
-            hedges_sent,
-            hedge_wins,
-            breaker_rejections,
-            sheds_seen,
-            replica_failovers,
-            quorum_shortfalls,
-        } = *self;
-        vec![
-            ("attempts", attempts),
-            ("retries", retries),
-            ("backoff_ms", backoff_ms),
-            ("faults_injected", faults_injected),
-            ("hedges_sent", hedges_sent),
-            ("hedge_wins", hedge_wins),
-            ("breaker_rejections", breaker_rejections),
-            ("sheds_seen", sheds_seen),
-            ("replica_failovers", replica_failovers),
-            ("quorum_shortfalls", quorum_shortfalls),
-        ]
-    }
-
-    /// Counter-wise difference (`self - earlier`): what happened
-    /// between two snapshots.
-    pub fn since(&self, earlier: &ClientStats) -> ClientStats {
-        ClientStats {
-            attempts: self.attempts - earlier.attempts,
-            retries: self.retries - earlier.retries,
-            backoff_ms: self.backoff_ms - earlier.backoff_ms,
-            faults_injected: self.faults_injected - earlier.faults_injected,
-            hedges_sent: self.hedges_sent - earlier.hedges_sent,
-            hedge_wins: self.hedge_wins - earlier.hedge_wins,
-            breaker_rejections: self.breaker_rejections - earlier.breaker_rejections,
-            sheds_seen: self.sheds_seen - earlier.sheds_seen,
-            replica_failovers: self.replica_failovers - earlier.replica_failovers,
-            quorum_shortfalls: self.quorum_shortfalls - earlier.quorum_shortfalls,
-        }
-    }
-}
-
-/// [`ClientStats`] as relaxed atomics, shared across endpoint clones.
-#[derive(Debug, Default)]
-pub(crate) struct AtomicClientStats {
-    attempts: AtomicU64,
-    retries: AtomicU64,
-    backoff_ms: AtomicU64,
-    hedges_sent: AtomicU64,
-    hedge_wins: AtomicU64,
-    breaker_rejections: AtomicU64,
-    sheds_seen: AtomicU64,
-    replica_failovers: AtomicU64,
-    quorum_shortfalls: AtomicU64,
-}
-
-impl AtomicClientStats {
-    pub(crate) fn record_attempts(&self, n: u64) {
-        self.attempts.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_retries(&self, n: u64, backoff: Duration) {
-        self.retries.fetch_add(n, Ordering::Relaxed);
-        self.backoff_ms
-            .fetch_add(backoff.as_millis() as u64, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_hedge(&self, won: bool) {
-        self.hedges_sent.fetch_add(1, Ordering::Relaxed);
-        if won {
-            self.hedge_wins.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    pub(crate) fn record_breaker_rejection(&self) {
-        self.breaker_rejections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_shed_seen(&self) {
-        self.sheds_seen.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_replica_failover(&self) {
-        self.replica_failovers.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_quorum_shortfall(&self) {
-        self.quorum_shortfalls.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn snapshot(&self, faults_injected: u64) -> ClientStats {
-        ClientStats {
-            attempts: self.attempts.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            backoff_ms: self.backoff_ms.load(Ordering::Relaxed),
-            faults_injected,
-            hedges_sent: self.hedges_sent.load(Ordering::Relaxed),
-            hedge_wins: self.hedge_wins.load(Ordering::Relaxed),
-            breaker_rejections: self.breaker_rejections.load(Ordering::Relaxed),
-            sheds_seen: self.sheds_seen.load(Ordering::Relaxed),
-            replica_failovers: self.replica_failovers.load(Ordering::Relaxed),
-            quorum_shortfalls: self.quorum_shortfalls.load(Ordering::Relaxed),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pvfs_types::{ClientLedger, ClientStats};
 
     #[test]
     fn default_retries_are_on_and_bounded() {
@@ -418,40 +266,16 @@ mod tests {
     }
 
     #[test]
-    fn counters_cover_every_field() {
-        let snap = ClientStats {
-            attempts: 1,
-            retries: 2,
-            backoff_ms: 3,
-            faults_injected: 4,
-            hedges_sent: 5,
-            hedge_wins: 6,
-            breaker_rejections: 7,
-            sheds_seen: 8,
-            replica_failovers: 9,
-            quorum_shortfalls: 10,
-        };
-        let counters = snap.counters();
-        // Distinct values 1..=10 in every slot: any dropped, duplicated
-        // or reordered field shows up as a mismatch.
-        assert_eq!(
-            counters.iter().map(|(_, v)| *v).collect::<Vec<_>>(),
-            (1..=10).collect::<Vec<u64>>()
-        );
-        let names: std::collections::HashSet<_> = counters.iter().map(|(n, _)| *n).collect();
-        assert_eq!(names.len(), counters.len(), "counter names are unique");
-    }
-
-    #[test]
     fn resilience_counters_accumulate_atomically() {
-        let stats = AtomicClientStats::default();
-        stats.record_hedge(true);
-        stats.record_hedge(false);
-        stats.record_hedge(true);
-        stats.record_breaker_rejection();
-        stats.record_shed_seen();
-        stats.record_shed_seen();
-        let snap = stats.snapshot(0);
+        use std::sync::atomic::Ordering::Relaxed;
+        let stats = ClientLedger::default();
+        for won in [1, 0, 1] {
+            stats.hedges_sent.fetch_add(1, Relaxed);
+            stats.hedge_wins.fetch_add(won, Relaxed);
+        }
+        stats.breaker_rejections.fetch_add(1, Relaxed);
+        stats.sheds_seen.fetch_add(2, Relaxed);
+        let snap = stats.snapshot();
         assert_eq!(snap.hedges_sent, 3);
         assert_eq!(snap.hedge_wins, 2);
         assert_eq!(snap.breaker_rejections, 1);

@@ -5,10 +5,13 @@
 //! to [`serve_rpc`], which is the only place the
 //! `begin → decode → serve → end` sequence (and its stats-scrape guard)
 //! exists. What a daemon *is* — an [`IoDaemon`] sharded by handle, the
-//! single-file [`Manager`] behind a mutex — sits behind the [`Service`]
-//! trait: serve a decoded request, account wire traffic, queue depth
-//! and service time, and say what to do with a frame that meets a full
-//! queue.
+//! [`Manager`] with its namespace behind one mutex — sits behind the
+//! [`Service`] trait, which is only what differs between the two: how a
+//! decoded request is served, what a frame that meets a full queue is
+//! told, and where the books are. The bookkeeping itself — wire bytes, queue depth,
+//! queue wait, service time — is the [`Ledger`]'s, the same for both, and
+//! a transport does it through [`Service::ledger`] without entering the
+//! daemon: accounting a manager frame takes no manager lock.
 //!
 //! # Buffers
 //!
@@ -27,47 +30,33 @@
 //! nothing else: no wire accounting, no queue gauge, no queue-wait or
 //! service-time sample, never shed. A scraped snapshot therefore equals
 //! the in-process one byte for byte, and scraping twice shows the same
-//! counters. Transports uphold their share by skipping
+//! counters. Transports uphold their share by skipping the ledger's
 //! `wire_rx`/`queued`/`wire_tx` for frames they flag as scrapes.
 
 use pvfs_proto::{decode_frame_id, decode_frame_reusing, Frame, Message, Request, Response};
 use pvfs_server::{IoDaemon, Manager, Scratch};
-use pvfs_types::{PvfsError, RequestId, TraceContext};
-use std::sync::{Mutex, MutexGuard};
+use pvfs_types::{Ledger, PvfsError, RequestId, TraceContext};
 use std::time::{Duration, Instant};
 
 /// One daemon as a transport sees it.
 pub(crate) trait Service: Send + Sync {
-    /// Serve one decoded request that waited `waited` in the queue,
-    /// recording server-side spans under `ctx` when the frame carried
-    /// trace context, out of the buffers `scratch` holds.
+    /// Serve one decoded request out of the buffers `scratch` holds.
+    /// `traced`: the frame carried trace context, and the request waited
+    /// this long in the queue — server-side spans are recorded under it.
     fn serve(
         &self,
         request: &Request,
-        ctx: Option<TraceContext>,
-        waited: Duration,
+        traced: Option<(TraceContext, Duration)>,
         scratch: &mut Scratch,
     ) -> Response;
-    /// A request frame of `bytes` wire bytes arrived.
-    fn wire_rx(&self, bytes: u64);
-    /// A response frame of `bytes` wire bytes is about to leave. A
-    /// transport calls this *before* handing the frame to the peer: a
-    /// client that holds a reply can never scrape counters that miss
-    /// that reply's frame.
-    fn wire_tx(&self, bytes: u64);
-    /// Takes back a [`Service::wire_tx`] whose write then failed.
-    fn retract_wire_tx(&self, bytes: u64);
-    /// A request frame entered the worker queue.
-    fn queued(&self) {}
-    /// A worker dequeued a request after it `waited` in the queue.
-    fn begin(&self, _waited: Duration) {}
-    /// A worker finished a request in `took` wall-clock time.
-    fn end(&self, took: Duration);
+    /// The daemon's books, in which the transport accounts every frame
+    /// that is not a stats scrape.
+    fn ledger(&self) -> &Ledger;
     /// A request met a full queue. `Some(refusal)`: the shed is
-    /// accounted (undoing [`Service::queued`]) and the transport answers
-    /// the typed, retryable, provably-unexecuted refusal instead of
-    /// queueing. `None`: this service never sheds — the transport waits
-    /// for room, and the wait is the backpressure.
+    /// accounted ([`Ledger::shed`]) and the transport answers the typed,
+    /// retryable, provably-unexecuted refusal instead of queueing.
+    /// `None`: this service never sheds — the transport waits for room,
+    /// and the wait is the backpressure.
     fn shed(&self) -> Option<PvfsError> {
         None
     }
@@ -106,14 +95,15 @@ pub(crate) fn serve_rpc(
     scratch: &mut Scratch,
 ) -> (RequestId, Response) {
     let waited = queued_at.elapsed();
+    let ledger = service.ledger();
     if !scrape {
-        service.begin(waited);
+        ledger.begin(waited);
     }
     let served_at = Instant::now();
     let header_id = decode_frame_id(&frame.head);
     let served = match decode_frame_reusing(frame, &mut scratch.regions) {
         Ok((Message { id, request, .. }, ctx)) => {
-            let response = service.serve(&request, ctx, waited, scratch);
+            let response = service.serve(&request, ctx.map(|ctx| (ctx, waited)), scratch);
             // The request ends here, before any reply can leave; of what
             // it held only the region list stays, back in the scratch.
             if let Some(regions) = request.into_regions() {
@@ -124,7 +114,7 @@ pub(crate) fn serve_rpc(
         Err(e) => (header_id.unwrap_or(RequestId(0)), Response::Error(e)),
     };
     if !scrape {
-        service.end(served_at.elapsed());
+        ledger.end(served_at.elapsed());
     }
     served
 }
@@ -133,11 +123,10 @@ impl Service for IoDaemon {
     fn serve(
         &self,
         request: &Request,
-        ctx: Option<TraceContext>,
-        waited: Duration,
+        traced: Option<(TraceContext, Duration)>,
         scratch: &mut Scratch,
     ) -> Response {
-        let (response, _) = self.handle_traced(request, ctx, waited, scratch);
+        let (response, _) = self.handle_with(request, scratch, traced);
         // Emulated service time occupies the worker, the way a blocking
         // disk access would; the reply leaves only after the stall.
         if let Some(stall) = self.config().emulated_latency {
@@ -146,32 +135,12 @@ impl Service for IoDaemon {
         response
     }
 
-    fn wire_rx(&self, bytes: u64) {
-        self.record_wire_rx(bytes);
-    }
-
-    fn wire_tx(&self, bytes: u64) {
-        self.record_wire_tx(bytes);
-    }
-
-    fn retract_wire_tx(&self, bytes: u64) {
-        IoDaemon::retract_wire_tx(self, bytes);
-    }
-
-    fn queued(&self) {
-        self.note_queued();
-    }
-
-    fn begin(&self, waited: Duration) {
-        self.begin_service(waited);
-    }
-
-    fn end(&self, took: Duration) {
-        self.end_service(took);
+    fn ledger(&self) -> &Ledger {
+        IoDaemon::ledger(self)
     }
 
     fn shed(&self) -> Option<PvfsError> {
-        self.note_shed();
+        IoDaemon::ledger(self).shed();
         Some(PvfsError::Overloaded {
             server: self.id().0,
             queue_depth: self.config().queue_depth.max(1) as u64,
@@ -179,40 +148,22 @@ impl Service for IoDaemon {
     }
 }
 
-/// Metadata operations are rare, order-sensitive and not idempotent: a
-/// mutex serializes them, a full queue waits instead of shedding, and
-/// with one worker the service time is the whole timing story (no queue
-/// gauge).
-impl Service for Mutex<Manager> {
+/// Metadata operations are rare, order-sensitive and not idempotent:
+/// the manager serializes them itself, and a full queue waits instead of
+/// shedding.
+impl Service for Manager {
     fn serve(
         &self,
         request: &Request,
-        ctx: Option<TraceContext>,
-        waited: Duration,
+        traced: Option<(TraceContext, Duration)>,
         _: &mut Scratch,
     ) -> Response {
-        locked(self).handle_traced(request, ctx, waited)
+        self.handle(request, traced)
     }
 
-    fn wire_rx(&self, bytes: u64) {
-        locked(self).record_wire_rx(bytes);
+    fn ledger(&self) -> &Ledger {
+        Manager::ledger(self)
     }
-
-    fn wire_tx(&self, bytes: u64) {
-        locked(self).record_wire_tx(bytes);
-    }
-
-    fn retract_wire_tx(&self, bytes: u64) {
-        locked(self).retract_wire_tx(bytes);
-    }
-
-    fn end(&self, took: Duration) {
-        locked(self).record_service(took);
-    }
-}
-
-fn locked(manager: &Mutex<Manager>) -> MutexGuard<'_, Manager> {
-    manager.lock().expect("a manager request panicked")
 }
 
 #[cfg(test)]
@@ -221,58 +172,36 @@ mod tests {
     use crate::chan::bounded;
     use crate::transport::{ChanNode, ChanTransport, NodeMsg, RpcTarget, Transport};
     use pvfs_proto::{encode_frame, encode_message};
-    use pvfs_types::{ClientId, FileHandle, ServerId};
+    use pvfs_types::{ClientId, FileHandle, ServerId, StatsSnapshot};
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    /// A service that writes down every call it gets.
+    /// A service with books of its own that counts what else it is
+    /// asked.
     #[derive(Default)]
     struct Recording {
-        calls: Mutex<Vec<&'static str>>,
+        ledger: Ledger,
+        served: AtomicU64,
+        shed_asked: AtomicU64,
         refusal: Option<PvfsError>,
-    }
-
-    impl Recording {
-        fn note(&self, call: &'static str) {
-            self.calls.lock().unwrap().push(call);
-        }
-
-        fn calls(&self) -> Vec<&'static str> {
-            std::mem::take(&mut *self.calls.lock().unwrap())
-        }
     }
 
     impl Service for Recording {
         fn serve(
             &self,
             request: &Request,
-            _: Option<TraceContext>,
-            _: Duration,
+            _: Option<(TraceContext, Duration)>,
             _: &mut Scratch,
         ) -> Response {
-            self.note("serve");
+            self.served.fetch_add(1, Ordering::Relaxed);
             Response::Error(PvfsError::invalid(request.op_name()))
         }
-        fn wire_rx(&self, _: u64) {
-            self.note("wire_rx");
-        }
-        fn wire_tx(&self, _: u64) {
-            self.note("wire_tx");
-        }
-        fn retract_wire_tx(&self, _: u64) {
-            self.note("retract_wire_tx");
-        }
-        fn queued(&self) {
-            self.note("queued");
-        }
-        fn begin(&self, _: Duration) {
-            self.note("begin");
-        }
-        fn end(&self, _: Duration) {
-            self.note("end");
+        fn ledger(&self) -> &Ledger {
+            &self.ledger
         }
         fn shed(&self) -> Option<PvfsError> {
-            self.note("shed");
-            self.refusal.clone()
+            self.shed_asked.fetch_add(1, Ordering::Relaxed);
+            self.refusal.clone().inspect(|_| self.ledger.shed())
         }
     }
 
@@ -297,8 +226,10 @@ mod tests {
             scratch,
         );
         assert_eq!(id, RequestId(5));
-        assert_eq!(service.calls(), ["serve"]);
+        assert_eq!(service.served.load(Ordering::Relaxed), 1);
+        assert_eq!(service.ledger.snapshot(), StatsSnapshot::default());
         // Any other frame is booked on both sides of the serve.
+        service.ledger.queued();
         serve_rpc(
             &service,
             frame(6, Request::Ping),
@@ -306,7 +237,13 @@ mod tests {
             false,
             scratch,
         );
-        assert_eq!(service.calls(), ["begin", "serve", "end"]);
+        assert_eq!(service.served.load(Ordering::Relaxed), 2);
+        let books = service.ledger.snapshot();
+        assert_eq!(
+            (books.queue_wait.count(), books.service_time.count()),
+            (1, 1)
+        );
+        assert_eq!((books.queue_depth, books.busy_workers), (0, 0));
     }
 
     #[test]
@@ -322,15 +259,18 @@ mod tests {
         // Header intact, body cut short.
         let cut = Frame::from(whole.slice(0..whole.len() - 3));
         let scratch = &mut Scratch::default();
+        service.ledger.queued();
         let (id, response) = serve_rpc(&service, cut, Instant::now(), false, scratch);
         assert_eq!(id, RequestId(9), "the header's id, not the reserved 0");
         assert!(matches!(response, Response::Error(PvfsError::Protocol(_))));
+        assert_eq!(service.served.load(Ordering::Relaxed), 0);
         assert_eq!(
-            service.calls(),
-            ["begin", "end"],
+            service.ledger.service_time.count(),
+            1,
             "a worker was busy with it"
         );
         // No readable header: the reserved id.
+        service.ledger.queued();
         let (id, _) = serve_rpc(
             &service,
             Frame::from(whole.slice(0..7)),
@@ -364,12 +304,20 @@ mod tests {
             queue_depth: 1,
         };
 
+        let books = |service: &Recording| {
+            let books = service.ledger.snapshot();
+            (books.frames_rx, books.queue_depth, books.requests_shed)
+        };
         let (service, _rx, transport) = transport_over(Some(overloaded.clone()));
         transport.dispatch(target, frame(1, Request::Ping)).unwrap();
-        assert_eq!(service.calls(), ["wire_rx", "queued"]);
+        assert_eq!(books(&service), (1, 1, 0));
         let refused = transport.dispatch(target, frame(2, Request::Ping));
         assert_eq!(refused.err(), Some(overloaded));
-        assert_eq!(service.calls(), ["wire_rx", "queued", "shed"]);
+        assert_eq!(
+            books(&service),
+            (2, 1, 1),
+            "the refused frame left the queue"
+        );
 
         let (service, rx, transport) = transport_over(None);
         transport.dispatch(target, frame(1, Request::Ping)).unwrap();
@@ -379,16 +327,13 @@ mod tests {
         };
         // Once `shed` has declined, the sender is waiting on a queue
         // only this thread can make room in.
-        while !service.calls.lock().unwrap().contains(&"shed") {
+        while service.shed_asked.load(Ordering::Relaxed) == 0 {
             std::thread::yield_now();
         }
         for _ in 0..2 {
             assert!(matches!(rx.recv(), Ok(NodeMsg::Rpc(..))));
         }
         assert!(sender.join().unwrap(), "the blocked send went through");
-        assert_eq!(
-            service.calls(),
-            ["wire_rx", "queued", "wire_rx", "queued", "shed"]
-        );
+        assert_eq!(books(&service), (2, 2, 0), "both frames are queued");
     }
 }

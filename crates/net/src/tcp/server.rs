@@ -44,7 +44,7 @@ use pvfs_proto::{
     data_response_head, decode_frame_id, encode_response, frame_is_stats_scrape, Response,
 };
 use pvfs_server::{IoDaemon, IodConfig, Manager, Scratch};
-use pvfs_types::RequestId;
+use pvfs_types::{Ledger, RequestId};
 use std::collections::HashMap;
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -145,7 +145,7 @@ impl TcpServer {
                         id,
                         response,
                         Some(scratch),
-                        (!scrape).then_some(&*worker_service),
+                        (!scrape).then_some(worker_service.ledger()),
                     );
                     ControlFlow::Continue(())
                 }
@@ -294,8 +294,9 @@ fn spawn_reader(
                     Ok(frame) => {
                         let scrape = frame_is_stats_scrape(&frame);
                         if !scrape {
-                            service.wire_rx(wire_len(frame.len()));
-                            service.queued();
+                            let ledger = service.ledger();
+                            ledger.wire_rx(wire_len(frame.len()));
+                            ledger.queued();
                         }
                         let msg = TcpMsg::Rpc(frame, writer.clone(), Instant::now());
                         let full = match pool_tx.try_send(msg) {
@@ -317,7 +318,7 @@ fn spawn_reader(
                             };
                             let id = decode_frame_id(&frame).unwrap_or(RequestId(0));
                             let refusal = Response::Error(refusal);
-                            send_reply(&writer, id, refusal, None, Some(&*service));
+                            send_reply(&writer, id, refusal, None, Some(service.ledger()));
                             continue;
                         }
                         // No shedding: block until the queue drains — TCP
@@ -332,7 +333,7 @@ fn spawn_reader(
                         // to know why it is being dropped. Id 0: the
                         // header was never read.
                         let refusal = Response::Error(e);
-                        send_reply(&writer, RequestId(0), refusal, None, Some(&*service));
+                        send_reply(&writer, RequestId(0), refusal, None, Some(service.ledger()));
                         let _ = stream.get_ref().shutdown(Shutdown::Both);
                         break;
                     }
@@ -359,7 +360,7 @@ fn send_reply(
     id: RequestId,
     response: Response,
     scratch: Option<Scratch>,
-    account: Option<&dyn Service>,
+    account: Option<&Ledger>,
 ) {
     let (head, encoded);
     let (front, payload): (&[u8], &[u8]) = match &response {
@@ -374,12 +375,12 @@ fn send_reply(
     };
     let wire = wire_len(front.len() + payload.len());
     let mut stream = conn.stream.lock().unwrap();
-    if let Some(service) = account {
-        service.wire_tx(wire);
+    if let Some(ledger) = account {
+        ledger.wire_tx(wire);
     }
     let sent = write_frame_parts(&mut *stream, front, payload).and_then(|()| stream.flush());
-    if let (Err(_), Some(service)) = (sent, account) {
-        service.retract_wire_tx(wire);
+    if let (Err(_), Some(ledger)) = (sent, account) {
+        ledger.retract_wire_tx(wire);
     }
     // The reply's view of the read buffer goes before the buffer is
     // reclaimed through its last handle.
@@ -411,7 +412,7 @@ impl TcpCluster {
             .collect();
         // One worker keeps metadata operations serialized in arrival
         // order.
-        let manager = Arc::new(Mutex::new(Manager::new()));
+        let manager = Arc::new(Manager::new());
         let mgr = TcpServer::spawn("pvfs-mgr", 1, depth, manager).expect("bind tcp manager");
         TcpCluster { servers, mgr }
     }

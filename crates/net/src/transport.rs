@@ -78,11 +78,8 @@ impl TransportKind {
     /// whole test suite runs over TCP without forking a single test:
     /// `PVFS_TRANSPORT=tcp cargo test`.
     pub fn from_env() -> TransportKind {
-        match std::env::var("PVFS_TRANSPORT") {
-            Ok(v) => TransportKind::parse(&v)
-                .unwrap_or_else(|| panic!("PVFS_TRANSPORT={v:?} is not a transport (chan|tcp)")),
-            Err(_) => TransportKind::Chan,
-        }
+        let parse = |v: &str| TransportKind::parse(v).ok_or("not a transport (chan|tcp)".into());
+        pvfs_types::env::parsed("PVFS_TRANSPORT", parse, TransportKind::Chan)
     }
 }
 
@@ -294,8 +291,9 @@ impl Lane for ChanLane {
         if let Some(service) = service {
             // The channel transport has no length prefix; its wire size
             // is the frame itself, head and payload.
-            service.wire_rx(frame.len() as u64);
-            service.queued();
+            let ledger = service.ledger();
+            ledger.wire_rx(frame.len() as u64);
+            ledger.queued();
         }
         let reply = ReplyTo {
             lane: self.reply_tx.clone(),

@@ -20,7 +20,7 @@ fn layout(n: u32) -> StripeLayout {
 }
 
 fn frames_rx(cluster: &LiveCluster, server: u32) -> u64 {
-    cluster.server_stats(ServerId(server)).unwrap().frames_rx
+    cluster.stats_snapshot(ServerId(server)).unwrap().frames_rx
 }
 
 /// The partial-round recovery contract, pinned exactly: when one op of
@@ -403,7 +403,7 @@ fn file_backend_survives_chaos_then_restart() {
         assert!(stats.faults_injected > 0, "seeded chaos must fire");
         // The barrier checkpointed every journal.
         for s in 0..4u32 {
-            let snap = cluster.daemon(ServerId(s)).unwrap().stats_snapshot();
+            let snap = cluster.daemon(ServerId(s)).unwrap().ledger().snapshot();
             assert_eq!(snap.journal_depth, 0, "daemon {s} left journal entries");
         }
     }

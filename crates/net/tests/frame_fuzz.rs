@@ -319,5 +319,5 @@ fn read_naming_a_huge_region_is_answered_and_the_daemon_keeps_serving() {
             data: Bytes::from(vec![0x5a; 8])
         }
     );
-    assert_eq!(daemons[0].stats().errors, 1);
+    assert_eq!(daemons[0].ledger().snapshot().errors, 1);
 }

@@ -1,13 +1,14 @@
 //! The `GetStats` control RPC must be a faithful, invisible observer on
 //! every transport: the snapshot a client scrapes over the wire equals
-//! the in-process [`ServerStats`] snapshot byte for byte on every
-//! counter, scraping repeatedly changes nothing, and `ResetStats` hands
-//! back the counters it zeroes.
+//! the in-process snapshot of the daemon's ledger on every metric,
+//! scraping repeatedly changes nothing, and `ResetStats` hands back the
+//! counters it zeroes.
 
 use bytes::Bytes;
+use pvfs_disk::{ScratchDir, StorageConfig, SyncPolicy};
 use pvfs_net::{ClusterClient, LiveCluster, RpcTarget, TransportKind};
 use pvfs_proto::{decode_response_frame, encode_frame, Frame, Message, OpClass, Request, Response};
-use pvfs_server::{IodConfig, ServerStats};
+use pvfs_server::IodConfig;
 use pvfs_types::{
     ClientId, FileHandle, PvfsError, Region, RequestId, ServerId, StatsSnapshot, StripeLayout,
 };
@@ -24,10 +25,20 @@ fn scrape(client: &ClusterClient, target: RpcTarget) -> StatsSnapshot {
     }
 }
 
+/// The durable backend, fsynced per batch, so that the storage engine's
+/// share of the ledger moves too.
+fn durable(dir: &ScratchDir) -> StorageConfig {
+    StorageConfig::File {
+        dir: dir.path().to_path_buf(),
+        sync: SyncPolicy::Always,
+    }
+}
+
 /// Drive a little traffic, then compare the scraped snapshot against
-/// the in-process view counter for counter.
+/// the in-process view, metric for metric.
 fn assert_scrape_matches_in_process(kind: TransportKind) {
-    let cluster = LiveCluster::spawn_transport(2, IodConfig::default(), kind);
+    let dir = ScratchDir::new("stats-rpc-scrape");
+    let cluster = LiveCluster::spawn_storage(2, IodConfig::default(), kind, durable(&dir));
     let client = cluster.client();
     let l = layout(2);
     let fh = FileHandle(1);
@@ -52,39 +63,40 @@ fn assert_scrape_matches_in_process(kind: TransportKind) {
             },
         )
         .unwrap();
+    client
+        .call(RpcTarget::Server(ServerId(0)), Request::Sync { handle: fh })
+        .unwrap();
 
     let scraped = scrape(&client, RpcTarget::Server(ServerId(0)));
-    let direct: ServerStats = cluster.server_stats(ServerId(0)).unwrap();
-    let direct_counters = [
-        ("requests", direct.requests),
-        ("contiguous_requests", direct.contiguous_requests),
-        ("list_requests", direct.list_requests),
-        ("regions", direct.regions),
-        ("bytes_read", direct.bytes_read),
-        ("bytes_written", direct.bytes_written),
-        ("errors", direct.errors),
-        ("bytes_rx", direct.bytes_rx),
-        ("bytes_tx", direct.bytes_tx),
-        ("frames_rx", direct.frames_rx),
-    ];
-    for ((name, over_wire), (dname, in_process)) in scraped.counters().iter().zip(direct_counters) {
-        assert_eq!(name, &dname, "counter order must match ServerStats");
+    let direct = cluster.stats_snapshot(ServerId(0)).unwrap();
+    assert_eq!(scraped, direct, "[{kind}] scraped != in-process");
+    // Not vacuously: every part of the ledger has moved — the daemon's,
+    // the transport's and the storage engine's.
+    for (name, value) in scraped.counters() {
+        let idle = [
+            "list_requests",
+            "errors",
+            "journal_replays",
+            "requests_shed",
+        ];
         assert_eq!(
-            *over_wire, in_process,
-            "[{kind}] {name}: scraped {over_wire} != in-process {in_process}"
+            value == 0,
+            idle.contains(&name),
+            "[{kind}] {name} = {value}"
         );
     }
-    assert_eq!(scraped.requests, 2);
+    assert_eq!(scraped.fsync_time.count(), scraped.fsyncs);
+    assert_eq!(scraped.requests, 3);
     assert_eq!(scraped.contiguous_requests, 2);
     assert_eq!(scraped.bytes_written, 16);
     assert_eq!(scraped.bytes_read, 16);
-    assert!(scraped.frames_rx >= 2);
+    assert!(scraped.frames_rx >= 3);
     // The served requests left queue-wait and service-time samples; the
     // scrape itself must not have added any.
-    assert_eq!(scraped.queue_wait.count(), 2, "[{kind}] queue_wait samples");
+    assert_eq!(scraped.queue_wait.count(), 3, "[{kind}] queue_wait samples");
     assert_eq!(
         scraped.service_time.count(),
-        2,
+        3,
         "[{kind}] service_time samples"
     );
     assert!(scraped.workers >= 1);
@@ -120,7 +132,8 @@ fn books_after_mixed_traffic(kind: TransportKind) -> StatsSnapshot {
         emulated_latency: Some(Duration::from_millis(100)),
         ..IodConfig::default()
     };
-    let cluster = LiveCluster::spawn_transport(1, config, kind);
+    let dir = ScratchDir::new("stats-rpc-books");
+    let cluster = LiveCluster::spawn_storage(1, config, kind, durable(&dir));
     let client = cluster.client();
     let target = RpcTarget::Server(ServerId(0));
     let (fh, l) = (FileHandle(1), layout(1));
@@ -206,13 +219,15 @@ fn chan_and_tcp_keep_the_same_books() {
     let chan = books_after_mixed_traffic(TransportKind::Chan);
     let tcp = books_after_mixed_traffic(TransportKind::Tcp);
     for ((name, over_chan), (_, over_tcp)) in chan.counters().into_iter().zip(tcp.counters()) {
-        if !name.starts_with("bytes_") || name == "bytes_read" || name == "bytes_written" {
+        if name != "bytes_rx" && name != "bytes_tx" {
             assert_eq!(
                 over_chan, over_tcp,
                 "{name}: chan {over_chan} != tcp {over_tcp}"
             );
         }
     }
+    assert_eq!(chan.gauges(), tcp.gauges());
+    assert!(chan.journal_appends > 0 && chan.fsyncs > 0, "{chan:?}");
     assert_eq!((chan.requests, chan.errors), (4, 0));
     assert_eq!(
         chan.frames_rx, 6,

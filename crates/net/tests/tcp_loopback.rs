@@ -26,7 +26,7 @@ fn layout(n: u32) -> StripeLayout {
 }
 
 fn frames_rx(cluster: &LiveCluster, server: u32) -> u64 {
-    cluster.server_stats(ServerId(server)).unwrap().frames_rx
+    cluster.stats_snapshot(ServerId(server)).unwrap().frames_rx
 }
 
 /// The paper's §3.3 claim, measured on real sockets: a noncontiguous
@@ -108,7 +108,7 @@ fn wire_bytes_count_the_length_prefix() {
         .unwrap()
         .recv(Duration::from_secs(5))
         .unwrap();
-    let stats = daemons[0].stats();
+    let stats = daemons[0].ledger().snapshot();
     assert_eq!(stats.frames_rx, 1);
     assert_eq!(stats.bytes_rx, wire);
     // LocalSize reply: 12-byte envelope + tag, 8-byte size, 4-byte prefix.
@@ -151,7 +151,7 @@ fn bytes_tx_includes_every_reply_the_client_already_holds() {
             .unwrap();
         expected_tx += 4 + reply.len() as u64;
         assert_eq!(
-            daemons[0].stats().bytes_tx,
+            daemons[0].ledger().snapshot().bytes_tx,
             expected_tx,
             "reply {k} is in hand but not in the counters"
         );
@@ -516,7 +516,7 @@ fn shutdown_still_serves_what_was_already_accepted() {
     // counts the frame, then queues it; shutdown joins the reader, so
     // the hand-off to the pool completes either way).
     let deadline = Instant::now() + Duration::from_secs(10);
-    while daemons[0].stats().frames_rx == 0 && Instant::now() < deadline {
+    while daemons[0].ledger().snapshot().frames_rx == 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(1));
     }
     tcp.shutdown();
@@ -647,7 +647,7 @@ fn four_request_frames_in_one_write_get_four_replies_with_their_own_ids() {
         .map(|id| (id, Response::Written { bytes: id }))
         .collect();
     assert_eq!(answered, expected);
-    assert_eq!(daemons[0].stats().frames_rx, 4);
+    assert_eq!(daemons[0].ledger().snapshot().frames_rx, 4);
     // Nothing further comes: four frames, four replies.
     conn.set_read_timeout(Some(Duration::from_millis(50)))
         .unwrap();

@@ -222,7 +222,7 @@ fn run_workload(cluster: &LiveCluster, mode: TraceMode) -> (Vec<u8>, u64, u64) {
     }
     let (mut bytes_rx, mut frames_rx) = (0, 0);
     for s in 0..2u32 {
-        let snap = cluster.server_stats(ServerId(s)).unwrap();
+        let snap = cluster.stats_snapshot(ServerId(s)).unwrap();
         bytes_rx += snap.bytes_rx;
         frames_rx += snap.frames_rx;
     }

@@ -1001,46 +1001,19 @@ fn get_trailing(buf: &mut Bytes, spare: &mut RegionList) -> PvfsResult<RegionLis
     Ok(regions)
 }
 
+/// A snapshot travels as the ledger declares it (`pvfs_types::metrics`):
+/// every counter, then every gauge, one word each, then every histogram.
 fn put_stats(buf: &mut BytesMut, s: &StatsSnapshot) {
-    for (_, v) in s.counters() {
+    for (_, v) in s.counters().into_iter().chain(s.gauges()) {
         buf.put_u64_le(v);
     }
-    buf.put_u64_le(s.workers);
-    buf.put_u64_le(s.busy_workers);
-    buf.put_u64_le(s.queue_depth);
-    buf.put_u64_le(s.journal_depth);
-    put_histogram(buf, &s.queue_wait);
-    put_histogram(buf, &s.service_time);
-    put_histogram(buf, &s.fsync_time);
+    for (_, h) in s.histograms() {
+        put_histogram(buf, h);
+    }
 }
 
 fn get_stats(buf: &mut Bytes) -> PvfsResult<StatsSnapshot> {
-    // Counters travel in StatsSnapshot::counters() order.
-    Ok(StatsSnapshot {
-        requests: get_u64(buf)?,
-        contiguous_requests: get_u64(buf)?,
-        list_requests: get_u64(buf)?,
-        regions: get_u64(buf)?,
-        bytes_read: get_u64(buf)?,
-        bytes_written: get_u64(buf)?,
-        errors: get_u64(buf)?,
-        bytes_rx: get_u64(buf)?,
-        bytes_tx: get_u64(buf)?,
-        frames_rx: get_u64(buf)?,
-        journal_appends: get_u64(buf)?,
-        journal_bytes: get_u64(buf)?,
-        journal_replays: get_u64(buf)?,
-        flushes: get_u64(buf)?,
-        fsyncs: get_u64(buf)?,
-        requests_shed: get_u64(buf)?,
-        workers: get_u64(buf)?,
-        busy_workers: get_u64(buf)?,
-        queue_depth: get_u64(buf)?,
-        journal_depth: get_u64(buf)?,
-        queue_wait: get_histogram(buf)?,
-        service_time: get_histogram(buf)?,
-        fsync_time: get_histogram(buf)?,
-    })
+    StatsSnapshot::read(buf, get_u64, get_histogram)
 }
 
 /// Histograms ship sparse: `sum (16B, lo/hi u64 halves) | min (8B) |
@@ -1544,6 +1517,70 @@ mod tests {
         let encoded = encode_response(RequestId(6), &Response::Stats(Box::new(empty.clone())));
         let (_, decoded) = decode_response(encoded).unwrap();
         assert_eq!(decoded, Response::Stats(Box::new(empty)));
+    }
+
+    /// One fully populated `Stats` frame against bytes written out by
+    /// hand: envelope, tag, the 16 counters in `counters()` order, the
+    /// four gauges, then the three histograms, sparse.
+    #[test]
+    fn stats_frame_is_pinned_byte_for_byte() {
+        let mut snap = StatsSnapshot {
+            requests: 1,
+            contiguous_requests: 2,
+            list_requests: 3,
+            regions: 4,
+            bytes_read: 5,
+            bytes_written: 6,
+            errors: 7,
+            bytes_rx: 8,
+            bytes_tx: 9,
+            frames_rx: 10,
+            journal_appends: 11,
+            journal_bytes: 12,
+            journal_replays: 13,
+            flushes: 14,
+            fsyncs: 15,
+            requests_shed: 16,
+            workers: 17,
+            busy_workers: 18,
+            queue_depth: 19,
+            journal_depth: 20,
+            ..Default::default()
+        };
+        snap.queue_wait.record(1_000);
+        snap.queue_wait.record(3_000);
+        snap.service_time.record(1_000_000);
+
+        let mut want: Vec<u8> = vec![0x56, 0x50, 1]; // magic, version
+        want.extend(0x0102_0304_0506_0708u64.to_le_bytes()); // request id
+        want.push(10); // RESP_STATS
+        for word in 1..=20u64 {
+            want.extend(word.to_le_bytes());
+        }
+        let histogram = |sum: u64, min: u64, max: u64, buckets: &[(u32, u64)]| {
+            let mut h = Vec::new();
+            for word in [sum, 0, min, max] {
+                h.extend(word.to_le_bytes());
+            }
+            h.extend((buckets.len() as u32).to_le_bytes());
+            for (index, count) in buckets {
+                h.extend(index.to_le_bytes());
+                h.extend(count.to_le_bytes());
+            }
+            h
+        };
+        // 1000 ns ∈ [2^9.5, 2^10) = bucket 19; 3000 ns ∈ [2^11.5, 2^12) = 23.
+        want.extend(histogram(4_000, 1_000, 3_000, &[(19, 1), (23, 1)]));
+        // 1 ms ∈ [2^19.5, 2^20) = bucket 39.
+        want.extend(histogram(1_000_000, 1_000_000, 1_000_000, &[(39, 1)]));
+        want.extend(histogram(0, 0, 0, &[]));
+        assert_eq!(want.len(), 3 + 8 + 1 + 20 * 8 + 3 * 36 + 3 * 12);
+
+        let id = RequestId(0x0102_0304_0506_0708);
+        let frame = encode_response(id, &Response::Stats(Box::new(snap.clone())));
+        assert_eq!(&frame[..], &want[..]);
+        let (back_id, back) = decode_response(Bytes::from(want)).unwrap();
+        assert_eq!((back_id, back), (id, Response::Stats(Box::new(snap))));
     }
 
     #[test]

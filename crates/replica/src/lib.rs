@@ -101,13 +101,13 @@ impl ReplicaPolicy {
     /// Read `PVFS_REPLICAS` / `PVFS_WRITE_QUORUM`, validated against
     /// the cluster size. Unset variables mean "unreplicated".
     pub fn from_env(n_servers: u32) -> PvfsResult<ReplicaPolicy> {
-        let replicas = match std::env::var("PVFS_REPLICAS") {
-            Ok(v) => parse_replicas(&v, n_servers)?,
-            Err(_) => 1,
+        let replicas = match pvfs_types::env::lookup("PVFS_REPLICAS") {
+            Some(v) => parse_replicas(&v, n_servers)?,
+            None => 1,
         };
-        let quorum = match std::env::var("PVFS_WRITE_QUORUM") {
-            Ok(v) => parse_quorum(&v)?,
-            Err(_) => WriteQuorum::All,
+        let quorum = match pvfs_types::env::lookup("PVFS_WRITE_QUORUM") {
+            Some(v) => parse_quorum(&v)?,
+            None => WriteQuorum::All,
         };
         Ok(ReplicaPolicy { replicas, quorum })
     }

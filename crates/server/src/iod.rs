@@ -6,35 +6,44 @@
 //! local file with the layout carried in the request (PVFS I/O requests
 //! carry striping metadata, §3.3) and never sees other servers' bytes.
 //!
-//! The daemon is a pure state machine: [`IoDaemon::handle`] consumes a
-//! request, mutates local state, and returns the response together with
-//! a [`ServeCost`] — counts and disk time the simulator converts into
-//! virtual CPU/disk time. List requests additionally report how many
-//! file regions they carried, because per-region processing is a real
-//! cost the paper's analysis (§3.4) calls out.
+//! The daemon is a pure state machine with one serve entry,
+//! [`IoDaemon::handle_with`] ([`IoDaemon::handle`] is its allocating,
+//! untraced convenience): it consumes a request, mutates local state,
+//! and returns the response together with a [`ServeCost`] — the counts
+//! the simulator converts into virtual CPU time. List requests
+//! additionally report how many file regions they carried, because
+//! per-region processing is a real cost the paper's analysis (§3.4)
+//! calls out. Virtual *disk* time is in the cost only when the daemon
+//! was built for the simulator ([`IoDaemon::with_cost_model`]): a live
+//! daemon prices nothing.
+//!
+//! Everything the daemon counts goes into one [`Ledger`], which it
+//! shares with the stores it opens and the transport in front of it; a
+//! `GetStats` scrape is a snapshot of that ledger and nothing else.
 
 use bytes::{Bytes, BytesMut};
 use pvfs_disk::{
-    CacheConfig, CostReport, CrashPoint, DiskModel, FileStore, LocalFile, StorageConfig,
-    StorageMetrics,
+    CacheConfig, CostReport, CrashPoint, DiskModel, FileStore, LocalFile, SparseStore,
+    StorageBackend, StorageConfig,
 };
 use pvfs_proto::{Request, Response, MAX_BULK_BYTES};
-use pvfs_types::trace::{self, FlightRecorder, Span, SpanId, TraceContext};
+use pvfs_types::trace::{self, FlightRecorder, TraceContext};
 use pvfs_types::{
-    FileHandle, PvfsError, PvfsResult, Region, RegionList, ServerId, SharedHistogram,
-    StatsSnapshot, StripeLayout,
+    FileHandle, Ledger, PvfsError, PvfsResult, Region, RegionList, ServerId, StripeLayout,
 };
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Static configuration for one I/O daemon.
 #[derive(Debug, Clone, Copy)]
 pub struct IodConfig {
-    /// Buffer-cache parameters for each local file.
+    /// Buffer-cache model parameters for each local file of a daemon
+    /// built [`IoDaemon::with_cost_model`] (the simulator's); a live
+    /// daemon runs no such model.
     pub cache: CacheConfig,
-    /// Disk timing model.
+    /// Disk timing model, likewise the simulator's.
     pub disk: DiskModel,
     /// Worker threads serving this daemon's request queue on the live
     /// path ([`crate::IoDaemon::handle`] takes `&self`, so workers serve
@@ -87,90 +96,6 @@ impl ServeCost {
     fn merge_disk(&mut self, r: CostReport) {
         self.disk.merge(r);
         self.local_accesses += 1;
-    }
-}
-
-/// Lifetime statistics for one I/O daemon.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Requests served, by class.
-    pub requests: u64,
-    /// Contiguous read/write requests.
-    pub contiguous_requests: u64,
-    /// List I/O requests.
-    pub list_requests: u64,
-    /// Total file regions processed.
-    pub regions: u64,
-    /// Bytes returned to clients.
-    pub bytes_read: u64,
-    /// Bytes accepted from clients.
-    pub bytes_written: u64,
-    /// Requests answered with an error.
-    pub errors: u64,
-    /// Wire bytes received by this daemon's transport (request frames;
-    /// on TCP this includes the length prefixes).
-    pub bytes_rx: u64,
-    /// Wire bytes sent by this daemon's transport (response frames).
-    pub bytes_tx: u64,
-    /// Request frames received by this daemon's transport. The paper's
-    /// ⌈n/64⌉ claim is about exactly this counter: one list request
-    /// frame moves up to 64 regions.
-    pub frames_rx: u64,
-    /// Journal records appended by the durable storage backend (zero on
-    /// the memory backend).
-    pub journal_appends: u64,
-    /// Bytes appended to write-ahead journals.
-    pub journal_bytes: u64,
-    /// Journal records replayed at recovery.
-    pub journal_replays: u64,
-    /// Durability flushes (checkpoints + explicit sync barriers).
-    pub flushes: u64,
-    /// `fsync` syscalls issued.
-    pub fsyncs: u64,
-    /// Requests shed off a full queue with [`PvfsError::Overloaded`]
-    /// before any worker saw them (load shedding under brown-out).
-    pub requests_shed: u64,
-}
-
-/// [`ServerStats`] as relaxed atomics, so concurrently served requests
-/// (the live cluster's worker pool) can count without a stats lock.
-#[derive(Debug, Default)]
-struct AtomicStats {
-    requests: AtomicU64,
-    contiguous_requests: AtomicU64,
-    list_requests: AtomicU64,
-    regions: AtomicU64,
-    bytes_read: AtomicU64,
-    bytes_written: AtomicU64,
-    errors: AtomicU64,
-    bytes_rx: AtomicU64,
-    bytes_tx: AtomicU64,
-    frames_rx: AtomicU64,
-    requests_shed: AtomicU64,
-}
-
-impl AtomicStats {
-    fn snapshot(&self) -> ServerStats {
-        ServerStats {
-            requests: self.requests.load(Ordering::Relaxed),
-            contiguous_requests: self.contiguous_requests.load(Ordering::Relaxed),
-            list_requests: self.list_requests.load(Ordering::Relaxed),
-            regions: self.regions.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            bytes_rx: self.bytes_rx.load(Ordering::Relaxed),
-            bytes_tx: self.bytes_tx.load(Ordering::Relaxed),
-            frames_rx: self.frames_rx.load(Ordering::Relaxed),
-            requests_shed: self.requests_shed.load(Ordering::Relaxed),
-            // Storage-engine counters live in the daemon's shared
-            // StorageMetrics; IoDaemon::stats fills them in.
-            journal_appends: 0,
-            journal_bytes: 0,
-            journal_replays: 0,
-            flushes: 0,
-            fsyncs: 0,
-        }
     }
 }
 
@@ -269,24 +194,14 @@ pub struct IoDaemon {
     /// Which storage backend each local file gets ([`StorageConfig::Mem`]
     /// unless built with [`IoDaemon::with_storage`]).
     storage: StorageConfig,
-    /// Storage-engine counters shared with every [`FileStore`] this
-    /// daemon opens.
-    smetrics: Arc<StorageMetrics>,
+    /// Whether local files price their accesses with the cache and disk
+    /// models of `config` (only [`IoDaemon::with_cost_model`]'s do).
+    cost_model: bool,
     shards: Vec<Mutex<HashMap<FileHandle, LocalFile>>>,
-    stats: AtomicStats,
-    /// Time requests spent parked in the transport queue before a
-    /// worker picked them up. Recorded by the transport via
-    /// [`IoDaemon::begin_service`]; a daemon driven in-process (the
-    /// simulator) has no queue and leaves this empty.
-    queue_wait: SharedHistogram,
-    /// Wall-clock service time per request, recorded by the transport
-    /// via [`IoDaemon::end_service`].
-    service_time: SharedHistogram,
-    /// Workers currently inside [`IoDaemon::handle`] (live gauge).
-    busy_workers: AtomicU64,
-    /// Requests accepted by the transport but not yet picked up by a
-    /// worker (live queue-depth gauge).
-    inflight: AtomicU64,
+    /// This daemon's books, shared with every [`FileStore`] it opens and
+    /// kept, for wire and queue, by the transport in front of it (a daemon
+    /// driven in-process, the simulator's, has neither).
+    ledger: Arc<Ledger>,
     /// This daemon's trace ring buffer: spans recorded while serving
     /// traced requests, scraped by `GetTrace`. Bounded by
     /// `PVFS_TRACE_CAP`; costs nothing while no request carries trace
@@ -310,20 +225,28 @@ impl IoDaemon {
             id,
             config,
             storage,
-            smetrics: Arc::new(StorageMetrics::default()),
+            cost_model: false,
             shards: (0..FILE_SHARDS)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
-            stats: AtomicStats::default(),
-            queue_wait: SharedHistogram::new(),
-            service_time: SharedHistogram::new(),
-            busy_workers: AtomicU64::new(0),
-            inflight: AtomicU64::new(0),
+            ledger: Arc::new(Ledger::with_workers(config.workers as u64)),
             recorder: Arc::new(FlightRecorder::from_env()),
         }
     }
 
-    /// A daemon with paper-default cache and disk.
+    /// A memory-backed daemon for the simulator: its local files run the
+    /// buffer-cache and disk models of `config` on every access, so each
+    /// [`ServeCost`] it returns carries the virtual disk time
+    /// (`disk.disk_ns`) the simulator advances its clock by. A daemon
+    /// built any other way serves the same bytes and prices nothing.
+    pub fn with_cost_model(id: ServerId, config: IodConfig) -> IoDaemon {
+        IoDaemon {
+            cost_model: true,
+            ..IoDaemon::new(id, config)
+        }
+    }
+
+    /// A daemon with the default configuration.
     pub fn with_defaults(id: ServerId) -> IoDaemon {
         IoDaemon::new(id, IodConfig::default())
     }
@@ -338,32 +261,16 @@ impl IoDaemon {
         self.config
     }
 
-    /// This daemon's storage backend selection.
-    pub fn storage(&self) -> &StorageConfig {
-        &self.storage
-    }
-
-    /// The storage-engine counters this daemon's files report into.
-    pub fn storage_metrics(&self) -> Arc<StorageMetrics> {
-        Arc::clone(&self.smetrics)
+    /// This daemon's books: the transport in front of it accounts wire
+    /// traffic and queueing through this, with no call into the daemon,
+    /// and a `GetStats` scrape is its `snapshot()`.
+    pub fn ledger(&self) -> &Arc<Ledger> {
+        &self.ledger
     }
 
     /// This daemon's flight recorder (span ring buffer).
     pub fn recorder(&self) -> &Arc<FlightRecorder> {
         &self.recorder
-    }
-
-    /// Lifetime statistics (a consistent-enough snapshot: each counter
-    /// is exact; cross-counter skew is possible while requests are in
-    /// flight).
-    pub fn stats(&self) -> ServerStats {
-        let mut s = self.stats.snapshot();
-        s.journal_appends = self.smetrics.journal_appends.load(Ordering::Relaxed);
-        s.journal_bytes = self.smetrics.journal_bytes.load(Ordering::Relaxed);
-        s.journal_replays = self.smetrics.journal_replays.load(Ordering::Relaxed);
-        s.flushes = self.smetrics.flushes.load(Ordering::Relaxed);
-        s.fsyncs = self.smetrics.fsyncs.load(Ordering::Relaxed);
-        s
     }
 
     fn shard(&self, handle: FileHandle) -> &Mutex<HashMap<FileHandle, LocalFile>> {
@@ -401,118 +308,6 @@ impl IoDaemon {
             .unwrap_or_default()
     }
 
-    /// Account one request frame arriving on this daemon's transport
-    /// (`wire_bytes` = frame plus any transport framing overhead). The
-    /// transport layer calls this, not the daemon itself — a daemon
-    /// served in-process by the simulator never sees wire traffic.
-    pub fn record_wire_rx(&self, wire_bytes: u64) {
-        self.stats.frames_rx.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes_rx.fetch_add(wire_bytes, Ordering::Relaxed);
-    }
-
-    /// Account one response frame leaving on this daemon's transport.
-    pub fn record_wire_tx(&self, wire_bytes: u64) {
-        self.stats.bytes_tx.fetch_add(wire_bytes, Ordering::Relaxed);
-    }
-
-    /// Take back a [`record_wire_tx`](IoDaemon::record_wire_tx) whose
-    /// frame never left: a stream transport accounts a response before
-    /// it writes it, and the write can fail. Saturating, so a
-    /// `ResetStats` landing in between cannot wrap the counter.
-    pub fn retract_wire_tx(&self, wire_bytes: u64) {
-        let _ = self
-            .stats
-            .bytes_tx
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(wire_bytes))
-            });
-    }
-
-    /// The transport accepted a request onto this daemon's queue. Bumps
-    /// the live queue-depth gauge; paired with [`IoDaemon::begin_service`].
-    pub fn note_queued(&self) {
-        self.inflight.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The transport shed a request off a full queue (fast-failed with
-    /// `Overloaded` before any worker saw it). Undoes the
-    /// [`IoDaemon::note_queued`] gauge bump and counts the shed.
-    pub fn note_shed(&self) {
-        self.inflight.fetch_sub(1, Ordering::Relaxed);
-        self.stats.requests_shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A worker dequeued a request after it `waited` in the queue.
-    /// Records queue wait and moves the request from the queue gauge to
-    /// the busy-worker gauge; paired with [`IoDaemon::end_service`].
-    pub fn begin_service(&self, waited: Duration) {
-        self.inflight.fetch_sub(1, Ordering::Relaxed);
-        self.busy_workers.fetch_add(1, Ordering::Relaxed);
-        self.queue_wait.record_duration(waited);
-    }
-
-    /// A worker finished serving a request in `took` wall-clock time.
-    pub fn end_service(&self, took: Duration) {
-        self.busy_workers.fetch_sub(1, Ordering::Relaxed);
-        self.service_time.record_duration(took);
-    }
-
-    /// Everything the `GetStats` control RPC reports: the
-    /// [`ServerStats`] counters (field for field), the worker-pool
-    /// gauges, and the queue-wait / service-time distributions.
-    pub fn stats_snapshot(&self) -> StatsSnapshot {
-        let s = self.stats();
-        StatsSnapshot {
-            requests: s.requests,
-            contiguous_requests: s.contiguous_requests,
-            list_requests: s.list_requests,
-            regions: s.regions,
-            bytes_read: s.bytes_read,
-            bytes_written: s.bytes_written,
-            errors: s.errors,
-            bytes_rx: s.bytes_rx,
-            bytes_tx: s.bytes_tx,
-            frames_rx: s.frames_rx,
-            journal_appends: s.journal_appends,
-            journal_bytes: s.journal_bytes,
-            journal_replays: s.journal_replays,
-            flushes: s.flushes,
-            fsyncs: s.fsyncs,
-            requests_shed: s.requests_shed,
-            workers: self.config.workers as u64,
-            busy_workers: self.busy_workers.load(Ordering::Relaxed),
-            queue_depth: self.inflight.load(Ordering::Relaxed),
-            journal_depth: self.smetrics.journal_depth.load(Ordering::Relaxed),
-            queue_wait: self.queue_wait.snapshot(),
-            service_time: self.service_time.snapshot(),
-            fsync_time: self.smetrics.fsync_time.snapshot(),
-        }
-    }
-
-    /// Zero the lifetime counters and distributions (`ResetStats`).
-    /// The live gauges (queue depth, busy workers) describe current
-    /// state, not history, and are left alone.
-    pub fn reset_stats(&self) {
-        for c in [
-            &self.stats.requests,
-            &self.stats.contiguous_requests,
-            &self.stats.list_requests,
-            &self.stats.regions,
-            &self.stats.bytes_read,
-            &self.stats.bytes_written,
-            &self.stats.errors,
-            &self.stats.bytes_rx,
-            &self.stats.bytes_tx,
-            &self.stats.frames_rx,
-            &self.stats.requests_shed,
-        ] {
-            c.store(0, Ordering::Relaxed);
-        }
-        self.smetrics.reset();
-        self.queue_wait.reset();
-        self.service_time.reset();
-    }
-
     /// Arm a storage crash on a handle's backend (test fault injection;
     /// a no-op for the memory backend or an untouched handle).
     pub fn inject_storage_crash(&self, handle: FileHandle, point: CrashPoint) {
@@ -522,17 +317,43 @@ impl IoDaemon {
         }
     }
 
-    /// Serve one request out of buffers of its own. `&self`: safe to
-    /// call from many threads at once.
+    /// Serve one request out of buffers of its own, untraced — the
+    /// allocating convenience of [`IoDaemon::handle_with`]. `&self`: safe
+    /// to call from many threads at once.
     pub fn handle(&self, request: &Request) -> (Response, ServeCost) {
-        self.handle_with(request, &mut Scratch::default())
+        self.handle_with(request, &mut Scratch::default(), None)
     }
 
     /// Serve one request, its buffers taken from (and, but for a `Data`
     /// reply's, left in) `scratch`. After a `Data` reply the caller owes
     /// the scratch one of [`Scratch::reclaim_read`] or
     /// [`Scratch::forget_read`].
-    pub fn handle_with(&self, request: &Request, scratch: &mut Scratch) -> (Response, ServeCost) {
+    ///
+    /// `traced`: the request arrived in a traced frame and waited this
+    /// long for a worker — its server-side spans are recorded
+    /// ([`trace::serve_spans`]: `queue`, `service`, and under that what
+    /// the storage engine adds to the sink: `storage:read`,
+    /// `storage:write`, `journal:fsync`). Control scrapes never are.
+    pub fn handle_with(
+        &self,
+        request: &Request,
+        scratch: &mut Scratch,
+        traced: Option<(TraceContext, Duration)>,
+    ) -> (Response, ServeCost) {
+        match traced {
+            Some((ctx, waited)) if !request.is_control_scrape() => trace::serve_spans(
+                &self.recorder,
+                ctx,
+                &format!("iod{}", self.id.0),
+                request.op_name(),
+                Some(waited),
+                || self.serve(request, scratch),
+            ),
+            _ => self.serve(request, scratch),
+        }
+    }
+
+    fn serve(&self, request: &Request, scratch: &mut Scratch) -> (Response, ServeCost) {
         // Stats scrapes answer before any counter moves: a monitoring
         // poll must observe the daemon, not perturb it, so the snapshot
         // a client scrapes equals the in-process snapshot byte for
@@ -540,13 +361,13 @@ impl IoDaemon {
         match request {
             Request::GetStats => {
                 return (
-                    Response::Stats(Box::new(self.stats_snapshot())),
+                    Response::Stats(Box::new(self.ledger.snapshot())),
                     ServeCost::default(),
                 );
             }
             Request::ResetStats => {
-                let snap = self.stats_snapshot();
-                self.reset_stats();
+                let snap = self.ledger.snapshot();
+                self.ledger.reset();
                 return (Response::Stats(Box::new(snap)), ServeCost::default());
             }
             Request::GetTrace { trace } => {
@@ -561,70 +382,15 @@ impl IoDaemon {
             }
             _ => {}
         }
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
+        self.ledger.requests.fetch_add(1, Ordering::Relaxed);
         let result = self.dispatch(request, scratch);
         match result {
             Ok(ok) => ok,
             Err(e) => {
-                self.stats.errors.fetch_add(1, Ordering::Relaxed);
+                self.ledger.errors.fetch_add(1, Ordering::Relaxed);
                 (Response::Error(e), ServeCost::default())
             }
         }
-    }
-
-    /// Serve one request that arrived on a transport, recording its
-    /// server-side spans when the frame carried trace context: a
-    /// `queue` span covering the `waited` time before a worker picked
-    /// it up, a `service` span around the actual work, and — via the
-    /// thread-local sink — `storage:read`/`storage:write`/
-    /// `journal:fsync` children contributed by the storage engine.
-    /// Without context (or for control scrapes) this is exactly
-    /// [`IoDaemon::handle_with`].
-    pub fn handle_traced(
-        &self,
-        request: &Request,
-        ctx: Option<TraceContext>,
-        waited: Duration,
-        scratch: &mut Scratch,
-    ) -> (Response, ServeCost) {
-        let Some(ctx) = ctx else {
-            return self.handle_with(request, scratch);
-        };
-        if request.is_control_scrape() {
-            return self.handle_with(request, scratch);
-        }
-        let node = format!("iod{}", self.id.0);
-        let svc_start = trace::now_ns();
-        let queue_ns = waited.as_nanos() as u64;
-        self.recorder.push(Span {
-            trace: ctx.trace,
-            id: SpanId::next(),
-            parent: ctx.parent,
-            node: node.clone(),
-            op: "queue".into(),
-            start_ns: svc_start.saturating_sub(queue_ns),
-            dur_ns: queue_ns,
-            notes: Vec::new(),
-        });
-        let service_id = SpanId::next();
-        let child = TraceContext {
-            trace: ctx.trace,
-            parent: service_id,
-        };
-        let result = trace::with_span_sink(child, &node, &self.recorder, || {
-            self.handle_with(request, scratch)
-        });
-        self.recorder.push(Span {
-            trace: ctx.trace,
-            id: service_id,
-            parent: ctx.parent,
-            node,
-            op: "service".into(),
-            start_ns: svc_start,
-            dur_ns: trace::now_ns().saturating_sub(svc_start),
-            notes: vec![request.op_name().into()],
-        });
-        result
     }
 
     fn dispatch(
@@ -635,16 +401,9 @@ impl IoDaemon {
         match request {
             Request::GetLocalSize { handle } => {
                 let mut shard = self.shard(*handle).lock().unwrap();
-                let size = match shard.get(handle) {
-                    Some(f) => f.size(),
-                    // A restarted file-backed daemon has no in-memory
-                    // entry yet, but the handle may live on disk —
-                    // recover it rather than reporting an empty file.
-                    None if self.handle_on_disk(*handle) => {
-                        self.file_entry(&mut shard, *handle)?.size()
-                    }
-                    None => 0,
-                };
+                let size = self
+                    .known_file(&mut shard, *handle)?
+                    .map_or(0, |f| f.size());
                 Ok((Response::LocalSize { size }, ServeCost::default()))
             }
             Request::Read {
@@ -652,7 +411,7 @@ impl IoDaemon {
                 layout,
                 region,
             } => {
-                self.stats
+                self.ledger
                     .contiguous_requests
                     .fetch_add(1, Ordering::Relaxed);
                 let slot = self.slot_in(layout)?;
@@ -666,40 +425,20 @@ impl IoDaemon {
                 region,
                 data,
             } => {
-                self.stats
+                self.ledger
                     .contiguous_requests
                     .fetch_add(1, Ordering::Relaxed);
                 let slot = self.slot_in(layout)?;
-                let expected = layout.bytes_on_slot(*region, slot);
-                if data.len() as u64 != expected {
-                    return Err(PvfsError::protocol(format!(
-                        "write payload is {} bytes but this server owns {expected} of {region:?}",
-                        data.len()
-                    )));
-                }
-                let mut cost = ServeCost {
-                    regions: 1,
-                    ..ServeCost::default()
-                };
-                let mut consumed = 0usize;
-                let mut runs = scratch.take_runs(1);
-                plan_region_runs(layout, slot, *region, data, &mut consumed, &mut runs);
-                let written = consumed as u64;
-                let applied = self.apply(*handle, &runs, &mut cost);
-                scratch.put_runs(runs);
-                applied?;
-                self.stats.regions.fetch_add(1, Ordering::Relaxed);
-                self.stats
-                    .bytes_written
-                    .fetch_add(written, Ordering::Relaxed);
-                Ok((Response::Written { bytes: written }, cost))
+                self.scatter(*handle, layout, slot, data, scratch, || {
+                    std::iter::once(*region)
+                })
             }
             Request::ReadList {
                 handle,
                 layout,
                 regions,
             } => {
-                self.stats.list_requests.fetch_add(1, Ordering::Relaxed);
+                self.ledger.list_requests.fetch_add(1, Ordering::Relaxed);
                 pvfs_proto::check_list(regions)?;
                 let slot = self.slot_in(layout)?;
                 let count = regions.count() as u64;
@@ -713,47 +452,19 @@ impl IoDaemon {
                 regions,
                 data,
             } => {
-                self.stats.list_requests.fetch_add(1, Ordering::Relaxed);
+                self.ledger.list_requests.fetch_add(1, Ordering::Relaxed);
                 pvfs_proto::check_list(regions)?;
                 let slot = self.slot_in(layout)?;
-                let (expected, owned) = owned_share(layout, slot, regions.iter().copied());
-                if data.len() as u64 != expected {
-                    return Err(PvfsError::protocol(format!(
-                        "write_list payload is {} bytes but this server owns {expected}",
-                        data.len()
-                    )));
-                }
-                let mut cost = ServeCost {
-                    regions: regions.count() as u64,
-                    ..ServeCost::default()
-                };
-                // Plan every region's local runs first, then commit them
-                // as ONE batch: on the durable backend the whole
-                // ⌈n/64⌉-region list write is a single journal record,
-                // all-or-nothing across a crash.
-                let mut consumed = 0usize;
-                let mut runs = scratch.take_runs(owned);
-                for region in regions {
-                    plan_region_runs(layout, slot, *region, data, &mut consumed, &mut runs);
-                }
-                let written = consumed as u64;
-                let applied = self.apply(*handle, &runs, &mut cost);
-                scratch.put_runs(runs);
-                applied?;
-                self.stats
-                    .regions
-                    .fetch_add(regions.count() as u64, Ordering::Relaxed);
-                self.stats
-                    .bytes_written
-                    .fetch_add(written, Ordering::Relaxed);
-                Ok((Response::Written { bytes: written }, cost))
+                self.scatter(*handle, layout, slot, data, scratch, || {
+                    regions.iter().copied()
+                })
             }
             Request::ReadVectors {
                 handle,
                 layout,
                 runs,
             } => {
-                self.stats.list_requests.fetch_add(1, Ordering::Relaxed);
+                self.ledger.list_requests.fetch_add(1, Ordering::Relaxed);
                 let slot = self.slot_in(layout)?;
                 for run in runs {
                     run.validate()?;
@@ -769,39 +480,14 @@ impl IoDaemon {
                 runs,
                 data,
             } => {
-                self.stats.list_requests.fetch_add(1, Ordering::Relaxed);
+                self.ledger.list_requests.fetch_add(1, Ordering::Relaxed);
                 let slot = self.slot_in(layout)?;
                 for run in runs {
                     run.validate()?;
                 }
-                let (expected, owned) =
-                    owned_share(layout, slot, runs.iter().flat_map(|run| run.regions()));
-                if data.len() as u64 != expected {
-                    return Err(PvfsError::protocol(format!(
-                        "write_vectors payload is {} bytes but this server owns {expected}",
-                        data.len()
-                    )));
-                }
-                let mut cost = ServeCost::default();
-                let mut consumed = 0usize;
-                let mut wruns = scratch.take_runs(owned);
-                for run in runs {
-                    for region in run.regions() {
-                        cost.regions += 1;
-                        plan_region_runs(layout, slot, region, data, &mut consumed, &mut wruns);
-                    }
-                }
-                let written = consumed as u64;
-                let applied = self.apply(*handle, &wruns, &mut cost);
-                scratch.put_runs(wruns);
-                applied?;
-                self.stats
-                    .regions
-                    .fetch_add(cost.regions, Ordering::Relaxed);
-                self.stats
-                    .bytes_written
-                    .fetch_add(written, Ordering::Relaxed);
-                Ok((Response::Written { bytes: written }, cost))
+                self.scatter(*handle, layout, slot, data, scratch, || {
+                    runs.iter().flat_map(|run| run.regions())
+                })
             }
             Request::Sync { handle } => {
                 // A durability barrier on a handle this daemon has never
@@ -809,17 +495,8 @@ impl IoDaemon {
                 // without creating local state for the handle.
                 let mut cost = ServeCost::default();
                 let mut shard = self.shard(*handle).lock().unwrap();
-                let durable = match shard.get_mut(handle) {
+                let durable = match self.known_file(&mut shard, *handle)? {
                     Some(file) => {
-                        let (durable, report) = file.sync()?;
-                        cost.merge_disk(report);
-                        durable
-                    }
-                    // After a restart the handle's bytes may already sit
-                    // on disk: recover the store so the barrier reports
-                    // what is actually durable.
-                    None if self.handle_on_disk(*handle) => {
-                        let file = self.file_entry(&mut shard, *handle)?;
                         let (durable, report) = file.sync()?;
                         cost.merge_disk(report);
                         durable
@@ -852,15 +529,8 @@ impl IoDaemon {
                     return Err(PvfsError::protocol("stripe digest chunk must be nonzero"));
                 }
                 let mut shard = self.shard(*handle).lock().unwrap();
-                let (version, size, chunks) = match shard.get(handle) {
+                let (version, size, chunks) = match self.known_file(&mut shard, *handle)? {
                     Some(f) => {
-                        let (version, chunks) = f.digest_chunks(*chunk)?;
-                        (version, f.size(), chunks)
-                    }
-                    // Restarted file-backed daemon: the bytes live on
-                    // disk even though no in-memory entry exists yet.
-                    None if self.handle_on_disk(*handle) => {
-                        let f = self.file_entry(&mut shard, *handle)?;
                         let (version, chunks) = f.digest_chunks(*chunk)?;
                         (version, f.size(), chunks)
                     }
@@ -884,13 +554,8 @@ impl IoDaemon {
                 // already "truncated" to any size ≥ 0 — answer without
                 // creating local state.
                 let mut shard = self.shard(*handle).lock().unwrap();
-                let local = match shard.get_mut(handle) {
+                let local = match self.known_file(&mut shard, *handle)? {
                     Some(file) => {
-                        file.truncate(*size)?;
-                        file.size()
-                    }
-                    None if self.handle_on_disk(*handle) => {
-                        let file = self.file_entry(&mut shard, *handle)?;
                         file.truncate(*size)?;
                         file.size()
                     }
@@ -907,7 +572,7 @@ impl IoDaemon {
                 // queue-depth gauge so a prober sees congestion build.
                 Ok((
                     Response::Pong {
-                        queue_depth: self.inflight.load(Ordering::Relaxed),
+                        queue_depth: self.ledger.queue_depth.load(Ordering::Relaxed),
                     },
                     ServeCost::default(),
                 ))
@@ -989,16 +654,58 @@ impl IoDaemon {
                 "read filled {filled} of the {share} bytes this server owns"
             )));
         }
-        self.stats
+        self.ledger
             .regions
             .fetch_add(region_count, Ordering::Relaxed);
-        self.stats
+        self.ledger
             .bytes_read
             .fetch_add(share as u64, Ordering::Relaxed);
         let whole = std::mem::take(&mut scratch.read).freeze();
         let data = whole.slice(..share);
         scratch.lent = Some(whole);
         Ok((Response::Data { data }, cost))
+    }
+
+    /// Serve a write: `data` is this server's share of `regions`,
+    /// concatenated in request order. Every region's local runs are
+    /// planned first and committed as ONE batch: on the durable backend a
+    /// whole ⌈n/64⌉-region list write is a single journal record,
+    /// all-or-nothing across a crash. `Write`, `WriteList` and
+    /// `WriteVectors` all come through here.
+    fn scatter<I: Iterator<Item = Region>>(
+        &self,
+        handle: FileHandle,
+        layout: &StripeLayout,
+        slot: u32,
+        data: &[u8],
+        scratch: &mut Scratch,
+        regions: impl Fn() -> I,
+    ) -> Result<(Response, ServeCost), PvfsError> {
+        let (expected, owned) = owned_share(layout, slot, regions());
+        if data.len() as u64 != expected {
+            return Err(PvfsError::protocol(format!(
+                "write payload is {} bytes but this server owns {expected}",
+                data.len()
+            )));
+        }
+        let mut cost = ServeCost::default();
+        let mut consumed = 0usize;
+        let mut runs = scratch.take_runs(owned);
+        for region in regions() {
+            cost.regions += 1;
+            plan_region_runs(layout, slot, region, data, &mut consumed, &mut runs);
+        }
+        let written = consumed as u64;
+        let applied = self.apply(handle, &runs, &mut cost);
+        scratch.put_runs(runs);
+        applied?;
+        self.ledger
+            .regions
+            .fetch_add(cost.regions, Ordering::Relaxed);
+        self.ledger
+            .bytes_written
+            .fetch_add(written, Ordering::Relaxed);
+        Ok((Response::Written { bytes: written }, cost))
     }
 
     /// Commit a write's planned runs to the handle's local file as one
@@ -1055,6 +762,23 @@ impl IoDaemon {
         }
     }
 
+    /// The handle's local file if this daemon has one — in memory, or on
+    /// disk from a previous incarnation (a restarted file-backed daemon
+    /// has no in-memory entry yet: the store is recovered now, rather
+    /// than an empty file reported). `None`: a handle this daemon has
+    /// never touched, for which no local state is created.
+    fn known_file<'a>(
+        &self,
+        shard: &'a mut HashMap<FileHandle, LocalFile>,
+        handle: FileHandle,
+    ) -> PvfsResult<Option<&'a mut LocalFile>> {
+        if shard.contains_key(&handle) || self.handle_on_disk(handle) {
+            self.file_entry(shard, handle).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+
     /// The handle's local file in an already-locked shard, created on
     /// first touch on this daemon's storage backend. Fallible: opening a
     /// durable store touches the filesystem.
@@ -1067,19 +791,20 @@ impl IoDaemon {
         match shard.entry(handle) {
             Entry::Occupied(e) => Ok(e.into_mut()),
             Entry::Vacant(v) => {
-                let file = match &self.storage {
-                    StorageConfig::Mem => LocalFile::new(self.config.cache, self.config.disk),
-                    StorageConfig::File { dir, sync } => {
-                        let store =
-                            FileStore::open(dir, handle.0, *sync, Arc::clone(&self.smetrics))?;
-                        LocalFile::with_backend(
-                            self.config.cache,
-                            self.config.disk,
-                            Box::new(store),
-                        )
-                    }
+                let store: Box<dyn StorageBackend> = match &self.storage {
+                    StorageConfig::Mem => Box::new(SparseStore::new()),
+                    StorageConfig::File { dir, sync } => Box::new(FileStore::open(
+                        dir,
+                        handle.0,
+                        *sync,
+                        Arc::clone(&self.ledger),
+                    )?),
                 };
-                Ok(v.insert(file))
+                Ok(v.insert(if self.cost_model {
+                    LocalFile::with_backend(self.config.cache, self.config.disk, store)
+                } else {
+                    LocalFile::unmodelled(store)
+                }))
             }
         }
     }
@@ -1187,7 +912,7 @@ fn plan_region_runs<'d>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pvfs_types::RegionList;
+    use pvfs_types::{RegionList, SpanId};
 
     fn layout() -> StripeLayout {
         StripeLayout::new(0, 4, 10).unwrap()
@@ -1318,7 +1043,7 @@ mod tests {
             data: Bytes::from(vec![0u8; 3]),
         });
         assert!(matches!(resp, Response::Error(PvfsError::Protocol(_))));
-        assert_eq!(d.stats().errors, 1);
+        assert_eq!(d.ledger().snapshot().errors, 1);
     }
 
     #[test]
@@ -1469,8 +1194,8 @@ mod tests {
                 ),
             }
         }
-        assert_eq!(d.stats().errors, 3);
-        assert_eq!(d.stats().bytes_read, 0);
+        assert_eq!(d.ledger().snapshot().errors, 3);
+        assert_eq!(d.ledger().snapshot().bytes_read, 0);
         // Exactly the cap is served, and the daemon is as alive as ever.
         let at_cap = Request::Read {
             handle: fh(),
@@ -1499,6 +1224,37 @@ mod tests {
         assert_eq!(resp, Response::LocalSize { size: 7 });
     }
 
+    /// Who builds the daemon decides whether its I/O is priced: the
+    /// simulator's constructor runs the cache and disk models, every other
+    /// serves the same bytes and leaves them untouched.
+    #[test]
+    fn only_a_daemon_built_with_the_cost_model_prices_its_io() {
+        let l = StripeLayout::new(0, 1, 4096).unwrap();
+        let live = IoDaemon::with_defaults(ServerId(0));
+        let simulated = IoDaemon::with_cost_model(ServerId(0), IodConfig::default());
+        for (d, priced) in [(&live, false), (&simulated, true)] {
+            let (written, _) = d.handle(&Request::Write {
+                handle: fh(),
+                layout: l,
+                region: Region::new(0, 100),
+                data: Bytes::from(vec![9u8; 100]),
+            });
+            assert_eq!(written, Response::Written { bytes: 100 });
+            // A range no access has touched: a miss, were anyone counting.
+            let (read, cost) = d.handle(&Request::Read {
+                handle: fh(),
+                layout: l,
+                region: Region::new(1 << 20, 100),
+            });
+            assert!(matches!(read, Response::Data { .. }));
+            assert_eq!((cost.regions, cost.local_accesses), (1, 1));
+            assert_eq!(cost.disk.bytes_read, 100);
+            assert_eq!(cost.disk.disk_ns > 0, priced);
+            let cache = d.with_local_file(fh(), |f| f.cache_stats()).unwrap();
+            assert_eq!(cache != pvfs_disk::cache::CacheStats::default(), priced);
+        }
+    }
+
     #[test]
     fn stats_count_requests_and_regions() {
         let l = layout();
@@ -1514,7 +1270,7 @@ mod tests {
             layout: l,
             regions,
         });
-        let s = d.stats();
+        let s = d.ledger().snapshot();
         assert_eq!(s.requests, 2);
         assert_eq!(s.contiguous_requests, 1);
         assert_eq!(s.list_requests, 1);
@@ -1546,29 +1302,8 @@ mod tests {
             Response::Stats(s) => assert_eq!(*s, *snap),
             other => panic!("unexpected {other:?}"),
         }
-        // And matches the in-process ServerStats view counter for
-        // counter.
-        let in_process = d.stats();
-        for ((name, scraped), direct) in snap.counters().iter().zip([
-            in_process.requests,
-            in_process.contiguous_requests,
-            in_process.list_requests,
-            in_process.regions,
-            in_process.bytes_read,
-            in_process.bytes_written,
-            in_process.errors,
-            in_process.bytes_rx,
-            in_process.bytes_tx,
-            in_process.frames_rx,
-            in_process.journal_appends,
-            in_process.journal_bytes,
-            in_process.journal_replays,
-            in_process.flushes,
-            in_process.fsyncs,
-            in_process.requests_shed,
-        ]) {
-            assert_eq!(*scraped, direct, "{name} diverged");
-        }
+        // And is the in-process view, metric for metric.
+        assert_eq!(*snap, d.ledger().snapshot());
     }
 
     #[test]
@@ -1580,16 +1315,15 @@ mod tests {
             trace: TraceId::next(),
             parent: SpanId(999),
         };
-        let (resp, _) = d.handle_traced(
+        let (resp, _) = d.handle_with(
             &Request::Write {
                 handle: fh(),
                 layout: l,
                 region: Region::new(0, 5),
                 data: Bytes::from(vec![1u8; 5]),
             },
-            Some(ctx),
-            Duration::from_micros(40),
             &mut Scratch::default(),
+            Some((ctx, Duration::from_micros(40))),
         );
         assert_eq!(resp, Response::Written { bytes: 5 });
         let spans = d.recorder().for_trace(ctx.trace);
@@ -1611,19 +1345,39 @@ mod tests {
         assert!(storage.dur_ns <= service.dur_ns);
     }
 
+    /// The I/O daemon's queue span is unconditional: a traced request
+    /// that never waited still shows a zero-length `queue` hop.
+    #[test]
+    fn a_traced_request_that_never_waited_still_records_a_queue_span() {
+        let d = IoDaemon::with_defaults(ServerId(0));
+        let ctx = TraceContext {
+            trace: pvfs_types::TraceId::next(),
+            parent: SpanId(5),
+        };
+        d.handle_with(
+            &Request::Ping,
+            &mut Scratch::default(),
+            Some((ctx, Duration::ZERO)),
+        );
+        let spans = d.recorder().for_trace(ctx.trace);
+        let ops: Vec<&str> = spans.iter().map(|s| s.op.as_str()).collect();
+        assert_eq!(ops, ["queue", "service"]);
+        assert_eq!(spans[0].dur_ns, 0);
+        assert_eq!(spans[0].start_ns, spans[1].start_ns);
+    }
+
     #[test]
     fn untraced_requests_leave_the_recorder_empty() {
         let l = layout();
         let d = IoDaemon::with_defaults(ServerId(0));
-        let (resp, _) = d.handle_traced(
+        let (resp, _) = d.handle_with(
             &Request::Read {
                 handle: fh(),
                 layout: l,
                 region: Region::new(0, 5),
             },
-            None,
-            Duration::from_micros(10),
             &mut Scratch::default(),
+            None,
         );
         assert!(matches!(resp, Response::Data { .. }));
         assert!(d.recorder().is_empty(), "no context, no spans");
@@ -1638,17 +1392,16 @@ mod tests {
             trace: TraceId::next(),
             parent: SpanId(7),
         };
-        d.handle_traced(
+        d.handle_with(
             &Request::Read {
                 handle: fh(),
                 layout: l,
                 region: Region::new(0, 5),
             },
-            Some(ctx),
-            Duration::ZERO,
             &mut Scratch::default(),
+            Some((ctx, Duration::ZERO)),
         );
-        let before = d.stats();
+        let before = d.ledger().snapshot();
         let (resp, cost) = d.handle(&Request::GetTrace { trace: ctx.trace });
         assert_eq!(cost, ServeCost::default());
         let spans = match resp {
@@ -1659,15 +1412,17 @@ mod tests {
         // The scrape moved no counters and perturbed no traces: a second
         // scrape sees the identical span set, and even a scrape carrying
         // trace context records nothing.
-        assert_eq!(d.stats(), before, "GetTrace must not count");
-        let (resp2, _) = d.handle_traced(
+        assert_eq!(d.ledger().snapshot(), before, "GetTrace must not count");
+        let (resp2, _) = d.handle_with(
             &Request::GetTrace { trace: ctx.trace },
-            Some(TraceContext {
-                trace: TraceId::next(),
-                parent: SpanId(1),
-            }),
-            Duration::from_micros(3),
             &mut Scratch::default(),
+            Some((
+                TraceContext {
+                    trace: TraceId::next(),
+                    parent: SpanId(1),
+                },
+                Duration::from_micros(3),
+            )),
         );
         match resp2 {
             Response::Spans(s2) => assert_eq!(s2, spans, "scrape perturbed the trace"),
@@ -1683,29 +1438,29 @@ mod tests {
     #[test]
     fn ping_answers_pong_and_counts_as_a_request() {
         let d = IoDaemon::with_defaults(ServerId(0));
-        d.note_queued();
+        d.ledger().queued();
         let (resp, cost) = d.handle(&Request::Ping);
         assert_eq!(resp, Response::Pong { queue_depth: 1 });
         assert_eq!(cost, ServeCost::default());
         // Unlike a stats scrape, a ping is an accounted request: its
         // latency is the health signal, so it must be visible.
-        assert_eq!(d.stats().requests, 1);
-        assert_eq!(d.stats().errors, 0);
+        assert_eq!(d.ledger().snapshot().requests, 1);
+        assert_eq!(d.ledger().snapshot().errors, 0);
     }
 
     #[test]
     fn shed_requests_undo_the_queue_gauge_and_count() {
         let d = IoDaemon::with_defaults(ServerId(0));
-        d.note_queued();
-        d.note_queued();
-        d.note_shed();
-        let snap = d.stats_snapshot();
+        d.ledger().queued();
+        d.ledger().queued();
+        d.ledger().shed();
+        let snap = d.ledger().snapshot();
         assert_eq!(snap.queue_depth, 1, "shed undoes the queued bump");
         assert_eq!(snap.requests_shed, 1);
-        assert_eq!(d.stats().requests_shed, 1);
+        assert_eq!(d.ledger().snapshot().requests_shed, 1);
         // ResetStats zeroes the shed counter with the rest.
         d.handle(&Request::ResetStats);
-        assert_eq!(d.stats().requests_shed, 0);
+        assert_eq!(d.ledger().snapshot().requests_shed, 0);
     }
 
     #[test]
@@ -1718,8 +1473,8 @@ mod tests {
             region: Region::new(0, 5),
             data: Bytes::from(vec![1u8; 5]),
         });
-        d.begin_service(Duration::from_micros(10));
-        d.end_service(Duration::from_micros(50));
+        d.ledger().begin(Duration::from_micros(10));
+        d.ledger().end(Duration::from_micros(50));
         let (resp, _) = d.handle(&Request::ResetStats);
         let snap = match resp {
             Response::Stats(s) => s,
@@ -1729,27 +1484,27 @@ mod tests {
         assert_eq!(snap.bytes_written, 5);
         assert_eq!(snap.queue_wait.count(), 1);
         assert_eq!(snap.service_time.count(), 1);
-        let after = d.stats();
+        let after = d.ledger().snapshot();
         assert_eq!(after.requests, 0);
         assert_eq!(after.bytes_written, 0);
-        assert_eq!(d.stats_snapshot().queue_wait.count(), 0);
+        assert_eq!(d.ledger().snapshot().queue_wait.count(), 0);
     }
 
     #[test]
     fn service_lifecycle_moves_the_gauges() {
         let d = IoDaemon::with_defaults(ServerId(0));
-        d.note_queued();
-        d.note_queued();
-        let snap = d.stats_snapshot();
+        d.ledger().queued();
+        d.ledger().queued();
+        let snap = d.ledger().snapshot();
         assert_eq!(snap.queue_depth, 2);
         assert_eq!(snap.busy_workers, 0);
-        d.begin_service(Duration::from_micros(3));
-        let snap = d.stats_snapshot();
+        d.ledger().begin(Duration::from_micros(3));
+        let snap = d.ledger().snapshot();
         assert_eq!(snap.queue_depth, 1);
         assert_eq!(snap.busy_workers, 1);
         assert_eq!(snap.queue_wait.count(), 1);
-        d.end_service(Duration::from_micros(9));
-        let snap = d.stats_snapshot();
+        d.ledger().end(Duration::from_micros(9));
+        let snap = d.ledger().snapshot();
         assert_eq!(snap.busy_workers, 0);
         assert_eq!(snap.service_time.count(), 1);
     }
@@ -1948,10 +1703,10 @@ mod tests {
         let (resp, _) = d.handle(&Request::Sync { handle: fh() });
         assert_eq!(resp, Response::Synced { durable: 10 });
         // ...and the journal counters surfaced through both stats views.
-        let s = d.stats();
+        let s = d.ledger().snapshot();
         assert_eq!(s.journal_appends, 1);
         assert!(s.fsyncs > 0);
-        let snap = d.stats_snapshot();
+        let snap = d.ledger().snapshot();
         assert_eq!(snap.journal_appends, 1);
         assert_eq!(snap.journal_depth, 0, "sync checkpoints the journal");
         assert_eq!(snap.fsync_time.count(), snap.fsyncs);
@@ -1992,7 +1747,7 @@ mod tests {
             data: Bytes::from(vec![2u8; 10]),
         });
         assert!(matches!(resp, Response::Error(PvfsError::Storage(_))));
-        assert_eq!(d.stats().errors, 1);
+        assert_eq!(d.ledger().snapshot().errors, 1);
         // A fresh daemon over the same directory replays the journal and
         // recovers the committed-but-unapplied batch.
         let d2 = IoDaemon::with_storage(ServerId(0), IodConfig::default(), storage);
@@ -2010,7 +1765,7 @@ mod tests {
                 data: Bytes::from(expect)
             }
         );
-        assert!(d2.stats().journal_replays > 0);
+        assert!(d2.ledger().snapshot().journal_replays > 0);
     }
 
     /// One scratch serves every request, as a connection's would: the
@@ -2029,7 +1784,7 @@ mod tests {
             let d = IoDaemon::with_storage(ServerId(0), IodConfig::default(), storage);
             let scratch = &mut Scratch::default();
             let mut serve = |request: Request| {
-                let (response, _) = d.handle_with(&request, scratch);
+                let (response, _) = d.handle_with(&request, scratch, None);
                 // The reply leaves (a copy of it stays, for the test to
                 // look at); the buffer is the scratch's again.
                 let (copy, at) = match response {
@@ -2126,7 +1881,7 @@ mod tests {
                 region: Region::new(offset, 100),
                 data: Bytes::from(vec![0xAB; 100]),
             };
-            d.handle_with(&request, scratch).0
+            d.handle_with(&request, scratch, None).0
         };
         let read = Request::Read {
             handle: fh(),
@@ -2134,7 +1889,7 @@ mod tests {
             region: Region::new(0, 100),
         };
         assert_eq!(write(0, scratch), Response::Written { bytes: 100 });
-        let (dirty, _) = d.handle_with(&read, scratch);
+        let (dirty, _) = d.handle_with(&read, scratch, None);
         assert!(matches!(dirty, Response::Data { .. }));
         drop(dirty);
         scratch.reclaim_read();
@@ -2142,7 +1897,7 @@ mod tests {
         // The store wedges: every access fails from here on.
         d.inject_storage_crash(fh(), pvfs_disk::CrashPoint::TornJournal);
         assert!(matches!(write(200, scratch), Response::Error(_)));
-        let (refused, _) = d.handle_with(&read, scratch);
+        let (refused, _) = d.handle_with(&read, scratch, None);
         assert!(matches!(refused, Response::Error(PvfsError::Storage(_))));
         scratch.reclaim_read();
         assert_eq!(

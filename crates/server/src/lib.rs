@@ -21,5 +21,5 @@
 pub mod iod;
 pub mod manager;
 
-pub use iod::{default_workers, IoDaemon, IodConfig, Scratch, ServeCost, ServerStats};
+pub use iod::{default_workers, IoDaemon, IodConfig, Scratch, ServeCost};
 pub use manager::Manager;

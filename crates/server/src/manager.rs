@@ -6,13 +6,19 @@
 //! allocates handles; it never touches file data, and the client library
 //! computes file sizes by querying the I/O daemons directly, keeping the
 //! manager off the data path exactly as PVFS does.
+//!
+//! One serve entry, [`Manager::handle`], `&self` like the I/O daemon's:
+//! the namespace sits behind the manager's own mutex (metadata operations
+//! are rare, order-sensitive and not idempotent — one at a time), and
+//! beside that lock the same [`Ledger`] an I/O daemon keeps, so the
+//! transport in front books a frame without taking it.
 
 use pvfs_proto::{Request, Response};
-use pvfs_types::trace::{self, FlightRecorder, Span, SpanId, TraceContext};
-use pvfs_types::{FileHandle, PvfsError, SharedHistogram, StatsSnapshot, StripeLayout};
+use pvfs_types::trace::{self, FlightRecorder, TraceContext};
+use pvfs_types::{FileHandle, Ledger, PvfsError, StripeLayout};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 #[derive(Debug, Clone)]
@@ -22,26 +28,25 @@ struct MetaEntry {
     open_count: u64,
 }
 
-/// Manager-side counters. Atomics so the transport layer can account
-/// wire traffic through `&Manager` while the dispatch loop holds the
-/// namespace mutably.
-#[derive(Debug, Default)]
-struct ManagerStats {
-    requests: AtomicU64,
-    errors: AtomicU64,
-    bytes_rx: AtomicU64,
-    bytes_tx: AtomicU64,
-    frames_rx: AtomicU64,
-}
-
-/// The PVFS manager daemon.
 #[derive(Debug)]
-pub struct Manager {
+struct Namespace {
     next_handle: u64,
     by_path: HashMap<String, MetaEntry>,
     by_handle: HashMap<FileHandle, String>,
-    stats: ManagerStats,
-    service_time: SharedHistogram,
+}
+
+/// The PVFS manager daemon. Thread-safe, as an I/O daemon is:
+/// [`Manager::handle`] takes `&self`.
+#[derive(Debug)]
+pub struct Manager {
+    /// Metadata operations are rare, order-sensitive and not idempotent:
+    /// one lock serializes them.
+    namespace: Mutex<Namespace>,
+    /// The manager's books: the same ledger an I/O daemon keeps, with
+    /// one worker (its single dispatch loop) and the data-path metrics
+    /// left at zero. Beside the lock, not behind it: the transport in
+    /// front accounts a frame without taking it.
+    ledger: Ledger,
     /// Trace ring buffer for metadata requests that carry trace
     /// context, scraped by `GetTrace`.
     recorder: Arc<FlightRecorder>,
@@ -57,11 +62,12 @@ impl Manager {
     /// An empty namespace.
     pub fn new() -> Manager {
         Manager {
-            next_handle: 1,
-            by_path: HashMap::new(),
-            by_handle: HashMap::new(),
-            stats: ManagerStats::default(),
-            service_time: SharedHistogram::new(),
+            namespace: Mutex::new(Namespace {
+                next_handle: 1,
+                by_path: HashMap::new(),
+                by_handle: HashMap::new(),
+            }),
+            ledger: Ledger::with_workers(1),
             recorder: Arc::new(FlightRecorder::from_env()),
         }
     }
@@ -71,84 +77,54 @@ impl Manager {
         &self.recorder
     }
 
+    /// The manager's books (see [`Ledger`]); a `GetStats` scrape is their
+    /// `snapshot()`.
+    pub fn ledger(&self) -> &Ledger {
+        &self.ledger
+    }
+
+    fn namespace(&self) -> std::sync::MutexGuard<'_, Namespace> {
+        self.namespace.lock().expect("a manager request panicked")
+    }
+
     /// Number of files in the namespace.
     pub fn file_count(&self) -> usize {
-        self.by_path.len()
+        self.namespace().by_path.len()
     }
 
     /// The striping layout of an open handle, if known.
     pub fn layout_of(&self, handle: FileHandle) -> Option<StripeLayout> {
-        let path = self.by_handle.get(&handle)?;
-        self.by_path.get(path).map(|e| e.layout)
+        let namespace = self.namespace();
+        let path = namespace.by_handle.get(&handle)?;
+        namespace.by_path.get(path).map(|e| e.layout)
     }
 
-    /// Account one request frame arriving on the manager's transport.
-    pub fn record_wire_rx(&self, wire_bytes: u64) {
-        self.stats.frames_rx.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes_rx.fetch_add(wire_bytes, Ordering::Relaxed);
-    }
-
-    /// Account one response frame leaving on the manager's transport.
-    pub fn record_wire_tx(&self, wire_bytes: u64) {
-        self.stats.bytes_tx.fetch_add(wire_bytes, Ordering::Relaxed);
-    }
-
-    /// Take back a [`record_wire_tx`](Manager::record_wire_tx) whose
-    /// frame never left (accounted before a write that then failed).
-    pub fn retract_wire_tx(&self, wire_bytes: u64) {
-        let _ = self
-            .stats
-            .bytes_tx
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(wire_bytes))
-            });
-    }
-
-    /// Record how long one metadata request took to serve (wall clock,
-    /// recorded by the transport loop around [`Manager::handle`]).
-    pub fn record_service(&self, took: Duration) {
-        self.service_time.record_duration(took);
-    }
-
-    /// Everything the `GetStats` control RPC reports for the manager.
-    /// Data-path counters stay zero — the manager never touches file
-    /// data — and its single dispatch loop reports one worker.
-    pub fn stats_snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            requests: self.stats.requests.load(Ordering::Relaxed),
-            errors: self.stats.errors.load(Ordering::Relaxed),
-            bytes_rx: self.stats.bytes_rx.load(Ordering::Relaxed),
-            bytes_tx: self.stats.bytes_tx.load(Ordering::Relaxed),
-            frames_rx: self.stats.frames_rx.load(Ordering::Relaxed),
-            workers: 1,
-            service_time: self.service_time.snapshot(),
-            ..StatsSnapshot::default()
+    /// Serve one metadata request. `traced` is the trace context of a
+    /// request that arrived in a traced frame and how long it sat queued
+    /// before the dispatch loop picked it up: a `service` span (node
+    /// `mgr`) is recorded, and a `queue` span if it waited at all.
+    /// Control scrapes are never traced.
+    pub fn handle(&self, request: &Request, traced: Option<(TraceContext, Duration)>) -> Response {
+        match traced {
+            Some((ctx, waited)) if !request.is_control_scrape() => {
+                let queued = (!waited.is_zero()).then_some(waited);
+                let op = request.op_name();
+                trace::serve_spans(&self.recorder, ctx, "mgr", op, queued, || {
+                    self.serve(request)
+                })
+            }
+            _ => self.serve(request),
         }
     }
 
-    /// Zero the manager's counters and service-time distribution.
-    pub fn reset_stats(&self) {
-        for c in [
-            &self.stats.requests,
-            &self.stats.errors,
-            &self.stats.bytes_rx,
-            &self.stats.bytes_tx,
-            &self.stats.frames_rx,
-        ] {
-            c.store(0, Ordering::Relaxed);
-        }
-        self.service_time.reset();
-    }
-
-    /// Serve one metadata request.
-    pub fn handle(&mut self, request: &Request) -> Response {
+    fn serve(&self, request: &Request) -> Response {
         // Stats scrapes answer before any counter moves, so a scraped
         // snapshot equals the in-process one byte for byte.
         match request {
-            Request::GetStats => return Response::Stats(Box::new(self.stats_snapshot())),
+            Request::GetStats => return Response::Stats(Box::new(self.ledger.snapshot())),
             Request::ResetStats => {
-                let snap = self.stats_snapshot();
-                self.reset_stats();
+                let snap = self.ledger.snapshot();
+                self.ledger.reset();
                 return Response::Stats(Box::new(snap));
             }
             Request::GetTrace { trace } => {
@@ -158,60 +134,18 @@ impl Manager {
             }
             _ => {}
         }
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        match self.dispatch(request) {
+        self.ledger.requests.fetch_add(1, Ordering::Relaxed);
+        match self.namespace().dispatch(request) {
             Ok(resp) => resp,
             Err(e) => {
-                self.stats.errors.fetch_add(1, Ordering::Relaxed);
+                self.ledger.errors.fetch_add(1, Ordering::Relaxed);
                 Response::Error(e)
             }
         }
     }
+}
 
-    /// Serve one metadata request, recording a `service` span (node
-    /// `mgr`) when the frame carried trace context. Control scrapes are
-    /// never traced. `waited` is the time the request sat queued before
-    /// the dispatch loop picked it up.
-    pub fn handle_traced(
-        &mut self,
-        request: &Request,
-        ctx: Option<TraceContext>,
-        waited: Duration,
-    ) -> Response {
-        let Some(ctx) = ctx else {
-            return self.handle(request);
-        };
-        if request.is_control_scrape() {
-            return self.handle(request);
-        }
-        let svc_start = trace::now_ns();
-        let queue_ns = waited.as_nanos() as u64;
-        if queue_ns > 0 {
-            self.recorder.push(Span {
-                trace: ctx.trace,
-                id: SpanId::next(),
-                parent: ctx.parent,
-                node: "mgr".into(),
-                op: "queue".into(),
-                start_ns: svc_start.saturating_sub(queue_ns),
-                dur_ns: queue_ns,
-                notes: Vec::new(),
-            });
-        }
-        let resp = self.handle(request);
-        self.recorder.push(Span {
-            trace: ctx.trace,
-            id: SpanId::next(),
-            parent: ctx.parent,
-            node: "mgr".into(),
-            op: "service".into(),
-            start_ns: svc_start,
-            dur_ns: trace::now_ns().saturating_sub(svc_start),
-            notes: vec![request.op_name().into()],
-        });
-        resp
-    }
-
+impl Namespace {
     fn dispatch(&mut self, request: &Request) -> Result<Response, PvfsError> {
         match request {
             Request::Create { path, layout } => {
@@ -293,17 +227,20 @@ impl Manager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pvfs_types::Region;
+    use pvfs_types::{Region, SpanId};
 
     fn layout() -> StripeLayout {
         StripeLayout::paper_default(8)
     }
 
-    fn create(m: &mut Manager, path: &str) -> FileHandle {
-        match m.handle(&Request::Create {
-            path: path.into(),
-            layout: layout(),
-        }) {
+    fn create(m: &Manager, path: &str) -> FileHandle {
+        match m.handle(
+            &Request::Create {
+                path: path.into(),
+                layout: layout(),
+            },
+            None,
+        ) {
             Response::Created { handle } => handle,
             other => panic!("unexpected {other:?}"),
         }
@@ -311,11 +248,14 @@ mod tests {
 
     #[test]
     fn create_then_open_returns_same_handle_and_layout() {
-        let mut m = Manager::new();
-        let h = create(&mut m, "/pvfs/a");
-        match m.handle(&Request::Open {
-            path: "/pvfs/a".into(),
-        }) {
+        let m = Manager::new();
+        let h = create(&m, "/pvfs/a");
+        match m.handle(
+            &Request::Open {
+                path: "/pvfs/a".into(),
+            },
+            None,
+        ) {
             Response::Opened { handle, layout: l } => {
                 assert_eq!(handle, h);
                 assert_eq!(l, layout());
@@ -326,22 +266,28 @@ mod tests {
 
     #[test]
     fn create_duplicate_fails() {
-        let mut m = Manager::new();
-        create(&mut m, "/pvfs/a");
-        let resp = m.handle(&Request::Create {
-            path: "/pvfs/a".into(),
-            layout: layout(),
-        });
+        let m = Manager::new();
+        create(&m, "/pvfs/a");
+        let resp = m.handle(
+            &Request::Create {
+                path: "/pvfs/a".into(),
+                layout: layout(),
+            },
+            None,
+        );
         assert!(matches!(resp, Response::Error(PvfsError::AlreadyExists(_))));
     }
 
     #[test]
     fn create_empty_path_fails() {
-        let mut m = Manager::new();
-        let resp = m.handle(&Request::Create {
-            path: String::new(),
-            layout: layout(),
-        });
+        let m = Manager::new();
+        let resp = m.handle(
+            &Request::Create {
+                path: String::new(),
+                layout: layout(),
+            },
+            None,
+        );
         assert!(matches!(
             resp,
             Response::Error(PvfsError::InvalidArgument(_))
@@ -350,15 +296,18 @@ mod tests {
 
     #[test]
     fn create_invalid_layout_fails() {
-        let mut m = Manager::new();
-        let resp = m.handle(&Request::Create {
-            path: "/x".into(),
-            layout: StripeLayout {
-                base: 0,
-                pcount: 0,
-                ssize: 16,
+        let m = Manager::new();
+        let resp = m.handle(
+            &Request::Create {
+                path: "/x".into(),
+                layout: StripeLayout {
+                    base: 0,
+                    pcount: 0,
+                    ssize: 16,
+                },
             },
-        });
+            None,
+        );
         assert!(matches!(
             resp,
             Response::Error(PvfsError::InvalidArgument(_))
@@ -367,60 +316,75 @@ mod tests {
 
     #[test]
     fn open_missing_file_fails() {
-        let mut m = Manager::new();
-        let resp = m.handle(&Request::Open {
-            path: "/nope".into(),
-        });
+        let m = Manager::new();
+        let resp = m.handle(
+            &Request::Open {
+                path: "/nope".into(),
+            },
+            None,
+        );
         assert!(matches!(resp, Response::Error(PvfsError::NoSuchFile(_))));
     }
 
     #[test]
     fn handles_are_unique() {
-        let mut m = Manager::new();
-        let h1 = create(&mut m, "/a");
-        let h2 = create(&mut m, "/b");
+        let m = Manager::new();
+        let h1 = create(&m, "/a");
+        let h2 = create(&m, "/b");
         assert_ne!(h1, h2);
     }
 
     #[test]
     fn close_validates_handle() {
-        let mut m = Manager::new();
-        let h = create(&mut m, "/a");
-        assert_eq!(m.handle(&Request::Close { handle: h }), Response::Closed);
-        let resp = m.handle(&Request::Close {
-            handle: FileHandle(999),
-        });
+        let m = Manager::new();
+        let h = create(&m, "/a");
+        assert_eq!(
+            m.handle(&Request::Close { handle: h }, None),
+            Response::Closed
+        );
+        let resp = m.handle(
+            &Request::Close {
+                handle: FileHandle(999),
+            },
+            None,
+        );
         assert!(matches!(resp, Response::Error(PvfsError::BadHandle(_))));
     }
 
     #[test]
     fn unbalanced_close_is_a_typed_error() {
-        let mut m = Manager::new();
-        let h = create(&mut m, "/a");
-        assert_eq!(m.handle(&Request::Close { handle: h }), Response::Closed);
+        let m = Manager::new();
+        let h = create(&m, "/a");
+        assert_eq!(
+            m.handle(&Request::Close { handle: h }, None),
+            Response::Closed
+        );
         // The create's open is now balanced; a second close has no
         // matching open and must be refused, not silently absorbed.
-        let resp = m.handle(&Request::Close { handle: h });
+        let resp = m.handle(&Request::Close { handle: h }, None);
         assert!(matches!(
             resp,
             Response::Error(PvfsError::InvalidArgument(_))
         ));
         // The refusal is visible in the stats the Stats RPC reports.
-        assert_eq!(m.stats_snapshot().errors, 1);
+        assert_eq!(m.ledger().snapshot().errors, 1);
         // Open/close still balances afterwards.
         assert!(matches!(
-            m.handle(&Request::Open { path: "/a".into() }),
+            m.handle(&Request::Open { path: "/a".into() }, None),
             Response::Opened { .. }
         ));
-        assert_eq!(m.handle(&Request::Close { handle: h }), Response::Closed);
+        assert_eq!(
+            m.handle(&Request::Close { handle: h }, None),
+            Response::Closed
+        );
     }
 
     #[test]
     fn manager_serves_the_stats_rpc_without_counting_it() {
-        let mut m = Manager::new();
-        create(&mut m, "/a");
-        m.handle(&Request::Open { path: "/a".into() });
-        let snap = match m.handle(&Request::GetStats) {
+        let m = Manager::new();
+        create(&m, "/a");
+        m.handle(&Request::Open { path: "/a".into() }, None);
+        let snap = match m.handle(&Request::GetStats, None) {
             Response::Stats(s) => s,
             other => panic!("unexpected {other:?}"),
         };
@@ -429,28 +393,27 @@ mod tests {
         assert_eq!(snap.workers, 1);
         assert_eq!(snap.bytes_read, 0, "manager never touches data");
         // ResetStats returns the pre-reset view, then zeroes.
-        let pre = match m.handle(&Request::ResetStats) {
+        let pre = match m.handle(&Request::ResetStats, None) {
             Response::Stats(s) => s,
             other => panic!("unexpected {other:?}"),
         };
         assert_eq!(pre.requests, 2);
-        assert_eq!(m.stats_snapshot().requests, 0);
+        assert_eq!(m.ledger().snapshot().requests, 0);
     }
 
     #[test]
     fn traced_metadata_request_records_a_service_span() {
-        let mut m = Manager::new();
+        let m = Manager::new();
         let ctx = TraceContext {
             trace: pvfs_types::TraceId::next(),
             parent: SpanId::next(),
         };
-        let resp = m.handle_traced(
+        let resp = m.handle(
             &Request::Create {
                 path: "/a".into(),
                 layout: layout(),
             },
-            Some(ctx),
-            Duration::from_micros(25),
+            Some((ctx, Duration::from_micros(25))),
         );
         assert!(matches!(resp, Response::Created { .. }));
         let spans = m.recorder().for_trace(ctx.trace);
@@ -466,59 +429,73 @@ mod tests {
         assert_eq!(svc.notes, vec!["create".to_string()]);
     }
 
+    /// Unlike an I/O daemon, the manager records no `queue` span for a
+    /// request that never waited.
+    #[test]
+    fn a_traced_metadata_request_that_never_waited_records_no_queue_span() {
+        let m = Manager::new();
+        let ctx = TraceContext {
+            trace: pvfs_types::TraceId::next(),
+            parent: SpanId::next(),
+        };
+        m.handle(&Request::ListDir, Some((ctx, Duration::ZERO)));
+        let spans = m.recorder().for_trace(ctx.trace);
+        let ops: Vec<&str> = spans.iter().map(|s| s.op.as_str()).collect();
+        assert_eq!(ops, ["service"]);
+    }
+
     #[test]
     fn untraced_and_scrape_requests_leave_the_manager_recorder_empty() {
-        let mut m = Manager::new();
+        let m = Manager::new();
         let ctx = TraceContext {
             trace: pvfs_types::TraceId::next(),
             parent: SpanId::next(),
         };
         // No context: nothing recorded.
-        m.handle_traced(&Request::ListDir, None, Duration::ZERO);
+        m.handle(&Request::ListDir, None);
         // Scrape with context: still nothing — traces must never trace
         // their own collection.
-        let before = m.stats_snapshot();
-        let resp = m.handle_traced(
+        let before = m.ledger().snapshot();
+        let resp = m.handle(
             &Request::GetTrace { trace: ctx.trace },
-            Some(ctx),
-            Duration::ZERO,
+            Some((ctx, Duration::ZERO)),
         );
         assert_eq!(resp, Response::Spans(Vec::new()));
-        assert_eq!(m.stats_snapshot().requests, before.requests);
+        assert_eq!(m.ledger().snapshot().requests, before.requests);
         assert!(m.recorder().is_empty());
     }
 
     #[test]
     fn remove_deletes_namespace_entry() {
-        let mut m = Manager::new();
-        let h = create(&mut m, "/a");
+        let m = Manager::new();
+        let h = create(&m, "/a");
         assert_eq!(
-            m.handle(&Request::Remove { path: "/a".into() }),
+            m.handle(&Request::Remove { path: "/a".into() }, None),
             Response::Removed
         );
         assert_eq!(m.file_count(), 0);
         assert!(m.layout_of(h).is_none());
-        let resp = m.handle(&Request::Open { path: "/a".into() });
+        let resp = m.handle(&Request::Open { path: "/a".into() }, None);
         assert!(matches!(resp, Response::Error(PvfsError::NoSuchFile(_))));
         // Removing again fails.
-        let resp = m.handle(&Request::Remove { path: "/a".into() });
+        let resp = m.handle(&Request::Remove { path: "/a".into() }, None);
         assert!(matches!(resp, Response::Error(PvfsError::NoSuchFile(_))));
     }
 
     #[test]
     fn list_dir_returns_sorted_paths() {
-        let mut m = Manager::new();
-        create(&mut m, "/b");
-        create(&mut m, "/a");
-        create(&mut m, "/c");
-        match m.handle(&Request::ListDir) {
+        let m = Manager::new();
+        create(&m, "/b");
+        create(&m, "/a");
+        create(&m, "/c");
+        match m.handle(&Request::ListDir, None) {
             Response::Listing { paths } => {
                 assert_eq!(paths, vec!["/a", "/b", "/c"]);
             }
             other => panic!("unexpected {other:?}"),
         }
-        m.handle(&Request::Remove { path: "/b".into() });
-        match m.handle(&Request::ListDir) {
+        m.handle(&Request::Remove { path: "/b".into() }, None);
+        match m.handle(&Request::ListDir, None) {
             Response::Listing { paths } => assert_eq!(paths, vec!["/a", "/c"]),
             other => panic!("unexpected {other:?}"),
         }
@@ -526,8 +503,8 @@ mod tests {
 
     #[test]
     fn list_dir_empty_namespace() {
-        let mut m = Manager::new();
-        match m.handle(&Request::ListDir) {
+        let m = Manager::new();
+        match m.handle(&Request::ListDir, None) {
             Response::Listing { paths } => assert!(paths.is_empty()),
             other => panic!("unexpected {other:?}"),
         }
@@ -535,10 +512,13 @@ mod tests {
 
     #[test]
     fn ping_answers_pong_and_counts() {
-        let mut m = Manager::new();
-        assert_eq!(m.handle(&Request::Ping), Response::Pong { queue_depth: 0 });
+        let m = Manager::new();
         assert_eq!(
-            m.stats_snapshot().requests,
+            m.handle(&Request::Ping, None),
+            Response::Pong { queue_depth: 0 }
+        );
+        assert_eq!(
+            m.ledger().snapshot().requests,
             1,
             "pings are accounted requests, not invisible scrapes"
         );
@@ -546,29 +526,32 @@ mod tests {
 
     #[test]
     fn data_ops_are_rejected_at_the_manager() {
-        let mut m = Manager::new();
-        let resp = m.handle(&Request::Read {
-            handle: FileHandle(1),
-            layout: layout(),
-            region: Region::new(0, 10),
-        });
+        let m = Manager::new();
+        let resp = m.handle(
+            &Request::Read {
+                handle: FileHandle(1),
+                layout: layout(),
+                region: Region::new(0, 10),
+            },
+            None,
+        );
         assert!(matches!(resp, Response::Error(PvfsError::Protocol(_))));
     }
 
     #[test]
     fn layout_of_open_handle() {
-        let mut m = Manager::new();
-        let h = create(&mut m, "/a");
+        let m = Manager::new();
+        let h = create(&m, "/a");
         assert_eq!(m.layout_of(h), Some(layout()));
         assert_eq!(m.layout_of(FileHandle(42)), None);
     }
 
     #[test]
     fn reopen_after_close_works() {
-        let mut m = Manager::new();
-        let h = create(&mut m, "/a");
-        m.handle(&Request::Close { handle: h });
-        match m.handle(&Request::Open { path: "/a".into() }) {
+        let m = Manager::new();
+        let h = create(&m, "/a");
+        m.handle(&Request::Close { handle: h }, None);
+        match m.handle(&Request::Open { path: "/a".into() }, None) {
             Response::Opened { handle, .. } => assert_eq!(handle, h),
             other => panic!("unexpected {other:?}"),
         }

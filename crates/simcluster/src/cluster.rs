@@ -131,7 +131,7 @@ impl SimCluster {
         SimCluster {
             cost,
             daemons: (0..n_servers)
-                .map(|i| IoDaemon::new(ServerId(i), iod))
+                .map(|i| IoDaemon::with_cost_model(ServerId(i), iod))
                 .collect(),
             server_cpu: vec![FifoResource::new(); n_servers as usize],
             server_tx: vec![FifoResource::new(); n_servers as usize],
@@ -271,7 +271,11 @@ impl SimCluster {
         jobs: Vec<ClientJob>,
         trace_limit: Option<usize>,
     ) -> PvfsResult<(SimReport, Vec<Vec<u8>>, Vec<TraceEvent>)> {
-        let base_requests: Vec<u64> = self.daemons.iter().map(|d| d.stats().requests).collect();
+        let base_requests: Vec<u64> = self
+            .daemons
+            .iter()
+            .map(|d| d.ledger().snapshot().requests)
+            .collect();
         let base_busy: Vec<u64> = self.server_cpu.iter().map(|r| r.busy_ns()).collect();
         let mut engine = Engine::new(self, jobs);
         engine.trace_limit = trace_limit;
@@ -642,7 +646,7 @@ impl<'a> Engine<'a> {
                 .cluster
                 .daemons
                 .iter()
-                .map(|d| d.stats().requests)
+                .map(|d| d.ledger().snapshot().requests)
                 .collect(),
             server_busy_ns: self
                 .cluster

@@ -12,12 +12,16 @@
 //! * [`Datatype`] — MPI-like datatype descriptors (the paper's §5 future
 //!   work) that compress regular access patterns and flatten to region
 //!   lists.
-//! * [`Histogram`] / [`SharedHistogram`] / [`StatsSnapshot`] — the
-//!   latency-metrics vocabulary shared by the simulator, the live
-//!   transports and the `GetStats` control RPC.
+//! * [`Histogram`] / [`SharedHistogram`] — the latency-metrics vocabulary
+//!   shared by the simulator and the live transports — and the
+//!   [`Ledger`]: the one table every daemon and client metric is declared
+//!   in, from which [`StatsSnapshot`], [`ClientStats`] and what the
+//!   `GetStats` control RPC ships are derived.
 //! * [`trace`] — distributed request tracing: `TraceId`/`SpanId`,
 //!   compact [`Span`] records, the per-daemon [`FlightRecorder`] ring
 //!   buffer, and the [`TraceTree`] waterfall assembler.
+//! * [`mod@env`] — the table of every `PVFS_*` environment variable and the
+//!   only code that reads one.
 //! * ids and error types used across the wire protocol, servers and
 //!   clients.
 //!
@@ -25,6 +29,7 @@
 //! tested invariants.
 
 pub mod datatype;
+pub mod env;
 pub mod error;
 pub mod ids;
 pub mod metrics;
@@ -35,7 +40,9 @@ pub mod trace;
 pub use datatype::Datatype;
 pub use error::{PvfsError, PvfsResult};
 pub use ids::{ClientId, FileHandle, RequestId, ServerId};
-pub use metrics::{Histogram, ScrubReport, SharedHistogram, StatsSnapshot};
+pub use metrics::{
+    ClientLedger, ClientStats, Histogram, Ledger, ScrubReport, SharedHistogram, StatsSnapshot,
+};
 pub use region::{align_lists, aligned, AlignCursor, Aligned, Region, RegionList, TransferPiece};
 pub use striping::{StripeLayout, StripeSegment};
 pub use trace::{

@@ -1,6 +1,7 @@
-//! Latency metrics shared across the workspace: a log-bucketed
-//! histogram, a lock-free recording wrapper, and the stats snapshot
-//! every daemon can report over the wire.
+//! Metrics shared across the workspace: a log-bucketed latency
+//! histogram with a lock-free recording face, and the ledger — the one
+//! table in which every metric a daemon or a client endpoint keeps is
+//! declared.
 //!
 //! The paper reports per-test wall times; this reproduction can say
 //! more — per-request RTT distributions expose *why* a configuration is
@@ -9,10 +10,28 @@
 //! [`Histogram`] serves the simulator's 30-million-request runs and the
 //! live path's per-RPC accounting; [`SharedHistogram`] is the
 //! concurrent face used by `&self` recorders (worker pools, cloned
-//! clients), and [`StatsSnapshot`] is the unit the `GetStats` control
-//! RPC ships back to an observer.
+//! clients).
+//!
+//! # The ledger
+//!
+//! The paper's headline is a count — ⌈n/64⌉ list requests per I/O daemon
+//! instead of n — and `frames_rx` is the counter that checks it. It and
+//! every other metric is one line of a `ledger!` table below: a name, a
+//! kind (counter, gauge or histogram) and a doc line, in wire order.
+//! From the table come the plain snapshot with a public field per metric
+//! ([`StatsSnapshot`], [`ClientStats`]), its atomic twin ([`Ledger`],
+//! [`ClientLedger`]: one relaxed `AtomicU64` per counter and gauge, one
+//! [`SharedHistogram`] per histogram), `snapshot`, `reset`, `counters`,
+//! `gauges`, `histograms`, `since`, `to_json`, and `read`, through which
+//! `pvfs-proto` decodes a `Stats` frame — so a metric added to a table
+//! is on the wire, in the JSON, in `reset` and in the shell's
+//! `stats json` with no other edit, and none of those can fall out of
+//! step with another. What the transports book for every daemon alike —
+//! wire bytes, the queue gauge, queue wait and service time, sheds — is
+//! written once, as methods of [`Ledger`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 /// A histogram over nanosecond durations with logarithmic buckets
 /// (2 buckets per octave, ~41% resolution), cheap enough to record
@@ -318,111 +337,323 @@ impl Default for SharedHistogram {
     }
 }
 
-/// Everything one daemon reports through the `GetStats` control RPC:
-/// the raw request/byte counters (identical to the in-process
-/// `ServerStats` snapshot, field for field), worker-pool gauges, and
-/// the queue-wait / service-time latency distributions.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Total requests served (data + metadata, not stats scrapes).
-    pub requests: u64,
-    /// Contiguous `Read`/`Write` requests.
-    pub contiguous_requests: u64,
-    /// List-I/O (`ReadList`/`WriteList`/vector) requests.
-    pub list_requests: u64,
-    /// File regions touched across all list requests.
-    pub regions: u64,
-    /// Payload bytes read from storage.
-    pub bytes_read: u64,
-    /// Payload bytes written to storage.
-    pub bytes_written: u64,
-    /// Requests answered with an error response.
-    pub errors: u64,
-    /// Wire bytes received (stats scrapes excluded — see the codec's
-    /// observer-effect note).
-    pub bytes_rx: u64,
-    /// Wire bytes sent.
-    pub bytes_tx: u64,
-    /// Wire frames received.
-    pub frames_rx: u64,
-    /// Worker threads configured for this daemon's pool.
-    pub workers: u64,
-    /// Workers serving a request at snapshot time (gauge).
-    pub busy_workers: u64,
-    /// Frames received but not yet fully served (gauge: queued + in
-    /// service).
-    pub queue_depth: u64,
-    /// Journal records appended by the storage engine (write batches +
-    /// truncates; 0 on the memory backend).
-    pub journal_appends: u64,
-    /// Bytes appended to storage journals.
-    pub journal_bytes: u64,
-    /// Journal records replayed at daemon recovery.
-    pub journal_replays: u64,
-    /// Durability flushes (checkpoints + explicit sync barriers).
-    pub flushes: u64,
-    /// `fsync` syscalls issued by the storage engine.
-    pub fsyncs: u64,
-    /// Requests shed off a full queue with [`Overloaded`] before any
-    /// worker saw them (load shedding; see DESIGN §4i).
-    ///
-    /// [`Overloaded`]: crate::PvfsError::Overloaded
-    pub requests_shed: u64,
-    /// Journal records committed but not yet checkpointed (gauge).
-    pub journal_depth: u64,
-    /// Time from frame arrival to a worker picking it up.
-    pub queue_wait: Histogram,
-    /// Time a worker spent serving the request (decode + execute +
-    /// encode).
-    pub service_time: Histogram,
-    /// Latency of each storage-engine `fsync` syscall.
-    pub fsync_time: Histogram,
+/// Declares one table of metrics — counters, then gauges, then
+/// histograms, each a doc line and a name, in wire order — and derives
+/// its snapshot and its ledger (see the module docs). Exported: a crate
+/// with counters of its own (the fault injector, the collective fabric)
+/// declares them the same way.
+#[macro_export]
+macro_rules! ledger {
+    (
+        $(#[$snapshot_meta:meta])*
+        snapshot $Snapshot:ident;
+        $(#[$ledger_meta:meta])*
+        ledger $Ledger:ident;
+        counters { $($(#[$c_meta:meta])* $c:ident,)* }
+        gauges { $($(#[$g_meta:meta])* $g:ident,)* }
+        histograms { $($(#[$h_meta:meta])* $h:ident,)* }
+    ) => {
+        $(#[$snapshot_meta])*
+        pub struct $Snapshot {
+            $($(#[$c_meta])* pub $c: u64,)*
+            $($(#[$g_meta])* pub $g: u64,)*
+            $($(#[$h_meta])* pub $h: $crate::Histogram,)*
+        }
+
+        impl $Snapshot {
+            /// The counters, named, in wire order.
+            pub fn counters(&self) -> [(&'static str, u64); 0 $(+ $crate::ledger!(@one $c))*] {
+                [$((stringify!($c), self.$c)),*]
+            }
+
+            /// The gauges, named, in wire order (after the counters).
+            pub fn gauges(&self) -> [(&'static str, u64); 0 $(+ $crate::ledger!(@one $g))*] {
+                [$((stringify!($g), self.$g)),*]
+            }
+
+            /// The histograms, named, in wire order (after the gauges).
+            pub fn histograms(&self) -> [(&'static str, &$crate::Histogram); 0 $(+ $crate::ledger!(@one $h))*] {
+                [$((stringify!($h), &self.$h)),*]
+            }
+
+            /// A snapshot read metric by metric in wire order: `word`
+            /// yields each counter and gauge, `histogram` each histogram
+            /// (how the wire codec decodes one without naming a field).
+            pub fn read<S, E>(
+                src: &mut S,
+                word: impl Fn(&mut S) -> Result<u64, E>,
+                histogram: impl Fn(&mut S) -> Result<$crate::Histogram, E>,
+            ) -> Result<Self, E> {
+                let _ = &histogram; // a table without histograms never calls it
+                Ok(Self {
+                    $($c: word(src)?,)*
+                    $($g: word(src)?,)*
+                    $($h: histogram(src)?,)*
+                })
+            }
+
+            /// What happened between `earlier` and this snapshot of the
+            /// same ledger: counters and histograms subtract, gauges
+            /// describe the present and stay.
+            pub fn since(&self, earlier: &Self) -> Self {
+                Self {
+                    $($c: self.$c - earlier.$c,)*
+                    $($g: self.$g,)*
+                    $($h: self.$h.since(&earlier.$h),)*
+                }
+            }
+
+            /// Add `other` in (the sum of several endpoints, or of
+            /// several runs): counters and histograms accumulate; gauges
+            /// describe one moment of one ledger and are left alone.
+            pub fn absorb(&mut self, other: &Self) {
+                $(self.$c += other.$c;)*
+                $(self.$h.merge(&other.$h);)*
+            }
+
+            /// The snapshot as one JSON object, a member per metric in
+            /// wire order (no external deps; the schema is documented in
+            /// README § Observability).
+            pub fn to_json(&self) -> String {
+                let mut members = Vec::new();
+                for (name, v) in self.counters().into_iter().chain(self.gauges()) {
+                    members.push(format!("\"{name}\":{v}"));
+                }
+                for (name, h) in self.histograms() {
+                    members.push(format!("\"{name}\":{}", h.to_json()));
+                }
+                format!("{{{}}}", members.join(","))
+            }
+        }
+
+        $(#[$ledger_meta])*
+        #[derive(Debug, Default)]
+        pub struct $Ledger {
+            $($(#[$c_meta])* pub $c: ::std::sync::atomic::AtomicU64,)*
+            $($(#[$g_meta])* pub $g: ::std::sync::atomic::AtomicU64,)*
+            $($(#[$h_meta])* pub $h: $crate::SharedHistogram,)*
+        }
+
+        impl $Ledger {
+            /// A point-in-time copy: each metric is exact, skew between
+            /// metrics is possible while requests are in flight.
+            pub fn snapshot(&self) -> $Snapshot {
+                $Snapshot {
+                    $($c: self.$c.load(::std::sync::atomic::Ordering::Relaxed),)*
+                    $($g: self.$g.load(::std::sync::atomic::Ordering::Relaxed),)*
+                    $($h: self.$h.snapshot(),)*
+                }
+            }
+
+            /// Zero the counters and histograms (`ResetStats`). Gauges
+            /// describe current state — a queue's depth, a journal's
+            /// backlog, a pool's size — not history, and survive.
+            pub fn reset(&self) {
+                $(self.$c.store(0, ::std::sync::atomic::Ordering::Relaxed);)*
+                $(self.$h.reset();)*
+            }
+
+            /// One more of everything: each counter and gauge up by one,
+            /// a sample in each histogram.
+            #[cfg(test)]
+            #[allow(dead_code)]
+            fn bump_all(&self) {
+                $(self.$c.fetch_add(1, ::std::sync::atomic::Ordering::Relaxed);)*
+                $(self.$g.fetch_add(1, ::std::sync::atomic::Ordering::Relaxed);)*
+                $(self.$h.record(1);)*
+            }
+        }
+    };
+    (@one $metric:ident) => { 1 };
 }
 
-impl StatsSnapshot {
-    /// The counter fields in `ServerStats` order, paired with their
-    /// names — the unit the byte-for-byte equivalence tests compare and
-    /// the tables print.
-    pub fn counters(&self) -> [(&'static str, u64); 16] {
-        [
-            ("requests", self.requests),
-            ("contiguous_requests", self.contiguous_requests),
-            ("list_requests", self.list_requests),
-            ("regions", self.regions),
-            ("bytes_read", self.bytes_read),
-            ("bytes_written", self.bytes_written),
-            ("errors", self.errors),
-            ("bytes_rx", self.bytes_rx),
-            ("bytes_tx", self.bytes_tx),
-            ("frames_rx", self.frames_rx),
-            ("journal_appends", self.journal_appends),
-            ("journal_bytes", self.journal_bytes),
-            ("journal_replays", self.journal_replays),
-            ("flushes", self.flushes),
-            ("fsyncs", self.fsyncs),
-            ("requests_shed", self.requests_shed),
-        ]
+ledger! {
+    /// Everything one daemon reports through the `GetStats` control RPC
+    /// — a point-in-time copy of its [`Ledger`].
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    snapshot StatsSnapshot;
+    /// One daemon's books. The daemon, every store it opens and the
+    /// transport in front of it share one `Arc<Ledger>` and each bump
+    /// their own metrics in it: one relaxed atomic add per event, no
+    /// lock. The manager keeps the same books with the data-path metrics
+    /// left at zero.
+    ledger Ledger;
+    counters {
+        /// Total requests served (data + metadata, not stats scrapes).
+        requests,
+        /// Contiguous `Read`/`Write` requests.
+        contiguous_requests,
+        /// List-I/O (`ReadList`/`WriteList`/vector) requests.
+        list_requests,
+        /// File regions touched across all data requests.
+        regions,
+        /// Payload bytes read from storage.
+        bytes_read,
+        /// Payload bytes written to storage.
+        bytes_written,
+        /// Requests answered with an error response.
+        errors,
+        /// Wire bytes received: request frames, on TCP with their length
+        /// prefixes (stats scrapes excluded — see the codec's
+        /// observer-effect note).
+        bytes_rx,
+        /// Wire bytes sent (response frames).
+        bytes_tx,
+        /// Request frames received. The paper's ⌈n/64⌉ claim is about
+        /// exactly this counter: one list request frame moves up to 64
+        /// regions.
+        frames_rx,
+        /// Journal records appended by the storage engine (write batches +
+        /// truncates; 0 on the memory backend).
+        journal_appends,
+        /// Bytes appended to storage journals.
+        journal_bytes,
+        /// Journal records replayed at daemon recovery.
+        journal_replays,
+        /// Durability flushes (checkpoints + explicit sync barriers).
+        flushes,
+        /// `fsync` syscalls issued by the storage engine (journal + data
+        /// files).
+        fsyncs,
+        /// Requests shed off a full queue with [`Overloaded`] before any
+        /// worker saw them (load shedding; see DESIGN §4i).
+        ///
+        /// [`Overloaded`]: crate::PvfsError::Overloaded
+        requests_shed,
+    }
+    gauges {
+        /// Worker threads configured for this daemon's pool.
+        workers,
+        /// Workers serving a request right now.
+        busy_workers,
+        /// Frames accepted onto the queue and not yet picked up by a
+        /// worker.
+        queue_depth,
+        /// Journal records committed but not yet checkpointed.
+        journal_depth,
+    }
+    histograms {
+        /// Time from frame arrival to a worker picking it up.
+        queue_wait,
+        /// Time a worker spent serving the request (decode + execute +
+        /// encode).
+        service_time,
+        /// Latency of each storage-engine `fsync` syscall.
+        fsync_time,
+    }
+}
+
+/// The bookkeeping every transport does for every daemon, written once:
+/// a transport asks a daemon for its ledger and calls these.
+impl Ledger {
+    /// The books of a daemon served by `workers` threads.
+    pub fn with_workers(workers: u64) -> Ledger {
+        let ledger = Ledger::default();
+        ledger.workers.store(workers, Ordering::Relaxed);
+        ledger
     }
 
-    /// The snapshot as one JSON object (no external deps; the schema is
-    /// documented in README § Observability).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (name, v) in self.counters() {
-            out.push_str(&format!("\"{name}\":{v},"));
-        }
-        out.push_str(&format!(
-            "\"workers\":{},\"busy_workers\":{},\"queue_depth\":{},\"journal_depth\":{},\"queue_wait\":{},\"service_time\":{},\"fsync_time\":{}}}",
-            self.workers,
-            self.busy_workers,
-            self.queue_depth,
-            self.journal_depth,
-            self.queue_wait.to_json(),
-            self.service_time.to_json(),
-            self.fsync_time.to_json(),
-        ));
-        out
+    /// One request frame arrived (`wire_bytes` = the frame plus any
+    /// transport framing). Transports call this, never a daemon: one
+    /// driven in-process (the simulator) sees no wire traffic.
+    pub fn wire_rx(&self, wire_bytes: u64) {
+        self.frames_rx.fetch_add(1, Ordering::Relaxed);
+        self.bytes_rx.fetch_add(wire_bytes, Ordering::Relaxed);
     }
+
+    /// One response frame is about to leave. Called *before* the frame
+    /// is handed to the peer: a client that holds a reply can never
+    /// scrape counters that miss that reply's frame.
+    pub fn wire_tx(&self, wire_bytes: u64) {
+        self.bytes_tx.fetch_add(wire_bytes, Ordering::Relaxed);
+    }
+
+    /// Take back a [`wire_tx`](Ledger::wire_tx) whose write then failed.
+    /// Saturating, so a `ResetStats` landing in between cannot wrap the
+    /// counter.
+    pub fn retract_wire_tx(&self, wire_bytes: u64) {
+        let _ = self
+            .bytes_tx
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+                Some(v.saturating_sub(wire_bytes))
+            });
+    }
+
+    /// A request frame entered the worker queue; paired with
+    /// [`begin`](Ledger::begin) or [`shed`](Ledger::shed).
+    pub fn queued(&self) {
+        self.queue_depth.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A queued frame met a full queue and was refused before any worker
+    /// saw it: undoes the [`queued`](Ledger::queued) and counts the shed.
+    pub fn shed(&self) {
+        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        self.requests_shed.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A worker dequeued a request after it `waited` in the queue;
+    /// paired with [`end`](Ledger::end).
+    pub fn begin(&self, waited: Duration) {
+        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        self.busy_workers.fetch_add(1, Ordering::Relaxed);
+        self.queue_wait.record_duration(waited);
+    }
+
+    /// A worker finished a request in `took` wall-clock time.
+    pub fn end(&self, took: Duration) {
+        self.busy_workers.fetch_sub(1, Ordering::Relaxed);
+        self.service_time.record_duration(took);
+    }
+
+    /// One storage-engine fsync of `took` wall time. Also feeds the
+    /// serving daemon's trace sink, if one is active on this thread, so
+    /// traced requests show their `journal:fsync` hop.
+    pub fn record_fsync(&self, took: Duration) {
+        self.fsyncs.fetch_add(1, Ordering::Relaxed);
+        self.fsync_time.record_duration(took);
+        crate::trace::sink_add("journal:fsync", took);
+    }
+}
+
+ledger! {
+    /// What a client endpoint's RPCs cost in reliability currency: the
+    /// measured counterpart of its retry, hedge, breaker and replica
+    /// policies — a point-in-time copy of its [`ClientLedger`].
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    snapshot ClientStats;
+    /// One client endpoint's books, shared by every clone of the
+    /// endpoint (a `PvfsFile` counts into the client it came from).
+    ledger ClientLedger;
+    counters {
+        /// RPC attempts issued (first tries and retries alike).
+        attempts,
+        /// Attempts that were retries of a failed op.
+        retries,
+        /// Total milliseconds slept in retry backoff.
+        backoff_ms,
+        /// Faults the transport injected (0 on a clean transport; the
+        /// transport counts them, a snapshot copies its count in).
+        faults_injected,
+        /// Hedged duplicates issued for slow reads (`PVFS_HEDGE`).
+        hedges_sent,
+        /// Hedged reads where the duplicate answered before the original.
+        hedge_wins,
+        /// RPCs rejected client-side by an open circuit breaker
+        /// (`PvfsError::Unavailable`) without touching the wire.
+        breaker_rejections,
+        /// `PvfsError::Overloaded` responses observed (server-side sheds
+        /// this endpoint ran into).
+        sheds_seen,
+        /// Replicated reads that abandoned one copy and moved to the next
+        /// mirror instead of erroring the round (`PVFS_REPLICAS` > 1).
+        replica_failovers,
+        /// Replicated writes that met their quorum while at least one copy
+        /// failed — divergence a later `scrub` will repair.
+        quorum_shortfalls,
+    }
+    gauges {}
+    histograms {}
 }
 
 /// What an anti-entropy scrub pass over one file observed and repaired
@@ -666,6 +897,125 @@ mod tests {
         assert_eq!(snap.max_ns(), 4_000);
     }
 
+    /// One value per metric, all distinct: counters 1..=16 in
+    /// `counters()` order, gauges 17..=20, two queue-wait samples, one
+    /// service-time sample, no fsync.
+    fn populated_snapshot() -> StatsSnapshot {
+        let mut s = StatsSnapshot {
+            requests: 1,
+            contiguous_requests: 2,
+            list_requests: 3,
+            regions: 4,
+            bytes_read: 5,
+            bytes_written: 6,
+            errors: 7,
+            bytes_rx: 8,
+            bytes_tx: 9,
+            frames_rx: 10,
+            journal_appends: 11,
+            journal_bytes: 12,
+            journal_replays: 13,
+            flushes: 14,
+            fsyncs: 15,
+            requests_shed: 16,
+            workers: 17,
+            busy_workers: 18,
+            queue_depth: 19,
+            journal_depth: 20,
+            ..StatsSnapshot::default()
+        };
+        s.queue_wait.record(1_000);
+        s.queue_wait.record(3_000);
+        s.service_time.record(1_000_000);
+        s
+    }
+
+    /// The JSON of a fixed snapshot, to the byte: CI greps this schema
+    /// out of `PVFS_STATS=dump` and README § Observability documents it.
+    #[test]
+    fn stats_snapshot_json_is_pinned() {
+        assert_eq!(
+            populated_snapshot().to_json(),
+            "{\"requests\":1,\"contiguous_requests\":2,\"list_requests\":3,\"regions\":4,\
+             \"bytes_read\":5,\"bytes_written\":6,\"errors\":7,\"bytes_rx\":8,\"bytes_tx\":9,\
+             \"frames_rx\":10,\"journal_appends\":11,\"journal_bytes\":12,\"journal_replays\":13,\
+             \"flushes\":14,\"fsyncs\":15,\"requests_shed\":16,\"workers\":17,\"busy_workers\":18,\
+             \"queue_depth\":19,\"journal_depth\":20,\
+             \"queue_wait\":{\"count\":2,\"min_ns\":1000,\"p50_ns\":1000,\"p95_ns\":3000,\
+             \"p99_ns\":3000,\"max_ns\":3000,\"mean_ns\":2000},\
+             \"service_time\":{\"count\":1,\"min_ns\":1000000,\"p50_ns\":1000000,\
+             \"p95_ns\":1000000,\"p99_ns\":1000000,\"max_ns\":1000000,\"mean_ns\":1000000},\
+             \"fsync_time\":{\"count\":0,\"min_ns\":0,\"p50_ns\":0,\"p95_ns\":0,\"p99_ns\":0,\
+             \"max_ns\":0,\"mean_ns\":0}}"
+        );
+    }
+
+    /// Both tables, through nothing but what `ledger!` derives: a
+    /// snapshot read slot by slot holds the slots in the order its
+    /// listings (and so the codec and the JSON) walk them, under names
+    /// that are all different, and `reset` zeroes exactly the counters and
+    /// histograms.
+    #[test]
+    fn every_declared_metric_is_in_every_derived_form() {
+        macro_rules! check {
+            ($Snapshot:ident, $Ledger:ident) => {{
+                // Slot k of the wire holds k (a histogram: k samples).
+                let mut slot = 0u64;
+                let snap = $Snapshot::read(
+                    &mut slot,
+                    |slot| {
+                        *slot += 1;
+                        Ok::<_, ()>(*slot)
+                    },
+                    |slot| {
+                        *slot += 1;
+                        let mut h = Histogram::new();
+                        (0..*slot).for_each(|_| h.record(1));
+                        Ok(h)
+                    },
+                )
+                .unwrap();
+                let words: Vec<(&str, u64)> = (snap.counters().into_iter())
+                    .chain(snap.gauges())
+                    .chain(snap.histograms().map(|(name, h)| (name, h.count())))
+                    .collect();
+                assert_eq!(
+                    words.iter().map(|(_, v)| *v).collect::<Vec<_>>(),
+                    (1..=slot).collect::<Vec<_>>()
+                );
+                let names: std::collections::HashSet<_> = words.iter().map(|(n, _)| *n).collect();
+                assert_eq!(names.len(), words.len(), "metric names are unique");
+                let json = snap.to_json();
+                let mut at = 0;
+                for (name, _) in &words {
+                    let key = format!("\"{name}\":");
+                    at += json[at..].find(&key).expect("JSON members in wire order") + key.len();
+                }
+                // Nothing is declared twice over: a snapshot is its own
+                // delta from nothing.
+                assert_eq!(
+                    snap.since(&$Snapshot::default()).counters(),
+                    snap.counters()
+                );
+
+                let ledger = $Ledger::default();
+                ledger.bump_all();
+                ledger.bump_all();
+                let before = ledger.snapshot();
+                assert!(before.counters().iter().all(|(_, v)| *v == 2));
+                assert!(before.histograms().iter().all(|(_, h)| h.count() == 2));
+                ledger.reset();
+                let after = ledger.snapshot();
+                assert!(after.counters().iter().all(|(_, v)| *v == 0));
+                assert!(after.histograms().iter().all(|(_, h)| h.count() == 0));
+                assert_eq!(after.gauges(), before.gauges(), "gauges survive");
+                assert!(after.gauges().iter().all(|(_, v)| *v == 2));
+            }};
+        }
+        check!(StatsSnapshot, Ledger);
+        check!(ClientStats, ClientLedger);
+    }
+
     #[test]
     fn stats_snapshot_json_shape() {
         let mut s = StatsSnapshot {
@@ -682,7 +1032,7 @@ mod tests {
         assert!(json.contains("\"service_time\":{\"count\":1"), "{json}");
         assert!(json.contains("\"fsync_time\":{\"count\":0"), "{json}");
         assert!(json.contains("\"journal_depth\":0"), "{json}");
-        // Counter order is the ServerStats field order.
+        // Counter order is the wire order.
         let names: Vec<&str> = s.counters().iter().map(|(n, _)| *n).collect();
         assert_eq!(names[0], "requests");
         assert_eq!(names[9], "frames_rx");

@@ -181,8 +181,8 @@ impl FlightRecorder {
     /// other `PVFS_*` knob: a typo'd cap must not silently change
     /// retention.
     pub fn from_env() -> FlightRecorder {
-        let cap =
-            trace_cap_from_env().unwrap_or_else(|e| panic!("trace configuration rejected: {e}"));
+        let parse = |spec: &str| parse_trace_cap(spec).map_err(|e| e.to_string());
+        let cap = crate::env::parsed("PVFS_TRACE_CAP", parse, DEFAULT_TRACE_CAP);
         FlightRecorder::new(cap)
     }
 
@@ -208,12 +208,7 @@ impl FlightRecorder {
 
     /// Record one completed span, evicting the oldest beyond capacity.
     pub fn push(&self, span: Span) {
-        let mut ring = self.inner.lock().unwrap();
-        if ring.spans.len() == self.cap {
-            ring.spans.pop_front();
-            ring.dropped += 1;
-        }
-        ring.spans.push_back(span);
+        self.extend([span]);
     }
 
     /// Record a batch of completed spans.
@@ -309,11 +304,8 @@ impl TraceMode {
     /// The mode selected by `PVFS_TRACE` (unset ⇒ [`TraceMode::Off`]).
     /// Panics on a malformed spec, like every other `PVFS_*` variable.
     pub fn from_env() -> TraceMode {
-        match std::env::var("PVFS_TRACE") {
-            Ok(spec) => TraceMode::parse(&spec)
-                .unwrap_or_else(|e| panic!("trace configuration rejected: {e}")),
-            Err(_) => TraceMode::Off,
-        }
+        let parse = |spec: &str| TraceMode::parse(spec).map_err(|e| e.to_string());
+        crate::env::parsed("PVFS_TRACE", parse, TraceMode::Off)
     }
 
     /// Does this mode ever record anything?
@@ -334,15 +326,6 @@ pub fn parse_trace_cap(spec: &str) -> PvfsResult<usize> {
         ));
     }
     Ok(cap)
-}
-
-/// The recorder capacity selected by `PVFS_TRACE_CAP` (unset ⇒
-/// [`DEFAULT_TRACE_CAP`]).
-pub fn trace_cap_from_env() -> PvfsResult<usize> {
-    match std::env::var("PVFS_TRACE_CAP") {
-        Ok(spec) => parse_trace_cap(&spec),
-        Err(_) => Ok(DEFAULT_TRACE_CAP),
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -427,6 +410,53 @@ pub fn with_span_sink<R>(
         }
         out.extend(spans);
     }
+    result
+}
+
+/// The spans a daemon records around one traced request, which `serve`
+/// serves: a `queue` span for the time it sat `queued` before a worker
+/// took it (`None`: no such span) and a `service` span, noted with the
+/// request's `op`, around `serve` — under which whatever `serve`
+/// contributes to the span sink nests. Both are children of `ctx.parent`,
+/// on `node`.
+pub fn serve_spans<R>(
+    recorder: &Arc<FlightRecorder>,
+    ctx: TraceContext,
+    node: &str,
+    op: &str,
+    queued: Option<Duration>,
+    serve: impl FnOnce() -> R,
+) -> R {
+    let started = now_ns();
+    let span = |id, name: &str, start_ns, dur_ns, notes| Span {
+        trace: ctx.trace,
+        id,
+        parent: ctx.parent,
+        node: node.into(),
+        op: name.into(),
+        start_ns,
+        dur_ns,
+        notes,
+    };
+    if let Some(queued) = queued {
+        let queue_ns = queued.as_nanos() as u64;
+        let start_ns = started.saturating_sub(queue_ns);
+        recorder.push(span(
+            SpanId::next(),
+            "queue",
+            start_ns,
+            queue_ns,
+            Vec::new(),
+        ));
+    }
+    let service = SpanId::next();
+    let under_service = TraceContext {
+        trace: ctx.trace,
+        parent: service,
+    };
+    let result = with_span_sink(under_service, node, recorder, serve);
+    let took = now_ns().saturating_sub(started);
+    recorder.push(span(service, "service", started, took, vec![op.into()]));
     result
 }
 

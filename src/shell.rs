@@ -18,7 +18,7 @@
 
 use crate::client::PvfsFile;
 use crate::core::Method;
-use crate::net::{ClusterClient, LiveCluster, RpcTarget};
+use crate::net::{ClientStats, ClusterClient, LiveCluster, RpcTarget};
 use crate::proto::{Request, Response};
 use crate::types::{
     PvfsError, PvfsResult, RegionList, ServerId, StatsSnapshot, StripeLayout, TraceId,
@@ -385,105 +385,12 @@ impl Shell {
             .map(|i| scrape(RpcTarget::Server(ServerId(i))))
             .collect::<PvfsResult<_>>()?;
         let mgr = scrape(RpcTarget::Manager)?;
-
-        if args.first() == Some(&"json") {
-            let mut out = String::from("[");
-            for (i, s) in snaps.iter().enumerate() {
-                let _ = write!(out, "{{\"daemon\":\"iod{i}\",\"stats\":{}}},", s.to_json());
-            }
-            let _ = write!(out, "{{\"daemon\":\"mgr\",\"stats\":{}}},", mgr.to_json());
-            let fields: Vec<String> = client
-                .stats()
-                .counters()
-                .iter()
-                .map(|(name, value)| format!("\"{name}\":{value}"))
-                .collect();
-            let _ = write!(
-                out,
-                "{{\"daemon\":\"client\",\"stats\":{{{}}}}}]",
-                fields.join(",")
-            );
-            return Ok(out);
-        }
-
-        let mut out =
-            String::from("server     requests  contig    list  regions   read B  written B\n");
-        for (i, s) in snaps.iter().enumerate() {
-            let name = format!("iod{i}");
-            let _ = writeln!(
-                out,
-                "{name:<10} {:>8} {:>7} {:>7} {:>8} {:>8} {:>10}",
-                s.requests,
-                s.contiguous_requests,
-                s.list_requests,
-                s.regions,
-                s.bytes_read,
-                s.bytes_written
-            );
-        }
-        let _ = writeln!(
-            out,
-            "{:<10} {:>8} {:>7} {:>7} {:>8} {:>8} {:>10}",
-            "mgr", mgr.requests, 0, 0, 0, mgr.bytes_read, mgr.bytes_written
-        );
-        let _ = writeln!(
-            out,
-            "\nstorage    jrnl-app  jrnl-depth  replays  flushes  fsyncs    shed"
-        );
-        for (i, s) in snaps.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "{:<10} {:>8} {:>11} {:>8} {:>8} {:>7} {:>7}",
-                format!("iod{i}"),
-                s.journal_appends,
-                s.journal_depth,
-                s.journal_replays,
-                s.flushes,
-                s.fsyncs,
-                s.requests_shed
-            );
-        }
-        let _ = writeln!(
-            out,
-            "\nlatency (µs)            p50      p95      p99  samples"
-        );
-        let us = |ns: u64| ns as f64 / 1000.0;
-        for (i, s) in snaps.iter().enumerate() {
-            for (what, h) in [
-                ("queue-wait", &s.queue_wait),
-                ("service", &s.service_time),
-                ("fsync", &s.fsync_time),
-            ] {
-                let _ = writeln!(
-                    out,
-                    "{:<18} {:>8.1} {:>8.1} {:>8.1} {:>8}",
-                    format!("iod{i} {what}"),
-                    us(h.percentile_ns(0.50)),
-                    us(h.percentile_ns(0.95)),
-                    us(h.percentile_ns(0.99)),
-                    h.count()
-                );
-            }
-        }
-        let _ = writeln!(
-            out,
-            "{:<18} {:>8.1} {:>8.1} {:>8.1} {:>8}",
-            "mgr service",
-            us(mgr.service_time.percentile_ns(0.50)),
-            us(mgr.service_time.percentile_ns(0.95)),
-            us(mgr.service_time.percentile_ns(0.99)),
-            mgr.service_time.count()
-        );
-        // Client-side resilience counters — rendered from the same
-        // exhaustive `ClientStats::counters()` listing the completeness
-        // test checks, so a counter added to `ClientStats` shows up
-        // here without a second edit (and can never silently vanish).
-        let _ = writeln!(out, "\nclient counters");
-        for (name, value) in client.stats().counters() {
-            let _ = writeln!(out, "  {name:<20} {value:>10}");
-        }
-        out.pop();
-        Ok(out)
+        let client = client.stats();
+        Ok(if args.first() == Some(&"json") {
+            stats_json(&snaps, &mgr, &client)
+        } else {
+            stats_tables(&snaps, &mgr, &client)
+        })
     }
 
     /// Render the waterfall of one retained distributed trace. Bare
@@ -559,6 +466,88 @@ const HELP: &str = "commands:
   trace [last|ID]                       waterfall of a retained trace (needs PVFS_TRACE)
   health                                ping every daemon: liveness, RTT, queue depth
   help                                  this text";
+
+/// `stats json`: one array, an object per daemon, the manager, and the
+/// client's counters last.
+fn stats_json(snaps: &[StatsSnapshot], mgr: &StatsSnapshot, client: &ClientStats) -> String {
+    let mut out = String::from("[");
+    for (i, s) in snaps.iter().enumerate() {
+        let _ = write!(out, "{{\"daemon\":\"iod{i}\",\"stats\":{}}},", s.to_json());
+    }
+    let _ = write!(out, "{{\"daemon\":\"mgr\",\"stats\":{}}},", mgr.to_json());
+    let _ = write!(
+        out,
+        "{{\"daemon\":\"client\",\"stats\":{}}}]",
+        client.to_json()
+    );
+    out
+}
+
+/// `stats`: the request, storage and latency tables, then the client's
+/// counters.
+fn stats_tables(snaps: &[StatsSnapshot], mgr: &StatsSnapshot, client: &ClientStats) -> String {
+    let iods = || (0..).map(|i| format!("iod{i}")).zip(snaps);
+    let mut out =
+        String::from("server     requests  contig    list  regions   read B  written B\n");
+    for (name, s) in iods().chain([("mgr".to_string(), mgr)]) {
+        let _ = writeln!(
+            out,
+            "{name:<10} {:>8} {:>7} {:>7} {:>8} {:>8} {:>10}",
+            s.requests,
+            s.contiguous_requests,
+            s.list_requests,
+            s.regions,
+            s.bytes_read,
+            s.bytes_written
+        );
+    }
+    let _ = writeln!(
+        out,
+        "\nstorage    jrnl-app  jrnl-depth  replays  flushes  fsyncs    shed"
+    );
+    for (name, s) in iods() {
+        let _ = writeln!(
+            out,
+            "{name:<10} {:>8} {:>11} {:>8} {:>8} {:>7} {:>7}",
+            s.journal_appends,
+            s.journal_depth,
+            s.journal_replays,
+            s.flushes,
+            s.fsyncs,
+            s.requests_shed
+        );
+    }
+    let _ = writeln!(
+        out,
+        "\nlatency (µs)            p50      p95      p99  samples"
+    );
+    let mut latencies = Vec::new();
+    for (name, s) in iods() {
+        latencies.push((format!("{name} queue-wait"), &s.queue_wait));
+        latencies.push((format!("{name} service"), &s.service_time));
+        latencies.push((format!("{name} fsync"), &s.fsync_time));
+    }
+    latencies.push(("mgr service".to_string(), &mgr.service_time));
+    let us = |ns: u64| ns as f64 / 1000.0;
+    for (what, h) in latencies {
+        let _ = writeln!(
+            out,
+            "{what:<18} {:>8.1} {:>8.1} {:>8.1} {:>8}",
+            us(h.percentile_ns(0.50)),
+            us(h.percentile_ns(0.95)),
+            us(h.percentile_ns(0.99)),
+            h.count()
+        );
+    }
+    // Every client counter there is, so one added to the table shows up
+    // here without a second edit.
+    let _ = writeln!(out, "\nclient counters");
+    for (name, value) in client.counters() {
+        let _ = writeln!(out, "  {name:<20} {value:>10}");
+    }
+    out.pop();
+    out
+}
 
 fn parse<T: std::str::FromStr>(arg: Option<&&str>, name: &str) -> PvfsResult<T> {
     arg.ok_or_else(|| PvfsError::invalid(format!("missing {name}")))?
@@ -827,6 +816,111 @@ mod tests {
                 "stats json is missing {name}: {json}"
             );
         }
+    }
+
+    /// The tables and the JSON for a fixed set of snapshots, to the byte.
+    #[test]
+    fn stats_renderings_are_pinned() {
+        let mut iod = StatsSnapshot {
+            requests: 1,
+            contiguous_requests: 2,
+            list_requests: 3,
+            regions: 4,
+            bytes_read: 5,
+            bytes_written: 6,
+            errors: 7,
+            bytes_rx: 8,
+            bytes_tx: 9,
+            frames_rx: 10,
+            journal_appends: 11,
+            journal_bytes: 12,
+            journal_replays: 13,
+            flushes: 14,
+            fsyncs: 15,
+            requests_shed: 16,
+            workers: 17,
+            busy_workers: 18,
+            queue_depth: 19,
+            journal_depth: 20,
+            ..StatsSnapshot::default()
+        };
+        iod.queue_wait.record(1_000);
+        iod.queue_wait.record(3_000);
+        iod.service_time.record(1_000_000);
+        let mut mgr = StatsSnapshot {
+            requests: 21,
+            workers: 1,
+            ..StatsSnapshot::default()
+        };
+        mgr.service_time.record(2_000);
+        let client = ClientStats {
+            attempts: 1,
+            retries: 2,
+            backoff_ms: 3,
+            faults_injected: 4,
+            hedges_sent: 5,
+            hedge_wins: 6,
+            breaker_rejections: 7,
+            sheds_seen: 8,
+            replica_failovers: 9,
+            quorum_shortfalls: 10,
+        };
+        assert_eq!(
+            stats_tables(&[iod.clone()], &mgr, &client),
+            "\
+server     requests  contig    list  regions   read B  written B
+iod0              1       2       3        4        5          6
+mgr              21       0       0        0        0          0
+
+storage    jrnl-app  jrnl-depth  replays  flushes  fsyncs    shed
+iod0             11          20       13       14      15      16
+
+latency (µs)            p50      p95      p99  samples
+iod0 queue-wait         1.0      3.0      3.0        2
+iod0 service         1000.0   1000.0   1000.0        1
+iod0 fsync              0.0      0.0      0.0        0
+mgr service             2.0      2.0      2.0        1
+
+client counters
+  attempts                      1
+  retries                       2
+  backoff_ms                    3
+  faults_injected               4
+  hedges_sent                   5
+  hedge_wins                    6
+  breaker_rejections            7
+  sheds_seen                    8
+  replica_failovers             9
+  quorum_shortfalls            10"
+        );
+        let empty = "{\"count\":0,\"min_ns\":0,\"p50_ns\":0,\"p95_ns\":0,\"p99_ns\":0,\"max_ns\":0,\"mean_ns\":0}";
+        assert_eq!(
+            stats_json(&[iod], &mgr, &client),
+            format!(
+                "[{{\"daemon\":\"iod0\",\"stats\":{{\
+                 \"requests\":1,\"contiguous_requests\":2,\"list_requests\":3,\"regions\":4,\
+                 \"bytes_read\":5,\"bytes_written\":6,\"errors\":7,\"bytes_rx\":8,\"bytes_tx\":9,\
+                 \"frames_rx\":10,\"journal_appends\":11,\"journal_bytes\":12,\
+                 \"journal_replays\":13,\"flushes\":14,\"fsyncs\":15,\"requests_shed\":16,\
+                 \"workers\":17,\"busy_workers\":18,\"queue_depth\":19,\"journal_depth\":20,\
+                 \"queue_wait\":{{\"count\":2,\"min_ns\":1000,\"p50_ns\":1000,\"p95_ns\":3000,\
+                 \"p99_ns\":3000,\"max_ns\":3000,\"mean_ns\":2000}},\
+                 \"service_time\":{{\"count\":1,\"min_ns\":1000000,\"p50_ns\":1000000,\
+                 \"p95_ns\":1000000,\"p99_ns\":1000000,\"max_ns\":1000000,\"mean_ns\":1000000}},\
+                 \"fsync_time\":{empty}}}}},\
+                 {{\"daemon\":\"mgr\",\"stats\":{{\
+                 \"requests\":21,\"contiguous_requests\":0,\"list_requests\":0,\"regions\":0,\
+                 \"bytes_read\":0,\"bytes_written\":0,\"errors\":0,\"bytes_rx\":0,\"bytes_tx\":0,\
+                 \"frames_rx\":0,\"journal_appends\":0,\"journal_bytes\":0,\"journal_replays\":0,\
+                 \"flushes\":0,\"fsyncs\":0,\"requests_shed\":0,\"workers\":1,\"busy_workers\":0,\
+                 \"queue_depth\":0,\"journal_depth\":0,\"queue_wait\":{empty},\
+                 \"service_time\":{{\"count\":1,\"min_ns\":2000,\"p50_ns\":2000,\"p95_ns\":2000,\
+                 \"p99_ns\":2000,\"max_ns\":2000,\"mean_ns\":2000}},\"fsync_time\":{empty}}}}},\
+                 {{\"daemon\":\"client\",\"stats\":{{\"attempts\":1,\"retries\":2,\"backoff_ms\":3,\
+                 \"faults_injected\":4,\"hedges_sent\":5,\"hedge_wins\":6,\"breaker_rejections\":7,\
+                 \"sheds_seen\":8,\"replica_failovers\":9,\"quorum_shortfalls\":10}}}}]"
+            )
+        );
     }
 
     #[test]

@@ -130,7 +130,7 @@ fn committed_list_write_completes_after_restart() {
         got, expect,
         "every region of the committed batch must be visible"
     );
-    let snap = cluster.daemon(ServerId(0)).unwrap().stats_snapshot();
+    let snap = cluster.daemon(ServerId(0)).unwrap().ledger().snapshot();
     assert!(
         snap.journal_replays > 0,
         "recovery must have replayed the journal"
@@ -169,7 +169,7 @@ fn batch_committed_after_a_checkpoint_completes_after_restart() {
         got, expect,
         "a batch committed after a checkpoint must replay in full"
     );
-    let snap = cluster.daemon(ServerId(0)).unwrap().stats_snapshot();
+    let snap = cluster.daemon(ServerId(0)).unwrap().ledger().snapshot();
     assert_eq!(snap.journal_replays, 1, "exactly the one record replays");
 }
 

@@ -58,7 +58,7 @@ fn roundtrip_clean(kind: TransportKind) {
     let fill = vec![0xd7u8; pattern.total_len() as usize];
     let report = f.write_list(&mem, &pattern, &fill, Method::List).unwrap();
     assert_eq!(
-        report.quorum_shortfalls, 0,
+        report.client.quorum_shortfalls, 0,
         "healthy writes reach all copies"
     );
 
@@ -112,7 +112,7 @@ fn kill_one_daemon_reads_survive(kind: TransportKind) {
         let survivors: Vec<u32> = (0..3).filter(|s| *s != dead).collect();
         let frames_before: u64 = survivors
             .iter()
-            .map(|s| cluster.server_stats(ServerId(*s)).unwrap().frames_rx)
+            .map(|s| cluster.stats_snapshot(ServerId(*s)).unwrap().frames_rx)
             .sum();
 
         let mut f = PvfsFile::open(&degraded, "/pvfs/kill").unwrap();
@@ -131,7 +131,7 @@ fn kill_one_daemon_reads_survive(kind: TransportKind) {
         // logical read sub-request — a retry storm would break this.
         let frames_after: u64 = survivors
             .iter()
-            .map(|s| cluster.server_stats(ServerId(*s)).unwrap().frames_rx)
+            .map(|s| cluster.stats_snapshot(ServerId(*s)).unwrap().frames_rx)
             .sum();
         assert_eq!(
             frames_after - frames_before,

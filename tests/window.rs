@@ -147,7 +147,7 @@ fn layout() -> StripeLayout {
 
 fn frames_rx(cluster: &LiveCluster) -> Vec<u64> {
     (0..cluster.n_servers())
-        .map(|s| cluster.server_stats(ServerId(s)).unwrap().frames_rx)
+        .map(|s| cluster.stats_snapshot(ServerId(s)).unwrap().frames_rx)
         .collect()
 }
 
@@ -172,8 +172,8 @@ fn a_list_plan_keeps_w_flights_on_every_daemon_and_sends_nothing_twice() {
 
     for report in [&written, &read] {
         assert_eq!((report.rounds, report.requests), (16, 64));
-        assert_eq!((report.attempts, report.retries), (64, 0));
-        assert_eq!(report.sheds_seen, 0);
+        assert_eq!((report.client.attempts, report.client.retries), (64, 0));
+        assert_eq!(report.client.sheds_seen, 0);
         assert_eq!(report.requests_by_server, [16; 4]);
     }
     assert_eq!(frames_rx(&cluster), [32; 4], "one frame per request");
@@ -251,7 +251,11 @@ fn a_transient_failure_mid_stream_reships_only_the_failed_frame() {
         .write_list(&mem, &file_regions, &content, Method::List)
         .unwrap();
     assert_eq!(
-        (report.requests, report.attempts, report.retries),
+        (
+            report.requests,
+            report.client.attempts,
+            report.client.retries
+        ),
         (64, 65, 1)
     );
     assert_eq!(frames_rx(&cluster), [16, 16, 17, 16]);
