@@ -14,7 +14,7 @@ use pvfs_core::exec::{
     alloc_temps, apply_copies, copy_bytes, scatter_response, stage_copies, wire_request_into,
     Buffers, Sources,
 };
-use pvfs_core::{AccessPlan, IoKind, Step, Target, WireOp};
+use pvfs_core::{AccessPlan, IoKind, Round, Step, Target, WireOp};
 use pvfs_net::{ClusterClient, OpStream, RpcTarget};
 use pvfs_proto::{Request, Response};
 use pvfs_types::{Histogram, PvfsError, PvfsResult};
@@ -191,7 +191,7 @@ struct Stretch<'a, 'u> {
     temps: &'a mut [Vec<u8>],
     report: &'a mut ExecReport,
     /// What is left of the round being sent.
-    round: std::vec::IntoIter<WireOp>,
+    round: <Round as IntoIterator>::IntoIter,
     /// Whether the plan's next round may join this stretch.
     open: bool,
     /// The step that ended the stretch: pulled off the plan, not run.
@@ -204,10 +204,10 @@ fn through_pieces(ops: &[WireOp]) -> bool {
 }
 
 impl Stretch<'_, '_> {
-    fn begin_round(&mut self, ops: Vec<WireOp>) {
+    fn begin_round(&mut self, ops: Round) {
         self.report.rounds += 1;
         self.report.requests += ops.len() as u64;
-        for wire in &ops {
+        for wire in ops.iter() {
             self.report.bump_server(wire.server);
         }
         self.round = ops.into_iter();
@@ -308,7 +308,7 @@ pub fn execute_plan(
                         user: &mut user,
                         temps: &mut temps,
                         report: &mut report,
-                        round: Vec::new().into_iter(),
+                        round: Round::default().into_iter(),
                         ended_by: None,
                     };
                     stretch.begin_round(ops);

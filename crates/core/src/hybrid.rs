@@ -15,8 +15,7 @@
 
 use crate::method::MethodConfig;
 use crate::plan::{
-    AccessPlan, CopyPair, IoKind, MemSlice, OpKind, PieceMap, PlanStats, Space, Step, Target,
-    WireOp,
+    AccessPlan, CopyPair, IoKind, MemSlice, OpKind, PieceMap, PlanStats, Round, Space, Step, Target,
 };
 use crate::planutil::servers_for;
 use crate::request::ListRequest;
@@ -94,39 +93,14 @@ pub fn plan(
     };
     let steps = items.into_iter().flat_map(move |item| match item {
         Item::Sieve { window, copies } => {
-            let ops = servers_for(&layout, [window])
-                .iter()
-                .map(|server| WireOp {
-                    server,
-                    op: OpKind::Read {
-                        region: window,
-                        dest: Target::Window {
-                            temp: 0,
-                            base: window.offset,
-                        },
-                    },
-                })
-                .collect();
+            let read = OpKind::window(IoKind::Read, window);
+            let ops = Round::fan_out(servers_for(&layout, [window]).iter(), read);
             vec![Step::Round(ops), Step::Copy(copies)]
         }
         Item::Chunk(chunk) => {
-            let ops = servers_for(&layout, chunk.iter().copied())
-                .iter()
-                .map(|server| WireOp {
-                    server,
-                    op: match kind {
-                        IoKind::Read => OpKind::ReadList {
-                            regions: chunk.clone(),
-                            dest: Target::Pieces(piece_map.clone()),
-                        },
-                        IoKind::Write => OpKind::WriteList {
-                            regions: chunk.clone(),
-                            src: Target::Pieces(piece_map.clone()),
-                        },
-                    },
-                })
-                .collect();
-            vec![Step::Round(ops)]
+            let servers = servers_for(&layout, chunk.iter().copied());
+            let op = OpKind::list(kind, chunk, Target::Pieces(piece_map.clone()));
+            vec![Step::Round(Round::fan_out(servers.iter(), op))]
         }
     });
 

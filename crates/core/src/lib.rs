@@ -45,8 +45,8 @@ pub mod sieving;
 pub use exec::Buffers;
 pub use method::{Method, MethodConfig};
 pub use plan::{
-    AccessPlan, CopyPair, IoKind, MemSlice, OpKind, PieceMap, PlanStats, Space, Step, Target,
-    WireOp,
+    AccessPlan, CopyPair, IoKind, MemSlice, OpKind, PieceMap, PlanStats, Round, Space, Step,
+    Target, WireOp,
 };
 pub use request::ListRequest;
 

@@ -11,7 +11,7 @@
 //! magnitude write gap.
 
 use crate::method::MethodConfig;
-use crate::plan::{AccessPlan, IoKind, OpKind, PieceMap, PlanStats, Step, Target, WireOp};
+use crate::plan::{AccessPlan, IoKind, OpKind, PieceMap, PlanStats, Round, Step, Target};
 use crate::planutil::servers_for;
 use crate::request::ListRequest;
 use pvfs_types::{FileHandle, PvfsResult, StripeLayout};
@@ -52,23 +52,9 @@ pub fn plan(
 
     let steps = (0..n_chunks).map(move |i| {
         let chunk = regions.slice(i * max..((i + 1) * max).min(regions.count()));
-        let ops = servers_for(&layout, chunk.iter().copied())
-            .iter()
-            .map(|server| WireOp {
-                server,
-                op: match kind {
-                    IoKind::Read => OpKind::ReadList {
-                        regions: chunk.clone(),
-                        dest: Target::Pieces(pieces.clone()),
-                    },
-                    IoKind::Write => OpKind::WriteList {
-                        regions: chunk.clone(),
-                        src: Target::Pieces(pieces.clone()),
-                    },
-                },
-            })
-            .collect();
-        Step::Round(ops)
+        let servers = servers_for(&layout, chunk.iter().copied());
+        let op = OpKind::list(kind, chunk, Target::Pieces(pieces.clone()));
+        Step::Round(Round::fan_out(servers.iter(), op))
     });
 
     Ok(AccessPlan::new(handle, layout, kind, vec![], stats, steps))

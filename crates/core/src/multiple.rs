@@ -12,7 +12,7 @@
 //! pieces, which is the overhead the paper's figures show dominating.
 
 use crate::method::MethodConfig;
-use crate::plan::{AccessPlan, IoKind, OpKind, PieceMap, PlanStats, Step, Target, WireOp};
+use crate::plan::{AccessPlan, IoKind, OpKind, PieceMap, PlanStats, Round, Step, Target};
 use crate::planutil::{servers_for, touched_count};
 use crate::request::ListRequest;
 use pvfs_types::{aligned, FileHandle, PvfsResult, StripeLayout};
@@ -43,23 +43,18 @@ pub fn plan(
     stats.contig_requests = stats.requests;
 
     let steps = pieces.map(move |(_, region)| {
-        let ops = servers_for(&layout, [region])
-            .iter()
-            .map(|server| WireOp {
-                server,
-                op: match kind {
-                    IoKind::Read => OpKind::Read {
-                        region,
-                        dest: Target::Pieces(piece_map.clone()),
-                    },
-                    IoKind::Write => OpKind::Write {
-                        region,
-                        src: Target::Pieces(piece_map.clone()),
-                    },
-                },
-            })
-            .collect();
-        Step::Round(ops)
+        let pieces = Target::Pieces(piece_map.clone());
+        let op = match kind {
+            IoKind::Read => OpKind::Read {
+                region,
+                dest: pieces,
+            },
+            IoKind::Write => OpKind::Write {
+                region,
+                src: pieces,
+            },
+        };
+        Step::Round(Round::fan_out(servers_for(&layout, [region]).iter(), op))
     });
 
     Ok(AccessPlan::new(handle, layout, kind, vec![], stats, steps))

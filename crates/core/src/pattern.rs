@@ -15,7 +15,7 @@
 //! region count.
 
 use crate::method::MethodConfig;
-use crate::plan::{AccessPlan, IoKind, OpKind, PieceMap, PlanStats, Step, Target, WireOp};
+use crate::plan::{AccessPlan, IoKind, OpKind, PieceMap, PlanStats, Round, Step, Target};
 use crate::request::ListRequest;
 use pvfs_proto::VectorRun;
 use pvfs_types::{FileHandle, PvfsResult, Region, ServerId, StripeLayout};
@@ -147,23 +147,19 @@ pub fn plan(
     stats.list_requests = stats.requests;
 
     let steps = chunks.into_iter().map(move |chunk| {
-        let ops = chunk_servers(&chunk, &layout)
-            .into_iter()
-            .map(|server| WireOp {
-                server,
-                op: match kind {
-                    IoKind::Read => OpKind::ReadVectors {
-                        runs: chunk.clone(),
-                        dest: Target::Pieces(pieces.clone()),
-                    },
-                    IoKind::Write => OpKind::WriteVectors {
-                        runs: chunk.clone(),
-                        src: Target::Pieces(pieces.clone()),
-                    },
-                },
-            })
-            .collect();
-        Step::Round(ops)
+        let servers = chunk_servers(&chunk, &layout);
+        let at = Target::Pieces(pieces.clone());
+        let op = match kind {
+            IoKind::Read => OpKind::ReadVectors {
+                runs: chunk,
+                dest: at,
+            },
+            IoKind::Write => OpKind::WriteVectors {
+                runs: chunk,
+                src: at,
+            },
+        };
+        Step::Round(Round::fan_out(servers, op))
     });
 
     Ok(AccessPlan::new(handle, layout, kind, vec![], stats, steps))

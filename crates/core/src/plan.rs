@@ -234,6 +234,27 @@ pub enum OpKind {
 }
 
 impl OpKind {
+    /// The list op of `kind` on `regions`, its byte stream at `at`.
+    pub fn list(kind: IoKind, regions: RegionList, at: Target) -> OpKind {
+        match kind {
+            IoKind::Read => OpKind::ReadList { regions, dest: at },
+            IoKind::Write => OpKind::WriteList { regions, src: at },
+        }
+    }
+
+    /// The contiguous op of `kind` on `region` through temp buffer 0, a
+    /// window based at the region's start (data sieving).
+    pub fn window(kind: IoKind, region: Region) -> OpKind {
+        let at = Target::Window {
+            temp: 0,
+            base: region.offset,
+        };
+        match kind {
+            IoKind::Read => OpKind::Read { region, dest: at },
+            IoKind::Write => OpKind::Write { region, src: at },
+        }
+    }
+
     /// Where this op's byte stream comes from (writes) or goes to
     /// (reads) on the client.
     pub fn target(&self) -> &Target {
@@ -256,12 +277,78 @@ impl OpKind {
     }
 }
 
+/// The wire ops of one round: one [`OpKind`] fanned out over the servers
+/// it touches ([`Round::fan_out`] is how every planner builds one).
+/// Reads as a `[WireOp]`. A round of a single op — all of multiple I/O's
+/// 983 040 per FLASH processor — holds it inline: the step that streams
+/// it out of the plan allocates nothing. A round of several costs its
+/// one vector.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Round(Ops);
+
+#[derive(Debug, Clone, PartialEq)]
+enum Ops {
+    One(WireOp),
+    /// Never exactly one: equal rounds compare equal.
+    Many(Vec<WireOp>),
+}
+
+impl Default for Ops {
+    fn default() -> Ops {
+        Ops::Many(Vec::new())
+    }
+}
+
+impl Round {
+    /// `op`, once for each of `servers`.
+    pub fn fan_out(servers: impl IntoIterator<Item = ServerId>, op: OpKind) -> Round {
+        let mut servers = servers.into_iter();
+        let (Some(first), second) = (servers.next(), servers.next()) else {
+            return Round::default();
+        };
+        let Some(second) = second else {
+            return Round(Ops::One(WireOp { server: first, op }));
+        };
+        let servers = [first, second].into_iter().chain(servers);
+        let wire = |server| WireOp {
+            server,
+            op: op.clone(),
+        };
+        Round(Ops::Many(servers.map(wire).collect()))
+    }
+}
+
+impl std::ops::Deref for Round {
+    type Target = [WireOp];
+
+    fn deref(&self) -> &[WireOp] {
+        match &self.0 {
+            Ops::One(op) => std::slice::from_ref(op),
+            Ops::Many(ops) => ops,
+        }
+    }
+}
+
+impl IntoIterator for Round {
+    type Item = WireOp;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<WireOp>, std::vec::IntoIter<WireOp>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        let (one, many) = match self.0 {
+            Ops::One(op) => (Some(op), Vec::new()),
+            Ops::Many(ops) => (None, ops),
+        };
+        one.into_iter().chain(many)
+    }
+}
+
 /// One step of a plan.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Step {
     /// Issue all ops in parallel (fan-out to distinct servers) and wait
-    /// for every response before the next step.
-    Round(Vec<WireOp>),
+    /// for every response before the next step. The [`Round`] reads as a
+    /// `[WireOp]` and is consumed op by op (`for wire in ops`).
+    Round(Round),
     /// Client-side memory copies (sieve buffer ⇄ user buffer).
     Copy(Vec<CopyPair>),
     /// Begin a section that must execute exclusively, in client-rank
@@ -530,6 +617,30 @@ mod tests {
     }
 
     #[test]
+    fn a_round_fans_one_op_out_and_keeps_a_single_one_inline() {
+        let op = OpKind::window(IoKind::Read, Region::new(8, 4));
+        let wire = |server| WireOp {
+            server: ServerId(server),
+            op: op.clone(),
+        };
+        let inside = |round: &Round| {
+            let (at, this) = (round.as_ptr() as usize, round as *const Round as usize);
+            (this..this + std::mem::size_of::<Round>()).contains(&at)
+        };
+        let one = Round::fan_out([ServerId(2)], op.clone());
+        assert!(inside(&one), "a single op needs no vector");
+        assert_eq!(&one[..], &[wire(2)][..]);
+        let many = Round::fan_out([2, 0, 1].map(ServerId), op.clone());
+        assert!(!inside(&many));
+        assert_eq!(&many[..], &[wire(2), wire(0), wire(1)][..]);
+        assert!(one != many && many == many.clone());
+        let servers = |round: Round| round.into_iter().map(|w| w.server.0).collect::<Vec<_>>();
+        assert_eq!((servers(one), servers(many)), (vec![2], vec![2, 0, 1]));
+        let none = Round::fan_out([], op);
+        assert!(none.is_empty() && none == Round::default());
+    }
+
+    #[test]
     fn plan_streams_steps() {
         let steps = vec![Step::SerialBegin, Step::SerialEnd];
         let mut plan = AccessPlan::new(
@@ -558,7 +669,7 @@ mod tests {
 
     #[test]
     fn step_kind_names() {
-        assert_eq!(Step::Round(vec![]).kind_name(), "round");
+        assert_eq!(Step::Round(Round::default()).kind_name(), "round");
         assert_eq!(Step::Copy(vec![]).kind_name(), "copy");
         assert_eq!(Step::SerialBegin.kind_name(), "serial_begin");
     }

@@ -20,9 +20,7 @@
 //! and write traffic is doubled by the RMW.
 
 use crate::method::MethodConfig;
-use crate::plan::{
-    AccessPlan, CopyPair, IoKind, MemSlice, OpKind, PlanStats, Space, Step, Target, WireOp,
-};
+use crate::plan::{AccessPlan, CopyPair, IoKind, MemSlice, OpKind, PlanStats, Round, Space, Step};
 use crate::planutil::servers_for;
 use crate::request::ListRequest;
 use pvfs_types::{FileHandle, PvfsResult, Region, StripeLayout};
@@ -205,58 +203,15 @@ impl<I: Iterator<Item = Window>> Iterator for WindowSteps<I> {
         match self.windows.next() {
             Some(w) => {
                 let servers = servers_for(&self.layout, [w.region]);
-                match self.kind {
-                    IoKind::Read => {
-                        let ops = servers
-                            .iter()
-                            .map(|server| WireOp {
-                                server,
-                                op: OpKind::Read {
-                                    region: w.region,
-                                    dest: Target::Window {
-                                        temp: 0,
-                                        base: w.region.offset,
-                                    },
-                                },
-                            })
-                            .collect();
-                        // Round first, then copy buffer → user.
-                        self.pending.push(Step::Copy(w.copies));
-                        Some(Step::Round(ops))
-                    }
-                    IoKind::Write => {
-                        let read_ops = servers
-                            .iter()
-                            .map(|server| WireOp {
-                                server,
-                                op: OpKind::Read {
-                                    region: w.region,
-                                    dest: Target::Window {
-                                        temp: 0,
-                                        base: w.region.offset,
-                                    },
-                                },
-                            })
-                            .collect();
-                        let write_ops = servers
-                            .iter()
-                            .map(|server| WireOp {
-                                server,
-                                op: OpKind::Write {
-                                    region: w.region,
-                                    src: Target::Window {
-                                        temp: 0,
-                                        base: w.region.offset,
-                                    },
-                                },
-                            })
-                            .collect();
-                        // read → modify → write, queued in order.
-                        self.pending.push(Step::Copy(w.copies));
-                        self.pending.push(Step::Round(write_ops));
-                        Some(Step::Round(read_ops))
-                    }
+                let round = |kind| Round::fan_out(servers.iter(), OpKind::window(kind, w.region));
+                // Read the window first, then copy buffer → user; a
+                // write copies user → buffer and writes the window back
+                // (read → modify → write, queued in order).
+                self.pending.push(Step::Copy(w.copies));
+                if self.kind == IoKind::Write {
+                    self.pending.push(Step::Round(round(IoKind::Write)));
                 }
+                Some(Step::Round(round(IoKind::Read)))
             }
             None => {
                 if self.kind == IoKind::Write && !self.closed {

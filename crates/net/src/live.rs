@@ -296,16 +296,18 @@ fn spawn_chan_server(
     let worker_service = service.clone();
     let spares = Mutex::new(Spares::<Scratch>::default());
     let (tx, pool) = WorkerPool::spawn(name, workers, queue_depth, move |msg| match msg {
-        NodeMsg::Rpc(frame, reply, queued_at) => {
+        NodeMsg::Rpc(frame, mut reply, queued_at) => {
             let scrape = frame_is_stats_scrape(&frame.head);
             let mut scratch = spares.lock().unwrap().take().unwrap_or_default();
+            // A read is gathered into the buffer the request brought — the
+            // lane's, which gets it back as the `Data` reply's payload, or
+            // beside a reply that has none.
+            scratch.adopt_read(std::mem::take(&mut reply.spare));
             let (id, response) =
                 serve_rpc(&*worker_service, frame, queued_at, scrape, &mut scratch);
+            reply.spare = scratch.release_read();
             // The scratch goes back *before* the reply is handed over:
             // the frame the client sends on seeing it must find it back.
-            // Not so the buffer of a `Data` reply, which goes with the
-            // reply to the client's thread (see `Scratch::forget_read`).
-            scratch.forget_read();
             spares.lock().unwrap().give(scratch);
             // A `Data` reply goes back as `head ‖ payload`, the payload
             // being the buffer the daemon gathered: never staged behind

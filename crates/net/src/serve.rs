@@ -20,8 +20,10 @@
 //! list — is a [`Scratch`] the transport takes from the spares of the
 //! connection (tcp) or the daemon's queue (chan) the frame came by,
 //! never from the worker thread that happens to serve it, and gives back
-//! around the reply; [`serve_rpc`] states the order that makes every
-//! buffer of a frame its owner's again by the time the reply is read.
+//! around the reply (over chan less its read buffer, which came with the
+//! request and leaves with the reply: it is the client's lane's);
+//! [`serve_rpc`] states the order that makes every buffer of a frame its
+//! owner's again by the time the reply is read.
 //!
 //! # The observer-effect guarantee
 //!
@@ -83,10 +85,14 @@ pub(crate) trait Service: Send + Sync {
 /// outlives the request is in `scratch`, which the transport took from
 /// its [`Spares`](crate::spares::Spares) and gives back: the request's
 /// region list (the next list request is decoded into it), the daemon's
-/// run list, and — behind the `Data` reply returned here, until the
-/// transport has sent it and settled the scratch's read buffer
-/// ([`Scratch::reclaim_read`] or [`Scratch::forget_read`]) — the buffer
-/// the read was gathered into.
+/// run list, and the buffer a read was gathered into — behind the `Data`
+/// reply returned here, or unused. Whose that is differs: a connection's
+/// scratch keeps it, and is the last handle on it again once the reply
+/// is written and dropped ([`Scratch::reclaim_read`]); over the channel
+/// transport it is the lane's, adopted from the request
+/// ([`Scratch::adopt_read`]) and let go before the reply is handed over
+/// ([`Scratch::release_read`]) — as the reply's payload, or beside the
+/// reply if that has none.
 pub(crate) fn serve_rpc(
     service: &dyn Service,
     frame: Frame,
@@ -312,7 +318,7 @@ mod tests {
         transport.dispatch(target, frame(1, Request::Ping)).unwrap();
         assert_eq!(books(&service), (1, 1, 0));
         let refused = transport.dispatch(target, frame(2, Request::Ping));
-        assert_eq!(refused.err(), Some(overloaded));
+        assert_eq!(refused.err(), Some(overloaded.clone()));
         assert_eq!(
             books(&service),
             (2, 1, 1),
@@ -335,5 +341,16 @@ mod tests {
         }
         assert!(sender.join().unwrap(), "the blocked send went through");
         assert_eq!(books(&service), (2, 2, 0), "both frames are queued");
+
+        // A frame that never got into the queue — here the daemon's
+        // workers are gone — is not left on the queue's books, whether the
+        // service sheds or waits.
+        for refusal in [Some(overloaded), None] {
+            let (service, rx, transport) = transport_over(refusal);
+            drop(rx);
+            let gone = transport.dispatch(target, frame(1, Request::Ping));
+            assert!(matches!(gone.err(), Some(PvfsError::Transport(_))));
+            assert_eq!(books(&service), (1, 0, 0), "nothing is queued");
+        }
     }
 }

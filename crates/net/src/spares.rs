@@ -3,13 +3,14 @@
 //! Every buffer a frame needs in steady state — the buffer it is
 //! received into, the head it is encoded into, the payload a write
 //! gathers, the daemon's scratch (read buffer, decoded region list, run
-//! list) — has an **owner** that hands it out and takes it back, instead
-//! of a call site that allocates it and a drop that frees it, often on
-//! another thread. The owner is always the thing frames queue up at —
-//! one end of a connection, a daemon's queue, a client's request
-//! pipeline — never a worker thread, so what a frame costs does not
-//! depend on which worker serves it. [`Spares`] is the one rule all of them
-//! keep:
+//! list), the buffer a read's reply is gathered into — has an **owner**
+//! that hands it out and takes it back, instead of a call site that
+//! allocates it and a drop that frees it, often on another thread. The
+//! owner is always the thing frames queue up at — one end of a
+//! connection, a daemon's queue, a client's request pipeline, the
+//! client's end of a channel lane — never a worker thread, so what a
+//! frame costs does not depend on which worker serves it. [`Spares`] is
+//! the one rule all of them keep:
 //!
 //! * **Bound.** An owner keeps at most [`WINDOW`] spares — the most
 //!   frames one stream has unanswered at one daemon (a client, whose
@@ -42,12 +43,16 @@
 //!   refuses while any view of it is alive — a timed-out request's frame
 //!   still in a daemon's queue, a hedged read's duplicate — and then the
 //!   buffer is simply let go: the fallback is always a fresh allocation,
-//!   never a wait and never a shared write.
+//!   never a wait and never a shared write. An owner whose buffers nobody
+//!   gives back — they leave as frames, as replies — keeps a handle on
+//!   each ([`Lent`]) and [sweeps](Spares::sweep) when it next needs one.
 //!
-//! What is deliberately *not* recycled: a `Data` reply over the channel
-//! transport. Its buffer crosses to the client's thread, which drops it
-//! whenever it gets to; whether that is before the daemon's next read is
-//! scheduling again (see `Scratch::forget_read`).
+//! A buffer that crosses threads has its owner where it comes to rest: a
+//! `Data` reply over the channel transport, gathered on a daemon's worker
+//! and dropped on the client's thread, is the *lane's* — sent along with
+//! each request, back with each reply (`transport.rs`, `ReplyEnd`) —
+//! because the client is done with a lane's reply before it sends that
+//! lane's next frame, whatever the workers do.
 
 use bytes::{Bytes, BytesMut};
 use pvfs_server::Scratch;
@@ -176,6 +181,35 @@ impl Spares<BytesMut> {
     pub fn take_back(&mut self, handle: Bytes) {
         if let Ok(buffer) = handle.try_into_mut() {
             self.give(buffer);
+        }
+    }
+
+    /// Take back every buffer of `lent` this owner is by now the last
+    /// handle on; the others stay lent.
+    pub fn sweep(&mut self, lent: &mut Lent) {
+        for lent in &mut lent.0 {
+            match lent.take().map(Bytes::try_into_mut) {
+                Some(Ok(free)) => self.give(free),
+                Some(Err(in_use)) => *lent = Some(in_use),
+                None => {}
+            }
+        }
+    }
+}
+
+/// An owner's handles on the buffers it has handed out and nobody gives
+/// back — the frames a connection's reader returned, the replies a lane
+/// did: up to [`WINDOW`], each to be [swept](Spares::sweep) back once
+/// every other view of its buffer is gone.
+#[derive(Debug, Default)]
+pub struct Lent([Option<Bytes>; WINDOW]);
+
+impl Lent {
+    /// Keep `handle` if there is a free place for it; a buffer with no
+    /// handle kept is simply freed by whoever drops it last.
+    pub fn keep(&mut self, handle: Bytes) {
+        if let Some(free) = self.0.iter_mut().find(|lent| lent.is_none()) {
+            *free = Some(handle);
         }
     }
 }

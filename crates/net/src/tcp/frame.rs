@@ -43,8 +43,8 @@ use pvfs_proto::{Frame, MAX_WIRE_FRAME};
 use pvfs_types::PvfsError;
 use std::io::{self, IoSlice, Read, Write};
 
-use crate::spares::Spares;
 pub use crate::spares::MAX_SPARE_CAPACITY;
+use crate::spares::{Lent, Spares};
 use crate::WINDOW;
 
 /// Bytes of framing overhead per frame (the length prefix).
@@ -194,7 +194,7 @@ fn write_all_vectored<const N: usize>(w: &mut impl Write, parts: [&[u8]; N]) -> 
 pub struct FrameReader {
     spares: Spares<BytesMut>,
     /// The buffers of frames handed out, whole, to be taken back.
-    lent: [Option<Bytes>; WINDOW],
+    lent: Lent,
     prefix: [u8; LEN_PREFIX],
     prefix_got: usize,
     /// The frame being assembled, once its prefix is in.
@@ -274,9 +274,7 @@ impl FrameReader {
         let whole = buf.freeze();
         let frame = whole.slice(..len);
         if keep {
-            if let Some(free) = self.lent.iter_mut().find(|lent| lent.is_none()) {
-                *free = Some(whole);
-            }
+            self.lent.keep(whole);
         }
         Ok(frame)
     }
@@ -284,13 +282,7 @@ impl FrameReader {
     /// The buffer a frame of `len` bytes is read into: at least that
     /// long.
     fn buffer_for(&mut self, len: usize) -> BytesMut {
-        for lent in &mut self.lent {
-            match lent.take().map(Bytes::try_into_mut) {
-                Some(Ok(free)) => self.spares.give(free),
-                Some(Err(in_use)) => *lent = Some(in_use),
-                None => {}
-            }
-        }
+        self.spares.sweep(&mut self.lent);
         let mut buf = self.spares.buffer(len);
         if buf.len() < len {
             buf.resize(len, 0);

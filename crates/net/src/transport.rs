@@ -18,14 +18,22 @@
 //! ([`ClusterClient`](crate::ClusterClient)'s request pipeline holds one
 //! lane per daemon for as long as a stream of ops runs). Dropping a lane
 //! gives it back; a lane with frames still unanswered is not reused.
+//! What is given back outlives the lane on both transports — a
+//! connection with its receive buffers, a reply channel with the buffers
+//! replies are built in — so the next stream's replies arrive where the
+//! last one's did.
 
+use bytes::BytesMut;
 use pvfs_proto::{decode_frame_id, frame_is_stats_scrape, Frame};
 use pvfs_types::{PvfsError, PvfsResult, RequestId, ServerId};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::chan::{bounded, Receiver, RecvTimeoutError, SendTimeoutError, Sender, TrySendError};
+use crate::chan::{
+    bounded, Address, Receiver, RecvTimeoutError, SendTimeoutError, Sender, TrySendError,
+};
 use crate::serve::Service;
+use crate::spares::{Lent, Spares, MAX_SPARE_CAPACITY};
 use crate::WINDOW;
 
 /// Where an RPC is addressed.
@@ -163,9 +171,11 @@ pub trait Transport: Send + Sync {
     }
 }
 
-/// What comes back on a channel lane: a reply frame, or the id of a
-/// request whose frame the daemon dropped unanswered.
-type ChanReply = Result<Frame, RequestId>;
+/// What comes back on a channel lane: a reply frame — and beside it the
+/// read buffer that went out with the request, if the reply is not
+/// built in it (the empty buffer otherwise) — or the id of a request
+/// whose frame the daemon dropped unanswered.
+type ChanReply = Result<(Frame, BytesMut), RequestId>;
 
 /// Where a channel-backed daemon's worker answers one request: the
 /// reply channel of the lane the request came on. Dropped unanswered
@@ -174,9 +184,15 @@ type ChanReply = Result<Frame, RequestId>;
 /// its deadline.
 #[derive(Debug)]
 pub(crate) struct ReplyTo {
-    lane: Sender<ChanReply>,
+    /// Not a sender of the lane's channel, only its address: the lane
+    /// holds a sender for as long as anyone could be listening.
+    lane: Address<ChanReply>,
     id: RequestId,
     answered: bool,
+    /// One of the lane's read buffers (the empty buffer: it had none to
+    /// spare), for the worker to gather a read into. Whatever is here
+    /// when the reply is sent goes back beside it.
+    pub(crate) spare: BytesMut,
 }
 
 impl ReplyTo {
@@ -184,7 +200,8 @@ impl ReplyTo {
     /// nobody is waiting either).
     pub(crate) fn send(mut self, reply: impl Into<Frame>) {
         self.answered = true;
-        let _ = self.lane.send(Ok(reply.into()));
+        let spare = std::mem::take(&mut self.spare);
+        let _ = self.lane.send(Ok((reply.into(), spare)));
     }
 }
 
@@ -200,8 +217,9 @@ impl Drop for ReplyTo {
 
 /// A message to a channel-backed daemon: the encoded request frame
 /// (both parts, exactly as the client built them), where the encoded
-/// reply goes, and when the frame was enqueued (the worker derives
-/// queue wait from it).
+/// reply goes — which brings a buffer of the lane's to build a `Data`
+/// reply in — and when the frame was enqueued (the worker derives queue
+/// wait from it).
 #[derive(Debug)]
 pub(crate) enum NodeMsg {
     Rpc(Frame, ReplyTo, Instant),
@@ -218,8 +236,8 @@ pub(crate) struct ChanNode {
 }
 
 /// The in-process transport: every daemon is a bounded channel feeding
-/// its worker pool, and a lane is one bounded reply channel that every
-/// frame sent on it carries a sender of.
+/// its worker pool, and a lane is one bounded reply channel whose
+/// address every frame sent on it carries.
 /// [`Lane::send`] is to a daemon's queue what a TCP connection's reader
 /// is: it accounts the arriving frame, and when the queue is full the
 /// daemon's [`Service::shed`] decides — an I/O daemon **sheds** (the
@@ -230,39 +248,63 @@ pub(crate) struct ChanNode {
 /// manager must still yield [`PvfsError::Timeout`] rather than hang the
 /// sender forever.
 ///
+/// Lanes are pooled the way TCP connections are: a lane dropped with
+/// every frame answered parks its end — reply channel, reply buffers —
+/// on its daemon's idle stack for the next lane there to take over; one
+/// dropped with a frame unanswered (a flight that timed out, a hedged
+/// read's loser) is let go whole, and its reply, should it still come,
+/// finds nobody listening.
+///
 /// [`DEFAULT_RPC_TIMEOUT`]: crate::DEFAULT_RPC_TIMEOUT
 pub struct ChanTransport {
+    nodes: Arc<ChanNodes>,
+}
+
+struct ChanNodes {
     servers: Vec<ChanNode>,
     mgr: ChanNode,
+    /// One stack of parked [`ReplyEnd`]s per server, the manager's last.
+    /// LIFO: the buffers used last are used next.
+    idle: Vec<Mutex<Vec<ReplyEnd>>>,
+}
+
+impl ChanNodes {
+    /// The daemon whose idle stack is `slot`.
+    fn node(&self, slot: usize) -> &ChanNode {
+        self.servers.get(slot).unwrap_or(&self.mgr)
+    }
+
+    fn idle(&self, slot: usize) -> std::sync::MutexGuard<'_, Vec<ReplyEnd>> {
+        // A stack of parked ends is valid at every step.
+        self.idle[slot].lock().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 impl ChanTransport {
     pub(crate) fn new(servers: Vec<ChanNode>, mgr: ChanNode) -> ChanTransport {
-        ChanTransport { servers, mgr }
+        let idle = (0..servers.len() + 1).map(|_| Mutex::default()).collect();
+        ChanTransport {
+            nodes: Arc::new(ChanNodes { servers, mgr, idle }),
+        }
     }
 }
 
 impl Transport for ChanTransport {
     fn n_servers(&self) -> u32 {
-        self.servers.len() as u32
+        self.nodes.servers.len() as u32
     }
 
     fn lane(&self, target: RpcTarget) -> PvfsResult<Box<dyn Lane>> {
-        let node = match target {
-            RpcTarget::Manager => &self.mgr,
-            RpcTarget::Server(s) => self
-                .servers
-                .get(s.index())
-                .ok_or(PvfsError::NoSuchServer(s.0))?,
+        let slot = match target {
+            RpcTarget::Manager => self.nodes.servers.len(),
+            RpcTarget::Server(s) if s.index() < self.nodes.servers.len() => s.index(),
+            RpcTarget::Server(s) => return Err(PvfsError::NoSuchServer(s.0)),
         };
-        // Room for a reply to every frame of a full window, so a worker
-        // never waits on the client to hand its answer over.
-        let (reply_tx, reply_rx) = bounded(WINDOW);
+        let parked = self.nodes.idle(slot).pop();
         Ok(Box::new(ChanLane {
-            tx: node.tx.clone(),
-            service: node.service.clone(),
-            reply_tx,
-            reply_rx,
+            nodes: self.nodes.clone(),
+            slot,
+            replies: Some(parked.unwrap_or_default()),
         }))
     }
 
@@ -271,21 +313,81 @@ impl Transport for ChanTransport {
     }
 }
 
+/// The client's end of a channel lane — what outlives the lane, parked,
+/// when every frame sent on it has been answered: the reply channel, and
+/// the buffers `Data` replies are built in, which the lane owns (the
+/// rule of [`crate::spares`]). One goes out with each request; the
+/// daemon's worker gathers a read into it (making it, the lane's first
+/// [`WINDOW`] times, and growing one too short) and it comes back as the
+/// reply's payload, or unused beside a reply that has none. As a
+/// connection's `FrameReader` does, the lane keeps a handle on each
+/// payload it has handed out and takes back, when it next sends, every
+/// buffer it is by then the last handle on. One always is, whichever
+/// worker was faster: whoever drives a lane has scattered and dropped a
+/// reply before sending that lane's next frame. A reply the caller still
+/// holds is never written again: the daemon makes another buffer.
+struct ReplyEnd {
+    /// Keeps the channel connected while workers hold only its address.
+    tx: Sender<ChanReply>,
+    rx: Receiver<ChanReply>,
+    spares: Spares<BytesMut>,
+    lent: Lent,
+    /// Frames in the daemon's hands and not yet answered.
+    owed: usize,
+}
+
+impl Default for ReplyEnd {
+    fn default() -> ReplyEnd {
+        // Room for a reply to every frame of a full window, so a worker
+        // never waits on the client to hand its answer over.
+        let (tx, rx) = bounded(WINDOW);
+        ReplyEnd {
+            tx,
+            rx,
+            spares: Spares::default(),
+            lent: Lent::default(),
+            owed: 0,
+        }
+    }
+}
+
+impl ReplyEnd {
+    /// Keep a read buffer that came back — unless it is the empty one
+    /// that stands for none.
+    fn keep(&mut self, buffer: BytesMut) {
+        if buffer.capacity() > 0 {
+            self.spares.give(buffer);
+        }
+    }
+
+    /// A frame that never made it into the daemon's queue is refused to
+    /// the sender's face: nothing must come back on the lane for it, and
+    /// the buffer that was to go with it stays.
+    fn retract(&mut self, msg: NodeMsg) {
+        if let NodeMsg::Rpc(_, mut reply, _) = msg {
+            reply.answered = true;
+            self.owed -= 1;
+            self.keep(std::mem::take(&mut reply.spare));
+        }
+    }
+}
+
 struct ChanLane {
-    tx: Sender<NodeMsg>,
-    service: Option<Arc<dyn Service>>,
-    reply_tx: Sender<ChanReply>,
-    reply_rx: Receiver<ChanReply>,
+    nodes: Arc<ChanNodes>,
+    slot: usize,
+    /// `None` only once the lane is being dropped.
+    replies: Option<ReplyEnd>,
 }
 
 impl Lane for ChanLane {
     fn send(&mut self, frame: Frame) -> PvfsResult<()> {
+        let ChanNode { tx, service } = self.nodes.node(self.slot);
+        let replies = self.replies.as_mut().expect("the lane is not dropped");
         // Stats scrapes are observers: they skip all daemon-side
         // accounting so the snapshot they fetch equals the in-process
         // one — and they wait out a full queue instead of shedding, so
         // observation never perturbs the shed counter either.
-        let service = self
-            .service
+        let service = service
             .as_ref()
             .filter(|_| !frame_is_stats_scrape(&frame.head));
         if let Some(service) = service {
@@ -295,32 +397,44 @@ impl Lane for ChanLane {
             ledger.wire_rx(frame.len() as u64);
             ledger.queued();
         }
+        // Whoever sends the next frame is done with the replies so far.
+        replies.spares.sweep(&mut replies.lent);
         let reply = ReplyTo {
-            lane: self.reply_tx.clone(),
+            lane: replies.tx.address(),
             id: decode_frame_id(&frame.head).unwrap_or(RequestId(0)),
             answered: false,
+            spare: replies.spares.take().unwrap_or_default(),
         };
+        replies.owed += 1;
         let msg = NodeMsg::Rpc(frame, reply, Instant::now());
-        let msg = match self.tx.try_send(msg) {
+        let (msg, error) = match tx.try_send(msg) {
             Ok(()) => return Ok(()),
-            Err(TrySendError::Disconnected(msg)) => return Err(gone(msg)),
-            Err(TrySendError::Full(msg)) => msg,
+            Err(TrySendError::Disconnected(msg)) => (msg, gone()),
+            Err(TrySendError::Full(msg)) => match service.and_then(|s| s.shed()) {
+                Some(refusal) => {
+                    // `shed` has taken the frame off the queue's books.
+                    replies.retract(msg);
+                    return Err(refusal);
+                }
+                None => match tx.send_timeout(msg, crate::DEFAULT_RPC_TIMEOUT) {
+                    Ok(()) => return Ok(()),
+                    Err(SendTimeoutError::Disconnected(msg)) => (msg, gone()),
+                    Err(SendTimeoutError::Timeout(msg)) => (
+                        msg,
+                        PvfsError::timeout(format!(
+                            "the daemon's queue stayed full for {:?}",
+                            crate::DEFAULT_RPC_TIMEOUT
+                        )),
+                    ),
+                },
+            },
         };
-        if let Some(refusal) = service.and_then(|s| s.shed()) {
-            retract(msg);
-            return Err(refusal);
+        // The frame never entered the queue it was booked into.
+        if let Some(service) = service {
+            service.ledger().unqueued();
         }
-        match self.tx.send_timeout(msg, crate::DEFAULT_RPC_TIMEOUT) {
-            Ok(()) => Ok(()),
-            Err(SendTimeoutError::Timeout(msg)) => {
-                retract(msg);
-                Err(PvfsError::timeout(format!(
-                    "the daemon's queue stayed full for {:?}",
-                    crate::DEFAULT_RPC_TIMEOUT
-                )))
-            }
-            Err(SendTimeoutError::Disconnected(msg)) => Err(gone(msg)),
-        }
+        replies.retract(msg);
+        Err(error)
     }
 
     /// Nothing is ever queued on this side: `send` hands the frame over.
@@ -329,26 +443,100 @@ impl Lane for ChanLane {
     }
 
     fn recv(&mut self, timeout: Duration) -> Result<Frame, WaitError> {
+        let replies = self.replies.as_mut().expect("the lane is not dropped");
         let dropped = || PvfsError::Transport("server dropped reply".into());
-        match self.reply_rx.recv_timeout(timeout) {
-            Ok(Ok(reply)) => Ok(reply),
-            Ok(Err(id)) => Err(WaitError::Lost(id, dropped())),
-            Err(RecvTimeoutError::Timeout) => Err(WaitError::Timeout),
+        let answer = replies.rx.recv_timeout(timeout).map_err(|e| match e {
+            RecvTimeoutError::Timeout => WaitError::Timeout,
             // Unreachable while the lane holds a sender of its own.
-            Err(RecvTimeoutError::Disconnected) => Err(WaitError::Failed(dropped())),
+            RecvTimeoutError::Disconnected => WaitError::Failed(dropped()),
+        })?;
+        replies.owed -= 1;
+        let (reply, unused) = answer.map_err(|id| WaitError::Lost(id, dropped()))?;
+        replies.keep(unused);
+        // A payload too large to keep is the reply's alone: no handle on
+        // it, it is freed when the reply is dropped.
+        if (1..=MAX_SPARE_CAPACITY).contains(&reply.payload.len()) {
+            replies.lent.keep(reply.payload.clone());
+        }
+        Ok(reply)
+    }
+}
+
+impl Drop for ChanLane {
+    fn drop(&mut self) {
+        if let Some(quiet) = self.replies.take().filter(|end| end.owed == 0) {
+            self.nodes.idle(self.slot).push(quiet);
         }
     }
 }
 
-/// A frame that never made it into the daemon's queue is refused to the
-/// sender's face: nothing must come back on the lane for it.
-fn retract(msg: NodeMsg) {
-    if let NodeMsg::Rpc(_, mut reply, _) = msg {
-        reply.answered = true;
-    }
+fn gone() -> PvfsError {
+    PvfsError::Transport("server thread gone".into())
 }
 
-fn gone(msg: NodeMsg) -> PvfsError {
-    retract(msg);
-    PvfsError::Transport("server thread gone".into())
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pvfs_proto::{
+        decode_response_id, encode_frame, encode_response, Message, Request, Response,
+    };
+    use pvfs_types::ClientId;
+
+    fn ping(id: u64) -> Frame {
+        let message = Message {
+            client: ClientId(1),
+            id: RequestId(id),
+            request: Request::Ping,
+        };
+        encode_frame(&message, None).unwrap()
+    }
+
+    /// A lane's end goes to the next lane only if nothing can still
+    /// arrive on it: a reply that comes after its lane gave up reaches
+    /// nobody, least of all whoever talks to that daemon next.
+    #[test]
+    fn a_quiet_lane_is_parked_and_one_still_owed_a_reply_is_not() {
+        let (tx, daemon) = bounded::<NodeMsg>(8);
+        let (mgr_tx, _) = bounded::<NodeMsg>(1);
+        let bare = |tx| ChanNode { tx, service: None };
+        let transport = ChanTransport::new(vec![bare(tx)], bare(mgr_tx));
+        let target = RpcTarget::Server(ServerId(0));
+        let parked = || transport.nodes.idle(0).len();
+        let received = || match daemon.recv() {
+            Ok(NodeMsg::Rpc(frame, reply, _)) => (decode_frame_id(&frame.head).unwrap(), reply),
+            other => panic!("expected a request, got {other:?}"),
+        };
+        let pong = |id| encode_response(id, &Response::Pong { queue_depth: 0 });
+
+        // The daemon sits on request 1 past the lane's patience.
+        let mut first = transport.dispatch(target, ping(1)).unwrap();
+        let (id, late) = received();
+        assert!(matches!(
+            first.recv(Duration::from_millis(1)),
+            Err(WaitError::Timeout)
+        ));
+        drop(first);
+        assert_eq!(parked(), 0, "a reply may still come for it");
+
+        // The next lane hears its own reply and nothing else, whenever
+        // the late one is sent.
+        let mut second = transport.dispatch(target, ping(2)).unwrap();
+        late.send(pong(id));
+        let (id, reply) = received();
+        reply.send(pong(id));
+        let answer = second.recv(Duration::from_secs(5)).unwrap();
+        assert_eq!(decode_response_id(&answer.head), Some(RequestId(2)));
+        assert!(matches!(
+            second.recv(Duration::ZERO),
+            Err(WaitError::Timeout)
+        ));
+        drop(second);
+        assert_eq!(parked(), 1, "every frame was answered");
+
+        // And its end is the next lane's.
+        let third = transport.lane(target).unwrap();
+        assert_eq!(parked(), 0);
+        drop(third);
+        assert_eq!(parked(), 1);
+    }
 }

@@ -147,12 +147,22 @@ impl Scratch {
         }
     }
 
-    /// The `Data` reply served from this scratch is handed to another
-    /// thread, which drops it whenever it does: the buffer goes with it,
-    /// reclaimed never — whether it would have been free in time is
-    /// scheduling, which must not show in what a request allocates.
-    pub fn forget_read(&mut self) {
+    /// Serve the next read into `buffer` — whatever it holds, however
+    /// short (one too short is grown; the empty buffer owns no memory and
+    /// is as good as none). For a driver whose read buffers belong to
+    /// whoever sent the request, and travel with it.
+    pub fn adopt_read(&mut self, buffer: BytesMut) {
+        (self.read, self.lent) = (buffer, None);
+    }
+
+    /// The other half of [`adopt_read`](Self::adopt_read), when the reply
+    /// goes to another thread: a `Data` reply takes the read buffer with
+    /// it (this scratch lets go of its handle: the reply's is the only
+    /// one), any other leaves it — returned here, empty if there is none,
+    /// for the driver to send back beside the reply.
+    pub fn release_read(&mut self) -> BytesMut {
         self.lent = None;
+        std::mem::take(&mut self.read)
     }
 
     /// Bytes of memory this scratch pins while it is kept.
@@ -327,7 +337,7 @@ impl IoDaemon {
     /// Serve one request, its buffers taken from (and, but for a `Data`
     /// reply's, left in) `scratch`. After a `Data` reply the caller owes
     /// the scratch one of [`Scratch::reclaim_read`] or
-    /// [`Scratch::forget_read`].
+    /// [`Scratch::release_read`].
     ///
     /// `traced`: the request arrived in a traced frame and waited this
     /// long for a worker — its server-side spans are recorded
@@ -1905,6 +1915,68 @@ mod tests {
             room,
             "the buffers stay with the scratch"
         );
+    }
+
+    /// A driver whose read buffers travel with the requests: whatever
+    /// buffer a request brings — none, one too short, a dirty one — the
+    /// reply is right, is built in that buffer when it fits and in a
+    /// longer one when not, and a reply that has no use for the buffer
+    /// leaves it to be sent back.
+    #[test]
+    fn a_scratch_serves_reads_into_the_buffer_it_adopts() {
+        let l = StripeLayout::new(0, 1, 64).unwrap();
+        let d = IoDaemon::with_defaults(ServerId(0));
+        let scratch = &mut Scratch::default();
+        let content: Vec<u8> = (0..1000u32).map(|i| i as u8).collect();
+        let write = Request::Write {
+            handle: fh(),
+            layout: l,
+            region: Region::new(0, 1000),
+            data: Bytes::from(content.clone()),
+        };
+        let read = |offset, len| Request::Read {
+            handle: fh(),
+            layout: l,
+            region: Region::new(offset, len),
+        };
+        // The reply's bytes, where they lie, and the buffer once the
+        // reply is dropped and its last handle made writable again.
+        let mut serve = |request: Request, buffer: BytesMut| {
+            scratch.adopt_read(buffer);
+            let (response, _) = d.handle_with(&request, scratch, None);
+            let unused = scratch.release_read();
+            match response {
+                Response::Data { data } => {
+                    assert_eq!(unused.capacity(), 0, "the buffer went with the reply");
+                    let (bytes, at) = (data.to_vec(), data.as_ptr());
+                    (bytes, at, data.try_into_mut().expect("the only handle"))
+                }
+                Response::Written { .. } => (Vec::new(), std::ptr::null(), unused),
+                other => panic!("refused: {other:?}"),
+            }
+        };
+        // A write has no use for the buffer it was brought.
+        let mut dirty = BytesMut::zeroed(64);
+        dirty.fill(0xAB);
+        let at = dirty.as_ptr();
+        let (_, _, unused) = serve(write, dirty);
+        assert_eq!((unused.as_ptr(), unused.capacity()), (at, 64));
+        // Long enough: the read is gathered into it, over what it held.
+        let (bytes, served_at, home) = serve(read(10, 50), unused);
+        assert_eq!((bytes, served_at), (content[10..60].to_vec(), at));
+        assert_eq!(home.capacity(), 64, "the reply's buffer is the one lent");
+        // Too short: grown, once, and the longer one comes home — clean
+        // where the file has a hole behind its end.
+        let (bytes, _, home) = serve(read(900, 300), home);
+        assert_eq!(bytes[..100], content[900..]);
+        assert!(bytes[100..].iter().all(|b| *b == 0));
+        assert!(home.capacity() >= 300);
+        let at = home.as_ptr();
+        let (bytes, served_at, _) = serve(read(0, 300), home);
+        assert_eq!((bytes, served_at), (content[..300].to_vec(), at));
+        // None: the empty buffer is as good as none, and one is made.
+        let (bytes, _, home) = serve(read(500, 100), BytesMut::new());
+        assert_eq!((bytes, home.capacity()), (content[500..600].to_vec(), 100));
     }
 
     #[test]

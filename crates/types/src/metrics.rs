@@ -579,16 +579,24 @@ impl Ledger {
             });
     }
 
-    /// A request frame entered the worker queue; paired with
-    /// [`begin`](Ledger::begin) or [`shed`](Ledger::shed).
+    /// A request frame is about to enter the worker queue; paired with
+    /// [`begin`](Ledger::begin) if it does and
+    /// [`unqueued`](Ledger::unqueued) if not.
     pub fn queued(&self) {
         self.queue_depth.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A frame booked as [`queued`](Ledger::queued) never entered the
+    /// queue — shed off a full one, timed out waiting for room, the
+    /// daemon gone: no worker will ever [`begin`](Ledger::begin) it.
+    pub fn unqueued(&self) {
+        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// A queued frame met a full queue and was refused before any worker
     /// saw it: undoes the [`queued`](Ledger::queued) and counts the shed.
     pub fn shed(&self) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        self.unqueued();
         self.requests_shed.fetch_add(1, Ordering::Relaxed);
     }
 

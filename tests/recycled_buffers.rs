@@ -70,11 +70,23 @@ fn reads_of_unwritten_bytes_are_zeros(kind: TransportKind, storage: StorageConfi
         );
     }
     // Twice round the window: whichever buffer serves the next read has
-    // held the dirty reply.
+    // held the dirty reply. And over chan, where a reply's payload *is*
+    // the buffer the daemon gathered it into, see that one does: once the
+    // lane has made its window's worth, a reply lies where an earlier one
+    // lay (were each in a buffer of its own, none of this would test
+    // anything).
+    let seen = std::cell::RefCell::new(Vec::new());
     let dirty = || {
         for _ in 0..2 * WINDOW {
             let data = read(&client, written, 0, DIRTY);
             assert!(data.len() as u64 == DIRTY && data.iter().all(|b| *b == 0xAB));
+            let mut seen = seen.borrow_mut();
+            assert!(
+                kind != TransportKind::Chan || seen.len() < WINDOW || seen.contains(&data.as_ptr()),
+                "{what}: read {} has a buffer of its own",
+                seen.len()
+            );
+            seen.push(data.as_ptr());
         }
     };
     for len in [1000, 20_000] {
@@ -88,6 +100,7 @@ fn reads_of_unwritten_bytes_are_zeros(kind: TransportKind, storage: StorageConfi
         for (case, handle, offset, data_bytes) in cases {
             dirty();
             let got = read(&client, handle, offset, len);
+            seen.borrow_mut().push(got.as_ptr());
             assert_eq!(got.len() as u64, len, "{what}: {case}, {len} bytes");
             let (data, zeros) = got.split_at(data_bytes);
             assert!(
@@ -110,6 +123,7 @@ fn reads_of_unwritten_bytes_are_zeros(kind: TransportKind, storage: StorageConfi
         let mut expect = vec![0u8; 50 + len as usize + 30];
         expect[..50].fill(0xAB);
         expect[50 + len as usize..][..10].fill(0xAB);
+        seen.borrow_mut().push(data.as_ptr());
         assert!(data == expect, "{what}: list read over a hole and EOF");
         // A read that fails sends an error, and no part of the buffer.
         dirty();
@@ -133,6 +147,42 @@ fn a_recycled_read_buffer_never_shows_an_earlier_reply() {
             sync: SyncPolicy::Never,
         };
         reads_of_unwritten_bytes_are_zeros(kind, storage);
+    }
+}
+
+/// A reply the caller of [`ClusterClient::call`] still holds is the
+/// caller's: the lane (chan) or connection (tcp) it came by takes a
+/// buffer back only as its last holder, so nothing that follows on the
+/// same lane — three windows of reads of other bytes — is written over it
+/// or arrives where it lies.
+#[test]
+fn a_reply_the_caller_still_holds_is_never_written_again() {
+    for kind in [TransportKind::Chan, TransportKind::Tcp] {
+        let cluster = LiveCluster::spawn_transport(1, IodConfig::default(), kind);
+        let client = cluster.client();
+        let layout = StripeLayout::new(0, 1, 4096).unwrap();
+        let handle = FileHandle(5);
+        let content = verify::content(33, 64 * 1024);
+        let request = Request::Write {
+            handle,
+            layout,
+            region: Region::new(0, content.len() as u64),
+            data: Bytes::from(content.clone()),
+        };
+        client.call(IOD, request).unwrap();
+        const LEN: usize = 2000;
+        let kept = read(&client, handle, 0, LEN as u64);
+        for i in 1..=3 * WINDOW {
+            let later = read(&client, handle, (i * LEN) as u64, LEN as u64);
+            assert!(later == content[i * LEN..][..LEN], "{kind}: read {i}");
+            let (lo, hi) = (kept.as_ptr() as usize, kept.as_ptr() as usize + LEN);
+            let at = later.as_ptr() as usize;
+            assert!(
+                at + LEN <= lo || hi <= at,
+                "{kind}: read {i} lies in the buffer of a reply still held"
+            );
+        }
+        assert!(kept == content[..LEN], "{kind}: the kept reply changed");
     }
 }
 
