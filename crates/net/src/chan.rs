@@ -250,10 +250,15 @@ impl<T> Sender<T> {
 
     /// Enqueue, blocking at most `timeout` while the channel is full —
     /// the bounded-wait middle ground between [`Sender::send`] (block
-    /// forever) and [`Sender::try_send`] (never block). A wedged
-    /// consumer yields `Timeout` instead of hanging the sender.
-    pub fn send_timeout(&self, value: T, timeout: Duration) -> Result<(), SendTimeoutError<T>> {
-        let sent = self.shared.enqueue(value, Some(timeout));
+    /// forever, as this does given `None`) and [`Sender::try_send`]
+    /// (never block). A wedged consumer yields `Timeout` instead of
+    /// hanging the sender.
+    pub fn send_timeout(
+        &self,
+        value: T,
+        timeout: impl Into<Option<Duration>>,
+    ) -> Result<(), SendTimeoutError<T>> {
+        let sent = self.shared.enqueue(value, timeout.into());
         sent.map_err(|e| match e {
             TrySendError::Full(value) => SendTimeoutError::Timeout(value),
             TrySendError::Disconnected(value) => SendTimeoutError::Disconnected(value),

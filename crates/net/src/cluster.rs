@@ -1679,7 +1679,8 @@ type Racer = (bool, Result<Frame, WaitError>);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{ChanNode, ChanTransport, NodeMsg};
+    use crate::serve::Door;
+    use crate::transport::ChanTransport;
     use crate::LiveCluster;
     use pvfs_proto::{decode_frame, decode_frame_id, encode_response};
     use pvfs_replica::WriteQuorum;
@@ -1690,21 +1691,19 @@ mod tests {
         StripeLayout::new(0, n, 16).unwrap()
     }
 
-    /// A client whose single "server 0" is the given raw channel (the
+    /// A client whose single "server 0" is the given bare door (the
     /// manager slot is a dead end); for protocol-violation tests.
-    fn client_over(fake_tx: Sender<NodeMsg>) -> ClusterClient {
+    fn client_over(fake_tx: Arc<Door>) -> ClusterClient {
         client_over_all(vec![fake_tx])
     }
 
-    /// Likewise, with one raw channel per server.
-    fn client_over_all(fake_txs: Vec<Sender<NodeMsg>>) -> ClusterClient {
-        let (mgr_tx, _mgr_rx) = bounded::<NodeMsg>(1);
-        // _mgr_rx may drop: these tests never address the manager.
-        let bare = |tx| ChanNode { tx, service: None };
-        let iods = fake_txs.into_iter().map(bare).collect();
+    /// Likewise, with one bare door per server.
+    fn client_over_all(mut doors: Vec<Arc<Door>>) -> ClusterClient {
+        // Its far end drops: these tests never address the manager.
+        doors.push(Door::bare(1).0);
         ClusterClient::with_transport(
             ClientId(9),
-            Arc::new(ChanTransport::new(iods, bare(mgr_tx))),
+            Arc::new(ChanTransport::new(doors)),
             Arc::new(SerialGate::new()),
         )
     }
@@ -1990,9 +1989,9 @@ mod tests {
     #[test]
     fn round_rejects_unattributable_responses() {
         // A fake server that answers everything with id 0.
-        let (fake_tx, fake_rx) = bounded::<NodeMsg>(8);
+        let (fake_tx, fake_rx) = Door::bare(8);
         let fake = std::thread::spawn(move || {
-            while let Ok(NodeMsg::Rpc(_, reply, _)) = fake_rx.recv() {
+            while let Some((_, reply)) = fake_rx() {
                 reply.send(encode_response(
                     RequestId(0),
                     &Response::Error(PvfsError::protocol("scrambled")),
@@ -2027,12 +2026,12 @@ mod tests {
     #[test]
     fn a_frame_the_daemon_still_holds_is_never_handed_out_again() {
         const LEN: usize = 256;
-        let (fake_tx, fake_rx) = bounded::<NodeMsg>(8);
+        let (fake_tx, fake_rx) = Door::bare(8);
         // Every third request is held, frame and all, unanswered (and its
         // reply handle kept, so the client hears nothing: a timeout).
         let fake = std::thread::spawn(move || {
             let mut held = Vec::new();
-            while let Ok(NodeMsg::Rpc(frame, reply, _)) = fake_rx.recv() {
+            while let Some((frame, reply)) = fake_rx() {
                 let id = decode_frame_id(&frame.head).unwrap();
                 if frame.payload[0] % 3 == 0 {
                     held.push((frame, reply));
@@ -2081,9 +2080,9 @@ mod tests {
     /// request (the misattribution the old wildcard allowed).
     #[test]
     fn round_rejects_mismatched_response_id() {
-        let (fake_tx, fake_rx) = bounded::<NodeMsg>(8);
+        let (fake_tx, fake_rx) = Door::bare(8);
         let fake = std::thread::spawn(move || {
-            while let Ok(NodeMsg::Rpc(frame, reply, _)) = fake_rx.recv() {
+            while let Some((frame, reply)) = fake_rx() {
                 // Echo a *wrong* (but nonzero) id.
                 let id = decode_frame_id(&frame.head).unwrap();
                 reply.send(encode_response(
@@ -2115,10 +2114,10 @@ mod tests {
     /// reply is a streak of 2 + 1, never the 3 that trip the breaker.
     #[test]
     fn round_counts_an_error_reply_as_a_sign_of_life() {
-        let (fake_tx, fake_rx) = bounded::<NodeMsg>(8);
+        let (fake_tx, fake_rx) = Door::bare(8);
         let fake = std::thread::spawn(move || {
             let mut seen = 0;
-            while let Ok(NodeMsg::Rpc(frame, reply, _)) = fake_rx.recv() {
+            while let Some((frame, reply)) = fake_rx() {
                 seen += 1;
                 if seen == 3 {
                     let id = decode_frame_id(&frame.head).unwrap();
@@ -2171,14 +2170,14 @@ mod tests {
     #[test]
     fn round_surfaces_the_refusal_over_a_pending_retry_or_failover() {
         for replicas in [1, 2] {
-            let (silent_tx, silent_rx) = bounded::<NodeMsg>(8);
-            let (refusing_tx, refusing_rx) = bounded::<NodeMsg>(8);
+            let (silent_tx, silent_rx) = Door::bare(8);
+            let (refusing_tx, refusing_rx) = Door::bare(8);
             let silent = std::thread::spawn(move || {
                 // Every reply channel drops unanswered.
-                while let Ok(NodeMsg::Rpc(..)) = silent_rx.recv() {}
+                while silent_rx().is_some() {}
             });
             let refusing = std::thread::spawn(move || {
-                while let Ok(NodeMsg::Rpc(frame, reply, _)) = refusing_rx.recv() {
+                while let Some((frame, reply)) = refusing_rx() {
                     let id = decode_frame_id(&frame.head).unwrap();
                     let refusal = Response::Error(PvfsError::invalid("no such region"));
                     reply.send(encode_response(id, &refusal));
@@ -2319,7 +2318,7 @@ mod tests {
         // off: this test pins the *timeout* path; with the default
         // breaker the retries' timeouts would open the circuit and the
         // second call would surface `Unavailable` instead.
-        let (wedged_tx, wedged_rx) = bounded::<NodeMsg>(8);
+        let (wedged_tx, wedged_rx) = Door::bare(8);
         let c = client_over(wedged_tx)
             .with_rpc_timeout(Duration::from_millis(50))
             .with_breaker_policy(BreakerPolicy::off());
@@ -2353,7 +2352,7 @@ mod tests {
     #[test]
     fn the_rpc_deadline_runs_from_ship_time() {
         let timeout = Duration::from_millis(100);
-        let (txs, _wedged): (Vec<_>, Vec<_>) = (0..4).map(|_| bounded::<NodeMsg>(8)).unzip();
+        let (txs, _wedged): (Vec<_>, Vec<_>) = (0..4).map(|_| Door::bare(8)).unzip();
         let c = client_over_all(txs)
             .with_rpc_timeout(timeout)
             .with_retry_policy(RetryPolicy::none())

@@ -1,6 +1,6 @@
 //! The live PVFS cluster and its pluggable RPC transports.
 //!
-//! [`LiveCluster::spawn`] starts a **worker pool** per I/O daemon plus a
+//! [`LiveCluster::spawn`] starts one I/O daemon per server plus a
 //! manager, mirroring the PVFS deployment of §2 (daemons on I/O nodes,
 //! one manager, clients talking to both directly). The client↔daemon
 //! path is abstracted by the [`Transport`] trait with two
@@ -11,9 +11,8 @@
 //!   `pvfs-proto` codec, so the MTU and trailing-data limits are
 //!   enforced exactly as on a socket;
 //! * **tcp** ([`tcp`]) — real loopback/LAN sockets: length-prefixed
-//!   frames with a hard size cap, per-daemon `TcpListener` acceptors
-//!   feeding the same bounded worker pools, and a client-side pool of
-//!   persistent `TCP_NODELAY` connections.
+//!   frames with a hard size cap, a `TcpListener` per daemon, and a
+//!   client-side pool of persistent `TCP_NODELAY` connections.
 //!
 //! One path on each side of the wire:
 //!
@@ -21,25 +20,19 @@
 //!   at any replication factor, hedged or not, traced or not — runs
 //!   through one request pipeline ([`cluster`]: expand → waves of
 //!   ship/land → failover, backoff → assemble);
-//! * every daemon is a `Service` (serve a request; account wire
-//!   traffic, queue and service time; say whether a full queue sheds),
-//!   and both transports' workers drive it through the one `serve_rpc`.
+//! * every daemon stands behind one door (`serve.rs`): a bounded queue
+//!   (`IodConfig::queue_depth`, default 64 — the bound is the
+//!   backpressure) drained by `IodConfig::workers` threads (default
+//!   `min(4, cores)`; the manager's door has one). A frame is admitted,
+//!   served, answered and drained by the same code whichever transport
+//!   brought it; [`live`] has the concurrency model.
 //!
-//! Concurrency model (see [`live`] for details):
-//!
-//! * each daemon is served by `IodConfig::workers` threads (default
-//!   `min(4, cores)`) sharing one request queue bounded at
-//!   `IodConfig::queue_depth` messages (default 64) — the bound is the
-//!   backpressure; the manager is a pool of one;
-//! * the daemon state itself is sharded by file handle and counts
-//!   statistics with atomics, so workers serve disjoint handles in
-//!   parallel;
-//! * every client RPC carries a deadline (default
-//!   [`cluster::DEFAULT_RPC_TIMEOUT`]) bounding the **total** elapsed
-//!   time of the RPC; a wedged (or trickling) server produces
-//!   `PvfsError::Timeout`, never a hang;
-//! * request ids start at 1 — responses with the reserved id 0 are
-//!   unattributable and rejected on multi-request paths.
+//! Every client RPC carries a deadline (default
+//! [`cluster::DEFAULT_RPC_TIMEOUT`]) bounding the **total** elapsed time
+//! of the RPC; a wedged (or trickling) server produces
+//! `PvfsError::Timeout`, never a hang. Request ids start at 1 —
+//! responses with the reserved id 0 are unattributable and rejected on
+//! multi-request paths.
 //!
 //! The cluster also hosts the [`SerialGate`] clients use to serialize
 //! data-sieving writes (PVFS has no file locking; the paper used an
@@ -91,7 +84,6 @@ pub mod gate;
 pub mod health;
 pub mod latency;
 pub mod live;
-pub mod pool;
 pub mod retry;
 mod serve;
 pub mod spares;
@@ -105,7 +97,6 @@ pub use gate::SerialGate;
 pub use health::{BreakerPolicy, BreakerState, HealthTracker, HedgePolicy, ServerHealthSnapshot};
 pub use latency::RpcLatency;
 pub use live::LiveCluster;
-pub use pool::WorkerPool;
 pub use pvfs_replica::{ReplicaMap, ReplicaPolicy, ReplicaTarget, WriteQuorum};
 pub use pvfs_types::ClientStats;
 pub use retry::RetryPolicy;

@@ -1,17 +1,19 @@
-//! The live cluster harness: daemons, their worker pools, and the
-//! transport in front of them, in one process.
+//! The live cluster harness: daemons, their doors, and the transport
+//! in front of them, in one process.
 //!
 //! # Concurrency model
 //!
-//! Each I/O daemon is served by a **pool** of [`IodConfig::workers`]
-//! threads (default [`pvfs_server::default_workers`]) sharing one
-//! request queue bounded at [`IodConfig::queue_depth`] messages. The
-//! daemon itself is thread-safe ([`IoDaemon::handle`] takes `&self`
-//! over a handle-sharded file table), so requests for different file
-//! handles execute genuinely in parallel; the bounded queue gives
-//! backpressure instead of unbounded memory growth when clients outrun
-//! a server. The manager is a pool of one over a mutex — metadata
-//! operations are rare and order-sensitive.
+//! Each I/O daemon stands behind one door ([`crate::serve`]):
+//! [`IodConfig::workers`] threads (default
+//! [`pvfs_server::default_workers`], at least one) sharing one request
+//! queue bounded at [`IodConfig::queue_depth`] frames. The daemon itself
+//! is thread-safe ([`IoDaemon::handle`] takes `&self` over a
+//! handle-sharded file table), so requests for different file handles
+//! execute genuinely in parallel; the bounded queue gives backpressure
+//! instead of unbounded memory growth when clients outrun a server. The
+//! manager's door has one worker over a mutex — metadata operations are
+//! rare and order-sensitive. Tearing the cluster down closes every door:
+//! what was admitted is answered first.
 //!
 //! # Transports
 //!
@@ -19,50 +21,40 @@
 //! [`TransportKind::from_env`] (`PVFS_TRANSPORT=chan|tcp`, default
 //! `chan`) or explicitly via [`LiveCluster::spawn_transport`]:
 //!
-//! * **chan** — every daemon queue is an in-process bounded channel;
-//! * **tcp** — every daemon gets a loopback `TcpListener`
+//! * **chan** — a client's lane offers its frames to the door itself;
+//! * **tcp** — every door gets a loopback `TcpListener`
 //!   ([`crate::tcp`]), and clients speak length-prefixed frames over
 //!   one pooled socket per daemon, their window of requests pipelined
-//!   on it.
+//!   on it; the connection's reader offers them.
 //!
-//! Both drive every daemon through the same [`Service`] and the same
-//! [`serve_rpc`] ([`crate::serve`]); [`ClusterClient`] is identical
-//! over both: same codec, same request ids, same deadlines, same
-//! diagnostics.
+//! Past the door nothing differs — one admission rule, one worker loop,
+//! one drain — and [`ClusterClient`] is identical over both: same codec,
+//! same request ids, same deadlines, same diagnostics.
 
-use bytes::Bytes;
 use pvfs_disk::StorageConfig;
-use pvfs_proto::{data_response_head, encode_response, frame_is_stats_scrape, Frame, Response};
-use pvfs_server::{IoDaemon, IodConfig, Manager, Scratch};
+use pvfs_server::{IoDaemon, IodConfig};
 use pvfs_types::{ClientId, ServerId, StatsSnapshot};
-use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use crate::chan::Sender;
 use crate::cluster::ClusterClient;
 use crate::fault::{FaultPlan, FaultyTransport};
 use crate::gate::SerialGate;
-use crate::pool::WorkerPool;
-use crate::serve::{serve_rpc, Service};
-use crate::spares::Spares;
+use crate::serve::{open_doors, Door};
 use crate::tcp::{TcpCluster, TcpTransport};
-use crate::transport::{ChanNode, ChanTransport, NodeMsg, Transport, TransportKind};
+use crate::transport::{ChanTransport, Transport, TransportKind};
 
 /// The daemon-side machinery behind a [`LiveCluster`], per transport.
 enum Backend {
-    /// One queue and worker pool per I/O daemon, the manager's last.
-    Chan {
-        txs: Vec<Sender<NodeMsg>>,
-        pools: Vec<WorkerPool>,
-    },
+    /// One door per I/O daemon, the manager's last.
+    Chan(Vec<Arc<Door>>),
     Tcp(TcpCluster),
 }
 
-/// A live PVFS cluster: a worker pool per I/O daemon plus a manager,
-/// fronted by a channel or TCP transport. Dropping the cluster shuts
-/// every thread (and listener) down.
+/// A live PVFS cluster: a door per I/O daemon plus a manager's, fronted
+/// by a channel or TCP transport. Dropping the cluster shuts every
+/// thread (and listener) down.
 pub struct LiveCluster {
     daemons: Vec<Arc<IoDaemon>>,
     transport: Arc<dyn Transport>,
@@ -166,31 +158,14 @@ impl LiveCluster {
             .collect();
         let (transport, backend): (Arc<dyn Transport>, Backend) = match kind {
             TransportKind::Chan => {
-                let depth = config.queue_depth.max(1);
-                // One worker keeps metadata operations serialized in
-                // arrival order.
-                let manager = Arc::new(Manager::new());
-                let (mut nodes, pools): (Vec<_>, Vec<_>) = daemons
-                    .iter()
-                    .map(|d| {
-                        let name = format!("iod{}", d.id().0);
-                        spawn_chan_server(&name, config.workers.max(1), depth, d.clone())
-                    })
-                    .chain([spawn_chan_server("pvfs-mgr", 1, depth, manager)])
-                    .unzip();
-                let txs = nodes.iter().map(|n| n.tx.clone()).collect();
-                let mgr = nodes.pop().expect("the manager's node is last");
-                (
-                    Arc::new(ChanTransport::new(nodes, mgr)),
-                    Backend::Chan { txs, pools },
-                )
+                let doors = open_doors(&daemons, config);
+                let chan = Arc::new(ChanTransport::new(doors.clone()));
+                (chan, Backend::Chan(doors))
             }
             TransportKind::Tcp => {
                 let tcp = TcpCluster::spawn(&daemons, config);
-                (
-                    Arc::new(TcpTransport::new(tcp.server_addrs(), tcp.mgr_addr())),
-                    Backend::Tcp(tcp),
-                )
+                let dial = Arc::new(TcpTransport::new(tcp.server_addrs(), tcp.mgr_addr()));
+                (dial, Backend::Tcp(tcp))
             }
         };
         // One env var turns any suite into a chaos suite: wrap the real
@@ -236,12 +211,10 @@ impl LiveCluster {
         self.transport.clone()
     }
 
-    /// Worker threads serving each I/O daemon.
+    /// Worker threads serving each I/O daemon: what its door started and
+    /// booked in the daemon's `workers` gauge.
     pub fn workers_per_server(&self) -> usize {
-        match &self.backend {
-            Backend::Chan { pools, .. } => pools.first().map(|p| p.workers()).unwrap_or(0),
-            Backend::Tcp(tcp) => tcp.workers_per_server(),
-        }
+        self.daemons[0].ledger().workers.load(Ordering::Relaxed) as usize
     }
 
     /// A new client endpoint (unique client id; cheap to create, cheap
@@ -284,54 +257,6 @@ pub fn parse_stats(spec: &str) -> Result<bool, String> {
     }
 }
 
-/// One channel-backed daemon: its bounded queue (as the transport's
-/// [`ChanNode`]) and the worker pool draining it through [`serve_rpc`],
-/// out of scratch the queue owns (a [`Spares`] shared by the workers).
-fn spawn_chan_server(
-    name: &str,
-    workers: usize,
-    queue_depth: usize,
-    service: Arc<dyn Service>,
-) -> (ChanNode, WorkerPool) {
-    let worker_service = service.clone();
-    let spares = Mutex::new(Spares::<Scratch>::default());
-    let (tx, pool) = WorkerPool::spawn(name, workers, queue_depth, move |msg| match msg {
-        NodeMsg::Rpc(frame, mut reply, queued_at) => {
-            let scrape = frame_is_stats_scrape(&frame.head);
-            let mut scratch = spares.lock().unwrap().take().unwrap_or_default();
-            // A read is gathered into the buffer the request brought — the
-            // lane's, which gets it back as the `Data` reply's payload, or
-            // beside a reply that has none.
-            scratch.adopt_read(std::mem::take(&mut reply.spare));
-            let (id, response) =
-                serve_rpc(&*worker_service, frame, queued_at, scrape, &mut scratch);
-            reply.spare = scratch.release_read();
-            // The scratch goes back *before* the reply is handed over:
-            // the frame the client sends on seeing it must find it back.
-            spares.lock().unwrap().give(scratch);
-            // A `Data` reply goes back as `head ‖ payload`, the payload
-            // being the buffer the daemon gathered: never staged behind
-            // its head in a second one. The head, like every fixed-size
-            // reply, is short enough to travel inside its `Bytes`.
-            let encoded = match response {
-                Response::Data { data } => Frame {
-                    head: Bytes::copy_from_slice(&data_response_head(id, data.len() as u64)),
-                    payload: data,
-                },
-                other => encode_response(id, &other).into(),
-            };
-            if !scrape {
-                worker_service.ledger().wire_tx(encoded.len() as u64);
-            }
-            reply.send(encoded);
-            ControlFlow::Continue(())
-        }
-        NodeMsg::Shutdown => ControlFlow::Break(()),
-    });
-    let service = Some(service);
-    (ChanNode { tx, service }, pool)
-}
-
 impl Drop for LiveCluster {
     fn drop(&mut self) {
         // PVFS_STATS=dump: one JSON line per daemon to stderr at
@@ -346,19 +271,11 @@ impl Drop for LiveCluster {
                 );
             }
         }
-        // The TCP backend tears itself down (TcpCluster/TcpServer Drop);
-        // the channel backend drains here.
-        if let Backend::Chan { txs, pools } = &mut self.backend {
-            for (tx, pool) in txs.iter().zip(pools.iter()) {
-                // One Shutdown per worker: each worker consumes exactly
-                // one and exits.
-                for _ in 0..pool.workers() {
-                    let _ = tx.send(NodeMsg::Shutdown);
-                }
-            }
-            for pool in pools.drain(..) {
-                pool.join();
-            }
+        // Every door drains before it shuts. The channel backend's are
+        // closed here — clients may still hold them, and find them shut.
+        match &mut self.backend {
+            Backend::Chan(doors) => doors.iter().for_each(|door| door.close()),
+            Backend::Tcp(tcp) => tcp.shutdown(),
         }
     }
 }

@@ -1,29 +1,43 @@
-//! The server half of one RPC, the same on every transport.
+//! The daemon side of one RPC, the same on every transport: the door.
 //!
-//! A transport's job ends at moving frames: the channel transport's
-//! workers and the TCP transport's workers both hand each request frame
-//! to [`serve_rpc`], which is the only place the
-//! `begin → decode → serve → end` sequence (and its stats-scrape guard)
-//! exists. What a daemon *is* — an [`IoDaemon`] sharded by handle, the
-//! [`Manager`] with its namespace behind one mutex — sits behind the
-//! [`Service`] trait, which is only what differs between the two: how a
-//! decoded request is served, what a frame that meets a full queue is
-//! told, and where the books are. The bookkeeping itself — wire bytes, queue depth,
-//! queue wait, service time — is the [`Ledger`]'s, the same for both, and
-//! a transport does it through [`Service::ledger`] without entering the
-//! daemon: accounting a manager frame takes no manager lock.
+//! A transport's job ends at moving frames. Every daemon — an
+//! [`IoDaemon`] sharded by handle, the [`Manager`] with its namespace
+//! behind one mutex — stands behind one [`Door`], which owns its bounded
+//! queue, its worker threads and its [`Service`] (only what differs
+//! between the two daemons: how a decoded request is served, what a frame
+//! that meets a full queue is told, and where the books are). A frame
+//! goes through the door in four steps, each written once:
+//!
+//! * **admitted** by [`Door::offer`], the only admission rule: book the
+//!   arrival, try the queue, and when it is full let [`Service::shed`]
+//!   decide between refusing the frame on the spot and waiting for room.
+//!   Whoever received the frame calls it — a channel lane's `send`, a TCP
+//!   connection's reader — and delivers a refusal its own way (an `Err`
+//!   to the sender's face; an error reply written by the reader);
+//! * **served** by the one worker loop through [`serve_rpc`], the only
+//!   place the `begin → decode → serve → end` sequence exists;
+//! * **answered** down the [`ReplyPath`] it came with — the daemon-side
+//!   twin of the client's `Lane`, and all that differs between the
+//!   transports: where the [`Scratch`] the frame is served out of comes
+//!   from, and how the reply's bytes go back;
+//! * **drained** by [`Door::close`]: one shutdown notice per worker,
+//!   queued *behind* every admitted frame, then a join — whatever got in
+//!   is answered before the door is shut.
+//!
+//! The bookkeeping — wire bytes, queue depth, queue wait, service time,
+//! the workers running — is the [`Ledger`]'s, and the door does it through
+//! [`Service::ledger`] without entering the daemon: accounting a manager
+//! frame takes no manager lock.
 //!
 //! # Buffers
 //!
 //! What serving a request needs beyond the frame it arrived in — the
 //! list its regions are decoded into, the daemon's read buffer and run
-//! list — is a [`Scratch`] the transport takes from the spares of the
-//! connection (tcp) or the daemon's queue (chan) the frame came by,
-//! never from the worker thread that happens to serve it, and gives back
-//! around the reply (over chan less its read buffer, which came with the
-//! request and leaves with the reply: it is the client's lane's);
-//! [`serve_rpc`] states the order that makes every buffer of a frame its
-//! owner's again by the time the reply is read.
+//! list — is a [`Scratch`] the reply path takes from the spares of the
+//! connection (tcp) or of the door's queue (chan), never from the worker
+//! thread that happens to serve the frame, and gives back around the
+//! reply; [`serve_rpc`] states the order that makes every buffer of a
+//! frame its owner's again by the time the reply is read.
 //!
 //! # The observer-effect guarantee
 //!
@@ -32,15 +46,26 @@
 //! nothing else: no wire accounting, no queue gauge, no queue-wait or
 //! service-time sample, never shed. A scraped snapshot therefore equals
 //! the in-process one byte for byte, and scraping twice shows the same
-//! counters. Transports uphold their share by skipping the ledger's
-//! `wire_rx`/`queued`/`wire_tx` for frames they flag as scrapes.
+//! counters.
 
-use pvfs_proto::{decode_frame_id, decode_frame_reusing, Frame, Message, Request, Response};
-use pvfs_server::{IoDaemon, Manager, Scratch};
+use bytes::Bytes;
+use pvfs_proto::{
+    data_response_head, decode_frame_id, decode_frame_reusing, encode_response,
+    frame_is_stats_scrape, Frame, Message, Request, Response,
+};
+use pvfs_server::{IoDaemon, IodConfig, Manager, Scratch};
 use pvfs_types::{Ledger, PvfsError, RequestId, TraceContext};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// One daemon as a transport sees it.
+use crate::chan::{bounded, Receiver, SendTimeoutError, Sender, TrySendError};
+use crate::spares::Spares;
+use crate::tcp::server::ConnOut;
+use crate::transport::ReplyTo;
+
+/// One daemon as its door sees it.
 pub(crate) trait Service: Send + Sync {
     /// Serve one decoded request out of the buffers `scratch` holds.
     /// `traced`: the frame carried trace context, and the request waited
@@ -51,13 +76,13 @@ pub(crate) trait Service: Send + Sync {
         traced: Option<(TraceContext, Duration)>,
         scratch: &mut Scratch,
     ) -> Response;
-    /// The daemon's books, in which the transport accounts every frame
-    /// that is not a stats scrape.
+    /// The daemon's books, in which the door accounts every frame that
+    /// is not a stats scrape.
     fn ledger(&self) -> &Ledger;
     /// A request met a full queue. `Some(refusal)`: the shed is
-    /// accounted ([`Ledger::shed`]) and the transport answers the typed,
-    /// retryable, provably-unexecuted refusal instead of queueing.
-    /// `None`: this service never sheds — the transport waits for room,
+    /// accounted ([`Ledger::shed`]) and the frame is refused — typed,
+    /// retryable, provably unexecuted — instead of queued. `None`: this
+    /// service never sheds — whoever offered the frame waits for room,
     /// and the wait is the backpressure.
     fn shed(&self) -> Option<PvfsError> {
         None
@@ -80,10 +105,10 @@ pub(crate) trait Service: Send + Sync {
 /// connection's [`FrameReader`](crate::tcp::frame::FrameReader), or over
 /// the channel transport the client that encoded and gathered it — is
 /// their last holder once the reply they are waiting for arrives, and
-/// takes them back then. The transport must therefore send the reply
-/// *after* this returns, never from inside [`Service::serve`]. What
-/// outlives the request is in `scratch`, which the transport took from
-/// its [`Spares`](crate::spares::Spares) and gives back: the request's
+/// takes them back then. The reply is therefore sent *after* this
+/// returns, never from inside [`Service::serve`]. What outlives the
+/// request is in `scratch`, which the worker took from the reply path's
+/// [`Spares`](crate::spares::Spares) and gives back: the request's
 /// region list (the next list request is decoded into it), the daemon's
 /// run list, and the buffer a read was gathered into — behind the `Data`
 /// reply returned here, or unused. Whose that is differs: a connection's
@@ -123,6 +148,223 @@ pub(crate) fn serve_rpc(
         ledger.end(served_at.elapsed());
     }
     served
+}
+
+/// How the reply to one frame goes back — all a worker needs to know of
+/// the transport the frame came by.
+pub(crate) enum ReplyPath {
+    /// Over the channel transport: to the lane the request was sent on.
+    Lane(ReplyTo),
+    /// Over TCP: down the connection the request arrived on.
+    Conn(Arc<ConnOut>),
+}
+
+impl ReplyPath {
+    /// The scratch to serve the frame out of: the connection's, or one of
+    /// the door's `queue` — which then gathers a read into the buffer the
+    /// request brought (the lane's, which gets it back as the `Data`
+    /// reply's payload, or beside a reply that has none).
+    fn scratch(&mut self, queue: &Mutex<Spares<Scratch>>) -> Scratch {
+        match self {
+            ReplyPath::Lane(reply) => {
+                let mut scratch = queue.lock().unwrap().take().unwrap_or_default();
+                scratch.adopt_read(std::mem::take(&mut reply.spare));
+                scratch
+            }
+            ReplyPath::Conn(conn) => conn.scratch(),
+        }
+    }
+
+    /// Send `response`, and give `scratch` back to where it came from;
+    /// `account`s the reply's wire bytes unless it answers a scrape.
+    fn answer(
+        self,
+        id: RequestId,
+        response: Response,
+        mut scratch: Scratch,
+        queue: &Mutex<Spares<Scratch>>,
+        account: Option<&Ledger>,
+    ) {
+        match self {
+            ReplyPath::Lane(mut reply) => {
+                reply.spare = scratch.release_read();
+                // The scratch goes back *before* the reply is handed over:
+                // the frame the client sends on seeing it must find it back.
+                queue.lock().unwrap().give(scratch);
+                // A `Data` reply goes back as `head ‖ payload`, the payload
+                // being the buffer the daemon gathered: never staged behind
+                // its head in a second one. The head, like every fixed-size
+                // reply, is short enough to travel inside its `Bytes`.
+                let encoded = match response {
+                    Response::Data { data } => Frame {
+                        head: Bytes::copy_from_slice(&data_response_head(id, data.len() as u64)),
+                        payload: data,
+                    },
+                    other => encode_response(id, &other).into(),
+                };
+                if let Some(ledger) = account {
+                    ledger.wire_tx(encoded.len() as u64);
+                }
+                reply.send(encoded);
+            }
+            ReplyPath::Conn(conn) => conn.reply(id, response, Some(scratch), account),
+        }
+    }
+}
+
+/// What waits in a door's queue: a request frame (both parts, exactly as
+/// they arrived), the way its reply goes back, and when it was enqueued
+/// (queue wait is measured from it) — or a worker's notice to leave.
+enum Job {
+    Rpc(Frame, ReplyPath, Instant),
+    Shutdown,
+}
+
+/// A frame [`Door::offer`] did not admit, handed back with the way its
+/// reply would have gone for the transport to tell its sender why.
+pub(crate) type Refused = (Frame, ReplyPath, PvfsError);
+
+/// The one way into a daemon: its bounded queue, the workers draining it
+/// through [`serve_rpc`], and the [`Service`] they serve (module docs).
+pub(crate) struct Door {
+    /// `iod3` / `pvfs-mgr`: what the daemon's threads are named after.
+    pub(crate) name: String,
+    tx: Sender<Job>,
+    service: Arc<dyn Service>,
+    /// Emptied by [`close`](Door::close).
+    threads: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl Door {
+    /// Start `workers` threads (at least one) named `name-w<i>` serving
+    /// `service` off a queue of `depth` frames (at least one), and book
+    /// them in the service's `workers` gauge: it reports the threads
+    /// that run, whatever was configured.
+    pub(crate) fn spawn(
+        name: &str,
+        workers: usize,
+        depth: usize,
+        service: Arc<dyn Service>,
+    ) -> Arc<Door> {
+        let (tx, rx) = bounded(depth.max(1));
+        // Scratch for frames that bring none along (chan): the queue's.
+        let spares = Arc::new(Mutex::new(Spares::default()));
+        let threads: Vec<_> = (0..workers.max(1))
+            .map(|i| {
+                let (rx, service, spares) = (rx.clone(), service.clone(), spares.clone());
+                std::thread::Builder::new()
+                    .name(format!("{name}-w{i}"))
+                    .spawn(move || work(&rx, &*service, &spares))
+                    .expect("spawn door worker")
+            })
+            .collect();
+        let gauge = &service.ledger().workers;
+        gauge.store(threads.len() as u64, Ordering::Relaxed);
+        Arc::new(Door {
+            name: name.to_string(),
+            tx,
+            service,
+            threads: Mutex::new(threads),
+        })
+    }
+
+    /// The books of the daemon behind the door.
+    pub(crate) fn ledger(&self) -> &Ledger {
+        self.service.ledger()
+    }
+
+    /// Admit one request frame of `wire_len` bytes on the wire, to be
+    /// answered down `reply`. A full queue is the service's call
+    /// ([`Service::shed`]): refuse the frame at once, or have the caller
+    /// wait for room at most `patience` — for ever without one: a
+    /// connection's reader stops draining its socket and TCP flow control
+    /// pushes back. A refused frame leaves `queue_depth` as it found it.
+    ///
+    /// Stats scrapes are observers: they skip the accounting, and wait
+    /// out a full queue instead of shedding, so observation never
+    /// perturbs the shed counter either.
+    #[allow(clippy::result_large_err)] // handed back by value: nothing is boxed per frame
+    pub(crate) fn offer(
+        &self,
+        frame: Frame,
+        wire_len: u64,
+        reply: ReplyPath,
+        patience: Option<Duration>,
+    ) -> Result<(), Refused> {
+        let ledger = (!frame_is_stats_scrape(&frame.head)).then(|| self.service.ledger());
+        if let Some(ledger) = ledger {
+            ledger.wire_rx(wire_len);
+            ledger.queued();
+        }
+        let gone = || PvfsError::Transport("server thread gone".into());
+        let (job, error) = match self.tx.try_send(Job::Rpc(frame, reply, Instant::now())) {
+            Ok(()) => return Ok(()),
+            Err(TrySendError::Disconnected(job)) => (job, gone()),
+            Err(TrySendError::Full(job)) => match ledger.and_then(|_| self.service.shed()) {
+                // `shed` has taken the frame off the queue's books.
+                Some(refusal) => return Err(refused(job, refusal)),
+                None => match self.tx.send_timeout(job, patience) {
+                    Ok(()) => return Ok(()),
+                    Err(SendTimeoutError::Disconnected(job)) => (job, gone()),
+                    Err(SendTimeoutError::Timeout(job)) => {
+                        let waited = patience.unwrap_or_default();
+                        let full = format!("the daemon's queue stayed full for {waited:?}");
+                        (job, PvfsError::timeout(full))
+                    }
+                },
+            },
+        };
+        // The frame never entered the queue it was booked into.
+        if let Some(ledger) = ledger {
+            ledger.unqueued();
+        }
+        Err(refused(job, error))
+    }
+
+    /// Drain and stop the workers: one `Shutdown` each, queued behind
+    /// every frame admitted so far — all of them are served and answered
+    /// before this returns. Frames offered afterwards are refused (the
+    /// workers are gone). Idempotent.
+    pub(crate) fn close(&self) {
+        let threads = std::mem::take(&mut *self.threads.lock().unwrap());
+        for _ in &threads {
+            let _ = self.tx.send(Job::Shutdown);
+        }
+        for thread in threads {
+            let _ = thread.join();
+        }
+    }
+}
+
+fn refused(job: Job, error: PvfsError) -> Refused {
+    match job {
+        Job::Rpc(frame, reply, _) => (frame, reply, error),
+        Job::Shutdown => unreachable!("only frames are offered"),
+    }
+}
+
+/// One worker: `scratch → serve_rpc → reply` for every frame, until its
+/// `Shutdown` comes up or the door is dropped.
+fn work(rx: &Receiver<Job>, service: &dyn Service, spares: &Mutex<Spares<Scratch>>) {
+    while let Ok(Job::Rpc(frame, mut reply, queued_at)) = rx.recv() {
+        let scrape = frame_is_stats_scrape(&frame.head);
+        let mut scratch = reply.scratch(spares);
+        let (id, response) = serve_rpc(service, frame, queued_at, scrape, &mut scratch);
+        let account = (!scrape).then(|| service.ledger());
+        reply.answer(id, response, scratch, spares, account);
+    }
+}
+
+/// A door for each of `daemons`, in server-id order, and last the door
+/// of a fresh manager — which gets one worker, so that metadata
+/// operations stay serialized in arrival order.
+pub(crate) fn open_doors(daemons: &[Arc<IoDaemon>], config: IodConfig) -> Vec<Arc<Door>> {
+    let iods = daemons.iter().map(|daemon| {
+        let name = format!("iod{}", daemon.id().0);
+        Door::spawn(&name, config.workers, config.queue_depth, daemon.clone())
+    });
+    let mgr = Door::spawn("pvfs-mgr", 1, config.queue_depth, Arc::new(Manager::new()));
+    iods.chain([mgr]).collect()
 }
 
 impl Service for IoDaemon {
@@ -175,12 +417,46 @@ impl Service for Manager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chan::bounded;
-    use crate::transport::{ChanNode, ChanTransport, NodeMsg, RpcTarget, Transport};
-    use pvfs_proto::{encode_frame, encode_message};
+    use crate::transport::{ChanTransport, RpcTarget, Transport, WaitError};
+    use pvfs_proto::{decode_response_id, encode_frame, encode_message};
     use pvfs_types::{ClientId, FileHandle, ServerId, StatsSnapshot};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::atomic::AtomicU64;
+
+    impl Door {
+        /// A door nobody works at: what is admitted waits in the queue
+        /// for the test, which plays the workers itself.
+        fn unmanned(depth: usize, service: Arc<dyn Service>) -> (Arc<Door>, Receiver<Job>) {
+            let (tx, rx) = bounded(depth);
+            let threads = Mutex::default();
+            let name = "bare".into();
+            (
+                Arc::new(Door {
+                    name,
+                    tx,
+                    service,
+                    threads,
+                }),
+                rx,
+            )
+        }
+
+        /// The bare queue of protocol tests that play a channel-backed
+        /// daemon themselves: an unmanned door that never sheds, and the
+        /// far end of its queue — each call waits for the next frame sent
+        /// through the door and where to answer it, `None` once every
+        /// sender is gone. Dropping it is the daemon dying.
+        pub(crate) fn bare(
+            depth: usize,
+        ) -> (Arc<Door>, impl Fn() -> Option<(Frame, ReplyTo)> + Send) {
+            let (door, rx) = Door::unmanned(depth, Arc::new(Recording::default()));
+            let next = move || match rx.recv() {
+                Ok(Job::Rpc(frame, ReplyPath::Lane(reply), _)) => Some((frame, reply)),
+                _ => None,
+            };
+            (door, next)
+        }
+    }
 
     /// A service with books of its own that counts what else it is
     /// asked.
@@ -287,70 +563,191 @@ mod tests {
         assert_eq!(id, RequestId(0));
     }
 
+    /// The two ways a reply goes back, for a test to offer frames
+    /// with: a lane's reply channel, or a connection over loopback.
+    enum Way {
+        Lane(Sender<crate::transport::ChanReply>),
+        Conn(Arc<ConnOut>, #[allow(dead_code)] TcpStream),
+    }
+
+    impl Way {
+        fn both() -> [Way; 2] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let near = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let (far, _) = listener.accept().unwrap();
+            [Way::Lane(bounded(8).0), Way::Conn(ConnOut::new(far), near)]
+        }
+
+        fn reply(&self, id: u64) -> ReplyPath {
+            match self {
+                Way::Lane(tx) => ReplyPath::Lane(ReplyTo::new(tx, RequestId(id))),
+                Way::Conn(conn, _) => ReplyPath::Conn(conn.clone()),
+            }
+        }
+    }
+
     /// What a full queue does is the service's call: `Some(refusal)`
     /// refuses the frame on the spot, `None` makes the sender wait for
-    /// room.
+    /// room — the same over both reply paths, on the same books.
     #[test]
     fn a_full_queue_refuses_or_blocks_as_shed_says() {
-        let transport_over = |refusal| {
+        let door_over = |refusal| {
             let service = Arc::new(Recording {
                 refusal,
                 ..Recording::default()
             });
-            let (tx, rx) = bounded::<NodeMsg>(1);
-            let (mgr_tx, _) = bounded::<NodeMsg>(1);
-            let node = |tx, service| ChanNode { tx, service };
-            let served: Arc<dyn Service> = service.clone();
-            let transport = ChanTransport::new(vec![node(tx, Some(served))], node(mgr_tx, None));
-            (service, rx, Arc::new(transport))
+            let (door, rx) = Door::unmanned(1, service.clone());
+            (service, rx, door)
         };
-        let target = RpcTarget::Server(ServerId(0));
         let overloaded = PvfsError::Overloaded {
             server: 0,
             queue_depth: 1,
         };
-
         let books = |service: &Recording| {
             let books = service.ledger.snapshot();
             (books.frames_rx, books.queue_depth, books.requests_shed)
         };
-        let (service, _rx, transport) = transport_over(Some(overloaded.clone()));
-        transport.dispatch(target, frame(1, Request::Ping)).unwrap();
-        assert_eq!(books(&service), (1, 1, 0));
-        let refused = transport.dispatch(target, frame(2, Request::Ping));
-        assert_eq!(refused.err(), Some(overloaded.clone()));
-        assert_eq!(
-            books(&service),
-            (2, 1, 1),
-            "the refused frame left the queue"
+        let ping = |id| frame(id, Request::Ping);
+        let patience = Some(Duration::from_secs(30));
+
+        for way in Way::both() {
+            let (service, _rx, door) = door_over(Some(overloaded.clone()));
+            assert!(door.offer(ping(1), 16, way.reply(1), patience).is_ok());
+            assert_eq!(books(&service), (1, 1, 0));
+            let refused = door.offer(ping(2), 16, way.reply(2), patience);
+            let (refused, _, error) = refused.expect_err("the queue is full");
+            assert_eq!(error, overloaded);
+            assert_eq!(decode_frame_id(&refused.head), Some(RequestId(2)));
+            assert_eq!(
+                books(&service),
+                (2, 1, 1),
+                "the refused frame left the queue"
+            );
+            // A scrape is never shed: it waits for room, and moves no
+            // counter whether it gets in or not.
+            let scrape = frame(3, Request::GetStats);
+            let waited = door.offer(scrape, 16, way.reply(3), Some(Duration::from_millis(5)));
+            assert!(matches!(waited, Err((_, _, PvfsError::Timeout(_)))));
+            assert_eq!(books(&service), (2, 1, 1));
+            assert_eq!(service.shed_asked.load(Ordering::Relaxed), 1);
+
+            let (service, rx, door) = door_over(None);
+            assert!(door.offer(ping(1), 16, way.reply(1), patience).is_ok());
+            std::thread::scope(|scope| {
+                let (door, second, reply) = (&door, ping(2), way.reply(2));
+                let sender = scope.spawn(move || door.offer(second, 16, reply, None).is_ok());
+                // Once `shed` has declined, the sender is waiting on a
+                // queue only this thread can make room in.
+                while service.shed_asked.load(Ordering::Relaxed) == 0 {
+                    std::thread::yield_now();
+                }
+                for _ in 0..2 {
+                    assert!(matches!(rx.recv(), Ok(Job::Rpc(..))));
+                }
+                assert!(sender.join().unwrap(), "the blocked offer went through");
+            });
+            assert_eq!(books(&service), (2, 2, 0), "both frames are queued");
+
+            // A frame that never got into the queue — here the door's
+            // workers are gone — is not left on the queue's books, whether
+            // the service sheds or waits.
+            for refusal in [Some(overloaded.clone()), None] {
+                let (service, rx, door) = door_over(refusal);
+                drop(rx);
+                let gone = door.offer(ping(1), 16, way.reply(1), patience);
+                assert!(matches!(gone, Err((_, _, PvfsError::Transport(_)))));
+                assert_eq!(books(&service), (1, 0, 0), "nothing is queued");
+            }
+        }
+    }
+
+    /// Every frame a worker picks up is served once, whichever worker,
+    /// and the gauge says how many there are — at least one.
+    #[test]
+    fn a_door_serves_every_frame_across_its_workers() {
+        let service = Arc::new(Recording::default());
+        let door = Door::spawn("t", 4, 8, service.clone());
+        assert_eq!(service.ledger.snapshot().workers, 4);
+        let (tx, rx) = bounded(100);
+        for id in 1..=100 {
+            let reply = ReplyPath::Lane(ReplyTo::new(&tx, RequestId(id)));
+            assert!(door
+                .offer(frame(id, Request::Ping), 16, reply, None)
+                .is_ok());
+        }
+        door.close();
+        assert_eq!(service.served.load(Ordering::Relaxed), 100);
+        let mut ids: Vec<_> = (0..100)
+            .map(|_| {
+                decode_response_id(&rx.recv().unwrap().unwrap().0.head)
+                    .unwrap()
+                    .0
+            })
+            .collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (1..=100).collect::<Vec<_>>());
+
+        let none = Door::spawn("t", 0, 0, service.clone());
+        assert_eq!(service.ledger.snapshot().workers, 1);
+        none.close();
+    }
+
+    /// One `Shutdown` stops exactly one worker: closing queues one each
+    /// and no more, is idempotent, and leaves the door shut.
+    #[test]
+    fn a_shutdown_stops_exactly_one_worker() {
+        let service = Arc::new(Recording::default());
+        let door = Door::spawn("t", 2, 4, service.clone());
+        let (tx, _rx) = bounded(4);
+        let reply = |id| ReplyPath::Lane(ReplyTo::new(&tx, RequestId(id)));
+        assert!(door
+            .offer(frame(1, Request::Ping), 16, reply(1), None)
+            .is_ok());
+        door.close();
+        door.close();
+        assert!(door.threads.lock().unwrap().is_empty());
+        assert_eq!(door.tx.len(), 0, "one notice per worker, each consumed");
+        assert_eq!(service.served.load(Ordering::Relaxed), 1);
+        let late = door.offer(frame(2, Request::Ping), 16, reply(2), None);
+        assert!(matches!(late, Err((_, _, PvfsError::Transport(_)))));
+    }
+
+    /// What the door admitted it answers, even when it is closed with
+    /// frames still queued and every worker busy.
+    #[test]
+    fn every_admitted_frame_is_answered_before_close_returns() {
+        struct Slow(Ledger);
+        impl Service for Slow {
+            fn serve(
+                &self,
+                _: &Request,
+                _: Option<(TraceContext, Duration)>,
+                _: &mut Scratch,
+            ) -> Response {
+                std::thread::sleep(Duration::from_millis(2));
+                Response::Pong { queue_depth: 0 }
+            }
+            fn ledger(&self) -> &Ledger {
+                &self.0
+            }
+        }
+        let door = Door::spawn("t", 2, 8, Arc::new(Slow(Ledger::default())));
+        let transport = ChanTransport::new(vec![door.clone(), Door::bare(1).0]);
+        let mut lane = transport.lane(RpcTarget::Server(ServerId(0))).unwrap();
+        for id in 1..=crate::WINDOW as u64 {
+            lane.send(frame(id, Request::Ping)).unwrap();
+        }
+        door.close();
+        // Nothing is waited for: the replies are already there.
+        for _ in 0..crate::WINDOW {
+            assert!(lane.recv(Duration::ZERO).is_ok());
+        }
+        assert!(matches!(lane.recv(Duration::ZERO), Err(WaitError::Timeout)));
+        let served = door.ledger().snapshot().service_time.count();
+        assert_eq!(served, crate::WINDOW as u64);
+        assert!(
+            lane.send(frame(9, Request::Ping)).is_err(),
+            "the door is shut"
         );
-
-        let (service, rx, transport) = transport_over(None);
-        transport.dispatch(target, frame(1, Request::Ping)).unwrap();
-        let sender = {
-            let transport = transport.clone();
-            std::thread::spawn(move || transport.dispatch(target, frame(2, Request::Ping)).is_ok())
-        };
-        // Once `shed` has declined, the sender is waiting on a queue
-        // only this thread can make room in.
-        while service.shed_asked.load(Ordering::Relaxed) == 0 {
-            std::thread::yield_now();
-        }
-        for _ in 0..2 {
-            assert!(matches!(rx.recv(), Ok(NodeMsg::Rpc(..))));
-        }
-        assert!(sender.join().unwrap(), "the blocked send went through");
-        assert_eq!(books(&service), (2, 2, 0), "both frames are queued");
-
-        // A frame that never got into the queue — here the daemon's
-        // workers are gone — is not left on the queue's books, whether the
-        // service sheds or waits.
-        for refusal in [Some(overloaded), None] {
-            let (service, rx, transport) = transport_over(refusal);
-            drop(rx);
-            let gone = transport.dispatch(target, frame(1, Request::Ping));
-            assert!(matches!(gone.err(), Some(PvfsError::Transport(_))));
-            assert_eq!(books(&service), (1, 0, 0), "nothing is queued");
-        }
     }
 }

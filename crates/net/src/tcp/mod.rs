@@ -7,9 +7,9 @@
 //!   hard size cap ([`pvfs_proto::MAX_WIRE_FRAME`]) checked before any
 //!   allocation, and `read_exact`-style reassembly that survives
 //!   arbitrary short reads and coalesced segments;
-//! * [`server`] — per-daemon `TcpListener` acceptors feeding the same
-//!   bounded [`WorkerPool`](crate::WorkerPool)s the channel transport
-//!   uses, with graceful drain-then-join shutdown;
+//! * [`server`] — per-daemon `TcpListener` acceptors whose connection
+//!   readers offer frames to the same doors the channel transport's
+//!   lanes do, with graceful drain-then-join shutdown;
 //! * [`pool`] — the client-side connection pool (persistent,
 //!   `TCP_NODELAY` connections; one fixed deadline per RPC however many
 //!   partial reads the response takes).

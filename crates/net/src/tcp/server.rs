@@ -1,27 +1,27 @@
-//! Server side of the TCP transport: per-daemon listeners feeding the
-//! same [`WorkerPool`]s the channel transport uses.
+//! Server side of the TCP transport: per-daemon listeners in front of
+//! the same [`Door`]s the channel transport offers its frames to.
 //!
 //! One daemon = one `TcpListener` on loopback + one acceptor thread +
-//! one reader thread per accepted connection + the daemon's worker
-//! pool. A client keeps one connection per daemon and pipelines its
-//! window of requests on it, so a reader does nothing but reassemble
+//! one reader thread per accepted connection + the daemon's door. A
+//! client keeps one connection per daemon and pipelines its window of
+//! requests on it, so a reader does nothing but reassemble
 //! length-prefixed frames — every complete frame a `read` delivered,
-//! through a staging buffer, before it blocks again — and push them
-//! into the pool's **bounded** queue. When workers fall
-//! behind, daemon readers **load-shed**: a frame meeting a full queue
-//! is answered immediately with `PvfsError::Overloaded` instead of
-//! being parked (see [`Service::shed`]). The manager and stats scrapes
-//! do not shed — readers block in `send`, stop draining their sockets,
-//! and TCP flow control pushes back.
+//! through a staging buffer, before it blocks again — and offer them to
+//! the door ([`Door::offer`] has the admission rule). A frame the door
+//! refuses — shed off an I/O daemon's full queue — the reader answers
+//! itself, at once, with the error. Where nothing is shed (the manager,
+//! stats scrapes) the reader waits in `offer`, stops draining its
+//! socket, and TCP flow control pushes back.
 //!
-//! Responses go back over the connection the request arrived on, in
-//! the order the workers finish. The write half is wrapped in a mutex so
-//! workers finishing out of order (the requests pipelined on one
-//! connection) interleave whole frames, never partial ones; request ids
-//! let the peer attribute them.
+//! Responses go back over the connection the request arrived on
+//! ([`ReplyPath::Conn`]), in the order the workers finish. The write
+//! half is wrapped in a mutex so workers finishing out of order (the
+//! requests pipelined on one connection) interleave whole frames, never
+//! partial ones; request ids let the peer attribute them.
 //! A `Data` reply leaves as `prefix ‖ head ‖ payload` in one vectored
-//! write ([`send_reply`]): the payload the daemon gathered is the buffer
-//! the socket reads from, never staged behind its head in a second one.
+//! write ([`ConnOut::reply`]): the payload the daemon gathered is the
+//! buffer the socket reads from, never staged behind its head in a
+//! second one.
 //!
 //! A connection costs the daemon one reader thread and one entry in its
 //! connection table (a duplicate of the socket, kept so shutdown can
@@ -32,40 +32,25 @@
 //!
 //! # Shutdown
 //!
-//! [`TcpServer::shutdown`] drains gracefully: stop accepting (flag +
-//! self-connect to unblock `accept`), shut down the read half of every
-//! connection so readers finish handing queued frames to the pool, join
-//! the readers, then send the pool one `Shutdown` message per worker —
-//! those queue *behind* any in-flight requests, so every accepted
-//! request is served and its response written before the pool exits.
+//! [`TcpServer::shutdown`] stops the front, then the door: stop
+//! accepting (flag + self-connect to unblock `accept`), shut down the
+//! read half of every connection so readers finish offering the frames
+//! they have read, join the readers, then [`Door::close`] — every
+//! accepted request is served and its response written first.
 
-use bytes::Bytes;
-use pvfs_proto::{
-    data_response_head, decode_frame_id, encode_response, frame_is_stats_scrape, Response,
-};
-use pvfs_server::{IoDaemon, IodConfig, Manager, Scratch};
+use pvfs_proto::{data_response_head, decode_frame_id, encode_response, Response};
+use pvfs_server::{IoDaemon, IodConfig, Scratch};
 use pvfs_types::{Ledger, RequestId};
 use std::collections::HashMap;
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 use super::frame::{wire_len, write_frame_parts, FrameError, FrameReader, STAGING};
-use crate::chan::TrySendError;
-use crate::pool::WorkerPool;
-use crate::serve::{serve_rpc, Service};
+use crate::serve::{open_doors, Door, ReplyPath};
 use crate::spares::Spares;
-
-enum TcpMsg {
-    /// A reassembled request frame, the (shared) answering side of the
-    /// connection it arrived on, and when the frame entered the queue.
-    Rpc(Bytes, Arc<ConnOut>, Instant),
-    Shutdown,
-}
 
 /// The answering side of one connection, shared by the workers serving
 /// its frames: the write half, and the scratch its requests are served
@@ -77,17 +62,24 @@ enum TcpMsg {
 /// peer sent on seeing that reply can wait for it ([`ConnOut::scratch`])
 /// rather than make another: the connection's `WINDOW` always go round
 /// (see [`Spares`]), whichever worker runs when.
-struct ConnOut {
+pub(crate) struct ConnOut {
     stream: Mutex<TcpStream>,
     spares: Mutex<Spares<Scratch>>,
 }
 
 impl ConnOut {
+    pub(crate) fn new(write_half: TcpStream) -> Arc<ConnOut> {
+        Arc::new(ConnOut {
+            stream: Mutex::new(write_half),
+            spares: Mutex::default(),
+        })
+    }
+
     /// The scratch to serve the connection's next frame out of. Taking
     /// one never waits for a reply to be written — a worker serves while
     /// another writes — unless every one is out: then the one that is due
     /// is being given back by a worker inside the stream lock.
-    fn scratch(&self) -> Scratch {
+    pub(crate) fn scratch(&self) -> Scratch {
         let mut spares = self.spares.lock().unwrap();
         if spares.all_out() {
             drop(spares);
@@ -96,69 +88,87 @@ impl ConnOut {
         }
         spares.take().unwrap_or_default()
     }
+
+    /// Write one response frame, whole, under the connection's stream
+    /// lock (pipelined responses interleave per frame, never within one),
+    /// and — still under it — give back the `scratch` the response was
+    /// served out of, its read buffer reclaimed now that the reply has
+    /// left. Nothing on the way allocates: a `Data` reply is
+    /// `head ‖ payload` written in place, the head a stack array; a
+    /// fixed-size reply (`Written`, `Pong`, `Synced`, …) is encoded inside
+    /// its `Bytes`, on the stack as well; only the rare variable-size ones
+    /// are encoded into a buffer. `account` is `None` for stats scrapes,
+    /// which must leave no trace in the counters they read. A failed write
+    /// needs no handling beyond the accounting: the peer is gone and its
+    /// reader sees the same.
+    pub(crate) fn reply(
+        &self,
+        id: RequestId,
+        response: Response,
+        scratch: Option<Scratch>,
+        account: Option<&Ledger>,
+    ) {
+        let (head, encoded);
+        let (front, payload): (&[u8], &[u8]) = match &response {
+            Response::Data { data } => {
+                head = data_response_head(id, data.len() as u64);
+                (&head, data)
+            }
+            other => {
+                encoded = encode_response(id, other);
+                (&encoded, &[])
+            }
+        };
+        let wire = wire_len(front.len() + payload.len());
+        let mut stream = self.stream.lock().unwrap();
+        if let Some(ledger) = account {
+            ledger.wire_tx(wire);
+        }
+        let sent = write_frame_parts(&mut *stream, front, payload).and_then(|()| stream.flush());
+        if let (Err(_), Some(ledger)) = (sent, account) {
+            ledger.retract_wire_tx(wire);
+        }
+        // The reply's view of the read buffer goes before the buffer is
+        // reclaimed through its last handle.
+        drop(response);
+        if let Some(mut scratch) = scratch {
+            scratch.reclaim_read();
+            self.spares.lock().unwrap().give(scratch);
+        }
+    }
 }
 
 /// One TCP-fronted daemon: listener, acceptor, per-connection readers,
-/// worker pool.
+/// door.
 pub(crate) struct TcpServer {
     addr: SocketAddr,
     shutting_down: Arc<AtomicBool>,
+    /// `None` once [`shutdown`](TcpServer::shutdown) has run.
     accept_thread: Option<JoinHandle<()>>,
-    pool_tx: crate::chan::Sender<TcpMsg>,
-    pool: Option<WorkerPool>,
+    door: Arc<Door>,
     conns: Conns,
     readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
-/// The open connections of one daemon, by accept index: a duplicate of
-/// each socket, through which shutdown stops the connection's reader.
+/// The open connections of one daemon (those whose reader is still
+/// running), by accept index: a duplicate of each socket, through which
+/// shutdown stops the connection's reader.
 type Conns = Arc<Mutex<HashMap<usize, TcpStream>>>;
 
 impl TcpServer {
-    fn spawn(
-        name: &str,
-        workers: usize,
-        queue_depth: usize,
-        service: Arc<dyn Service>,
-    ) -> std::io::Result<TcpServer> {
+    fn spawn(door: Arc<Door>) -> std::io::Result<TcpServer> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
         let shutting_down = Arc::new(AtomicBool::new(false));
         let conns: Conns = Arc::new(Mutex::new(HashMap::new()));
         let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
-        let worker_service = service.clone();
-        let (pool_tx, pool) =
-            WorkerPool::spawn(name, workers, queue_depth, move |msg: TcpMsg| match msg {
-                TcpMsg::Rpc(frame, conn, queued_at) => {
-                    let scrape = frame_is_stats_scrape(&frame);
-                    let mut scratch = conn.scratch();
-                    let (id, response) = serve_rpc(
-                        &*worker_service,
-                        frame.into(),
-                        queued_at,
-                        scrape,
-                        &mut scratch,
-                    );
-                    send_reply(
-                        &conn,
-                        id,
-                        response,
-                        Some(scratch),
-                        (!scrape).then_some(worker_service.ledger()),
-                    );
-                    ControlFlow::Continue(())
-                }
-                TcpMsg::Shutdown => ControlFlow::Break(()),
-            });
-
         let accept_flag = shutting_down.clone();
         let accept_conns = conns.clone();
         let accept_readers = readers.clone();
-        let accept_tx = pool_tx.clone();
-        let accept_name = name.to_string();
+        let accept_door = door.clone();
         let accept_thread = std::thread::Builder::new()
-            .name(format!("{name}-accept"))
+            .name(format!("{}-accept", door.name))
             .spawn(move || {
                 for (i, stream) in listener.incoming().enumerate() {
                     if accept_flag.load(Ordering::SeqCst) {
@@ -170,14 +180,7 @@ impl TcpServer {
                         continue;
                     };
                     accept_conns.lock().unwrap().insert(i, read_half);
-                    let reader = spawn_reader(
-                        format!("{accept_name}-conn{i}"),
-                        stream,
-                        accept_tx.clone(),
-                        service.clone(),
-                        i,
-                        accept_conns.clone(),
-                    );
+                    let reader = spawn_reader(stream, accept_door.clone(), i, accept_conns.clone());
                     // Reap the readers whose peers have hung up since
                     // the last accept, so the handle list follows the
                     // live connections instead of every one ever made.
@@ -196,40 +199,26 @@ impl TcpServer {
             addr,
             shutting_down,
             accept_thread: Some(accept_thread),
-            pool_tx,
-            pool: Some(pool),
+            door,
             conns,
             readers,
         })
     }
 
-    pub(crate) fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    pub(crate) fn workers(&self) -> usize {
-        self.pool.as_ref().map(|p| p.workers()).unwrap_or(0)
-    }
-
-    /// Connections whose reader is still running.
-    fn open_connections(&self) -> usize {
-        self.conns.lock().unwrap().len()
-    }
-
     /// Graceful teardown: close the listener, drain in-flight requests,
     /// join every thread. Idempotent.
     pub(crate) fn shutdown(&mut self) {
-        let Some(pool) = self.pool.take() else { return };
+        let Some(acceptor) = self.accept_thread.take() else {
+            return;
+        };
         self.shutting_down.store(true, Ordering::SeqCst);
         // `accept` has no deadline; a throwaway connection unblocks it
         // so it can observe the flag.
         let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+        let _ = acceptor.join();
         // Stop the readers at their next read; frames already read keep
-        // flowing into the pool (a reader blocked on a full queue
-        // finishes its send first — workers are still draining).
+        // flowing through the door (a reader waiting on a full queue
+        // finishes its offer first — workers are still draining).
         for conn in self.conns.lock().unwrap().values() {
             let _ = conn.shutdown(Shutdown::Read);
         }
@@ -237,12 +226,8 @@ impl TcpServer {
         for r in readers {
             let _ = r.join();
         }
-        // Every accepted request is now queued; the Shutdown messages
-        // queue behind them, so the pool drains before exiting.
-        for _ in 0..pool.workers() {
-            let _ = self.pool_tx.send(TcpMsg::Shutdown);
-        }
-        pool.join();
+        // Every accepted request is now queued: the door drains them.
+        self.door.close();
     }
 }
 
@@ -252,18 +237,11 @@ impl Drop for TcpServer {
     }
 }
 
-/// Read frames off one connection into the pool until the peer hangs
-/// up, dies mid-frame, or violates the frame cap; then take the
-/// connection's entry (`key` in `conns`) back out, so the daemon's
+/// Read frames off one connection and offer them to `door` until the
+/// peer hangs up, dies mid-frame, or violates the frame cap; then take
+/// the connection's entry (`key` in `conns`) back out, so the daemon's
 /// duplicate of the socket closes with the connection.
-fn spawn_reader(
-    name: String,
-    stream: TcpStream,
-    pool_tx: crate::chan::Sender<TcpMsg>,
-    service: Arc<dyn Service>,
-    key: usize,
-    conns: Conns,
-) -> JoinHandle<()> {
+fn spawn_reader(stream: TcpStream, door: Arc<Door>, key: usize, conns: Conns) -> JoinHandle<()> {
     /// Removes the entry however the reader exits.
     struct Deregister(usize, Conns);
     impl Drop for Deregister {
@@ -274,16 +252,13 @@ fn spawn_reader(
         }
     }
     std::thread::Builder::new()
-        .name(name)
+        .name(format!("{}-conn{key}", door.name))
         .spawn(move || {
             let _deregister = Deregister(key, conns);
             let Ok(write_half) = stream.try_clone() else {
                 return;
             };
-            let writer = Arc::new(ConnOut {
-                stream: Mutex::new(write_half),
-                spares: Mutex::default(),
-            });
+            let writer = ConnOut::new(write_half);
             // The peer keeps at most a window of requests unanswered on
             // a connection, so each arrives in the buffer of the one a
             // window before it.
@@ -292,39 +267,22 @@ fn spawn_reader(
             loop {
                 match frames.read_frame(&mut stream) {
                     Ok(frame) => {
-                        let scrape = frame_is_stats_scrape(&frame);
-                        if !scrape {
-                            let ledger = service.ledger();
-                            ledger.wire_rx(wire_len(frame.len()));
-                            ledger.queued();
-                        }
-                        let msg = TcpMsg::Rpc(frame, writer.clone(), Instant::now());
-                        let full = match pool_tx.try_send(msg) {
-                            Ok(()) => continue,
-                            Err(TrySendError::Disconnected(_)) => break,
-                            Err(TrySendError::Full(msg)) => msg,
-                        };
-                        // Scrapes must observe, not perturb: they never
-                        // meet the shed decision.
-                        if let Some(refusal) = (!scrape).then(|| service.shed()).flatten() {
-                            // Load shed: answer `Overloaded` from the
-                            // reader itself instead of parking the frame
-                            // behind a full queue. The request provably
-                            // never executed, so the client may replay it
-                            // — even a write. The connection stays
-                            // healthy; only this request is refused.
-                            let TcpMsg::Rpc(frame, ..) = full else {
-                                unreachable!("reader only sends Rpc frames")
-                            };
-                            let id = decode_frame_id(&frame).unwrap_or(RequestId(0));
+                        let wire = wire_len(frame.len());
+                        let reply = ReplyPath::Conn(writer.clone());
+                        // No patience: a full queue that does not shed
+                        // blocks the reader — TCP flow control is the
+                        // backpressure.
+                        let offered = door.offer(frame.into(), wire, reply, None);
+                        if let Err((frame, _, refusal)) = offered {
+                            // Load shed: answer from the reader itself
+                            // instead of parking the frame behind a full
+                            // queue. The request provably never executed,
+                            // so the client may replay it — even a write.
+                            // The connection stays healthy; only this
+                            // request is refused.
+                            let id = decode_frame_id(&frame.head).unwrap_or(RequestId(0));
                             let refusal = Response::Error(refusal);
-                            send_reply(&writer, id, refusal, None, Some(service.ledger()));
-                            continue;
-                        }
-                        // No shedding: block until the queue drains — TCP
-                        // flow control is the backpressure.
-                        if pool_tx.send(full).is_err() {
-                            break;
+                            writer.reply(id, refusal, None, Some(door.ledger()));
                         }
                     }
                     Err(FrameError::TooLarge(e)) => {
@@ -333,7 +291,7 @@ fn spawn_reader(
                         // to know why it is being dropped. Id 0: the
                         // header was never read.
                         let refusal = Response::Error(e);
-                        send_reply(&writer, RequestId(0), refusal, None, Some(service.ledger()));
+                        writer.reply(RequestId(0), refusal, None, Some(door.ledger()));
                         let _ = stream.get_ref().shutdown(Shutdown::Both);
                         break;
                     }
@@ -342,53 +300,6 @@ fn spawn_reader(
             }
         })
         .expect("spawn tcp reader")
-}
-
-/// Write one response frame, whole, under the connection's stream lock
-/// (pipelined responses interleave per frame, never within one), and —
-/// still under it — give back the `scratch` the response was served out
-/// of, its read buffer reclaimed now that the reply has left. Nothing on
-/// the way allocates: a `Data` reply is `head ‖ payload` written in
-/// place, the head a stack array; a fixed-size reply (`Written`, `Pong`,
-/// `Synced`, …) is encoded inside its `Bytes`, on the stack as well;
-/// only the rare variable-size ones are encoded into a buffer. `account` is `None` for
-/// stats scrapes, which must leave no trace in the counters they read. A
-/// failed write needs no handling beyond the accounting: the peer is
-/// gone and its reader sees the same.
-fn send_reply(
-    conn: &ConnOut,
-    id: RequestId,
-    response: Response,
-    scratch: Option<Scratch>,
-    account: Option<&Ledger>,
-) {
-    let (head, encoded);
-    let (front, payload): (&[u8], &[u8]) = match &response {
-        Response::Data { data } => {
-            head = data_response_head(id, data.len() as u64);
-            (&head, data)
-        }
-        other => {
-            encoded = encode_response(id, other);
-            (&encoded, &[])
-        }
-    };
-    let wire = wire_len(front.len() + payload.len());
-    let mut stream = conn.stream.lock().unwrap();
-    if let Some(ledger) = account {
-        ledger.wire_tx(wire);
-    }
-    let sent = write_frame_parts(&mut *stream, front, payload).and_then(|()| stream.flush());
-    if let (Err(_), Some(ledger)) = (sent, account) {
-        ledger.retract_wire_tx(wire);
-    }
-    // The reply's view of the read buffer goes before the buffer is
-    // reclaimed through its last handle.
-    drop(response);
-    if let Some(mut scratch) = scratch {
-        scratch.reclaim_read();
-        conn.spares.lock().unwrap().give(scratch);
-    }
 }
 
 /// The TCP server side of a whole cluster: one [`TcpServer`] per I/O
@@ -401,34 +312,23 @@ pub struct TcpCluster {
 impl TcpCluster {
     /// Put TCP listeners in front of `daemons` and a fresh manager.
     pub fn spawn(daemons: &[Arc<IoDaemon>], config: IodConfig) -> TcpCluster {
-        let depth = config.queue_depth.max(1);
-        let servers = daemons
-            .iter()
-            .map(|daemon| {
-                let name = format!("iod{}", daemon.id().0);
-                TcpServer::spawn(&name, config.workers.max(1), depth, daemon.clone())
-                    .expect("bind tcp i/o daemon")
-            })
+        let listen = |door| TcpServer::spawn(door).expect("bind tcp daemon");
+        let mut servers: Vec<_> = open_doors(daemons, config)
+            .into_iter()
+            .map(listen)
             .collect();
-        // One worker keeps metadata operations serialized in arrival
-        // order.
-        let manager = Arc::new(Manager::new());
-        let mgr = TcpServer::spawn("pvfs-mgr", 1, depth, manager).expect("bind tcp manager");
+        let mgr = servers.pop().expect("the manager's door is last");
         TcpCluster { servers, mgr }
     }
 
     /// Loopback addresses of the I/O daemons, in server-id order.
     pub fn server_addrs(&self) -> Vec<SocketAddr> {
-        self.servers.iter().map(|s| s.addr()).collect()
+        self.servers.iter().map(|s| s.addr).collect()
     }
 
     /// Loopback address of the manager.
     pub fn mgr_addr(&self) -> SocketAddr {
-        self.mgr.addr()
-    }
-
-    pub(crate) fn workers_per_server(&self) -> usize {
-        self.servers.first().map(|s| s.workers()).unwrap_or(0)
+        self.mgr.addr
     }
 
     /// Connections currently open across the I/O daemons and the
@@ -439,7 +339,7 @@ impl TcpCluster {
         self.servers
             .iter()
             .chain([&self.mgr])
-            .map(|s| s.open_connections())
+            .map(|s| s.conns.lock().unwrap().len())
             .sum()
     }
 

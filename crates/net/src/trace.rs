@@ -19,7 +19,9 @@
 //! `all` retain everything they trace.
 
 use pvfs_types::trace::{self, now_ns};
-use pvfs_types::{FlightRecorder, Span, SpanId, TraceContext, TraceId, TraceMode};
+use pvfs_types::{
+    FlightRecorder, Span, SpanId, TraceContext, TraceId, TraceMode, DEFAULT_TRACE_CAP,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -55,13 +57,13 @@ impl Tracer {
         Tracer {
             mode,
             node: node.into(),
-            recorder: Arc::new(FlightRecorder::from_env()),
+            recorder: Arc::new(FlightRecorder::new(DEFAULT_TRACE_CAP)),
             seen: AtomicU64::new(0),
             recent: Mutex::new(Vec::new()),
         }
     }
 
-    /// A tracer configured by `PVFS_TRACE` / `PVFS_TRACE_CAP`.
+    /// A tracer configured by `PVFS_TRACE`.
     pub fn from_env(node: impl Into<String>) -> Tracer {
         Tracer::new(TraceMode::from_env(), node)
     }

@@ -24,15 +24,13 @@
 //! last one's did.
 
 use bytes::BytesMut;
-use pvfs_proto::{decode_frame_id, frame_is_stats_scrape, Frame};
+use pvfs_proto::{decode_frame_id, Frame};
 use pvfs_types::{PvfsError, PvfsResult, RequestId, ServerId};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crate::chan::{
-    bounded, Address, Receiver, RecvTimeoutError, SendTimeoutError, Sender, TrySendError,
-};
-use crate::serve::Service;
+use crate::chan::{bounded, Address, Receiver, RecvTimeoutError, Sender};
+use crate::serve::{Door, ReplyPath};
 use crate::spares::{Lent, Spares, MAX_SPARE_CAPACITY};
 use crate::WINDOW;
 
@@ -175,7 +173,7 @@ pub trait Transport: Send + Sync {
 /// read buffer that went out with the request, if the reply is not
 /// built in it (the empty buffer otherwise) — or the id of a request
 /// whose frame the daemon dropped unanswered.
-type ChanReply = Result<(Frame, BytesMut), RequestId>;
+pub(crate) type ChanReply = Result<(Frame, BytesMut), RequestId>;
 
 /// Where a channel-backed daemon's worker answers one request: the
 /// reply channel of the lane the request came on. Dropped unanswered
@@ -215,38 +213,14 @@ impl Drop for ReplyTo {
     }
 }
 
-/// A message to a channel-backed daemon: the encoded request frame
-/// (both parts, exactly as the client built them), where the encoded
-/// reply goes — which brings a buffer of the lane's to build a `Data`
-/// reply in — and when the frame was enqueued (the worker derives queue
-/// wait from it).
-#[derive(Debug)]
-pub(crate) enum NodeMsg {
-    Rpc(Frame, ReplyTo, Instant),
-    Shutdown,
-}
-
-/// One channel-fronted daemon as the sending side sees it: its bounded
-/// queue and the [`Service`] behind it, which the transport tells about
-/// every frame it enqueues. Bare queues (protocol tests that play the
-/// server themselves) have no service and account nothing.
-pub(crate) struct ChanNode {
-    pub(crate) tx: Sender<NodeMsg>,
-    pub(crate) service: Option<Arc<dyn Service>>,
-}
-
-/// The in-process transport: every daemon is a bounded channel feeding
-/// its worker pool, and a lane is one bounded reply channel whose
-/// address every frame sent on it carries.
-/// [`Lane::send`] is to a daemon's queue what a TCP connection's reader
-/// is: it accounts the arriving frame, and when the queue is full the
-/// daemon's [`Service::shed`] decides — an I/O daemon **sheds** (the
-/// enqueue fast-fails with [`PvfsError::Overloaded`], retryable and
-/// provably unexecuted), the manager does not, and the sender waits for
-/// room at most [`DEFAULT_RPC_TIMEOUT`]: metadata ops are rare and
-/// non-idempotent, so waiting briefly beats shedding them, but a wedged
-/// manager must still yield [`PvfsError::Timeout`] rather than hang the
-/// sender forever.
+/// The in-process transport: a lane is one bounded reply channel whose
+/// address every frame sent on it carries, and [`Lane::send`] is to a
+/// daemon's [`Door`] what a TCP connection's reader is — it offers the
+/// frame ([`Door::offer`] has the admission rule) and tells a refusal to
+/// the sender's face. Where the manager's full queue makes a connection's
+/// reader wait for ever, a lane waits at most [`DEFAULT_RPC_TIMEOUT`]: a
+/// wedged manager must yield [`PvfsError::Timeout`] rather than hang the
+/// sender.
 ///
 /// Lanes are pooled the way TCP connections are: a lane dropped with
 /// every frame answered parks its end — reply channel, reply buffers —
@@ -261,19 +235,14 @@ pub struct ChanTransport {
 }
 
 struct ChanNodes {
-    servers: Vec<ChanNode>,
-    mgr: ChanNode,
-    /// One stack of parked [`ReplyEnd`]s per server, the manager's last.
-    /// LIFO: the buffers used last are used next.
+    /// One door per I/O server, the manager's last.
+    doors: Vec<Arc<Door>>,
+    /// One stack of parked [`ReplyEnd`]s per door. LIFO: the buffers
+    /// used last are used next.
     idle: Vec<Mutex<Vec<ReplyEnd>>>,
 }
 
 impl ChanNodes {
-    /// The daemon whose idle stack is `slot`.
-    fn node(&self, slot: usize) -> &ChanNode {
-        self.servers.get(slot).unwrap_or(&self.mgr)
-    }
-
     fn idle(&self, slot: usize) -> std::sync::MutexGuard<'_, Vec<ReplyEnd>> {
         // A stack of parked ends is valid at every step.
         self.idle[slot].lock().unwrap_or_else(|e| e.into_inner())
@@ -281,23 +250,26 @@ impl ChanNodes {
 }
 
 impl ChanTransport {
-    pub(crate) fn new(servers: Vec<ChanNode>, mgr: ChanNode) -> ChanTransport {
-        let idle = (0..servers.len() + 1).map(|_| Mutex::default()).collect();
+    /// A transport to the daemons behind `doors`: one per I/O server
+    /// in id order, then the manager's.
+    pub(crate) fn new(doors: Vec<Arc<Door>>) -> ChanTransport {
+        let idle = doors.iter().map(|_| Mutex::default()).collect();
         ChanTransport {
-            nodes: Arc::new(ChanNodes { servers, mgr, idle }),
+            nodes: Arc::new(ChanNodes { doors, idle }),
         }
     }
 }
 
 impl Transport for ChanTransport {
     fn n_servers(&self) -> u32 {
-        self.nodes.servers.len() as u32
+        self.nodes.doors.len() as u32 - 1
     }
 
     fn lane(&self, target: RpcTarget) -> PvfsResult<Box<dyn Lane>> {
+        let mgr = self.nodes.doors.len() - 1;
         let slot = match target {
-            RpcTarget::Manager => self.nodes.servers.len(),
-            RpcTarget::Server(s) if s.index() < self.nodes.servers.len() => s.index(),
+            RpcTarget::Manager => mgr,
+            RpcTarget::Server(s) if s.index() < mgr => s.index(),
             RpcTarget::Server(s) => return Err(PvfsError::NoSuchServer(s.0)),
         };
         let parked = self.nodes.idle(slot).pop();
@@ -363,8 +335,8 @@ impl ReplyEnd {
     /// A frame that never made it into the daemon's queue is refused to
     /// the sender's face: nothing must come back on the lane for it, and
     /// the buffer that was to go with it stays.
-    fn retract(&mut self, msg: NodeMsg) {
-        if let NodeMsg::Rpc(_, mut reply, _) = msg {
+    fn retract(&mut self, reply: ReplyPath) {
+        if let ReplyPath::Lane(mut reply) = reply {
             reply.answered = true;
             self.owed -= 1;
             self.keep(std::mem::take(&mut reply.spare));
@@ -381,60 +353,25 @@ struct ChanLane {
 
 impl Lane for ChanLane {
     fn send(&mut self, frame: Frame) -> PvfsResult<()> {
-        let ChanNode { tx, service } = self.nodes.node(self.slot);
         let replies = self.replies.as_mut().expect("the lane is not dropped");
-        // Stats scrapes are observers: they skip all daemon-side
-        // accounting so the snapshot they fetch equals the in-process
-        // one — and they wait out a full queue instead of shedding, so
-        // observation never perturbs the shed counter either.
-        let service = service
-            .as_ref()
-            .filter(|_| !frame_is_stats_scrape(&frame.head));
-        if let Some(service) = service {
-            // The channel transport has no length prefix; its wire size
-            // is the frame itself, head and payload.
-            let ledger = service.ledger();
-            ledger.wire_rx(frame.len() as u64);
-            ledger.queued();
-        }
         // Whoever sends the next frame is done with the replies so far.
         replies.spares.sweep(&mut replies.lent);
-        let reply = ReplyTo {
+        let reply = ReplyPath::Lane(ReplyTo {
             lane: replies.tx.address(),
             id: decode_frame_id(&frame.head).unwrap_or(RequestId(0)),
             answered: false,
             spare: replies.spares.take().unwrap_or_default(),
-        };
+        });
         replies.owed += 1;
-        let msg = NodeMsg::Rpc(frame, reply, Instant::now());
-        let (msg, error) = match tx.try_send(msg) {
-            Ok(()) => return Ok(()),
-            Err(TrySendError::Disconnected(msg)) => (msg, gone()),
-            Err(TrySendError::Full(msg)) => match service.and_then(|s| s.shed()) {
-                Some(refusal) => {
-                    // `shed` has taken the frame off the queue's books.
-                    replies.retract(msg);
-                    return Err(refusal);
-                }
-                None => match tx.send_timeout(msg, crate::DEFAULT_RPC_TIMEOUT) {
-                    Ok(()) => return Ok(()),
-                    Err(SendTimeoutError::Disconnected(msg)) => (msg, gone()),
-                    Err(SendTimeoutError::Timeout(msg)) => (
-                        msg,
-                        PvfsError::timeout(format!(
-                            "the daemon's queue stayed full for {:?}",
-                            crate::DEFAULT_RPC_TIMEOUT
-                        )),
-                    ),
-                },
-            },
-        };
-        // The frame never entered the queue it was booked into.
-        if let Some(service) = service {
-            service.ledger().unqueued();
-        }
-        replies.retract(msg);
-        Err(error)
+        // The channel transport has no length prefix; its wire size is
+        // the frame itself, head and payload.
+        let wire_len = frame.len() as u64;
+        let patience = Some(crate::DEFAULT_RPC_TIMEOUT);
+        let offered = self.nodes.doors[self.slot].offer(frame, wire_len, reply, patience);
+        offered.map_err(|(_, reply, error)| {
+            replies.retract(reply);
+            error
+        })
     }
 
     /// Nothing is ever queued on this side: `send` hands the frame over.
@@ -470,10 +407,6 @@ impl Drop for ChanLane {
     }
 }
 
-fn gone() -> PvfsError {
-    PvfsError::Transport("server thread gone".into())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,6 +414,18 @@ mod tests {
         decode_response_id, encode_frame, encode_response, Message, Request, Response,
     };
     use pvfs_types::ClientId;
+
+    impl ReplyTo {
+        /// The way back to `lane` for request `id`, with no buffer.
+        pub(crate) fn new(lane: &Sender<ChanReply>, id: RequestId) -> ReplyTo {
+            ReplyTo {
+                lane: lane.address(),
+                id,
+                answered: false,
+                spare: BytesMut::new(),
+            }
+        }
+    }
 
     fn ping(id: u64) -> Frame {
         let message = Message {
@@ -496,15 +441,13 @@ mod tests {
     /// nobody, least of all whoever talks to that daemon next.
     #[test]
     fn a_quiet_lane_is_parked_and_one_still_owed_a_reply_is_not() {
-        let (tx, daemon) = bounded::<NodeMsg>(8);
-        let (mgr_tx, _) = bounded::<NodeMsg>(1);
-        let bare = |tx| ChanNode { tx, service: None };
-        let transport = ChanTransport::new(vec![bare(tx)], bare(mgr_tx));
+        let (door, daemon) = Door::bare(8);
+        let transport = ChanTransport::new(vec![door, Door::bare(1).0]);
         let target = RpcTarget::Server(ServerId(0));
         let parked = || transport.nodes.idle(0).len();
-        let received = || match daemon.recv() {
-            Ok(NodeMsg::Rpc(frame, reply, _)) => (decode_frame_id(&frame.head).unwrap(), reply),
-            other => panic!("expected a request, got {other:?}"),
+        let received = || {
+            let (frame, reply) = daemon().expect("a request");
+            (decode_frame_id(&frame.head).unwrap(), reply)
         };
         let pong = |id| encode_response(id, &Response::Pong { queue_depth: 0 });
 

@@ -287,6 +287,23 @@ fn manager_scrape_over_tcp() {
     assert_manager_scrape_works(TransportKind::Tcp);
 }
 
+/// The `workers` gauge counts the threads that run, not the number
+/// configured: a daemon asked for none is still served by one.
+#[test]
+fn the_workers_gauge_counts_the_threads_that_run() {
+    for kind in [TransportKind::Chan, TransportKind::Tcp] {
+        let config = IodConfig {
+            workers: 0,
+            ..IodConfig::default()
+        };
+        let cluster = LiveCluster::spawn_transport(1, config, kind);
+        let server = RpcTarget::Server(ServerId(0));
+        let scraped = scrape(&cluster.client(), server);
+        assert_eq!(scraped.workers, 1, "[{kind}] one worker serves");
+        assert_eq!(cluster.workers_per_server(), 1);
+    }
+}
+
 fn assert_reset_returns_pre_reset(kind: TransportKind) {
     let cluster = LiveCluster::spawn_transport(1, IodConfig::default(), kind);
     let client = cluster.client();

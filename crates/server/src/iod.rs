@@ -27,7 +27,7 @@ use pvfs_disk::{
     StorageBackend, StorageConfig,
 };
 use pvfs_proto::{Request, Response, MAX_BULK_BYTES};
-use pvfs_types::trace::{self, FlightRecorder, TraceContext};
+use pvfs_types::trace::{self, FlightRecorder, TraceContext, DEFAULT_TRACE_CAP};
 use pvfs_types::{
     FileHandle, Ledger, PvfsError, PvfsResult, Region, RegionList, ServerId, StripeLayout,
 };
@@ -214,7 +214,7 @@ pub struct IoDaemon {
     ledger: Arc<Ledger>,
     /// This daemon's trace ring buffer: spans recorded while serving
     /// traced requests, scraped by `GetTrace`. Bounded by
-    /// `PVFS_TRACE_CAP`; costs nothing while no request carries trace
+    /// [`DEFAULT_TRACE_CAP`]; costs nothing while no request carries trace
     /// context.
     recorder: Arc<FlightRecorder>,
 }
@@ -240,7 +240,7 @@ impl IoDaemon {
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
             ledger: Arc::new(Ledger::with_workers(config.workers as u64)),
-            recorder: Arc::new(FlightRecorder::from_env()),
+            recorder: Arc::new(FlightRecorder::new(DEFAULT_TRACE_CAP)),
         }
     }
 

@@ -14,7 +14,7 @@
 //! transport in front books a frame without taking it.
 
 use pvfs_proto::{Request, Response};
-use pvfs_types::trace::{self, FlightRecorder, TraceContext};
+use pvfs_types::trace::{self, FlightRecorder, TraceContext, DEFAULT_TRACE_CAP};
 use pvfs_types::{FileHandle, Ledger, PvfsError, StripeLayout};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -68,7 +68,7 @@ impl Manager {
                 by_handle: HashMap::new(),
             }),
             ledger: Ledger::with_workers(1),
-            recorder: Arc::new(FlightRecorder::from_env()),
+            recorder: Arc::new(FlightRecorder::new(DEFAULT_TRACE_CAP)),
         }
     }
 

@@ -34,7 +34,7 @@ pub struct Var {
 
 /// Every variable the program reads, in the order README's table lists
 /// them.
-pub const VARS: [Var; 14] = [
+pub const VARS: [Var; 13] = [
     Var {
         name: "PVFS_TRANSPORT",
         grammar: "chan|tcp",
@@ -111,13 +111,6 @@ pub const VARS: [Var; 14] = [
         default: "off",
         meaning: "distributed request tracing: which operations are traced and retained",
         malformed: "slow:soon",
-    },
-    Var {
-        name: "PVFS_TRACE_CAP",
-        grammar: "positive integer",
-        default: "4096",
-        meaning: "span capacity of each flight recorder ring",
-        malformed: "0",
     },
     Var {
         name: "PVFS_REPLICAS",
@@ -210,9 +203,9 @@ mod tests {
     }
 
     #[test]
-    fn the_table_has_fourteen_distinct_well_formed_rows() {
+    fn the_table_has_thirteen_distinct_well_formed_rows() {
         let names: std::collections::HashSet<_> = VARS.iter().map(|var| var.name).collect();
-        assert_eq!(names.len(), 14);
+        assert_eq!(names.len(), 13);
         for var in &VARS {
             assert!(var.name.starts_with(PREFIX), "{var:?}");
             for text in [var.grammar, var.default, var.meaning, var.malformed] {

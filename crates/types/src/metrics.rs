@@ -522,7 +522,8 @@ ledger! {
         requests_shed,
     }
     gauges {
-        /// Worker threads configured for this daemon's pool.
+        /// Worker threads serving this daemon: the number its door
+        /// started, or for a daemon driven in-process the one configured.
         workers,
         /// Workers serving a request right now.
         busy_workers,

@@ -23,8 +23,8 @@
 //! *client* keeps (`slow:` is the slow-request log: only traces whose
 //! root span meets the threshold are retained; `sample:1/n` keeps every
 //! n-th). Daemons are simpler: they record whenever a frame carries
-//! trace context, and their ring buffer (capacity `PVFS_TRACE_CAP`,
-//! default [`DEFAULT_TRACE_CAP`] spans) forgets the oldest spans first.
+//! trace context, and their ring buffer ([`DEFAULT_TRACE_CAP`] spans)
+//! forgets the oldest spans first.
 //! Memory is therefore bounded by construction on every node.
 //!
 //! # Observer effect
@@ -42,7 +42,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Default [`FlightRecorder`] capacity, in spans (`PVFS_TRACE_CAP`).
+/// The capacity, in spans, of every [`FlightRecorder`] a live node keeps
+/// (client, daemon, manager): what bounds tracing memory.
 pub const DEFAULT_TRACE_CAP: usize = 4096;
 
 /// Nanoseconds since the process-global monotonic epoch. Comparable
@@ -165,7 +166,7 @@ impl fmt::Debug for FlightRecorder {
 impl FlightRecorder {
     /// A recorder retaining at most `cap` spans (`cap` is clamped to at
     /// least 1 — a zero-capacity recorder would silently drop every
-    /// span, which `PVFS_TRACE_CAP` rejects loudly instead).
+    /// span). Live nodes pass [`DEFAULT_TRACE_CAP`].
     pub fn new(cap: usize) -> FlightRecorder {
         FlightRecorder {
             cap: cap.max(1),
@@ -174,16 +175,6 @@ impl FlightRecorder {
                 dropped: 0,
             }),
         }
-    }
-
-    /// A recorder sized by `PVFS_TRACE_CAP` (default
-    /// [`DEFAULT_TRACE_CAP`]). Panics on a malformed value, like every
-    /// other `PVFS_*` knob: a typo'd cap must not silently change
-    /// retention.
-    pub fn from_env() -> FlightRecorder {
-        let parse = |spec: &str| parse_trace_cap(spec).map_err(|e| e.to_string());
-        let cap = crate::env::parsed("PVFS_TRACE_CAP", parse, DEFAULT_TRACE_CAP);
-        FlightRecorder::new(cap)
     }
 
     /// The configured capacity in spans.
@@ -312,20 +303,6 @@ impl TraceMode {
     pub fn enabled(&self) -> bool {
         !matches!(self, TraceMode::Off)
     }
-}
-
-/// Parse a `PVFS_TRACE_CAP` value: a positive span count.
-pub fn parse_trace_cap(spec: &str) -> PvfsResult<usize> {
-    let cap: usize = spec
-        .trim()
-        .parse()
-        .map_err(|_| PvfsError::Config(format!("PVFS_TRACE_CAP '{spec}' is not a span count")))?;
-    if cap == 0 {
-        return Err(PvfsError::Config(
-            "PVFS_TRACE_CAP must be at least 1 span".into(),
-        ));
-    }
-    Ok(cap)
 }
 
 // ---------------------------------------------------------------------
@@ -725,20 +702,6 @@ mod tests {
             match TraceMode::parse(bad) {
                 Err(PvfsError::Config(msg)) => {
                     assert!(msg.contains("PVFS_TRACE"), "unhelpful error: {msg}")
-                }
-                other => panic!("'{bad}' produced {other:?}, want Config error"),
-            }
-        }
-    }
-
-    #[test]
-    fn malformed_trace_caps_are_typed_config_errors() {
-        assert_eq!(parse_trace_cap("128").unwrap(), 128);
-        assert_eq!(parse_trace_cap(" 4096 ").unwrap(), 4096);
-        for bad in ["0", "-1", "lots", "4k", ""] {
-            match parse_trace_cap(bad) {
-                Err(PvfsError::Config(msg)) => {
-                    assert!(msg.contains("PVFS_TRACE_CAP"), "unhelpful error: {msg}")
                 }
                 other => panic!("'{bad}' produced {other:?}, want Config error"),
             }

@@ -7,7 +7,6 @@ use pvfs::disk::{StorageConfig, SyncPolicy};
 use pvfs::net::{BreakerPolicy, FaultPlan, HedgePolicy, RetryPolicy, TransportKind};
 use pvfs::replica::{parse_quorum, parse_replicas};
 use pvfs::types::env::VARS;
-use pvfs::types::trace::parse_trace_cap;
 use pvfs::types::TraceMode;
 
 /// Whether the parser of variable `name` takes `value`. A variable
@@ -25,7 +24,6 @@ fn accepted(name: &str, value: &str) -> bool {
         "PVFS_SYNC" => SyncPolicy::parse(value).is_ok(),
         "PVFS_STATS" => pvfs::net::live::parse_stats(value).is_ok(),
         "PVFS_TRACE" => TraceMode::parse(value).is_ok(),
-        "PVFS_TRACE_CAP" => parse_trace_cap(value).is_ok(),
         "PVFS_REPLICAS" => parse_replicas(value, 8).is_ok(),
         "PVFS_WRITE_QUORUM" => parse_quorum(value).is_ok(),
         other => panic!("{other} is in the table and has no parser here"),
