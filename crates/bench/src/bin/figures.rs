@@ -3,7 +3,7 @@
 //! ```text
 //! figures [FIGURE ...] [--scale quick|mid|paper] [--out DIR] [--transport chan|tcp]
 //!
-//! FIGURE: fig9 fig10 fig11 fig12 fig15 fig17 ext-datatype ext-hybrid wire chaos brownout durability collective replica trace all
+//! FIGURE: fig9 fig10 fig11 fig12 fig15 fig17 ext-datatype ext-hybrid wire chaos durability collective replica trace all
 //! ```
 //!
 //! Writes one CSV per figure into `--out` (default `results/`) and
@@ -18,7 +18,7 @@
 
 use pvfs_bench::figures::{ext_datatype, ext_hybrid};
 use pvfs_bench::{
-    brownout, chaos, collective, durability, fig10, fig11, fig12, fig15, fig17, fig9, render_bars,
+    chaos, collective, durability, fig10, fig11, fig12, fig15, fig17, fig9, render_bars,
     render_table, replica, trace, wire, write_csv, Row, Scale,
 };
 use pvfs_net::TransportKind;
@@ -52,9 +52,9 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: figures [fig9 fig10 fig11 fig12 fig15 fig17 ext-datatype ext-hybrid wire chaos brownout durability collective replica trace | all] \
+                    "usage: figures [fig9 fig10 fig11 fig12 fig15 fig17 ext-datatype ext-hybrid wire chaos durability collective replica trace | all] \
                      [--scale quick|mid|paper] [--out DIR] [--transport chan|tcp]\n\
-                     (--transport selects the live cluster's transport for the `wire`, `chaos`, `brownout`, `durability`,\n\
+                     (--transport selects the live cluster's transport for the `wire`, `chaos`, `durability`,\n\
                       `collective`, `replica`, and `trace` figures; the fig* figures run on the calibrated simulator)"
                 );
                 return;
@@ -74,7 +74,6 @@ fn main() {
             "ext-hybrid",
             "wire",
             "chaos",
-            "brownout",
             "durability",
             "collective",
             "replica",
@@ -98,7 +97,6 @@ fn main() {
             "ext-hybrid" => ext_hybrid(scale),
             "wire" => wire(scale, transport),
             "chaos" => chaos(scale, transport),
-            "brownout" => brownout(scale, transport),
             "durability" => durability(scale, transport),
             "collective" => collective(scale, transport),
             "replica" => replica(scale, transport),

@@ -18,6 +18,6 @@ pub mod report;
 
 pub use collective::collective;
 pub use figures::{fig10, fig11, fig12, fig15, fig17, fig9, Scale};
-pub use live::{brownout, chaos, durability, replica, trace, wire};
+pub use live::{chaos, durability, replica, trace, wire};
 pub use plot::render_bars;
 pub use report::{render_table, write_csv, Row};

@@ -378,126 +378,6 @@ pub fn replica(scale: Scale, kind: TransportKind) -> Vec<Row> {
     rows
 }
 
-/// The `brownout` figure: read latency against a cluster with one sick
-/// daemon — 5% of server 0's requests are stalled `x` milliseconds in
-/// flight — hedged reads on vs off. Every read is verified byte-exact
-/// in both series; the p99 column carries the story: the unhedged tail
-/// eats the stall while a hedged read completes near the hedge delay,
-/// because the duplicate shipped on the second connection dodges the
-/// stalled one. At `x = 0` the hedge timer almost never fires, but the
-/// hedged series still pays a few tens of microseconds per read for its
-/// waiter thread — the constant-cost half of the hedging trade shown
-/// right next to the tail it buys off.
-pub fn brownout(scale: Scale, kind: TransportKind) -> Vec<Row> {
-    use pvfs_net::{HedgePolicy, RpcTarget};
-    use pvfs_proto::{Request, Response};
-    use pvfs_types::{FileHandle, Region};
-
-    let reads: u64 = match scale {
-        Scale::Quick => 64,
-        Scale::Mid => 256,
-        Scale::Paper => 1024,
-    };
-    let stalls_ms: &[u64] = match scale {
-        Scale::Quick => &[0, 20],
-        _ => &[0, 10, 20, 40],
-    };
-    const READ_BYTES: u64 = 4096;
-    let fh = FileHandle(97);
-    let mut rows = Vec::new();
-    for &stall in stalls_ms {
-        for (series, hedge) in [
-            (
-                // Trigger at p90, not the default p95: the sick daemon
-                // serves 5% slow requests, and a p95 trigger would sit
-                // exactly on that boundary — the observed percentile
-                // would drift into the stall itself and quietly disable
-                // the hedge. (That adaptivity is correct for a daemon
-                // that is *chronically* slow — hedging it would just
-                // double its load — but this figure measures rescue
-                // from a transient tail.)
-                "hedged",
-                HedgePolicy {
-                    percentile: 0.90,
-                    floor: Duration::from_millis(2),
-                    ..HedgePolicy::on()
-                },
-            ),
-            ("unhedged", HedgePolicy::default()),
-        ] {
-            let mut cluster = LiveCluster::spawn_transport(SERVERS, IodConfig::default(), kind);
-            let layout = StripeLayout::new(0, SERVERS, STRIPE).unwrap();
-            // Seed one stripe unit per daemon before the faults arm.
-            let seeder = cluster.client();
-            for s in 0..SERVERS {
-                seeder
-                    .call(
-                        RpcTarget::Server(ServerId(s)),
-                        Request::Write {
-                            handle: fh,
-                            layout,
-                            region: Region::new(u64::from(s) * STRIPE, READ_BYTES),
-                            data: bytes::Bytes::from(vec![s as u8; READ_BYTES as usize]),
-                        },
-                    )
-                    .expect("seed write");
-            }
-            if stall > 0 {
-                cluster.inject_faults(FaultPlan {
-                    delay: 0.05,
-                    delay_for: Duration::from_millis(stall),
-                    target: Some(0),
-                    seed: 7000 + stall,
-                    ..FaultPlan::default()
-                });
-            }
-            let client = cluster.client().with_hedge_policy(hedge);
-            let attempts_before = client.stats().attempts;
-            let latency_before = client.latency_snapshot();
-            let mut verified_bytes = 0u64;
-            let started = Instant::now();
-            for i in 0..reads {
-                let s = (i % u64::from(SERVERS)) as u32;
-                let resp = client
-                    .call(
-                        RpcTarget::Server(ServerId(s)),
-                        Request::Read {
-                            handle: fh,
-                            layout,
-                            region: Region::new(u64::from(s) * STRIPE, READ_BYTES),
-                        },
-                    )
-                    .expect("brownout read");
-                match resp {
-                    Response::Data { data } => {
-                        assert!(
-                            data.iter().all(|b| *b == s as u8),
-                            "read {i} returned corrupt data"
-                        );
-                        verified_bytes += data.len() as u64;
-                    }
-                    other => panic!("unexpected response {other:?}"),
-                }
-            }
-            let seconds = started.elapsed().as_secs_f64();
-            rows.push(
-                Row {
-                    figure: "brownout",
-                    panel: format!("{kind} transport"),
-                    series: series.into(),
-                    x: stall,
-                    seconds,
-                    requests: client.stats().attempts - attempts_before,
-                    wire_bytes: verified_bytes,
-                    ..Row::default()
-                }
-                .with_latency(&client.latency_snapshot().since(&latency_before)),
-            );
-        }
-    }
-    rows
-}
-
 /// The `trace` figure: where a cyclic list-I/O request actually spends
 /// its time, hop by hop. Runs a traced (TraceMode::All) strided
 /// write+read workload, assembles every retained waterfall, and buckets

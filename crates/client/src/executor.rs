@@ -37,10 +37,10 @@ pub struct ExecReport {
     /// Serial sections entered.
     pub serial_sections: u64,
     /// What this plan's RPCs cost in reliability currency — attempts,
-    /// retries and backoff, faults injected, hedges, breaker rejections,
-    /// sheds seen, replica failovers, quorum shortfalls: the endpoint's
-    /// [`pvfs_net::ClientStats`] over this execution. All zero beyond
-    /// `attempts` on a healthy cluster.
+    /// retries and backoff, faults injected, breaker rejections, sheds
+    /// seen, replica failovers, quorum shortfalls: the endpoint's
+    /// [`pvfs_net::ClientStats`] over this execution. All counters zero
+    /// beyond `attempts` on a healthy cluster.
     pub client: pvfs_net::ClientStats,
     /// Wire requests this client issued, broken down per I/O daemon
     /// (indexed by `ServerId`; the vector grows to the highest daemon
@@ -57,10 +57,10 @@ pub struct ExecReport {
     pub exchange_bytes: u64,
     /// Exchange messages this rank sent (collective two-phase only).
     pub exchange_msgs: u64,
-    /// Client-perceived latency of every successful RPC this execution
-    /// issued (ship → reply decoded), from the endpoint's
-    /// [`pvfs_net::RpcLatency`] tracker — `percentile_ns(0.5/0.95/0.99)`
-    /// are the p50/p95/p99 columns of the bench reports.
+    /// Client-perceived latency of every RPC of this execution that a
+    /// daemon served (ship → reply decoded): `client.rpc_latency`, under
+    /// the name reports read it by — `percentile_ns(0.5/0.95/0.99)` are
+    /// the p50/p95/p99 columns of the bench reports.
     pub rpc_latency: Histogram,
     /// Nanoseconds spent planning (access-plan construction; collective
     /// engines fill this — plain `execute_plan` receives a built plan).
@@ -291,7 +291,6 @@ pub fn execute_plan(
     let mut temps = alloc_temps(&plan.temp_sizes);
     let mut report = ExecReport::default();
     let stats_before = client.stats();
-    let latency_before = client.latency_snapshot();
     // One trace per plan execution: every stretch's RPC attempts and
     // every merge/copy phase land in a single tree under this root.
     let active = client.tracer().begin("execute");
@@ -356,9 +355,9 @@ pub fn execute_plan(
     if let Some(a) = active {
         client.tracer().finish(a);
     }
-    report.client = client.stats().since(&stats_before);
-    // The endpoint tracker is shared across clones and plans; the delta
+    // The endpoint's ledger is shared across clones and plans; the delta
     // isolates exactly the RPCs this execution issued.
-    report.rpc_latency = client.latency_snapshot().since(&latency_before);
+    report.client = client.stats().since(&stats_before);
+    report.rpc_latency = report.client.rpc_latency.clone();
     result.map(|()| report)
 }

@@ -2,17 +2,17 @@
 //! `cb_buffer_size` hints.
 //!
 //! Like the transport (`PVFS_TRANSPORT`), fault (`PVFS_FAULTS`), and
-//! retry (`PVFS_RETRY`) knobs, the collective layer reads its defaults
+//! retry (`PVFS_RETRY`) knobs, the collective layer reads one default
 //! from the environment:
 //!
 //! * `PVFS_AGGREGATORS` — how many ranks act as aggregators. Clamped
 //!   to the stripe's `pcount` and the group size; default is one
 //!   aggregator per I/O daemon, which keeps the aggregator→daemon
 //!   fan-in at exactly one.
-//! * `PVFS_CB_BUFFER` — each aggregator's staging-buffer bound, e.g.
-//!   `16m`, `512k`, or a raw byte count. Default 16 MiB.
 //!
-//! Malformed values surface as [`PvfsError::Config`] — a typed error
+//! Each aggregator's staging-buffer bound is
+//! [`CollectiveConfig::cb_buffer`], 16 MiB unless a caller sets the
+//! field. A malformed value surfaces as [`PvfsError::Config`] — a typed error
 //! the collective entry points propagate, so a misconfigured experiment
 //! fails with a diagnosable message instead of aborting the process.
 
@@ -46,15 +46,12 @@ impl Default for CollectiveConfig {
 }
 
 impl CollectiveConfig {
-    /// Defaults overridden by `PVFS_AGGREGATORS` / `PVFS_CB_BUFFER`.
-    /// Malformed values are a [`PvfsError::Config`].
+    /// Defaults overridden by `PVFS_AGGREGATORS`. A malformed value
+    /// is a [`PvfsError::Config`].
     pub fn from_env() -> PvfsResult<Self> {
         let mut cfg = CollectiveConfig::default();
         if let Some(v) = pvfs_types::env::lookup("PVFS_AGGREGATORS") {
             cfg.aggregators = Some(parse_aggregators(&v)?);
-        }
-        if let Some(v) = pvfs_types::env::lookup("PVFS_CB_BUFFER") {
-            cfg.cb_buffer = parse_size(&v)?;
         }
         Ok(cfg)
     }
@@ -88,37 +85,6 @@ pub fn parse_aggregators(s: &str) -> PvfsResult<usize> {
     Ok(n)
 }
 
-/// Parse `PVFS_CB_BUFFER`: a byte count with an optional `k`/`m`/`g`
-/// suffix (case-insensitive), e.g. `16m`, `512K`, `1048576`.
-pub fn parse_size(s: &str) -> PvfsResult<u64> {
-    let t = s.trim().to_ascii_lowercase();
-    let (digits, mult) = match t.strip_suffix(['k', 'm', 'g']) {
-        Some(d) => {
-            let mult = match t.as_bytes()[t.len() - 1] {
-                b'k' => 1024u64,
-                b'm' => 1024 * 1024,
-                _ => 1024 * 1024 * 1024,
-            };
-            (d, mult)
-        }
-        None => (t.as_str(), 1),
-    };
-    let n: u64 = digits.parse().map_err(|_| {
-        PvfsError::config(format!(
-            "PVFS_CB_BUFFER: expected bytes like 16m/512k/1048576, got {s:?}"
-        ))
-    })?;
-    let bytes = n
-        .checked_mul(mult)
-        .ok_or_else(|| PvfsError::config(format!("PVFS_CB_BUFFER: {s:?} overflows u64")))?;
-    if bytes == 0 {
-        return Err(PvfsError::config(format!(
-            "PVFS_CB_BUFFER must be positive, got {s:?}"
-        )));
-    }
-    Ok(bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,47 +101,6 @@ mod tests {
         let cfg = CollectiveConfig::default();
         assert_eq!(cfg.aggregators, None);
         assert_eq!(cfg.cb_buffer, 16 * 1024 * 1024);
-    }
-
-    #[test]
-    fn parse_size_suffixes() {
-        assert_eq!(parse_size("16m").unwrap(), 16 * 1024 * 1024);
-        assert_eq!(parse_size("512K").unwrap(), 512 * 1024);
-        assert_eq!(parse_size("1g").unwrap(), 1024 * 1024 * 1024);
-        assert_eq!(parse_size(" 4096 ").unwrap(), 4096);
-    }
-
-    #[test]
-    fn parse_size_rejects_garbage_with_a_typed_error() {
-        let msg = config_err(parse_size("lots").unwrap_err());
-        assert!(msg.contains("PVFS_CB_BUFFER"), "{msg}");
-    }
-
-    #[test]
-    fn parse_size_rejects_empty() {
-        let msg = config_err(parse_size("").unwrap_err());
-        assert!(msg.contains("PVFS_CB_BUFFER"), "{msg}");
-        // A bare suffix has no digits either.
-        assert!(parse_size("m").is_err());
-        assert!(parse_size("   ").is_err());
-    }
-
-    #[test]
-    fn parse_size_rejects_zero() {
-        let msg = config_err(parse_size("0").unwrap_err());
-        assert!(msg.contains("positive"), "{msg}");
-        assert!(parse_size("0k").is_err());
-    }
-
-    #[test]
-    fn parse_size_rejects_overflow() {
-        // u64::MAX kibibytes overflows the multiply.
-        let msg = config_err(parse_size("18446744073709551615k").unwrap_err());
-        assert!(msg.contains("overflow"), "{msg}");
-        // ...and a number too big for u64 at all fails the parse.
-        assert!(parse_size("99999999999999999999999").is_err());
-        // The largest representable value still parses.
-        assert_eq!(parse_size("18446744073709551615").unwrap(), u64::MAX);
     }
 
     #[test]

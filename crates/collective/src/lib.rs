@@ -35,9 +35,9 @@
 //! are idempotent (`pvfs_proto::Request::is_idempotent`).
 //!
 //! Knobs: `PVFS_AGGREGATORS` caps the aggregator count (default: one
-//! per I/O daemon) and `PVFS_CB_BUFFER` bounds each aggregator's
-//! staging buffer (default 16 MiB), mirroring ROMIO's `cb_nodes` /
-//! `cb_buffer_size` hints. See [`CollectiveConfig`].
+//! per I/O daemon) and [`CollectiveConfig::cb_buffer`] bounds each
+//! aggregator's staging buffer (16 MiB), mirroring ROMIO's `cb_nodes` /
+//! `cb_buffer_size` hints.
 
 pub mod comm;
 pub mod config;

@@ -24,15 +24,15 @@
 //! off and goes out again, that sub-op alone — while the rest of the
 //! window flies on; a frame a daemon *sheds* off its full queue is that
 //! daemon narrowing the window (many clients' windows share one
-//! queue), not a failed attempt. One `ship` (breaker admission, then
-//! `launch`: span, encode, [`Lane::send`]) and one `land` (feed latency
-//! and health, close the span) serve every attempt, with the pump in
-//! between: flush every lane with frames queued, wait on one for what
-//! is left of its oldest flight's deadline, decode what comes, match it
-//! to its flight by request id. A hedged read is only a different way
-//! to wait, on lanes of its own, its duplicate a second `launch` of an
-//! attempt admitted and judged once. What distinguishes a `call` from
-//! any other op is one parameter, `sole` (see `drive`).
+//! queue), not a failed attempt. One way to send and one way to wait:
+//! one `ship` (breaker admission, span, encode, [`Lane::send`]) and one
+//! `land` (feed latency and health from one clock reading, close the
+//! span) serve every attempt, with the pump in between: flush every
+//! lane with frames queued, wait on one for what is left of its oldest
+//! flight's deadline, decode what comes, match it to its flight by
+//! request id. The pump is single-threaded code over [`Lane`]: it
+//! starts no thread and owns no channel. What distinguishes a `call`
+//! from any other op is one parameter, `sole` (see `drive`).
 //!
 //! # Whose buffers a frame is built in
 //!
@@ -45,8 +45,8 @@
 //! back only as the last handle on it ([`bytes::Bytes::try_into_mut`]) —
 //! which it is once the daemon has answered, because a daemon drops its
 //! views of a frame before its reply leaves — so a flight that timed
-//! out, a frame a fault wedged on its way, a hedged read's twin on its
-//! own thread simply do not come back, and the next frame allocates.
+//! out or a frame a fault wedged on its way simply does not come back,
+//! and the next frame allocates.
 //! The bound is the pipeline's own: [`WINDOW`] per daemon of each kind.
 //!
 //! # RPC discipline
@@ -87,10 +87,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::chan::{bounded, Receiver, RecvTimeoutError, Sender};
 use crate::gate::SerialGate;
-use crate::health::{BreakerPolicy, BreakerState, HealthTracker, HedgePolicy};
-use crate::latency::RpcLatency;
+use crate::health::{BreakerPolicy, BreakerState, HealthTracker};
 use crate::retry::{Backoff, RetryPolicy};
 use crate::spares::Spares;
 use crate::trace::{ActiveTrace, Tracer};
@@ -112,11 +110,9 @@ pub struct ClusterClient {
     rpc_timeout: Duration,
     retry: RetryPolicy,
     stats: Arc<ClientLedger>,
-    latency: Arc<RpcLatency>,
     /// Per-daemon failure detector + circuit breakers, shared by every
     /// clone: all of an endpoint's traffic contributes health signal.
     health: Arc<HealthTracker>,
-    hedge: HedgePolicy,
     /// Stripe replication placement (`PVFS_REPLICAS`); one copy per
     /// slot (today's behavior) unless mirroring is configured.
     replica: Arc<ReplicaMap>,
@@ -135,9 +131,9 @@ pub struct ClusterClient {
 /// lands, a payload when its op resolves: by then the daemon has
 /// answered, and it drops its views of a frame before it answers (see
 /// `serve_rpc`), so the client's handle is the last — unless the
-/// flight timed out, was wedged or dropped on the way, or has a hedged
-/// twin, in which case the handle is not the last, nothing comes back,
-/// and the next frame allocates.
+/// flight timed out or was wedged or dropped on the way, in which case
+/// the handle is not the last, nothing comes back, and the next frame
+/// allocates.
 struct FrameSpares {
     heads: Spares<BytesMut>,
     payloads: Spares<BytesMut>,
@@ -153,7 +149,6 @@ impl ClusterClient {
         transport: Arc<dyn Transport>,
         gate: Arc<SerialGate>,
     ) -> ClusterClient {
-        let latency = Arc::new(RpcLatency::new(transport.n_servers()));
         let health = Arc::new(HealthTracker::new(
             transport.n_servers(),
             BreakerPolicy::from_env(),
@@ -173,9 +168,7 @@ impl ClusterClient {
             rpc_timeout: DEFAULT_RPC_TIMEOUT,
             retry: RetryPolicy::from_env(),
             stats: Arc::new(ClientLedger::default()),
-            latency,
             health,
-            hedge: HedgePolicy::from_env(),
             replica,
             tracer: Arc::new(Tracer::from_env(format!("client{}", id.0))),
             spares: Arc::new(Mutex::new(FrameSpares {
@@ -229,13 +222,6 @@ impl ClusterClient {
     /// taken *after* this call share the new one.
     pub fn with_breaker_policy(mut self, policy: BreakerPolicy) -> ClusterClient {
         self.health = Arc::new(HealthTracker::new(self.transport.n_servers(), policy));
-        self
-    }
-
-    /// This endpoint with a different hedging policy
-    /// ([`HedgePolicy::on`] enables hedged reads).
-    pub fn with_hedge_policy(mut self, hedge: HedgePolicy) -> ClusterClient {
-        self.hedge = hedge;
         self
     }
 
@@ -299,11 +285,6 @@ impl ClusterClient {
         &self.health
     }
 
-    /// The hedging policy currently in force.
-    pub fn hedge_policy(&self) -> HedgePolicy {
-        self.hedge
-    }
-
     /// Probe one daemon's liveness with the cheap [`Request::Ping`] RPC
     /// and return its current queue depth. The probe rides the ordinary
     /// call path on purpose: its round-trip feeds the same
@@ -322,8 +303,9 @@ impl ClusterClient {
         }
     }
 
-    /// Reliability counters of this endpoint and all its clones:
-    /// attempts, retries, backoff slept, faults the transport injected.
+    /// The books of this endpoint and all its clones: attempts, retries,
+    /// backoff slept, faults the transport injected, and the latency of
+    /// every RPC a daemon served.
     pub fn stats(&self) -> ClientStats {
         ClientStats {
             faults_injected: self.transport.faults_injected(),
@@ -331,18 +313,10 @@ impl ClusterClient {
         }
     }
 
-    /// Per-server, per-op-class RPC latency histograms of this endpoint
-    /// and all its clones (successful RPCs only; each attempt's latency
-    /// stands alone — backoff sleeps are counted separately in
-    /// [`ClusterClient::stats`]).
-    pub fn latency(&self) -> &RpcLatency {
-        &self.latency
-    }
-
-    /// This endpoint's whole RPC latency distribution, merged across
-    /// servers and classes.
+    /// The RPC latency distribution of this endpoint and all its
+    /// clones: the `rpc_latency` line of [`ClusterClient::stats`].
     pub fn latency_snapshot(&self) -> Histogram {
-        self.latency.snapshot_all()
+        self.stats.rpc_latency.snapshot()
     }
 
     /// A buffer to gather a write's `room`-byte payload into
@@ -381,7 +355,7 @@ impl ClusterClient {
     /// `target` as given, whatever the replication policy (`scrub`
     /// addresses specific copies this way). Errors returned by the
     /// server come back as `Err`; no reply within the deadline is
-    /// [`PvfsError::Timeout`]. With [`HedgePolicy`] on, a read is hedged.
+    /// [`PvfsError::Timeout`].
     ///
     /// Transient failures ([`PvfsError::is_retryable`]) are retried
     /// under this endpoint's [`RetryPolicy`], each attempt on a fresh
@@ -496,8 +470,8 @@ impl ClusterClient {
     /// *lone RPC addressed literally*, any other *one of several,
     /// routed by placement*. So only a sole op (1) may take an id-0
     /// error reply as its own, (2) is never expanded across replicas,
-    /// (3) is hedged when it is a read, and (4) reports errors without
-    /// the ` [server …, request …]` suffix.
+    /// and (3) reports errors without the ` [server …, request …]`
+    /// suffix.
     fn drive<S: OpStream>(
         &self,
         stream: &mut S,
@@ -545,10 +519,14 @@ impl ClusterClient {
         (open, ewma, t.copy)
     }
 
-    /// Ship one attempt of one request: breaker admission, then
-    /// [`launch`](Self::launch) on the pump's lane to that daemon
-    /// (checked out now if this is its first frame); a failure to get
-    /// the frame away is fed to the failure detector.
+    /// Ship one attempt of one request on the pump's lane to that daemon
+    /// (checked out now if this is its first frame): breaker admission,
+    /// the attempt's `rpc:<op>` span (opened before encode, its context
+    /// stamped into the frame so server-side spans parent under the
+    /// attempt; `send` child once the frame is on its lane), encode
+    /// under a fresh request id, [`Lane::send`]. A failure to get the
+    /// frame away closes the span with `notes` and is fed to the failure
+    /// detector.
     fn ship(
         &self,
         target: RpcTarget,
@@ -556,9 +534,8 @@ impl ClusterClient {
         sole: bool,
         lane: &mut Option<Box<dyn Lane>>,
         trace: Option<&ActiveTrace>,
-        notes: Vec<String>,
+        mut notes: Vec<String>,
     ) -> PvfsResult<Flight> {
-        let mut via = Via::Lane(lane);
         if let RpcTarget::Server(server) = target {
             // An open breaker fails this op fast, before any work is
             // spent on it and without touching the wire; the manager is
@@ -569,31 +546,7 @@ impl ClusterClient {
                     .fetch_add(1, Ordering::Relaxed);
                 return Err(e);
             }
-            if sole && self.hedge.enabled && request.op_class() == OpClass::Read {
-                via = Via::Race;
-            }
         }
-        self.launch(target, request, sole, via, trace, notes)
-            .inspect_err(|e| self.observe_failure(target, e))
-    }
-
-    /// Send one frame, off the books: the attempt's `rpc:<op>` span
-    /// (opened before encode, its context stamped into the frame so
-    /// server-side spans parent under the attempt; `send` child once
-    /// the frame is on its lane), encode under a fresh request id, then
-    /// the way `via` says. `notes` annotate the span if that fails.
-    /// [`ship`](Self::ship) does the booking around it; the duplicate
-    /// of a hedged read comes here directly, so one read is admitted
-    /// and judged once however many frames carry it.
-    fn launch(
-        &self,
-        target: RpcTarget,
-        request: &Request,
-        sole: bool,
-        via: Via<'_>,
-        trace: Option<&ActiveTrace>,
-        mut notes: Vec<String>,
-    ) -> PvfsResult<Flight> {
         let span = trace.map(|a| (a, SpanId::next(), now_ns()));
         let ctx = span.map(|(a, sid, _)| a.ctx(sid));
         let (id, frame) = self.encode(request, ctx)?;
@@ -601,44 +554,22 @@ impl ClusterClient {
         // Latency runs from each op's own ship time: the
         // client-perceived completion latency under fan-out concurrency.
         let shipped_at = Instant::now();
-        let sent = match via {
-            Via::Lane(lane) => {
-                let lane = match lane {
-                    Some(lane) => Ok(lane),
-                    None => self.transport.lane(target).map(|l| lane.insert(l)),
-                };
-                lane.and_then(|lane| lane.send(frame)).map(|()| Reply::Lane)
-            }
-            Via::Own => self.transport.dispatch(target, frame).map(Reply::Own),
-            Via::Race => {
-                let racers = bounded::<Racer>(2);
-                let (transport, timeout, tx) =
-                    (self.transport.clone(), self.rpc_timeout, racers.0.clone());
-                std::thread::spawn(move || {
-                    let lane = transport.dispatch(target, frame);
-                    let outcome = lane
-                        .map_err(WaitError::Failed)
-                        .and_then(|mut lane| lane.recv(timeout));
-                    let _ = tx.send((false, outcome));
-                });
-                Ok(Reply::Raced(racers.0, racers.1))
-            }
+        let lane = match lane {
+            Some(lane) => Ok(lane),
+            None => self.transport.lane(target).map(|l| lane.insert(l)),
         };
-        let reply = match sent {
-            Ok(reply) => reply,
-            Err(e) => {
-                if let Some((a, sid, t0)) = span {
-                    notes.push("error".into());
-                    let (op, dur) = (request.op_name(), now_ns().saturating_sub(t0));
-                    a.span_with_id(sid, a.root(), format!("rpc:{op}"), t0, dur, notes);
-                }
-                return Err(blame(sole, target, id, e));
+        if let Err(e) = lane.and_then(|lane| lane.send(frame)) {
+            if let Some((a, sid, t0)) = span {
+                notes.push("error".into());
+                let (op, dur) = (request.op_name(), now_ns().saturating_sub(t0));
+                a.span_with_id(sid, a.root(), format!("rpc:{op}"), t0, dur, notes);
             }
-        };
+            let e = blame(sole, target, id, e);
+            self.observe_failure(target, &e);
+            return Err(e);
+        }
         let span = span.map(|(a, sid, t0)| {
-            if !matches!(reply, Reply::Raced(..)) {
-                a.span(sid, "send", t0, Vec::new());
-            }
+            a.span(sid, "send", t0, Vec::new());
             (sid, t0)
         });
         Ok(Flight {
@@ -646,27 +577,7 @@ impl ClusterClient {
             shipped_at,
             span,
             head,
-            reply,
         })
-    }
-
-    /// What the attempt that sent request `id` makes of what came back
-    /// for it: a lane's failure named, a reply decoded and its id
-    /// attributed (see [`attribute`] for `lone`).
-    fn read_reply(
-        &self,
-        raw: Result<Frame, WaitError>,
-        id: RequestId,
-        target: RpcTarget,
-        sole: bool,
-        lone: bool,
-    ) -> PvfsResult<Response> {
-        raw.map_err(|e| match e {
-            WaitError::Timeout => self.timed_out(id, target),
-            WaitError::Lost(_, e) | WaitError::Failed(e) => blame(sole, target, id, e),
-        })
-        .and_then(|raw| decode_response_frame(raw).map_err(|e| blame(sole, target, id, e)))
-        .and_then(|(rid, response)| attribute(target, id, rid, response, lone))
     }
 
     fn timed_out(&self, id: RequestId, target: RpcTarget) -> PvfsError {
@@ -683,9 +594,13 @@ impl ClusterClient {
     ///
     /// One rule for every entry point: any decoded, attributed response
     /// — server errors included — proves the daemon alive and timely,
-    /// so it records a latency sample, clears the failure streak and
-    /// closes a half-open breaker. Only transport-class failures
-    /// (connection loss, timeout) count toward tripping one.
+    /// so one clock reading goes to the `rpc_latency` histogram (control
+    /// scrapes excepted: reading the books must not move them) and to
+    /// the failure detector, which clears the failure streak and closes
+    /// a half-open breaker. A shed is the exception: the daemon is alive
+    /// but served nothing, and how fast it said so is no sample of
+    /// either. Only transport-class failures (connection loss, timeout)
+    /// count toward tripping a breaker.
     #[allow(clippy::too_many_arguments)]
     fn land(
         &self,
@@ -703,7 +618,6 @@ impl ClusterClient {
             shipped_at,
             span,
             head,
-            ..
         } = flight;
         // Landed, however: the frame's head is this endpoint's again if
         // nothing else still holds it (the lane has sent it, the daemon
@@ -719,116 +633,26 @@ impl ClusterClient {
         }
         match outcome {
             Ok(response) => {
-                self.latency
-                    .record(target, request.op_class(), shipped_at.elapsed());
-                if let RpcTarget::Server(server) = target {
-                    self.health.record_success(server, shipped_at.elapsed());
+                let served = response.into_result();
+                match &served {
+                    Err(e @ PvfsError::Overloaded { .. }) => self.note_shed(target, e),
+                    _ => {
+                        let took = shipped_at.elapsed();
+                        if !request.is_control_scrape() {
+                            self.stats.rpc_latency.record_duration(took);
+                        }
+                        if let RpcTarget::Server(server) = target {
+                            self.health.record_success(server, took);
+                        }
+                    }
                 }
-                response.into_result().map_err(|e| {
-                    self.note_shed(target, &e);
-                    blame(sole, target, id, e)
-                })
+                served.map_err(|e| blame(sole, target, id, e))
             }
             Err(e) => {
                 self.observe_failure(target, &e);
                 Err(e)
             }
         }
-    }
-
-    /// The *hedged* wait of one read: if the primary (shipping and
-    /// waiting on its own thread and lane, reporting into `racers`) has
-    /// not answered within a percentile of this daemon's observed read
-    /// latency ([`HedgePolicy`]), [`launch`](Self::launch) an identical
-    /// duplicate on a lane of its own — a second connection — and take
-    /// whichever response arrives first. The loser drains on its waiter
-    /// thread (bounded by the RPC deadline) so a late reply never
-    /// crosses wires with a later request. Reads are idempotent, so the
-    /// duplicate is harmless by construction.
-    ///
-    /// Returns the raw outcome, the hedge's request id when the reply
-    /// is the hedge's (it must carry exactly that id), and whether the
-    /// primary outran a hedge that was sent. The hedge's own span
-    /// (noted `hedge`, plus `win`) is closed here.
-    fn race(
-        &self,
-        racers: (&Sender<Racer>, &Receiver<Racer>),
-        target: RpcTarget,
-        request: &Request,
-        shipped_at: Instant,
-        trace: Option<&ActiveTrace>,
-    ) -> (Result<Frame, WaitError>, Option<RequestId>, bool) {
-        let (tx, rx) = racers;
-        let history = self.latency.snapshot(target, request.op_class());
-        let observed = (history.count() > 0)
-            .then(|| Duration::from_nanos(history.percentile_ns(self.hedge.percentile)));
-        let hedge_after = self.hedge.delay(observed).min(self.rpc_timeout);
-        let deadline = shipped_at + self.rpc_timeout;
-        let mut outcomes: Vec<Racer> = Vec::new();
-        let mut hedge = None;
-        match rx.recv_timeout(hedge_after) {
-            Ok(first) => outcomes.push(first),
-            Err(RecvTimeoutError::Disconnected) => {}
-            Err(RecvTimeoutError::Timeout) => {
-                // The primary is slower than the hedge trigger: fire the
-                // duplicate — one of two in flight now, so not `sole`. A
-                // failure to even launch it (full queue, dead transport)
-                // falls back to the primary alone rather than failing
-                // the op, and counts for nothing: the read was admitted
-                // once and its one outcome is booked in `land`.
-                let notes = vec!["hedge".into()];
-                if let Ok(Flight {
-                    id,
-                    span,
-                    reply: Reply::Own(mut lane),
-                    ..
-                }) = self.launch(target, request, false, Via::Own, trace, notes)
-                {
-                    let (timeout, tx) = (self.rpc_timeout, tx.clone());
-                    std::thread::spawn(move || {
-                        let _ = tx.send((true, lane.recv(timeout)));
-                    });
-                    hedge = Some((id, span));
-                }
-            }
-        }
-        let expected = 1 + usize::from(hedge.is_some());
-        let winner = loop {
-            if let Some(pos) = outcomes.iter().position(|(_, r)| r.is_ok()) {
-                break Some(outcomes.swap_remove(pos));
-            }
-            if outcomes.len() >= expected {
-                break None;
-            }
-            match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
-                Ok(m) => outcomes.push(m),
-                Err(_) => break None,
-            }
-        };
-        let hedge_won = matches!(winner, Some((true, _)));
-        if let Some((_, span)) = hedge {
-            self.stats.hedges_sent.fetch_add(1, Ordering::Relaxed);
-            self.stats
-                .hedge_wins
-                .fetch_add(u64::from(hedge_won), Ordering::Relaxed);
-            if let Some((a, (sid, t0))) = trace.zip(span) {
-                let mut notes = vec!["hedge".to_string()];
-                if hedge_won {
-                    notes.push("win".into());
-                }
-                let (op, dur) = (request.op_name(), now_ns().saturating_sub(t0));
-                a.span_with_id(sid, a.root(), format!("rpc:{op}"), t0, dur, notes);
-            }
-        }
-        let raw = match winner {
-            Some((_, raw)) => raw,
-            None => Err(outcomes
-                .into_iter()
-                .find_map(|(_, r)| r.err().filter(|e| !matches!(e, WaitError::Timeout)))
-                .unwrap_or(WaitError::Timeout)),
-        };
-        let hedge_id = hedge.filter(|_| hedge_won).map(|(id, _)| id);
-        (raw, hedge_id, hedge.is_some() && !hedge_won)
     }
 
     /// Feed one failed RPC to the failure detector. Only transport-class
@@ -1343,15 +1167,11 @@ impl<S: OpStream> Pump<'_, S> {
             return Ok(());
         };
         let flight = self.subs[oldest].flight.as_ref().expect("in the air");
-        if let Reply::Raced(..) = flight.reply {
-            return self.land_raced(oldest);
-        }
         let (oldest_id, shipped_at) = (flight.id, flight.shipped_at);
         let (sole, recv_ns) = (self.sole, now_ns());
-        // The deadline runs from ship time, as `race`'s does: a flight
-        // that waited its turn behind others of its window has that
-        // much less left (a reply already here is taken even with
-        // nothing left).
+        // The deadline runs from ship time: a flight that waited its
+        // turn behind others of its window has that much less left (a
+        // reply already here is taken even with nothing left).
         let left = (self.client.rpc_timeout).saturating_sub(shipped_at.elapsed());
         // A lane that fails takes its flights with it (`fail_lane`), so
         // a flight in the air has its lane.
@@ -1427,11 +1247,7 @@ impl<S: OpStream> Pump<'_, S> {
             self.lanes[at].lane = None;
         }
         let mut result = Ok(());
-        let on_lane = |s: &Sub| {
-            let flight = s.flight.as_ref().expect("in the air");
-            s.target == target && matches!(flight.reply, Reply::Lane)
-        };
-        while let Some(at) = (0..self.flying).find(|&at| on_lane(&self.subs[at])) {
+        while let Some(at) = (0..self.flying).find(|&at| self.subs[at].target == target) {
             let id = self.subs[at].flight.as_ref().expect("in the air").id;
             let lost = Err(blame(self.sole, target, id, e.clone()));
             if let Err(ended) = self.land(at, now_ns(), lost) {
@@ -1442,49 +1258,14 @@ impl<S: OpStream> Pump<'_, S> {
         result
     }
 
-    /// Land a hedged read: wait the race out (see
-    /// [`ClusterClient::race`]). The hedge is a different way to wait;
-    /// it also decides which id the reply must carry, and with two
-    /// requests in flight even an id-0 error is ambiguous.
-    fn land_raced(&mut self, at: usize) -> PvfsResult<()> {
-        let recv_ns = now_ns();
-        let sub = &self.subs[at];
-        let flight = sub.flight.as_ref().expect("in the air");
-        let Reply::Raced(tx, rx) = &flight.reply else {
-            unreachable!("only a raced flight lands here");
-        };
-        let request = op_of(&self.ops, sub).request(sub);
-        let (client, target) = (self.client, sub.target);
-        let (raw, hedge_id, outran_hedge) =
-            client.race((tx, rx), target, request, flight.shipped_at, self.trace);
-        let id = hedge_id.unwrap_or(flight.id);
-        let outcome = client.read_reply(raw, id, target, self.sole, false);
-        // The reply, and any error from here on, is under the id it
-        // came by.
-        self.subs[at].flight.as_mut().expect("in the air").id = id;
-        self.land_noting(at, recv_ns, outcome, outran_hedge.then_some("win"))
-    }
-
     /// Land the flight at `at`, waited for since `recv_ns`, with its
     /// `outcome`: out of the window, resolved or settled.
     fn land(&mut self, at: usize, recv_ns: u64, outcome: PvfsResult<Response>) -> PvfsResult<()> {
-        self.land_noting(at, recv_ns, outcome, None)
-    }
-
-    /// [`land`](Self::land), with one more `note` on the attempt's span.
-    fn land_noting(
-        &mut self,
-        at: usize,
-        recv_ns: u64,
-        outcome: PvfsResult<Response>,
-        note: Option<&str>,
-    ) -> PvfsResult<()> {
         let mut sub = self.subs.remove(at).expect("a sub-op in the window");
         let flight = sub.flight.take().expect("only flights land");
         self.flying -= 1;
         let request = op_of(&self.ops, &sub).request(&sub);
-        let mut notes = sub.notes(self.trace);
-        notes.extend(note.map(String::from));
+        let notes = sub.notes(self.trace);
         let (sole, trace) = (self.sole, self.trace);
         let landed = (self.client).land(
             flight, recv_ns, outcome, sub.target, request, sole, trace, notes,
@@ -1646,35 +1427,7 @@ struct Flight {
     /// A handle on the frame's encoded head, to take its buffer back by
     /// when the flight lands.
     head: Bytes,
-    reply: Reply,
 }
-
-/// How [`ClusterClient::launch`] sends a frame.
-enum Via<'a> {
-    /// Queued on the pump's lane to that daemon, which is checked out
-    /// now if this is its first frame.
-    Lane(&'a mut Option<Box<dyn Lane>>),
-    /// Sent and flushed on a lane of its own (a hedge's duplicate).
-    Own,
-    /// On a waiter thread, on a lane of its own (a hedged read): a
-    /// stalled connect/send — an injected delay fault, a jammed socket
-    /// buffer — must not hold the hedge clock hostage.
-    Race,
-}
-
-/// Where a flight's reply will come.
-enum Reply {
-    /// On its daemon's lane in the pump, to be matched by id.
-    Lane,
-    /// On this lane, the flight's own.
-    Own(Box<dyn Lane>),
-    /// Into the race's channel, from the waiter thread that ships and
-    /// waits (see [`ClusterClient::race`]).
-    Raced(Sender<Racer>, Receiver<Racer>),
-}
-
-/// One racer's outcome, tagged `true` when it is the hedge's.
-type Racer = (bool, Result<Frame, WaitError>);
 
 #[cfg(test)]
 mod tests {
@@ -2208,72 +1961,6 @@ mod tests {
         }
     }
 
-    /// A hedged read is one read: admitted once, judged once. A hedge
-    /// that cannot even be launched falls back to the primary and
-    /// counts for nothing — here, with a breaker that trips on one
-    /// failure, the transport refuses the duplicate, the slow primary
-    /// answers, and the daemon's record stays clean.
-    #[test]
-    fn a_hedge_that_cannot_launch_counts_for_nothing() {
-        /// Answers the one frame sent on it, slowly.
-        struct SlowLane(Option<Frame>);
-        impl Lane for SlowLane {
-            fn send(&mut self, frame: Frame) -> PvfsResult<()> {
-                let id = decode_frame_id(&frame.head).unwrap();
-                self.0 = Some(encode_response(id, &Response::LocalSize { size: 7 }).into());
-                Ok(())
-            }
-            fn flush(&mut self) -> PvfsResult<()> {
-                Ok(())
-            }
-            fn recv(&mut self, _: Duration) -> Result<Frame, WaitError> {
-                std::thread::sleep(Duration::from_millis(60));
-                self.0.take().ok_or(WaitError::Timeout)
-            }
-        }
-        /// Has one lane to give; refuses to open a second.
-        struct OneLane(AtomicU64);
-        impl Transport for OneLane {
-            fn n_servers(&self) -> u32 {
-                1
-            }
-            fn lane(&self, _: RpcTarget) -> PvfsResult<Box<dyn Lane>> {
-                if self.0.fetch_add(1, Ordering::Relaxed) > 0 {
-                    return Err(PvfsError::Transport("no second lane".into()));
-                }
-                Ok(Box::new(SlowLane(None)))
-            }
-            fn kind(&self) -> crate::TransportKind {
-                crate::TransportKind::Chan
-            }
-        }
-        let transport = Arc::new(OneLane(AtomicU64::new(0)));
-        let gate = Arc::new(SerialGate::new());
-        let c = ClusterClient::with_transport(ClientId(9), transport.clone(), gate)
-            .with_retry_policy(RetryPolicy::none())
-            .with_hedge_policy(HedgePolicy::on())
-            .with_breaker_policy(BreakerPolicy {
-                threshold: 1,
-                open_for: Duration::from_secs(60),
-            });
-        let read = Request::Read {
-            handle: FileHandle(1),
-            layout: layout(1),
-            region: Region::new(0, 16),
-        };
-        let response = c.call(RpcTarget::Server(ServerId(0)), read).unwrap();
-        assert_eq!(response, Response::LocalSize { size: 7 });
-        assert_eq!(
-            transport.0.load(Ordering::Relaxed),
-            2,
-            "the hedge was tried"
-        );
-        let stats = c.stats();
-        assert_eq!((stats.hedges_sent, stats.breaker_rejections), (0, 0));
-        assert_eq!(c.health().total_trips(), 0);
-        assert_eq!(c.health().state(ServerId(0)), BreakerState::Closed);
-    }
-
     /// `attribute` is where `sole` meets the reserved id: a lone RPC
     /// takes an id-0 *error* as its own (and nothing else under id 0);
     /// one of several in flight takes nothing it cannot prove is its.
@@ -2620,6 +2307,24 @@ mod tests {
         assert_eq!(dealt.landed, 64);
         assert_eq!(c.stats().sheds_seen, 8, "the narrowed window fits");
         assert_eq!(book.lock().unwrap().peak, [1; 4]);
+
+        // A refusal served nothing, and how fast it came says nothing of
+        // the daemon: the 8 sheds above left no latency sample, nor does
+        // one more, alone (other clients fill iod0's queue), which
+        // leaves the daemon looking no faster than before it.
+        assert_eq!(c.latency_snapshot().count(), 128, "the served replies");
+        book.lock().unwrap().queued[0] = 2;
+        let ewma = c.health().ewma(ServerId(0));
+        let handle = FileHandle(1);
+        let shed = (c.clone().with_retry_policy(RetryPolicy::none()))
+            .round(vec![(ServerId(0), Request::GetLocalSize { handle })]);
+        assert!(
+            matches!(shed, Err(PvfsError::Overloaded { .. })),
+            "{shed:?}"
+        );
+        assert_eq!(c.stats().sheds_seen, 9);
+        assert_eq!(c.latency_snapshot().count(), 128);
+        assert_eq!(c.health().ewma(ServerId(0)), ewma);
     }
 
     /// A shed with nothing of the stream at that daemon to wait for is

@@ -27,21 +27,16 @@
 //! Only *transport-class* failures (connection loss, timeout) trip
 //! the breaker. A shed ([`PvfsError::Overloaded`]) is explicitly a
 //! sign of life — the daemon answered quickly, just with "not now" —
-//! so it counts as neither success nor failure. What it does say is
-//! that the daemon's queue, which every client shares, is full: the
+//! so it counts as neither success nor failure: it clears the failure
+//! streak and closes a half-open breaker, and how fast the refusal came
+//! is no latency sample (a daemon that serves nothing must not look
+//! like the fastest copy). What it does say is that the daemon's
+//! queue, which every client shares, is full: the
 //! tracker keeps, beside each breaker, how many flights one request
 //! stream may have in the air at that daemon
 //! ([`HealthTracker::window`]) — [`WINDOW`] until the daemon sheds,
 //! halved by each shed, reopened by one after 64 replies in a row
 //! without one — so that many clients' windows settle into one queue.
-//!
-//! [`HedgePolicy`] is the complementary tail-latency tool: instead of
-//! waiting for a slow daemon to cross into failure, a hedged read
-//! re-issues the RPC on a second connection once the first has been
-//! outstanding longer than a percentile of that daemon's observed
-//! latency, and takes whichever response lands first. Hedging is
-//! restricted to idempotent read-class RPCs and is off by default
-//! (`PVFS_HEDGE`).
 
 use pvfs_types::{PvfsError, ServerId};
 use std::sync::Mutex;
@@ -124,92 +119,6 @@ impl BreakerPolicy {
     }
 }
 
-/// When a read RPC gets a hedged duplicate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HedgePolicy {
-    /// Whether hedging is on at all.
-    pub enabled: bool,
-    /// The per-daemon read-latency percentile after which the hedge
-    /// fires (`0.95` = hedge once the RPC is slower than 95% of its
-    /// predecessors).
-    pub percentile: f64,
-    /// Lower bound on the hedge delay — also the delay used before a
-    /// daemon has any latency history. Keeps cold-start hedges from
-    /// firing instantly and doubling load.
-    pub floor: Duration,
-}
-
-impl Default for HedgePolicy {
-    /// Hedging defaults **off**: it duplicates work by design, so it
-    /// must be an explicit opt-in (`PVFS_HEDGE=on`).
-    fn default() -> HedgePolicy {
-        HedgePolicy {
-            enabled: false,
-            percentile: 0.95,
-            floor: Duration::from_millis(2),
-        }
-    }
-}
-
-impl HedgePolicy {
-    /// Hedging on with the default percentile and floor.
-    pub fn on() -> HedgePolicy {
-        HedgePolicy {
-            enabled: true,
-            ..HedgePolicy::default()
-        }
-    }
-
-    /// The policy selected by the `PVFS_HEDGE` environment variable.
-    ///
-    /// * unset / `off` — hedging disabled (the default);
-    /// * `on` — hedge at p95 with the default floor;
-    /// * `p=99,floor=5ms` — explicit knobs (implies on).
-    ///
-    /// Panics on a malformed spec, like the other `PVFS_*` variables.
-    pub fn from_env() -> HedgePolicy {
-        pvfs_types::env::parsed("PVFS_HEDGE", HedgePolicy::parse, HedgePolicy::default())
-    }
-
-    /// Parse a `PVFS_HEDGE` spec (see [`HedgePolicy::from_env`]).
-    pub fn parse(spec: &str) -> Result<HedgePolicy, String> {
-        let spec = spec.trim();
-        if spec == "off" || spec == "0" {
-            return Ok(HedgePolicy::default());
-        }
-        if spec == "on" || spec == "1" {
-            return Ok(HedgePolicy::on());
-        }
-        let mut policy = HedgePolicy::on();
-        for option in envspec::options(spec) {
-            let (key, value) = option?;
-            match key {
-                "p" => {
-                    let pct: f64 = value
-                        .parse()
-                        .map_err(|_| format!("percentile {value:?} is not a number"))?;
-                    if !(50.0..=100.0).contains(&pct) {
-                        return Err(format!("percentile {pct} must be in [50, 100]"));
-                    }
-                    policy.percentile = pct / 100.0;
-                }
-                "floor" => policy.floor = parse_duration(value)?,
-                other => return Err(format!("unknown hedge option {other:?}")),
-            }
-        }
-        Ok(policy)
-    }
-
-    /// How long to let an RPC run before hedging it, given the
-    /// daemon's observed percentile latency (`None` / zero before any
-    /// history exists).
-    pub fn delay(&self, observed_percentile: Option<Duration>) -> Duration {
-        observed_percentile
-            .unwrap_or(Duration::ZERO)
-            .max(self.floor)
-    }
-}
-
 /// A breaker's observable state (diagnostics and tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
@@ -243,6 +152,18 @@ enum Circuit {
     Closed,
     Open { until: Instant },
     HalfOpen,
+}
+
+impl Circuit {
+    /// The state as the next [`HealthTracker::admit`] will see it: an
+    /// open circuit whose window has elapsed reads as half-open.
+    fn state(&self) -> BreakerState {
+        match *self {
+            Circuit::Closed => BreakerState::Closed,
+            Circuit::Open { until } if Instant::now() < until => BreakerState::Open,
+            Circuit::Open { .. } | Circuit::HalfOpen => BreakerState::HalfOpen,
+        }
+    }
 }
 
 /// Replies in a row without a shed that reopen a daemon's window by one
@@ -374,13 +295,17 @@ impl HealthTracker {
         }
     }
 
-    /// `server` shed a request off its full queue: it is alive — this is
-    /// no failure — but its queue is shared, and this endpoint's share
-    /// was too wide. Halves the window on it, never below one flight;
-    /// 64 replies in a row without a shed reopen it by one.
+    /// `server` shed a request off its full queue: it is alive — the
+    /// failure streak is cleared and the breaker closed, as by any reply,
+    /// with no latency sample, for nothing was served — but its queue is
+    /// shared, and this endpoint's share was too wide. Halves the window
+    /// on it, never below one flight; 64 replies in a row without a shed
+    /// reopen it by one.
     pub fn record_shed(&self, server: ServerId) {
         if let Some(lock) = self.servers.get(server.index()) {
             let mut h = lock.lock().unwrap();
+            h.consecutive_failures = 0;
+            h.circuit = Circuit::Closed;
             h.window = (h.window / 2).max(1);
             h.calm = 0;
         }
@@ -396,7 +321,8 @@ impl HealthTracker {
     /// `server`. Opens the breaker when the streak reaches the
     /// threshold, and re-opens immediately on a failed half-open
     /// probe. Sheds ([`PvfsError::Overloaded`]) must **not** be fed
-    /// here — a shed proves the daemon is alive.
+    /// here — a shed proves the daemon is alive
+    /// ([`record_shed`](HealthTracker::record_shed)).
     pub fn record_failure(&self, server: ServerId) {
         let Some(lock) = self.servers.get(server.index()) else {
             return;
@@ -421,20 +347,10 @@ impl HealthTracker {
     /// window has elapsed reads as [`BreakerState::HalfOpen`] — that
     /// is what the next [`admit`](HealthTracker::admit) will see.
     pub fn state(&self, server: ServerId) -> BreakerState {
-        let Some(lock) = self.servers.get(server.index()) else {
-            return BreakerState::Closed;
-        };
-        match lock.lock().unwrap().circuit {
-            Circuit::Closed => BreakerState::Closed,
-            Circuit::HalfOpen => BreakerState::HalfOpen,
-            Circuit::Open { until } => {
-                if Instant::now() >= until {
-                    BreakerState::HalfOpen
-                } else {
-                    BreakerState::Open
-                }
-            }
-        }
+        let health = self.servers.get(server.index());
+        health.map_or(BreakerState::Closed, |lock| {
+            lock.lock().unwrap().circuit.state()
+        })
     }
 
     /// Smoothed latency of `server`, `None` before the first success.
@@ -450,19 +366,8 @@ impl HealthTracker {
             .iter()
             .map(|lock| {
                 let h = lock.lock().unwrap();
-                let state = match h.circuit {
-                    Circuit::Closed => BreakerState::Closed,
-                    Circuit::HalfOpen => BreakerState::HalfOpen,
-                    Circuit::Open { until } => {
-                        if Instant::now() >= until {
-                            BreakerState::HalfOpen
-                        } else {
-                            BreakerState::Open
-                        }
-                    }
-                };
                 ServerHealthSnapshot {
-                    state,
+                    state: h.circuit.state(),
                     ewma: (h.samples > 0).then(|| Duration::from_nanos(h.ewma_ns as u64)),
                     consecutive_failures: h.consecutive_failures,
                     trips: h.trips,
@@ -632,38 +537,5 @@ mod tests {
         assert!(BreakerPolicy::parse("open=never").is_err());
         assert!(BreakerPolicy::parse("banana=1").is_err());
         assert!(BreakerPolicy::parse("threshold").is_err());
-    }
-
-    #[test]
-    fn hedge_policy_parses_and_rejects() {
-        assert!(!HedgePolicy::default().enabled, "hedging is opt-in");
-        assert_eq!(HedgePolicy::parse("off").unwrap(), HedgePolicy::default());
-        let on = HedgePolicy::parse("on").unwrap();
-        assert!(on.enabled);
-        assert_eq!(on.percentile, 0.95);
-        let p = HedgePolicy::parse("p=99,floor=5ms").unwrap();
-        assert!(p.enabled, "knobs imply on");
-        assert_eq!(p.percentile, 0.99);
-        assert_eq!(p.floor, Duration::from_millis(5));
-        assert!(HedgePolicy::parse("p=40").is_err(), "p below 50 rejected");
-        assert!(HedgePolicy::parse("p=101").is_err());
-        assert!(HedgePolicy::parse("floor=soon").is_err());
-        assert!(HedgePolicy::parse("banana=1").is_err());
-    }
-
-    #[test]
-    fn hedge_delay_floors_cold_starts() {
-        let p = HedgePolicy::on();
-        assert_eq!(p.delay(None), p.floor, "no history: wait the floor");
-        assert_eq!(
-            p.delay(Some(Duration::from_micros(10))),
-            p.floor,
-            "tiny observed latency still floors"
-        );
-        assert_eq!(
-            p.delay(Some(Duration::from_millis(40))),
-            Duration::from_millis(40),
-            "real history wins over the floor"
-        );
     }
 }

@@ -17,9 +17,9 @@
 //! One path on each side of the wire:
 //!
 //! * every client RPC — [`ClusterClient::call`], [`ClusterClient::round`],
-//!   at any replication factor, hedged or not, traced or not — runs
-//!   through one request pipeline ([`cluster`]: expand → waves of
-//!   ship/land → failover, backoff → assemble);
+//!   at any replication factor, traced or not — runs through one
+//!   request pipeline ([`cluster`]: expand → a window of ship/land per
+//!   daemon → failover, backoff → assemble);
 //! * every daemon stands behind one door (`serve.rs`): a bounded queue
 //!   (`IodConfig::queue_depth`, default 64 — the bound is the
 //!   backpressure) drained by `IodConfig::workers` threads (default
@@ -58,7 +58,7 @@
 //! # Brown-out resilience
 //!
 //! A list-I/O round is only as fast as the slowest daemon it touches,
-//! so one sick daemon browns out the whole cluster. Four layers keep a
+//! so one sick daemon browns out the whole cluster. Three layers keep a
 //! brown-out local ([`health`] has the model):
 //!
 //! * **failure detection** — every RPC outcome (plus the cheap `Ping`
@@ -68,13 +68,11 @@
 //!   threshold fails fast with `PvfsError::Unavailable` (closed →
 //!   open → half-open probe → closed), so retries stop hammering a
 //!   corpse and rounds touching it cost microseconds, not timeouts;
-//! * **hedged reads** — `PVFS_HEDGE` (off by default): a read slower
-//!   than a percentile of its daemon's history is duplicated on a
-//!   second connection, first response wins — the p99 under transient
-//!   stalls collapses to the hedge delay;
 //! * **load shedding** — a daemon whose bounded queue is full answers
 //!   `PvfsError::Overloaded` (retryable, provably unexecuted)
-//!   immediately instead of stalling the client into its timeout.
+//!   immediately instead of stalling the client into its timeout; the
+//!   client narrows its window on that daemon and books no latency
+//!   sample for the refusal.
 
 pub mod chan;
 pub mod cluster;
@@ -82,7 +80,6 @@ mod envspec;
 pub mod fault;
 pub mod gate;
 pub mod health;
-pub mod latency;
 pub mod live;
 pub mod retry;
 mod serve;
@@ -94,8 +91,7 @@ pub mod transport;
 pub use cluster::{ClusterClient, OpStream, DEFAULT_RPC_TIMEOUT, WINDOW};
 pub use fault::{FaultCounts, FaultKind, FaultPlan, FaultyTransport};
 pub use gate::SerialGate;
-pub use health::{BreakerPolicy, BreakerState, HealthTracker, HedgePolicy, ServerHealthSnapshot};
-pub use latency::RpcLatency;
+pub use health::{BreakerPolicy, BreakerState, HealthTracker, ServerHealthSnapshot};
 pub use live::LiveCluster;
 pub use pvfs_replica::{ReplicaMap, ReplicaPolicy, ReplicaTarget, WriteQuorum};
 pub use pvfs_types::ClientStats;

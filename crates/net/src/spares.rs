@@ -41,8 +41,8 @@
 //! * **Only the last handle comes back.** A byte buffer is taken back
 //!   through [`Bytes::try_into_mut`], control block and all, which
 //!   refuses while any view of it is alive — a timed-out request's frame
-//!   still in a daemon's queue, a hedged read's duplicate — and then the
-//!   buffer is simply let go: the fallback is always a fresh allocation,
+//!   still in a daemon's queue — and then the buffer is simply let go:
+//!   the fallback is always a fresh allocation,
 //!   never a wait and never a shared write. An owner whose buffers nobody
 //!   gives back — they leave as frames, as replies — keeps a handle on
 //!   each ([`Lent`]) and [sweeps](Spares::sweep) when it next needs one.

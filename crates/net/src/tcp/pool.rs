@@ -14,7 +14,7 @@
 //! socket in whatever order its workers finish them, several to a
 //! `read` when they arrive together. One operation therefore holds one
 //! connection per daemon, whatever its window; only concurrent
-//! operations (and a hedged read's duplicate) dial more.
+//! operations dial more.
 //!
 //! # Deadlines
 //!

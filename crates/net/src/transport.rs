@@ -225,9 +225,8 @@ impl Drop for ReplyTo {
 /// Lanes are pooled the way TCP connections are: a lane dropped with
 /// every frame answered parks its end — reply channel, reply buffers —
 /// on its daemon's idle stack for the next lane there to take over; one
-/// dropped with a frame unanswered (a flight that timed out, a hedged
-/// read's loser) is let go whole, and its reply, should it still come,
-/// finds nobody listening.
+/// dropped with a frame unanswered (a flight that timed out) is let go
+/// whole, and its reply, should it still come, finds nobody listening.
 ///
 /// [`DEFAULT_RPC_TIMEOUT`]: crate::DEFAULT_RPC_TIMEOUT
 pub struct ChanTransport {

@@ -7,8 +7,7 @@
 
 use bytes::Bytes;
 use pvfs_net::{
-    BreakerPolicy, BreakerState, FaultPlan, HedgePolicy, LiveCluster, RetryPolicy, RpcTarget,
-    TransportKind,
+    BreakerPolicy, BreakerState, FaultPlan, LiveCluster, RetryPolicy, RpcTarget, TransportKind,
 };
 use pvfs_proto::{Request, Response};
 use pvfs_server::IodConfig;
@@ -609,106 +608,6 @@ fn breaker_trips_and_recovers_on_disconnects_over_chan() {
 #[test]
 fn breaker_trips_and_recovers_on_disconnects_over_tcp() {
     breaker_trips_and_recovers_on_disconnects(TransportKind::Tcp);
-}
-
-/// Hedged reads collapse the latency tail under delay faults: 5% of
-/// requests are stalled 30 ms in flight; the unhedged client's p99 eats
-/// the stall, the hedged client's duplicate (fired after a 5 ms floor)
-/// wins long before it. Both clients read identical bytes throughout.
-fn hedged_reads_cut_the_tail(kind: TransportKind) {
-    let mut cluster = LiveCluster::spawn_transport(2, IodConfig::default(), kind);
-    let l = layout(2);
-    let fh = FileHandle(41);
-    // Seed the stripes before any faults are armed.
-    let seeder = cluster.client();
-    for s in 0..2u32 {
-        let resp = seeder
-            .call(
-                RpcTarget::Server(ServerId(s)),
-                Request::Write {
-                    handle: fh,
-                    layout: l,
-                    region: Region::new(u64::from(s) * 16, 16),
-                    data: Bytes::from(vec![0xC0 | s as u8; 16]),
-                },
-            )
-            .unwrap();
-        assert_eq!(resp, Response::Written { bytes: 16 });
-    }
-    cluster.inject_faults(FaultPlan {
-        delay: 0.05,
-        delay_for: Duration::from_millis(30),
-        seed: 4242,
-        ..FaultPlan::default()
-    });
-
-    let plain = cluster.client();
-    // Trigger at p90: with 5% of requests stalled, a p95 trigger would
-    // sit on the fault boundary and the observed percentile could
-    // drift into the stall itself, quietly disabling the hedge
-    // mid-run.
-    let hedged = cluster.client().with_hedge_policy(HedgePolicy {
-        enabled: true,
-        percentile: 0.90,
-        floor: Duration::from_millis(5),
-    });
-
-    let p99_of = |c: &pvfs_net::ClusterClient| -> Duration {
-        let mut took: Vec<Duration> = (0..400u64)
-            .map(|i| {
-                let s = (i % 2) as u32;
-                let started = Instant::now();
-                let resp = c
-                    .call(
-                        RpcTarget::Server(ServerId(s)),
-                        Request::Read {
-                            handle: fh,
-                            layout: l,
-                            region: Region::new(u64::from(s) * 16, 16),
-                        },
-                    )
-                    .unwrap();
-                match resp {
-                    Response::Data { data } => {
-                        assert_eq!(data.as_ref(), &[0xC0 | s as u8; 16][..])
-                    }
-                    other => panic!("unexpected {other:?}"),
-                }
-                started.elapsed()
-            })
-            .collect();
-        took.sort();
-        took[395] // p99 of 400 samples
-    };
-
-    let plain_p99 = p99_of(&plain);
-    let hedged_p99 = p99_of(&hedged);
-    assert!(
-        plain_p99 >= Duration::from_millis(25),
-        "the delay faults must actually bite the unhedged tail (p99 {plain_p99:?})"
-    );
-    assert!(
-        hedged_p99 < plain_p99,
-        "hedging must cut the p99 ({hedged_p99:?} vs unhedged {plain_p99:?})"
-    );
-    assert!(
-        hedged_p99 < Duration::from_millis(25),
-        "a hedged stall completes near the hedge delay, got {hedged_p99:?}"
-    );
-    let hs = hedged.stats();
-    assert!(hs.hedges_sent > 0, "stalls must have triggered hedges");
-    assert!(hs.hedge_wins > 0, "some hedges must have beaten the stall");
-    assert_eq!(plain.stats().hedges_sent, 0, "hedging defaults to off");
-}
-
-#[test]
-fn hedged_reads_cut_the_tail_over_chan() {
-    hedged_reads_cut_the_tail(TransportKind::Chan);
-}
-
-#[test]
-fn hedged_reads_cut_the_tail_over_tcp() {
-    hedged_reads_cut_the_tail(TransportKind::Tcp);
 }
 
 /// Server-side load shedding, on both transports: a daemon with one

@@ -7,7 +7,7 @@
 use bytes::Bytes;
 use pvfs_disk::{ScratchDir, StorageConfig, SyncPolicy};
 use pvfs_net::{ClusterClient, LiveCluster, RpcTarget, TransportKind};
-use pvfs_proto::{decode_response_frame, encode_frame, Frame, Message, OpClass, Request, Response};
+use pvfs_proto::{decode_response_frame, encode_frame, Frame, Message, Request, Response};
 use pvfs_server::IodConfig;
 use pvfs_types::{
     ClientId, FileHandle, PvfsError, Region, RequestId, ServerId, StatsSnapshot, StripeLayout,
@@ -345,8 +345,9 @@ fn reset_stats_over_tcp() {
     assert_reset_returns_pre_reset(TransportKind::Tcp);
 }
 
-/// Client-side latency histograms: every successful RPC lands one
-/// sample in the right (server, class) bucket, on both transports.
+/// Client-side latency: every RPC a daemon serves lands one sample in
+/// the endpoint's one `rpc_latency` histogram — a line of its ledger, so
+/// a since-diff of `ClientStats` carries it — on both transports.
 fn assert_client_latency_attribution(kind: TransportKind) {
     let cluster = LiveCluster::spawn_transport(2, IodConfig::default(), kind);
     let client = cluster.client();
@@ -363,6 +364,8 @@ fn assert_client_latency_attribution(kind: TransportKind) {
             },
         )
         .unwrap();
+    let after_write = client.stats();
+    assert_eq!(after_write.rpc_latency.count(), 1, "[{kind}] the write");
     // A fan-out round of reads over both servers.
     let reqs = (0..2)
         .map(|s| {
@@ -387,33 +390,16 @@ fn assert_client_latency_attribution(kind: TransportKind) {
         )
         .unwrap();
 
-    let lat = client.latency();
-    assert_eq!(
-        lat.snapshot(RpcTarget::Server(ServerId(0)), OpClass::Write)
-            .count(),
-        1,
-        "[{kind}] write sample on server 0"
-    );
-    assert_eq!(
-        lat.snapshot(RpcTarget::Server(ServerId(0)), OpClass::Read)
-            .count(),
-        1,
-        "[{kind}] round read sample on server 0"
-    );
-    assert_eq!(
-        lat.snapshot(RpcTarget::Server(ServerId(1)), OpClass::Read)
-            .count(),
-        1,
-        "[{kind}] round read sample on server 1"
-    );
-    assert_eq!(
-        lat.snapshot(RpcTarget::Manager, OpClass::Meta).count(),
-        1,
-        "[{kind}] manager create sample"
-    );
     let all = client.latency_snapshot();
-    assert_eq!(all.count(), 4);
+    assert_eq!(all.count(), 4, "[{kind}] write + two reads + create");
     assert!(all.max_ns() > 0, "latencies are real durations");
+    let stats = client.stats();
+    assert_eq!(stats.rpc_latency, all, "one histogram, two views of it");
+    let since_write = stats.since(&after_write);
+    assert_eq!(
+        (since_write.attempts, since_write.rpc_latency.count()),
+        (3, 3)
+    );
 }
 
 #[test]

@@ -441,8 +441,7 @@ fn a_write_request_is_one_vectored_write_of_unchanged_bytes() {
 /// duplicate of every accepted socket (and the reader's `JoinHandle`)
 /// until `shutdown()`, so the socket never really closed: 200
 /// connect/close cycles took a daemon process from 10 to 210 open
-/// descriptors, one per stale-keepalive redial, hedge connection or
-/// short-lived client.
+/// descriptors, one per stale-keepalive redial or short-lived client.
 #[test]
 fn closed_connections_are_released_not_hoarded_until_shutdown() {
     fn open_fds() -> Option<usize> {

@@ -5,11 +5,10 @@
 //! protocol — `PVFS_TRACE=off` costs exactly nothing.
 
 use bytes::Bytes;
-use pvfs_net::{FaultPlan, HedgePolicy, LiveCluster, RpcTarget, TransportKind};
+use pvfs_net::{FaultPlan, LiveCluster, RpcTarget, TransportKind};
 use pvfs_proto::{Request, Response};
 use pvfs_server::IodConfig;
 use pvfs_types::{FileHandle, Region, ServerId, StripeLayout, TraceMode};
-use std::time::Duration;
 
 fn layout(n: u32) -> StripeLayout {
     StripeLayout::new(0, n, 16).unwrap()
@@ -322,74 +321,4 @@ fn retried_round_traces_sibling_attempts_in_one_tree() {
         .filter(|s| s.notes.iter().any(|n| n == "retry#2"))
         .collect();
     assert_eq!(retried.len(), 1, "{}", tree.render());
-}
-
-/// A hedged read records BOTH racers in the tree: the stalled primary
-/// and the duplicate noted `hedge` (+ `win` on whichever came first),
-/// siblings under the call root.
-#[test]
-fn hedged_read_traces_both_racers() {
-    let mut cluster = LiveCluster::spawn_with(1, IodConfig::default());
-    let l = layout(1);
-    let fh = FileHandle(65);
-    let seeder = cluster.client();
-    seeder
-        .call(RpcTarget::Server(ServerId(0)), write(0, fh, l))
-        .unwrap();
-    cluster.inject_faults(FaultPlan {
-        delay: 1.0,
-        delay_for: Duration::from_millis(40),
-        limit: Some(1),
-        ..FaultPlan::default()
-    });
-    let c = cluster
-        .client()
-        .with_trace_mode(TraceMode::All)
-        .with_hedge_policy(HedgePolicy {
-            enabled: true,
-            percentile: 0.5,
-            floor: Duration::from_millis(2),
-        });
-    // This client's first read eats the one delay fault; its hedge
-    // timer is floored on cold start, so the 2 ms duplicate fires and
-    // beats the 40 ms stall deterministically.
-    match c
-        .call(
-            RpcTarget::Server(ServerId(0)),
-            Request::Read {
-                handle: fh,
-                layout: l,
-                region: Region::new(0, 16),
-            },
-        )
-        .unwrap()
-    {
-        Response::Data { data } => assert_eq!(data.as_ref(), &[0u8; 16][..]),
-        other => panic!("unexpected {other:?}"),
-    }
-    assert_eq!(c.stats().hedges_sent, 1, "the stalled read must hedge");
-    assert!(
-        c.stats().hedge_wins >= 1,
-        "a 40 ms stall loses to a 2 ms hedge"
-    );
-
-    let tree = c.fetch_trace(c.tracer().last().unwrap());
-    assert!(tree.orphans().is_empty(), "{}", tree.render());
-    let rpc_spans: Vec<_> = tree
-        .spans()
-        .iter()
-        .filter(|s| s.op.starts_with("rpc:"))
-        .collect();
-    assert_eq!(rpc_spans.len(), 2, "primary + hedge:\n{}", tree.render());
-    assert_eq!(rpc_spans[0].parent, rpc_spans[1].parent, "siblings");
-    let hedged: Vec<_> = rpc_spans
-        .iter()
-        .filter(|s| s.notes.iter().any(|n| n == "hedge"))
-        .collect();
-    assert_eq!(hedged.len(), 1, "{}", tree.render());
-    assert!(
-        hedged[0].notes.iter().any(|n| n == "win"),
-        "the hedge beat a 40 ms stall:\n{}",
-        tree.render()
-    );
 }

@@ -1262,7 +1262,7 @@ mod tests {
             op: "storage:read".into(),
             start_ns: 123_456_789,
             dur_ns: 42_000,
-            notes: vec!["retry#2".into(), "hedge".into()],
+            notes: vec!["retry#2".into(), "failover".into()],
         }
     }
 
@@ -1849,7 +1849,7 @@ mod tests {
                 len: 1 << 40,
                 max: 1 << 20,
             }),
-            Response::Error(PvfsError::Config("PVFS_CB_BUFFER: junk".into())),
+            Response::Error(PvfsError::Config("PVFS_AGGREGATORS: junk".into())),
             Response::Error(PvfsError::Unavailable {
                 server: 3,
                 retry_after_ms: 250,

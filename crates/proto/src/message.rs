@@ -394,9 +394,8 @@ impl Request {
         }
     }
 
-    /// The latency class this request is accounted under in the
-    /// client's per-server histograms: metadata control traffic, reads,
-    /// or writes. Stats scrapes ride with metadata — they are small
+    /// The class of this request: metadata control traffic, reads, or
+    /// writes. Stats scrapes ride with metadata — they are small
     /// control frames with the same cost shape.
     pub fn op_class(&self) -> OpClass {
         if self.is_write() {
@@ -412,10 +411,10 @@ impl Request {
     }
 }
 
-/// Coarse request classes for latency accounting. Finer per-op
-/// histograms would multiply storage 12× for little insight: the paper's
-/// methodology distinguishes exactly control traffic from data reads and
-/// writes.
+/// Coarse request classes: the paper's methodology distinguishes
+/// exactly control traffic from data reads and writes, and the request
+/// pipeline routes by the same split (a replicated write fans out to a
+/// quorum, a read picks one copy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpClass {
     /// Namespace + control operations (manager ops, size and stats
@@ -425,29 +424,6 @@ pub enum OpClass {
     Read,
     /// Data writes (`Write`/`WriteList`/`WriteVectors`).
     Write,
-}
-
-impl OpClass {
-    /// All classes, in display order.
-    pub const ALL: [OpClass; 3] = [OpClass::Meta, OpClass::Read, OpClass::Write];
-
-    /// Short stable name for tables and JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            OpClass::Meta => "meta",
-            OpClass::Read => "read",
-            OpClass::Write => "write",
-        }
-    }
-
-    /// Position in [`OpClass::ALL`] (array-indexed per-class storage).
-    pub fn index(self) -> usize {
-        match self {
-            OpClass::Meta => 0,
-            OpClass::Read => 1,
-            OpClass::Write => 2,
-        }
-    }
 }
 
 fn slot_share(layout: &StripeLayout, server: ServerId, regions: &[Region]) -> u64 {
@@ -801,8 +777,6 @@ mod tests {
             .op_class(),
             OpClass::Write
         );
-        assert_eq!(OpClass::Meta.name(), "meta");
-        assert_eq!(OpClass::ALL.len(), 3);
     }
 
     #[test]

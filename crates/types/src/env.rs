@@ -34,7 +34,7 @@ pub struct Var {
 
 /// Every variable the program reads, in the order README's table lists
 /// them.
-pub const VARS: [Var; 13] = [
+pub const VARS: [Var; 11] = [
     Var {
         name: "PVFS_TRANSPORT",
         grammar: "chan|tcp",
@@ -64,25 +64,11 @@ pub const VARS: [Var; 13] = [
         malformed: "threshold=none",
     },
     Var {
-        name: "PVFS_HEDGE",
-        grammar: "off|on|p=N,floor=D",
-        default: "off",
-        meaning: "hedged duplicate for reads slower than the daemon's latency percentile",
-        malformed: "p=fast",
-    },
-    Var {
         name: "PVFS_AGGREGATORS",
         grammar: "positive integer",
         default: "unset (one per I/O daemon)",
         meaning: "collective aggregator count (the ROMIO cb_nodes hint)",
         malformed: "0",
-    },
-    Var {
-        name: "PVFS_CB_BUFFER",
-        grammar: "size with k/m/g suffix",
-        default: "16m",
-        meaning: "per-aggregator staging buffer bound (the ROMIO cb_buffer_size hint)",
-        malformed: "16x",
     },
     Var {
         name: "PVFS_STORAGE",
@@ -200,12 +186,21 @@ mod tests {
         for var in &VARS {
             assert!(rejected.contains(var.name), "{rejected}");
         }
+        // A variable this program used to read is a stranger like any
+        // other: a stale setting must not pass for one that took effect.
+        for stale in ["PVFS_HEDGE", "PVFS_CB_BUFFER"] {
+            let rejected = check_names(env(&["PVFS_TRACE", stale])).unwrap_err();
+            assert!(
+                rejected.contains(&format!("{stale} is not one")),
+                "{rejected}"
+            );
+        }
     }
 
     #[test]
-    fn the_table_has_thirteen_distinct_well_formed_rows() {
+    fn the_table_has_eleven_distinct_well_formed_rows() {
         let names: std::collections::HashSet<_> = VARS.iter().map(|var| var.name).collect();
-        assert_eq!(names.len(), 13);
+        assert_eq!(names.len(), 11);
         for var in &VARS {
             assert!(var.name.starts_with(PREFIX), "{var:?}");
             for text in [var.grammar, var.default, var.meaning, var.malformed] {

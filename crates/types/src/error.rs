@@ -300,7 +300,7 @@ mod tests {
                 len: 1 << 40,
                 max: 1 << 20,
             },
-            PvfsError::config("PVFS_CB_BUFFER: junk"),
+            PvfsError::config("PVFS_AGGREGATORS: junk"),
             PvfsError::Unavailable {
                 server: 3,
                 retry_after_ms: 250,

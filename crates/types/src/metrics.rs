@@ -626,10 +626,11 @@ impl Ledger {
 }
 
 ledger! {
-    /// What a client endpoint's RPCs cost in reliability currency: the
-    /// measured counterpart of its retry, hedge, breaker and replica
-    /// policies — a point-in-time copy of its [`ClientLedger`].
-    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    /// What a client endpoint's RPCs cost in reliability currency — the
+    /// measured counterpart of its retry, breaker and replica policies —
+    /// and how long they took: a point-in-time copy of its
+    /// [`ClientLedger`].
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
     snapshot ClientStats;
     /// One client endpoint's books, shared by every clone of the
     /// endpoint (a `PvfsFile` counts into the client it came from).
@@ -644,10 +645,6 @@ ledger! {
         /// Faults the transport injected (0 on a clean transport; the
         /// transport counts them, a snapshot copies its count in).
         faults_injected,
-        /// Hedged duplicates issued for slow reads (`PVFS_HEDGE`).
-        hedges_sent,
-        /// Hedged reads where the duplicate answered before the original.
-        hedge_wins,
         /// RPCs rejected client-side by an open circuit breaker
         /// (`PvfsError::Unavailable`) without touching the wire.
         breaker_rejections,
@@ -662,7 +659,13 @@ ledger! {
         quorum_shortfalls,
     }
     gauges {}
-    histograms {}
+    histograms {
+        /// Client-perceived latency of every RPC attempt a daemon served
+        /// — frame shipped to reply decoded, server errors included;
+        /// sheds, lost attempts, backoff sleeps and control scrapes
+        /// excluded.
+        rpc_latency,
+    }
 }
 
 /// What an anti-entropy scrub pass over one file observed and repaired
@@ -1002,9 +1005,11 @@ mod tests {
                 }
                 // Nothing is declared twice over: a snapshot is its own
                 // delta from nothing.
+                let delta = snap.since(&$Snapshot::default());
+                assert_eq!(delta.counters(), snap.counters());
                 assert_eq!(
-                    snap.since(&$Snapshot::default()).counters(),
-                    snap.counters()
+                    delta.histograms().map(|(name, h)| (name, h.count())),
+                    snap.histograms().map(|(name, h)| (name, h.count()))
                 );
 
                 let ledger = $Ledger::default();

@@ -133,7 +133,7 @@ pub struct Span {
     pub start_ns: u64,
     /// Duration in nanoseconds (0 for point events like `failover`).
     pub dur_ns: u64,
-    /// Annotations: `"retry#2"`, `"hedge"`, `"failover"`,
+    /// Annotations: `"retry#2"`, `"failover"`, `"error"`,
     /// `"quorum_ack:3/3"`, the RPC's target server, ...
     pub notes: Vec<String>,
 }

@@ -528,6 +528,10 @@ fn stats_tables(snaps: &[StatsSnapshot], mgr: &StatsSnapshot, client: &ClientSta
         latencies.push((format!("{name} fsync"), &s.fsync_time));
     }
     latencies.push(("mgr service".to_string(), &mgr.service_time));
+    for (name, h) in client.histograms() {
+        let what = name.trim_end_matches("_latency");
+        latencies.push((format!("client {what}"), h));
+    }
     let us = |ns: u64| ns as f64 / 1000.0;
     for (what, h) in latencies {
         let _ = writeln!(
@@ -853,18 +857,18 @@ mod tests {
             ..StatsSnapshot::default()
         };
         mgr.service_time.record(2_000);
-        let client = ClientStats {
+        let mut client = ClientStats {
             attempts: 1,
             retries: 2,
             backoff_ms: 3,
             faults_injected: 4,
-            hedges_sent: 5,
-            hedge_wins: 6,
-            breaker_rejections: 7,
-            sheds_seen: 8,
-            replica_failovers: 9,
-            quorum_shortfalls: 10,
+            breaker_rejections: 5,
+            sheds_seen: 6,
+            replica_failovers: 7,
+            quorum_shortfalls: 8,
+            ..ClientStats::default()
         };
+        client.rpc_latency.record(4_000);
         assert_eq!(
             stats_tables(&[iod.clone()], &mgr, &client),
             "\
@@ -880,18 +884,17 @@ iod0 queue-wait         1.0      3.0      3.0        2
 iod0 service         1000.0   1000.0   1000.0        1
 iod0 fsync              0.0      0.0      0.0        0
 mgr service             2.0      2.0      2.0        1
+client rpc              4.0      4.0      4.0        1
 
 client counters
   attempts                      1
   retries                       2
   backoff_ms                    3
   faults_injected               4
-  hedges_sent                   5
-  hedge_wins                    6
-  breaker_rejections            7
-  sheds_seen                    8
-  replica_failovers             9
-  quorum_shortfalls            10"
+  breaker_rejections            5
+  sheds_seen                    6
+  replica_failovers             7
+  quorum_shortfalls             8"
         );
         let empty = "{\"count\":0,\"min_ns\":0,\"p50_ns\":0,\"p95_ns\":0,\"p99_ns\":0,\"max_ns\":0,\"mean_ns\":0}";
         assert_eq!(
@@ -917,8 +920,10 @@ client counters
                  \"service_time\":{{\"count\":1,\"min_ns\":2000,\"p50_ns\":2000,\"p95_ns\":2000,\
                  \"p99_ns\":2000,\"max_ns\":2000,\"mean_ns\":2000}},\"fsync_time\":{empty}}}}},\
                  {{\"daemon\":\"client\",\"stats\":{{\"attempts\":1,\"retries\":2,\"backoff_ms\":3,\
-                 \"faults_injected\":4,\"hedges_sent\":5,\"hedge_wins\":6,\"breaker_rejections\":7,\
-                 \"sheds_seen\":8,\"replica_failovers\":9,\"quorum_shortfalls\":10}}}}]"
+                 \"faults_injected\":4,\"breaker_rejections\":5,\"sheds_seen\":6,\
+                 \"replica_failovers\":7,\"quorum_shortfalls\":8,\
+                 \"rpc_latency\":{{\"count\":1,\"min_ns\":4000,\"p50_ns\":4000,\"p95_ns\":4000,\
+                 \"p99_ns\":4000,\"max_ns\":4000,\"mean_ns\":4000}}}}}}]"
             )
         );
     }

@@ -2,9 +2,9 @@
 //! the parsers that live with the types they produce, and against
 //! README's table.
 
-use pvfs::collective::config::{parse_aggregators, parse_size};
+use pvfs::collective::config::parse_aggregators;
 use pvfs::disk::{StorageConfig, SyncPolicy};
-use pvfs::net::{BreakerPolicy, FaultPlan, HedgePolicy, RetryPolicy, TransportKind};
+use pvfs::net::{BreakerPolicy, FaultPlan, RetryPolicy, TransportKind};
 use pvfs::replica::{parse_quorum, parse_replicas};
 use pvfs::types::env::VARS;
 use pvfs::types::TraceMode;
@@ -17,9 +17,7 @@ fn accepted(name: &str, value: &str) -> bool {
         "PVFS_FAULTS" => FaultPlan::parse(value).is_ok(),
         "PVFS_RETRY" => RetryPolicy::parse(value).is_ok(),
         "PVFS_BREAKER" => BreakerPolicy::parse(value).is_ok(),
-        "PVFS_HEDGE" => HedgePolicy::parse(value).is_ok(),
         "PVFS_AGGREGATORS" => parse_aggregators(value).is_ok(),
-        "PVFS_CB_BUFFER" => parse_size(value).is_ok(),
         "PVFS_STORAGE" => StorageConfig::parse(value, SyncPolicy::Never).is_ok(),
         "PVFS_SYNC" => SyncPolicy::parse(value).is_ok(),
         "PVFS_STATS" => pvfs::net::live::parse_stats(value).is_ok(),
