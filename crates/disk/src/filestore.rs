@@ -80,7 +80,8 @@ impl FileStore {
             .truncate(false)
             .open(&data_path)
             .map_err(|e| storage_err("open data file", &data_path, e))?;
-        let (mut journal, replay) = Journal::open(&journal_path)
+        let mut raw = Vec::new();
+        let (mut journal, replay) = Journal::open(&journal_path, &mut raw)
             .map_err(|e| storage_err("open journal", &journal_path, e))?;
         if fresh {
             // Durability gap: creating h<N>.{data,journal} only stages
@@ -451,6 +452,29 @@ mod tests {
         assert_eq!(s2.read_vec(0, 10).unwrap(), vec![7u8; 10]);
         assert_eq!(s2.read_vec(100, 50).unwrap(), vec![0u8; 50]);
         assert_eq!(s2.read_vec(10, 10).unwrap(), vec![0u8; 10]);
+    }
+
+    #[test]
+    fn a_v1_journal_is_applied_and_checkpointed_and_the_next_append_is_v2() {
+        // A daemon of the previous record format crashed with three
+        // committed records in its journal; this build restarts on it.
+        use crate::journal::{fixtures, RECORD_MAGIC};
+        let dir = ScratchDir::new("fs-v1-journal");
+        let journal = dir.path().join("h1.journal");
+        std::fs::write(&journal, fixtures::bytes(fixtures::V1)).unwrap();
+        let (mut s, m) = open(dir.path(), SyncPolicy::Always);
+        assert_eq!(m.journal_replays.load(Ordering::Relaxed), 3);
+        assert_eq!(s.size(), 4098);
+        assert_eq!(s.read_vec(0, 9).unwrap(), b"list\0\0\0xy");
+        assert_eq!(s.read_vec(4096, 6).unwrap(), b"wr\0\0\0\0");
+        assert_eq!(s.journal_depth(), 0);
+        assert_eq!(std::fs::metadata(&journal).unwrap().len(), 0);
+        s.write_batch(&[(4, b"-io")]).unwrap();
+        assert_eq!(std::fs::read(&journal).unwrap()[..4], RECORD_MAGIC);
+        drop(s);
+        let (s2, m) = open(dir.path(), SyncPolicy::Always);
+        assert_eq!(m.journal_replays.load(Ordering::Relaxed), 1);
+        assert_eq!(s2.read_vec(0, 9).unwrap(), b"list-ioxy");
     }
 
     #[test]

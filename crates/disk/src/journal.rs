@@ -12,14 +12,26 @@
 //! # Record format (little-endian)
 //!
 //! ```text
-//! magic "PVJR" (4) | kind (1) | seq (8) | body | fnv1a64 (8)
+//! magic (4) | kind (1) | seq (8) | body | checksum (8)
 //!
 //! kind 1 = write batch:  count (4) | count × (offset 8, len 8) | payloads
 //! kind 2 = truncate:     size (8)
+//!
+//! magic "PVJ2" = v2: the word-at-a-time checksum of `crate::checksum`
+//! magic "PVJR" = v1: FNV-1a 64, one byte per multiply
 //! ```
 //!
-//! The checksum is FNV-1a 64 over everything before it (magic
-//! included). Truncates are journaled too: replay applies records in
+//! The checksum covers everything before it (magic included). The magic
+//! — four bytes a v1 record has too — says which function closes the
+//! record, so the version is read per record and the two formats are
+//! the same length. The writer emits v2 only. The reader still verifies
+//! v1: a journal is whatever the daemon that crashed left behind, and
+//! that may have been an older build. Its records replay, in order,
+//! ahead of any v2 records appended behind them, and its torn tail is
+//! discarded the same way; `fnv1a64` survives for that check and
+//! nothing else.
+//!
+//! Truncates are journaled too: replay applies records in
 //! order, so a truncate followed by new writes recovers exactly —
 //! without it, replaying an older write record could resurrect
 //! truncated bytes past the logical tail.
@@ -44,12 +56,16 @@
 //! the same reason `open` cuts a torn tail; if even that fails the
 //! journal refuses every later append ([`Journal::is_torn`]).
 
+use crate::checksum::{checksum, Checksum};
 use std::fs::{File, OpenOptions};
 use std::io::{self, IoSlice, Read, Write};
 use std::path::Path;
 
-/// Leading magic of every journal record.
-pub const RECORD_MAGIC: [u8; 4] = *b"PVJR";
+/// Leading magic of every record the writer emits (format v2).
+pub const RECORD_MAGIC: [u8; 4] = *b"PVJ2";
+
+/// Leading magic of a v1 record: FNV-1a where v2 has [`checksum`].
+const RECORD_MAGIC_V1: [u8; 4] = *b"PVJR";
 
 const KIND_WRITE_BATCH: u8 = 1;
 const KIND_TRUNCATE: u8 = 2;
@@ -62,15 +78,16 @@ pub fn write_batch_record_len<'d>(runs: impl Iterator<Item = (u64, &'d [u8])>) -
     runs.fold(RECORD_OVERHEAD + 4, |len, (_, data)| len + 16 + data.len())
 }
 
-/// One committed intent.
+/// One committed intent, its payloads borrowed from the bytes
+/// [`Journal::open`] read.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JournalRecord {
+pub enum JournalRecord<'r> {
     /// Apply every `(offset, payload)` run to the data file.
     WriteBatch {
         /// Monotonic record sequence number.
         seq: u64,
         /// The batch's runs, in application order.
-        runs: Vec<(u64, Vec<u8>)>,
+        runs: Vec<(u64, &'r [u8])>,
     },
     /// Truncate the data file to `size` bytes.
     Truncate {
@@ -81,7 +98,7 @@ pub enum JournalRecord {
     },
 }
 
-impl JournalRecord {
+impl JournalRecord<'_> {
     /// The record's sequence number.
     pub fn seq(&self) -> u64 {
         match self {
@@ -91,87 +108,57 @@ impl JournalRecord {
     }
 }
 
-/// FNV-1a 64 — tiny, dependency-free, and plenty to distinguish a torn
-/// record from a committed one.
-pub fn fnv1a64(data: &[u8]) -> u64 {
-    fnv1a64_more(FNV_OFFSET_BASIS, data)
+/// FNV-1a 64, the checksum of a v1 record: kept to verify the records
+/// an older daemon left behind, and for nothing else.
+fn fnv1a64(data: &[u8]) -> u64 {
+    data.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
-const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Continue an FNV-1a 64 hash over `data`: hashing a buffer piece by
-/// piece gives the hash of the pieces concatenated.
-fn fnv1a64_more(mut hash: u64, data: &[u8]) -> u64 {
-    for &b in data {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+/// The little-endian `u64` at `bytes[at..at + 8]`, if `bytes` is that long.
+fn u64_at(bytes: &[u8], at: usize) -> Option<u64> {
+    Some(u64::from_le_bytes(*bytes.get(at..)?.first_chunk()?))
 }
 
-/// Parse one record from `buf[pos..]`. `Ok(None)` means the tail is
-/// torn or corrupt (recovery stops there); `Ok(Some(...))` yields the
-/// record and the position just past it.
-fn parse_record(buf: &[u8], pos: usize) -> Option<(JournalRecord, usize)> {
+/// Parse one record, of either version, from `buf[pos..]`. `None` means
+/// the tail is torn or corrupt (recovery stops there); `Some(...)`
+/// yields the record and the position just past it.
+fn parse_record(buf: &[u8], pos: usize) -> Option<(JournalRecord<'_>, usize)> {
     let rest = &buf[pos..];
-    // magic + kind + seq
-    if rest.len() < 13 || rest[..4] != RECORD_MAGIC {
-        return None;
-    }
-    let kind = rest[4];
-    let seq = u64::from_le_bytes(rest[5..13].try_into().unwrap());
+    let sum_of: fn(&[u8]) -> u64 = match *rest.first_chunk()? {
+        RECORD_MAGIC => checksum,
+        RECORD_MAGIC_V1 => fnv1a64,
+        _ => return None,
+    };
+    let kind = *rest.get(4)?;
+    let seq = u64_at(rest, 5)?;
     let (record, body_end) = match kind {
         KIND_WRITE_BATCH => {
-            if rest.len() < 17 {
-                return None;
-            }
-            let count = u32::from_le_bytes(rest[13..17].try_into().unwrap()) as usize;
+            let count = u32::from_le_bytes(*rest.get(13..)?.first_chunk()?) as usize;
             // Bound the header against what's actually on disk before
             // allocating anything.
-            let runs_hdr = count.checked_mul(16)?;
-            let mut at = 17usize.checked_add(runs_hdr)?;
-            if rest.len() < at {
-                return None;
-            }
+            let mut at = 17usize.checked_add(count.checked_mul(16)?)?;
+            let table = rest.get(17..at)?;
             let mut runs = Vec::with_capacity(count);
-            for i in 0..count {
-                let h = 17 + i * 16;
-                let offset = u64::from_le_bytes(rest[h..h + 8].try_into().unwrap());
-                let len = u64::from_le_bytes(rest[h + 8..h + 16].try_into().unwrap());
-                if len > rest.len() as u64 {
-                    return None;
-                }
-                runs.push((offset, len as usize));
-            }
-            let mut out = Vec::with_capacity(count);
-            for (offset, len) in runs {
+            for entry in table.chunks_exact(16) {
+                let len = usize::try_from(u64_at(entry, 8)?).ok()?;
                 let end = at.checked_add(len)?;
-                if rest.len() < end {
-                    return None;
-                }
-                out.push((offset, rest[at..end].to_vec()));
+                runs.push((u64_at(entry, 0)?, rest.get(at..end)?));
                 at = end;
             }
-            (JournalRecord::WriteBatch { seq, runs: out }, at)
+            (JournalRecord::WriteBatch { seq, runs }, at)
         }
         KIND_TRUNCATE => {
-            if rest.len() < 21 {
-                return None;
-            }
-            let size = u64::from_le_bytes(rest[13..21].try_into().unwrap());
+            let size = u64_at(rest, 13)?;
             (JournalRecord::Truncate { seq, size }, 21)
         }
         _ => return None,
     };
-    let sum_end = body_end.checked_add(8)?;
-    if rest.len() < sum_end {
+    if sum_of(rest.get(..body_end)?) != u64_at(rest, body_end)? {
         return None;
     }
-    let want = u64::from_le_bytes(rest[body_end..sum_end].try_into().unwrap());
-    if fnv1a64(&rest[..body_end]) != want {
-        return None;
-    }
-    Some((record, pos + sum_end))
+    Some((record, pos + body_end + 8))
 }
 
 /// What the journal appends to: a sink for bytes that can cut a failed
@@ -258,18 +245,23 @@ impl Journal {
     /// Open (or create) the journal at `path`, returning it together
     /// with every committed record found — the valid prefix; a torn or
     /// corrupt tail is dropped and will be overwritten by the
-    /// post-replay checkpoint.
-    pub fn open(path: &Path) -> io::Result<(Journal, Vec<JournalRecord>)> {
+    /// post-replay checkpoint. The file is read into `raw`, once, and
+    /// the records borrow their payloads from it.
+    pub fn open<'r>(
+        path: &Path,
+        raw: &'r mut Vec<u8>,
+    ) -> io::Result<(Journal, Vec<JournalRecord<'r>>)> {
         let mut file = OpenOptions::new()
             .read(true)
             .append(true)
             .create(true)
             .open(path)?;
-        let mut raw = Vec::new();
-        file.read_to_end(&mut raw)?;
+        raw.clear();
+        file.read_to_end(raw)?;
+        let raw = &raw[..];
         let mut records = Vec::new();
         let mut pos = 0usize;
-        while let Some((record, next)) = parse_record(&raw, pos) {
+        while let Some((record, next)) = parse_record(raw, pos) {
             records.push(record);
             pos = next;
         }
@@ -360,13 +352,14 @@ impl<F: Tail> Journal<F> {
                 "journal has a torn tail that could not be cut off",
             ));
         }
-        let mut sum = fnv1a64(head);
+        let mut sum = Checksum::new();
+        sum.update(head);
         let mut len = head.len() + 8;
         for data in payloads.clone() {
-            sum = fnv1a64_more(sum, data);
+            sum.update(data);
             len += data.len();
         }
-        let sum = sum.to_le_bytes();
+        let sum = sum.finish().to_le_bytes();
         let limit = keep.map_or(len, |keep| keep.min(len - 1));
         // (The identity map shortens the payloads' lifetime to the
         // head's and the checksum's.)
@@ -432,26 +425,63 @@ impl<F: Tail> Journal<F> {
 }
 
 #[cfg(test)]
+/// Journals as they lie on disk, byte for byte: the same three records
+/// — a three-run batch with an empty run, a truncate, a one-run batch —
+/// from the last v1 writer (commit 28762a7) and from this one.
+pub(crate) mod fixtures {
+    pub(crate) const V1: &str = "\
+        50564a5201000000000000000003000000000000000000000004000000000000\
+        0040000000000000000000000000000000001000000000000006000000000000\
+        006c697374777269746521e9a37cf21cb29359\
+        50564a520201000000000000000210000000000000600542a49b7271d0\
+        50564a5201020000000000000001000000070000000000000002000000000000\
+        007879f363440d9a06b5b2";
+    pub(crate) const V2: &str = "\
+        50564a3201000000000000000003000000000000000000000004000000000000\
+        0040000000000000000000000000000000001000000000000006000000000000\
+        006c697374777269746521820c71ee381b2aad\
+        50564a32020100000000000000021000000000000026a481918c8545b1\
+        50564a3201020000000000000001000000070000000000000002000000000000\
+        007879b256a8cae8efee2c";
+
+    pub(crate) fn bytes(hex: &str) -> Vec<u8> {
+        assert!(hex.len().is_multiple_of(2), "odd hex literal");
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::scratch::ScratchDir;
 
     /// The contiguous encoding the journal used to build in memory
     /// before appending it in one write — the reference the vectored
-    /// append's file bytes are held to.
-    fn reference_record(kind: u8, seq: u64, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    /// append's file bytes are held to — in the format `magic` names.
+    fn reference_record(
+        magic: [u8; 4],
+        kind: u8,
+        seq: u64,
+        body: impl FnOnce(&mut Vec<u8>),
+    ) -> Vec<u8> {
         let mut buf = Vec::new();
-        buf.extend_from_slice(&RECORD_MAGIC);
+        buf.extend_from_slice(&magic);
         buf.push(kind);
         buf.extend_from_slice(&seq.to_le_bytes());
         body(&mut buf);
-        let sum = fnv1a64(&buf);
+        let sum = match magic {
+            RECORD_MAGIC => checksum(&buf),
+            _ => fnv1a64(&buf),
+        };
         buf.extend_from_slice(&sum.to_le_bytes());
         buf
     }
 
-    fn reference_write_batch(seq: u64, runs: &[(u64, &[u8])]) -> Vec<u8> {
-        reference_record(KIND_WRITE_BATCH, seq, |buf| {
+    fn reference_write_batch(magic: [u8; 4], seq: u64, runs: &[(u64, &[u8])]) -> Vec<u8> {
+        reference_record(magic, KIND_WRITE_BATCH, seq, |buf| {
             buf.extend_from_slice(&(runs.len() as u32).to_le_bytes());
             for (offset, data) in runs {
                 buf.extend_from_slice(&offset.to_le_bytes());
@@ -463,33 +493,55 @@ mod tests {
         })
     }
 
-    fn reference_truncate(seq: u64, size: u64) -> Vec<u8> {
-        reference_record(KIND_TRUNCATE, seq, |buf| {
+    fn reference_truncate(magic: [u8; 4], seq: u64, size: u64) -> Vec<u8> {
+        reference_record(magic, KIND_TRUNCATE, seq, |buf| {
             buf.extend_from_slice(&size.to_le_bytes())
         })
     }
 
+    /// The journal at `path`, open for appending; what it replays is the
+    /// caller's to check elsewhere.
+    fn writer(path: &Path) -> Journal {
+        Journal::open(path, &mut Vec::new()).unwrap().0
+    }
+
     /// Commit a write batch; returns its encoding and the record replay
     /// must hand back for it.
-    fn append_batch<F: Tail>(
+    fn append_batch<'d, F: Tail>(
         j: &mut Journal<F>,
-        runs: &[(u64, &[u8])],
-    ) -> (Vec<u8>, JournalRecord) {
+        runs: &[(u64, &'d [u8])],
+    ) -> (Vec<u8>, JournalRecord<'d>) {
         let seq = j.next_seq;
-        let encoded = reference_write_batch(seq, runs);
+        let encoded = reference_write_batch(RECORD_MAGIC, seq, runs);
         assert_eq!(
             j.append_write_batch(runs.iter().copied(), None).unwrap(),
             encoded.len() as u64
         );
-        let runs = runs.iter().map(|(o, d)| (*o, d.to_vec())).collect();
+        let runs = runs.to_vec();
         (encoded, JournalRecord::WriteBatch { seq, runs })
+    }
+
+    /// The three records both fixtures hold.
+    fn fixture_records() -> Vec<JournalRecord<'static>> {
+        vec![
+            JournalRecord::WriteBatch {
+                seq: 0,
+                runs: vec![(0, b"list"), (64, b""), (4096, b"write!")],
+            },
+            JournalRecord::Truncate { seq: 1, size: 4098 },
+            JournalRecord::WriteBatch {
+                seq: 2,
+                runs: vec![(7, b"xy")],
+            },
+        ]
     }
 
     #[test]
     fn roundtrip_records_through_a_file() {
         let dir = ScratchDir::new("journal-roundtrip");
         let path = dir.path().join("j");
-        let (mut j, replay) = Journal::open(&path).unwrap();
+        let mut raw = Vec::new();
+        let (mut j, replay) = Journal::open(&path, &mut raw).unwrap();
         assert!(replay.is_empty());
         let (_, a) = append_batch(&mut j, &[(0, b"abc"), (100, b"defg")]);
         j.append_truncate(50).unwrap();
@@ -498,16 +550,73 @@ mod tests {
         assert_eq!(j.depth(), 3);
         j.sync().unwrap();
         drop(j);
-        let (j2, replay) = Journal::open(&path).unwrap();
+        let (j2, replay) = Journal::open(&path, &mut raw).unwrap();
         assert_eq!(replay, vec![a, b, c]);
         assert_eq!(j2.depth(), 3);
+    }
+
+    #[test]
+    fn the_writer_reproduces_the_v2_fixture_byte_for_byte() {
+        let dir = ScratchDir::new("journal-v2-fixture");
+        let path = dir.path().join("j");
+        let mut j = writer(&path);
+        for record in fixture_records() {
+            match record {
+                JournalRecord::WriteBatch { runs, .. } => {
+                    j.append_write_batch(runs.into_iter(), None).unwrap()
+                }
+                JournalRecord::Truncate { size, .. } => j.append_truncate(size).unwrap(),
+            };
+        }
+        drop(j);
+        assert!(
+            std::fs::read(&path).unwrap() == fixtures::bytes(fixtures::V2),
+            "journal bytes differ"
+        );
+        let mut raw = Vec::new();
+        let (_, replay) = Journal::open(&path, &mut raw).unwrap();
+        assert_eq!(replay, fixture_records());
+    }
+
+    #[test]
+    fn a_v1_journal_replays_and_v2_records_appended_behind_it_replay_after() {
+        // What a daemon of the previous format left behind when it
+        // crashed: every record of it replays, and a journal that holds
+        // both formats (this writer appended before any checkpoint)
+        // replays all of them in order.
+        let dir = ScratchDir::new("journal-v1-fixture");
+        let path = dir.path().join("j");
+        let v1 = fixtures::bytes(fixtures::V1);
+        std::fs::write(&path, &v1).unwrap();
+        let mut raw = Vec::new();
+        let (mut j, replay) = Journal::open(&path, &mut raw).unwrap();
+        assert_eq!(replay, fixture_records());
+        assert_eq!((j.depth(), j.bytes()), (3, v1.len() as u64));
+        let (encoded, appended) = append_batch(&mut j, &[(9, b"second format")]);
+        assert_eq!(appended.seq(), 3);
+        assert_eq!(encoded[..4], RECORD_MAGIC);
+        j.append_truncate(5).unwrap();
+        drop(j);
+        let mut mixed = v1;
+        mixed.extend(encoded);
+        mixed.extend(reference_truncate(RECORD_MAGIC, 4, 5));
+        assert!(
+            std::fs::read(&path).unwrap() == mixed,
+            "journal bytes differ"
+        );
+        let mut raw = Vec::new();
+        let (j, replay) = Journal::open(&path, &mut raw).unwrap();
+        let mut want = fixture_records();
+        want.extend([appended, JournalRecord::Truncate { seq: 4, size: 5 }]);
+        assert_eq!(replay, want);
+        assert_eq!(j.depth(), 5);
     }
 
     #[test]
     fn vectored_records_are_byte_identical_to_the_contiguous_encoding() {
         let dir = ScratchDir::new("journal-golden");
         let path = dir.path().join("j");
-        let (mut j, _) = Journal::open(&path).unwrap();
+        let mut j = writer(&path);
         // More runs than one `writev` takes (IOV_MAX is 1024), an empty
         // run among them, and a batch of none.
         let payload: Vec<u8> = (0..5000u32).map(|i| (i * 7) as u8).collect();
@@ -527,10 +636,10 @@ mod tests {
         for (seq, runs) in batches.into_iter().enumerate() {
             let len = j.append_write_batch(runs.iter().copied(), None).unwrap();
             assert_eq!(len as usize, write_batch_record_len(runs.iter().copied()));
-            want.extend(reference_write_batch(seq as u64, runs));
+            want.extend(reference_write_batch(RECORD_MAGIC, seq as u64, runs));
         }
         assert_eq!(j.append_truncate(9).unwrap() as usize, RECORD_OVERHEAD + 8);
-        want.extend(reference_truncate(4, 9));
+        want.extend(reference_truncate(RECORD_MAGIC, 4, 9));
         assert_eq!(j.bytes(), want.len() as u64);
         assert_eq!(j.depth(), 5);
         drop(j);
@@ -538,7 +647,8 @@ mod tests {
             std::fs::read(&path).unwrap() == want,
             "journal bytes differ"
         );
-        let (_, replay) = Journal::open(&path).unwrap();
+        let mut raw = Vec::new();
+        let (_, replay) = Journal::open(&path, &mut raw).unwrap();
         assert_eq!(replay.len(), 5);
     }
 
@@ -547,38 +657,87 @@ mod tests {
         // Every write boundary of an append: whatever prefix of the
         // record a crash leaves — cut inside the head, inside either
         // run, inside the checksum — commits nothing, and the record
-        // before it still replays.
+        // before it still replays. In both formats: the v2 tail is torn
+        // by the writer's own crash injection, the v1 tail (behind a v1
+        // record) is laid down as the bytes the old writer made.
         let dir = ScratchDir::new("journal-prefixes");
         let runs: [(u64, &[u8]); 2] = [(64, &[0xAA; 19]), (4096, b"second run")];
         let len = write_batch_record_len(runs.iter().copied());
-        for keep in 0..len {
-            let path = dir.path().join(format!("j{keep}"));
-            let (mut j, _) = Journal::open(&path).unwrap();
-            let (first, committed) = append_batch(&mut j, &[(0, b"committed")]);
-            assert_eq!(
-                j.append_write_batch(runs.iter().copied(), Some(keep))
-                    .unwrap(),
-                len as u64
-            );
-            assert_eq!((j.depth(), j.bytes()), (1, first.len() as u64));
-            assert!(j.is_torn());
-            drop(j);
-            assert_eq!(
-                std::fs::metadata(&path).unwrap().len(),
-                (first.len() + keep) as u64
-            );
-            let (j, replay) = Journal::open(&path).unwrap();
-            assert_eq!(replay, vec![committed], "prefix of {keep} bytes");
-            assert_eq!(j.bytes(), first.len() as u64);
+        let committed = JournalRecord::WriteBatch {
+            seq: 0,
+            runs: vec![(0, b"committed")],
+        };
+        let mut raw = Vec::new();
+        for magic in [RECORD_MAGIC, RECORD_MAGIC_V1] {
+            let first = reference_write_batch(magic, 0, &[(0, b"committed")]);
+            let lost = reference_write_batch(magic, 1, &runs);
+            assert_eq!(lost.len(), len);
+            for keep in 0..len {
+                let path = dir.path().join(format!("j{keep}"));
+                if magic == RECORD_MAGIC {
+                    let mut j = writer(&path);
+                    assert_eq!(append_batch(&mut j, &[(0, b"committed")]).0, first);
+                    assert_eq!(
+                        j.append_write_batch(runs.iter().copied(), Some(keep))
+                            .unwrap(),
+                        len as u64
+                    );
+                    assert_eq!((j.depth(), j.bytes()), (1, first.len() as u64));
+                    assert!(j.is_torn());
+                    drop(j);
+                    let torn = [&first[..], &lost[..keep]].concat();
+                    assert!(std::fs::read(&path).unwrap() == torn, "torn bytes differ");
+                } else {
+                    std::fs::write(&path, [&first[..], &lost[..keep]].concat()).unwrap();
+                }
+                let (j, replay) = Journal::open(&path, &mut raw).unwrap();
+                assert_eq!(
+                    replay,
+                    std::slice::from_ref(&committed),
+                    "prefix of {keep} bytes"
+                );
+                assert_eq!(j.bytes(), first.len() as u64);
+                assert_eq!(std::fs::metadata(&path).unwrap().len(), j.bytes());
+                std::fs::remove_file(&path).unwrap();
+            }
         }
         // Asking to keep the whole record still tears it.
         let path = dir.path().join("all");
-        let (mut j, _) = Journal::open(&path).unwrap();
+        let mut j = writer(&path);
         j.append_write_batch(runs.iter().copied(), Some(usize::MAX))
             .unwrap();
         drop(j);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), len as u64 - 1);
-        assert!(Journal::open(&path).unwrap().1.is_empty());
+        assert!(Journal::open(&path, &mut raw).unwrap().1.is_empty());
+    }
+
+    #[test]
+    fn a_record_whose_tail_reads_back_as_zeros_does_not_verify() {
+        // The other shape a torn append takes: the file grew to the
+        // record's full length but the blocks behind byte `keep` never
+        // reached the disk and read back as zeros — an all-zero payload
+        // tail and an all-zero checksum among the cases. Nothing of it
+        // may replay, in either format.
+        let dir = ScratchDir::new("journal-zero-tail");
+        let path = dir.path().join("j");
+        let zeros = [0u8; 48];
+        let runs: [(u64, &[u8]); 2] = [(64, &[0xAA; 19]), (4096, &zeros)];
+        let mut raw = Vec::new();
+        for magic in [RECORD_MAGIC, RECORD_MAGIC_V1] {
+            let first = reference_write_batch(magic, 0, &[(0, b"committed")]);
+            let lost = reference_write_batch(magic, 1, &runs);
+            for keep in 0..lost.len() {
+                let mut holed = [&first[..], &lost[..]].concat();
+                holed[first.len() + keep..].fill(0);
+                if holed[first.len()..] == lost[..] {
+                    continue;
+                }
+                std::fs::write(&path, &holed).unwrap();
+                let (j, replay) = Journal::open(&path, &mut raw).unwrap();
+                assert_eq!(replay.len(), 1, "{keep} bytes, then zeros, replayed");
+                assert_eq!(j.bytes(), first.len() as u64);
+            }
+        }
     }
 
     /// A journal file that takes `budget` more bytes and then fails
@@ -617,7 +776,8 @@ mod tests {
     }
 
     fn flaky_journal(path: &Path, budget: usize, cut_fails: bool) -> Journal<Flaky> {
-        let (j, replay) = Journal::open(path).unwrap();
+        let mut raw = Vec::new();
+        let (j, replay) = Journal::open(path, &mut raw).unwrap();
         assert!(replay.is_empty());
         Journal {
             file: Flaky {
@@ -641,6 +801,7 @@ mod tests {
         let dir = ScratchDir::new("journal-failed-append");
         let lost: [(u64, &[u8]); 2] = [(0, &[0x11; 40]), (100, &[0x22; 40])];
         let head = 13 + 4 + 2 * 16;
+        let mut raw = Vec::new();
         // Fail inside the head, inside the first run, inside the
         // second, inside the checksum, and before a single byte.
         for accepted in [0, 5, head + 3, head + 40 + 7, head + 80 + 2] {
@@ -663,7 +824,7 @@ mod tests {
             let (_, b) = append_batch(&mut j, &[(9, b"after the failure")]);
             assert_eq!(j.depth(), 2);
             drop(j);
-            let (_, replay) = Journal::open(&path).unwrap();
+            let (_, replay) = Journal::open(&path, &mut raw).unwrap();
             assert_eq!(replay, vec![a, b], "failed after {accepted} bytes");
         }
     }
@@ -688,7 +849,8 @@ mod tests {
         assert!(j.append_truncate(3).is_err());
         assert_eq!(j.depth(), 1);
         drop(j);
-        let (_, replay) = Journal::open(&path).unwrap();
+        let mut raw = Vec::new();
+        let (_, replay) = Journal::open(&path, &mut raw).unwrap();
         assert_eq!(replay, vec![a]);
     }
 
@@ -696,12 +858,13 @@ mod tests {
     fn torn_tail_is_discarded_not_replayed() {
         let dir = ScratchDir::new("journal-torn");
         let path = dir.path().join("j");
-        let (mut j, _) = Journal::open(&path).unwrap();
+        let mut j = writer(&path);
         let (_, committed) = append_batch(&mut j, &[(0, b"committed")]);
         j.append_write_batch([(64, &[0xAA; 128][..])].into_iter(), Some(40))
             .unwrap();
         drop(j);
-        let (j2, replay) = Journal::open(&path).unwrap();
+        let mut raw = Vec::new();
+        let (j2, replay) = Journal::open(&path, &mut raw).unwrap();
         assert_eq!(replay, vec![committed]);
         // The reopened journal only counts the valid prefix.
         assert_eq!(j2.depth(), 1);
@@ -714,11 +877,12 @@ mod tests {
         // stops at the first byte that is not a record) never looks.
         let dir = ScratchDir::new("journal-torn-then-append");
         let path = dir.path().join("j");
-        let (mut j, _) = Journal::open(&path).unwrap();
+        let mut j = writer(&path);
         j.append_write_batch([(0, &[0xAA; 64][..])].into_iter(), Some(30))
             .unwrap();
         drop(j);
-        let (mut j, replay) = Journal::open(&path).unwrap();
+        let mut raw = Vec::new();
+        let (mut j, replay) = Journal::open(&path, &mut raw).unwrap();
         assert!(replay.is_empty());
         let (encoded, after) = append_batch(&mut j, &[(8, b"after the tear")]);
         drop(j);
@@ -726,7 +890,7 @@ mod tests {
             std::fs::metadata(&path).unwrap().len(),
             encoded.len() as u64
         );
-        let (_, replay) = Journal::open(&path).unwrap();
+        let (_, replay) = Journal::open(&path, &mut raw).unwrap();
         assert_eq!(replay, vec![after]);
     }
 
@@ -734,15 +898,16 @@ mod tests {
     fn corrupt_byte_invalidates_only_the_tail() {
         let dir = ScratchDir::new("journal-corrupt");
         let path = dir.path().join("j");
-        let (mut j, _) = Journal::open(&path).unwrap();
+        let mut j = writer(&path);
         let (a_encoded, a) = append_batch(&mut j, &[(0, &[1; 32])]);
         append_batch(&mut j, &[(32, &[2; 32])]);
         drop(j);
         // Flip one payload byte inside record b.
-        let mut raw = std::fs::read(&path).unwrap();
-        raw[a_encoded.len() + 30] ^= 0xFF;
-        std::fs::write(&path, &raw).unwrap();
-        let (_, replay) = Journal::open(&path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[a_encoded.len() + 30] ^= 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+        let mut raw = Vec::new();
+        let (_, replay) = Journal::open(&path, &mut raw).unwrap();
         assert_eq!(replay, vec![a]);
     }
 
@@ -750,13 +915,14 @@ mod tests {
     fn checkpoint_empties_the_journal() {
         let dir = ScratchDir::new("journal-checkpoint");
         let path = dir.path().join("j");
-        let (mut j, _) = Journal::open(&path).unwrap();
+        let mut j = writer(&path);
         append_batch(&mut j, &[(0, &[9; 8])]);
         j.checkpoint().unwrap();
         assert_eq!(j.depth(), 0);
         assert_eq!(j.bytes(), 0);
         drop(j);
-        let (_, replay) = Journal::open(&path).unwrap();
+        let mut raw = Vec::new();
+        let (_, replay) = Journal::open(&path, &mut raw).unwrap();
         assert!(replay.is_empty());
         // Sequence numbers keep rising across a checkpoint within one
         // session; after reopen they restart — both are fine because
@@ -771,7 +937,7 @@ mod tests {
         // the record never replayed (offset 0 holds no record).
         let dir = ScratchDir::new("journal-checkpoint-append");
         let path = dir.path().join("j");
-        let (mut j, _) = Journal::open(&path).unwrap();
+        let mut j = writer(&path);
         append_batch(&mut j, &[(0, &[1; 500]), (4096, &[2; 500])]);
         j.checkpoint().unwrap();
         let (encoded, second) = append_batch(&mut j, &[(64, b"committed, not yet applied")]);
@@ -784,7 +950,8 @@ mod tests {
             encoded.len() as u64,
             "the journal is exactly one record long"
         );
-        let (_, replay) = Journal::open(&path).unwrap();
+        let mut raw = Vec::new();
+        let (_, replay) = Journal::open(&path, &mut raw).unwrap();
         assert_eq!(replay, vec![second]);
     }
 
@@ -793,7 +960,8 @@ mod tests {
         let dir = ScratchDir::new("journal-garbage");
         let path = dir.path().join("j");
         std::fs::write(&path, b"this is not a journal at all").unwrap();
-        let (j, replay) = Journal::open(&path).unwrap();
+        let mut raw = Vec::new();
+        let (j, replay) = Journal::open(&path, &mut raw).unwrap();
         assert!(replay.is_empty());
         assert_eq!(j.depth(), 0);
     }
@@ -802,14 +970,49 @@ mod tests {
     fn absurd_counts_do_not_allocate_or_panic() {
         let dir = ScratchDir::new("journal-absurd");
         let path = dir.path().join("j");
-        // A record header claiming u32::MAX runs with no body.
-        let mut raw = Vec::new();
-        raw.extend_from_slice(&RECORD_MAGIC);
-        raw.push(1u8);
-        raw.extend_from_slice(&0u64.to_le_bytes());
-        raw.extend_from_slice(&u32::MAX.to_le_bytes());
-        std::fs::write(&path, &raw).unwrap();
-        let (_, replay) = Journal::open(&path).unwrap();
-        assert!(replay.is_empty());
+        // A record header claiming u32::MAX runs with no body, and one
+        // whose single run claims to be u64::MAX bytes long.
+        for (count, run_len) in [(u32::MAX, None), (1, Some(u64::MAX))] {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(&RECORD_MAGIC);
+            bytes.push(1u8);
+            bytes.extend_from_slice(&0u64.to_le_bytes());
+            bytes.extend_from_slice(&count.to_le_bytes());
+            if let Some(len) = run_len {
+                bytes.extend_from_slice(&0u64.to_le_bytes());
+                bytes.extend_from_slice(&len.to_le_bytes());
+            }
+            std::fs::write(&path, &bytes).unwrap();
+            let mut raw = Vec::new();
+            let (_, replay) = Journal::open(&path, &mut raw).unwrap();
+            assert!(replay.is_empty());
+        }
+    }
+
+    /// Release builds only (an unoptimised build times the compiler's
+    /// debug code, not the algorithm): the checksum against the bytewise
+    /// FNV-1a it replaced, best of 20 passes over 1 MiB each, inside one
+    /// process — a ratio, so a slow phase of the host cancels.
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn the_checksum_is_at_least_five_times_the_bytewise_fnv() {
+        use std::hint::black_box;
+        use std::time::{Duration, Instant};
+        let data: Vec<u8> = (0..1u32 << 20).map(|i| (i * 31 + 7) as u8).collect();
+        let best_of_20 = |sum_of: fn(&[u8]) -> u64| -> Duration {
+            (0..20)
+                .map(|_| {
+                    let t = Instant::now();
+                    black_box(sum_of(black_box(&data)));
+                    t.elapsed()
+                })
+                .min()
+                .unwrap()
+        };
+        let (old, new) = (best_of_20(fnv1a64), best_of_20(checksum));
+        assert!(
+            new * 5 <= old,
+            "checksum {new:?} per MiB against FNV-1a's {old:?}: less than 5x"
+        );
     }
 }

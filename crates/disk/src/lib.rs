@@ -27,6 +27,7 @@
 
 pub mod backend;
 pub mod cache;
+mod checksum;
 pub mod filestore;
 pub mod journal;
 pub mod localfile;

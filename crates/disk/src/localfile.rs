@@ -13,6 +13,7 @@
 
 use crate::backend::{CrashPoint, StorageBackend};
 use crate::cache::{BufferCache, CacheConfig, CacheOutcome};
+use crate::checksum::checksum;
 use crate::model::{DiskModel, HeadTracker};
 use crate::store::SparseStore;
 use pvfs_types::PvfsResult;
@@ -212,21 +213,24 @@ impl LocalFile {
         self.write_version
     }
 
-    /// Anti-entropy digests: fnv1a64 over each `chunk`-byte piece of
-    /// the local bytes `[i*chunk, min((i+1)*chunk, size))`, plus the
-    /// in-memory write version. Reads go straight to the store (the
+    /// Anti-entropy digests: the journal's checksum over each
+    /// `chunk`-byte piece of the local bytes
+    /// `[i*chunk, min((i+1)*chunk, size))`, plus the in-memory write
+    /// version (a wire value, recomputed at every scrub, never stored). Reads go straight to the store (the
     /// authoritative bytes — the buffer cache is only a cost model), so
-    /// digests never disturb cache residency or cost accounting.
+    /// digests never disturb cache residency or cost accounting; every
+    /// chunk is read into the same buffer.
     pub fn digest_chunks(&self, chunk: u64) -> PvfsResult<(u64, Vec<u64>)> {
         debug_assert!(chunk > 0, "digest chunk must be nonzero");
         let size = self.store.size();
         let n = size.div_ceil(chunk);
         let mut chunks = Vec::with_capacity(n as usize);
+        let mut data = vec![0u8; chunk.min(size) as usize];
         for i in 0..n {
             let offset = i * chunk;
-            let len = chunk.min(size - offset) as usize;
-            let data = self.store.read_vec(offset, len)?;
-            chunks.push(crate::journal::fnv1a64(&data));
+            let piece = &mut data[..chunk.min(size - offset) as usize];
+            self.store.read_at(offset, piece)?;
+            chunks.push(checksum(piece));
         }
         Ok((self.write_version, chunks))
     }
@@ -526,8 +530,8 @@ mod tests {
         assert_eq!(d.len(), 3); // 16 + 16 + 8-byte tail
                                 // Same bytes, different chunking boundaries -> same per-chunk
                                 // hashes as a hand computation.
-        assert_eq!(d[0], crate::journal::fnv1a64(&[1u8; 16]));
-        assert_eq!(d[2], crate::journal::fnv1a64(&[1u8; 8]));
+        assert_eq!(d[0], checksum(&[1u8; 16]));
+        assert_eq!(d[2], checksum(&[1u8; 8]));
         // A write anywhere bumps the version; an identical overwrite
         // leaves the digests equal.
         f.write_at(0, &[1u8; 40]).unwrap();

@@ -193,8 +193,8 @@ pub enum Request {
     /// queue and worker path as data traffic.
     Ping,
     /// Anti-entropy digest scrape for one handle: the daemon answers
-    /// [`Response::Digests`] with an fnv1a64 checksum of each
-    /// `chunk`-sized run of its local file. Replicas holding identical
+    /// [`Response::Digests`] with a 64-bit checksum (`pvfs-disk`'s, the
+    /// one its journal uses) of each `chunk`-sized run of its local file. Replicas holding identical
     /// local files answer identically, so a client can find divergence
     /// between mirrors by comparing digest vectors instead of moving
     /// data. Accounted as a normal request (it reads the whole local
@@ -480,8 +480,10 @@ pub enum Response {
     /// operations this daemon has applied to the handle since *it*
     /// started — a freshly restarted daemon answers 0 and is therefore
     /// never mistaken for the freshest replica by a scrub. `size` is
-    /// the local file size; `chunks[i]` is the fnv1a64 of local bytes
-    /// `[i * chunk, min((i + 1) * chunk, size))`.
+    /// the local file size; `chunks[i]` is the checksum of local bytes
+    /// `[i * chunk, min((i + 1) * chunk, size))` — computed afresh for
+    /// every scrape and only ever compared with another daemon's, so
+    /// the function is not part of the wire format.
     Digests {
         version: u64,
         size: u64,

@@ -335,7 +335,8 @@ pub struct DigestReply {
     pub version: u64,
     /// The copy's local file size.
     pub size: u64,
-    /// fnv1a64 over each `chunk`-byte local piece.
+    /// The daemon's checksum of each `chunk`-byte local piece
+    /// (comparable between daemons of one build, never stored).
     pub chunks: Vec<u64>,
 }
 

@@ -30,7 +30,7 @@
 
 use pvfs::client::PvfsFile;
 use pvfs::core::Method;
-use pvfs::disk::{ScratchDir, StorageConfig, SyncPolicy};
+use pvfs::disk::{LocalFile, ScratchDir, SparseStore, StorageConfig, SyncPolicy};
 use pvfs::net::{LiveCluster, TransportKind};
 use pvfs::server::IodConfig;
 use pvfs::types::StripeLayout;
@@ -162,6 +162,7 @@ fn a_list_op_allocates_a_fixed_small_multiple_of_its_payload() {
     }
     cyclic_list_ops();
     durable_flash_checkpoint();
+    scrub_digests();
 }
 
 fn cyclic_list_ops() {
@@ -289,6 +290,20 @@ fn cyclic_list_ops() {
             );
         }
     }
+}
+
+/// What a scrub asks of each daemon: the digests of a file, chunk by
+/// chunk. The vector of digests and one buffer every chunk is read into
+/// — it was a fresh buffer per chunk.
+fn scrub_digests() {
+    let mut file = LocalFile::unmodelled(Box::new(SparseStore::new()));
+    file.write_at(0, &verify::content(5, 64 * 1024 + 100))
+        .unwrap();
+    let (allocs, _) = allocated_by(|| {
+        let (_, digests) = file.digest_chunks(4096).unwrap();
+        assert_eq!(digests.len(), 17);
+    });
+    assert_eq!(allocs, 2, "digests of a 17-chunk file");
 }
 
 fn durable_flash_checkpoint() {
