@@ -1,35 +1,37 @@
 //! Regenerate the paper's measured figures.
 //!
 //! ```text
-//! figures [FIGURE ...] [--scale quick|mid|paper] [--out DIR] [--transport chan|tcp]
+//! figures [FIGURE ...] [--scale quick|mid|paper] [--out DIR]
 //!
-//! FIGURE: fig9 fig10 fig11 fig12 fig15 fig17 ext-datatype ext-hybrid wire chaos durability collective replica trace all
+//! FIGURE: fig9 fig10 fig11 fig12 fig15 fig17 ext-datatype ext-hybrid all
 //! ```
 //!
 //! Writes one CSV per figure into `--out` (default `results/`) and
 //! prints the tables. Simulated seconds come from the calibrated Chiba
 //! City cost model; compare *shapes* with the paper, not absolute
-//! values (see EXPERIMENTS.md). The `wire` figure instead runs on the
-//! **live** cluster over the transport chosen by `--transport`
-//! (in-process channels or real TCP loopback sockets) and reports the
-//! request frames and bytes the daemons actually received. The `chaos`
-//! figure is also live: list-I/O goodput under 0–20% injected
-//! transport faults, retries on vs off.
+//! values (see EXPERIMENTS.md). The live cluster is timed by `perf/`.
 
 use pvfs_bench::figures::{ext_datatype, ext_hybrid};
 use pvfs_bench::{
-    chaos, collective, durability, fig10, fig11, fig12, fig15, fig17, fig9, render_bars,
-    render_table, replica, trace, wire, write_csv, Row, Scale,
+    fig10, fig11, fig12, fig15, fig17, fig9, render_bars, render_table, write_csv, Row, Scale,
 };
-use pvfs_net::TransportKind;
 use std::path::PathBuf;
-use std::time::Instant;
+
+const ALL: [&str; 8] = [
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig15",
+    "fig17",
+    "ext-datatype",
+    "ext-hybrid",
+];
 
 fn main() {
     let mut figures: Vec<String> = Vec::new();
     let mut scale = Scale::Mid;
     let mut out_dir = PathBuf::from("results");
-    let mut transport = TransportKind::Chan;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -43,19 +45,10 @@ fn main() {
             "--out" => {
                 out_dir = PathBuf::from(args.next().unwrap_or_else(|| "results".into()));
             }
-            "--transport" => {
-                let v = args.next().unwrap_or_default();
-                transport = TransportKind::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown transport '{v}' (chan|tcp)");
-                    std::process::exit(2);
-                });
-            }
             "--help" | "-h" => {
                 println!(
-                    "usage: figures [fig9 fig10 fig11 fig12 fig15 fig17 ext-datatype ext-hybrid wire chaos durability collective replica trace | all] \
-                     [--scale quick|mid|paper] [--out DIR] [--transport chan|tcp]\n\
-                     (--transport selects the live cluster's transport for the `wire`, `chaos`, `durability`,\n\
-                      `collective`, `replica`, and `trace` figures; the fig* figures run on the calibrated simulator)"
+                    "usage: figures [{} | all] [--scale quick|mid|paper] [--out DIR]",
+                    ALL.join(" ")
                 );
                 return;
             }
@@ -63,28 +56,10 @@ fn main() {
         }
     }
     if figures.is_empty() || figures.iter().any(|f| f == "all") {
-        figures = [
-            "fig9",
-            "fig10",
-            "fig11",
-            "fig12",
-            "fig15",
-            "fig17",
-            "ext-datatype",
-            "ext-hybrid",
-            "wire",
-            "chaos",
-            "durability",
-            "collective",
-            "replica",
-            "trace",
-        ]
-        .map(String::from)
-        .to_vec();
+        figures = ALL.map(String::from).to_vec();
     }
 
     for name in &figures {
-        let started = Instant::now();
         eprintln!("running {name} at {scale:?} scale ...");
         let rows: Vec<Row> = match name.as_str() {
             "fig9" => fig9(scale),
@@ -95,12 +70,6 @@ fn main() {
             "fig17" => fig17(scale),
             "ext-datatype" => ext_datatype(scale),
             "ext-hybrid" => ext_hybrid(scale),
-            "wire" => wire(scale, transport),
-            "chaos" => chaos(scale, transport),
-            "durability" => durability(scale, transport),
-            "collective" => collective(scale, transport),
-            "replica" => replica(scale, transport),
-            "trace" => trace(scale, transport),
             other => {
                 eprintln!("unknown figure '{other}'");
                 std::process::exit(2);
@@ -110,11 +79,6 @@ fn main() {
         write_csv(&rows, &path).expect("write csv");
         println!("{}", render_table(&rows));
         println!("{}", render_bars(&rows));
-        eprintln!(
-            "{name}: {} rows -> {} ({:.1}s wall)",
-            rows.len(),
-            path.display(),
-            started.elapsed().as_secs_f64()
-        );
+        eprintln!("{name}: {} rows -> {}", rows.len(), path.display());
     }
 }

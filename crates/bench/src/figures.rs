@@ -84,9 +84,7 @@ impl Scale {
         }
     }
 
-    /// FLASH blocks per process at this scale (Fig. 15 and the
-    /// `durability` figure share the workload).
-    pub fn flash_blocks(self) -> u64 {
+    fn flash_blocks(self) -> u64 {
         match self {
             Scale::Quick => 2,
             Scale::Mid => 20,
@@ -174,7 +172,6 @@ fn art_row(
         seconds: outcome.seconds,
         requests: outcome.requests,
         wire_bytes: outcome.wire_bytes,
-        ..Row::default()
     }
 }
 
@@ -317,7 +314,6 @@ pub fn fig15(scale: Scale) -> Vec<Row> {
                 seconds: outcome.seconds,
                 requests: outcome.requests,
                 wire_bytes: outcome.wire_bytes,
-                ..Row::default()
             });
         }
     }
@@ -349,7 +345,6 @@ pub fn fig17(_scale: Scale) -> Vec<Row> {
                 seconds,
                 requests: outcome.requests,
                 wire_bytes: outcome.wire_bytes,
-                ..Row::default()
             });
         }
     }
@@ -422,7 +417,6 @@ pub fn ext_hybrid(scale: Scale) -> Vec<Row> {
                 seconds: outcome.seconds,
                 requests: outcome.requests,
                 wire_bytes: outcome.wire_bytes,
-                ..Row::default()
             });
         }
         // Auto-tuned hybrid: derives its gap threshold from the request.
@@ -446,7 +440,6 @@ pub fn ext_hybrid(scale: Scale) -> Vec<Row> {
                 seconds: outcome.seconds,
                 requests: outcome.requests,
                 wire_bytes: outcome.wire_bytes,
-                ..Row::default()
             });
         }
     }

@@ -10,14 +10,10 @@
 //! All experiments run on the paper's cluster: 8 I/O servers (one
 //! doubling as manager), 16 KiB stripes, 100 Mb/s Ethernet.
 
-pub mod collective;
 pub mod figures;
-pub mod live;
 pub mod plot;
 pub mod report;
 
-pub use collective::collective;
 pub use figures::{fig10, fig11, fig12, fig15, fig17, fig9, Scale};
-pub use live::{chaos, durability, replica, trace, wire};
 pub use plot::render_bars;
 pub use report::{render_table, write_csv, Row};

@@ -75,7 +75,6 @@ mod tests {
             seconds,
             requests: 0,
             wire_bytes: 0,
-            ..Row::default()
         }
     }
 

@@ -4,7 +4,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 /// One measured point of a figure.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     /// Figure id, e.g. `"fig9"`.
     pub figure: &'static str,
@@ -20,44 +20,16 @@ pub struct Row {
     pub requests: u64,
     /// Total bytes that crossed the network.
     pub wire_bytes: u64,
-    /// Client-perceived RPC latency percentiles in nanoseconds, from
-    /// [`pvfs_client::ExecReport::rpc_latency`]. Zero for simulator
-    /// figures, which model time instead of measuring it.
-    pub p50_ns: u64,
-    /// See [`Row::p50_ns`].
-    pub p95_ns: u64,
-    /// See [`Row::p50_ns`].
-    pub p99_ns: u64,
-}
-
-impl Row {
-    /// Fill the latency columns from a measured distribution.
-    pub fn with_latency(mut self, h: &pvfs_types::Histogram) -> Row {
-        self.p50_ns = h.percentile_ns(0.50);
-        self.p95_ns = h.percentile_ns(0.95);
-        self.p99_ns = h.percentile_ns(0.99);
-        self
-    }
 }
 
 /// Serialize rows as CSV (with header) to `path`.
 pub fn write_csv(rows: &[Row], path: &Path) -> std::io::Result<()> {
-    let mut out =
-        String::from("figure,panel,series,x,seconds,requests,wire_bytes,p50_ns,p95_ns,p99_ns\n");
+    let mut out = String::from("figure,panel,series,x,seconds,requests,wire_bytes\n");
     for r in rows {
         let _ = writeln!(
             out,
-            "{},{},{},{},{:.6},{},{},{},{},{}",
-            r.figure,
-            r.panel,
-            r.series,
-            r.x,
-            r.seconds,
-            r.requests,
-            r.wire_bytes,
-            r.p50_ns,
-            r.p95_ns,
-            r.p99_ns
+            "{},{},{},{},{:.6},{},{}",
+            r.figure, r.panel, r.series, r.x, r.seconds, r.requests, r.wire_bytes
         );
     }
     if let Some(dir) = path.parent() {
@@ -77,21 +49,18 @@ pub fn render_table(rows: &[Row]) -> String {
         let _ = writeln!(out, "--- {} / {panel} ---", rows[0].figure);
         let _ = writeln!(
             out,
-            "{:<10} {:>20} {:>14} {:>12} {:>14} {:>9} {:>9} {:>9}",
-            "x", "series", "seconds", "requests", "wire MB", "p50 µs", "p95 µs", "p99 µs"
+            "{:<10} {:>20} {:>14} {:>12} {:>14}",
+            "x", "series", "seconds", "requests", "wire MB"
         );
         for r in rows.iter().filter(|r| r.panel == panel) {
             let _ = writeln!(
                 out,
-                "{:<10} {:>20} {:>14.3} {:>12} {:>14.2} {:>9.1} {:>9.1} {:>9.1}",
+                "{:<10} {:>20} {:>14.3} {:>12} {:>14.2}",
                 r.x,
                 r.series,
                 r.seconds,
                 r.requests,
-                r.wire_bytes as f64 / 1e6,
-                r.p50_ns as f64 / 1000.0,
-                r.p95_ns as f64 / 1000.0,
-                r.p99_ns as f64 / 1000.0
+                r.wire_bytes as f64 / 1e6
             );
         }
         out.push('\n');
@@ -112,38 +81,23 @@ mod tests {
             seconds: s,
             requests: 10,
             wire_bytes: 1_000_000,
-            ..Row::default()
         }
     }
 
     #[test]
     fn csv_roundtrip_shape() {
         let rows = vec![row("a", "s1", 1, 0.5), row("a", "s2", 1, 1.5)];
-        let dir = std::env::temp_dir().join("pvfs-bench-test");
-        let path = dir.join("out.csv");
+        let dir = pvfs_disk::ScratchDir::new("bench-csv");
+        let path = dir.path().join("out.csv");
         write_csv(&rows, &path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with("figure,panel,series"));
-        assert!(text
-            .lines()
-            .next()
-            .unwrap()
-            .ends_with("p50_ns,p95_ns,p99_ns"));
-        assert_eq!(text.lines().count(), 3);
-        assert!(text.contains("figX,a,s2,1,1.500000,10,1000000,0,0,0"));
-    }
-
-    #[test]
-    fn with_latency_fills_the_percentile_columns() {
-        let mut h = pvfs_types::Histogram::new();
-        for _ in 0..100 {
-            h.record(1_000);
-        }
-        let r = row("a", "s1", 1, 0.5).with_latency(&h);
-        assert!(r.p50_ns > 0);
-        assert!(r.p99_ns >= r.p50_ns);
-        let t = render_table(&[r]);
-        assert!(t.contains("p99 µs"), "{t}");
+        let mut lines = text.lines();
+        assert_eq!(
+            lines.next(),
+            Some("figure,panel,series,x,seconds,requests,wire_bytes")
+        );
+        assert_eq!(lines.nth(1), Some("figX,a,s2,1,1.500000,10,1000000"));
+        assert_eq!(lines.next(), None);
     }
 
     #[test]

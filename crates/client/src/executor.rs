@@ -18,7 +18,6 @@ use pvfs_core::{AccessPlan, IoKind, Round, Step, Target, WireOp};
 use pvfs_net::{ClusterClient, OpStream, RpcTarget};
 use pvfs_proto::{Request, Response};
 use pvfs_types::{Histogram, PvfsError, PvfsResult};
-use std::time::Instant;
 
 /// What actually happened while executing a plan — the measured
 /// counterpart of [`pvfs_core::PlanStats`].
@@ -59,24 +58,8 @@ pub struct ExecReport {
     pub exchange_msgs: u64,
     /// Client-perceived latency of every RPC of this execution that a
     /// daemon served (ship → reply decoded): `client.rpc_latency`, under
-    /// the name reports read it by — `percentile_ns(0.5/0.95/0.99)` are
-    /// the p50/p95/p99 columns of the bench reports.
+    /// the name reports read it by.
     pub rpc_latency: Histogram,
-    /// Nanoseconds spent planning (access-plan construction; collective
-    /// engines fill this — plain `execute_plan` receives a built plan).
-    pub phase_plan_ns: u64,
-    /// Nanoseconds spent in the inter-client exchange phase
-    /// (collective two-phase only).
-    pub phase_exchange_ns: u64,
-    /// Nanoseconds spent inside the request pipeline's streams: the
-    /// RPCs of every round *and* the gather of each request as its
-    /// window slot opens and the scatter of each reply as it lands —
-    /// they overlap the wire and cannot be told apart from it. `Copy`
-    /// steps count as [`phase_merge_ns`](Self::phase_merge_ns).
-    pub phase_wire_ns: u64,
-    /// Nanoseconds spent merging/copying data between buffers (the
-    /// scatter/gather memcpy phase).
-    pub phase_merge_ns: u64,
 }
 
 impl ExecReport {
@@ -102,10 +85,6 @@ impl ExecReport {
             exchange_bytes,
             exchange_msgs,
             rpc_latency,
-            phase_plan_ns,
-            phase_exchange_ns,
-            phase_wire_ns,
-            phase_merge_ns,
         } = other;
         self.rounds += rounds;
         self.requests += requests;
@@ -117,10 +96,6 @@ impl ExecReport {
         self.exchange_bytes += exchange_bytes;
         self.exchange_msgs += exchange_msgs;
         self.rpc_latency.merge(rpc_latency);
-        self.phase_plan_ns += phase_plan_ns;
-        self.phase_exchange_ns += phase_exchange_ns;
-        self.phase_wire_ns += phase_wire_ns;
-        self.phase_merge_ns += phase_merge_ns;
         if self.requests_by_server.len() < requests_by_server.len() {
             self.requests_by_server.resize(requests_by_server.len(), 0);
         }
@@ -311,15 +286,11 @@ pub fn execute_plan(
                         ended_by: None,
                     };
                     stretch.begin_round(ops);
-                    let wire_started = Instant::now();
-                    let outcome = client.stream_in(&mut stretch, active.as_ref());
+                    client.stream_in(&mut stretch, active.as_ref())?;
                     held = stretch.ended_by;
-                    report.phase_wire_ns += wire_started.elapsed().as_nanos() as u64;
-                    outcome?;
                 }
                 Step::Copy(pairs) => {
                     report.copy_bytes += copy_bytes(&pairs);
-                    let copy_started = Instant::now();
                     let copy_ns = pvfs_types::trace::now_ns();
                     match &mut user {
                         UserBuf::Read(user) => apply_copies(
@@ -331,7 +302,6 @@ pub fn execute_plan(
                         ),
                         UserBuf::Write(user) => stage_copies(&pairs, user, &mut temps),
                     }
-                    report.phase_merge_ns += copy_started.elapsed().as_nanos() as u64;
                     if let Some(a) = &active {
                         a.span(a.root(), "phase_merge", copy_ns, Vec::new());
                     }

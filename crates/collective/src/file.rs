@@ -46,7 +46,6 @@ use pvfs_net::{ActiveTrace, ClusterClient};
 use pvfs_types::trace::now_ns;
 use pvfs_types::{aligned, Aligned, PvfsError, PvfsResult, Region, RegionList, StripeLayout};
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// One hop of exchanged data: file regions and their bytes,
 /// concatenated in region-list order.
@@ -179,18 +178,14 @@ impl CollectiveFile {
         // phase_* spans under this root, alongside the separate
         // "execute" trees the inner list plans open for their rounds.
         let active = self.file.client().tracer().begin("write_all");
-        let plan_started = Instant::now();
         let plan_ns0 = now_ns();
         let local = validate_local(mem, file, buf.len());
-        let mut plan_ns = plan_started.elapsed().as_nanos() as u64;
         phase_span(&active, "phase_plan", plan_ns0);
         // First collective: share every rank's file list (and argument
         // validity, so a bad rank aborts the group instead of hanging
         // it).
-        let exchange_started = Instant::now();
         let exchange_ns0 = now_ns();
         let shared: Vec<(RegionList, bool)> = self.comm.allgather((file.clone(), local.is_ok()));
-        let mut exchange_ns = exchange_started.elapsed().as_nanos() as u64;
         phase_span(&active, "phase_exchange", exchange_ns0);
         if shared.iter().any(|(_, ok)| !ok) {
             local?;
@@ -198,7 +193,6 @@ impl CollectiveFile {
                 "collective write aborted: invalid arguments on another rank",
             ));
         }
-        let plan_started = Instant::now();
         let plan_ns0 = now_ns();
         let pieces = local.expect("checked above");
         let all_files: Vec<RegionList> = shared.into_iter().map(|(f, _)| f).collect();
@@ -227,12 +221,9 @@ impl CollectiveFile {
                 msg: b,
             })
             .collect();
-        plan_ns += plan_started.elapsed().as_nanos() as u64;
         phase_span(&active, "phase_plan", plan_ns0);
-        let exchange_started = Instant::now();
         let exchange_ns0 = now_ns();
         let inbox = self.comm.exchange::<PieceBatch>(outbox);
-        exchange_ns += exchange_started.elapsed().as_nanos() as u64;
         phase_span(&active, "phase_exchange", exchange_ns0);
 
         // I/O phase (aggregator ranks only): merge received pieces per
@@ -251,10 +242,8 @@ impl CollectiveFile {
 
         // Completion collective: every rank learns whether every domain
         // landed (and no rank outruns the writes).
-        let exchange_started = Instant::now();
         let exchange_ns0 = now_ns();
         let flags = self.comm.allgather(result.is_ok());
-        exchange_ns += exchange_started.elapsed().as_nanos() as u64;
         phase_span(&active, "phase_exchange", exchange_ns0);
         result?;
         if !flags.iter().all(|ok| *ok) {
@@ -265,8 +254,6 @@ impl CollectiveFile {
         let comm_delta = self.comm.stats().since(&comm_before);
         report.exchange_bytes = comm_delta.bytes_sent;
         report.exchange_msgs = comm_delta.msgs_sent;
-        report.phase_plan_ns += plan_ns;
-        report.phase_exchange_ns += exchange_ns;
         if let Some(a) = active {
             self.file.client().tracer().finish(a);
         }
@@ -284,15 +271,11 @@ impl CollectiveFile {
     ) -> PvfsResult<ExecReport> {
         let comm_before = self.comm.stats();
         let active = self.file.client().tracer().begin("read_all");
-        let plan_started = Instant::now();
         let plan_ns0 = now_ns();
         let local = validate_local(mem, file, buf.len()).and_then(|_| PieceMap::new(mem, file));
-        let mut plan_ns = plan_started.elapsed().as_nanos() as u64;
         phase_span(&active, "phase_plan", plan_ns0);
-        let exchange_started = Instant::now();
         let exchange_ns0 = now_ns();
         let shared: Vec<(RegionList, bool)> = self.comm.allgather((file.clone(), local.is_ok()));
-        let mut exchange_ns = exchange_started.elapsed().as_nanos() as u64;
         phase_span(&active, "phase_exchange", exchange_ns0);
         if shared.iter().any(|(_, ok)| !ok) {
             local?;
@@ -300,12 +283,10 @@ impl CollectiveFile {
                 "collective read aborted: invalid arguments on another rank",
             ));
         }
-        let plan_started = Instant::now();
         let plan_ns0 = now_ns();
         let map = local.expect("checked above");
         let all_files: Vec<RegionList> = shared.into_iter().map(|(f, _)| f).collect();
         let dmap = DomainMap::new(self.file.layout(), self.comm.size(), &self.config)?;
-        plan_ns += plan_started.elapsed().as_nanos() as u64;
         phase_span(&active, "phase_plan", plan_ns0);
 
         // I/O phase (aggregators): read each domain window once, carve
@@ -327,10 +308,8 @@ impl CollectiveFile {
         // Outcome collective *before* the scatter: if any domain read
         // failed no rank enters the exchange, and every rank returns an
         // error instead of scattering partial data.
-        let exchange_started = Instant::now();
         let exchange_ns0 = now_ns();
         let flags = self.comm.allgather(result.is_ok());
-        exchange_ns += exchange_started.elapsed().as_nanos() as u64;
         phase_span(&active, "phase_exchange", exchange_ns0);
         result?;
         if !flags.iter().all(|ok| *ok) {
@@ -351,12 +330,9 @@ impl CollectiveFile {
                 msg: b,
             })
             .collect();
-        let exchange_started = Instant::now();
         let exchange_ns0 = now_ns();
         let inbox = self.comm.exchange::<PieceBatch>(outbox);
-        exchange_ns += exchange_started.elapsed().as_nanos() as u64;
         phase_span(&active, "phase_exchange", exchange_ns0);
-        let merge_started = Instant::now();
         let merge_ns0 = now_ns();
         for env in inbox {
             let batch: PieceBatch = env.msg;
@@ -369,13 +345,10 @@ impl CollectiveFile {
                 });
             }
         }
-        report.phase_merge_ns += merge_started.elapsed().as_nanos() as u64;
         phase_span(&active, "phase_merge", merge_ns0);
         let comm_delta = self.comm.stats().since(&comm_before);
         report.exchange_bytes = comm_delta.bytes_sent;
         report.exchange_msgs = comm_delta.msgs_sent;
-        report.phase_plan_ns += plan_ns;
-        report.phase_exchange_ns += exchange_ns;
         if let Some(a) = active {
             self.file.client().tracer().finish(a);
         }

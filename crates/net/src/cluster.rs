@@ -78,8 +78,8 @@ use pvfs_proto::{
 use pvfs_replica::{ReplicaMap, ReplicaPolicy, ReplicaTarget};
 use pvfs_types::trace::now_ns;
 use pvfs_types::{
-    ClientId, ClientLedger, ClientStats, Histogram, PvfsError, PvfsResult, RequestId, ServerId,
-    SpanId, StripeLayout, TraceContext, TraceId, TraceMode, TraceTree,
+    ClientId, ClientLedger, ClientStats, PvfsError, PvfsResult, RequestId, ServerId, SpanId,
+    StripeLayout, TraceContext, TraceId, TraceMode, TraceTree,
 };
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -311,12 +311,6 @@ impl ClusterClient {
             faults_injected: self.transport.faults_injected(),
             ..self.stats.snapshot()
         }
-    }
-
-    /// The RPC latency distribution of this endpoint and all its
-    /// clones: the `rpc_latency` line of [`ClusterClient::stats`].
-    pub fn latency_snapshot(&self) -> Histogram {
-        self.stats.rpc_latency.snapshot()
     }
 
     /// A buffer to gather a write's `room`-byte payload into
@@ -2312,7 +2306,7 @@ mod tests {
         // the daemon: the 8 sheds above left no latency sample, nor does
         // one more, alone (other clients fill iod0's queue), which
         // leaves the daemon looking no faster than before it.
-        assert_eq!(c.latency_snapshot().count(), 128, "the served replies");
+        assert_eq!(c.stats().rpc_latency.count(), 128, "the served replies");
         book.lock().unwrap().queued[0] = 2;
         let ewma = c.health().ewma(ServerId(0));
         let handle = FileHandle(1);
@@ -2323,7 +2317,7 @@ mod tests {
             "{shed:?}"
         );
         assert_eq!(c.stats().sheds_seen, 9);
-        assert_eq!(c.latency_snapshot().count(), 128);
+        assert_eq!(c.stats().rpc_latency.count(), 128);
         assert_eq!(c.health().ewma(ServerId(0)), ewma);
     }
 
