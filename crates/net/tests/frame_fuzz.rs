@@ -4,17 +4,18 @@
 //! ([`FrameError`] from the framing layer, `PvfsError` from the codec),
 //! never as a panic, a hang, or an oversized allocation.
 //!
-//! The corpus is real encoded traffic (every request/response shape the
-//! protocol has, including list I/O with trailing region data), so the
-//! mutations exercise the actual header/trailing/bulk boundaries rather
-//! than arbitrary noise. Seeds are fixed: a failure reproduces exactly.
+//! The corpus is the codec's committed frames (`pvfs-proto`'s
+//! `fixtures.rs`): every request opcode, untraced and traced, every
+//! response kind and every error code, list I/O with trailing region
+//! data and bulk payloads among them. So the mutations exercise the
+//! actual header/trailing/bulk boundaries rather than arbitrary noise.
+//! Seeds are fixed: a failure reproduces exactly.
 
 use bytes::Bytes;
 use pvfs_net::tcp::frame::{read_frame, write_frame, FrameError, FrameReader, LEN_PREFIX};
 use pvfs_net::tcp::TcpCluster;
 use pvfs_proto::{
-    decode_message, decode_response, encode_message, encode_response, Message, Request, Response,
-    MAX_WIRE_FRAME,
+    decode_message, decode_response, encode_message, Message, Request, Response, MAX_WIRE_FRAME,
 };
 use pvfs_server::{IoDaemon, IodConfig};
 use pvfs_types::{
@@ -25,99 +26,18 @@ use rand::{Rng, SeedableRng};
 use std::net::TcpStream;
 use std::sync::Arc;
 
-fn layout() -> StripeLayout {
-    StripeLayout::new(0, 4, 64).unwrap()
-}
-
-/// Every request shape on the wire, including trailing region lists and
-/// bulk write data.
-fn corpus_requests() -> Vec<Request> {
-    let l = layout();
-    let fh = FileHandle(7);
-    let regions = RegionList::from_pairs((0..16u64).map(|i| (i * 24, 8))).unwrap();
-    vec![
-        Request::Create {
-            path: "/pvfs/fuzzed".into(),
-            layout: l,
-        },
-        Request::Open {
-            path: "/pvfs/fuzzed".into(),
-        },
-        Request::Close { handle: fh },
-        Request::Remove {
-            path: "/pvfs/fuzzed".into(),
-        },
-        Request::ListDir,
-        Request::GetLocalSize { handle: fh },
-        Request::Read {
-            handle: fh,
-            layout: l,
-            region: Region::new(40, 200),
-        },
-        Request::Write {
-            handle: fh,
-            layout: l,
-            region: Region::new(8, 32),
-            data: Bytes::from(vec![0xd7u8; 32]),
-        },
-        Request::ReadList {
-            handle: fh,
-            layout: l,
-            regions: regions.clone(),
-        },
-        Request::WriteList {
-            handle: fh,
-            layout: l,
-            regions,
-            data: Bytes::from((0..128u8).collect::<Vec<u8>>()),
-        },
-    ]
-}
-
-fn corpus_responses() -> Vec<Response> {
-    vec![
-        Response::Created {
-            handle: FileHandle(9),
-        },
-        Response::Opened {
-            handle: FileHandle(9),
-            layout: layout(),
-        },
-        Response::Closed,
-        Response::Removed,
-        Response::Listing {
-            paths: vec!["/pvfs/a".into(), "/pvfs/bb".into()],
-        },
-        Response::LocalSize { size: 123_456 },
-        Response::Written { bytes: 4096 },
-        Response::Data {
-            data: Bytes::from(vec![0x3cu8; 96]),
-        },
-        Response::Error(PvfsError::NoSuchFile("/pvfs/gone".into())),
-    ]
-}
+#[path = "../../proto/src/fixtures.rs"]
+mod fixtures;
 
 /// Every frame in the corpus, already length-prefix framed for the wire.
 fn corpus_wire() -> Vec<Vec<u8>> {
-    let mut frames = Vec::new();
-    for (i, req) in corpus_requests().into_iter().enumerate() {
-        frames.push(
-            encode_message(&Message {
-                client: ClientId(3),
-                id: RequestId(i as u64 + 1),
-                request: req,
-            })
-            .unwrap(),
-        );
-    }
-    for (i, resp) in corpus_responses().into_iter().enumerate() {
-        frames.push(encode_response(RequestId(i as u64 + 100), &resp));
-    }
-    frames
-        .into_iter()
-        .map(|f| {
+    let requests = fixtures::REQUESTS.iter().flat_map(|(_, v1, v2)| [*v1, *v2]);
+    let replies = fixtures::RESPONSES.iter().chain(&fixtures::ERRORS);
+    requests
+        .chain(replies.map(|(_, frame)| *frame))
+        .map(|hex| {
             let mut wire = Vec::new();
-            write_frame(&mut wire, &f).unwrap();
+            write_frame(&mut wire, &Bytes::from(fixtures::bytes(hex))).unwrap();
             wire
         })
         .collect()

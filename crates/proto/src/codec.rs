@@ -1194,6 +1194,7 @@ fn get_u64(buf: &mut Bytes) -> PvfsResult<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixtures;
 
     /// A request's whole wire frame in one buffer, as a socket delivers
     /// it.
@@ -1220,6 +1221,239 @@ mod tests {
         let encoded = encode_message(&m).unwrap();
         let decoded = decode_message(encoded).unwrap();
         assert_eq!(decoded, m);
+    }
+
+    /// The id every fixture reply echoes.
+    const FIXTURE_ID: RequestId = RequestId(0x0102_0304_0506_0708);
+
+    /// The context every traced fixture request carries.
+    const FIXTURE_CTX: TraceContext = TraceContext {
+        trace: TraceId(0xfeed),
+        parent: SpanId(0xf00d),
+    };
+
+    /// What the fixture requests hold, one per opcode in opcode order
+    /// (`crate::fixtures::REQUESTS`), each sent as [`msg`].
+    fn fixture_requests() -> Vec<Request> {
+        let (handle, layout) = (FileHandle(42), StripeLayout::new(1, 4, 16384).unwrap());
+        let regions = RegionList::from_pairs([(0, 4), (20, 4)]).unwrap();
+        let run = |base, blocklen, stride, count| VectorRun {
+            base,
+            blocklen,
+            stride,
+            count,
+        };
+        vec![
+            Request::Create {
+                path: "/pvfs/f".into(),
+                layout,
+            },
+            Request::Open {
+                path: "/pvfs/f".into(),
+            },
+            Request::Close { handle },
+            Request::Remove {
+                path: "/pvfs/f".into(),
+            },
+            Request::GetLocalSize { handle },
+            Request::Read {
+                handle,
+                layout,
+                region: Region::new(1000, 5000),
+            },
+            Request::Write {
+                handle,
+                layout,
+                region: Region::new(0, 5),
+                data: Bytes::from(vec![1, 2, 3, 4, 5]),
+            },
+            Request::ReadList {
+                handle,
+                layout,
+                regions: regions.clone(),
+            },
+            Request::WriteList {
+                handle,
+                layout,
+                regions,
+                data: Bytes::from(vec![9u8; 8]),
+            },
+            Request::ReadVectors {
+                handle,
+                layout,
+                runs: vec![run(0, 128, 1024, 3), run(1 << 32, 8, 8, 1)],
+            },
+            Request::WriteVectors {
+                handle,
+                layout,
+                runs: vec![run(0, 4, 16, 2)],
+                data: Bytes::from(vec![3u8; 8]),
+            },
+            Request::ListDir,
+            Request::GetStats,
+            Request::ResetStats,
+            Request::Sync { handle },
+            Request::Flush,
+            Request::Ping,
+            Request::StripeDigest {
+                handle,
+                chunk: 16 * 1024,
+            },
+            Request::Truncate {
+                handle,
+                size: 1 << 20,
+            },
+            Request::GetTrace {
+                trace: TraceId(0xbeef),
+            },
+        ]
+    }
+
+    /// One fully populated snapshot: the 16 counters 1..=16, the four
+    /// gauges 17..=20, two samples of queue wait (buckets 19 and 23), one
+    /// of service time (bucket 39), no fsync.
+    fn fixture_stats() -> StatsSnapshot {
+        let mut snap = StatsSnapshot {
+            requests: 1,
+            contiguous_requests: 2,
+            list_requests: 3,
+            regions: 4,
+            bytes_read: 5,
+            bytes_written: 6,
+            errors: 7,
+            bytes_rx: 8,
+            bytes_tx: 9,
+            frames_rx: 10,
+            journal_appends: 11,
+            journal_bytes: 12,
+            journal_replays: 13,
+            flushes: 14,
+            fsyncs: 15,
+            requests_shed: 16,
+            workers: 17,
+            busy_workers: 18,
+            queue_depth: 19,
+            journal_depth: 20,
+            ..Default::default()
+        };
+        snap.queue_wait.record(1_000);
+        snap.queue_wait.record(3_000);
+        snap.service_time.record(1_000_000);
+        snap
+    }
+
+    /// What the fixture replies hold, one per response kind in tag order
+    /// but `Error` (`crate::fixtures::RESPONSES`), each echoing
+    /// [`FIXTURE_ID`].
+    fn fixture_responses() -> Vec<Response> {
+        vec![
+            Response::Created {
+                handle: FileHandle(7),
+            },
+            Response::Opened {
+                handle: FileHandle(7),
+                layout: StripeLayout::new(1, 4, 16384).unwrap(),
+            },
+            Response::Closed,
+            Response::Removed,
+            Response::LocalSize { size: 1 << 40 },
+            Response::Data {
+                data: Bytes::from(vec![0xab; 4]),
+            },
+            Response::Written { bytes: 2048 },
+            Response::Listing {
+                paths: vec!["/pvfs/a".into(), "/pvfs/bb".into()],
+            },
+            Response::Stats(Box::new(fixture_stats())),
+            Response::Synced { durable: u64::MAX },
+            Response::Flushed { files: 3 },
+            Response::Pong { queue_depth: 9 },
+            Response::Digests {
+                version: 17,
+                size: 70_000,
+                chunks: vec![0xcbf2_9ce4_8422_2325, 0, u64::MAX],
+            },
+            Response::Spans(vec![sample_span(9, 1, 0)]),
+        ]
+    }
+
+    /// What the fixture error replies hold, one per code in code order
+    /// (`crate::fixtures::ERRORS`), each a [`Response::Error`] echoing
+    /// [`FIXTURE_ID`].
+    fn fixture_errors() -> Vec<PvfsError> {
+        vec![
+            PvfsError::InvalidArgument("bad stride".into()),
+            PvfsError::NoSuchFile("/pvfs/gone".into()),
+            PvfsError::AlreadyExists("/pvfs/f".into()),
+            PvfsError::BadHandle(9),
+            PvfsError::Protocol("short frame".into()),
+            PvfsError::Storage("disk on fire".into()),
+            PvfsError::Transport("peer hung up".into()),
+            PvfsError::NoSuchServer(3),
+            PvfsError::Timeout("iod2".into()),
+            PvfsError::FrameTooLarge {
+                len: 1 << 40,
+                max: 1 << 20,
+            },
+            PvfsError::Config("PVFS_AGGREGATORS: junk".into()),
+            PvfsError::Unavailable {
+                server: 3,
+                retry_after_ms: 250,
+            },
+            PvfsError::Overloaded {
+                server: 1,
+                queue_depth: 64,
+            },
+        ]
+    }
+
+    /// The committed frames: every value encodes to its literal byte for
+    /// byte, every literal decodes back to its value, and the literals
+    /// hold every opcode, response tag and error code there is.
+    #[test]
+    fn every_fixture_frame_is_encoded_byte_for_byte_and_decodes_back() {
+        let requests = fixture_requests();
+        assert_eq!(requests.len(), fixtures::REQUESTS.len());
+        for (i, (request, (name, v1, v2))) in
+            requests.into_iter().zip(fixtures::REQUESTS).enumerate()
+        {
+            assert_eq!(request.op_name(), name);
+            let m = msg(request);
+            for (ctx, hex) in [(None, v1), (Some(FIXTURE_CTX), v2)] {
+                let frame = fixtures::bytes(hex);
+                assert_eq!(frame[3] as usize, i + 1, "{name}: opcodes run 1..=20");
+                assert_eq!(
+                    &contiguous(&m, ctx).unwrap()[..],
+                    &frame[..],
+                    "{name} {ctx:?}"
+                );
+                let decoded = decode_frame(Bytes::from(frame).into()).unwrap();
+                assert_eq!(decoded, (m.clone(), ctx), "{name}");
+            }
+        }
+        let responses = fixture_responses().into_iter().zip(fixtures::RESPONSES);
+        let errors = fixture_errors().into_iter().map(Response::Error);
+        let errors = errors.zip(fixtures::ERRORS);
+        for (resp, (kind, hex)) in responses.chain(errors) {
+            let frame = fixtures::bytes(hex);
+            assert_eq!(
+                &encode_response(FIXTURE_ID, &resp)[..],
+                &frame[..],
+                "{kind}"
+            );
+            let decoded = decode_response(Bytes::from(frame)).unwrap();
+            assert_eq!(decoded, (FIXTURE_ID, resp), "{kind}");
+        }
+        let tag_at = |at: usize, table: &[(&str, &str)]| -> Vec<u8> {
+            table
+                .iter()
+                .map(|(_, hex)| fixtures::bytes(hex)[at])
+                .collect()
+        };
+        let tags: Vec<u8> = (1..=15).filter(|&t| t != 8).collect();
+        assert_eq!(tag_at(11, &fixtures::RESPONSES), tags);
+        assert!(tag_at(11, &fixtures::ERRORS).iter().all(|&t| t == 8));
+        assert_eq!(tag_at(12, &fixtures::ERRORS), (1..=13).collect::<Vec<u8>>());
     }
 
     #[test]

@@ -37,3 +37,6 @@ pub use limits::{
     MAX_VECTOR_RUNS, MAX_WIRE_FRAME,
 };
 pub use message::{Message, OpClass, Request, Response, VectorRun};
+
+#[cfg(test)]
+mod fixtures;

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Non-test lines per crate: the lines above the first `#[cfg(test)]` of
 # every crates/*/src/**/*.rs and src/**/*.rs (the test module at the foot
-# of the file; `tests.rs` files excluded).
+# of the file; `tests.rs` files, and files that open with `#![cfg(test)]`,
+# count nothing).
 # ROADMAP item 7 names this number as the scoreboard. `--max <total>`
 # makes it a ceiling: same output, exit 1 when the total is above it (CI
 # passes the number the last PR landed on; a PR that must grow the
@@ -16,7 +17,7 @@ esac
 cd "$(dirname "$0")/.."
 find crates/*/src src -name '*.rs' ! -name tests.rs | sort | while read -r f; do
     case "$f" in crates/*) crate=${f#crates/}; crate=${crate%%/*} ;; *) crate=pvfs ;; esac
-    echo "$crate $(awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f")"
+    echo "$crate $(awk '/^#!?\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f")"
 done | awk -v max="$max" '
     { lines[$1] += $2; total += $2 }
     END {
