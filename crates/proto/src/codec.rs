@@ -1,33 +1,35 @@
 //! Binary codec for the wire protocol.
 //!
-//! Frames are length-independent (self-describing); all integers are
-//! little-endian. A request frame is:
+//! Frames are self-describing; integers are little-endian. A request is
+//! `magic (2B, 0x5056 "PV") | version (1B) | opcode (1B) | client id (4B)
+//! | request id (8B) | fields`, a response `magic | version | echoed
+//! request id (8B) | tag (1B) | fields`.
 //!
-//! ```text
-//! magic (2B, 0x5056 "PV") | version (1B) | opcode (1B)
-//! client id (4B) | request id (8B) | opcode-specific body
-//! ```
+//! Every message is one row of the `wire!` table in [`crate::message`]:
+//! its variant, its opcode or tag, its fields in wire order. A field's
+//! Rust type is its wire type — a `Field` impl below puts, gets and sizes
+//! it — so the encoders, the decoders, the opcode maps,
+//! [`Request::control_wire_size`] and [`Request::op_name`] are derived,
+//! not kept. The frames as they travel are committed byte for byte
+//! (`fixtures.rs`): a changed literal is a new wire version.
 //!
-//! List I/O requests put their region list *after* the fixed header as
-//! trailing data — `count (4B)` then `count × (offset 8B, len 8B)` —
-//! reproducing the paper's "variable sized trailing data" extension of
-//! the PVFS I/O request structure. [`encode_message`] enforces the
-//! [`MAX_LIST_REGIONS`] and single-frame limits;
-//! bulk data (write payload / read response data) is *not* part of the
-//! request frame — it streams behind it, and is appended after the frame
-//! here.
-//!
-//! The simulator charges network time for exactly `encode_message(m).len()`
-//! bytes, so frame layout is load-bearing for the reproduced figures.
+//! A list request's regions follow its fixed fields as trailing data —
+//! `count (4B)` then `count × (offset 8B, len 8B)` — the paper's
+//! "variable sized trailing data" extension of the PVFS I/O request,
+//! held to [`MAX_LIST_REGIONS`] and one Ethernet frame ([`check_list`]).
+//! Bulk data (write payload, read reply data) streams behind the control
+//! part, as a [`Frame`]'s second part. The simulator charges network
+//! time for exactly `control_wire_size` bytes plus the bulk, so the
+//! layout is load-bearing for the reproduced figures.
 //!
 //! # Trace context (version 2 frames)
 //!
 //! A traced request carries its [`TraceContext`] — trace id (8B) and
-//! parent span id (8B) — immediately after the request id, signalled by
-//! version byte [`VERSION_TRACED`]. Untraced requests keep version
-//! [`VERSION`] and the original layout, so `PVFS_TRACE=off` produces
-//! frames byte-identical to a pre-tracing build, and old-format frames
-//! decode unchanged ([`decode_frame`] accepts both).
+//! parent span id (8B) — right after the request id, under version byte
+//! [`VERSION_TRACED`]. Untraced requests keep version 1 and the original
+//! layout, so `PVFS_TRACE=off` frames are byte-identical to a pre-tracing
+//! build, and old-format frames decode unchanged ([`decode_frame`]
+//! accepts both).
 
 use crate::limits::{list_request_fits_frame, MAX_LIST_REGIONS, MAX_VECTOR_RUNS};
 
@@ -41,78 +43,32 @@ use pvfs_types::{
 const MAGIC: u16 = 0x5056; // "PV"
 const VERSION: u8 = 1;
 /// Version byte of frames carrying a 16-byte trace context after the
-/// request id. Everything else about the layout is identical to
-/// [`VERSION`] frames.
+/// request id. Everything else about the layout is identical to version
+/// 1 frames.
 pub const VERSION_TRACED: u8 = 2;
 
-// Request opcodes.
-const OP_CREATE: u8 = 1;
-const OP_OPEN: u8 = 2;
-const OP_CLOSE: u8 = 3;
-const OP_REMOVE: u8 = 4;
-const OP_GET_LOCAL_SIZE: u8 = 5;
-const OP_READ: u8 = 6;
-const OP_WRITE: u8 = 7;
-const OP_READ_LIST: u8 = 8;
-const OP_WRITE_LIST: u8 = 9;
-const OP_READ_VECTORS: u8 = 10;
-const OP_WRITE_VECTORS: u8 = 11;
-const OP_LIST_DIR: u8 = 12;
-const OP_GET_STATS: u8 = 13;
-const OP_RESET_STATS: u8 = 14;
-const OP_SYNC: u8 = 15;
-const OP_FLUSH: u8 = 16;
-const OP_PING: u8 = 17;
-const OP_STRIPE_DIGEST: u8 = 18;
-const OP_TRUNCATE: u8 = 19;
-const OP_GET_TRACE: u8 = 20;
+/// Bytes of the envelope every request frame starts with: magic,
+/// version, opcode, client id, request id.
+pub(crate) const REQUEST_ENVELOPE_LEN: u64 = 2 + 1 + 1 + 4 + 8;
 
-// Response opcodes.
-const RESP_CREATED: u8 = 1;
-const RESP_OPENED: u8 = 2;
-const RESP_CLOSED: u8 = 3;
-const RESP_REMOVED: u8 = 4;
-const RESP_LOCAL_SIZE: u8 = 5;
-const RESP_DATA: u8 = 6;
-const RESP_WRITTEN: u8 = 7;
-const RESP_ERROR: u8 = 8;
-const RESP_LISTING: u8 = 9;
-const RESP_STATS: u8 = 10;
-const RESP_SYNCED: u8 = 11;
-const RESP_FLUSHED: u8 = 12;
-const RESP_PONG: u8 = 13;
-const RESP_DIGESTS: u8 = 14;
-const RESP_SPANS: u8 = 15;
+/// Bytes of the envelope every response frame starts with: magic,
+/// version, echoed request id.
+pub const RESPONSE_ENVELOPE_LEN: usize = 2 + 1 + 8;
 
-// Error variant tags.
-const ERR_INVALID_ARGUMENT: u8 = 1;
-const ERR_NO_SUCH_FILE: u8 = 2;
-const ERR_ALREADY_EXISTS: u8 = 3;
-const ERR_BAD_HANDLE: u8 = 4;
-const ERR_PROTOCOL: u8 = 5;
-const ERR_STORAGE: u8 = 6;
-const ERR_TRANSPORT: u8 = 7;
-const ERR_NO_SUCH_SERVER: u8 = 8;
-const ERR_TIMEOUT: u8 = 9;
-const ERR_FRAME_TOO_LARGE: u8 = 10;
-const ERR_CONFIG: u8 = 11;
-const ERR_UNAVAILABLE: u8 = 12;
-const ERR_OVERLOADED: u8 = 13;
+/// Bytes of a [`Response::Data`] frame before its payload: envelope,
+/// tag, payload length. A reply no longer than this is put together on
+/// the stack ([`encode_response`]).
+pub const DATA_HEAD_LEN: usize = RESPONSE_ENVELOPE_LEN + 1 + 8;
 
 /// A wire frame in two parts: `head ‖ payload` is the frame, byte for
 /// byte what [`encode_message`] (a request; plus the trace context, when
 /// there is one) or [`encode_response`] (a reply) produces in one
-/// buffer.
-///
-/// In all three write requests the bulk payload is the last field, so
-/// the frame splits cleanly behind the payload's length word: `head` is
-/// everything the encoder writes (header, trace context, layout, region
-/// list, payload length), `payload` is the buffer the client gathered —
-/// shared, never copied behind the head. Every other request is all
-/// head. A [`Response::Data`] reply splits the same way behind its
-/// [`data_response_head`]; every other reply is all head. A stream
-/// transport writes the two parts with one vectored write; the channel
-/// transport hands both over untouched.
+/// buffer. A bulk payload is always a row's last field, so the frame
+/// splits cleanly behind the payload's length word: `head` is everything
+/// the encoder writes, `payload` the buffer the client gathered (or the
+/// daemon read) — shared, never copied behind the head. A message
+/// without one is all head. A stream transport writes the two parts with
+/// one vectored write; the channel transport hands both over untouched.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Frame {
     /// Everything before the bulk payload (the whole frame when there
@@ -144,8 +100,587 @@ impl From<Bytes> for Frame {
     }
 }
 
+/// Declares the protocol, one row per message, and derives its codec.
+///
+/// A row is a variant, its fields in wire order, and its tag on the
+/// wire: `Read { handle: FileHandle, layout: StripeLayout, region:
+/// Region } = 6`. A field's Rust type is its wire type (a [`Field`]); a
+/// bulk payload (`Bytes`) is always a row's last field. A request row
+/// adds its `op_name` and, for a control scrape, `scrape`; a tuple
+/// variant names its fields for the codec's sake, `Stats(snapshot:
+/// Box<StatsSnapshot>)`. `requests` and `responses` declare their enums;
+/// `errors` is the wire form of [`PvfsError`], which `pvfs-types`
+/// declares. Each gets its [`Tagged`] codec and, under test, a generator
+/// of every row.
+macro_rules! wire {
+    (
+        $(#[$req_meta:meta])*
+        requests $Req:ident {
+            $($(#[$r_meta:meta])*
+            $R:ident $({ $($r:ident: $RT:ty),* })? = $op:literal $name:literal $($scrape:ident)?,)*
+        }
+        $(#[$resp_meta:meta])*
+        responses $Resp:ident {
+            $($(#[$s_meta:meta])*
+            $S:ident $({ $($s:ident: $ST:ty),* })? $(($($t:ident: $TT:ty),*))? = $tag:literal,)*
+        }
+        errors $Err:ident {
+            $($E:ident $({ $($e:ident: $ET:ty),* })? $(($($u:ident: $UT:ty),*))? = $code:literal,)*
+        }
+    ) => {
+        $(#[$req_meta])*
+        pub enum $Req {
+            $($(#[$r_meta])* $R $({ $($r: $RT),* })?,)*
+        }
+
+        $(#[$resp_meta])*
+        pub enum $Resp {
+            $($(#[$s_meta])* $S $({ $($s: $ST),* })? $(($($TT),*))?,)*
+        }
+
+        impl $Req {
+            /// Short operation name for logs and stats.
+            pub fn op_name(&self) -> &'static str {
+                match self {
+                    $($Req::$R { .. } => $name,)*
+                }
+            }
+
+            /// True for the opcode of a control scrape
+            /// ([`Request::is_control_scrape`]).
+            pub(crate) fn is_scrape_op(op: u8) -> bool {
+                match op {
+                    $($op => wire!(@scrape $($scrape)?),)*
+                    _ => false,
+                }
+            }
+        }
+
+        wire!(@tagged $Req "opcode",
+            $($op $R [$($($r: $RT),*)?] ($R $({ $($r),* })?))*);
+        wire!(@tagged $Resp "response tag",
+            $($tag $S [$($($s: $ST),*)? $($($t: $TT),*)?] ($S $({ $($s),* })? $(($($t),*))?))*);
+        wire!(@tagged $Err "error tag",
+            $($code $E [$($($e: $ET),*)? $($($u: $UT),*)?] ($E $({ $($e),* })? $(($($u),*))?))*);
+    };
+    (@scrape) => { false };
+    (@scrape scrape) => { true };
+    (@tagged $E:ident $what:literal,
+        $($tag:literal $V:ident [$($b:ident: $T:ty),*] ($($shape:tt)*))*
+    ) => {
+        impl $crate::codec::Tagged for $E {
+            fn tag(&self) -> u8 {
+                match self {
+                    $($E::$V { .. } => $tag,)*
+                }
+            }
+
+            fn put_fields(&self, w: &mut impl bytes::BufMut) -> Option<&bytes::Bytes> {
+                use $crate::codec::Field;
+                match self {
+                    $($E::$($shape)* => {
+                        $($b.put(w);)*
+                        None $(.or($b.payload()))*
+                    })*
+                }
+            }
+
+            fn get_fields(tag: u8, r: &mut $crate::codec::Reader) -> pvfs_types::PvfsResult<Self> {
+                use $crate::codec::Field;
+                match tag {
+                    $($tag => {
+                        $(let $b = <$T>::get(r)?;)*
+                        Ok($E::$($shape)*)
+                    })*
+                    other => {
+                        let what = $what;
+                        Err(pvfs_types::PvfsError::protocol(format!("unknown {what} {other}")))
+                    }
+                }
+            }
+
+            fn fields_len(&self) -> u64 {
+                use $crate::codec::Field;
+                match self {
+                    $($E::$($shape)* => 0 $(+ $b.wire_len())*,)*
+                }
+            }
+
+            fn check_fields(&self) -> pvfs_types::PvfsResult<()> {
+                use $crate::codec::Field;
+                match self {
+                    $($E::$($shape)* => {
+                        $($b.check()?;)*
+                        Ok(())
+                    })*
+                }
+            }
+        }
+
+        #[cfg(test)]
+        impl $crate::codec::arb::Arb for $E {
+            fn arb() -> proptest::strategy::BoxedStrategy<Self> {
+                use proptest::strategy::{Just, Strategy};
+                proptest::prop_oneof![$(
+                    (Just(()), $(<$T>::arb(),)*).prop_map(|((), $($b,)*)| $E::$($shape)*)
+                ),*]
+                .boxed()
+            }
+        }
+    };
+}
+pub(crate) use wire;
+
+/// An enum declared by [`wire!`] rows: each variant travels as its tag
+/// and then its fields, in row order.
+pub(crate) trait Tagged: Sized {
+    /// The variant's opcode or tag.
+    fn tag(&self) -> u8;
+    /// Put the fields; a payload field comes back, to travel behind them.
+    fn put_fields(&self, w: &mut impl BufMut) -> Option<&Bytes>;
+    /// The fields of the variant `tag` names, read in row order.
+    fn get_fields(tag: u8, r: &mut Reader) -> PvfsResult<Self>;
+    /// Bytes the fields take on the wire, a payload's counted as its
+    /// length word.
+    fn fields_len(&self) -> u64;
+    /// Every field within its wire limits ([`Field::check`]): what an
+    /// encoder asks before it writes and a decoder after it reads.
+    fn check_fields(&self) -> PvfsResult<()>;
+}
+
+/// A wire type: how one field of a [`wire!`] row is put, got and sized.
+pub(crate) trait Field: Sized {
+    /// The fewest bytes a value takes on the wire: what holds a count to
+    /// the bytes that remain before anything is allocated for it.
+    const MIN_LEN: u64;
+
+    fn put(&self, w: &mut impl BufMut);
+
+    fn get(r: &mut Reader) -> PvfsResult<Self>;
+
+    /// Bytes this value takes on the wire (a payload's: its length word).
+    fn wire_len(&self) -> u64 {
+        Self::MIN_LEN
+    }
+
+    /// The limits a value must meet on the wire: checked before a
+    /// message is encoded and after it is decoded ([`Tagged::check_fields`]).
+    fn check(&self) -> PvfsResult<()> {
+        Ok(())
+    }
+
+    /// The limits a counted vector of these must meet: each item's, unless
+    /// the count has limits of its own.
+    fn check_all(items: &[Self]) -> PvfsResult<()> {
+        items.iter().try_for_each(Field::check)
+    }
+
+    /// The bulk payload behind the head, for the one field that is one.
+    fn payload(&self) -> Option<&Bytes> {
+        None
+    }
+}
+
+/// A frame being decoded: its head, its payload part, and the spare a
+/// list request's regions are decoded into.
+pub(crate) struct Reader<'s> {
+    head: Bytes,
+    payload: Bytes,
+    spare: &'s mut RegionList,
+}
+
+impl<'s> Reader<'s> {
+    fn new(frame: Frame, spare: &'s mut RegionList) -> Reader<'s> {
+        Reader {
+            head: frame.head,
+            payload: frame.payload,
+            spare,
+        }
+    }
+
+    /// Magic and version, returning the version when it is one of
+    /// `VERSION..=newest`.
+    fn envelope(&mut self, newest: u8) -> PvfsResult<u8> {
+        let magic = u16::get(self)?;
+        if magic != MAGIC {
+            return Err(PvfsError::protocol(format!("bad magic {magic:#06x}")));
+        }
+        let version = u8::get(self)?;
+        if !(VERSION..=newest).contains(&version) {
+            return Err(PvfsError::protocol(format!(
+                "unsupported version {version}"
+            )));
+        }
+        Ok(version)
+    }
+
+    /// The frame is spent: bytes left over in either part are garbage
+    /// after `what`.
+    fn finish(self, what: &str) -> PvfsResult<()> {
+        match self.head.remaining() + self.payload.remaining() {
+            0 => Ok(()),
+            garbage => Err(PvfsError::protocol(format!(
+                "{garbage} bytes of garbage after {what}"
+            ))),
+        }
+    }
+}
+
+macro_rules! int_fields {
+    ($($t:ty: $put:ident, $get:ident;)*) => {$(
+        impl Field for $t {
+            const MIN_LEN: u64 = std::mem::size_of::<$t>() as u64;
+
+            fn put(&self, w: &mut impl BufMut) {
+                w.$put(*self)
+            }
+
+            fn get(r: &mut Reader) -> PvfsResult<Self> {
+                if r.head.remaining() < Self::MIN_LEN as usize {
+                    return Err(PvfsError::protocol("short frame"));
+                }
+                Ok(r.head.$get())
+            }
+        }
+    )*};
+}
+
+int_fields! {
+    u8: put_u8, get_u8;
+    u16: put_u16_le, get_u16_le;
+    u32: put_u32_le, get_u32_le;
+    u64: put_u64_le, get_u64_le;
+}
+
+impl Field for String {
+    const MIN_LEN: u64 = 4;
+
+    fn put(&self, w: &mut impl BufMut) {
+        (self.len() as u32).put(w);
+        w.put_slice(self.as_bytes());
+    }
+
+    fn get(r: &mut Reader) -> PvfsResult<Self> {
+        let len = u32::get(r)? as usize;
+        if r.head.remaining() < len {
+            return Err(PvfsError::protocol("short frame reading string"));
+        }
+        String::from_utf8(r.head.split_to(len).to_vec())
+            .map_err(|_| PvfsError::protocol("invalid utf-8 in string"))
+    }
+
+    fn wire_len(&self) -> u64 {
+        4 + self.len() as u64
+    }
+}
+
+/// A bulk payload, always a row's last field: its length word in the
+/// head, its bytes out of the rest of the head (a contiguous frame) or,
+/// once the head is spent, out of the frame's payload part.
+impl Field for Bytes {
+    const MIN_LEN: u64 = 8;
+
+    fn put(&self, w: &mut impl BufMut) {
+        (self.len() as u64).put(w)
+    }
+
+    fn get(r: &mut Reader) -> PvfsResult<Self> {
+        let len = u64::get(r)? as usize;
+        let part = if r.head.has_remaining() {
+            &mut r.head
+        } else {
+            &mut r.payload
+        };
+        if part.remaining() < len {
+            return Err(PvfsError::protocol("short frame reading bulk data"));
+        }
+        Ok(part.split_to(len))
+    }
+
+    fn payload(&self) -> Option<&Bytes> {
+        Some(self)
+    }
+}
+
+/// A count, then that many items. The count is held to the bytes that
+/// remain before anything is allocated for it.
+impl<T: Field> Field for Vec<T> {
+    const MIN_LEN: u64 = 4;
+
+    fn put(&self, w: &mut impl BufMut) {
+        (self.len() as u32).put(w);
+        self.iter().for_each(|item| item.put(w));
+    }
+
+    fn get(r: &mut Reader) -> PvfsResult<Self> {
+        let n = u32::get(r)? as u64;
+        let (claimed, remain) = (n * T::MIN_LEN, r.head.remaining());
+        if claimed > remain as u64 {
+            return Err(PvfsError::protocol(format!(
+                "a count of {n} claims {claimed} bytes but only {remain} bytes remain"
+            )));
+        }
+        let mut items = Vec::with_capacity(n as usize);
+        for _ in 0..n {
+            items.push(T::get(r)?);
+        }
+        Ok(items)
+    }
+
+    fn wire_len(&self) -> u64 {
+        4 + self.iter().map(Field::wire_len).sum::<u64>()
+    }
+
+    fn check(&self) -> PvfsResult<()> {
+        T::check_all(self)
+    }
+}
+
+impl<T: Field> Field for Box<T> {
+    const MIN_LEN: u64 = T::MIN_LEN;
+
+    fn put(&self, w: &mut impl BufMut) {
+        (**self).put(w)
+    }
+
+    fn get(r: &mut Reader) -> PvfsResult<Self> {
+        T::get(r).map(Box::new)
+    }
+
+    fn wire_len(&self) -> u64 {
+        (**self).wire_len()
+    }
+}
+
+/// Structs that travel as their fields, in declaration order (a newtype's
+/// one field is `0`); the block after each adds the rest of its [`Field`]
+/// impl (its wire limits).
+macro_rules! struct_fields {
+    ($($S:ident { $($f:tt: $T:ty),* } { $($limits:tt)* })*) => {$(
+        impl Field for $S {
+            const MIN_LEN: u64 = 0 $(+ <$T>::MIN_LEN)*;
+
+            fn put(&self, w: &mut impl BufMut) {
+                $(self.$f.put(w);)*
+            }
+
+            fn get(r: &mut Reader) -> PvfsResult<Self> {
+                Ok($S { $($f: <$T>::get(r)?),* })
+            }
+
+            fn wire_len(&self) -> u64 {
+                0 $(+ self.$f.wire_len())*
+            }
+
+            $($limits)*
+        }
+    )*};
+}
+
+struct_fields! {
+    ClientId { 0: u32 } {}
+    RequestId { 0: u64 } {}
+    FileHandle { 0: u64 } {}
+    TraceId { 0: u64 } {}
+    SpanId { 0: u64 } {}
+    TraceContext { trace: TraceId, parent: SpanId } {}
+    // 52 bytes plus the strings.
+    Span {
+        trace: TraceId, id: SpanId, parent: SpanId, node: String, op: String, start_ns: u64,
+        dur_ns: u64, notes: Vec<String>
+    } {}
+    StripeLayout { base: u32, pcount: u32, ssize: u64 } {
+        fn check(&self) -> PvfsResult<()> {
+            self.validate()
+                .map_err(|e| PvfsError::protocol(format!("invalid stripe layout on wire: {e}")))
+        }
+    }
+    Region { offset: u64, len: u64 } {
+        fn check(&self) -> PvfsResult<()> {
+            match self.offset.checked_add(self.len) {
+                Some(_) => Ok(()),
+                None => Err(PvfsError::protocol(format!(
+                    "region {}+{} overflows u64",
+                    self.offset, self.len
+                ))),
+            }
+        }
+    }
+    VectorRun { base: u64, blocklen: u64, stride: u64, count: u64 } {
+        fn check(&self) -> PvfsResult<()> {
+            self.validate()
+                .map_err(|e| PvfsError::protocol(format!("invalid vector run: {e}")))
+        }
+
+        /// A request carries 1 to [`MAX_VECTOR_RUNS`] runs, each valid.
+        fn check_all(runs: &[Self]) -> PvfsResult<()> {
+            if runs.is_empty() {
+                return Err(PvfsError::protocol("vector request with no runs"));
+            }
+            if runs.len() > MAX_VECTOR_RUNS {
+                return Err(PvfsError::protocol(format!(
+                    "vector request with {} runs exceeds the {MAX_VECTOR_RUNS}-run frame limit",
+                    runs.len()
+                )));
+            }
+            runs.iter().try_for_each(Field::check)
+        }
+    }
+}
+
+/// The paper's trailing data: a count, then that many regions — at most
+/// [`MAX_LIST_REGIONS`], none empty — decoded into the reader's spare:
+/// taken out of it, refilled in place when no other handle shares it
+/// ([`RegionList::clear`]). A spare with no room for a full list (a fresh
+/// one, say) is replaced by one with room for [`MAX_LIST_REGIONS`],
+/// whatever this frame's count: every later frame fits.
+impl Field for RegionList {
+    const MIN_LEN: u64 = 4;
+
+    fn put(&self, w: &mut impl BufMut) {
+        (self.count() as u32).put(w);
+        self.regions().iter().for_each(|region| region.put(w));
+    }
+
+    fn get(r: &mut Reader) -> PvfsResult<Self> {
+        let count = u32::get(r)? as usize;
+        if count == 0 || count > MAX_LIST_REGIONS {
+            return Err(PvfsError::protocol(format!(
+                "trailing data region count {count} out of range 1..={MAX_LIST_REGIONS}"
+            )));
+        }
+        let mut regions = std::mem::take(r.spare);
+        regions.clear();
+        if regions.capacity() < MAX_LIST_REGIONS {
+            regions = RegionList::with_capacity(MAX_LIST_REGIONS);
+        }
+        for _ in 0..count {
+            let region = Region::get(r)?;
+            region.check()?;
+            if region.is_empty() {
+                return Err(PvfsError::protocol(
+                    "invalid trailing data: invalid argument: region list contains an empty region",
+                ));
+            }
+            regions.push(region);
+        }
+        Ok(regions)
+    }
+
+    fn wire_len(&self) -> u64 {
+        4 + Region::MIN_LEN * self.count() as u64
+    }
+
+    fn check(&self) -> PvfsResult<()> {
+        check_list(self)
+    }
+}
+
+/// The limits every list request must meet, on the wire and at a
+/// daemon's door alike: at least one region, at most
+/// [`MAX_LIST_REGIONS`], header plus trailing data within one Ethernet
+/// frame.
+pub fn check_list(regions: &RegionList) -> PvfsResult<()> {
+    if regions.is_empty() {
+        return Err(PvfsError::protocol("list request with no regions"));
+    }
+    if regions.count() > MAX_LIST_REGIONS {
+        return Err(PvfsError::protocol(format!(
+            "list request with {} regions exceeds the {MAX_LIST_REGIONS}-region trailing-data limit",
+            regions.count()
+        )));
+    }
+    if !list_request_fits_frame(regions.count()) {
+        return Err(PvfsError::protocol(
+            "list request does not fit one Ethernet frame",
+        ));
+    }
+    Ok(())
+}
+
+/// A snapshot travels as the ledger declares it (`pvfs_types::metrics`):
+/// every counter, then every gauge, one word each, then every histogram.
+impl Field for StatsSnapshot {
+    /// Never counted: a reply carries one snapshot.
+    const MIN_LEN: u64 = 0;
+
+    fn put(&self, w: &mut impl BufMut) {
+        for (_, v) in self.counters().into_iter().chain(self.gauges()) {
+            v.put(w);
+        }
+        self.histograms().iter().for_each(|(_, h)| h.put(w));
+    }
+
+    fn get(r: &mut Reader) -> PvfsResult<Self> {
+        StatsSnapshot::read(r, u64::get, Histogram::get)
+    }
+
+    fn wire_len(&self) -> u64 {
+        let histograms: u64 = self.histograms().iter().map(|(_, h)| h.wire_len()).sum();
+        8 * (self.counters().len() + self.gauges().len()) as u64 + histograms
+    }
+}
+
+/// Histograms ship sparse: `sum (16B, lo/hi u64 halves) | min (8B) |
+/// max (8B) | n (4B) | n × (bucket index 4B, count 8B)` — 36 bytes plus
+/// 12 per occupied bucket, so a stats response stays a small control
+/// frame.
+impl Field for Histogram {
+    const MIN_LEN: u64 = 36;
+
+    fn put(&self, w: &mut impl BufMut) {
+        let sum = self.sum_ns();
+        for word in [sum as u64, (sum >> 64) as u64, self.min_ns(), self.max_ns()] {
+            word.put(w);
+        }
+        let sparse = self.to_sparse();
+        (sparse.len() as u32).put(w);
+        for (i, c) in sparse {
+            i.put(w);
+            c.put(w);
+        }
+    }
+
+    fn get(r: &mut Reader) -> PvfsResult<Self> {
+        let (lo, hi, min, max) = (u64::get(r)?, u64::get(r)?, u64::get(r)?, u64::get(r)?);
+        let n = u32::get(r)? as usize;
+        if n > 1024 {
+            return Err(PvfsError::protocol("absurd histogram bucket count"));
+        }
+        let mut sparse = Vec::with_capacity(n);
+        for _ in 0..n {
+            sparse.push((u32::get(r)?, u64::get(r)?));
+        }
+        Histogram::from_sparse(&sparse, (hi as u128) << 64 | lo as u128, min, max)
+            .ok_or_else(|| PvfsError::protocol("invalid histogram buckets on wire"))
+    }
+
+    fn wire_len(&self) -> u64 {
+        Self::MIN_LEN + 12 * self.to_sparse().len() as u64
+    }
+}
+
+/// An error travels as its code, then its fields (the `errors` rows).
+impl Field for PvfsError {
+    const MIN_LEN: u64 = 1;
+
+    fn put(&self, w: &mut impl BufMut) {
+        self.tag().put(w);
+        self.put_fields(w);
+    }
+
+    fn get(r: &mut Reader) -> PvfsResult<Self> {
+        let code = u8::get(r)?;
+        PvfsError::get_fields(code, r)
+    }
+
+    fn wire_len(&self) -> u64 {
+        Self::MIN_LEN + self.fields_len()
+    }
+}
+
 /// Encode a request message to its wire frame (header + trailing data +
-/// bulk payload). Always an untraced [`VERSION`] frame — the historical
+/// bulk payload). Always an untraced version 1 frame — the historical
 /// layout, byte for byte.
 pub fn encode_message(m: &Message) -> PvfsResult<Bytes> {
     // Exactly the frame: a frame sized short of its region list regrows,
@@ -195,12 +730,13 @@ pub fn encode_frame_into(
 /// Exact size of a request frame's head: everything before the bulk
 /// payload, the trace context included when there is one.
 pub fn request_head_len(request: &Request, ctx: Option<TraceContext>) -> usize {
-    request.control_wire_size() as usize + if ctx.is_some() { 16 } else { 0 }
+    let ctx_len = ctx.map_or(0, |ctx| ctx.wire_len());
+    (request.control_wire_size() + ctx_len) as usize
 }
 
-/// The one request encoder: write everything up to (and including) a
-/// write request's payload length into `buf` and return the payload that
-/// belongs behind it — `None` for requests that carry none.
+/// The one request encoder: hold the request to its wire limits, write
+/// everything up to (and including) a write request's payload length
+/// into `buf`, and return the payload that belongs behind it.
 fn put_head<'m>(
     buf: &mut BytesMut,
     client: ClientId,
@@ -208,111 +744,16 @@ fn put_head<'m>(
     request: &'m Request,
     ctx: Option<TraceContext>,
 ) -> PvfsResult<Option<&'m Bytes>> {
-    buf.put_u16_le(MAGIC);
-    buf.put_u8(if ctx.is_some() {
-        VERSION_TRACED
-    } else {
-        VERSION
-    });
-    buf.put_u8(opcode(request));
-    buf.put_u32_le(client.0);
-    buf.put_u64_le(id.0);
+    request.check_fields()?;
+    MAGIC.put(buf);
+    ctx.map_or(VERSION, |_| VERSION_TRACED).put(buf);
+    request.tag().put(buf);
+    client.put(buf);
+    id.put(buf);
     if let Some(ctx) = ctx {
-        buf.put_u64_le(ctx.trace.0);
-        buf.put_u64_le(ctx.parent.0);
+        ctx.put(buf);
     }
-    let mut payload = None;
-    match request {
-        Request::Create { path, layout } => {
-            put_string(buf, path);
-            put_layout(buf, layout);
-        }
-        Request::Open { path } => put_string(buf, path),
-        Request::Close { handle } => buf.put_u64_le(handle.0),
-        Request::Remove { path } => put_string(buf, path),
-        Request::ListDir => {}
-        Request::GetLocalSize { handle } => buf.put_u64_le(handle.0),
-        Request::Read {
-            handle,
-            layout,
-            region,
-        } => {
-            buf.put_u64_le(handle.0);
-            put_layout(buf, layout);
-            put_region(buf, *region);
-        }
-        Request::Write {
-            handle,
-            layout,
-            region,
-            data,
-        } => {
-            buf.put_u64_le(handle.0);
-            put_layout(buf, layout);
-            put_region(buf, *region);
-            buf.put_u64_le(data.len() as u64);
-            payload = Some(data);
-        }
-        Request::ReadList {
-            handle,
-            layout,
-            regions,
-        } => {
-            check_list(regions)?;
-            buf.put_u64_le(handle.0);
-            put_layout(buf, layout);
-            put_trailing(buf, regions);
-        }
-        Request::WriteList {
-            handle,
-            layout,
-            regions,
-            data,
-        } => {
-            check_list(regions)?;
-            buf.put_u64_le(handle.0);
-            put_layout(buf, layout);
-            put_trailing(buf, regions);
-            buf.put_u64_le(data.len() as u64);
-            payload = Some(data);
-        }
-        Request::ReadVectors {
-            handle,
-            layout,
-            runs,
-        } => {
-            check_runs(runs)?;
-            buf.put_u64_le(handle.0);
-            put_layout(buf, layout);
-            put_runs(buf, runs);
-        }
-        Request::WriteVectors {
-            handle,
-            layout,
-            runs,
-            data,
-        } => {
-            check_runs(runs)?;
-            buf.put_u64_le(handle.0);
-            put_layout(buf, layout);
-            put_runs(buf, runs);
-            buf.put_u64_le(data.len() as u64);
-            payload = Some(data);
-        }
-        Request::Sync { handle } => buf.put_u64_le(handle.0),
-        Request::Flush => {}
-        Request::GetStats | Request::ResetStats | Request::Ping => {}
-        Request::StripeDigest { handle, chunk } => {
-            buf.put_u64_le(handle.0);
-            buf.put_u64_le(*chunk);
-        }
-        Request::Truncate { handle, size } => {
-            buf.put_u64_le(handle.0);
-            buf.put_u64_le(*size);
-        }
-        Request::GetTrace { trace } => buf.put_u64_le(trace.0),
-    }
-    Ok(payload)
+    Ok(request.put_fields(buf))
 }
 
 /// True when `frame` is a well-formed header whose opcode is a control
@@ -324,9 +765,9 @@ fn put_head<'m>(
 /// spans to the traces being scraped.
 pub fn frame_is_stats_scrape(frame: &Bytes) -> bool {
     frame.len() >= 4
-        && frame[0..2] == MAGIC.to_le_bytes()
-        && (frame[2] == VERSION || frame[2] == VERSION_TRACED)
-        && (frame[3] == OP_GET_STATS || frame[3] == OP_RESET_STATS || frame[3] == OP_GET_TRACE)
+        && frame[..2] == MAGIC.to_le_bytes()
+        && (VERSION..=VERSION_TRACED).contains(&frame[2])
+        && Request::is_scrape_op(frame[3])
 }
 
 /// Extract the request id from a frame's fixed header without decoding
@@ -338,20 +779,11 @@ pub fn frame_is_stats_scrape(frame: &Bytes) -> bool {
 /// failure to the request that caused it instead of receiving the
 /// unattributable id 0.
 pub fn decode_frame_id(frame: &Bytes) -> Option<RequestId> {
-    let mut buf = frame.clone();
-    if buf.remaining() < 16 {
-        return None;
-    }
-    if buf.get_u16_le() != MAGIC {
-        return None;
-    }
-    let version = buf.get_u8();
-    if version != VERSION && version != VERSION_TRACED {
-        return None;
-    }
-    let _opcode = buf.get_u8();
-    let _client = buf.get_u32_le();
-    Some(RequestId(buf.get_u64_le()))
+    let mut spare = RegionList::new();
+    let mut r = Reader::new(frame.clone().into(), &mut spare);
+    r.envelope(VERSION_TRACED).ok()?;
+    let (_op, _client) = (u8::get(&mut r).ok()?, ClientId::get(&mut r).ok()?);
+    RequestId::get(&mut r).ok()
 }
 
 /// Decode a contiguous request frame, dropping any trace context.
@@ -361,8 +793,8 @@ pub fn decode_message(buf: Bytes) -> PvfsResult<Message> {
 
 /// Decode a request [`Frame`] — the one request decoder — returning the
 /// trace context when the frame is a [`VERSION_TRACED`] one. Old-format
-/// ([`VERSION`]) frames decode exactly as before with `None` — backward
-/// compatibility is pinned by the codec regression and fuzz tests. A
+/// (version 1) frames decode exactly as before with `None` — backward
+/// compatibility is pinned by the committed fixture frames. A
 /// contiguous buffer converts with `.into()`. A write's
 /// payload is taken (as an O(1) view) from whichever part holds it: the
 /// tail of a contiguous frame, as a socket delivers it, or the payload
@@ -375,143 +807,24 @@ pub fn decode_frame(frame: Frame) -> PvfsResult<(Message, Option<TraceContext>)>
 }
 
 /// [`decode_frame`], with a list request's regions decoded into the
-/// storage `spare` holds — taken out of it, refilled in place when no
-/// other handle shares it ([`RegionList::clear`]) — so that a daemon
-/// that puts each served request's list back ([`Request::into_regions`])
-/// decodes the next one without allocating. A spare with no room for a
-/// full list (a fresh one, say) is replaced by one with room for
-/// [`MAX_LIST_REGIONS`], whatever this frame's count: every later frame
-/// fits.
+/// storage `spare` holds (see the trailing data's `Field` impl), so
+/// that a daemon that puts each served request's list back
+/// ([`Request::into_regions`]) decodes the next one without allocating.
 pub fn decode_frame_reusing(
     frame: Frame,
     spare: &mut RegionList,
 ) -> PvfsResult<(Message, Option<TraceContext>)> {
-    let Frame {
-        head: mut buf,
-        mut payload,
-    } = frame;
-    let magic = get_u16(&mut buf)?;
-    if magic != MAGIC {
-        return Err(PvfsError::protocol(format!("bad magic {magic:#06x}")));
-    }
-    let version = get_u8(&mut buf)?;
-    if version != VERSION && version != VERSION_TRACED {
-        return Err(PvfsError::protocol(format!(
-            "unsupported version {version}"
-        )));
-    }
-    let op = get_u8(&mut buf)?;
-    let client = ClientId(get_u32(&mut buf)?);
-    let id = RequestId(get_u64(&mut buf)?);
-    let ctx = if version == VERSION_TRACED {
-        Some(TraceContext {
-            trace: TraceId(get_u64(&mut buf)?),
-            parent: SpanId(get_u64(&mut buf)?),
-        })
-    } else {
-        None
+    let mut r = Reader::new(frame, spare);
+    let version = r.envelope(VERSION_TRACED)?;
+    let op = u8::get(&mut r)?;
+    let (client, id) = (ClientId::get(&mut r)?, RequestId::get(&mut r)?);
+    let ctx = match version {
+        VERSION_TRACED => Some(TraceContext::get(&mut r)?),
+        _ => None,
     };
-    let request = match op {
-        OP_CREATE => {
-            let path = get_string(&mut buf)?;
-            let layout = get_layout(&mut buf)?;
-            Request::Create { path, layout }
-        }
-        OP_OPEN => Request::Open {
-            path: get_string(&mut buf)?,
-        },
-        OP_CLOSE => Request::Close {
-            handle: FileHandle(get_u64(&mut buf)?),
-        },
-        OP_REMOVE => Request::Remove {
-            path: get_string(&mut buf)?,
-        },
-        OP_LIST_DIR => Request::ListDir,
-        OP_GET_LOCAL_SIZE => Request::GetLocalSize {
-            handle: FileHandle(get_u64(&mut buf)?),
-        },
-        OP_READ => Request::Read {
-            handle: FileHandle(get_u64(&mut buf)?),
-            layout: get_layout(&mut buf)?,
-            region: get_region(&mut buf)?,
-        },
-        OP_WRITE => {
-            let handle = FileHandle(get_u64(&mut buf)?);
-            let layout = get_layout(&mut buf)?;
-            let region = get_region(&mut buf)?;
-            let data = get_payload(&mut buf, &mut payload)?;
-            Request::Write {
-                handle,
-                layout,
-                region,
-                data,
-            }
-        }
-        OP_READ_LIST => {
-            let handle = FileHandle(get_u64(&mut buf)?);
-            let layout = get_layout(&mut buf)?;
-            let regions = get_trailing(&mut buf, spare)?;
-            Request::ReadList {
-                handle,
-                layout,
-                regions,
-            }
-        }
-        OP_WRITE_LIST => {
-            let handle = FileHandle(get_u64(&mut buf)?);
-            let layout = get_layout(&mut buf)?;
-            let regions = get_trailing(&mut buf, spare)?;
-            let data = get_payload(&mut buf, &mut payload)?;
-            Request::WriteList {
-                handle,
-                layout,
-                regions,
-                data,
-            }
-        }
-        OP_READ_VECTORS => Request::ReadVectors {
-            handle: FileHandle(get_u64(&mut buf)?),
-            layout: get_layout(&mut buf)?,
-            runs: get_runs(&mut buf)?,
-        },
-        OP_WRITE_VECTORS => {
-            let handle = FileHandle(get_u64(&mut buf)?);
-            let layout = get_layout(&mut buf)?;
-            let runs = get_runs(&mut buf)?;
-            let data = get_payload(&mut buf, &mut payload)?;
-            Request::WriteVectors {
-                handle,
-                layout,
-                runs,
-                data,
-            }
-        }
-        OP_SYNC => Request::Sync {
-            handle: FileHandle(get_u64(&mut buf)?),
-        },
-        OP_FLUSH => Request::Flush,
-        OP_GET_STATS => Request::GetStats,
-        OP_RESET_STATS => Request::ResetStats,
-        OP_PING => Request::Ping,
-        OP_STRIPE_DIGEST => Request::StripeDigest {
-            handle: FileHandle(get_u64(&mut buf)?),
-            chunk: get_u64(&mut buf)?,
-        },
-        OP_TRUNCATE => Request::Truncate {
-            handle: FileHandle(get_u64(&mut buf)?),
-            size: get_u64(&mut buf)?,
-        },
-        OP_GET_TRACE => Request::GetTrace {
-            trace: TraceId(get_u64(&mut buf)?),
-        },
-        other => return Err(PvfsError::protocol(format!("unknown opcode {other}"))),
-    };
-    let garbage = buf.remaining() + payload.remaining();
-    if garbage > 0 {
-        return Err(PvfsError::protocol(format!(
-            "{garbage} bytes of garbage after frame"
-        )));
-    }
+    let request = Request::get_fields(op, &mut r)?;
+    request.check_fields()?;
+    r.finish("frame")?;
     Ok((
         Message {
             client,
@@ -522,19 +835,11 @@ pub fn decode_frame_reusing(
     ))
 }
 
-/// Bytes of the envelope every response frame starts with: magic,
-/// version, echoed request id.
-pub const RESPONSE_ENVELOPE_LEN: usize = 2 + 1 + 8;
-
-/// Bytes of a [`Response::Data`] frame before its payload: envelope,
-/// tag, payload length.
-pub const DATA_HEAD_LEN: usize = RESPONSE_ENVELOPE_LEN + 1 + 8;
-
 /// Every response frame starts with this: magic, version, echoed id.
 fn put_response_envelope(buf: &mut impl BufMut, id: RequestId) {
-    buf.put_u16_le(MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u64_le(id.0);
+    MAGIC.put(buf);
+    VERSION.put(buf);
+    id.put(buf);
 }
 
 /// The head of a [`Response::Data`] frame carrying `payload_len` bytes:
@@ -545,100 +850,35 @@ pub fn data_response_head(id: RequestId, payload_len: u64) -> [u8; DATA_HEAD_LEN
     let mut head = [0u8; DATA_HEAD_LEN];
     let mut w = &mut head[..];
     put_response_envelope(&mut w, id);
-    w.put_u8(RESP_DATA);
-    w.put_u64_le(payload_len);
+    Response::Data { data: Bytes::new() }.tag().put(&mut w);
+    payload_len.put(&mut w);
     head
 }
 
-/// The frame of `resp` if it is a fixed-size reply — a tag and at most
-/// one word: every acknowledgement of the data path (`Written`,
-/// `Synced`, `Flushed`, `Pong`, `LocalSize`) and of the manager
-/// (`Created`, `Closed`, `Removed`) — in an array as long as the longest
-/// of them, and its length; `None` for the variable-size replies. (A
-/// `Data` reply's fixed part is [`data_response_head`].)
-fn short_response(id: RequestId, resp: &Response) -> Option<([u8; DATA_HEAD_LEN], usize)> {
-    let (tag, word) = match resp {
-        Response::Created { handle } => (RESP_CREATED, Some(handle.0)),
-        Response::Closed => (RESP_CLOSED, None),
-        Response::Removed => (RESP_REMOVED, None),
-        Response::LocalSize { size } => (RESP_LOCAL_SIZE, Some(*size)),
-        Response::Written { bytes } => (RESP_WRITTEN, Some(*bytes)),
-        Response::Synced { durable } => (RESP_SYNCED, Some(*durable)),
-        Response::Flushed { files } => (RESP_FLUSHED, Some(*files)),
-        Response::Pong { queue_depth } => (RESP_PONG, Some(*queue_depth)),
-        _ => return None,
-    };
-    let mut frame = [0u8; DATA_HEAD_LEN];
-    let mut w = &mut frame[..];
-    put_response_envelope(&mut w, id);
-    w.put_u8(tag);
-    if let Some(word) = word {
-        w.put_u64_le(word);
+/// The one response encoder: envelope, tag, fields, and a `Data`
+/// reply's payload behind them.
+fn put_response(w: &mut impl BufMut, id: RequestId, resp: &Response) {
+    put_response_envelope(w, id);
+    resp.tag().put(w);
+    if let Some(payload) = resp.put_fields(w) {
+        w.put_slice(payload);
     }
-    let len = DATA_HEAD_LEN - w.len();
-    Some((frame, len))
 }
 
-/// Encode a response frame (echoing the request id). A fixed-size reply
-/// — every acknowledgement there is — is put together on the stack and
-/// comes back inside the `Bytes` ([`bytes::INLINE_CAP`]): nothing is
-/// allocated for it, and nothing about it depends on when its receiver
-/// drops it.
+/// Encode a response frame (echoing the request id). A reply of at most
+/// [`DATA_HEAD_LEN`] bytes — every acknowledgement there is — is put
+/// together on the stack and comes back inside the `Bytes`
+/// ([`bytes::INLINE_CAP`]): nothing is allocated for it, and nothing
+/// about it depends on when its receiver drops it.
 pub fn encode_response(id: RequestId, resp: &Response) -> Bytes {
-    if let Some((frame, len)) = short_response(id, resp) {
+    let len = RESPONSE_ENVELOPE_LEN + 1 + (resp.fields_len() + resp.bulk_len()) as usize;
+    if len <= DATA_HEAD_LEN {
+        let mut frame = [0u8; DATA_HEAD_LEN];
+        put_response(&mut &mut frame[..], id, resp);
         return Bytes::copy_from_slice(&frame[..len]);
     }
-    if let Response::Data { data } = resp {
-        let mut buf = BytesMut::with_capacity(DATA_HEAD_LEN + data.len());
-        buf.put_slice(&data_response_head(id, data.len() as u64));
-        buf.put_slice(data);
-        return buf.freeze();
-    }
-    let mut buf = BytesMut::with_capacity(32);
-    put_response_envelope(&mut buf, id);
-    match resp {
-        Response::Opened { handle, layout } => {
-            buf.put_u8(RESP_OPENED);
-            buf.put_u64_le(handle.0);
-            put_layout(&mut buf, layout);
-        }
-        Response::Listing { paths } => {
-            buf.put_u8(RESP_LISTING);
-            buf.put_u32_le(paths.len() as u32);
-            for p in paths {
-                put_string_mut(&mut buf, p);
-            }
-        }
-        Response::Digests {
-            version,
-            size,
-            chunks,
-        } => {
-            buf.put_u8(RESP_DIGESTS);
-            buf.put_u64_le(*version);
-            buf.put_u64_le(*size);
-            buf.put_u32_le(chunks.len() as u32);
-            for c in chunks {
-                buf.put_u64_le(*c);
-            }
-        }
-        Response::Stats(snap) => {
-            buf.put_u8(RESP_STATS);
-            put_stats(&mut buf, snap);
-        }
-        Response::Spans(spans) => {
-            buf.put_u8(RESP_SPANS);
-            buf.put_u32_le(spans.len() as u32);
-            for s in spans {
-                put_span(&mut buf, s);
-            }
-        }
-        Response::Error(e) => {
-            buf.put_u8(RESP_ERROR);
-            put_error(&mut buf, e);
-        }
-        _ => unreachable!("the fixed-size replies and `Data` are encoded above"),
-    }
+    let mut buf = BytesMut::with_capacity(len);
+    put_response(&mut buf, id, resp);
     buf.freeze()
 }
 
@@ -647,14 +887,10 @@ pub fn encode_response(id: RequestId, resp: &Response) -> Bytes {
 /// with several requests on one connection tell whose reply failed to
 /// decode.
 pub fn decode_response_id(frame: &Bytes) -> Option<RequestId> {
-    let mut buf = frame.clone();
-    if buf.remaining() < RESPONSE_ENVELOPE_LEN
-        || buf.get_u16_le() != MAGIC
-        || buf.get_u8() != VERSION
-    {
-        return None;
-    }
-    Some(RequestId(buf.get_u64_le()))
+    let mut spare = RegionList::new();
+    let mut r = Reader::new(frame.clone().into(), &mut spare);
+    r.envelope(VERSION).ok()?;
+    RequestId::get(&mut r).ok()
 }
 
 /// Decode a contiguous response frame, returning the echoed request id
@@ -671,524 +907,15 @@ pub fn decode_response(buf: Bytes) -> PvfsResult<(RequestId, Response)> {
 /// announced, or bytes left over in either part, are the same typed
 /// errors a short or over-long contiguous frame gets.
 pub fn decode_response_frame(frame: Frame) -> PvfsResult<(RequestId, Response)> {
-    let Frame {
-        head: mut buf,
-        mut payload,
-    } = frame;
-    let magic = get_u16(&mut buf)?;
-    if magic != MAGIC {
-        return Err(PvfsError::protocol(format!("bad magic {magic:#06x}")));
-    }
-    let version = get_u8(&mut buf)?;
-    if version != VERSION {
-        return Err(PvfsError::protocol(format!(
-            "unsupported version {version}"
-        )));
-    }
-    let id = RequestId(get_u64(&mut buf)?);
-    let tag = get_u8(&mut buf)?;
-    let resp = match tag {
-        RESP_CREATED => Response::Created {
-            handle: FileHandle(get_u64(&mut buf)?),
-        },
-        RESP_OPENED => Response::Opened {
-            handle: FileHandle(get_u64(&mut buf)?),
-            layout: get_layout(&mut buf)?,
-        },
-        RESP_CLOSED => Response::Closed,
-        RESP_REMOVED => Response::Removed,
-        RESP_LISTING => {
-            let n = get_u32(&mut buf)? as usize;
-            if n > 1_000_000 {
-                return Err(PvfsError::protocol("absurd listing length"));
-            }
-            let mut paths = Vec::with_capacity(n);
-            for _ in 0..n {
-                paths.push(get_string(&mut buf)?);
-            }
-            Response::Listing { paths }
-        }
-        RESP_LOCAL_SIZE => Response::LocalSize {
-            size: get_u64(&mut buf)?,
-        },
-        RESP_DATA => Response::Data {
-            data: get_payload(&mut buf, &mut payload)?,
-        },
-        RESP_WRITTEN => Response::Written {
-            bytes: get_u64(&mut buf)?,
-        },
-        RESP_SYNCED => Response::Synced {
-            durable: get_u64(&mut buf)?,
-        },
-        RESP_FLUSHED => Response::Flushed {
-            files: get_u64(&mut buf)?,
-        },
-        RESP_PONG => Response::Pong {
-            queue_depth: get_u64(&mut buf)?,
-        },
-        RESP_DIGESTS => {
-            let version = get_u64(&mut buf)?;
-            let size = get_u64(&mut buf)?;
-            let n = get_u32(&mut buf)? as usize;
-            // Bound the allocation by the bytes actually present, so a
-            // forged count cannot balloon memory before the reads fail.
-            if buf.remaining() < n * 8 {
-                return Err(PvfsError::protocol(format!(
-                    "digest response claims {n} chunks but only {} bytes remain",
-                    buf.remaining()
-                )));
-            }
-            let mut chunks = Vec::with_capacity(n);
-            for _ in 0..n {
-                chunks.push(get_u64(&mut buf)?);
-            }
-            Response::Digests {
-                version,
-                size,
-                chunks,
-            }
-        }
-        RESP_STATS => Response::Stats(Box::new(get_stats(&mut buf)?)),
-        RESP_SPANS => {
-            let n = get_u32(&mut buf)? as usize;
-            // A span is at least 52 bytes on the wire; bound the
-            // allocation by the bytes actually present, as for digests.
-            if buf.remaining() < n * 52 {
-                return Err(PvfsError::protocol(format!(
-                    "span response claims {n} spans but only {} bytes remain",
-                    buf.remaining()
-                )));
-            }
-            let mut spans = Vec::with_capacity(n);
-            for _ in 0..n {
-                spans.push(get_span(&mut buf)?);
-            }
-            Response::Spans(spans)
-        }
-        RESP_ERROR => Response::Error(get_error(&mut buf)?),
-        other => return Err(PvfsError::protocol(format!("unknown response tag {other}"))),
-    };
-    let garbage = buf.remaining() + payload.remaining();
-    if garbage > 0 {
-        return Err(PvfsError::protocol(format!(
-            "{garbage} bytes of garbage after response"
-        )));
-    }
+    let mut spare = RegionList::new();
+    let mut r = Reader::new(frame, &mut spare);
+    r.envelope(VERSION)?;
+    let id = RequestId::get(&mut r)?;
+    let tag = u8::get(&mut r)?;
+    let resp = Response::get_fields(tag, &mut r)?;
+    resp.check_fields()?;
+    r.finish("response")?;
     Ok((id, resp))
-}
-
-/// Frame size split for cost accounting: `(control bytes, bulk bytes)`.
-/// Control = header + trailing data; bulk = streamed payload.
-pub fn frame_sizes(m: &Message) -> PvfsResult<(u64, u64)> {
-    let total = encode_message(m)?.len() as u64;
-    let bulk = m.request.bulk_len();
-    // Write frames carry an 8-byte bulk length prefix counted as control.
-    Ok((total - bulk, bulk))
-}
-
-fn check_runs(runs: &[VectorRun]) -> PvfsResult<()> {
-    if runs.is_empty() {
-        return Err(PvfsError::protocol("vector request with no runs"));
-    }
-    if runs.len() > MAX_VECTOR_RUNS {
-        return Err(PvfsError::protocol(format!(
-            "vector request with {} runs exceeds the {MAX_VECTOR_RUNS}-run frame limit",
-            runs.len()
-        )));
-    }
-    for run in runs {
-        run.validate()
-            .map_err(|e| PvfsError::protocol(format!("invalid vector run: {e}")))?;
-    }
-    Ok(())
-}
-
-fn put_runs(buf: &mut BytesMut, runs: &[VectorRun]) {
-    buf.put_u32_le(runs.len() as u32);
-    for run in runs {
-        buf.put_u64_le(run.base);
-        buf.put_u64_le(run.blocklen);
-        buf.put_u64_le(run.stride);
-        buf.put_u64_le(run.count);
-    }
-}
-
-fn get_runs(buf: &mut Bytes) -> PvfsResult<Vec<VectorRun>> {
-    let count = get_u32(buf)? as usize;
-    if count == 0 || count > MAX_VECTOR_RUNS {
-        return Err(PvfsError::protocol(format!(
-            "vector run count {count} out of range 1..={MAX_VECTOR_RUNS}"
-        )));
-    }
-    let mut runs = Vec::with_capacity(count);
-    for _ in 0..count {
-        let run = VectorRun {
-            base: get_u64(buf)?,
-            blocklen: get_u64(buf)?,
-            stride: get_u64(buf)?,
-            count: get_u64(buf)?,
-        };
-        run.validate()
-            .map_err(|e| PvfsError::protocol(format!("invalid vector run on wire: {e}")))?;
-        runs.push(run);
-    }
-    Ok(runs)
-}
-
-fn opcode(r: &Request) -> u8 {
-    match r {
-        Request::Create { .. } => OP_CREATE,
-        Request::Open { .. } => OP_OPEN,
-        Request::Close { .. } => OP_CLOSE,
-        Request::Remove { .. } => OP_REMOVE,
-        Request::ListDir => OP_LIST_DIR,
-        Request::GetLocalSize { .. } => OP_GET_LOCAL_SIZE,
-        Request::Read { .. } => OP_READ,
-        Request::Write { .. } => OP_WRITE,
-        Request::ReadList { .. } => OP_READ_LIST,
-        Request::WriteList { .. } => OP_WRITE_LIST,
-        Request::ReadVectors { .. } => OP_READ_VECTORS,
-        Request::WriteVectors { .. } => OP_WRITE_VECTORS,
-        Request::Sync { .. } => OP_SYNC,
-        Request::Flush => OP_FLUSH,
-        Request::GetStats => OP_GET_STATS,
-        Request::ResetStats => OP_RESET_STATS,
-        Request::Ping => OP_PING,
-        Request::StripeDigest { .. } => OP_STRIPE_DIGEST,
-        Request::Truncate { .. } => OP_TRUNCATE,
-        Request::GetTrace { .. } => OP_GET_TRACE,
-    }
-}
-
-/// Spans ship as `trace (8B) | id (8B) | parent (8B) | node string |
-/// op string | start_ns (8B) | dur_ns (8B) | note count (4B) | notes` —
-/// 52 bytes plus the strings.
-fn put_span(buf: &mut BytesMut, s: &Span) {
-    buf.put_u64_le(s.trace.0);
-    buf.put_u64_le(s.id.0);
-    buf.put_u64_le(s.parent.0);
-    put_string_mut(buf, &s.node);
-    put_string_mut(buf, &s.op);
-    buf.put_u64_le(s.start_ns);
-    buf.put_u64_le(s.dur_ns);
-    buf.put_u32_le(s.notes.len() as u32);
-    for n in &s.notes {
-        put_string_mut(buf, n);
-    }
-}
-
-fn get_span(buf: &mut Bytes) -> PvfsResult<Span> {
-    let trace = TraceId(get_u64(buf)?);
-    let id = SpanId(get_u64(buf)?);
-    let parent = SpanId(get_u64(buf)?);
-    let node = get_string(buf)?;
-    let op = get_string(buf)?;
-    let start_ns = get_u64(buf)?;
-    let dur_ns = get_u64(buf)?;
-    let n = get_u32(buf)? as usize;
-    // Each note is at least a 4-byte length prefix.
-    if buf.remaining() < n * 4 {
-        return Err(PvfsError::protocol(format!(
-            "span claims {n} notes but only {} bytes remain",
-            buf.remaining()
-        )));
-    }
-    let mut notes = Vec::with_capacity(n);
-    for _ in 0..n {
-        notes.push(get_string(buf)?);
-    }
-    Ok(Span {
-        trace,
-        id,
-        parent,
-        node,
-        op,
-        start_ns,
-        dur_ns,
-        notes,
-    })
-}
-
-/// The limits every list request must meet, on the wire and at a
-/// daemon's door alike: at least one region, at most
-/// [`MAX_LIST_REGIONS`], header plus trailing data within one Ethernet
-/// frame.
-pub fn check_list(regions: &RegionList) -> PvfsResult<()> {
-    if regions.is_empty() {
-        return Err(PvfsError::protocol("list request with no regions"));
-    }
-    if regions.count() > MAX_LIST_REGIONS {
-        return Err(PvfsError::protocol(format!(
-            "list request with {} regions exceeds the {MAX_LIST_REGIONS}-region trailing-data limit",
-            regions.count()
-        )));
-    }
-    if !list_request_fits_frame(regions.count()) {
-        return Err(PvfsError::protocol(
-            "list request does not fit one Ethernet frame",
-        ));
-    }
-    Ok(())
-}
-
-fn put_string(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_string(buf: &mut Bytes) -> PvfsResult<String> {
-    let len = get_u32(buf)? as usize;
-    if buf.remaining() < len {
-        return Err(PvfsError::protocol("short frame reading string"));
-    }
-    let raw = buf.split_to(len);
-    String::from_utf8(raw.to_vec()).map_err(|_| PvfsError::protocol("invalid utf-8 in string"))
-}
-
-fn put_layout(buf: &mut BytesMut, l: &StripeLayout) {
-    buf.put_u32_le(l.base);
-    buf.put_u32_le(l.pcount);
-    buf.put_u64_le(l.ssize);
-}
-
-fn get_layout(buf: &mut Bytes) -> PvfsResult<StripeLayout> {
-    let base = get_u32(buf)?;
-    let pcount = get_u32(buf)?;
-    let ssize = get_u64(buf)?;
-    StripeLayout::new(base, pcount, ssize)
-        .map_err(|e| PvfsError::protocol(format!("invalid stripe layout on wire: {e}")))
-}
-
-fn put_region(buf: &mut BytesMut, r: Region) {
-    buf.put_u64_le(r.offset);
-    buf.put_u64_le(r.len);
-}
-
-fn get_region(buf: &mut Bytes) -> PvfsResult<Region> {
-    let (offset, len) = (get_u64(buf)?, get_u64(buf)?);
-    Region::try_new(offset, len)
-        .ok_or_else(|| PvfsError::protocol(format!("region {offset}+{len} overflows u64")))
-}
-
-fn put_trailing(buf: &mut BytesMut, regions: &RegionList) {
-    buf.put_u32_le(regions.count() as u32);
-    for r in regions {
-        put_region(buf, *r);
-    }
-}
-
-fn get_trailing(buf: &mut Bytes, spare: &mut RegionList) -> PvfsResult<RegionList> {
-    let count = get_u32(buf)? as usize;
-    if count == 0 || count > MAX_LIST_REGIONS {
-        return Err(PvfsError::protocol(format!(
-            "trailing data region count {count} out of range 1..={MAX_LIST_REGIONS}"
-        )));
-    }
-    let mut regions = std::mem::take(spare);
-    regions.clear();
-    if regions.capacity() < MAX_LIST_REGIONS {
-        regions = RegionList::with_capacity(MAX_LIST_REGIONS);
-    }
-    for _ in 0..count {
-        let region = get_region(buf)?;
-        if region.is_empty() {
-            return Err(PvfsError::protocol(
-                "invalid trailing data: invalid argument: region list contains an empty region",
-            ));
-        }
-        regions.push(region);
-    }
-    Ok(regions)
-}
-
-/// A snapshot travels as the ledger declares it (`pvfs_types::metrics`):
-/// every counter, then every gauge, one word each, then every histogram.
-fn put_stats(buf: &mut BytesMut, s: &StatsSnapshot) {
-    for (_, v) in s.counters().into_iter().chain(s.gauges()) {
-        buf.put_u64_le(v);
-    }
-    for (_, h) in s.histograms() {
-        put_histogram(buf, h);
-    }
-}
-
-fn get_stats(buf: &mut Bytes) -> PvfsResult<StatsSnapshot> {
-    StatsSnapshot::read(buf, get_u64, get_histogram)
-}
-
-/// Histograms ship sparse: `sum (16B, lo/hi u64 halves) | min (8B) |
-/// max (8B) | n (4B) | n × (bucket index 4B, count 8B)` — 36 bytes plus
-/// 12 per occupied bucket, so a stats response stays a small control
-/// frame.
-fn put_histogram(buf: &mut BytesMut, h: &Histogram) {
-    buf.put_u64_le(h.sum_ns() as u64);
-    buf.put_u64_le((h.sum_ns() >> 64) as u64);
-    buf.put_u64_le(h.min_ns());
-    buf.put_u64_le(h.max_ns());
-    let sparse = h.to_sparse();
-    buf.put_u32_le(sparse.len() as u32);
-    for (i, c) in sparse {
-        buf.put_u32_le(i);
-        buf.put_u64_le(c);
-    }
-}
-
-fn get_histogram(buf: &mut Bytes) -> PvfsResult<Histogram> {
-    let sum_lo = get_u64(buf)?;
-    let sum_hi = get_u64(buf)?;
-    let sum = (sum_hi as u128) << 64 | sum_lo as u128;
-    let min = get_u64(buf)?;
-    let max = get_u64(buf)?;
-    let n = get_u32(buf)? as usize;
-    if n > 1024 {
-        return Err(PvfsError::protocol("absurd histogram bucket count"));
-    }
-    let mut sparse = Vec::with_capacity(n);
-    for _ in 0..n {
-        sparse.push((get_u32(buf)?, get_u64(buf)?));
-    }
-    Histogram::from_sparse(&sparse, sum, min, max)
-        .ok_or_else(|| PvfsError::protocol("invalid histogram buckets on wire"))
-}
-
-/// A write request's bulk payload: the length word, then that many
-/// bytes out of the rest of the head (a contiguous frame) or, once the
-/// head is spent, out of the frame's payload part.
-fn get_payload(head: &mut Bytes, payload: &mut Bytes) -> PvfsResult<Bytes> {
-    let len = get_u64(head)? as usize;
-    let part = if head.has_remaining() { head } else { payload };
-    if part.remaining() < len {
-        return Err(PvfsError::protocol("short frame reading bulk data"));
-    }
-    Ok(part.split_to(len))
-}
-
-fn put_error(buf: &mut BytesMut, e: &PvfsError) {
-    match e {
-        PvfsError::InvalidArgument(m) => {
-            buf.put_u8(ERR_INVALID_ARGUMENT);
-            put_string_mut(buf, m);
-        }
-        PvfsError::NoSuchFile(m) => {
-            buf.put_u8(ERR_NO_SUCH_FILE);
-            put_string_mut(buf, m);
-        }
-        PvfsError::AlreadyExists(m) => {
-            buf.put_u8(ERR_ALREADY_EXISTS);
-            put_string_mut(buf, m);
-        }
-        PvfsError::BadHandle(h) => {
-            buf.put_u8(ERR_BAD_HANDLE);
-            buf.put_u64_le(*h);
-        }
-        PvfsError::Protocol(m) => {
-            buf.put_u8(ERR_PROTOCOL);
-            put_string_mut(buf, m);
-        }
-        PvfsError::Storage(m) => {
-            buf.put_u8(ERR_STORAGE);
-            put_string_mut(buf, m);
-        }
-        PvfsError::Transport(m) => {
-            buf.put_u8(ERR_TRANSPORT);
-            put_string_mut(buf, m);
-        }
-        PvfsError::NoSuchServer(s) => {
-            buf.put_u8(ERR_NO_SUCH_SERVER);
-            buf.put_u32_le(*s);
-        }
-        PvfsError::Timeout(m) => {
-            buf.put_u8(ERR_TIMEOUT);
-            put_string_mut(buf, m);
-        }
-        PvfsError::FrameTooLarge { len, max } => {
-            buf.put_u8(ERR_FRAME_TOO_LARGE);
-            buf.put_u64_le(*len);
-            buf.put_u64_le(*max);
-        }
-        PvfsError::Config(m) => {
-            buf.put_u8(ERR_CONFIG);
-            put_string_mut(buf, m);
-        }
-        PvfsError::Unavailable {
-            server,
-            retry_after_ms,
-        } => {
-            buf.put_u8(ERR_UNAVAILABLE);
-            buf.put_u32_le(*server);
-            buf.put_u64_le(*retry_after_ms);
-        }
-        PvfsError::Overloaded {
-            server,
-            queue_depth,
-        } => {
-            buf.put_u8(ERR_OVERLOADED);
-            buf.put_u32_le(*server);
-            buf.put_u64_le(*queue_depth);
-        }
-    }
-}
-
-fn put_string_mut(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_error(buf: &mut Bytes) -> PvfsResult<PvfsError> {
-    let tag = get_u8(buf)?;
-    Ok(match tag {
-        ERR_INVALID_ARGUMENT => PvfsError::InvalidArgument(get_string(buf)?),
-        ERR_NO_SUCH_FILE => PvfsError::NoSuchFile(get_string(buf)?),
-        ERR_ALREADY_EXISTS => PvfsError::AlreadyExists(get_string(buf)?),
-        ERR_BAD_HANDLE => PvfsError::BadHandle(get_u64(buf)?),
-        ERR_PROTOCOL => PvfsError::Protocol(get_string(buf)?),
-        ERR_STORAGE => PvfsError::Storage(get_string(buf)?),
-        ERR_TRANSPORT => PvfsError::Transport(get_string(buf)?),
-        ERR_NO_SUCH_SERVER => PvfsError::NoSuchServer(get_u32(buf)?),
-        ERR_TIMEOUT => PvfsError::Timeout(get_string(buf)?),
-        ERR_FRAME_TOO_LARGE => PvfsError::FrameTooLarge {
-            len: get_u64(buf)?,
-            max: get_u64(buf)?,
-        },
-        ERR_CONFIG => PvfsError::Config(get_string(buf)?),
-        ERR_UNAVAILABLE => PvfsError::Unavailable {
-            server: get_u32(buf)?,
-            retry_after_ms: get_u64(buf)?,
-        },
-        ERR_OVERLOADED => PvfsError::Overloaded {
-            server: get_u32(buf)?,
-            queue_depth: get_u64(buf)?,
-        },
-        other => return Err(PvfsError::protocol(format!("unknown error tag {other}"))),
-    })
-}
-
-fn get_u8(buf: &mut Bytes) -> PvfsResult<u8> {
-    if buf.remaining() < 1 {
-        return Err(PvfsError::protocol("short frame"));
-    }
-    Ok(buf.get_u8())
-}
-
-fn get_u16(buf: &mut Bytes) -> PvfsResult<u16> {
-    if buf.remaining() < 2 {
-        return Err(PvfsError::protocol("short frame"));
-    }
-    Ok(buf.get_u16_le())
-}
-
-fn get_u32(buf: &mut Bytes) -> PvfsResult<u32> {
-    if buf.remaining() < 4 {
-        return Err(PvfsError::protocol("short frame"));
-    }
-    Ok(buf.get_u32_le())
-}
-
-fn get_u64(buf: &mut Bytes) -> PvfsResult<u64> {
-    if buf.remaining() < 8 {
-        return Err(PvfsError::protocol("short frame"));
-    }
-    Ok(buf.get_u64_le())
 }
 
 #[cfg(test)]
@@ -1753,70 +1480,6 @@ mod tests {
         assert_eq!(decoded, Response::Stats(Box::new(empty)));
     }
 
-    /// One fully populated `Stats` frame against bytes written out by
-    /// hand: envelope, tag, the 16 counters in `counters()` order, the
-    /// four gauges, then the three histograms, sparse.
-    #[test]
-    fn stats_frame_is_pinned_byte_for_byte() {
-        let mut snap = StatsSnapshot {
-            requests: 1,
-            contiguous_requests: 2,
-            list_requests: 3,
-            regions: 4,
-            bytes_read: 5,
-            bytes_written: 6,
-            errors: 7,
-            bytes_rx: 8,
-            bytes_tx: 9,
-            frames_rx: 10,
-            journal_appends: 11,
-            journal_bytes: 12,
-            journal_replays: 13,
-            flushes: 14,
-            fsyncs: 15,
-            requests_shed: 16,
-            workers: 17,
-            busy_workers: 18,
-            queue_depth: 19,
-            journal_depth: 20,
-            ..Default::default()
-        };
-        snap.queue_wait.record(1_000);
-        snap.queue_wait.record(3_000);
-        snap.service_time.record(1_000_000);
-
-        let mut want: Vec<u8> = vec![0x56, 0x50, 1]; // magic, version
-        want.extend(0x0102_0304_0506_0708u64.to_le_bytes()); // request id
-        want.push(10); // RESP_STATS
-        for word in 1..=20u64 {
-            want.extend(word.to_le_bytes());
-        }
-        let histogram = |sum: u64, min: u64, max: u64, buckets: &[(u32, u64)]| {
-            let mut h = Vec::new();
-            for word in [sum, 0, min, max] {
-                h.extend(word.to_le_bytes());
-            }
-            h.extend((buckets.len() as u32).to_le_bytes());
-            for (index, count) in buckets {
-                h.extend(index.to_le_bytes());
-                h.extend(count.to_le_bytes());
-            }
-            h
-        };
-        // 1000 ns ∈ [2^9.5, 2^10) = bucket 19; 3000 ns ∈ [2^11.5, 2^12) = 23.
-        want.extend(histogram(4_000, 1_000, 3_000, &[(19, 1), (23, 1)]));
-        // 1 ms ∈ [2^19.5, 2^20) = bucket 39.
-        want.extend(histogram(1_000_000, 1_000_000, 1_000_000, &[(39, 1)]));
-        want.extend(histogram(0, 0, 0, &[]));
-        assert_eq!(want.len(), 3 + 8 + 1 + 20 * 8 + 3 * 36 + 3 * 12);
-
-        let id = RequestId(0x0102_0304_0506_0708);
-        let frame = encode_response(id, &Response::Stats(Box::new(snap.clone())));
-        assert_eq!(&frame[..], &want[..]);
-        let (back_id, back) = decode_response(Bytes::from(want)).unwrap();
-        assert_eq!((back_id, back), (id, Response::Stats(Box::new(snap))));
-    }
-
     #[test]
     fn stats_scrape_frames_are_recognized() {
         for (req, is_scrape) in [
@@ -2035,6 +1698,30 @@ mod tests {
         assert_eq!(encoded.len(), LIST_HEADER_SIZE + 64 * 16);
     }
 
+    /// `LIST_HEADER_SIZE`, the planner's frame arithmetic, is what the
+    /// table says a list request with no regions takes.
+    #[test]
+    fn list_header_size_is_a_list_request_without_regions() {
+        let bare = Request::ReadList {
+            handle: FileHandle(1),
+            layout: layout(),
+            regions: RegionList::new(),
+        };
+        assert_eq!(bare.control_wire_size(), LIST_HEADER_SIZE as u64);
+    }
+
+    /// A 16-byte listing that claims a million paths is refused before
+    /// anything is allocated for them (it once cost the client 24 MB of
+    /// `String`s): a count is held to the bytes that remain.
+    #[test]
+    fn a_forged_listing_count_is_refused_before_it_is_allocated() {
+        let mut frame = encode_response(FIXTURE_ID, &Response::Listing { paths: vec![] }).to_vec();
+        frame[12..].copy_from_slice(&1_000_000u32.to_le_bytes());
+        let err = decode_response(Bytes::from(frame)).unwrap_err();
+        let claim = |m: &str| m.contains("claims") && m.contains("but only 0 bytes remain");
+        assert!(matches!(&err, PvfsError::Protocol(m) if claim(m)), "{err}");
+    }
+
     #[test]
     fn oversized_list_is_rejected_at_encode() {
         let regions = RegionList::from_pairs((0..65).map(|i| (i * 100, 10u64))).unwrap();
@@ -2106,67 +1793,45 @@ mod tests {
         }
     }
 
-    /// The byte-for-byte encoding of a tag-and-word reply, written out by
-    /// hand: what `encode_response` produced while it built every reply
-    /// in a `BytesMut`.
-    fn reference_short(id: u64, tag: u8, word: Option<u64>) -> Vec<u8> {
-        let mut frame = vec![0x56, 0x50, VERSION];
-        frame.extend_from_slice(&id.to_le_bytes());
-        frame.push(tag);
-        frame.extend(word.iter().flat_map(|w| w.to_le_bytes()));
-        frame
-    }
-
+    /// Every reply of at most `DATA_HEAD_LEN` bytes — every
+    /// acknowledgement, and whatever else is that short — is its
+    /// fixture's bytes held inside the `Bytes`, nothing allocated; every
+    /// longer one is not. A `Data` reply's fixed part is its fixture's
+    /// first `DATA_HEAD_LEN` bytes.
     #[test]
     fn fixed_size_replies_are_inline_and_of_unchanged_bytes() {
-        let cases = [
-            (
-                Response::Created {
-                    handle: FileHandle(7),
-                },
-                RESP_CREATED,
-                Some(7),
-            ),
-            (Response::Closed, RESP_CLOSED, None),
-            (Response::Removed, RESP_REMOVED, None),
-            (
-                Response::LocalSize { size: 1 << 40 },
-                RESP_LOCAL_SIZE,
-                Some(1 << 40),
-            ),
-            (Response::Written { bytes: 2048 }, RESP_WRITTEN, Some(2048)),
-            (
-                Response::Synced { durable: u64::MAX },
-                RESP_SYNCED,
-                Some(u64::MAX),
-            ),
-            (Response::Flushed { files: 3 }, RESP_FLUSHED, Some(3)),
-            (Response::Pong { queue_depth: 0 }, RESP_PONG, Some(0)),
+        let inline = |b: &Bytes| {
+            let this = b as *const Bytes as usize;
+            (this..this + std::mem::size_of::<Bytes>()).contains(&(b.as_ptr() as usize))
+        };
+        let responses = fixture_responses().into_iter().zip(fixtures::RESPONSES);
+        let errors = fixture_errors().into_iter().map(Response::Error);
+        let mut short = Vec::new();
+        for (resp, (kind, hex)) in responses.chain(errors.zip(fixtures::ERRORS)) {
+            let encoded = encode_response(FIXTURE_ID, &resp);
+            assert_eq!(&encoded[..], &fixtures::bytes(hex)[..], "{kind}");
+            assert_eq!(inline(&encoded), encoded.len() <= DATA_HEAD_LEN, "{kind}");
+            if inline(&encoded) {
+                short.push(kind);
+            }
+        }
+        let acks = [
+            "created",
+            "closed",
+            "removed",
+            "local_size",
+            "written",
+            "synced",
         ];
-        for (resp, tag, word) in cases {
-            let id = RequestId(0x0102_0304_0506_0708);
-            // The same bytes as ever, held in the handle.
-            let encoded = encode_response(id, &resp);
-            let reference = reference_short(id.0, tag, word);
-            assert_eq!(&encoded[..], &reference[..], "{resp:?}");
-            assert!(encoded.len() <= bytes::INLINE_CAP);
-            assert_eq!(decode_response(encoded).unwrap(), (id, resp));
-        }
-        // Everything else has no fixed size, and a buffer (a `Data`
-        // reply's fixed part is `data_response_head`).
-        for resp in [
-            Response::Data { data: Bytes::new() },
-            Response::Opened {
-                handle: FileHandle(1),
-                layout: layout(),
-            },
-            Response::Listing { paths: vec![] },
-            Response::Error(PvfsError::BadHandle(1)),
-        ] {
-            assert!(short_response(RequestId(1), &resp).is_none(), "{resp:?}");
-        }
-        let head = data_response_head(RequestId(5), 300);
-        assert_eq!(&head[..], &reference_short(5, RESP_DATA, Some(300))[..]);
+        assert_eq!(
+            short,
+            [&acks[..], &["flushed", "pong", "no_such_server"]].concat()
+        );
+        let data = fixtures::bytes(fixtures::RESPONSES[5].1);
+        assert_eq!(
+            &data_response_head(FIXTURE_ID, 4)[..],
+            &data[..DATA_HEAD_LEN]
+        );
     }
 
     #[test]
@@ -2331,20 +1996,6 @@ mod tests {
         .to_vec();
         raw.push(0);
         assert!(decode_message(Bytes::from(raw)).is_err());
-    }
-
-    #[test]
-    fn frame_sizes_split_control_and_bulk() {
-        let m = msg(Request::Write {
-            handle: FileHandle(1),
-            layout: layout(),
-            region: Region::new(0, 1000),
-            data: Bytes::from(vec![0u8; 1000]),
-        });
-        let (control, bulk) = frame_sizes(&m).unwrap();
-        assert_eq!(bulk, 1000);
-        assert!(control < 100);
-        assert_eq!(control + bulk, encode_message(&m).unwrap().len() as u64);
     }
 
     #[test]
@@ -2653,72 +2304,29 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::arb::Arb;
     use super::tests::contiguous;
     use super::*;
     use proptest::prelude::*;
 
-    fn arb_layout() -> impl Strategy<Value = StripeLayout> {
-        (0u32..4, 1u32..16, 1u64..1_000_000).prop_map(|(base, pcount, ssize)| StripeLayout {
-            base,
-            pcount,
-            ssize,
-        })
-    }
-
-    fn arb_regions() -> impl Strategy<Value = RegionList> {
-        proptest::collection::vec((0u64..1_000_000, 1u64..10_000), 1..=MAX_LIST_REGIONS)
-            .prop_map(|pairs| RegionList::from_pairs(pairs).unwrap())
-    }
-
-    fn arb_request() -> impl Strategy<Value = Request> {
-        prop_oneof![
-            ("[a-z/]{1,30}", arb_layout())
-                .prop_map(|(path, layout)| Request::Create { path, layout }),
-            "[a-z/]{1,30}".prop_map(|path| Request::Open { path }),
-            (0u64..u64::MAX).prop_map(|h| Request::Close {
-                handle: FileHandle(h)
-            }),
-            (arb_layout(), 0u64..1_000_000, 1u64..100_000).prop_map(|(layout, off, len)| {
-                Request::Read {
-                    handle: FileHandle(1),
-                    layout,
-                    region: Region::new(off, len),
-                }
-            }),
-            (
-                arb_layout(),
-                0u64..1_000_000,
-                proptest::collection::vec(any::<u8>(), 0..2048)
-            )
-                .prop_map(|(layout, off, data)| Request::Write {
-                    handle: FileHandle(1),
-                    layout,
-                    region: Region::new(off, data.len() as u64),
-                    data: Bytes::from(data),
-                }),
-            (arb_layout(), arb_regions()).prop_map(|(layout, regions)| Request::ReadList {
-                handle: FileHandle(1),
-                layout,
-                regions,
-            }),
-            (
-                arb_layout(),
-                arb_regions(),
-                proptest::collection::vec(any::<u8>(), 0..512)
-            )
-                .prop_map(|(layout, regions, data)| Request::WriteList {
-                    handle: FileHandle(1),
-                    layout,
-                    regions,
-                    data: Bytes::from(data),
-                }),
-        ]
+    /// Every row of each table is drawn: the generators are the table's.
+    #[test]
+    fn the_generators_draw_every_row() {
+        use proptest::test_runner::TestRng;
+        use std::collections::BTreeSet;
+        fn tags<T: Tagged>(rows: BoxedStrategy<T>) -> BTreeSet<u8> {
+            let mut rng = TestRng::deterministic("rows");
+            (0..2000).map(|_| rows.generate(&mut rng).tag()).collect()
+        }
+        assert_eq!(tags(Request::arb()), (1..=20).collect());
+        assert_eq!(tags(Response::arb()), (1..=15).collect());
+        assert_eq!(tags(PvfsError::arb()), (1..=13).collect());
     }
 
     proptest! {
         #[test]
         fn any_request_roundtrips(
-            request in arb_request(),
+            request in Request::arb(),
             client in 0u32..1024,
             id in 0u64..u64::MAX,
         ) {
@@ -2734,7 +2342,7 @@ mod proptests {
 
         #[test]
         fn any_request_frame_is_its_contiguous_encoding_in_two_parts(
-            request in arb_request(),
+            request in Request::arb(),
             client in 0u32..1024,
             id in 0u64..u64::MAX,
         ) {
@@ -2747,8 +2355,8 @@ mod proptests {
 
         #[test]
         fn list_frames_never_exceed_mtu(
-            layout in arb_layout(),
-            regions in arb_regions(),
+            layout in StripeLayout::arb(),
+            regions in RegionList::arb(),
         ) {
             let m = Message {
                 client: ClientId(0),
@@ -2764,6 +2372,12 @@ mod proptests {
         }
 
         #[test]
+        fn any_response_roundtrips(response in Response::arb(), id in any::<u64>()) {
+            let encoded = encode_response(RequestId(id), &response);
+            prop_assert_eq!(decode_response(encoded).unwrap(), (RequestId(id), response));
+        }
+
+        #[test]
         fn decode_never_panics_on_random_bytes(raw in proptest::collection::vec(any::<u8>(), 0..256)) {
             let _ = decode_message(Bytes::from(raw.clone()));
             let _ = decode_response(Bytes::from(raw));
@@ -2771,7 +2385,7 @@ mod proptests {
 
         #[test]
         fn any_request_roundtrips_with_trace_context(
-            request in arb_request(),
+            request in Request::arb(),
             trace in 1u64..u64::MAX,
             parent in 0u64..u64::MAX,
         ) {
@@ -2788,6 +2402,109 @@ mod proptests {
             let (decoded, got) = decode_frame(encoded.into()).unwrap();
             prop_assert_eq!(decoded, m);
             prop_assert_eq!(got, Some(ctx));
+        }
+    }
+}
+
+/// Generators of every wire type, so that each table's generator is
+/// derived from its rows (`wire!`): `Request::arb()`, `Response::arb()`
+/// and `PvfsError::arb()` draw every row there is.
+#[cfg(test)]
+pub(crate) mod arb {
+    use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    pub(crate) trait Arb: Sized + 'static {
+        fn arb() -> BoxedStrategy<Self>;
+
+        /// A counted vector of these, as the wire allows it.
+        fn arb_vec() -> BoxedStrategy<Vec<Self>> {
+            vec(Self::arb(), 0..4).boxed()
+        }
+    }
+
+    macro_rules! arb {
+        ($($t:ty => $strategy:expr;)*) => {$(
+            impl Arb for $t {
+                fn arb() -> BoxedStrategy<Self> {
+                    $strategy.boxed()
+                }
+            }
+        )*};
+    }
+
+    arb! {
+        u32 => any::<u32>();
+        u64 => any::<u64>();
+        FileHandle => any::<u64>().prop_map(FileHandle);
+        TraceId => any::<u64>().prop_map(TraceId);
+        String => "[a-z/]{0,30}";
+        Bytes => vec(any::<u8>(), 0..512).prop_map(Bytes::from);
+        StripeLayout => (0u32..4, 1u32..16, 1u64..1_000_000)
+            .prop_map(|(base, pcount, ssize)| StripeLayout { base, pcount, ssize });
+        Region => (0u64..1_000_000, 0u64..100_000).prop_map(|(at, len)| Region::new(at, len));
+        RegionList => vec((0u64..1_000_000, 1u64..10_000), 1..=MAX_LIST_REGIONS)
+            .prop_map(|pairs| RegionList::from_pairs(pairs).unwrap());
+        Span => (
+            (any::<u64>(), any::<u64>(), any::<u64>()),
+            String::arb(),
+            String::arb(),
+            (any::<u64>(), any::<u64>()),
+            Vec::<String>::arb(),
+        )
+            .prop_map(|((trace, id, parent), node, op, (start_ns, dur_ns), notes)| Span {
+                trace: TraceId(trace),
+                id: SpanId(id),
+                parent: SpanId(parent),
+                node,
+                op,
+                start_ns,
+                dur_ns,
+                notes,
+            });
+        StatsSnapshot => any::<u64>().prop_map(|seed| {
+            // Every metric drawn from one seed: a word per counter and
+            // gauge, a few samples per histogram.
+            let next = |s: &mut u64| {
+                *s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                *s >> 20
+            };
+            let histogram = |s: &mut u64| {
+                let mut h = Histogram::new();
+                (0..next(s) % 4).for_each(|_| h.record(next(s) % 1_000_000_000));
+                Ok::<_, ()>(h)
+            };
+            StatsSnapshot::read(&mut { seed }, |s| Ok(next(s)), histogram).unwrap()
+        });
+    }
+
+    impl Arb for VectorRun {
+        fn arb() -> BoxedStrategy<Self> {
+            (0u64..1 << 40, 1u64..4096, 0u64..4096, 1u64..1000)
+                .prop_map(|(base, blocklen, gap, count)| VectorRun {
+                    base,
+                    blocklen,
+                    stride: blocklen + gap,
+                    count,
+                })
+                .boxed()
+        }
+
+        fn arb_vec() -> BoxedStrategy<Vec<Self>> {
+            vec(Self::arb(), 1..=MAX_VECTOR_RUNS).boxed()
+        }
+    }
+
+    impl<T: Arb> Arb for Vec<T> {
+        fn arb() -> BoxedStrategy<Self> {
+            T::arb_vec()
+        }
+    }
+
+    impl<T: Arb> Arb for Box<T> {
+        fn arb() -> BoxedStrategy<Self> {
+            T::arb().prop_map(Box::new).boxed()
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Request and response messages.
+//! Request and response messages: the protocol's one `wire!` table.
 //!
 //! Metadata operations (`Create`/`Open`/`Close`/`Remove`) are addressed
 //! to the **manager daemon**; data operations (`Read`/`Write`/
@@ -12,12 +12,19 @@
 //!
 //! For writes the client sends each I/O daemon *only the bytes that
 //! daemon owns*, concatenated in logical/list order; for reads each
-//! daemon replies with its own bytes in the same order. The
-//! concatenation convention is defined by [`Request::server_share`].
+//! daemon replies with its own bytes in the same order
+//! (`pvfs_core::exec::server_share` is that convention).
+//!
+//! Each row of the table is one message: its variant, its fields in wire
+//! order (a field's type is its wire type), and its opcode or tag — a
+//! request's also its `op_name`, and `scrape` for the control scrapes.
+//! The codec (`crate::codec`) is derived from it.
 
+use crate::codec::{wire, Tagged, REQUEST_ENVELOPE_LEN};
 use bytes::Bytes;
 use pvfs_types::{
-    FileHandle, PvfsError, Region, RegionList, RequestId, ServerId, Span, StripeLayout, TraceId,
+    FileHandle, PvfsError, Region, RegionList, RequestId, Span, StatsSnapshot, StripeLayout,
+    TraceId,
 };
 
 /// A strided run of file regions: `count` blocks of `blocklen` bytes
@@ -95,124 +102,172 @@ pub struct Message {
     pub request: Request,
 }
 
-/// Every operation in the protocol.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    // ---- manager operations ----
-    /// Create a file with the given striping. Fails if it exists.
-    Create { path: String, layout: StripeLayout },
-    /// Open an existing file.
-    Open { path: String },
-    /// Close a handle.
-    Close { handle: FileHandle },
-    /// Remove a file from the namespace (data is dropped by servers on
-    /// their next request for the stale handle).
-    Remove { path: String },
-    /// List every path in the namespace (the manager owns the
-    /// clusterwide consistent name space, §2).
-    ListDir,
+wire! {
+    /// Every operation in the protocol.
+    #[derive(Debug, Clone, PartialEq)]
+    requests Request {
+        // ---- manager operations ----
+        /// Create a file with the given striping. Fails if it exists.
+        Create { path: String, layout: StripeLayout } = 1 "create",
+        /// Open an existing file.
+        Open { path: String } = 2 "open",
+        /// Close a handle.
+        Close { handle: FileHandle } = 3 "close",
+        /// Remove a file from the namespace (data is dropped by servers on
+        /// their next request for the stale handle).
+        Remove { path: String } = 4 "remove",
+        /// List every path in the namespace (the manager owns the
+        /// clusterwide consistent name space, §2).
+        ListDir = 12 "list_dir",
 
-    // ---- I/O daemon operations ----
-    /// Size of this server's local file for `handle` (used by the client
-    /// library to compute the logical file size, keeping the manager out
-    /// of the data path).
-    GetLocalSize { handle: FileHandle },
-    /// Contiguous read of a logical region; the server returns only the
-    /// bytes it owns.
-    Read {
-        handle: FileHandle,
-        layout: StripeLayout,
-        region: Region,
-    },
-    /// Contiguous write of a logical region; `data` holds only the bytes
-    /// this server owns, in logical order.
-    Write {
-        handle: FileHandle,
-        layout: StripeLayout,
-        region: Region,
-        data: Bytes,
-    },
-    /// List I/O read: up to [`crate::MAX_LIST_REGIONS`] logical file
-    /// regions as trailing data. The server returns its bytes of each
-    /// region, region-by-region in list order.
-    ReadList {
-        handle: FileHandle,
-        layout: StripeLayout,
-        regions: RegionList,
-    },
-    /// List I/O write: the trailing data plus this server's bytes of
-    /// each region concatenated in list order.
-    WriteList {
-        handle: FileHandle,
-        layout: StripeLayout,
-        regions: RegionList,
-        data: Bytes,
-    },
-    /// Datatype I/O read (§5 future work): the file regions are the
-    /// expansion of `runs`, in run order then block order. The server
-    /// returns its bytes of each region exactly as for `ReadList`, but
-    /// the description is O(runs), not O(regions).
-    ReadVectors {
-        handle: FileHandle,
-        layout: StripeLayout,
-        runs: Vec<VectorRun>,
-    },
-    /// Datatype I/O write; `data` is this server's share in expansion
-    /// order.
-    WriteVectors {
-        handle: FileHandle,
-        layout: StripeLayout,
-        runs: Vec<VectorRun>,
-        data: Bytes,
-    },
+        // ---- I/O daemon operations ----
+        /// Size of this server's local file for `handle` (used by the client
+        /// library to compute the logical file size, keeping the manager out
+        /// of the data path).
+        GetLocalSize { handle: FileHandle } = 5 "get_local_size",
+        /// Contiguous read of a logical region; the server returns only the
+        /// bytes it owns.
+        Read { handle: FileHandle, layout: StripeLayout, region: Region } = 6 "read",
+        /// Contiguous write of a logical region; `data` holds only the bytes
+        /// this server owns, in logical order.
+        Write { handle: FileHandle, layout: StripeLayout, region: Region, data: Bytes } = 7 "write",
+        /// List I/O read: up to [`crate::MAX_LIST_REGIONS`] logical file
+        /// regions as trailing data. The server returns its bytes of each
+        /// region, region-by-region in list order.
+        ReadList { handle: FileHandle, layout: StripeLayout, regions: RegionList } = 8 "read_list",
+        /// List I/O write: the trailing data plus this server's bytes of
+        /// each region concatenated in list order.
+        WriteList {
+            handle: FileHandle, layout: StripeLayout, regions: RegionList, data: Bytes
+        } = 9 "write_list",
+        /// Datatype I/O read (§5 future work): the file regions are the
+        /// expansion of `runs`, in run order then block order. The server
+        /// returns its bytes of each region exactly as for `ReadList`, but
+        /// the description is O(runs), not O(regions).
+        ReadVectors {
+            handle: FileHandle, layout: StripeLayout, runs: Vec<VectorRun>
+        } = 10 "read_vectors",
+        /// Datatype I/O write; `data` is this server's share in expansion
+        /// order.
+        WriteVectors {
+            handle: FileHandle, layout: StripeLayout, runs: Vec<VectorRun>, data: Bytes
+        } = 11 "write_vectors",
 
-    /// Durability barrier for one handle on this I/O daemon: flush the
-    /// storage engine (fsync data, checkpoint the journal) and answer
-    /// [`Response::Synced`] with the bytes now crash-proof. A no-op
-    /// answer (`durable: 0`) when the daemon has no state for the
-    /// handle or runs the memory backend.
-    Sync { handle: FileHandle },
-    /// Durability barrier for *every* handle on this I/O daemon;
-    /// answered with [`Response::Flushed`].
-    Flush,
+        /// Durability barrier for one handle on this I/O daemon: flush the
+        /// storage engine (fsync data, checkpoint the journal) and answer
+        /// [`Response::Synced`] with the bytes now crash-proof. A no-op
+        /// answer (`durable: 0`) when the daemon has no state for the
+        /// handle or runs the memory backend.
+        Sync { handle: FileHandle } = 15 "sync",
+        /// Durability barrier for *every* handle on this I/O daemon;
+        /// answered with [`Response::Flushed`].
+        Flush = 16 "flush",
 
-    // ---- control operations (any daemon, manager included) ----
-    /// Scrape the daemon's counters, gauges and latency histograms.
-    /// Answered with [`Response::Stats`]; the snapshot excludes the
-    /// scrape itself so it matches an in-process snapshot taken at the
-    /// same moment.
-    GetStats,
-    /// Zero the daemon's counters and histograms, returning the
-    /// snapshot taken just before the reset (so no sample is ever
-    /// unobservable).
-    ResetStats,
-    /// Liveness probe: the cheapest possible round trip, answered with
-    /// [`Response::Pong`]. Unlike stats scrapes it *is* accounted as a
-    /// normal request — its measured latency is the health signal the
-    /// client's failure detector feeds on, so it must travel the same
-    /// queue and worker path as data traffic.
-    Ping,
-    /// Anti-entropy digest scrape for one handle: the daemon answers
-    /// [`Response::Digests`] with a 64-bit checksum (`pvfs-disk`'s, the
-    /// one its journal uses) of each `chunk`-sized run of its local file. Replicas holding identical
-    /// local files answer identically, so a client can find divergence
-    /// between mirrors by comparing digest vectors instead of moving
-    /// data. Accounted as a normal request (it reads the whole local
-    /// file), unlike stats scrapes.
-    StripeDigest { handle: FileHandle, chunk: u64 },
-    /// Set one handle's local file on this daemon to exactly `size`
-    /// bytes, discarding any tail beyond it — anti-entropy repair's
-    /// tool for a stale replica that is *longer* than its repair
-    /// source (it missed a truncate). Idempotent: the target size is
-    /// absolute. Answered with [`Response::LocalSize`] reporting the
-    /// post-truncate size.
-    Truncate { handle: FileHandle, size: u64 },
-    /// Scrape every span of one trace from the daemon's flight
-    /// recorder, answered with [`Response::Spans`]. Joins `GetStats`
-    /// under the observer-effect guarantee: the scrape itself is never
-    /// counted, traced, or allowed to perturb the recorder (reading a
-    /// ring clones it).
-    GetTrace { trace: TraceId },
+        // ---- control operations (any daemon, manager included) ----
+        /// Scrape the daemon's counters, gauges and latency histograms.
+        /// Answered with [`Response::Stats`]; the snapshot excludes the
+        /// scrape itself so it matches an in-process snapshot taken at the
+        /// same moment.
+        GetStats = 13 "get_stats" scrape,
+        /// Zero the daemon's counters and histograms, returning the
+        /// snapshot taken just before the reset (so no sample is ever
+        /// unobservable).
+        ResetStats = 14 "reset_stats" scrape,
+        /// Liveness probe: the cheapest possible round trip, answered with
+        /// [`Response::Pong`]. Unlike stats scrapes it *is* accounted as a
+        /// normal request — its measured latency is the health signal the
+        /// client's failure detector feeds on, so it must travel the same
+        /// queue and worker path as data traffic.
+        Ping = 17 "ping",
+        /// Anti-entropy digest scrape for one handle: the daemon answers
+        /// [`Response::Digests`] with a 64-bit checksum (`pvfs-disk`'s, the
+        /// one its journal uses) of each `chunk`-sized run of its local file. Replicas holding identical
+        /// local files answer identically, so a client can find divergence
+        /// between mirrors by comparing digest vectors instead of moving
+        /// data. Accounted as a normal request (it reads the whole local
+        /// file), unlike stats scrapes.
+        StripeDigest { handle: FileHandle, chunk: u64 } = 18 "stripe_digest",
+        /// Set one handle's local file on this daemon to exactly `size`
+        /// bytes, discarding any tail beyond it — anti-entropy repair's
+        /// tool for a stale replica that is *longer* than its repair
+        /// source (it missed a truncate). Idempotent: the target size is
+        /// absolute. Answered with [`Response::LocalSize`] reporting the
+        /// post-truncate size.
+        Truncate { handle: FileHandle, size: u64 } = 19 "truncate",
+        /// Scrape every span of one trace from the daemon's flight
+        /// recorder, answered with [`Response::Spans`]. Joins `GetStats`
+        /// under the observer-effect guarantee: the scrape itself is never
+        /// counted, traced, or allowed to perturb the recorder (reading a
+        /// ring clones it).
+        GetTrace { trace: TraceId } = 20 "get_trace" scrape,
+    }
+
+    /// Every reply in the protocol. Responses echo the request id in their
+    /// envelope (handled by the transports).
+    #[derive(Debug, Clone, PartialEq)]
+    responses Response {
+        /// File created.
+        Created { handle: FileHandle } = 1,
+        /// File opened; the client learns the striping here.
+        Opened { handle: FileHandle, layout: StripeLayout } = 2,
+        /// Handle closed.
+        Closed = 3,
+        /// File removed.
+        Removed = 4,
+        /// Namespace listing (sorted paths).
+        Listing { paths: Vec<String> } = 9,
+        /// This server's local file size.
+        LocalSize { size: u64 } = 5,
+        /// Read data: this server's share, concatenated in list order.
+        Data { data: Bytes } = 6,
+        /// Write acknowledged; `bytes` is the number of payload bytes
+        /// applied.
+        Written { bytes: u64 } = 7,
+        /// Sync barrier done; `durable` is the handle's crash-proof byte
+        /// count on this server (0 on the memory backend).
+        Synced { durable: u64 } = 11,
+        /// Daemon-wide flush done; `files` local files were synced.
+        Flushed { files: u64 } = 12,
+        /// Liveness probe answered: the daemon is alive and draining its
+        /// queue; `queue_depth` is its inflight gauge at answer time (a
+        /// free overload signal riding on every probe).
+        Pong { queue_depth: u64 } = 13,
+        /// Counters, gauges and latency histograms scraped by
+        /// [`Request::GetStats`] / [`Request::ResetStats`].
+        Stats(snapshot: Box<StatsSnapshot>) = 10,
+        /// The spans of one trace retained by this daemon's flight
+        /// recorder ([`Request::GetTrace`]), oldest first. Empty when the
+        /// trace is unknown or already evicted.
+        Spans(spans: Vec<Span>) = 15,
+        /// Per-chunk checksums of this server's local file for one handle
+        /// ([`Request::StripeDigest`]). `version` counts the write
+        /// operations this daemon has applied to the handle since *it*
+        /// started — a freshly restarted daemon answers 0 and is therefore
+        /// never mistaken for the freshest replica by a scrub. `size` is
+        /// the local file size; `chunks[i]` is the checksum of local bytes
+        /// `[i * chunk, min((i + 1) * chunk, size))` — computed afresh for
+        /// every scrape and only ever compared with another daemon's, so
+        /// the function is not part of the wire format.
+        Digests { version: u64, size: u64, chunks: Vec<u64> } = 14,
+        /// The operation failed server-side.
+        Error(error: PvfsError) = 8,
+    }
+
+    errors PvfsError {
+        InvalidArgument(message: String) = 1,
+        NoSuchFile(path: String) = 2,
+        AlreadyExists(path: String) = 3,
+        BadHandle(handle: u64) = 4,
+        Protocol(message: String) = 5,
+        Storage(message: String) = 6,
+        Transport(message: String) = 7,
+        NoSuchServer(server: u32) = 8,
+        Timeout(message: String) = 9,
+        FrameTooLarge { len: u64, max: u64 } = 10,
+        Config(message: String) = 11,
+        Unavailable { server: u32, retry_after_ms: u64 } = 12,
+        Overloaded { server: u32, queue_depth: u64 } = 13,
+    }
 }
 
 impl Request {
@@ -297,101 +352,22 @@ impl Request {
     }
 
     /// Size in bytes of the encoded *control* part of this request —
-    /// everything except the bulk payload. Computed analytically so
-    /// cost models do not have to encode million-request workloads; a
-    /// codec test pins it to `encode_message`'s actual output.
+    /// everything except the bulk payload: the envelope and each field's
+    /// wire length, so cost models do not have to encode million-request
+    /// workloads; a codec test pins it to `encode_message`'s actual output.
     pub fn control_wire_size(&self) -> u64 {
-        const ENVELOPE: u64 = 2 + 1 + 1 + 4 + 8; // magic, version, op, client, req id
-        const LAYOUT: u64 = 16;
-        let body = match self {
-            Request::Create { path, .. } => 4 + path.len() as u64 + LAYOUT,
-            Request::Open { path } | Request::Remove { path } => 4 + path.len() as u64,
-            Request::ListDir => 0,
-            Request::Close { .. } | Request::GetLocalSize { .. } => 8,
-            Request::Read { .. } => 8 + LAYOUT + 16,
-            Request::Write { .. } => 8 + LAYOUT + 16 + 8, // + bulk length prefix
-            Request::ReadList { regions, .. } => 8 + LAYOUT + 4 + 16 * regions.count() as u64,
-            Request::WriteList { regions, .. } => 8 + LAYOUT + 4 + 16 * regions.count() as u64 + 8,
-            Request::ReadVectors { runs, .. } => 8 + LAYOUT + 4 + 32 * runs.len() as u64,
-            Request::WriteVectors { runs, .. } => 8 + LAYOUT + 4 + 32 * runs.len() as u64 + 8,
-            Request::Sync { .. } => 8,
-            Request::Flush => 0,
-            Request::GetStats | Request::ResetStats | Request::Ping => 0,
-            Request::StripeDigest { .. } => 8 + 8,
-            Request::Truncate { .. } => 8 + 8,
-            Request::GetTrace { .. } => 8,
-        };
-        ENVELOPE + body
+        REQUEST_ENVELOPE_LEN + self.fields_len()
     }
 
     /// True for the control scrapes excluded from *all* observability
-    /// accounting (wire counters, queue/service histograms, traces):
-    /// `GetStats`, `ResetStats`, and `GetTrace`. The observer must not
-    /// perturb the observed — a monitoring loop polling every daemon
-    /// must leave the numbers it reads unchanged. `Ping` is
-    /// deliberately *not* a scrape: its measured latency is the health
-    /// signal, so it travels the accounted path.
+    /// accounting (wire counters, queue/service histograms, traces): the
+    /// rows marked `scrape` — `GetStats`, `ResetStats`, and `GetTrace`.
+    /// The observer must not perturb the observed — a monitoring loop
+    /// polling every daemon must leave the numbers it reads unchanged.
+    /// `Ping` is deliberately *not* a scrape: its measured latency is the
+    /// health signal, so it travels the accounted path.
     pub fn is_control_scrape(&self) -> bool {
-        matches!(
-            self,
-            Request::GetStats | Request::ResetStats | Request::GetTrace { .. }
-        )
-    }
-
-    /// How many bytes of the regions named by this request live on
-    /// server `server` — i.e. the size of that server's share of the
-    /// transfer. Defines the concatenation convention for read responses
-    /// and write payloads.
-    pub fn server_share(&self, server: ServerId) -> u64 {
-        match self {
-            Request::Read { layout, region, .. } | Request::Write { layout, region, .. } => {
-                slot_share(layout, server, std::slice::from_ref(region))
-            }
-            Request::ReadList {
-                layout, regions, ..
-            }
-            | Request::WriteList {
-                layout, regions, ..
-            } => slot_share(layout, server, regions.regions()),
-            Request::ReadVectors { layout, runs, .. }
-            | Request::WriteVectors { layout, runs, .. } => {
-                if server.0 < layout.base || server.0 >= layout.base + layout.pcount {
-                    return 0;
-                }
-                let slot = server.0 - layout.base;
-                runs.iter()
-                    .flat_map(|run| run.regions())
-                    .map(|r| layout.bytes_on_slot(r, slot))
-                    .sum()
-            }
-            _ => 0,
-        }
-    }
-
-    /// Short operation name for logs and stats.
-    pub fn op_name(&self) -> &'static str {
-        match self {
-            Request::Create { .. } => "create",
-            Request::Open { .. } => "open",
-            Request::Close { .. } => "close",
-            Request::Remove { .. } => "remove",
-            Request::ListDir => "list_dir",
-            Request::GetLocalSize { .. } => "get_local_size",
-            Request::Read { .. } => "read",
-            Request::Write { .. } => "write",
-            Request::ReadList { .. } => "read_list",
-            Request::WriteList { .. } => "write_list",
-            Request::ReadVectors { .. } => "read_vectors",
-            Request::WriteVectors { .. } => "write_vectors",
-            Request::Sync { .. } => "sync",
-            Request::Flush => "flush",
-            Request::GetStats => "get_stats",
-            Request::ResetStats => "reset_stats",
-            Request::Ping => "ping",
-            Request::StripeDigest { .. } => "stripe_digest",
-            Request::Truncate { .. } => "truncate",
-            Request::GetTrace { .. } => "get_trace",
-        }
+        Request::is_scrape_op(self.tag())
     }
 
     /// The class of this request: metadata control traffic, reads, or
@@ -424,73 +400,6 @@ pub enum OpClass {
     Read,
     /// Data writes (`Write`/`WriteList`/`WriteVectors`).
     Write,
-}
-
-fn slot_share(layout: &StripeLayout, server: ServerId, regions: &[Region]) -> u64 {
-    if server.0 < layout.base || server.0 >= layout.base + layout.pcount {
-        return 0;
-    }
-    let slot = server.0 - layout.base;
-    regions.iter().map(|r| layout.bytes_on_slot(*r, slot)).sum()
-}
-
-/// Every reply in the protocol. Responses echo the request id in their
-/// envelope (handled by the transports).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    /// File created.
-    Created { handle: FileHandle },
-    /// File opened; the client learns the striping here.
-    Opened {
-        handle: FileHandle,
-        layout: StripeLayout,
-    },
-    /// Handle closed.
-    Closed,
-    /// File removed.
-    Removed,
-    /// Namespace listing (sorted paths).
-    Listing { paths: Vec<String> },
-    /// This server's local file size.
-    LocalSize { size: u64 },
-    /// Read data: this server's share, concatenated per
-    /// [`Request::server_share`]'s convention.
-    Data { data: Bytes },
-    /// Write acknowledged; `bytes` is the number of payload bytes
-    /// applied.
-    Written { bytes: u64 },
-    /// Sync barrier done; `durable` is the handle's crash-proof byte
-    /// count on this server (0 on the memory backend).
-    Synced { durable: u64 },
-    /// Daemon-wide flush done; `files` local files were synced.
-    Flushed { files: u64 },
-    /// Liveness probe answered: the daemon is alive and draining its
-    /// queue; `queue_depth` is its inflight gauge at answer time (a
-    /// free overload signal riding on every probe).
-    Pong { queue_depth: u64 },
-    /// Counters, gauges and latency histograms scraped by
-    /// [`Request::GetStats`] / [`Request::ResetStats`].
-    Stats(Box<pvfs_types::StatsSnapshot>),
-    /// The spans of one trace retained by this daemon's flight
-    /// recorder ([`Request::GetTrace`]), oldest first. Empty when the
-    /// trace is unknown or already evicted.
-    Spans(Vec<Span>),
-    /// Per-chunk checksums of this server's local file for one handle
-    /// ([`Request::StripeDigest`]). `version` counts the write
-    /// operations this daemon has applied to the handle since *it*
-    /// started — a freshly restarted daemon answers 0 and is therefore
-    /// never mistaken for the freshest replica by a scrub. `size` is
-    /// the local file size; `chunks[i]` is the checksum of local bytes
-    /// `[i * chunk, min((i + 1) * chunk, size))` — computed afresh for
-    /// every scrape and only ever compared with another daemon's, so
-    /// the function is not part of the wire format.
-    Digests {
-        version: u64,
-        size: u64,
-        chunks: Vec<u64>,
-    },
-    /// The operation failed server-side.
-    Error(PvfsError),
 }
 
 impl Response {
@@ -580,39 +489,6 @@ mod tests {
     }
 
     #[test]
-    fn server_share_splits_by_stripe() {
-        // layout: 4 servers, 10-byte stripes. Region [5, 25) touches
-        // servers 0 (5 bytes), 1 (10 bytes), 2 (5 bytes).
-        let r = Request::Read {
-            handle: FileHandle(1),
-            layout: layout(),
-            region: Region::new(5, 20),
-        };
-        assert_eq!(r.server_share(ServerId(0)), 5);
-        assert_eq!(r.server_share(ServerId(1)), 10);
-        assert_eq!(r.server_share(ServerId(2)), 5);
-        assert_eq!(r.server_share(ServerId(3)), 0);
-        assert_eq!(r.server_share(ServerId(9)), 0);
-        let total: u64 = (0..4).map(|s| r.server_share(ServerId(s))).sum();
-        assert_eq!(total, 20);
-    }
-
-    #[test]
-    fn list_server_share_sums_regions() {
-        let regions = RegionList::from_pairs([(0, 10), (10, 10), (25, 5)]).unwrap();
-        let rl = Request::ReadList {
-            handle: FileHandle(1),
-            layout: layout(),
-            regions,
-        };
-        assert_eq!(rl.server_share(ServerId(0)), 10);
-        assert_eq!(rl.server_share(ServerId(1)), 10);
-        assert_eq!(rl.server_share(ServerId(2)), 5);
-        let total: u64 = (0..4).map(|s| rl.server_share(ServerId(s))).sum();
-        assert_eq!(total, 25);
-    }
-
-    #[test]
     fn response_result_conversion() {
         assert!(Response::Closed.into_result().is_ok());
         let e = Response::Error(PvfsError::BadHandle(3)).into_result();
@@ -654,7 +530,6 @@ mod tests {
             assert!(!r.is_write());
             assert_eq!(r.region_count(), 0);
             assert_eq!(r.bulk_len(), 0);
-            assert_eq!(r.server_share(ServerId(0)), 0);
             assert_eq!(r.op_class(), OpClass::Meta);
         }
         assert_eq!(Request::GetStats.op_name(), "get_stats");
@@ -669,7 +544,6 @@ mod tests {
         assert!(!t.is_write());
         assert_eq!(t.region_count(), 0);
         assert_eq!(t.bulk_len(), 0);
-        assert_eq!(t.server_share(ServerId(0)), 0);
         assert_eq!(t.op_class(), OpClass::Meta);
         assert_eq!(t.op_name(), "get_trace");
         assert_eq!(Response::Spans(Vec::new()).bulk_len(), 0);
@@ -694,7 +568,6 @@ mod tests {
         assert!(!p.is_write());
         assert_eq!(p.region_count(), 0);
         assert_eq!(p.bulk_len(), 0);
-        assert_eq!(p.server_share(ServerId(0)), 0);
         assert_eq!(p.op_class(), OpClass::Meta);
         assert_eq!(p.op_name(), "ping");
         assert_eq!(Response::Pong { queue_depth: 3 }.bulk_len(), 0);
@@ -711,7 +584,6 @@ mod tests {
         assert!(!d.is_write());
         assert_eq!(d.region_count(), 0);
         assert_eq!(d.bulk_len(), 0);
-        assert_eq!(d.server_share(ServerId(0)), 0);
         assert_eq!(d.op_class(), OpClass::Meta);
         assert_eq!(d.op_name(), "stripe_digest");
         assert_eq!(
@@ -736,7 +608,6 @@ mod tests {
             assert!(!r.is_write());
             assert_eq!(r.region_count(), 0);
             assert_eq!(r.bulk_len(), 0);
-            assert_eq!(r.server_share(ServerId(0)), 0);
             assert_eq!(r.op_class(), OpClass::Meta);
         }
         assert_eq!(

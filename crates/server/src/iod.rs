@@ -600,7 +600,7 @@ impl IoDaemon {
 
     /// Serve a read: gather this server's share of `regions` —
     /// concatenated in request order, the convention of
-    /// [`Request::server_share`] — from the handle's local file into the
+    /// `pvfs_core::exec::server_share` — from the handle's local file into the
     /// scratch's read buffer, the front of which becomes the `Data` reply
     /// as is: every run read straight into its place. `Read`, `ReadList`
     /// and `ReadVectors` all come through here.
