@@ -3,21 +3,21 @@
 //! ```text
 //! figures [FIGURE ...] [--scale quick|mid|paper] [--out DIR]
 //!
-//! FIGURE: fig9 fig10 fig11 fig12 fig15 fig17 ext-datatype ext-hybrid all
+//! FIGURE: fig9 fig10 fig11 fig12 fig15 fig17 ext-datatype ext-hybrid ablation all
 //! ```
 //!
 //! Writes one CSV per figure into `--out` (default `results/`) and
-//! prints the tables. Simulated seconds come from the calibrated Chiba
+//! prints the tables. `ablation` runs the same grid at every scale. Simulated seconds come from the calibrated Chiba
 //! City cost model; compare *shapes* with the paper, not absolute
 //! values (see EXPERIMENTS.md). The live cluster is timed by `perf/`.
 
-use pvfs_bench::figures::{ext_datatype, ext_hybrid};
+use pvfs_bench::figures::{ablation, ext_datatype, ext_hybrid};
 use pvfs_bench::{
     fig10, fig11, fig12, fig15, fig17, fig9, render_bars, render_table, write_csv, Row, Scale,
 };
 use std::path::PathBuf;
 
-const ALL: [&str; 8] = [
+const ALL: [&str; 9] = [
     "fig9",
     "fig10",
     "fig11",
@@ -26,6 +26,7 @@ const ALL: [&str; 8] = [
     "fig17",
     "ext-datatype",
     "ext-hybrid",
+    "ablation",
 ];
 
 fn main() {
@@ -70,6 +71,7 @@ fn main() {
             "fig17" => fig17(scale),
             "ext-datatype" => ext_datatype(scale),
             "ext-hybrid" => ext_hybrid(scale),
+            "ablation" => ablation(),
             other => {
                 eprintln!("unknown figure '{other}'");
                 std::process::exit(2);

@@ -2,8 +2,8 @@
 
 use crate::report::Row;
 use pvfs_core::{IoKind, ListRequest, Method, MethodConfig};
-use pvfs_simcluster::{metadata_rtt_ns, ClientJob, SimCluster};
-use pvfs_types::{FileHandle, StripeLayout};
+use pvfs_sim::{metadata_rtt_ns, ClientJob, CostConfig, SimCluster};
+use pvfs_types::{FileHandle, Region, RegionList, StripeLayout};
 use pvfs_workloads::{BlockBlock, Cyclic, FlashIo, TiledViz};
 
 const FH: FileHandle = FileHandle(42);
@@ -11,7 +11,7 @@ const FH: FileHandle = FileHandle(42);
 /// Experiment scale. `Paper` reproduces the paper's parameter grid
 /// (1 GiB aggregate, up to 1 M accesses, up to 32 clients); `Mid`
 /// shrinks the grid ~4× in every direction for minute-scale runs;
-/// `Quick` is second-scale for CI and criterion.
+/// `Quick` is second-scale for the unit tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Seconds-scale smoke runs.
@@ -328,7 +328,7 @@ pub fn fig17(_scale: Scale) -> Vec<Row> {
     let requests: Vec<ListRequest> = (0..t.clients())
         .map(|k| t.request_for(k).expect("valid tile request"))
         .collect();
-    let open_close = metadata_rtt_ns(&pvfs_sim::CostConfig::paper_default()) as f64 / 1e9;
+    let open_close = metadata_rtt_ns(&CostConfig::paper_default()) as f64 / 1e9;
     let mut rows = Vec::new();
     for method in Method::PAPER {
         let outcome = run_method(&requests, IoKind::Read, method, t.file_size(), true);
@@ -386,27 +386,15 @@ pub fn ext_datatype(scale: Scale) -> Vec<Row> {
 /// Extension experiment — hybrid list+sieving (§5 future work) across
 /// gap densities on a clustered pattern.
 pub fn ext_hybrid(scale: Scale) -> Vec<Row> {
-    use pvfs_types::{Region, RegionList};
     let mut rows = Vec::new();
-    let (n_clusters, per_cluster) = match scale {
-        Scale::Quick => (64, 8),
-        _ => (512, 8),
+    let n_clusters = match scale {
+        Scale::Quick => 64,
+        _ => 512,
     };
-    // Clusters of `per_cluster` 512-byte regions with a small intra-
-    // cluster gap, separated by large inter-cluster gaps.
     for gap in [64u64, 512, 4096] {
-        let mut file = RegionList::new();
-        let mut off = 0u64;
-        for _ in 0..n_clusters {
-            for _ in 0..per_cluster {
-                file.push(Region::new(off, 512));
-                off += 512 + gap;
-            }
-            off += 1 << 20;
-        }
-        let file_size = off + 4096;
-        let request = ListRequest::gather(file);
-        let requests = vec![request];
+        let (file, end) = clusters(n_clusters, gap);
+        let file_size = end + 4096;
+        let requests = vec![ListRequest::gather(file)];
         for method in [Method::DataSieving, Method::List, Method::Hybrid] {
             let outcome = run_method(&requests, IoKind::Read, method, file_size, true);
             rows.push(Row {
@@ -446,9 +434,120 @@ pub fn ext_hybrid(scale: Scale) -> Vec<Row> {
     rows
 }
 
+/// `n` clusters of eight 512-byte regions `gap` bytes apart, each
+/// cluster followed by a 1 MiB hole; returns the regions and the offset
+/// past the last hole.
+fn clusters(n: u64, gap: u64) -> (RegionList, u64) {
+    let mut file = RegionList::new();
+    let mut off = 0u64;
+    for _ in 0..n {
+        for _ in 0..8 {
+            file.push(Region::new(off, 512));
+            off += 512 + gap;
+        }
+        off += 1 << 20;
+    }
+    (file, off)
+}
+
+/// `n` regions of `len` bytes, `stride` apart, gathered into a
+/// contiguous buffer.
+fn strided(n: u64, len: u64, stride: u64) -> ListRequest {
+    ListRequest::gather(RegionList::from_pairs((0..n).map(|i| (i * stride, len))).unwrap())
+}
+
+/// Ablation sweeps over the method parameters *Optimizing
+/// Noncontiguous Accesses in MPI-IO* tunes, each point one request on
+/// the paper's cluster (the same at every scale):
+///
+/// * the trailing-data limit (the paper's "conservative" 64) on a list
+///   write of 8 192 × 64 B;
+/// * the sieve buffer (the paper's 32 MB) on a 50%-dense 8 MiB read;
+/// * the hybrid gap threshold on 256 clusters of 8 × 512 B, 128 B apart;
+/// * datatype vs list on a regular read of 32 768 × 32 B.
+///
+/// `x` is the swept setting (regions, bytes, bytes, accesses).
+pub fn ablation() -> Vec<Row> {
+    let mut rows = Vec::new();
+    let mut run = |panel: &str, request: &ListRequest, kind: IoKind, method, x, cfg| {
+        let file_size = request.file.extent().expect("regions").end();
+        let warm = kind == IoKind::Read;
+        let requests = std::slice::from_ref(request);
+        let outcome = run_method_configured(requests, kind, method, file_size, warm, &cfg);
+        rows.push(art_row("ablation", panel.into(), method, x, outcome));
+    };
+    let paper = MethodConfig::paper_default;
+    let writes = strided(8192, 64, 256);
+    for limit in [8, 16, 32, 64] {
+        let cfg = MethodConfig {
+            max_list_regions: limit as usize,
+            ..paper()
+        };
+        run(
+            "trailing-data limit",
+            &writes,
+            IoKind::Write,
+            Method::List,
+            limit,
+            cfg,
+        );
+    }
+    let dense = strided(16_384, 256, 512);
+    for buffer in [256 << 10, 1 << 20, 4 << 20, 32 << 20] {
+        let cfg = MethodConfig {
+            sieve_buffer: buffer,
+            ..paper()
+        };
+        run(
+            "sieve buffer",
+            &dense,
+            IoKind::Read,
+            Method::DataSieving,
+            buffer,
+            cfg,
+        );
+    }
+    let clustered = ListRequest::gather(clusters(256, 128).0);
+    for gap in [0, 128, 1024, 65_536] {
+        let cfg = MethodConfig {
+            hybrid_gap: gap,
+            hybrid_min_density: 0.3,
+            ..paper()
+        };
+        run(
+            "hybrid gap",
+            &clustered,
+            IoKind::Read,
+            Method::Hybrid,
+            gap,
+            cfg,
+        );
+    }
+    let regular = strided(32_768, 32, 128);
+    for method in [Method::List, Method::Datatype] {
+        run(
+            "datatype vs list",
+            &regular,
+            IoKind::Read,
+            method,
+            32_768,
+            paper(),
+        );
+    }
+    rows
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `seconds` of the row with `series` at `x` (the first such row).
+    fn at(rows: &[Row], series: &str, x: u64) -> f64 {
+        rows.iter()
+            .find(|r| r.series == series && r.x == x)
+            .unwrap_or_else(|| panic!("no {series} row at {x}"))
+            .seconds
+    }
 
     #[test]
     fn quick_fig9_has_expected_grid() {
@@ -457,41 +556,67 @@ mod tests {
         assert_eq!(rows.len(), 6);
         assert!(rows.iter().all(|r| r.seconds > 0.0));
         // Multiple I/O must be the slowest at the finest fragmentation.
-        let at = |series: &str, x: u64| {
-            rows.iter()
-                .find(|r| r.series == series && r.x == x)
-                .unwrap()
-                .seconds
-        };
-        assert!(at("Multiple I/O", 4096) > at("List I/O", 4096));
+        assert!(at(&rows, "Multiple I/O", 4096) > at(&rows, "List I/O", 4096));
     }
 
     #[test]
     fn quick_fig10_write_gap() {
         let rows = fig10(Scale::Quick);
-        let at = |series: &str, x: u64| {
-            rows.iter()
-                .find(|r| r.series == series && r.x == x)
-                .unwrap()
-                .seconds
-        };
-        let ratio = at("Multiple I/O", 4096) / at("List I/O", 4096);
+        let ratio = at(&rows, "Multiple I/O", 4096) / at(&rows, "List I/O", 4096);
         assert!(ratio > 10.0, "write gap ratio {ratio}");
+    }
+
+    #[test]
+    fn quick_fig11_sieving_flat_list_turns_up() {
+        let rows = fig11(Scale::Quick);
+        let (multiple, sieving, list) = ("Multiple I/O", "Data Sieving I/O", "List I/O");
+        // Sieving reads the same windows at every access count.
+        assert_eq!(at(&rows, sieving, 1024), at(&rows, sieving, 4096));
+        for x in [1024, 4096] {
+            assert!(at(&rows, sieving, x) < at(&rows, list, x));
+            assert!(at(&rows, list, x) < at(&rows, multiple, x));
+        }
+        // The upturn: list grows faster than the access count once a
+        // 64-region chunk lands on a single server.
+        let growth = at(&rows, list, 4096) / at(&rows, list, 1024);
+        assert!(growth > 4.0, "list grew {growth}x for 4x the accesses");
+    }
+
+    #[test]
+    fn quick_fig12_write_gap() {
+        let rows = fig12(Scale::Quick);
+        for x in [1024, 4096] {
+            let ratio = at(&rows, "Multiple I/O", x) / at(&rows, "List I/O", x);
+            assert!(ratio > 10.0, "write gap ratio {ratio} at {x}");
+        }
+        for series in ["Multiple I/O", "List I/O"] {
+            assert!(at(&rows, series, 4096) > 3.0 * at(&rows, series, 1024));
+        }
+    }
+
+    #[test]
+    fn quick_ext_hybrid_beats_both_then_meets_list() {
+        let rows = ext_hybrid(Scale::Quick);
+        let hybrid = at(&rows, "Hybrid I/O", 64);
+        assert!(hybrid < at(&rows, "List I/O", 64));
+        assert!(hybrid < at(&rows, "Data Sieving I/O", 64));
+        // Gaps wider than the threshold leave nothing to sieve.
+        assert_eq!(at(&rows, "Hybrid I/O", 4096), at(&rows, "List I/O", 4096));
+    }
+
+    #[test]
+    fn ablation_matches_the_committed_csv() {
+        let committed = include_str!("../../../results/ablation.csv");
+        assert_eq!(crate::report::to_csv(&ablation()), committed);
     }
 
     #[test]
     fn quick_fig15_ordering() {
         let rows = fig15(Scale::Quick);
-        let at = |series: &str, x: u64| {
-            rows.iter()
-                .find(|r| r.series == series && r.x == x)
-                .unwrap()
-                .seconds
-        };
         // At small client counts: sieving < list < multiple (the
         // paper's ordering).
-        assert!(at("Data Sieving I/O", 2) < at("List I/O", 2));
-        assert!(at("List I/O", 2) < at("Multiple I/O", 2));
+        assert!(at(&rows, "Data Sieving I/O", 2) < at(&rows, "List I/O", 2));
+        assert!(at(&rows, "List I/O", 2) < at(&rows, "Multiple I/O", 2));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Figure-regeneration harness.
 //!
-//! One function per measured figure of the paper. Each returns
-//! [`Row`]s — `(panel, series, x, simulated seconds, …)` — which the
-//! `figures` binary renders as CSV + text tables and EXPERIMENTS.md
-//! quotes. Absolute seconds come from the calibrated cost model
+//! One function per measured figure of the paper, per extension figure,
+//! and one for the ablation sweeps. Each returns [`Row`]s — `(panel,
+//! series, x, simulated seconds, …)` — which the `figures` binary
+//! renders as CSV + text tables and EXPERIMENTS.md quotes. Absolute
+//! seconds come from the calibrated cost model
 //! (`pvfs_sim::CostConfig`); the reproduction target is the *shape*:
 //! who wins, by how much, and where the crossovers fall.
 //!

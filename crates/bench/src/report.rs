@@ -22,8 +22,8 @@ pub struct Row {
     pub wire_bytes: u64,
 }
 
-/// Serialize rows as CSV (with header) to `path`.
-pub fn write_csv(rows: &[Row], path: &Path) -> std::io::Result<()> {
+/// Rows as CSV text, header first.
+pub(crate) fn to_csv(rows: &[Row]) -> String {
     let mut out = String::from("figure,panel,series,x,seconds,requests,wire_bytes\n");
     for r in rows {
         let _ = writeln!(
@@ -32,10 +32,15 @@ pub fn write_csv(rows: &[Row], path: &Path) -> std::io::Result<()> {
             r.figure, r.panel, r.series, r.x, r.seconds, r.requests, r.wire_bytes
         );
     }
+    out
+}
+
+/// Write [`to_csv`] of `rows` to `path`.
+pub fn write_csv(rows: &[Row], path: &Path) -> std::io::Result<()> {
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir)?;
     }
-    std::fs::write(path, out)
+    std::fs::write(path, to_csv(rows))
 }
 
 /// Render rows as an aligned text table grouped by panel.

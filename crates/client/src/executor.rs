@@ -214,7 +214,7 @@ impl OpStream for Stretch<'_, '_> {
             temps: self.temps,
         };
         let (handle, layout) = (self.plan.handle, &self.plan.layout);
-        let request = wire_request_into(&wire, handle, layout, sources, |room| {
+        let (request, _) = wire_request_into(&wire, handle, layout, sources, |room| {
             self.client.payload_buffer(room)
         });
         self.report.bytes_sent += request.bulk_len();

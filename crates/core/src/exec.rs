@@ -16,9 +16,10 @@
 //! an op needs, and it need not be a new one: [`gather_payload_into`]
 //! (under [`wire_request_into`]) gathers into whatever buffer its caller
 //! hands out — the live executor's come from, and go back to, its
-//! client's spares. [`wire_request`] and [`gather_payload`] are the same
-//! code with a buffer of their own, which is what the simulator and the
-//! benchmark's per-layer timings call.
+//! client's spares; the simulator hands out fresh ones and keeps the
+//! fragment count for its cost model. [`wire_request`] is the same code
+//! with a buffer of its own, which the benchmark's per-layer timings
+//! call.
 
 use crate::plan::{CopyPair, MemSlice, OpKind, Space, Target, WireOp};
 use bytes::{Bytes, BytesMut};
@@ -163,21 +164,28 @@ pub fn wire_request<'a>(
     layout: &StripeLayout,
     bufs: impl Into<Sources<'a>>,
 ) -> pvfs_proto::Request {
-    wire_request_into(wire, handle, layout, bufs, BytesMut::with_capacity)
+    wire_request_into(wire, handle, layout, bufs, BytesMut::with_capacity).0
 }
 
 /// [`wire_request`], a write's payload gathered into the buffer `spare`
 /// hands out for it (see [`gather_payload_into`]); a read asks for none.
+/// Also returns the write's gathered memory fragment count — the client
+/// cost model's per-fragment unit; 0 for a read, whose fragments are
+/// counted when its reply is scattered.
 pub fn wire_request_into<'a>(
     wire: &WireOp,
     handle: FileHandle,
     layout: &StripeLayout,
     bufs: impl Into<Sources<'a>>,
     spare: impl FnOnce(usize) -> BytesMut,
-) -> pvfs_proto::Request {
+) -> (pvfs_proto::Request, u64) {
     use pvfs_proto::Request;
-    let payload = || gather_payload_into(&wire.op, layout, wire.server, bufs, spare).0;
-    match &wire.op {
+    let (data, fragments) = if wire.op.is_write() {
+        gather_payload_into(&wire.op, layout, wire.server, bufs, spare)
+    } else {
+        (Bytes::new(), 0)
+    };
+    let request = match &wire.op {
         OpKind::Read { region, .. } => Request::Read {
             handle,
             layout: *layout,
@@ -197,49 +205,31 @@ pub fn wire_request_into<'a>(
             handle,
             layout: *layout,
             region: *region,
-            data: payload(),
+            data,
         },
         OpKind::WriteList { regions, .. } => Request::WriteList {
             handle,
             layout: *layout,
             regions: regions.clone(),
-            data: payload(),
+            data,
         },
         OpKind::WriteVectors { runs, .. } => Request::WriteVectors {
             handle,
             layout: *layout,
             runs: runs.clone(),
-            data: payload(),
+            data,
         },
-    }
+    };
+    (request, fragments)
 }
 
-/// Gather the write payload for `server`: its share of every region in
-/// request order, pulled from the op's source target.
-pub fn gather_payload<'a>(
-    op: &OpKind,
-    layout: &StripeLayout,
-    server: ServerId,
-    bufs: impl Into<Sources<'a>>,
-) -> Bytes {
-    gather_payload_counted(op, layout, server, bufs).0
-}
-
-/// [`gather_payload`], also reporting how many contiguous memory
-/// fragments were touched — the unit the client cost model charges
-/// per-fragment processing for.
-pub fn gather_payload_counted<'a>(
-    op: &OpKind,
-    layout: &StripeLayout,
-    server: ServerId,
-    bufs: impl Into<Sources<'a>>,
-) -> (Bytes, u64) {
-    gather_payload_into(op, layout, server, bufs, BytesMut::with_capacity)
-}
-
-/// [`gather_payload_counted`] into the buffer `spare` hands out when
-/// told how many bytes the payload is (whatever the buffer holds is
-/// dropped first). The payload is that buffer, frozen: a caller that
+/// Gather the write payload for `server` — its share of every region in
+/// request order, pulled from the op's source target — into the buffer
+/// `spare` hands out when told how many bytes the payload is (whatever
+/// the buffer holds is dropped first), also reporting how many
+/// contiguous memory fragments were touched: the unit the client cost
+/// model charges per-fragment processing for. The payload is that
+/// buffer, frozen: a caller that
 /// takes it back once the request is over ([`Bytes::try_into_mut`]) and
 /// hands it out again gathers without allocating — the live executor
 /// does, out of its client's spares. `spare` is not asked when `server`
@@ -378,6 +368,11 @@ mod tests {
         StripeLayout::new(0, 4, 10).unwrap()
     }
 
+    /// [`gather_payload_into`] a fresh buffer.
+    fn gather(op: &OpKind, l: &StripeLayout, server: ServerId, bufs: &Buffers) -> (Bytes, u64) {
+        gather_payload_into(op, l, server, bufs, BytesMut::with_capacity)
+    }
+
     /// A pieces target mapping the `(offset, len)` memory regions onto
     /// the file regions.
     fn pieces_target(mem: &[(u64, u64)], file: &[(u64, u64)]) -> Target {
@@ -431,7 +426,7 @@ mod tests {
         };
         for outsider in [ServerId(0), ServerId(1), ServerId(6)] {
             assert_eq!(server_share(&write, &l, outsider), 0);
-            let (payload, fragments) = gather_payload_counted(&write, &l, outsider, &bufs);
+            let (payload, fragments) = gather(&write, &l, outsider, &bufs);
             assert_eq!((payload.len(), fragments), (0, 0));
             assert_eq!(
                 scatter_response(&read, &l, outsider, &[], &mut bufs).unwrap(),
@@ -440,7 +435,7 @@ mod tests {
             assert!(scatter_response(&read, &l, outsider, &[1], &mut bufs).is_err());
         }
         // The in-range neighbours are unaffected: slot 0 is server 2.
-        assert_eq!(gather_payload(&write, &l, ServerId(2), &bufs).len(), 5);
+        assert_eq!(gather(&write, &l, ServerId(2), &bufs).0.len(), 5);
         assert_eq!(user, (0..20u8).collect::<Vec<_>>());
     }
 
@@ -459,7 +454,7 @@ mod tests {
             region: Region::new(5, 20),
             src: pieces_target(&[(0, 20)], &[(5, 20)]),
         };
-        let payload = gather_payload(&op, &l, ServerId(1), &bufs);
+        let (payload, _) = gather(&op, &l, ServerId(1), &bufs);
         // Server 1's bytes are file [10,20) => mem [5,15) => values 5..15.
         assert_eq!(payload.as_ref(), &(5..15u8).collect::<Vec<_>>()[..]);
     }
@@ -647,7 +642,7 @@ mod tests {
             regions: regions.clone(),
             src: map.clone(),
         };
-        let payload = gather_payload(&wop, &l, ServerId(0), &bufs);
+        let (payload, _) = gather(&wop, &l, ServerId(0), &bufs);
         assert_eq!(payload.as_ref(), &(10..20u8).collect::<Vec<_>>()[..]);
 
         let mut user2 = vec![0u8; 10];
@@ -682,9 +677,6 @@ mod tests {
             user: &mut user,
             temps: &mut temps,
         };
-        assert_eq!(
-            gather_payload(&op, &l, ServerId(2), &bufs).as_ref(),
-            &[4u8, 5]
-        );
+        assert_eq!(gather(&op, &l, ServerId(2), &bufs).0.as_ref(), &[4u8, 5]);
     }
 }

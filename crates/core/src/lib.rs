@@ -27,7 +27,7 @@
 //! per-server wire operations, client-side copies, and serialization
 //! markers. Two executors run plans: the live threaded cluster
 //! (`pvfs-client` over `pvfs-net`) and the discrete-event simulator
-//! (`pvfs-simcluster`). Both use the scatter/gather helpers in [`exec`],
+//! (`pvfs-sim`). Both use the scatter/gather helpers in [`exec`],
 //! so the bytes the correctness tests verify are produced by exactly the
 //! code the timed figures measure.
 

@@ -2,8 +2,9 @@
 //! gather and scatter must be exact inverses through the per-server
 //! byte-stream convention, for arbitrary requests and layouts.
 
+use bytes::BytesMut;
 use proptest::prelude::*;
-use pvfs_core::exec::{gather_payload_counted, scatter_response, server_share, Buffers};
+use pvfs_core::exec::{gather_payload_into, scatter_response, server_share, Buffers};
 use pvfs_core::plan::{OpKind, PieceMap, Target};
 use pvfs_core::ListRequest;
 use pvfs_types::{Region, RegionList, StripeLayout};
@@ -75,8 +76,9 @@ proptest! {
             let mut total_share = 0u64;
             for slot in 0..layout.pcount {
                 let server = layout.server_at_slot(slot);
-                let (payload, frags) =
-                    gather_payload_counted(&wop, &layout, server, &src_bufs);
+                let (payload, frags) = gather_payload_into(
+                    &wop, &layout, server, &src_bufs, BytesMut::with_capacity,
+                );
                 prop_assert_eq!(payload.len() as u64, server_share(&wop, &layout, server));
                 total_share += payload.len() as u64;
                 let got_frags =

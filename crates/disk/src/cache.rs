@@ -37,8 +37,8 @@ pub struct CacheConfig {
     pub policy: CachePolicy,
     /// Blocks to read ahead after a sequential read miss (0 disables).
     /// The 2.4 kernel read ahead up to 128 KiB; the paper's experiments
-    /// run warm, so the calibrated default keeps this off and the
-    /// ablation bench shows its effect on cold sequential reads.
+    /// run warm, so the calibrated default keeps this off; a `LocalFile`
+    /// unit test pins its effect on cold sequential reads.
     pub readahead_blocks: u64,
 }
 

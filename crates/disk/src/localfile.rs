@@ -498,6 +498,55 @@ mod tests {
         assert_eq!(r2.cache.miss_blocks, 1);
     }
 
+    /// EXPERIMENTS.md's readahead ablation: a cold sequential 2 MiB
+    /// read in 4 KiB calls, without readahead and with 32 blocks of it.
+    #[test]
+    fn readahead_cuts_a_cold_sequential_read_by_a_third() {
+        let disk_ms = |readahead_blocks| {
+            let cfg = CacheConfig {
+                readahead_blocks,
+                ..CacheConfig::paper_default()
+            };
+            let mut f = LocalFile::new(cfg, DiskModel::paper_default());
+            let ns: u64 = (0..512u64)
+                .map(|i| f.read_at(i * 4096, 4096).unwrap().1.disk_ns)
+                .sum();
+            format!("{:.1}", ns as f64 / 1e6)
+        };
+        assert_eq!([disk_ms(0), disk_ms(32)], ["146.1", "99.4"]);
+    }
+
+    /// EXPERIMENTS.md's replacement-policy ablation: a re-referenced hot
+    /// set that fits plus one-touch scans that do not — the scan
+    /// resistance CLOCK's second chances give and exact LRU lacks.
+    #[test]
+    fn clock_keeps_more_hits_than_lru_under_scan_pressure() {
+        use crate::cache::CachePolicy;
+        let hits = |policy| {
+            let cfg = CacheConfig {
+                capacity_blocks: 256,
+                policy,
+                ..CacheConfig::paper_default()
+            };
+            let mut f = LocalFile::new(cfg, DiskModel::paper_default());
+            let mut hits = 0u64;
+            for round in 0..64u64 {
+                for _ in 0..3 {
+                    for h in 0..128u64 {
+                        hits += f.read_at(h * 4096, 64).unwrap().1.cache.hit_blocks;
+                    }
+                }
+                let scan = (1000 + round * 200) * 4096;
+                hits += f.read_at(scan, 200 * 4096).unwrap().1.cache.hit_blocks;
+            }
+            hits
+        };
+        assert_eq!(
+            (hits(CachePolicy::Lru), hits(CachePolicy::Clock)),
+            (16_384, 20_273)
+        );
+    }
+
     #[test]
     fn truncate_zeroes_tail() {
         let mut f = LocalFile::with_defaults();

@@ -12,7 +12,7 @@
 //! Both daemons expose a single `handle(request) -> (response, cost)`
 //! entry point with no knowledge of threads, channels or virtual time.
 //! The live threaded cluster (`pvfs-net`) calls them from server
-//! threads; the discrete-event simulator (`pvfs-simcluster`) calls them
+//! threads; the discrete-event simulator (`pvfs-sim`) calls them
 //! from its event loop and converts the returned [`ServeCost`] into
 //! virtual time. One implementation, two executions — the strategy
 //! comparison in the paper's figures exercises exactly the code the

@@ -1,50 +1,15 @@
 //! The discrete-event plan executor.
 
-use bytes::Bytes;
+use crate::{CostConfig, EventQueue, FifoResource, SimTime};
+use bytes::{Bytes, BytesMut};
 use pvfs_core::exec::{
-    alloc_temps, apply_copies, copy_bytes, gather_payload_counted, scatter_response, Buffers,
+    alloc_temps, apply_copies, copy_bytes, scatter_response, wire_request_into, Buffers,
 };
-use pvfs_core::{AccessPlan, OpKind, Step, WireOp};
+use pvfs_core::{AccessPlan, Step, WireOp};
 use pvfs_proto::{Request, Response};
 use pvfs_server::{IoDaemon, IodConfig};
-use pvfs_sim::{CostConfig, EventQueue, FifoResource, Histogram, SimTime};
-use pvfs_types::{FileHandle, PvfsError, PvfsResult, Region, ServerId, StripeLayout};
+use pvfs_types::{FileHandle, Histogram, PvfsError, PvfsResult, Region, ServerId, StripeLayout};
 use std::collections::VecDeque;
-
-/// One recorded simulation event (opt-in, bounded; see
-/// [`SimCluster::run_with_trace`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Virtual time of the event.
-    pub at: SimTime,
-    /// The client involved.
-    pub client: usize,
-    /// What happened.
-    pub kind: TraceKind,
-}
-
-/// Event kinds recorded by the trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceKind {
-    /// A wire request left the client.
-    Issued {
-        /// Destination server.
-        server: ServerId,
-        /// Operation name (`read`, `write_list`, ...).
-        op: &'static str,
-    },
-    /// A response finished processing at the client.
-    Completed {
-        /// The server that answered.
-        server: ServerId,
-        /// Issue-to-done round-trip (ns).
-        rtt_ns: u64,
-    },
-    /// The client entered its serialized section.
-    SerialAcquired,
-    /// The client's plan finished.
-    Done,
-}
 
 /// One simulated compute node's work: a compiled plan and the user
 /// buffer it reads from / writes into.
@@ -251,26 +216,6 @@ impl SimCluster {
     /// Server request counts in the report cover this run only (seeding
     /// is excluded).
     pub fn run(&mut self, jobs: Vec<ClientJob>) -> PvfsResult<(SimReport, Vec<Vec<u8>>)> {
-        self.run_inner(jobs, None).map(|(r, u, _)| (r, u))
-    }
-
-    /// [`run`](Self::run), additionally recording up to `limit` trace
-    /// events (issue/complete/serial/done) in virtual-time order of
-    /// their processing. Bounded so paper-scale runs can sample their
-    /// first events without holding tens of millions.
-    pub fn run_with_trace(
-        &mut self,
-        jobs: Vec<ClientJob>,
-        limit: usize,
-    ) -> PvfsResult<(SimReport, Vec<Vec<u8>>, Vec<TraceEvent>)> {
-        self.run_inner(jobs, Some(limit))
-    }
-
-    fn run_inner(
-        &mut self,
-        jobs: Vec<ClientJob>,
-        trace_limit: Option<usize>,
-    ) -> PvfsResult<(SimReport, Vec<Vec<u8>>, Vec<TraceEvent>)> {
         let base_requests: Vec<u64> = self
             .daemons
             .iter()
@@ -278,16 +223,15 @@ impl SimCluster {
             .collect();
         let base_busy: Vec<u64> = self.server_cpu.iter().map(|r| r.busy_ns()).collect();
         let mut engine = Engine::new(self, jobs);
-        engine.trace_limit = trace_limit;
         engine.run()?;
-        let (mut report, users, trace) = engine.into_report();
+        let (mut report, users) = engine.into_report();
         for (r, base) in report.server_requests.iter_mut().zip(base_requests) {
             *r -= base;
         }
         for (b, base) in report.server_busy_ns.iter_mut().zip(base_busy) {
             *b -= base;
         }
-        Ok((report, users, trace))
+        Ok((report, users))
     }
 }
 
@@ -302,21 +246,6 @@ enum Ev {
     Arrive(usize),
     /// A response frame has fully left the server NIC and propagated.
     Complete(usize),
-}
-
-/// Bounded trace push, callable while other Engine fields are borrowed.
-fn push_trace(
-    limit: Option<usize>,
-    trace: &mut Vec<TraceEvent>,
-    at: SimTime,
-    client: usize,
-    kind: TraceKind,
-) {
-    if let Some(limit) = limit {
-        if trace.len() < limit {
-            trace.push(TraceEvent { at, client, kind });
-        }
-    }
 }
 
 struct InFlight {
@@ -355,8 +284,6 @@ struct Engine<'a> {
     serial_held: bool,
     serial_waiting: VecDeque<usize>,
     now: SimTime,
-    trace_limit: Option<usize>,
-    trace: Vec<TraceEvent>,
 }
 
 impl<'a> Engine<'a> {
@@ -393,8 +320,6 @@ impl<'a> Engine<'a> {
             serial_held: false,
             serial_waiting: VecDeque::new(),
             now: SimTime::ZERO,
-            trace_limit: None,
-            trace: Vec::new(),
         }
     }
 
@@ -423,7 +348,6 @@ impl<'a> Engine<'a> {
             None => {
                 state.done = true;
                 state.report.finish = t;
-                push_trace(self.trace_limit, &mut self.trace, t, c, TraceKind::Done);
                 Ok(())
             }
             Some(Step::Round(ops)) => {
@@ -435,13 +359,14 @@ impl<'a> Engine<'a> {
                 let layout = state.plan.layout;
                 let mut cur = t;
                 for wire in ops {
-                    // Build the request, gathering real payload bytes.
+                    // Build the request, gathering real payload bytes
+                    // (a read's fragments are counted at scatter time).
                     let (request, fragments) = {
                         let bufs = Buffers {
                             user: &mut state.user,
                             temps: &mut state.temps,
                         };
-                        build_request(&wire, handle, &layout, &bufs)
+                        wire_request_into(&wire, handle, &layout, &bufs, BytesMut::with_capacity)
                     };
                     let req_control = request.control_wire_size();
                     let req_bulk = request.bulk_len();
@@ -472,12 +397,6 @@ impl<'a> Engine<'a> {
                     // Inline slot allocation: `state` still borrows
                     // self.clients, but free_slots/inflight/queue are
                     // disjoint fields.
-                    let server = flight.server;
-                    let op = flight
-                        .request
-                        .as_ref()
-                        .map(|r| r.op_name())
-                        .unwrap_or("unknown");
                     let slot = if let Some(s) = self.free_slots.pop() {
                         self.inflight[s] = Some(flight);
                         s
@@ -485,13 +404,6 @@ impl<'a> Engine<'a> {
                         self.inflight.push(Some(flight));
                         self.inflight.len() - 1
                     };
-                    push_trace(
-                        self.trace_limit,
-                        &mut self.trace,
-                        t,
-                        c,
-                        TraceKind::Issued { server, op },
-                    );
                     self.queue.push(arrive_at, Ev::Arrive(slot));
                 }
                 Ok(())
@@ -516,13 +428,6 @@ impl<'a> Engine<'a> {
                     self.serial_waiting.push_back(c);
                 } else {
                     self.serial_held = true;
-                    push_trace(
-                        self.trace_limit,
-                        &mut self.trace,
-                        t,
-                        c,
-                        TraceKind::SerialAcquired,
-                    );
                     self.queue.push(t, Ev::Step(c));
                 }
                 Ok(())
@@ -533,13 +438,6 @@ impl<'a> Engine<'a> {
                 let release = t + cost.serial_handoff_ns;
                 if let Some(next) = self.serial_waiting.pop_front() {
                     self.serial_held = true;
-                    push_trace(
-                        self.trace_limit,
-                        &mut self.trace,
-                        release,
-                        next,
-                        TraceKind::SerialAcquired,
-                    );
                     self.queue.push(release, Ev::Step(next));
                 }
                 self.queue.push(t, Ev::Step(c));
@@ -619,26 +517,16 @@ impl<'a> Engine<'a> {
             }
         };
         let (_, done) = state.cpu.acquire(rx_end, recv_cpu);
-        let rtt_ns = done - flight.issued_at;
-        state.rtt.record(rtt_ns);
+        state.rtt.record(done - flight.issued_at);
         state.round_finish = state.round_finish.max(done);
         state.pending -= 1;
-        let client = flight.client;
-        let server = flight.server;
-        push_trace(
-            self.trace_limit,
-            &mut self.trace,
-            done,
-            client,
-            TraceKind::Completed { server, rtt_ns },
-        );
         if state.pending == 0 {
             self.queue.push(state.round_finish, Ev::Step(flight.client));
         }
         Ok(())
     }
 
-    fn into_report(self) -> (SimReport, Vec<Vec<u8>>, Vec<TraceEvent>) {
+    fn into_report(self) -> (SimReport, Vec<Vec<u8>>) {
         let mut report = SimReport {
             makespan: SimTime::ZERO,
             clients: Vec::with_capacity(self.clients.len()),
@@ -663,79 +551,6 @@ impl<'a> Engine<'a> {
             report.clients.push(c.report);
             users.push(c.user);
         }
-        (report, users, self.trace)
-    }
-}
-
-/// Build the wire request for a wire op, returning the memory fragment
-/// count for the client cost model (writes count gather fragments; for
-/// reads the fragments are counted at scatter time).
-fn build_request(
-    wire: &WireOp,
-    handle: FileHandle,
-    layout: &StripeLayout,
-    bufs: &Buffers<'_>,
-) -> (Request, u64) {
-    match &wire.op {
-        OpKind::Read { region, .. } => (
-            Request::Read {
-                handle,
-                layout: *layout,
-                region: *region,
-            },
-            0,
-        ),
-        OpKind::ReadList { regions, .. } => (
-            Request::ReadList {
-                handle,
-                layout: *layout,
-                regions: regions.clone(),
-            },
-            0,
-        ),
-        OpKind::ReadVectors { runs, .. } => (
-            Request::ReadVectors {
-                handle,
-                layout: *layout,
-                runs: runs.clone(),
-            },
-            0,
-        ),
-        OpKind::Write { region, .. } => {
-            let (data, frags) = gather_payload_counted(&wire.op, layout, wire.server, bufs);
-            (
-                Request::Write {
-                    handle,
-                    layout: *layout,
-                    region: *region,
-                    data,
-                },
-                frags,
-            )
-        }
-        OpKind::WriteList { regions, .. } => {
-            let (data, frags) = gather_payload_counted(&wire.op, layout, wire.server, bufs);
-            (
-                Request::WriteList {
-                    handle,
-                    layout: *layout,
-                    regions: regions.clone(),
-                    data,
-                },
-                frags,
-            )
-        }
-        OpKind::WriteVectors { runs, .. } => {
-            let (data, frags) = gather_payload_counted(&wire.op, layout, wire.server, bufs);
-            (
-                Request::WriteVectors {
-                    handle,
-                    layout: *layout,
-                    runs: runs.clone(),
-                    data,
-                },
-                frags,
-            )
-        }
+        (report, users)
     }
 }

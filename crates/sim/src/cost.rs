@@ -147,29 +147,6 @@ impl CostConfig {
             serial_handoff_ns: 1_000_000, // 1 ms
         }
     }
-
-    /// A free cluster — isolates a single cost dimension in sensitivity
-    /// sweeps by starting from zero and overriding one field.
-    pub fn free() -> CostConfig {
-        CostConfig {
-            net: NetCost {
-                latency_ns: 0,
-                bandwidth_bps: 0,
-                write_ack_stall_ns: 0,
-            },
-            client: ClientCost {
-                per_request_ns: 0,
-                per_fragment_ns: 0,
-                memcpy_bps: 0,
-            },
-            server: ServerCost {
-                per_request_ns: 0,
-                per_region_ns: 0,
-                per_access_ns: 0,
-            },
-            serial_handoff_ns: 0,
-        }
-    }
 }
 
 impl Default for CostConfig {
@@ -197,14 +174,6 @@ mod tests {
         let c = CostConfig::paper_default().client;
         assert_eq!(c.memcpy_ns(400_000_000), 1_000_000_000);
         assert_eq!(c.memcpy_ns(0), 0);
-    }
-
-    #[test]
-    fn free_config_is_all_zero() {
-        let f = CostConfig::free();
-        assert_eq!(f.net.transfer_ns(1 << 30), 0);
-        assert_eq!(f.client.memcpy_ns(1 << 30), 0);
-        assert_eq!(f.server.per_request_ns, 0);
     }
 
     #[test]

@@ -60,21 +60,6 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|e| (e.at, e.event))
     }
-
-    /// The time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -108,19 +93,6 @@ mod tests {
         for i in 0..100 {
             assert_eq!(q.pop(), Some((SimTime(5), i)));
         }
-    }
-
-    #[test]
-    fn peek_and_len() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-        q.push(SimTime(7), ());
-        q.push(SimTime(3), ());
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(SimTime(3)));
-        q.pop();
-        assert_eq!(q.peek_time(), Some(SimTime(7)));
     }
 
     #[test]

@@ -7,12 +7,11 @@ use crate::time::SimTime;
 ///
 /// `acquire(now, duration)` answers "if I show up at `now` needing the
 /// resource for `duration`, when do I start and finish?" and commits the
-/// reservation. Utilization statistics accumulate for reporting.
+/// reservation. Busy time accumulates for reporting.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FifoResource {
     free_at: SimTime,
     busy_ns: u64,
-    uses: u64,
 }
 
 impl FifoResource {
@@ -28,32 +27,12 @@ impl FifoResource {
         let end = start + duration;
         self.free_at = end;
         self.busy_ns += duration;
-        self.uses += 1;
         (start, end)
-    }
-
-    /// When the resource next becomes free.
-    pub fn free_at(&self) -> SimTime {
-        self.free_at
     }
 
     /// Total busy time committed so far.
     pub fn busy_ns(&self) -> u64 {
         self.busy_ns
-    }
-
-    /// Number of acquisitions.
-    pub fn uses(&self) -> u64 {
-        self.uses
-    }
-
-    /// Utilization over the interval `[0, horizon]`.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon.as_nanos() == 0 {
-            0.0
-        } else {
-            self.busy_ns as f64 / horizon.as_nanos() as f64
-        }
     }
 }
 
@@ -95,18 +74,16 @@ mod tests {
     fn stats_accumulate() {
         let mut r = FifoResource::new();
         r.acquire(SimTime(0), 30);
-        r.acquire(SimTime(0), 70);
+        r.acquire(SimTime(500), 70);
         assert_eq!(r.busy_ns(), 100);
-        assert_eq!(r.uses(), 2);
-        assert!((r.utilization(SimTime(200)) - 0.5).abs() < 1e-12);
-        assert_eq!(r.utilization(SimTime(0)), 0.0);
     }
 
     #[test]
     fn zero_duration_acquire() {
         let mut r = FifoResource::new();
         let (s, e) = r.acquire(SimTime(42), 0);
-        assert_eq!(s, e);
-        assert_eq!(r.free_at(), SimTime(42));
+        assert_eq!((s, e), (SimTime(42), SimTime(42)));
+        // Holding it for no time leaves it free at once.
+        assert_eq!(r.acquire(SimTime(42), 5), (SimTime(42), SimTime(47)));
     }
 }

@@ -4,7 +4,6 @@
 use super::*;
 use pvfs_core::{plan, IoKind, ListRequest, Method, MethodConfig};
 use pvfs_server::IodConfig;
-use pvfs_sim::CostConfig;
 use pvfs_types::{FileHandle, RegionList, StripeLayout};
 
 const FH: FileHandle = FileHandle(1);
@@ -52,7 +51,7 @@ fn simulated_read_returns_correct_bytes() {
         let (report, users) = sim
             .run(vec![job(method, IoKind::Read, &request, l, user)])
             .unwrap();
-        assert!(report.makespan > pvfs_sim::SimTime::ZERO);
+        assert!(report.makespan > SimTime::ZERO);
         // Oracle.
         let mut expected = Vec::new();
         for r in request.file.iter() {
@@ -401,68 +400,10 @@ fn write_rtts_carry_the_ack_stall() {
 }
 
 #[test]
-fn trace_records_issue_complete_done_in_order() {
-    let l = layout(4, 64);
-    let request = strided_request(10, 8, 100);
-    let mut sim = cluster(4);
-    sim.seed_warm(FH, &l, 10 * 100 + 8);
-    let (report, _, trace) = sim
-        .run_with_trace(
-            vec![job(
-                Method::Multiple,
-                IoKind::Read,
-                &request,
-                l,
-                vec![0u8; request.total_len() as usize],
-            )],
-            10_000,
-        )
-        .unwrap();
-    let issued = trace
-        .iter()
-        .filter(|e| matches!(e.kind, TraceKind::Issued { .. }))
-        .count() as u64;
-    let completed = trace
-        .iter()
-        .filter(|e| matches!(e.kind, TraceKind::Completed { .. }))
-        .count() as u64;
-    assert_eq!(issued, report.clients[0].requests);
-    assert_eq!(completed, issued);
-    assert!(matches!(trace.last().unwrap().kind, TraceKind::Done));
-    // Completions carry positive RTTs matching the histogram count.
-    assert_eq!(report.rtt.count(), completed);
-    for e in &trace {
-        if let TraceKind::Completed { rtt_ns, .. } = e.kind {
-            assert!(rtt_ns > 0);
-        }
-    }
-    // Trace is in processing-time order.
-    assert!(trace.windows(2).all(|w| w[0].at <= w[1].at));
-}
-
-#[test]
-fn trace_limit_bounds_memory() {
-    let l = layout(4, 64);
-    let request = strided_request(100, 8, 100);
-    let mut sim = cluster(4);
-    sim.seed_warm(FH, &l, 100 * 100 + 8);
-    let (_, _, trace) = sim
-        .run_with_trace(
-            vec![job(
-                Method::Multiple,
-                IoKind::Read,
-                &request,
-                l,
-                vec![0u8; request.total_len() as usize],
-            )],
-            16,
-        )
-        .unwrap();
-    assert_eq!(trace.len(), 16);
-}
-
-#[test]
 fn serialized_writers_trace_exclusive_sections() {
+    // Three sieving writers each hold the serial token for one
+    // read-modify-write: they finish one after another, each at least a
+    // barrier hand-off after the one before it.
     let l = layout(4, 64);
     let request = strided_request(16, 8, 200);
     let mut sim = cluster(4);
@@ -477,25 +418,22 @@ fn serialized_writers_trace_exclusive_sections() {
             )
         })
         .collect();
-    let (_, _, trace) = sim.run_with_trace(jobs, 100_000).unwrap();
-    let acquires: Vec<usize> = trace
-        .iter()
-        .filter(|e| matches!(e.kind, TraceKind::SerialAcquired))
-        .map(|e| e.client)
-        .collect();
-    assert_eq!(acquires.len(), 3);
-    // All three distinct clients acquired, one at a time.
-    let mut sorted = acquires.clone();
-    sorted.sort_unstable();
-    sorted.dedup();
-    assert_eq!(sorted.len(), 3);
+    let (report, _) = sim.run(jobs).unwrap();
+    assert!(report.clients.iter().all(|c| c.serial_sections == 1));
+    let mut finishes: Vec<SimTime> = report.clients.iter().map(|c| c.finish).collect();
+    finishes.sort_unstable();
+    let handoff = sim.cost().serial_handoff_ns;
+    assert!(
+        finishes.windows(2).all(|w| w[1] - w[0] >= handoff),
+        "sections overlapped: {finishes:?}"
+    );
 }
 
 #[test]
 fn empty_job_list_completes_instantly() {
     let mut sim = cluster(2);
     let (report, users) = sim.run(vec![]).unwrap();
-    assert_eq!(report.makespan, pvfs_sim::SimTime::ZERO);
+    assert_eq!(report.makespan, SimTime::ZERO);
     assert!(users.is_empty());
 }
 
@@ -515,7 +453,7 @@ fn hybrid_and_datatype_also_run_under_simulation() {
                 vec![0u8; request.total_len() as usize],
             )])
             .unwrap();
-        assert!(report.makespan > pvfs_sim::SimTime::ZERO, "{method}");
+        assert!(report.makespan > SimTime::ZERO, "{method}");
     }
 }
 

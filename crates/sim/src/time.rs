@@ -14,26 +14,6 @@ impl SimTime {
     /// Simulation start.
     pub const ZERO: SimTime = SimTime(0);
 
-    /// Build from whole seconds.
-    pub fn from_secs(s: u64) -> SimTime {
-        SimTime(s * 1_000_000_000)
-    }
-
-    /// Build from milliseconds.
-    pub fn from_millis(ms: u64) -> SimTime {
-        SimTime(ms * 1_000_000)
-    }
-
-    /// Build from microseconds.
-    pub fn from_micros(us: u64) -> SimTime {
-        SimTime(us * 1_000)
-    }
-
-    /// Nanoseconds since start.
-    pub fn as_nanos(self) -> u64 {
-        self.0
-    }
-
     /// Seconds since start as a float (for reporting).
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
@@ -76,20 +56,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn constructors_scale_correctly() {
-        assert_eq!(SimTime::from_secs(2).as_nanos(), 2_000_000_000);
-        assert_eq!(SimTime::from_millis(3).as_nanos(), 3_000_000);
-        assert_eq!(SimTime::from_micros(5).as_nanos(), 5_000);
-    }
-
-    #[test]
     fn arithmetic() {
-        let t = SimTime::from_secs(1) + 500;
-        assert_eq!(t.as_nanos(), 1_000_000_500);
-        assert_eq!(t - SimTime::from_secs(1), 500);
+        let t = SimTime(1_000_000_000) + 500;
+        assert_eq!(t, SimTime(1_000_000_500));
+        assert_eq!(t - SimTime(1_000_000_000), 500);
         let mut u = SimTime::ZERO;
         u += 42;
-        assert_eq!(u.as_nanos(), 42);
+        assert_eq!(u, SimTime(42));
     }
 
     #[test]
@@ -101,7 +74,7 @@ mod tests {
 
     #[test]
     fn display_in_seconds() {
-        assert_eq!(SimTime::from_millis(1500).to_string(), "1.500000s");
+        assert_eq!(SimTime(1_500_000_000).to_string(), "1.500000s");
     }
 
     #[test]

@@ -780,6 +780,23 @@ mod tests {
         assert!(p995 > 100_000_000, "p995={p995}");
     }
 
+    /// The simulator's contract with the histogram: recording every
+    /// request of a multi-million-request run must stay exact on count
+    /// and order-of-magnitude on percentiles.
+    #[test]
+    fn simulator_usage_survives_the_lift() {
+        let mut h = Histogram::new();
+        for _ in 0..99 {
+            h.record(1_000_000);
+        }
+        h.record(1_000_000_000);
+        assert_eq!(h.count(), 100);
+        let p50 = h.percentile_ns(0.5);
+        assert!((500_000..2_000_000).contains(&p50), "p50={p50}");
+        assert!(h.percentile_ns(0.995) > 100_000_000);
+        assert!(h.summary().contains("n=100"));
+    }
+
     #[test]
     fn mean_is_exact() {
         let mut h = Histogram::new();

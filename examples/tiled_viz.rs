@@ -10,8 +10,7 @@ use pvfs::client::PvfsFile;
 use pvfs::core::{IoKind, Method, MethodConfig};
 use pvfs::net::LiveCluster;
 use pvfs::server::IodConfig;
-use pvfs::sim::CostConfig;
-use pvfs::simcluster::{metadata_rtt_ns, ClientJob, SimCluster};
+use pvfs::sim::{metadata_rtt_ns, ClientJob, CostConfig, SimCluster};
 use pvfs::types::{FileHandle, StripeLayout};
 use pvfs::workloads::{verify, TiledViz};
 

@@ -18,8 +18,8 @@
 //! * [`collective`] — collective two-phase I/O: an in-process
 //!   communicator, stripe-aligned file domains, and aggregator
 //!   read/write engines (`CollectiveFile::{read_all, write_all}`).
-//! * [`sim`] / [`simcluster`] — the discrete-event simulator used to
-//!   regenerate the paper's figures at paper scale.
+//! * [`sim`] — the discrete-event simulator used to regenerate the
+//!   paper's figures at paper scale.
 //! * [`workloads`] — the paper's access-pattern generators (1-D cyclic,
 //!   block-block, FLASH I/O, tiled visualization).
 //! * [`shell`] — an interactive shell over an in-process cluster
@@ -61,6 +61,5 @@ pub use pvfs_proto as proto;
 pub use pvfs_replica as replica;
 pub use pvfs_server as server;
 pub use pvfs_sim as sim;
-pub use pvfs_simcluster as simcluster;
 pub use pvfs_types as types;
 pub use pvfs_workloads as workloads;
