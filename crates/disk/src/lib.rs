@@ -14,9 +14,10 @@
 //!   accesses that miss the cache (calibrated to the paper's 9 GB
 //!   Quantum Atlas IV SCSI disks).
 //!
-//! Reads and writes return a [`CostReport`] that the discrete-event
-//! simulator converts to virtual time; the live threaded cluster simply
-//! ignores the report.
+//! The cache and disk models run only in a file built with them (the
+//! simulator's): such a file adds what each access costs to its meter, a
+//! running [`CostReport`] the discrete-event simulator converts to
+//! virtual time. A live daemon's files run neither model.
 //!
 //! The byte content itself sits behind the [`StorageBackend`] seam:
 //! [`SparseStore`] is the volatile in-memory backend, and [`FileStore`]

@@ -3,13 +3,12 @@
 //!
 //! The bytes are a [`StorageBackend`]'s. The cost is a model: an LRU
 //! buffer-cache residency model and a disk timing model with head
-//! tracking, priced per access into a [`CostReport`] whose `disk_ns` the
-//! discrete-event simulator turns into virtual time. Nothing else reads
-//! that number, so only a file built *with* the model
-//! ([`LocalFile::new`], [`LocalFile::with_backend`] — what a simulated
-//! daemon's files are) runs it; a live daemon's files
-//! ([`LocalFile::unmodelled`]) move the bytes, report the byte counts and
-//! price nothing.
+//! tracking. A file built *with* the model ([`LocalFile::new`],
+//! [`LocalFile::with_backend`] — what a simulated daemon's files are)
+//! prices every access and adds the charge to its meter
+//! ([`LocalFile::meter`]), whose `disk_ns` the discrete-event simulator
+//! turns into virtual time. A live daemon's files
+//! ([`LocalFile::unmodelled`]) move the bytes and meter nothing.
 
 use crate::backend::{CrashPoint, StorageBackend};
 use crate::cache::{BufferCache, CacheConfig, CacheOutcome};
@@ -18,13 +17,15 @@ use crate::model::{DiskModel, HeadTracker};
 use crate::store::SparseStore;
 use pvfs_types::PvfsResult;
 
-/// Cost of one storage operation, reported alongside its functional
-/// result. The discrete-event simulator turns `disk_ns` into virtual
-/// time; an unmodelled file reports the byte counts only.
+/// What a priced file has charged: a running total, read off
+/// [`LocalFile::meter`], of which the simulator turns `disk_ns` into
+/// virtual time and `accesses` into per-access server time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostReport {
     /// Virtual nanoseconds spent on the disk (misses + write-backs).
     pub disk_ns: u64,
+    /// Local accesses: one per read, one per run of a write batch.
+    pub accesses: u64,
     /// Bytes read from the store.
     pub bytes_read: u64,
     /// Bytes written to the store.
@@ -37,9 +38,26 @@ impl CostReport {
     /// Fold another report into this one.
     pub fn merge(&mut self, other: CostReport) {
         self.disk_ns += other.disk_ns;
+        self.accesses += other.accesses;
         self.bytes_read += other.bytes_read;
         self.bytes_written += other.bytes_written;
         self.cache.merge(other.cache);
+    }
+
+    /// What was charged between `earlier`, a reading of the same meter,
+    /// and this reading.
+    pub fn since(self, earlier: CostReport) -> CostReport {
+        CostReport {
+            disk_ns: self.disk_ns - earlier.disk_ns,
+            accesses: self.accesses - earlier.accesses,
+            bytes_read: self.bytes_read - earlier.bytes_read,
+            bytes_written: self.bytes_written - earlier.bytes_written,
+            cache: CacheOutcome {
+                hit_blocks: self.cache.hit_blocks - earlier.cache.hit_blocks,
+                miss_blocks: self.cache.miss_blocks - earlier.cache.miss_blocks,
+                writeback_blocks: self.cache.writeback_blocks - earlier.cache.writeback_blocks,
+            },
+        }
     }
 }
 
@@ -57,12 +75,13 @@ pub struct LocalFile {
 }
 
 /// What the simulator charges disk time by: which blocks are resident,
-/// where the head is, what the disk costs.
+/// where the head is, what the disk costs — and what it has charged.
 #[derive(Debug)]
 struct CostModel {
     cache: BufferCache,
     disk: DiskModel,
     head: HeadTracker,
+    meter: CostReport,
 }
 
 impl LocalFile {
@@ -84,13 +103,14 @@ impl LocalFile {
                 cache: BufferCache::new(cache_config),
                 disk: model,
                 head: HeadTracker::new(),
+                meter: CostReport::default(),
             }),
             ..LocalFile::unmodelled(store)
         }
     }
 
-    /// A file over `store` that prices nothing — a live daemon's: every
-    /// [`CostReport`] it returns carries the byte counts and zeros.
+    /// A file over `store` that prices nothing — a live daemon's: its
+    /// meter stays at [`CostReport::default`].
     pub fn unmodelled(store: Box<dyn StorageBackend>) -> LocalFile {
         LocalFile {
             store,
@@ -99,9 +119,12 @@ impl LocalFile {
         }
     }
 
-    /// New empty memory-backed file with paper-default cache and disk.
-    pub fn with_defaults() -> LocalFile {
-        LocalFile::new(CacheConfig::paper_default(), DiskModel::paper_default())
+    /// Everything this file has charged since it was opened (nothing,
+    /// unmodelled).
+    pub fn meter(&self) -> CostReport {
+        self.model
+            .as_ref()
+            .map_or_else(CostReport::default, |m| m.meter)
     }
 
     /// Local file size (one past the highest byte written).
@@ -130,75 +153,50 @@ impl LocalFile {
             .unwrap_or_default()
     }
 
-    /// Read `len` bytes at `offset` (zero-filled past EOF), reporting
-    /// cost.
-    pub fn read_at(&mut self, offset: u64, len: usize) -> PvfsResult<(Vec<u8>, CostReport)> {
-        let data = self.store.read_vec(offset, len)?;
-        let report = self.charge_read(offset, len as u64);
-        Ok((data, report))
-    }
-
-    /// Read into a caller-provided buffer.
-    pub fn read_into(&mut self, offset: u64, buf: &mut [u8]) -> PvfsResult<CostReport> {
+    /// Read into a caller-provided buffer (zero-filled past EOF): one
+    /// access.
+    pub fn read_into(&mut self, offset: u64, buf: &mut [u8]) -> PvfsResult<()> {
         self.store.read_at(offset, buf)?;
-        Ok(self.charge_read(offset, buf.len() as u64))
-    }
-
-    fn charge_read(&mut self, offset: u64, len: u64) -> CostReport {
-        match &mut self.model {
-            Some(model) => model.charge_read(offset, len),
-            None => CostReport {
-                bytes_read: len,
-                ..CostReport::default()
-            },
+        if let Some(model) = &mut self.model {
+            let charge = model.price_read(offset, buf.len() as u64);
+            model.charge(charge);
         }
-    }
-
-    /// Write `data` at `offset`, reporting cost.
-    pub fn write_at(&mut self, offset: u64, data: &[u8]) -> PvfsResult<CostReport> {
-        self.write_batch(&[(offset, data)])
+        Ok(())
     }
 
     /// Apply a whole request's runs as one batch — all-or-nothing
     /// across a crash on durable backends (one journal record), plain
-    /// in-order writes on memory.
-    pub fn write_batch(&mut self, runs: &[(u64, &[u8])]) -> PvfsResult<CostReport> {
+    /// in-order writes on memory. Each run is one access.
+    pub fn write_batch(&mut self, runs: &[(u64, &[u8])]) -> PvfsResult<()> {
         let mut prev_size = self.store.size();
         self.store.write_batch(runs)?;
         self.write_version += 1;
-        let mut report = CostReport::default();
-        for (offset, data) in runs {
-            let len = data.len() as u64;
-            match &mut self.model {
-                Some(model) => report.merge(model.charge_write(*offset, len, prev_size)),
-                None => report.bytes_written += len,
+        if let Some(model) = &mut self.model {
+            for (offset, data) in runs {
+                let len = data.len() as u64;
+                let charge = model.price_write(*offset, len, prev_size);
+                model.charge(charge);
+                prev_size = prev_size.max(offset.saturating_add(len));
             }
-            prev_size = prev_size.max(offset.saturating_add(len));
         }
-        Ok(report)
+        Ok(())
     }
 
-    /// Flush all dirty blocks to disk, reporting the write-back cost.
-    pub fn flush(&mut self) -> CostReport {
-        let Some(model) = &mut self.model else {
-            return CostReport::default();
-        };
-        let blocks = model.cache.flush();
-        CostReport {
-            disk_ns: model
-                .disk
-                .writeback_ns(blocks, model.cache.config().block_size),
-            ..CostReport::default()
+    /// Flush all dirty blocks of the cache model to disk, charging the
+    /// write-back.
+    pub fn flush(&mut self) {
+        if let Some(model) = &mut self.model {
+            let blocks = model.cache.flush();
+            let block_size = model.cache.config().block_size;
+            model.meter.disk_ns += model.disk.writeback_ns(blocks, block_size);
         }
     }
 
-    /// Durability barrier: flush the cache model (its write-back cost
-    /// is the report) and fsync the backend. Returns the bytes now
-    /// durable.
-    pub fn sync(&mut self) -> PvfsResult<(u64, CostReport)> {
-        let report = self.flush();
-        let durable = self.store.sync()?;
-        Ok((durable, report))
+    /// Durability barrier: flush the cache model and fsync the backend.
+    /// Returns the bytes now durable.
+    pub fn sync(&mut self) -> PvfsResult<u64> {
+        self.flush();
+        self.store.sync()
     }
 
     /// Truncate the file.
@@ -242,7 +240,15 @@ impl LocalFile {
 }
 
 impl CostModel {
-    fn charge_write(&mut self, offset: u64, len: u64, prev_size: u64) -> CostReport {
+    /// Add one access, priced at `charge`, to the meter.
+    fn charge(&mut self, charge: CostReport) {
+        self.meter.merge(CostReport {
+            accesses: 1,
+            ..charge
+        });
+    }
+
+    fn price_write(&mut self, offset: u64, len: u64, prev_size: u64) -> CostReport {
         if len == 0 {
             return CostReport::default();
         }
@@ -267,13 +273,13 @@ impl CostModel {
         }
         CostReport {
             disk_ns,
-            bytes_read: 0,
             bytes_written: len,
             cache,
+            ..CostReport::default()
         }
     }
 
-    fn charge_read(&mut self, offset: u64, len: u64) -> CostReport {
+    fn price_read(&mut self, offset: u64, len: u64) -> CostReport {
         if len == 0 {
             return CostReport::default();
         }
@@ -313,8 +319,8 @@ impl CostModel {
         CostReport {
             disk_ns,
             bytes_read: len,
-            bytes_written: 0,
             cache,
+            ..CostReport::default()
         }
     }
 }
@@ -327,24 +333,49 @@ mod tests {
         LocalFile::new(CacheConfig::tiny(8), DiskModel::paper_default())
     }
 
+    fn default_file() -> LocalFile {
+        LocalFile::new(CacheConfig::paper_default(), DiskModel::paper_default())
+    }
+
+    /// What `f`'s meter moved by while `op` ran.
+    fn charged(f: &mut LocalFile, op: impl FnOnce(&mut LocalFile)) -> CostReport {
+        let before = f.meter();
+        op(f);
+        f.meter().since(before)
+    }
+
+    fn write(f: &mut LocalFile, offset: u64, data: &[u8]) -> CostReport {
+        charged(f, |f| f.write_batch(&[(offset, data)]).unwrap())
+    }
+
+    fn read(f: &mut LocalFile, offset: u64, len: usize) -> CostReport {
+        charged(f, |f| f.read_into(offset, &mut vec![0; len]).unwrap())
+    }
+
+    fn read_vec(f: &mut LocalFile, offset: u64, len: usize) -> Vec<u8> {
+        let mut out = vec![0; len];
+        f.read_into(offset, &mut out).unwrap();
+        out
+    }
+
     #[test]
     fn read_write_roundtrip() {
-        let mut f = LocalFile::with_defaults();
-        f.write_at(100, b"parallel virtual file system").unwrap();
-        let (data, _) = f.read_at(100, 28).unwrap();
-        assert_eq!(&data, b"parallel virtual file system");
+        let mut f = default_file();
+        write(&mut f, 100, b"parallel virtual file system");
+        assert_eq!(&read_vec(&mut f, 100, 28), b"parallel virtual file system");
+        assert_eq!(read_vec(&mut f, 110, 6), f.peek_vec(110, 6));
         assert_eq!(f.size(), 128);
     }
 
     #[test]
     fn cold_read_costs_disk_time_warm_read_does_not() {
         let mut f = small_file();
-        f.write_at(0, &[1u8; 64]).unwrap();
-        let (_, warm) = f.read_at(0, 64).unwrap(); // resident from write-allocate
+        write(&mut f, 0, &[1u8; 64]);
+        let warm = read(&mut f, 0, 64); // resident from write-allocate
         assert_eq!(warm.disk_ns, 0);
         assert_eq!(warm.cache.hit_blocks, 4);
         // A never-touched range costs positioning + transfer.
-        let (_, cold) = f.read_at(1024, 64).unwrap();
+        let cold = read(&mut f, 1024, 64);
         assert!(cold.disk_ns > 0);
         assert_eq!(cold.cache.miss_blocks, 4);
     }
@@ -352,7 +383,7 @@ mod tests {
     #[test]
     fn aligned_write_is_absorbed_by_cache() {
         let mut f = small_file(); // 16-byte blocks
-        let r = f.write_at(0, &[7u8; 32]).unwrap(); // aligned, 2 blocks
+        let r = write(&mut f, 0, &[7u8; 32]); // aligned, 2 blocks
         assert_eq!(r.disk_ns, 0);
         assert_eq!(r.bytes_written, 32);
     }
@@ -364,28 +395,27 @@ mod tests {
         // benchmarks write fresh files, and their cost is modeled by
         // the server-side write path, not phantom disk reads.
         let mut f = small_file();
-        let r = f.write_at(3, &[7u8; 10]).unwrap();
-        assert_eq!(r.disk_ns, 0);
+        assert_eq!(write(&mut f, 3, &[7u8; 10]).disk_ns, 0);
     }
 
     #[test]
     fn unaligned_overwrite_of_cold_existing_data_pays_read_fill() {
         let mut f = small_file();
-        f.write_at(0, &[1u8; 128]).unwrap(); // materialize data
-                                             // Evict everything by touching other blocks beyond capacity.
+        write(&mut f, 0, &[1u8; 128]); // materialize data
+                                       // Evict everything by touching other blocks beyond capacity.
         for i in 0..16u64 {
-            f.read_at(1024 + i * 16, 16).unwrap();
+            read(&mut f, 1024 + i * 16, 16);
         }
-        let r = f.write_at(3, &[7u8; 6]).unwrap(); // unaligned, block holds data
+        let r = write(&mut f, 3, &[7u8; 6]); // unaligned, block holds data
         assert!(r.disk_ns > 0);
     }
 
     #[test]
     fn eviction_of_dirty_blocks_charges_writeback() {
         let mut f = LocalFile::new(CacheConfig::tiny(2), DiskModel::paper_default());
-        f.write_at(0, &[1u8; 16]).unwrap();
-        f.write_at(16, &[1u8; 16]).unwrap();
-        let r = f.write_at(32, &[1u8; 16]).unwrap(); // evicts a dirty block
+        write(&mut f, 0, &[1u8; 16]);
+        write(&mut f, 16, &[1u8; 16]);
+        let r = write(&mut f, 32, &[1u8; 16]); // evicts a dirty block
         assert!(r.cache.writeback_blocks >= 1);
         assert!(r.disk_ns > 0);
     }
@@ -393,36 +423,30 @@ mod tests {
     #[test]
     fn flush_costs_proportional_to_dirty_blocks() {
         let mut f = small_file();
-        f.write_at(0, &[1u8; 64]).unwrap(); // 4 dirty blocks
-        let r1 = f.flush();
+        write(&mut f, 0, &[1u8; 64]); // 4 dirty blocks
+        let r1 = charged(&mut f, LocalFile::flush);
         assert!(r1.disk_ns > 0);
-        let r2 = f.flush();
+        assert_eq!(r1.accesses, 0, "a write-back is no access");
+        let r2 = charged(&mut f, LocalFile::flush);
         assert_eq!(r2.disk_ns, 0);
     }
 
     #[test]
     fn zero_length_ops_are_free() {
         let mut f = small_file();
-        assert_eq!(f.write_at(0, b"").unwrap(), CostReport::default());
-        let (d, r) = f.read_at(0, 0).unwrap();
-        assert!(d.is_empty());
-        assert_eq!(r, CostReport::default());
-    }
-
-    #[test]
-    fn read_into_matches_read_at() {
-        let mut f = LocalFile::with_defaults();
-        f.write_at(0, &[9u8; 100]).unwrap();
-        let (a, _) = f.read_at(10, 50).unwrap();
-        let mut b = vec![0u8; 50];
-        f.read_into(10, &mut b).unwrap();
-        assert_eq!(a, b);
+        let access = CostReport {
+            accesses: 1,
+            ..CostReport::default()
+        };
+        assert_eq!(write(&mut f, 0, b""), access);
+        assert_eq!(read(&mut f, 0, 0), access);
     }
 
     #[test]
     fn cost_report_merge_accumulates() {
         let mut a = CostReport {
             disk_ns: 10,
+            accesses: 1,
             bytes_read: 1,
             bytes_written: 2,
             cache: CacheOutcome {
@@ -431,8 +455,9 @@ mod tests {
                 writeback_blocks: 0,
             },
         };
-        a.merge(CostReport {
+        let b = CostReport {
             disk_ns: 5,
+            accesses: 2,
             bytes_read: 10,
             bytes_written: 20,
             cache: CacheOutcome {
@@ -440,11 +465,15 @@ mod tests {
                 miss_blocks: 3,
                 writeback_blocks: 4,
             },
-        });
+        };
+        let earlier = a;
+        a.merge(b);
         assert_eq!(a.disk_ns, 15);
+        assert_eq!(a.accesses, 3);
         assert_eq!(a.bytes_read, 11);
         assert_eq!(a.bytes_written, 22);
         assert_eq!(a.cache.hit_blocks, 3);
+        assert_eq!(a.since(earlier), b);
     }
 
     #[test]
@@ -453,17 +482,12 @@ mod tests {
         let cold = || LocalFile::new(CacheConfig::tiny(4), DiskModel::paper_default());
         let mut seq = cold();
         let mut scattered = cold();
-        let mut seq_ns = 0;
-        let mut rnd_ns = 0;
         for i in 0..16u64 {
-            seq_ns += seq.read_at(i * 16, 16).unwrap().1.disk_ns;
+            read(&mut seq, i * 16, 16);
             // Jump around with a stride that defeats head tracking.
-            rnd_ns += scattered
-                .read_at(((i * 7) % 16) * 1024, 16)
-                .unwrap()
-                .1
-                .disk_ns;
+            read(&mut scattered, ((i * 7) % 16) * 1024, 16);
         }
+        let (seq_ns, rnd_ns) = (seq.meter().disk_ns, scattered.meter().disk_ns);
         assert!(seq_ns < rnd_ns, "seq {seq_ns} vs random {rnd_ns}");
     }
 
@@ -473,16 +497,14 @@ mod tests {
         cfg.readahead_blocks = 4;
         let mut f = LocalFile::new(cfg, DiskModel::paper_default());
         // First read misses and positions the head...
-        let (_, r0) = f.read_at(0, 16).unwrap();
-        assert_eq!(r0.cache.miss_blocks, 1);
+        assert_eq!(read(&mut f, 0, 16).cache.miss_blocks, 1);
         // ...the second sequential read misses but triggers read-ahead,
         // so the following sequential reads hit at zero disk cost.
-        f.read_at(16, 16).unwrap();
-        let (_, r2) = f.read_at(32, 16).unwrap();
+        read(&mut f, 16, 16);
+        let r2 = read(&mut f, 32, 16);
         assert_eq!(r2.cache.hit_blocks, 1, "readahead should have prefetched");
         assert_eq!(r2.disk_ns, 0);
-        let (_, r3) = f.read_at(48, 16).unwrap();
-        assert_eq!(r3.cache.hit_blocks, 1);
+        assert_eq!(read(&mut f, 48, 16).cache.hit_blocks, 1);
     }
 
     #[test]
@@ -490,12 +512,10 @@ mod tests {
         let mut cfg = CacheConfig::tiny(64);
         cfg.readahead_blocks = 4;
         let mut f = LocalFile::new(cfg, DiskModel::paper_default());
-        f.read_at(1000, 16).unwrap();
-        let (_, r) = f.read_at(0, 16).unwrap(); // jump: random
-        assert_eq!(r.cache.miss_blocks, 1);
-        // A block near neither access was not prefetched.
-        let (_, r2) = f.read_at(512, 16).unwrap();
-        assert_eq!(r2.cache.miss_blocks, 1);
+        read(&mut f, 1000, 16);
+        assert_eq!(read(&mut f, 0, 16).cache.miss_blocks, 1); // jump: random
+                                                              // A block near neither access was not prefetched.
+        assert_eq!(read(&mut f, 512, 16).cache.miss_blocks, 1);
     }
 
     /// EXPERIMENTS.md's readahead ablation: a cold sequential 2 MiB
@@ -508,10 +528,10 @@ mod tests {
                 ..CacheConfig::paper_default()
             };
             let mut f = LocalFile::new(cfg, DiskModel::paper_default());
-            let ns: u64 = (0..512u64)
-                .map(|i| f.read_at(i * 4096, 4096).unwrap().1.disk_ns)
-                .sum();
-            format!("{:.1}", ns as f64 / 1e6)
+            for i in 0..512u64 {
+                read(&mut f, i * 4096, 4096);
+            }
+            format!("{:.1}", f.meter().disk_ns as f64 / 1e6)
         };
         assert_eq!([disk_ms(0), disk_ms(32)], ["146.1", "99.4"]);
     }
@@ -529,17 +549,15 @@ mod tests {
                 ..CacheConfig::paper_default()
             };
             let mut f = LocalFile::new(cfg, DiskModel::paper_default());
-            let mut hits = 0u64;
             for round in 0..64u64 {
                 for _ in 0..3 {
                     for h in 0..128u64 {
-                        hits += f.read_at(h * 4096, 64).unwrap().1.cache.hit_blocks;
+                        read(&mut f, h * 4096, 64);
                     }
                 }
-                let scan = (1000 + round * 200) * 4096;
-                hits += f.read_at(scan, 200 * 4096).unwrap().1.cache.hit_blocks;
+                read(&mut f, (1000 + round * 200) * 4096, 200 * 4096);
             }
-            hits
+            f.meter().cache.hit_blocks
         };
         assert_eq!(
             (hits(CachePolicy::Lru), hits(CachePolicy::Clock)),
@@ -549,11 +567,11 @@ mod tests {
 
     #[test]
     fn truncate_zeroes_tail() {
-        let mut f = LocalFile::with_defaults();
-        f.write_at(0, &[5u8; 100]).unwrap();
+        let mut f = default_file();
+        write(&mut f, 0, &[5u8; 100]);
         f.truncate(50).unwrap();
         assert_eq!(f.size(), 50);
-        let (d, _) = f.read_at(40, 20).unwrap();
+        let d = read_vec(&mut f, 40, 20);
         assert_eq!(&d[..10], &[5u8; 10]);
         assert_eq!(&d[10..], &[0u8; 10]);
     }
@@ -561,8 +579,10 @@ mod tests {
     #[test]
     fn write_batch_merges_per_run_costs() {
         let mut f = small_file();
-        let r = f.write_batch(&[(0, &[1u8; 16]), (64, &[2u8; 32])]).unwrap();
-        assert_eq!(r.bytes_written, 48);
+        let r = charged(&mut f, |f| {
+            f.write_batch(&[(0, &[1u8; 16]), (64, &[2u8; 32])]).unwrap()
+        });
+        assert_eq!((r.bytes_written, r.accesses), (48, 2));
         assert_eq!(f.size(), 96);
         assert_eq!(f.peek_vec(0, 16), vec![1u8; 16]);
         assert_eq!(f.peek_vec(64, 32), vec![2u8; 32]);
@@ -570,10 +590,10 @@ mod tests {
 
     #[test]
     fn digest_chunks_cover_the_tail_and_track_writes() {
-        let mut f = LocalFile::with_defaults();
+        let mut f = default_file();
         assert_eq!(f.write_version(), 0);
         assert_eq!(f.digest_chunks(16).unwrap(), (0, vec![]));
-        f.write_at(0, &[1u8; 40]).unwrap();
+        write(&mut f, 0, &[1u8; 40]);
         let (v, d) = f.digest_chunks(16).unwrap();
         assert_eq!(v, 1);
         assert_eq!(d.len(), 3); // 16 + 16 + 8-byte tail
@@ -583,12 +603,12 @@ mod tests {
         assert_eq!(d[2], checksum(&[1u8; 8]));
         // A write anywhere bumps the version; an identical overwrite
         // leaves the digests equal.
-        f.write_at(0, &[1u8; 40]).unwrap();
+        write(&mut f, 0, &[1u8; 40]);
         let (v2, d2) = f.digest_chunks(16).unwrap();
         assert_eq!(v2, 2);
         assert_eq!(d2, d);
         // A divergent byte flips exactly its chunk.
-        f.write_at(17, &[9u8]).unwrap();
+        write(&mut f, 17, &[9u8]);
         let (_, d3) = f.digest_chunks(16).unwrap();
         assert_eq!(d3[0], d[0]);
         assert_ne!(d3[1], d[1]);
@@ -603,19 +623,12 @@ mod tests {
     #[test]
     fn an_unmodelled_file_moves_the_bytes_and_prices_nothing() {
         let mut f = LocalFile::unmodelled(Box::new(SparseStore::new()));
-        let w = f
-            .write_batch(&[(3, &[7u8; 10]), (4096, &[8u8; 6])])
+        f.write_batch(&[(3, &[7u8; 10]), (4096, &[8u8; 6])])
             .unwrap();
-        let mut back = [0u8; 10];
-        let r = f.read_into(3, &mut back).unwrap();
-        assert_eq!(back, [7u8; 10]);
-        let bytes_only = |bytes_read, bytes_written| CostReport {
-            bytes_read,
-            bytes_written,
-            ..CostReport::default()
-        };
-        assert_eq!((w, r), (bytes_only(0, 16), bytes_only(10, 0)));
-        assert_eq!(f.sync().unwrap(), (0, CostReport::default()));
+        assert_eq!(read_vec(&mut f, 3, 10), [7u8; 10]);
+        f.flush();
+        assert_eq!(f.sync().unwrap(), 0);
+        assert_eq!(f.meter(), CostReport::default());
         assert_eq!(f.cache_stats(), crate::cache::CacheStats::default());
         assert_eq!(f.write_version(), 1);
     }
@@ -623,9 +636,10 @@ mod tests {
     #[test]
     fn memory_backend_sync_reports_nothing_durable() {
         let mut f = small_file();
-        f.write_at(0, &[1u8; 64]).unwrap();
-        let (durable, report) = f.sync().unwrap();
-        assert_eq!(durable, 0);
+        write(&mut f, 0, &[1u8; 64]);
+        let mut durable = None;
+        let report = charged(&mut f, |f| durable = Some(f.sync().unwrap()));
+        assert_eq!(durable, Some(0));
         assert!(report.disk_ns > 0, "sync flushes dirty cache blocks");
         assert_eq!(f.backend().durable_bytes(), 0);
         assert!(f.backend().resident_bytes() > 0);

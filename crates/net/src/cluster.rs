@@ -1657,9 +1657,11 @@ mod tests {
         };
         c.call(target, read).unwrap();
         let daemon = cluster.daemon(ServerId(0)).unwrap();
+        daemon.flush_handle(handle);
         let cache = daemon.with_local_file(handle, |f| f.cache_stats());
         assert_eq!(cache, Some(pvfs_disk::cache::CacheStats::default()));
-        assert_eq!(daemon.flush_handle(handle).disk_ns, 0);
+        let meter = daemon.with_local_file(handle, pvfs_disk::LocalFile::meter);
+        assert_eq!(meter, Some(pvfs_disk::CostReport::default()));
     }
 
     #[test]

@@ -374,7 +374,7 @@ impl Service for IoDaemon {
         traced: Option<(TraceContext, Duration)>,
         scratch: &mut Scratch,
     ) -> Response {
-        let (response, _) = self.handle_with(request, scratch, traced);
+        let response = self.handle_with(request, scratch, traced);
         // Emulated service time occupies the worker, the way a blocking
         // disk access would; the reply leaves only after the stall.
         if let Some(stall) = self.config().emulated_latency {

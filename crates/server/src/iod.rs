@@ -7,15 +7,12 @@
 //! carry striping metadata, §3.3) and never sees other servers' bytes.
 //!
 //! The daemon is a pure state machine with one serve entry,
-//! [`IoDaemon::handle_with`] ([`IoDaemon::handle`] is its allocating,
-//! untraced convenience): it consumes a request, mutates local state,
-//! and returns the response together with a [`ServeCost`] — the counts
-//! the simulator converts into virtual CPU time. List requests
-//! additionally report how many file regions they carried, because
-//! per-region processing is a real cost the paper's analysis (§3.4)
-//! calls out. Virtual *disk* time is in the cost only when the daemon
-//! was built for the simulator ([`IoDaemon::with_cost_model`]): a live
-//! daemon prices nothing.
+//! [`IoDaemon::handle_with`]: it consumes a request, mutates local state,
+//! and returns the response. It prices nothing. A daemon built for the
+//! simulator ([`IoDaemon::with_cost_model`]) gives each local file the
+//! cache and disk models, and the file meters what its accesses cost;
+//! [`IoDaemon::handle`], the allocating, untraced entry the simulator
+//! calls, returns that charge beside the response.
 //!
 //! Everything the daemon counts goes into one [`Ledger`], which it
 //! shares with the stores it opens and the transport in front of it; a
@@ -46,7 +43,7 @@ pub struct IodConfig {
     /// Disk timing model, likewise the simulator's.
     pub disk: DiskModel,
     /// Worker threads serving this daemon's request queue on the live
-    /// path ([`crate::IoDaemon::handle`] takes `&self`, so workers serve
+    /// path ([`IoDaemon::handle_with`] takes `&self`, so workers serve
     /// concurrently; requests for different handles never contend).
     pub workers: usize,
     /// Bound of the daemon's request queue on the live path. Senders
@@ -57,7 +54,7 @@ pub struct IodConfig {
     /// standing in for the disk + network service time of a real I/O
     /// daemon (the latency a worker pool overlaps). `None` — the
     /// default — serves at memory speed. The simulator ignores this; it
-    /// accounts time through [`ServeCost`] instead.
+    /// keeps virtual time instead.
     pub emulated_latency: Option<std::time::Duration>,
 }
 
@@ -80,25 +77,6 @@ impl Default for IodConfig {
     }
 }
 
-/// Cost counters for one served request.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServeCost {
-    /// File regions processed (0 for metadata/size ops, 1 for contiguous
-    /// I/O, the trailing-data count for list I/O).
-    pub regions: u64,
-    /// Stripe-aligned local accesses performed.
-    pub local_accesses: u64,
-    /// Disk/cache outcome.
-    pub disk: CostReport,
-}
-
-impl ServeCost {
-    fn merge_disk(&mut self, r: CostReport) {
-        self.disk.merge(r);
-        self.local_accesses += 1;
-    }
-}
-
 /// Handle-space shards of the local file table. Contention on the live
 /// path is per-shard, so requests for different handles (the common
 /// case — each client file maps to one handle) almost never serialize
@@ -117,7 +95,7 @@ const FILE_SHARDS: usize = 16;
 /// dirty when it comes round again, so a read must write every byte of
 /// the share it answers with — holes, the range past EOF and
 /// never-written handles included (the storage backends zero-fill them,
-/// `read_region_into` leaves no gap between runs) — and a failed read
+/// and a read's local runs leave no gap between them) — and a failed read
 /// answers with an error and no part of the buffer.
 #[derive(Debug, Default)]
 pub struct Scratch {
@@ -192,7 +170,7 @@ impl Scratch {
 
 /// One PVFS I/O daemon.
 ///
-/// Thread-safe: [`IoDaemon::handle`] takes `&self`, and the file table
+/// Thread-safe: [`IoDaemon::handle_with`] takes `&self`, and the file table
 /// is sharded by handle so concurrent requests only contend when they
 /// touch handles in the same shard. Statistics are relaxed atomics.
 /// A daemon is a pure state machine either way — single-threaded
@@ -245,9 +223,9 @@ impl IoDaemon {
     }
 
     /// A memory-backed daemon for the simulator: its local files run the
-    /// buffer-cache and disk models of `config` on every access, so each
-    /// [`ServeCost`] it returns carries the virtual disk time
-    /// (`disk.disk_ns`) the simulator advances its clock by. A daemon
+    /// buffer-cache and disk models of `config` on every access and meter
+    /// the charges, so [`IoDaemon::handle`] reports the accesses and the
+    /// virtual disk time the simulator advances its clock by. A daemon
     /// built any other way serves the same bytes and prices nothing.
     pub fn with_cost_model(id: ServerId, config: IodConfig) -> IoDaemon {
         IoDaemon {
@@ -308,14 +286,12 @@ impl IoDaemon {
     }
 
     /// Flush a handle's dirty cache blocks (maintenance entry point for
-    /// benchmark setup; returns the disk cost of the write-back).
-    pub fn flush_handle(&self, handle: FileHandle) -> CostReport {
-        self.shard(handle)
-            .lock()
-            .unwrap()
-            .get_mut(&handle)
-            .map(|f| f.flush())
-            .unwrap_or_default()
+    /// simulator setup): the write-back is charged to the file's meter,
+    /// and nothing moves on a daemon without the cost model.
+    pub fn flush_handle(&self, handle: FileHandle) {
+        if let Some(file) = self.shard(handle).lock().unwrap().get_mut(&handle) {
+            file.flush();
+        }
     }
 
     /// Arm a storage crash on a handle's backend (test fault injection;
@@ -328,10 +304,29 @@ impl IoDaemon {
     }
 
     /// Serve one request out of buffers of its own, untraced — the
-    /// allocating convenience of [`IoDaemon::handle_with`]. `&self`: safe
-    /// to call from many threads at once.
-    pub fn handle(&self, request: &Request) -> (Response, ServeCost) {
-        self.handle_with(request, &mut Scratch::default(), None)
+    /// allocating entry of the simulator, the tests and `perf`. Beside the
+    /// response: what the named handle's file charged for it (nothing,
+    /// unless the daemon was built [`IoDaemon::with_cost_model`], or the
+    /// request names no handle).
+    pub fn handle(&self, request: &Request) -> (Response, CostReport) {
+        let named = match request {
+            Request::Read { handle, .. }
+            | Request::Write { handle, .. }
+            | Request::ReadList { handle, .. }
+            | Request::WriteList { handle, .. }
+            | Request::ReadVectors { handle, .. }
+            | Request::WriteVectors { handle, .. }
+            | Request::Sync { handle } => Some(*handle),
+            _ => None,
+        };
+        let meter = || {
+            named
+                .and_then(|handle| self.with_local_file(handle, LocalFile::meter))
+                .unwrap_or_default()
+        };
+        let before = meter();
+        let response = self.handle_with(request, &mut Scratch::default(), None);
+        (response, meter().since(before))
     }
 
     /// Serve one request, its buffers taken from (and, but for a `Data`
@@ -349,7 +344,7 @@ impl IoDaemon {
         request: &Request,
         scratch: &mut Scratch,
         traced: Option<(TraceContext, Duration)>,
-    ) -> (Response, ServeCost) {
+    ) -> Response {
         match traced {
             Some((ctx, waited)) if !request.is_control_scrape() => trace::serve_spans(
                 &self.recorder,
@@ -363,58 +358,39 @@ impl IoDaemon {
         }
     }
 
-    fn serve(&self, request: &Request, scratch: &mut Scratch) -> (Response, ServeCost) {
+    fn serve(&self, request: &Request, scratch: &mut Scratch) -> Response {
         // Stats scrapes answer before any counter moves: a monitoring
         // poll must observe the daemon, not perturb it, so the snapshot
         // a client scrapes equals the in-process snapshot byte for
         // byte. ResetStats hands back the counters it is about to zero.
         match request {
-            Request::GetStats => {
-                return (
-                    Response::Stats(Box::new(self.ledger.snapshot())),
-                    ServeCost::default(),
-                );
-            }
+            Request::GetStats => return Response::Stats(Box::new(self.ledger.snapshot())),
             Request::ResetStats => {
                 let snap = self.ledger.snapshot();
                 self.ledger.reset();
-                return (Response::Stats(Box::new(snap)), ServeCost::default());
+                return Response::Stats(Box::new(snap));
             }
-            Request::GetTrace { trace } => {
-                // Same contract as GetStats: answer before any counter
-                // moves, and reading the ring clones spans without
-                // consuming or reordering them — scraping a trace never
-                // perturbs it.
-                return (
-                    Response::Spans(self.recorder.for_trace(*trace)),
-                    ServeCost::default(),
-                );
-            }
+            // Same contract as GetStats: answer before any counter moves,
+            // and reading the ring clones spans without consuming or
+            // reordering them — scraping a trace never perturbs it.
+            Request::GetTrace { trace } => return Response::Spans(self.recorder.for_trace(*trace)),
             _ => {}
         }
         self.ledger.requests.fetch_add(1, Ordering::Relaxed);
-        let result = self.dispatch(request, scratch);
-        match result {
-            Ok(ok) => ok,
-            Err(e) => {
-                self.ledger.errors.fetch_add(1, Ordering::Relaxed);
-                (Response::Error(e), ServeCost::default())
-            }
-        }
+        self.dispatch(request, scratch).unwrap_or_else(|e| {
+            self.ledger.errors.fetch_add(1, Ordering::Relaxed);
+            Response::Error(e)
+        })
     }
 
-    fn dispatch(
-        &self,
-        request: &Request,
-        scratch: &mut Scratch,
-    ) -> Result<(Response, ServeCost), PvfsError> {
+    fn dispatch(&self, request: &Request, scratch: &mut Scratch) -> Result<Response, PvfsError> {
         match request {
             Request::GetLocalSize { handle } => {
                 let mut shard = self.shard(*handle).lock().unwrap();
                 let size = self
                     .known_file(&mut shard, *handle)?
                     .map_or(0, |f| f.size());
-                Ok((Response::LocalSize { size }, ServeCost::default()))
+                Ok(Response::LocalSize { size })
             }
             Request::Read {
                 handle,
@@ -503,31 +479,24 @@ impl IoDaemon {
                 // A durability barrier on a handle this daemon has never
                 // touched has nothing to persist: answer durable=0
                 // without creating local state for the handle.
-                let mut cost = ServeCost::default();
                 let mut shard = self.shard(*handle).lock().unwrap();
                 let durable = match self.known_file(&mut shard, *handle)? {
-                    Some(file) => {
-                        let (durable, report) = file.sync()?;
-                        cost.merge_disk(report);
-                        durable
-                    }
+                    Some(file) => file.sync()?,
                     None => 0,
                 };
                 drop(shard);
-                Ok((Response::Synced { durable }, cost))
+                Ok(Response::Synced { durable })
             }
             Request::Flush => {
-                let mut cost = ServeCost::default();
                 let mut files = 0u64;
                 for shard in &self.shards {
                     let mut shard = shard.lock().unwrap();
                     for file in shard.values_mut() {
-                        let (_, report) = file.sync()?;
-                        cost.merge_disk(report);
+                        file.sync()?;
                         files += 1;
                     }
                 }
-                Ok((Response::Flushed { files }, cost))
+                Ok(Response::Flushed { files })
             }
             Request::StripeDigest { handle, chunk } => {
                 // Anti-entropy: checksum this daemon's local bytes for
@@ -540,6 +509,16 @@ impl IoDaemon {
                 }
                 let mut shard = self.shard(*handle).lock().unwrap();
                 let (version, size, chunks) = match self.known_file(&mut shard, *handle)? {
+                    // The chunk size comes off the wire: digests that one
+                    // reply frame could not carry are refused from the
+                    // arithmetic, before any is allocated or computed.
+                    Some(f) if f.size().div_ceil(*chunk) > (MAX_BULK_BYTES / 8) as u64 => {
+                        return Err(PvfsError::protocol(format!(
+                            "digests of a {}-byte local file in {chunk}-byte chunks take \
+                             more than the {MAX_BULK_BYTES} bytes one reply frame may carry",
+                            f.size()
+                        )));
+                    }
                     Some(f) => {
                         let (version, chunks) = f.digest_chunks(*chunk)?;
                         (version, f.size(), chunks)
@@ -549,14 +528,11 @@ impl IoDaemon {
                     None => (0, 0, Vec::new()),
                 };
                 drop(shard);
-                Ok((
-                    Response::Digests {
-                        version,
-                        size,
-                        chunks,
-                    },
-                    ServeCost::default(),
-                ))
+                Ok(Response::Digests {
+                    version,
+                    size,
+                    chunks,
+                })
             }
             Request::Truncate { handle, size } => {
                 // Repair shrink: cut a stale replica back to its source's
@@ -572,21 +548,16 @@ impl IoDaemon {
                     None => 0,
                 };
                 drop(shard);
-                Ok((Response::LocalSize { size: local }, ServeCost::default()))
+                Ok(Response::LocalSize { size: local })
             }
-            Request::Ping => {
-                // The cheapest possible round trip, and deliberately an
-                // *accounted* request (unlike GetStats): its latency and
-                // success are the health signal the client's failure
-                // detector feeds on. The reply carries the live
-                // queue-depth gauge so a prober sees congestion build.
-                Ok((
-                    Response::Pong {
-                        queue_depth: self.ledger.queue_depth.load(Ordering::Relaxed),
-                    },
-                    ServeCost::default(),
-                ))
-            }
+            // The cheapest possible round trip, and deliberately an
+            // *accounted* request (unlike GetStats): its latency and
+            // success are the health signal the client's failure detector
+            // feeds on. The reply carries the live queue-depth gauge so a
+            // prober sees congestion build.
+            Request::Ping => Ok(Response::Pong {
+                queue_depth: self.ledger.queue_depth.load(Ordering::Relaxed),
+            }),
             other if other.is_metadata() => Err(PvfsError::protocol(format!(
                 "metadata operation {} sent to an I/O daemon",
                 other.op_name()
@@ -621,7 +592,7 @@ impl IoDaemon {
         region_count: u64,
         scratch: &mut Scratch,
         regions: impl Fn() -> I,
-    ) -> Result<(Response, ServeCost), PvfsError> {
+    ) -> Result<Response, PvfsError> {
         let mut share = 0u64;
         for seg in regions().flat_map(|r| layout.segments(r)) {
             if seg.slot == slot {
@@ -635,10 +606,6 @@ impl IoDaemon {
             }
         }
         let share = share as usize;
-        let mut cost = ServeCost {
-            regions: region_count,
-            ..ServeCost::default()
-        };
         if scratch.read.capacity() == 0 {
             // No buffer yet: zeroed memory from the allocator, which for
             // a large share is cheaper than writing the zeros.
@@ -653,8 +620,9 @@ impl IoDaemon {
         // is active on this thread.
         let started = std::time::Instant::now();
         let mut filled = 0usize;
-        for region in regions() {
-            filled += read_region_into(file, layout, slot, region, &mut out[filled..], &mut cost)?;
+        for (at, len) in regions().flat_map(|r| local_runs(layout, slot, r)) {
+            file.read_into(at, &mut out[filled..filled + len])?;
+            filled += len;
         }
         drop(shard);
         trace::sink_add("storage:read", started.elapsed());
@@ -673,7 +641,7 @@ impl IoDaemon {
         let whole = std::mem::take(&mut scratch.read).freeze();
         let data = whole.slice(..share);
         scratch.lent = Some(whole);
-        Ok((Response::Data { data }, cost))
+        Ok(Response::Data { data })
     }
 
     /// Serve a write: `data` is this server's share of `regions`,
@@ -690,7 +658,7 @@ impl IoDaemon {
         data: &[u8],
         scratch: &mut Scratch,
         regions: impl Fn() -> I,
-    ) -> Result<(Response, ServeCost), PvfsError> {
+    ) -> Result<Response, PvfsError> {
         let (expected, owned) = owned_share(layout, slot, regions());
         if data.len() as u64 != expected {
             return Err(PvfsError::protocol(format!(
@@ -698,43 +666,35 @@ impl IoDaemon {
                 data.len()
             )));
         }
-        let mut cost = ServeCost::default();
-        let mut consumed = 0usize;
+        let (mut count, mut consumed) = (0u64, 0usize);
         let mut runs = scratch.take_runs(owned);
         for region in regions() {
-            cost.regions += 1;
-            plan_region_runs(layout, slot, region, data, &mut consumed, &mut runs);
+            count += 1;
+            for (at, len) in local_runs(layout, slot, region) {
+                runs.push((at, &data[consumed..consumed + len]));
+                consumed += len;
+            }
         }
-        let written = consumed as u64;
-        let applied = self.apply(handle, &runs, &mut cost);
+        let applied = self.apply(handle, &runs);
         scratch.put_runs(runs);
         applied?;
-        self.ledger
-            .regions
-            .fetch_add(cost.regions, Ordering::Relaxed);
+        self.ledger.regions.fetch_add(count, Ordering::Relaxed);
         self.ledger
             .bytes_written
-            .fetch_add(written, Ordering::Relaxed);
-        Ok((Response::Written { bytes: written }, cost))
+            .fetch_add(expected, Ordering::Relaxed);
+        Ok(Response::Written { bytes: expected })
     }
 
     /// Commit a write's planned runs to the handle's local file as one
     /// all-or-nothing batch.
-    fn apply(
-        &self,
-        handle: FileHandle,
-        runs: &[(u64, &[u8])],
-        cost: &mut ServeCost,
-    ) -> PvfsResult<()> {
+    fn apply(&self, handle: FileHandle, runs: &[(u64, &[u8])]) -> PvfsResult<()> {
         let mut shard = self.shard(handle).lock().unwrap();
         let file = self.file_entry(&mut shard, handle)?;
         if runs.is_empty() {
             return Ok(());
         }
         let started = std::time::Instant::now();
-        let report = file.write_batch(runs)?;
-        cost.disk.merge(report);
-        cost.local_accesses += runs.len() as u64;
+        file.write_batch(runs)?;
         trace::sink_add("storage:write", started.elapsed());
         Ok(())
     }
@@ -820,53 +780,6 @@ impl IoDaemon {
     }
 }
 
-/// Read this server's bytes of a logical region, in logical order,
-/// into the front of `out` (the unfilled rest of the response buffer);
-/// returns how many bytes that was.
-///
-/// Consecutive stripes a slot owns are packed contiguously in its
-/// local file, so a logical region spanning many of this server's
-/// stripes is read as a *single* local access (one lseek + read),
-/// exactly as the PVFS iod does — and `cost.local_accesses` counts
-/// these merged runs, the unit the simulator charges per-access
-/// server time for.
-fn read_region_into(
-    file: &mut LocalFile,
-    layout: &StripeLayout,
-    slot: u32,
-    region: Region,
-    out: &mut [u8],
-    cost: &mut ServeCost,
-) -> PvfsResult<usize> {
-    let mut filled = 0usize;
-    let mut read_run = |start: u64, len: u64| -> PvfsResult<()> {
-        let end = filled + len as usize;
-        cost.merge_disk(file.read_into(start, &mut out[filled..end])?);
-        filled = end;
-        Ok(())
-    };
-    let mut run: Option<(u64, u64)> = None; // (local offset, len)
-    for seg in layout.segments(region) {
-        if seg.slot != slot {
-            continue;
-        }
-        match run {
-            Some((start, len)) if start + len == seg.local_offset => {
-                run = Some((start, len + seg.logical.len));
-            }
-            Some((start, len)) => {
-                read_run(start, len)?;
-                run = Some((seg.local_offset, seg.logical.len));
-            }
-            None => run = Some((seg.local_offset, seg.logical.len)),
-        }
-    }
-    if let Some((start, len)) = run {
-        read_run(start, len)?;
-    }
-    Ok(filled)
-}
-
 /// What `slot` owns of a request's regions: `(bytes, regions it owns
 /// any byte of)`. The first is what the payload must measure; the second
 /// is how many local runs the request plans — the stripes a slot owns of
@@ -883,40 +796,28 @@ fn owned_share(
     })
 }
 
-/// Plan this server's merged local runs of one logical region: each
-/// planned run is `(local offset, payload)` with the payload borrowed
-/// from `data` in logical order starting at `*consumed`. Consecutive
-/// local stripes merge into single runs exactly as reads do — the run
-/// count is what the simulator charges per-access server time for.
-fn plan_region_runs<'d>(
+/// `slot`'s local runs of one logical region, in logical order, as
+/// `(local offset, length)`. Consecutive stripes a slot owns are packed
+/// back to back in its local file, so a logical region spanning many of
+/// them is a *single* local access (one lseek + read or write), exactly as
+/// the PVFS iod does. Reads and writes both walk a region this way.
+fn local_runs(
     layout: &StripeLayout,
     slot: u32,
     region: Region,
-    data: &'d [u8],
-    consumed: &mut usize,
-    runs: &mut Vec<(u64, &'d [u8])>,
-) {
-    let mut run: Option<(u64, u64)> = None;
-    for seg in layout.segments(region) {
-        if seg.slot != slot {
-            continue;
+) -> impl Iterator<Item = (u64, usize)> + '_ {
+    let mut segments = layout
+        .segments(region)
+        .filter(move |s| s.slot == slot)
+        .peekable();
+    std::iter::from_fn(move || {
+        let first = segments.next()?;
+        let (at, mut len) = (first.local_offset, first.logical.len);
+        while let Some(next) = segments.next_if(|s| s.local_offset == at + len) {
+            len += next.logical.len;
         }
-        match run {
-            Some((start, len)) if start + len == seg.local_offset => {
-                run = Some((start, len + seg.logical.len));
-            }
-            Some((start, len)) => {
-                runs.push((start, &data[*consumed..*consumed + len as usize]));
-                *consumed += len as usize;
-                run = Some((seg.local_offset, seg.logical.len));
-            }
-            None => run = Some((seg.local_offset, seg.logical.len)),
-        }
-    }
-    if let Some((start, len)) = run {
-        runs.push((start, &data[*consumed..*consumed + len as usize]));
-        *consumed += len as usize;
-    }
+        Some((at, len as usize))
+    })
 }
 
 #[cfg(test)]
@@ -1083,7 +984,8 @@ mod tests {
         write_all(&mut daemons, &l, 0, &data);
         // Regions [12,16) and [2,6): server 0 owns [2,6); server 1 owns [12,16).
         let regions = RegionList::from_pairs([(12, 4), (2, 4)]).unwrap();
-        let (resp, cost) = daemons[0].handle(&Request::ReadList {
+        let before = daemons[0].ledger().snapshot().regions;
+        let (resp, _) = daemons[0].handle(&Request::ReadList {
             handle: fh(),
             layout: l,
             regions: regions.clone(),
@@ -1094,7 +996,7 @@ mod tests {
                 data: Bytes::from(vec![2, 3, 4, 5])
             }
         );
-        assert_eq!(cost.regions, 2);
+        assert_eq!(daemons[0].ledger().snapshot().regions - before, 2);
         let (resp, _) = daemons[1].handle(&Request::ReadList {
             handle: fh(),
             layout: l,
@@ -1115,14 +1017,14 @@ mod tests {
         // Both regions live entirely on server 0 (first stripe is [0,10)
         // and stripe 4 is [40,50)).
         let regions = RegionList::from_pairs([(40, 5), (0, 5)]).unwrap();
-        let (resp, cost) = d.handle(&Request::WriteList {
+        let (resp, _) = d.handle(&Request::WriteList {
             handle: fh(),
             layout: l,
             regions,
             data: Bytes::from(vec![1, 1, 1, 1, 1, 2, 2, 2, 2, 2]),
         });
         assert_eq!(resp, Response::Written { bytes: 10 });
-        assert_eq!(cost.regions, 2);
+        assert_eq!(d.ledger().snapshot().regions, 2);
         // Verify list-order consumption: [40,45) got 1s, [0,5) got 2s.
         let (resp, _) = d.handle(&Request::Read {
             handle: fh(),
@@ -1219,6 +1121,47 @@ mod tests {
     }
 
     #[test]
+    fn a_digest_of_more_chunks_than_one_reply_carries_is_a_typed_error() {
+        // A 25-byte request for one checksum per byte of a sparse 9 MiB
+        // local file asks for 72 MiB of digests: refused before any is
+        // allocated or computed.
+        let l = StripeLayout::new(0, 1, 1 << 20).unwrap();
+        let d = IoDaemon::with_defaults(ServerId(0));
+        d.handle(&Request::Write {
+            handle: fh(),
+            layout: l,
+            region: Region::new(9 << 20, 1),
+            data: Bytes::from(vec![1u8]),
+        });
+        match d
+            .handle(&Request::StripeDigest {
+                handle: fh(),
+                chunk: 1,
+            })
+            .0
+        {
+            Response::Error(PvfsError::Protocol(why)) => {
+                assert!(why.contains("one reply frame"), "{why}")
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        assert_eq!(d.ledger().snapshot().errors, 1);
+        // Chunks a reply can carry are served as ever.
+        match d
+            .handle(&Request::StripeDigest {
+                handle: fh(),
+                chunk: 1 << 20,
+            })
+            .0
+        {
+            Response::Digests { size, chunks, .. } => {
+                assert_eq!((size, chunks.len()), ((9 << 20) + 1, 10))
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
     fn get_local_size_tracks_writes() {
         let l = layout();
         let d = IoDaemon::with_defaults(ServerId(0));
@@ -1235,15 +1178,16 @@ mod tests {
     }
 
     /// Who builds the daemon decides whether its I/O is priced: the
-    /// simulator's constructor runs the cache and disk models, every other
-    /// serves the same bytes and leaves them untouched.
+    /// simulator's constructor runs the cache and disk models, whose files
+    /// meter each access; every other serves the same bytes and meters
+    /// nothing.
     #[test]
     fn only_a_daemon_built_with_the_cost_model_prices_its_io() {
         let l = StripeLayout::new(0, 1, 4096).unwrap();
         let live = IoDaemon::with_defaults(ServerId(0));
         let simulated = IoDaemon::with_cost_model(ServerId(0), IodConfig::default());
         for (d, priced) in [(&live, false), (&simulated, true)] {
-            let (written, _) = d.handle(&Request::Write {
+            let (written, wrote) = d.handle(&Request::Write {
                 handle: fh(),
                 layout: l,
                 region: Region::new(0, 100),
@@ -1257,9 +1201,13 @@ mod tests {
                 region: Region::new(1 << 20, 100),
             });
             assert!(matches!(read, Response::Data { .. }));
-            assert_eq!((cost.regions, cost.local_accesses), (1, 1));
-            assert_eq!(cost.disk.bytes_read, 100);
-            assert_eq!(cost.disk.disk_ns > 0, priced);
+            let (accesses, bytes) = if priced { (1, 100) } else { (0, 0) };
+            assert_eq!((wrote.accesses, wrote.bytes_written), (accesses, bytes));
+            assert_eq!((cost.accesses, cost.bytes_read), (accesses, bytes));
+            assert_eq!(cost.disk_ns > 0, priced);
+            let mut both = wrote;
+            both.merge(cost);
+            assert_eq!(d.with_local_file(fh(), LocalFile::meter), Some(both));
             let cache = d.with_local_file(fh(), |f| f.cache_stats()).unwrap();
             assert_eq!(cache != pvfs_disk::cache::CacheStats::default(), priced);
         }
@@ -1296,8 +1244,7 @@ mod tests {
             layout: l,
             region: Region::new(0, 5),
         });
-        let (resp, cost) = d.handle(&Request::GetStats);
-        assert_eq!(cost, ServeCost::default());
+        let (resp, _) = d.handle(&Request::GetStats);
         let snap = match resp {
             Response::Stats(s) => s,
             other => panic!("unexpected {other:?}"),
@@ -1325,7 +1272,7 @@ mod tests {
             trace: TraceId::next(),
             parent: SpanId(999),
         };
-        let (resp, _) = d.handle_with(
+        let resp = d.handle_with(
             &Request::Write {
                 handle: fh(),
                 layout: l,
@@ -1380,7 +1327,7 @@ mod tests {
     fn untraced_requests_leave_the_recorder_empty() {
         let l = layout();
         let d = IoDaemon::with_defaults(ServerId(0));
-        let (resp, _) = d.handle_with(
+        let resp = d.handle_with(
             &Request::Read {
                 handle: fh(),
                 layout: l,
@@ -1412,8 +1359,7 @@ mod tests {
             Some((ctx, Duration::ZERO)),
         );
         let before = d.ledger().snapshot();
-        let (resp, cost) = d.handle(&Request::GetTrace { trace: ctx.trace });
-        assert_eq!(cost, ServeCost::default());
+        let (resp, _) = d.handle(&Request::GetTrace { trace: ctx.trace });
         let spans = match resp {
             Response::Spans(s) => s,
             other => panic!("unexpected {other:?}"),
@@ -1423,7 +1369,7 @@ mod tests {
         // scrape sees the identical span set, and even a scrape carrying
         // trace context records nothing.
         assert_eq!(d.ledger().snapshot(), before, "GetTrace must not count");
-        let (resp2, _) = d.handle_with(
+        let resp2 = d.handle_with(
             &Request::GetTrace { trace: ctx.trace },
             &mut Scratch::default(),
             Some((
@@ -1449,9 +1395,8 @@ mod tests {
     fn ping_answers_pong_and_counts_as_a_request() {
         let d = IoDaemon::with_defaults(ServerId(0));
         d.ledger().queued();
-        let (resp, cost) = d.handle(&Request::Ping);
+        let (resp, _) = d.handle(&Request::Ping);
         assert_eq!(resp, Response::Pong { queue_depth: 1 });
-        assert_eq!(cost, ServeCost::default());
         // Unlike a stats scrape, a ping is an accounted request: its
         // latency is the health signal, so it must be visible.
         assert_eq!(d.ledger().snapshot().requests, 1);
@@ -1581,7 +1526,7 @@ mod tests {
             stride: 40,
             count: 2,
         }];
-        let (resp, cost) = d.handle(&Request::ReadVectors {
+        let (resp, _) = d.handle(&Request::ReadVectors {
             handle: fh(),
             layout: l,
             runs,
@@ -1592,7 +1537,7 @@ mod tests {
                 data: Bytes::from(vec![0, 1, 2, 40, 41, 42])
             }
         );
-        assert_eq!(cost.regions, 2);
+        assert_eq!(d.ledger().snapshot().regions, 2 + 2);
     }
 
     #[test]
@@ -1670,9 +1615,8 @@ mod tests {
     #[test]
     fn sync_on_untouched_handle_reports_nothing_durable() {
         let d = IoDaemon::with_defaults(ServerId(0));
-        let (resp, cost) = d.handle(&Request::Sync { handle: fh() });
+        let (resp, _) = d.handle(&Request::Sync { handle: fh() });
         assert_eq!(resp, Response::Synced { durable: 0 });
-        assert_eq!(cost, ServeCost::default());
         // And no local state sprang into existence for the handle.
         let (resp, _) = d.handle(&Request::Flush);
         assert_eq!(resp, Response::Flushed { files: 0 });
@@ -1794,7 +1738,7 @@ mod tests {
             let d = IoDaemon::with_storage(ServerId(0), IodConfig::default(), storage);
             let scratch = &mut Scratch::default();
             let mut serve = |request: Request| {
-                let (response, _) = d.handle_with(&request, scratch, None);
+                let response = d.handle_with(&request, scratch, None);
                 // The reply leaves (a copy of it stays, for the test to
                 // look at); the buffer is the scratch's again.
                 let (copy, at) = match response {
@@ -1891,7 +1835,7 @@ mod tests {
                 region: Region::new(offset, 100),
                 data: Bytes::from(vec![0xAB; 100]),
             };
-            d.handle_with(&request, scratch, None).0
+            d.handle_with(&request, scratch, None)
         };
         let read = Request::Read {
             handle: fh(),
@@ -1899,7 +1843,7 @@ mod tests {
             region: Region::new(0, 100),
         };
         assert_eq!(write(0, scratch), Response::Written { bytes: 100 });
-        let (dirty, _) = d.handle_with(&read, scratch, None);
+        let dirty = d.handle_with(&read, scratch, None);
         assert!(matches!(dirty, Response::Data { .. }));
         drop(dirty);
         scratch.reclaim_read();
@@ -1907,7 +1851,7 @@ mod tests {
         // The store wedges: every access fails from here on.
         d.inject_storage_crash(fh(), pvfs_disk::CrashPoint::TornJournal);
         assert!(matches!(write(200, scratch), Response::Error(_)));
-        let (refused, _) = d.handle_with(&read, scratch, None);
+        let refused = d.handle_with(&read, scratch, None);
         assert!(matches!(refused, Response::Error(PvfsError::Storage(_))));
         scratch.reclaim_read();
         assert_eq!(
@@ -1943,7 +1887,7 @@ mod tests {
         // reply is dropped and its last handle made writable again.
         let mut serve = |request: Request, buffer: BytesMut| {
             scratch.adopt_read(buffer);
-            let (response, _) = d.handle_with(&request, scratch, None);
+            let response = d.handle_with(&request, scratch, None);
             let unused = scratch.release_read();
             match response {
                 Response::Data { data } => {
@@ -1982,17 +1926,18 @@ mod tests {
     #[test]
     fn list_read_cost_reports_per_region_accesses() {
         let l = layout();
-        let d = IoDaemon::with_defaults(ServerId(0));
-        // Three regions on this server, each within one stripe.
-        let regions = RegionList::from_pairs([(0, 4), (40, 4), (80, 4)]).unwrap();
+        let d = IoDaemon::with_cost_model(ServerId(0), IodConfig::default());
+        // Three regions on this server, each within one stripe, and a
+        // fourth whose two stripes here are one local run.
+        let regions = RegionList::from_pairs([(0, 4), (40, 4), (80, 4), (5, 40)]).unwrap();
         let (_, cost) = d.handle(&Request::ReadList {
             handle: fh(),
             layout: l,
             regions,
         });
-        assert_eq!(cost.regions, 3);
-        assert_eq!(cost.local_accesses, 3);
-        assert_eq!(cost.disk.bytes_read, 12);
+        assert_eq!(cost.accesses, 4);
+        assert_eq!(cost.bytes_read, 12 + 10);
+        assert_eq!(d.ledger().snapshot().regions, 4);
     }
 }
 

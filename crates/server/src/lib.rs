@@ -9,17 +9,17 @@
 //!   file they participate in and serve read/write requests directly to
 //!   clients.
 //!
-//! Both daemons expose a single `handle(request) -> (response, cost)`
-//! entry point with no knowledge of threads, channels or virtual time.
-//! The live threaded cluster (`pvfs-net`) calls them from server
-//! threads; the discrete-event simulator (`pvfs-sim`) calls them
-//! from its event loop and converts the returned [`ServeCost`] into
-//! virtual time. One implementation, two executions — the strategy
-//! comparison in the paper's figures exercises exactly the code the
-//! correctness tests exercise.
+//! Both daemons serve a request into a response with no knowledge of
+//! threads, channels, virtual time or cost. The live threaded cluster
+//! (`pvfs-net`) calls them from server threads; the discrete-event
+//! simulator (`pvfs-sim`) calls [`IoDaemon::handle`] from its event loop
+//! and prices what the request and the daemon's metered local files say
+//! it cost. One implementation, two executions — the strategy comparison
+//! in the paper's figures exercises exactly the code the correctness
+//! tests exercise.
 
 pub mod iod;
 pub mod manager;
 
-pub use iod::{default_workers, IoDaemon, IodConfig, Scratch, ServeCost};
+pub use iod::{default_workers, IoDaemon, IodConfig, Scratch};
 pub use manager::Manager;

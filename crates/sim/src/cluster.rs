@@ -456,16 +456,17 @@ impl<'a> Engine<'a> {
         // Receiving NIC drains the frame.
         let wire_ns = cost.net.transfer_ns(flight.req_control + flight.req_bulk);
         let (_, rx_end) = self.cluster.server_rx[sidx].acquire(t, wire_ns);
-        // Serve (real data movement) and charge the CPU + disk.
+        // Serve (real data movement) and charge the CPU + disk: per
+        // request, per region it names, per local access its file made.
         let request = flight.request.take().expect("request present");
-        let (response, serve_cost) = self.cluster.daemons[sidx].handle(&request);
+        let (response, charged) = self.cluster.daemons[sidx].handle(&request);
         if let Response::Error(e) = response {
             return Err(e);
         }
         let service = cost.server.per_request_ns
-            + serve_cost.regions * cost.server.per_region_ns
-            + serve_cost.local_accesses * cost.server.per_access_ns
-            + serve_cost.disk.disk_ns;
+            + request.region_count() as u64 * cost.server.per_region_ns
+            + charged.accesses * cost.server.per_access_ns
+            + charged.disk_ns;
         let (_, cpu_end) = self.cluster.server_cpu[sidx].acquire(rx_end, service);
         // The write-ACK stall delays the response without occupying any
         // resource: parallel writes in one round overlap their stalls.

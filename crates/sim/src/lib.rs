@@ -14,8 +14,10 @@
 //! of the wall clock through the contended resources of the testbed:
 //!
 //! * each client's CPU and full-duplex NIC (tx/rx),
-//! * each server's request-processing CPU, NIC directions, and disk
-//!   (via the daemons' [`ServeCost`](pvfs_server::ServeCost) reports),
+//! * each server's request-processing CPU, NIC directions, and disk —
+//!   priced per request, per region the request names, and per local
+//!   access and disk time its daemon's metered files charged
+//!   ([`IoDaemon::handle`](pvfs_server::IoDaemon::handle)),
 //! * the cross-client serialization token for data sieving writes.
 //!
 //! Paper-scale experiments (32 clients, a million accesses) replay

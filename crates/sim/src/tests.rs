@@ -140,6 +140,29 @@ fn multiple_io_costs_scale_with_region_count() {
     );
 }
 
+/// What one request costs its server, pinned: a 3-region list read of a
+/// warm file is the request, three regions and three local accesses,
+/// and no disk time.
+#[test]
+fn a_warm_list_read_costs_one_request_three_regions_and_three_accesses() {
+    let l = layout(1, 64);
+    let request = strided_request(3, 8, 100);
+    let mut sim = cluster(1);
+    sim.seed_warm(FH, &l, 300);
+    let (report, _) = sim
+        .run(vec![job(
+            Method::List,
+            IoKind::Read,
+            &request,
+            l,
+            vec![0; 24],
+        )])
+        .unwrap();
+    assert_eq!(report.total_requests(), 1);
+    // per_request 300 µs + 3 × per_region 2 µs + 3 × per_access 250 µs.
+    assert_eq!(report.server_busy_ns, [1_056_000]);
+}
+
 #[test]
 fn list_io_beats_multiple_io_on_fragmented_reads() {
     let l = layout(4, 16384);

@@ -297,7 +297,7 @@ fn cyclic_list_ops() {
 /// — it was a fresh buffer per chunk.
 fn scrub_digests() {
     let mut file = LocalFile::unmodelled(Box::new(SparseStore::new()));
-    file.write_at(0, &verify::content(5, 64 * 1024 + 100))
+    file.write_batch(&[(0, &verify::content(5, 64 * 1024 + 100))])
         .unwrap();
     let (allocs, _) = allocated_by(|| {
         let (_, digests) = file.digest_chunks(4096).unwrap();
