@@ -17,6 +17,7 @@ use pvfs_core::exec::{
 use pvfs_core::{AccessPlan, IoKind, Round, Step, Target, WireOp};
 use pvfs_net::{ClusterClient, OpStream, RpcTarget};
 use pvfs_proto::{Request, Response};
+use pvfs_types::clock::now_ns;
 use pvfs_types::{Histogram, PvfsError, PvfsResult};
 
 /// What actually happened while executing a plan — the measured
@@ -291,7 +292,7 @@ pub fn execute_plan(
                 }
                 Step::Copy(pairs) => {
                     report.copy_bytes += copy_bytes(&pairs);
-                    let copy_ns = pvfs_types::trace::now_ns();
+                    let copy_ns = now_ns();
                     match &mut user {
                         UserBuf::Read(user) => apply_copies(
                             &pairs,
@@ -303,7 +304,7 @@ pub fn execute_plan(
                         UserBuf::Write(user) => stage_copies(&pairs, user, &mut temps),
                     }
                     if let Some(a) = &active {
-                        a.span(a.root(), "phase_merge", copy_ns, Vec::new());
+                        a.span_at(a.root(), "phase_merge", copy_ns, now_ns(), Vec::new());
                     }
                 }
                 Step::SerialBegin => {

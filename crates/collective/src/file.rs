@@ -43,7 +43,7 @@ use crate::domain::{windows, DomainMap};
 use pvfs_client::{ExecReport, PvfsFile};
 use pvfs_core::{Method, PieceMap};
 use pvfs_net::{ActiveTrace, ClusterClient};
-use pvfs_types::trace::now_ns;
+use pvfs_types::clock::now_ns;
 use pvfs_types::{aligned, Aligned, PvfsError, PvfsResult, Region, RegionList, StripeLayout};
 use std::collections::BTreeMap;
 
@@ -177,23 +177,20 @@ impl CollectiveFile {
         // One trace per collective call: the two-phase segments land as
         // phase_* spans under this root, alongside the separate
         // "execute" trees the inner list plans open for their rounds.
-        let active = self.file.client().tracer().begin("write_all");
-        let plan_ns0 = now_ns();
+        let mut phases = Phases::begin(self.file.client(), "write_all");
         let local = validate_local(mem, file, buf.len());
-        phase_span(&active, "phase_plan", plan_ns0);
+        phases.close("phase_plan");
         // First collective: share every rank's file list (and argument
         // validity, so a bad rank aborts the group instead of hanging
         // it).
-        let exchange_ns0 = now_ns();
         let shared: Vec<(RegionList, bool)> = self.comm.allgather((file.clone(), local.is_ok()));
-        phase_span(&active, "phase_exchange", exchange_ns0);
+        phases.close("phase_exchange");
         if shared.iter().any(|(_, ok)| !ok) {
             local?;
             return Err(PvfsError::invalid(
                 "collective write aborted: invalid arguments on another rank",
             ));
         }
-        let plan_ns0 = now_ns();
         let pieces = local.expect("checked above");
         let all_files: Vec<RegionList> = shared.into_iter().map(|(f, _)| f).collect();
         let dmap = DomainMap::new(self.file.layout(), self.comm.size(), &self.config)?;
@@ -221,30 +218,26 @@ impl CollectiveFile {
                 msg: b,
             })
             .collect();
-        phase_span(&active, "phase_plan", plan_ns0);
-        let exchange_ns0 = now_ns();
+        phases.close("phase_plan");
         let inbox = self.comm.exchange::<PieceBatch>(outbox);
-        phase_span(&active, "phase_exchange", exchange_ns0);
+        phases.close("phase_exchange");
 
         // I/O phase (aggregator ranks only): merge received pieces per
         // stripe slot, stage one cb_buffer window at a time, write each
         // window with one single-daemon list plan.
         let mut report = ExecReport::default();
-        let wire_ns0 = now_ns();
         let result = if self.comm.rank() < dmap.aggregators() {
-            self.aggregate_write(&dmap, &all_files, &inbox, &mut report)
+            let written = self.aggregate_write(&dmap, &all_files, &inbox, &mut report);
+            phases.close("phase_wire");
+            written
         } else {
             Ok(())
         };
-        if self.comm.rank() < dmap.aggregators() {
-            phase_span(&active, "phase_wire", wire_ns0);
-        }
 
         // Completion collective: every rank learns whether every domain
         // landed (and no rank outruns the writes).
-        let exchange_ns0 = now_ns();
         let flags = self.comm.allgather(result.is_ok());
-        phase_span(&active, "phase_exchange", exchange_ns0);
+        phases.close("phase_exchange");
         result?;
         if !flags.iter().all(|ok| *ok) {
             return Err(PvfsError::protocol(
@@ -254,9 +247,7 @@ impl CollectiveFile {
         let comm_delta = self.comm.stats().since(&comm_before);
         report.exchange_bytes = comm_delta.bytes_sent;
         report.exchange_msgs = comm_delta.msgs_sent;
-        if let Some(a) = active {
-            self.file.client().tracer().finish(a);
-        }
+        phases.finish(self.file.client());
         Ok(report)
     }
 
@@ -270,24 +261,21 @@ impl CollectiveFile {
         buf: &mut [u8],
     ) -> PvfsResult<ExecReport> {
         let comm_before = self.comm.stats();
-        let active = self.file.client().tracer().begin("read_all");
-        let plan_ns0 = now_ns();
+        let mut phases = Phases::begin(self.file.client(), "read_all");
         let local = validate_local(mem, file, buf.len()).and_then(|_| PieceMap::new(mem, file));
-        phase_span(&active, "phase_plan", plan_ns0);
-        let exchange_ns0 = now_ns();
+        phases.close("phase_plan");
         let shared: Vec<(RegionList, bool)> = self.comm.allgather((file.clone(), local.is_ok()));
-        phase_span(&active, "phase_exchange", exchange_ns0);
+        phases.close("phase_exchange");
         if shared.iter().any(|(_, ok)| !ok) {
             local?;
             return Err(PvfsError::invalid(
                 "collective read aborted: invalid arguments on another rank",
             ));
         }
-        let plan_ns0 = now_ns();
         let map = local.expect("checked above");
         let all_files: Vec<RegionList> = shared.into_iter().map(|(f, _)| f).collect();
         let dmap = DomainMap::new(self.file.layout(), self.comm.size(), &self.config)?;
-        phase_span(&active, "phase_plan", plan_ns0);
+        phases.close("phase_plan");
 
         // I/O phase (aggregators): read each domain window once, carve
         // the staging buffer into per-rank batches.
@@ -295,22 +283,19 @@ impl CollectiveFile {
         let mut outbound: Vec<PieceBatch> = (0..self.comm.size())
             .map(|_| PieceBatch::default())
             .collect();
-        let wire_ns0 = now_ns();
         let result = if self.comm.rank() < dmap.aggregators() {
-            self.aggregate_read(&dmap, &all_files, &mut outbound, &mut report)
+            let read = self.aggregate_read(&dmap, &all_files, &mut outbound, &mut report);
+            phases.close("phase_wire");
+            read
         } else {
             Ok(())
         };
-        if self.comm.rank() < dmap.aggregators() {
-            phase_span(&active, "phase_wire", wire_ns0);
-        }
 
         // Outcome collective *before* the scatter: if any domain read
         // failed no rank enters the exchange, and every rank returns an
         // error instead of scattering partial data.
-        let exchange_ns0 = now_ns();
         let flags = self.comm.allgather(result.is_ok());
-        phase_span(&active, "phase_exchange", exchange_ns0);
+        phases.close("phase_exchange");
         result?;
         if !flags.iter().all(|ok| *ok) {
             return Err(PvfsError::protocol(
@@ -330,10 +315,8 @@ impl CollectiveFile {
                 msg: b,
             })
             .collect();
-        let exchange_ns0 = now_ns();
         let inbox = self.comm.exchange::<PieceBatch>(outbox);
-        phase_span(&active, "phase_exchange", exchange_ns0);
-        let merge_ns0 = now_ns();
+        phases.close("phase_exchange");
         for env in inbox {
             let batch: PieceBatch = env.msg;
             let mut doff = 0usize;
@@ -345,13 +328,11 @@ impl CollectiveFile {
                 });
             }
         }
-        phase_span(&active, "phase_merge", merge_ns0);
+        phases.close("phase_merge");
         let comm_delta = self.comm.stats().since(&comm_before);
         report.exchange_bytes = comm_delta.bytes_sent;
         report.exchange_msgs = comm_delta.msgs_sent;
-        if let Some(a) = active {
-            self.file.client().tracer().finish(a);
-        }
+        phases.finish(self.file.client());
         Ok(report)
     }
 
@@ -465,11 +446,37 @@ impl CollectiveFile {
     }
 }
 
-/// Close out one two-phase segment as a span under the collective
-/// call's root — a no-op when the call is untraced.
-fn phase_span(active: &Option<ActiveTrace>, op: &str, started_ns: u64) {
-    if let Some(a) = active {
-        a.span(a.root(), op, started_ns, Vec::new());
+/// The two-phase segments of one collective call, as `phase_*` spans
+/// under its root: one clock reading closes a phase and opens the next,
+/// so from the root's start the phases tile the call with no gap between
+/// them. Reads no clock when the call is untraced.
+struct Phases {
+    active: Option<ActiveTrace>,
+    /// The reading the open phase began at.
+    at: u64,
+}
+
+impl Phases {
+    fn begin(client: &ClusterClient, root_op: &str) -> Phases {
+        let active = client.tracer().begin(root_op);
+        let at = active.as_ref().map_or(0, ActiveTrace::start_ns);
+        Phases { active, at }
+    }
+
+    /// The phase open since the last boundary was `op`; the next opens
+    /// now.
+    fn close(&mut self, op: &str) {
+        if let Some(a) = &self.active {
+            let now = now_ns();
+            a.span_at(a.root(), op, self.at, now, Vec::new());
+            self.at = now;
+        }
+    }
+
+    fn finish(self, client: &ClusterClient) {
+        if let Some(a) = self.active {
+            client.tracer().finish(a);
+        }
     }
 }
 

@@ -13,14 +13,15 @@
 //!   than independent list I/O, which pays at least `Σ_rank ⌈n / 64⌉`.
 //!
 //! A traced call carries its two-phase split as `phase_*` spans under
-//! its root; the last test pins which ones.
+//! its root; the last test pins which ones, and that they tile the call
+//! with no gap between them.
 
 use pvfs_client::{ExecReport, PvfsFile};
 use pvfs_collective::{CollectiveConfig, CollectiveFile, Communicator, DomainMap};
 use pvfs_core::{ListRequest, Method};
 use pvfs_net::{FaultPlan, LiveCluster, TransportKind};
 use pvfs_server::IodConfig;
-use pvfs_types::{RegionList, ServerId, SpanId, StripeLayout, TraceMode};
+use pvfs_types::{RegionList, ServerId, Span, SpanId, StripeLayout, TraceMode};
 use pvfs_workloads::{Cyclic, FlashIo};
 use std::collections::BTreeSet;
 use std::thread;
@@ -189,20 +190,22 @@ fn flash_two_phase_frames_are_the_partitioners_over_chan() {
     }
 }
 
-/// The ops of the spans directly under the root of this client's one
-/// retained `root_op` trace.
-fn phases(cf: &CollectiveFile, root_op: &str) -> BTreeSet<String> {
+/// The spans directly under the root of this client's one retained
+/// `root_op` trace, in start order.
+fn phases(cf: &CollectiveFile, root_op: &str) -> Vec<Span> {
     let spans = cf.file().client().tracer().recorder().snapshot();
     let roots: Vec<_> = spans
         .iter()
         .filter(|s| s.op == root_op && s.parent == SpanId::NONE)
         .collect();
     assert_eq!(roots.len(), 1, "one {root_op} trace");
-    spans
+    let mut phases: Vec<Span> = spans
         .iter()
         .filter(|s| s.trace == roots[0].trace && s.parent == roots[0].id)
-        .map(|s| s.op.clone())
-        .collect()
+        .cloned()
+        .collect();
+    phases.sort_by_key(|s| s.start_ns);
+    phases
 }
 
 #[test]
@@ -226,14 +229,28 @@ fn a_traced_two_phase_call_records_its_phases_under_its_root() {
             (phases(&cf, "write_all"), phases(&cf, "read_all"))
         },
     );
+    let ops =
+        |phases: &[Span]| -> BTreeSet<String> { phases.iter().map(|s| s.op.clone()).collect() };
     for (rank, (write, read)) in ranks.into_iter().enumerate() {
         let mut expect: BTreeSet<String> =
             ["phase_plan", "phase_exchange"].map(String::from).into();
         if rank == 0 {
             expect.insert("phase_wire".into());
         }
-        assert_eq!(write, expect, "rank {rank} write_all");
+        assert_eq!(ops(&write), expect, "rank {rank} write_all");
         expect.insert("phase_merge".into());
-        assert_eq!(read, expect, "rank {rank} read_all");
+        assert_eq!(ops(&read), expect, "rank {rank} read_all");
+        // One reading closes a phase and opens the next.
+        for (call, phases) in [("write_all", &write), ("read_all", &read)] {
+            for pair in phases.windows(2) {
+                assert_eq!(
+                    pair[1].start_ns,
+                    pair[0].start_ns + pair[0].dur_ns,
+                    "rank {rank} {call}: {} does not start where {} ended",
+                    pair[1].op,
+                    pair[0].op
+                );
+            }
+        }
     }
 }

@@ -279,7 +279,7 @@ mod tests {
         let m = StorageMetrics::default();
         m.journal_appends.store(5, Ordering::Relaxed);
         m.journal_depth.store(3, Ordering::Relaxed);
-        m.record_fsync(Duration::from_micros(10));
+        m.record_fsync(pvfs_types::clock::now_ns());
         m.reset();
         assert_eq!(m.journal_appends.load(Ordering::Relaxed), 0);
         assert_eq!(m.fsyncs.load(Ordering::Relaxed), 0);

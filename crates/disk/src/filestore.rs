@@ -21,6 +21,7 @@
 
 use crate::backend::{CrashPoint, StorageBackend, StorageMetrics, SyncPolicy};
 use crate::journal::{write_batch_record_len, Journal, JournalRecord};
+use pvfs_types::clock::{self, now_ns};
 use pvfs_types::{PvfsError, PvfsResult};
 use std::fs::{File, OpenOptions};
 use std::io;
@@ -28,7 +29,6 @@ use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Checkpoint after this many committed records…
 pub const JOURNAL_CHECKPOINT_RECORDS: u64 = 128;
@@ -46,7 +46,8 @@ pub struct FileStore {
     durable: u64,
     journal: Journal,
     sync: SyncPolicy,
-    last_sync: Instant,
+    /// The clock reading the journal was last made durable at.
+    last_sync: u64,
     metrics: Arc<StorageMetrics>,
     crash: Option<CrashPoint>,
     /// Set once an injected crash fires, or a failed journal append
@@ -57,6 +58,21 @@ pub struct FileStore {
 
 fn storage_err(ctx: &str, path: &Path, e: io::Error) -> PvfsError {
     PvfsError::Storage(format!("{ctx} {}: {e}", path.display()))
+}
+
+/// Run `sync` — an fsync, or a journal checkpoint, which ends in one —
+/// and book it in `metrics` ([`StorageMetrics::record_fsync`]). Returns
+/// the clock reading it ended at; a failure is a storage error, `ctx`
+/// of `path`.
+fn fsync(
+    metrics: &StorageMetrics,
+    ctx: &str,
+    path: &Path,
+    sync: impl FnOnce() -> io::Result<()>,
+) -> PvfsResult<u64> {
+    let started = now_ns();
+    sync().map_err(|e| storage_err(ctx, path, e))?;
+    Ok(metrics.record_fsync(started))
 }
 
 impl FileStore {
@@ -89,11 +105,9 @@ impl FileStore {
             // before the kernel writes them back would orphan the very
             // journal a post-crash replay needs, so make the entries
             // durable before acknowledging any write against this store.
-            let t = Instant::now();
-            File::open(dir)
-                .and_then(|d| d.sync_all())
-                .map_err(|e| storage_err("fsync data dir", dir, e))?;
-            metrics.record_fsync(t.elapsed());
+            fsync(&metrics, "fsync data dir", dir, || {
+                File::open(dir).and_then(|d| d.sync_all())
+            })?;
         }
         let mut size = data
             .metadata()
@@ -123,15 +137,9 @@ impl FileStore {
             metrics
                 .journal_replays
                 .fetch_add(replay.len() as u64, Ordering::Relaxed);
-            let t = Instant::now();
-            data.sync_data()
-                .map_err(|e| storage_err("fsync data file", &data_path, e))?;
-            metrics.record_fsync(t.elapsed());
-            let t = Instant::now();
-            journal
-                .checkpoint()
-                .map_err(|e| storage_err("checkpoint journal", &journal_path, e))?;
-            metrics.record_fsync(t.elapsed());
+            fsync(&metrics, "fsync data file", &data_path, || data.sync_data())?;
+            let checkpoint = || journal.checkpoint();
+            fsync(&metrics, "checkpoint journal", &journal_path, checkpoint)?;
             metrics.flushes.fetch_add(1, Ordering::Relaxed);
         }
         Ok(FileStore {
@@ -141,7 +149,7 @@ impl FileStore {
             durable: size,
             journal,
             sync,
-            last_sync: Instant::now(),
+            last_sync: now_ns(),
             metrics,
             crash: None,
             wedged: false,
@@ -179,38 +187,32 @@ impl FileStore {
     fn sync_journal_per_policy(&mut self) -> PvfsResult<bool> {
         let due = match self.sync {
             SyncPolicy::Always => true,
-            SyncPolicy::Interval(window) => self.last_sync.elapsed() >= window,
+            SyncPolicy::Interval(window) => clock::since(self.last_sync) >= window,
             SyncPolicy::Never => false,
         };
         if due {
-            let t = Instant::now();
-            self.journal
-                .sync()
-                .map_err(|e| storage_err("fsync journal", &self.data_path, e))?;
-            self.metrics.record_fsync(t.elapsed());
-            self.last_sync = Instant::now();
+            self.last_sync = self.sync_journal()?;
         }
         Ok(due)
+    }
+
+    /// Fsync the journal; returns the reading it ended at.
+    fn sync_journal(&mut self) -> PvfsResult<u64> {
+        let sync = || self.journal.sync();
+        fsync(&self.metrics, "fsync journal", &self.data_path, sync)
     }
 
     /// Fsync the data file and zero the journal: everything written so
     /// far becomes the data file's problem (and is durable).
     fn checkpoint(&mut self) -> PvfsResult<()> {
-        let t = Instant::now();
-        self.data
-            .sync_data()
-            .map_err(|e| storage_err("fsync data file", &self.data_path, e))?;
-        self.metrics.record_fsync(t.elapsed());
+        let (metrics, path) = (&self.metrics, &self.data_path);
+        fsync(metrics, "fsync data file", path, || self.data.sync_data())?;
         let depth = self.journal.depth();
-        let t = Instant::now();
-        self.journal
-            .checkpoint()
-            .map_err(|e| storage_err("checkpoint journal", &self.data_path, e))?;
-        self.metrics.record_fsync(t.elapsed());
-        sub_gauge(&self.metrics, depth);
-        self.metrics.flushes.fetch_add(1, Ordering::Relaxed);
+        let checkpoint = || self.journal.checkpoint();
+        self.last_sync = fsync(metrics, "checkpoint journal", path, checkpoint)?;
+        sub_gauge(metrics, depth);
+        metrics.flushes.fetch_add(1, Ordering::Relaxed);
         self.durable = self.size;
-        self.last_sync = Instant::now();
         Ok(())
     }
 }
@@ -314,11 +316,7 @@ impl StorageBackend for FileStore {
             if self.crash == Some(CrashPoint::AfterCommit { applied: i }) {
                 // Power cut mid-apply: the intent committed, the data
                 // file holds a prefix. Replay finishes the batch.
-                let t = Instant::now();
-                self.journal
-                    .sync()
-                    .map_err(|e| storage_err("fsync journal", &self.data_path, e))?;
-                self.metrics.record_fsync(t.elapsed());
+                self.sync_journal()?;
                 self.wedged = true;
                 return Err(PvfsError::Storage(format!(
                     "injected crash: power loss after {i} of {count} runs on {}",

@@ -30,9 +30,10 @@
 //! still on it); that costs a notify nobody needed, never one somebody
 //! did. A disconnect wakes everyone, unconditionally.
 
+use pvfs_types::clock;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Error returned by [`Sender::send`] when all receivers are gone;
 /// carries the unsent message back.
@@ -167,30 +168,30 @@ impl<T> Shared<T> {
     }
 }
 
-/// Whether a wait of at most `patience` has run out. Its deadline is
-/// fixed the first time this is asked — when the wait begins — so a call
-/// that never has to wait never reads the clock.
-fn expired(patience: Option<Duration>, deadline: &mut Option<Instant>) -> bool {
+/// Whether a wait of at most `patience` has run out. Its deadline (a
+/// clock reading) is fixed the first time this is asked — when the wait
+/// begins — so a call that never has to wait never reads the clock.
+fn expired(patience: Option<Duration>, deadline: &mut Option<u64>) -> bool {
     patience.is_some_and(|patience| {
-        let now = Instant::now();
-        *deadline.get_or_insert(now + patience) <= now
+        let now = clock::now_ns();
+        *deadline.get_or_insert(now.saturating_add(clock::nanos(patience))) <= now
     })
 }
 
-/// Park on `condvar` until notified, or until `deadline` if there is
-/// one — counted in `parked` from before the mutex is released until it
-/// is held again, however the wait ends.
+/// Park on `condvar` until notified, or until the clock reading
+/// `deadline` if there is one — counted in `parked` from before the
+/// mutex is released until it is held again, however the wait ends.
 fn park<'a, T>(
     condvar: &Condvar,
     mut state: MutexGuard<'a, State<T>>,
     parked: fn(&mut State<T>) -> &mut usize,
-    deadline: Option<Instant>,
+    deadline: Option<u64>,
 ) -> MutexGuard<'a, State<T>> {
     *parked(&mut state) += 1;
     let mut state = match deadline {
         None => condvar.wait(state).unwrap(),
         Some(deadline) => {
-            let left = deadline.saturating_duration_since(Instant::now());
+            let left = clock::until(deadline);
             condvar.wait_timeout(state, left).unwrap().0
         }
     };
@@ -462,12 +463,12 @@ mod tests {
     fn send_timeout_bounds_the_wait_then_succeeds_after_drain() {
         let (tx, rx) = bounded(1);
         tx.send(1).unwrap();
-        let started = Instant::now();
+        let started = clock::now_ns();
         assert_eq!(
             tx.send_timeout(2, Duration::from_millis(20)),
             Err(SendTimeoutError::Timeout(2))
         );
-        assert!(started.elapsed() >= Duration::from_millis(20));
+        assert!(clock::since(started) >= Duration::from_millis(20));
         // A concurrent drain unblocks a parked send_timeout.
         let t = std::thread::spawn(move || tx.send_timeout(2, Duration::from_secs(5)));
         std::thread::sleep(Duration::from_millis(10));

@@ -76,7 +76,7 @@ use pvfs_proto::{
     Request, Response,
 };
 use pvfs_replica::{ReplicaMap, ReplicaPolicy, ReplicaTarget};
-use pvfs_types::trace::now_ns;
+use pvfs_types::clock::{self, now_ns};
 use pvfs_types::{
     ClientId, ClientLedger, ClientStats, PvfsError, PvfsResult, RequestId, ServerId, SpanId,
     StripeLayout, TraceContext, TraceId, TraceMode, TraceTree,
@@ -85,7 +85,7 @@ use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::gate::SerialGate;
 use crate::health::{BreakerPolicy, BreakerState, HealthTracker};
@@ -489,7 +489,7 @@ impl ClusterClient {
             given_up: [RequestId(0); 4 * WINDOW],
             next_given_up: 0,
             room,
-            started: Instant::now(),
+            started: now_ns(),
             backoff: None,
             over: false,
         };
@@ -515,12 +515,13 @@ impl ClusterClient {
 
     /// Ship one attempt of one request on the pump's lane to that daemon
     /// (checked out now if this is its first frame): breaker admission,
-    /// the attempt's `rpc:<op>` span (opened before encode, its context
-    /// stamped into the frame so server-side spans parent under the
-    /// attempt; `send` child once the frame is on its lane), encode
-    /// under a fresh request id, [`Lane::send`]. A failure to get the
-    /// frame away closes the span with `notes` and is fed to the failure
-    /// detector.
+    /// the attempt's `rpc:<op>` span (its id minted before encode, its
+    /// context stamped into the frame so server-side spans parent under
+    /// the attempt; `send` child once the frame is on its lane), encode
+    /// under a fresh request id, [`Lane::send`]. One clock reading, as
+    /// the frame is handed to its lane, starts both the span and the
+    /// attempt's latency sample. A failure to get the frame away closes
+    /// the span with `notes` and is fed to the failure detector.
     fn ship(
         &self,
         target: RpcTarget,
@@ -541,34 +542,34 @@ impl ClusterClient {
                 return Err(e);
             }
         }
-        let span = trace.map(|a| (a, SpanId::next(), now_ns()));
-        let ctx = span.map(|(a, sid, _)| a.ctx(sid));
+        let span = trace.map(|a| (a, SpanId::next()));
+        let ctx = span.map(|(a, sid)| a.ctx(sid));
         let (id, frame) = self.encode(request, ctx)?;
         let head = frame.head.clone();
         // Latency runs from each op's own ship time: the
         // client-perceived completion latency under fan-out concurrency.
-        let shipped_at = Instant::now();
+        let shipped = now_ns();
         let lane = match lane {
             Some(lane) => Ok(lane),
             None => self.transport.lane(target).map(|l| lane.insert(l)),
         };
         if let Err(e) = lane.and_then(|lane| lane.send(frame)) {
-            if let Some((a, sid, t0)) = span {
+            if let Some((a, sid)) = span {
                 notes.push("error".into());
-                let (op, dur) = (request.op_name(), now_ns().saturating_sub(t0));
-                a.span_with_id(sid, a.root(), format!("rpc:{op}"), t0, dur, notes);
+                let op = format!("rpc:{}", request.op_name());
+                a.span_with_id(sid, a.root(), op, shipped, now_ns(), notes);
             }
             let e = blame(sole, target, id, e);
             self.observe_failure(target, &e);
             return Err(e);
         }
-        let span = span.map(|(a, sid, t0)| {
-            a.span(sid, "send", t0, Vec::new());
-            (sid, t0)
+        let span = span.map(|(a, sid)| {
+            a.span_at(sid, "send", shipped, now_ns(), Vec::new());
+            sid
         });
         Ok(Flight {
             id,
-            shipped_at,
+            shipped,
             span,
             head,
         })
@@ -586,15 +587,16 @@ impl ClusterClient {
     /// `notes`, plus `error` on failure), and turn a server-side error
     /// into `Err`.
     ///
-    /// One rule for every entry point: any decoded, attributed response
-    /// — server errors included — proves the daemon alive and timely,
-    /// so one clock reading goes to the `rpc_latency` histogram (control
-    /// scrapes excepted: reading the books must not move them) and to
-    /// the failure detector, which clears the failure streak and closes
-    /// a half-open breaker. A shed is the exception: the daemon is alive
-    /// but served nothing, and how fast it said so is no sample of
-    /// either. Only transport-class failures (connection loss, timeout)
-    /// count toward tripping a breaker.
+    /// One clock reading lands the attempt: it ends the `recv` and
+    /// `rpc:<op>` spans, and — for any decoded, attributed response,
+    /// server errors included, which proves the daemon alive and timely —
+    /// the `rpc_latency` sample (control scrapes excepted: reading the
+    /// books must not move them) and the failure detector's, which also
+    /// clears the failure streak and closes a half-open breaker. A shed
+    /// is the exception: the daemon is alive but served nothing, and how
+    /// fast it said so is no sample of either. Only transport-class
+    /// failures (connection loss, timeout) count toward tripping a
+    /// breaker.
     #[allow(clippy::too_many_arguments)]
     fn land(
         &self,
@@ -607,9 +609,10 @@ impl ClusterClient {
         trace: Option<&ActiveTrace>,
         mut notes: Vec<String>,
     ) -> PvfsResult<Response> {
+        let landed = now_ns();
         let Flight {
             id,
-            shipped_at,
+            shipped,
             span,
             head,
         } = flight;
@@ -617,13 +620,13 @@ impl ClusterClient {
         // nothing else still holds it (the lane has sent it, the daemon
         // — over chan — answered it).
         self.frame_spares().heads.take_back(head);
-        if let Some((a, (sid, t0))) = trace.zip(span) {
-            a.span(sid, "recv", recv_ns, Vec::new());
+        if let Some((a, sid)) = trace.zip(span) {
+            a.span_at(sid, "recv", recv_ns, landed, Vec::new());
             if outcome.is_err() {
                 notes.push("error".into());
             }
-            let (op, dur) = (request.op_name(), now_ns().saturating_sub(t0));
-            a.span_with_id(sid, a.root(), format!("rpc:{op}"), t0, dur, notes);
+            let op = format!("rpc:{}", request.op_name());
+            a.span_with_id(sid, a.root(), op, shipped, landed, notes);
         }
         match outcome {
             Ok(response) => {
@@ -631,12 +634,13 @@ impl ClusterClient {
                 match &served {
                     Err(e @ PvfsError::Overloaded { .. }) => self.note_shed(target, e),
                     _ => {
-                        let took = shipped_at.elapsed();
+                        let took = landed.saturating_sub(shipped);
                         if !request.is_control_scrape() {
-                            self.stats.rpc_latency.record_duration(took);
+                            self.stats.rpc_latency.record(took);
                         }
                         if let RpcTarget::Server(server) = target {
-                            self.health.record_success(server, took);
+                            self.health
+                                .record_success(server, Duration::from_nanos(took));
                         }
                     }
                 }
@@ -921,8 +925,9 @@ struct Pump<'a, S: OpStream> {
     next_given_up: usize,
     /// The most sub-ops the window holds before it stops pulling.
     room: usize,
-    /// The retry budget runs from here, across the whole stream.
-    started: Instant,
+    /// The retry budget runs from this clock reading, across the whole
+    /// stream.
+    started: u64,
     backoff: Option<Backoff>,
     /// The stream has ended on an error: what is still in the air lands
     /// for the books alone.
@@ -986,8 +991,8 @@ struct Sub {
     attempt: u32,
     /// Its last backoff, which the next one is drawn from.
     backoff: Duration,
-    /// Backed off: due out, but not before this.
-    not_before: Option<Instant>,
+    /// Backed off: due out, but not before this clock reading.
+    not_before: Option<u64>,
     /// `None` while due out.
     flight: Option<Flight>,
 }
@@ -1014,7 +1019,7 @@ impl<S: OpStream> Pump<'_, S> {
     fn run(&mut self) -> PvfsResult<()> {
         let mut more = true;
         loop {
-            let ready = |s: &Sub| s.not_before.is_none_or(|at| at <= Instant::now());
+            let ready = |s: &Sub| s.not_before.is_none_or(|at| at <= now_ns());
             let due = (self.flying..self.subs.len()).find(|&at| ready(&self.subs[at]));
             if let Some(due) = due {
                 let target = self.subs[due].target;
@@ -1033,7 +1038,7 @@ impl<S: OpStream> Pump<'_, S> {
             } else if let Some(wake) = self.subs.iter().filter_map(|s| s.not_before).min() {
                 // Nothing in the air and nothing to send yet: only now
                 // does a backoff cost the stream any time.
-                std::thread::sleep(wake.saturating_duration_since(Instant::now()));
+                std::thread::sleep(clock::until(wake));
             } else {
                 return Ok(());
             }
@@ -1161,12 +1166,13 @@ impl<S: OpStream> Pump<'_, S> {
             return Ok(());
         };
         let flight = self.subs[oldest].flight.as_ref().expect("in the air");
-        let (oldest_id, shipped_at) = (flight.id, flight.shipped_at);
+        let (oldest_id, shipped) = (flight.id, flight.shipped);
         let (sole, recv_ns) = (self.sole, now_ns());
         // The deadline runs from ship time: a flight that waited its
         // turn behind others of its window has that much less left (a
         // reply already here is taken even with nothing left).
-        let left = (self.client.rpc_timeout).saturating_sub(shipped_at.elapsed());
+        let waited = Duration::from_nanos(recv_ns.saturating_sub(shipped));
+        let left = (self.client.rpc_timeout).saturating_sub(waited);
         // A lane that fails takes its flights with it (`fail_lane`), so
         // a flight in the air has its lane.
         let lane = self
@@ -1277,6 +1283,10 @@ impl<S: OpStream> Pump<'_, S> {
     fn settle(&mut self, mut sub: Sub, e: PvfsError) -> PvfsResult<()> {
         let client = self.client;
         let retry = client.retry;
+        let now = now_ns();
+        let left = retry
+            .budget
+            .saturating_sub(Duration::from_nanos(now - self.started));
         let op = op_of(&self.ops, &sub);
         let request = op.request(&sub);
         if sub.copies.len() > 1 && failover_worthy(&e) {
@@ -1293,7 +1303,7 @@ impl<S: OpStream> Pump<'_, S> {
         } else if e.is_retryable()
             && (request.is_idempotent() || e.is_definitely_not_executed())
             && sub.attempt < retry.max_attempts
-            && self.started.elapsed() < retry.budget
+            && !left.is_zero()
         {
             // A shed frame never ran: it spends the budget, never an
             // attempt. With more of this stream at that daemon the
@@ -1307,8 +1317,8 @@ impl<S: OpStream> Pump<'_, S> {
                     .backoff
                     .get_or_insert_with(|| client.new_backoff())
                     .next_delay(sub.backoff)
-                    .min(retry.budget.saturating_sub(self.started.elapsed()));
-                sub.not_before = Some(Instant::now() + delay);
+                    .min(left);
+                sub.not_before = Some(now.saturating_add(clock::nanos(delay)));
                 sub.backoff = delay;
                 delay
             };
@@ -1414,10 +1424,12 @@ fn op_of<'o, K>(ops: &'o [Option<Op<K>>], sub: &Sub) -> &'o Op<K> {
 /// back off the sub-op when it lands.
 struct Flight {
     id: RequestId,
-    shipped_at: Instant,
-    /// The attempt's `rpc:<op>` span: its id (minted before encode, the
-    /// frame carries it) and start.
-    span: Option<(SpanId, u64)>,
+    /// The clock reading it was shipped at: where its latency sample, its
+    /// deadline and its `rpc:<op>` span start.
+    shipped: u64,
+    /// The id of the attempt's `rpc:<op>` span (minted before encode: the
+    /// frame carries it).
+    span: Option<SpanId>,
     /// A handle on the frame's encoded head, to take its buffer back by
     /// when the flight lands.
     head: Bytes,
@@ -2044,9 +2056,9 @@ mod tests {
             let handle = FileHandle(1);
             (ServerId(s), Request::GetLocalSize { handle })
         };
-        let started = Instant::now();
+        let started = now_ns();
         let err = c.round((0..4).map(size).collect()).unwrap_err();
-        let elapsed = started.elapsed();
+        let elapsed = clock::since(started);
         assert!(
             matches!(&err, PvfsError::Timeout(m) if m.contains("iod0")),
             "the first op to time out is the round's error, got {err:?}"
@@ -2370,9 +2382,9 @@ mod tests {
             ..RetryPolicy::default()
         });
         let mut dealt = Dealt::new(4, 64);
-        let started = Instant::now();
+        let started = now_ns();
         c.stream_in(&mut dealt, None).unwrap();
-        assert!(started.elapsed() >= backoff);
+        assert!(clock::since(started) >= backoff);
         assert_eq!((dealt.landed, c.stats().retries), (64, 1));
         let book = book.lock().unwrap();
         assert_eq!(book.started, 65);

@@ -46,12 +46,13 @@
 //! it exactly.
 
 use pvfs_proto::{decode_frame_id, decode_response_id, Frame, RESPONSE_ENVELOPE_LEN};
+use pvfs_types::clock;
 use pvfs_types::{PvfsError, PvfsResult, RequestId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::envspec;
 use crate::transport::{Lane, RpcTarget, Transport, TransportKind, WaitError};
@@ -419,9 +420,9 @@ impl Lane for FaultyLane {
     }
 
     fn recv(&mut self, timeout: Duration) -> Result<Frame, WaitError> {
-        let deadline = Instant::now() + timeout;
+        let deadline = clock::deadline(timeout);
         loop {
-            let left = deadline.saturating_duration_since(Instant::now());
+            let left = clock::until(deadline);
             let reply = self.inner.recv(left)?;
             let fault = decode_response_id(&reply.head).and_then(|id| {
                 let at = self.doomed.iter().position(|(doomed, _)| *doomed == id)?;

@@ -38,9 +38,10 @@
 //! halved by each shed, reopened by one after 64 replies in a row
 //! without one — so that many clients' windows settle into one queue.
 
+use pvfs_types::clock::{self, now_ns};
 use pvfs_types::{PvfsError, ServerId};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::cluster::WINDOW;
 use crate::envspec::{self, parse_duration};
@@ -150,7 +151,7 @@ const EWMA_ALPHA: f64 = 0.2;
 #[derive(Debug)]
 enum Circuit {
     Closed,
-    Open { until: Instant },
+    Open { until: u64 },
     HalfOpen,
 }
 
@@ -160,7 +161,7 @@ impl Circuit {
     fn state(&self) -> BreakerState {
         match *self {
             Circuit::Closed => BreakerState::Closed,
-            Circuit::Open { until } if Instant::now() < until => BreakerState::Open,
+            Circuit::Open { until } if now_ns() < until => BreakerState::Open,
             Circuit::Open { .. } | Circuit::HalfOpen => BreakerState::HalfOpen,
         }
     }
@@ -255,14 +256,14 @@ impl HealthTracker {
         match h.circuit {
             Circuit::Closed | Circuit::HalfOpen => Ok(()),
             Circuit::Open { until } => {
-                let now = Instant::now();
+                let now = now_ns();
                 if now >= until {
                     h.circuit = Circuit::HalfOpen;
                     Ok(())
                 } else {
                     Err(PvfsError::Unavailable {
                         server: server.0,
-                        retry_after_ms: (until - now).as_millis().max(1) as u64,
+                        retry_after_ms: ((until - now) / 1_000_000).max(1),
                     })
                 }
             }
@@ -337,7 +338,7 @@ impl HealthTracker {
         };
         if trip {
             h.circuit = Circuit::Open {
-                until: Instant::now() + self.policy.open_for,
+                until: clock::deadline(self.policy.open_for),
             };
             h.trips += 1;
         }

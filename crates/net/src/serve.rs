@@ -15,7 +15,8 @@
 //!   connection's reader — and delivers a refusal its own way (an `Err`
 //!   to the sender's face; an error reply written by the reader);
 //! * **served** by the one worker loop through [`serve_rpc`], the only
-//!   place the `begin → decode → serve → end` sequence exists;
+//!   place the `begin → decode → serve → end` sequence exists, and the
+//!   only place a daemon's `queue` and `service` spans are recorded;
 //! * **answered** down the [`ReplyPath`] it came with — the daemon-side
 //!   twin of the client's `Lane`, and all that differs between the
 //!   transports: where the [`Scratch`] the frame is served out of comes
@@ -28,6 +29,17 @@
 //! the workers running — is the [`Ledger`]'s, and the door does it through
 //! [`Service::ledger`] without entering the daemon: accounting a manager
 //! frame takes no manager lock.
+//!
+//! # Timing
+//!
+//! A frame's time at the door is three clock readings: when it was
+//! queued, when a worker took it, when the worker was done with it.
+//! Queue wait and service time are the differences, and for a frame that
+//! carries trace context the same readings are its `queue` and `service`
+//! spans — which therefore *are* the histogram samples, to the
+//! nanosecond. A traced request always gets both spans, a zero-length
+//! `queue` one if it never waited, on every daemon alike; whatever the
+//! daemon's storage adds to the span sink nests under `service`.
 //!
 //! # Buffers
 //!
@@ -54,11 +66,13 @@ use pvfs_proto::{
     frame_is_stats_scrape, Frame, Message, Request, Response,
 };
 use pvfs_server::{IoDaemon, IodConfig, Manager, Scratch};
-use pvfs_types::{Ledger, PvfsError, RequestId, TraceContext};
+use pvfs_types::clock::now_ns;
+use pvfs_types::trace::with_span_sink;
+use pvfs_types::{FlightRecorder, Ledger, PvfsError, RequestId, Span, SpanId, TraceContext};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::chan::{bounded, Receiver, SendTimeoutError, Sender, TrySendError};
 use crate::spares::Spares;
@@ -68,17 +82,13 @@ use crate::transport::ReplyTo;
 /// One daemon as its door sees it.
 pub(crate) trait Service: Send + Sync {
     /// Serve one decoded request out of the buffers `scratch` holds.
-    /// `traced`: the frame carried trace context, and the request waited
-    /// this long in the queue — server-side spans are recorded under it.
-    fn serve(
-        &self,
-        request: &Request,
-        traced: Option<(TraceContext, Duration)>,
-        scratch: &mut Scratch,
-    ) -> Response;
+    fn serve(&self, request: &Request, scratch: &mut Scratch) -> Response;
     /// The daemon's books, in which the door accounts every frame that
     /// is not a stats scrape.
     fn ledger(&self) -> &Ledger;
+    /// The daemon's span ring, into which the door records the spans of
+    /// every traced frame (and which its `GetTrace` scrapes).
+    fn recorder(&self) -> &FlightRecorder;
     /// A request met a full queue. `Some(refusal)`: the shed is
     /// accounted ([`Ledger::shed`]) and the frame is refused — typed,
     /// retryable, provably unexecuted — instead of queued. `None`: this
@@ -89,9 +99,12 @@ pub(crate) trait Service: Send + Sync {
     }
 }
 
-/// Serve one request frame that entered the queue at `queued_at`: book
-/// the dequeue, decode, serve, book the completion. `scrape` frames
-/// (see the module docs) skip both bookings.
+/// Serve one request frame that entered the queue at the clock reading
+/// `queued_at`, for the daemon named `node`: book the dequeue, decode,
+/// serve, book the completion — and for a traced frame record its
+/// `queue` and `service` spans from the same readings (module docs).
+/// `scrape` frames (see the module docs) skip both bookings and are never
+/// traced.
 ///
 /// When the body fails to decode but the fixed header is readable, the
 /// error response carries the *real* request id so the client can
@@ -120,21 +133,35 @@ pub(crate) trait Service: Send + Sync {
 /// reply if that has none.
 pub(crate) fn serve_rpc(
     service: &dyn Service,
+    node: &str,
     frame: Frame,
-    queued_at: Instant,
+    queued_at: u64,
     scrape: bool,
     scratch: &mut Scratch,
 ) -> (RequestId, Response) {
-    let waited = queued_at.elapsed();
+    let taken = now_ns();
     let ledger = service.ledger();
     if !scrape {
-        ledger.begin(waited);
+        ledger.begin(queued_at, taken);
     }
-    let served_at = Instant::now();
     let header_id = decode_frame_id(&frame.head);
+    let mut traced = None;
     let served = match decode_frame_reusing(frame, &mut scratch.regions) {
         Ok((Message { id, request, .. }, ctx)) => {
-            let response = service.serve(&request, ctx.map(|ctx| (ctx, waited)), scratch);
+            let response = match ctx.filter(|_| !scrape) {
+                Some(ctx) => {
+                    let span = SpanId::next();
+                    traced = Some((ctx, span, request.op_name()));
+                    let under = TraceContext {
+                        parent: span,
+                        ..ctx
+                    };
+                    with_span_sink(under, node, service.recorder(), || {
+                        service.serve(&request, scratch)
+                    })
+                }
+                None => service.serve(&request, scratch),
+            };
             // The request ends here, before any reply can leave; of what
             // it held only the region list stays, back in the scratch.
             if let Some(regions) = request.into_regions() {
@@ -144,8 +171,15 @@ pub(crate) fn serve_rpc(
         }
         Err(e) => (header_id.unwrap_or(RequestId(0)), Response::Error(e)),
     };
+    let done = now_ns();
     if !scrape {
-        ledger.end(served_at.elapsed());
+        ledger.end(taken, done);
+    }
+    if let Some((ctx, id, op)) = traced {
+        let queue = Span::new(ctx, SpanId::next(), node, "queue", queued_at, taken);
+        let mut served = Span::new(ctx, id, node, "service", taken, done);
+        served.notes.push(op.into());
+        service.recorder().extend([queue, served]);
     }
     served
 }
@@ -213,10 +247,11 @@ impl ReplyPath {
 }
 
 /// What waits in a door's queue: a request frame (both parts, exactly as
-/// they arrived), the way its reply goes back, and when it was enqueued
-/// (queue wait is measured from it) — or a worker's notice to leave.
+/// they arrived), the way its reply goes back, and the clock reading it
+/// was enqueued at (queue wait is measured from it) — or a worker's
+/// notice to leave.
 enum Job {
-    Rpc(Frame, ReplyPath, Instant),
+    Rpc(Frame, ReplyPath, u64),
     Shutdown,
 }
 
@@ -227,7 +262,8 @@ pub(crate) type Refused = (Frame, ReplyPath, PvfsError);
 /// The one way into a daemon: its bounded queue, the workers draining it
 /// through [`serve_rpc`], and the [`Service`] they serve (module docs).
 pub(crate) struct Door {
-    /// `iod3` / `pvfs-mgr`: what the daemon's threads are named after.
+    /// `iod3` / `mgr`: the daemon's node in its spans, and what its
+    /// threads are named after.
     pub(crate) name: String,
     tx: Sender<Job>,
     service: Arc<dyn Service>,
@@ -237,9 +273,9 @@ pub(crate) struct Door {
 
 impl Door {
     /// Start `workers` threads (at least one) named `name-w<i>` serving
-    /// `service` off a queue of `depth` frames (at least one), and book
-    /// them in the service's `workers` gauge: it reports the threads
-    /// that run, whatever was configured.
+    /// `service`, the daemon `name`, off a queue of `depth` frames (at
+    /// least one), and book them in the service's `workers` gauge: it
+    /// reports the threads that run, whatever was configured.
     pub(crate) fn spawn(
         name: &str,
         workers: usize,
@@ -252,9 +288,10 @@ impl Door {
         let threads: Vec<_> = (0..workers.max(1))
             .map(|i| {
                 let (rx, service, spares) = (rx.clone(), service.clone(), spares.clone());
+                let node = name.to_string();
                 std::thread::Builder::new()
                     .name(format!("{name}-w{i}"))
-                    .spawn(move || work(&rx, &*service, &spares))
+                    .spawn(move || work(&rx, &*service, &node, &spares))
                     .expect("spawn door worker")
             })
             .collect();
@@ -297,7 +334,7 @@ impl Door {
             ledger.queued();
         }
         let gone = || PvfsError::Transport("server thread gone".into());
-        let (job, error) = match self.tx.try_send(Job::Rpc(frame, reply, Instant::now())) {
+        let (job, error) = match self.tx.try_send(Job::Rpc(frame, reply, now_ns())) {
             Ok(()) => return Ok(()),
             Err(TrySendError::Disconnected(job)) => (job, gone()),
             Err(TrySendError::Full(job)) => match ledger.and_then(|_| self.service.shed()) {
@@ -343,13 +380,13 @@ fn refused(job: Job, error: PvfsError) -> Refused {
     }
 }
 
-/// One worker: `scratch → serve_rpc → reply` for every frame, until its
-/// `Shutdown` comes up or the door is dropped.
-fn work(rx: &Receiver<Job>, service: &dyn Service, spares: &Mutex<Spares<Scratch>>) {
+/// One worker of the daemon `node`: `scratch → serve_rpc → reply` for
+/// every frame, until its `Shutdown` comes up or the door is dropped.
+fn work(rx: &Receiver<Job>, service: &dyn Service, node: &str, spares: &Mutex<Spares<Scratch>>) {
     while let Ok(Job::Rpc(frame, mut reply, queued_at)) = rx.recv() {
         let scrape = frame_is_stats_scrape(&frame.head);
         let mut scratch = reply.scratch(spares);
-        let (id, response) = serve_rpc(service, frame, queued_at, scrape, &mut scratch);
+        let (id, response) = serve_rpc(service, node, frame, queued_at, scrape, &mut scratch);
         let account = (!scrape).then(|| service.ledger());
         reply.answer(id, response, scratch, spares, account);
     }
@@ -363,18 +400,13 @@ pub(crate) fn open_doors(daemons: &[Arc<IoDaemon>], config: IodConfig) -> Vec<Ar
         let name = format!("iod{}", daemon.id().0);
         Door::spawn(&name, config.workers, config.queue_depth, daemon.clone())
     });
-    let mgr = Door::spawn("pvfs-mgr", 1, config.queue_depth, Arc::new(Manager::new()));
+    let mgr = Door::spawn("mgr", 1, config.queue_depth, Arc::new(Manager::new()));
     iods.chain([mgr]).collect()
 }
 
 impl Service for IoDaemon {
-    fn serve(
-        &self,
-        request: &Request,
-        traced: Option<(TraceContext, Duration)>,
-        scratch: &mut Scratch,
-    ) -> Response {
-        let response = self.handle_with(request, scratch, traced);
+    fn serve(&self, request: &Request, scratch: &mut Scratch) -> Response {
+        let response = self.handle_with(request, scratch);
         // Emulated service time occupies the worker, the way a blocking
         // disk access would; the reply leaves only after the stall.
         if let Some(stall) = self.config().emulated_latency {
@@ -385,6 +417,10 @@ impl Service for IoDaemon {
 
     fn ledger(&self) -> &Ledger {
         IoDaemon::ledger(self)
+    }
+
+    fn recorder(&self) -> &FlightRecorder {
+        IoDaemon::recorder(self)
     }
 
     fn shed(&self) -> Option<PvfsError> {
@@ -400,17 +436,16 @@ impl Service for IoDaemon {
 /// the manager serializes them itself, and a full queue waits instead of
 /// shedding.
 impl Service for Manager {
-    fn serve(
-        &self,
-        request: &Request,
-        traced: Option<(TraceContext, Duration)>,
-        _: &mut Scratch,
-    ) -> Response {
-        self.handle(request, traced)
+    fn serve(&self, request: &Request, _: &mut Scratch) -> Response {
+        self.handle(request)
     }
 
     fn ledger(&self) -> &Ledger {
         Manager::ledger(self)
+    }
+
+    fn recorder(&self) -> &FlightRecorder {
+        Manager::recorder(self)
     }
 }
 
@@ -419,7 +454,9 @@ mod tests {
     use super::*;
     use crate::transport::{ChanTransport, RpcTarget, Transport, WaitError};
     use pvfs_proto::{decode_response_id, encode_frame, encode_message};
-    use pvfs_types::{ClientId, FileHandle, ServerId, StatsSnapshot};
+    use pvfs_types::{
+        ClientId, FileHandle, Region, ServerId, StatsSnapshot, StripeLayout, TraceId,
+    };
     use std::net::{TcpListener, TcpStream};
     use std::sync::atomic::AtomicU64;
 
@@ -463,23 +500,22 @@ mod tests {
     #[derive(Default)]
     struct Recording {
         ledger: Ledger,
+        recorder: FlightRecorder,
         served: AtomicU64,
         shed_asked: AtomicU64,
         refusal: Option<PvfsError>,
     }
 
     impl Service for Recording {
-        fn serve(
-            &self,
-            request: &Request,
-            _: Option<(TraceContext, Duration)>,
-            _: &mut Scratch,
-        ) -> Response {
+        fn serve(&self, request: &Request, _: &mut Scratch) -> Response {
             self.served.fetch_add(1, Ordering::Relaxed);
             Response::Error(PvfsError::invalid(request.op_name()))
         }
         fn ledger(&self) -> &Ledger {
             &self.ledger
+        }
+        fn recorder(&self) -> &FlightRecorder {
+            &self.recorder
         }
         fn shed(&self) -> Option<PvfsError> {
             self.shed_asked.fetch_add(1, Ordering::Relaxed);
@@ -488,25 +524,31 @@ mod tests {
     }
 
     fn frame(id: u64, request: Request) -> Frame {
+        traced_frame(id, request, None)
+    }
+
+    fn traced_frame(id: u64, request: Request, ctx: Option<TraceContext>) -> Frame {
         let message = Message {
             client: ClientId(1),
             id: RequestId(id),
             request,
         };
-        encode_frame(&message, None).unwrap()
+        encode_frame(&message, ctx).unwrap()
+    }
+
+    fn context() -> TraceContext {
+        TraceContext {
+            trace: TraceId::next(),
+            parent: SpanId::next(),
+        }
     }
 
     #[test]
     fn a_scrape_frame_reaches_serve_and_nothing_else() {
         let service = Recording::default();
         let scratch = &mut Scratch::default();
-        let (id, _) = serve_rpc(
-            &service,
-            frame(5, Request::GetStats),
-            Instant::now(),
-            true,
-            scratch,
-        );
+        let scrape = frame(5, Request::GetStats);
+        let (id, _) = serve_rpc(&service, "t", scrape, now_ns(), true, scratch);
         assert_eq!(id, RequestId(5));
         assert_eq!(service.served.load(Ordering::Relaxed), 1);
         assert_eq!(service.ledger.snapshot(), StatsSnapshot::default());
@@ -514,8 +556,9 @@ mod tests {
         service.ledger.queued();
         serve_rpc(
             &service,
+            "t",
             frame(6, Request::Ping),
-            Instant::now(),
+            now_ns(),
             false,
             scratch,
         );
@@ -542,7 +585,7 @@ mod tests {
         let cut = Frame::from(whole.slice(0..whole.len() - 3));
         let scratch = &mut Scratch::default();
         service.ledger.queued();
-        let (id, response) = serve_rpc(&service, cut, Instant::now(), false, scratch);
+        let (id, response) = serve_rpc(&service, "t", cut, now_ns(), false, scratch);
         assert_eq!(id, RequestId(9), "the header's id, not the reserved 0");
         assert!(matches!(response, Response::Error(PvfsError::Protocol(_))));
         assert_eq!(service.served.load(Ordering::Relaxed), 0);
@@ -553,14 +596,127 @@ mod tests {
         );
         // No readable header: the reserved id.
         service.ledger.queued();
-        let (id, _) = serve_rpc(
-            &service,
-            Frame::from(whole.slice(0..7)),
-            Instant::now(),
-            false,
-            scratch,
-        );
+        let headless = Frame::from(whole.slice(0..7));
+        let (id, _) = serve_rpc(&service, "t", headless, now_ns(), false, scratch);
         assert_eq!(id, RequestId(0));
+    }
+
+    /// A traced request's `queue` and `service` spans are the readings
+    /// its queue-wait and service-time samples are made of, and what the
+    /// daemon's storage adds to the span sink nests under `service`.
+    #[test]
+    fn traced_write_records_queue_service_and_storage_spans() {
+        let d = IoDaemon::with_defaults(ServerId(0));
+        let ctx = context();
+        let write = Request::Write {
+            handle: FileHandle(1),
+            layout: StripeLayout::new(0, 4, 10).unwrap(),
+            region: Region::new(0, 5),
+            data: vec![1u8; 5].into(),
+        };
+        d.ledger().queued();
+        let queued_at = now_ns();
+        let frame = traced_frame(1, write, Some(ctx));
+        let scratch = &mut Scratch::default();
+        let (_, response) = serve_rpc(&d, "iod0", frame, queued_at, false, scratch);
+        assert_eq!(response, Response::Written { bytes: 5 });
+
+        let spans = d.recorder().for_trace(ctx.trace);
+        assert_eq!(spans.len(), 3, "{spans:?}");
+        let span = |op| spans.iter().find(|s| s.op == op).expect(op);
+        let (queue, service, storage) = (span("queue"), span("service"), span("storage:write"));
+        for s in [queue, service] {
+            assert_eq!((s.parent, s.node.as_str()), (ctx.parent, "iod0"));
+        }
+        assert_eq!(service.notes, ["write"]);
+        assert_eq!(storage.parent, service.id, "storage nests under service");
+        let end = |s: &Span| s.start_ns + s.dur_ns;
+        assert!(storage.start_ns >= service.start_ns && end(storage) <= end(service));
+        // One reading at each boundary: queued, taken, done.
+        assert_eq!(queue.start_ns, queued_at);
+        assert_eq!(end(queue), service.start_ns);
+        let books = d.ledger().snapshot();
+        assert_eq!(books.queue_wait.sum_ns(), u128::from(queue.dur_ns));
+        assert_eq!(books.service_time.sum_ns(), u128::from(service.dur_ns));
+    }
+
+    /// The manager's door records its spans as an I/O daemon's does: a
+    /// `service` span on node `mgr`, noted with the metadata op, beside
+    /// a `queue` span that is its queue-wait sample.
+    #[test]
+    fn traced_metadata_request_records_a_service_span() {
+        let m = Manager::new();
+        let ctx = context();
+        let create = Request::Create {
+            path: "/a".into(),
+            layout: StripeLayout::new(0, 1, 10).unwrap(),
+        };
+        m.ledger().queued();
+        let queued_at = now_ns();
+        let frame = traced_frame(1, create, Some(ctx));
+        let scratch = &mut Scratch::default();
+        let (_, response) = serve_rpc(&m, "mgr", frame, queued_at, false, scratch);
+        assert!(matches!(response, Response::Created { .. }));
+
+        let spans = m.recorder().for_trace(ctx.trace);
+        let span = |op| spans.iter().find(|s| s.op == op).expect(op);
+        let (queue, service) = (span("queue"), span("service"));
+        assert_eq!(queue.parent, ctx.parent);
+        assert_eq!(queue.start_ns, queued_at);
+        assert_eq!(
+            m.ledger().snapshot().queue_wait.sum_ns(),
+            u128::from(queue.dur_ns)
+        );
+        assert_eq!((service.node.as_str(), service.parent), ("mgr", ctx.parent));
+        assert_eq!(service.notes, ["create"]);
+    }
+
+    /// Both daemons follow one rule: a traced request gets a `queue` span
+    /// — however short its wait — and a `service` span noted with its
+    /// op, on the node its door is named after.
+    #[test]
+    fn a_traced_request_always_records_a_queue_span_on_either_daemon() {
+        let iod = Arc::new(IoDaemon::with_defaults(ServerId(0)));
+        let doors = open_doors(&[iod], IodConfig::default());
+        let (tx, _rx) = bounded(4);
+        let create = Request::Create {
+            path: "/a".into(),
+            layout: StripeLayout::new(0, 1, 10).unwrap(),
+        };
+        let cases = [(Request::Ping, "iod0", "ping"), (create, "mgr", "create")];
+        for (door, (request, node, op)) in doors.iter().zip(cases) {
+            let ctx = context();
+            let reply = ReplyPath::Lane(ReplyTo::new(&tx, RequestId(1)));
+            let frame = traced_frame(1, request, Some(ctx));
+            assert!(door.offer(frame, 16, reply, None).is_ok());
+            door.close();
+            let spans = door.service.recorder().for_trace(ctx.trace);
+            let ops: Vec<&str> = spans.iter().map(|s| s.op.as_str()).collect();
+            assert_eq!(ops, ["queue", "service"], "{node}");
+            assert!(spans
+                .iter()
+                .all(|s| s.node == node && s.parent == ctx.parent));
+            assert_eq!(spans[0].start_ns + spans[0].dur_ns, spans[1].start_ns);
+            assert_eq!(spans[1].notes, [op]);
+        }
+    }
+
+    /// Only a traced frame that is not a scrape leaves spans: traces
+    /// never trace their own collection.
+    #[test]
+    fn untraced_and_scrape_frames_record_no_spans() {
+        let d = IoDaemon::with_defaults(ServerId(0));
+        let m = Manager::new();
+        let scratch = &mut Scratch::default();
+        for (service, node) in [(&d as &dyn Service, "iod0"), (&m, "mgr")] {
+            service.ledger().queued();
+            let ping = frame(1, Request::Ping);
+            serve_rpc(service, node, ping, now_ns(), false, scratch);
+            let ctx = Some(context());
+            let scrape = traced_frame(2, Request::GetTrace { trace: TraceId(1) }, ctx);
+            serve_rpc(service, node, scrape, now_ns(), true, scratch);
+            assert!(service.recorder().is_empty(), "{node}");
+        }
     }
 
     /// The two ways a reply goes back, for a test to offer frames
@@ -716,22 +872,21 @@ mod tests {
     /// frames still queued and every worker busy.
     #[test]
     fn every_admitted_frame_is_answered_before_close_returns() {
-        struct Slow(Ledger);
+        #[derive(Default)]
+        struct Slow(Ledger, FlightRecorder);
         impl Service for Slow {
-            fn serve(
-                &self,
-                _: &Request,
-                _: Option<(TraceContext, Duration)>,
-                _: &mut Scratch,
-            ) -> Response {
+            fn serve(&self, _: &Request, _: &mut Scratch) -> Response {
                 std::thread::sleep(Duration::from_millis(2));
                 Response::Pong { queue_depth: 0 }
             }
             fn ledger(&self) -> &Ledger {
                 &self.0
             }
+            fn recorder(&self) -> &FlightRecorder {
+                &self.1
+            }
         }
-        let door = Door::spawn("t", 2, 8, Arc::new(Slow(Ledger::default())));
+        let door = Door::spawn("t", 2, 8, Arc::new(Slow::default()));
         let transport = ChanTransport::new(vec![door.clone(), Door::bare(1).0]);
         let mut lane = transport.lane(RpcTarget::Server(ServerId(0))).unwrap();
         for id in 1..=crate::WINDOW as u64 {

@@ -58,11 +58,12 @@
 
 use bytes::Bytes;
 use pvfs_proto::{Frame, MAX_WIRE_FRAME};
+use pvfs_types::clock::{self, now_ns};
 use pvfs_types::{PvfsError, PvfsResult};
 use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use super::frame::{write_frames, FrameError, FrameReader, STAGING};
 use crate::transport::{Lane, RpcTarget, Transport, TransportKind, WaitError};
@@ -116,12 +117,12 @@ impl<S: Read + Write> Wire<S> {
         Ok(())
     }
 
-    /// The next frame, if it is complete by `deadline` (one look at the
-    /// stream even when that has passed).
-    fn recv(&mut self, deadline: Instant) -> Result<Bytes, FrameError> {
+    /// The next frame, if it is complete by the clock reading `deadline`
+    /// (one look at the stream even when that has passed).
+    fn recv(&mut self, deadline: u64) -> Result<Bytes, FrameError> {
         loop {
             match self.frames.read_frame(&mut self.stream) {
-                Err(e) if e.is_timeout() && Instant::now() < deadline => {}
+                Err(e) if e.is_timeout() && now_ns() < deadline => {}
                 Ok(frame) => {
                     self.owed = self.owed.saturating_sub(1);
                     return Ok(frame);
@@ -340,7 +341,7 @@ impl Lane for TcpLane {
     }
 
     fn recv(&mut self, timeout: Duration) -> Result<Frame, WaitError> {
-        let deadline = Instant::now() + timeout;
+        let deadline = clock::deadline(timeout);
         loop {
             let unproven = self.unproven;
             let conn = self
@@ -515,7 +516,7 @@ mod tests {
             .map(|i| vec![i; 20 + i as usize])
             .collect();
         wire.stream.get_mut().segments.push_back(framed(&replies));
-        let soon = Instant::now() + Duration::from_secs(5);
+        let soon = clock::deadline(Duration::from_secs(5));
         for reply in &replies {
             assert_eq!(wire.recv(soon).unwrap().as_ref(), &reply[..]);
         }
@@ -524,7 +525,7 @@ mod tests {
 
         // Nothing more has come: the deadline, not the stream, ends the
         // wait, and nothing is lost by it.
-        let timed_out = wire.recv(Instant::now()).unwrap_err();
+        let timed_out = wire.recv(now_ns()).unwrap_err();
         assert!(timed_out.is_timeout());
         assert!(wire.is_quiet());
     }
@@ -542,12 +543,12 @@ mod tests {
         let rest = bytes.split_off(STAGING + 100);
         let (first, second) = (bytes.split_off(10), bytes);
         wire.stream.get_mut().segments.push_back(second);
-        assert!(wire.recv(Instant::now()).unwrap_err().is_timeout());
+        assert!(wire.recv(now_ns()).unwrap_err().is_timeout());
         assert!(wire.mid_reply() && !wire.is_quiet());
         wire.stream.get_mut().segments.push_back(first);
-        assert!(wire.recv(Instant::now()).unwrap_err().is_timeout());
+        assert!(wire.recv(now_ns()).unwrap_err().is_timeout());
         wire.stream.get_mut().segments.push_back(rest);
-        let soon = Instant::now() + Duration::from_secs(5);
+        let soon = clock::deadline(Duration::from_secs(5));
         assert_eq!(wire.recv(soon).unwrap().as_ref(), &long[..]);
         assert_eq!(wire.recv(soon).unwrap().as_ref(), b"short");
         // 3 segments, 2 timeouts, and one read that found the stream

@@ -18,10 +18,8 @@
 //! server-side spans die by ring-buffer attrition. `sample:1/n` and
 //! `all` retain everything they trace.
 
-use pvfs_types::trace::{self, now_ns};
-use pvfs_types::{
-    FlightRecorder, Span, SpanId, TraceContext, TraceId, TraceMode, DEFAULT_TRACE_CAP,
-};
+use pvfs_types::clock::{self, now_ns};
+use pvfs_types::{FlightRecorder, Span, SpanId, TraceContext, TraceId, TraceMode};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -57,7 +55,7 @@ impl Tracer {
         Tracer {
             mode,
             node: node.into(),
-            recorder: Arc::new(FlightRecorder::new(DEFAULT_TRACE_CAP)),
+            recorder: Arc::default(),
             seen: AtomicU64::new(0),
             recent: Mutex::new(Vec::new()),
         }
@@ -111,26 +109,18 @@ impl Tracer {
     /// commit the root span plus every buffered client span to the
     /// recorder and index the trace id for `trace last`.
     pub fn finish(&self, active: ActiveTrace) -> TraceId {
-        let trace = active.trace;
-        let dur_ns = now_ns().saturating_sub(active.start_ns);
+        let (trace, end_ns) = (active.trace, now_ns());
         let retain = match self.mode {
             TraceMode::Off => false,
-            TraceMode::Slow(threshold) => dur_ns as u128 >= threshold.as_nanos(),
+            TraceMode::Slow(threshold) => end_ns - active.start_ns >= clock::nanos(threshold),
             TraceMode::Sample(_) | TraceMode::All => true,
         };
         if !retain {
             return trace;
         }
-        let root = Span {
-            trace,
-            id: active.root,
-            parent: SpanId::NONE,
-            node: active.node,
-            op: active.root_op,
-            start_ns: active.start_ns,
-            dur_ns,
-            notes: active.root_notes.into_inner().unwrap(),
-        };
+        let (ctx, id, start) = (active.ctx(SpanId::NONE), active.root, active.start_ns);
+        let mut root = Span::new(ctx, id, active.node, active.root_op, start, end_ns);
+        root.notes = active.root_notes.into_inner().unwrap();
         self.recorder.push(root);
         self.recorder.extend(active.spans.into_inner().unwrap());
         let mut recent = self.recent.lock().unwrap();
@@ -185,75 +175,47 @@ impl ActiveTrace {
         }
     }
 
-    /// Record a finished client-side span under `parent` with an
-    /// explicit start; returns its id (for parenting children).
-    #[allow(clippy::too_many_arguments)]
+    /// When the root span started: a clock reading.
+    pub fn start_ns(&self) -> u64 {
+        self.start_ns
+    }
+
+    /// Record a finished client-side span under `parent` that ran from
+    /// the clock reading `start_ns` to `end_ns`; returns its id (for
+    /// parenting children).
     pub fn span_at(
         &self,
         parent: SpanId,
         op: impl Into<String>,
         start_ns: u64,
-        dur_ns: u64,
+        end_ns: u64,
         notes: Vec<String>,
     ) -> SpanId {
         let id = SpanId::next();
-        self.spans.lock().unwrap().push(Span {
-            trace: self.trace,
-            id,
-            parent,
-            node: self.node.clone(),
-            op: op.into(),
-            start_ns,
-            dur_ns,
-            notes,
-        });
+        self.span_with_id(id, parent, op, start_ns, end_ns, notes);
         id
     }
 
-    /// Record a span that started `dur_ns` ago and just ended.
-    pub fn span(
-        &self,
-        parent: SpanId,
-        op: impl Into<String>,
-        started_ns: u64,
-        notes: Vec<String>,
-    ) -> SpanId {
-        let dur = now_ns().saturating_sub(started_ns);
-        self.span_at(parent, op, started_ns, dur, notes)
-    }
-
-    /// Record a span with a pre-allocated id (when the id had to be
-    /// minted before the work, to parent server-side spans under it).
-    #[allow(clippy::too_many_arguments)]
+    /// [`span_at`](Self::span_at) with a pre-allocated id (when the id
+    /// had to be minted before the work, to parent server-side spans
+    /// under it).
     pub fn span_with_id(
         &self,
         id: SpanId,
         parent: SpanId,
         op: impl Into<String>,
         start_ns: u64,
-        dur_ns: u64,
+        end_ns: u64,
         notes: Vec<String>,
     ) {
-        self.spans.lock().unwrap().push(Span {
-            trace: self.trace,
-            id,
-            parent,
-            node: self.node.clone(),
-            op: op.into(),
-            start_ns,
-            dur_ns,
-            notes,
-        });
+        let mut span = Span::new(self.ctx(parent), id, &self.node, op, start_ns, end_ns);
+        span.notes = notes;
+        self.spans.lock().unwrap().push(span);
     }
 
     /// Annotate the root span (e.g. `quorum_ack`, `failover`).
     pub fn annotate(&self, note: impl Into<String>) {
         self.root_notes.lock().unwrap().push(note.into());
-    }
-
-    /// A monotonic timestamp on the shared trace clock.
-    pub fn now(&self) -> u64 {
-        trace::now_ns()
     }
 }
 
@@ -274,8 +236,9 @@ mod tests {
         let t = Tracer::new(TraceMode::All, "client0");
         let active = t.begin("round").expect("all mode traces");
         let trace = active.trace();
-        let rpc = active.span(active.root(), "rpc:read", now_ns(), vec!["retry#2".into()]);
-        active.span(rpc, "send", now_ns(), Vec::new());
+        let (root, now) = (active.root(), now_ns());
+        let rpc = active.span_at(root, "rpc:read", now, now, vec!["retry#2".into()]);
+        active.span_at(rpc, "send", now, now, Vec::new());
         let id = t.finish(active);
         assert_eq!(id, trace);
         assert_eq!(t.last(), Some(trace));
@@ -303,7 +266,7 @@ mod tests {
         let t = Tracer::new(TraceMode::Slow(Duration::from_secs(3600)), "client0");
         let active = t.begin("round").expect("slow mode always traces");
         let trace = active.trace();
-        active.span(active.root(), "rpc:read", now_ns(), Vec::new());
+        active.span_at(active.root(), "rpc:read", now_ns(), now_ns(), Vec::new());
         t.finish(active);
         // Far faster than an hour: dropped, not indexed.
         assert!(t.recorder().for_trace(trace).is_empty());

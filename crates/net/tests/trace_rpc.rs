@@ -27,16 +27,29 @@ fn write(s: u32, fh: FileHandle, l: StripeLayout) -> Request {
 /// yields a single tree rooted at the client containing every hop —
 /// per-attempt `rpc:` spans with `send`/`recv` children, the daemons'
 /// `queue`/`service` segments, and the storage spans under them — with
-/// no orphans and every hop nested inside the root's time window.
+/// no orphans and every hop nested inside the root's time window. And
+/// the spans are the histogram samples: each was made from the same two
+/// clock readings as a sample of the books.
 fn traced_round_assembles_the_full_waterfall(kind: TransportKind) {
     let cluster = LiveCluster::spawn_transport(2, IodConfig::default(), kind);
     let c = cluster.client().with_trace_mode(TraceMode::All);
     let l = layout(2);
     let fh = FileHandle(61);
+    let daemon_sums = || {
+        (0..2u32).fold((0, 0), |(queue, service), s| {
+            let snap = cluster.stats_snapshot(ServerId(s)).unwrap();
+            (
+                queue + snap.queue_wait.sum_ns(),
+                service + snap.service_time.sum_ns(),
+            )
+        })
+    };
+    let (client_before, daemons_before) = (c.stats(), daemon_sums());
 
     let responses = c
         .round((0..2u32).map(|s| (ServerId(s), write(s, fh, l))).collect())
         .unwrap();
+    let (client_after, daemons_after) = (c.stats(), daemon_sums());
     assert!(responses
         .iter()
         .all(|r| *r == Response::Written { bytes: 16 }));
@@ -103,6 +116,27 @@ fn traced_round_assembles_the_full_waterfall(kind: TransportKind) {
             s.dur_ns
         );
     }
+    // One reading per boundary feeds both the span and the sample.
+    let span_sum = |op: &str| -> u128 {
+        let spans = tree.spans().iter().filter(|s| s.op == op);
+        spans.map(|s| u128::from(s.dur_ns)).sum()
+    };
+    let rpc_latency = client_after.rpc_latency.since(&client_before.rpc_latency);
+    assert_eq!(
+        span_sum("rpc:write"),
+        rpc_latency.sum_ns(),
+        "[{kind}] rpc:write spans vs rpc_latency"
+    );
+    assert_eq!(
+        span_sum("queue"),
+        daemons_after.0 - daemons_before.0,
+        "[{kind}] queue spans vs the daemons' queue_wait"
+    );
+    assert_eq!(
+        span_sum("service"),
+        daemons_after.1 - daemons_before.1,
+        "[{kind}] service spans vs the daemons' service_time"
+    );
     // The render is the shell's waterfall: header plus indented hops.
     let render = tree.render();
     assert!(render.starts_with(&format!("trace {trace}")), "{render}");

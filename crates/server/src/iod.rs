@@ -24,14 +24,14 @@ use pvfs_disk::{
     StorageBackend, StorageConfig,
 };
 use pvfs_proto::{Request, Response, MAX_BULK_BYTES};
-use pvfs_types::trace::{self, FlightRecorder, TraceContext, DEFAULT_TRACE_CAP};
+use pvfs_types::clock::now_ns;
+use pvfs_types::trace::{self, FlightRecorder};
 use pvfs_types::{
     FileHandle, Ledger, PvfsError, PvfsResult, Region, RegionList, ServerId, StripeLayout,
 };
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Static configuration for one I/O daemon.
 #[derive(Debug, Clone, Copy)]
@@ -190,10 +190,10 @@ pub struct IoDaemon {
     /// kept, for wire and queue, by the transport in front of it (a daemon
     /// driven in-process, the simulator's, has neither).
     ledger: Arc<Ledger>,
-    /// This daemon's trace ring buffer: spans recorded while serving
-    /// traced requests, scraped by `GetTrace`. Bounded by
-    /// [`DEFAULT_TRACE_CAP`]; costs nothing while no request carries trace
-    /// context.
+    /// This daemon's trace ring buffer, scraped by `GetTrace`: the door in
+    /// front of the daemon records the spans of the traced requests it
+    /// serves here. Bounded by [`pvfs_types::DEFAULT_TRACE_CAP`]; costs
+    /// nothing while no request carries trace context.
     recorder: Arc<FlightRecorder>,
 }
 
@@ -218,7 +218,7 @@ impl IoDaemon {
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
             ledger: Arc::new(Ledger::with_workers(config.workers as u64)),
-            recorder: Arc::new(FlightRecorder::new(DEFAULT_TRACE_CAP)),
+            recorder: Arc::default(),
         }
     }
 
@@ -325,7 +325,7 @@ impl IoDaemon {
                 .unwrap_or_default()
         };
         let before = meter();
-        let response = self.handle_with(request, &mut Scratch::default(), None);
+        let response = self.handle_with(request, &mut Scratch::default());
         (response, meter().since(before))
     }
 
@@ -334,31 +334,10 @@ impl IoDaemon {
     /// the scratch one of [`Scratch::reclaim_read`] or
     /// [`Scratch::release_read`].
     ///
-    /// `traced`: the request arrived in a traced frame and waited this
-    /// long for a worker — its server-side spans are recorded
-    /// ([`trace::serve_spans`]: `queue`, `service`, and under that what
-    /// the storage engine adds to the sink: `storage:read`,
-    /// `storage:write`, `journal:fsync`). Control scrapes never are.
-    pub fn handle_with(
-        &self,
-        request: &Request,
-        scratch: &mut Scratch,
-        traced: Option<(TraceContext, Duration)>,
-    ) -> Response {
-        match traced {
-            Some((ctx, waited)) if !request.is_control_scrape() => trace::serve_spans(
-                &self.recorder,
-                ctx,
-                &format!("iod{}", self.id.0),
-                request.op_name(),
-                Some(waited),
-                || self.serve(request, scratch),
-            ),
-            _ => self.serve(request, scratch),
-        }
-    }
-
-    fn serve(&self, request: &Request, scratch: &mut Scratch) -> Response {
+    /// Storage work tells the thread's span sink, if one is installed
+    /// (`pvfs_types::trace::with_span_sink`), what it did: `storage:read`,
+    /// `storage:write`, and through the ledger `journal:fsync`.
+    pub fn handle_with(&self, request: &Request, scratch: &mut Scratch) -> Response {
         // Stats scrapes answer before any counter moves: a monitoring
         // poll must observe the daemon, not perturb it, so the snapshot
         // a client scrapes equals the in-process snapshot byte for
@@ -618,14 +597,14 @@ impl IoDaemon {
         let file = self.file_entry(&mut shard, handle)?;
         // One storage:read span per traced request; a no-op when no sink
         // is active on this thread.
-        let started = std::time::Instant::now();
+        let started = now_ns();
         let mut filled = 0usize;
         for (at, len) in regions().flat_map(|r| local_runs(layout, slot, r)) {
             file.read_into(at, &mut out[filled..filled + len])?;
             filled += len;
         }
         drop(shard);
-        trace::sink_add("storage:read", started.elapsed());
+        trace::sink_add("storage:read", started, now_ns());
         if filled != share {
             // Whatever was not written is the last reply's bytes.
             return Err(PvfsError::Storage(format!(
@@ -693,9 +672,9 @@ impl IoDaemon {
         if runs.is_empty() {
             return Ok(());
         }
-        let started = std::time::Instant::now();
+        let started = now_ns();
         file.write_batch(runs)?;
-        trace::sink_add("storage:write", started.elapsed());
+        trace::sink_add("storage:write", started, now_ns());
         Ok(())
     }
 
@@ -1264,66 +1243,6 @@ mod tests {
     }
 
     #[test]
-    fn traced_write_records_queue_service_and_storage_spans() {
-        use pvfs_types::TraceId;
-        let l = layout();
-        let d = IoDaemon::with_defaults(ServerId(0));
-        let ctx = TraceContext {
-            trace: TraceId::next(),
-            parent: SpanId(999),
-        };
-        let resp = d.handle_with(
-            &Request::Write {
-                handle: fh(),
-                layout: l,
-                region: Region::new(0, 5),
-                data: Bytes::from(vec![1u8; 5]),
-            },
-            &mut Scratch::default(),
-            Some((ctx, Duration::from_micros(40))),
-        );
-        assert_eq!(resp, Response::Written { bytes: 5 });
-        let spans = d.recorder().for_trace(ctx.trace);
-        let ops: Vec<&str> = spans.iter().map(|s| s.op.as_str()).collect();
-        assert!(ops.contains(&"queue"), "{ops:?}");
-        assert!(ops.contains(&"service"), "{ops:?}");
-        assert!(ops.contains(&"storage:write"), "{ops:?}");
-        let queue = spans.iter().find(|s| s.op == "queue").unwrap();
-        assert_eq!(queue.dur_ns, 40_000);
-        assert_eq!(queue.parent, SpanId(999));
-        assert_eq!(queue.node, "iod0");
-        let service = spans.iter().find(|s| s.op == "service").unwrap();
-        assert_eq!(service.parent, SpanId(999));
-        assert_eq!(service.notes, vec!["write".to_string()]);
-        let storage = spans.iter().find(|s| s.op == "storage:write").unwrap();
-        assert_eq!(storage.parent, service.id, "storage nests under service");
-        // Child work is contained in the service window.
-        assert!(storage.start_ns >= service.start_ns);
-        assert!(storage.dur_ns <= service.dur_ns);
-    }
-
-    /// The I/O daemon's queue span is unconditional: a traced request
-    /// that never waited still shows a zero-length `queue` hop.
-    #[test]
-    fn a_traced_request_that_never_waited_still_records_a_queue_span() {
-        let d = IoDaemon::with_defaults(ServerId(0));
-        let ctx = TraceContext {
-            trace: pvfs_types::TraceId::next(),
-            parent: SpanId(5),
-        };
-        d.handle_with(
-            &Request::Ping,
-            &mut Scratch::default(),
-            Some((ctx, Duration::ZERO)),
-        );
-        let spans = d.recorder().for_trace(ctx.trace);
-        let ops: Vec<&str> = spans.iter().map(|s| s.op.as_str()).collect();
-        assert_eq!(ops, ["queue", "service"]);
-        assert_eq!(spans[0].dur_ns, 0);
-        assert_eq!(spans[0].start_ns, spans[1].start_ns);
-    }
-
-    #[test]
     fn untraced_requests_leave_the_recorder_empty() {
         let l = layout();
         let d = IoDaemon::with_defaults(ServerId(0));
@@ -1334,56 +1253,41 @@ mod tests {
                 region: Region::new(0, 5),
             },
             &mut Scratch::default(),
-            None,
         );
         assert!(matches!(resp, Response::Data { .. }));
-        assert!(d.recorder().is_empty(), "no context, no spans");
+        assert!(
+            d.recorder().is_empty(),
+            "the door records spans, not the daemon"
+        );
     }
 
     #[test]
     fn get_trace_scrape_is_unaccounted_and_pure() {
-        use pvfs_types::TraceId;
-        let l = layout();
+        use pvfs_types::{Span, TraceId};
         let d = IoDaemon::with_defaults(ServerId(0));
-        let ctx = TraceContext {
-            trace: TraceId::next(),
+        let trace = TraceId::next();
+        d.recorder().push(Span {
+            trace,
+            id: SpanId::next(),
             parent: SpanId(7),
-        };
-        d.handle_with(
-            &Request::Read {
-                handle: fh(),
-                layout: l,
-                region: Region::new(0, 5),
-            },
-            &mut Scratch::default(),
-            Some((ctx, Duration::ZERO)),
-        );
+            node: "iod0".into(),
+            op: "service".into(),
+            start_ns: 0,
+            dur_ns: 1,
+            notes: Vec::new(),
+        });
         let before = d.ledger().snapshot();
-        let (resp, _) = d.handle(&Request::GetTrace { trace: ctx.trace });
+        let (resp, _) = d.handle(&Request::GetTrace { trace });
         let spans = match resp {
             Response::Spans(s) => s,
             other => panic!("unexpected {other:?}"),
         };
-        assert!(!spans.is_empty());
+        assert_eq!(spans.len(), 1);
         // The scrape moved no counters and perturbed no traces: a second
-        // scrape sees the identical span set, and even a scrape carrying
-        // trace context records nothing.
+        // scrape sees the identical span set.
         assert_eq!(d.ledger().snapshot(), before, "GetTrace must not count");
-        let resp2 = d.handle_with(
-            &Request::GetTrace { trace: ctx.trace },
-            &mut Scratch::default(),
-            Some((
-                TraceContext {
-                    trace: TraceId::next(),
-                    parent: SpanId(1),
-                },
-                Duration::from_micros(3),
-            )),
-        );
-        match resp2 {
-            Response::Spans(s2) => assert_eq!(s2, spans, "scrape perturbed the trace"),
-            other => panic!("unexpected {other:?}"),
-        }
+        let (resp2, _) = d.handle(&Request::GetTrace { trace });
+        assert_eq!(resp2, Response::Spans(spans), "scrape perturbed the trace");
         // Unknown traces answer empty, not an error.
         let (resp3, _) = d.handle(&Request::GetTrace {
             trace: TraceId(u64::MAX),
@@ -1428,8 +1332,8 @@ mod tests {
             region: Region::new(0, 5),
             data: Bytes::from(vec![1u8; 5]),
         });
-        d.ledger().begin(Duration::from_micros(10));
-        d.ledger().end(Duration::from_micros(50));
+        d.ledger().begin(0, 10_000);
+        d.ledger().end(10_000, 60_000);
         let (resp, _) = d.handle(&Request::ResetStats);
         let snap = match resp {
             Response::Stats(s) => s,
@@ -1453,12 +1357,12 @@ mod tests {
         let snap = d.ledger().snapshot();
         assert_eq!(snap.queue_depth, 2);
         assert_eq!(snap.busy_workers, 0);
-        d.ledger().begin(Duration::from_micros(3));
+        d.ledger().begin(0, 3_000);
         let snap = d.ledger().snapshot();
         assert_eq!(snap.queue_depth, 1);
         assert_eq!(snap.busy_workers, 1);
         assert_eq!(snap.queue_wait.count(), 1);
-        d.ledger().end(Duration::from_micros(9));
+        d.ledger().end(3_000, 12_000);
         let snap = d.ledger().snapshot();
         assert_eq!(snap.busy_workers, 0);
         assert_eq!(snap.service_time.count(), 1);
@@ -1738,7 +1642,7 @@ mod tests {
             let d = IoDaemon::with_storage(ServerId(0), IodConfig::default(), storage);
             let scratch = &mut Scratch::default();
             let mut serve = |request: Request| {
-                let response = d.handle_with(&request, scratch, None);
+                let response = d.handle_with(&request, scratch);
                 // The reply leaves (a copy of it stays, for the test to
                 // look at); the buffer is the scratch's again.
                 let (copy, at) = match response {
@@ -1835,7 +1739,7 @@ mod tests {
                 region: Region::new(offset, 100),
                 data: Bytes::from(vec![0xAB; 100]),
             };
-            d.handle_with(&request, scratch, None)
+            d.handle_with(&request, scratch)
         };
         let read = Request::Read {
             handle: fh(),
@@ -1843,7 +1747,7 @@ mod tests {
             region: Region::new(0, 100),
         };
         assert_eq!(write(0, scratch), Response::Written { bytes: 100 });
-        let dirty = d.handle_with(&read, scratch, None);
+        let dirty = d.handle_with(&read, scratch);
         assert!(matches!(dirty, Response::Data { .. }));
         drop(dirty);
         scratch.reclaim_read();
@@ -1851,7 +1755,7 @@ mod tests {
         // The store wedges: every access fails from here on.
         d.inject_storage_crash(fh(), pvfs_disk::CrashPoint::TornJournal);
         assert!(matches!(write(200, scratch), Response::Error(_)));
-        let refused = d.handle_with(&read, scratch, None);
+        let refused = d.handle_with(&read, scratch);
         assert!(matches!(refused, Response::Error(PvfsError::Storage(_))));
         scratch.reclaim_read();
         assert_eq!(
@@ -1887,7 +1791,7 @@ mod tests {
         // reply is dropped and its last handle made writable again.
         let mut serve = |request: Request, buffer: BytesMut| {
             scratch.adopt_read(buffer);
-            let response = d.handle_with(&request, scratch, None);
+            let response = d.handle_with(&request, scratch);
             let unused = scratch.release_read();
             match response {
                 Response::Data { data } => {

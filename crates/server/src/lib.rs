@@ -10,8 +10,10 @@
 //!   clients.
 //!
 //! Both daemons serve a request into a response with no knowledge of
-//! threads, channels, virtual time or cost. The live threaded cluster
-//! (`pvfs-net`) calls them from server threads; the discrete-event
+//! threads, channels, virtual time, cost or tracing (beyond keeping the
+//! span ring a `GetTrace` scrapes). The live threaded cluster
+//! (`pvfs-net`) calls them from server threads, and records a traced
+//! request's spans around the call; the discrete-event
 //! simulator (`pvfs-sim`) calls [`IoDaemon::handle`] from its event loop
 //! and prices what the request and the daemon's metered local files say
 //! it cost. One implementation, two executions — the strategy comparison

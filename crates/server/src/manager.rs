@@ -14,12 +14,11 @@
 //! transport in front books a frame without taking it.
 
 use pvfs_proto::{Request, Response};
-use pvfs_types::trace::{self, FlightRecorder, TraceContext, DEFAULT_TRACE_CAP};
+use pvfs_types::FlightRecorder;
 use pvfs_types::{FileHandle, Ledger, PvfsError, StripeLayout};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 #[derive(Debug, Clone)]
 struct MetaEntry {
@@ -47,8 +46,8 @@ pub struct Manager {
     /// left at zero. Beside the lock, not behind it: the transport in
     /// front accounts a frame without taking it.
     ledger: Ledger,
-    /// Trace ring buffer for metadata requests that carry trace
-    /// context, scraped by `GetTrace`.
+    /// Trace ring buffer, scraped by `GetTrace`: the door in front of the
+    /// manager records the spans of the traced requests it serves here.
     recorder: Arc<FlightRecorder>,
 }
 
@@ -68,7 +67,7 @@ impl Manager {
                 by_handle: HashMap::new(),
             }),
             ledger: Ledger::with_workers(1),
-            recorder: Arc::new(FlightRecorder::new(DEFAULT_TRACE_CAP)),
+            recorder: Arc::default(),
         }
     }
 
@@ -99,25 +98,8 @@ impl Manager {
         namespace.by_path.get(path).map(|e| e.layout)
     }
 
-    /// Serve one metadata request. `traced` is the trace context of a
-    /// request that arrived in a traced frame and how long it sat queued
-    /// before the dispatch loop picked it up: a `service` span (node
-    /// `mgr`) is recorded, and a `queue` span if it waited at all.
-    /// Control scrapes are never traced.
-    pub fn handle(&self, request: &Request, traced: Option<(TraceContext, Duration)>) -> Response {
-        match traced {
-            Some((ctx, waited)) if !request.is_control_scrape() => {
-                let queued = (!waited.is_zero()).then_some(waited);
-                let op = request.op_name();
-                trace::serve_spans(&self.recorder, ctx, "mgr", op, queued, || {
-                    self.serve(request)
-                })
-            }
-            _ => self.serve(request),
-        }
-    }
-
-    fn serve(&self, request: &Request) -> Response {
+    /// Serve one metadata request.
+    pub fn handle(&self, request: &Request) -> Response {
         // Stats scrapes answer before any counter moves, so a scraped
         // snapshot equals the in-process one byte for byte.
         match request {
@@ -227,20 +209,17 @@ impl Namespace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pvfs_types::{Region, SpanId};
+    use pvfs_types::Region;
 
     fn layout() -> StripeLayout {
         StripeLayout::paper_default(8)
     }
 
     fn create(m: &Manager, path: &str) -> FileHandle {
-        match m.handle(
-            &Request::Create {
-                path: path.into(),
-                layout: layout(),
-            },
-            None,
-        ) {
+        match m.handle(&Request::Create {
+            path: path.into(),
+            layout: layout(),
+        }) {
             Response::Created { handle } => handle,
             other => panic!("unexpected {other:?}"),
         }
@@ -250,12 +229,9 @@ mod tests {
     fn create_then_open_returns_same_handle_and_layout() {
         let m = Manager::new();
         let h = create(&m, "/pvfs/a");
-        match m.handle(
-            &Request::Open {
-                path: "/pvfs/a".into(),
-            },
-            None,
-        ) {
+        match m.handle(&Request::Open {
+            path: "/pvfs/a".into(),
+        }) {
             Response::Opened { handle, layout: l } => {
                 assert_eq!(handle, h);
                 assert_eq!(l, layout());
@@ -268,26 +244,20 @@ mod tests {
     fn create_duplicate_fails() {
         let m = Manager::new();
         create(&m, "/pvfs/a");
-        let resp = m.handle(
-            &Request::Create {
-                path: "/pvfs/a".into(),
-                layout: layout(),
-            },
-            None,
-        );
+        let resp = m.handle(&Request::Create {
+            path: "/pvfs/a".into(),
+            layout: layout(),
+        });
         assert!(matches!(resp, Response::Error(PvfsError::AlreadyExists(_))));
     }
 
     #[test]
     fn create_empty_path_fails() {
         let m = Manager::new();
-        let resp = m.handle(
-            &Request::Create {
-                path: String::new(),
-                layout: layout(),
-            },
-            None,
-        );
+        let resp = m.handle(&Request::Create {
+            path: String::new(),
+            layout: layout(),
+        });
         assert!(matches!(
             resp,
             Response::Error(PvfsError::InvalidArgument(_))
@@ -297,17 +267,14 @@ mod tests {
     #[test]
     fn create_invalid_layout_fails() {
         let m = Manager::new();
-        let resp = m.handle(
-            &Request::Create {
-                path: "/x".into(),
-                layout: StripeLayout {
-                    base: 0,
-                    pcount: 0,
-                    ssize: 16,
-                },
+        let resp = m.handle(&Request::Create {
+            path: "/x".into(),
+            layout: StripeLayout {
+                base: 0,
+                pcount: 0,
+                ssize: 16,
             },
-            None,
-        );
+        });
         assert!(matches!(
             resp,
             Response::Error(PvfsError::InvalidArgument(_))
@@ -317,12 +284,9 @@ mod tests {
     #[test]
     fn open_missing_file_fails() {
         let m = Manager::new();
-        let resp = m.handle(
-            &Request::Open {
-                path: "/nope".into(),
-            },
-            None,
-        );
+        let resp = m.handle(&Request::Open {
+            path: "/nope".into(),
+        });
         assert!(matches!(resp, Response::Error(PvfsError::NoSuchFile(_))));
     }
 
@@ -338,16 +302,10 @@ mod tests {
     fn close_validates_handle() {
         let m = Manager::new();
         let h = create(&m, "/a");
-        assert_eq!(
-            m.handle(&Request::Close { handle: h }, None),
-            Response::Closed
-        );
-        let resp = m.handle(
-            &Request::Close {
-                handle: FileHandle(999),
-            },
-            None,
-        );
+        assert_eq!(m.handle(&Request::Close { handle: h }), Response::Closed);
+        let resp = m.handle(&Request::Close {
+            handle: FileHandle(999),
+        });
         assert!(matches!(resp, Response::Error(PvfsError::BadHandle(_))));
     }
 
@@ -355,13 +313,10 @@ mod tests {
     fn unbalanced_close_is_a_typed_error() {
         let m = Manager::new();
         let h = create(&m, "/a");
-        assert_eq!(
-            m.handle(&Request::Close { handle: h }, None),
-            Response::Closed
-        );
+        assert_eq!(m.handle(&Request::Close { handle: h }), Response::Closed);
         // The create's open is now balanced; a second close has no
         // matching open and must be refused, not silently absorbed.
-        let resp = m.handle(&Request::Close { handle: h }, None);
+        let resp = m.handle(&Request::Close { handle: h });
         assert!(matches!(
             resp,
             Response::Error(PvfsError::InvalidArgument(_))
@@ -370,21 +325,18 @@ mod tests {
         assert_eq!(m.ledger().snapshot().errors, 1);
         // Open/close still balances afterwards.
         assert!(matches!(
-            m.handle(&Request::Open { path: "/a".into() }, None),
+            m.handle(&Request::Open { path: "/a".into() }),
             Response::Opened { .. }
         ));
-        assert_eq!(
-            m.handle(&Request::Close { handle: h }, None),
-            Response::Closed
-        );
+        assert_eq!(m.handle(&Request::Close { handle: h }), Response::Closed);
     }
 
     #[test]
     fn manager_serves_the_stats_rpc_without_counting_it() {
         let m = Manager::new();
         create(&m, "/a");
-        m.handle(&Request::Open { path: "/a".into() }, None);
-        let snap = match m.handle(&Request::GetStats, None) {
+        m.handle(&Request::Open { path: "/a".into() });
+        let snap = match m.handle(&Request::GetStats) {
             Response::Stats(s) => s,
             other => panic!("unexpected {other:?}"),
         };
@@ -393,7 +345,7 @@ mod tests {
         assert_eq!(snap.workers, 1);
         assert_eq!(snap.bytes_read, 0, "manager never touches data");
         // ResetStats returns the pre-reset view, then zeroes.
-        let pre = match m.handle(&Request::ResetStats, None) {
+        let pre = match m.handle(&Request::ResetStats) {
             Response::Stats(s) => s,
             other => panic!("unexpected {other:?}"),
         };
@@ -402,67 +354,20 @@ mod tests {
     }
 
     #[test]
-    fn traced_metadata_request_records_a_service_span() {
-        let m = Manager::new();
-        let ctx = TraceContext {
-            trace: pvfs_types::TraceId::next(),
-            parent: SpanId::next(),
-        };
-        let resp = m.handle(
-            &Request::Create {
-                path: "/a".into(),
-                layout: layout(),
-            },
-            Some((ctx, Duration::from_micros(25))),
-        );
-        assert!(matches!(resp, Response::Created { .. }));
-        let spans = m.recorder().for_trace(ctx.trace);
-        let queue = spans.iter().find(|s| s.op == "queue").expect("queue span");
-        assert_eq!(queue.dur_ns, 25_000);
-        assert_eq!(queue.parent, ctx.parent);
-        let svc = spans
-            .iter()
-            .find(|s| s.op == "service")
-            .expect("service span");
-        assert_eq!(svc.node, "mgr");
-        assert_eq!(svc.parent, ctx.parent);
-        assert_eq!(svc.notes, vec!["create".to_string()]);
-    }
-
-    /// Unlike an I/O daemon, the manager records no `queue` span for a
-    /// request that never waited.
-    #[test]
-    fn a_traced_metadata_request_that_never_waited_records_no_queue_span() {
-        let m = Manager::new();
-        let ctx = TraceContext {
-            trace: pvfs_types::TraceId::next(),
-            parent: SpanId::next(),
-        };
-        m.handle(&Request::ListDir, Some((ctx, Duration::ZERO)));
-        let spans = m.recorder().for_trace(ctx.trace);
-        let ops: Vec<&str> = spans.iter().map(|s| s.op.as_str()).collect();
-        assert_eq!(ops, ["service"]);
-    }
-
-    #[test]
     fn untraced_and_scrape_requests_leave_the_manager_recorder_empty() {
         let m = Manager::new();
-        let ctx = TraceContext {
-            trace: pvfs_types::TraceId::next(),
-            parent: SpanId::next(),
-        };
-        // No context: nothing recorded.
-        m.handle(&Request::ListDir, None);
-        // Scrape with context: still nothing — traces must never trace
-        // their own collection.
+        m.handle(&Request::ListDir);
+        // A scrape is served, not counted, and records nothing.
         let before = m.ledger().snapshot();
-        let resp = m.handle(
-            &Request::GetTrace { trace: ctx.trace },
-            Some((ctx, Duration::ZERO)),
-        );
+        let resp = m.handle(&Request::GetTrace {
+            trace: pvfs_types::TraceId::next(),
+        });
         assert_eq!(resp, Response::Spans(Vec::new()));
         assert_eq!(m.ledger().snapshot().requests, before.requests);
-        assert!(m.recorder().is_empty());
+        assert!(
+            m.recorder().is_empty(),
+            "the door records spans, not the manager"
+        );
     }
 
     #[test]
@@ -470,15 +375,15 @@ mod tests {
         let m = Manager::new();
         let h = create(&m, "/a");
         assert_eq!(
-            m.handle(&Request::Remove { path: "/a".into() }, None),
+            m.handle(&Request::Remove { path: "/a".into() }),
             Response::Removed
         );
         assert_eq!(m.file_count(), 0);
         assert!(m.layout_of(h).is_none());
-        let resp = m.handle(&Request::Open { path: "/a".into() }, None);
+        let resp = m.handle(&Request::Open { path: "/a".into() });
         assert!(matches!(resp, Response::Error(PvfsError::NoSuchFile(_))));
         // Removing again fails.
-        let resp = m.handle(&Request::Remove { path: "/a".into() }, None);
+        let resp = m.handle(&Request::Remove { path: "/a".into() });
         assert!(matches!(resp, Response::Error(PvfsError::NoSuchFile(_))));
     }
 
@@ -488,14 +393,14 @@ mod tests {
         create(&m, "/b");
         create(&m, "/a");
         create(&m, "/c");
-        match m.handle(&Request::ListDir, None) {
+        match m.handle(&Request::ListDir) {
             Response::Listing { paths } => {
                 assert_eq!(paths, vec!["/a", "/b", "/c"]);
             }
             other => panic!("unexpected {other:?}"),
         }
-        m.handle(&Request::Remove { path: "/b".into() }, None);
-        match m.handle(&Request::ListDir, None) {
+        m.handle(&Request::Remove { path: "/b".into() });
+        match m.handle(&Request::ListDir) {
             Response::Listing { paths } => assert_eq!(paths, vec!["/a", "/c"]),
             other => panic!("unexpected {other:?}"),
         }
@@ -504,7 +409,7 @@ mod tests {
     #[test]
     fn list_dir_empty_namespace() {
         let m = Manager::new();
-        match m.handle(&Request::ListDir, None) {
+        match m.handle(&Request::ListDir) {
             Response::Listing { paths } => assert!(paths.is_empty()),
             other => panic!("unexpected {other:?}"),
         }
@@ -513,10 +418,7 @@ mod tests {
     #[test]
     fn ping_answers_pong_and_counts() {
         let m = Manager::new();
-        assert_eq!(
-            m.handle(&Request::Ping, None),
-            Response::Pong { queue_depth: 0 }
-        );
+        assert_eq!(m.handle(&Request::Ping), Response::Pong { queue_depth: 0 });
         assert_eq!(
             m.ledger().snapshot().requests,
             1,
@@ -527,14 +429,11 @@ mod tests {
     #[test]
     fn data_ops_are_rejected_at_the_manager() {
         let m = Manager::new();
-        let resp = m.handle(
-            &Request::Read {
-                handle: FileHandle(1),
-                layout: layout(),
-                region: Region::new(0, 10),
-            },
-            None,
-        );
+        let resp = m.handle(&Request::Read {
+            handle: FileHandle(1),
+            layout: layout(),
+            region: Region::new(0, 10),
+        });
         assert!(matches!(resp, Response::Error(PvfsError::Protocol(_))));
     }
 
@@ -550,8 +449,8 @@ mod tests {
     fn reopen_after_close_works() {
         let m = Manager::new();
         let h = create(&m, "/a");
-        m.handle(&Request::Close { handle: h }, None);
-        match m.handle(&Request::Open { path: "/a".into() }, None) {
+        m.handle(&Request::Close { handle: h });
+        match m.handle(&Request::Open { path: "/a".into() }) {
             Response::Opened { handle, .. } => assert_eq!(handle, h),
             other => panic!("unexpected {other:?}"),
         }

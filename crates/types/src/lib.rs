@@ -17,6 +17,8 @@
 //!   [`Ledger`]: the one table every daemon and client metric is declared
 //!   in, from which [`StatsSnapshot`], [`ClientStats`] and what the
 //!   `GetStats` control RPC ships are derived.
+//! * [`clock`] — the program's one clock: every timing, span and
+//!   deadline is a reading of [`clock::now_ns`].
 //! * [`trace`] — distributed request tracing: `TraceId`/`SpanId`,
 //!   compact [`Span`] records, the per-daemon [`FlightRecorder`] ring
 //!   buffer, and the [`TraceTree`] waterfall assembler.
@@ -28,6 +30,7 @@
 //! Nothing here performs I/O; these are pure data structures with heavily
 //! tested invariants.
 
+pub mod clock;
 pub mod datatype;
 pub mod env;
 pub mod error;

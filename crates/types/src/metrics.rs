@@ -31,7 +31,6 @@
 //! written once, as methods of [`Ledger`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// A histogram over nanosecond durations with logarithmic buckets
 /// (2 buckets per octave, ~41% resolution), cheap enough to record
@@ -286,11 +285,6 @@ impl SharedHistogram {
         self.sum.fetch_add(ns, Ordering::Relaxed);
         self.min.fetch_min(ns, Ordering::Relaxed);
         self.max.fetch_max(ns, Ordering::Relaxed);
-    }
-
-    /// Record an elapsed [`std::time::Duration`].
-    pub fn record_duration(&self, d: std::time::Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
     /// Number of samples so far.
@@ -601,27 +595,33 @@ impl Ledger {
         self.requests_shed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A worker dequeued a request after it `waited` in the queue;
-    /// paired with [`end`](Ledger::end).
-    pub fn begin(&self, waited: Duration) {
+    /// A worker took, at the clock reading `taken`, a request queued at
+    /// the reading `queued`; paired with [`end`](Ledger::end). The two
+    /// readings are the `queue` span of a traced request too.
+    pub fn begin(&self, queued: u64, taken: u64) {
         self.queue_depth.fetch_sub(1, Ordering::Relaxed);
         self.busy_workers.fetch_add(1, Ordering::Relaxed);
-        self.queue_wait.record_duration(waited);
+        self.queue_wait.record(taken.saturating_sub(queued));
     }
 
-    /// A worker finished a request in `took` wall-clock time.
-    pub fn end(&self, took: Duration) {
+    /// The request a worker took at the reading `taken`
+    /// ([`begin`](Ledger::begin)) was done at the reading `done`: the
+    /// `service` span of a traced request too.
+    pub fn end(&self, taken: u64, done: u64) {
         self.busy_workers.fetch_sub(1, Ordering::Relaxed);
-        self.service_time.record_duration(took);
+        self.service_time.record(done.saturating_sub(taken));
     }
 
-    /// One storage-engine fsync of `took` wall time. Also feeds the
-    /// serving daemon's trace sink, if one is active on this thread, so
-    /// traced requests show their `journal:fsync` hop.
-    pub fn record_fsync(&self, took: Duration) {
+    /// One storage-engine fsync, begun at the clock reading `started`,
+    /// has just ended: the one reading of its end, returned, is the
+    /// sample's and the `journal:fsync` span's (the serving daemon's
+    /// trace sink, if one is active on this thread).
+    pub fn record_fsync(&self, started: u64) -> u64 {
+        let ended = crate::clock::now_ns();
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
-        self.fsync_time.record_duration(took);
-        crate::trace::sink_add("journal:fsync", took);
+        self.fsync_time.record(ended.saturating_sub(started));
+        crate::trace::sink_add("journal:fsync", started, ended);
+        ended
     }
 }
 

@@ -14,8 +14,10 @@
 //! Ids are plain counters ([`SpanId::next`], [`TraceId::next`]):
 //! deterministic under seeded runs, unique process-wide (every daemon
 //! in this reproduction shares the process), and free of any wall-clock
-//! requirement — timestamps come from one process-global monotonic
-//! epoch ([`now_ns`]), so client and server spans share a timeline.
+//! requirement — timestamps are readings of the program's one clock
+//! ([`crate::clock::now_ns`]), so client and server spans share a
+//! timeline, and a span shares its readings with the histogram sample
+//! taken at the same boundaries.
 //!
 //! # Retention
 //!
@@ -39,19 +41,12 @@ use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::Mutex;
+use std::time::Duration;
 
 /// The capacity, in spans, of every [`FlightRecorder`] a live node keeps
 /// (client, daemon, manager): what bounds tracing memory.
 pub const DEFAULT_TRACE_CAP: usize = 4096;
-
-/// Nanoseconds since the process-global monotonic epoch. Comparable
-/// across every recorder in the process — the whole cluster shares it.
-pub fn now_ns() -> u64 {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
-}
 
 /// Identifies one causally-linked tree of spans. `TraceId(0)` is
 /// reserved for "no trace".
@@ -129,13 +124,37 @@ pub struct Span {
     /// Phase tag: `"round"`, `"rpc:ReadList"`, `"queue"`, `"service"`,
     /// `"storage:read"`, `"journal:fsync"`, `"phase_exchange"`, ...
     pub op: String,
-    /// Start, in [`now_ns`] time.
+    /// Start, a [`crate::clock::now_ns`] reading.
     pub start_ns: u64,
     /// Duration in nanoseconds (0 for point events like `failover`).
     pub dur_ns: u64,
     /// Annotations: `"retry#2"`, `"failover"`, `"error"`,
     /// `"quorum_ack:3/3"`, the RPC's target server, ...
     pub notes: Vec<String>,
+}
+
+impl Span {
+    /// Span `id` of `ctx.trace` under `ctx.parent`, recorded by `node`:
+    /// `op`, from the clock reading `start_ns` to `end_ns`, no notes.
+    pub fn new(
+        ctx: TraceContext,
+        id: SpanId,
+        node: impl Into<String>,
+        op: impl Into<String>,
+        start_ns: u64,
+        end_ns: u64,
+    ) -> Span {
+        Span {
+            trace: ctx.trace,
+            id,
+            parent: ctx.parent,
+            node: node.into(),
+            op: op.into(),
+            start_ns,
+            dur_ns: end_ns.saturating_sub(start_ns),
+            notes: Vec::new(),
+        }
+    }
 }
 
 struct Ring {
@@ -166,7 +185,7 @@ impl fmt::Debug for FlightRecorder {
 impl FlightRecorder {
     /// A recorder retaining at most `cap` spans (`cap` is clamped to at
     /// least 1 — a zero-capacity recorder would silently drop every
-    /// span). Live nodes pass [`DEFAULT_TRACE_CAP`].
+    /// span). Live nodes keep the [`Default`] one, of [`DEFAULT_TRACE_CAP`].
     pub fn new(cap: usize) -> FlightRecorder {
         FlightRecorder {
             cap: cap.max(1),
@@ -238,6 +257,13 @@ impl FlightRecorder {
         let mut ring = self.inner.lock().unwrap();
         ring.spans.clear();
         ring.dropped = 0;
+    }
+}
+
+/// A live node's recorder: [`DEFAULT_TRACE_CAP`] spans.
+impl Default for FlightRecorder {
+    fn default() -> FlightRecorder {
+        FlightRecorder::new(DEFAULT_TRACE_CAP)
     }
 }
 
@@ -332,7 +358,7 @@ thread_local! {
 pub fn with_span_sink<R>(
     ctx: TraceContext,
     node: &str,
-    out: &Arc<FlightRecorder>,
+    out: &FlightRecorder,
     f: impl FnOnce() -> R,
 ) -> R {
     let prev = SINK.with(|s| {
@@ -344,112 +370,32 @@ pub fn with_span_sink<R>(
     });
     let result = f();
     let scope = SINK.with(|s| s.replace(prev));
-    if let Some(scope) = scope {
-        let mut storage_write = SpanId::NONE;
-        let mut spans: Vec<Span> = Vec::with_capacity(scope.acc.len());
-        for (op, start_ns, dur_ns) in &scope.acc {
-            if op.starts_with("journal:") {
-                continue;
-            }
-            let id = SpanId::next();
-            if op == "storage:write" {
-                storage_write = id;
-            }
-            spans.push(Span {
-                trace: scope.ctx.trace,
-                id,
-                parent: scope.ctx.parent,
-                node: scope.node.clone(),
-                op: op.clone(),
-                start_ns: *start_ns,
-                dur_ns: *dur_ns,
-                notes: Vec::new(),
-            });
-        }
-        for (op, start_ns, dur_ns) in &scope.acc {
-            if !op.starts_with("journal:") {
-                continue;
-            }
-            spans.push(Span {
-                trace: scope.ctx.trace,
-                id: SpanId::next(),
-                parent: if storage_write == SpanId::NONE {
-                    scope.ctx.parent
-                } else {
-                    storage_write
-                },
-                node: scope.node.clone(),
-                op: op.clone(),
-                start_ns: *start_ns,
-                dur_ns: *dur_ns,
-                notes: Vec::new(),
-            });
-        }
-        out.extend(spans);
+    if let Some(SinkScope { ctx, node, acc }) = scope {
+        let ids: Vec<SpanId> = acc.iter().map(|_| SpanId::next()).collect();
+        let write = acc.iter().position(|(op, _, _)| op == "storage:write");
+        out.extend(acc.iter().zip(&ids).map(|((op, start_ns, dur_ns), id)| {
+            let parent = match write {
+                Some(w) if op.starts_with("journal:") => ids[w],
+                _ => ctx.parent,
+            };
+            let ctx = TraceContext { parent, ..ctx };
+            Span::new(ctx, *id, &node, op, *start_ns, start_ns + dur_ns)
+        }));
     }
     result
 }
 
-/// The spans a daemon records around one traced request, which `serve`
-/// serves: a `queue` span for the time it sat `queued` before a worker
-/// took it (`None`: no such span) and a `service` span, noted with the
-/// request's `op`, around `serve` — under which whatever `serve`
-/// contributes to the span sink nests. Both are children of `ctx.parent`,
-/// on `node`.
-pub fn serve_spans<R>(
-    recorder: &Arc<FlightRecorder>,
-    ctx: TraceContext,
-    node: &str,
-    op: &str,
-    queued: Option<Duration>,
-    serve: impl FnOnce() -> R,
-) -> R {
-    let started = now_ns();
-    let span = |id, name: &str, start_ns, dur_ns, notes| Span {
-        trace: ctx.trace,
-        id,
-        parent: ctx.parent,
-        node: node.into(),
-        op: name.into(),
-        start_ns,
-        dur_ns,
-        notes,
-    };
-    if let Some(queued) = queued {
-        let queue_ns = queued.as_nanos() as u64;
-        let start_ns = started.saturating_sub(queue_ns);
-        recorder.push(span(
-            SpanId::next(),
-            "queue",
-            start_ns,
-            queue_ns,
-            Vec::new(),
-        ));
-    }
-    let service = SpanId::next();
-    let under_service = TraceContext {
-        trace: ctx.trace,
-        parent: service,
-    };
-    let result = with_span_sink(under_service, node, recorder, serve);
-    let took = now_ns().saturating_sub(started);
-    recorder.push(span(service, "service", started, took, vec![op.into()]));
-    result
-}
-
-/// Contribute `dur` of work tagged `op` to the active span sink, if
-/// any. Nearly free when no sink is installed (one thread-local read),
-/// so the storage hot path can call it unconditionally.
-pub fn sink_add(op: &str, dur: Duration) {
+/// Contribute the work tagged `op` that ran from the reading `start_ns`
+/// to `end_ns` to the active span sink, if any. Nearly free when no sink
+/// is installed (one thread-local read), so the storage hot path can
+/// call it unconditionally.
+pub fn sink_add(op: &str, start_ns: u64, end_ns: u64) {
     SINK.with(|s| {
         if let Some(scope) = s.borrow_mut().as_mut() {
-            let dur_ns = dur.as_nanos() as u64;
+            let dur_ns = end_ns.saturating_sub(start_ns);
             match scope.acc.iter_mut().find(|(o, _, _)| o == op) {
                 Some((_, _, total)) => *total += dur_ns,
-                None => {
-                    let start = now_ns().saturating_sub(dur_ns);
-                    scope.acc.push((op.to_string(), start, dur_ns));
-                }
+                None => scope.acc.push((op.to_string(), start_ns, dur_ns)),
             }
         }
     });
@@ -537,7 +483,7 @@ impl TraceTree {
     /// Render the indented waterfall:
     ///
     /// ```text
-    /// trace 00000001 · round · 2 roots? no: 1.2 ms · 9 spans
+    /// trace 00000001 · round · 1.234 ms · 5 spans
     ///   [client0] round            @0.000ms  +1.234ms
     ///     [client0] rpc:ReadList   @0.010ms  +1.100ms  iod0 retry#2
     ///       [iod0] queue           @0.050ms  +0.020ms
@@ -749,32 +695,33 @@ mod tests {
 
     #[test]
     fn span_sink_aggregates_per_op_and_nests_journal_under_write() {
-        let rec = Arc::new(FlightRecorder::new(16));
+        let rec = FlightRecorder::new(16);
         let ctx = TraceContext {
             trace: TraceId(40),
             parent: SpanId(7),
         };
         with_span_sink(ctx, "iod1", &rec, || {
-            for _ in 0..64 {
-                sink_add("storage:write", Duration::from_nanos(100));
+            for i in 0..64 {
+                sink_add("storage:write", 1_000 * i, 1_000 * i + 100);
             }
-            sink_add("journal:fsync", Duration::from_nanos(500));
+            sink_add("journal:fsync", 70_000, 70_500);
         });
         let spans = rec.for_trace(TraceId(40));
         assert_eq!(spans.len(), 2, "64 region writes must aggregate: {spans:?}");
         let write = spans.iter().find(|s| s.op == "storage:write").unwrap();
-        assert_eq!(write.dur_ns, 6400);
+        assert_eq!((write.start_ns, write.dur_ns), (0, 6400));
         assert_eq!(write.parent, SpanId(7));
         assert_eq!(write.node, "iod1");
         let fsync = spans.iter().find(|s| s.op == "journal:fsync").unwrap();
         assert_eq!(fsync.parent, write.id, "journal nests under the write");
+        assert_eq!((fsync.start_ns, fsync.dur_ns), (70_000, 500));
     }
 
     #[test]
     fn span_sink_is_inert_when_absent() {
         // No scope installed: must not record or panic.
-        sink_add("storage:read", Duration::from_nanos(5));
-        let rec = Arc::new(FlightRecorder::new(4));
+        sink_add("storage:read", 0, 5);
+        let rec = FlightRecorder::new(4);
         assert!(rec.is_empty());
     }
 }

@@ -21,7 +21,7 @@ use crate::core::Method;
 use crate::net::{ClientStats, ClusterClient, LiveCluster, RpcTarget};
 use crate::proto::{Request, Response};
 use crate::types::{
-    PvfsError, PvfsResult, RegionList, ServerId, StatsSnapshot, StripeLayout, TraceId,
+    clock, PvfsError, PvfsResult, RegionList, ServerId, StatsSnapshot, StripeLayout, TraceId,
 };
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -351,9 +351,9 @@ impl Shell {
         );
         for method in crate::core::Method::ALL {
             let mut buf = vec![0u8; regions.total_len() as usize];
-            let started = std::time::Instant::now();
+            let started = clock::now_ns();
             let report = file.read_list(&mem, &regions, &mut buf, method)?;
-            let us = started.elapsed().as_micros();
+            let us = clock::since(started).as_micros();
             let _ = writeln!(
                 out,
                 "{:<20} {:>10} {:>8} {:>12}",
@@ -427,7 +427,7 @@ impl Shell {
         let client = &self.client;
         let mut out = String::from("server     status    rtt µs  queue\n");
         for i in 0..self.cluster.n_servers() {
-            let started = std::time::Instant::now();
+            let started = clock::now_ns();
             match client.ping(ServerId(i)) {
                 Ok(depth) => {
                     let _ = writeln!(
@@ -435,7 +435,7 @@ impl Shell {
                         "{:<10} {:<8} {:>8.1} {:>6}",
                         format!("iod{i}"),
                         "up",
-                        started.elapsed().as_secs_f64() * 1e6,
+                        clock::since(started).as_secs_f64() * 1e6,
                         depth
                     );
                 }
