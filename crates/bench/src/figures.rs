@@ -99,7 +99,7 @@ pub struct RunOutcome {
     pub seconds: f64,
     /// Total wire requests.
     pub requests: u64,
-    /// Planned wire traffic (useful + waste), bytes.
+    /// Payload bytes the clients sent and received (useful + waste).
     pub wire_bytes: u64,
 }
 
@@ -136,12 +136,10 @@ pub fn run_method_configured(
     if warm {
         sim.seed_warm(FH, &layout, file_size);
     }
-    let mut wire_bytes = 0u64;
     let jobs: Vec<ClientJob> = requests
         .iter()
         .map(|r| {
             let plan = pvfs_core::plan(method, kind, r, FH, layout, cfg).expect("plan compiles");
-            wire_bytes += plan.stats.wire_bytes();
             let buf_len = r.mem.extent().map(|e| e.end()).unwrap_or(0) as usize;
             ClientJob {
                 plan,
@@ -150,10 +148,11 @@ pub fn run_method_configured(
         })
         .collect();
     let (report, _) = sim.run(jobs).expect("simulation completes");
+    let clients = report.clients.iter();
     RunOutcome {
         seconds: report.seconds(),
         requests: report.total_requests(),
-        wire_bytes,
+        wire_bytes: clients.map(|c| c.bytes_sent + c.bytes_received).sum(),
     }
 }
 

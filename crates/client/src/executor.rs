@@ -20,8 +20,10 @@ use pvfs_proto::{Request, Response};
 use pvfs_types::clock::now_ns;
 use pvfs_types::{Histogram, PvfsError, PvfsResult};
 
-/// What actually happened while executing a plan — the measured
-/// counterpart of [`pvfs_core::PlanStats`].
+/// What actually happened while executing a plan. Its rounds, requests,
+/// copy bytes and serial sections are the plan's
+/// [`tally`](pvfs_core::AccessPlan::tally), counted again as the steps
+/// run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecReport {
     /// Rounds executed.

@@ -245,15 +245,7 @@ impl PvfsFile {
             return Ok(ExecReport::default());
         }
         let request = ListRequest::contiguous(0, offset, data.len() as u64);
-        let plan = pvfs_core::plan(
-            Method::Multiple,
-            IoKind::Write,
-            &request,
-            self.handle,
-            self.layout,
-            &self.config,
-        )?;
-        execute_plan(plan, UserBuf::Write(data), &self.client)
+        self.run(Method::Multiple, &request, UserBuf::Write(data))
     }
 
     /// Contiguous read at `offset` into `buf`.
@@ -262,15 +254,7 @@ impl PvfsFile {
             return Ok(ExecReport::default());
         }
         let request = ListRequest::contiguous(0, offset, buf.len() as u64);
-        let plan = pvfs_core::plan(
-            Method::Multiple,
-            IoKind::Read,
-            &request,
-            self.handle,
-            self.layout,
-            &self.config,
-        )?;
-        execute_plan(plan, UserBuf::Read(buf), &self.client)
+        self.run(Method::Multiple, &request, UserBuf::Read(buf))
     }
 
     /// Noncontiguous read — the paper's `pvfs_read_list`. `mem` regions
@@ -287,16 +271,7 @@ impl PvfsFile {
         method: Method,
     ) -> PvfsResult<ExecReport> {
         let request = ListRequest::new(mem.clone(), file.clone())?;
-        self.check_buffer(&request, buf.len())?;
-        let plan = pvfs_core::plan(
-            method,
-            IoKind::Read,
-            &request,
-            self.handle,
-            self.layout,
-            &self.config,
-        )?;
-        execute_plan(plan, UserBuf::Read(buf), &self.client)
+        self.run(method, &request, UserBuf::Read(buf))
     }
 
     /// Noncontiguous write — the paper's `pvfs_write_list`.
@@ -308,16 +283,7 @@ impl PvfsFile {
         method: Method,
     ) -> PvfsResult<ExecReport> {
         let request = ListRequest::new(mem.clone(), file.clone())?;
-        self.check_buffer(&request, buf.len())?;
-        let plan = pvfs_core::plan(
-            method,
-            IoKind::Write,
-            &request,
-            self.handle,
-            self.layout,
-            &self.config,
-        )?;
-        execute_plan(plan, UserBuf::Write(buf), &self.client)
+        self.run(method, &request, UserBuf::Write(buf))
     }
 
     /// Noncontiguous read described by MPI-like datatypes (§5 future
@@ -333,16 +299,7 @@ impl PvfsFile {
         method: Method,
     ) -> PvfsResult<ExecReport> {
         let request = ListRequest::from_datatypes(mem_type, mem_base, file_type, file_base)?;
-        self.check_buffer(&request, buf.len())?;
-        let plan = pvfs_core::plan(
-            method,
-            IoKind::Read,
-            &request,
-            self.handle,
-            self.layout,
-            &self.config,
-        )?;
-        execute_plan(plan, UserBuf::Read(buf), &self.client)
+        self.run(method, &request, UserBuf::Read(buf))
     }
 
     /// Noncontiguous write described by MPI-like datatypes.
@@ -356,27 +313,30 @@ impl PvfsFile {
         method: Method,
     ) -> PvfsResult<ExecReport> {
         let request = ListRequest::from_datatypes(mem_type, mem_base, file_type, file_base)?;
-        self.check_buffer(&request, buf.len())?;
+        self.run(method, &request, UserBuf::Write(buf))
+    }
+
+    /// Plan `request` under `method` — a read into `user` or a write out
+    /// of it — and run the plan: the one data path of every method above.
+    fn run(&self, method: Method, request: &ListRequest, user: UserBuf) -> PvfsResult<ExecReport> {
+        let (kind, len) = match &user {
+            UserBuf::Read(buf) => (IoKind::Read, buf.len()),
+            UserBuf::Write(buf) => (IoKind::Write, buf.len()),
+        };
+        if let Some(extent) = request.mem.extent().filter(|e| e.end() > len as u64) {
+            return Err(PvfsError::invalid(format!(
+                "memory list reaches offset {} but the buffer is {len} bytes",
+                extent.end()
+            )));
+        }
         let plan = pvfs_core::plan(
             method,
-            IoKind::Write,
-            &request,
+            kind,
+            request,
             self.handle,
             self.layout,
             &self.config,
         )?;
-        execute_plan(plan, UserBuf::Write(buf), &self.client)
-    }
-
-    fn check_buffer(&self, request: &ListRequest, buf_len: usize) -> PvfsResult<()> {
-        if let Some(extent) = request.mem.extent() {
-            if extent.end() > buf_len as u64 {
-                return Err(PvfsError::invalid(format!(
-                    "memory list reaches offset {} but the buffer is {buf_len} bytes",
-                    extent.end()
-                )));
-            }
-        }
-        Ok(())
+        execute_plan(plan, user, &self.client)
     }
 }

@@ -1,7 +1,7 @@
 //! End-to-end client-library tests against a live threaded cluster.
 
 use pvfs_client::PvfsFile;
-use pvfs_core::{Method, MethodConfig};
+use pvfs_core::{IoKind, ListRequest, Method, MethodConfig};
 use pvfs_net::LiveCluster;
 use pvfs_types::{PvfsError, RegionList, StripeLayout};
 
@@ -95,6 +95,49 @@ fn read_list_and_write_list_roundtrip_every_method() {
         f.read_list(&mem, &file, &mut cross, Method::Multiple)
             .unwrap();
         assert_eq!(cross, src, "cross-method read failed for {method}");
+    }
+}
+
+/// The live executor runs exactly what a plan's steps say: for every
+/// method and both kinds, its report counts the plan's tally, and the
+/// payload bytes it sent and received are the tally's wire bytes.
+#[test]
+fn exec_reports_count_the_plans_tally() {
+    let cluster = LiveCluster::spawn(4);
+    let client = cluster.client();
+    let layout = StripeLayout::new(0, 4, 16).unwrap();
+    let config = MethodConfig {
+        sieve_buffer: 128,
+        ..MethodConfig::paper_default()
+    };
+    // 12 of every 16 bytes, across the stripes: dense enough for hybrid
+    // to sieve, long enough for several windows and list chunks.
+    let file = RegionList::from_pairs((0..80u64).map(|k| (k * 16 + 3, 12))).unwrap();
+    let mem = RegionList::contiguous(0, file.total_len());
+    let request = ListRequest::new(mem.clone(), file.clone()).unwrap();
+    for (i, method) in Method::ALL.into_iter().enumerate() {
+        let mut f = PvfsFile::create(&client, &format!("/pvfs/tally{i}"), layout).unwrap();
+        f.set_method_config(config.clone());
+        let mut buf = pattern(file.total_len() as usize, i as u8);
+        for kind in [IoKind::Write, IoKind::Read] {
+            let planned = pvfs_core::plan(method, kind, &request, f.handle(), layout, &config);
+            let tally = planned.unwrap().tally();
+            let report = match kind {
+                IoKind::Write => f.write_list(&mem, &file, &buf, method),
+                IoKind::Read => f.read_list(&mem, &file, &mut buf, method),
+            }
+            .unwrap();
+            let at = format!("{method}, {kind:?}");
+            assert_eq!(
+                (report.rounds, report.requests),
+                (tally.rounds, tally.requests),
+                "{at}"
+            );
+            assert_eq!(report.copy_bytes, tally.copy_bytes, "{at}");
+            assert_eq!(report.serial_sections, tally.serial_sections, "{at}");
+            let moved = report.bytes_sent + report.bytes_received;
+            assert_eq!(moved, tally.wire_bytes, "{at}");
+        }
     }
 }
 

@@ -65,12 +65,6 @@ impl DomainMap {
         slot as usize % self.aggregators
     }
 
-    /// The aggregator owning the byte at logical `offset`.
-    #[inline]
-    pub fn aggregator_of(&self, offset: u64) -> usize {
-        self.aggregator_of_slot(self.layout.slot_of(offset))
-    }
-
     /// The stripe slots owned by aggregator `agg`, ascending.
     pub fn slots_of(&self, agg: usize) -> impl Iterator<Item = u32> + '_ {
         debug_assert!(agg < self.aggregators);

@@ -8,33 +8,30 @@
 //! *clusters* (bounded by the sieve buffer size). A cluster of two or
 //! more regions whose useful-byte density meets
 //! [`MethodConfig::hybrid_min_density`] is accessed as one contiguous
-//! sieved window; everything else flows through ordinary list I/O
-//! chunks. Writes never use RMW windows — only *gapless* clusters (which
-//! coalesce into plain contiguous writes) are merged — so hybrid writes
-//! stay lock-free, unlike data sieving writes.
+//! sieved window — data sieving's own window, through
+//! [`crate::sieving`]'s copies and steps; everything else flows through
+//! ordinary list I/O chunks. Writes never use RMW windows — only
+//! *gapless* clusters (which coalesce into plain contiguous writes) are
+//! merged — so hybrid writes stay lock-free, unlike data sieving writes.
 
 use crate::method::MethodConfig;
-use crate::plan::{
-    AccessPlan, CopyPair, IoKind, MemSlice, OpKind, PieceMap, PlanStats, Round, Space, Step, Target,
-};
+use crate::plan::{AccessPlan, IoKind, OpKind, PieceMap, Round, Step, Target};
 use crate::planutil::servers_for;
 use crate::request::ListRequest;
+use crate::sieving::{window_copies, window_steps};
 use pvfs_types::{FileHandle, PvfsResult, Region, RegionList, StripeLayout};
 use std::sync::Arc;
 
 /// One unit of hybrid work.
 enum Item {
-    /// Sieve this window; copy the clipped pieces afterwards (read-only).
-    Sieve {
-        window: Region,
-        copies: Vec<CopyPair>,
-    },
+    /// Sieve this window, as data sieving would (reads only).
+    Sieve(Region),
     /// List-I/O chunk.
     Chunk(RegionList),
 }
 
 /// Compile a hybrid plan.
-pub fn plan(
+pub(crate) fn plan(
     kind: IoKind,
     request: &ListRequest,
     handle: FileHandle,
@@ -42,60 +39,27 @@ pub fn plan(
     config: &MethodConfig,
 ) -> PvfsResult<AccessPlan> {
     let piece_map = Arc::new(PieceMap::new(&request.mem, &request.file)?);
-
-    let items = match kind {
+    let (items, pieces) = match kind {
         // Only the sieved windows need the pieces themselves (their copy
-        // lists are cut from them), so only reads materialise them.
-        IoKind::Read => {
-            let mut pieces = request.pieces()?;
-            pieces.sort_unstable_by_key(|(_, f)| f.offset);
-            build_read_items(&pieces, request, config)
-        }
+        // lists are cut from them, in file order), so only reads
+        // materialise them.
+        IoKind::Read => (build_read_items(request, config), request.pieces()?),
         // Writes: coalesce gapless neighbours, then plain list chunks.
-        IoKind::Write => request
-            .file
-            .coalesced()
-            .chunks(config.max_list_regions)
-            .map(Item::Chunk)
-            .collect(),
-    };
-
-    let mut stats = PlanStats {
-        useful_bytes: request.total_len(),
-        ..PlanStats::default()
-    };
-    let mut max_window = 0u64;
-    for item in &items {
-        match item {
-            Item::Sieve { window, copies } => {
-                stats.rounds += 1;
-                stats.requests += servers_for(&layout, [*window]).len() as u64;
-                stats.contig_requests = stats.requests - stats.list_requests;
-                let useful: u64 = copies.iter().map(|c| c.src.len).sum();
-                stats.waste_bytes += window.len - useful;
-                stats.copy_bytes += useful;
-                max_window = max_window.max(window.len);
-            }
-            Item::Chunk(chunk) => {
-                stats.rounds += 1;
-                let n = servers_for(&layout, chunk.iter().copied()).len() as u64;
-                stats.requests += n;
-                stats.list_requests += n;
-            }
+        IoKind::Write => {
+            let coalesced = request.file.coalesced();
+            let chunks = coalesced.chunks(config.max_list_regions);
+            (chunks.map(Item::Chunk).collect(), Vec::new())
         }
-    }
-    stats.contig_requests = stats.requests - stats.list_requests;
-
-    let temp_sizes = if max_window > 0 {
-        vec![max_window]
-    } else {
-        vec![]
     };
+    let windows = items.iter().filter_map(|item| match item {
+        Item::Sieve(window) => Some(window.len),
+        Item::Chunk(_) => None,
+    });
+    let temp_sizes = windows.max().into_iter().collect();
     let steps = items.into_iter().flat_map(move |item| match item {
-        Item::Sieve { window, copies } => {
-            let read = OpKind::window(IoKind::Read, window);
-            let ops = Round::fan_out(servers_for(&layout, [window]).iter(), read);
-            vec![Step::Round(ops), Step::Copy(copies)]
+        Item::Sieve(window) => {
+            let copies = window_copies(&pieces, window, kind);
+            window_steps(&layout, kind, window, copies)
         }
         Item::Chunk(chunk) => {
             let servers = servers_for(&layout, chunk.iter().copied());
@@ -104,9 +68,7 @@ pub fn plan(
         }
     });
 
-    Ok(AccessPlan::new(
-        handle, layout, kind, temp_sizes, stats, steps,
-    ))
+    Ok(AccessPlan::new(handle, layout, kind, temp_sizes, steps))
 }
 
 /// The auto-tuned gap threshold: the largest gap a cluster can absorb
@@ -124,11 +86,7 @@ pub fn auto_gap(request: &ListRequest, min_density: f64) -> u64 {
 
 /// Cluster the regions of a read request into sieved windows and list
 /// leftovers.
-fn build_read_items(
-    pieces: &[(Region, Region)],
-    request: &ListRequest,
-    config: &MethodConfig,
-) -> Vec<Item> {
+fn build_read_items(request: &ListRequest, config: &MethodConfig) -> Vec<Item> {
     let gap_threshold = if config.hybrid_auto {
         auto_gap(request, config.hybrid_min_density)
     } else {
@@ -156,10 +114,7 @@ fn build_read_items(
         }
         let density = useful as f64 / extent.len as f64;
         if j - i >= 2 && density >= config.hybrid_min_density {
-            items.push(Item::Sieve {
-                window: extent,
-                copies: copies_for_window(pieces, extent),
-            });
+            items.push(Item::Sieve(extent));
         } else {
             for r in &regions[i..j] {
                 leftovers.push(*r);
@@ -176,36 +131,11 @@ fn build_read_items(
     items
 }
 
-/// Buffer→user copies for the pieces inside `window` (read direction).
-fn copies_for_window(pieces: &[(Region, Region)], window: Region) -> Vec<CopyPair> {
-    let start = pieces.partition_point(|(_, f)| f.end() <= window.offset);
-    let mut copies = Vec::new();
-    for (mem, file) in &pieces[start..] {
-        if file.offset >= window.end() {
-            break;
-        }
-        if let Some(clip) = file.intersect(window) {
-            let delta = clip.offset - file.offset;
-            copies.push(CopyPair {
-                dst: MemSlice {
-                    space: Space::User,
-                    offset: mem.offset + delta,
-                    len: clip.len,
-                },
-                src: MemSlice {
-                    space: Space::Temp(0),
-                    offset: clip.offset - window.offset,
-                    len: clip.len,
-                },
-            });
-        }
-    }
-    copies
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Method;
+    use pvfs_types::PvfsError;
 
     fn layout() -> StripeLayout {
         StripeLayout::new(0, 4, 10).unwrap()
@@ -223,14 +153,23 @@ mod tests {
         }
     }
 
+    fn compile(kind: IoKind, r: &ListRequest, c: &MethodConfig) -> AccessPlan {
+        plan(kind, r, FileHandle(1), layout(), c).unwrap()
+    }
+
+    /// Bytes moved over the wire that the caller never asked for.
+    fn waste(r: &ListRequest, c: &MethodConfig) -> u64 {
+        compile(IoKind::Read, r, c).tally().wire_bytes - r.total_len()
+    }
+
     #[test]
     fn dense_cluster_is_sieved() {
         // Four regions with 2-byte gaps: density 16/22 ≈ 0.73.
         let r = req(&[(0, 4), (6, 4), (12, 4), (18, 4)]);
-        let p = plan(IoKind::Read, &r, FileHandle(1), layout(), &cfg(4, 0.5)).unwrap();
-        assert_eq!(p.stats.waste_bytes, 22 - 16);
-        assert_eq!(p.stats.copy_bytes, 16);
-        let steps = p.collect_steps();
+        let t = compile(IoKind::Read, &r, &cfg(4, 0.5)).tally();
+        assert_eq!(t.wire_bytes - r.total_len(), 22 - 16);
+        assert_eq!(t.copy_bytes, 16);
+        let steps = compile(IoKind::Read, &r, &cfg(4, 0.5)).collect_steps();
         assert!(matches!(steps[0], Step::Round(_)));
         assert!(matches!(steps[1], Step::Copy(_)));
         assert_eq!(steps.len(), 2);
@@ -239,19 +178,23 @@ mod tests {
     #[test]
     fn sparse_regions_fall_back_to_list() {
         let r = req(&[(0, 4), (1000, 4), (2000, 4)]);
-        let p = plan(IoKind::Read, &r, FileHandle(1), layout(), &cfg(4, 0.5)).unwrap();
-        assert_eq!(p.stats.waste_bytes, 0);
-        assert_eq!(p.stats.list_requests, p.stats.requests);
-        let steps = p.collect_steps();
-        assert_eq!(steps.len(), 1); // one list chunk round
+        let t = compile(IoKind::Read, &r, &cfg(4, 0.5)).tally();
+        assert_eq!(t.wire_bytes, r.total_len());
+        assert_eq!(t.list_requests, t.requests);
+        assert_eq!(t.rounds, 1); // one list chunk round
+        assert_eq!(
+            compile(IoKind::Read, &r, &cfg(4, 0.5))
+                .collect_steps()
+                .len(),
+            1
+        );
     }
 
     #[test]
     fn mixed_pattern_produces_both() {
         // Dense pair, then a far single.
         let r = req(&[(0, 8), (10, 8), (100_000, 8)]);
-        let p = plan(IoKind::Read, &r, FileHandle(1), layout(), &cfg(4, 0.5)).unwrap();
-        let steps = p.collect_steps();
+        let steps = compile(IoKind::Read, &r, &cfg(4, 0.5)).collect_steps();
         let rounds = steps.iter().filter(|s| matches!(s, Step::Round(_))).count();
         let copies = steps.iter().filter(|s| matches!(s, Step::Copy(_))).count();
         assert_eq!(rounds, 2); // sieve window + list chunk
@@ -262,9 +205,10 @@ mod tests {
     fn low_density_cluster_is_not_sieved() {
         // Two regions 4 bytes each, gap 92: density 8/100 < 0.5.
         let r = req(&[(0, 4), (96, 4)]);
-        let p = plan(IoKind::Read, &r, FileHandle(1), layout(), &cfg(100, 0.5)).unwrap();
-        assert_eq!(p.stats.waste_bytes, 0);
-        assert!(p.temp_sizes.is_empty());
+        assert_eq!(waste(&r, &cfg(100, 0.5)), 0);
+        assert!(compile(IoKind::Read, &r, &cfg(100, 0.5))
+            .temp_sizes
+            .is_empty());
     }
 
     #[test]
@@ -272,10 +216,10 @@ mod tests {
         // Adjacent regions coalesce into one contiguous write; the far
         // region stays separate — and no serialization is needed.
         let r = req(&[(0, 4), (4, 4), (8, 4), (1000, 4)]);
-        let p = plan(IoKind::Write, &r, FileHandle(1), layout(), &cfg(100, 0.0)).unwrap();
-        assert_eq!(p.stats.serial_sections, 0);
+        let p = compile(IoKind::Write, &r, &cfg(100, 0.0));
         assert!(p.temp_sizes.is_empty());
-        let steps = p.collect_steps();
+        assert_eq!(p.tally().serial_sections, 0);
+        let steps = compile(IoKind::Write, &r, &cfg(100, 0.0)).collect_steps();
         assert_eq!(steps.len(), 1);
         match &steps[0] {
             Step::Round(ops) => match &ops[0].op {
@@ -313,18 +257,11 @@ mod tests {
         };
         let auto = MethodConfig {
             hybrid_auto: true,
-            hybrid_gap: 0,
-            hybrid_min_density: 0.5,
-            ..MethodConfig::default()
+            ..manual.clone()
         };
-        let pm = plan(IoKind::Read, &r, FileHandle(1), layout(), &manual).unwrap();
-        let pa = plan(IoKind::Read, &r, FileHandle(1), layout(), &auto).unwrap();
-        assert_eq!(pm.stats.waste_bytes, 0, "manual gap 0 must list");
-        assert!(
-            pa.stats.waste_bytes > 0,
-            "auto must sieve the dense cluster"
-        );
-        assert!(pa.stats.copy_bytes > 0);
+        assert_eq!(waste(&r, &manual), 0, "manual gap 0 must list");
+        assert!(waste(&r, &auto) > 0, "auto must sieve the dense cluster");
+        assert!(compile(IoKind::Read, &r, &auto).tally().copy_bytes > 0);
     }
 
     #[test]
@@ -335,9 +272,8 @@ mod tests {
             hybrid_min_density: 0.5,
             ..MethodConfig::default()
         };
-        let p = plan(IoKind::Read, &r, FileHandle(1), layout(), &auto).unwrap();
-        assert_eq!(p.stats.waste_bytes, 0);
-        assert!(p.temp_sizes.is_empty());
+        assert_eq!(waste(&r, &auto), 0);
+        assert!(compile(IoKind::Read, &r, &auto).temp_sizes.is_empty());
     }
 
     #[test]
@@ -347,16 +283,14 @@ mod tests {
         let r = req(&(0..16).map(|i| (i * 1024, 512u64)).collect::<Vec<_>>());
         let mut c = cfg(1024, 0.1);
         c.sieve_buffer = 2048;
-        let p = plan(IoKind::Read, &r, FileHandle(1), layout(), &c).unwrap();
-        assert!(p.temp_sizes[0] <= 2048);
+        assert!(compile(IoKind::Read, &r, &c).temp_sizes[0] <= 2048);
     }
 
     #[test]
     fn useful_bytes_conserved_across_items() {
         let r = req(&[(0, 4), (6, 4), (500, 4), (5000, 4), (5010, 4)]);
-        let p = plan(IoKind::Read, &r, FileHandle(1), layout(), &cfg(16, 0.3)).unwrap();
         // copies (sieved) + list regions (unsieved) = all 20 bytes.
-        let steps = p.collect_steps();
+        let steps = compile(IoKind::Read, &r, &cfg(16, 0.3)).collect_steps();
         let copied: u64 = steps
             .iter()
             .filter_map(|s| match s {
@@ -375,5 +309,24 @@ mod tests {
             })
             .sum();
         assert_eq!(copied + listed, 20);
+    }
+
+    /// `plan` refuses a list limit hybrid cannot honour, for both kinds:
+    /// a zero limit would chunk a write by nothing, a limit past the
+    /// frame's 64 regions would build lists no daemon accepts.
+    #[test]
+    fn hybrid_refuses_a_list_limit_out_of_range() {
+        let r = req(&(0..100).map(|i| (i * 1000, 8u64)).collect::<Vec<_>>());
+        for (kind, bad) in [(IoKind::Write, 0), (IoKind::Read, 0), (IoKind::Read, 65)] {
+            let c = MethodConfig {
+                max_list_regions: bad,
+                ..MethodConfig::default()
+            };
+            let planned = crate::plan(Method::Hybrid, kind, &r, FileHandle(1), layout(), &c);
+            assert!(
+                matches!(planned, Err(PvfsError::InvalidArgument(_))),
+                "{kind:?} with {bad} regions a list"
+            );
+        }
     }
 }

@@ -66,6 +66,7 @@ pub fn plan(
 ) -> PvfsResult<AccessPlan> {
     request.validate()?;
     layout.validate()?;
+    config.validate()?;
     match method {
         Method::Multiple => multiple::plan(kind, request, handle, layout, config),
         Method::DataSieving => sieving::plan(kind, request, handle, layout, config),

@@ -11,58 +11,40 @@
 //! magnitude write gap.
 
 use crate::method::MethodConfig;
-use crate::plan::{AccessPlan, IoKind, OpKind, PieceMap, PlanStats, Round, Step, Target};
+use crate::plan::{AccessPlan, IoKind, OpKind, PieceMap, Round, Step, Target};
 use crate::planutil::servers_for;
 use crate::request::ListRequest;
 use pvfs_types::{FileHandle, PvfsResult, StripeLayout};
 use std::sync::Arc;
 
 /// Compile a list-I/O plan.
-pub fn plan(
+pub(crate) fn plan(
     kind: IoKind,
     request: &ListRequest,
     handle: FileHandle,
     layout: StripeLayout,
     config: &MethodConfig,
 ) -> PvfsResult<AccessPlan> {
-    if config.max_list_regions == 0 || config.max_list_regions > pvfs_proto::MAX_LIST_REGIONS {
-        return Err(pvfs_types::PvfsError::invalid(format!(
-            "max_list_regions {} out of range 1..={}",
-            config.max_list_regions,
-            pvfs_proto::MAX_LIST_REGIONS
-        )));
-    }
     let pieces = Arc::new(PieceMap::new(&request.mem, &request.file)?);
     // Chunk lazily over the request's own (shared) region list: every
     // chunk is an O(1) sub-list of it, so a million-region plan never
     // duplicates its regions — not per chunk, not per server, not once.
     let regions = request.file.clone();
     let max = config.max_list_regions;
-    let n_chunks = regions.count().div_ceil(max);
-
-    let mut stats = PlanStats {
-        rounds: n_chunks as u64,
-        useful_bytes: request.total_len(),
-        ..PlanStats::default()
-    };
-    for chunk in regions.regions().chunks(max) {
-        stats.requests += servers_for(&layout, chunk.iter().copied()).len() as u64;
-    }
-    stats.list_requests = stats.requests;
-
-    let steps = (0..n_chunks).map(move |i| {
+    let steps = (0..regions.count().div_ceil(max)).map(move |i| {
         let chunk = regions.slice(i * max..((i + 1) * max).min(regions.count()));
         let servers = servers_for(&layout, chunk.iter().copied());
         let op = OpKind::list(kind, chunk, Target::Pieces(pieces.clone()));
         Step::Round(Round::fan_out(servers.iter(), op))
     });
 
-    Ok(AccessPlan::new(handle, layout, kind, vec![], stats, steps))
+    Ok(AccessPlan::new(handle, layout, kind, vec![], steps))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Method;
     use pvfs_types::RegionList;
 
     fn layout() -> StripeLayout {
@@ -75,19 +57,15 @@ mod tests {
         )
     }
 
+    fn compile(kind: IoKind, r: &ListRequest) -> AccessPlan {
+        plan(kind, r, FileHandle(1), layout(), &MethodConfig::default()).unwrap()
+    }
+
     #[test]
     fn regions_are_chunked_at_64() {
         let r = req(130, 4, 100);
-        let plan = plan(
-            IoKind::Read,
-            &r,
-            FileHandle(1),
-            layout(),
-            &MethodConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(plan.stats.rounds, 3); // 64 + 64 + 2
-        let steps = plan.collect_steps();
+        assert_eq!(compile(IoKind::Read, &r).tally().rounds, 3); // 64 + 64 + 2
+        let steps = compile(IoKind::Read, &r).collect_steps();
         assert_eq!(steps.len(), 3);
         let sizes: Vec<usize> = steps
             .iter()
@@ -106,16 +84,8 @@ mod tests {
     fn each_chunk_goes_to_touched_servers_only() {
         // Two regions, both on server 0 (stripes 0 and 4).
         let r = ListRequest::gather(RegionList::from_pairs([(0, 4), (40, 4)]).unwrap());
-        let plan = plan(
-            IoKind::Read,
-            &r,
-            FileHandle(1),
-            layout(),
-            &MethodConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(plan.stats.requests, 1);
-        let steps = plan.collect_steps();
+        assert_eq!(compile(IoKind::Read, &r).tally().requests, 1);
+        let steps = compile(IoKind::Read, &r).collect_steps();
         match &steps[0] {
             Step::Round(ops) => {
                 assert_eq!(ops.len(), 1);
@@ -131,12 +101,15 @@ mod tests {
         // chunk per touched server vs one contiguous request per region.
         let r = req(640, 4, 10); // touches all 4 servers cyclically
         let cfg = MethodConfig::default();
-        let lp = plan(IoKind::Read, &r, FileHandle(1), layout(), &cfg).unwrap();
-        let mp = crate::multiple::plan(IoKind::Read, &r, FileHandle(1), layout(), &cfg).unwrap();
-        assert_eq!(mp.stats.requests, 640);
+        let lp = compile(IoKind::Read, &r).tally();
+        let mp = crate::multiple::plan(IoKind::Read, &r, FileHandle(1), layout(), &cfg)
+            .unwrap()
+            .tally();
+        assert_eq!(mp.requests, 640);
         // 10 chunks × 4 servers = 40 requests.
-        assert_eq!(lp.stats.requests, 40);
-        assert_eq!(mp.stats.requests / lp.stats.requests, 16);
+        assert_eq!(lp.requests, 40);
+        assert_eq!(lp.list_requests, 40);
+        assert_eq!(mp.requests / lp.requests, 16);
     }
 
     #[test]
@@ -147,7 +120,7 @@ mod tests {
             ..MethodConfig::default()
         };
         let p = plan(IoKind::Read, &r, FileHandle(1), layout(), &cfg).unwrap();
-        assert_eq!(p.stats.rounds, 8);
+        assert_eq!(p.tally().rounds, 8);
     }
 
     #[test]
@@ -158,24 +131,26 @@ mod tests {
                 max_list_regions: bad,
                 ..MethodConfig::default()
             };
-            assert!(plan(IoKind::Read, &r, FileHandle(1), layout(), &cfg).is_err());
+            let planned = crate::plan(
+                Method::List,
+                IoKind::Read,
+                &r,
+                FileHandle(1),
+                layout(),
+                &cfg,
+            );
+            assert!(planned.is_err());
         }
     }
 
     #[test]
     fn write_plan_has_no_serialization() {
         let r = req(100, 4, 100);
-        let p = plan(
-            IoKind::Write,
-            &r,
-            FileHandle(1),
-            layout(),
-            &MethodConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(p.stats.serial_sections, 0);
+        let p = compile(IoKind::Write, &r);
         assert!(p.temp_sizes.is_empty());
-        assert_eq!(p.stats.waste_bytes, 0);
+        let t = p.tally();
+        assert_eq!(t.serial_sections, 0);
+        assert_eq!(t.wire_bytes, r.total_len()); // no waste
     }
 
     #[test]
@@ -187,16 +162,8 @@ mod tests {
             (0..80u64 * 24).map(|i| (i * 40, 4u64)), // all on server 0: stride 40 = pcount*ssize
         )
         .unwrap();
-        let r = ListRequest::gather(regions);
-        let p = plan(
-            IoKind::Write,
-            &r,
-            FileHandle(1),
-            layout(),
-            &MethodConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(p.stats.rounds, 30);
-        assert_eq!(p.stats.requests, 30);
+        let t = compile(IoKind::Write, &ListRequest::gather(regions)).tally();
+        assert_eq!(t.rounds, 30);
+        assert_eq!(t.requests, 30);
     }
 }

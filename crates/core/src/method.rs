@@ -1,6 +1,7 @@
 //! Access-method selection and tuning knobs.
 
 use pvfs_proto::{MAX_LIST_REGIONS, MAX_VECTOR_RUNS};
+use pvfs_types::{PvfsError, PvfsResult};
 
 /// The noncontiguous access methods compared in the paper, plus the two
 /// extensions its conclusion proposes.
@@ -113,6 +114,28 @@ impl MethodConfig {
             hybrid_min_density: 0.5,
             max_vector_runs: MAX_VECTOR_RUNS,
         }
+    }
+
+    /// Check the limits every planner relies on: lists and vector
+    /// chunks of at least one and at most a frame's worth (the limits
+    /// the daemons enforce), and a sieve buffer that holds a byte.
+    /// [`plan`](crate::plan) checks them before any method sees them.
+    pub fn validate(&self) -> PvfsResult<()> {
+        let (regions, runs) = (self.max_list_regions, self.max_vector_runs);
+        if !(1..=MAX_LIST_REGIONS).contains(&regions) {
+            return Err(PvfsError::invalid(format!(
+                "max_list_regions {regions} out of range 1..={MAX_LIST_REGIONS}"
+            )));
+        }
+        if !(1..=MAX_VECTOR_RUNS).contains(&runs) {
+            return Err(PvfsError::invalid(format!(
+                "max_vector_runs {runs} out of range 1..={MAX_VECTOR_RUNS}"
+            )));
+        }
+        if self.sieve_buffer == 0 {
+            return Err(PvfsError::invalid("sieve buffer must be nonzero"));
+        }
+        Ok(())
     }
 }
 

@@ -12,36 +12,23 @@
 //! pieces, which is the overhead the paper's figures show dominating.
 
 use crate::method::MethodConfig;
-use crate::plan::{AccessPlan, IoKind, OpKind, PieceMap, PlanStats, Round, Step, Target};
-use crate::planutil::{servers_for, touched_count};
+use crate::plan::{AccessPlan, IoKind, OpKind, PieceMap, Round, Step, Target};
+use crate::planutil::servers_for;
 use crate::request::ListRequest;
 use pvfs_types::{aligned, FileHandle, PvfsResult, StripeLayout};
 use std::sync::Arc;
 
-/// Compile a multiple-I/O plan.
-pub fn plan(
+/// Compile a multiple-I/O plan: one round per aligned piece, streamed
+/// from one lazy walk of them rather than held for the life of the plan.
+pub(crate) fn plan(
     kind: IoKind,
     request: &ListRequest,
     handle: FileHandle,
     layout: StripeLayout,
     _config: &MethodConfig,
 ) -> PvfsResult<AccessPlan> {
-    // Two passes over one lazy walk of the aligned pieces — count, then
-    // stream the rounds — rather than one entry per piece held for the
-    // life of the plan.
     let pieces = aligned(&request.mem, &request.file)?;
     let piece_map = Arc::new(PieceMap::new(&request.mem, &request.file)?);
-
-    let mut stats = PlanStats {
-        useful_bytes: request.total_len(),
-        ..PlanStats::default()
-    };
-    for (_, file) in pieces.clone() {
-        stats.rounds += 1;
-        stats.requests += touched_count(&layout, file);
-    }
-    stats.contig_requests = stats.requests;
-
     let steps = pieces.map(move |(_, region)| {
         let pieces = Target::Pieces(piece_map.clone());
         let op = match kind {
@@ -57,7 +44,7 @@ pub fn plan(
         Step::Round(Round::fan_out(servers_for(&layout, [region]).iter(), op))
     });
 
-    Ok(AccessPlan::new(handle, layout, kind, vec![], stats, steps))
+    Ok(AccessPlan::new(handle, layout, kind, vec![], steps))
 }
 
 #[cfg(test)]
@@ -73,25 +60,22 @@ mod tests {
         ListRequest::gather(RegionList::from_pairs(pairs.iter().copied()).unwrap())
     }
 
+    fn compile(kind: IoKind, r: &ListRequest) -> AccessPlan {
+        plan(kind, r, FileHandle(1), layout(), &MethodConfig::default()).unwrap()
+    }
+
     #[test]
     fn one_round_per_piece_with_contiguous_memory() {
         // Contiguous memory: pieces == file regions.
         let r = req(&[(0, 4), (20, 4), (40, 4)]);
-        let plan = plan(
-            IoKind::Read,
-            &r,
-            FileHandle(1),
-            layout(),
-            &MethodConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(plan.stats.rounds, 3);
-        assert_eq!(plan.stats.requests, 3); // each region on one server
-        assert_eq!(plan.stats.contig_requests, 3);
-        assert_eq!(plan.stats.list_requests, 0);
-        assert_eq!(plan.stats.waste_bytes, 0);
-        assert_eq!(plan.stats.useful_bytes, 12);
-        let steps = plan.collect_steps();
+        let t = compile(IoKind::Read, &r).tally();
+        assert_eq!(t.rounds, 3);
+        assert_eq!(t.requests, 3); // each region on one server
+        assert_eq!(t.contig_requests, 3);
+        assert_eq!(t.list_requests, 0);
+        assert_eq!(t.wire_bytes, r.total_len()); // no waste
+        assert_eq!(t.wire_bytes, 12);
+        let steps = compile(IoKind::Read, &r).collect_steps();
         assert_eq!(steps.len(), 3);
         for s in &steps {
             match s {
@@ -108,32 +92,17 @@ mod tests {
         let mem = RegionList::from_pairs((0..4u64).map(|i| (i * 192, 8))).unwrap();
         let file = RegionList::from_pairs([(1000, 32)]).unwrap();
         let r = ListRequest::new(mem, file).unwrap();
-        let p = plan(
-            IoKind::Write,
-            &r,
-            FileHandle(1),
-            layout(),
-            &MethodConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(p.stats.rounds, 4);
+        let t = compile(IoKind::Write, &r).tally();
+        assert_eq!(t.rounds, 4);
         // Pieces straddling the 10-byte stripes fan out further.
-        assert!(p.stats.requests >= 4);
+        assert!(t.requests >= 4);
     }
 
     #[test]
     fn straddling_region_fans_out() {
         let r = req(&[(5, 20)]); // servers 0, 1, 2
-        let plan = plan(
-            IoKind::Read,
-            &r,
-            FileHandle(1),
-            layout(),
-            &MethodConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(plan.stats.requests, 3);
-        let steps = plan.collect_steps();
+        assert_eq!(compile(IoKind::Read, &r).tally().requests, 3);
+        let steps = compile(IoKind::Read, &r).collect_steps();
         match &steps[0] {
             Step::Round(ops) => {
                 assert_eq!(ops.len(), 3);
@@ -146,16 +115,7 @@ mod tests {
 
     #[test]
     fn write_plans_use_write_ops() {
-        let r = req(&[(0, 4)]);
-        let plan = plan(
-            IoKind::Write,
-            &r,
-            FileHandle(1),
-            layout(),
-            &MethodConfig::default(),
-        )
-        .unwrap();
-        let steps = plan.collect_steps();
+        let steps = compile(IoKind::Write, &req(&[(0, 4)])).collect_steps();
         match &steps[0] {
             Step::Round(ops) => assert!(ops[0].op.is_write()),
             other => panic!("unexpected step {other:?}"),
@@ -164,18 +124,11 @@ mod tests {
 
     #[test]
     fn no_temps_no_serialization() {
-        let r = req(&[(0, 4), (100, 4)]);
-        let plan = plan(
-            IoKind::Write,
-            &r,
-            FileHandle(1),
-            layout(),
-            &MethodConfig::default(),
-        )
-        .unwrap();
+        let plan = compile(IoKind::Write, &req(&[(0, 4), (100, 4)]));
         assert!(plan.temp_sizes.is_empty());
-        assert_eq!(plan.stats.serial_sections, 0);
-        assert_eq!(plan.stats.copy_bytes, 0);
+        let t = plan.tally();
+        assert_eq!(t.serial_sections, 0);
+        assert_eq!(t.copy_bytes, 0);
     }
 
     #[test]
@@ -184,10 +137,8 @@ mod tests {
         // the number of accesses.
         let small = req(&(0..10).map(|i| (i * 100, 4u64)).collect::<Vec<_>>());
         let big = req(&(0..1000).map(|i| (i * 100, 4u64)).collect::<Vec<_>>());
-        let cfg = MethodConfig::default();
-        let ps = plan(IoKind::Read, &small, FileHandle(1), layout(), &cfg).unwrap();
-        let pb = plan(IoKind::Read, &big, FileHandle(1), layout(), &cfg).unwrap();
-        assert_eq!(pb.stats.requests, 100 * ps.stats.requests);
+        let requests = |r: &ListRequest| compile(IoKind::Read, r).tally().requests;
+        assert_eq!(requests(&big), 100 * requests(&small));
     }
 
     #[test]
@@ -197,14 +148,6 @@ mod tests {
         let mem = RegionList::from_pairs((0..8u64).map(|i| (i * 192, 8))).unwrap();
         let file = RegionList::from_pairs([(0, 32), (4096, 32)]).unwrap();
         let r = ListRequest::new(mem, file).unwrap();
-        let p = plan(
-            IoKind::Write,
-            &r,
-            FileHandle(1),
-            layout(),
-            &MethodConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(p.stats.rounds, 8);
+        assert_eq!(compile(IoKind::Write, &r).tally().rounds, 8);
     }
 }

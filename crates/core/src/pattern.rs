@@ -15,7 +15,7 @@
 //! region count.
 
 use crate::method::MethodConfig;
-use crate::plan::{AccessPlan, IoKind, OpKind, PieceMap, PlanStats, Round, Step, Target};
+use crate::plan::{AccessPlan, IoKind, OpKind, PieceMap, Round, Step, Target};
 use crate::request::ListRequest;
 use pvfs_proto::VectorRun;
 use pvfs_types::{FileHandle, PvfsResult, Region, ServerId, StripeLayout};
@@ -115,37 +115,19 @@ fn chunk_servers(runs: &[VectorRun], layout: &StripeLayout) -> Vec<ServerId> {
 }
 
 /// Compile a datatype-I/O plan.
-pub fn plan(
+pub(crate) fn plan(
     kind: IoKind,
     request: &ListRequest,
     handle: FileHandle,
     layout: StripeLayout,
     config: &MethodConfig,
 ) -> PvfsResult<AccessPlan> {
-    if config.max_vector_runs == 0 || config.max_vector_runs > pvfs_proto::MAX_VECTOR_RUNS {
-        return Err(pvfs_types::PvfsError::invalid(format!(
-            "max_vector_runs {} out of range 1..={}",
-            config.max_vector_runs,
-            pvfs_proto::MAX_VECTOR_RUNS
-        )));
-    }
     let pieces = Arc::new(PieceMap::new(&request.mem, &request.file)?);
     let runs = compress_runs(request.file.regions());
     let chunks: Vec<Vec<VectorRun>> = runs
         .chunks(config.max_vector_runs)
         .map(|c| c.to_vec())
         .collect();
-
-    let mut stats = PlanStats {
-        rounds: chunks.len() as u64,
-        useful_bytes: request.total_len(),
-        ..PlanStats::default()
-    };
-    for chunk in &chunks {
-        stats.requests += chunk_servers(chunk, &layout).len() as u64;
-    }
-    stats.list_requests = stats.requests;
-
     let steps = chunks.into_iter().map(move |chunk| {
         let servers = chunk_servers(&chunk, &layout);
         let at = Target::Pieces(pieces.clone());
@@ -162,7 +144,7 @@ pub fn plan(
         Step::Round(Round::fan_out(servers, op))
     });
 
-    Ok(AccessPlan::new(handle, layout, kind, vec![], stats, steps))
+    Ok(AccessPlan::new(handle, layout, kind, vec![], steps))
 }
 
 #[cfg(test)]
@@ -241,8 +223,10 @@ mod tests {
         let cfg = MethodConfig::default();
         let ps = plan(IoKind::Read, &small, FileHandle(1), layout(), &cfg).unwrap();
         let pb = plan(IoKind::Read, &big, FileHandle(1), layout(), &cfg).unwrap();
-        assert_eq!(ps.stats.requests, pb.stats.requests);
-        assert_eq!(pb.stats.rounds, 1);
+        let (ts, tb) = (ps.tally(), pb.tally());
+        assert_eq!(ts.requests, tb.requests);
+        assert_eq!(tb.list_requests, tb.requests);
+        assert_eq!(tb.rounds, 1);
     }
 
     #[test]
@@ -337,7 +321,7 @@ mod tests {
         let r = ListRequest::gather(RegionList::from_pairs(pairs).unwrap());
         let cfg = MethodConfig::default();
         let p = plan(IoKind::Read, &r, FileHandle(1), layout(), &cfg).unwrap();
-        assert!(p.stats.rounds >= 2); // 100 runs / 45 per request
+        assert!(p.tally().rounds >= 2); // 100 runs / 45 per request
     }
 
     #[test]
@@ -348,7 +332,15 @@ mod tests {
                 max_vector_runs: bad,
                 ..MethodConfig::default()
             };
-            assert!(plan(IoKind::Read, &r, FileHandle(1), layout(), &cfg).is_err());
+            let planned = crate::plan(
+                crate::Method::Datatype,
+                IoKind::Read,
+                &r,
+                FileHandle(1),
+                layout(),
+                &cfg,
+            );
+            assert!(planned.is_err());
         }
     }
 }

@@ -11,7 +11,13 @@
 //! Plans are lazy (steps are generated on demand) because a 1M-access
 //! multiple-I/O plan would otherwise materialize a million rounds up
 //! front; the planners instead stream steps from compact state.
+//!
+//! The steps are the only statement of what a plan costs: its rounds,
+//! requests, wire bytes, copies and serial sections are a
+//! [`PlanStats`] tally of them ([`AccessPlan::tally`]), counted in this
+//! one place rather than predicted by each planner.
 
+use crate::exec::{copy_bytes, server_share};
 use pvfs_types::{
     AlignCursor, FileHandle, PvfsError, PvfsResult, Region, RegionList, ServerId, StripeLayout,
 };
@@ -371,9 +377,12 @@ impl Step {
     }
 }
 
-/// Analytic plan statistics, computed by the planner before execution.
-/// The executors produce matching measured numbers; tests assert they
-/// agree.
+/// What a plan's steps add up to — the paper's counts (§3.4): counted
+/// by [`AccessPlan::tally`], which walks the steps, and by nothing else.
+/// A plan makes no prediction of its own; both executors are checked
+/// against this tally. Useful bytes are the request's
+/// [`total_len`](crate::ListRequest::total_len), and data sieving's
+/// "impertinent data" is `wire_bytes` minus them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanStats {
     /// Round steps (sequential request waves).
@@ -384,23 +393,14 @@ pub struct PlanStats {
     pub list_requests: u64,
     /// Of which contiguous requests.
     pub contig_requests: u64,
-    /// Bytes of requested (useful) data moved over the wire.
-    pub useful_bytes: u64,
-    /// Bytes moved over the wire that the caller never asked for — data
-    /// sieving's "impertinent data".
-    pub waste_bytes: u64,
+    /// Bytes crossing the network: each wire op's share on its server
+    /// ([`crate::exec::server_share`]), summed over every round.
+    pub wire_bytes: u64,
     /// Client-side copy traffic (sieve buffer ⇄ user buffer).
     pub copy_bytes: u64,
     /// Serialized (exclusive) sections, ≥1 iff the method needs
     /// cross-client write serialization.
     pub serial_sections: u64,
-}
-
-impl PlanStats {
-    /// Total bytes crossing the network (useful + waste).
-    pub fn wire_bytes(&self) -> u64 {
-        self.useful_bytes + self.waste_bytes
-    }
 }
 
 /// A compiled access plan: lazy steps plus everything an executor needs
@@ -415,8 +415,6 @@ pub struct AccessPlan {
     /// Sizes of the temp buffers the executor must allocate (index =
     /// [`Space::Temp`] id).
     pub temp_sizes: Vec<u64>,
-    /// Analytic statistics.
-    pub stats: PlanStats,
     steps: Box<dyn Iterator<Item = Step> + Send>,
 }
 
@@ -427,7 +425,6 @@ impl AccessPlan {
         layout: StripeLayout,
         kind: IoKind,
         temp_sizes: Vec<u64>,
-        stats: PlanStats,
         steps: impl Iterator<Item = Step> + Send + 'static,
     ) -> AccessPlan {
         AccessPlan {
@@ -435,9 +432,34 @@ impl AccessPlan {
             layout,
             kind,
             temp_sizes,
-            stats,
             steps: Box::new(steps),
         }
+    }
+
+    /// Walk the plan's steps and count them, without running any.
+    pub fn tally(mut self) -> PlanStats {
+        let mut stats = PlanStats::default();
+        while let Some(step) = self.next_step() {
+            match step {
+                Step::Round(ops) => {
+                    stats.rounds += 1;
+                    for wire in ops.iter() {
+                        match wire.op {
+                            OpKind::Read { .. } | OpKind::Write { .. } => {
+                                stats.contig_requests += 1
+                            }
+                            _ => stats.list_requests += 1,
+                        }
+                        stats.wire_bytes += server_share(&wire.op, &self.layout, wire.server);
+                    }
+                }
+                Step::Copy(pairs) => stats.copy_bytes += copy_bytes(&pairs),
+                Step::SerialBegin => stats.serial_sections += 1,
+                Step::SerialEnd => {}
+            }
+        }
+        stats.requests = stats.list_requests + stats.contig_requests;
+        stats
     }
 
     /// Pull the next step; `None` when the plan is complete.
@@ -461,7 +483,6 @@ impl fmt::Debug for AccessPlan {
             .field("handle", &self.handle)
             .field("kind", &self.kind)
             .field("temp_sizes", &self.temp_sizes)
-            .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
 }
@@ -648,7 +669,6 @@ mod tests {
             StripeLayout::paper_default(4),
             IoKind::Write,
             vec![],
-            PlanStats::default(),
             steps.into_iter(),
         );
         assert_eq!(plan.next_step(), Some(Step::SerialBegin));
@@ -657,14 +677,54 @@ mod tests {
         assert_eq!(plan.next_step(), None);
     }
 
+    /// The tally counts each op's share on the server it is addressed
+    /// to — a window read fanned out over three servers moves its
+    /// length once — and every other step by kind.
     #[test]
     fn stats_wire_bytes() {
-        let s = PlanStats {
-            useful_bytes: 10,
-            waste_bytes: 5,
-            ..PlanStats::default()
+        let layout = StripeLayout::new(0, 4, 10).unwrap();
+        let window = Region::new(5, 20); // servers 0, 1, 2
+        let read = OpKind::window(IoKind::Read, window);
+        let list = OpKind::list(
+            IoKind::Read,
+            rl(&[(0, 4), (40, 4)]),
+            Target::Window { temp: 0, base: 0 },
+        );
+        let copy = CopyPair {
+            dst: user(0, 6),
+            src: MemSlice {
+                space: Space::Temp(0),
+                offset: 0,
+                len: 6,
+            },
         };
-        assert_eq!(s.wire_bytes(), 15);
+        let steps = vec![
+            Step::SerialBegin,
+            Step::Round(Round::fan_out([0, 1, 2].map(ServerId), read)),
+            Step::Copy(vec![copy, copy]),
+            Step::Round(Round::fan_out([ServerId(0)], list)),
+            Step::SerialEnd,
+        ];
+        let plan = AccessPlan::new(
+            FileHandle(1),
+            layout,
+            IoKind::Read,
+            vec![20],
+            steps.into_iter(),
+        );
+        let tally = plan.tally();
+        assert_eq!(
+            tally,
+            PlanStats {
+                rounds: 2,
+                requests: 4,
+                list_requests: 1,
+                contig_requests: 3,
+                wire_bytes: 20 + 8,
+                copy_bytes: 12,
+                serial_sections: 1,
+            }
+        );
     }
 
     #[test]

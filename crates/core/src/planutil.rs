@@ -108,15 +108,6 @@ pub fn servers_for<I: IntoIterator<Item = Region>>(layout: &StripeLayout, region
     servers
 }
 
-/// How many distinct servers one region touches (cheap, no allocation).
-pub fn touched_count(layout: &StripeLayout, region: Region) -> u64 {
-    if region.is_empty() {
-        return 0;
-    }
-    let stripes = layout.stripe_index(region.end() - 1) - layout.stripe_index(region.offset) + 1;
-    stripes.min(layout.pcount as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,19 +151,5 @@ mod tests {
         assert_eq!(servers, slots.map(|s| l.server_at_slot(s)).to_vec());
         assert_eq!(servers_for(&l, [Region::new(0, 1300)]).len(), 130);
         assert!(servers_for(&l, [Region::new(7, 0)]).is_empty());
-    }
-
-    #[test]
-    fn touched_count_matches_list_len() {
-        let l = layout();
-        for (off, len) in [(0u64, 1u64), (5, 10), (0, 40), (30, 20), (9, 2)] {
-            let r = Region::new(off, len);
-            assert_eq!(
-                touched_count(&l, r),
-                l.servers_touched(r).len() as u64,
-                "region {r}"
-            );
-        }
-        assert_eq!(touched_count(&l, Region::new(3, 0)), 0);
     }
 }

@@ -300,25 +300,38 @@ fn concurrent_clients_share_server_capacity() {
     );
 }
 
+/// The simulator runs exactly what a plan's steps say: for every
+/// method and both kinds, a client's counts are the plan's tally, and
+/// the payload bytes it sent and received are the tally's wire bytes.
 #[test]
 fn report_counts_match_plan_stats() {
     let l = layout(4, 64);
-    let request = strided_request(100, 8, 100);
-    let cfg = MethodConfig::paper_default();
-    let p = plan(Method::List, IoKind::Read, &request, FH, l, &cfg).unwrap();
-    let expected_requests = p.stats.requests;
-    let expected_rounds = p.stats.rounds;
-    let mut sim = cluster(4);
-    sim.seed_extent(FH, &l, 100 * 100 + 8);
-    let (report, _) = sim
-        .run(vec![ClientJob {
-            plan: p,
-            user: vec![0u8; request.total_len() as usize],
-        }])
-        .unwrap();
-    assert_eq!(report.clients[0].requests, expected_requests);
-    assert_eq!(report.clients[0].rounds, expected_rounds);
-    assert_eq!(report.total_requests(), expected_requests);
+    // 60 of every 80 bytes: dense enough for hybrid to sieve, and
+    // regions straddle the 64-byte stripes.
+    let request = strided_request(100, 60, 80);
+    for method in Method::ALL {
+        for kind in [IoKind::Read, IoKind::Write] {
+            let tally = job(method, kind, &request, l, vec![]).plan.tally();
+            let mut sim = cluster(4);
+            sim.seed_extent(FH, &l, 100 * 80);
+            let user = vec![1u8; request.total_len() as usize];
+            let (report, _) = sim.run(vec![job(method, kind, &request, l, user)]).unwrap();
+            let c = report.clients[0];
+            let at = format!("{method}, {kind:?}");
+            assert_eq!(
+                (c.rounds, c.requests),
+                (tally.rounds, tally.requests),
+                "{at}"
+            );
+            assert_eq!(report.total_requests(), tally.requests, "{at}");
+            assert_eq!(c.copy_bytes, tally.copy_bytes, "{at}");
+            assert_eq!(c.serial_sections, tally.serial_sections, "{at}");
+            assert_eq!(c.bytes_sent + c.bytes_received, tally.wire_bytes, "{at}");
+            let sieves =
+                method == Method::DataSieving || (method == Method::Hybrid && kind == IoKind::Read);
+            assert_eq!(tally.copy_bytes > 0, sieves, "{at}");
+        }
+    }
 }
 
 #[test]
@@ -345,14 +358,13 @@ fn unbalanced_serial_section_is_a_deadlock_error() {
     // A hand-built plan that acquires the serial token and never
     // releases it while a second client waits: the engine must detect
     // the deadlock instead of spinning.
-    use pvfs_core::{AccessPlan, PlanStats, Step};
+    use pvfs_core::{AccessPlan, Step};
     let l = layout(2, 64);
     let hog = AccessPlan::new(
         FH,
         l,
         IoKind::Write,
         vec![],
-        PlanStats::default(),
         vec![Step::SerialBegin].into_iter(),
     );
     let waiter = AccessPlan::new(
@@ -360,7 +372,6 @@ fn unbalanced_serial_section_is_a_deadlock_error() {
         l,
         IoKind::Write,
         vec![],
-        PlanStats::default(),
         vec![Step::SerialBegin, Step::SerialEnd].into_iter(),
     );
     let mut sim = cluster(2);

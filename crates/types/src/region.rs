@@ -4,9 +4,9 @@
 //! lists — contiguous *memory* regions and contiguous *file* regions —
 //! whose total lengths match (`pvfs_read_list` / `pvfs_write_list`). This
 //! module provides that vocabulary plus the geometric operations every
-//! access method needs: intersection, coalescing, clipping to a window,
-//! chunking to the 64-region trailing-data limit, and aligning a memory
-//! list with a file list into equal-length transfer pieces.
+//! access method needs: intersection, coalescing, chunking to the
+//! 64-region trailing-data limit, and aligning a memory list with a file
+//! list into equal-length transfer pieces.
 
 use crate::error::{PvfsError, PvfsResult};
 use std::fmt;
@@ -66,12 +66,6 @@ impl Region {
         self.len == 0
     }
 
-    /// True iff `pos` falls inside the region.
-    #[inline]
-    pub const fn contains_offset(self, pos: u64) -> bool {
-        pos >= self.offset && pos < self.end()
-    }
-
     /// True iff `other` is fully inside `self`.
     #[inline]
     pub const fn contains(self, other: Region) -> bool {
@@ -115,18 +109,6 @@ impl Region {
         }
     }
 
-    /// Split at absolute offset `pos`, returning `(left, right)`.
-    ///
-    /// `pos` must satisfy `offset <= pos <= end()`; either half may be
-    /// empty.
-    pub fn split_at(self, pos: u64) -> (Region, Region) {
-        debug_assert!(pos >= self.offset && pos <= self.end());
-        (
-            Region::new(self.offset, pos - self.offset),
-            Region::new(pos, self.end() - pos),
-        )
-    }
-
     /// The region translated by `delta` (may be negative).
     ///
     /// Panics when the translated offset would leave `u64` in either
@@ -149,12 +131,6 @@ impl Region {
             self.offset.checked_sub(delta.unsigned_abs())?
         };
         Region::try_new(offset, self.len)
-    }
-
-    /// The prefix of at most `n` bytes and the remainder.
-    pub fn take(self, n: u64) -> (Region, Region) {
-        let n = n.min(self.len);
-        self.split_at(self.offset + n)
     }
 }
 
@@ -376,15 +352,6 @@ impl RegionList {
         RegionList::from_regions_unchecked(out)
     }
 
-    /// Intersect every region with `window`, preserving order and
-    /// dropping empty leftovers. Data sieving uses this to find which
-    /// requested pieces fall inside the sieve buffer.
-    pub fn clip_to(&self, window: Region) -> RegionList {
-        RegionList::from_regions_unchecked(
-            self.iter().filter_map(|r| r.intersect(window)).collect(),
-        )
-    }
-
     /// Split the list into consecutive chunks of at most `max_regions`
     /// regions each — exactly how list I/O breaks a long request into
     /// several ≤64-region wire requests. Each chunk is an O(1)
@@ -394,29 +361,6 @@ impl RegionList {
         (0..self.count())
             .step_by(max_regions)
             .map(move |at| self.slice(at..(at + max_regions).min(self.count())))
-    }
-
-    /// Locate the region containing the `pos`-th byte of the *list's byte
-    /// stream* (i.e. bytes counted in list order, not file order).
-    /// Returns `(region index, offset within that region)`.
-    pub fn locate(&self, pos: u64) -> Option<(usize, u64)> {
-        let mut remaining = pos;
-        for (i, r) in self.iter().enumerate() {
-            if remaining < r.len {
-                return Some((i, remaining));
-            }
-            remaining -= r.len;
-        }
-        None
-    }
-
-    /// Fraction of the extent that is *not* requested — the "useless
-    /// data" ratio that makes data sieving expensive on sparse patterns.
-    pub fn sparsity(&self) -> f64 {
-        match self.extent() {
-            Some(e) if e.len > 0 => 1.0 - (self.total_len() as f64 / e.len as f64),
-            _ => 0.0,
-        }
     }
 
     /// Gap lengths between consecutive regions of a sorted-disjoint list.
@@ -657,10 +601,6 @@ mod tests {
         let r = Region::new(10, 5);
         assert_eq!(r.end(), 15);
         assert!(!r.is_empty());
-        assert!(r.contains_offset(10));
-        assert!(r.contains_offset(14));
-        assert!(!r.contains_offset(15));
-        assert!(!r.contains_offset(9));
     }
 
     #[test]
@@ -695,20 +635,6 @@ mod tests {
         assert_eq!(a.try_merge(Region::new(10, 5)), Some(Region::new(0, 15)));
         assert_eq!(a.try_merge(Region::new(5, 20)), Some(Region::new(0, 25)));
         assert_eq!(a.try_merge(Region::new(11, 5)), None);
-    }
-
-    #[test]
-    fn region_split_and_take() {
-        let r = Region::new(10, 10);
-        let (l, rr) = r.split_at(13);
-        assert_eq!(l, Region::new(10, 3));
-        assert_eq!(rr, Region::new(13, 7));
-        let (t, rest) = r.take(4);
-        assert_eq!(t, Region::new(10, 4));
-        assert_eq!(rest, Region::new(14, 6));
-        let (t, rest) = r.take(100);
-        assert_eq!(t, r);
-        assert!(rest.is_empty());
     }
 
     #[test]
@@ -792,13 +718,6 @@ mod tests {
     fn coalesce_noop_on_disjoint() {
         let l = rl(&[(0, 4), (8, 4)]);
         assert_eq!(l.coalesced(), l);
-    }
-
-    #[test]
-    fn clip_to_window() {
-        let l = rl(&[(0, 10), (20, 10), (40, 10)]);
-        let c = l.clip_to(Region::new(5, 20));
-        assert_eq!(c.regions(), &[Region::new(5, 5), Region::new(20, 5)]);
     }
 
     #[test]
@@ -918,24 +837,6 @@ mod tests {
     }
 
     #[test]
-    fn locate_walks_the_byte_stream() {
-        let l = rl(&[(100, 4), (200, 4)]);
-        assert_eq!(l.locate(0), Some((0, 0)));
-        assert_eq!(l.locate(3), Some((0, 3)));
-        assert_eq!(l.locate(4), Some((1, 0)));
-        assert_eq!(l.locate(7), Some((1, 3)));
-        assert_eq!(l.locate(8), None);
-    }
-
-    #[test]
-    fn sparsity_of_dense_and_sparse_lists() {
-        assert_eq!(rl(&[(0, 10)]).sparsity(), 0.0);
-        let half = rl(&[(0, 5), (10, 5)]).sparsity();
-        assert!((half - (1.0 - 10.0 / 15.0)).abs() < 1e-12);
-        assert_eq!(RegionList::new().sparsity(), 0.0);
-    }
-
-    #[test]
     fn gaps_between_regions() {
         let l = rl(&[(0, 4), (8, 4), (12, 4)]);
         assert_eq!(l.gaps(), vec![4, 0]);
@@ -1041,7 +942,6 @@ mod proptests {
                     // A wrapped end would make the region "contain"
                     // low offsets; it must not.
                     if !r.is_empty() {
-                        prop_assert!(!r.contains_offset(0));
                         prop_assert!(!r.overlaps(Region::new(0, 1)));
                     }
                 }
@@ -1067,22 +967,13 @@ mod proptests {
         }
 
         #[test]
-        fn split_reassembles(r in arb_region(), frac in 0.0f64..=1.0) {
-            let pos = r.offset + (r.len as f64 * frac) as u64;
-            let (l, rr) = r.split_at(pos.min(r.end()));
-            prop_assert_eq!(l.len + rr.len, r.len);
-            prop_assert_eq!(l.offset, r.offset);
-            prop_assert_eq!(rr.end(), r.end());
-        }
-
-        #[test]
         fn coalesce_preserves_coverage(l in arb_list(32)) {
             let c = l.coalesced();
             prop_assert!(c.is_sorted_disjoint());
             // Every original byte is covered by the coalesced list.
             for r in l.iter() {
                 for probe in [r.offset, r.offset + r.len / 2, r.end() - 1] {
-                    prop_assert!(c.iter().any(|cr| cr.contains_offset(probe)));
+                    prop_assert!(c.iter().any(|cr| cr.contains(Region::new(probe, 1))));
                 }
             }
             // Coalesced total never exceeds the original (overlap removal).
@@ -1103,12 +994,6 @@ mod proptests {
                 chunks.iter().flat_map(|c| c.regions().to_vec()).collect();
             prop_assert_eq!(rejoined, l.regions().to_vec());
             prop_assert!(chunks.iter().all(|c| c.count() <= k));
-        }
-
-        #[test]
-        fn clip_results_inside_window(l in arb_list(32), w in arb_region()) {
-            let c = l.clip_to(w);
-            prop_assert!(c.iter().all(|r| w.contains(*r)));
         }
 
         #[test]
@@ -1142,22 +1027,6 @@ mod proptests {
                 prop_assert!(mem.iter().any(|r| r.contains(*m)));
                 prop_assert!(file.iter().any(|r| r.contains(*f)));
             }
-        }
-
-        #[test]
-        fn locate_agrees_with_linear_scan(l in arb_list(16), pos in 0u64..2_000) {
-            let located = l.locate(pos);
-            // Oracle: expand the byte stream region by region.
-            let mut remaining = pos;
-            let mut oracle = None;
-            for (i, r) in l.iter().enumerate() {
-                if remaining < r.len {
-                    oracle = Some((i, remaining));
-                    break;
-                }
-                remaining -= r.len;
-            }
-            prop_assert_eq!(located, oracle);
         }
     }
 }

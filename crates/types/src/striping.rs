@@ -70,12 +70,6 @@ impl StripeLayout {
         offset / self.ssize
     }
 
-    /// The logical region covered by stripe unit `index`.
-    #[inline]
-    pub fn stripe_region(&self, index: u64) -> Region {
-        Region::new(index * self.ssize, self.ssize)
-    }
-
     /// Which *slot* (0..pcount) owns the stripe containing `offset`.
     #[inline]
     pub fn slot_of(&self, offset: u64) -> u32 {

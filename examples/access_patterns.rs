@@ -1,7 +1,8 @@
 //! Plan inspector: compile every paper workload under every access
 //! method and print what would go over the wire — request counts, wire
-//! traffic, waste, copies — without running anything. This is §3.4's
-//! "analysis of different approaches" as an executable table.
+//! traffic, waste, copies — by tallying the plan's steps, without
+//! running anything. This is §3.4's "analysis of different approaches"
+//! as an executable table.
 //!
 //! ```text
 //! cargo run --release --example access_patterns
@@ -31,15 +32,18 @@ fn inspect(name: &str, request: &ListRequest, kind: IoKind) {
             // the artificial benchmark but used it for FLASH.
         }
         match plan(method, kind, request, FileHandle(1), layout, &cfg) {
-            Ok(p) => println!(
-                "{:<20} {:>10} {:>8} {:>14} {:>14} {:>12}",
-                method.name(),
-                p.stats.requests,
-                p.stats.rounds,
-                p.stats.wire_bytes() >> 10,
-                p.stats.waste_bytes >> 10,
-                p.stats.copy_bytes >> 10
-            ),
+            Ok(p) => {
+                let t = p.tally();
+                println!(
+                    "{:<20} {:>10} {:>8} {:>14} {:>14} {:>12}",
+                    method.name(),
+                    t.requests,
+                    t.rounds,
+                    t.wire_bytes >> 10,
+                    (t.wire_bytes - request.total_len()) >> 10,
+                    t.copy_bytes >> 10
+                )
+            }
             Err(e) => println!("{:<20} failed: {e}", method.name()),
         }
     }

@@ -53,7 +53,8 @@ fn flash_request_count_formulas() {
         &cfg,
     )
     .unwrap();
-    assert_eq!(multiple.stats.rounds, 983_040);
+    // One tally: the plan is 983 040 rounds long.
+    assert_eq!(multiple.tally().rounds, 983_040);
 
     // List I/O: (80 blocks)(24 vars)/64 = 30 requests/processor.
     let list = plan(
@@ -65,7 +66,7 @@ fn flash_request_count_formulas() {
         &cfg,
     )
     .unwrap();
-    assert_eq!(list.stats.rounds, 30);
+    assert_eq!(list.tally().rounds, 30);
 
     // Data sieving: data size 7 864 320 bytes/processor < the 32 MB
     // buffer — but the *extent* spans the shared file, so windows scale
@@ -80,7 +81,7 @@ fn flash_request_count_formulas() {
     )
     .unwrap();
     assert_eq!(request.total_len(), 7_864_320);
-    assert!(sieve.stats.serial_sections == 1);
+    assert!(sieve.tally().serial_sections == 1);
 }
 
 #[test]
@@ -99,7 +100,7 @@ fn tiled_viz_request_count_formulas() {
         &cfg,
     )
     .unwrap();
-    assert_eq!(multiple.stats.rounds, 768);
+    assert_eq!(multiple.tally().rounds, 768);
     let list = plan(
         Method::List,
         IoKind::Read,
@@ -109,7 +110,7 @@ fn tiled_viz_request_count_formulas() {
         &cfg,
     )
     .unwrap();
-    assert_eq!(list.stats.rounds, 12);
+    assert_eq!(list.tally().rounds, 12);
 }
 
 #[test]
@@ -134,7 +135,7 @@ fn cyclic_request_counts_scale_linearly_with_accesses() {
             &cfg,
         )
         .unwrap();
-        p.stats.requests
+        p.tally().requests
     };
     assert_eq!(count_for(4096) / count_for(1024), 4);
     assert_eq!(count_for(8192) / count_for(1024), 8);
@@ -170,7 +171,7 @@ fn list_io_reduces_requests_by_the_trailing_factor() {
         &cfg,
     )
     .unwrap();
-    assert_eq!(multiple.stats.rounds / list.stats.rounds, 64);
+    assert_eq!(multiple.tally().rounds / list.tally().rounds, 64);
 }
 
 #[test]
@@ -196,7 +197,8 @@ fn sieving_wire_traffic_is_extent_not_useful_bytes() {
             &cfg,
         )
         .unwrap();
-        (p.stats.waste_bytes, p.stats.useful_bytes)
+        let useful = request.total_len();
+        (p.tally().wire_bytes - useful, useful)
     };
     let (waste8, useful8) = waste_for(8);
     let (waste16, useful16) = waste_for(16);
@@ -236,9 +238,10 @@ fn sieving_writes_double_the_traffic_via_rmw() {
         &cfg,
     )
     .unwrap();
-    assert_eq!(write.stats.wire_bytes(), 2 * read.stats.wire_bytes());
-    assert_eq!(write.stats.serial_sections, 1);
-    assert_eq!(read.stats.serial_sections, 0);
+    let (write, read) = (write.tally(), read.tally());
+    assert_eq!(write.wire_bytes, 2 * read.wire_bytes);
+    assert_eq!(write.serial_sections, 1);
+    assert_eq!(read.serial_sections, 0);
 }
 
 #[test]
@@ -263,7 +266,7 @@ fn datatype_io_removes_the_linear_relationship() {
             &cfg,
         )
         .unwrap()
-        .stats
+        .tally()
         .requests
     };
     // The request count is bounded by the number of I/O servers (one
