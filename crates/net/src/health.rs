@@ -38,7 +38,7 @@
 //! halved by each shed, reopened by one after 64 replies in a row
 //! without one — so that many clients' windows settle into one queue.
 
-use pvfs_types::clock::{self, now_ns};
+use pvfs_types::clock;
 use pvfs_types::{PvfsError, ServerId};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -156,12 +156,12 @@ enum Circuit {
 }
 
 impl Circuit {
-    /// The state as the next [`HealthTracker::admit`] will see it: an
-    /// open circuit whose window has elapsed reads as half-open.
-    fn state(&self) -> BreakerState {
+    /// The state at the clock reading `now`, as an `admit` then sees it:
+    /// an open circuit whose window has elapsed reads as half-open.
+    fn state(&self, now: u64) -> BreakerState {
         match *self {
             Circuit::Closed => BreakerState::Closed,
-            Circuit::Open { until } if now_ns() < until => BreakerState::Open,
+            Circuit::Open { until } if now < until => BreakerState::Open,
             Circuit::Open { .. } | Circuit::HalfOpen => BreakerState::HalfOpen,
         }
     }
@@ -243,12 +243,12 @@ impl HealthTracker {
         self.policy
     }
 
-    /// Gate an RPC to `server`: `Ok` admits it to the wire, `Err` is
-    /// the fail-fast [`PvfsError::Unavailable`] carrying how long
-    /// until the breaker will admit a probe. An open breaker whose
-    /// window has elapsed flips to half-open *here* and admits the
-    /// caller as the probe.
-    pub fn admit(&self, server: ServerId) -> Result<(), PvfsError> {
+    /// Gate an RPC to `server` at the clock reading `now`: `Ok` admits
+    /// it to the wire, `Err` is the fail-fast [`PvfsError::Unavailable`]
+    /// carrying how long until the breaker will admit a probe. An open
+    /// breaker whose window has elapsed flips to half-open *here* and
+    /// admits the caller as the probe.
+    pub fn admit(&self, server: ServerId, now: u64) -> Result<(), PvfsError> {
         let Some(lock) = self.servers.get(server.index()) else {
             return Ok(());
         };
@@ -256,7 +256,6 @@ impl HealthTracker {
         match h.circuit {
             Circuit::Closed | Circuit::HalfOpen => Ok(()),
             Circuit::Open { until } => {
-                let now = now_ns();
                 if now >= until {
                     h.circuit = Circuit::HalfOpen;
                     Ok(())
@@ -318,13 +317,13 @@ impl HealthTracker {
         health.map_or(WINDOW, |lock| lock.lock().unwrap().window)
     }
 
-    /// Feed a transport-class failure (connection loss, timeout) to
-    /// `server`. Opens the breaker when the streak reaches the
-    /// threshold, and re-opens immediately on a failed half-open
-    /// probe. Sheds ([`PvfsError::Overloaded`]) must **not** be fed
-    /// here — a shed proves the daemon is alive
+    /// Feed a transport-class failure (connection loss, timeout) of
+    /// `server` at the clock reading `now`. Opens the breaker when the
+    /// streak reaches the threshold, and re-opens immediately on a
+    /// failed half-open probe. Sheds ([`PvfsError::Overloaded`]) must
+    /// **not** be fed here — a shed proves the daemon is alive
     /// ([`record_shed`](HealthTracker::record_shed)).
-    pub fn record_failure(&self, server: ServerId) {
+    pub fn record_failure(&self, server: ServerId, now: u64) {
         let Some(lock) = self.servers.get(server.index()) else {
             return;
         };
@@ -338,19 +337,19 @@ impl HealthTracker {
         };
         if trip {
             h.circuit = Circuit::Open {
-                until: clock::deadline(self.policy.open_for),
+                until: now.saturating_add(clock::nanos(self.policy.open_for)),
             };
             h.trips += 1;
         }
     }
 
-    /// The breaker state of `server` right now. An open breaker whose
-    /// window has elapsed reads as [`BreakerState::HalfOpen`] — that
-    /// is what the next [`admit`](HealthTracker::admit) will see.
-    pub fn state(&self, server: ServerId) -> BreakerState {
+    /// The breaker state of `server` at the clock reading `now`: an open
+    /// breaker whose window has elapsed reads as [`BreakerState::HalfOpen`]
+    /// — what an [`admit`](HealthTracker::admit) at `now` would see.
+    pub fn state(&self, server: ServerId, now: u64) -> BreakerState {
         let health = self.servers.get(server.index());
         health.map_or(BreakerState::Closed, |lock| {
-            lock.lock().unwrap().circuit.state()
+            lock.lock().unwrap().circuit.state(now)
         })
     }
 
@@ -361,14 +360,14 @@ impl HealthTracker {
         (h.samples > 0).then(|| Duration::from_nanos(h.ewma_ns as u64))
     }
 
-    /// Snapshot every daemon's health (shell `stats`, diagnostics).
-    pub fn snapshot(&self) -> Vec<ServerHealthSnapshot> {
+    /// Every daemon's health at the clock reading `now` (diagnostics).
+    pub fn snapshot(&self, now: u64) -> Vec<ServerHealthSnapshot> {
         self.servers
             .iter()
             .map(|lock| {
                 let h = lock.lock().unwrap();
                 ServerHealthSnapshot {
-                    state: h.circuit.state(),
+                    state: h.circuit.state(now),
                     ewma: (h.samples > 0).then(|| Duration::from_nanos(h.ewma_ns as u64)),
                     consecutive_failures: h.consecutive_failures,
                     trips: h.trips,
@@ -391,6 +390,7 @@ mod tests {
     use super::*;
 
     const S0: ServerId = ServerId(0);
+    const MS: u64 = 1_000_000;
 
     fn fast_policy() -> BreakerPolicy {
         BreakerPolicy {
@@ -402,66 +402,68 @@ mod tests {
     #[test]
     fn breaker_walks_closed_open_halfopen_closed() {
         let t = HealthTracker::new(1, fast_policy());
-        assert_eq!(t.state(S0), BreakerState::Closed);
+        assert_eq!(t.state(S0, 0), BreakerState::Closed);
 
         // Two failures: still closed (threshold is 3).
-        t.record_failure(S0);
-        t.record_failure(S0);
-        assert_eq!(t.state(S0), BreakerState::Closed);
-        assert!(t.admit(S0).is_ok());
+        t.record_failure(S0, 0);
+        t.record_failure(S0, MS);
+        assert_eq!(t.state(S0, MS), BreakerState::Closed);
+        assert!(t.admit(S0, MS).is_ok());
 
         // Third failure trips it: admissions fail fast with a typed
         // Unavailable carrying a retry hint.
-        t.record_failure(S0);
-        assert_eq!(t.state(S0), BreakerState::Open);
-        match t.admit(S0) {
+        t.record_failure(S0, 2 * MS);
+        assert_eq!(t.state(S0, 2 * MS), BreakerState::Open);
+        match t.admit(S0, 3 * MS) {
             Err(PvfsError::Unavailable {
                 server,
                 retry_after_ms,
             }) => {
                 assert_eq!(server, 0);
-                assert!((1..=30).contains(&retry_after_ms));
+                assert_eq!(retry_after_ms, 29, "open until 2 ms + 30 ms");
             }
             other => panic!("open breaker must reject with Unavailable, got {other:?}"),
         }
         assert_eq!(t.total_trips(), 1);
+        assert_eq!(t.state(S0, 32 * MS - 1), BreakerState::Open);
 
         // After the open window, the next admit is the half-open probe.
-        std::thread::sleep(Duration::from_millis(35));
-        assert_eq!(t.state(S0), BreakerState::HalfOpen);
-        assert!(t.admit(S0).is_ok());
+        assert_eq!(t.state(S0, 32 * MS), BreakerState::HalfOpen);
+        assert!(t.admit(S0, 32 * MS).is_ok());
 
         // Probe succeeds: closed again, streak cleared.
         t.record_success(S0, Duration::from_micros(100));
-        assert_eq!(t.state(S0), BreakerState::Closed);
-        assert_eq!(t.snapshot()[0].consecutive_failures, 0);
+        assert_eq!(t.state(S0, 32 * MS), BreakerState::Closed);
+        assert_eq!(t.snapshot(32 * MS)[0].consecutive_failures, 0);
     }
 
     #[test]
     fn failed_halfopen_probe_reopens_immediately() {
         let t = HealthTracker::new(1, fast_policy());
         for _ in 0..3 {
-            t.record_failure(S0);
+            t.record_failure(S0, 0);
         }
-        std::thread::sleep(Duration::from_millis(35));
-        assert!(t.admit(S0).is_ok(), "window elapsed: probe admitted");
+        assert!(
+            t.admit(S0, 35 * MS).is_ok(),
+            "window elapsed: probe admitted"
+        );
         // One failure — not a fresh threshold-long streak — re-opens.
-        t.record_failure(S0);
-        assert_eq!(t.state(S0), BreakerState::Open);
-        assert!(t.admit(S0).is_err());
+        t.record_failure(S0, 35 * MS);
+        assert_eq!(t.state(S0, 35 * MS), BreakerState::Open);
+        assert!(t.admit(S0, 64 * MS).is_err());
         assert_eq!(t.total_trips(), 2);
     }
 
     #[test]
     fn successes_interrupt_the_failure_streak() {
         let t = HealthTracker::new(1, fast_policy());
-        t.record_failure(S0);
-        t.record_failure(S0);
+        t.record_failure(S0, 0);
+        t.record_failure(S0, 0);
         t.record_success(S0, Duration::from_micros(50));
-        t.record_failure(S0);
-        t.record_failure(S0);
+        t.record_failure(S0, 0);
+        t.record_failure(S0, 0);
         assert_eq!(
-            t.state(S0),
+            t.state(S0, 0),
             BreakerState::Closed,
             "streak reset by success: 2+2 failures must not trip a threshold of 3"
         );
@@ -490,7 +492,7 @@ mod tests {
             t.record_shed(S0);
         }
         assert_eq!(t.window(S0), 1, "never below one flight");
-        assert_eq!(t.state(S0), BreakerState::Closed, "a shed is no failure");
+        assert_eq!(t.state(S0, 0), BreakerState::Closed, "a shed is no failure");
         assert_eq!(t.window(ServerId(1)), WINDOW, "per daemon");
 
         (0..REOPEN_AFTER - 1).for_each(|_| reply());
@@ -508,20 +510,20 @@ mod tests {
     fn off_policy_never_opens() {
         let t = HealthTracker::new(1, BreakerPolicy::off());
         for _ in 0..1000 {
-            t.record_failure(S0);
+            t.record_failure(S0, 0);
         }
-        assert_eq!(t.state(S0), BreakerState::Closed);
-        assert!(t.admit(S0).is_ok());
+        assert_eq!(t.state(S0, 0), BreakerState::Closed);
+        assert!(t.admit(S0, 0).is_ok());
     }
 
     #[test]
     fn unknown_servers_are_inert() {
         let t = HealthTracker::new(1, fast_policy());
         let ghost = ServerId(7);
-        t.record_failure(ghost);
+        t.record_failure(ghost, 0);
         t.record_success(ghost, Duration::from_micros(1));
-        assert!(t.admit(ghost).is_ok());
-        assert_eq!(t.state(ghost), BreakerState::Closed);
+        assert!(t.admit(ghost, 0).is_ok());
+        assert_eq!(t.state(ghost, 0), BreakerState::Closed);
         assert_eq!(t.ewma(ghost), None);
     }
 

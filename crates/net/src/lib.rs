@@ -19,7 +19,8 @@
 //! * every client RPC — [`ClusterClient::call`], [`ClusterClient::round`],
 //!   at any replication factor, traced or not — runs through one
 //!   request pipeline ([`cluster`]: expand → a window of ship/land per
-//!   daemon → failover, backoff → assemble);
+//!   daemon → failover, backoff → assemble), decided by a pump that
+//!   does no I/O and driven by one loop that does all of it;
 //! * every daemon stands behind one door (`serve.rs`): a bounded queue
 //!   (`IodConfig::queue_depth`, default 64 — the bound is the
 //!   backpressure) drained by `IodConfig::workers` threads (default
@@ -81,6 +82,7 @@ pub mod fault;
 pub mod gate;
 pub mod health;
 pub mod live;
+mod pump;
 pub mod retry;
 mod serve;
 pub mod spares;

@@ -11,6 +11,7 @@ use pvfs_net::{
 };
 use pvfs_proto::{Request, Response};
 use pvfs_server::IodConfig;
+use pvfs_types::clock::now_ns;
 use pvfs_types::{FileHandle, PvfsError, Region, ServerId, StripeLayout};
 use std::time::{Duration, Instant};
 
@@ -477,7 +478,7 @@ fn brownout_survives_a_wedged_daemon(kind: TransportKind) {
             .unwrap_err();
         assert!(matches!(err, PvfsError::Timeout(_)), "got {err:?}");
     }
-    assert_eq!(c.health().state(ServerId(2)), BreakerState::Open);
+    assert_eq!(c.health().state(ServerId(2), now_ns()), BreakerState::Open);
 
     // A fan-out round across all four: the wedged server is rejected at
     // admission — in microseconds — while the healthy daemons execute.
@@ -528,9 +529,15 @@ fn brownout_survives_a_wedged_daemon(kind: TransportKind) {
     // The wedge burned its fault limit; once the open window elapses,
     // the half-open probe sails through and the circuit closes.
     std::thread::sleep(Duration::from_millis(160));
-    assert_eq!(c.health().state(ServerId(2)), BreakerState::HalfOpen);
+    assert_eq!(
+        c.health().state(ServerId(2), now_ns()),
+        BreakerState::HalfOpen
+    );
     c.ping(ServerId(2)).unwrap();
-    assert_eq!(c.health().state(ServerId(2)), BreakerState::Closed);
+    assert_eq!(
+        c.health().state(ServerId(2), now_ns()),
+        BreakerState::Closed
+    );
     assert_eq!(c.health().total_trips(), 1);
     let resp = c.call(RpcTarget::Server(ServerId(2)), write(2)).unwrap();
     assert_eq!(resp, Response::Written { bytes: 16 });
@@ -568,11 +575,14 @@ fn breaker_trips_and_recovers_on_disconnects(kind: TransportKind) {
 
     // Three consecutive disconnects: closed all the way to the trip.
     for i in 0..3 {
-        assert_eq!(c.health().state(ServerId(0)), BreakerState::Closed);
+        assert_eq!(
+            c.health().state(ServerId(0), now_ns()),
+            BreakerState::Closed
+        );
         let err = c.ping(ServerId(0)).unwrap_err();
         assert!(matches!(err, PvfsError::Transport(_)), "probe {i}: {err:?}");
     }
-    assert_eq!(c.health().state(ServerId(0)), BreakerState::Open);
+    assert_eq!(c.health().state(ServerId(0), now_ns()), BreakerState::Open);
 
     // Open: rejected at admission, typed and attributed.
     let started = Instant::now();
@@ -585,17 +595,26 @@ fn breaker_trips_and_recovers_on_disconnects(kind: TransportKind) {
     assert_eq!(c.stats().breaker_rejections, 1);
 
     // The sibling daemon is untouched throughout.
-    assert_eq!(c.health().state(ServerId(1)), BreakerState::Closed);
+    assert_eq!(
+        c.health().state(ServerId(1), now_ns()),
+        BreakerState::Closed
+    );
     c.ping(ServerId(1)).unwrap();
 
     // Recovery: window elapses, the half-open probe (faults are spent)
     // closes the circuit.
     std::thread::sleep(Duration::from_millis(130));
-    assert_eq!(c.health().state(ServerId(0)), BreakerState::HalfOpen);
+    assert_eq!(
+        c.health().state(ServerId(0), now_ns()),
+        BreakerState::HalfOpen
+    );
     c.ping(ServerId(0)).unwrap();
-    assert_eq!(c.health().state(ServerId(0)), BreakerState::Closed);
+    assert_eq!(
+        c.health().state(ServerId(0), now_ns()),
+        BreakerState::Closed
+    );
     assert_eq!(c.health().total_trips(), 1);
-    let snap = c.health().snapshot();
+    let snap = c.health().snapshot(now_ns());
     assert_eq!(snap[0].trips, 1);
     assert_eq!(snap[1].trips, 0);
 }
