@@ -44,7 +44,7 @@ use pvfs_client::{ExecReport, PvfsFile};
 use pvfs_core::{Method, PieceMap};
 use pvfs_net::{ActiveTrace, ClusterClient};
 use pvfs_types::clock::now_ns;
-use pvfs_types::{aligned, Aligned, PvfsError, PvfsResult, Region, RegionList, StripeLayout};
+use pvfs_types::{PvfsError, PvfsResult, Region, RegionList, StripeLayout};
 use std::collections::BTreeMap;
 
 /// One hop of exchanged data: file regions and their bytes,
@@ -191,21 +191,26 @@ impl CollectiveFile {
                 "collective write aborted: invalid arguments on another rank",
             ));
         }
-        let pieces = local.expect("checked above");
+        let map = local.expect("checked above");
         let all_files: Vec<RegionList> = shared.into_iter().map(|(f, _)| f).collect();
         let dmap = DomainMap::new(self.file.layout(), self.comm.size(), &self.config)?;
 
-        // Exchange phase: cut this rank's pieces at stripe boundaries
-        // and ship each segment to the aggregator owning its slot.
+        // Exchange phase: cut this rank's file regions at stripe
+        // boundaries and ship each segment's bytes, gathered through the
+        // piece map, to the aggregator owning its slot.
         let mut outbound: Vec<PieceBatch> = (0..dmap.aggregators())
             .map(|_| PieceBatch::default())
             .collect();
         let layout = self.file.layout();
-        for (m, f) in pieces {
-            for seg in layout.segments(f) {
-                let agg = dmap.aggregator_of_slot(seg.slot);
-                let src = (m.offset + (seg.logical.offset - f.offset)) as usize;
-                outbound[agg].push(seg.logical, &buf[src..src + seg.logical.len as usize]);
+        for f in file.iter() {
+            for seg in layout.segments(*f) {
+                let batch = &mut outbound[dmap.aggregator_of_slot(seg.slot)];
+                let mut at = seg.logical.offset;
+                map.for_each_slice(seg.logical, |m| {
+                    let src = m.offset as usize..m.end() as usize;
+                    batch.push(Region::new(at, m.len), &buf[src]);
+                    at += m.len;
+                });
             }
         }
         let outbox = outbound
@@ -262,7 +267,7 @@ impl CollectiveFile {
     ) -> PvfsResult<ExecReport> {
         let comm_before = self.comm.stats();
         let mut phases = Phases::begin(self.file.client(), "read_all");
-        let local = validate_local(mem, file, buf.len()).and_then(|_| PieceMap::new(mem, file));
+        let local = validate_local(mem, file, buf.len());
         phases.close("phase_plan");
         let shared: Vec<(RegionList, bool)> = self.comm.allgather((file.clone(), local.is_ok()));
         phases.close("phase_exchange");
@@ -369,24 +374,23 @@ impl CollectiveFile {
         for (slot, wlist) in dmap.slot_lists(agg, all_files) {
             let pieces = slot_pieces.get(&slot).map(Vec::as_slice).unwrap_or(&[]);
             for window in windows(&wlist, self.config.cb_buffer) {
-                let wregions = window.regions();
-                let prefix = prefix_offsets(wregions);
-                let total = window.total_len();
-                let mut staging = vec![0u8; total as usize];
+                let (staged, place, extent) = staging(&window)?;
+                let mut staging = vec![0u8; staged.total_len() as usize];
                 for (pr, bi, doff) in pieces {
-                    let Some(wi) = window_index(wregions, *pr) else {
+                    if !extent.contains(*pr) {
                         continue; // belongs to another window of this slot
-                    };
-                    let dst = (prefix[wi] + (pr.offset - wregions[wi].offset)) as usize;
-                    staging[dst..dst + pr.len as usize]
-                        .copy_from_slice(&inbox[*bi].msg.data[*doff..doff + pr.len as usize]);
+                    }
+                    let mut src = *doff;
+                    place.for_each_slice(*pr, |s| {
+                        let n = s.len as usize;
+                        staging[s.offset as usize..s.end() as usize]
+                            .copy_from_slice(&inbox[*bi].msg.data[src..src + n]);
+                        src += n;
+                    });
                 }
-                let w = self.file.write_list(
-                    &RegionList::contiguous(0, total),
-                    &window,
-                    &staging,
-                    Method::List,
-                )?;
+                let w = self
+                    .file
+                    .write_list(&staged, &window, &staging, Method::List)?;
                 report.absorb(&w);
             }
         }
@@ -417,27 +421,23 @@ impl CollectiveFile {
         }
         for (slot, wlist) in dmap.slot_lists(agg, all_files) {
             for window in windows(&wlist, self.config.cb_buffer) {
-                let wregions = window.regions();
-                let prefix = prefix_offsets(wregions);
-                let total = window.total_len();
-                let mut staging = vec![0u8; total as usize];
-                let r = self.file.read_list(
-                    &RegionList::contiguous(0, total),
-                    &window,
-                    &mut staging,
-                    Method::List,
-                )?;
+                let (staged, place, extent) = staging(&window)?;
+                let mut staging = vec![0u8; staged.total_len() as usize];
+                let r = self
+                    .file
+                    .read_list(&staged, &window, &mut staging, Method::List)?;
                 report.absorb(&r);
                 for (rank, segs) in rank_segs.iter().enumerate() {
                     for (s, reg) in segs {
-                        if *s != slot {
+                        if *s != slot || !extent.contains(*reg) {
                             continue;
                         }
-                        let Some(wi) = window_index(wregions, *reg) else {
-                            continue;
-                        };
-                        let src = (prefix[wi] + (reg.offset - wregions[wi].offset)) as usize;
-                        outbound[rank].push(*reg, &staging[src..src + reg.len as usize]);
+                        let mut at = reg.offset;
+                        place.for_each_slice(*reg, |held| {
+                            let src = held.offset as usize..held.end() as usize;
+                            outbound[rank].push(Region::new(at, held.len), &staging[src]);
+                            at += held.len;
+                        });
                     }
                 }
             }
@@ -481,15 +481,10 @@ impl Phases {
 }
 
 /// Per-rank argument checks, permitting the fully-empty request a
-/// non-contributing rank passes. Returns the lazy walk over the aligned
-/// (memory, file) transfer pieces.
-fn validate_local(mem: &RegionList, file: &RegionList, buf_len: usize) -> PvfsResult<Aligned> {
-    let pieces = aligned(mem, file)?; // equal totals
-    if !file.is_sorted_disjoint() {
-        return Err(PvfsError::invalid(
-            "collective I/O requires a sorted, disjoint file list per rank",
-        ));
-    }
+/// non-contributing rank passes. Returns the rank's piece map (which
+/// demands equal totals and a sorted, disjoint file list).
+fn validate_local(mem: &RegionList, file: &RegionList, buf_len: usize) -> PvfsResult<PieceMap> {
+    let map = PieceMap::new(mem, file)?;
     if let Some(extent) = mem.extent() {
         if extent.end() > buf_len as u64 {
             return Err(PvfsError::invalid(format!(
@@ -498,24 +493,16 @@ fn validate_local(mem: &RegionList, file: &RegionList, buf_len: usize) -> PvfsRe
             )));
         }
     }
-    Ok(pieces)
+    Ok(map)
 }
 
-/// Byte offset of each region inside the window's packed staging
-/// buffer.
-fn prefix_offsets(regions: &[Region]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(regions.len());
-    let mut acc = 0u64;
-    for r in regions {
-        out.push(acc);
-        acc += r.len;
-    }
-    out
-}
-
-/// Index of the window region containing `piece`, if this window holds
-/// it.
-fn window_index(wregions: &[Region], piece: Region) -> Option<usize> {
-    let wi = wregions.partition_point(|r| r.end() <= piece.offset);
-    (wi < wregions.len() && wregions[wi].contains(piece)).then_some(wi)
+/// An aggregator's staging for one window: the buffer's one contiguous
+/// region, the map placing the window's regions in it end to end, and
+/// the window's extent — a piece belongs to the window whose extent
+/// holds it.
+fn staging(window: &RegionList) -> PvfsResult<(RegionList, PieceMap, Region)> {
+    let staged = RegionList::contiguous(0, window.total_len());
+    let place = PieceMap::new(&staged, window)?;
+    let extent = window.extent().expect("a window holds at least one region");
+    Ok((staged, place, extent))
 }

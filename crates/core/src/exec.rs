@@ -98,7 +98,13 @@ fn for_each_region(op: &OpKind, mut f: impl FnMut(Region)) {
 /// `target`, in file order.
 fn for_each_slice(target: &Target, file: Region, mut f: impl FnMut(MemSlice)) {
     match target {
-        Target::Pieces(map) => map.for_each_slice(file, f),
+        Target::Pieces(map) => map.for_each_slice(file, |mem| {
+            f(MemSlice {
+                space: Space::User,
+                offset: mem.offset,
+                len: mem.len,
+            })
+        }),
         Target::Window { temp, base } => f(MemSlice {
             space: Space::Temp(*temp),
             offset: file.offset - base,
@@ -360,8 +366,7 @@ pub fn copy_bytes(pairs: &[CopyPair]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::PieceMap;
-    use pvfs_types::RegionList;
+    use pvfs_types::{PieceMap, RegionList};
     use std::sync::Arc;
 
     fn layout() -> StripeLayout {

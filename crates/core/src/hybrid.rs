@@ -15,11 +15,11 @@
 //! merged — so hybrid writes stay lock-free, unlike data sieving writes.
 
 use crate::method::MethodConfig;
-use crate::plan::{AccessPlan, IoKind, OpKind, PieceMap, Round, Step, Target};
+use crate::plan::{AccessPlan, IoKind, OpKind, Round, Step, Target};
 use crate::planutil::servers_for;
 use crate::request::ListRequest;
 use crate::sieving::{window_copies, window_steps};
-use pvfs_types::{FileHandle, PvfsResult, Region, RegionList, StripeLayout};
+use pvfs_types::{FileHandle, PieceMap, PvfsResult, Region, RegionList, StripeLayout};
 use std::sync::Arc;
 
 /// One unit of hybrid work.
@@ -34,21 +34,18 @@ enum Item {
 pub(crate) fn plan(
     kind: IoKind,
     request: &ListRequest,
+    map: Arc<PieceMap>,
     handle: FileHandle,
     layout: StripeLayout,
     config: &MethodConfig,
 ) -> PvfsResult<AccessPlan> {
-    let piece_map = Arc::new(PieceMap::new(&request.mem, &request.file)?);
-    let (items, pieces) = match kind {
-        // Only the sieved windows need the pieces themselves (their copy
-        // lists are cut from them, in file order), so only reads
-        // materialise them.
-        IoKind::Read => (build_read_items(request, config), request.pieces()?),
+    let items = match kind {
+        IoKind::Read => build_read_items(request, config),
         // Writes: coalesce gapless neighbours, then plain list chunks.
         IoKind::Write => {
             let coalesced = request.file.coalesced();
             let chunks = coalesced.chunks(config.max_list_regions);
-            (chunks.map(Item::Chunk).collect(), Vec::new())
+            chunks.map(Item::Chunk).collect()
         }
     };
     let windows = items.iter().filter_map(|item| match item {
@@ -58,12 +55,12 @@ pub(crate) fn plan(
     let temp_sizes = windows.max().into_iter().collect();
     let steps = items.into_iter().flat_map(move |item| match item {
         Item::Sieve(window) => {
-            let copies = window_copies(&pieces, window, kind);
+            let copies = window_copies(&map, window, kind);
             window_steps(&layout, kind, window, copies)
         }
         Item::Chunk(chunk) => {
             let servers = servers_for(&layout, chunk.iter().copied());
-            let op = OpKind::list(kind, chunk, Target::Pieces(piece_map.clone()));
+            let op = OpKind::list(kind, chunk, Target::Pieces(map.clone()));
             vec![Step::Round(Round::fan_out(servers.iter(), op))]
         }
     });
@@ -154,7 +151,7 @@ mod tests {
     }
 
     fn compile(kind: IoKind, r: &ListRequest, c: &MethodConfig) -> AccessPlan {
-        plan(kind, r, FileHandle(1), layout(), c).unwrap()
+        crate::plan(Method::Hybrid, kind, r, FileHandle(1), layout(), c).unwrap()
     }
 
     /// Bytes moved over the wire that the caller never asked for.

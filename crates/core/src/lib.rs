@@ -45,17 +45,19 @@ pub mod sieving;
 pub use exec::Buffers;
 pub use method::{Method, MethodConfig};
 pub use plan::{
-    AccessPlan, CopyPair, IoKind, MemSlice, OpKind, PieceMap, PlanStats, Round, Space, Step,
-    Target, WireOp,
+    AccessPlan, CopyPair, IoKind, MemSlice, OpKind, PlanStats, Round, Space, Step, Target, WireOp,
 };
+pub use pvfs_types::PieceMap;
 pub use request::ListRequest;
 
 use pvfs_types::{FileHandle, PvfsError, PvfsResult, StripeLayout};
+use std::sync::Arc;
 
 /// Compile a noncontiguous request into an access plan under `method`.
 ///
 /// This is the crate's front door; the per-method planners live in
 /// [`multiple`], [`sieving`], [`listio`], [`hybrid`] and [`pattern`].
+/// Each is handed the request's one [`PieceMap`], built here.
 pub fn plan(
     method: Method,
     kind: IoKind,
@@ -67,18 +69,22 @@ pub fn plan(
     request.validate()?;
     layout.validate()?;
     config.validate()?;
-    match method {
-        Method::Multiple => multiple::plan(kind, request, handle, layout, config),
-        Method::DataSieving => sieving::plan(kind, request, handle, layout, config),
-        Method::List => listio::plan(kind, request, handle, layout, config),
-        Method::Hybrid => hybrid::plan(kind, request, handle, layout, config),
-        Method::Datatype => pattern::plan(kind, request, handle, layout, config),
-        Method::TwoPhase => Err(PvfsError::invalid(
-            "two-phase I/O is collective: it needs every rank's request, \
-             not one rank's plan — use pvfs_collective::CollectiveFile::\
-             {read_all, write_all}",
-        )),
-    }
+    let planner = match method {
+        Method::Multiple => multiple::plan,
+        Method::DataSieving => sieving::plan,
+        Method::List => listio::plan,
+        Method::Hybrid => hybrid::plan,
+        Method::Datatype => pattern::plan,
+        Method::TwoPhase => {
+            return Err(PvfsError::invalid(
+                "two-phase I/O is collective: it needs every rank's request, \
+                 not one rank's plan — use pvfs_collective::CollectiveFile::\
+                 {read_all, write_all}",
+            ))
+        }
+    };
+    let map = Arc::new(PieceMap::new(&request.mem, &request.file)?);
+    planner(kind, request, map, handle, layout, config)
 }
 
 #[cfg(test)]

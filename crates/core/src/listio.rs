@@ -11,21 +11,21 @@
 //! magnitude write gap.
 
 use crate::method::MethodConfig;
-use crate::plan::{AccessPlan, IoKind, OpKind, PieceMap, Round, Step, Target};
+use crate::plan::{AccessPlan, IoKind, OpKind, Round, Step, Target};
 use crate::planutil::servers_for;
 use crate::request::ListRequest;
-use pvfs_types::{FileHandle, PvfsResult, StripeLayout};
+use pvfs_types::{FileHandle, PieceMap, PvfsResult, StripeLayout};
 use std::sync::Arc;
 
 /// Compile a list-I/O plan.
 pub(crate) fn plan(
     kind: IoKind,
     request: &ListRequest,
+    map: Arc<PieceMap>,
     handle: FileHandle,
     layout: StripeLayout,
     config: &MethodConfig,
 ) -> PvfsResult<AccessPlan> {
-    let pieces = Arc::new(PieceMap::new(&request.mem, &request.file)?);
     // Chunk lazily over the request's own (shared) region list: every
     // chunk is an O(1) sub-list of it, so a million-region plan never
     // duplicates its regions — not per chunk, not per server, not once.
@@ -34,7 +34,7 @@ pub(crate) fn plan(
     let steps = (0..regions.count().div_ceil(max)).map(move |i| {
         let chunk = regions.slice(i * max..((i + 1) * max).min(regions.count()));
         let servers = servers_for(&layout, chunk.iter().copied());
-        let op = OpKind::list(kind, chunk, Target::Pieces(pieces.clone()));
+        let op = OpKind::list(kind, chunk, Target::Pieces(map.clone()));
         Step::Round(Round::fan_out(servers.iter(), op))
     });
 
@@ -57,8 +57,12 @@ mod tests {
         )
     }
 
+    fn compile_with(method: Method, kind: IoKind, r: &ListRequest, c: &MethodConfig) -> AccessPlan {
+        crate::plan(method, kind, r, FileHandle(1), layout(), c).unwrap()
+    }
+
     fn compile(kind: IoKind, r: &ListRequest) -> AccessPlan {
-        plan(kind, r, FileHandle(1), layout(), &MethodConfig::default()).unwrap()
+        compile_with(Method::List, kind, r, &MethodConfig::default())
     }
 
     #[test]
@@ -102,9 +106,7 @@ mod tests {
         let r = req(640, 4, 10); // touches all 4 servers cyclically
         let cfg = MethodConfig::default();
         let lp = compile(IoKind::Read, &r).tally();
-        let mp = crate::multiple::plan(IoKind::Read, &r, FileHandle(1), layout(), &cfg)
-            .unwrap()
-            .tally();
+        let mp = compile_with(Method::Multiple, IoKind::Read, &r, &cfg).tally();
         assert_eq!(mp.requests, 640);
         // 10 chunks × 4 servers = 40 requests.
         assert_eq!(lp.requests, 40);
@@ -119,7 +121,7 @@ mod tests {
             max_list_regions: 16,
             ..MethodConfig::default()
         };
-        let p = plan(IoKind::Read, &r, FileHandle(1), layout(), &cfg).unwrap();
+        let p = compile_with(Method::List, IoKind::Read, &r, &cfg);
         assert_eq!(p.tally().rounds, 8);
     }
 

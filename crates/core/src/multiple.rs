@@ -12,25 +12,25 @@
 //! pieces, which is the overhead the paper's figures show dominating.
 
 use crate::method::MethodConfig;
-use crate::plan::{AccessPlan, IoKind, OpKind, PieceMap, Round, Step, Target};
+use crate::plan::{AccessPlan, IoKind, OpKind, Round, Step, Target};
 use crate::planutil::servers_for;
 use crate::request::ListRequest;
-use pvfs_types::{aligned, FileHandle, PvfsResult, StripeLayout};
+use pvfs_types::{FileHandle, PieceMap, PvfsResult, StripeLayout};
 use std::sync::Arc;
 
 /// Compile a multiple-I/O plan: one round per aligned piece, streamed
-/// from one lazy walk of them rather than held for the life of the plan.
+/// from the map's lazy walk of them rather than held for the life of the
+/// plan.
 pub(crate) fn plan(
     kind: IoKind,
-    request: &ListRequest,
+    _request: &ListRequest,
+    map: Arc<PieceMap>,
     handle: FileHandle,
     layout: StripeLayout,
     _config: &MethodConfig,
 ) -> PvfsResult<AccessPlan> {
-    let pieces = aligned(&request.mem, &request.file)?;
-    let piece_map = Arc::new(PieceMap::new(&request.mem, &request.file)?);
-    let steps = pieces.map(move |(_, region)| {
-        let pieces = Target::Pieces(piece_map.clone());
+    let steps = map.pieces().map(move |(_, region)| {
+        let pieces = Target::Pieces(map.clone());
         let op = match kind {
             IoKind::Read => OpKind::Read {
                 region,
@@ -50,6 +50,7 @@ pub(crate) fn plan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Method;
     use pvfs_types::RegionList;
 
     fn layout() -> StripeLayout {
@@ -61,7 +62,8 @@ mod tests {
     }
 
     fn compile(kind: IoKind, r: &ListRequest) -> AccessPlan {
-        plan(kind, r, FileHandle(1), layout(), &MethodConfig::default()).unwrap()
+        let config = MethodConfig::default();
+        crate::plan(Method::Multiple, kind, r, FileHandle(1), layout(), &config).unwrap()
     }
 
     #[test]

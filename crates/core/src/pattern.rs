@@ -15,10 +15,10 @@
 //! region count.
 
 use crate::method::MethodConfig;
-use crate::plan::{AccessPlan, IoKind, OpKind, PieceMap, Round, Step, Target};
+use crate::plan::{AccessPlan, IoKind, OpKind, Round, Step, Target};
 use crate::request::ListRequest;
 use pvfs_proto::VectorRun;
-use pvfs_types::{FileHandle, PvfsResult, Region, ServerId, StripeLayout};
+use pvfs_types::{FileHandle, PieceMap, PvfsResult, Region, ServerId, StripeLayout};
 use std::sync::Arc;
 
 /// Greedily compress a sorted, disjoint region list into maximal vector
@@ -118,11 +118,11 @@ fn chunk_servers(runs: &[VectorRun], layout: &StripeLayout) -> Vec<ServerId> {
 pub(crate) fn plan(
     kind: IoKind,
     request: &ListRequest,
+    map: Arc<PieceMap>,
     handle: FileHandle,
     layout: StripeLayout,
     config: &MethodConfig,
 ) -> PvfsResult<AccessPlan> {
-    let pieces = Arc::new(PieceMap::new(&request.mem, &request.file)?);
     let runs = compress_runs(request.file.regions());
     let chunks: Vec<Vec<VectorRun>> = runs
         .chunks(config.max_vector_runs)
@@ -130,7 +130,7 @@ pub(crate) fn plan(
         .collect();
     let steps = chunks.into_iter().map(move |chunk| {
         let servers = chunk_servers(&chunk, &layout);
-        let at = Target::Pieces(pieces.clone());
+        let at = Target::Pieces(map.clone());
         let op = match kind {
             IoKind::Read => OpKind::ReadVectors {
                 runs: chunk,
@@ -150,10 +150,15 @@ pub(crate) fn plan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Method;
     use pvfs_types::RegionList;
 
     fn layout() -> StripeLayout {
         StripeLayout::new(0, 4, 10).unwrap()
+    }
+
+    fn compile(kind: IoKind, r: &ListRequest, c: &MethodConfig) -> AccessPlan {
+        crate::plan(Method::Datatype, kind, r, FileHandle(1), layout(), c).unwrap()
     }
 
     fn regions(pairs: &[(u64, u64)]) -> Vec<Region> {
@@ -221,8 +226,8 @@ mod tests {
             RegionList::from_pairs((0..100_000u64).map(|i| (i * 40, 4))).unwrap(),
         );
         let cfg = MethodConfig::default();
-        let ps = plan(IoKind::Read, &small, FileHandle(1), layout(), &cfg).unwrap();
-        let pb = plan(IoKind::Read, &big, FileHandle(1), layout(), &cfg).unwrap();
+        let ps = compile(IoKind::Read, &small, &cfg);
+        let pb = compile(IoKind::Read, &big, &cfg);
         let (ts, tb) = (ps.tally(), pb.tally());
         assert_eq!(ts.requests, tb.requests);
         assert_eq!(tb.list_requests, tb.requests);
@@ -320,7 +325,7 @@ mod tests {
         }
         let r = ListRequest::gather(RegionList::from_pairs(pairs).unwrap());
         let cfg = MethodConfig::default();
-        let p = plan(IoKind::Read, &r, FileHandle(1), layout(), &cfg).unwrap();
+        let p = compile(IoKind::Read, &r, &cfg);
         assert!(p.tally().rounds >= 2); // 100 runs / 45 per request
     }
 

@@ -18,9 +18,7 @@
 //! one place rather than predicted by each planner.
 
 use crate::exec::{copy_bytes, server_share};
-use pvfs_types::{
-    AlignCursor, FileHandle, PvfsError, PvfsResult, Region, RegionList, ServerId, StripeLayout,
-};
+use pvfs_types::{FileHandle, PieceMap, Region, RegionList, ServerId, StripeLayout};
 use std::fmt;
 use std::sync::Arc;
 
@@ -62,143 +60,12 @@ pub struct CopyPair {
     pub src: MemSlice,
 }
 
-/// Every `MARK_STRIDE`-th region of each list has its byte-stream offset
-/// recorded; a lookup walks fewer than this many regions past a mark.
-const MARK_STRIDE: usize = 64;
-
-/// The scatter/gather map of one request: which user-buffer slices back
-/// any file subregion.
-///
-/// The map is *implicit*: it holds the request's two region lists (O(1)
-/// clones sharing the caller's storage) and, for every
-/// [`MARK_STRIDE`]-th region of each, the offset of that region in the
-/// list's byte stream — `(n_mem + n_file) / 8` bytes, where the aligned
-/// (memory, file) pieces themselves would take 32 bytes each (3 MiB for
-/// one 768 KiB FLASH checkpoint op). The k-th byte of the file stream
-/// pairs with the k-th byte of the memory stream, so a lookup is one
-/// binary search over the sorted file list, one over the memory marks,
-/// a walk of fewer than `MARK_STRIDE` regions on each side, and then the
-/// same in-step walk [`pvfs_types::aligned`] makes, from there.
-///
-/// Built once per [`crate::ListRequest`] and shared (`Arc`) by every
-/// wire op of the plan; never mutated, which is also what keeps the
-/// list clones O(1).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PieceMap {
-    mem: RegionList,
-    /// Sorted and disjoint.
-    file: RegionList,
-    mem_marks: Vec<u64>,
-    file_marks: Vec<u64>,
-}
-
-/// Byte-stream offset of every `MARK_STRIDE`-th region, and the total.
-fn stream_marks(list: &RegionList) -> (Vec<u64>, u64) {
-    let mut marks = Vec::with_capacity(list.count().div_ceil(MARK_STRIDE));
-    let mut at = 0u64;
-    for block in list.regions().chunks(MARK_STRIDE) {
-        marks.push(at);
-        at += block.iter().map(|r| r.len).sum::<u64>();
-    }
-    (marks, at)
-}
-
-impl PieceMap {
-    /// Map a request's memory list onto its file list. Errors unless
-    /// the two cover the same number of bytes and the file list is
-    /// sorted and disjoint (what [`crate::ListRequest::validate`]
-    /// demands of a request).
-    pub fn new(mem: &RegionList, file: &RegionList) -> PvfsResult<PieceMap> {
-        let (mem_marks, mem_total) = stream_marks(mem);
-        let (file_marks, file_total) = stream_marks(file);
-        if mem_total != file_total {
-            return Err(PvfsError::invalid(format!(
-                "memory list covers {mem_total} bytes but file list covers {file_total}"
-            )));
-        }
-        if !file.is_sorted_disjoint() {
-            return Err(PvfsError::invalid(
-                "file regions must be sorted and disjoint",
-            ));
-        }
-        Ok(PieceMap {
-            mem: mem.clone(),
-            file: file.clone(),
-            mem_marks,
-            file_marks,
-        })
-    }
-
-    /// Where the walk over both lists stands at file offset `offset`,
-    /// or `None` when no file region holds that byte.
-    fn seek(&self, offset: u64) -> Option<AlignCursor> {
-        let (mem, file) = (self.mem.regions(), self.file.regions());
-        let file_index = file.partition_point(|r| r.end() <= offset);
-        let file_used = offset.checked_sub(file.get(file_index)?.offset)?;
-        // Stream position of `offset`: the mark behind its region, the
-        // regions between the two, the bytes into the region.
-        let block = file_index / MARK_STRIDE;
-        let skipped = &file[block * MARK_STRIDE..file_index];
-        let pos = self.file_marks[block] + skipped.iter().map(|r| r.len).sum::<u64>() + file_used;
-        // The memory region holding stream byte `pos`: the last mark at
-        // or before it (the first mark is 0), then forward. `pos` is
-        // inside the stream, so the walk stops on a region.
-        let block = self.mem_marks.partition_point(|&mark| mark <= pos) - 1;
-        let mut mem_index = block * MARK_STRIDE;
-        let mut at = self.mem_marks[block];
-        while at + mem[mem_index].len <= pos {
-            at += mem[mem_index].len;
-            mem_index += 1;
-        }
-        Some(AlignCursor::at(
-            mem,
-            mem_index,
-            pos - at,
-            file,
-            file_index,
-            file_used,
-        ))
-    }
-
-    /// Call `f` with each user-space memory slice backing file region
-    /// `file`, in file order: one slice per aligned piece the region
-    /// touches, cut where either list's region ends. `file` must be
-    /// fully covered by mapped file regions (planners only ask about
-    /// regions they derived from the same request); it may span
-    /// adjacent ones.
-    pub fn for_each_slice(&self, file: Region, mut f: impl FnMut(MemSlice)) {
-        if file.is_empty() {
-            return;
-        }
-        let (mem_list, file_list) = (self.mem.regions(), self.file.regions());
-        let mut covered = 0;
-        if let Some(mut at) = self.seek(file.offset) {
-            while let Some((mem, piece)) = at.step(mem_list, file_list) {
-                if piece.offset != file.offset + covered {
-                    break; // a gap in the file list inside `file`
-                }
-                let len = mem.len.min(file.len - covered);
-                f(MemSlice {
-                    space: Space::User,
-                    offset: mem.offset,
-                    len,
-                });
-                covered += len;
-                if covered == file.len {
-                    break;
-                }
-            }
-        }
-        debug_assert_eq!(covered, file.len, "file region {file} not fully mapped");
-    }
-}
-
 /// Where the byte stream of a wire op comes from / goes to on the
 /// client.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Target {
-    /// Scatter/gather through the request's aligned pieces (user
-    /// buffer).
+    /// Scatter/gather through the request's [`PieceMap`] (user buffer),
+    /// the one map [`crate::plan`] builds per request.
     Pieces(Arc<PieceMap>),
     /// A contiguous window in temp buffer `temp`: file offset `x` maps
     /// to temp offset `x - base`. Used by data sieving.
@@ -505,7 +372,11 @@ mod tests {
         }
     }
 
-    fn slices(map: &PieceMap, file: Region) -> Vec<MemSlice> {
+    // `PieceMap` lives in `pvfs_types::region`; its tests stay here,
+    // beside the plans that use it, because the equivalence test below
+    // also holds data sieving's copy lists to the materialised pieces.
+
+    fn slices(map: &PieceMap, file: Region) -> Vec<Region> {
         let mut out = Vec::new();
         map.for_each_slice(file, |s| out.push(s));
         out
@@ -514,7 +385,10 @@ mod tests {
     #[test]
     fn piecemap_lookup_exact_piece() {
         let map = PieceMap::new(&rl(&[(0, 20)]), &rl(&[(100, 10), (200, 10)])).unwrap();
-        assert_eq!(slices(&map, Region::new(200, 10)), vec![user(10, 10)]);
+        assert_eq!(
+            slices(&map, Region::new(200, 10)),
+            vec![Region::new(10, 10)]
+        );
     }
 
     #[test]
@@ -524,17 +398,17 @@ mod tests {
         let map = PieceMap::new(&rl(&[(0, 20)]), &rl(&[(100, 10), (110, 10)])).unwrap();
         assert_eq!(
             slices(&map, Region::new(105, 10)),
-            vec![user(5, 5), user(10, 5)]
+            vec![Region::new(5, 5), Region::new(10, 5)]
         );
         // …and where only the memory list has one, unsorted at that.
         let map = PieceMap::new(&rl(&[(50, 4), (0, 16)]), &rl(&[(100, 20)])).unwrap();
         assert_eq!(
             slices(&map, Region::new(102, 6)),
-            vec![user(52, 2), user(0, 4)]
+            vec![Region::new(52, 2), Region::new(0, 4)]
         );
         // The slice that ends the stream leaves the walk one past the
         // last region of both lists.
-        assert_eq!(slices(&map, Region::new(119, 1)), vec![user(15, 1)]);
+        assert_eq!(slices(&map, Region::new(119, 1)), vec![Region::new(15, 1)]);
     }
 
     #[test]
@@ -553,23 +427,62 @@ mod tests {
 
     /// The slices the materialised pieces give for `file` — what
     /// `PieceMap` computed when it held one entry per aligned piece.
-    fn slices_from_pieces(pieces: &[(Region, Region)], file: Region) -> Vec<MemSlice> {
+    fn slices_from_pieces(pieces: &[(Region, Region)], file: Region) -> Vec<Region> {
         pieces
             .iter()
             .filter_map(|(mem, f)| {
                 let overlap = f.intersect(file)?;
-                Some(user(mem.offset + (overlap.offset - f.offset), overlap.len))
+                Some(Region::new(
+                    mem.offset + (overlap.offset - f.offset),
+                    overlap.len,
+                ))
+            })
+            .collect()
+    }
+
+    /// The copies of sieve window `window` cut from the materialised
+    /// pieces — how data sieving and hybrid reads built them while they
+    /// held one entry per piece: each piece clipped to the window.
+    fn copies_from_pieces(
+        pieces: &[(Region, Region)],
+        window: Region,
+        kind: IoKind,
+    ) -> Vec<CopyPair> {
+        let first = pieces.partition_point(|(_, f)| f.end() <= window.offset);
+        pieces[first..]
+            .iter()
+            .map_while(|(mem, f)| {
+                let clip = f.intersect(window)?;
+                let user = user(mem.offset + (clip.offset - f.offset), clip.len);
+                let buf = MemSlice {
+                    space: Space::Temp(0),
+                    offset: clip.offset - window.offset,
+                    len: clip.len,
+                };
+                Some(match kind {
+                    IoKind::Read => CopyPair {
+                        dst: user,
+                        src: buf,
+                    },
+                    IoKind::Write => CopyPair {
+                        dst: buf,
+                        src: user,
+                    },
+                })
             })
             .collect()
     }
 
     /// A sorted, disjoint file list of `n` regions (some adjacent) and
     /// a memory list shredding the same total into regions of
-    /// `mem_len` bytes (the last one shorter), scattered out of order.
+    /// `mem_len` bytes (the last one shorter), out of order: scattered
+    /// over a 256-byte grid, or — `overlap` — all inside its first 64
+    /// bytes, naming bytes more than once.
     fn random_lists(
         rng: &mut StdRng,
         n: usize,
         mem_len: std::ops::RangeInclusive<u64>,
+        overlap: bool,
     ) -> (RegionList, RegionList) {
         let mut file = Vec::with_capacity(n);
         let mut at = rng.gen_range(0..100u64);
@@ -585,9 +498,14 @@ mod tests {
         let mut mem = Vec::new();
         while left > 0 {
             let len = rng.gen_range(mem_len.clone()).min(left);
-            // Slot k of a 256-byte grid, slots visited out of order.
-            let slot = mem.len() as u64 ^ 5;
-            mem.push(Region::new(slot * 256 + rng.gen_range(0..16u64), len));
+            let offset = if overlap {
+                rng.gen_range(0..=64 - len)
+            } else {
+                // Slot k of a 256-byte grid, slots visited out of order.
+                let slot = mem.len() as u64 ^ 5;
+                slot * 256 + rng.gen_range(0..16u64)
+            };
+            mem.push(Region::new(offset, len));
             left -= len;
         }
         (
@@ -606,8 +524,12 @@ mod tests {
                 Some(&n) => n,
                 None => rng.gen_range(1..=300usize),
             };
-            let mem_len = if round % 2 == 0 { 1..=3 } else { 200..=200 };
-            let (mem, file) = random_lists(&mut rng, n, mem_len);
+            let (mem_len, overlap) = match round % 3 {
+                0 => (1..=3, false),
+                1 => (200..=200, false),
+                _ => (1..=40, true),
+            };
+            let (mem, file) = random_lists(&mut rng, n, mem_len, overlap);
             let map = PieceMap::new(&mem, &file).unwrap();
             let pieces = pvfs_types::align_lists(&mem, &file).unwrap();
             let check = |query: Region| {
@@ -632,6 +554,33 @@ mod tests {
                     end = next.end();
                     check(Region::new(r.offset + lo, end - (r.offset + lo)));
                     check(Region::new(r.offset, end - 1 - r.offset));
+                }
+            }
+            // The copy lists of sieve windows: data sieving's, buffer
+            // after buffer across the extent (a few bytes, or any size),
+            // and hybrid's, a run of regions from the first one's start
+            // to the last one's end.
+            let extent = file.extent().unwrap();
+            let mut windows = Vec::new();
+            for size in [7, rng.gen_range(1..=extent.len)] {
+                windows.extend(
+                    (extent.offset..extent.end())
+                        .step_by(size as usize)
+                        .map(|start| Region::new(start, size.min(extent.end() - start))),
+                );
+            }
+            let regions = file.regions();
+            windows.extend(regions.iter().enumerate().map(|(i, first)| {
+                let last = regions[(i + 2).min(regions.len() - 1)];
+                Region::new(first.offset, last.end() - first.offset)
+            }));
+            for window in windows {
+                for kind in [IoKind::Read, IoKind::Write] {
+                    assert_eq!(
+                        crate::sieving::window_copies(&map, window, kind),
+                        copies_from_pieces(&pieces, window, kind),
+                        "round {round}: {n} file regions, {kind:?} window {window}"
+                    );
                 }
             }
         }

@@ -1,6 +1,6 @@
 //! The noncontiguous request descriptor.
 
-use pvfs_types::{align_lists, Datatype, PvfsError, PvfsResult, Region, RegionList};
+use pvfs_types::{Datatype, PvfsError, PvfsResult, RegionList};
 
 /// A noncontiguous I/O request: the arguments of the paper's
 /// `pvfs_read_list` / `pvfs_write_list` interface (§3.3).
@@ -92,18 +92,12 @@ impl ListRequest {
         }
         Ok(())
     }
-
-    /// The aligned transfer pieces (memory slice, file slice), each
-    /// contiguous in both spaces. This is the scatter/gather map every
-    /// planner shares.
-    pub fn pieces(&self) -> PvfsResult<Vec<(Region, Region)>> {
-        align_lists(&self.mem, &self.file)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pvfs_types::{align_lists, Region};
 
     fn rl(pairs: &[(u64, u64)]) -> RegionList {
         RegionList::from_pairs(pairs.iter().copied()).unwrap()
@@ -164,7 +158,7 @@ mod tests {
     fn noncontiguous_memory_is_allowed_unsorted() {
         // Memory order defines the byte stream; it need not be sorted.
         let r = ListRequest::new(rl(&[(100, 5), (0, 5)]), rl(&[(0, 10)])).unwrap();
-        assert_eq!(r.pieces().unwrap().len(), 2);
+        assert_eq!(align_lists(&r.mem, &r.file).unwrap().len(), 2);
     }
 
     #[test]
@@ -182,7 +176,7 @@ mod tests {
     #[test]
     fn pieces_cover_total() {
         let r = ListRequest::new(rl(&[(0, 6), (50, 6)]), rl(&[(0, 4), (10, 4), (20, 4)])).unwrap();
-        let pieces = r.pieces().unwrap();
+        let pieces = align_lists(&r.mem, &r.file).unwrap();
         let total: u64 = pieces.iter().map(|(m, _)| m.len).sum();
         assert_eq!(total, 12);
     }

@@ -19,27 +19,27 @@
 //! nearly constant in the number of accesses but pays for sparsity —
 //! and write traffic is doubled by the RMW.
 //!
-//! One window is one mechanism, whoever sieves: [`window_copies`] clips
-//! the sorted pieces to it and [`window_steps`] lays out its read, copy
-//! and write-back. Hybrid I/O sieves its dense clusters through the
-//! same two functions.
+//! One window is one mechanism, whoever sieves: [`window_copies`] walks
+//! the request's [`PieceMap`] across it and [`window_steps`] lays out its
+//! read, copy and write-back. Hybrid I/O sieves its dense clusters
+//! through the same two functions.
 
 use crate::method::MethodConfig;
 use crate::plan::{AccessPlan, CopyPair, IoKind, MemSlice, OpKind, Round, Space, Step};
 use crate::planutil::servers_for;
 use crate::request::ListRequest;
-use pvfs_types::{FileHandle, PvfsResult, Region, StripeLayout};
+use pvfs_types::{FileHandle, PieceMap, PvfsResult, Region, StripeLayout};
+use std::sync::Arc;
 
 /// Compile a data-sieving plan.
 pub(crate) fn plan(
     kind: IoKind,
     request: &ListRequest,
+    map: Arc<PieceMap>,
     handle: FileHandle,
     layout: StripeLayout,
     config: &MethodConfig,
 ) -> PvfsResult<AccessPlan> {
-    // In file order: the file list is sorted.
-    let pieces = request.pieces()?;
     let extent = request
         .file
         .extent()
@@ -52,7 +52,7 @@ pub(crate) fn plan(
         .step_by(buffer as usize)
         .filter_map(move |start| {
             let window = Region::new(start, buffer.min(extent.end() - start));
-            let copies = window_copies(&pieces, window, kind);
+            let copies = window_copies(&map, window, kind);
             (!copies.is_empty()).then(|| window_steps(&layout, kind, window, copies))
         })
         .flatten();
@@ -66,29 +66,28 @@ pub(crate) fn plan(
 }
 
 /// The copies between sieve window `window`, in temp buffer 0, and the
-/// user buffer: each of `pieces` (sorted by file offset) clipped to the
-/// window — buffer → user for a read, user → buffer for a write.
-pub(crate) fn window_copies(
-    pieces: &[(Region, Region)],
-    window: Region,
-    kind: IoKind,
-) -> Vec<CopyPair> {
-    let first = pieces.partition_point(|(_, file)| file.end() <= window.offset);
-    pieces[first..]
-        .iter()
-        .map_while(|&(mem, file)| {
-            let clip = file.intersect(window)?;
+/// user buffer: every file region of `map` the window overlaps, clipped
+/// to it, one pair per user-memory slice behind the clip — buffer → user
+/// for a read, user → buffer for a write.
+pub(crate) fn window_copies(map: &PieceMap, window: Region, kind: IoKind) -> Vec<CopyPair> {
+    let file = map.file().regions();
+    let first = file.partition_point(|r| r.end() <= window.offset);
+    let mut copies = Vec::new();
+    for clip in file[first..].iter().map_while(|r| r.intersect(window)) {
+        let mut at = clip.offset - window.offset;
+        map.for_each_slice(clip, |mem| {
             let user = MemSlice {
                 space: Space::User,
-                offset: mem.offset + (clip.offset - file.offset),
-                len: clip.len,
+                offset: mem.offset,
+                len: mem.len,
             };
             let buf = MemSlice {
                 space: Space::Temp(0),
-                offset: clip.offset - window.offset,
-                len: clip.len,
+                offset: at,
+                len: mem.len,
             };
-            Some(match kind {
+            at += mem.len;
+            copies.push(match kind {
                 IoKind::Read => CopyPair {
                     dst: user,
                     src: buf,
@@ -97,9 +96,10 @@ pub(crate) fn window_copies(
                     dst: buf,
                     src: user,
                 },
-            })
-        })
-        .collect()
+            });
+        });
+    }
+    copies
 }
 
 /// The steps of one sieve window: read it into temp buffer 0, apply
@@ -142,7 +142,15 @@ mod tests {
     }
 
     fn compile(kind: IoKind, r: &ListRequest, buffer: u64) -> AccessPlan {
-        plan(kind, r, FileHandle(1), layout(), &cfg(buffer)).unwrap()
+        crate::plan(
+            Method::DataSieving,
+            kind,
+            r,
+            FileHandle(1),
+            layout(),
+            &cfg(buffer),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -189,14 +197,13 @@ mod tests {
     /// out of the buffer where a write copies into it.
     #[test]
     fn window_copies_clip_the_pieces_to_the_window() {
-        let r = ListRequest::new(
-            RegionList::from_pairs([(100, 10), (0, 20)]).unwrap(),
-            RegionList::from_pairs([(0, 10), (20, 10), (40, 10)]).unwrap(),
+        let map = PieceMap::new(
+            &RegionList::from_pairs([(100, 10), (0, 20)]).unwrap(),
+            &RegionList::from_pairs([(0, 10), (20, 10), (40, 10)]).unwrap(),
         )
         .unwrap();
-        let pieces = r.pieces().unwrap();
         let slice = |space, offset, len| MemSlice { space, offset, len };
-        let read = window_copies(&pieces, Region::new(5, 20), IoKind::Read);
+        let read = window_copies(&map, Region::new(5, 20), IoKind::Read);
         assert_eq!(
             read,
             vec![
@@ -210,7 +217,7 @@ mod tests {
                 },
             ]
         );
-        let write = window_copies(&pieces, Region::new(5, 20), IoKind::Write);
+        let write = window_copies(&map, Region::new(5, 20), IoKind::Write);
         let flipped: Vec<CopyPair> = read
             .iter()
             .map(|c| CopyPair {
@@ -219,9 +226,9 @@ mod tests {
             })
             .collect();
         assert_eq!(write, flipped);
-        assert!(window_copies(&pieces, Region::new(30, 10), IoKind::Read).is_empty());
+        assert!(window_copies(&map, Region::new(30, 10), IoKind::Read).is_empty());
         assert_eq!(
-            window_copies(&pieces, Region::new(0, 50), IoKind::Read).len(),
+            window_copies(&map, Region::new(0, 50), IoKind::Read).len(),
             3
         );
     }

@@ -5,9 +5,9 @@
 use bytes::BytesMut;
 use proptest::prelude::*;
 use pvfs_core::exec::{gather_payload_into, scatter_response, server_share, Buffers};
-use pvfs_core::plan::{OpKind, PieceMap, Target};
-use pvfs_core::ListRequest;
-use pvfs_types::{Region, RegionList, StripeLayout};
+use pvfs_core::plan::{OpKind, Target};
+use pvfs_core::{ListRequest, PieceMap};
+use pvfs_types::{align_lists, Region, RegionList, StripeLayout};
 use std::sync::Arc;
 
 fn arb_layout() -> impl Strategy<Value = StripeLayout> {
@@ -89,7 +89,7 @@ proptest! {
             let _ = dst_bufs;
             // Every byte the chunk names must have round-tripped:
             // verify via the aligned pieces clipped to the chunk.
-            for (mem, file) in request.pieces().unwrap() {
+            for (mem, file) in align_lists(&request.mem, &request.file).unwrap() {
                 for r in chunk.iter() {
                     if let Some(clip) = file.intersect(*r) {
                         let mem_off = mem.offset + (clip.offset - file.offset);

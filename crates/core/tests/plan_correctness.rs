@@ -12,7 +12,7 @@ use pvfs_core::exec::{alloc_temps, apply_copies, scatter_response, wire_request,
 use pvfs_core::{plan, AccessPlan, IoKind, ListRequest, Method, MethodConfig, Step};
 use pvfs_proto::{Request, Response};
 use pvfs_server::IoDaemon;
-use pvfs_types::{FileHandle, Region, RegionList, ServerId, StripeLayout};
+use pvfs_types::{align_lists, FileHandle, Region, RegionList, ServerId, StripeLayout};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -122,7 +122,7 @@ fn pattern_bytes(len: usize, salt: u8) -> Vec<u8> {
 /// Expected user buffer after reading `request` from `file_content`.
 fn oracle_read(request: &ListRequest, file_content: &[u8], buf_len: usize) -> Vec<u8> {
     let mut user = vec![0u8; buf_len];
-    for (mem, file) in request.pieces().unwrap() {
+    for (mem, file) in align_lists(&request.mem, &request.file).unwrap() {
         user[mem.offset as usize..mem.end() as usize]
             .copy_from_slice(&file_content[file.offset as usize..file.end() as usize]);
     }
@@ -132,7 +132,7 @@ fn oracle_read(request: &ListRequest, file_content: &[u8], buf_len: usize) -> Ve
 /// Expected file after writing `request` from `user`.
 fn oracle_write(request: &ListRequest, user: &[u8], file_before: &[u8]) -> Vec<u8> {
     let mut file = file_before.to_vec();
-    for (mem, f) in request.pieces().unwrap() {
+    for (mem, f) in align_lists(&request.mem, &request.file).unwrap() {
         file[f.offset as usize..f.end() as usize]
             .copy_from_slice(&user[mem.offset as usize..mem.end() as usize]);
     }

@@ -35,6 +35,31 @@ pub(crate) fn parse_duration(s: &str) -> Result<Duration, String> {
     };
     digits
         .parse::<u64>()
-        .map(|n| Duration::from_millis(n * scale))
-        .map_err(|_| format!("duration {s:?} is malformed (try 250ms or 2s)"))
+        .ok()
+        .and_then(|n| n.checked_mul(scale))
+        .map(Duration::from_millis)
+        .ok_or_else(|| format!("duration {s:?} is malformed (try 250ms or 2s)"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn durations_parse_in_either_unit_and_never_wrap() {
+        assert_eq!(parse_duration(" 250ms"), Ok(Duration::from_millis(250)));
+        assert_eq!(parse_duration("2s"), Ok(Duration::from_secs(2)));
+        assert_eq!(parse_duration("40"), Ok(Duration::from_millis(40)));
+        let most = u64::MAX / 1000;
+        assert_eq!(
+            parse_duration(&format!("{most}s")),
+            Ok(Duration::from_secs(most))
+        );
+        // One second more is past u64 milliseconds: malformed, not a
+        // panic (debug) or a wrapped 384 ms budget (release).
+        for spec in ["18446744073709552s", "2x", "s", ""] {
+            let err = parse_duration(spec).unwrap_err();
+            assert!(err.contains("malformed"), "{spec:?}: {err}");
+        }
+    }
 }

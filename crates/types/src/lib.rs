@@ -5,7 +5,8 @@
 //! * [`Region`] / [`RegionList`] — contiguous byte ranges and ordered lists
 //!   of them, the currency of noncontiguous I/O. A noncontiguous request in
 //!   the paper is exactly a pair of region lists (one for memory, one for
-//!   file) with equal total lengths.
+//!   file) with equal total lengths; a [`PieceMap`] pairs the two byte
+//!   for byte.
 //! * [`StripeLayout`] — PVFS user-controlled striping (base node, pcount,
 //!   stripe size) and the logical-offset ⇄ (server, local offset) mapping
 //!   both the client library and the I/O daemons rely on.
@@ -46,7 +47,9 @@ pub use ids::{ClientId, FileHandle, RequestId, ServerId};
 pub use metrics::{
     ClientLedger, ClientStats, Histogram, Ledger, ScrubReport, SharedHistogram, StatsSnapshot,
 };
-pub use region::{align_lists, aligned, AlignCursor, Aligned, Region, RegionList, TransferPiece};
+pub use region::{PieceMap, Region, RegionList, TransferPiece};
+// The reference walk, for the tests' oracles and the benchmark's inputs.
+pub use region::align_lists;
 pub use striping::{StripeLayout, StripeSegment};
 pub use trace::{
     FlightRecorder, Span, SpanId, TraceContext, TraceId, TraceMode, TraceTree, DEFAULT_TRACE_CAP,

@@ -429,45 +429,163 @@ impl fmt::Display for RegionList {
 /// positionally with `piece.1` bytes in file; both have the same length.
 pub type TransferPiece = (Region, Region);
 
-/// Walk a memory list and a file list in step, yielding the pieces
-/// contiguous in *both* spaces, lazily.
-///
-/// The byte streams of the two lists are zipped: the k-th byte of the
-/// memory stream corresponds to the k-th byte of the file stream. Each
-/// piece is the longest run contiguous in both, so scatter/gather can be
-/// performed piece-by-piece with plain `copy_from_slice`. The walk keeps
-/// an O(1) clone of each list and two cursors — nothing proportional to
-/// the piece count, which for a shredded memory side (FLASH: 98 304
-/// eight-byte fragments per 768 KiB) dwarfs the payload.
-///
-/// Errors if the two lists cover different total lengths — the same
-/// precondition `pvfs_read_list` imposes on its arguments.
-pub fn aligned(mem: &RegionList, file: &RegionList) -> PvfsResult<Aligned> {
-    same_totals(mem, file)?;
-    Ok(Aligned {
-        at: AlignCursor::at(mem.regions(), 0, 0, file.regions(), 0, 0),
-        mem: mem.clone(),
-        file: file.clone(),
-    })
-}
-
-fn same_totals(mem: &RegionList, file: &RegionList) -> PvfsResult<()> {
-    if mem.total_len() != file.total_len() {
+/// The precondition `pvfs_read_list` imposes on its arguments: the two
+/// lists cover the same number of bytes.
+fn same_totals(mem_total: u64, file_total: u64) -> PvfsResult<()> {
+    if mem_total != file_total {
         return Err(PvfsError::invalid(format!(
-            "memory list covers {} bytes but file list covers {}",
-            mem.total_len(),
-            file.total_len()
+            "memory list covers {mem_total} bytes but file list covers {file_total}"
         )));
     }
     Ok(())
 }
 
-/// Where an aligned walk over a memory and a file region slice stands.
-/// The cursor borrows nothing: each [`step`](AlignCursor::step) is
-/// handed the two slices it was made for, so whoever owns the lists
-/// (an [`Aligned`], a scatter/gather map) can keep a cursor beside them.
+/// Every `MARK_STRIDE`-th region of each list has its byte-stream offset
+/// recorded; a lookup walks fewer than this many regions past a mark.
+const MARK_STRIDE: usize = 64;
+
+/// The scatter/gather map of one request: how its memory list pairs
+/// with its file list, byte for byte.
+///
+/// The byte streams of the two lists are zipped — the k-th byte of the
+/// memory stream corresponds to the k-th byte of the file stream — and
+/// cut into *pieces*, each the longest run contiguous in both spaces,
+/// so scatter/gather is plain `copy_from_slice` piece by piece. This is
+/// the one walk that pairs the two lists; [`align_lists`] is its
+/// reference, materialised.
+///
+/// The map is *implicit*: it holds the two region lists (O(1) clones
+/// sharing the caller's storage) and, for every [`MARK_STRIDE`]-th
+/// region of each, the offset of that region in the list's byte stream
+/// — `(n_mem + n_file) / 8` bytes, where the pieces themselves would take
+/// 32 bytes each (3 MiB for one 768 KiB FLASH checkpoint op, whose
+/// memory side is 98 304 eight-byte fragments). A lookup is one binary
+/// search over the sorted file list, one over the memory marks, a walk
+/// of fewer than `MARK_STRIDE` regions on each side, and then the
+/// in-step walk from there.
+///
+/// Never mutated, which is also what keeps the list clones O(1); a plan
+/// shares one (`Arc`) among all its wire ops.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PieceMap {
+    mem: RegionList,
+    /// Sorted and disjoint.
+    file: RegionList,
+    mem_marks: Vec<u64>,
+    file_marks: Vec<u64>,
+}
+
+/// Byte-stream offset of every `MARK_STRIDE`-th region, and the total.
+fn stream_marks(list: &RegionList) -> (Vec<u64>, u64) {
+    let mut marks = Vec::with_capacity(list.count().div_ceil(MARK_STRIDE));
+    let mut at = 0u64;
+    for block in list.regions().chunks(MARK_STRIDE) {
+        marks.push(at);
+        at += block.iter().map(|r| r.len).sum::<u64>();
+    }
+    (marks, at)
+}
+
+impl PieceMap {
+    /// Map a memory list onto a file list. Errors unless the two cover
+    /// the same number of bytes and the file list is sorted and disjoint
+    /// (what a request must be).
+    pub fn new(mem: &RegionList, file: &RegionList) -> PvfsResult<PieceMap> {
+        let (mem_marks, mem_total) = stream_marks(mem);
+        let (file_marks, file_total) = stream_marks(file);
+        same_totals(mem_total, file_total)?;
+        if !file.is_sorted_disjoint() {
+            return Err(PvfsError::invalid(
+                "file regions must be sorted and disjoint",
+            ));
+        }
+        Ok(PieceMap {
+            mem: mem.clone(),
+            file: file.clone(),
+            mem_marks,
+            file_marks,
+        })
+    }
+
+    /// The file list, sorted and disjoint.
+    pub fn file(&self) -> &RegionList {
+        &self.file
+    }
+
+    /// Every piece in stream order, lazily: the walk owns O(1) clones of
+    /// the two lists and a cursor, nothing proportional to the piece
+    /// count.
+    pub fn pieces(&self) -> impl Iterator<Item = TransferPiece> + Send + 'static {
+        let (mem, file) = (self.mem.clone(), self.file.clone());
+        let mut at = AlignCursor::at(mem.regions(), 0, 0, file.regions(), 0, 0);
+        std::iter::from_fn(move || at.step(mem.regions(), file.regions()))
+    }
+
+    /// Where the walk over both lists stands at file offset `offset`,
+    /// or `None` when no file region holds that byte.
+    fn seek(&self, offset: u64) -> Option<AlignCursor> {
+        let (mem, file) = (self.mem.regions(), self.file.regions());
+        let file_index = file.partition_point(|r| r.end() <= offset);
+        let file_used = offset.checked_sub(file.get(file_index)?.offset)?;
+        // Stream position of `offset`: the mark behind its region, the
+        // regions between the two, the bytes into the region.
+        let block = file_index / MARK_STRIDE;
+        let skipped = &file[block * MARK_STRIDE..file_index];
+        let pos = self.file_marks[block] + skipped.iter().map(|r| r.len).sum::<u64>() + file_used;
+        // The memory region holding stream byte `pos`: the last mark at
+        // or before it (the first mark is 0), then forward. `pos` is
+        // inside the stream, so the walk stops on a region.
+        let block = self.mem_marks.partition_point(|&mark| mark <= pos) - 1;
+        let mut mem_index = block * MARK_STRIDE;
+        let mut at = self.mem_marks[block];
+        while at + mem[mem_index].len <= pos {
+            at += mem[mem_index].len;
+            mem_index += 1;
+        }
+        Some(AlignCursor::at(
+            mem,
+            mem_index,
+            pos - at,
+            file,
+            file_index,
+            file_used,
+        ))
+    }
+
+    /// Call `f` with each memory region backing file region `file`, in
+    /// file order: one per piece the region touches, cut where either
+    /// list's region ends. `file` must be fully covered by mapped file
+    /// regions (callers only ask about regions they derived from the
+    /// same lists); it may span adjacent ones.
+    pub fn for_each_slice(&self, file: Region, mut f: impl FnMut(Region)) {
+        if file.is_empty() {
+            return;
+        }
+        let (mem_list, file_list) = (self.mem.regions(), self.file.regions());
+        let mut covered = 0;
+        if let Some(mut at) = self.seek(file.offset) {
+            while let Some((mem, piece)) = at.step(mem_list, file_list) {
+                if piece.offset != file.offset + covered {
+                    break; // a gap in the file list inside `file`
+                }
+                let len = mem.len.min(file.len - covered);
+                f(Region::new(mem.offset, len));
+                covered += len;
+                if covered == file.len {
+                    break;
+                }
+            }
+        }
+        debug_assert_eq!(covered, file.len, "file region {file} not fully mapped");
+    }
+}
+
+/// Where the walk over a memory and a file region slice stands. The
+/// cursor borrows nothing: each [`step`](AlignCursor::step) is handed
+/// the two slices it was made for, so the [`PieceMap`] that owns the
+/// lists can keep a cursor beside them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AlignCursor {
+struct AlignCursor {
     /// Index of the current region of each list…
     mem_index: usize,
     file_index: usize,
@@ -483,7 +601,7 @@ impl AlignCursor {
     /// (each `used` less than its region's length, or the index one
     /// past the end). The caller vouches that the two positions are the
     /// same byte of the two streams.
-    pub fn at(
+    fn at(
         mem: &[Region],
         mem_index: usize,
         mem_used: u64,
@@ -507,7 +625,7 @@ impl AlignCursor {
     /// lists — moving the cursor past it; `None` once either list is
     /// exhausted.
     #[inline]
-    pub fn step(&mut self, mem: &[Region], file: &[Region]) -> Option<TransferPiece> {
+    fn step(&mut self, mem: &[Region], file: &[Region]) -> Option<TransferPiece> {
         if self.mem_index >= mem.len() || self.file_index >= file.len() {
             return None;
         }
@@ -541,28 +659,12 @@ fn take_front(rest: &mut Region, index: &mut usize, list: &[Region], n: u64) -> 
     taken
 }
 
-/// The lazy walk [`aligned`] returns.
-#[derive(Debug, Clone)]
-pub struct Aligned {
-    mem: RegionList,
-    file: RegionList,
-    at: AlignCursor,
-}
-
-impl Iterator for Aligned {
-    type Item = TransferPiece;
-
-    #[inline]
-    fn next(&mut self) -> Option<TransferPiece> {
-        self.at.step(self.mem.regions(), self.file.regions())
-    }
-}
-
-/// The walk of [`aligned`], materialised: one `Vec` entry per piece.
-/// The planners that re-sort or re-walk the pieces (data sieving,
-/// hybrid) and the tests' oracles use this; the data path walks lazily.
+/// The walk of [`PieceMap`], materialised: one `Vec` entry per piece,
+/// and no demand on the order of the file list. The reference the tests'
+/// oracles (and the benchmark's inputs) are built from; the program
+/// itself pairs the lists through a [`PieceMap`].
 pub fn align_lists(mem: &RegionList, file: &RegionList) -> PvfsResult<Vec<TransferPiece>> {
-    same_totals(mem, file)?;
+    same_totals(mem.total_len(), file.total_len())?;
     let (mem, file) = (mem.regions(), file.regions());
     let mut at = AlignCursor::at(mem, 0, 0, file, 0, 0);
     let mut pieces = Vec::with_capacity(mem.len().max(file.len()));
@@ -863,8 +965,9 @@ mod tests {
         let mem = rl(&[(0, 6), (100, 2), (50, 4)]);
         let file = rl(&[(10, 3), (20, 3), (30, 2), (40, 4)]);
         let pieces = align_lists(&mem, &file).unwrap();
-        assert_eq!(aligned(&mem, &file).unwrap().collect::<Vec<_>>(), pieces);
-        assert!(aligned(&mem, &rl(&[(0, 11)])).is_err());
+        let map = PieceMap::new(&mem, &file).unwrap();
+        assert_eq!(map.pieces().collect::<Vec<_>>(), pieces);
+        assert!(PieceMap::new(&mem, &rl(&[(0, 11)])).is_err());
         // Stream byte 7: one byte into memory region 1 and into file
         // region 2; the walk from there is the tail of the full walk,
         // its first piece cut short.

@@ -27,27 +27,41 @@
 //! gather. The piece map is implicit now and the record goes to the
 //! journal file from where the runs lie, so the payload itself is the
 //! only payload-sized allocation left.
+//!
+//! The counter also keeps the bytes live at any moment and their peak,
+//! which is what pins the planners' memory: a data-sieving or hybrid read
+//! of that FLASH op held its 98 304 aligned pieces — 3 MiB — in one
+//! vector for the life of its plan, and now walks the piece map instead.
 
 use pvfs::client::PvfsFile;
-use pvfs::core::Method;
+use pvfs::core::{IoKind, Method, MethodConfig};
 use pvfs::disk::{LocalFile, ScratchDir, SparseStore, StorageConfig, SyncPolicy};
 use pvfs::net::{LiveCluster, TransportKind};
 use pvfs::server::IodConfig;
-use pvfs::types::StripeLayout;
+use pvfs::types::{FileHandle, StripeLayout};
 use pvfs::workloads::{verify, Cyclic, FlashIo};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
 
-/// The system allocator with a call counter and a byte counter in front.
+/// The system allocator with a call counter, a byte counter and a
+/// live-byte gauge (with its high-water mark) in front.
 struct Counting;
 
 fn count(bytes: usize) {
     // Relaxed: the counters publish no other data.
     ALLOCS.fetch_add(1, Ordering::Relaxed);
     BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+fn release(bytes: usize) {
+    LIVE.fetch_sub(bytes as u64, Ordering::Relaxed);
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -67,13 +81,16 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // Old and new block both count at the peak: a move holds both.
         count(new_size);
+        release(layout.size());
         // SAFETY: `ptr` came from this allocator, which is `System`
         // underneath, with this `layout`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        release(layout.size());
         // SAFETY: as for `realloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -93,6 +110,15 @@ fn allocated_by(op: impl FnOnce()) -> (u64, u64) {
         ALLOCS.load(Ordering::Relaxed) - before.0,
         BYTES.load(Ordering::Relaxed) - before.1,
     )
+}
+
+/// The most that running `op` ever held live above what was live when it
+/// began, process-wide.
+fn peak_above_start(op: impl FnOnce()) -> u64 {
+    let start = LIVE.load(Ordering::Relaxed);
+    PEAK.store(start, Ordering::Relaxed);
+    op();
+    PEAK.load(Ordering::Relaxed) - start
 }
 
 /// Over tcp the cyclic write and its read-back each measure 0.10 bytes
@@ -160,6 +186,7 @@ fn a_list_op_allocates_a_fixed_small_multiple_of_its_payload() {
             now => seen = now,
         }
     }
+    sieved_reads_hold_no_piece_vector();
     cyclic_list_ops();
     durable_flash_checkpoint();
     scrub_digests();
@@ -304,6 +331,40 @@ fn scrub_digests() {
         assert_eq!(digests.len(), 17);
     });
     assert_eq!(allocs, 2, "digests of a 17-chunk file");
+}
+
+/// Planning and tallying a data-sieving and a hybrid read of one FLASH
+/// checkpoint op: the plan's piece map and one 16 KiB window's copy list
+/// at a time — well under 1 MiB — where the 98 304 pieces held as one
+/// vector were 3 MiB on their own.
+fn sieved_reads_hold_no_piece_vector() {
+    let request = FlashIo::scaled(2, 8).request_for(0).unwrap();
+    assert_eq!(request.mem.count(), 98_304);
+    let layout = StripeLayout::new(0, 4, 16 * 1024).unwrap();
+    let config = MethodConfig {
+        sieve_buffer: 16 * 1024,
+        ..MethodConfig::default()
+    };
+    for method in [Method::DataSieving, Method::Hybrid] {
+        let mut copy_bytes = 0;
+        let peak = peak_above_start(|| {
+            let plan = pvfs::core::plan(
+                method,
+                IoKind::Read,
+                &request,
+                FileHandle(1),
+                layout,
+                &config,
+            )
+            .unwrap();
+            copy_bytes = plan.tally().copy_bytes;
+        });
+        assert!(copy_bytes > 0, "{method} sieved nothing");
+        assert!(
+            peak < 1 << 20,
+            "a {method} read of a FLASH op peaks {peak} bytes above its start while planned"
+        );
+    }
 }
 
 fn durable_flash_checkpoint() {
