@@ -14,7 +14,7 @@ use pvfs_core::exec::{
     alloc_temps, apply_copies, copy_bytes, scatter_response, stage_copies, wire_request_into,
     Buffers, Sources,
 };
-use pvfs_core::{AccessPlan, IoKind, Round, Step, Target, WireOp};
+use pvfs_core::{AccessPlan, IoKind, Round, RoundOps, Step, Target, WireOp};
 use pvfs_net::{ClusterClient, OpStream, RpcTarget};
 use pvfs_proto::{Request, Response};
 use pvfs_types::clock::now_ns;
@@ -45,8 +45,8 @@ pub struct ExecReport {
     /// beyond `attempts` on a healthy cluster.
     pub client: pvfs_net::ClientStats,
     /// Wire requests this client issued, broken down per I/O daemon
-    /// (indexed by `ServerId`; the vector grows to the highest daemon
-    /// addressed). The per-daemon fan-in is the collective-I/O claim:
+    /// (indexed by `ServerId`, one entry for each daemon up to the last
+    /// of the file's layout). The per-daemon fan-in is the collective-I/O claim:
     /// under two-phase each daemon hears from exactly one aggregator,
     /// where independent list I/O has every rank knocking on every
     /// daemon.
@@ -107,12 +107,14 @@ impl ExecReport {
         }
     }
 
-    fn bump_server(&mut self, server: pvfs_types::ServerId) {
-        let idx = server.0 as usize;
-        if self.requests_by_server.len() <= idx {
-            self.requests_by_server.resize(idx + 1, 0);
+    /// Count one round of the plan in, and hand its ops out.
+    fn count_round(&mut self, round: Round) -> RoundOps {
+        self.rounds += 1;
+        self.requests += round.len() as u64;
+        for server in round.servers() {
+            self.requests_by_server[server.index()] += 1;
         }
-        self.requests_by_server[idx] += 1;
+        round.into_iter()
     }
 }
 
@@ -169,27 +171,15 @@ struct Stretch<'a, 'u> {
     temps: &'a mut [Vec<u8>],
     report: &'a mut ExecReport,
     /// What is left of the round being sent.
-    round: <Round as IntoIterator>::IntoIter,
+    round: RoundOps,
     /// Whether the plan's next round may join this stretch.
     open: bool,
     /// The step that ended the stretch: pulled off the plan, not run.
     ended_by: Option<Step>,
 }
 
-fn through_pieces(ops: &[WireOp]) -> bool {
-    ops.iter()
-        .all(|wire| matches!(wire.op.target(), Target::Pieces(_)))
-}
-
-impl Stretch<'_, '_> {
-    fn begin_round(&mut self, ops: Round) {
-        self.report.rounds += 1;
-        self.report.requests += ops.len() as u64;
-        for wire in ops.iter() {
-            self.report.bump_server(wire.server);
-        }
-        self.round = ops.into_iter();
-    }
+fn through_pieces(round: &Round) -> bool {
+    matches!(round.op().target(), Target::Pieces(_))
 }
 
 impl OpStream for Stretch<'_, '_> {
@@ -204,7 +194,9 @@ impl OpStream for Stretch<'_, '_> {
                 return None;
             }
             match self.plan.next_step() {
-                Some(Step::Round(ops)) if through_pieces(&ops) => self.begin_round(ops),
+                Some(Step::Round(round)) if through_pieces(&round) => {
+                    self.round = self.report.count_round(round)
+                }
                 step => {
                     self.open = false;
                     self.ended_by = step;
@@ -267,7 +259,11 @@ pub fn execute_plan(
         ));
     }
     let mut temps = alloc_temps(&plan.temp_sizes);
-    let mut report = ExecReport::default();
+    let last = plan.layout.base as usize + plan.layout.pcount as usize;
+    let mut report = ExecReport {
+        requests_by_server: vec![0; last],
+        ..ExecReport::default()
+    };
     let stats_before = client.stats();
     // One trace per plan execution: every stretch's RPC attempts and
     // every merge/copy phase land in a single tree under this root.
@@ -277,18 +273,17 @@ pub fn execute_plan(
         let mut held = None;
         while let Some(step) = held.take().or_else(|| plan.next_step()) {
             match step {
-                Step::Round(ops) => {
+                Step::Round(round) => {
                     let mut stretch = Stretch {
                         client,
-                        open: through_pieces(&ops),
+                        open: through_pieces(&round),
+                        round: report.count_round(round),
                         plan: &mut plan,
                         user: &mut user,
                         temps: &mut temps,
                         report: &mut report,
-                        round: Round::default().into_iter(),
                         ended_by: None,
                     };
-                    stretch.begin_round(ops);
                     client.stream_in(&mut stretch, active.as_ref())?;
                     held = stretch.ended_by;
                 }

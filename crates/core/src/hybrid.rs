@@ -61,7 +61,7 @@ pub(crate) fn plan(
         Item::Chunk(chunk) => {
             let servers = servers_for(&layout, chunk.iter().copied());
             let op = OpKind::list(kind, chunk, Target::Pieces(map.clone()));
-            vec![Step::Round(Round::fan_out(servers.iter(), op))]
+            vec![Step::Round(Round::fan_out(servers, op))]
         }
     });
 

@@ -45,7 +45,8 @@ pub mod sieving;
 pub use exec::Buffers;
 pub use method::{Method, MethodConfig};
 pub use plan::{
-    AccessPlan, CopyPair, IoKind, MemSlice, OpKind, PlanStats, Round, Space, Step, Target, WireOp,
+    AccessPlan, CopyPair, IoKind, MemSlice, OpKind, PlanStats, Round, RoundOps, Space, Step,
+    Target, WireOp,
 };
 pub use pvfs_types::PieceMap;
 pub use request::ListRequest;

@@ -35,7 +35,7 @@ pub(crate) fn plan(
         let chunk = regions.slice(i * max..((i + 1) * max).min(regions.count()));
         let servers = servers_for(&layout, chunk.iter().copied());
         let op = OpKind::list(kind, chunk, Target::Pieces(map.clone()));
-        Step::Round(Round::fan_out(servers.iter(), op))
+        Step::Round(Round::fan_out(servers, op))
     });
 
     Ok(AccessPlan::new(handle, layout, kind, vec![], steps))

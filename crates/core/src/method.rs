@@ -1,6 +1,6 @@
 //! Access-method selection and tuning knobs.
 
-use pvfs_proto::{MAX_LIST_REGIONS, MAX_VECTOR_RUNS};
+use pvfs_proto::{MAX_BULK_BYTES, MAX_LIST_REGIONS, MAX_VECTOR_RUNS};
 use pvfs_types::{PvfsError, PvfsResult};
 
 /// The noncontiguous access methods compared in the paper, plus the two
@@ -132,8 +132,12 @@ impl MethodConfig {
                 "max_vector_runs {runs} out of range 1..={MAX_VECTOR_RUNS}"
             )));
         }
-        if self.sieve_buffer == 0 {
-            return Err(PvfsError::invalid("sieve buffer must be nonzero"));
+        // A sieve window is one request: no more than one frame's bulk.
+        let sieve = self.sieve_buffer;
+        if !(1..=MAX_BULK_BYTES as u64).contains(&sieve) {
+            return Err(PvfsError::invalid(format!(
+                "sieve buffer {sieve} out of range 1..={MAX_BULK_BYTES}"
+            )));
         }
         Ok(())
     }
@@ -155,6 +159,20 @@ mod tests {
         assert_eq!(c.max_list_regions, 64);
         assert_eq!(c.sieve_buffer, 32 * 1024 * 1024);
         assert_eq!(c.max_vector_runs, 45);
+    }
+
+    /// A sieve window is one request: at most one frame's bulk.
+    #[test]
+    fn a_sieve_buffer_fits_one_frame() {
+        let with = |sieve_buffer| MethodConfig {
+            sieve_buffer,
+            ..MethodConfig::paper_default()
+        };
+        assert!(with(MAX_BULK_BYTES as u64).validate().is_ok());
+        for refused in [0, MAX_BULK_BYTES as u64 + 1] {
+            let err = with(refused).validate().unwrap_err();
+            assert!(err.to_string().contains("sieve buffer"), "{err}");
+        }
     }
 
     #[test]

@@ -13,14 +13,15 @@
 
 use crate::method::MethodConfig;
 use crate::plan::{AccessPlan, IoKind, OpKind, Round, Step, Target};
-use crate::planutil::servers_for;
+use crate::planutil::{bulk_pieces, servers_for};
 use crate::request::ListRequest;
 use pvfs_types::{FileHandle, PieceMap, PvfsResult, StripeLayout};
 use std::sync::Arc;
 
 /// Compile a multiple-I/O plan: one round per aligned piece, streamed
 /// from the map's lazy walk of them rather than held for the life of the
-/// plan.
+/// plan — a piece that would carry more than one frame's bulk to a
+/// server ([`bulk_pieces`]) is as many rounds as it takes.
 pub(crate) fn plan(
     kind: IoKind,
     _request: &ListRequest,
@@ -29,7 +30,8 @@ pub(crate) fn plan(
     layout: StripeLayout,
     _config: &MethodConfig,
 ) -> PvfsResult<AccessPlan> {
-    let steps = map.pieces().map(move |(_, region)| {
+    let regions = map.pieces().flat_map(move |(_, p)| bulk_pieces(&layout, p));
+    let steps = regions.map(move |region| {
         let pieces = Target::Pieces(map.clone());
         let op = match kind {
             IoKind::Read => OpKind::Read {
@@ -41,7 +43,7 @@ pub(crate) fn plan(
                 src: pieces,
             },
         };
-        Step::Round(Round::fan_out(servers_for(&layout, [region]).iter(), op))
+        Step::Round(Round::fan_out(servers_for(&layout, [region]), op))
     });
 
     Ok(AccessPlan::new(handle, layout, kind, vec![], steps))

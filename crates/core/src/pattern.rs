@@ -16,9 +16,10 @@
 
 use crate::method::MethodConfig;
 use crate::plan::{AccessPlan, IoKind, OpKind, Round, Step, Target};
+use crate::planutil::Servers;
 use crate::request::ListRequest;
 use pvfs_proto::VectorRun;
-use pvfs_types::{FileHandle, PieceMap, PvfsResult, Region, ServerId, StripeLayout};
+use pvfs_types::{FileHandle, PieceMap, PvfsResult, Region, StripeLayout};
 use std::sync::Arc;
 
 /// Greedily compress a sorted, disjoint region list into maximal vector
@@ -50,7 +51,7 @@ pub fn compress_runs(regions: &[Region]) -> Vec<VectorRun> {
 /// Mark the slots (servers) a run touches. Uses a closed form when the
 /// stride is stripe-aligned (the slot sequence is then periodic), and
 /// falls back to walking the regions with early exit otherwise.
-fn mark_run_servers(run: &VectorRun, layout: &StripeLayout, marked: &mut [bool]) {
+fn mark_run_servers(run: &VectorRun, layout: &StripeLayout, servers: &mut Servers) {
     let p = layout.pcount as u64;
     let ssize = layout.ssize;
     // Stripes spanned by one block (constant when stride % ssize == 0).
@@ -59,7 +60,7 @@ fn mark_run_servers(run: &VectorRun, layout: &StripeLayout, marked: &mut [bool])
         let last_stripe = (run.base + run.blocklen - 1) / ssize;
         let block_stripes = last_stripe - first_stripe + 1;
         if block_stripes >= p {
-            marked.iter_mut().for_each(|m| *m = true);
+            *servers = Servers::all(layout);
             return;
         }
         let k = run.stride / ssize; // slot advance per block
@@ -70,48 +71,37 @@ fn mark_run_servers(run: &VectorRun, layout: &StripeLayout, marked: &mut [bool])
         for i in 0..distinct {
             let s0 = (first_stripe + i * k) % p;
             for b in 0..block_stripes {
-                marked[((s0 + b) % p) as usize] = true;
+                servers.mark(((s0 + b) % p) as usize);
             }
         }
         return;
     }
     // Irregular stride: walk regions, early-exit once all slots marked.
-    let mut found = marked.iter().filter(|m| **m).count();
     for region in run.regions() {
         let first = layout.stripe_index(region.offset);
         let last = layout.stripe_index(region.end() - 1);
         if last - first + 1 >= p {
-            marked.iter_mut().for_each(|m| *m = true);
+            *servers = Servers::all(layout);
             return;
         }
         for g in first..=last {
-            let slot = (g % p) as usize;
-            if !marked[slot] {
-                marked[slot] = true;
-                found += 1;
-                if found == layout.pcount as usize {
-                    return;
-                }
+            if servers.mark((g % p) as usize) && servers.len() == layout.pcount as usize {
+                return;
             }
         }
     }
 }
 
 /// Servers touched by a chunk of runs, in slot order.
-fn chunk_servers(runs: &[VectorRun], layout: &StripeLayout) -> Vec<ServerId> {
-    let mut marked = vec![false; layout.pcount as usize];
+fn chunk_servers(runs: &[VectorRun], layout: &StripeLayout) -> Servers {
+    let mut servers = Servers::none(layout);
     for run in runs {
-        mark_run_servers(run, layout, &mut marked);
-        if marked.iter().all(|m| *m) {
+        mark_run_servers(run, layout, &mut servers);
+        if servers.len() == layout.pcount as usize {
             break;
         }
     }
-    marked
-        .iter()
-        .enumerate()
-        .filter(|(_, m)| **m)
-        .map(|(slot, _)| layout.server_at_slot(slot as u32))
-        .collect()
+    servers
 }
 
 /// Compile a datatype-I/O plan.
@@ -234,6 +224,16 @@ mod tests {
         assert_eq!(tb.rounds, 1);
     }
 
+    /// The slots `run` marks, one flag each.
+    fn marked(run: &VectorRun, l: &StripeLayout) -> Vec<bool> {
+        let mut servers = Servers::none(l);
+        mark_run_servers(run, l, &mut servers);
+        let touched: Vec<_> = servers.collect();
+        (0..l.pcount)
+            .map(|slot| touched.contains(&l.server_at_slot(slot)))
+            .collect()
+    }
+
     #[test]
     fn stripe_aligned_single_server_run_is_detected() {
         // stride 40 = pcount × ssize: every block on server 0.
@@ -244,8 +244,7 @@ mod tests {
             count: 1_000_000,
         };
         let l = layout();
-        let mut marked = vec![false; 4];
-        mark_run_servers(&run, &l, &mut marked);
+        let marked = marked(&run, &l);
         assert_eq!(marked, vec![true, false, false, false]);
     }
 
@@ -258,8 +257,7 @@ mod tests {
             count: 8,
         };
         let l = layout();
-        let mut marked = vec![false; 4];
-        mark_run_servers(&run, &l, &mut marked);
+        let marked = marked(&run, &l);
         assert!(marked.iter().all(|m| *m));
     }
 
@@ -272,8 +270,7 @@ mod tests {
             count: 5,
         };
         let l = layout();
-        let mut marked = vec![false; 4];
-        mark_run_servers(&run, &l, &mut marked);
+        let marked = marked(&run, &l);
         // Oracle via explicit expansion.
         let mut oracle = vec![false; 4];
         for r in run.regions() {
@@ -301,8 +298,7 @@ mod tests {
                 stride,
                 count,
             };
-            let mut marked = vec![false; 8];
-            mark_run_servers(&run, &l, &mut marked);
+            let marked = marked(&run, &l);
             let mut oracle = vec![false; 8];
             for r in run.regions() {
                 for s in l.servers_touched(r) {

@@ -10,7 +10,8 @@
 //!
 //! Plans are lazy (steps are generated on demand) because a 1M-access
 //! multiple-I/O plan would otherwise materialize a million rounds up
-//! front; the planners instead stream steps from compact state.
+//! front; the planners instead stream steps from compact state, and a
+//! round is one op beside the servers it fans out to ([`Round`]).
 //!
 //! The steps are the only statement of what a plan costs: its rounds,
 //! requests, wire bytes, copies and serial sections are a
@@ -18,9 +19,11 @@
 //! one place rather than predicted by each planner.
 
 use crate::exec::{copy_bytes, server_share};
+use crate::planutil::Servers;
 use pvfs_types::{FileHandle, PieceMap, Region, RegionList, ServerId, StripeLayout};
 use std::fmt;
-use std::sync::Arc;
+use std::iter::{Map, RepeatN, Zip};
+use std::sync::{Arc, OnceLock};
 
 /// Read or write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -150,44 +153,51 @@ impl OpKind {
     }
 }
 
-/// The wire ops of one round: one [`OpKind`] fanned out over the servers
-/// it touches ([`Round::fan_out`] is how every planner builds one).
-/// Reads as a `[WireOp]`. A round of a single op — all of multiple I/O's
-/// 983 040 per FLASH processor — holds it inline: the step that streams
-/// it out of the plan allocates nothing. A round of several costs its
-/// one vector.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Round(Ops);
-
-#[derive(Debug, Clone, PartialEq)]
-enum Ops {
-    One(WireOp),
-    /// Never exactly one: equal rounds compare equal.
-    Many(Vec<WireOp>),
+/// The wire ops of one round: one [`OpKind`], held once, fanned out over
+/// the [`Servers`] it touches ([`Round::fan_out`]). Taken op by op, in
+/// slot order, each op is a clone but the last, which takes it. It reads
+/// as a `[WireOp]` too, built at the first such read: no executor reads.
+#[derive(Debug, Clone)]
+pub struct Round {
+    op: OpKind,
+    servers: Servers,
+    ops: OnceLock<Vec<WireOp>>,
 }
 
-impl Default for Ops {
-    fn default() -> Ops {
-        Ops::Many(Vec::new())
-    }
-}
+/// A round's wire ops, taken one by one.
+pub type RoundOps = Map<Zip<Servers, RepeatN<OpKind>>, fn((ServerId, OpKind)) -> WireOp>;
 
 impl Round {
     /// `op`, once for each of `servers`.
-    pub fn fan_out(servers: impl IntoIterator<Item = ServerId>, op: OpKind) -> Round {
-        let mut servers = servers.into_iter();
-        let (Some(first), second) = (servers.next(), servers.next()) else {
-            return Round::default();
-        };
-        let Some(second) = second else {
-            return Round(Ops::One(WireOp { server: first, op }));
-        };
-        let servers = [first, second].into_iter().chain(servers);
-        let wire = |server| WireOp {
-            server,
-            op: op.clone(),
-        };
-        Round(Ops::Many(servers.map(wire).collect()))
+    pub fn fan_out(servers: Servers, op: OpKind) -> Round {
+        let ops = OnceLock::new();
+        Round { op, servers, ops }
+    }
+
+    /// The op every server is sent.
+    pub fn op(&self) -> &OpKind {
+        &self.op
+    }
+
+    /// The servers it goes to, in the order it goes.
+    pub fn servers(&self) -> Servers {
+        self.servers.clone()
+    }
+
+    /// How many wire ops the round is.
+    pub fn len(&self) -> usize {
+        self.servers.len()
+    }
+
+    /// True for a round of no op at all.
+    pub fn is_empty(&self) -> bool {
+        self.servers.is_empty()
+    }
+}
+
+impl PartialEq for Round {
+    fn eq(&self, other: &Round) -> bool {
+        (&self.op, &self.servers) == (&other.op, &other.servers)
     }
 }
 
@@ -195,23 +205,18 @@ impl std::ops::Deref for Round {
     type Target = [WireOp];
 
     fn deref(&self) -> &[WireOp] {
-        match &self.0 {
-            Ops::One(op) => std::slice::from_ref(op),
-            Ops::Many(ops) => ops,
-        }
+        self.ops.get_or_init(|| self.clone().into_iter().collect())
     }
 }
 
 impl IntoIterator for Round {
     type Item = WireOp;
-    type IntoIter = std::iter::Chain<std::option::IntoIter<WireOp>, std::vec::IntoIter<WireOp>>;
+    type IntoIter = RoundOps;
 
-    fn into_iter(self) -> Self::IntoIter {
-        let (one, many) = match self.0 {
-            Ops::One(op) => (Some(op), Vec::new()),
-            Ops::Many(ops) => (None, ops),
-        };
-        one.into_iter().chain(many)
+    fn into_iter(self) -> RoundOps {
+        let wire: fn((ServerId, OpKind)) -> WireOp = |(server, op)| WireOp { server, op };
+        let ops = std::iter::repeat_n(self.op, self.servers.len());
+        self.servers.zip(ops).map(wire)
     }
 }
 
@@ -219,8 +224,8 @@ impl IntoIterator for Round {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Step {
     /// Issue all ops in parallel (fan-out to distinct servers) and wait
-    /// for every response before the next step. The [`Round`] reads as a
-    /// `[WireOp]` and is consumed op by op (`for wire in ops`).
+    /// for every response before the next step. The [`Round`] is
+    /// consumed op by op (`for wire in round`).
     Round(Round),
     /// Client-side memory copies (sieve buffer ⇄ user buffer).
     Copy(Vec<CopyPair>),
@@ -308,16 +313,17 @@ impl AccessPlan {
         let mut stats = PlanStats::default();
         while let Some(step) = self.next_step() {
             match step {
-                Step::Round(ops) => {
+                Step::Round(round) => {
                     stats.rounds += 1;
-                    for wire in ops.iter() {
-                        match wire.op {
-                            OpKind::Read { .. } | OpKind::Write { .. } => {
-                                stats.contig_requests += 1
-                            }
-                            _ => stats.list_requests += 1,
+                    let requests = round.len() as u64;
+                    match round.op() {
+                        OpKind::Read { .. } | OpKind::Write { .. } => {
+                            stats.contig_requests += requests
                         }
-                        stats.wire_bytes += server_share(&wire.op, &self.layout, wire.server);
+                        _ => stats.list_requests += requests,
+                    }
+                    for server in round.servers() {
+                        stats.wire_bytes += server_share(round.op(), &self.layout, server);
                     }
                 }
                 Step::Copy(pairs) => stats.copy_bytes += copy_bytes(&pairs),
@@ -357,6 +363,7 @@ impl fmt::Debug for AccessPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planutil::servers_for;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -586,28 +593,33 @@ mod tests {
         }
     }
 
+    /// A round keeps its single op inline, whatever its fan-out, beside
+    /// its servers: taken op by op it clones the op for all but the last
+    /// server, which takes it; read as a slice it builds the ops once.
     #[test]
     fn a_round_fans_one_op_out_and_keeps_a_single_one_inline() {
+        let layout = StripeLayout::new(0, 4, 10).unwrap();
         let op = OpKind::window(IoKind::Read, Region::new(8, 4));
         let wire = |server| WireOp {
             server: ServerId(server),
             op: op.clone(),
         };
-        let inside = |round: &Round| {
-            let (at, this) = (round.as_ptr() as usize, round as *const Round as usize);
-            (this..this + std::mem::size_of::<Round>()).contains(&at)
-        };
-        let one = Round::fan_out([ServerId(2)], op.clone());
-        assert!(inside(&one), "a single op needs no vector");
-        assert_eq!(&one[..], &[wire(2)][..]);
-        let many = Round::fan_out([2, 0, 1].map(ServerId), op.clone());
-        assert!(!inside(&many));
-        assert_eq!(&many[..], &[wire(2), wire(0), wire(1)][..]);
-        assert!(one != many && many == many.clone());
-        let servers = |round: Round| round.into_iter().map(|w| w.server.0).collect::<Vec<_>>();
-        assert_eq!((servers(one), servers(many)), (vec![2], vec![2, 0, 1]));
-        let none = Round::fan_out([], op);
-        assert!(none.is_empty() && none == Round::default());
+        let servers = |regions: &[Region]| servers_for(&layout, regions.iter().copied());
+        let one = Round::fan_out(servers(&[Region::new(8, 1)]), op.clone());
+        let three = Round::fan_out(servers(&[Region::new(8, 20)]), op.clone());
+        assert_eq!((one.len(), three.len()), (1, 3));
+        assert_eq!(three.op(), &op);
+        let to = |round: &Round| round.servers().map(|s| s.0).collect::<Vec<_>>();
+        assert_eq!((to(&one), to(&three)), (vec![0], vec![0, 1, 2]));
+        assert!(one != three && three == three.clone());
+        assert_eq!(
+            three.clone().into_iter().collect::<Vec<_>>(),
+            [0, 1, 2].map(wire)
+        );
+        assert_eq!(&three[..], &[0, 1, 2].map(wire)[..]);
+        assert!(std::ptr::eq(three.as_ptr(), three.as_ptr()), "built once");
+        let none = Round::fan_out(servers(&[]), op);
+        assert!(none.is_empty() && none.into_iter().next().is_none());
     }
 
     #[test]
@@ -649,9 +661,12 @@ mod tests {
         };
         let steps = vec![
             Step::SerialBegin,
-            Step::Round(Round::fan_out([0, 1, 2].map(ServerId), read)),
+            Step::Round(Round::fan_out(servers_for(&layout, [window]), read)),
             Step::Copy(vec![copy, copy]),
-            Step::Round(Round::fan_out([ServerId(0)], list)),
+            Step::Round(Round::fan_out(
+                servers_for(&layout, [Region::new(0, 4)]),
+                list,
+            )),
             Step::SerialEnd,
         ];
         let plan = AccessPlan::new(
@@ -678,7 +693,10 @@ mod tests {
 
     #[test]
     fn step_kind_names() {
-        assert_eq!(Step::Round(Round::default()).kind_name(), "round");
+        let layout = StripeLayout::new(0, 4, 10).unwrap();
+        let op = OpKind::window(IoKind::Read, Region::new(0, 4));
+        let round = Round::fan_out(servers_for(&layout, []), op);
+        assert_eq!(Step::Round(round).kind_name(), "round");
         assert_eq!(Step::Copy(vec![]).kind_name(), "copy");
         assert_eq!(Step::SerialBegin.kind_name(), "serial_begin");
     }

@@ -1,26 +1,31 @@
 //! Small helpers shared by the planners.
 
+use pvfs_proto::MAX_BULK_BYTES;
 use pvfs_types::{Region, ServerId, StripeLayout};
 
 /// The distinct servers a set of regions touches: one mark per stripe
 /// slot, iterated in slot order. Layouts of up to 64 servers — every one
-/// the planners meet in practice — keep their marks inline; only wider
-/// ones spill to the heap.
-#[derive(Debug, Clone)]
+/// the planners meet in practice — keep their marks inline (a clone
+/// allocates nothing); only wider ones spill to the heap.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Servers {
     layout: StripeLayout,
-    /// Marks of slots 0..64.
+    /// Marks of slots `at..at + 64`.
     first: u64,
-    /// Marks of slots 64.., 64 to a word; empty for narrower layouts.
+    /// Marks of the slots after those, 64 to a word; empty for narrower
+    /// layouts.
     rest: Vec<u64>,
+    /// The slot of `first`'s lowest bit: 0 until iteration moves on.
+    at: u32,
 }
 
 impl Servers {
-    fn none(layout: &StripeLayout) -> Servers {
+    pub(crate) fn none(layout: &StripeLayout) -> Servers {
         Servers {
             layout: *layout,
             first: 0,
             rest: vec![0; (layout.pcount as usize).saturating_sub(1) / 64],
+            at: 0,
         }
     }
 
@@ -32,7 +37,7 @@ impl Servers {
     }
 
     /// Mark `slot`; whether it was unmarked before.
-    fn mark(&mut self, slot: usize) -> bool {
+    pub(crate) fn mark(&mut self, slot: usize) -> bool {
         let bit = 1u64 << (slot % 64);
         let word = self.word(slot);
         let fresh = *word & bit == 0;
@@ -40,7 +45,7 @@ impl Servers {
         fresh
     }
 
-    fn all(layout: &StripeLayout) -> Servers {
+    pub(crate) fn all(layout: &StripeLayout) -> Servers {
         let mut servers = Servers::none(layout);
         for slot in 0..layout.pcount as usize {
             servers.mark(slot);
@@ -48,7 +53,7 @@ impl Servers {
         servers
     }
 
-    /// How many servers are touched.
+    /// How many servers are touched (still to come, once iterating).
     pub fn len(&self) -> usize {
         let ones = |w: &u64| w.count_ones() as usize;
         ones(&self.first) + self.rest.iter().map(ones).sum::<usize>()
@@ -58,23 +63,20 @@ impl Servers {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// The touched servers, in slot order.
-    pub fn iter(&self) -> impl Iterator<Item = ServerId> + '_ {
-        let words = std::iter::once(self.first).chain(self.rest.iter().copied());
-        words.enumerate().flat_map(move |(w, mut marks)| {
-            std::iter::from_fn(move || {
-                let bit = (marks != 0).then(|| marks.trailing_zeros())?;
-                marks &= marks - 1;
-                Some(self.layout.server_at_slot(w as u32 * 64 + bit))
-            })
-        })
-    }
 }
 
-impl PartialEq<Vec<ServerId>> for Servers {
-    fn eq(&self, other: &Vec<ServerId>) -> bool {
-        self.iter().eq(other.iter().copied())
+/// The touched servers by value, in slot order.
+impl Iterator for Servers {
+    type Item = ServerId;
+
+    fn next(&mut self) -> Option<ServerId> {
+        while self.first == 0 && !self.rest.is_empty() {
+            self.first = self.rest.remove(0);
+            self.at += 64;
+        }
+        let bit = (self.first != 0).then(|| self.first.trailing_zeros())?;
+        self.first &= self.first - 1;
+        Some(self.layout.server_at_slot(self.at + bit))
     }
 }
 
@@ -108,6 +110,24 @@ pub fn servers_for<I: IntoIterator<Item = Region>>(layout: &StripeLayout, region
     servers
 }
 
+/// `region` in pieces that each carry at most [`MAX_BULK_BYTES`] to any
+/// one server (whole when it does). Any `pcount × ssize` bytes in a row
+/// put `ssize` on each server and fewer at most `ssize` on one, so pieces
+/// of `cap / ssize` such periods (or of the cap, when a stripe is wider)
+/// keep to the cap wherever they start.
+pub fn bulk_pieces(layout: &StripeLayout, region: Region) -> impl Iterator<Item = Region> {
+    let (cap, ssize, end) = (MAX_BULK_BYTES as u64, layout.ssize, region.end());
+    let period = u64::from(layout.pcount) * ssize;
+    let most = region.len / period * ssize + (region.len % period).min(ssize);
+    let piece = match (most <= cap, ssize <= cap) {
+        (true, _) => region.len.max(1),
+        (false, true) => cap / ssize * period,
+        (false, false) => cap,
+    };
+    let pieces = (region.offset..end).step_by(piece as usize);
+    pieces.map(move |at| Region::new(at, piece.min(end - at)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,7 +141,11 @@ mod tests {
         let l = layout();
         for (off, len) in [(0u64, 5u64), (5, 10), (0, 40), (30, 20), (95, 3)] {
             let r = Region::new(off, len);
-            assert_eq!(servers_for(&l, [r]), l.servers_touched(r), "region {r}");
+            assert_eq!(
+                servers_for(&l, [r]).collect::<Vec<_>>(),
+                l.servers_touched(r),
+                "region {r}"
+            );
         }
     }
 
@@ -129,13 +153,57 @@ mod tests {
     fn servers_for_unions_regions() {
         let l = layout();
         let regions = [Region::new(0, 5), Region::new(30, 5)]; // slots 0 and 3
-        assert_eq!(servers_for(&l, regions), vec![ServerId(0), ServerId(3)]);
+        assert_eq!(
+            servers_for(&l, regions).collect::<Vec<_>>(),
+            [ServerId(0), ServerId(3)]
+        );
     }
 
     #[test]
     fn servers_for_big_region_short_circuits() {
         let l = layout();
         assert_eq!(servers_for(&l, [Region::new(0, 1000)]).len(), 4);
+    }
+
+    /// A region carrying more than one frame's bulk to a server is cut
+    /// into pieces that do not, and none that does not is cut at all.
+    #[test]
+    fn bulk_pieces_hold_every_server_to_the_cap() {
+        let cap = MAX_BULK_BYTES as u64;
+        let share = |l: &StripeLayout, r: Region, s: ServerId| -> u64 {
+            l.segments(r)
+                .filter(|g| g.server == s)
+                .map(|g| g.logical.len)
+                .sum()
+        };
+        for (pcount, ssize) in [(1, 64 << 10), (4, 64 << 10), (3, 100 << 20), (2, 3 << 20)] {
+            let l = StripeLayout::new(0, pcount, ssize).unwrap();
+            for (offset, len) in [
+                (0, cap),
+                (0, cap + 4096),
+                (12345, 5 * cap + 7),
+                (ssize - 1, 3 * cap),
+            ] {
+                let region = Region::new(offset, len);
+                let pieces: Vec<_> = bulk_pieces(&l, region).collect();
+                assert_eq!(pieces.iter().map(|p| p.len).sum::<u64>(), len);
+                assert_eq!(
+                    (pieces[0].offset, pieces.last().unwrap().end()),
+                    (offset, offset + len)
+                );
+                for (p, q) in pieces.iter().zip(&pieces[1..]) {
+                    assert_eq!(p.end(), q.offset);
+                }
+                let fits = (0..pcount).all(|s| share(&l, region, ServerId(s)) <= cap);
+                assert_eq!(pieces.len() == 1, fits, "{pcount} × {ssize}: {region}");
+                for p in &pieces {
+                    assert!(
+                        (0..pcount).all(|s| share(&l, *p, ServerId(s)) <= cap),
+                        "{p}"
+                    );
+                }
+            }
+        }
     }
 
     /// Beyond 64 slots the marks spill past the inline word; the set
@@ -148,7 +216,10 @@ mod tests {
         let servers = servers_for(&l, regions);
         assert_eq!(servers.len(), 4);
         let slots = [0u32, 64, 65, 129];
-        assert_eq!(servers, slots.map(|s| l.server_at_slot(s)).to_vec());
+        assert_eq!(
+            servers.collect::<Vec<_>>(),
+            slots.map(|s| l.server_at_slot(s))
+        );
         assert_eq!(servers_for(&l, [Region::new(0, 1300)]).len(), 130);
         assert!(servers_for(&l, [Region::new(7, 0)]).is_empty());
     }

@@ -112,7 +112,8 @@ pub(crate) fn window_steps(
     copies: Vec<CopyPair>,
 ) -> Vec<Step> {
     let servers = servers_for(layout, [window]);
-    let round = |kind| Step::Round(Round::fan_out(servers.iter(), OpKind::window(kind, window)));
+    let op = |kind| OpKind::window(kind, window);
+    let round = |kind| Step::Round(Round::fan_out(servers.clone(), op(kind)));
     let mut steps = vec![round(IoKind::Read), Step::Copy(copies)];
     if kind == IoKind::Write {
         steps.push(round(IoKind::Write));

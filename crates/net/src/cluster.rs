@@ -67,13 +67,14 @@ use pvfs_types::{
     ClientId, ClientLedger, ClientStats, PvfsError, PvfsResult, RequestId, ServerId, TraceContext,
     TraceId, TraceMode, TraceTree,
 };
+use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::gate::SerialGate;
 use crate::health::{BreakerPolicy, HealthTracker};
-use crate::pump::{Action, Pump};
+use crate::pump::{Action, Pump, Window};
 use crate::retry::RetryPolicy;
 use crate::spares::Spares;
 use crate::trace::{ActiveTrace, Tracer};
@@ -106,6 +107,9 @@ pub struct ClusterClient {
     tracer: Arc<Tracer>,
     /// The buffers request frames are built in. Shared by clones.
     spares: Arc<Mutex<FrameSpares>>,
+    /// What streams run in, kept between them ([`StreamState`]s, boxed
+    /// as `Any`, one kind per ticket type). Shared by clones.
+    streams: Arc<Mutex<Vec<Box<dyn Any + Send>>>>,
 }
 
 /// The request side of a client's frames: the buffers their heads are
@@ -123,6 +127,15 @@ pub(crate) struct FrameSpares {
     pub(crate) heads: Spares<BytesMut>,
     pub(crate) payloads: Spares<BytesMut>,
 }
+
+/// What one stream runs in, its pump's window and its driver's lanes, is
+/// not made per stream: a stream that is over leaves it to the next of
+/// its kind (ticket type), and makes its own only when none is kept — as
+/// a stream on a clone, running beside another, does.
+type StreamState<K> = (Window<K>, Vec<(RpcTarget, Box<dyn Lane>)>);
+
+/// How many [`StreamState`]s an endpoint keeps, of all kinds.
+const KEPT_STREAMS: usize = 4;
 
 impl ClusterClient {
     /// A client endpoint over an explicit transport.
@@ -160,6 +173,7 @@ impl ClusterClient {
                 heads: Spares::new(window),
                 payloads: Spares::new(window),
             })),
+            streams: Arc::default(),
         }
     }
 
@@ -457,13 +471,23 @@ impl ClusterClient {
         sole: bool,
         trace: Option<&ActiveTrace>,
     ) -> PvfsResult<()> {
-        let mut now = now_ns();
-        let mut pump = Pump::new(self, stream, sole, trace, now);
+        // A kept state is empty: valid whoever panicked holding the lock.
+        let kept = || self.streams.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state: Box<StreamState<S::Ticket>> = {
+            let mut kept = kept();
+            let mine = kept
+                .iter()
+                .rposition(|state| state.is::<StreamState<S::Ticket>>());
+            mine.and_then(|at| kept.swap_remove(at).downcast().ok())
+                .unwrap_or_default()
+        };
         // The daemons shipped to, each with its lane: checked out by the
-        // first frame there, dropped when it fails.
-        let daemons = if sole { 1 } else { self.n_servers().max(1) };
-        let mut lanes: Vec<(RpcTarget, Box<dyn Lane>)> = Vec::with_capacity(daemons as usize);
-        loop {
+        // first frame there, dropped when it fails, parked when the
+        // stream is over.
+        let (window, lanes) = &mut *state;
+        let mut now = now_ns();
+        let mut pump = Pump::new(self, stream, sole, trace, now, window);
+        let result = loop {
             let action = pump.next(now);
             if let Action::Land { .. } | Action::WaitUntil(_) = action {
                 // About to wait: what was shipped since the last wait
@@ -509,9 +533,18 @@ impl ClusterClient {
                     std::thread::sleep(Duration::from_nanos(wake.saturating_sub(now)));
                     now = now_ns();
                 }
-                Action::Done(result) => return result,
+                Action::Done(result) => break result,
             }
+        };
+        // Kept empty: what an op left in a stream that failed is let go.
+        window.0.clear();
+        window.1.clear();
+        lanes.drain(..).for_each(|(_, lane)| lane.park());
+        let mut kept = kept();
+        if kept.len() < KEPT_STREAMS {
+            kept.push(state);
         }
+        result
     }
 }
 
@@ -527,7 +560,7 @@ pub const WINDOW: usize = 4;
 /// of the buffers a read's reply is scattered into).
 pub trait OpStream {
     /// What the sink needs back with an op's reply.
-    type Ticket;
+    type Ticket: Send + 'static;
 
     /// The next op to send, built now: the pipeline asks only when the
     /// window has room for it. `None` ends the stream; it is not asked

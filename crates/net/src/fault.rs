@@ -448,6 +448,11 @@ impl Lane for FaultyLane {
             }
         }
     }
+
+    /// The lane underneath goes back by its transport's rule.
+    fn park(self: Box<Self>) {
+        self.inner.park()
+    }
 }
 
 /// The response frame truncated mid-body, the way a flaky link or a

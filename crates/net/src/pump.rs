@@ -4,12 +4,13 @@
 //! a clock reading — ship a frame, wait on a daemon for so long, wait
 //! until a backoff ends, or stop — and is told what came of it, each
 //! event with the reading it happened at. It sends and receives nothing,
-//! reads no clock and never sleeps; `ClusterClient`'s `drive` does. What
-//! it does do is the CPU work of deciding: pull ops from the stream,
-//! encode attempts into the endpoint's spares, record spans, keep the
-//! client's books and feed its failure detector. So its rules are tested
-//! below as tables of events on a clock of their own, with no thread, no
-//! socket and no sleep.
+//! reads no clock, never sleeps and sizes nothing: its [`Window`] is
+//! handed in by `ClusterClient`'s `drive`, which does the rest and keeps
+//! the window from stream to stream. What the pump does is the CPU work
+//! of deciding: pull ops from the stream, encode attempts into the
+//! endpoint's spares, record spans, keep the client's books and feed its
+//! failure detector. So its rules are tested below as tables of events
+//! on a clock of their own, with no thread, no socket and no sleep.
 
 use bytes::Bytes;
 use pvfs_proto::{decode_response_frame, decode_response_id, Frame, OpClass, Request, Response};
@@ -83,11 +84,11 @@ pub(crate) struct Pump<'a, S: OpStream> {
     trace: Option<&'a ActiveTrace>,
     /// The window: first the sub-ops in the air, in ship order — so
     /// "oldest" is "first" — then those due out.
-    subs: VecDeque<Sub>,
+    subs: &'a mut VecDeque<Sub>,
     /// How many of `subs` are in the air.
     flying: usize,
     /// The ops `subs` serve, a slab indexed by [`Sub::op`].
-    ops: Vec<Option<Op<S::Ticket>>>,
+    ops: &'a mut Vec<Option<Op<S::Ticket>>>,
     /// The requests last given up on with their lane still sound, whose
     /// replies may yet arrive on it (0, never a request's id, where
     /// there is none): a ring, overwritten oldest first.
@@ -108,8 +109,12 @@ pub(crate) struct Pump<'a, S: OpStream> {
     over: Option<PvfsError>,
 }
 
+/// A pump's window, its sub-ops and the slab of their ops: grown once to
+/// the most a stream of its kind holds, not sized per stream.
+pub(crate) type Window<K> = (VecDeque<Sub>, Vec<Option<Op<K>>>);
+
 /// One op in the window, from pull to the sink.
-struct Op<K> {
+pub(crate) struct Op<K> {
     ticket: K,
     /// The request as the stream gave it.
     request: Request,
@@ -141,7 +146,7 @@ impl<K> Op<K> {
 }
 
 /// One sub-op: an op as addressed to one copy.
-struct Sub {
+pub(crate) struct Sub {
     /// Slab index of the op this sub-op serves.
     op: usize,
     /// Where it goes right now.
@@ -181,13 +186,14 @@ struct Flight {
 
 impl<'a, S: OpStream> Pump<'a, S> {
     /// A pump over `stream` for `client`, started at the clock reading
-    /// `now`. A `sole` op has a window of one.
+    /// `now`, in an empty `window`. A `sole` op has a window of one.
     pub(crate) fn new(
         client: &'a ClusterClient,
         stream: &'a mut S,
         sole: bool,
         trace: Option<&'a ActiveTrace>,
         now: u64,
+        window: &'a mut Window<S::Ticket>,
     ) -> Pump<'a, S> {
         let room = if sole {
             1
@@ -199,9 +205,9 @@ impl<'a, S: OpStream> Pump<'a, S> {
             stream,
             sole,
             trace,
-            subs: VecDeque::with_capacity(room),
+            subs: &mut window.0,
             flying: 0,
-            ops: Vec::with_capacity(room),
+            ops: &mut window.1,
             given_up: [RequestId(0); 4 * WINDOW],
             next_given_up: 0,
             room,
@@ -476,7 +482,7 @@ impl<'a, S: OpStream> Pump<'a, S> {
     fn ship(&mut self, at: usize, now: u64) -> Option<Action> {
         let client = self.client;
         let mut sub = self.subs.remove(at).expect("a due sub-op");
-        let request = op_of(&self.ops, &sub).request(&sub);
+        let request = op_of(self.ops, &sub).request(&sub);
         // Control scrapes stay off the books on this side of the wire
         // too (the daemons already exclude them): scraping `stats` or a
         // trace must not advance the very counters being read.
@@ -546,7 +552,7 @@ impl<'a, S: OpStream> Pump<'a, S> {
         // nothing else still holds it (the lane has sent it, the daemon
         // — over chan — answered it).
         client.frame_spares().heads.take_back(head);
-        let request = op_of(&self.ops, &sub).request(&sub);
+        let request = op_of(self.ops, &sub).request(&sub);
         if let Some((a, sid)) = self.trace.zip(span) {
             a.span_at(sid, "recv", since, now, Vec::new());
             let mut notes = Vec::new();
@@ -624,7 +630,7 @@ impl<'a, S: OpStream> Pump<'a, S> {
         let left = retry
             .budget
             .saturating_sub(Duration::from_nanos(now.saturating_sub(self.started)));
-        let op = op_of(&self.ops, &sub);
+        let op = op_of(self.ops, &sub);
         let request = op.request(&sub);
         if sub.copies.len() > 1 && failover_worthy(&e) {
             // This replica is unreachable, gated, or shedding: abandon
@@ -968,7 +974,8 @@ mod tests {
             stream: &mut S,
             sole: bool,
         ) -> PvfsResult<()> {
-            let mut pump = Pump::new(c, stream, sole, None, self.now);
+            let mut window = Window::default();
+            let mut pump = Pump::new(c, stream, sole, None, self.now, &mut window);
             loop {
                 match pump.next(self.now) {
                     Action::Ship { target, frame } => {

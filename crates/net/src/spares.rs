@@ -50,7 +50,7 @@
 //! A buffer that crosses threads has its owner where it comes to rest: a
 //! `Data` reply over the channel transport, gathered on a daemon's worker
 //! and dropped on the client's thread, is the *lane's* — sent along with
-//! each request, back with each reply (`transport.rs`, `ReplyEnd`) —
+//! each request, back with each reply (`transport.rs`, `ChanLane`) —
 //! because the client is done with a lane's reply before it sends that
 //! lane's next frame, whatever the workers do.
 

@@ -3,10 +3,12 @@
 //!
 //! Connections are created lazily, `TCP_NODELAY` on — list I/O is built
 //! from small header+trailing frames, exactly the traffic Nagle's
-//! algorithm would hold back waiting for a full segment — and parked in
-//! a per-daemon idle stack when their lane is dropped, so steady-state
+//! algorithm would hold back waiting for a full segment — and parked,
+//! with the lane that holds them, box and all, in a per-daemon idle
+//! stack when the lane is parked ([`Lane::park`]), so steady-state
 //! traffic reuses persistent connections instead of paying a handshake
-//! per request. A [`Lane`] *is* one connection, and every frame sent on
+//! per request, and checks one out without an allocation. A [`Lane`]
+//! *is* one connection, and every frame sent on
 //! the lane shares it: the client's window of [`WINDOW`](crate::WINDOW)
 //! requests per daemon leaves in one vectored write
 //! ([`Lane::flush`]; frames that add up to a staging buffer's worth of
@@ -29,11 +31,11 @@
 //! still collects a response that has arrived; it only never waits for
 //! one (the socket is switched to non-blocking for that one look).
 //!
-//! A lane that is dropped with replies still owed to it (a request
+//! A lane that is parked with replies still owed to it (a request
 //! timed out, the stream ended on an error) closes its connection
-//! instead of parking it: the response may still arrive later, and a
-//! parked connection with a stale response queued would corrupt the
-//! next RPC on it. So does any I/O failure.
+//! instead: the response may still arrive later, and a parked
+//! connection with a stale response queued would corrupt the next RPC
+//! on it. So does any I/O failure, and so does dropping the lane.
 //!
 //! # Self-healing (the stale-keepalive race)
 //!
@@ -62,7 +64,7 @@ use pvfs_types::clock::{self, now_ns};
 use pvfs_types::{PvfsError, PvfsResult};
 use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::time::Duration;
 
 use super::frame::{write_frames, FrameError, FrameReader, STAGING};
@@ -81,9 +83,10 @@ pub struct TcpTransport {
 struct PoolInner {
     server_addrs: Vec<SocketAddr>,
     mgr_addr: SocketAddr,
-    /// One idle-connection stack per server, plus one for the manager
-    /// (last slot). LIFO: the hottest connection is reused first.
-    idle: Vec<Mutex<Vec<Conn>>>,
+    /// One stack of parked lanes per server, plus one for the manager
+    /// (last slot), each with its connection. LIFO: the hottest
+    /// connection is reused first.
+    idle: Vec<Mutex<Vec<Box<dyn Lane>>>>,
 }
 
 /// Both directions of one connection's framing over any byte stream
@@ -144,23 +147,11 @@ impl<S: Read + Write> Wire<S> {
     }
 }
 
-/// One pooled connection. The [`Wire`] is parked whole, so the next
-/// reply on it arrives through the staging buffer, and in the frame
-/// buffers, the last ones used.
-struct Conn {
-    wire: Wire<TcpStream>,
-    /// While the connection is `unproven`: every frame flushed on it, for
-    /// [`TcpLane::heal`] to send again.
-    replay: Vec<Frame>,
-}
-
 impl TcpTransport {
     /// A transport dialing the given daemon listeners. No connection is
     /// made until the first RPC.
     pub fn new(server_addrs: Vec<SocketAddr>, mgr_addr: SocketAddr) -> TcpTransport {
-        let idle = (0..server_addrs.len() + 1)
-            .map(|_| Mutex::new(Vec::new()))
-            .collect();
+        let idle = (0..=server_addrs.len()).map(|_| Mutex::default()).collect();
         TcpTransport {
             inner: Arc::new(PoolInner {
                 server_addrs,
@@ -172,10 +163,8 @@ impl TcpTransport {
 
     /// Idle (parked) connections across all daemons — diagnostics.
     pub fn idle_connections(&self) -> usize {
-        self.inner
-            .idle
-            .iter()
-            .map(|s| s.lock().unwrap().len())
+        (0..self.inner.idle.len())
+            .map(|slot| self.inner.idle(slot).len())
             .sum()
     }
 }
@@ -184,13 +173,8 @@ impl PoolInner {
     fn slot(&self, target: RpcTarget) -> PvfsResult<usize> {
         match target {
             RpcTarget::Manager => Ok(self.server_addrs.len()),
-            RpcTarget::Server(s) => {
-                if s.index() < self.server_addrs.len() {
-                    Ok(s.index())
-                } else {
-                    Err(PvfsError::NoSuchServer(s.0))
-                }
-            }
+            RpcTarget::Server(s) if s.index() < self.server_addrs.len() => Ok(s.index()),
+            RpcTarget::Server(s) => Err(PvfsError::NoSuchServer(s.0)),
         }
     }
 
@@ -202,31 +186,21 @@ impl PoolInner {
         }
     }
 
-    /// Pop an idle (possibly stale) connection, if any is parked.
-    fn checkout_idle(&self, slot: usize) -> Option<Conn> {
-        self.idle[slot].lock().unwrap().pop()
+    fn idle(&self, slot: usize) -> std::sync::MutexGuard<'_, Vec<Box<dyn Lane>>> {
+        // A stack of parked lanes is valid at every step.
+        self.idle[slot].lock().unwrap_or_else(|e| e.into_inner())
     }
+}
 
-    /// Dial a fresh connection.
-    fn dial(&self, slot: usize) -> PvfsResult<Conn> {
-        let addr = self.addr(slot);
-        let stream = TcpStream::connect(addr)
-            .map_err(|e| PvfsError::Transport(format!("connect {addr}: {e}")))?;
-        stream
-            .set_nodelay(true)
-            .and_then(|()| stream.set_read_timeout(Some(READ_SLICE)))
-            .map_err(|e| PvfsError::Transport(format!("set up the socket to {addr}: {e}")))?;
-        // Both queues sized with the connection: a window of frames
-        // never allocates on its way out.
-        Ok(Conn {
-            wire: Wire::new(stream),
-            replay: Vec::with_capacity(WINDOW),
-        })
-    }
-
-    fn park(&self, slot: usize, conn: Conn) {
-        self.idle[slot].lock().unwrap().push(conn);
-    }
+/// Dial a fresh connection to `addr`.
+fn dial(addr: SocketAddr) -> PvfsResult<Wire<TcpStream>> {
+    let stream = TcpStream::connect(addr)
+        .map_err(|e| PvfsError::Transport(format!("connect {addr}: {e}")))?;
+    stream
+        .set_nodelay(true)
+        .and_then(|()| stream.set_read_timeout(Some(READ_SLICE)))
+        .map_err(|e| PvfsError::Transport(format!("set up the socket to {addr}: {e}")))?;
+    Ok(Wire::new(stream))
 }
 
 impl Transport for TcpTransport {
@@ -238,15 +212,19 @@ impl Transport for TcpTransport {
         let slot = self.inner.slot(target)?;
         // Prefer a parked connection; whether it is still good shows
         // when it is first used.
-        let (conn, unproven) = match self.inner.checkout_idle(slot) {
-            Some(conn) => (conn, true),
-            None => (self.inner.dial(slot)?, false),
-        };
+        if let Some(lane) = self.inner.idle(slot).pop() {
+            return Ok(lane);
+        }
+        let addr = self.inner.addr(slot);
         Ok(Box::new(TcpLane {
-            pool: self.inner.clone(),
+            home: Arc::downgrade(&self.inner),
             slot,
-            conn: Some(conn),
-            unproven,
+            addr,
+            wire: Some(dial(addr)?),
+            // Sized with the lane, as the wire's queue is: a window of
+            // frames never allocates on its way out.
+            replay: Vec::with_capacity(WINDOW),
+            unproven: false,
         }))
     }
 
@@ -255,12 +233,22 @@ impl Transport for TcpTransport {
     }
 }
 
-/// One checked-out connection, exclusively this lane's until it drops.
+/// One checked-out connection, exclusively this lane's until it is
+/// parked or dropped.
 struct TcpLane {
-    pool: Arc<PoolInner>,
+    /// Where the lane is parked: held weakly, for a parked lane must not
+    /// keep alive the pool that keeps it.
+    home: Weak<PoolInner>,
     slot: usize,
-    /// `None` once the connection has failed: the lane is dead.
-    conn: Option<Conn>,
+    /// The daemon's listener.
+    addr: SocketAddr,
+    /// The connection, parked whole with the lane, so the next reply on
+    /// it arrives through the staging buffer, and in the frame buffers,
+    /// the last ones used. `None` once it has failed: the lane is dead.
+    wire: Option<Wire<TcpStream>>,
+    /// While the connection is `unproven`: every frame flushed on it, for
+    /// [`TcpLane::heal`] to send again.
+    replay: Vec<Frame>,
     /// The connection came from the idle pool and no response byte has
     /// arrived on it since: the peer may have closed it while it was
     /// parked, and only then may a failure be healed by re-dialing.
@@ -279,18 +267,17 @@ impl TcpLane {
     /// connection gets no second replay.
     fn heal(&mut self) -> PvfsResult<()> {
         self.unproven = false;
-        let stale = self.conn.take().expect("a failed connection to replace");
-        let mut conn = self.pool.dial(self.slot)?;
-        conn.wire.queued = stale.replay;
-        let queued = stale.wire.queued;
-        conn.wire.flush().map_err(|e| {
+        let stale = self.wire.take().expect("a failed connection to replace");
+        let mut wire = dial(self.addr)?;
+        wire.queued = std::mem::take(&mut self.replay);
+        wire.flush().map_err(|e| {
             PvfsError::Transport(format!(
                 "resend to {} after stale connection: {e}",
-                self.pool.addr(self.slot)
+                self.addr
             ))
         })?;
-        conn.wire.queued = queued;
-        self.conn = Some(conn);
+        self.replay = std::mem::replace(&mut wire.queued, stale.queued);
+        self.wire = Some(wire);
         Ok(())
     }
 }
@@ -305,7 +292,7 @@ impl Lane for TcpLane {
                 max: MAX_WIRE_FRAME as u64,
             });
         }
-        let wire = &mut self.conn.as_mut().ok_or_else(spent)?.wire;
+        let wire = self.wire.as_mut().ok_or_else(spent)?;
         wire.queued.push(frame);
         // Queueing is for small frames, which share a write; a staging
         // buffer's worth of bytes is worth a write of its own, now —
@@ -319,33 +306,32 @@ impl Lane for TcpLane {
 
     fn flush(&mut self) -> PvfsResult<()> {
         let unproven = self.unproven;
-        let conn = self.conn.as_mut().ok_or_else(spent)?;
-        if conn.wire.queued.is_empty() {
+        let wire = self.wire.as_mut().ok_or_else(spent)?;
+        if wire.queued.is_empty() {
             return Ok(());
         }
         if unproven {
-            conn.replay.extend_from_slice(&conn.wire.queued);
+            self.replay.extend_from_slice(&wire.queued);
         }
-        let Err(e) = conn.wire.flush() else {
+        let Err(e) = wire.flush() else {
             return Ok(());
         };
         if unproven {
             // The connection went stale while idle: evict it and send
             // on a fresh one. Only a fresh connection's failure is fatal.
-            conn.wire.queued.clear();
+            wire.queued.clear();
             return self.heal();
         }
-        self.conn = None;
-        let peer = self.pool.addr(self.slot);
-        Err(PvfsError::Transport(format!("send to {peer}: {e}")))
+        self.wire = None;
+        Err(PvfsError::Transport(format!("send to {}: {e}", self.addr)))
     }
 
     fn recv(&mut self, timeout: Duration) -> Result<Frame, WaitError> {
         let deadline = clock::deadline(timeout);
         loop {
             let unproven = self.unproven;
-            let conn = self
-                .conn
+            let wire = self
+                .wire
                 .as_mut()
                 .ok_or_else(|| WaitError::Failed(spent()))?;
             // With no time left this is a look at what is already here,
@@ -354,18 +340,18 @@ impl Lane for TcpLane {
             // replies keep trickling in. The one case that pays a system
             // call for its timeout.
             let received = if timeout.is_zero() {
-                let socket = conn.wire.stream.get_ref();
+                let socket = wire.stream.get_ref();
                 let _ = socket.set_nonblocking(true);
-                let received = conn.wire.recv(deadline);
-                let _ = conn.wire.stream.get_ref().set_nonblocking(false);
+                let received = wire.recv(deadline);
+                let _ = wire.stream.get_ref().set_nonblocking(false);
                 received
             } else {
-                conn.wire.recv(deadline)
+                wire.recv(deadline)
             };
             let error = match received {
                 Ok(frame) => {
                     self.unproven = false;
-                    conn.replay.clear();
+                    self.replay.clear();
                     return Ok(frame.into());
                 }
                 Err(e) if e.is_timeout() => return Err(WaitError::Timeout),
@@ -375,7 +361,7 @@ impl Lane for TcpLane {
             // away before ANY response byte arrived. The server closed
             // it while it sat idle — replay once on a fresh connection,
             // under the same deadline.
-            if unproven && !conn.wire.mid_reply() && peer_went_away(&error) {
+            if unproven && !wire.mid_reply() && peer_went_away(&error) {
                 match self.heal() {
                     Ok(()) => continue,
                     Err(e) => return Err(WaitError::Failed(e)),
@@ -384,22 +370,23 @@ impl Lane for TcpLane {
             // On any error the connection is dropped, never parked: it
             // may still deliver a stale response, which must never
             // reach a future RPC.
-            self.conn = None;
-            let peer = self.pool.addr(self.slot);
+            self.wire = None;
             return Err(WaitError::Failed(
-                error.into_pvfs(&format!("server {peer}")),
+                error.into_pvfs(&format!("server {}", self.addr)),
             ));
         }
     }
-}
 
-impl Drop for TcpLane {
-    fn drop(&mut self) {
-        if let Some(mut conn) = self.conn.take().filter(|c| c.wire.is_quiet()) {
-            // What was queued and never flushed simply did not go.
-            conn.wire.queued.clear();
-            conn.replay.clear();
-            self.pool.park(self.slot, conn);
+    fn park(mut self: Box<Self>) {
+        let Some(wire) = self.wire.as_mut().filter(|w| w.is_quiet()) else {
+            return;
+        };
+        // What was queued and never flushed simply did not go.
+        wire.queued.clear();
+        self.replay.clear();
+        self.unproven = true;
+        if let Some(home) = self.home.upgrade() {
+            home.idle(self.slot).push(self);
         }
     }
 }

@@ -16,17 +16,19 @@
 //! of the lane's frames it answers: replies carry their request's id,
 //! and matching them up is the caller's business
 //! ([`ClusterClient`](crate::ClusterClient)'s request pipeline holds one
-//! lane per daemon for as long as a stream of ops runs). Dropping a lane
-//! gives it back; a lane with frames still unanswered is not reused.
-//! What is given back outlives the lane on both transports — a
-//! connection with its receive buffers, a reply channel with the buffers
-//! replies are built in — so the next stream's replies arrive where the
-//! last one's did.
+//! lane per daemon for as long as a stream of ops runs). [`Lane::park`]
+//! gives a lane back — the lane itself, in the box it was checked out
+//! in, so a checkout allocates nothing once a daemon has a parked lane;
+//! a lane with frames still unanswered, or one that is dropped instead,
+//! is not reused. What is parked on both transports — a connection with
+//! its receive buffers, a reply channel with the buffers replies are
+//! built in — is where the next stream's replies arrive, as the last
+//! one's did.
 
 use bytes::BytesMut;
 use pvfs_proto::{decode_frame_id, Frame};
 use pvfs_types::{PvfsError, PvfsResult, RequestId, ServerId};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::time::Duration;
 
 use crate::chan::{bounded, Address, Receiver, RecvTimeoutError, Sender};
@@ -139,6 +141,13 @@ pub trait Lane: Send {
     /// the order the daemon finished them, not the order their requests
     /// left; a `Data` reply may come in two parts.
     fn recv(&mut self, timeout: Duration) -> Result<Frame, WaitError>;
+
+    /// Give the lane back, box and all, to where its transport keeps
+    /// lanes, for the next checkout to the same daemon — if every frame
+    /// sent on it has been answered, so that nothing can still arrive on
+    /// it; any other lane is let go. So is a lane that is dropped instead
+    /// and, by default, the lane of a transport that keeps none.
+    fn park(self: Box<Self>) {}
 }
 
 /// A client-side RPC transport to one cluster.
@@ -146,11 +155,13 @@ pub trait Transport: Send + Sync {
     /// Number of I/O servers reachable.
     fn n_servers(&self) -> u32;
 
-    /// Check out a lane to `target`.
+    /// Check out a lane to `target`: a parked one if there is one, box and
+    /// all.
     fn lane(&self, target: RpcTarget) -> PvfsResult<Box<dyn Lane>>;
 
     /// One frame on a lane of its own, sent and flushed: what is left
-    /// to do with the lane is [`Lane::recv`] the reply.
+    /// to do with the lane is [`Lane::recv`] the reply (and
+    /// [`Lane::park`] it, for the next frame to take).
     fn dispatch(&self, target: RpcTarget, frame: Frame) -> PvfsResult<Box<dyn Lane>> {
         let mut lane = self.lane(target)?;
         lane.send(frame)?;
@@ -222,10 +233,10 @@ impl Drop for ReplyTo {
 /// wedged manager must yield [`PvfsError::Timeout`] rather than hang the
 /// sender.
 ///
-/// Lanes are pooled the way TCP connections are: a lane dropped with
-/// every frame answered parks its end — reply channel, reply buffers —
-/// on its daemon's idle stack for the next lane there to take over; one
-/// dropped with a frame unanswered (a flight that timed out) is let go
+/// Lanes are pooled the way TCP connections are: a lane parked with
+/// every frame answered goes, box, reply channel and reply buffers, onto
+/// its daemon's idle stack for the next checkout there to take; one
+/// parked with a frame unanswered (a flight that timed out) is let go
 /// whole, and its reply, should it still come, finds nobody listening.
 ///
 /// [`DEFAULT_RPC_TIMEOUT`]: crate::DEFAULT_RPC_TIMEOUT
@@ -236,14 +247,14 @@ pub struct ChanTransport {
 struct ChanNodes {
     /// One door per I/O server, the manager's last.
     doors: Vec<Arc<Door>>,
-    /// One stack of parked [`ReplyEnd`]s per door. LIFO: the buffers
-    /// used last are used next.
-    idle: Vec<Mutex<Vec<ReplyEnd>>>,
+    /// One stack of parked lanes per door. LIFO: the buffers used last
+    /// are used next.
+    idle: Vec<Mutex<Vec<Box<dyn Lane>>>>,
 }
 
 impl ChanNodes {
-    fn idle(&self, slot: usize) -> std::sync::MutexGuard<'_, Vec<ReplyEnd>> {
-        // A stack of parked ends is valid at every step.
+    fn idle(&self, slot: usize) -> std::sync::MutexGuard<'_, Vec<Box<dyn Lane>>> {
+        // A stack of parked lanes is valid at every step.
         self.idle[slot].lock().unwrap_or_else(|e| e.into_inner())
     }
 }
@@ -272,10 +283,20 @@ impl Transport for ChanTransport {
             RpcTarget::Server(s) => return Err(PvfsError::NoSuchServer(s.0)),
         };
         let parked = self.nodes.idle(slot).pop();
-        Ok(Box::new(ChanLane {
-            nodes: self.nodes.clone(),
-            slot,
-            replies: Some(parked.unwrap_or_default()),
+        Ok(parked.unwrap_or_else(|| {
+            // Room for a reply to every frame of a full window, so a
+            // worker never waits on the client to hand its answer over.
+            let (tx, rx) = bounded(WINDOW);
+            Box::new(ChanLane {
+                door: self.nodes.doors[slot].clone(),
+                home: Arc::downgrade(&self.nodes),
+                slot,
+                tx,
+                rx,
+                spares: Spares::default(),
+                lent: Lent::default(),
+                owed: 0,
+            })
         }))
     }
 
@@ -284,20 +305,25 @@ impl Transport for ChanTransport {
     }
 }
 
-/// The client's end of a channel lane — what outlives the lane, parked,
-/// when every frame sent on it has been answered: the reply channel, and
-/// the buffers `Data` replies are built in, which the lane owns (the
-/// rule of [`crate::spares`]). One goes out with each request; the
-/// daemon's worker gathers a read into it (making it, the lane's first
-/// [`WINDOW`] times, and growing one too short) and it comes back as the
-/// reply's payload, or unused beside a reply that has none. As a
-/// connection's `FrameReader` does, the lane keeps a handle on each
-/// payload it has handed out and takes back, when it next sends, every
-/// buffer it is by then the last handle on. One always is, whichever
-/// worker was faster: whoever drives a lane has scattered and dropped a
-/// reply before sending that lane's next frame. A reply the caller still
-/// holds is never written again: the daemon makes another buffer.
-struct ReplyEnd {
+/// A channel lane: the way to one daemon's door, and the client's end of
+/// its replies — the reply channel, and the buffers `Data` replies are
+/// built in, which the lane owns (the rule of [`crate::spares`]). One
+/// goes out with each request; the daemon's worker gathers a read into
+/// it (making it, the lane's first [`WINDOW`] times, and growing one too
+/// short) and it comes back as the reply's payload, or unused beside a
+/// reply that has none. As a connection's `FrameReader` does, the lane
+/// keeps a handle on each payload it has handed out and takes back, when
+/// it next sends, every buffer it is by then the last handle on. One
+/// always is, whichever worker was faster: whoever drives a lane has
+/// scattered and dropped a reply before sending that lane's next frame.
+/// A reply the caller still holds is never written again: the daemon
+/// makes another buffer.
+struct ChanLane {
+    door: Arc<Door>,
+    /// Where the lane is parked: held weakly, for a parked lane must not
+    /// keep alive the transport that keeps it.
+    home: Weak<ChanNodes>,
+    slot: usize,
     /// Keeps the channel connected while workers hold only its address.
     tx: Sender<ChanReply>,
     rx: Receiver<ChanReply>,
@@ -307,22 +333,7 @@ struct ReplyEnd {
     owed: usize,
 }
 
-impl Default for ReplyEnd {
-    fn default() -> ReplyEnd {
-        // Room for a reply to every frame of a full window, so a worker
-        // never waits on the client to hand its answer over.
-        let (tx, rx) = bounded(WINDOW);
-        ReplyEnd {
-            tx,
-            rx,
-            spares: Spares::default(),
-            lent: Lent::default(),
-            owed: 0,
-        }
-    }
-}
-
-impl ReplyEnd {
+impl ChanLane {
     /// Keep a read buffer that came back — unless it is the empty one
     /// that stands for none.
     fn keep(&mut self, buffer: BytesMut) {
@@ -343,32 +354,24 @@ impl ReplyEnd {
     }
 }
 
-struct ChanLane {
-    nodes: Arc<ChanNodes>,
-    slot: usize,
-    /// `None` only once the lane is being dropped.
-    replies: Option<ReplyEnd>,
-}
-
 impl Lane for ChanLane {
     fn send(&mut self, frame: Frame) -> PvfsResult<()> {
-        let replies = self.replies.as_mut().expect("the lane is not dropped");
         // Whoever sends the next frame is done with the replies so far.
-        replies.spares.sweep(&mut replies.lent);
+        self.spares.sweep(&mut self.lent);
         let reply = ReplyPath::Lane(ReplyTo {
-            lane: replies.tx.address(),
+            lane: self.tx.address(),
             id: decode_frame_id(&frame.head).unwrap_or(RequestId(0)),
             answered: false,
-            spare: replies.spares.take().unwrap_or_default(),
+            spare: self.spares.take().unwrap_or_default(),
         });
-        replies.owed += 1;
+        self.owed += 1;
         // The channel transport has no length prefix; its wire size is
         // the frame itself, head and payload.
         let wire_len = frame.len() as u64;
         let patience = Some(crate::DEFAULT_RPC_TIMEOUT);
-        let offered = self.nodes.doors[self.slot].offer(frame, wire_len, reply, patience);
+        let offered = self.door.offer(frame, wire_len, reply, patience);
         offered.map_err(|(_, reply, error)| {
-            replies.retract(reply);
+            self.retract(reply);
             error
         })
     }
@@ -379,30 +382,28 @@ impl Lane for ChanLane {
     }
 
     fn recv(&mut self, timeout: Duration) -> Result<Frame, WaitError> {
-        let replies = self.replies.as_mut().expect("the lane is not dropped");
         let dropped = || PvfsError::Transport("server dropped reply".into());
-        let answer = replies.rx.recv_timeout(timeout).map_err(|e| match e {
+        let answer = self.rx.recv_timeout(timeout).map_err(|e| match e {
             RecvTimeoutError::Timeout => WaitError::Timeout,
             // Unreachable while the lane holds a sender of its own.
             RecvTimeoutError::Disconnected => WaitError::Failed(dropped()),
         })?;
-        replies.owed -= 1;
+        self.owed -= 1;
         let (reply, unused) = answer.map_err(|id| WaitError::Lost(id, dropped()))?;
-        replies.keep(unused);
+        self.keep(unused);
         // A payload too large to keep is the reply's alone: no handle on
         // it, it is freed when the reply is dropped.
         if (1..=MAX_SPARE_CAPACITY).contains(&reply.payload.len()) {
-            replies.lent.keep(reply.payload.clone());
+            self.lent.keep(reply.payload.clone());
         }
         Ok(reply)
     }
-}
 
-impl Drop for ChanLane {
-    fn drop(&mut self) {
-        if let Some(quiet) = self.replies.take().filter(|end| end.owed == 0) {
-            self.nodes.idle(self.slot).push(quiet);
-        }
+    fn park(self: Box<Self>) {
+        let Some(home) = self.home.upgrade().filter(|_| self.owed == 0) else {
+            return;
+        };
+        home.idle(self.slot).push(self);
     }
 }
 
@@ -435,9 +436,9 @@ mod tests {
         encode_frame(&message, None).unwrap()
     }
 
-    /// A lane's end goes to the next lane only if nothing can still
-    /// arrive on it: a reply that comes after its lane gave up reaches
-    /// nobody, least of all whoever talks to that daemon next.
+    /// A lane goes to the next checkout only if nothing can still arrive
+    /// on it: a reply that comes after its lane gave up reaches nobody,
+    /// least of all whoever talks to that daemon next.
     #[test]
     fn a_quiet_lane_is_parked_and_one_still_owed_a_reply_is_not() {
         let (door, daemon) = Door::bare(8);
@@ -457,7 +458,7 @@ mod tests {
             first.recv(Duration::from_millis(1)),
             Err(WaitError::Timeout)
         ));
-        drop(first);
+        first.park();
         assert_eq!(parked(), 0, "a reply may still come for it");
 
         // The next lane hears its own reply and nothing else, whenever
@@ -472,13 +473,17 @@ mod tests {
             second.recv(Duration::ZERO),
             Err(WaitError::Timeout)
         ));
-        drop(second);
+        let at = |lane: &dyn Lane| lane as *const dyn Lane as *const u8;
+        let second_at = at(&*second);
+        second.park();
         assert_eq!(parked(), 1, "every frame was answered");
 
-        // And its end is the next lane's.
+        // And it is the next lane, box and all; one dropped is let go.
         let third = transport.lane(target).unwrap();
-        assert_eq!(parked(), 0);
-        drop(third);
+        assert_eq!((parked(), at(&*third)), (0, second_at));
+        third.park();
         assert_eq!(parked(), 1);
+        drop(transport.lane(target).unwrap());
+        assert_eq!(parked(), 0);
     }
 }

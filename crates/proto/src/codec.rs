@@ -31,7 +31,7 @@
 //! build, and old-format frames decode unchanged ([`decode_frame`]
 //! accepts both).
 
-use crate::limits::{list_request_fits_frame, MAX_LIST_REGIONS, MAX_VECTOR_RUNS};
+use crate::limits::{list_request_fits_frame, MAX_BULK_BYTES, MAX_LIST_REGIONS, MAX_VECTOR_RUNS};
 
 use crate::message::{Message, Request, Response, VectorRun};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -395,6 +395,14 @@ impl Field for Bytes {
             return Err(PvfsError::protocol("short frame reading bulk data"));
         }
         Ok(part.split_to(len))
+    }
+
+    /// One frame carries at most [`MAX_BULK_BYTES`] of bulk, by either
+    /// transport.
+    fn check(&self) -> PvfsResult<()> {
+        let (len, max) = (self.len() as u64, MAX_BULK_BYTES as u64);
+        let too_large = PvfsError::FrameTooLarge { len, max };
+        (len <= max).then_some(()).ok_or(too_large)
     }
 
     fn payload(&self) -> Option<&Bytes> {
@@ -1630,6 +1638,30 @@ mod tests {
             runs: vec![],
         });
         assert!(encode_message(&m).is_err());
+    }
+
+    /// A write frame carries at most one frame's bulk: one byte more is
+    /// refused before anything is encoded, the cap itself is not.
+    #[test]
+    fn a_bulk_above_the_cap_is_refused() {
+        let write = |len: usize| {
+            msg(Request::Write {
+                handle: FileHandle(1),
+                layout: layout(),
+                region: Region::new(0, len as u64),
+                data: Bytes::from(vec![0u8; len]),
+            })
+        };
+        assert!(encode_message(&write(MAX_BULK_BYTES)).is_ok());
+        match encode_message(&write(MAX_BULK_BYTES + 1)) {
+            Err(PvfsError::FrameTooLarge { len, max }) => {
+                assert_eq!(
+                    (len, max),
+                    (MAX_BULK_BYTES as u64 + 1, MAX_BULK_BYTES as u64)
+                )
+            }
+            other => panic!("expected FrameTooLarge, got {other:?}"),
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! buffer per hop, and every one of them handed back to an owner that
 //! hands it out again, the same ops stay under the budgets below — and
 //! the count is exact, so it must repeat from one op to the next, and
-//! must not grow with the number of frames an op needs.
+//! must not grow with the number of frames an op needs (nor, holds
+//! `alloc_scaling.rs`, with the number of daemons).
 //!
 //! The same pattern read with `Method::Multiple` is 1024 single-region
 //! RPCs, which pins the other end of the scale: the fixed cost of one
@@ -33,6 +34,9 @@
 //! of that FLASH op held its 98 304 aligned pieces — 3 MiB — in one
 //! vector for the life of its plan, and now walks the piece map instead.
 
+mod counting;
+
+use counting::{allocated_by, hermetic, peak_above_start};
 use pvfs::client::PvfsFile;
 use pvfs::core::{IoKind, Method, MethodConfig};
 use pvfs::disk::{LocalFile, ScratchDir, SparseStore, StorageConfig, SyncPolicy};
@@ -40,97 +44,23 @@ use pvfs::net::{LiveCluster, TransportKind};
 use pvfs::server::IodConfig;
 use pvfs::types::{FileHandle, StripeLayout};
 use pvfs::workloads::{verify, Cyclic, FlashIo};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-static LIVE: AtomicU64 = AtomicU64::new(0);
-static PEAK: AtomicU64 = AtomicU64::new(0);
-
-/// The system allocator with a call counter, a byte counter and a
-/// live-byte gauge (with its high-water mark) in front.
-struct Counting;
-
-fn count(bytes: usize) {
-    // Relaxed: the counters publish no other data.
-    ALLOCS.fetch_add(1, Ordering::Relaxed);
-    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-fn release(bytes: usize) {
-    LIVE.fetch_sub(bytes as u64, Ordering::Relaxed);
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counters touch no
-// allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        // SAFETY: the caller's `layout` obligations pass straight through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // Old and new block both count at the peak: a move holds both.
-        count(new_size);
-        release(layout.size());
-        // SAFETY: `ptr` came from this allocator, which is `System`
-        // underneath, with this `layout`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        release(layout.size());
-        // SAFETY: as for `realloc`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// `(allocations, bytes requested)` of running `op`, process-wide.
-fn allocated_by(op: impl FnOnce()) -> (u64, u64) {
-    let before = (
-        ALLOCS.load(Ordering::Relaxed),
-        BYTES.load(Ordering::Relaxed),
-    );
-    op();
-    (
-        ALLOCS.load(Ordering::Relaxed) - before.0,
-        BYTES.load(Ordering::Relaxed) - before.1,
-    )
-}
-
-/// The most that running `op` ever held live above what was live when it
-/// began, process-wide.
-fn peak_above_start(op: impl FnOnce()) -> u64 {
-    let start = LIVE.load(Ordering::Relaxed);
-    PEAK.store(start, Ordering::Relaxed);
-    op();
-    PEAK.load(Ordering::Relaxed) - start
-}
-
-/// Over tcp the cyclic write and its read-back each measure 0.10 bytes
-/// per payload byte in 28 allocations — the plan and the stream's
-/// bookkeeping; no frame of the 64 allocates (2.44 in 732 and 2.21 in
-/// 540 while each frame's head, payload, region list, run list, read
-/// buffer and reply were allocated where they were needed and freed
-/// where they ended up, eleven allocations a frame).
-const WRITE_BUDGET: f64 = 0.11;
-const READ_BUDGET: f64 = 0.11;
-const WRITE_ALLOCS: u64 = 30;
-const READ_ALLOCS: u64 = 30;
+/// What every op costs, whatever its method, its frames or its
+/// cluster: five allocations — the piece map's two mark vectors and the
+/// `Arc` it is shared through, the plan's boxed step iterator, and the
+/// report's `requests_by_server`. Over tcp the cyclic write and its
+/// read-back are those five, 360 bytes, 0.003 bytes per payload byte.
+/// The op made 23 more while each of its 16 rounds of four ops built a
+/// vector of them, and each stream sized its pump's sub-op deque and op
+/// slab and its lane table `WINDOW` × daemons and boxed a lane per
+/// daemon (28 and 0.10 in all); 2.44 bytes a payload byte in 732
+/// allocations and 2.21 in 540 while each frame's head, payload, region
+/// list, run list, read buffer and reply were allocated where they were
+/// needed and freed where they ended up, eleven allocations a frame.
+const WRITE_BUDGET: f64 = 0.004;
+const READ_BUDGET: f64 = 0.004;
+const WRITE_ALLOCS: u64 = 6;
+const READ_ALLOCS: u64 = 6;
 /// What one more frame may cost an op over tcp: allocations per frame
 /// when the same pattern is twice as long (128 frames against 64). Every
 /// per-frame buffer has an owner that takes it back (`pvfs::net::spares`),
@@ -138,54 +68,35 @@ const READ_ALLOCS: u64 = 30;
 /// the in-place reuse of it ever stop working), a read one reply.
 const WRITE_ALLOCS_PER_FRAME: f64 = 2.0;
 const READ_ALLOCS_PER_FRAME: f64 = 1.0;
-/// One durable FLASH checkpoint op over chan: region lists, marks and
-/// per-stream bookkeeping — 0.03 bytes per payload byte in 15
-/// allocations today (23 while every stream made itself a reply channel
-/// per daemon; 1.08 in 167 while the payload was gathered into a fresh
-/// buffer and every journaled batch built its head, its slice list and a
-/// clamped copy of its runs on the heap).
-const FLASH_BUDGET: f64 = 0.04;
-const FLASH_ALLOCS: u64 = 17;
+/// One durable FLASH checkpoint op over chan: the same five, 0.016
+/// bytes per payload byte — its piece map marks every 64th of its
+/// 98 304 memory regions — where its three rounds' vectors and the
+/// stream's state made it 15 and 0.03 (23 while every stream made itself
+/// a reply channel per daemon; 1.08 in 167 while the payload was gathered
+/// into a fresh buffer and every journaled batch built its head, its
+/// slice list and a clamped copy of its runs on the heap).
+const FLASH_BUDGET: f64 = 0.02;
+const FLASH_ALLOCS: u64 = 6;
 /// What one single-region RPC over chan may ask the allocator for, all
 /// told (frame, hand-off, daemon dispatch, reply): nothing. The 1024-RPC
-/// op costs 12 allocations and 8.4 KB — its plan, its stream's
-/// bookkeeping, a boxed lane per daemon — which makes 0.012 and 8.2 bytes
-/// per RPC: a round of one op is held inline in its plan step, and a
-/// `Data` reply is gathered into a buffer of the lane's that went out
-/// with the request and is swept back, control block and all, when the
-/// lane next sends (`pvfs::net::spares`). It was 3.0 and 433 while the
-/// step was a vector and the reply's buffer and reference count were
-/// made per reply and freed on the client's thread; 7.0 and 588 while the
-/// request was cloned into a `Message`, its head encoded into a fresh
-/// buffer and the reply's 20-byte head sent in a buffer of its own (12.0
-/// and 662 while every RPC had a reply channel and a boxed handle of its
-/// own, too).
-const RPC_ALLOCS: f64 = 0.04;
-const RPC_BYTES: f64 = 9.1;
+/// op costs the same five allocations, 496 bytes, which makes 0.005 and
+/// 0.48 bytes per RPC: a round is its op and a server set, and a `Data`
+/// reply is gathered into a buffer of the lane's that went out with the
+/// request and is swept back, control block and all, when the lane next
+/// sends (`pvfs::net::spares`). It was 0.012 and 8.2 while each stream
+/// sized its window and lane table for every daemon and boxed its lanes;
+/// 3.0 and 433 while the step was a vector and the reply's buffer and
+/// reference count were made per reply and freed on the client's thread;
+/// 7.0 and 588 while the request was cloned into a `Message`, its head
+/// encoded into a fresh buffer and the reply's 20-byte head sent in a
+/// buffer of its own (12.0 and 662 while every RPC had a reply channel
+/// and a boxed handle of its own, too).
+const RPC_ALLOCS: f64 = 0.006;
+const RPC_BYTES: f64 = 0.6;
 
 #[test]
 fn a_list_op_allocates_a_fixed_small_multiple_of_its_payload() {
-    // Hermetic, as `perf` is: every knob of the program is a `PVFS_*`
-    // variable (fault injection and tracing among them). Nothing else
-    // runs in this binary (one test, so no other thread allocates
-    // either), so the environment is ours to edit.
-    for (name, _) in std::env::vars_os() {
-        if name.to_string_lossy().starts_with("PVFS_") {
-            std::env::remove_var(name);
-        }
-    }
-    // No other thread but the harness's own: having spawned this test it
-    // books it (its name, a timeout entry: four allocations), whenever it
-    // is next scheduled — on a busy box that has been seen to be after
-    // the first op below. Let the counter come to rest first.
-    let mut seen = ALLOCS.load(Ordering::Relaxed);
-    loop {
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        match ALLOCS.load(Ordering::Relaxed) {
-            now if now == seen => break,
-            now => seen = now,
-        }
-    }
+    hermetic();
     sieved_reads_hold_no_piece_vector();
     cyclic_list_ops();
     durable_flash_checkpoint();
@@ -235,7 +146,6 @@ fn cyclic_list_ops() {
         read(&mut file);
         let reads = [read(&mut file), read(&mut file)];
         assert_eq!(back, content, "{kind}: read-back differs");
-
         assert_eq!(writes[0], writes[1], "{kind}: write count is not exact");
         assert_eq!(reads[0], reads[1], "{kind}: read count is not exact");
         if kind == TransportKind::Chan {

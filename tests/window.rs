@@ -111,6 +111,10 @@ impl Lane for WatchedLane {
         watch.flying[self.server].retain(|(id, _)| Some(*id) != landed);
         reply
     }
+
+    fn park(self: Box<Self>) {
+        self.inner.park()
+    }
 }
 
 /// A client of `cluster` whose frames to the daemons are watched.
