@@ -110,16 +110,32 @@ pub fn servers_for<I: IntoIterator<Item = Region>>(layout: &StripeLayout, region
     servers
 }
 
+/// The most bytes of `region` any one server holds. Any `pcount × ssize`
+/// bytes in a row put `ssize` on each server; of the fewer left over,
+/// one server holds the head up to its stripe's end and the next the
+/// rest (or a whole stripe, when the rest is longer) — with one server,
+/// that one holds them all.
+fn largest_share(layout: &StripeLayout, region: Region) -> u64 {
+    let ssize = layout.ssize;
+    let period = u64::from(layout.pcount) * ssize;
+    let left = region.len % period;
+    let head = left.min(ssize - region.offset % ssize);
+    let most = match layout.pcount {
+        1 => left,
+        _ => head.max((left - head).min(ssize)),
+    };
+    region.len / period * ssize + most
+}
+
 /// `region` in pieces that each carry at most [`MAX_BULK_BYTES`] to any
-/// one server (whole when it does). Any `pcount × ssize` bytes in a row
+/// one server — whole when it does. Any `pcount × ssize` bytes in a row
 /// put `ssize` on each server and fewer at most `ssize` on one, so pieces
 /// of `cap / ssize` such periods (or of the cap, when a stripe is wider)
 /// keep to the cap wherever they start.
 pub fn bulk_pieces(layout: &StripeLayout, region: Region) -> impl Iterator<Item = Region> {
     let (cap, ssize, end) = (MAX_BULK_BYTES as u64, layout.ssize, region.end());
     let period = u64::from(layout.pcount) * ssize;
-    let most = region.len / period * ssize + (region.len % period).min(ssize);
-    let piece = match (most <= cap, ssize <= cap) {
+    let piece = match (largest_share(layout, region) <= cap, ssize <= cap) {
         (true, _) => region.len.max(1),
         (false, true) => cap / ssize * period,
         (false, false) => cap,
@@ -165,24 +181,53 @@ mod tests {
         assert_eq!(servers_for(&l, [Region::new(0, 1000)]).len(), 4);
     }
 
+    fn share(l: &StripeLayout, r: Region, s: ServerId) -> u64 {
+        l.segments(r)
+            .filter(|g| g.server == s)
+            .map(|g| g.logical.len)
+            .sum()
+    }
+
+    /// The largest share is exact, not a bound: every start and length
+    /// over a few periods, on one, two and four servers.
+    #[test]
+    fn largest_share_is_the_largest_servers_share() {
+        for pcount in [1, 2, 4] {
+            let l = StripeLayout::new(0, pcount, 10).unwrap();
+            for offset in 0..45 {
+                for len in 0..90 {
+                    let r = Region::new(offset, len);
+                    let most = (0..pcount).map(|s| share(&l, r, ServerId(s))).max();
+                    assert_eq!(Some(largest_share(&l, r)), most, "{pcount} × 10: {r}");
+                }
+            }
+        }
+    }
+
     /// A region carrying more than one frame's bulk to a server is cut
     /// into pieces that do not, and none that does not is cut at all.
     #[test]
     fn bulk_pieces_hold_every_server_to_the_cap() {
         let cap = MAX_BULK_BYTES as u64;
-        let share = |l: &StripeLayout, r: Region, s: ServerId| -> u64 {
-            l.segments(r)
-                .filter(|g| g.server == s)
-                .map(|g| g.logical.len)
-                .sum()
-        };
-        for (pcount, ssize) in [(1, 64 << 10), (4, 64 << 10), (3, 100 << 20), (2, 3 << 20)] {
+        let layouts = [
+            (1, 64 << 10),
+            (4, 64 << 10),
+            (3, 100 << 20),
+            (2, 3 << 20),
+            (2, 5 << 20),
+        ];
+        for (pcount, ssize) in layouts {
             let l = StripeLayout::new(0, pcount, ssize).unwrap();
             for (offset, len) in [
                 (0, cap),
                 (0, cap + 4096),
                 (12345, 5 * cap + 7),
                 (ssize - 1, 3 * cap),
+                // Mid-stripe, the bytes past whole periods split across
+                // two servers: on 2 × 5 MiB the largest share is
+                // 62.5 MiB, under the cap.
+                (5 << 19, 125 << 20),
+                (ssize / 2, 2 * cap),
             ] {
                 let region = Region::new(offset, len);
                 let pieces: Vec<_> = bulk_pieces(&l, region).collect();

@@ -107,8 +107,8 @@ pub struct ClusterClient {
     tracer: Arc<Tracer>,
     /// The buffers request frames are built in. Shared by clones.
     spares: Arc<Mutex<FrameSpares>>,
-    /// What streams run in, kept between them ([`StreamState`]s, boxed
-    /// as `Any`, one kind per ticket type). Shared by clones.
+    /// What streams run in, kept between them: at most one
+    /// [`StreamState`] per ticket type, boxed as `Any`. Shared by clones.
     streams: Arc<Mutex<Vec<Box<dyn Any + Send>>>>,
 }
 
@@ -130,12 +130,12 @@ pub(crate) struct FrameSpares {
 
 /// What one stream runs in, its pump's window and its driver's lanes, is
 /// not made per stream: a stream that is over leaves it to the next of
-/// its kind (ticket type), and makes its own only when none is kept — as
-/// a stream on a clone, running beside another, does.
+/// its kind (ticket type) — a `call`'s or `round`'s batch, the plan
+/// executor's stretch — unless one of that kind is kept already, and a
+/// stream makes its own only when none is kept, as one on a clone,
+/// running beside another, does. So an endpoint keeps at most one per
+/// kind of stream it runs.
 type StreamState<K> = (Window<K>, Vec<(RpcTarget, Box<dyn Lane>)>);
-
-/// How many [`StreamState`]s an endpoint keeps, of all kinds.
-const KEPT_STREAMS: usize = 4;
 
 impl ClusterClient {
     /// A client endpoint over an explicit transport.
@@ -473,12 +473,11 @@ impl ClusterClient {
     ) -> PvfsResult<()> {
         // A kept state is empty: valid whoever panicked holding the lock.
         let kept = || self.streams.lock().unwrap_or_else(|e| e.into_inner());
+        let mine = |state: &Box<dyn Any + Send>| state.is::<StreamState<S::Ticket>>();
         let mut state: Box<StreamState<S::Ticket>> = {
             let mut kept = kept();
-            let mine = kept
-                .iter()
-                .rposition(|state| state.is::<StreamState<S::Ticket>>());
-            mine.and_then(|at| kept.swap_remove(at).downcast().ok())
+            let at = kept.iter().position(mine);
+            at.and_then(|at| kept.swap_remove(at).downcast().ok())
                 .unwrap_or_default()
         };
         // The daemons shipped to, each with its lane: checked out by the
@@ -541,7 +540,7 @@ impl ClusterClient {
         window.1.clear();
         lanes.drain(..).for_each(|(_, lane)| lane.park());
         let mut kept = kept();
-        if kept.len() < KEPT_STREAMS {
+        if !kept.iter().any(mine) {
             kept.push(state);
         }
         result

@@ -64,11 +64,11 @@ use pvfs_types::clock::{self, now_ns};
 use pvfs_types::{PvfsError, PvfsResult};
 use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use super::frame::{write_frames, FrameError, FrameReader, STAGING};
-use crate::transport::{Lane, RpcTarget, Transport, TransportKind, WaitError};
+use crate::transport::{parked, Lane, Parked, RpcTarget, Transport, TransportKind, WaitError};
 use crate::WINDOW;
 
 /// The read timeout every pooled socket carries: how long a blocked
@@ -77,16 +77,11 @@ pub const READ_SLICE: Duration = Duration::from_millis(10);
 
 /// A pooled TCP [`Transport`] to one cluster.
 pub struct TcpTransport {
-    inner: Arc<PoolInner>,
-}
-
-struct PoolInner {
     server_addrs: Vec<SocketAddr>,
     mgr_addr: SocketAddr,
-    /// One stack of parked lanes per server, plus one for the manager
-    /// (last slot), each with its connection. LIFO: the hottest
-    /// connection is reused first.
-    idle: Vec<Mutex<Vec<Box<dyn Lane>>>>,
+    /// The lanes parked with their connections, per server and then the
+    /// manager's.
+    idle: Vec<Arc<Parked>>,
 }
 
 /// Both directions of one connection's framing over any byte stream
@@ -151,25 +146,19 @@ impl TcpTransport {
     /// A transport dialing the given daemon listeners. No connection is
     /// made until the first RPC.
     pub fn new(server_addrs: Vec<SocketAddr>, mgr_addr: SocketAddr) -> TcpTransport {
-        let idle = (0..=server_addrs.len()).map(|_| Mutex::default()).collect();
+        let idle = (0..=server_addrs.len()).map(|_| Arc::default()).collect();
         TcpTransport {
-            inner: Arc::new(PoolInner {
-                server_addrs,
-                mgr_addr,
-                idle,
-            }),
+            server_addrs,
+            mgr_addr,
+            idle,
         }
     }
 
     /// Idle (parked) connections across all daemons — diagnostics.
     pub fn idle_connections(&self) -> usize {
-        (0..self.inner.idle.len())
-            .map(|slot| self.inner.idle(slot).len())
-            .sum()
+        self.idle.iter().map(|stack| parked(stack).len()).sum()
     }
-}
 
-impl PoolInner {
     fn slot(&self, target: RpcTarget) -> PvfsResult<usize> {
         match target {
             RpcTarget::Manager => Ok(self.server_addrs.len()),
@@ -184,11 +173,6 @@ impl PoolInner {
         } else {
             self.server_addrs[slot]
         }
-    }
-
-    fn idle(&self, slot: usize) -> std::sync::MutexGuard<'_, Vec<Box<dyn Lane>>> {
-        // A stack of parked lanes is valid at every step.
-        self.idle[slot].lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -205,20 +189,19 @@ fn dial(addr: SocketAddr) -> PvfsResult<Wire<TcpStream>> {
 
 impl Transport for TcpTransport {
     fn n_servers(&self) -> u32 {
-        self.inner.server_addrs.len() as u32
+        self.server_addrs.len() as u32
     }
 
     fn lane(&self, target: RpcTarget) -> PvfsResult<Box<dyn Lane>> {
-        let slot = self.inner.slot(target)?;
+        let slot = self.slot(target)?;
         // Prefer a parked connection; whether it is still good shows
         // when it is first used.
-        if let Some(lane) = self.inner.idle(slot).pop() {
+        if let Some(lane) = parked(&self.idle[slot]).pop() {
             return Ok(lane);
         }
-        let addr = self.inner.addr(slot);
+        let addr = self.addr(slot);
         Ok(Box::new(TcpLane {
-            home: Arc::downgrade(&self.inner),
-            slot,
+            home: Arc::downgrade(&self.idle[slot]),
             addr,
             wire: Some(dial(addr)?),
             // Sized with the lane, as the wire's queue is: a window of
@@ -236,10 +219,8 @@ impl Transport for TcpTransport {
 /// One checked-out connection, exclusively this lane's until it is
 /// parked or dropped.
 struct TcpLane {
-    /// Where the lane is parked: held weakly, for a parked lane must not
-    /// keep alive the pool that keeps it.
-    home: Weak<PoolInner>,
-    slot: usize,
+    /// Where the lane is parked.
+    home: Weak<Parked>,
     /// The daemon's listener.
     addr: SocketAddr,
     /// The connection, parked whole with the lane, so the next reply on
@@ -385,8 +366,8 @@ impl Lane for TcpLane {
         wire.queued.clear();
         self.replay.clear();
         self.unproven = true;
-        if let Some(home) = self.home.upgrade() {
-            home.idle(self.slot).push(self);
+        if let Some(stack) = self.home.upgrade() {
+            parked(&stack).push(self);
         }
     }
 }

@@ -161,7 +161,9 @@ pub trait Transport: Send + Sync {
 
     /// One frame on a lane of its own, sent and flushed: what is left
     /// to do with the lane is [`Lane::recv`] the reply (and
-    /// [`Lane::park`] it, for the next frame to take).
+    /// [`Lane::park`] it, for the next frame to take). A lane dropped
+    /// instead is let go: over TCP, its connection is closed, and the
+    /// next dispatch to that daemon dials a fresh one.
     fn dispatch(&self, target: RpcTarget, frame: Frame) -> PvfsResult<Box<dyn Lane>> {
         let mut lane = self.lane(target)?;
         lane.send(frame)?;
@@ -241,56 +243,51 @@ impl Drop for ReplyTo {
 ///
 /// [`DEFAULT_RPC_TIMEOUT`]: crate::DEFAULT_RPC_TIMEOUT
 pub struct ChanTransport {
-    nodes: Arc<ChanNodes>,
-}
-
-struct ChanNodes {
     /// One door per I/O server, the manager's last.
     doors: Vec<Arc<Door>>,
-    /// One stack of parked lanes per door. LIFO: the buffers used last
-    /// are used next.
-    idle: Vec<Mutex<Vec<Box<dyn Lane>>>>,
+    /// The lanes parked at each door.
+    idle: Vec<Arc<Parked>>,
 }
 
-impl ChanNodes {
-    fn idle(&self, slot: usize) -> std::sync::MutexGuard<'_, Vec<Box<dyn Lane>>> {
-        // A stack of parked lanes is valid at every step.
-        self.idle[slot].lock().unwrap_or_else(|e| e.into_inner())
-    }
+/// One daemon's parked lanes. LIFO: the lane used last — its connection,
+/// its buffers — is used next. A lane holds its stack weakly, for a
+/// parked lane must not keep alive the transport that keeps it.
+pub(crate) type Parked = Mutex<Vec<Box<dyn Lane>>>;
+
+/// The lanes on `stack` (valid at every step, whoever panicked holding it).
+pub(crate) fn parked(stack: &Parked) -> std::sync::MutexGuard<'_, Vec<Box<dyn Lane>>> {
+    stack.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl ChanTransport {
     /// A transport to the daemons behind `doors`: one per I/O server
     /// in id order, then the manager's.
     pub(crate) fn new(doors: Vec<Arc<Door>>) -> ChanTransport {
-        let idle = doors.iter().map(|_| Mutex::default()).collect();
-        ChanTransport {
-            nodes: Arc::new(ChanNodes { doors, idle }),
-        }
+        let idle = doors.iter().map(|_| Arc::default()).collect();
+        ChanTransport { doors, idle }
     }
 }
 
 impl Transport for ChanTransport {
     fn n_servers(&self) -> u32 {
-        self.nodes.doors.len() as u32 - 1
+        self.doors.len() as u32 - 1
     }
 
     fn lane(&self, target: RpcTarget) -> PvfsResult<Box<dyn Lane>> {
-        let mgr = self.nodes.doors.len() - 1;
+        let mgr = self.doors.len() - 1;
         let slot = match target {
             RpcTarget::Manager => mgr,
             RpcTarget::Server(s) if s.index() < mgr => s.index(),
             RpcTarget::Server(s) => return Err(PvfsError::NoSuchServer(s.0)),
         };
-        let parked = self.nodes.idle(slot).pop();
+        let parked = parked(&self.idle[slot]).pop();
         Ok(parked.unwrap_or_else(|| {
             // Room for a reply to every frame of a full window, so a
             // worker never waits on the client to hand its answer over.
             let (tx, rx) = bounded(WINDOW);
             Box::new(ChanLane {
-                door: self.nodes.doors[slot].clone(),
-                home: Arc::downgrade(&self.nodes),
-                slot,
+                door: self.doors[slot].clone(),
+                home: Arc::downgrade(&self.idle[slot]),
                 tx,
                 rx,
                 spares: Spares::default(),
@@ -320,10 +317,8 @@ impl Transport for ChanTransport {
 /// makes another buffer.
 struct ChanLane {
     door: Arc<Door>,
-    /// Where the lane is parked: held weakly, for a parked lane must not
-    /// keep alive the transport that keeps it.
-    home: Weak<ChanNodes>,
-    slot: usize,
+    /// Where the lane is parked.
+    home: Weak<Parked>,
     /// Keeps the channel connected while workers hold only its address.
     tx: Sender<ChanReply>,
     rx: Receiver<ChanReply>,
@@ -400,10 +395,9 @@ impl Lane for ChanLane {
     }
 
     fn park(self: Box<Self>) {
-        let Some(home) = self.home.upgrade().filter(|_| self.owed == 0) else {
-            return;
-        };
-        home.idle(self.slot).push(self);
+        if let Some(stack) = self.home.upgrade().filter(|_| self.owed == 0) {
+            parked(&stack).push(self);
+        }
     }
 }
 
@@ -444,7 +438,7 @@ mod tests {
         let (door, daemon) = Door::bare(8);
         let transport = ChanTransport::new(vec![door, Door::bare(1).0]);
         let target = RpcTarget::Server(ServerId(0));
-        let parked = || transport.nodes.idle(0).len();
+        let parked = || parked(&transport.idle[0]).len();
         let received = || {
             let (frame, reply) = daemon().expect("a request");
             (decode_frame_id(&frame.head).unwrap(), reply)

@@ -292,16 +292,16 @@ fn sequential_rpcs_reuse_a_pooled_connection() {
     );
 }
 
-/// The satellite bugfix regression: a parked connection the server
-/// closed while it sat idle must not fail the next RPC. The fake server
-/// here serves exactly ONE frame per connection and then hangs up, so
-/// every reuse of a pooled connection hits the stale-keepalive race —
-/// either the send fails outright (evict + fresh dial) or the send lands
-/// in the local socket buffer and the read sees the peer gone before any
-/// response byte (re-dial + replay). Both heal transparently — and the
-/// request is a write, so what is re-sent is a two-part frame: the
-/// server checks that head *and* payload arrive intact on every
-/// connection it serves.
+/// A parked connection the server closed while it sat idle must not
+/// fail the next RPC. The fake server here serves exactly ONE frame per
+/// connection and then hangs up, and each lane is parked once its reply
+/// is in, so every RPC after the first is sent on a pooled connection
+/// the peer has closed — the stale-keepalive race: either the send
+/// fails outright (evict + fresh dial) or the send lands in the local
+/// socket buffer and the read sees the peer gone before any response
+/// byte (re-dial + replay). Both heal transparently — and the request is
+/// a write, so what is re-sent is a two-part frame: the server checks
+/// that head *and* payload arrive intact on every connection it serves.
 #[test]
 fn second_rpc_after_server_side_disconnect_succeeds() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -349,16 +349,32 @@ fn second_rpc_after_server_side_disconnect_succeeds() {
     for i in 1..=3u64 {
         let frame = encode_frame(&message(i), None).unwrap();
         assert_eq!(frame.payload.len(), 600, "the request is a two-part frame");
-        let reply = transport
+        let parked = transport.idle_connections();
+        assert_eq!(
+            parked,
+            usize::from(i > 1),
+            "rpc {i}: the last lane is parked"
+        );
+        let mut lane = transport
             .dispatch(RpcTarget::Server(ServerId(0)), frame)
-            .unwrap()
+            .unwrap();
+        assert_eq!(
+            transport.idle_connections(),
+            0,
+            "rpc {i} went out on the parked connection, not a fresh one"
+        );
+        let reply = lane
             .recv(Duration::from_secs(5))
             .unwrap_or_else(|e| panic!("rpc {i} after server-side disconnect failed: {e:?}"));
         let (rid, resp) = decode_response_frame(reply).unwrap();
         assert_eq!(rid, RequestId(i));
         assert_eq!(resp, Response::Written { bytes: 600 });
+        lane.park();
     }
+    // One connection per RPC: the 2nd and 3rd came over re-dialled ones,
+    // each healing the closed connection it was sent on.
     assert_eq!(server.join().unwrap(), 3);
+    assert_eq!(transport.idle_connections(), 1, "a healed lane parks");
 }
 
 /// A writer that records what each call handed it.
