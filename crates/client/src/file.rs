@@ -286,36 +286,6 @@ impl PvfsFile {
         self.run(method, &request, UserBuf::Write(buf))
     }
 
-    /// Noncontiguous read described by MPI-like datatypes (§5 future
-    /// work): flatten `mem_type`/`file_type` at the given base offsets
-    /// and read under `method`.
-    pub fn read_typed(
-        &mut self,
-        mem_type: &pvfs_types::Datatype,
-        mem_base: u64,
-        file_type: &pvfs_types::Datatype,
-        file_base: u64,
-        buf: &mut [u8],
-        method: Method,
-    ) -> PvfsResult<ExecReport> {
-        let request = ListRequest::from_datatypes(mem_type, mem_base, file_type, file_base)?;
-        self.run(method, &request, UserBuf::Read(buf))
-    }
-
-    /// Noncontiguous write described by MPI-like datatypes.
-    pub fn write_typed(
-        &mut self,
-        mem_type: &pvfs_types::Datatype,
-        mem_base: u64,
-        file_type: &pvfs_types::Datatype,
-        file_base: u64,
-        buf: &[u8],
-        method: Method,
-    ) -> PvfsResult<ExecReport> {
-        let request = ListRequest::from_datatypes(mem_type, mem_base, file_type, file_base)?;
-        self.run(method, &request, UserBuf::Write(buf))
-    }
-
     /// Plan `request` under `method` — a read into `user` or a write out
     /// of it — and run the plan: the one data path of every method above.
     fn run(&self, method: Method, request: &ListRequest, user: UserBuf) -> PvfsResult<ExecReport> {

@@ -201,23 +201,21 @@ fn buffer_too_small_is_rejected() {
 
 #[test]
 fn typed_requests_roundtrip() {
-    use pvfs_types::Datatype;
     let cluster = LiveCluster::spawn(4);
     let client = cluster.client();
     let layout = StripeLayout::new(0, 4, 32).unwrap();
     let mut f = PvfsFile::create(&client, "/pvfs/typed", layout).unwrap();
 
-    // File side: a vector of 16 blocks of 8 bytes every 24 bytes.
-    let file_t = Datatype::byte_vector(16, 8, 24);
+    // File side: 16 blocks of 8 bytes every 24 bytes from offset 100,
+    // which `Method::Datatype` ships as vector runs.
+    let file = RegionList::from_pairs((0..16u64).map(|k| (100 + k * 24, 8))).unwrap();
     // Memory side: contiguous.
-    let mem_t = Datatype::Bytes(file_t.size());
-    let src = pattern(file_t.size() as usize, 77);
-    f.write_typed(&mem_t, 0, &file_t, 100, &src, Method::Datatype)
-        .unwrap();
+    let mem = RegionList::contiguous(0, file.total_len());
+    let src = pattern(file.total_len() as usize, 77);
+    f.write_list(&mem, &file, &src, Method::Datatype).unwrap();
 
     let mut back = vec![0u8; src.len()];
-    f.read_typed(&mem_t, 0, &file_t, 100, &mut back, Method::List)
-        .unwrap();
+    f.read_list(&mem, &file, &mut back, Method::List).unwrap();
     assert_eq!(back, src);
 
     // The strided holes were not written.

@@ -23,8 +23,9 @@
 //!   byte. Disjointness is what makes merged (sieving-style) writes
 //!   safe **without** the global `SerialGate`.
 //! * [`CollectiveFile`] — the two-phase read/write engines surfacing
-//!   as `read_all` / `write_all` (the `Method::TwoPhase` selector in
-//!   `pvfs-core` points here). Writes ship pieces rank→aggregator,
+//!   as `read_all` / `write_all`, the only way into collective I/O
+//!   (`pvfs_core::plan` compiles one rank's request, never a
+//!   collective's). Writes ship pieces rank→aggregator,
 //!   aggregators merge and write once per domain window; reads run the
 //!   phases in reverse.
 //!

@@ -144,17 +144,9 @@ fn for_each_share_slice(
     }
 }
 
-/// The stripe slot `server` holds under `layout`, if it holds one.
-fn slot_of(layout: &StripeLayout, server: ServerId) -> Option<u32> {
-    server
-        .0
-        .checked_sub(layout.base)
-        .filter(|slot| *slot < layout.pcount)
-}
-
 /// Bytes of this op stored on `server`.
 pub fn server_share(op: &OpKind, layout: &StripeLayout, server: ServerId) -> u64 {
-    let Some(slot) = slot_of(layout, server) else {
+    let Some(slot) = layout.slot_of_server(server) else {
         return 0;
     };
     let mut share = 0;
@@ -249,7 +241,7 @@ pub fn gather_payload_into<'a>(
 ) -> (Bytes, u64) {
     debug_assert!(op.is_write());
     let bufs = bufs.into();
-    let Some(slot) = slot_of(layout, server) else {
+    let Some(slot) = layout.slot_of_server(server) else {
         return (Bytes::new(), 0);
     };
     let mut payload = spare(server_share(op, layout, server) as usize);
@@ -279,7 +271,7 @@ pub fn scatter_response(
             data.len()
         )));
     }
-    let Some(slot) = slot_of(layout, server) else {
+    let Some(slot) = layout.slot_of_server(server) else {
         return Ok(0); // no share, and the reply was checked to be empty
     };
     let mut consumed = 0usize;
@@ -442,6 +434,27 @@ mod tests {
         // The in-range neighbours are unaffected: slot 0 is server 2.
         assert_eq!(gather(&write, &l, ServerId(2), &bufs).0.len(), 5);
         assert_eq!(user, (0..20u8).collect::<Vec<_>>());
+    }
+
+    /// A replica-rewritten layout addresses mirror copy 1 of a file based
+    /// at server 0 as `base = 0 - 1`, wrapping to `u32::MAX`: server 0
+    /// then holds slot 1, and its share is that slot's bytes.
+    #[test]
+    fn a_wrapped_base_still_finds_each_servers_slot() {
+        let l = StripeLayout::new(u32::MAX, 4, 10).unwrap();
+        let region = Region::new(5, 40);
+        let op = OpKind::Read {
+            region,
+            dest: pieces_target(&[(0, 40)], &[(5, 40)]),
+        };
+        let mut total = 0;
+        for (slot, server) in l.servers().enumerate() {
+            let share = server_share(&op, &l, server);
+            assert_eq!(share, l.bytes_on_slot(region, slot as u32), "{server}");
+            total += share;
+        }
+        assert_eq!(server_share(&op, &l, ServerId(0)), 10);
+        assert_eq!(total, 40);
     }
 
     #[test]

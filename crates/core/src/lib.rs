@@ -19,9 +19,9 @@
 //!   frame (§3.3).
 //! * [`Method::Hybrid`] — §5 future work: sieve dense clusters of
 //!   regions, list the sparse remainder.
-//! * [`Method::Datatype`] — §5 future work: describe regular patterns
-//!   with an MPI-like datatype so the request count no longer grows with
-//!   the region count.
+//! * [`Method::Datatype`] — §5 future work: compress regular stretches
+//!   of the file list into vector runs on the wire, so the request count
+//!   no longer grows with the region count.
 //!
 //! An [`AccessPlan`] is a lazy sequence of [`Step`]s — parallel rounds of
 //! per-server wire operations, client-side copies, and serialization
@@ -51,7 +51,7 @@ pub use plan::{
 pub use pvfs_types::PieceMap;
 pub use request::ListRequest;
 
-use pvfs_types::{FileHandle, PvfsError, PvfsResult, StripeLayout};
+use pvfs_types::{FileHandle, PvfsResult, StripeLayout};
 use std::sync::Arc;
 
 /// Compile a noncontiguous request into an access plan under `method`.
@@ -76,35 +76,7 @@ pub fn plan(
         Method::List => listio::plan,
         Method::Hybrid => hybrid::plan,
         Method::Datatype => pattern::plan,
-        Method::TwoPhase => {
-            return Err(PvfsError::invalid(
-                "two-phase I/O is collective: it needs every rank's request, \
-                 not one rank's plan — use pvfs_collective::CollectiveFile::\
-                 {read_all, write_all}",
-            ))
-        }
     };
     let map = Arc::new(PieceMap::new(&request.mem, &request.file)?);
     planner(kind, request, map, handle, layout, config)
-}
-
-#[cfg(test)]
-mod dispatch_tests {
-    use super::*;
-
-    #[test]
-    fn two_phase_refuses_single_rank_planning() {
-        let request = ListRequest::contiguous(0, 0, 64);
-        let layout = StripeLayout::new(0, 4, 16).unwrap();
-        let err = plan(
-            Method::TwoPhase,
-            IoKind::Write,
-            &request,
-            FileHandle(1),
-            layout,
-            &MethodConfig::paper_default(),
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("CollectiveFile"), "{err}");
-    }
 }

@@ -20,24 +20,13 @@ pub enum Method {
     /// §5 — vector-datatype requests; request count independent of
     /// region count for regular patterns.
     Datatype,
-    /// Collective two-phase I/O (Thakur/Gropp/Lusk): ranks elect
-    /// aggregators, partition the file into disjoint stripe-aligned
-    /// domains, exchange data client-side, and hit each I/O daemon with
-    /// few large list requests. Unlike the other methods this one is
-    /// not plannable from a single rank's request — it needs every
-    /// rank's request — so it executes through
-    /// `pvfs_collective::CollectiveFile::{read_all, write_all}` rather
-    /// than [`plan`](crate::plan).
-    TwoPhase,
 }
 
 impl Method {
     /// The three methods the paper evaluates.
     pub const PAPER: [Method; 3] = [Method::Multiple, Method::DataSieving, Method::List];
 
-    /// All *independent* methods: those a single rank can plan and
-    /// execute on its own through [`plan`](crate::plan). Excludes
-    /// [`Method::TwoPhase`], which is collective by construction.
+    /// Every method [`plan`](crate::plan) compiles.
     pub const ALL: [Method; 5] = [
         Method::Multiple,
         Method::DataSieving,
@@ -54,25 +43,7 @@ impl Method {
             Method::List => "List I/O",
             Method::Hybrid => "Hybrid I/O",
             Method::Datatype => "Datatype I/O",
-            Method::TwoPhase => "Two-Phase I/O",
         }
-    }
-
-    /// Does the write path require serializing clients (read-modify-
-    /// write without file locking)?
-    ///
-    /// Two-phase writes answer `false` even though they merge data like
-    /// sieving does: aggregator file domains are disjoint by
-    /// construction, so no cross-client read-modify-write window
-    /// exists and the `SerialGate` stays untouched.
-    pub fn write_requires_serialization(self) -> bool {
-        matches!(self, Method::DataSieving)
-    }
-
-    /// Is this method collective (requires every rank's request and a
-    /// communicator, rather than a per-rank plan)?
-    pub fn is_collective(self) -> bool {
-        matches!(self, Method::TwoPhase)
     }
 }
 
@@ -175,24 +146,25 @@ mod tests {
         }
     }
 
+    /// A write plan holds a serial section under data sieving alone:
+    /// its read-modify-write is the only one that races other clients.
     #[test]
     fn only_sieving_writes_serialize() {
-        assert!(Method::DataSieving.write_requires_serialization());
-        assert!(!Method::Multiple.write_requires_serialization());
-        assert!(!Method::List.write_requires_serialization());
-        assert!(!Method::Hybrid.write_requires_serialization());
-        assert!(!Method::Datatype.write_requires_serialization());
-        // The whole point of two-phase: merged writes without the gate.
-        assert!(!Method::TwoPhase.write_requires_serialization());
-    }
-
-    #[test]
-    fn two_phase_is_the_only_collective_method() {
-        assert!(Method::TwoPhase.is_collective());
+        use crate::{plan, IoKind, ListRequest};
+        use pvfs_types::{FileHandle, RegionList, StripeLayout};
+        let file = RegionList::from_pairs((0..16).map(|i| (i * 100, 8))).unwrap();
+        let request = ListRequest::gather(file);
+        let layout = StripeLayout::new(0, 4, 64).unwrap();
+        let config = MethodConfig::paper_default();
         for m in Method::ALL {
-            assert!(!m.is_collective(), "{m} must be independently plannable");
+            let p = plan(m, IoKind::Write, &request, FileHandle(1), layout, &config).unwrap();
+            let serial = p.tally().serial_sections;
+            assert_eq!(
+                serial > 0,
+                m == Method::DataSieving,
+                "{m}: {serial} serial sections"
+            );
         }
-        assert_eq!(Method::TwoPhase.to_string(), "Two-Phase I/O");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The noncontiguous request descriptor.
 
-use pvfs_types::{Datatype, PvfsError, PvfsResult, RegionList};
+use pvfs_types::{PvfsError, PvfsResult, RegionList};
 
 /// A noncontiguous I/O request: the arguments of the paper's
 /// `pvfs_read_list` / `pvfs_write_list` interface (§3.3).
@@ -44,19 +44,6 @@ impl ListRequest {
             mem: RegionList::contiguous(0, file.total_len()),
             file,
         }
-    }
-
-    /// Build from datatypes: flatten `mem_type` at buffer offset
-    /// `mem_base` and `file_type` at file offset `file_base`.
-    pub fn from_datatypes(
-        mem_type: &Datatype,
-        mem_base: u64,
-        file_type: &Datatype,
-        file_base: u64,
-    ) -> PvfsResult<ListRequest> {
-        mem_type.validate()?;
-        file_type.validate()?;
-        ListRequest::new(mem_type.flatten(mem_base), file_type.flatten(file_base))
     }
 
     /// Total bytes transferred.
@@ -159,18 +146,6 @@ mod tests {
         // Memory order defines the byte stream; it need not be sorted.
         let r = ListRequest::new(rl(&[(100, 5), (0, 5)]), rl(&[(0, 10)])).unwrap();
         assert_eq!(align_lists(&r.mem, &r.file).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn from_datatypes_flattens_both_sides() {
-        // Memory: 8 elements of 8 bytes with 8-byte guard gaps.
-        let mem_t = Datatype::byte_vector(8, 8, 16);
-        // File: one contiguous 64-byte block.
-        let file_t = Datatype::Bytes(64);
-        let r = ListRequest::from_datatypes(&mem_t, 0, &file_t, 4096).unwrap();
-        assert_eq!(r.mem.count(), 8);
-        assert_eq!(r.file.count(), 1);
-        assert_eq!(r.total_len(), 64);
     }
 
     #[test]

@@ -431,8 +431,7 @@ impl<'a, S: OpStream> Pump<'a, S> {
         let mut quorum = false;
         match (target, request_layout(&request)) {
             (RpcTarget::Server(server), Some(layout)) if !self.sole && map.policy().enabled() => {
-                let slot = pvfs_replica::slot_of_server(layout, server);
-                debug_assert!(slot < layout.pcount, "op target is not in the layout");
+                let slot = layout.slot_of_server(server).expect("target in layout");
                 let mut targets = map.copies(layout, slot);
                 quorum = request.op_class() == OpClass::Write;
                 if !quorum {

@@ -1488,6 +1488,23 @@ mod tests {
         assert_eq!(decoded, Response::Stats(Box::new(empty)));
     }
 
+    /// A histogram field whose `min` exceeds its `max` is refused at
+    /// decode: every percentile of it would panic.
+    #[test]
+    fn a_forged_histogram_min_above_max_is_refused() {
+        const V: u64 = 0x0123_4567_89ab_cdef;
+        let mut snap = StatsSnapshot::default();
+        snap.queue_wait.record(V);
+        let mut raw = encode_response(RequestId(7), &Response::Stats(Box::new(snap))).to_vec();
+        // The field's min and max words, both V, side by side.
+        let pair = [V.to_le_bytes(), V.to_le_bytes()].concat();
+        let at = raw.windows(16).position(|w| w == pair).unwrap();
+        raw[at..at + 8].copy_from_slice(&100u64.to_le_bytes());
+        raw[at + 8..at + 16].copy_from_slice(&5u64.to_le_bytes());
+        let err = decode_response(Bytes::from(raw)).unwrap_err();
+        assert!(matches!(err, PvfsError::Protocol(_)), "{err}");
+    }
+
     #[test]
     fn stats_scrape_frames_are_recognized() {
         for (req, is_scrape) in [

@@ -84,14 +84,6 @@ pub struct ReplicaPolicy {
 }
 
 impl ReplicaPolicy {
-    /// The unreplicated default: one copy, which trivially must ack.
-    pub fn single() -> ReplicaPolicy {
-        ReplicaPolicy {
-            replicas: 1,
-            quorum: WriteQuorum::All,
-        }
-    }
-
     /// Validated constructor: `1 <= replicas <= n_servers`.
     pub fn new(replicas: u32, quorum: WriteQuorum, n_servers: u32) -> PvfsResult<ReplicaPolicy> {
         check_replicas(replicas, n_servers, &replicas.to_string())?;
@@ -263,13 +255,6 @@ impl ReplicaMap {
         }
         r
     }
-}
-
-/// Which slot a request built against `layout` targets when sent to
-/// `server` (the inverse of `server_at_slot`, wrapping like the
-/// daemon's own routing check).
-pub fn slot_of_server(layout: &StripeLayout, server: ServerId) -> u32 {
-    server.0.wrapping_sub(layout.base)
 }
 
 /// Map a span of a copy's *local* file back to the logical regions it

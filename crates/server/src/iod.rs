@@ -680,21 +680,14 @@ impl IoDaemon {
 
     /// Which slot this server occupies in `layout`, or an error if the
     /// request was misrouted.
-    ///
-    /// Wrapping: replica-rewritten layouts address a mirror as
-    /// `base = server - slot` in wrapping u32 arithmetic, so the slot
-    /// is recovered the same way. Primary layouts have plain bases and
-    /// behave exactly as before.
     fn slot_in(&self, layout: &StripeLayout) -> Result<u32, PvfsError> {
         layout.validate()?;
-        let slot = self.id.0.wrapping_sub(layout.base);
-        if slot >= layout.pcount {
-            return Err(PvfsError::protocol(format!(
+        layout.slot_of_server(self.id).ok_or_else(|| {
+            PvfsError::protocol(format!(
                 "server {} is not part of stripe layout base={} pcount={}",
                 self.id, layout.base, layout.pcount
-            )));
-        }
-        Ok(slot)
+            ))
+        })
     }
 
     /// Whether a durable store for `handle` survives in this daemon's
@@ -1060,8 +1053,11 @@ mod tests {
             Request::ReadList {
                 handle: fh(),
                 layout: l,
-                regions: RegionList::from_regions(vec![Region::new(0, 8), huge.shifted(64)])
-                    .unwrap(),
+                regions: RegionList::from_regions(vec![
+                    Region::new(0, 8),
+                    Region::new(64, 1 << 40),
+                ])
+                .unwrap(),
             },
             Request::ReadVectors {
                 handle: fh(),

@@ -156,7 +156,7 @@ impl SimCluster {
             let n = CHUNK.min(len - off);
             let region = Region::new(off, n);
             for server in layout.servers_touched(region) {
-                let slot = server.0 - layout.base;
+                let slot = layout.slot_of_server(server).expect("in layout");
                 let share = layout.bytes_on_slot(region, slot);
                 if share == 0 {
                     continue;

@@ -10,9 +10,6 @@
 //! * [`StripeLayout`] — PVFS user-controlled striping (base node, pcount,
 //!   stripe size) and the logical-offset ⇄ (server, local offset) mapping
 //!   both the client library and the I/O daemons rely on.
-//! * [`Datatype`] — MPI-like datatype descriptors (the paper's §5 future
-//!   work) that compress regular access patterns and flatten to region
-//!   lists.
 //! * [`Histogram`] / [`SharedHistogram`] — the latency-metrics vocabulary
 //!   shared by the simulator and the live transports — and the
 //!   [`Ledger`]: the one table every daemon and client metric is declared
@@ -32,7 +29,6 @@
 //! tested invariants.
 
 pub mod clock;
-pub mod datatype;
 pub mod env;
 pub mod error;
 pub mod ids;
@@ -41,7 +37,6 @@ pub mod region;
 pub mod striping;
 pub mod trace;
 
-pub use datatype::Datatype;
 pub use error::{PvfsError, PvfsResult};
 pub use ids::{ClientId, FileHandle, RequestId, ServerId};
 pub use metrics::{

@@ -165,19 +165,6 @@ impl Histogram {
         self.try_percentile_ns(p).unwrap_or(0)
     }
 
-    /// One-line summary for reports.
-    pub fn summary(&self) -> String {
-        format!(
-            "n={} min={:.3}ms p50={:.3}ms p99={:.3}ms max={:.3}ms mean={:.3}ms",
-            self.count,
-            self.min_ns() as f64 / 1e6,
-            self.percentile_ns(0.50) as f64 / 1e6,
-            self.percentile_ns(0.99) as f64 / 1e6,
-            self.max_ns() as f64 / 1e6,
-            self.mean_ns() as f64 / 1e6,
-        )
-    }
-
     /// The nonzero buckets as `(index, count)` pairs — the sparse form
     /// the wire codec ships (most of the 128 buckets are empty).
     pub fn to_sparse(&self) -> Vec<(u32, u64)> {
@@ -190,8 +177,9 @@ impl Histogram {
     }
 
     /// Rebuild a histogram from its sparse wire form. Returns `None`
-    /// for out-of-range bucket indices (untrusted input); `min`/`max`
-    /// are trusted as shipped, with the empty histogram normalized.
+    /// for out-of-range bucket indices and for a non-empty histogram
+    /// whose `min` exceeds its `max` (untrusted input); the empty
+    /// histogram is normalized.
     pub fn from_sparse(sparse: &[(u32, u64)], sum: u128, min: u64, max: u64) -> Option<Histogram> {
         let mut h = Histogram::new();
         for &(i, c) in sparse {
@@ -200,6 +188,9 @@ impl Histogram {
             h.count = h.count.checked_add(c)?;
         }
         if h.count > 0 {
+            if min > max {
+                return None;
+            }
             h.sum = sum;
             h.min = min;
             h.max = max;
@@ -303,9 +294,12 @@ impl SharedHistogram {
         h.min = self.min.load(Ordering::Relaxed);
         h.max = self.max.load(Ordering::Relaxed);
         // Normalize torn reads: the aggregate fields may lag or lead the
-        // buckets; keep the invariants percentile_ns relies on.
-        if h.count == 0 {
+        // buckets; keep the invariants percentile_ns relies on. A first
+        // sample caught between its count and its min/max stores reads
+        // as min > max: it has not happened yet.
+        if h.count == 0 || h.min > h.max {
             h.buckets.iter_mut().for_each(|b| *b = 0);
+            h.count = 0;
             h.sum = 0;
             h.min = u64::MAX;
             h.max = 0;
@@ -794,7 +788,6 @@ mod tests {
         let p50 = h.percentile_ns(0.5);
         assert!((500_000..2_000_000).contains(&p50), "p50={p50}");
         assert!(h.percentile_ns(0.995) > 100_000_000);
-        assert!(h.summary().contains("n=100"));
     }
 
     #[test]
@@ -842,15 +835,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_is_human_readable() {
-        let mut h = Histogram::new();
-        h.record(2_000_000);
-        let s = h.summary();
-        assert!(s.contains("n=1"));
-        assert!(s.contains("ms"));
-    }
-
-    #[test]
     fn sparse_roundtrip_is_exact() {
         let mut h = Histogram::new();
         for v in [0u64, 1, 7, 1_000, 1_000_000, u64::MAX / 2] {
@@ -865,6 +849,8 @@ mod tests {
     #[test]
     fn sparse_rejects_bogus_indices() {
         assert!(Histogram::from_sparse(&[(9999, 1)], 1, 1, 1).is_none());
+        // A min above the max would make every percentile panic.
+        assert!(Histogram::from_sparse(&[(10, 1)], 0, 100, 5).is_none());
         // Empty sparse → normalized empty histogram.
         let h = Histogram::from_sparse(&[], 0, 0, 0).unwrap();
         assert_eq!(h, Histogram::new());
@@ -901,6 +887,19 @@ mod tests {
         shared.reset();
         assert_eq!(shared.snapshot(), Histogram::new());
         assert_eq!(shared.count(), 0);
+    }
+
+    /// `record` stores the bucket and the count before min and max: a
+    /// snapshot between those stores, on the first sample, reads
+    /// min > max, which `clamp` in `percentile_ns` cannot take.
+    #[test]
+    fn a_snapshot_torn_on_the_first_sample_reads_empty() {
+        let shared = SharedHistogram::new();
+        shared.buckets[Histogram::bucket_of(1_000)].fetch_add(1, Ordering::Relaxed);
+        shared.count.fetch_add(1, Ordering::Relaxed);
+        let snap = shared.snapshot();
+        assert_eq!(snap.percentile_ns(0.5), 0);
+        assert_eq!(snap, Histogram::new());
     }
 
     #[test]

@@ -108,30 +108,6 @@ impl Region {
             None
         }
     }
-
-    /// The region translated by `delta` (may be negative).
-    ///
-    /// Panics when the translated offset would leave `u64` in either
-    /// direction — shifting below zero or past `u64::MAX - len` has no
-    /// well-defined result, and the unchecked subtraction used to wrap
-    /// to a huge bogus region in release builds. Callers holding
-    /// untrusted deltas go through [`Region::try_shifted`], mirroring
-    /// the [`Region::new`] / [`Region::try_new`] pair.
-    pub fn shifted(self, delta: i64) -> Region {
-        self.try_shifted(delta)
-            .expect("shifted region leaves the u64 offset space")
-    }
-
-    /// The region translated by `delta`, or `None` when the translated
-    /// offset would underflow zero or its end would overflow `u64`.
-    pub fn try_shifted(self, delta: i64) -> Option<Region> {
-        let offset = if delta >= 0 {
-            self.offset.checked_add(delta as u64)?
-        } else {
-            self.offset.checked_sub(delta.unsigned_abs())?
-        };
-        Region::try_new(offset, self.len)
-    }
 }
 
 impl fmt::Display for Region {
@@ -361,14 +337,6 @@ impl RegionList {
         (0..self.count())
             .step_by(max_regions)
             .map(move |at| self.slice(at..(at + max_regions).min(self.count())))
-    }
-
-    /// Gap lengths between consecutive regions of a sorted-disjoint list.
-    pub fn gaps(&self) -> Vec<u64> {
-        self.regions()
-            .windows(2)
-            .map(|w| w[1].offset.saturating_sub(w[0].end()))
-            .collect()
     }
 }
 
@@ -740,45 +708,6 @@ mod tests {
     }
 
     #[test]
-    fn region_shift() {
-        let r = Region::new(100, 10);
-        assert_eq!(r.shifted(5), Region::new(105, 10));
-        assert_eq!(r.shifted(-50), Region::new(50, 10));
-    }
-
-    /// Regression: a negative delta larger than the offset used to wrap
-    /// the unchecked subtraction in release builds, producing a huge
-    /// bogus region instead of failing.
-    #[test]
-    fn region_shift_rejects_underflow() {
-        let r = Region::new(100, 10);
-        assert_eq!(r.try_shifted(-101), None);
-        assert_eq!(r.try_shifted(-100), Some(Region::new(0, 10)));
-        assert_eq!(r.try_shifted(i64::MIN), None);
-    }
-
-    /// Regression: a large positive delta could push the offset past the
-    /// point where `offset + len` fits in `u64`, tripping `Region::new`'s
-    /// overflow assert (or wrapping, pre-guard) rather than failing
-    /// cleanly.
-    #[test]
-    fn region_shift_rejects_overflow() {
-        let r = Region::new(u64::MAX - 20, 10);
-        assert_eq!(r.try_shifted(20), None); // offset + delta overflows u64
-        assert_eq!(r.try_shifted(15), None); // offset fits, end does not
-        assert_eq!(
-            r.try_shifted(10),
-            Some(Region::new(u64::MAX - 10, 10)) // end lands exactly on u64::MAX
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "shifted region leaves the u64 offset space")]
-    fn region_shift_panics_on_underflow() {
-        let _ = Region::new(100, 10).shifted(-101);
-    }
-
-    #[test]
     fn list_rejects_empty_regions() {
         assert!(RegionList::from_pairs([(0, 10), (20, 0)]).is_err());
         assert!(RegionList::from_pairs([(0, 10), (20, 1)]).is_ok());
@@ -936,12 +865,6 @@ mod tests {
             whole.slice(0..2).into_iter().collect::<Vec<_>>(),
             vec![Region::new(0, 4), Region::new(8, 4)]
         );
-    }
-
-    #[test]
-    fn gaps_between_regions() {
-        let l = rl(&[(0, 4), (8, 4), (12, 4)]);
-        assert_eq!(l.gaps(), vec![4, 0]);
     }
 
     #[test]

@@ -94,6 +94,14 @@ impl StripeLayout {
         ServerId(self.base.wrapping_add(slot))
     }
 
+    /// The slot `server` occupies, if it occupies one — the inverse of
+    /// [`server_at_slot`](Self::server_at_slot), wrapping like it.
+    #[inline]
+    pub fn slot_of_server(&self, server: ServerId) -> Option<u32> {
+        let slot = server.0.wrapping_sub(self.base);
+        (slot < self.pcount).then_some(slot)
+    }
+
     /// All servers this layout can touch.
     pub fn servers(&self) -> impl Iterator<Item = ServerId> + '_ {
         (0..self.pcount).map(|s| self.server_at_slot(s))

@@ -11,8 +11,6 @@
 //!   4096-byte file chunks, var-major file layout.
 //! * [`tiled`] — the tiled visualization read (Fig. 16): a 3×2 display
 //!   wall with overlapping tiles reading one large frame.
-//! * [`strided`] — CHARISMA-style simple/nested-strided patterns (the
-//!   paper's ref [7]), expressible both as region lists and datatypes.
 //!
 //! Every generator returns plain [`ListRequest`]s so any access method
 //! can service them, plus the derived quantities the paper quotes
@@ -24,12 +22,10 @@
 pub mod blockblock;
 pub mod cyclic;
 pub mod flash;
-pub mod strided;
 pub mod tiled;
 pub mod verify;
 
 pub use blockblock::BlockBlock;
 pub use cyclic::Cyclic;
 pub use flash::FlashIo;
-pub use strided::{NestedStrided, StrideLevel};
 pub use tiled::TiledViz;

@@ -9,8 +9,8 @@
 //! ```
 
 use pvfs::core::{plan, IoKind, ListRequest, Method, MethodConfig};
-use pvfs::types::{FileHandle, StripeLayout};
-use pvfs::workloads::{BlockBlock, Cyclic, FlashIo, NestedStrided, StrideLevel, TiledViz};
+use pvfs::types::{FileHandle, RegionList, StripeLayout};
+use pvfs::workloads::{BlockBlock, Cyclic, FlashIo, TiledViz};
 
 fn inspect(name: &str, request: &ListRequest, kind: IoKind) {
     let layout = StripeLayout::paper_default(8);
@@ -89,21 +89,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // CHARISMA-style nested-strided sweep (the paper's ref [7] shapes):
     // 64 planes of 32 rows, 128 bytes per row position.
-    let nested = NestedStrided {
-        base: 0,
-        levels: vec![
-            StrideLevel {
-                count: 64,
-                stride: 1 << 20,
-            },
-            StrideLevel {
-                count: 32,
-                stride: 8192,
-            },
-        ],
-        block: 128,
-    };
-    inspect("nested-strided sweep", &nested.request()?, IoKind::Read);
+    let nested = RegionList::from_pairs(
+        (0..64u64)
+            .flat_map(|plane| (0..32u64).map(move |row| (plane * (1 << 20) + row * 8192, 128))),
+    )?;
+    inspect(
+        "nested-strided sweep",
+        &ListRequest::gather(nested),
+        IoKind::Read,
+    );
 
     println!(
         "\nKey quantities the paper quotes: tiled viz multiple={} list={} requests;",

@@ -248,17 +248,10 @@ impl Shell {
                     "list" => Method::List,
                     "hybrid" => Method::Hybrid,
                     "datatype" | "vector" => Method::Datatype,
-                    "twophase" | "two-phase" | "collective" => {
-                        // Selectable so the error below explains itself
-                        // the moment a read/write is attempted: the
-                        // shell drives a single client, and two-phase
-                        // needs a communicator full of ranks.
-                        Method::TwoPhase
-                    }
                     other => {
                         return Err(PvfsError::invalid(format!(
-                        "unknown method '{other}' (multiple|sieve|list|hybrid|datatype|twophase)"
-                    )))
+                            "unknown method '{other}' (multiple|sieve|list|hybrid|datatype)"
+                        )))
                     }
                 };
                 Ok(format!("method set to {}", self.method))
