@@ -270,7 +270,9 @@ impl PvfsFile {
         buf: &mut [u8],
         method: Method,
     ) -> PvfsResult<ExecReport> {
-        let request = ListRequest::new(mem.clone(), file.clone())?;
+        // Unchecked here: planning is the request's one check.
+        let (mem, file) = (mem.clone(), file.clone());
+        let request = ListRequest { mem, file };
         self.run(method, &request, UserBuf::Read(buf))
     }
 
@@ -282,7 +284,9 @@ impl PvfsFile {
         buf: &[u8],
         method: Method,
     ) -> PvfsResult<ExecReport> {
-        let request = ListRequest::new(mem.clone(), file.clone())?;
+        // Unchecked here: planning is the request's one check.
+        let (mem, file) = (mem.clone(), file.clone());
+        let request = ListRequest { mem, file };
         self.run(method, &request, UserBuf::Write(buf))
     }
 

@@ -3,7 +3,7 @@
 use pvfs_client::PvfsFile;
 use pvfs_core::{IoKind, ListRequest, Method, MethodConfig};
 use pvfs_net::LiveCluster;
-use pvfs_types::{PvfsError, RegionList, StripeLayout};
+use pvfs_types::{PvfsError, Region, RegionList, StripeLayout};
 
 fn pattern(len: usize, salt: u8) -> Vec<u8> {
     (0..len)
@@ -196,7 +196,27 @@ fn buffer_too_small_is_rejected() {
     let mem = RegionList::contiguous(100, 32);
     let file = RegionList::contiguous(0, 32);
     let mut buf = vec![0u8; 64]; // memory list reaches 132
-    assert!(f.read_list(&mem, &file, &mut buf, Method::List).is_err());
+    assert!(matches!(
+        f.read_list(&mem, &file, &mut buf, Method::List),
+        Err(PvfsError::InvalidArgument(_))
+    ));
+    // An unsorted memory list of 256 regions, four blocks of its index,
+    // that fits the buffer but for one region in a middle block.
+    let mut regions: Vec<Region> = (0..256).rev().map(|k| Region::new(4 * k, 2)).collect();
+    let file = RegionList::contiguous(0, 512);
+    let mut buf = vec![0u8; 1024];
+    let fits = RegionList::from_regions(regions.clone()).unwrap();
+    f.write_list(&fits, &file, &buf, Method::List).unwrap();
+    regions[100] = Region::new(1024, 2);
+    let past = RegionList::from_regions(regions).unwrap();
+    assert!(matches!(
+        f.write_list(&past, &file, &buf, Method::List),
+        Err(PvfsError::InvalidArgument(_))
+    ));
+    assert!(matches!(
+        f.read_list(&past, &file, &mut buf, Method::List),
+        Err(PvfsError::InvalidArgument(_))
+    ));
 }
 
 #[test]

@@ -506,3 +506,25 @@ fn staging(window: &RegionList) -> PvfsResult<(RegionList, PieceMap, Region)> {
     let extent = window.extent().expect("a window holds at least one region");
     Ok((staged, place, extent))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The bounds check reads the memory list's index: an unsorted list
+    /// of 256 regions, four blocks, whose one region past the buffer
+    /// sits in a middle block is refused as a scan of it would be.
+    #[test]
+    fn a_memory_list_past_the_buffer_is_refused_wherever_its_furthest_end_lies() {
+        let mut regions: Vec<Region> = (0..256).rev().map(|k| Region::new(4 * k, 2)).collect();
+        let file = RegionList::contiguous(0, 512);
+        let fits = RegionList::from_regions(regions.clone()).unwrap();
+        assert!(validate_local(&fits, &file, 1024).is_ok());
+        regions[100] = Region::new(1024, 2);
+        let past = RegionList::from_regions(regions).unwrap();
+        assert!(matches!(
+            validate_local(&past, &file, 1024),
+            Err(PvfsError::InvalidArgument(_))
+        ));
+    }
+}

@@ -359,7 +359,6 @@ pub fn copy_bytes(pairs: &[CopyPair]) -> u64 {
 mod tests {
     use super::*;
     use pvfs_types::{PieceMap, RegionList};
-    use std::sync::Arc;
 
     fn layout() -> StripeLayout {
         StripeLayout::new(0, 4, 10).unwrap()
@@ -374,7 +373,7 @@ mod tests {
     /// the file regions.
     fn pieces_target(mem: &[(u64, u64)], file: &[(u64, u64)]) -> Target {
         let list = |pairs: &[(u64, u64)]| RegionList::from_pairs(pairs.iter().copied()).unwrap();
-        Target::Pieces(Arc::new(PieceMap::new(&list(mem), &list(file)).unwrap()))
+        Target::Pieces(PieceMap::new(&list(mem), &list(file)).unwrap())
     }
 
     #[test]

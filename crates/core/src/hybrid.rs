@@ -20,7 +20,6 @@ use crate::planutil::servers_for;
 use crate::request::ListRequest;
 use crate::sieving::{window_copies, window_steps};
 use pvfs_types::{FileHandle, PieceMap, PvfsResult, Region, RegionList, StripeLayout};
-use std::sync::Arc;
 
 /// One unit of hybrid work.
 enum Item {
@@ -34,7 +33,7 @@ enum Item {
 pub(crate) fn plan(
     kind: IoKind,
     request: &ListRequest,
-    map: Arc<PieceMap>,
+    map: PieceMap,
     handle: FileHandle,
     layout: StripeLayout,
     config: &MethodConfig,

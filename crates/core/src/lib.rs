@@ -52,13 +52,13 @@ pub use pvfs_types::PieceMap;
 pub use request::ListRequest;
 
 use pvfs_types::{FileHandle, PvfsResult, StripeLayout};
-use std::sync::Arc;
 
 /// Compile a noncontiguous request into an access plan under `method`.
 ///
 /// This is the crate's front door; the per-method planners live in
 /// [`multiple`], [`sieving`], [`listio`], [`hybrid`] and [`pattern`].
-/// Each is handed the request's one [`PieceMap`], built here.
+/// Each is handed the request's one [`PieceMap`], built here by the
+/// request's one check ([`ListRequest::piece_map`]).
 pub fn plan(
     method: Method,
     kind: IoKind,
@@ -67,7 +67,7 @@ pub fn plan(
     layout: StripeLayout,
     config: &MethodConfig,
 ) -> PvfsResult<AccessPlan> {
-    request.validate()?;
+    let map = request.piece_map()?;
     layout.validate()?;
     config.validate()?;
     let planner = match method {
@@ -77,6 +77,5 @@ pub fn plan(
         Method::Hybrid => hybrid::plan,
         Method::Datatype => pattern::plan,
     };
-    let map = Arc::new(PieceMap::new(&request.mem, &request.file)?);
     planner(kind, request, map, handle, layout, config)
 }

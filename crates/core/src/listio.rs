@@ -15,13 +15,12 @@ use crate::plan::{AccessPlan, IoKind, OpKind, Round, Step, Target};
 use crate::planutil::servers_for;
 use crate::request::ListRequest;
 use pvfs_types::{FileHandle, PieceMap, PvfsResult, StripeLayout};
-use std::sync::Arc;
 
 /// Compile a list-I/O plan.
 pub(crate) fn plan(
     kind: IoKind,
     request: &ListRequest,
-    map: Arc<PieceMap>,
+    map: PieceMap,
     handle: FileHandle,
     layout: StripeLayout,
     config: &MethodConfig,

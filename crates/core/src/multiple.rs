@@ -16,7 +16,6 @@ use crate::plan::{AccessPlan, IoKind, OpKind, Round, Step, Target};
 use crate::planutil::{bulk_pieces, servers_for};
 use crate::request::ListRequest;
 use pvfs_types::{FileHandle, PieceMap, PvfsResult, StripeLayout};
-use std::sync::Arc;
 
 /// Compile a multiple-I/O plan: one round per aligned piece, streamed
 /// from the map's lazy walk of them rather than held for the life of the
@@ -25,7 +24,7 @@ use std::sync::Arc;
 pub(crate) fn plan(
     kind: IoKind,
     _request: &ListRequest,
-    map: Arc<PieceMap>,
+    map: PieceMap,
     handle: FileHandle,
     layout: StripeLayout,
     _config: &MethodConfig,

@@ -20,7 +20,6 @@ use crate::planutil::Servers;
 use crate::request::ListRequest;
 use pvfs_proto::VectorRun;
 use pvfs_types::{FileHandle, PieceMap, PvfsResult, Region, StripeLayout};
-use std::sync::Arc;
 
 /// Greedily compress a sorted, disjoint region list into maximal vector
 /// runs. Every region keeps its identity (run expansion reproduces the
@@ -108,7 +107,7 @@ fn chunk_servers(runs: &[VectorRun], layout: &StripeLayout) -> Servers {
 pub(crate) fn plan(
     kind: IoKind,
     request: &ListRequest,
-    map: Arc<PieceMap>,
+    map: PieceMap,
     handle: FileHandle,
     layout: StripeLayout,
     config: &MethodConfig,

@@ -23,7 +23,7 @@ use crate::planutil::Servers;
 use pvfs_types::{FileHandle, PieceMap, Region, RegionList, ServerId, StripeLayout};
 use std::fmt;
 use std::iter::{Map, RepeatN, Zip};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// Read or write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -68,8 +68,9 @@ pub struct CopyPair {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Target {
     /// Scatter/gather through the request's [`PieceMap`] (user buffer),
-    /// the one map [`crate::plan`] builds per request.
-    Pieces(Arc<PieceMap>),
+    /// the one map [`crate::plan`] builds per request — two list
+    /// handles, cloned into each op.
+    Pieces(PieceMap),
     /// A contiguous window in temp buffer `temp`: file offset `x` maps
     /// to temp offset `x - base`. Used by data sieving.
     Window { temp: usize, base: u64 },
@@ -536,7 +537,22 @@ mod tests {
                 1 => (200..=200, false),
                 _ => (1..=40, true),
             };
-            let (mem, file) = random_lists(&mut rng, n, mem_len, overlap);
+            let (mut mem, mut file) = random_lists(&mut rng, n, mem_len, overlap);
+            // Every other round, both lists are sub-lists cut mid-block
+            // from longer ones, between unrelated regions.
+            if round % 2 == 1 {
+                let junk = |k: usize| Region::new(3 * k as u64, 2);
+                let mut cut = |list: &RegionList| {
+                    let (before, after) = (rng.gen_range(1..100), rng.gen_range(1..100));
+                    let longer: RegionList = (0..before)
+                        .map(junk)
+                        .chain(list.iter().copied())
+                        .chain((0..after).map(junk))
+                        .collect();
+                    longer.slice(before..before + list.count())
+                };
+                (mem, file) = (cut(&mem), cut(&file));
+            }
             let map = PieceMap::new(&mem, &file).unwrap();
             let pieces = pvfs_types::align_lists(&mem, &file).unwrap();
             let check = |query: Region| {

@@ -1,6 +1,6 @@
 //! The noncontiguous request descriptor.
 
-use pvfs_types::{PvfsError, PvfsResult, RegionList};
+use pvfs_types::{PieceMap, PvfsError, PvfsResult, RegionList};
 
 /// A noncontiguous I/O request: the arguments of the paper's
 /// `pvfs_read_list` / `pvfs_write_list` interface (§3.3).
@@ -57,27 +57,23 @@ impl ListRequest {
         self.file.count()
     }
 
-    /// Check the invariants the planners rely on. The memory list is
-    /// not among them — it may be unsorted, and a write may name a byte
-    /// twice; only a read into overlapping memory regions is
-    /// ill-defined (the executor scatters replies in landing order).
+    /// Check the invariants the planners rely on
+    /// ([`piece_map`](ListRequest::piece_map)).
     pub fn validate(&self) -> PvfsResult<()> {
-        if self.mem.total_len() != self.file.total_len() {
-            return Err(PvfsError::invalid(format!(
-                "memory list covers {} bytes but file list covers {}",
-                self.mem.total_len(),
-                self.file.total_len()
-            )));
-        }
+        self.piece_map().map(drop)
+    }
+
+    /// The request's scatter/gather map, once the invariants the
+    /// planners rely on hold: a file list that is not empty, sorted and
+    /// disjoint, and covers as many bytes as the memory list. The memory
+    /// list is otherwise free — it may be unsorted, and a write may name
+    /// a byte twice; only a read into overlapping memory regions is
+    /// ill-defined (the executor scatters replies in landing order).
+    pub fn piece_map(&self) -> PvfsResult<PieceMap> {
         if self.file.is_empty() {
             return Err(PvfsError::invalid("empty file region list"));
         }
-        if !self.file.is_sorted_disjoint() {
-            return Err(PvfsError::invalid(
-                "file regions must be sorted and disjoint",
-            ));
-        }
-        Ok(())
+        PieceMap::new(&self.mem, &self.file)
     }
 }
 

@@ -29,13 +29,12 @@ use crate::plan::{AccessPlan, CopyPair, IoKind, MemSlice, OpKind, Round, Space, 
 use crate::planutil::servers_for;
 use crate::request::ListRequest;
 use pvfs_types::{FileHandle, PieceMap, PvfsResult, Region, StripeLayout};
-use std::sync::Arc;
 
 /// Compile a data-sieving plan.
 pub(crate) fn plan(
     kind: IoKind,
     request: &ListRequest,
-    map: Arc<PieceMap>,
+    map: PieceMap,
     handle: FileHandle,
     layout: StripeLayout,
     config: &MethodConfig,

@@ -8,7 +8,6 @@ use pvfs_core::exec::{gather_payload_into, scatter_response, server_share, Buffe
 use pvfs_core::plan::{OpKind, Target};
 use pvfs_core::{ListRequest, PieceMap};
 use pvfs_types::{align_lists, Region, RegionList, StripeLayout};
-use std::sync::Arc;
 
 fn arb_layout() -> impl Strategy<Value = StripeLayout> {
     (1u32..8, 1u64..64).prop_map(|(pcount, ssize)| StripeLayout::new(0, pcount, ssize).unwrap())
@@ -52,7 +51,7 @@ proptest! {
     /// per server, for the list-op flavor.
     #[test]
     fn gather_then_scatter_is_identity(request in arb_request(), layout in arb_layout()) {
-        let pieces = Arc::new(PieceMap::new(&request.mem, &request.file).unwrap());
+        let pieces = PieceMap::new(&request.mem, &request.file).unwrap();
         let buf_len = request.mem.extent().map(|e| e.end()).unwrap_or(0) as usize;
         let source_copy: Vec<u8> =
             (0..buf_len).map(|i| (i as u8).wrapping_mul(37).wrapping_add(11)).collect();
@@ -110,7 +109,7 @@ proptest! {
     /// op flavor.
     #[test]
     fn shares_partition_total(request in arb_request(), layout in arb_layout()) {
-        let pieces = Arc::new(PieceMap::new(&request.mem, &request.file).unwrap());
+        let pieces = PieceMap::new(&request.mem, &request.file).unwrap();
         let regions = request.file.clone();
         let ops = vec![
             OpKind::ReadList { regions: regions.clone(), dest: Target::Pieces(pieces.clone()) },

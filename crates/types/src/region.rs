@@ -10,7 +10,7 @@
 
 use crate::error::{PvfsError, PvfsResult};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A contiguous run of bytes: `[offset, offset + len)`.
 ///
@@ -131,13 +131,115 @@ impl fmt::Display for Region {
 /// without being copied. [`push`](RegionList::push) writes in place while
 /// the list is the only handle on its storage and copies it out first
 /// otherwise, so a clone never observes a later push.
+///
+/// The storage indexes itself once: the first query of a list longer
+/// than `BLOCK` (64) regions records, for every block of 64 regions of
+/// the storage, where it starts in the byte stream, where its regions
+/// lie and whether they are sorted and disjoint. Every clone and
+/// sub-list then answers [`total_len`](RegionList::total_len),
+/// [`extent`](RegionList::extent),
+/// [`is_sorted_disjoint`](RegionList::is_sorted_disjoint) and a
+/// [`PieceMap`]'s lookups from those blocks and a scan of fewer than 64
+/// regions at each of its ends. A shorter list is scanned and builds no
+/// index.
 #[derive(Clone, Default)]
 pub struct RegionList {
     /// `None` for a list that never held a region (allocates nothing).
-    shared: Option<Arc<Vec<Region>>>,
-    /// This list is `shared[start..end]`.
+    shared: Option<Arc<Storage>>,
+    /// This list is `shared.regions[start..end]`.
     start: usize,
     end: usize,
+}
+
+/// Regions per block of a list's index.
+const BLOCK: usize = 64;
+
+/// A list's shared storage: the regions and, once asked, their index —
+/// built over all of `regions`, immutable while shared, dropped by the
+/// only mutators.
+struct Storage {
+    regions: Vec<Region>,
+    index: OnceLock<Index>,
+}
+
+impl Storage {
+    fn new(regions: Vec<Region>) -> Arc<Storage> {
+        let index = OnceLock::new();
+        Arc::new(Storage { regions, index })
+    }
+
+    /// The regions, to change through a sole handle: what the index said
+    /// of them no longer holds.
+    fn regions_mut(&mut self) -> &mut Vec<Region> {
+        self.index.take();
+        &mut self.regions
+    }
+}
+
+/// What a storage knows of itself, block by block of `BLOCK` regions.
+struct Index {
+    /// Per block: where its first region starts in the byte stream (its
+    /// *mark*), and where its regions lie.
+    blocks: Vec<(u64, Span)>,
+    /// The stream's length: the mark after the last block.
+    total: u64,
+}
+
+impl Index {
+    fn of(regions: &[Region]) -> Index {
+        let mut total = 0;
+        let blocks = regions
+            .chunks(BLOCK)
+            .map(|block| {
+                let mark = total;
+                total += block.iter().map(|r| r.len).sum::<u64>();
+                (mark, Span::of(block).expect("a block holds a region"))
+            })
+            .collect();
+        Index { blocks, total }
+    }
+
+    /// Where storage region `at` (or the end, `at == regions.len()`)
+    /// starts in the byte stream: its block's mark plus fewer than
+    /// `BLOCK` regions.
+    fn stream_at(&self, regions: &[Region], at: usize) -> u64 {
+        let block = at / BLOCK;
+        let mark = self.blocks.get(block).map_or(self.total, |&(mark, _)| mark);
+        mark + regions[block * BLOCK..at]
+            .iter()
+            .map(|r| r.len)
+            .sum::<u64>()
+    }
+}
+
+/// Where a run of regions lies: its lowest offset, its highest end, and
+/// whether it is sorted and disjoint.
+#[derive(Clone, Copy)]
+struct Span {
+    lo: u64,
+    hi: u64,
+    sorted: bool,
+}
+
+impl Span {
+    fn of(regions: &[Region]) -> Option<Span> {
+        let one = |r: &Region| Span {
+            lo: r.offset,
+            hi: r.end(),
+            sorted: true,
+        };
+        regions.iter().map(one).reduce(Span::then)
+    }
+
+    /// This run followed by `next`: two sorted runs join sorted when the
+    /// first's highest end is at most the second's lowest offset.
+    fn then(self, next: Span) -> Span {
+        Span {
+            lo: self.lo.min(next.lo),
+            hi: self.hi.max(next.hi),
+            sorted: self.sorted && next.sorted && self.hi <= next.lo,
+        }
+    }
 }
 
 impl RegionList {
@@ -153,7 +255,7 @@ impl RegionList {
     /// Empty list with reserved capacity.
     pub fn with_capacity(n: usize) -> RegionList {
         RegionList {
-            shared: (n > 0).then(|| Arc::new(Vec::with_capacity(n))),
+            shared: (n > 0).then(|| Storage::new(Vec::with_capacity(n))),
             start: 0,
             end: 0,
         }
@@ -180,7 +282,7 @@ impl RegionList {
     pub(crate) fn from_regions_unchecked(regions: Vec<Region>) -> RegionList {
         let end = regions.len();
         RegionList {
-            shared: (end > 0).then(|| Arc::new(regions)),
+            shared: (end > 0).then(|| Storage::new(regions)),
             start: 0,
             end,
         }
@@ -210,7 +312,8 @@ impl RegionList {
         match self.shared.as_mut().and_then(Arc::get_mut) {
             // Sole handle: grow in place (dropping whatever a wider,
             // since-dropped list left behind this one's end).
-            Some(regions) => {
+            Some(storage) => {
+                let regions = storage.regions_mut();
                 regions.truncate(self.end);
                 regions.push(region);
                 self.end += 1;
@@ -231,8 +334,8 @@ impl RegionList {
     /// never observe the refill.
     pub fn clear(&mut self) {
         match self.shared.as_mut().and_then(Arc::get_mut) {
-            Some(regions) => {
-                regions.clear();
+            Some(storage) => {
+                storage.regions_mut().clear();
                 (self.start, self.end) = (0, 0);
             }
             None => *self = RegionList::new(),
@@ -242,7 +345,9 @@ impl RegionList {
     /// Regions the list's storage has room for (this list's own and
     /// whatever else of the storage a wider list once filled).
     pub fn capacity(&self) -> usize {
-        self.shared.as_ref().map_or(0, |regions| regions.capacity())
+        self.shared
+            .as_ref()
+            .map_or(0, |storage| storage.regions.capacity())
     }
 
     /// Number of regions.
@@ -261,7 +366,7 @@ impl RegionList {
     #[inline]
     pub fn regions(&self) -> &[Region] {
         match &self.shared {
-            Some(regions) => &regions[self.start..self.end],
+            Some(storage) => &storage.regions[self.start..self.end],
             None => &[],
         }
     }
@@ -288,22 +393,80 @@ impl RegionList {
 
     /// Total bytes covered (counting duplicates if regions overlap).
     pub fn total_len(&self) -> u64 {
-        self.iter().map(|r| r.len).sum()
+        self.stream_offset(self.count())
     }
 
     /// The smallest contiguous region covering every listed region, or
     /// `None` for an empty list. This is the window data sieving reads.
     pub fn extent(&self) -> Option<Region> {
-        let start = self.iter().map(|r| r.offset).min()?;
-        let end = self.iter().map(|r| r.end()).max()?;
-        Some(Region::new(start, end - start))
+        self.span().map(|s| Region::new(s.lo, s.hi - s.lo))
     }
 
     /// True iff regions appear in strictly increasing offset order without
     /// overlap — the usual shape of file lists produced by access-pattern
     /// generators.
     pub fn is_sorted_disjoint(&self) -> bool {
-        self.regions().windows(2).all(|w| w[0].end() <= w[1].offset)
+        self.span().is_none_or(|s| s.sorted)
+    }
+
+    /// The storage's regions and index, for a list longer than one
+    /// block; a shorter one is scanned instead, and builds none.
+    fn indexed(&self) -> Option<(&[Region], &Index)> {
+        let storage = self.shared.as_ref().filter(|_| self.count() > BLOCK)?;
+        let index = storage.index.get_or_init(|| Index::of(&storage.regions));
+        Some((&storage.regions[..], index))
+    }
+
+    /// Where region `i` of the list (or its end, `i == count()`) starts
+    /// in the list's byte stream.
+    fn stream_offset(&self, i: usize) -> u64 {
+        match self.indexed() {
+            Some((regions, index)) => {
+                index.stream_at(regions, self.start + i) - index.stream_at(regions, self.start)
+            }
+            None => self.regions()[..i].iter().map(|r| r.len).sum(),
+        }
+    }
+
+    /// The region holding byte `pos` of the list's byte stream (`pos`
+    /// below its total), and where that region starts in the stream.
+    fn locate(&self, pos: u64) -> (usize, u64) {
+        let (mut i, mut at) = match self.indexed() {
+            Some((regions, index)) => {
+                // The last block starting at or before the byte (the
+                // first starts at 0), entered no earlier than the list.
+                let base = index.stream_at(regions, self.start);
+                let block = index
+                    .blocks
+                    .partition_point(|&(mark, _)| mark <= base + pos)
+                    - 1;
+                let from = (block * BLOCK).max(self.start);
+                (from - self.start, index.stream_at(regions, from) - base)
+            }
+            None => (0, 0),
+        };
+        let regions = self.regions();
+        while at + regions[i].len <= pos {
+            at += regions[i].len;
+            i += 1;
+        }
+        (i, at)
+    }
+
+    /// Where the list's regions lie: the blocks wholly inside it from the
+    /// index, the part blocks at its ends scanned.
+    fn span(&self) -> Option<Span> {
+        let Some((regions, index)) = self.indexed() else {
+            return Span::of(self.regions());
+        };
+        let (first, last) = (self.start.div_ceil(BLOCK), self.end / BLOCK);
+        let head = Span::of(&regions[self.start..first * BLOCK]);
+        let blocks = index.blocks[first..last].iter().map(|&(_, span)| span);
+        let tail = Span::of(&regions[last * BLOCK..self.end]);
+        head.into_iter()
+            .chain(blocks)
+            .chain(tail)
+            .reduce(Span::then)
     }
 
     /// A copy with adjacent/overlapping regions merged. The input is
@@ -408,10 +571,6 @@ fn same_totals(mem_total: u64, file_total: u64) -> PvfsResult<()> {
     Ok(())
 }
 
-/// Every `MARK_STRIDE`-th region of each list has its byte-stream offset
-/// recorded; a lookup walks fewer than this many regions past a mark.
-const MARK_STRIDE: usize = 64;
-
 /// The scatter/gather map of one request: how its memory list pairs
 /// with its file list, byte for byte.
 ///
@@ -422,36 +581,19 @@ const MARK_STRIDE: usize = 64;
 /// the one walk that pairs the two lists; [`align_lists`] is its
 /// reference, materialised.
 ///
-/// The map is *implicit*: it holds the two region lists (O(1) clones
-/// sharing the caller's storage) and, for every [`MARK_STRIDE`]-th
-/// region of each, the offset of that region in the list's byte stream
-/// — `(n_mem + n_file) / 8` bytes, where the pieces themselves would take
-/// 32 bytes each (3 MiB for one 768 KiB FLASH checkpoint op, whose
-/// memory side is 98 304 eight-byte fragments). A lookup is one binary
-/// search over the sorted file list, one over the memory marks, a walk
-/// of fewer than `MARK_STRIDE` regions on each side, and then the
-/// in-step walk from there.
-///
-/// Never mutated, which is also what keeps the list clones O(1); a plan
-/// shares one (`Arc`) among all its wire ops.
+/// The map is *implicit*: it is the two region lists — O(1) clones
+/// sharing the caller's storage — and nothing else, where the pieces
+/// themselves would take 32 bytes each (3 MiB for one 768 KiB FLASH
+/// checkpoint op, whose memory side is 98 304 eight-byte fragments). A
+/// lookup is one binary search over the sorted file list, one over the
+/// block marks of the memory list's index (built once per list, see
+/// [`RegionList`]), a walk of fewer than 64 regions on each side, and
+/// then the in-step walk from there. A plan clones it into every wire op.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PieceMap {
     mem: RegionList,
     /// Sorted and disjoint.
     file: RegionList,
-    mem_marks: Vec<u64>,
-    file_marks: Vec<u64>,
-}
-
-/// Byte-stream offset of every `MARK_STRIDE`-th region, and the total.
-fn stream_marks(list: &RegionList) -> (Vec<u64>, u64) {
-    let mut marks = Vec::with_capacity(list.count().div_ceil(MARK_STRIDE));
-    let mut at = 0u64;
-    for block in list.regions().chunks(MARK_STRIDE) {
-        marks.push(at);
-        at += block.iter().map(|r| r.len).sum::<u64>();
-    }
-    (marks, at)
 }
 
 impl PieceMap {
@@ -459,9 +601,7 @@ impl PieceMap {
     /// the same number of bytes and the file list is sorted and disjoint
     /// (what a request must be).
     pub fn new(mem: &RegionList, file: &RegionList) -> PvfsResult<PieceMap> {
-        let (mem_marks, mem_total) = stream_marks(mem);
-        let (file_marks, file_total) = stream_marks(file);
-        same_totals(mem_total, file_total)?;
+        same_totals(mem.total_len(), file.total_len())?;
         if !file.is_sorted_disjoint() {
             return Err(PvfsError::invalid(
                 "file regions must be sorted and disjoint",
@@ -470,8 +610,6 @@ impl PieceMap {
         Ok(PieceMap {
             mem: mem.clone(),
             file: file.clone(),
-            mem_marks,
-            file_marks,
         })
     }
 
@@ -492,26 +630,15 @@ impl PieceMap {
     /// Where the walk over both lists stands at file offset `offset`,
     /// or `None` when no file region holds that byte.
     fn seek(&self, offset: u64) -> Option<AlignCursor> {
-        let (mem, file) = (self.mem.regions(), self.file.regions());
+        let file = self.file.regions();
         let file_index = file.partition_point(|r| r.end() <= offset);
         let file_used = offset.checked_sub(file.get(file_index)?.offset)?;
-        // Stream position of `offset`: the mark behind its region, the
-        // regions between the two, the bytes into the region.
-        let block = file_index / MARK_STRIDE;
-        let skipped = &file[block * MARK_STRIDE..file_index];
-        let pos = self.file_marks[block] + skipped.iter().map(|r| r.len).sum::<u64>() + file_used;
-        // The memory region holding stream byte `pos`: the last mark at
-        // or before it (the first mark is 0), then forward. `pos` is
-        // inside the stream, so the walk stops on a region.
-        let block = self.mem_marks.partition_point(|&mark| mark <= pos) - 1;
-        let mut mem_index = block * MARK_STRIDE;
-        let mut at = self.mem_marks[block];
-        while at + mem[mem_index].len <= pos {
-            at += mem[mem_index].len;
-            mem_index += 1;
-        }
+        // The stream position of `offset`, and the memory region holding
+        // that byte of the stream.
+        let pos = self.file.stream_offset(file_index) + file_used;
+        let (mem_index, at) = self.mem.locate(pos);
         Some(AlignCursor::at(
-            mem,
+            self.mem.regions(),
             mem_index,
             pos - at,
             file,
@@ -737,6 +864,25 @@ mod tests {
         assert!(RegionList::new().is_sorted_disjoint());
     }
 
+    /// The index is built by the first query of a list longer than a
+    /// block, over the whole storage, and every clone and sub-list reads
+    /// that one; a shorter list is scanned, and a push drops it.
+    #[test]
+    fn only_a_list_longer_than_a_block_builds_the_shared_index() {
+        let long: RegionList = (0..65).map(|k| Region::new(2 * k, 1)).collect();
+        let built = |l: &RegionList| l.shared.as_ref().is_some_and(|s| s.index.get().is_some());
+        let short = long.slice(1..65);
+        assert_eq!((short.total_len(), short.is_sorted_disjoint()), (64, true));
+        assert!(!built(&long));
+        assert_eq!(long.extent(), Some(Region::new(0, 129)));
+        assert!(built(&short) && built(&long.clone()));
+        let mut sole = RegionList::from_regions_slice(long.regions());
+        assert_eq!(sole.total_len(), 65);
+        sole.push(Region::new(200, 7));
+        assert!(!built(&sole));
+        assert_eq!((sole.total_len(), sole.count()), (72, 66));
+    }
+
     #[test]
     fn coalesce_merges_adjacent_and_overlapping() {
         let l = rl(&[(8, 4), (0, 4), (4, 4), (20, 4), (22, 10)]);
@@ -944,6 +1090,62 @@ mod proptests {
         proptest::collection::vec(arb_region(), 1..max).prop_map(RegionList::from_regions_unchecked)
     }
 
+    /// A sorted, disjoint list of 1–300 regions (some adjacent), so that
+    /// it straddles index blocks, its order then broken at up to
+    /// `breaks` places: two neighbours swapped, or one region moved past
+    /// all the others (its end the list's furthest, in any block).
+    fn arb_long_list(breaks: usize) -> impl Strategy<Value = RegionList> {
+        let regions = proptest::collection::vec((0u64..50, 1u64..40), 1..300);
+        let breaks = proptest::collection::vec((any::<usize>(), any::<bool>()), 0..=breaks);
+        (regions, breaks).prop_map(|(gaps, breaks)| {
+            let mut at = 0;
+            let mut regions: Vec<Region> = gaps
+                .into_iter()
+                .map(|(gap, len)| {
+                    let r = Region::new(at + gap, len);
+                    at = r.end();
+                    r
+                })
+                .collect();
+            for (i, swap) in breaks {
+                let (i, next) = (i % regions.len(), (i + 1) % regions.len());
+                if swap {
+                    regions.swap(i, next);
+                } else {
+                    regions[i].offset += at;
+                }
+            }
+            RegionList::from_regions(regions).unwrap()
+        })
+    }
+
+    /// `regions` as a sub-list of a longer list, between `before` and
+    /// `after` unrelated regions: it starts and ends mid-block.
+    fn cut_from_longer(regions: &[Region], before: usize, after: usize) -> RegionList {
+        let junk = |k: usize| Region::new(3 * k as u64, 2);
+        let longer: RegionList = (0..before)
+            .map(junk)
+            .chain(regions.iter().copied())
+            .chain((0..after).map(junk))
+            .collect();
+        longer.slice(before..before + regions.len())
+    }
+
+    /// What the index answers…
+    fn indexed(l: &RegionList) -> (u64, Option<Region>, bool) {
+        (l.total_len(), l.extent(), l.is_sorted_disjoint())
+    }
+
+    /// …and what a plain scan of the regions says.
+    fn scanned(l: &RegionList) -> (u64, Option<Region>, bool) {
+        let r = l.regions();
+        let lo = r.iter().map(|r| r.offset).min();
+        let hi = r.iter().map(|r| r.end()).max();
+        let extent = lo.zip(hi).map(|(lo, hi)| Region::new(lo, hi - lo));
+        let sorted = r.windows(2).all(|w| w[0].end() <= w[1].offset);
+        (r.iter().map(|r| r.len).sum(), extent, sorted)
+    }
+
     proptest! {
         #[test]
         fn intersect_is_commutative(a in arb_region(), b in arb_region()) {
@@ -1020,6 +1222,90 @@ mod proptests {
                 chunks.iter().flat_map(|c| c.regions().to_vec()).collect();
             prop_assert_eq!(rejoined, l.regions().to_vec());
             prop_assert!(chunks.iter().all(|c| c.count() <= k));
+        }
+
+        /// The indexed answers of a list, of a sub-list cut anywhere and
+        /// of every chunk are a plain scan's.
+        #[test]
+        fn the_index_answers_as_a_scan_does(
+            l in arb_long_list(2),
+            cut in (any::<usize>(), any::<usize>()),
+            k in 1usize..200,
+        ) {
+            prop_assert_eq!(indexed(&l), scanned(&l));
+            let (a, b) = (cut.0 % (l.count() + 1), cut.1 % (l.count() + 1));
+            let sub = l.slice(a.min(b)..a.max(b));
+            prop_assert_eq!(indexed(&sub), scanned(&sub));
+            for chunk in l.chunks(k) {
+                prop_assert_eq!(indexed(&chunk), scanned(&chunk));
+            }
+        }
+
+        /// A sole handle changed after it was indexed — pushed onto,
+        /// cut to a sub-list that is then the last handle and pushed
+        /// onto, cleared and refilled — answers for what it holds now.
+        #[test]
+        fn a_changed_sole_handle_is_indexed_afresh(
+            l in arb_long_list(2),
+            more in proptest::collection::vec(arb_region(), 1..100),
+            cut in any::<usize>(),
+        ) {
+            let mut l = RegionList::from_regions_slice(l.regions());
+            prop_assert_eq!(indexed(&l), scanned(&l));
+            for r in &more {
+                l.push(*r);
+            }
+            prop_assert_eq!(indexed(&l), scanned(&l));
+            let mut tail = l.slice(cut % l.count()..l.count());
+            drop(l);
+            prop_assert_eq!(indexed(&tail), scanned(&tail));
+            for r in &more {
+                tail.push(*r);
+            }
+            prop_assert_eq!(indexed(&tail), scanned(&tail));
+            tail.clear();
+            prop_assert_eq!(indexed(&tail), scanned(&tail));
+            for r in more.iter().cycle().take(200) {
+                tail.push(*r);
+            }
+            prop_assert_eq!(indexed(&tail), scanned(&tail));
+        }
+
+        /// A map of two sub-lists, each cut mid-block from a longer list,
+        /// walks as `align_lists` does and hands out its pieces' slices,
+        /// for every file region and for its back half.
+        #[test]
+        fn a_map_of_sub_lists_slices_as_align_lists_does(
+            file in arb_long_list(0),
+            mem_len in 1u64..30,
+            pad in (0usize..100, 0usize..100, 0usize..100, 0usize..100),
+        ) {
+            // The same bytes in memory, `mem_len` at a time, backwards.
+            let total = file.total_len();
+            let mem: Vec<Region> = (0..total.div_ceil(mem_len))
+                .rev()
+                .map(|k| Region::new(2 * k * mem_len, mem_len.min(total - k * mem_len)))
+                .collect();
+            let mem = cut_from_longer(&mem, pad.0, pad.1);
+            let file = cut_from_longer(file.regions(), pad.2, pad.3);
+            let map = PieceMap::new(&mem, &file).unwrap();
+            let pieces = align_lists(&mem, &file).unwrap();
+            prop_assert_eq!(&map.pieces().collect::<Vec<_>>(), &pieces);
+            for r in file.iter() {
+                for q in [*r, Region::new(r.offset + r.len / 2, r.len - r.len / 2)] {
+                    let mut slices = Vec::new();
+                    map.for_each_slice(q, |s| slices.push(s));
+                    let first = pieces.partition_point(|(_, f)| f.end() <= q.offset);
+                    let expected: Vec<Region> = pieces[first..]
+                        .iter()
+                        .map_while(|(m, f)| {
+                            let o = f.intersect(q)?;
+                            Some(Region::new(m.offset + (o.offset - f.offset), o.len))
+                        })
+                        .collect();
+                    prop_assert_eq!(slices, expected);
+                }
+            }
         }
 
         #[test]

@@ -38,7 +38,7 @@ mod counting;
 
 use counting::{allocated_by, hermetic, peak_above_start};
 use pvfs::client::PvfsFile;
-use pvfs::core::{IoKind, Method, MethodConfig};
+use pvfs::core::{IoKind, ListRequest, Method, MethodConfig};
 use pvfs::disk::{LocalFile, ScratchDir, SparseStore, StorageConfig, SyncPolicy};
 use pvfs::net::{LiveCluster, TransportKind};
 use pvfs::server::IodConfig;
@@ -46,21 +46,22 @@ use pvfs::types::{FileHandle, StripeLayout};
 use pvfs::workloads::{verify, Cyclic, FlashIo};
 
 /// What every op costs, whatever its method, its frames or its
-/// cluster: five allocations — the piece map's two mark vectors and the
-/// `Arc` it is shared through, the plan's boxed step iterator, and the
+/// cluster: two allocations — the plan's boxed step iterator and the
 /// report's `requests_by_server`. Over tcp the cyclic write and its
-/// read-back are those five, 360 bytes, 0.003 bytes per payload byte.
-/// The op made 23 more while each of its 16 rounds of four ops built a
+/// read-back are those two, 152 bytes, 0.00116 bytes per payload byte.
+/// They were five, 360 bytes, while every op built its piece map's two
+/// mark vectors and the `Arc` it was shared through; the lists index
+/// themselves once now. The op made 23 more while each of its 16 rounds of four ops built a
 /// vector of them, and each stream sized its pump's sub-op deque and op
 /// slab and its lane table `WINDOW` × daemons and boxed a lane per
 /// daemon (28 and 0.10 in all); 2.44 bytes a payload byte in 732
 /// allocations and 2.21 in 540 while each frame's head, payload, region
 /// list, run list, read buffer and reply were allocated where they were
 /// needed and freed where they ended up, eleven allocations a frame.
-const WRITE_BUDGET: f64 = 0.004;
-const READ_BUDGET: f64 = 0.004;
-const WRITE_ALLOCS: u64 = 6;
-const READ_ALLOCS: u64 = 6;
+const WRITE_BUDGET: f64 = 0.0012;
+const READ_BUDGET: f64 = 0.0012;
+const WRITE_ALLOCS: u64 = 2;
+const READ_ALLOCS: u64 = 2;
 /// What one more frame may cost an op over tcp: allocations per frame
 /// when the same pattern is twice as long (128 frames against 64). Every
 /// per-frame buffer has an owner that takes it back (`pvfs::net::spares`),
@@ -68,19 +69,20 @@ const READ_ALLOCS: u64 = 6;
 /// the in-place reuse of it ever stop working), a read one reply.
 const WRITE_ALLOCS_PER_FRAME: f64 = 2.0;
 const READ_ALLOCS_PER_FRAME: f64 = 1.0;
-/// One durable FLASH checkpoint op over chan: the same five, 0.016
-/// bytes per payload byte — its piece map marks every 64th of its
-/// 98 304 memory regions — where its three rounds' vectors and the
-/// stream's state made it 15 and 0.03 (23 while every stream made itself
+/// One durable FLASH checkpoint op over chan: the same two, 0.00019
+/// bytes per payload byte. It was five and 0.016 while its piece map
+/// marked every 64th of its 98 304 memory regions afresh for every op,
+/// and 15 and 0.03 while its three rounds' vectors and the
+/// stream's state were made per op (23 while every stream made itself
 /// a reply channel per daemon; 1.08 in 167 while the payload was gathered
 /// into a fresh buffer and every journaled batch built its head, its
 /// slice list and a clamped copy of its runs on the heap).
-const FLASH_BUDGET: f64 = 0.02;
-const FLASH_ALLOCS: u64 = 6;
+const FLASH_BUDGET: f64 = 0.001;
+const FLASH_ALLOCS: u64 = 2;
 /// What one single-region RPC over chan may ask the allocator for, all
 /// told (frame, hand-off, daemon dispatch, reply): nothing. The 1024-RPC
-/// op costs the same five allocations, 496 bytes, which makes 0.005 and
-/// 0.48 bytes per RPC: a round is its op and a server set, and a `Data`
+/// op costs the same two allocations, which makes 0.002 an RPC (0.005
+/// with the piece map's three): a round is its op and a server set, and a `Data`
 /// reply is gathered into a buffer of the lane's that went out with the
 /// request and is swept back, control block and all, when the lane next
 /// sends (`pvfs::net::spares`). It was 0.012 and 8.2 while each stream
@@ -98,6 +100,7 @@ const RPC_BYTES: f64 = 0.6;
 fn a_list_op_allocates_a_fixed_small_multiple_of_its_payload() {
     hermetic();
     sieved_reads_hold_no_piece_vector();
+    planning_again_reads_the_lists_indexes();
     cyclic_list_ops();
     durable_flash_checkpoint();
     scrub_digests();
@@ -215,13 +218,13 @@ fn cyclic_list_ops() {
             let (w, r) = (per_byte(writes[0]), per_byte(reads[0]));
             assert!(
                 w <= WRITE_BUDGET && writes[0].0 <= WRITE_ALLOCS,
-                "write_list allocates {w:.2} bytes per payload byte in {} allocations (budget \
+                "write_list allocates {w:.5} bytes per payload byte in {} allocations (budget \
                  {WRITE_BUDGET} in {WRITE_ALLOCS})",
                 writes[0].0
             );
             assert!(
                 r <= READ_BUDGET && reads[0].0 <= READ_ALLOCS,
-                "read_list allocates {r:.2} bytes per payload byte in {} allocations (budget \
+                "read_list allocates {r:.5} bytes per payload byte in {} allocations (budget \
                  {READ_BUDGET} in {READ_ALLOCS})",
                 reads[0].0
             );
@@ -277,6 +280,37 @@ fn sieved_reads_hold_no_piece_vector() {
     }
 }
 
+/// Planning reads what the request's lists know of themselves, found
+/// the first time either was asked: the FLASH request planned again,
+/// from clones of its lists, allocates its boxed steps and nothing else
+/// — no pass over its 98 304 memory regions is made, or kept, per op.
+fn planning_again_reads_the_lists_indexes() {
+    let request = FlashIo::scaled(2, 8).request_for(0).unwrap();
+    let layout = StripeLayout::new(0, 4, 16 * 1024).unwrap();
+    let config = MethodConfig::default();
+    let plan = |request: &ListRequest| {
+        pvfs::core::plan(
+            Method::List,
+            IoKind::Write,
+            request,
+            FileHandle(1),
+            layout,
+            &config,
+        )
+        .unwrap()
+    };
+    drop(plan(&request));
+    let again = ListRequest {
+        mem: request.mem.clone(),
+        file: request.file.clone(),
+    };
+    let (allocs, _) = allocated_by(|| drop(plan(&again)));
+    assert_eq!(
+        allocs, 1,
+        "planning a FLASH op again, from clones of its lists"
+    );
+}
+
 fn durable_flash_checkpoint() {
     let request = FlashIo::scaled(2, 8).request_for(0).unwrap();
     let payload = request.total_len() as usize;
@@ -318,7 +352,7 @@ fn durable_flash_checkpoint() {
     let per_byte = writes[0].1 as f64 / payload as f64;
     assert!(
         per_byte <= FLASH_BUDGET && writes[0].0 <= FLASH_ALLOCS,
-        "a durable FLASH write_list allocates {per_byte:.3} bytes per payload byte in {} \
+        "a durable FLASH write_list allocates {per_byte:.5} bytes per payload byte in {} \
          allocations (budget {FLASH_BUDGET} in {FLASH_ALLOCS})",
         writes[0].0
     );

@@ -10,8 +10,8 @@
 //! each); a cyclic list write made 28 allocations on four and 42 on
 //! sixteen. Now the window and the lane table go from stream to stream,
 //! the lanes are parked box and all, and a round is its op and a set of
-//! servers: an op on a file costs the same on any cluster (the read 9
-//! allocations and 464 bytes, the write 5), and an op on a file striped
+//! servers: an op on a file costs the same on any cluster (the read
+//! two allocations plus its two one-region lists, the write two), and an op on a file striped
 //! wider only its per-daemon report more (`ExecReport::requests_by_server`,
 //! 8 bytes a daemon of the layout).
 
