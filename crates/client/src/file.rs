@@ -6,6 +6,23 @@ use pvfs_net::{ClusterClient, RpcTarget};
 use pvfs_proto::{Request, Response};
 use pvfs_types::{FileHandle, PvfsError, PvfsResult, RegionList, StripeLayout};
 
+/// Check that `layout` is valid and its servers `base..base + pcount`
+/// are all daemons of `client`'s cluster — summed in `u64`, so that a
+/// base near `u32::MAX` cannot wrap into range. A layout that passes
+/// sizes every op's per-daemon report to at most the cluster.
+fn fits(client: &ClusterClient, layout: &StripeLayout) -> PvfsResult<()> {
+    layout.validate()?;
+    let end = u64::from(layout.base) + u64::from(layout.pcount);
+    if end > u64::from(client.n_servers()) {
+        return Err(PvfsError::invalid(format!(
+            "layout needs servers {}..{end} but the cluster has {}",
+            layout.base,
+            client.n_servers()
+        )));
+    }
+    Ok(())
+}
+
 /// An open PVFS file.
 ///
 /// Metadata operations talk to the manager; data operations compile to
@@ -27,15 +44,7 @@ impl PvfsFile {
         path: &str,
         layout: StripeLayout,
     ) -> PvfsResult<PvfsFile> {
-        layout.validate()?;
-        if layout.base + layout.pcount > client.n_servers() {
-            return Err(PvfsError::invalid(format!(
-                "layout needs servers {}..{} but the cluster has {}",
-                layout.base,
-                layout.base + layout.pcount,
-                client.n_servers()
-            )));
-        }
+        fits(client, &layout)?;
         match client.call(
             RpcTarget::Manager,
             Request::Create {
@@ -58,7 +67,7 @@ impl PvfsFile {
     /// striping parameters.
     pub fn open(client: &ClusterClient, path: &str) -> PvfsResult<PvfsFile> {
         match client.call(RpcTarget::Manager, Request::Open { path: path.into() })? {
-            Response::Opened { handle, layout } => Ok(PvfsFile {
+            Response::Opened { handle, layout } => fits(client, &layout).map(|()| PvfsFile {
                 client: client.clone(),
                 path: path.into(),
                 handle,

@@ -2,7 +2,8 @@
 
 use pvfs_client::PvfsFile;
 use pvfs_core::{IoKind, ListRequest, Method, MethodConfig};
-use pvfs_net::LiveCluster;
+use pvfs_net::{LiveCluster, RpcTarget};
+use pvfs_proto::Request;
 use pvfs_types::{PvfsError, Region, RegionList, StripeLayout};
 
 fn pattern(len: usize, salt: u8) -> Vec<u8> {
@@ -64,6 +65,29 @@ fn layout_must_fit_cluster() {
     let client = cluster.client();
     let too_wide = StripeLayout::new(0, 4, 32).unwrap();
     assert!(PvfsFile::create(&client, "/pvfs/d", too_wide).is_err());
+}
+
+/// A layout whose last server lies past `u32::MAX` is out of range too,
+/// whether `create` is handed it or `open` hears it from the manager:
+/// `base + pcount` must not wrap into the cluster.
+#[test]
+fn a_layout_past_the_last_server_id_does_not_wrap_into_range() {
+    let cluster = LiveCluster::spawn(2);
+    let client = cluster.client();
+    let wrapping = StripeLayout::new(u32::MAX, 2, 32).unwrap();
+    assert!(matches!(
+        PvfsFile::create(&client, "/pvfs/wrap", wrapping),
+        Err(PvfsError::InvalidArgument(_))
+    ));
+    let create = Request::Create {
+        path: "/pvfs/wrap".into(),
+        layout: wrapping,
+    };
+    client.call(RpcTarget::Manager, create).unwrap();
+    assert!(matches!(
+        PvfsFile::open(&client, "/pvfs/wrap"),
+        Err(PvfsError::InvalidArgument(_))
+    ));
 }
 
 #[test]

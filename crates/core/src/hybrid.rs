@@ -15,19 +15,9 @@
 //! merged — so hybrid writes stay lock-free, unlike data sieving writes.
 
 use crate::method::MethodConfig;
-use crate::plan::{AccessPlan, IoKind, OpKind, Round, Step, Target};
-use crate::planutil::servers_for;
+use crate::plan::{AccessPlan, IoKind, Item, Steps, Walk};
 use crate::request::ListRequest;
-use crate::sieving::{window_copies, window_steps};
 use pvfs_types::{FileHandle, PieceMap, PvfsResult, Region, RegionList, StripeLayout};
-
-/// One unit of hybrid work.
-enum Item {
-    /// Sieve this window, as data sieving would (reads only).
-    Sieve(Region),
-    /// List-I/O chunk.
-    Chunk(RegionList),
-}
 
 /// Compile a hybrid plan.
 pub(crate) fn plan(
@@ -49,22 +39,11 @@ pub(crate) fn plan(
     };
     let windows = items.iter().filter_map(|item| match item {
         Item::Sieve(window) => Some(window.len),
-        Item::Chunk(_) => None,
+        _ => None,
     });
     let temp_sizes = windows.max().into_iter().collect();
-    let steps = items.into_iter().flat_map(move |item| match item {
-        Item::Sieve(window) => {
-            let copies = window_copies(&map, window, kind);
-            window_steps(&layout, kind, window, copies)
-        }
-        Item::Chunk(chunk) => {
-            let servers = servers_for(&layout, chunk.iter().copied());
-            let op = OpKind::list(kind, chunk, Target::Pieces(map.clone()));
-            vec![Step::Round(Round::fan_out(servers, op))]
-        }
-    });
-
-    Ok(AccessPlan::new(handle, layout, kind, temp_sizes, steps))
+    let steps = Steps::Hybrid(Walk::new(items.into_iter(), kind, layout, map, false));
+    Ok(AccessPlan::walk(handle, layout, kind, temp_sizes, steps))
 }
 
 /// The auto-tuned gap threshold: the largest gap a cluster can absorb
@@ -130,7 +109,7 @@ fn build_read_items(request: &ListRequest, config: &MethodConfig) -> Vec<Item> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Method;
+    use crate::{Method, OpKind, Step};
     use pvfs_types::PvfsError;
 
     fn layout() -> StripeLayout {

@@ -11,10 +11,13 @@
 //! magnitude write gap.
 
 use crate::method::MethodConfig;
-use crate::plan::{AccessPlan, IoKind, OpKind, Round, Step, Target};
-use crate::planutil::servers_for;
+use crate::plan::{AccessPlan, IoKind, Item, Steps, Walk};
 use crate::request::ListRequest;
-use pvfs_types::{FileHandle, PieceMap, PvfsResult, StripeLayout};
+use pvfs_types::{Chunks, FileHandle, PieceMap, PvfsResult, RegionList, StripeLayout};
+use std::iter::Map;
+
+/// A list plan's items: the request's file list in chunks.
+pub(crate) type ListItems = Map<Chunks, fn(RegionList) -> Item>;
 
 /// Compile a list-I/O plan.
 pub(crate) fn plan(
@@ -28,22 +31,16 @@ pub(crate) fn plan(
     // Chunk lazily over the request's own (shared) region list: every
     // chunk is an O(1) sub-list of it, so a million-region plan never
     // duplicates its regions — not per chunk, not per server, not once.
-    let regions = request.file.clone();
-    let max = config.max_list_regions;
-    let steps = (0..regions.count().div_ceil(max)).map(move |i| {
-        let chunk = regions.slice(i * max..((i + 1) * max).min(regions.count()));
-        let servers = servers_for(&layout, chunk.iter().copied());
-        let op = OpKind::list(kind, chunk, Target::Pieces(map.clone()));
-        Step::Round(Round::fan_out(servers, op))
-    });
-
-    Ok(AccessPlan::new(handle, layout, kind, vec![], steps))
+    let chunks = request.file.chunks(config.max_list_regions);
+    let items: ListItems = chunks.map(Item::Chunk);
+    let steps = Steps::List(Walk::new(items, kind, layout, map, false));
+    Ok(AccessPlan::walk(handle, layout, kind, vec![], steps))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Method;
+    use crate::{Method, OpKind, Step};
     use pvfs_types::RegionList;
 
     fn layout() -> StripeLayout {

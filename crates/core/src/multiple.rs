@@ -12,10 +12,18 @@
 //! pieces, which is the overhead the paper's figures show dominating.
 
 use crate::method::MethodConfig;
-use crate::plan::{AccessPlan, IoKind, OpKind, Round, Step, Target};
-use crate::planutil::{bulk_pieces, servers_for};
+use crate::plan::{AccessPlan, IoKind, Item, Steps, Walk};
+use crate::planutil::{bulk_pieces, Cuts};
 use crate::request::ListRequest;
-use pvfs_types::{FileHandle, PieceMap, PvfsResult, StripeLayout};
+use pvfs_types::{FileHandle, PieceMap, Pieces, PvfsResult, Region, StripeLayout, TransferPiece};
+use std::iter::{FlatMap, Map, Repeat, Zip};
+
+/// A multiple-I/O plan's items: the map's pieces, each in its bulk
+/// pieces.
+pub(crate) type PieceCuts = Map<
+    FlatMap<Zip<Pieces, Repeat<StripeLayout>>, Cuts, fn((TransferPiece, StripeLayout)) -> Cuts>,
+    fn(Region) -> Item,
+>;
 
 /// Compile a multiple-I/O plan: one round per aligned piece, streamed
 /// from the map's lazy walk of them rather than held for the life of the
@@ -29,29 +37,17 @@ pub(crate) fn plan(
     layout: StripeLayout,
     _config: &MethodConfig,
 ) -> PvfsResult<AccessPlan> {
-    let regions = map.pieces().flat_map(move |(_, p)| bulk_pieces(&layout, p));
-    let steps = regions.map(move |region| {
-        let pieces = Target::Pieces(map.clone());
-        let op = match kind {
-            IoKind::Read => OpKind::Read {
-                region,
-                dest: pieces,
-            },
-            IoKind::Write => OpKind::Write {
-                region,
-                src: pieces,
-            },
-        };
-        Step::Round(Round::fan_out(servers_for(&layout, [region]), op))
-    });
-
-    Ok(AccessPlan::new(handle, layout, kind, vec![], steps))
+    let cut = |((_, piece), layout): (TransferPiece, StripeLayout)| bulk_pieces(&layout, piece);
+    let pieces = map.pieces().zip(std::iter::repeat(layout));
+    let items: PieceCuts = pieces.flat_map(cut as fn(_) -> _).map(Item::Piece);
+    let steps = Steps::Multiple(Walk::new(items, kind, layout, map, false));
+    Ok(AccessPlan::walk(handle, layout, kind, vec![], steps))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Method;
+    use crate::{Method, Step};
     use pvfs_types::RegionList;
 
     fn layout() -> StripeLayout {

@@ -15,7 +15,7 @@
 //! region count.
 
 use crate::method::MethodConfig;
-use crate::plan::{AccessPlan, IoKind, OpKind, Round, Step, Target};
+use crate::plan::{AccessPlan, IoKind, Item, Steps, Walk};
 use crate::planutil::Servers;
 use crate::request::ListRequest;
 use pvfs_proto::VectorRun;
@@ -92,7 +92,7 @@ fn mark_run_servers(run: &VectorRun, layout: &StripeLayout, servers: &mut Server
 }
 
 /// Servers touched by a chunk of runs, in slot order.
-fn chunk_servers(runs: &[VectorRun], layout: &StripeLayout) -> Servers {
+pub(crate) fn chunk_servers(runs: &[VectorRun], layout: &StripeLayout) -> Servers {
     let mut servers = Servers::none(layout);
     for run in runs {
         mark_run_servers(run, layout, &mut servers);
@@ -113,27 +113,10 @@ pub(crate) fn plan(
     config: &MethodConfig,
 ) -> PvfsResult<AccessPlan> {
     let runs = compress_runs(request.file.regions());
-    let chunks: Vec<Vec<VectorRun>> = runs
-        .chunks(config.max_vector_runs)
-        .map(|c| c.to_vec())
-        .collect();
-    let steps = chunks.into_iter().map(move |chunk| {
-        let servers = chunk_servers(&chunk, &layout);
-        let at = Target::Pieces(map.clone());
-        let op = match kind {
-            IoKind::Read => OpKind::ReadVectors {
-                runs: chunk,
-                dest: at,
-            },
-            IoKind::Write => OpKind::WriteVectors {
-                runs: chunk,
-                src: at,
-            },
-        };
-        Step::Round(Round::fan_out(servers, op))
-    });
-
-    Ok(AccessPlan::new(handle, layout, kind, vec![], steps))
+    let chunks = runs.chunks(config.max_vector_runs);
+    let items: Vec<Item> = chunks.map(|c| Item::Runs(c.to_vec())).collect();
+    let steps = Steps::Datatype(Walk::new(items.into_iter(), kind, layout, map, false));
+    Ok(AccessPlan::walk(handle, layout, kind, vec![], steps))
 }
 
 #[cfg(test)]

@@ -10,7 +10,8 @@
 //!
 //! Plans are lazy (steps are generated on demand) because a 1M-access
 //! multiple-I/O plan would otherwise materialize a million rounds up
-//! front; the planners instead stream steps from compact state, and a
+//! front; the planners instead stream steps from compact state — a walk
+//! of their items held in the plan by value, not behind a box — and a
 //! round is one op beside the servers it fans out to ([`Round`]).
 //!
 //! The steps are the only statement of what a plan costs: its rounds,
@@ -19,11 +20,17 @@
 //! one place rather than predicted by each planner.
 
 use crate::exec::{copy_bytes, server_share};
-use crate::planutil::Servers;
+use crate::listio::ListItems;
+use crate::multiple::PieceCuts;
+use crate::pattern::chunk_servers;
+use crate::planutil::{servers_for, Servers};
+use crate::sieving::{window_copies, window_steps, Windows};
+use pvfs_proto::VectorRun;
 use pvfs_types::{FileHandle, PieceMap, Region, RegionList, ServerId, StripeLayout};
 use std::fmt;
-use std::iter::{Map, RepeatN, Zip};
+use std::iter::{Flatten, Map, RepeatN, Zip};
 use std::sync::OnceLock;
+use std::vec;
 
 /// Read or write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -97,20 +104,29 @@ pub enum OpKind {
     ReadList { regions: RegionList, dest: Target },
     /// List write.
     WriteList { regions: RegionList, src: Target },
-    /// Datatype (vector-run) read; `regions` is the pre-expanded region
-    /// list shared with the scatter map.
-    ReadVectors {
-        runs: Vec<pvfs_proto::VectorRun>,
-        dest: Target,
-    },
+    /// Datatype (vector-run) read.
+    ReadVectors { runs: Vec<VectorRun>, dest: Target },
     /// Datatype write.
-    WriteVectors {
-        runs: Vec<pvfs_proto::VectorRun>,
-        src: Target,
-    },
+    WriteVectors { runs: Vec<VectorRun>, src: Target },
 }
 
 impl OpKind {
+    /// The contiguous op of `kind` on `region`, its byte stream at `at`.
+    pub(crate) fn contiguous(kind: IoKind, region: Region, at: Target) -> OpKind {
+        match kind {
+            IoKind::Read => OpKind::Read { region, dest: at },
+            IoKind::Write => OpKind::Write { region, src: at },
+        }
+    }
+
+    /// The datatype op of `kind` on `runs`, its byte stream at `at`.
+    pub(crate) fn vectors(kind: IoKind, runs: Vec<VectorRun>, at: Target) -> OpKind {
+        match kind {
+            IoKind::Read => OpKind::ReadVectors { runs, dest: at },
+            IoKind::Write => OpKind::WriteVectors { runs, src: at },
+        }
+    }
+
     /// The list op of `kind` on `regions`, its byte stream at `at`.
     pub fn list(kind: IoKind, regions: RegionList, at: Target) -> OpKind {
         match kind {
@@ -126,10 +142,7 @@ impl OpKind {
             temp: 0,
             base: region.offset,
         };
-        match kind {
-            IoKind::Read => OpKind::Read { region, dest: at },
-            IoKind::Write => OpKind::Write { region, src: at },
-        }
+        OpKind::contiguous(kind, region, at)
     }
 
     /// Where this op's byte stream comes from (writes) or goes to
@@ -276,8 +289,123 @@ pub struct PlanStats {
     pub serial_sections: u64,
 }
 
+/// One unit of a planner's work, walked into steps by a [`Walk`].
+pub(crate) enum Item {
+    /// A list-I/O chunk: one round of a list op.
+    Chunk(RegionList),
+    /// A contiguous piece: one round of a contiguous op.
+    Piece(Region),
+    /// A chunk of vector runs: one round of a datatype op.
+    Runs(Vec<VectorRun>),
+    /// A sieve window: read it, copy, and write a write back — no step
+    /// at all when it holds no requested byte.
+    Sieve(Region),
+}
+
+/// The steps of one item still to come.
+pub(crate) type ItemSteps = Flatten<std::array::IntoIter<Option<Step>, 3>>;
+
+/// A planner's items, walked into steps as the plan is pulled. A
+/// `serial` walk is one exclusive section.
+pub(crate) struct Walk<I> {
+    items: I,
+    left: ItemSteps,
+    /// The step after the last item's.
+    end: Option<Step>,
+    kind: IoKind,
+    layout: StripeLayout,
+    map: PieceMap,
+}
+
+impl<I> Walk<I> {
+    pub(crate) fn new(
+        items: I,
+        kind: IoKind,
+        layout: StripeLayout,
+        map: PieceMap,
+        serial: bool,
+    ) -> Walk<I> {
+        let begin = [serial.then_some(Step::SerialBegin), None, None];
+        Walk {
+            items,
+            left: begin.into_iter().flatten(),
+            end: serial.then_some(Step::SerialEnd),
+            kind,
+            layout,
+            map,
+        }
+    }
+}
+
+impl<I: Iterator<Item = Item>> Iterator for Walk<I> {
+    type Item = Step;
+
+    fn next(&mut self) -> Option<Step> {
+        let (kind, layout) = (self.kind, &self.layout);
+        loop {
+            if let Some(step) = self.left.next() {
+                return Some(step);
+            }
+            let Some(item) = self.items.next() else {
+                return self.end.take();
+            };
+            let at = || Target::Pieces(self.map.clone());
+            let (servers, op) = match item {
+                Item::Chunk(chunk) => (
+                    servers_for(layout, chunk.iter().copied()),
+                    OpKind::list(kind, chunk, at()),
+                ),
+                Item::Piece(region) => (
+                    servers_for(layout, [region]),
+                    OpKind::contiguous(kind, region, at()),
+                ),
+                Item::Runs(runs) => (
+                    chunk_servers(&runs, layout),
+                    OpKind::vectors(kind, runs, at()),
+                ),
+                Item::Sieve(window) => {
+                    let copies = window_copies(&self.map, window, kind);
+                    if !copies.is_empty() {
+                        self.left = window_steps(layout, kind, window, copies);
+                    }
+                    continue;
+                }
+            };
+            return Some(Step::Round(Round::fan_out(servers, op)));
+        }
+    }
+}
+
+/// A plan's steps, by the walk that yields them: one variant per
+/// planner, each a value holding its walk's state — no closure, no box —
+/// and one for steps given up front ([`AccessPlan::new`]).
+pub(crate) enum Steps {
+    Given(vec::IntoIter<Step>),
+    List(Walk<ListItems>),
+    Multiple(Walk<PieceCuts>),
+    Sieving(Walk<Windows>),
+    Hybrid(Walk<vec::IntoIter<Item>>),
+    Datatype(Walk<vec::IntoIter<Item>>),
+}
+
+impl Iterator for Steps {
+    type Item = Step;
+
+    fn next(&mut self) -> Option<Step> {
+        match self {
+            Steps::Given(steps) => steps.next(),
+            Steps::List(steps) => steps.next(),
+            Steps::Multiple(steps) => steps.next(),
+            Steps::Sieving(steps) => steps.next(),
+            Steps::Hybrid(steps) | Steps::Datatype(steps) => steps.next(),
+        }
+    }
+}
+
 /// A compiled access plan: lazy steps plus everything an executor needs
-/// to run them.
+/// to run them. It is a value: planning allocates nothing beyond what
+/// its method keeps (a temp buffer's size, hybrid's items, datatype's
+/// runs, a sieve window's copy list), and a list or multiple plan nothing.
 pub struct AccessPlan {
     /// The file being accessed.
     pub handle: FileHandle,
@@ -288,24 +416,36 @@ pub struct AccessPlan {
     /// Sizes of the temp buffers the executor must allocate (index =
     /// [`Space::Temp`] id).
     pub temp_sizes: Vec<u64>,
-    steps: Box<dyn Iterator<Item = Step> + Send>,
+    steps: Steps,
 }
 
 impl AccessPlan {
-    /// Assemble a plan from parts.
+    /// A plan of the steps given.
     pub fn new(
         handle: FileHandle,
         layout: StripeLayout,
         kind: IoKind,
         temp_sizes: Vec<u64>,
-        steps: impl Iterator<Item = Step> + Send + 'static,
+        steps: Vec<Step>,
+    ) -> AccessPlan {
+        let steps = Steps::Given(steps.into_iter());
+        AccessPlan::walk(handle, layout, kind, temp_sizes, steps)
+    }
+
+    /// A plan of the steps a planner's walk yields.
+    pub(crate) fn walk(
+        handle: FileHandle,
+        layout: StripeLayout,
+        kind: IoKind,
+        temp_sizes: Vec<u64>,
+        steps: Steps,
     ) -> AccessPlan {
         AccessPlan {
             handle,
             layout,
             kind,
             temp_sizes,
-            steps: Box::new(steps),
+            steps,
         }
     }
 
@@ -646,7 +786,7 @@ mod tests {
             StripeLayout::paper_default(4),
             IoKind::Write,
             vec![],
-            steps.into_iter(),
+            steps,
         );
         assert_eq!(plan.next_step(), Some(Step::SerialBegin));
         assert_eq!(plan.next_step(), Some(Step::SerialEnd));
@@ -685,13 +825,7 @@ mod tests {
             )),
             Step::SerialEnd,
         ];
-        let plan = AccessPlan::new(
-            FileHandle(1),
-            layout,
-            IoKind::Read,
-            vec![20],
-            steps.into_iter(),
-        );
+        let plan = AccessPlan::new(FileHandle(1), layout, IoKind::Read, vec![20], steps);
         let tally = plan.tally();
         assert_eq!(
             tally,

@@ -132,16 +132,43 @@ fn largest_share(layout: &StripeLayout, region: Region) -> u64 {
 /// put `ssize` on each server and fewer at most `ssize` on one, so pieces
 /// of `cap / ssize` such periods (or of the cap, when a stripe is wider)
 /// keep to the cap wherever they start.
-pub fn bulk_pieces(layout: &StripeLayout, region: Region) -> impl Iterator<Item = Region> {
-    let (cap, ssize, end) = (MAX_BULK_BYTES as u64, layout.ssize, region.end());
+pub fn bulk_pieces(layout: &StripeLayout, region: Region) -> Cuts {
+    let (cap, ssize) = (MAX_BULK_BYTES as u64, layout.ssize);
     let period = u64::from(layout.pcount) * ssize;
-    let piece = match (largest_share(layout, region) <= cap, ssize <= cap) {
-        (true, _) => region.len.max(1),
+    let len = match (largest_share(layout, region) <= cap, ssize <= cap) {
+        (true, _) => region.len,
         (false, true) => cap / ssize * period,
         (false, false) => cap,
     };
-    let pieces = (region.offset..end).step_by(piece as usize);
-    pieces.map(move |at| Region::new(at, piece.min(end - at)))
+    Cuts::new(region, len)
+}
+
+/// A region cut front to back into pieces of `len` bytes, the last one
+/// shorter: a piece's bulk pieces, or data sieving's windows over an
+/// extent.
+#[derive(Debug, Clone)]
+pub struct Cuts {
+    /// What no piece has taken yet.
+    rest: Region,
+    len: u64,
+}
+
+impl Cuts {
+    /// `region` in pieces of `len` bytes.
+    pub(crate) fn new(region: Region, len: u64) -> Cuts {
+        Cuts { rest: region, len }
+    }
+}
+
+impl Iterator for Cuts {
+    type Item = Region;
+
+    fn next(&mut self) -> Option<Region> {
+        let len = self.len.min(self.rest.len);
+        let piece = (len > 0).then(|| Region::new(self.rest.offset, len))?;
+        self.rest = Region::new(piece.end(), self.rest.len - len);
+        Some(piece)
+    }
 }
 
 #[cfg(test)]

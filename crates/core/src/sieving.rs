@@ -21,14 +21,19 @@
 //!
 //! One window is one mechanism, whoever sieves: [`window_copies`] walks
 //! the request's [`PieceMap`] across it and [`window_steps`] lays out its
-//! read, copy and write-back. Hybrid I/O sieves its dense clusters
-//! through the same two functions.
+//! read, copy and write-back. Hybrid I/O's dense clusters are the same
+//! `Item::Sieve` windows, walked by the same walk.
 
 use crate::method::MethodConfig;
-use crate::plan::{AccessPlan, CopyPair, IoKind, MemSlice, OpKind, Round, Space, Step};
-use crate::planutil::servers_for;
+use crate::plan::{AccessPlan, CopyPair, IoKind, Item, ItemSteps, MemSlice, OpKind, Round};
+use crate::plan::{Space, Step, Steps, Walk};
+use crate::planutil::{servers_for, Cuts};
 use crate::request::ListRequest;
 use pvfs_types::{FileHandle, PieceMap, PvfsResult, Region, StripeLayout};
+use std::iter::Map;
+
+/// A sieving plan's items: buffer-sized windows across the extent.
+pub(crate) type Windows = Map<Cuts, fn(Region) -> Item>;
 
 /// Compile a data-sieving plan.
 pub(crate) fn plan(
@@ -47,21 +52,11 @@ pub(crate) fn plan(
     // Buffer-sized windows across the extent; those holding no requested
     // byte are skipped. The first starts on the first region, so it is
     // never skipped, and no later one is longer.
-    let windows = (extent.offset..extent.end())
-        .step_by(buffer as usize)
-        .filter_map(move |start| {
-            let window = Region::new(start, buffer.min(extent.end() - start));
-            let copies = window_copies(&map, window, kind);
-            (!copies.is_empty()).then(|| window_steps(&layout, kind, window, copies))
-        })
-        .flatten();
-    let (begin, end) = match kind {
-        IoKind::Read => (None, None),
-        IoKind::Write => (Some(Step::SerialBegin), Some(Step::SerialEnd)),
-    };
-    let steps = begin.into_iter().chain(windows).chain(end);
+    let windows: Windows = Cuts::new(extent, buffer).map(Item::Sieve);
+    let serial = kind == IoKind::Write;
+    let steps = Steps::Sieving(Walk::new(windows, kind, layout, map, serial));
     let temp = buffer.min(extent.len);
-    Ok(AccessPlan::new(handle, layout, kind, vec![temp], steps))
+    Ok(AccessPlan::walk(handle, layout, kind, vec![temp], steps))
 }
 
 /// The copies between sieve window `window`, in temp buffer 0, and the
@@ -109,15 +104,13 @@ pub(crate) fn window_steps(
     kind: IoKind,
     window: Region,
     copies: Vec<CopyPair>,
-) -> Vec<Step> {
+) -> ItemSteps {
     let servers = servers_for(layout, [window]);
     let op = |kind| OpKind::window(kind, window);
     let round = |kind| Step::Round(Round::fan_out(servers.clone(), op(kind)));
-    let mut steps = vec![round(IoKind::Read), Step::Copy(copies)];
-    if kind == IoKind::Write {
-        steps.push(round(IoKind::Write));
-    }
-    steps
+    let back = (kind == IoKind::Write).then(|| round(IoKind::Write));
+    let steps = [Some(round(IoKind::Read)), Some(Step::Copy(copies)), back];
+    steps.into_iter().flatten()
 }
 
 #[cfg(test)]

@@ -360,19 +360,13 @@ fn unbalanced_serial_section_is_a_deadlock_error() {
     // the deadlock instead of spinning.
     use pvfs_core::{AccessPlan, Step};
     let l = layout(2, 64);
-    let hog = AccessPlan::new(
-        FH,
-        l,
-        IoKind::Write,
-        vec![],
-        vec![Step::SerialBegin].into_iter(),
-    );
+    let hog = AccessPlan::new(FH, l, IoKind::Write, vec![], vec![Step::SerialBegin]);
     let waiter = AccessPlan::new(
         FH,
         l,
         IoKind::Write,
         vec![],
-        vec![Step::SerialBegin, Step::SerialEnd].into_iter(),
+        vec![Step::SerialBegin, Step::SerialEnd],
     );
     let mut sim = cluster(2);
     let err = sim

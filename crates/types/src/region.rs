@@ -495,11 +495,31 @@ impl RegionList {
     /// regions each — exactly how list I/O breaks a long request into
     /// several ≤64-region wire requests. Each chunk is an O(1)
     /// [`slice`](RegionList::slice) of this list.
-    pub fn chunks(&self, max_regions: usize) -> impl Iterator<Item = RegionList> + '_ {
+    pub fn chunks(&self, max_regions: usize) -> Chunks {
         assert!(max_regions > 0, "chunk size must be positive");
-        (0..self.count())
-            .step_by(max_regions)
-            .map(move |at| self.slice(at..(at + max_regions).min(self.count())))
+        Chunks {
+            rest: self.clone(),
+            max: max_regions,
+        }
+    }
+}
+
+/// A list's chunks ([`RegionList::chunks`]).
+#[derive(Debug, Clone)]
+pub struct Chunks {
+    /// What no chunk has taken yet.
+    rest: RegionList,
+    max: usize,
+}
+
+impl Iterator for Chunks {
+    type Item = RegionList;
+
+    fn next(&mut self) -> Option<RegionList> {
+        let (n, count) = (self.max.min(self.rest.count()), self.rest.count());
+        let chunk = (n > 0).then(|| self.rest.slice(0..n))?;
+        self.rest = self.rest.slice(n..count);
+        Some(chunk)
     }
 }
 
@@ -621,10 +641,12 @@ impl PieceMap {
     /// Every piece in stream order, lazily: the walk owns O(1) clones of
     /// the two lists and a cursor, nothing proportional to the piece
     /// count.
-    pub fn pieces(&self) -> impl Iterator<Item = TransferPiece> + Send + 'static {
-        let (mem, file) = (self.mem.clone(), self.file.clone());
-        let mut at = AlignCursor::at(mem.regions(), 0, 0, file.regions(), 0, 0);
-        std::iter::from_fn(move || at.step(mem.regions(), file.regions()))
+    pub fn pieces(&self) -> Pieces {
+        let (mem, file) = (self.mem.regions(), self.file.regions());
+        Pieces {
+            map: self.clone(),
+            at: AlignCursor::at(mem, 0, 0, file, 0, 0),
+        }
     }
 
     /// Where the walk over both lists stands at file offset `offset`,
@@ -672,6 +694,22 @@ impl PieceMap {
             }
         }
         debug_assert_eq!(covered, file.len, "file region {file} not fully mapped");
+    }
+}
+
+/// A [`PieceMap`]'s pieces in stream order ([`PieceMap::pieces`]).
+#[derive(Debug, Clone)]
+pub struct Pieces {
+    map: PieceMap,
+    at: AlignCursor,
+}
+
+impl Iterator for Pieces {
+    type Item = TransferPiece;
+
+    fn next(&mut self) -> Option<TransferPiece> {
+        self.at
+            .step(self.map.mem.regions(), self.map.file.regions())
     }
 }
 

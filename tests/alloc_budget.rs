@@ -46,10 +46,11 @@ use pvfs::types::{FileHandle, StripeLayout};
 use pvfs::workloads::{verify, Cyclic, FlashIo};
 
 /// What every op costs, whatever its method, its frames or its
-/// cluster: two allocations — the plan's boxed step iterator and the
-/// report's `requests_by_server`. Over tcp the cyclic write and its
-/// read-back are those two, 152 bytes, 0.00116 bytes per payload byte.
-/// They were five, 360 bytes, while every op built its piece map's two
+/// cluster: one allocation — the report's `requests_by_server`, the
+/// caller's result. Over tcp the cyclic write and its read-back are
+/// that one, 32 bytes, 0.00024 bytes per payload byte. They were two,
+/// 152 bytes, while the plan boxed its step iterator, and
+/// five, 360 bytes, while every op built its piece map's two
 /// mark vectors and the `Arc` it was shared through; the lists index
 /// themselves once now. The op made 23 more while each of its 16 rounds of four ops built a
 /// vector of them, and each stream sized its pump's sub-op deque and op
@@ -58,10 +59,10 @@ use pvfs::workloads::{verify, Cyclic, FlashIo};
 /// allocations and 2.21 in 540 while each frame's head, payload, region
 /// list, run list, read buffer and reply were allocated where they were
 /// needed and freed where they ended up, eleven allocations a frame.
-const WRITE_BUDGET: f64 = 0.0012;
-const READ_BUDGET: f64 = 0.0012;
-const WRITE_ALLOCS: u64 = 2;
-const READ_ALLOCS: u64 = 2;
+const WRITE_BUDGET: f64 = 0.0003;
+const READ_BUDGET: f64 = 0.0003;
+const WRITE_ALLOCS: u64 = 1;
+const READ_ALLOCS: u64 = 1;
 /// What one more frame may cost an op over tcp: allocations per frame
 /// when the same pattern is twice as long (128 frames against 64). Every
 /// per-frame buffer has an owner that takes it back (`pvfs::net::spares`),
@@ -69,20 +70,22 @@ const READ_ALLOCS: u64 = 2;
 /// the in-place reuse of it ever stop working), a read one reply.
 const WRITE_ALLOCS_PER_FRAME: f64 = 2.0;
 const READ_ALLOCS_PER_FRAME: f64 = 1.0;
-/// One durable FLASH checkpoint op over chan: the same two, 0.00019
-/// bytes per payload byte. It was five and 0.016 while its piece map
+/// One durable FLASH checkpoint op over chan: the same one, 0.00004
+/// bytes per payload byte. It was two and 0.00019 while the plan boxed
+/// its steps, five and 0.016 while its piece map
 /// marked every 64th of its 98 304 memory regions afresh for every op,
 /// and 15 and 0.03 while its three rounds' vectors and the
 /// stream's state were made per op (23 while every stream made itself
 /// a reply channel per daemon; 1.08 in 167 while the payload was gathered
 /// into a fresh buffer and every journaled batch built its head, its
 /// slice list and a clamped copy of its runs on the heap).
-const FLASH_BUDGET: f64 = 0.001;
-const FLASH_ALLOCS: u64 = 2;
+const FLASH_BUDGET: f64 = 0.0001;
+const FLASH_ALLOCS: u64 = 1;
 /// What one single-region RPC over chan may ask the allocator for, all
 /// told (frame, hand-off, daemon dispatch, reply): nothing. The 1024-RPC
-/// op costs the same two allocations, which makes 0.002 an RPC (0.005
-/// with the piece map's three): a round is its op and a server set, and a `Data`
+/// op costs the same one allocation, which makes 0.001 an RPC (0.002
+/// with the boxed steps, 0.005 with the piece map's three too): a round
+/// is its op and a server set, and a `Data`
 /// reply is gathered into a buffer of the lane's that went out with the
 /// request and is swept back, control block and all, when the lane next
 /// sends (`pvfs::net::spares`). It was 0.012 and 8.2 while each stream
@@ -93,14 +96,15 @@ const FLASH_ALLOCS: u64 = 2;
 /// encoded into a fresh buffer and the reply's 20-byte head sent in a
 /// buffer of its own (12.0 and 662 while every RPC had a reply channel
 /// and a boxed handle of its own, too).
-const RPC_ALLOCS: f64 = 0.006;
-const RPC_BYTES: f64 = 0.6;
+const RPC_ALLOCS: f64 = 0.003;
+const RPC_BYTES: f64 = 0.15;
 
 #[test]
 fn a_list_op_allocates_a_fixed_small_multiple_of_its_payload() {
     hermetic();
     sieved_reads_hold_no_piece_vector();
     planning_again_reads_the_lists_indexes();
+    a_plan_is_a_value();
     cyclic_list_ops();
     durable_flash_checkpoint();
     scrub_digests();
@@ -282,8 +286,8 @@ fn sieved_reads_hold_no_piece_vector() {
 
 /// Planning reads what the request's lists know of themselves, found
 /// the first time either was asked: the FLASH request planned again,
-/// from clones of its lists, allocates its boxed steps and nothing else
-/// — no pass over its 98 304 memory regions is made, or kept, per op.
+/// from clones of its lists, allocates nothing — no pass over its
+/// 98 304 memory regions is made, or kept, per op.
 fn planning_again_reads_the_lists_indexes() {
     let request = FlashIo::scaled(2, 8).request_for(0).unwrap();
     let layout = StripeLayout::new(0, 4, 16 * 1024).unwrap();
@@ -306,9 +310,36 @@ fn planning_again_reads_the_lists_indexes() {
     };
     let (allocs, _) = allocated_by(|| drop(plan(&again)));
     assert_eq!(
-        allocs, 1,
+        allocs, 0,
         "planning a FLASH op again, from clones of its lists"
     );
+}
+
+/// A plan is a value: its steps are walked from state it holds, not
+/// from a boxed closure. A cyclic list write and a multiple read,
+/// planned from lists already indexed, allocate nothing, and neither
+/// does walking every step of them.
+fn a_plan_is_a_value() {
+    let pattern = Cyclic {
+        clients: 8,
+        accesses_per_client: 1024,
+        aggregate_bytes: 8 * 1024 * 128,
+    };
+    let request = pattern.request_for(3).unwrap();
+    let layout = StripeLayout::new(0, 4, 16 * 1024).unwrap();
+    let config = MethodConfig::default();
+    for (method, kind) in [
+        (Method::List, IoKind::Write),
+        (Method::Multiple, IoKind::Read),
+    ] {
+        let tally = || {
+            let plan = pvfs::core::plan(method, kind, &request, FileHandle(1), layout, &config);
+            plan.unwrap().tally()
+        };
+        let first = tally();
+        let (allocs, _) = allocated_by(|| assert_eq!(tally(), first));
+        assert_eq!(allocs, 0, "planning and walking a {method} {kind:?}");
+    }
 }
 
 fn durable_flash_checkpoint() {

@@ -11,9 +11,11 @@
 //! sixteen. Now the window and the lane table go from stream to stream,
 //! the lanes are parked box and all, and a round is its op and a set of
 //! servers: an op on a file costs the same on any cluster (the read
-//! two allocations plus its two one-region lists, the write two), and an op on a file striped
-//! wider only its per-daemon report more (`ExecReport::requests_by_server`,
-//! 8 bytes a daemon of the layout).
+//! seven allocations, four of them its two one-region lists; the write
+//! one, its report), and an op on a file striped wider only its
+//! per-daemon report more (`ExecReport::requests_by_server`, 8 bytes a
+//! daemon of the layout). Both cost one allocation more while a plan
+//! boxed its steps.
 
 mod counting;
 
@@ -86,6 +88,11 @@ fn an_ops_fixed_cost_does_not_grow_with_the_cluster() {
         (read16, read16_bytes),
         (read4, read4_bytes),
         "a 4 KiB read_at on 16 daemons against 4 (allocations, bytes)"
+    );
+    assert_eq!(
+        (read4, write4),
+        (7, 1),
+        "a 4 KiB read_at and a cyclic write_list on 4 daemons (allocations)"
     );
     assert_eq!(
         write16, write4,
