@@ -6,8 +6,9 @@
 //! path is abstracted by the [`Transport`] trait with two
 //! implementations, selected by `PVFS_TRANSPORT=chan|tcp`:
 //!
-//! * **chan** (default) — in-process bounded channels carrying encoded
-//!   wire frames; requests and responses still pass through the real
+//! * **chan** (default) — in-process: a client's lane offers each
+//!   encoded frame to the daemon's door itself and hears back on a std
+//!   `sync_channel`; requests and responses still pass through the real
 //!   `pvfs-proto` codec, so the MTU and trailing-data limits are
 //!   enforced exactly as on a socket;
 //! * **tcp** ([`tcp`]) — real loopback/LAN sockets: length-prefixed
@@ -21,9 +22,9 @@
 //!   request pipeline ([`cluster`]: expand → a window of ship/land per
 //!   daemon → failover, backoff → assemble), decided by a pump that
 //!   does no I/O and driven by one loop that does all of it;
-//! * every daemon stands behind one door (`serve.rs`): a bounded queue
-//!   (`IodConfig::queue_depth`, default 64 — the bound is the
-//!   backpressure) drained by `IodConfig::workers` threads (default
+//! * every daemon stands behind one door (`serve.rs`) that owns its
+//!   bounded queue (`IodConfig::queue_depth`, default 64 — the bound is
+//!   the backpressure), drained by `IodConfig::workers` threads (default
 //!   `min(4, cores)`; the manager's door has one). A frame is admitted,
 //!   served, answered and drained by the same code whichever transport
 //!   brought it; [`live`] has the concurrency model.
@@ -75,7 +76,6 @@
 //!   client narrows its window on that daemon and books no latency
 //!   sample for the refusal.
 
-pub mod chan;
 pub mod cluster;
 mod envspec;
 pub mod fault;

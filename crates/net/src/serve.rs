@@ -21,14 +21,29 @@
 //!   twin of the client's `Lane`, and all that differs between the
 //!   transports: where the [`Scratch`] the frame is served out of comes
 //!   from, and how the reply's bytes go back;
-//! * **drained** by [`Door::close`]: one shutdown notice per worker,
-//!   queued *behind* every admitted frame, then a join — whatever got in
-//!   is answered before the door is shut.
+//! * **drained** by [`Door::close`]: the door shuts — every frame
+//!   offered from then on is refused at once — and its workers serve
+//!   what was admitted before they leave; close returns when they have.
 //!
 //! The bookkeeping — wire bytes, queue depth, queue wait, service time,
 //! the workers running — is the [`Ledger`]'s, and the door does it through
 //! [`Service::ledger`] without entering the daemon: accounting a manager
 //! frame takes no manager lock.
+//!
+//! # One lock, and nobody woken who was not asleep
+//!
+//! The queue is the door's own: the admitted frames, whether the door
+//! is shut, and the threads parked on it — workers waiting for a frame,
+//! offerers for room — under one mutex, with a condvar for each. A
+//! notify is a system call whether or not anyone is parked, and on the
+//! RPC path nearly nobody is, so an offer or a take notifies only when
+//! the other side's parked count is non-zero. No wake-up is lost by it:
+//! a thread counts itself *before* it releases the mutex to park (the
+//! condvar does both at once) and uncounts itself only with the mutex
+//! held again, however the wait ended — so whoever changes the queue
+//! after a thread decided to park sees it counted. The count may run
+//! ahead of who is asleep, which costs a notify nobody needed, never
+//! one somebody did. Shutting the door wakes everyone.
 //!
 //! # Timing
 //!
@@ -66,15 +81,15 @@ use pvfs_proto::{
     frame_is_stats_scrape, Frame, Message, Request, Response,
 };
 use pvfs_server::{IoDaemon, IodConfig, Manager, Scratch};
-use pvfs_types::clock::now_ns;
+use pvfs_types::clock::{self, now_ns};
 use pvfs_types::trace::with_span_sink;
 use pvfs_types::{FlightRecorder, Ledger, PvfsError, RequestId, Span, SpanId, TraceContext};
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::chan::{bounded, Receiver, SendTimeoutError, Sender, TrySendError};
 use crate::spares::Spares;
 use crate::tcp::server::ConnOut;
 use crate::transport::ReplyTo;
@@ -248,16 +263,114 @@ impl ReplyPath {
 
 /// What waits in a door's queue: a request frame (both parts, exactly as
 /// they arrived), the way its reply goes back, and the clock reading it
-/// was enqueued at (queue wait is measured from it) — or a worker's
-/// notice to leave.
-enum Job {
-    Rpc(Frame, ReplyPath, u64),
-    Shutdown,
-}
+/// was offered at (queue wait is measured from it).
+type Job = (Frame, ReplyPath, u64);
 
 /// A frame [`Door::offer`] did not admit, handed back with the way its
 /// reply would have gone for the transport to tell its sender why.
 pub(crate) type Refused = (Frame, ReplyPath, PvfsError);
+
+/// What a door's workers share with it: the queue and who waits on it,
+/// behind one lock (module docs).
+struct Queue {
+    state: Mutex<State>,
+    /// The most frames admitted and not yet taken.
+    depth: usize,
+    /// A frame was queued, for a parked worker; room was made, for a
+    /// parked offerer.
+    work: Condvar,
+    room: Condvar,
+    /// Scratch for frames that bring none along (chan).
+    spares: Mutex<Spares<Scratch>>,
+    /// How often one thread was notified (shutting the door notifies
+    /// all, and is not counted).
+    #[cfg(test)]
+    wakes: std::sync::atomic::AtomicUsize,
+}
+
+#[derive(Default)]
+struct State {
+    jobs: VecDeque<Job>,
+    /// Set when the door shuts: nothing is admitted any more, and a
+    /// worker that finds the queue empty leaves.
+    shut: bool,
+    /// Workers parked on `work`, offerers parked on `room`: a side with
+    /// nobody counted here is not notified.
+    idle_workers: usize,
+    waiting_offers: usize,
+}
+
+impl Queue {
+    fn new(depth: usize) -> Queue {
+        let depth = depth.max(1);
+        let jobs = VecDeque::with_capacity(depth);
+        Queue {
+            state: Mutex::new(State {
+                jobs,
+                ..State::default()
+            }),
+            depth,
+            work: Condvar::new(),
+            room: Condvar::new(),
+            spares: Mutex::default(),
+            #[cfg(test)]
+            wakes: Default::default(),
+        }
+    }
+
+    /// The next admitted frame, waiting for one; `None` once the door is
+    /// shut and every frame it admitted has been taken.
+    fn take(&self) -> Option<Job> {
+        let mut state = self.state.lock().unwrap();
+        loop {
+            if let Some(job) = state.jobs.pop_front() {
+                let offerer = state.waiting_offers > 0;
+                drop(state);
+                if offerer {
+                    self.wake(&self.room);
+                }
+                return Some(job);
+            }
+            if state.shut {
+                return None;
+            }
+            state = park(&self.work, state, |s| &mut s.idle_workers, None);
+        }
+    }
+
+    /// Admit nothing more, and wake everyone parked: workers to drain the
+    /// queue and leave, offerers to be refused.
+    fn shut(&self) {
+        self.state.lock().unwrap().shut = true;
+        self.work.notify_all();
+        self.room.notify_all();
+    }
+
+    /// Wake one of the threads counted as parked on `condvar`.
+    fn wake(&self, condvar: &Condvar) {
+        #[cfg(test)]
+        self.wakes.fetch_add(1, Ordering::Relaxed);
+        condvar.notify_one();
+    }
+}
+
+/// Park on `condvar` until notified, or until the clock reading
+/// `deadline` if there is one — counted in `parked` from before the
+/// lock is released until it is held again, however the wait ends.
+fn park<'a>(
+    condvar: &Condvar,
+    mut state: MutexGuard<'a, State>,
+    parked: fn(&mut State) -> &mut usize,
+    deadline: Option<u64>,
+) -> MutexGuard<'a, State> {
+    *parked(&mut state) += 1;
+    let mut state = match deadline {
+        None => condvar.wait(state).unwrap(),
+        Some(end) => condvar.wait_timeout(state, clock::until(end)).unwrap().0,
+    };
+    *parked(&mut state) -= 1;
+    state
+}
 
 /// The one way into a daemon: its bounded queue, the workers draining it
 /// through [`serve_rpc`], and the [`Service`] they serve (module docs).
@@ -265,7 +378,7 @@ pub(crate) struct Door {
     /// `iod3` / `mgr`: the daemon's node in its spans, and what its
     /// threads are named after.
     pub(crate) name: String,
-    tx: Sender<Job>,
+    queue: Arc<Queue>,
     service: Arc<dyn Service>,
     /// Emptied by [`close`](Door::close).
     threads: Mutex<Vec<JoinHandle<()>>>,
@@ -282,16 +395,14 @@ impl Door {
         depth: usize,
         service: Arc<dyn Service>,
     ) -> Arc<Door> {
-        let (tx, rx) = bounded(depth.max(1));
-        // Scratch for frames that bring none along (chan): the queue's.
-        let spares = Arc::new(Mutex::new(Spares::default()));
+        let queue = Arc::new(Queue::new(depth));
         let threads: Vec<_> = (0..workers.max(1))
             .map(|i| {
-                let (rx, service, spares) = (rx.clone(), service.clone(), spares.clone());
+                let (queue, service) = (queue.clone(), service.clone());
                 let node = name.to_string();
                 std::thread::Builder::new()
                     .name(format!("{name}-w{i}"))
-                    .spawn(move || work(&rx, &*service, &node, &spares))
+                    .spawn(move || work(&queue, &*service, &node))
                     .expect("spawn door worker")
             })
             .collect();
@@ -299,7 +410,7 @@ impl Door {
         gauge.store(threads.len() as u64, Ordering::Relaxed);
         Arc::new(Door {
             name: name.to_string(),
-            tx,
+            queue,
             service,
             threads: Mutex::new(threads),
         })
@@ -315,7 +426,8 @@ impl Door {
     /// ([`Service::shed`]): refuse the frame at once, or have the caller
     /// wait for room at most `patience` — for ever without one: a
     /// connection's reader stops draining its socket and TCP flow control
-    /// pushes back. A refused frame leaves `queue_depth` as it found it.
+    /// pushes back. A shut door refuses every frame, a waiting one too.
+    /// A refused frame leaves `queue_depth` as it found it.
     ///
     /// Stats scrapes are observers: they skip the accounting, and wait
     /// out a full queue instead of shedding, so observation never
@@ -333,62 +445,71 @@ impl Door {
             ledger.wire_rx(wire_len);
             ledger.queued();
         }
-        let gone = || PvfsError::Transport("server thread gone".into());
-        let (job, error) = match self.tx.try_send(Job::Rpc(frame, reply, now_ns())) {
-            Ok(()) => return Ok(()),
-            Err(TrySendError::Disconnected(job)) => (job, gone()),
-            Err(TrySendError::Full(job)) => match ledger.and_then(|_| self.service.shed()) {
-                // `shed` has taken the frame off the queue's books.
-                Some(refusal) => return Err(refused(job, refusal)),
-                None => match self.tx.send_timeout(job, patience) {
-                    Ok(()) => return Ok(()),
-                    Err(SendTimeoutError::Disconnected(job)) => (job, gone()),
-                    Err(SendTimeoutError::Timeout(job)) => {
-                        let waited = patience.unwrap_or_default();
-                        let full = format!("the daemon's queue stayed full for {waited:?}");
-                        (job, PvfsError::timeout(full))
-                    }
-                },
-            },
+        let (queue, queued_at) = (&*self.queue, now_ns());
+        let mut state = queue.state.lock().unwrap();
+        if !state.shut && state.jobs.len() >= queue.depth {
+            // `shed` has taken a refused frame off the queue's books.
+            if let Some(refusal) = ledger.and_then(|_| self.service.shed()) {
+                return Err((frame, reply, refusal));
+            }
+        }
+        let deadline = patience.map(|p| queued_at.saturating_add(clock::nanos(p)));
+        let error = loop {
+            if state.shut {
+                break PvfsError::Transport("server thread gone".into());
+            }
+            if state.jobs.len() < queue.depth {
+                state.jobs.push_back((frame, reply, queued_at));
+                let worker = state.idle_workers > 0;
+                drop(state);
+                if worker {
+                    queue.wake(&queue.work);
+                }
+                return Ok(());
+            }
+            if deadline.is_some_and(|deadline| deadline <= now_ns()) {
+                let waited = patience.unwrap_or_default();
+                let full = format!("the daemon's queue stayed full for {waited:?}");
+                break PvfsError::timeout(full);
+            }
+            state = park(&queue.room, state, |s| &mut s.waiting_offers, deadline);
         };
+        drop(state);
         // The frame never entered the queue it was booked into.
         if let Some(ledger) = ledger {
             ledger.unqueued();
         }
-        Err(refused(job, error))
+        Err((frame, reply, error))
     }
 
-    /// Drain and stop the workers: one `Shutdown` each, queued behind
-    /// every frame admitted so far — all of them are served and answered
-    /// before this returns. Frames offered afterwards are refused (the
-    /// workers are gone). Idempotent.
+    /// Shut the door and drain it: every frame offered from now on is
+    /// refused, and every frame admitted so far is served and answered
+    /// before this returns. Idempotent.
     pub(crate) fn close(&self) {
-        let threads = std::mem::take(&mut *self.threads.lock().unwrap());
-        for _ in &threads {
-            let _ = self.tx.send(Job::Shutdown);
-        }
-        for thread in threads {
+        self.queue.shut();
+        for thread in std::mem::take(&mut *self.threads.lock().unwrap()) {
             let _ = thread.join();
         }
     }
 }
 
-fn refused(job: Job, error: PvfsError) -> Refused {
-    match job {
-        Job::Rpc(frame, reply, _) => (frame, reply, error),
-        Job::Shutdown => unreachable!("only frames are offered"),
+/// A door nobody holds any more lets its workers go, once they have
+/// served what it admitted.
+impl Drop for Door {
+    fn drop(&mut self) {
+        self.queue.shut();
     }
 }
 
 /// One worker of the daemon `node`: `scratch → serve_rpc → reply` for
-/// every frame, until its `Shutdown` comes up or the door is dropped.
-fn work(rx: &Receiver<Job>, service: &dyn Service, node: &str, spares: &Mutex<Spares<Scratch>>) {
-    while let Ok(Job::Rpc(frame, mut reply, queued_at)) = rx.recv() {
+/// every frame, until the door is shut and its queue empty.
+fn work(queue: &Queue, service: &dyn Service, node: &str) {
+    while let Some((frame, mut reply, queued_at)) = queue.take() {
         let scrape = frame_is_stats_scrape(&frame.head);
-        let mut scratch = reply.scratch(spares);
+        let mut scratch = reply.scratch(&queue.spares);
         let (id, response) = serve_rpc(service, node, frame, queued_at, scrape, &mut scratch);
         let account = (!scrape).then(|| service.ledger());
-        reply.answer(id, response, scratch, spares, account);
+        reply.answer(id, response, scratch, &queue.spares, account);
     }
 }
 
@@ -459,39 +580,80 @@ mod tests {
     };
     use std::net::{TcpListener, TcpStream};
     use std::sync::atomic::AtomicU64;
+    use std::sync::mpsc::{self, sync_channel, SyncSender};
 
     impl Door {
         /// A door nobody works at: what is admitted waits in the queue
-        /// for the test, which plays the workers itself.
-        fn unmanned(depth: usize, service: Arc<dyn Service>) -> (Arc<Door>, Receiver<Job>) {
-            let (tx, rx) = bounded(depth);
-            let threads = Mutex::default();
-            let name = "bare".into();
-            (
-                Arc::new(Door {
-                    name,
-                    tx,
-                    service,
-                    threads,
-                }),
-                rx,
-            )
+        /// for the test, which plays the workers itself at the far end.
+        fn unmanned(depth: usize, service: Arc<dyn Service>) -> (Arc<Door>, Far) {
+            let queue = Arc::new(Queue::new(depth));
+            let door = Door {
+                name: "bare".into(),
+                queue: queue.clone(),
+                service,
+                threads: Mutex::default(),
+            };
+            (Arc::new(door), Far(queue))
         }
 
         /// The bare queue of protocol tests that play a channel-backed
         /// daemon themselves: an unmanned door that never sheds, and the
         /// far end of its queue — each call waits for the next frame sent
-        /// through the door and where to answer it, `None` once every
-        /// sender is gone. Dropping it is the daemon dying.
+        /// through the door and where to answer it, `None` once the door
+        /// is dropped and its queue empty. Dropping it is the daemon
+        /// dying: the door refuses every frame from then on.
         pub(crate) fn bare(
             depth: usize,
         ) -> (Arc<Door>, impl Fn() -> Option<(Frame, ReplyTo)> + Send) {
-            let (door, rx) = Door::unmanned(depth, Arc::new(Recording::default()));
-            let next = move || match rx.recv() {
-                Ok(Job::Rpc(frame, ReplyPath::Lane(reply), _)) => Some((frame, reply)),
+            let (door, far) = Door::unmanned(depth, Arc::new(Recording::default()));
+            let next = move || match far.take() {
+                Some((frame, ReplyPath::Lane(reply), _)) => Some((frame, reply)),
                 _ => None,
             };
             (door, next)
+        }
+    }
+
+    /// The far end of an unmanned door's queue: whoever holds it is the
+    /// door's workers, and dropping it is their death.
+    struct Far(Arc<Queue>);
+
+    impl std::ops::Deref for Far {
+        type Target = Queue;
+        fn deref(&self) -> &Queue {
+            &self.0
+        }
+    }
+
+    impl Drop for Far {
+        fn drop(&mut self) {
+            self.0.shut();
+        }
+    }
+
+    impl Queue {
+        /// The id of the next frame taken, `None` once the door is shut
+        /// and drained.
+        fn next_id(&self) -> Option<u64> {
+            let (frame, ..) = self.take()?;
+            Some(decode_frame_id(&frame.head).unwrap().0)
+        }
+
+        /// Threads counted as parked: (workers, offerers).
+        fn parked(&self) -> (usize, usize) {
+            let state = self.state.lock().unwrap();
+            (state.idle_workers, state.waiting_offers)
+        }
+
+        /// Spin until exactly `parked` threads are counted.
+        fn await_parked(&self, parked: (usize, usize)) {
+            while self.parked() != parked {
+                std::thread::yield_now();
+            }
+        }
+
+        fn wakes(&self) -> usize {
+            self.wakes.load(Ordering::Relaxed)
         }
     }
 
@@ -678,7 +840,7 @@ mod tests {
     fn a_traced_request_always_records_a_queue_span_on_either_daemon() {
         let iod = Arc::new(IoDaemon::with_defaults(ServerId(0)));
         let doors = open_doors(&[iod], IodConfig::default());
-        let (tx, _rx) = bounded(4);
+        let (tx, _rx) = sync_channel(4);
         let create = Request::Create {
             path: "/a".into(),
             layout: StripeLayout::new(0, 1, 10).unwrap(),
@@ -722,7 +884,7 @@ mod tests {
     /// The two ways a reply goes back, for a test to offer frames
     /// with: a lane's reply channel, or a connection over loopback.
     enum Way {
-        Lane(Sender<crate::transport::ChanReply>),
+        Lane(SyncSender<crate::transport::ChanReply>),
         Conn(Arc<ConnOut>, #[allow(dead_code)] TcpStream),
     }
 
@@ -731,7 +893,10 @@ mod tests {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             let near = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
             let (far, _) = listener.accept().unwrap();
-            [Way::Lane(bounded(8).0), Way::Conn(ConnOut::new(far), near)]
+            [
+                Way::Lane(sync_channel(8).0),
+                Way::Conn(ConnOut::new(far), near),
+            ]
         }
 
         fn reply(&self, id: u64) -> ReplyPath {
@@ -752,8 +917,8 @@ mod tests {
                 refusal,
                 ..Recording::default()
             });
-            let (door, rx) = Door::unmanned(1, service.clone());
-            (service, rx, door)
+            let (door, far) = Door::unmanned(1, service.clone());
+            (service, far, door)
         };
         let overloaded = PvfsError::Overloaded {
             server: 0,
@@ -767,7 +932,7 @@ mod tests {
         let patience = Some(Duration::from_secs(30));
 
         for way in Way::both() {
-            let (service, _rx, door) = door_over(Some(overloaded.clone()));
+            let (service, _far, door) = door_over(Some(overloaded.clone()));
             assert!(door.offer(ping(1), 16, way.reply(1), patience).is_ok());
             assert_eq!(books(&service), (1, 1, 0));
             let refused = door.offer(ping(2), 16, way.reply(2), patience);
@@ -787,7 +952,7 @@ mod tests {
             assert_eq!(books(&service), (2, 1, 1));
             assert_eq!(service.shed_asked.load(Ordering::Relaxed), 1);
 
-            let (service, rx, door) = door_over(None);
+            let (service, far, door) = door_over(None);
             assert!(door.offer(ping(1), 16, way.reply(1), patience).is_ok());
             std::thread::scope(|scope| {
                 let (door, second, reply) = (&door, ping(2), way.reply(2));
@@ -798,7 +963,7 @@ mod tests {
                     std::thread::yield_now();
                 }
                 for _ in 0..2 {
-                    assert!(matches!(rx.recv(), Ok(Job::Rpc(..))));
+                    assert!(far.take().is_some());
                 }
                 assert!(sender.join().unwrap(), "the blocked offer went through");
             });
@@ -808,8 +973,8 @@ mod tests {
             // workers are gone — is not left on the queue's books, whether
             // the service sheds or waits.
             for refusal in [Some(overloaded.clone()), None] {
-                let (service, rx, door) = door_over(refusal);
-                drop(rx);
+                let (service, far, door) = door_over(refusal);
+                drop(far);
                 let gone = door.offer(ping(1), 16, way.reply(1), patience);
                 assert!(matches!(gone, Err((_, _, PvfsError::Transport(_)))));
                 assert_eq!(books(&service), (1, 0, 0), "nothing is queued");
@@ -824,7 +989,7 @@ mod tests {
         let service = Arc::new(Recording::default());
         let door = Door::spawn("t", 4, 8, service.clone());
         assert_eq!(service.ledger.snapshot().workers, 4);
-        let (tx, rx) = bounded(100);
+        let (tx, rx) = sync_channel(100);
         for id in 1..=100 {
             let reply = ReplyPath::Lane(ReplyTo::new(&tx, RequestId(id)));
             assert!(door
@@ -848,13 +1013,14 @@ mod tests {
         none.close();
     }
 
-    /// One `Shutdown` stops exactly one worker: closing queues one each
-    /// and no more, is idempotent, and leaves the door shut.
+    /// Closing stops every worker, each once: the threads are joined
+    /// with nothing left queued and no worker still counted as parked, a
+    /// second close does nothing, and the door stays shut.
     #[test]
-    fn a_shutdown_stops_exactly_one_worker() {
+    fn closing_stops_every_worker_and_leaves_the_door_shut() {
         let service = Arc::new(Recording::default());
         let door = Door::spawn("t", 2, 4, service.clone());
-        let (tx, _rx) = bounded(4);
+        let (tx, _rx) = sync_channel(4);
         let reply = |id| ReplyPath::Lane(ReplyTo::new(&tx, RequestId(id)));
         assert!(door
             .offer(frame(1, Request::Ping), 16, reply(1), None)
@@ -862,7 +1028,10 @@ mod tests {
         door.close();
         door.close();
         assert!(door.threads.lock().unwrap().is_empty());
-        assert_eq!(door.tx.len(), 0, "one notice per worker, each consumed");
+        let state = door.queue.state.lock().unwrap();
+        assert_eq!((state.jobs.len(), state.idle_workers), (0, 0));
+        assert!(state.shut);
+        drop(state);
         assert_eq!(service.served.load(Ordering::Relaxed), 1);
         let late = door.offer(frame(2, Request::Ping), 16, reply(2), None);
         assert!(matches!(late, Err((_, _, PvfsError::Transport(_)))));
@@ -904,5 +1073,183 @@ mod tests {
             lane.send(frame(9, Request::Ping)).is_err(),
             "the door is shut"
         );
+    }
+
+    /// Once a door has begun to close it admits nothing: a frame offered
+    /// then is refused at once — not queued behind the drain, where no
+    /// worker would ever take it and its sender would hear nothing until
+    /// its deadline — and the frame admitted before is answered before
+    /// `close` returns.
+    #[test]
+    fn a_frame_offered_while_the_door_closes_is_refused_at_once() {
+        /// Serves a frame only once the test lets it go.
+        struct Held(Recording, Mutex<mpsc::Receiver<()>>);
+        impl Service for Held {
+            fn serve(&self, request: &Request, scratch: &mut Scratch) -> Response {
+                let response = self.0.serve(request, scratch);
+                let _ = self.1.lock().unwrap().recv();
+                response
+            }
+            fn ledger(&self) -> &Ledger {
+                &self.0.ledger
+            }
+            fn recorder(&self) -> &FlightRecorder {
+                &self.0.recorder
+            }
+        }
+        let (release, held) = mpsc::channel();
+        let service = Arc::new(Held(Recording::default(), Mutex::new(held)));
+        let door = Door::spawn("t", 1, 4, service.clone());
+        let transport = ChanTransport::new(vec![door.clone(), Door::bare(1).0]);
+        let mut lane = transport.lane(RpcTarget::Server(ServerId(0))).unwrap();
+        lane.send(frame(1, Request::Ping)).unwrap();
+        while service.0.served.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+        let late = std::thread::scope(|scope| {
+            let closing = scope.spawn(|| door.close());
+            while !door.queue.state.lock().unwrap().shut {
+                std::thread::yield_now();
+            }
+            let late = lane.send(frame(2, Request::Ping));
+            release.send(()).unwrap();
+            closing.join().unwrap();
+            late
+        });
+        assert!(
+            matches!(late, Err(PvfsError::Transport(_))),
+            "the closing door admitted {late:?}"
+        );
+        let answer = lane
+            .recv(Duration::ZERO)
+            .expect("answered before close returned");
+        assert_eq!(decode_response_id(&answer.head), Some(RequestId(1)));
+        assert!(matches!(lane.recv(Duration::ZERO), Err(WaitError::Timeout)));
+        assert_eq!(service.0.served.load(Ordering::Relaxed), 1);
+    }
+
+    /// Offer ping `id` to `door`, its reply to go down `tx` (where nobody
+    /// listens): why it was refused, if it was.
+    fn offer_ping(
+        door: &Door,
+        tx: &SyncSender<crate::transport::ChanReply>,
+        id: u64,
+        patience: Option<Duration>,
+    ) -> Result<(), PvfsError> {
+        let reply = ReplyPath::Lane(ReplyTo::new(tx, RequestId(id)));
+        let offered = door.offer(frame(id, Request::Ping), 16, reply, patience);
+        offered.map_err(|(_, _, error)| error)
+    }
+
+    #[test]
+    fn fifo_within_single_consumer() {
+        let (door, far) = Door::unmanned(8, Arc::new(Recording::default()));
+        let (tx, _) = sync_channel(1);
+        for id in 0..5 {
+            assert!(offer_ping(&door, &tx, id, None).is_ok());
+        }
+        for id in 0..5 {
+            assert_eq!(far.next_id(), Some(id));
+        }
+    }
+
+    /// A frame that meets a full queue waits for room at most its
+    /// patience, and one taken off the queue lets a waiting frame in.
+    #[test]
+    fn patience_bounds_the_wait_then_succeeds_after_drain() {
+        let (door, far) = Door::unmanned(1, Arc::new(Recording::default()));
+        let (tx, _) = sync_channel(1);
+        let offer = |id, patience| offer_ping(&door, &tx, id, patience);
+        assert!(offer(1, None).is_ok());
+        let started = now_ns();
+        let waited = offer(2, Some(Duration::from_millis(20)));
+        assert!(matches!(waited, Err(PvfsError::Timeout(_))));
+        assert!(clock::since(started) >= Duration::from_millis(20));
+        // A concurrent take lets a parked offer in.
+        std::thread::scope(|scope| {
+            let parked = scope.spawn(|| offer(2, Some(Duration::from_secs(5))));
+            std::thread::sleep(Duration::from_millis(10));
+            assert_eq!(far.next_id(), Some(1));
+            assert_eq!(parked.join().unwrap(), Ok(()));
+        });
+        assert_eq!(far.next_id(), Some(2));
+    }
+
+    #[test]
+    fn only_a_parked_thread_is_notified() {
+        let (door, far) = Door::unmanned(2, Arc::new(Recording::default()));
+        let (tx, _) = sync_channel(1);
+        let offer = |id, patience| offer_ping(&door, &tx, id, patience);
+        let now = Some(Duration::ZERO);
+        // Nobody is parked on either side: no notify at all.
+        for id in 0..100 {
+            assert_eq!((offer(id, None), offer(id, now)), (Ok(()), Ok(())));
+            assert!(matches!(offer(id, now), Err(PvfsError::Timeout(_))));
+            assert_eq!((far.next_id(), far.next_id()), (Some(id), Some(id)));
+        }
+        assert_eq!(far.wakes(), 0);
+        far.await_parked((0, 0));
+        std::thread::scope(|scope| {
+            // One worker parked: the offer that feeds it notifies, once;
+            // the next one, with nobody waiting any more, does not.
+            let parked = scope.spawn(|| far.next_id());
+            far.await_parked((1, 0));
+            assert_eq!(offer(7, None), Ok(()));
+            assert_eq!(parked.join().unwrap(), Some(7));
+            assert_eq!(far.wakes(), 1);
+            assert_eq!((offer(8, None), offer(9, None)), (Ok(()), Ok(())));
+            assert_eq!(far.wakes(), 1);
+            // One offer parked on the full queue: the take that makes
+            // room notifies it, once.
+            let parked = scope.spawn(|| offer(10, None));
+            far.await_parked((0, 1));
+            assert_eq!(far.next_id(), Some(8));
+            assert_eq!(parked.join().unwrap(), Ok(()));
+            assert_eq!(far.wakes(), 2);
+        });
+        assert_eq!((far.next_id(), far.next_id()), (Some(9), Some(10)));
+        assert_eq!(far.wakes(), 2);
+        // A wait for room that timed out took itself off the count.
+        assert_eq!((offer(11, None), offer(12, None)), (Ok(()), Ok(())));
+        let waited = offer(13, Some(Duration::from_millis(1)));
+        assert!(matches!(waited, Err(PvfsError::Timeout(_))));
+        assert_eq!((far.parked(), far.wakes()), ((0, 0), 2));
+    }
+
+    /// Capacity 1 keeps both sides parking all the time, every offer on
+    /// a patience that often runs out (and must take itself off the
+    /// count): a wake-up lost anywhere hangs this test, a frame lost or
+    /// doubled fails it. Closing the door wakes the workers for good.
+    #[test]
+    fn no_wakeup_is_lost_at_capacity_one() {
+        const EACH: u64 = 10_000;
+        let (door, far) = Door::unmanned(1, Arc::new(Recording::default()));
+        let (tx, _) = sync_channel(1);
+        let patience = Some(Duration::from_micros(50));
+        let mut all: Vec<u64> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| std::iter::from_fn(|| far.next_id()).collect::<Vec<_>>()))
+                .collect();
+            let offerers: Vec<_> = (0..4u64)
+                .map(|p| {
+                    let (door, tx) = (&door, &tx);
+                    scope.spawn(move || {
+                        for id in p * EACH..(p + 1) * EACH {
+                            while let Err(error) = offer_ping(door, tx, id, patience) {
+                                assert!(matches!(error, PvfsError::Timeout(_)), "{error:?}");
+                            }
+                        }
+                    })
+                })
+                .collect();
+            offerers.into_iter().for_each(|o| o.join().unwrap());
+            door.close();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        all.sort_unstable();
+        assert!(all.into_iter().eq(0..4 * EACH));
     }
 }

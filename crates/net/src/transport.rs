@@ -27,11 +27,12 @@
 
 use bytes::BytesMut;
 use pvfs_proto::{decode_frame_id, Frame};
-use pvfs_types::{PvfsError, PvfsResult, RequestId, ServerId};
+use pvfs_types::{clock, PvfsError, PvfsResult, RequestId, ServerId};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, Weak};
+use std::thread::Thread;
 use std::time::Duration;
 
-use crate::chan::{bounded, Address, Receiver, RecvTimeoutError, Sender};
 use crate::serve::{Door, ReplyPath};
 use crate::spares::{Lent, Spares, MAX_SPARE_CAPACITY};
 use crate::WINDOW;
@@ -195,9 +196,9 @@ pub(crate) type ChanReply = Result<(Frame, BytesMut), RequestId>;
 /// its deadline.
 #[derive(Debug)]
 pub(crate) struct ReplyTo {
-    /// Not a sender of the lane's channel, only its address: the lane
-    /// holds a sender for as long as anyone could be listening.
-    lane: Address<ChanReply>,
+    lane: SyncSender<ChanReply>,
+    /// The thread that waits on the lane: unparked once this is sent.
+    waiter: Thread,
     id: RequestId,
     answered: bool,
     /// One of the lane's read buffers (the empty buffer: it had none to
@@ -213,6 +214,7 @@ impl ReplyTo {
         self.answered = true;
         let spare = std::mem::take(&mut self.spare);
         let _ = self.lane.send(Ok((reply.into(), spare)));
+        self.waiter.unpark();
     }
 }
 
@@ -222,18 +224,19 @@ impl Drop for ReplyTo {
             // Never block in a drop: with no room for the notice, the
             // request times out instead.
             let _ = self.lane.try_send(Err(self.id));
+            self.waiter.unpark();
         }
     }
 }
 
-/// The in-process transport: a lane is one bounded reply channel whose
-/// address every frame sent on it carries, and [`Lane::send`] is to a
-/// daemon's [`Door`] what a TCP connection's reader is — it offers the
-/// frame ([`Door::offer`] has the admission rule) and tells a refusal to
-/// the sender's face. Where the manager's full queue makes a connection's
-/// reader wait for ever, a lane waits at most [`DEFAULT_RPC_TIMEOUT`]: a
-/// wedged manager must yield [`PvfsError::Timeout`] rather than hang the
-/// sender.
+/// The in-process transport: a lane is one bounded reply channel (std's
+/// `sync_channel`), a sender of which goes with every frame sent on it,
+/// and [`Lane::send`] is to a daemon's [`Door`] what a TCP connection's
+/// reader is — it offers the frame ([`Door::offer`] has the admission
+/// rule) and tells a refusal to the sender's face. Where the manager's
+/// full queue makes a connection's reader wait for ever, a lane waits at
+/// most [`DEFAULT_RPC_TIMEOUT`]: a wedged manager must yield
+/// [`PvfsError::Timeout`] rather than hang the sender.
 ///
 /// Lanes are pooled the way TCP connections are: a lane parked with
 /// every frame answered goes, box, reply channel and reply buffers, onto
@@ -284,7 +287,7 @@ impl Transport for ChanTransport {
         Ok(parked.unwrap_or_else(|| {
             // Room for a reply to every frame of a full window, so a
             // worker never waits on the client to hand its answer over.
-            let (tx, rx) = bounded(WINDOW);
+            let (tx, rx) = sync_channel(WINDOW);
             Box::new(ChanLane {
                 door: self.doors[slot].clone(),
                 home: Arc::downgrade(&self.idle[slot]),
@@ -319,8 +322,9 @@ struct ChanLane {
     door: Arc<Door>,
     /// Where the lane is parked.
     home: Weak<Parked>,
-    /// Keeps the channel connected while workers hold only its address.
-    tx: Sender<ChanReply>,
+    /// What each frame's `ReplyTo` is cloned from; held, it keeps the
+    /// channel connected whoever else holds a sender.
+    tx: SyncSender<ChanReply>,
     rx: Receiver<ChanReply>,
     spares: Spares<BytesMut>,
     lent: Lent,
@@ -354,7 +358,8 @@ impl Lane for ChanLane {
         // Whoever sends the next frame is done with the replies so far.
         self.spares.sweep(&mut self.lent);
         let reply = ReplyPath::Lane(ReplyTo {
-            lane: self.tx.address(),
+            lane: self.tx.clone(),
+            waiter: std::thread::current(),
             id: decode_frame_id(&frame.head).unwrap_or(RequestId(0)),
             answered: false,
             spare: self.spares.take().unwrap_or_default(),
@@ -377,14 +382,25 @@ impl Lane for ChanLane {
     }
 
     fn recv(&mut self, timeout: Duration) -> Result<Frame, WaitError> {
-        let dropped = || PvfsError::Transport("server dropped reply".into());
-        let answer = self.rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => WaitError::Timeout,
-            // Unreachable while the lane holds a sender of its own.
-            RecvTimeoutError::Disconnected => WaitError::Failed(dropped()),
-        })?;
+        // The thread parks itself, and the reply's `ReplyTo` unparks it:
+        // the channel's own `recv_timeout` makes its list of parked
+        // receivers the first time one parks, and whether an op's wait
+        // parks is timing — what an op allocates must not be.
+        let mut end = None;
+        let answer = loop {
+            // Never cut off: the lane holds a sender of its own.
+            if let Ok(answer) = self.rx.try_recv() {
+                break answer;
+            }
+            let end = *end.get_or_insert_with(|| clock::deadline(timeout));
+            match clock::until(end) {
+                Duration::ZERO => return Err(WaitError::Timeout),
+                left => std::thread::park_timeout(left),
+            }
+        };
         self.owed -= 1;
-        let (reply, unused) = answer.map_err(|id| WaitError::Lost(id, dropped()))?;
+        let lost = |id| WaitError::Lost(id, PvfsError::Transport("server dropped reply".into()));
+        let (reply, unused) = answer.map_err(lost)?;
         self.keep(unused);
         // A payload too large to keep is the reply's alone: no handle on
         // it, it is freed when the reply is dropped.
@@ -411,9 +427,10 @@ mod tests {
 
     impl ReplyTo {
         /// The way back to `lane` for request `id`, with no buffer.
-        pub(crate) fn new(lane: &Sender<ChanReply>, id: RequestId) -> ReplyTo {
+        pub(crate) fn new(lane: &SyncSender<ChanReply>, id: RequestId) -> ReplyTo {
             ReplyTo {
-                lane: lane.address(),
+                lane: lane.clone(),
+                waiter: std::thread::current(),
                 id,
                 answered: false,
                 spare: BytesMut::new(),
