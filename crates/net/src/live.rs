@@ -3,15 +3,18 @@
 //!
 //! # Concurrency model
 //!
-//! Each I/O daemon stands behind one door ([`crate::serve`]):
-//! [`IodConfig::workers`] threads (default
-//! [`pvfs_server::default_workers`], at least one) sharing one request
-//! queue bounded at [`IodConfig::queue_depth`] frames. The daemon itself
+//! Each I/O daemon stands behind one door ([`crate::serve`]): at most
+//! [`IodConfig::workers`] frames in service at once (default
+//! [`pvfs_server::default_workers`], at least one) and one request
+//! queue bounded at [`IodConfig::queue_depth`] frames. A daemon in
+//! memory with no emulated latency is served by whoever offers the
+//! frame while nothing queues; the door's worker threads start the
+//! first time a frame has to wait. The daemon itself
 //! is thread-safe ([`IoDaemon::handle`] takes `&self` over a
 //! handle-sharded file table), so requests for different file handles
 //! execute genuinely in parallel; the bounded queue gives backpressure
 //! instead of unbounded memory growth when clients outrun a server. The
-//! manager's door has one worker over a mutex — metadata operations are
+//! manager's door serves one frame at a time — metadata operations are
 //! rare and order-sensitive. Tearing the cluster down closes every door:
 //! what was admitted is answered first.
 //!
@@ -27,7 +30,7 @@
 //!   one pooled socket per daemon, their window of requests pipelined
 //!   on it; the connection's reader offers them.
 //!
-//! Past the door nothing differs — one admission rule, one worker loop,
+//! Past the door nothing differs — one admission rule, one serve step,
 //! one drain — and [`ClusterClient`] is identical over both: same codec,
 //! same request ids, same deadlines, same diagnostics.
 
@@ -211,8 +214,9 @@ impl LiveCluster {
         self.transport.clone()
     }
 
-    /// Worker threads serving each I/O daemon: what its door started and
-    /// booked in the daemon's `workers` gauge.
+    /// Frames each I/O daemon's door serves at once, inline and by its
+    /// worker threads alike — whether or not those have started: the
+    /// daemon's `workers` gauge.
     pub fn workers_per_server(&self) -> usize {
         self.daemons[0].ledger().workers.load(Ordering::Relaxed) as usize
     }

@@ -14,30 +14,38 @@
 //!   Whoever received the frame calls it — a channel lane's `send`, a TCP
 //!   connection's reader — and delivers a refusal its own way (an `Err`
 //!   to the sender's face; an error reply written by the reader);
-//! * **served** by the one worker loop through [`serve_rpc`], the only
-//!   place the `begin → decode → serve → end` sequence exists, and the
-//!   only place a daemon's `queue` and `service` spans are recorded;
+//! * **served** in one step, scratch → [`serve_rpc`] → answer, the only
+//!   place the `begin → decode → serve → end` sequence exists and a
+//!   daemon's `queue` and `service` spans are recorded. Whoever offered
+//!   the frame runs it to completion if the service never blocks
+//!   ([`Service::never_blocks`]), the queue is empty, the door open and
+//!   fewer than `workers` frames in service — nothing to overlap; any
+//!   other frame queues, and the first to do so starts the door's
+//!   `workers` threads. Either way at most `workers` frames are in
+//!   service at once (the manager's one keeps it serial);
 //! * **answered** down the [`ReplyPath`] it came with — the daemon-side
 //!   twin of the client's `Lane`, and all that differs between the
 //!   transports: where the [`Scratch`] the frame is served out of comes
 //!   from, and how the reply's bytes go back;
 //! * **drained** by [`Door::close`]: the door shuts — every frame
 //!   offered from then on is refused at once — and its workers serve
-//!   what was admitted before they leave; close returns when they have.
+//!   what was admitted before they leave; close returns when they have,
+//!   and no frame is in service inline any more.
 //!
 //! The bookkeeping — wire bytes, queue depth, queue wait, service time,
-//! the workers running — is the [`Ledger`]'s, and the door does it through
-//! [`Service::ledger`] without entering the daemon: accounting a manager
-//! frame takes no manager lock.
+//! how many frames are served at once — is the [`Ledger`]'s, and the
+//! door does it through [`Service::ledger`] without entering the daemon:
+//! accounting a manager frame takes no manager lock.
 //!
 //! # One lock, and nobody woken who was not asleep
 //!
-//! The queue is the door's own: the admitted frames, whether the door
-//! is shut, and the threads parked on it — workers waiting for a frame,
-//! offerers for room — under one mutex, with a condvar for each. A
-//! notify is a system call whether or not anyone is parked, and on the
-//! RPC path nearly nobody is, so an offer or a take notifies only when
-//! the other side's parked count is non-zero. No wake-up is lost by it:
+//! The queue is the door's own: the admitted frames, how many are in
+//! service, whether the door is shut, and the threads parked on it —
+//! workers waiting for a frame or a free slot, offerers for room — under
+//! one mutex, with a condvar for each. A notify is a system call whether
+//! or not anyone is parked, and on the RPC path nearly nobody is, so an
+//! offer, a take or the end of a service notifies only when the other
+//! side's parked count is non-zero. No wake-up is lost by it:
 //! a thread counts itself *before* it releases the mutex to park (the
 //! condvar does both at once) and uncounts itself only with the mutex
 //! held again, however the wait ended — so whoever changes the queue
@@ -48,10 +56,11 @@
 //! # Timing
 //!
 //! A frame's time at the door is three clock readings: when it was
-//! queued, when a worker took it, when the worker was done with it.
-//! Queue wait and service time are the differences, and for a frame that
-//! carries trace context the same readings are its `queue` and `service`
-//! spans — which therefore *are* the histogram samples, to the
+//! queued, when a worker took it (when it was queued, for a frame served
+//! where it was offered: its wait is 0), when the worker was done with
+//! it. Queue wait and service time are the differences, and for a frame
+//! that carries trace context the same readings are its `queue` and
+//! `service` spans — which therefore *are* the histogram samples, to the
 //! nanosecond. A traced request always gets both spans, a zero-length
 //! `queue` one if it never waited, on every daemon alike; whatever the
 //! daemon's storage adds to the span sink nests under `service`.
@@ -61,7 +70,7 @@
 //! What serving a request needs beyond the frame it arrived in — the
 //! list its regions are decoded into, the daemon's read buffer and run
 //! list — is a [`Scratch`] the reply path takes from the spares of the
-//! connection (tcp) or of the door's queue (chan), never from the worker
+//! connection (tcp) or of the door's queue (chan), never from the
 //! thread that happens to serve the frame, and gives back around the
 //! reply; [`serve_rpc`] states the order that makes every buffer of a
 //! frame its owner's again by the time the reply is read.
@@ -112,10 +121,16 @@ pub(crate) trait Service: Send + Sync {
     fn shed(&self) -> Option<PvfsError> {
         None
     }
+    /// Whether serving a request never waits — on a disk, a stall, a
+    /// sync — so the thread that offers a frame may serve it itself.
+    fn never_blocks(&self) -> bool {
+        false
+    }
 }
 
 /// Serve one request frame that entered the queue at the clock reading
-/// `queued_at`, for the daemon named `node`: book the dequeue, decode,
+/// `queued_at` and left it at `taken`, for the daemon named `node`: book
+/// the dequeue, decode,
 /// serve, book the completion — and for a traced frame record its
 /// `queue` and `service` spans from the same readings (module docs).
 /// `scrape` frames (see the module docs) skip both bookings and are never
@@ -135,7 +150,7 @@ pub(crate) trait Service: Send + Sync {
 /// their last holder once the reply they are waiting for arrives, and
 /// takes them back then. The reply is therefore sent *after* this
 /// returns, never from inside [`Service::serve`]. What outlives the
-/// request is in `scratch`, which the worker took from the reply path's
+/// request is in `scratch`, which [`serve_job`] took from the reply path's
 /// [`Spares`](crate::spares::Spares) and gives back: the request's
 /// region list (the next list request is decoded into it), the daemon's
 /// run list, and the buffer a read was gathered into — behind the `Data`
@@ -151,10 +166,10 @@ pub(crate) fn serve_rpc(
     node: &str,
     frame: Frame,
     queued_at: u64,
+    taken: u64,
     scrape: bool,
     scratch: &mut Scratch,
 ) -> (RequestId, Response) {
-    let taken = now_ns();
     let ledger = service.ledger();
     if !scrape {
         ledger.begin(queued_at, taken);
@@ -199,8 +214,8 @@ pub(crate) fn serve_rpc(
     served
 }
 
-/// How the reply to one frame goes back — all a worker needs to know of
-/// the transport the frame came by.
+/// How the reply to one frame goes back — all whoever serves it needs to
+/// know of the transport the frame came by.
 pub(crate) enum ReplyPath {
     /// Over the channel transport: to the lane the request was sent on.
     Lane(ReplyTo),
@@ -276,8 +291,11 @@ struct Queue {
     state: Mutex<State>,
     /// The most frames admitted and not yet taken.
     depth: usize,
-    /// A frame was queued, for a parked worker; room was made, for a
-    /// parked offerer.
+    /// The most frames in service at once, inline and by workers alike:
+    /// how many workers the door starts.
+    workers: usize,
+    /// A frame was queued or left service, for a parked worker (or a
+    /// closer); room was made, for a parked offerer.
     work: Condvar,
     room: Condvar,
     /// Scratch for frames that bring none along (chan).
@@ -291,6 +309,10 @@ struct Queue {
 #[derive(Default)]
 struct State {
     jobs: VecDeque<Job>,
+    /// Frames taken and not yet answered, whichever thread serves them.
+    serving: usize,
+    /// Set once the door's workers are started.
+    started: bool,
     /// Set when the door shuts: nothing is admitted any more, and a
     /// worker that finds the queue empty leaves.
     shut: bool,
@@ -301,7 +323,7 @@ struct State {
 }
 
 impl Queue {
-    fn new(depth: usize) -> Queue {
+    fn new(depth: usize, workers: usize) -> Queue {
         let depth = depth.max(1);
         let jobs = VecDeque::with_capacity(depth);
         Queue {
@@ -310,6 +332,7 @@ impl Queue {
                 ..State::default()
             }),
             depth,
+            workers,
             work: Condvar::new(),
             room: Condvar::new(),
             spares: Mutex::default(),
@@ -318,23 +341,39 @@ impl Queue {
         }
     }
 
-    /// The next admitted frame, waiting for one; `None` once the door is
-    /// shut and every frame it admitted has been taken.
+    /// The next admitted frame once fewer than `workers` are in service,
+    /// waiting for both; `None` once the door is shut and every frame it
+    /// admitted has been taken.
     fn take(&self) -> Option<Job> {
         let mut state = self.state.lock().unwrap();
         loop {
-            if let Some(job) = state.jobs.pop_front() {
-                let offerer = state.waiting_offers > 0;
-                drop(state);
-                if offerer {
-                    self.wake(&self.room);
+            if state.serving < self.workers {
+                if let Some(job) = state.jobs.pop_front() {
+                    state.serving += 1;
+                    let offerer = state.waiting_offers > 0;
+                    drop(state);
+                    if offerer {
+                        self.wake(&self.room);
+                    }
+                    return Some(job);
                 }
-                return Some(job);
             }
-            if state.shut {
+            if state.shut && state.jobs.is_empty() {
                 return None;
             }
             state = park(&self.work, state, |s| &mut s.idle_workers, None);
+        }
+    }
+
+    /// A frame left service: wake the workers parked for want of a
+    /// slot, or — the door shut — whoever waits in [`Door::close`].
+    fn done(&self) {
+        let mut state = self.state.lock().unwrap();
+        state.serving -= 1;
+        let wake = state.idle_workers > 0 && (state.shut || !state.jobs.is_empty());
+        drop(state);
+        if wake {
+            self.work.notify_all();
         }
     }
 
@@ -380,40 +419,49 @@ pub(crate) struct Door {
     pub(crate) name: String,
     queue: Arc<Queue>,
     service: Arc<dyn Service>,
-    /// Emptied by [`close`](Door::close).
+    /// Whether the thread offering a frame may serve it (module docs).
+    inline: bool,
+    /// Filled by [`start`](Door::start), emptied by [`close`](Door::close).
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Door {
-    /// Start `workers` threads (at least one) named `name-w<i>` serving
-    /// `service`, the daemon `name`, off a queue of `depth` frames (at
-    /// least one), and book them in the service's `workers` gauge: it
-    /// reports the threads that run, whatever was configured.
+    /// A door serving `service`, the daemon `name`, at most `workers`
+    /// frames at once (at least one), off a queue of `depth` frames (at
+    /// least one). Its `workers` threads, named `name-w<i>`, start the
+    /// first time a frame has to queue; the service's `workers` gauge
+    /// books the frames served at once from the start.
     pub(crate) fn spawn(
         name: &str,
         workers: usize,
         depth: usize,
         service: Arc<dyn Service>,
     ) -> Arc<Door> {
-        let queue = Arc::new(Queue::new(depth));
-        let threads: Vec<_> = (0..workers.max(1))
-            .map(|i| {
-                let (queue, service) = (queue.clone(), service.clone());
-                let node = name.to_string();
-                std::thread::Builder::new()
-                    .name(format!("{name}-w{i}"))
-                    .spawn(move || work(&queue, &*service, &node))
-                    .expect("spawn door worker")
-            })
-            .collect();
+        let workers = workers.max(1);
         let gauge = &service.ledger().workers;
-        gauge.store(threads.len() as u64, Ordering::Relaxed);
+        gauge.store(workers as u64, Ordering::Relaxed);
         Arc::new(Door {
             name: name.to_string(),
-            queue,
+            queue: Arc::new(Queue::new(depth, workers)),
+            inline: service.never_blocks(),
             service,
-            threads: Mutex::new(threads),
+            threads: Mutex::default(),
         })
+    }
+
+    /// Start the door's workers, under the queue's lock: the only place
+    /// a door's thread is spawned.
+    fn start(&self, state: &mut State) {
+        state.started = true;
+        let mut threads = self.threads.lock().unwrap();
+        threads.extend((0..self.queue.workers).map(|i| {
+            let (queue, service) = (self.queue.clone(), self.service.clone());
+            let node = self.name.clone();
+            std::thread::Builder::new()
+                .name(format!("{node}-w{i}"))
+                .spawn(move || work(&queue, &*service, &node))
+                .expect("spawn door worker")
+        }));
     }
 
     /// The books of the daemon behind the door.
@@ -422,12 +470,14 @@ impl Door {
     }
 
     /// Admit one request frame of `wire_len` bytes on the wire, to be
-    /// answered down `reply`. A full queue is the service's call
-    /// ([`Service::shed`]): refuse the frame at once, or have the caller
-    /// wait for room at most `patience` — for ever without one: a
-    /// connection's reader stops draining its socket and TCP flow control
-    /// pushes back. A shut door refuses every frame, a waiting one too.
-    /// A refused frame leaves `queue_depth` as it found it.
+    /// answered down `reply` — served before this returns, if the door
+    /// lets its caller serve it (module docs). A full queue is the
+    /// service's call ([`Service::shed`]): refuse the frame at once, or
+    /// have the caller wait for room at most `patience` — for ever
+    /// without one: a connection's reader stops draining its socket and
+    /// TCP flow control pushes back. A shut door refuses every frame, a
+    /// waiting one too. A refused frame leaves `queue_depth` as it found
+    /// it.
     ///
     /// Stats scrapes are observers: they skip the accounting, and wait
     /// out a full queue instead of shedding, so observation never
@@ -447,6 +497,14 @@ impl Door {
         }
         let (queue, queued_at) = (&*self.queue, now_ns());
         let mut state = queue.state.lock().unwrap();
+        let idle = !state.shut && state.jobs.is_empty() && state.serving < queue.workers;
+        if self.inline && idle {
+            state.serving += 1;
+            drop(state);
+            let job = (frame, reply, queued_at);
+            serve_job(queue, &*self.service, &self.name, job, queued_at);
+            return Ok(());
+        }
         if !state.shut && state.jobs.len() >= queue.depth {
             // `shed` has taken a refused frame off the queue's books.
             if let Some(refusal) = ledger.and_then(|_| self.service.shed()) {
@@ -460,6 +518,9 @@ impl Door {
             }
             if state.jobs.len() < queue.depth {
                 state.jobs.push_back((frame, reply, queued_at));
+                if !state.started {
+                    self.start(&mut state);
+                }
                 let worker = state.idle_workers > 0;
                 drop(state);
                 if worker {
@@ -483,12 +544,17 @@ impl Door {
     }
 
     /// Shut the door and drain it: every frame offered from now on is
-    /// refused, and every frame admitted so far is served and answered
-    /// before this returns. Idempotent.
+    /// refused, and every frame admitted so far — queued, or in service
+    /// on the thread that offered it — is served and answered before
+    /// this returns. Idempotent.
     pub(crate) fn close(&self) {
         self.queue.shut();
         for thread in std::mem::take(&mut *self.threads.lock().unwrap()) {
             let _ = thread.join();
+        }
+        let mut state = self.queue.state.lock().unwrap();
+        while state.serving > 0 {
+            state = park(&self.queue.work, state, |s| &mut s.idle_workers, None);
         }
     }
 }
@@ -501,21 +567,40 @@ impl Drop for Door {
     }
 }
 
-/// One worker of the daemon `node`: `scratch → serve_rpc → reply` for
-/// every frame, until the door is shut and its queue empty.
+/// One worker of the daemon `node`: [`serve_job`] every frame it takes,
+/// until the door is shut and its queue empty.
 fn work(queue: &Queue, service: &dyn Service, node: &str) {
-    while let Some((frame, mut reply, queued_at)) = queue.take() {
-        let scrape = frame_is_stats_scrape(&frame.head);
-        let mut scratch = reply.scratch(&queue.spares);
-        let (id, response) = serve_rpc(service, node, frame, queued_at, scrape, &mut scratch);
-        let account = (!scrape).then(|| service.ledger());
-        reply.answer(id, response, scratch, &queue.spares, account);
+    while let Some(job) = queue.take() {
+        serve_job(queue, service, node, job, now_ns());
+    }
+}
+
+/// The one step of serving a frame, whoever takes it — a worker, or
+/// the thread that offered it: `scratch → serve_rpc → answer`, the frame
+/// taken at the clock reading `taken`; then it leaves service.
+fn serve_job(queue: &Queue, service: &dyn Service, node: &str, job: Job, taken: u64) {
+    let _slot = Slot(queue);
+    let (frame, mut reply, queued_at) = job;
+    let scrape = frame_is_stats_scrape(&frame.head);
+    let mut scratch = reply.scratch(&queue.spares);
+    let (id, response) = serve_rpc(service, node, frame, queued_at, taken, scrape, &mut scratch);
+    let account = (!scrape).then(|| service.ledger());
+    reply.answer(id, response, scratch, &queue.spares, account);
+}
+
+/// A frame's place among those in service, given back however its
+/// service ends: a daemon that panics must not hang [`Door::close`].
+struct Slot<'a>(&'a Queue);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.done();
     }
 }
 
 /// A door for each of `daemons`, in server-id order, and last the door
-/// of a fresh manager — which gets one worker, so that metadata
-/// operations stay serialized in arrival order.
+/// of a fresh manager — which serves one frame at a time, so that
+/// metadata operations stay serialized in arrival order.
 pub(crate) fn open_doors(daemons: &[Arc<IoDaemon>], config: IodConfig) -> Vec<Arc<Door>> {
     let iods = daemons.iter().map(|daemon| {
         let name = format!("iod{}", daemon.id().0);
@@ -551,14 +636,22 @@ impl Service for IoDaemon {
             queue_depth: self.config().queue_depth.max(1) as u64,
         })
     }
+
+    fn never_blocks(&self) -> bool {
+        IoDaemon::never_blocks(self)
+    }
 }
 
 /// Metadata operations are rare, order-sensitive and not idempotent:
-/// the manager serializes them itself, and a full queue waits instead of
-/// shedding.
+/// the manager serializes them itself, a full queue waits instead of
+/// shedding, and serving one never waits on anything but the namespace.
 impl Service for Manager {
     fn serve(&self, request: &Request, _: &mut Scratch) -> Response {
         self.handle(request)
+    }
+
+    fn never_blocks(&self) -> bool {
+        true
     }
 
     fn ledger(&self) -> &Ledger {
@@ -585,12 +678,16 @@ mod tests {
     impl Door {
         /// A door nobody works at: what is admitted waits in the queue
         /// for the test, which plays the workers itself at the far end.
+        /// It serves nothing inline and starts no thread of its own.
         fn unmanned(depth: usize, service: Arc<dyn Service>) -> (Arc<Door>, Far) {
-            let queue = Arc::new(Queue::new(depth));
+            let mut queue = Queue::new(depth, usize::MAX);
+            queue.state.get_mut().unwrap().started = true;
+            let queue = Arc::new(queue);
             let door = Door {
                 name: "bare".into(),
                 queue: queue.clone(),
                 service,
+                inline: false,
                 threads: Mutex::default(),
             };
             (Arc::new(door), Far(queue))
@@ -625,6 +722,23 @@ mod tests {
         }
     }
 
+    impl Far {
+        /// The next frame, out of service as soon as it is taken: the
+        /// far end is as many workers as it has threads.
+        fn take(&self) -> Option<Job> {
+            let job = self.0.take()?;
+            self.0.done();
+            Some(job)
+        }
+
+        /// The id of the next frame taken, `None` once the door is shut
+        /// and drained.
+        fn next_id(&self) -> Option<u64> {
+            let (frame, ..) = self.take()?;
+            Some(decode_frame_id(&frame.head).unwrap().0)
+        }
+    }
+
     impl Drop for Far {
         fn drop(&mut self) {
             self.0.shut();
@@ -632,13 +746,6 @@ mod tests {
     }
 
     impl Queue {
-        /// The id of the next frame taken, `None` once the door is shut
-        /// and drained.
-        fn next_id(&self) -> Option<u64> {
-            let (frame, ..) = self.take()?;
-            Some(decode_frame_id(&frame.head).unwrap().0)
-        }
-
         /// Threads counted as parked: (workers, offerers).
         fn parked(&self) -> (usize, usize) {
             let state = self.state.lock().unwrap();
@@ -666,6 +773,7 @@ mod tests {
         served: AtomicU64,
         shed_asked: AtomicU64,
         refusal: Option<PvfsError>,
+        never_blocks: bool,
     }
 
     impl Service for Recording {
@@ -682,6 +790,9 @@ mod tests {
         fn shed(&self) -> Option<PvfsError> {
             self.shed_asked.fetch_add(1, Ordering::Relaxed);
             self.refusal.clone().inspect(|_| self.ledger.shed())
+        }
+        fn never_blocks(&self) -> bool {
+            self.never_blocks
         }
     }
 
@@ -710,7 +821,7 @@ mod tests {
         let service = Recording::default();
         let scratch = &mut Scratch::default();
         let scrape = frame(5, Request::GetStats);
-        let (id, _) = serve_rpc(&service, "t", scrape, now_ns(), true, scratch);
+        let (id, _) = serve_rpc(&service, "t", scrape, now_ns(), now_ns(), true, scratch);
         assert_eq!(id, RequestId(5));
         assert_eq!(service.served.load(Ordering::Relaxed), 1);
         assert_eq!(service.ledger.snapshot(), StatsSnapshot::default());
@@ -720,6 +831,7 @@ mod tests {
             &service,
             "t",
             frame(6, Request::Ping),
+            now_ns(),
             now_ns(),
             false,
             scratch,
@@ -747,7 +859,7 @@ mod tests {
         let cut = Frame::from(whole.slice(0..whole.len() - 3));
         let scratch = &mut Scratch::default();
         service.ledger.queued();
-        let (id, response) = serve_rpc(&service, "t", cut, now_ns(), false, scratch);
+        let (id, response) = serve_rpc(&service, "t", cut, now_ns(), now_ns(), false, scratch);
         assert_eq!(id, RequestId(9), "the header's id, not the reserved 0");
         assert!(matches!(response, Response::Error(PvfsError::Protocol(_))));
         assert_eq!(service.served.load(Ordering::Relaxed), 0);
@@ -759,7 +871,7 @@ mod tests {
         // No readable header: the reserved id.
         service.ledger.queued();
         let headless = Frame::from(whole.slice(0..7));
-        let (id, _) = serve_rpc(&service, "t", headless, now_ns(), false, scratch);
+        let (id, _) = serve_rpc(&service, "t", headless, now_ns(), now_ns(), false, scratch);
         assert_eq!(id, RequestId(0));
     }
 
@@ -780,7 +892,7 @@ mod tests {
         let queued_at = now_ns();
         let frame = traced_frame(1, write, Some(ctx));
         let scratch = &mut Scratch::default();
-        let (_, response) = serve_rpc(&d, "iod0", frame, queued_at, false, scratch);
+        let (_, response) = serve_rpc(&d, "iod0", frame, queued_at, now_ns(), false, scratch);
         assert_eq!(response, Response::Written { bytes: 5 });
 
         let spans = d.recorder().for_trace(ctx.trace);
@@ -817,7 +929,7 @@ mod tests {
         let queued_at = now_ns();
         let frame = traced_frame(1, create, Some(ctx));
         let scratch = &mut Scratch::default();
-        let (_, response) = serve_rpc(&m, "mgr", frame, queued_at, false, scratch);
+        let (_, response) = serve_rpc(&m, "mgr", frame, queued_at, now_ns(), false, scratch);
         assert!(matches!(response, Response::Created { .. }));
 
         let spans = m.recorder().for_trace(ctx.trace);
@@ -873,10 +985,10 @@ mod tests {
         for (service, node) in [(&d as &dyn Service, "iod0"), (&m, "mgr")] {
             service.ledger().queued();
             let ping = frame(1, Request::Ping);
-            serve_rpc(service, node, ping, now_ns(), false, scratch);
+            serve_rpc(service, node, ping, now_ns(), now_ns(), false, scratch);
             let ctx = Some(context());
             let scrape = traced_frame(2, Request::GetTrace { trace: TraceId(1) }, ctx);
-            serve_rpc(service, node, scrape, now_ns(), true, scratch);
+            serve_rpc(service, node, scrape, now_ns(), now_ns(), true, scratch);
             assert!(service.recorder().is_empty(), "{node}");
         }
     }
@@ -1251,5 +1363,211 @@ mod tests {
         });
         all.sort_unstable();
         assert!(all.into_iter().eq(0..4 * EACH));
+    }
+
+    fn threads(door: &Door) -> usize {
+        door.threads.lock().unwrap().len()
+    }
+
+    /// A daemon that never blocks — in memory, no emulated latency — and
+    /// the manager are served by whoever offers the frame: the reply is
+    /// there before `offer` returns, no thread is started, and a traced
+    /// frame's `queue` span is empty.
+    #[test]
+    fn a_service_that_never_blocks_is_served_where_it_is_offered() {
+        let iod = Arc::new(IoDaemon::with_defaults(ServerId(0)));
+        for door in open_doors(&[iod], IodConfig::default()) {
+            let (tx, rx) = sync_channel(1);
+            let ctx = context();
+            let reply = ReplyPath::Lane(ReplyTo::new(&tx, RequestId(1)));
+            let frame = traced_frame(1, Request::Ping, Some(ctx));
+            assert!(door.offer(frame, 16, reply, None).is_ok());
+            let (answer, _) = rx.try_recv().expect("answered inline").unwrap();
+            assert_eq!(decode_response_id(&answer.head), Some(RequestId(1)));
+            assert_eq!(threads(&door), 0, "{}", door.name);
+            let spans = door.service.recorder().for_trace(ctx.trace);
+            assert_eq!((spans[0].op.as_str(), spans[0].dur_ns), ("queue", 0));
+            let books = door.ledger().snapshot();
+            assert_eq!((books.queue_wait.sum_ns(), books.queue_depth), (0, 0));
+            door.close();
+        }
+    }
+
+    /// A daemon that can block queues every frame, and its door starts
+    /// exactly `workers` threads when the first one comes — none before.
+    /// The `workers` gauge reads the configured count all along.
+    #[test]
+    fn a_service_that_can_block_starts_its_workers_on_its_first_frame() {
+        let config = IodConfig {
+            workers: 3,
+            emulated_latency: Some(Duration::from_millis(1)),
+            ..IodConfig::default()
+        };
+        let iod = Arc::new(IoDaemon::new(ServerId(0), config));
+        let door = open_doors(std::slice::from_ref(&iod), config).remove(0);
+        assert_eq!((threads(&door), iod.ledger().snapshot().workers), (0, 3));
+        let (tx, rx) = sync_channel(4);
+        for id in 1..=2 {
+            assert!(offer_ping(&door, &tx, id, None).is_ok());
+            assert_eq!(threads(&door), 3);
+        }
+        door.close();
+        assert_eq!(rx.try_iter().count(), 2);
+        // A cluster's gauge, before any frame: the configured count.
+        let cluster = crate::LiveCluster::spawn_with(2, config);
+        assert_eq!(cluster.workers_per_server(), 3);
+    }
+
+    /// Served inline or by a worker, never more than `workers` frames of
+    /// a door are in service at once: 2 of an I/O daemon's, 1 of the
+    /// manager's. Four threads offer at once; the frames that find every
+    /// slot taken queue, start the workers and are served by them.
+    #[test]
+    fn no_more_than_workers_frames_are_ever_in_service() {
+        #[derive(Default)]
+        struct Peak(Recording, AtomicU64, AtomicU64, AtomicU64);
+        impl Service for Peak {
+            fn serve(&self, request: &Request, scratch: &mut Scratch) -> Response {
+                let now = self.1.fetch_add(1, Ordering::SeqCst) + 1;
+                self.2.fetch_max(now, Ordering::SeqCst);
+                let name = std::thread::current().name().map(|n| n.starts_with("t-w"));
+                if name == Some(true) {
+                    self.3.fetch_add(1, Ordering::Relaxed);
+                }
+                std::thread::sleep(Duration::from_micros(50));
+                self.1.fetch_sub(1, Ordering::SeqCst);
+                self.0.serve(request, scratch)
+            }
+            fn ledger(&self) -> &Ledger {
+                &self.0.ledger
+            }
+            fn recorder(&self) -> &FlightRecorder {
+                &self.0.recorder
+            }
+            fn never_blocks(&self) -> bool {
+                true
+            }
+        }
+        const EACH: u64 = 200;
+        for workers in [2, 1] {
+            let service = Arc::new(Peak::default());
+            let door = Door::spawn("t", workers, 64, service.clone());
+            std::thread::scope(|scope| {
+                for t in 0..4 {
+                    let door = &door;
+                    scope.spawn(move || {
+                        let (tx, _rx) = sync_channel(EACH as usize);
+                        for id in t * EACH..(t + 1) * EACH {
+                            assert!(offer_ping(door, &tx, id, None).is_ok());
+                        }
+                    });
+                }
+            });
+            door.close();
+            let peak = service.2.load(Ordering::SeqCst);
+            assert!(
+                peak <= workers as u64,
+                "{peak} in service, {workers} allowed"
+            );
+            assert_eq!(service.0.served.load(Ordering::Relaxed), 4 * EACH);
+            let by_workers = service.3.load(Ordering::Relaxed);
+            assert!(
+                (1..4 * EACH).contains(&by_workers),
+                "{by_workers} by workers"
+            );
+        }
+    }
+
+    /// `close` returns only once a frame in service on the thread that
+    /// offered it is answered.
+    #[test]
+    fn close_waits_for_a_frame_served_inline() {
+        struct Held(Recording, Mutex<mpsc::Receiver<()>>);
+        impl Service for Held {
+            fn serve(&self, request: &Request, scratch: &mut Scratch) -> Response {
+                let response = self.0.serve(request, scratch);
+                let _ = self.1.lock().unwrap().recv();
+                response
+            }
+            fn ledger(&self) -> &Ledger {
+                &self.0.ledger
+            }
+            fn recorder(&self) -> &FlightRecorder {
+                &self.0.recorder
+            }
+            fn never_blocks(&self) -> bool {
+                true
+            }
+        }
+        let (release, held) = mpsc::channel();
+        let service = Arc::new(Held(Recording::default(), Mutex::new(held)));
+        let door = Door::spawn("t", 1, 4, service.clone());
+        let (tx, rx) = sync_channel(1);
+        std::thread::scope(|scope| {
+            let offering = scope.spawn(|| offer_ping(&door, &tx, 1, None));
+            while service.0.served.load(Ordering::Relaxed) == 0 {
+                std::thread::yield_now();
+            }
+            let closing = scope.spawn(|| door.close());
+            while !door.queue.state.lock().unwrap().shut {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(Duration::from_millis(20));
+            let early = closing.is_finished();
+            release.send(()).unwrap();
+            closing.join().unwrap();
+            assert!(!early, "close left a frame in service");
+            assert!(rx.try_recv().is_ok(), "answered before close returned");
+            assert_eq!(offering.join().unwrap(), Ok(()));
+        });
+        assert_eq!(threads(&door), 0);
+    }
+
+    /// The unmanned door of protocol tests serves nothing and starts no
+    /// thread, whatever its service: every frame waits at the far end.
+    #[test]
+    fn an_unmanned_door_never_serves_inline_nor_starts_a_worker() {
+        let service = Arc::new(Recording {
+            never_blocks: true,
+            ..Recording::default()
+        });
+        let (door, far) = Door::unmanned(2, service.clone());
+        let (tx, _rx) = sync_channel(2);
+        for id in 1..=2 {
+            assert!(offer_ping(&door, &tx, id, None).is_ok());
+        }
+        assert_eq!(
+            (service.served.load(Ordering::Relaxed), threads(&door)),
+            (0, 0)
+        );
+        assert_eq!((far.next_id(), far.next_id()), (Some(1), Some(2)));
+    }
+
+    /// A frame whose service panics still leaves service: the worker
+    /// that served it is gone, and `close` returns all the same.
+    #[test]
+    fn a_serve_that_panics_does_not_hang_close() {
+        #[derive(Default)]
+        struct Panics(Ledger, FlightRecorder);
+        impl Service for Panics {
+            fn serve(&self, _: &Request, _: &mut Scratch) -> Response {
+                panic!("a daemon bug");
+            }
+            fn ledger(&self) -> &Ledger {
+                &self.0
+            }
+            fn recorder(&self) -> &FlightRecorder {
+                &self.1
+            }
+        }
+        let door = Door::spawn("t", 1, 4, Arc::new(Panics::default()));
+        let (tx, rx) = sync_channel(1);
+        assert!(offer_ping(&door, &tx, 1, None).is_ok());
+        door.close();
+        assert_eq!(door.queue.state.lock().unwrap().serving, 0);
+        assert!(
+            matches!(rx.try_recv(), Ok(Err(RequestId(1)))),
+            "the frame is lost"
+        );
     }
 }

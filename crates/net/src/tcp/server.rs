@@ -2,19 +2,27 @@
 //! the same [`Door`]s the channel transport offers its frames to.
 //!
 //! One daemon = one `TcpListener` on loopback + one acceptor thread +
-//! one reader thread per accepted connection + the daemon's door. A
-//! client keeps one connection per daemon and pipelines its window of
-//! requests on it, so a reader does nothing but reassemble
-//! length-prefixed frames — every complete frame a `read` delivered,
-//! through a staging buffer, before it blocks again — and offer them to
-//! the door ([`Door::offer`] has the admission rule). A frame the door
-//! refuses — shed off an I/O daemon's full queue — the reader answers
-//! itself, at once, with the error. Where nothing is shed (the manager,
-//! stats scrapes) the reader waits in `offer`, stops draining its
-//! socket, and TCP flow control pushes back.
+//! one reader thread per accepted connection + the daemon's door, whose
+//! `workers` threads start only once a frame has to queue. A client
+//! keeps one connection per daemon and pipelines its window of requests
+//! on it, so a reader reassembles length-prefixed frames — every
+//! complete frame a `read` delivered, through a staging buffer, before
+//! it blocks again — and offers them to the door ([`Door::offer`] has
+//! the admission rule). A frame the door refuses — shed off an I/O
+//! daemon's full queue — the reader answers itself, at once, with the
+//! error. Where nothing is shed (the manager, stats scrapes) the reader
+//! waits in `offer`, stops draining its socket, and TCP flow control
+//! pushes back.
+//!
+//! A daemon that never blocks has the reader serve the frame and write
+//! its reply itself, reading nothing meanwhile. That cannot wedge the
+//! connection: a client's round is one op kind, so either its requests
+//! are large (writes) and their replies a few bytes, or its replies are
+//! large (reads) and its requests a few bytes — the small direction
+//! never fills, so the large one always drains.
 //!
 //! Responses go back over the connection the request arrived on
-//! ([`ReplyPath::Conn`]), in the order the workers finish. The write
+//! ([`ReplyPath::Conn`]), in the order they are served. The write
 //! half is wrapped in a mutex so workers finishing out of order (the
 //! requests pipelined on one connection) interleave whole frames, never
 //! partial ones; request ids let the peer attribute them.

@@ -28,7 +28,7 @@
 use bytes::BytesMut;
 use pvfs_proto::{decode_frame_id, Frame};
 use pvfs_types::{clock, PvfsError, PvfsResult, RequestId, ServerId};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, Weak};
 use std::thread::Thread;
 use std::time::Duration;
@@ -209,11 +209,22 @@ pub(crate) struct ReplyTo {
 
 impl ReplyTo {
     /// Hand `reply` to the lane (whoever holds it may be gone; then
-    /// nobody is waiting either).
+    /// nobody is waiting either). The channel holds a window of replies,
+    /// and is full only once the lane owes more — flights that timed out
+    /// still being answered. Then a worker waits for the lane to take
+    /// one, but the lane's own thread, serving its frame inline, never
+    /// blocks on itself: its reply is lost, and that flight times out
+    /// too. Unparking that thread leaves it a token, and its next park
+    /// returns at once: one harmless spurious wake.
     pub(crate) fn send(mut self, reply: impl Into<Frame>) {
         self.answered = true;
         let spare = std::mem::take(&mut self.spare);
-        let _ = self.lane.send(Ok((reply.into(), spare)));
+        let sent = self.lane.try_send(Ok((reply.into(), spare)));
+        if let Err(TrySendError::Full(reply)) = sent {
+            if self.waiter.id() != std::thread::current().id() {
+                let _ = self.lane.send(reply);
+            }
+        }
         self.waiter.unpark();
     }
 }
@@ -285,8 +296,8 @@ impl Transport for ChanTransport {
         };
         let parked = parked(&self.idle[slot]).pop();
         Ok(parked.unwrap_or_else(|| {
-            // Room for a reply to every frame of a full window, so a
-            // worker never waits on the client to hand its answer over.
+            // Room for a reply to every frame of a full window, so
+            // whoever answers never waits on the client to take one.
             let (tx, rx) = sync_channel(WINDOW);
             Box::new(ChanLane {
                 door: self.doors[slot].clone(),
@@ -496,5 +507,25 @@ mod tests {
         assert_eq!(parked(), 1);
         drop(transport.lane(target).unwrap());
         assert_eq!(parked(), 0);
+    }
+
+    /// A daemon that never blocks answers on the sending thread itself,
+    /// into the lane's own reply channel: a full window of frames sent
+    /// before the first `recv` never finds it full, and every reply is
+    /// there at once, in order.
+    #[test]
+    fn a_window_sent_to_an_inline_door_is_answered_before_the_first_recv() {
+        let iod = Arc::new(pvfs_server::IoDaemon::with_defaults(ServerId(0)));
+        let doors = crate::serve::open_doors(&[iod], pvfs_server::IodConfig::default());
+        let transport = ChanTransport::new(doors);
+        let mut lane = transport.lane(RpcTarget::Server(ServerId(0))).unwrap();
+        for id in 1..=WINDOW as u64 {
+            lane.send(ping(id)).unwrap();
+        }
+        for id in 1..=WINDOW as u64 {
+            let reply = lane.recv(Duration::ZERO).unwrap();
+            assert_eq!(decode_response_id(&reply.head), Some(RequestId(id)));
+        }
+        assert!(matches!(lane.recv(Duration::ZERO), Err(WaitError::Timeout)));
     }
 }

@@ -287,10 +287,12 @@ fn manager_scrape_over_tcp() {
     assert_manager_scrape_works(TransportKind::Tcp);
 }
 
-/// The `workers` gauge counts the threads that run, not the number
-/// configured: a daemon asked for none is still served by one.
+/// The `workers` gauge counts the frames a daemon serves at once, not
+/// the number configured, and not the threads its door has started
+/// (none, for a memory daemon serving one client): a daemon asked for
+/// none still serves one.
 #[test]
-fn the_workers_gauge_counts_the_threads_that_run() {
+fn the_workers_gauge_counts_the_frames_served_at_once() {
     for kind in [TransportKind::Chan, TransportKind::Tcp] {
         let config = IodConfig {
             workers: 0,

@@ -797,3 +797,56 @@ fn small_frames_wait_for_the_flush_and_a_large_one_does_not() {
     lane.send(write(3, 64 << 10)).unwrap();
     assert_eq!(arrived(&mut conn).unwrap().unwrap().id, RequestId(3));
 }
+
+/// A memory daemon's reader serves each frame itself, and does not read
+/// its socket while it writes the reply. A round is one op kind, so
+/// either the requests are large and their replies small or the other
+/// way round, and one direction always drains: a read round whose
+/// replies together overflow the socket buffers, and a write round of
+/// frames as large, both complete byte for byte.
+#[test]
+fn a_reader_serving_inline_completes_rounds_larger_than_the_socket_buffers() {
+    const FRAME: u64 = 4 << 20;
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let cluster = LiveCluster::spawn_transport(1, IodConfig::default(), TransportKind::Tcp);
+        let c = cluster.client();
+        let (handle, l) = (FileHandle(7), layout(1));
+        let bytes = |i: u64| Bytes::from(vec![i as u8 + 1; FRAME as usize]);
+        let region = |i: u64| Region::new(i * FRAME, FRAME);
+        let writes = (0..4)
+            .map(|i| {
+                let (region, data) = (region(i), bytes(i));
+                let write = Request::Write {
+                    handle,
+                    layout: l,
+                    region,
+                    data,
+                };
+                (ServerId(0), write)
+            })
+            .collect();
+        for written in c.round(writes).unwrap() {
+            assert_eq!(written, Response::Written { bytes: FRAME });
+        }
+        let reads = (0..4)
+            .map(|i| {
+                (
+                    ServerId(0),
+                    Request::Read {
+                        handle,
+                        layout: l,
+                        region: region(i),
+                    },
+                )
+            })
+            .collect();
+        for (i, read) in (0..4).zip(c.round(reads).unwrap()) {
+            assert_eq!(read, Response::Data { data: bytes(i) }, "read {i}");
+        }
+        done.send(()).unwrap();
+    });
+    finished
+        .recv_timeout(Duration::from_secs(60))
+        .expect("both rounds complete");
+}

@@ -249,6 +249,12 @@ impl IoDaemon {
         self.config
     }
 
+    /// Whether serving a request never waits on a device or a stall: in
+    /// memory, with no emulated latency.
+    pub fn never_blocks(&self) -> bool {
+        matches!(self.storage, StorageConfig::Mem) && self.config.emulated_latency.is_none()
+    }
+
     /// This daemon's books: the transport in front of it accounts wire
     /// traffic and queueing through this, with no call into the daemon,
     /// and a `GetStats` scrape is its `snapshot()`.

@@ -14,12 +14,15 @@ use pvfs::client::PvfsFile;
 use pvfs::core::{Method, MethodConfig};
 use pvfs::net::tcp::{TcpCluster, TcpTransport};
 use pvfs::net::{
-    ClusterClient, FaultPlan, Lane, LiveCluster, RetryPolicy, RpcTarget, SerialGate, Transport,
-    TransportKind, WaitError, WINDOW,
+    BreakerPolicy, ClusterClient, FaultPlan, Lane, LiveCluster, RetryPolicy, RpcTarget, SerialGate,
+    Transport, TransportKind, WaitError, WINDOW,
 };
-use pvfs::proto::{decode_frame, decode_response_id, Frame};
+use pvfs::proto::{decode_frame, decode_response_id, Frame, Request};
 use pvfs::server::{IoDaemon, IodConfig};
-use pvfs::types::{ClientId, PvfsResult, RegionList, RequestId, ServerId, StripeLayout};
+use pvfs::types::{
+    ClientId, FileHandle, PvfsError, PvfsResult, Region, RegionList, RequestId, ServerId,
+    StripeLayout,
+};
 use pvfs::workloads::{verify, Cyclic};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -420,4 +423,44 @@ fn replies_larger_than_the_socket_buffers_do_not_stall_the_window() {
         .unwrap();
     assert_eq!(report.rounds, 2 * WINDOW as u64);
     assert!(back == content);
+}
+
+/// A flight that times out gives its place in the window up while its
+/// reply is still to come, so a chan lane can owe a slow daemon more
+/// than `WINDOW` replies — more than its reply channel holds. That is
+/// no invariant to assert: the stream still ends, in time, with the
+/// timeout, and every late reply is dropped by its id.
+#[test]
+fn a_chan_lane_may_owe_more_than_a_window_after_timeouts() {
+    let config = IodConfig {
+        workers: 1,
+        emulated_latency: Some(Duration::from_millis(20)),
+        ..IodConfig::default()
+    };
+    let cluster = LiveCluster::spawn_transport(1, config, TransportKind::Chan);
+    let retry = RetryPolicy {
+        max_attempts: 3,
+        base_backoff: Duration::from_millis(1),
+        max_backoff: Duration::from_millis(2),
+        budget: Duration::from_secs(5),
+    };
+    let never_open = BreakerPolicy {
+        threshold: 1000,
+        open_for: Duration::from_millis(1),
+    };
+    let client = cluster
+        .client()
+        .with_rpc_timeout(Duration::from_millis(5))
+        .with_retry_policy(retry)
+        .with_breaker_policy(never_open);
+    let read = |i: u64| Request::Read {
+        handle: FileHandle(1),
+        layout: StripeLayout::new(0, 1, 16).unwrap(),
+        region: Region::new(i * 10, 10),
+    };
+    let started = Instant::now();
+    let reads = (0..2 * WINDOW as u64).map(|i| (ServerId(0), read(i)));
+    let outcome = client.round(reads.collect());
+    assert!(matches!(outcome, Err(PvfsError::Timeout(_))), "{outcome:?}");
+    assert!(started.elapsed() < Duration::from_secs(5));
 }
