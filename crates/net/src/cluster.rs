@@ -96,8 +96,8 @@ pub struct ClusterClient {
     rpc_timeout: Duration,
     retry: RetryPolicy,
     pub(crate) stats: Arc<ClientLedger>,
-    /// Per-daemon failure detector + circuit breakers, shared by every
-    /// clone: all of an endpoint's traffic contributes health signal.
+    /// Per-daemon circuit breakers and shed-narrowed windows, shared by
+    /// every clone: all of an endpoint's traffic feeds them.
     health: Arc<HealthTracker>,
     /// Stripe replication placement (`PVFS_REPLICAS`); one copy per
     /// slot (today's behavior) unless mirroring is configured.
@@ -149,7 +149,7 @@ impl ClusterClient {
     ) -> ClusterClient {
         let health = Arc::new(HealthTracker::new(
             transport.n_servers(),
-            BreakerPolicy::from_env(),
+            BreakerPolicy::default(),
         ));
         // Malformed replication env panics like the other PVFS_*
         // variables: a typo'd run must not silently change placement.
@@ -215,8 +215,9 @@ impl ClusterClient {
         self.retry
     }
 
-    /// This endpoint with a fresh [`HealthTracker`] under a different
-    /// breaker policy ([`BreakerPolicy::off`] disables breakers).
+    /// This endpoint with a fresh [`HealthTracker`] under a breaker
+    /// policy other than the default (tests pin thresholds with it;
+    /// [`BreakerPolicy::off`] disables breakers).
     /// Existing clones keep the tracker they were built with; clones
     /// taken *after* this call share the new one.
     pub fn with_breaker_policy(mut self, policy: BreakerPolicy) -> ClusterClient {
@@ -278,16 +279,16 @@ impl ClusterClient {
         TraceTree::assemble(trace, spans)
     }
 
-    /// The per-daemon failure detector (breaker states, EWMA latency)
-    /// of this endpoint and all its clones.
+    /// The per-daemon breakers and windows of this endpoint and all its
+    /// clones.
     pub fn health(&self) -> &HealthTracker {
         &self.health
     }
 
     /// Probe one daemon's liveness with the cheap [`Request::Ping`] RPC
     /// and return its current queue depth. The probe rides the ordinary
-    /// call path on purpose: its round-trip feeds the same
-    /// [`HealthTracker`] EWMA and breaker as real traffic, so a
+    /// call path on purpose: its outcome feeds the same breaker, and its
+    /// round trip the same `rpc_latency`, as real traffic, so a
     /// background pinger doubles as a failure detector. A ping to an
     /// open-circuit daemon fails fast with `Unavailable` — use
     /// [`ClusterClient::health`] to watch for the half-open window if
@@ -417,9 +418,9 @@ impl ClusterClient {
     /// With `PVFS_REPLICAS` > 1 every data op expands transparently:
     /// writes fan out to all `r` copies of their stripe slot and
     /// succeed once the configured quorum acknowledges; reads go to the
-    /// healthiest copy (breaker state, then latency EWMA) and *fail
-    /// over* to the next mirror on breaker-open/timeout instead of
-    /// erroring the round. At `r = 1` (the default) every op goes out
+    /// first copy whose breaker admits them (the primary, unless its
+    /// breaker is open) and *fail over* to the next mirror on
+    /// breaker-open/timeout instead of erroring the round. At `r = 1` (the default) every op goes out
     /// as given — the same pipeline, with nothing to expand.
     pub fn round(&self, requests: Vec<(ServerId, Request)>) -> PvfsResult<Vec<Response>> {
         let active = self.tracer.begin("round");

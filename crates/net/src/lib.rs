@@ -64,12 +64,12 @@
 //! brown-out local ([`health`] has the model):
 //!
 //! * **failure detection** — every RPC outcome (plus the cheap `Ping`
-//!   probe) feeds a per-daemon [`HealthTracker`]: EWMA latency and
-//!   consecutive-failure streaks;
-//! * **circuit breakers** — `PVFS_BREAKER`: a daemon past its failure
-//!   threshold fails fast with `PvfsError::Unavailable` (closed →
-//!   open → half-open probe → closed), so retries stop hammering a
-//!   corpse and rounds touching it cost microseconds, not timeouts;
+//!   probe) feeds a per-daemon [`HealthTracker`]'s failure streak;
+//! * **circuit breakers** — a daemon past its failure threshold
+//!   ([`BreakerPolicy`]) fails fast with `PvfsError::Unavailable`
+//!   (closed → open → one half-open probe → closed), so retries stop
+//!   hammering a corpse and rounds touching it cost microseconds, not
+//!   timeouts;
 //! * **load shedding** — a daemon whose bounded queue is full answers
 //!   `PvfsError::Overloaded` (retryable, provably unexecuted)
 //!   immediately instead of stalling the client into its timeout; the
@@ -93,7 +93,7 @@ pub mod transport;
 pub use cluster::{ClusterClient, OpStream, DEFAULT_RPC_TIMEOUT, WINDOW};
 pub use fault::{FaultCounts, FaultKind, FaultPlan, FaultyTransport};
 pub use gate::SerialGate;
-pub use health::{BreakerPolicy, BreakerState, HealthTracker, ServerHealthSnapshot};
+pub use health::{BreakerPolicy, BreakerState, HealthTracker};
 pub use live::LiveCluster;
 pub use pvfs_replica::{ReplicaMap, ReplicaPolicy, ReplicaTarget, WriteQuorum};
 pub use pvfs_types::ClientStats;

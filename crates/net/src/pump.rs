@@ -406,7 +406,7 @@ impl<'a, S: OpStream> Pump<'a, S> {
     /// pings, barriers, scrapes) an op is its own single sub-op. Under
     /// replication a write becomes one sub-op per copy (the quorum
     /// decides when the last resolves), a read one sub-op aimed at the
-    /// healthiest copy with the others as its failover chain.
+    /// first copy whose breaker admits it, the others its failover chain.
     fn admit(&mut self, (target, request, ticket): (RpcTarget, Request, S::Ticket), now: u64) {
         let client = self.client;
         let map = client.replica_map();
@@ -435,14 +435,11 @@ impl<'a, S: OpStream> Pump<'a, S> {
                 let mut targets = map.copies(layout, slot);
                 quorum = request.op_class() == OpClass::Write;
                 if !quorum {
-                    // Closed breakers first, then the fastest latency EWMA
-                    // (untried copies count as fast — worth probing),
-                    // primary first on ties.
+                    // Copies whose breaker refuses (a probe out included)
+                    // last; the sort is stable, so copy order — the primary
+                    // first — decides the rest.
                     let health = client.health();
-                    targets.sort_by_key(|t| {
-                        let open = health.state(t.server, now) == BreakerState::Open;
-                        (open, health.ewma(t.server).unwrap_or_default(), t.copy)
-                    });
+                    targets.sort_by_key(|t| health.state(t.server, now) == BreakerState::Open);
                 }
                 copies.extend(
                     targets
@@ -532,10 +529,10 @@ impl<'a, S: OpStream> Pump<'a, S> {
     /// spans, and — for any decoded, attributed response, server errors
     /// included, which proves the daemon alive and timely — the
     /// `rpc_latency` sample (control scrapes excepted: reading the books
-    /// must not move them) and the failure detector's, which also clears
-    /// the failure streak and closes a half-open breaker. A shed is the
+    /// must not move them) and a reply for the breaker, which clears the
+    /// failure streak and closes a half-open breaker. A shed is the
     /// exception: the daemon is alive but served nothing, and how fast it
-    /// said so is no sample of either. Only transport-class failures
+    /// said so is no latency sample. Only transport-class failures
     /// (connection loss, timeout) count toward tripping a breaker.
     fn land(&mut self, at: usize, since: u64, outcome: PvfsResult<Response>, now: u64) {
         let client = self.client;
@@ -579,8 +576,7 @@ impl<'a, S: OpStream> Pump<'a, S> {
                             client.stats.rpc_latency.record(took);
                         }
                         if let RpcTarget::Server(server) = target {
-                            let took = Duration::from_nanos(took);
-                            client.health().record_success(server, took);
+                            client.health().record_success(server);
                         }
                     }
                 }
@@ -1202,11 +1198,9 @@ mod tests {
 
         // A refusal served nothing, and how fast it came says nothing of
         // the daemon: the 8 sheds above left no latency sample, nor does
-        // one more, alone (other clients fill iod0's queue), which
-        // leaves the daemon looking no faster than before it.
+        // one more, alone (other clients fill iod0's queue).
         assert_eq!(c.stats().rpc_latency.count(), 128, "the served replies");
         wire.book.queued[0] = 2;
-        let ewma = c.health().ewma(ServerId(0));
         let once = c.clone().with_retry_policy(RetryPolicy::none());
         let shed = wire.round(&once, vec![size(0)]);
         assert!(
@@ -1215,7 +1209,6 @@ mod tests {
         );
         assert_eq!(c.stats().sheds_seen, 9);
         assert_eq!(c.stats().rpc_latency.count(), 128);
-        assert_eq!(c.health().ewma(ServerId(0)), ewma);
     }
 
     /// A shed with nothing of the stream at that daemon to wait for is
@@ -1399,14 +1392,82 @@ mod tests {
             "got {errors:?}"
         );
         assert_eq!(
-            c.health().total_trips(),
-            0,
-            "the error reply broke the streak"
-        );
-        assert_eq!(
             c.health().state(ServerId(0), wire.now),
-            BreakerState::Closed
+            BreakerState::Closed,
+            "the error reply broke the streak: no trip, which would read open for 60 s"
         );
+    }
+
+    /// Which copy a replicated read ships to first, at r = 2 on two
+    /// daemons: a copy whose breaker is open goes last, so a read of a
+    /// slot whose primary has tripped ships to the mirror alone — no
+    /// failover, no deadline — and otherwise the primary goes first,
+    /// however much faster the mirror has been answering.
+    #[test]
+    fn a_replicated_read_skips_an_open_breaker_and_otherwise_prefers_the_primary() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        let read = |slot: u32| {
+            let request = Request::Read {
+                handle: FileHandle(1),
+                layout: StripeLayout::new(0, 2, 16).unwrap(),
+                region: Region::new(u64::from(slot) * 16, 16),
+            };
+            (ServerId(slot), request)
+        };
+        let data = || Response::Data {
+            data: Bytes::from(vec![7; 16]),
+        };
+        let r2 = ReplicaPolicy::new(2, WriteQuorum::All, 2).unwrap();
+
+        // The primary of slot 0 drops its first two replies, tripping its
+        // breaker, and is silent from then on.
+        let sent = Rc::new(RefCell::new([0; 2]));
+        let book = sent.clone();
+        let mut wire = Wire::new(2, move |_, server, _| {
+            book.borrow_mut()[server] += 1;
+            match (server, book.borrow()[0]) {
+                (0, 1 | 2) => Answer::Dropped,
+                (0, _) => Answer::Silent,
+                _ => served(data()),
+            }
+        });
+        let c = wire
+            .client()
+            .with_replica_policy(r2)
+            .with_breaker_policy(BreakerPolicy {
+                threshold: 2,
+                open_for: Duration::from_secs(60),
+            });
+        for _ in 0..2 {
+            assert_eq!(wire.round(&c, vec![read(0)]).unwrap(), [data()]);
+        }
+        assert_eq!(*sent.borrow(), [2, 2]);
+        assert_eq!(c.stats().replica_failovers, 2);
+        assert_eq!(c.health().state(ServerId(0), wire.now), BreakerState::Open);
+        let before = wire.now;
+        assert_eq!(wire.round(&c, vec![read(0)]).unwrap(), [data()]);
+        assert_eq!(*sent.borrow(), [2, 3], "no frame to the open primary");
+        assert_eq!(c.stats().replica_failovers, 2);
+        assert_eq!(wire.now - before, SERVICE, "no deadline waited");
+
+        // Both breakers closed: iod1 answers ten times faster than iod0,
+        // and slot 0's reads still go to iod0, its primary.
+        let sent = Rc::new(RefCell::new([0; 2]));
+        let book = sent.clone();
+        let mut wire = Wire::new(2, move |_, server, _| {
+            book.borrow_mut()[server] += 1;
+            let after = if server == 0 { 10 * SERVICE } else { SERVICE };
+            let response = data();
+            Answer::Reply { after, response }
+        });
+        let c = wire.client().with_replica_policy(r2);
+        for _ in 0..3 {
+            let both = wire.round(&c, vec![read(0), read(1)]).unwrap();
+            assert_eq!(both, [data(), data()]);
+        }
+        assert_eq!(*sent.borrow(), [3, 3], "each slot's reads to its primary");
+        assert_eq!(c.stats().replica_failovers, 0);
     }
 
     /// A round in which one daemon is silent and another refuses

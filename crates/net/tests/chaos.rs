@@ -538,7 +538,6 @@ fn brownout_survives_a_wedged_daemon(kind: TransportKind) {
         c.health().state(ServerId(2), now_ns()),
         BreakerState::Closed
     );
-    assert_eq!(c.health().total_trips(), 1);
     let resp = c.call(RpcTarget::Server(ServerId(2)), write(2)).unwrap();
     assert_eq!(resp, Response::Written { bytes: 16 });
 }
@@ -613,10 +612,10 @@ fn breaker_trips_and_recovers_on_disconnects(kind: TransportKind) {
         c.health().state(ServerId(0), now_ns()),
         BreakerState::Closed
     );
-    assert_eq!(c.health().total_trips(), 1);
-    let snap = c.health().snapshot(now_ns());
-    assert_eq!(snap[0].trips, 1);
-    assert_eq!(snap[1].trips, 0);
+    assert_eq!(
+        c.health().state(ServerId(1), now_ns()),
+        BreakerState::Closed
+    );
 }
 
 #[test]

@@ -6,8 +6,9 @@
 //! crate adds the placement layer that relaxes that: every stripe slot
 //! of a file maps to an ordered list of `r` daemons — the primary
 //! (today's owner) followed by `r-1` mirrors rotated across the
-//! cluster — so the client can fan writes out to all copies, steer
-//! reads to the healthiest copy, and repair divergence by comparing
+//! cluster — so the client can fan writes out to all copies, read from
+//! the primary (or, while its circuit breaker is open, the next copy in
+//! order), and repair divergence by comparing
 //! checksummed [`StripeDigest`](pvfs_proto::Request::StripeDigest)
 //! replies.
 //!

@@ -34,7 +34,7 @@ pub struct Var {
 
 /// Every variable the program reads, in the order README's table lists
 /// them.
-pub const VARS: [Var; 11] = [
+pub const VARS: [Var; 10] = [
     Var {
         name: "PVFS_TRANSPORT",
         grammar: "chan|tcp",
@@ -55,13 +55,6 @@ pub const VARS: [Var; 11] = [
         default: "attempts=4,base=1ms,cap=100ms,budget=30s",
         meaning: "client retry policy: bounded attempts, jittered backoff, per-op budget",
         malformed: "atempts=3",
-    },
-    Var {
-        name: "PVFS_BREAKER",
-        grammar: "off|threshold=N,open=D",
-        default: "threshold=3,open=250ms",
-        meaning: "per-daemon circuit breakers: failures to open one, how long it stays open",
-        malformed: "threshold=none",
     },
     Var {
         name: "PVFS_AGGREGATORS",
@@ -188,7 +181,7 @@ mod tests {
         }
         // A variable this program used to read is a stranger like any
         // other: a stale setting must not pass for one that took effect.
-        for stale in ["PVFS_HEDGE", "PVFS_CB_BUFFER"] {
+        for stale in ["PVFS_HEDGE", "PVFS_CB_BUFFER", "PVFS_BREAKER"] {
             let rejected = check_names(env(&["PVFS_TRACE", stale])).unwrap_err();
             assert!(
                 rejected.contains(&format!("{stale} is not one")),
@@ -198,9 +191,9 @@ mod tests {
     }
 
     #[test]
-    fn the_table_has_eleven_distinct_well_formed_rows() {
+    fn the_table_has_ten_distinct_well_formed_rows() {
         let names: std::collections::HashSet<_> = VARS.iter().map(|var| var.name).collect();
-        assert_eq!(names.len(), 11);
+        assert_eq!(names.len(), 10);
         for var in &VARS {
             assert!(var.name.starts_with(PREFIX), "{var:?}");
             for text in [var.grammar, var.default, var.meaning, var.malformed] {

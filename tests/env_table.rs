@@ -4,7 +4,7 @@
 
 use pvfs::collective::config::parse_aggregators;
 use pvfs::disk::{StorageConfig, SyncPolicy};
-use pvfs::net::{BreakerPolicy, FaultPlan, RetryPolicy, TransportKind};
+use pvfs::net::{FaultPlan, RetryPolicy, TransportKind};
 use pvfs::replica::{parse_quorum, parse_replicas};
 use pvfs::types::env::VARS;
 use pvfs::types::TraceMode;
@@ -16,7 +16,6 @@ fn accepted(name: &str, value: &str) -> bool {
         "PVFS_TRANSPORT" => TransportKind::parse(value).is_some(),
         "PVFS_FAULTS" => FaultPlan::parse(value).is_ok(),
         "PVFS_RETRY" => RetryPolicy::parse(value).is_ok(),
-        "PVFS_BREAKER" => BreakerPolicy::parse(value).is_ok(),
         "PVFS_AGGREGATORS" => parse_aggregators(value).is_ok(),
         "PVFS_STORAGE" => StorageConfig::parse(value, SyncPolicy::Never).is_ok(),
         "PVFS_SYNC" => SyncPolicy::parse(value).is_ok(),
