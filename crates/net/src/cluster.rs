@@ -635,7 +635,7 @@ impl<T: Into<RpcTarget>, I: Iterator<Item = (T, Request)>> OpStream for Batch<I>
 mod tests {
     use super::*;
     use crate::pump::attribute;
-    use crate::serve::Door;
+    use crate::serve::Driver;
     use crate::transport::ChanTransport;
     use crate::LiveCluster;
     use bytes::Bytes;
@@ -649,14 +649,14 @@ mod tests {
 
     /// A client whose single "server 0" is the given bare door (the
     /// manager slot is a dead end); for protocol-violation tests.
-    fn client_over(fake_tx: Arc<Door>) -> ClusterClient {
+    fn client_over(fake_tx: Arc<Driver>) -> ClusterClient {
         client_over_all(vec![fake_tx])
     }
 
     /// Likewise, with one bare door per server.
-    fn client_over_all(mut doors: Vec<Arc<Door>>) -> ClusterClient {
+    fn client_over_all(mut doors: Vec<Arc<Driver>>) -> ClusterClient {
         // Its far end drops: these tests never address the manager.
-        doors.push(Door::bare(1).0);
+        doors.push(Driver::bare(1).0);
         ClusterClient::with_transport(
             ClientId(9),
             Arc::new(ChanTransport::new(doors)),
@@ -950,7 +950,7 @@ mod tests {
     #[test]
     fn a_frame_the_daemon_still_holds_is_never_handed_out_again() {
         const LEN: usize = 256;
-        let (fake_tx, fake_rx) = Door::bare(8);
+        let (fake_tx, fake_rx) = Driver::bare(8);
         // Every third request is held, frame and all, unanswered (and its
         // reply handle kept, so the client hears nothing: a timeout).
         let fake = std::thread::spawn(move || {
@@ -1007,8 +1007,8 @@ mod tests {
     /// seconds without.
     #[test]
     fn a_backed_off_retry_does_not_wait_for_an_unrelated_flight() {
-        let (holding_tx, holding_rx) = Door::bare(8);
-        let (lossy_tx, lossy_rx) = Door::bare(8);
+        let (holding_tx, holding_rx) = Driver::bare(8);
+        let (lossy_tx, lossy_rx) = Driver::bare(8);
         let (retried, heard) = std::sync::mpsc::channel();
         let lossy = std::thread::spawn(move || {
             let mut first = true;

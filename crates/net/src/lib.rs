@@ -22,10 +22,10 @@
 //!   request pipeline ([`cluster`]: expand → a window of ship/land per
 //!   daemon → failover, backoff → assemble), decided by a pump that
 //!   does no I/O and driven by one loop that does all of it;
-//! * every daemon stands behind one door (`serve.rs`) that owns its
-//!   bounded queue (`IodConfig::queue_depth`, default 64 — the bound is
-//!   the backpressure), drained by `IodConfig::workers` threads (default
-//!   `min(4, cores)`; the manager's door has one). A frame is admitted,
+//! * every daemon stands behind one door (`door.rs` decides, `serve.rs`
+//!   drives): a queue of `IodConfig::queue_depth` (default 64, the
+//!   backpressure), at most `IodConfig::workers` frames in service
+//!   (default `min(4, cores)`; the manager's one). A frame is admitted,
 //!   served, answered and drained by the same code whichever transport
 //!   brought it; [`live`] has the concurrency model.
 //!
@@ -77,6 +77,7 @@
 //!   sample for the refusal.
 
 pub mod cluster;
+mod door;
 mod envspec;
 pub mod fault;
 pub mod gate;

@@ -3,20 +3,20 @@
 //!
 //! # Concurrency model
 //!
-//! Each I/O daemon stands behind one door ([`crate::serve`]): at most
-//! [`IodConfig::workers`] frames in service at once (default
-//! [`pvfs_server::default_workers`], at least one) and one request
-//! queue bounded at [`IodConfig::queue_depth`] frames. A daemon in
-//! memory with no emulated latency is served by whoever offers the
-//! frame while nothing queues; the door's worker threads start the
-//! first time a frame has to wait. The daemon itself
-//! is thread-safe ([`IoDaemon::handle`] takes `&self` over a
-//! handle-sharded file table), so requests for different file handles
-//! execute genuinely in parallel; the bounded queue gives backpressure
-//! instead of unbounded memory growth when clients outrun a server. The
-//! manager's door serves one frame at a time — metadata operations are
-//! rare and order-sensitive. Tearing the cluster down closes every door:
-//! what was admitted is answered first.
+//! Each I/O daemon stands behind one door ([`crate::door`] decides on
+//! the readings it is given, one threaded driver, [`crate::serve`],
+//! does): at most [`IodConfig::workers`] frames in service at once
+//! (default [`pvfs_server::default_workers`], at least one) and one
+//! request queue bounded at [`IodConfig::queue_depth`] frames. A daemon
+//! in memory with no emulated latency is served by whoever offers the
+//! frame while nothing queues; the worker threads start the first time
+//! a frame has to wait. The daemon itself is thread-safe
+//! ([`IoDaemon::handle`] takes `&self` over a handle-sharded file
+//! table), so requests for different file handles execute genuinely in
+//! parallel; the bounded queue gives backpressure instead of unbounded
+//! memory growth when clients outrun a server. The manager's door
+//! serves one frame at a time (metadata is rare and order-sensitive).
+//! Teardown closes every door, answering what was admitted, then dumps.
 //!
 //! # Transports
 //!
@@ -44,14 +44,14 @@ use std::sync::Arc;
 use crate::cluster::ClusterClient;
 use crate::fault::{FaultPlan, FaultyTransport};
 use crate::gate::SerialGate;
-use crate::serve::{open_doors, Door};
+use crate::serve::{open_doors, Driver};
 use crate::tcp::{TcpCluster, TcpTransport};
 use crate::transport::{ChanTransport, Transport, TransportKind};
 
 /// The daemon-side machinery behind a [`LiveCluster`], per transport.
 enum Backend {
     /// One door per I/O daemon, the manager's last.
-    Chan(Vec<Arc<Door>>),
+    Chan(Vec<Arc<Driver>>),
     Tcp(TcpCluster),
 }
 
@@ -263,9 +263,15 @@ pub fn parse_stats(spec: &str) -> Result<bool, String> {
 
 impl Drop for LiveCluster {
     fn drop(&mut self) {
-        // PVFS_STATS=dump: one JSON line per daemon to stderr at
-        // teardown, so any run (bench, shell, test) can be scraped
-        // post-hoc without instrumenting the caller.
+        // Every door drains before it shuts. The channel backend's are
+        // closed here — clients may still hold them, and find them shut.
+        match &mut self.backend {
+            Backend::Chan(doors) => doors.iter().for_each(|door| door.close()),
+            Backend::Tcp(tcp) => tcp.shutdown(),
+        }
+        // PVFS_STATS=dump: one JSON line per daemon to stderr once the
+        // doors have drained — every frame they admitted is in it — so
+        // any run (bench, shell, test) can be scraped post-hoc.
         if self.dump_stats {
             for daemon in &self.daemons {
                 eprintln!(
@@ -274,12 +280,6 @@ impl Drop for LiveCluster {
                     daemon.ledger().snapshot().to_json()
                 );
             }
-        }
-        // Every door drains before it shuts. The channel backend's are
-        // closed here — clients may still hold them, and find them shut.
-        match &mut self.backend {
-            Backend::Chan(doors) => doors.iter().for_each(|door| door.close()),
-            Backend::Tcp(tcp) => tcp.shutdown(),
         }
     }
 }

@@ -1,237 +1,55 @@
-//! The daemon side of one RPC, the same on every transport: the door.
+//! The daemon side of one RPC: the one threaded driver of a daemon's
+//! [`Door`] ([`crate::door`] decides, this does), for chan and tcp alike.
 //!
-//! A transport's job ends at moving frames. Every daemon — an
-//! [`IoDaemon`] sharded by handle, the [`Manager`] with its namespace
-//! behind one mutex — stands behind one [`Door`], which owns its bounded
-//! queue, its worker threads and its [`Service`] (only what differs
-//! between the two daemons: how a decoded request is served, what a frame
-//! that meets a full queue is told, and where the books are). A frame
-//! goes through the door in four steps, each written once:
+//! A [`Driver`] holds the door under one mutex, parks threads on it, takes
+//! every clock reading, and starts the door's `workers` threads
+//! ([`Driver::start`], the only spawn) when a frame first queues. Whoever
+//! receives a frame — a chan lane's `send`, a TCP connection's reader —
+//! [`offer`](Driver::offer)s it, serves it if the door hands it back, and
+//! tells a refusal its own way. Served by that thread or a worker, a
+//! frame takes one step, [`serve_job`]: scratch → [`serve_rpc`] → end →
+//! answer down its [`ReplyPath`], all that differs between transports.
+//! [`Driver::close`] is the only drain.
 //!
-//! * **admitted** by [`Door::offer`], the only admission rule: book the
-//!   arrival, try the queue, and when it is full let [`Service::shed`]
-//!   decide between refusing the frame on the spot and waiting for room.
-//!   Whoever received the frame calls it — a channel lane's `send`, a TCP
-//!   connection's reader — and delivers a refusal its own way (an `Err`
-//!   to the sender's face; an error reply written by the reader);
-//! * **served** in one step, scratch → [`serve_rpc`] → answer, the only
-//!   place the `begin → decode → serve → end` sequence exists and a
-//!   daemon's `queue` and `service` spans are recorded. Whoever offered
-//!   the frame runs it to completion if the service never blocks
-//!   ([`Service::never_blocks`]), the queue is empty, the door open and
-//!   fewer than `workers` frames in service — nothing to overlap; any
-//!   other frame queues, and the first to do so starts the door's
-//!   `workers` threads. Either way at most `workers` frames are in
-//!   service at once (the manager's one keeps it serial);
-//! * **answered** down the [`ReplyPath`] it came with — the daemon-side
-//!   twin of the client's `Lane`, and all that differs between the
-//!   transports: where the [`Scratch`] the frame is served out of comes
-//!   from, and how the reply's bytes go back;
-//! * **drained** by [`Door::close`]: the door shuts — every frame
-//!   offered from then on is refused at once — and its workers serve
-//!   what was admitted before they leave; close returns when they have,
-//!   and no frame is in service inline any more.
-//!
-//! The bookkeeping — wire bytes, queue depth, queue wait, service time,
-//! how many frames are served at once — is the [`Ledger`]'s, and the
-//! door does it through [`Service::ledger`] without entering the daemon:
-//! accounting a manager frame takes no manager lock.
-//!
-//! # One lock, and nobody woken who was not asleep
-//!
-//! The queue is the door's own: the admitted frames, how many are in
-//! service, whether the door is shut, and the threads parked on it —
-//! workers waiting for a frame or a free slot, offerers for room — under
-//! one mutex, with a condvar for each. A notify is a system call whether
-//! or not anyone is parked, and on the RPC path nearly nobody is, so an
-//! offer, a take or the end of a service notifies only when the other
-//! side's parked count is non-zero. No wake-up is lost by it:
-//! a thread counts itself *before* it releases the mutex to park (the
-//! condvar does both at once) and uncounts itself only with the mutex
-//! held again, however the wait ended — so whoever changes the queue
-//! after a thread decided to park sees it counted. The count may run
-//! ahead of who is asleep, which costs a notify nobody needed, never
-//! one somebody did. Shutting the door wakes everyone.
-//!
-//! # Timing
-//!
-//! A frame's time at the door is three clock readings: when it was
-//! queued, when a worker took it (when it was queued, for a frame served
-//! where it was offered: its wait is 0), when the worker was done with
-//! it. Queue wait and service time are the differences, and for a frame
-//! that carries trace context the same readings are its `queue` and
-//! `service` spans — which therefore *are* the histogram samples, to the
-//! nanosecond. A traced request always gets both spans, a zero-length
-//! `queue` one if it never waited, on every daemon alike; whatever the
-//! daemon's storage adds to the span sink nests under `service`.
-//!
-//! # Buffers
-//!
-//! What serving a request needs beyond the frame it arrived in — the
-//! list its regions are decoded into, the daemon's read buffer and run
-//! list — is a [`Scratch`] the reply path takes from the spares of the
-//! connection (tcp) or of the door's queue (chan), never from the
-//! thread that happens to serve the frame, and gives back around the
-//! reply; [`serve_rpc`] states the order that makes every buffer of a
-//! frame its owner's again by the time the reply is read.
-//!
-//! # The observer-effect guarantee
-//!
-//! Stats scrape frames (`GetStats`/`ResetStats`/`GetTrace`,
-//! [`pvfs_proto::frame_is_stats_scrape`]) reach [`Service::serve`] and
-//! nothing else: no wire accounting, no queue gauge, no queue-wait or
-//! service-time sample, never shed. A scraped snapshot therefore equals
-//! the in-process one byte for byte, and scraping twice shows the same
-//! counters.
+//! A notify is a system call whether or not anyone is parked, so the
+//! driver notifies only a side the door counts as parked. No wake-up is
+//! lost: a thread counts itself *before* the condvar releases the mutex
+//! and uncounts itself with it held again, however the wait ended, so
+//! whoever changes the door after a thread decided to park sees it
+//! counted. The count may run ahead of who is asleep — a notify nobody
+//! needed, never one somebody did. Shutting wakes everyone.
 
 use bytes::Bytes;
-use pvfs_proto::{
-    data_response_head, decode_frame_id, decode_frame_reusing, encode_response,
-    frame_is_stats_scrape, Frame, Message, Request, Response,
-};
+use pvfs_proto::{data_response_head, encode_response, Frame, Request, Response};
 use pvfs_server::{IoDaemon, IodConfig, Manager, Scratch};
 use pvfs_types::clock::{self, now_ns};
-use pvfs_types::trace::with_span_sink;
-use pvfs_types::{FlightRecorder, Ledger, PvfsError, RequestId, Span, SpanId, TraceContext};
-use std::collections::VecDeque;
+use pvfs_types::{FlightRecorder, Ledger, PvfsError, RequestId};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use crate::door::{serve_rpc, Door, Job, Offer, Refused, Service};
 use crate::spares::Spares;
 use crate::tcp::server::ConnOut;
 use crate::transport::ReplyTo;
 
-/// One daemon as its door sees it.
-pub(crate) trait Service: Send + Sync {
-    /// Serve one decoded request out of the buffers `scratch` holds.
-    fn serve(&self, request: &Request, scratch: &mut Scratch) -> Response;
-    /// The daemon's books, in which the door accounts every frame that
-    /// is not a stats scrape.
-    fn ledger(&self) -> &Ledger;
-    /// The daemon's span ring, into which the door records the spans of
-    /// every traced frame (and which its `GetTrace` scrapes).
-    fn recorder(&self) -> &FlightRecorder;
-    /// A request met a full queue. `Some(refusal)`: the shed is
-    /// accounted ([`Ledger::shed`]) and the frame is refused — typed,
-    /// retryable, provably unexecuted — instead of queued. `None`: this
-    /// service never sheds — whoever offered the frame waits for room,
-    /// and the wait is the backpressure.
-    fn shed(&self) -> Option<PvfsError> {
-        None
-    }
-    /// Whether serving a request never waits — on a disk, a stall, a
-    /// sync — so the thread that offers a frame may serve it itself.
-    fn never_blocks(&self) -> bool {
-        false
-    }
-}
-
-/// Serve one request frame that entered the queue at the clock reading
-/// `queued_at` and left it at `taken`, for the daemon named `node`: book
-/// the dequeue, decode,
-/// serve, book the completion — and for a traced frame record its
-/// `queue` and `service` spans from the same readings (module docs).
-/// `scrape` frames (see the module docs) skip both bookings and are never
-/// traced.
-///
-/// When the body fails to decode but the fixed header is readable, the
-/// error response carries the *real* request id so the client can
-/// attribute it; only a frame with an unreadable header falls back to
-/// the reserved id 0.
-///
-/// # Who holds what when this returns
-///
-/// The request is gone, and with it every view this side had of the
-/// frame it arrived in: whoever owns that frame's buffers — the
-/// connection's [`FrameReader`](crate::tcp::frame::FrameReader), or over
-/// the channel transport the client that encoded and gathered it — is
-/// their last holder once the reply they are waiting for arrives, and
-/// takes them back then. The reply is therefore sent *after* this
-/// returns, never from inside [`Service::serve`]. What outlives the
-/// request is in `scratch`, which [`serve_job`] took from the reply path's
-/// [`Spares`](crate::spares::Spares) and gives back: the request's
-/// region list (the next list request is decoded into it), the daemon's
-/// run list, and the buffer a read was gathered into — behind the `Data`
-/// reply returned here, or unused. Whose that is differs: a connection's
-/// scratch keeps it, and is the last handle on it again once the reply
-/// is written and dropped ([`Scratch::reclaim_read`]); over the channel
-/// transport it is the lane's, adopted from the request
-/// ([`Scratch::adopt_read`]) and let go before the reply is handed over
-/// ([`Scratch::release_read`]) — as the reply's payload, or beside the
-/// reply if that has none.
-pub(crate) fn serve_rpc(
-    service: &dyn Service,
-    node: &str,
-    frame: Frame,
-    queued_at: u64,
-    taken: u64,
-    scrape: bool,
-    scratch: &mut Scratch,
-) -> (RequestId, Response) {
-    let ledger = service.ledger();
-    if !scrape {
-        ledger.begin(queued_at, taken);
-    }
-    let header_id = decode_frame_id(&frame.head);
-    let mut traced = None;
-    let served = match decode_frame_reusing(frame, &mut scratch.regions) {
-        Ok((Message { id, request, .. }, ctx)) => {
-            let response = match ctx.filter(|_| !scrape) {
-                Some(ctx) => {
-                    let span = SpanId::next();
-                    traced = Some((ctx, span, request.op_name()));
-                    let under = TraceContext {
-                        parent: span,
-                        ..ctx
-                    };
-                    with_span_sink(under, node, service.recorder(), || {
-                        service.serve(&request, scratch)
-                    })
-                }
-                None => service.serve(&request, scratch),
-            };
-            // The request ends here, before any reply can leave; of what
-            // it held only the region list stays, back in the scratch.
-            if let Some(regions) = request.into_regions() {
-                scratch.regions = regions;
-            }
-            (id, response)
-        }
-        Err(e) => (header_id.unwrap_or(RequestId(0)), Response::Error(e)),
-    };
-    let done = now_ns();
-    if !scrape {
-        ledger.end(taken, done);
-    }
-    if let Some((ctx, id, op)) = traced {
-        let queue = Span::new(ctx, SpanId::next(), node, "queue", queued_at, taken);
-        let mut served = Span::new(ctx, id, node, "service", taken, done);
-        served.notes.push(op.into());
-        service.recorder().extend([queue, served]);
-    }
-    served
-}
-
-/// How the reply to one frame goes back — all whoever serves it needs to
-/// know of the transport the frame came by.
+/// How the reply to one frame goes back: all of its transport a server needs.
 pub(crate) enum ReplyPath {
-    /// Over the channel transport: to the lane the request was sent on.
+    /// To the chan lane the request was sent on.
     Lane(ReplyTo),
-    /// Over TCP: down the connection the request arrived on.
+    /// Down the TCP connection the request arrived on.
     Conn(Arc<ConnOut>),
 }
 
 impl ReplyPath {
     /// The scratch to serve the frame out of: the connection's, or one of
-    /// the door's `queue` — which then gathers a read into the buffer the
-    /// request brought (the lane's, which gets it back as the `Data`
-    /// reply's payload, or beside a reply that has none).
-    fn scratch(&mut self, queue: &Mutex<Spares<Scratch>>) -> Scratch {
+    /// `spares` that gathers a read into the buffer the request brought
+    /// (the lane's, back as the `Data` payload or beside another reply).
+    fn scratch(&mut self, spares: &Mutex<Spares<Scratch>>) -> Scratch {
         match self {
             ReplyPath::Lane(reply) => {
-                let mut scratch = queue.lock().unwrap().take().unwrap_or_default();
+                let mut scratch = spares.lock().unwrap().take().unwrap_or_default();
                 scratch.adopt_read(std::mem::take(&mut reply.spare));
                 scratch
             }
@@ -246,7 +64,7 @@ impl ReplyPath {
         id: RequestId,
         response: Response,
         mut scratch: Scratch,
-        queue: &Mutex<Spares<Scratch>>,
+        spares: &Mutex<Spares<Scratch>>,
         account: Option<&Ledger>,
     ) {
         match self {
@@ -254,11 +72,9 @@ impl ReplyPath {
                 reply.spare = scratch.release_read();
                 // The scratch goes back *before* the reply is handed over:
                 // the frame the client sends on seeing it must find it back.
-                queue.lock().unwrap().give(scratch);
-                // A `Data` reply goes back as `head ‖ payload`, the payload
-                // being the buffer the daemon gathered: never staged behind
-                // its head in a second one. The head, like every fixed-size
-                // reply, is short enough to travel inside its `Bytes`.
+                spares.lock().unwrap().give(scratch);
+                // A `Data` reply is `head ‖ payload`, the gathered buffer
+                // never staged behind its head in a second one.
                 let encoded = match response {
                     Response::Data { data } => Frame {
                         head: Bytes::copy_from_slice(&data_response_head(id, data.len() as u64)),
@@ -276,185 +92,104 @@ impl ReplyPath {
     }
 }
 
-/// What waits in a door's queue: a request frame (both parts, exactly as
-/// they arrived), the way its reply goes back, and the clock reading it
-/// was offered at (queue wait is measured from it).
-type Job = (Frame, ReplyPath, u64);
-
-/// A frame [`Door::offer`] did not admit, handed back with the way its
-/// reply would have gone for the transport to tell its sender why.
-pub(crate) type Refused = (Frame, ReplyPath, PvfsError);
-
-/// What a door's workers share with it: the queue and who waits on it,
-/// behind one lock (module docs).
+/// What a driver's workers share with it: the door and who waits on it.
 struct Queue {
-    state: Mutex<State>,
-    /// The most frames admitted and not yet taken.
-    depth: usize,
-    /// The most frames in service at once, inline and by workers alike:
-    /// how many workers the door starts.
-    workers: usize,
-    /// A frame was queued or left service, for a parked worker (or a
-    /// closer); room was made, for a parked offerer.
+    door: Mutex<Door<ReplyPath>>,
+    /// For parked workers and closers; for parked offerers.
     work: Condvar,
     room: Condvar,
     /// Scratch for frames that bring none along (chan).
     spares: Mutex<Spares<Scratch>>,
-    /// How often one thread was notified (shutting the door notifies
-    /// all, and is not counted).
-    #[cfg(test)]
-    wakes: std::sync::atomic::AtomicUsize,
-}
-
-#[derive(Default)]
-struct State {
-    jobs: VecDeque<Job>,
-    /// Frames taken and not yet answered, whichever thread serves them.
-    serving: usize,
-    /// Set once the door's workers are started.
-    started: bool,
-    /// Set when the door shuts: nothing is admitted any more, and a
-    /// worker that finds the queue empty leaves.
-    shut: bool,
-    /// Workers parked on `work`, offerers parked on `room`: a side with
-    /// nobody counted here is not notified.
-    idle_workers: usize,
-    waiting_offers: usize,
 }
 
 impl Queue {
-    fn new(depth: usize, workers: usize) -> Queue {
-        let depth = depth.max(1);
-        let jobs = VecDeque::with_capacity(depth);
-        Queue {
-            state: Mutex::new(State {
-                jobs,
-                ..State::default()
-            }),
-            depth,
-            workers,
-            work: Condvar::new(),
-            room: Condvar::new(),
-            spares: Mutex::default(),
-            #[cfg(test)]
-            wakes: Default::default(),
-        }
-    }
-
-    /// The next admitted frame once fewer than `workers` are in service,
-    /// waiting for both; `None` once the door is shut and every frame it
-    /// admitted has been taken.
-    fn take(&self) -> Option<Job> {
-        let mut state = self.state.lock().unwrap();
+    /// The next frame the door lets a worker take, waiting for one;
+    /// `None` once the door is drained.
+    fn take(&self) -> Option<Job<ReplyPath>> {
+        let mut now = now_ns();
+        let mut door = self.door.lock().unwrap();
         loop {
-            if state.serving < self.workers {
-                if let Some(job) = state.jobs.pop_front() {
-                    state.serving += 1;
-                    let offerer = state.waiting_offers > 0;
-                    drop(state);
-                    if offerer {
-                        self.wake(&self.room);
-                    }
-                    return Some(job);
+            if let Some((job, room)) = door.take(now) {
+                drop(door);
+                if room {
+                    self.room.notify_one();
                 }
+                return Some(job);
             }
-            if state.shut && state.jobs.is_empty() {
+            if door.drained() {
                 return None;
             }
-            state = park(&self.work, state, |s| &mut s.idle_workers, None);
+            door = park(&self.work, door, |d| &mut d.idle_workers, None);
+            now = now_ns();
         }
     }
 
-    /// A frame left service: wake the workers parked for want of a
-    /// slot, or — the door shut — whoever waits in [`Door::close`].
-    fn done(&self) {
-        let mut state = self.state.lock().unwrap();
-        state.serving -= 1;
-        let wake = state.idle_workers > 0 && (state.shut || !state.jobs.is_empty());
-        drop(state);
-        if wake {
-            self.work.notify_all();
-        }
-    }
-
-    /// Admit nothing more, and wake everyone parked: workers to drain the
-    /// queue and leave, offerers to be refused.
+    /// Admit nothing more, and wake everyone parked.
     fn shut(&self) {
-        self.state.lock().unwrap().shut = true;
+        self.door.lock().unwrap().shut();
         self.work.notify_all();
         self.room.notify_all();
     }
-
-    /// Wake one of the threads counted as parked on `condvar`.
-    fn wake(&self, condvar: &Condvar) {
-        #[cfg(test)]
-        self.wakes.fetch_add(1, Ordering::Relaxed);
-        condvar.notify_one();
-    }
 }
 
-/// Park on `condvar` until notified, or until the clock reading
-/// `deadline` if there is one — counted in `parked` from before the
-/// lock is released until it is held again, however the wait ends.
+/// Park on `condvar` until notified or the reading `deadline`, counted in
+/// `parked` from before the lock is released until it is held again.
 fn park<'a>(
     condvar: &Condvar,
-    mut state: MutexGuard<'a, State>,
-    parked: fn(&mut State) -> &mut usize,
+    mut door: MutexGuard<'a, Door<ReplyPath>>,
+    parked: fn(&mut Door<ReplyPath>) -> &mut usize,
     deadline: Option<u64>,
-) -> MutexGuard<'a, State> {
-    *parked(&mut state) += 1;
-    let mut state = match deadline {
-        None => condvar.wait(state).unwrap(),
-        Some(end) => condvar.wait_timeout(state, clock::until(end)).unwrap().0,
+) -> MutexGuard<'a, Door<ReplyPath>> {
+    *parked(&mut door) += 1;
+    let mut door = match deadline {
+        None => condvar.wait(door).unwrap(),
+        Some(end) => condvar.wait_timeout(door, clock::until(end)).unwrap().0,
     };
-    *parked(&mut state) -= 1;
-    state
+    *parked(&mut door) -= 1;
+    door
 }
 
-/// The one way into a daemon: its bounded queue, the workers draining it
-/// through [`serve_rpc`], and the [`Service`] they serve (module docs).
-pub(crate) struct Door {
-    /// `iod3` / `mgr`: the daemon's node in its spans, and what its
-    /// threads are named after.
+/// The one way into a daemon: its door, its workers, its [`Service`].
+pub(crate) struct Driver {
+    /// `iod3` / `mgr`: the node of its spans, the name of its threads.
     pub(crate) name: String,
     queue: Arc<Queue>,
     service: Arc<dyn Service>,
-    /// Whether the thread offering a frame may serve it (module docs).
-    inline: bool,
-    /// Filled by [`start`](Door::start), emptied by [`close`](Door::close).
+    /// Filled by [`start`](Driver::start), emptied by [`close`](Driver::close).
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
-impl Door {
-    /// A door serving `service`, the daemon `name`, at most `workers`
-    /// frames at once (at least one), off a queue of `depth` frames (at
-    /// least one). Its `workers` threads, named `name-w<i>`, start the
-    /// first time a frame has to queue; the service's `workers` gauge
-    /// books the frames served at once from the start.
+impl Driver {
+    /// A driver of the daemon `name` ([`Door::new`]); its `workers`
+    /// threads start when a frame first queues, and its `workers` gauge
+    /// books the frames served at once from now.
     pub(crate) fn spawn(
         name: &str,
         workers: usize,
         depth: usize,
         service: Arc<dyn Service>,
-    ) -> Arc<Door> {
+    ) -> Arc<Driver> {
         let workers = workers.max(1);
         let gauge = &service.ledger().workers;
         gauge.store(workers as u64, Ordering::Relaxed);
-        Arc::new(Door {
+        let queue = Queue {
+            door: Mutex::new(Door::new(service.clone(), workers, depth)),
+            work: Condvar::new(),
+            room: Condvar::new(),
+            spares: Mutex::default(),
+        };
+        Arc::new(Driver {
             name: name.to_string(),
-            queue: Arc::new(Queue::new(depth, workers)),
-            inline: service.never_blocks(),
+            queue: Arc::new(queue),
             service,
             threads: Mutex::default(),
         })
     }
 
-    /// Start the door's workers, under the queue's lock: the only place
-    /// a door's thread is spawned.
-    fn start(&self, state: &mut State) {
-        state.started = true;
+    /// Start the workers, under the door's lock: the only spawn.
+    fn start(&self, workers: usize) {
         let mut threads = self.threads.lock().unwrap();
-        threads.extend((0..self.queue.workers).map(|i| {
+        threads.extend((0..workers).map(|i| {
             let (queue, service) = (self.queue.clone(), self.service.clone());
             let node = self.name.clone();
             std::thread::Builder::new()
@@ -469,19 +204,9 @@ impl Door {
         self.service.ledger()
     }
 
-    /// Admit one request frame of `wire_len` bytes on the wire, to be
-    /// answered down `reply` — served before this returns, if the door
-    /// lets its caller serve it (module docs). A full queue is the
-    /// service's call ([`Service::shed`]): refuse the frame at once, or
-    /// have the caller wait for room at most `patience` — for ever
-    /// without one: a connection's reader stops draining its socket and
-    /// TCP flow control pushes back. A shut door refuses every frame, a
-    /// waiting one too. A refused frame leaves `queue_depth` as it found
-    /// it.
-    ///
-    /// Stats scrapes are observers: they skip the accounting, and wait
-    /// out a full queue instead of shedding, so observation never
-    /// perturbs the shed counter either.
+    /// Offer a frame ([`Door::offer`]); serve it if the door says so. A
+    /// full queue that does not shed has the caller wait at most
+    /// `patience` — for ever without: TCP flow control pushes back.
     #[allow(clippy::result_large_err)] // handed back by value: nothing is boxed per frame
     pub(crate) fn offer(
         &self,
@@ -489,124 +214,102 @@ impl Door {
         wire_len: u64,
         reply: ReplyPath,
         patience: Option<Duration>,
-    ) -> Result<(), Refused> {
-        let ledger = (!frame_is_stats_scrape(&frame.head)).then(|| self.service.ledger());
-        if let Some(ledger) = ledger {
-            ledger.wire_rx(wire_len);
-            ledger.queued();
-        }
-        let (queue, queued_at) = (&*self.queue, now_ns());
-        let mut state = queue.state.lock().unwrap();
-        let idle = !state.shut && state.jobs.is_empty() && state.serving < queue.workers;
-        if self.inline && idle {
-            state.serving += 1;
-            drop(state);
-            let job = (frame, reply, queued_at);
-            serve_job(queue, &*self.service, &self.name, job, queued_at);
-            return Ok(());
-        }
-        if !state.shut && state.jobs.len() >= queue.depth {
-            // `shed` has taken a refused frame off the queue's books.
-            if let Some(refusal) = ledger.and_then(|_| self.service.shed()) {
-                return Err((frame, reply, refusal));
-            }
-        }
-        let deadline = patience.map(|p| queued_at.saturating_add(clock::nanos(p)));
-        let error = loop {
-            if state.shut {
-                break PvfsError::Transport("server thread gone".into());
-            }
-            if state.jobs.len() < queue.depth {
-                state.jobs.push_back((frame, reply, queued_at));
-                if !state.started {
-                    self.start(&mut state);
+    ) -> Result<(), Refused<ReplyPath>> {
+        let (queue, now) = (&*self.queue, now_ns());
+        let deadline = patience.map(|p| now.saturating_add(clock::nanos(p)));
+        let mut door = queue.door.lock().unwrap();
+        let mut offer = door.offer(frame, wire_len, reply, now);
+        loop {
+            offer = match offer {
+                Offer::Serve(job) => {
+                    drop(door);
+                    serve_job(queue, &*self.service, &self.name, job);
+                    return Ok(());
                 }
-                let worker = state.idle_workers > 0;
-                drop(state);
-                if worker {
-                    queue.wake(&queue.work);
+                Offer::Queued { start, wake } => {
+                    if start > 0 {
+                        self.start(start);
+                    }
+                    drop(door);
+                    if wake {
+                        queue.work.notify_one();
+                    }
+                    return Ok(());
                 }
-                return Ok(());
-            }
-            if deadline.is_some_and(|deadline| deadline <= now_ns()) {
-                let waited = patience.unwrap_or_default();
-                let full = format!("the daemon's queue stayed full for {waited:?}");
-                break PvfsError::timeout(full);
-            }
-            state = park(&queue.room, state, |s| &mut s.waiting_offers, deadline);
-        };
-        drop(state);
-        // The frame never entered the queue it was booked into.
-        if let Some(ledger) = ledger {
-            ledger.unqueued();
+                Offer::Refused(refused) => return Err(refused),
+                Offer::Full(job) if deadline.is_some_and(|end| end <= now_ns()) => {
+                    let waited = patience.unwrap_or_default();
+                    let full = format!("the daemon's queue stayed full for {waited:?}");
+                    return Err(door.refuse(job, PvfsError::timeout(full)));
+                }
+                Offer::Full(job) => {
+                    door = park(&queue.room, door, |d| &mut d.waiting_offers, deadline);
+                    door.retry(job)
+                }
+            };
         }
-        Err((frame, reply, error))
     }
 
-    /// Shut the door and drain it: every frame offered from now on is
-    /// refused, and every frame admitted so far — queued, or in service
-    /// on the thread that offered it — is served and answered before
-    /// this returns. Idempotent.
+    /// Shut the door and drain it: every frame admitted so far — queued,
+    /// or served where it was offered — is answered first. Idempotent.
     pub(crate) fn close(&self) {
         self.queue.shut();
         for thread in std::mem::take(&mut *self.threads.lock().unwrap()) {
             let _ = thread.join();
         }
-        let mut state = self.queue.state.lock().unwrap();
-        while state.serving > 0 {
-            state = park(&self.queue.work, state, |s| &mut s.idle_workers, None);
+        let mut door = self.queue.door.lock().unwrap();
+        while !door.drained() {
+            door = park(&self.queue.work, door, |d| &mut d.idle_workers, None);
         }
     }
 }
 
-/// A door nobody holds any more lets its workers go, once they have
-/// served what it admitted.
-impl Drop for Door {
+/// A driver nobody holds lets its workers go once they drained its door.
+impl Drop for Driver {
     fn drop(&mut self) {
         self.queue.shut();
     }
 }
 
-/// One worker of the daemon `node`: [`serve_job`] every frame it takes,
-/// until the door is shut and its queue empty.
+/// One worker of the daemon `node`, until the door is drained.
 fn work(queue: &Queue, service: &dyn Service, node: &str) {
     while let Some(job) = queue.take() {
-        serve_job(queue, service, node, job, now_ns());
+        serve_job(queue, service, node, job);
     }
 }
 
-/// The one step of serving a frame, whoever takes it — a worker, or
-/// the thread that offered it: `scratch → serve_rpc → answer`, the frame
-/// taken at the clock reading `taken`; then it leaves service.
-fn serve_job(queue: &Queue, service: &dyn Service, node: &str, job: Job, taken: u64) {
+/// The one serve step, a worker's or the offering thread's: scratch →
+/// `serve_rpc` → end (a reading) → answer; then out of service.
+fn serve_job(queue: &Queue, service: &dyn Service, node: &str, mut job: Job<ReplyPath>) {
     let _slot = Slot(queue);
-    let (frame, mut reply, queued_at) = job;
-    let scrape = frame_is_stats_scrape(&frame.head);
-    let mut scratch = reply.scratch(&queue.spares);
-    let (id, response) = serve_rpc(service, node, frame, queued_at, taken, scrape, &mut scratch);
-    let account = (!scrape).then(|| service.ledger());
-    reply.answer(id, response, scratch, &queue.spares, account);
+    let mut scratch = job.reply.scratch(&queue.spares);
+    let served = serve_rpc(service, node, job.frame, job.stamp, &mut scratch);
+    let (id, response) = served.end(service, node, now_ns());
+    let account = job.stamp.books(service);
+    job.reply
+        .answer(id, response, scratch, &queue.spares, account);
 }
 
-/// A frame's place among those in service, given back however its
-/// service ends: a daemon that panics must not hang [`Door::close`].
+/// A frame's place in service, given back however its service ends: a
+/// daemon that panics must not hang [`Driver::close`].
 struct Slot<'a>(&'a Queue);
 
 impl Drop for Slot<'_> {
     fn drop(&mut self) {
-        self.0.done();
+        if self.0.door.lock().unwrap().finish() {
+            self.0.work.notify_all();
+        }
     }
 }
 
-/// A door for each of `daemons`, in server-id order, and last the door
-/// of a fresh manager — which serves one frame at a time, so that
-/// metadata operations stay serialized in arrival order.
-pub(crate) fn open_doors(daemons: &[Arc<IoDaemon>], config: IodConfig) -> Vec<Arc<Door>> {
+/// A door for each of `daemons`, in server-id order, then a fresh
+/// manager's, which serves one frame at a time, in arrival order.
+pub(crate) fn open_doors(daemons: &[Arc<IoDaemon>], config: IodConfig) -> Vec<Arc<Driver>> {
     let iods = daemons.iter().map(|daemon| {
         let name = format!("iod{}", daemon.id().0);
-        Door::spawn(&name, config.workers, config.queue_depth, daemon.clone())
+        Driver::spawn(&name, config.workers, config.queue_depth, daemon.clone())
     });
-    let mgr = Door::spawn("mgr", 1, config.queue_depth, Arc::new(Manager::new()));
+    let mgr = Driver::spawn("mgr", 1, config.queue_depth, Arc::new(Manager::new()));
     iods.chain([mgr]).collect()
 }
 
@@ -620,15 +323,12 @@ impl Service for IoDaemon {
         }
         response
     }
-
     fn ledger(&self) -> &Ledger {
         IoDaemon::ledger(self)
     }
-
     fn recorder(&self) -> &FlightRecorder {
         IoDaemon::recorder(self)
     }
-
     fn shed(&self) -> Option<PvfsError> {
         IoDaemon::ledger(self).shed();
         Some(PvfsError::Overloaded {
@@ -636,28 +336,23 @@ impl Service for IoDaemon {
             queue_depth: self.config().queue_depth.max(1) as u64,
         })
     }
-
     fn never_blocks(&self) -> bool {
         IoDaemon::never_blocks(self)
     }
 }
 
-/// Metadata operations are rare, order-sensitive and not idempotent:
-/// the manager serializes them itself, a full queue waits instead of
-/// shedding, and serving one never waits on anything but the namespace.
+/// Metadata operations are rare, order-sensitive and not idempotent: a
+/// full queue waits instead of shedding; serving waits on nothing else.
 impl Service for Manager {
     fn serve(&self, request: &Request, _: &mut Scratch) -> Response {
         self.handle(request)
     }
-
     fn never_blocks(&self) -> bool {
         true
     }
-
     fn ledger(&self) -> &Ledger {
         Manager::ledger(self)
     }
-
     fn recorder(&self) -> &FlightRecorder {
         Manager::recorder(self)
     }
@@ -666,31 +361,35 @@ impl Service for Manager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::door::tests::{traced_frame, Recording};
     use crate::transport::{ChanTransport, RpcTarget, Transport, WaitError};
-    use pvfs_proto::{decode_response_id, encode_frame, encode_message};
+    use pvfs_proto::{decode_frame_id, decode_response_id, encode_message, Message};
     use pvfs_types::{
-        ClientId, FileHandle, Region, ServerId, StatsSnapshot, StripeLayout, TraceId,
+        ClientId, FileHandle, Region, ServerId, Span, SpanId, StatsSnapshot, StripeLayout,
+        TraceContext, TraceId,
     };
     use std::net::{TcpListener, TcpStream};
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
     use std::sync::mpsc::{self, sync_channel, SyncSender};
 
-    impl Door {
-        /// A door nobody works at: what is admitted waits in the queue
+    impl Driver {
+        /// A driver nobody works at: what is admitted waits in the queue
         /// for the test, which plays the workers itself at the far end.
         /// It serves nothing inline and starts no thread of its own.
-        fn unmanned(depth: usize, service: Arc<dyn Service>) -> (Arc<Door>, Far) {
-            let mut queue = Queue::new(depth, usize::MAX);
-            queue.state.get_mut().unwrap().started = true;
-            let queue = Arc::new(queue);
-            let door = Door {
+        fn unmanned(depth: usize, service: Arc<dyn Service>) -> (Arc<Driver>, Far) {
+            let queue = Arc::new(Queue {
+                door: Mutex::new(Door::unmanned(service.clone(), depth)),
+                work: Condvar::new(),
+                room: Condvar::new(),
+                spares: Mutex::default(),
+            });
+            let driver = Driver {
                 name: "bare".into(),
                 queue: queue.clone(),
                 service,
-                inline: false,
                 threads: Mutex::default(),
             };
-            (Arc::new(door), Far(queue))
+            (Arc::new(driver), Far(queue))
         }
 
         /// The bare queue of protocol tests that play a channel-backed
@@ -701,10 +400,14 @@ mod tests {
         /// dying: the door refuses every frame from then on.
         pub(crate) fn bare(
             depth: usize,
-        ) -> (Arc<Door>, impl Fn() -> Option<(Frame, ReplyTo)> + Send) {
-            let (door, far) = Door::unmanned(depth, Arc::new(Recording::default()));
+        ) -> (Arc<Driver>, impl Fn() -> Option<(Frame, ReplyTo)> + Send) {
+            let (door, far) = Driver::unmanned(depth, Arc::new(Recording::default()));
             let next = move || match far.take() {
-                Some((frame, ReplyPath::Lane(reply), _)) => Some((frame, reply)),
+                Some(Job {
+                    frame,
+                    reply: ReplyPath::Lane(reply),
+                    ..
+                }) => Some((frame, reply)),
                 _ => None,
             };
             (door, next)
@@ -725,17 +428,17 @@ mod tests {
     impl Far {
         /// The next frame, out of service as soon as it is taken: the
         /// far end is as many workers as it has threads.
-        fn take(&self) -> Option<Job> {
+        fn take(&self) -> Option<Job<ReplyPath>> {
             let job = self.0.take()?;
-            self.0.done();
+            drop(Slot(&self.0));
             Some(job)
         }
 
         /// The id of the next frame taken, `None` once the door is shut
         /// and drained.
         fn next_id(&self) -> Option<u64> {
-            let (frame, ..) = self.take()?;
-            Some(decode_frame_id(&frame.head).unwrap().0)
+            let job = self.take()?;
+            Some(decode_frame_id(&job.frame.head).unwrap().0)
         }
     }
 
@@ -746,10 +449,10 @@ mod tests {
     }
 
     impl Queue {
-        /// Threads counted as parked: (workers, offerers).
+        /// Threads counted as parked: (workers and closers, offerers).
         fn parked(&self) -> (usize, usize) {
-            let state = self.state.lock().unwrap();
-            (state.idle_workers, state.waiting_offers)
+            let door = self.door.lock().unwrap();
+            (door.idle_workers, door.waiting_offers)
         }
 
         /// Spin until exactly `parked` threads are counted.
@@ -759,40 +462,8 @@ mod tests {
             }
         }
 
-        fn wakes(&self) -> usize {
-            self.wakes.load(Ordering::Relaxed)
-        }
-    }
-
-    /// A service with books of its own that counts what else it is
-    /// asked.
-    #[derive(Default)]
-    struct Recording {
-        ledger: Ledger,
-        recorder: FlightRecorder,
-        served: AtomicU64,
-        shed_asked: AtomicU64,
-        refusal: Option<PvfsError>,
-        never_blocks: bool,
-    }
-
-    impl Service for Recording {
-        fn serve(&self, request: &Request, _: &mut Scratch) -> Response {
-            self.served.fetch_add(1, Ordering::Relaxed);
-            Response::Error(PvfsError::invalid(request.op_name()))
-        }
-        fn ledger(&self) -> &Ledger {
-            &self.ledger
-        }
-        fn recorder(&self) -> &FlightRecorder {
-            &self.recorder
-        }
-        fn shed(&self) -> Option<PvfsError> {
-            self.shed_asked.fetch_add(1, Ordering::Relaxed);
-            self.refusal.clone().inspect(|_| self.ledger.shed())
-        }
-        fn never_blocks(&self) -> bool {
-            self.never_blocks
+        fn is_shut(&self) -> bool {
+            self.door.lock().unwrap().is_shut()
         }
     }
 
@@ -800,13 +471,33 @@ mod tests {
         traced_frame(id, request, None)
     }
 
-    fn traced_frame(id: u64, request: Request, ctx: Option<TraceContext>) -> Frame {
-        let message = Message {
-            client: ClientId(1),
-            id: RequestId(id),
-            request,
-        };
-        encode_frame(&message, ctx).unwrap()
+    /// Serve `frame` on `service` through a door with no thread: offered,
+    /// taken and done at the next three of `readings`.
+    fn serve_at(
+        service: &Arc<dyn Service>,
+        node: &str,
+        frame: Frame,
+        mut readings: impl FnMut() -> u64,
+    ) -> (RequestId, Response) {
+        let mut door = Door::unmanned(service.clone(), 1);
+        assert!(matches!(
+            door.offer(frame, 16, (), readings()),
+            Offer::Queued { .. }
+        ));
+        let (job, _) = door.take(readings()).unwrap();
+        let scratch = &mut Scratch::default();
+        let served = serve_rpc(&**service, node, job.frame, job.stamp, scratch);
+        let answer = served.end(&**service, node, readings());
+        door.finish();
+        answer
+    }
+
+    /// The clock, each reading kept in `seen`.
+    fn seen_at(seen: &mut Vec<u64>) -> impl FnMut() -> u64 + '_ {
+        || {
+            seen.push(now_ns());
+            *seen.last().unwrap()
+        }
     }
 
     fn context() -> TraceContext {
@@ -818,26 +509,17 @@ mod tests {
 
     #[test]
     fn a_scrape_frame_reaches_serve_and_nothing_else() {
-        let service = Recording::default();
-        let scratch = &mut Scratch::default();
+        let recording = Arc::new(Recording::default());
+        let service: Arc<dyn Service> = recording.clone();
         let scrape = frame(5, Request::GetStats);
-        let (id, _) = serve_rpc(&service, "t", scrape, now_ns(), now_ns(), true, scratch);
+        let (id, _) = serve_at(&service, "t", scrape, now_ns);
         assert_eq!(id, RequestId(5));
-        assert_eq!(service.served.load(Ordering::Relaxed), 1);
-        assert_eq!(service.ledger.snapshot(), StatsSnapshot::default());
+        assert_eq!(recording.served.load(Ordering::Relaxed), 1);
+        assert_eq!(recording.ledger.snapshot(), StatsSnapshot::default());
         // Any other frame is booked on both sides of the serve.
-        service.ledger.queued();
-        serve_rpc(
-            &service,
-            "t",
-            frame(6, Request::Ping),
-            now_ns(),
-            now_ns(),
-            false,
-            scratch,
-        );
-        assert_eq!(service.served.load(Ordering::Relaxed), 2);
-        let books = service.ledger.snapshot();
+        serve_at(&service, "t", frame(6, Request::Ping), now_ns);
+        assert_eq!(recording.served.load(Ordering::Relaxed), 2);
+        let books = recording.ledger.snapshot();
         assert_eq!(
             (books.queue_wait.count(), books.service_time.count()),
             (1, 1)
@@ -847,7 +529,8 @@ mod tests {
 
     #[test]
     fn an_undecodable_body_echoes_the_headers_id_and_is_still_booked() {
-        let service = Recording::default();
+        let recording = Arc::new(Recording::default());
+        let service: Arc<dyn Service> = recording.clone();
         let handle = FileHandle(1);
         let whole = encode_message(&Message {
             client: ClientId(1),
@@ -857,21 +540,18 @@ mod tests {
         .unwrap();
         // Header intact, body cut short.
         let cut = Frame::from(whole.slice(0..whole.len() - 3));
-        let scratch = &mut Scratch::default();
-        service.ledger.queued();
-        let (id, response) = serve_rpc(&service, "t", cut, now_ns(), now_ns(), false, scratch);
+        let (id, response) = serve_at(&service, "t", cut, now_ns);
         assert_eq!(id, RequestId(9), "the header's id, not the reserved 0");
         assert!(matches!(response, Response::Error(PvfsError::Protocol(_))));
-        assert_eq!(service.served.load(Ordering::Relaxed), 0);
+        assert_eq!(recording.served.load(Ordering::Relaxed), 0);
         assert_eq!(
-            service.ledger.service_time.count(),
+            recording.ledger.service_time.count(),
             1,
             "a worker was busy with it"
         );
         // No readable header: the reserved id.
-        service.ledger.queued();
         let headless = Frame::from(whole.slice(0..7));
-        let (id, _) = serve_rpc(&service, "t", headless, now_ns(), now_ns(), false, scratch);
+        let (id, _) = serve_at(&service, "t", headless, now_ns);
         assert_eq!(id, RequestId(0));
     }
 
@@ -880,7 +560,7 @@ mod tests {
     /// daemon's storage adds to the span sink nests under `service`.
     #[test]
     fn traced_write_records_queue_service_and_storage_spans() {
-        let d = IoDaemon::with_defaults(ServerId(0));
+        let d: Arc<dyn Service> = Arc::new(IoDaemon::with_defaults(ServerId(0)));
         let ctx = context();
         let write = Request::Write {
             handle: FileHandle(1),
@@ -888,11 +568,9 @@ mod tests {
             region: Region::new(0, 5),
             data: vec![1u8; 5].into(),
         };
-        d.ledger().queued();
-        let queued_at = now_ns();
         let frame = traced_frame(1, write, Some(ctx));
-        let scratch = &mut Scratch::default();
-        let (_, response) = serve_rpc(&d, "iod0", frame, queued_at, now_ns(), false, scratch);
+        let mut seen = Vec::new();
+        let (_, response) = serve_at(&d, "iod0", frame, seen_at(&mut seen));
         assert_eq!(response, Response::Written { bytes: 5 });
 
         let spans = d.recorder().for_trace(ctx.trace);
@@ -907,7 +585,10 @@ mod tests {
         let end = |s: &Span| s.start_ns + s.dur_ns;
         assert!(storage.start_ns >= service.start_ns && end(storage) <= end(service));
         // One reading at each boundary: queued, taken, done.
-        assert_eq!(queue.start_ns, queued_at);
+        assert_eq!(
+            [queue.start_ns, end(queue), end(service)],
+            [seen[0], seen[1], seen[2]]
+        );
         assert_eq!(end(queue), service.start_ns);
         let books = d.ledger().snapshot();
         assert_eq!(books.queue_wait.sum_ns(), u128::from(queue.dur_ns));
@@ -919,24 +600,22 @@ mod tests {
     /// a `queue` span that is its queue-wait sample.
     #[test]
     fn traced_metadata_request_records_a_service_span() {
-        let m = Manager::new();
+        let m: Arc<dyn Service> = Arc::new(Manager::new());
         let ctx = context();
         let create = Request::Create {
             path: "/a".into(),
             layout: StripeLayout::new(0, 1, 10).unwrap(),
         };
-        m.ledger().queued();
-        let queued_at = now_ns();
         let frame = traced_frame(1, create, Some(ctx));
-        let scratch = &mut Scratch::default();
-        let (_, response) = serve_rpc(&m, "mgr", frame, queued_at, now_ns(), false, scratch);
+        let mut seen = Vec::new();
+        let (_, response) = serve_at(&m, "mgr", frame, seen_at(&mut seen));
         assert!(matches!(response, Response::Created { .. }));
 
         let spans = m.recorder().for_trace(ctx.trace);
         let span = |op| spans.iter().find(|s| s.op == op).expect(op);
         let (queue, service) = (span("queue"), span("service"));
         assert_eq!(queue.parent, ctx.parent);
-        assert_eq!(queue.start_ns, queued_at);
+        assert_eq!(queue.start_ns, seen[0]);
         assert_eq!(
             m.ledger().snapshot().queue_wait.sum_ns(),
             u128::from(queue.dur_ns)
@@ -979,16 +658,13 @@ mod tests {
     /// never trace their own collection.
     #[test]
     fn untraced_and_scrape_frames_record_no_spans() {
-        let d = IoDaemon::with_defaults(ServerId(0));
-        let m = Manager::new();
-        let scratch = &mut Scratch::default();
-        for (service, node) in [(&d as &dyn Service, "iod0"), (&m, "mgr")] {
-            service.ledger().queued();
-            let ping = frame(1, Request::Ping);
-            serve_rpc(service, node, ping, now_ns(), now_ns(), false, scratch);
+        let d: Arc<dyn Service> = Arc::new(IoDaemon::with_defaults(ServerId(0)));
+        let m: Arc<dyn Service> = Arc::new(Manager::new());
+        for (service, node) in [(&d, "iod0"), (&m, "mgr")] {
+            serve_at(service, node, frame(1, Request::Ping), now_ns);
             let ctx = Some(context());
             let scrape = traced_frame(2, Request::GetTrace { trace: TraceId(1) }, ctx);
-            serve_rpc(service, node, scrape, now_ns(), now_ns(), true, scratch);
+            serve_at(service, node, scrape, now_ns);
             assert!(service.recorder().is_empty(), "{node}");
         }
     }
@@ -1029,7 +705,7 @@ mod tests {
                 refusal,
                 ..Recording::default()
             });
-            let (door, far) = Door::unmanned(1, service.clone());
+            let (door, far) = Driver::unmanned(1, service.clone());
             (service, far, door)
         };
         let overloaded = PvfsError::Overloaded {
@@ -1079,7 +755,10 @@ mod tests {
                 }
                 assert!(sender.join().unwrap(), "the blocked offer went through");
             });
-            assert_eq!(books(&service), (2, 2, 0), "both frames are queued");
+            // Both frames were admitted, and the far end took them: the
+            // door books a frame's queue wait when it is taken.
+            assert_eq!(books(&service), (2, 0, 0), "both frames were admitted");
+            assert_eq!(service.ledger.snapshot().queue_wait.count(), 2);
 
             // A frame that never got into the queue — here the door's
             // workers are gone — is not left on the queue's books, whether
@@ -1099,7 +778,7 @@ mod tests {
     #[test]
     fn a_door_serves_every_frame_across_its_workers() {
         let service = Arc::new(Recording::default());
-        let door = Door::spawn("t", 4, 8, service.clone());
+        let door = Driver::spawn("t", 4, 8, service.clone());
         assert_eq!(service.ledger.snapshot().workers, 4);
         let (tx, rx) = sync_channel(100);
         for id in 1..=100 {
@@ -1120,7 +799,7 @@ mod tests {
         ids.sort_unstable();
         assert_eq!(ids, (1..=100).collect::<Vec<_>>());
 
-        let none = Door::spawn("t", 0, 0, service.clone());
+        let none = Driver::spawn("t", 0, 0, service.clone());
         assert_eq!(service.ledger.snapshot().workers, 1);
         none.close();
     }
@@ -1131,7 +810,7 @@ mod tests {
     #[test]
     fn closing_stops_every_worker_and_leaves_the_door_shut() {
         let service = Arc::new(Recording::default());
-        let door = Door::spawn("t", 2, 4, service.clone());
+        let door = Driver::spawn("t", 2, 4, service.clone());
         let (tx, _rx) = sync_channel(4);
         let reply = |id| ReplyPath::Lane(ReplyTo::new(&tx, RequestId(id)));
         assert!(door
@@ -1140,40 +819,69 @@ mod tests {
         door.close();
         door.close();
         assert!(door.threads.lock().unwrap().is_empty());
-        let state = door.queue.state.lock().unwrap();
-        assert_eq!((state.jobs.len(), state.idle_workers), (0, 0));
-        assert!(state.shut);
+        let state = door.queue.door.lock().unwrap();
+        assert_eq!((state.queued(), state.idle_workers), (0, 0));
+        assert!(state.is_shut());
         drop(state);
         assert_eq!(service.served.load(Ordering::Relaxed), 1);
         let late = door.offer(frame(2, Request::Ping), 16, reply(2), None);
         assert!(matches!(late, Err((_, _, PvfsError::Transport(_)))));
     }
 
+    /// Serves a frame only once the test lets it go.
+    struct Held(Recording, Mutex<mpsc::Receiver<()>>);
+
+    impl Service for Held {
+        fn serve(&self, request: &Request, scratch: &mut Scratch) -> Response {
+            let response = self.0.serve(request, scratch);
+            let _ = self.1.lock().unwrap().recv();
+            response
+        }
+        fn ledger(&self) -> &Ledger {
+            &self.0.ledger
+        }
+        fn recorder(&self) -> &FlightRecorder {
+            &self.0.recorder
+        }
+        fn never_blocks(&self) -> bool {
+            self.0.never_blocks
+        }
+    }
+
+    /// A [`Held`] service, and the sender that lets its frames go.
+    fn held(never_blocks: bool) -> (Arc<Held>, mpsc::Sender<()>) {
+        let (release, held) = mpsc::channel();
+        let recording = Recording {
+            never_blocks,
+            ..Recording::default()
+        };
+        (Arc::new(Held(recording, Mutex::new(held))), release)
+    }
+
     /// What the door admitted it answers, even when it is closed with
     /// frames still queued and every worker busy.
     #[test]
     fn every_admitted_frame_is_answered_before_close_returns() {
-        #[derive(Default)]
-        struct Slow(Ledger, FlightRecorder);
-        impl Service for Slow {
-            fn serve(&self, _: &Request, _: &mut Scratch) -> Response {
-                std::thread::sleep(Duration::from_millis(2));
-                Response::Pong { queue_depth: 0 }
-            }
-            fn ledger(&self) -> &Ledger {
-                &self.0
-            }
-            fn recorder(&self) -> &FlightRecorder {
-                &self.1
-            }
-        }
-        let door = Door::spawn("t", 2, 8, Arc::new(Slow::default()));
-        let transport = ChanTransport::new(vec![door.clone(), Door::bare(1).0]);
+        let (service, release) = held(false);
+        let door = Driver::spawn("t", 2, 8, service.clone());
+        let transport = ChanTransport::new(vec![door.clone(), Driver::bare(1).0]);
         let mut lane = transport.lane(RpcTarget::Server(ServerId(0))).unwrap();
         for id in 1..=crate::WINDOW as u64 {
             lane.send(frame(id, Request::Ping)).unwrap();
         }
-        door.close();
+        // Both workers hold a frame, and the rest wait in the queue.
+        while service.0.served.load(Ordering::Relaxed) < 2 {
+            std::thread::yield_now();
+        }
+        assert_eq!(door.queue.door.lock().unwrap().queued(), crate::WINDOW - 2);
+        std::thread::scope(|scope| {
+            let closing = scope.spawn(|| door.close());
+            while !door.queue.is_shut() {
+                std::thread::yield_now();
+            }
+            (0..crate::WINDOW).for_each(|_| release.send(()).unwrap());
+            closing.join().unwrap();
+        });
         // Nothing is waited for: the replies are already there.
         for _ in 0..crate::WINDOW {
             assert!(lane.recv(Duration::ZERO).is_ok());
@@ -1194,25 +902,9 @@ mod tests {
     /// `close` returns.
     #[test]
     fn a_frame_offered_while_the_door_closes_is_refused_at_once() {
-        /// Serves a frame only once the test lets it go.
-        struct Held(Recording, Mutex<mpsc::Receiver<()>>);
-        impl Service for Held {
-            fn serve(&self, request: &Request, scratch: &mut Scratch) -> Response {
-                let response = self.0.serve(request, scratch);
-                let _ = self.1.lock().unwrap().recv();
-                response
-            }
-            fn ledger(&self) -> &Ledger {
-                &self.0.ledger
-            }
-            fn recorder(&self) -> &FlightRecorder {
-                &self.0.recorder
-            }
-        }
-        let (release, held) = mpsc::channel();
-        let service = Arc::new(Held(Recording::default(), Mutex::new(held)));
-        let door = Door::spawn("t", 1, 4, service.clone());
-        let transport = ChanTransport::new(vec![door.clone(), Door::bare(1).0]);
+        let (service, release) = held(false);
+        let door = Driver::spawn("t", 1, 4, service.clone());
+        let transport = ChanTransport::new(vec![door.clone(), Driver::bare(1).0]);
         let mut lane = transport.lane(RpcTarget::Server(ServerId(0))).unwrap();
         lane.send(frame(1, Request::Ping)).unwrap();
         while service.0.served.load(Ordering::Relaxed) == 0 {
@@ -1220,7 +912,7 @@ mod tests {
         }
         let late = std::thread::scope(|scope| {
             let closing = scope.spawn(|| door.close());
-            while !door.queue.state.lock().unwrap().shut {
+            while !door.queue.is_shut() {
                 std::thread::yield_now();
             }
             let late = lane.send(frame(2, Request::Ping));
@@ -1243,7 +935,7 @@ mod tests {
     /// Offer ping `id` to `door`, its reply to go down `tx` (where nobody
     /// listens): why it was refused, if it was.
     fn offer_ping(
-        door: &Door,
+        door: &Driver,
         tx: &SyncSender<crate::transport::ChanReply>,
         id: u64,
         patience: Option<Duration>,
@@ -1255,7 +947,7 @@ mod tests {
 
     #[test]
     fn fifo_within_single_consumer() {
-        let (door, far) = Door::unmanned(8, Arc::new(Recording::default()));
+        let (door, far) = Driver::unmanned(8, Arc::new(Recording::default()));
         let (tx, _) = sync_channel(1);
         for id in 0..5 {
             assert!(offer_ping(&door, &tx, id, None).is_ok());
@@ -1269,63 +961,62 @@ mod tests {
     /// patience, and one taken off the queue lets a waiting frame in.
     #[test]
     fn patience_bounds_the_wait_then_succeeds_after_drain() {
-        let (door, far) = Door::unmanned(1, Arc::new(Recording::default()));
+        let (door, far) = Driver::unmanned(1, Arc::new(Recording::default()));
         let (tx, _) = sync_channel(1);
         let offer = |id, patience| offer_ping(&door, &tx, id, patience);
         assert!(offer(1, None).is_ok());
         let started = now_ns();
-        let waited = offer(2, Some(Duration::from_millis(20)));
+        let waited = offer(2, Some(Duration::from_millis(2)));
         assert!(matches!(waited, Err(PvfsError::Timeout(_))));
-        assert!(clock::since(started) >= Duration::from_millis(20));
-        // A concurrent take lets a parked offer in.
+        assert!(clock::since(started) >= Duration::from_millis(2));
+        assert_eq!(far.parked(), (0, 0), "a wait that timed out is uncounted");
+        // A take lets a parked offer in.
         std::thread::scope(|scope| {
-            let parked = scope.spawn(|| offer(2, Some(Duration::from_secs(5))));
-            std::thread::sleep(Duration::from_millis(10));
+            let parked = scope.spawn(|| offer(2, Some(Duration::from_secs(30))));
+            far.await_parked((0, 1));
             assert_eq!(far.next_id(), Some(1));
             assert_eq!(parked.join().unwrap(), Ok(()));
         });
         assert_eq!(far.next_id(), Some(2));
     }
 
+    /// The door tells its driver to notify a side only when a thread
+    /// of it is counted as parked: an offer that queues wakes a parked
+    /// worker, a take that makes room a parked offerer, the end of a
+    /// service the workers parked for a slot or for the drain.
     #[test]
     fn only_a_parked_thread_is_notified() {
-        let (door, far) = Door::unmanned(2, Arc::new(Recording::default()));
-        let (tx, _) = sync_channel(1);
-        let offer = |id, patience| offer_ping(&door, &tx, id, patience);
-        let now = Some(Duration::ZERO);
+        let mut door = Door::unmanned(Arc::new(Recording::default()), 2);
+        let ping = || frame(1, Request::Ping);
+        let queued = |offer| match offer {
+            Offer::Queued { wake, .. } => wake,
+            _ => panic!("not queued"),
+        };
         // Nobody is parked on either side: no notify at all.
-        for id in 0..100 {
-            assert_eq!((offer(id, None), offer(id, now)), (Ok(()), Ok(())));
-            assert!(matches!(offer(id, now), Err(PvfsError::Timeout(_))));
-            assert_eq!((far.next_id(), far.next_id()), (Some(id), Some(id)));
-        }
-        assert_eq!(far.wakes(), 0);
-        far.await_parked((0, 0));
-        std::thread::scope(|scope| {
-            // One worker parked: the offer that feeds it notifies, once;
-            // the next one, with nobody waiting any more, does not.
-            let parked = scope.spawn(|| far.next_id());
-            far.await_parked((1, 0));
-            assert_eq!(offer(7, None), Ok(()));
-            assert_eq!(parked.join().unwrap(), Some(7));
-            assert_eq!(far.wakes(), 1);
-            assert_eq!((offer(8, None), offer(9, None)), (Ok(()), Ok(())));
-            assert_eq!(far.wakes(), 1);
-            // One offer parked on the full queue: the take that makes
-            // room notifies it, once.
-            let parked = scope.spawn(|| offer(10, None));
-            far.await_parked((0, 1));
-            assert_eq!(far.next_id(), Some(8));
-            assert_eq!(parked.join().unwrap(), Ok(()));
-            assert_eq!(far.wakes(), 2);
-        });
-        assert_eq!((far.next_id(), far.next_id()), (Some(9), Some(10)));
-        assert_eq!(far.wakes(), 2);
-        // A wait for room that timed out took itself off the count.
-        assert_eq!((offer(11, None), offer(12, None)), (Ok(()), Ok(())));
-        let waited = offer(13, Some(Duration::from_millis(1)));
-        assert!(matches!(waited, Err(PvfsError::Timeout(_))));
-        assert_eq!((far.parked(), far.wakes()), ((0, 0), 2));
+        assert!(!queued(door.offer(ping(), 16, 1, 0)));
+        assert!(!queued(door.offer(ping(), 16, 2, 0)));
+        let Offer::Full(job) = door.offer(ping(), 16, 3, 0) else {
+            panic!("the queue holds two")
+        };
+        door.refuse(job, PvfsError::timeout("no patience"));
+        assert!(!door.take(0).unwrap().1);
+        assert!(!door.finish());
+        // A worker parked: the offer that feeds it wakes it.
+        door.idle_workers = 1;
+        assert!(queued(door.offer(ping(), 16, 4, 0)));
+        // An offerer parked on the full queue: the take that makes room.
+        door.waiting_offers = 1;
+        assert!(door.take(0).unwrap().1);
+        // A frame left service: the parked workers are woken while there
+        // is work for them, and once the door is shut, to leave.
+        assert!(door.finish());
+        door.take(0).unwrap();
+        assert!(!door.finish(), "nothing left to take");
+        assert!(queued(door.offer(ping(), 16, 5, 0)));
+        door.take(0).unwrap();
+        door.shut();
+        assert!(door.finish(), "shut: wake them to leave");
+        assert!(door.drained());
     }
 
     /// Capacity 1 keeps both sides parking all the time, every offer on
@@ -1335,7 +1026,7 @@ mod tests {
     #[test]
     fn no_wakeup_is_lost_at_capacity_one() {
         const EACH: u64 = 10_000;
-        let (door, far) = Door::unmanned(1, Arc::new(Recording::default()));
+        let (door, far) = Driver::unmanned(1, Arc::new(Recording::default()));
         let (tx, _) = sync_channel(1);
         let patience = Some(Duration::from_micros(50));
         let mut all: Vec<u64> = std::thread::scope(|scope| {
@@ -1365,7 +1056,7 @@ mod tests {
         assert!(all.into_iter().eq(0..4 * EACH));
     }
 
-    fn threads(door: &Door) -> usize {
+    fn threads(door: &Driver) -> usize {
         door.threads.lock().unwrap().len()
     }
 
@@ -1425,7 +1116,7 @@ mod tests {
     #[test]
     fn no_more_than_workers_frames_are_ever_in_service() {
         #[derive(Default)]
-        struct Peak(Recording, AtomicU64, AtomicU64, AtomicU64);
+        struct Peak(Recording, AtomicU64, AtomicU64, AtomicU64, AtomicBool);
         impl Service for Peak {
             fn serve(&self, request: &Request, scratch: &mut Scratch) -> Response {
                 let now = self.1.fetch_add(1, Ordering::SeqCst) + 1;
@@ -1433,8 +1124,16 @@ mod tests {
                 let name = std::thread::current().name().map(|n| n.starts_with("t-w"));
                 if name == Some(true) {
                     self.3.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    // Served where it was offered: held until a frame
+                    // has found every slot taken and queued, once.
+                    while !self.4.load(Ordering::SeqCst) {
+                        if self.0.ledger.queue_depth.load(Ordering::SeqCst) > 0 {
+                            self.4.store(true, Ordering::SeqCst);
+                        }
+                        std::thread::yield_now();
+                    }
                 }
-                std::thread::sleep(Duration::from_micros(50));
                 self.1.fetch_sub(1, Ordering::SeqCst);
                 self.0.serve(request, scratch)
             }
@@ -1451,7 +1150,7 @@ mod tests {
         const EACH: u64 = 200;
         for workers in [2, 1] {
             let service = Arc::new(Peak::default());
-            let door = Door::spawn("t", workers, 64, service.clone());
+            let door = Driver::spawn("t", workers, 64, service.clone());
             std::thread::scope(|scope| {
                 for t in 0..4 {
                     let door = &door;
@@ -1482,26 +1181,8 @@ mod tests {
     /// offered it is answered.
     #[test]
     fn close_waits_for_a_frame_served_inline() {
-        struct Held(Recording, Mutex<mpsc::Receiver<()>>);
-        impl Service for Held {
-            fn serve(&self, request: &Request, scratch: &mut Scratch) -> Response {
-                let response = self.0.serve(request, scratch);
-                let _ = self.1.lock().unwrap().recv();
-                response
-            }
-            fn ledger(&self) -> &Ledger {
-                &self.0.ledger
-            }
-            fn recorder(&self) -> &FlightRecorder {
-                &self.0.recorder
-            }
-            fn never_blocks(&self) -> bool {
-                true
-            }
-        }
-        let (release, held) = mpsc::channel();
-        let service = Arc::new(Held(Recording::default(), Mutex::new(held)));
-        let door = Door::spawn("t", 1, 4, service.clone());
+        let (service, release) = held(true);
+        let door = Driver::spawn("t", 1, 4, service.clone());
         let (tx, rx) = sync_channel(1);
         std::thread::scope(|scope| {
             let offering = scope.spawn(|| offer_ping(&door, &tx, 1, None));
@@ -1509,10 +1190,9 @@ mod tests {
                 std::thread::yield_now();
             }
             let closing = scope.spawn(|| door.close());
-            while !door.queue.state.lock().unwrap().shut {
-                std::thread::yield_now();
-            }
-            std::thread::sleep(Duration::from_millis(20));
+            // The closer parks for the frame in service, and only its
+            // end can wake it for good.
+            door.queue.await_parked((1, 0));
             let early = closing.is_finished();
             release.send(()).unwrap();
             closing.join().unwrap();
@@ -1531,7 +1211,7 @@ mod tests {
             never_blocks: true,
             ..Recording::default()
         });
-        let (door, far) = Door::unmanned(2, service.clone());
+        let (door, far) = Driver::unmanned(2, service.clone());
         let (tx, _rx) = sync_channel(2);
         for id in 1..=2 {
             assert!(offer_ping(&door, &tx, id, None).is_ok());
@@ -1560,11 +1240,11 @@ mod tests {
                 &self.1
             }
         }
-        let door = Door::spawn("t", 1, 4, Arc::new(Panics::default()));
+        let door = Driver::spawn("t", 1, 4, Arc::new(Panics::default()));
         let (tx, rx) = sync_channel(1);
         assert!(offer_ping(&door, &tx, 1, None).is_ok());
         door.close();
-        assert_eq!(door.queue.state.lock().unwrap().serving, 0);
+        assert_eq!(door.queue.door.lock().unwrap().in_service(), 0);
         assert!(
             matches!(rx.try_recv(), Ok(Err(RequestId(1)))),
             "the frame is lost"

@@ -1,5 +1,5 @@
 //! Server side of the TCP transport: per-daemon listeners in front of
-//! the same [`Door`]s the channel transport offers its frames to.
+//! the same doors ([`Driver`]s) the channel transport offers its frames to.
 //!
 //! One daemon = one `TcpListener` on loopback + one acceptor thread +
 //! one reader thread per accepted connection + the daemon's door, whose
@@ -7,7 +7,7 @@
 //! keeps one connection per daemon and pipelines its window of requests
 //! on it, so a reader reassembles length-prefixed frames — every
 //! complete frame a `read` delivered, through a staging buffer, before
-//! it blocks again — and offers them to the door ([`Door::offer`] has
+//! it blocks again — and offers them to the door ([`Driver::offer`] has
 //! the admission rule). A frame the door refuses — shed off an I/O
 //! daemon's full queue — the reader answers itself, at once, with the
 //! error. Where nothing is shed (the manager, stats scrapes) the reader
@@ -43,7 +43,7 @@
 //! [`TcpServer::shutdown`] stops the front, then the door: stop
 //! accepting (flag + self-connect to unblock `accept`), shut down the
 //! read half of every connection so readers finish offering the frames
-//! they have read, join the readers, then [`Door::close`] — every
+//! they have read, join the readers, then [`Driver::close`] — every
 //! accepted request is served and its response written first.
 
 use pvfs_proto::{data_response_head, decode_frame_id, encode_response, Response};
@@ -57,7 +57,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use super::frame::{wire_len, write_frame_parts, FrameError, FrameReader, STAGING};
-use crate::serve::{open_doors, Door, ReplyPath};
+use crate::serve::{open_doors, Driver, ReplyPath};
 use crate::spares::Spares;
 
 /// The answering side of one connection, shared by the workers serving
@@ -153,7 +153,7 @@ pub(crate) struct TcpServer {
     shutting_down: Arc<AtomicBool>,
     /// `None` once [`shutdown`](TcpServer::shutdown) has run.
     accept_thread: Option<JoinHandle<()>>,
-    door: Arc<Door>,
+    door: Arc<Driver>,
     conns: Conns,
     readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
@@ -164,7 +164,7 @@ pub(crate) struct TcpServer {
 type Conns = Arc<Mutex<HashMap<usize, TcpStream>>>;
 
 impl TcpServer {
-    fn spawn(door: Arc<Door>) -> std::io::Result<TcpServer> {
+    fn spawn(door: Arc<Driver>) -> std::io::Result<TcpServer> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
         let shutting_down = Arc::new(AtomicBool::new(false));
@@ -249,7 +249,7 @@ impl Drop for TcpServer {
 /// peer hangs up, dies mid-frame, or violates the frame cap; then take
 /// the connection's entry (`key` in `conns`) back out, so the daemon's
 /// duplicate of the socket closes with the connection.
-fn spawn_reader(stream: TcpStream, door: Arc<Door>, key: usize, conns: Conns) -> JoinHandle<()> {
+fn spawn_reader(stream: TcpStream, door: Arc<Driver>, key: usize, conns: Conns) -> JoinHandle<()> {
     /// Removes the entry however the reader exits.
     struct Deregister(usize, Conns);
     impl Drop for Deregister {

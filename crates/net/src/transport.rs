@@ -33,7 +33,7 @@ use std::sync::{Arc, Mutex, Weak};
 use std::thread::Thread;
 use std::time::Duration;
 
-use crate::serve::{Door, ReplyPath};
+use crate::serve::{Driver, ReplyPath};
 use crate::spares::{Lent, Spares, MAX_SPARE_CAPACITY};
 use crate::WINDOW;
 
@@ -242,8 +242,8 @@ impl Drop for ReplyTo {
 
 /// The in-process transport: a lane is one bounded reply channel (std's
 /// `sync_channel`), a sender of which goes with every frame sent on it,
-/// and [`Lane::send`] is to a daemon's [`Door`] what a TCP connection's
-/// reader is — it offers the frame ([`Door::offer`] has the admission
+/// and [`Lane::send`] is to a daemon's door ([`Driver`]) what a TCP connection's
+/// reader is — it offers the frame ([`Driver::offer`] has the admission
 /// rule) and tells a refusal to the sender's face. Where the manager's
 /// full queue makes a connection's reader wait for ever, a lane waits at
 /// most [`DEFAULT_RPC_TIMEOUT`]: a wedged manager must yield
@@ -258,7 +258,7 @@ impl Drop for ReplyTo {
 /// [`DEFAULT_RPC_TIMEOUT`]: crate::DEFAULT_RPC_TIMEOUT
 pub struct ChanTransport {
     /// One door per I/O server, the manager's last.
-    doors: Vec<Arc<Door>>,
+    doors: Vec<Arc<Driver>>,
     /// The lanes parked at each door.
     idle: Vec<Arc<Parked>>,
 }
@@ -276,7 +276,7 @@ pub(crate) fn parked(stack: &Parked) -> std::sync::MutexGuard<'_, Vec<Box<dyn La
 impl ChanTransport {
     /// A transport to the daemons behind `doors`: one per I/O server
     /// in id order, then the manager's.
-    pub(crate) fn new(doors: Vec<Arc<Door>>) -> ChanTransport {
+    pub(crate) fn new(doors: Vec<Arc<Driver>>) -> ChanTransport {
         let idle = doors.iter().map(|_| Arc::default()).collect();
         ChanTransport { doors, idle }
     }
@@ -330,7 +330,7 @@ impl Transport for ChanTransport {
 /// A reply the caller still holds is never written again: the daemon
 /// makes another buffer.
 struct ChanLane {
-    door: Arc<Door>,
+    door: Arc<Driver>,
     /// Where the lane is parked.
     home: Weak<Parked>,
     /// What each frame's `ReplyTo` is cloned from; held, it keeps the
@@ -463,8 +463,8 @@ mod tests {
     /// least of all whoever talks to that daemon next.
     #[test]
     fn a_quiet_lane_is_parked_and_one_still_owed_a_reply_is_not() {
-        let (door, daemon) = Door::bare(8);
-        let transport = ChanTransport::new(vec![door, Door::bare(1).0]);
+        let (door, daemon) = Driver::bare(8);
+        let transport = ChanTransport::new(vec![door, Driver::bare(1).0]);
         let target = RpcTarget::Server(ServerId(0));
         let parked = || parked(&transport.idle[0]).len();
         let received = || {

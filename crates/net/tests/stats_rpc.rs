@@ -418,3 +418,54 @@ fn client_latency_attribution_over_chan() {
 fn client_latency_attribution_over_tcp() {
     assert_client_latency_attribution(TransportKind::Tcp);
 }
+
+/// `PVFS_STATS=dump` prints each daemon's books once its door has
+/// drained, so a frame still in service when the cluster is dropped is
+/// in its daemon's line. The test runs itself again as a child process
+/// with the variable set, and reads the child's stderr.
+#[test]
+fn the_teardown_dump_counts_a_frame_served_during_teardown() {
+    const NAME: &str = "the_teardown_dump_counts_a_frame_served_during_teardown";
+    if std::env::var_os("STATS_RPC_CHILD").is_some() {
+        // The child: a ping to a daemon that serves for 50 ms, its
+        // arrival booked, then the cluster dropped under it.
+        let config = IodConfig {
+            emulated_latency: Some(Duration::from_millis(50)),
+            ..IodConfig::default()
+        };
+        let cluster = LiveCluster::spawn_with(1, config);
+        let transport = cluster.transport();
+        let ping = std::thread::spawn(move || {
+            let message = Message {
+                client: ClientId(1),
+                id: RequestId(1),
+                request: Request::Ping,
+            };
+            let frame = encode_frame(&message, None).unwrap();
+            let mut lane = transport.dispatch(RpcTarget::Server(ServerId(0)), frame);
+            lane.as_mut().unwrap().recv(Duration::from_secs(10)).is_ok()
+        });
+        while cluster.stats_snapshot(ServerId(0)).unwrap().frames_rx == 0 {
+            std::thread::yield_now();
+        }
+        drop(cluster);
+        assert!(ping.join().unwrap(), "the ping was answered");
+        return;
+    }
+    let child = std::process::Command::new(std::env::current_exe().unwrap())
+        .args([NAME, "--exact", "--nocapture", "--test-threads=1"])
+        .env("STATS_RPC_CHILD", "1")
+        .env("PVFS_STATS", "dump")
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&child.stderr);
+    assert!(child.status.success(), "{stderr}");
+    let iod0 = stderr
+        .lines()
+        .find(|line| line.starts_with("{\"daemon\":\"iod0\""))
+        .unwrap_or_else(|| panic!("no dump line for iod0: {stderr}"));
+    assert!(
+        iod0.contains("\"frames_rx\":1,") && iod0.contains("\"service_time\":{\"count\":1,"),
+        "{iod0}"
+    );
+}
