@@ -226,10 +226,21 @@ pub trait StorageBackend: std::fmt::Debug + Send {
     /// backends with no crash surface).
     fn inject_crash(&mut self, _point: CrashPoint) {}
 
+    /// Append the `len` bytes at `offset` to `out`, as [`read_at`]
+    /// reads them. By default the room is zero-filled, then read into; a
+    /// backend that can copy straight into `out`'s capacity does.
+    ///
+    /// [`read_at`]: StorageBackend::read_at
+    fn read_append(&self, offset: u64, len: usize, out: &mut Vec<u8>) -> PvfsResult<()> {
+        let start = out.len();
+        out.resize(start + len, 0);
+        self.read_at(offset, &mut out[start..])
+    }
+
     /// Convenience: read `len` bytes at `offset` into a fresh vector.
     fn read_vec(&self, offset: u64, len: usize) -> PvfsResult<Vec<u8>> {
-        let mut buf = vec![0u8; len];
-        self.read_at(offset, &mut buf)?;
+        let mut buf = Vec::with_capacity(len);
+        self.read_append(offset, len, &mut buf)?;
         Ok(buf)
     }
 }

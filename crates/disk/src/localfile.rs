@@ -157,11 +157,23 @@ impl LocalFile {
     /// access.
     pub fn read_into(&mut self, offset: u64, buf: &mut [u8]) -> PvfsResult<()> {
         self.store.read_at(offset, buf)?;
+        self.charge_read(offset, buf.len());
+        Ok(())
+    }
+
+    /// Append the `len` bytes at `offset` to `out` (zeros past EOF),
+    /// never zero-filling first what the store can copy in: one access.
+    pub fn read_append(&mut self, offset: u64, len: usize, out: &mut Vec<u8>) -> PvfsResult<()> {
+        self.store.read_append(offset, len, out)?;
+        self.charge_read(offset, len);
+        Ok(())
+    }
+
+    fn charge_read(&mut self, offset: u64, len: usize) {
         if let Some(model) = &mut self.model {
-            let charge = model.price_read(offset, buf.len() as u64);
+            let charge = model.price_read(offset, len as u64);
             model.charge(charge);
         }
-        Ok(())
     }
 
     /// Apply a whole request's runs as one batch — all-or-nothing

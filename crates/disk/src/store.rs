@@ -7,11 +7,14 @@
 
 use crate::backend::StorageBackend;
 use pvfs_types::PvfsResult;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// Chunk granularity. 64 KiB balances per-chunk overhead against
 /// allocation waste for scattered small writes.
 pub const CHUNK_SIZE: usize = 64 * 1024;
+
+/// What a chunk never written holds.
+static HOLE: [u8; CHUNK_SIZE] = [0; CHUNK_SIZE];
 
 /// A sparse, growable byte store addressed by `u64` offsets.
 #[derive(Debug, Default, Clone)]
@@ -42,42 +45,56 @@ impl SparseStore {
         (self.chunks.len() * CHUNK_SIZE) as u64
     }
 
-    /// Read `buf.len()` bytes starting at `offset`. Holes and bytes past
-    /// the end read as zero — including bytes past `u64::MAX`, which are
-    /// unaddressable and therefore permanent holes.
-    pub fn read_at(&self, offset: u64, buf: &mut [u8]) {
+    /// The `len` bytes from `offset` on, in order, a chunk's worth at
+    /// most at a time. Holes and bytes past the end read as zero —
+    /// including bytes past `u64::MAX`, which are unaddressable and
+    /// therefore permanent holes.
+    fn pieces(&self, offset: u64, len: usize) -> impl Iterator<Item = &[u8]> {
         // Clamp before the chunk math: `offset + pos` must not wrap, or
         // a read near u64::MAX would alias chunk 0.
-        let addressable = u64::MAX - offset;
-        let buf = if (buf.len() as u64) > addressable {
-            let (head, tail) = buf.split_at_mut(addressable as usize);
-            tail.fill(0);
-            head
-        } else {
-            buf
-        };
+        let addressable = (u64::MAX - offset).min(len as u64) as usize;
         let mut pos = 0usize;
-        while pos < buf.len() {
-            let abs = offset + pos as u64;
-            let chunk_idx = abs / CHUNK_SIZE as u64;
-            let within = (abs % CHUNK_SIZE as u64) as usize;
-            let n = (CHUNK_SIZE - within).min(buf.len() - pos);
-            match self.chunks.get(&chunk_idx) {
-                Some(chunk) => buf[pos..pos + n].copy_from_slice(&chunk[within..within + n]),
-                None => buf[pos..pos + n].fill(0),
-            }
-            pos += n;
+        std::iter::from_fn(move || {
+            let piece = if pos < addressable {
+                let abs = offset + pos as u64;
+                let within = (abs % CHUNK_SIZE as u64) as usize;
+                let n = (CHUNK_SIZE - within).min(addressable - pos);
+                let chunk = self.chunks.get(&(abs / CHUNK_SIZE as u64));
+                chunk.map_or(&HOLE[..n], |chunk| &chunk[within..within + n])
+            } else {
+                &HOLE[..(len - pos).min(CHUNK_SIZE)]
+            };
+            pos += piece.len();
+            (!piece.is_empty()).then_some(piece)
+        })
+    }
+
+    /// Read `buf.len()` bytes starting at `offset` (holes as zeros).
+    pub fn read_at(&self, offset: u64, buf: &mut [u8]) {
+        let mut pos = 0;
+        for piece in self.pieces(offset, buf.len()) {
+            buf[pos..pos + piece.len()].copy_from_slice(piece);
+            pos += piece.len();
         }
+    }
+
+    /// Append the `len` bytes at `offset` to `out`: copied straight
+    /// into its capacity, never zero-filled first.
+    pub fn read_append(&self, offset: u64, len: usize, out: &mut Vec<u8>) {
+        out.reserve(len);
+        self.pieces(offset, len)
+            .for_each(|piece| out.extend_from_slice(piece));
     }
 
     /// Convenience: read `len` bytes at `offset` into a fresh vector.
     pub fn read_vec(&self, offset: u64, len: usize) -> Vec<u8> {
-        let mut buf = vec![0u8; len];
-        self.read_at(offset, &mut buf);
+        let mut buf = Vec::with_capacity(len);
+        self.read_append(offset, len, &mut buf);
         buf
     }
 
-    /// Write `data` at `offset`, materializing chunks as needed and
+    /// Write `data` at `offset`, materializing chunks as needed (one the
+    /// write covers whole is made from its bytes, not zeroed first) and
     /// growing the file size. The store's address space ends at
     /// `u64::MAX - 1` (`size` is one past the highest byte, and must
     /// itself fit in a `u64`); bytes that would land past it are
@@ -98,11 +115,14 @@ impl SparseStore {
             let chunk_idx = abs / CHUNK_SIZE as u64;
             let within = (abs % CHUNK_SIZE as u64) as usize;
             let n = (CHUNK_SIZE - within).min(data.len() - pos);
-            let chunk = self
-                .chunks
-                .entry(chunk_idx)
-                .or_insert_with(|| Box::new([0u8; CHUNK_SIZE]));
-            chunk[within..within + n].copy_from_slice(&data[pos..pos + n]);
+            let piece = &data[pos..pos + n];
+            match self.chunks.entry(chunk_idx) {
+                Entry::Vacant(new) if n == CHUNK_SIZE => {
+                    new.insert(Box::<[u8]>::from(piece).try_into().expect("one chunk"));
+                }
+                chunk => chunk.or_insert_with(|| Box::new([0; CHUNK_SIZE]))[within..within + n]
+                    .copy_from_slice(piece),
+            }
             pos += n;
         }
         self.size = self.size.max(offset + data.len() as u64);
@@ -140,6 +160,11 @@ impl StorageBackend for SparseStore {
 
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> PvfsResult<()> {
         SparseStore::read_at(self, offset, buf);
+        Ok(())
+    }
+
+    fn read_append(&self, offset: u64, len: usize, out: &mut Vec<u8>) -> PvfsResult<()> {
+        SparseStore::read_append(self, offset, len, out);
         Ok(())
     }
 
@@ -261,6 +286,31 @@ mod tests {
     }
 
     #[test]
+    fn whole_chunks_are_made_from_the_written_bytes_and_reads_append() {
+        let mut s = SparseStore::new();
+        let data: Vec<u8> = (0..3 * CHUNK_SIZE).map(|i| (i % 251) as u8).collect();
+        // Chunks 0 and 3 partly, 1 and 2 whole; then chunk 1 again, whole.
+        let at = CHUNK_SIZE as u64 - 5;
+        s.write_at(at, &data);
+        s.write_at(CHUNK_SIZE as u64, &data[..CHUNK_SIZE]);
+        assert_eq!(s.resident_chunks(), 4);
+        let mut out = b"kept".to_vec();
+        s.read_append(at - 3, data.len() + 10, &mut out);
+        assert_eq!(&out[..7], b"kept\0\0\0");
+        assert_eq!(&out[7..12], &data[..5]);
+        assert_eq!(&out[12..12 + CHUNK_SIZE], &data[..CHUNK_SIZE]);
+        assert_eq!(
+            &out[12 + CHUNK_SIZE..out.len() - 7],
+            &data[5 + CHUNK_SIZE..]
+        );
+        assert_eq!(&out[out.len() - 7..], &[0; 7]);
+        // Past the end of the address space, a hole appended last.
+        let mut out = vec![9];
+        s.read_append(u64::MAX - 2, 5, &mut out);
+        assert_eq!(out, [9, 0, 0, 0, 0, 0]);
+    }
+
+    #[test]
     fn read_at_the_edge_of_the_address_space_does_not_wrap() {
         let s = SparseStore::new();
         // Previously `offset + pos` overflowed here: panic in debug,
@@ -330,6 +380,10 @@ mod proptests {
                     want[..upto - probe as usize]
                         .copy_from_slice(&oracle[probe as usize..upto]);
                 }
+                // A dirty buffer read into reads the same.
+                let mut dirty = vec![0xa5; 600];
+                store.read_at(probe, &mut dirty);
+                prop_assert_eq!(&dirty, &want);
                 prop_assert_eq!(got, want);
             }
         }

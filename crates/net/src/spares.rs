@@ -14,8 +14,15 @@
 //!
 //! * **Bound.** An owner keeps at most [`WINDOW`] spares — the most
 //!   frames one stream has unanswered at one daemon (a client, whose
-//!   window spans its daemons, `WINDOW` per daemon) — and none that pins
-//!   more than [`MAX_SPARE_CAPACITY`] bytes.
+//!   window spans its daemons, `WINDOW` per daemon).
+//! * **Two classes by size.** A buffer that fits a steady-state frame —
+//!   at most [`MAX_SPARE_CAPACITY`] bytes ([`is_spare`]) — is a spare. A
+//!   larger one is its *frame's own*: made when the frame needs it,
+//!   empty, to be filled by appending (never zero-filled first), freed
+//!   with its last view, and never kept — by [`Spares::give`], a
+//!   [`Lent`] handle, or as part of a daemon's `Scratch`. At memcpy
+//!   speed the frame's own copy costs far more than the allocation a
+//!   spare would save.
 //! * **The first `WINDOW` are made, the rest reused.** An owner's first
 //!   `WINDOW` [`take`](Spares::take)s come back empty-handed however many
 //!   spares are already back: how soon a buffer is free again is
@@ -60,10 +67,17 @@ use std::collections::VecDeque;
 
 use crate::WINDOW;
 
-/// A spare that pins more memory than this is dropped, not kept: one
-/// 32 MiB sieving reply must not pin that much memory for the life of a
-/// connection.
-pub const MAX_SPARE_CAPACITY: usize = 1 << 20;
+/// The most memory a spare pins: twice the largest list frame the
+/// paper's workloads send (FLASH's ≈ 64 KiB write frame). A contiguous
+/// transfer or a sieving window is larger, and must not pin its size
+/// for the life of a connection.
+pub const MAX_SPARE_CAPACITY: usize = 128 << 10;
+
+/// The keep rule: whether a buffer pinning `capacity` bytes is a spare
+/// (kept and reused), not its frame's own.
+pub fn is_spare(capacity: usize) -> bool {
+    capacity <= MAX_SPARE_CAPACITY
+}
 
 /// Something worth keeping for the next frame.
 pub trait Spare {
@@ -145,9 +159,9 @@ impl<T: Spare> Spares<T> {
     }
 
     /// Take `spare` back, unless that would keep more than the bound or
-    /// pin more than [`MAX_SPARE_CAPACITY`].
+    /// it is no spare ([`is_spare`]).
     pub fn give(&mut self, spare: T) {
-        if self.kept.len() < self.bound && spare.capacity() <= MAX_SPARE_CAPACITY {
+        if self.kept.len() < self.bound && is_spare(spare.capacity()) {
             self.kept.push_back(spare);
         }
     }
@@ -155,24 +169,23 @@ impl<T: Spare> Spares<T> {
 
 impl Spares<BytesMut> {
     /// A buffer with room for `room` bytes: a spare if one is due and
-    /// long enough, a fresh (zeroed) one otherwise. A spare too short is
-    /// let go for one twice its size, at least: an owner's frames are
-    /// rarely all one length, and a buffer outgrown by a slightly longer
-    /// frame must not be outgrown again by the next — each buffer grows
-    /// to its owner's traffic once, early, whichever frames it happens
-    /// to meet. A spare comes as its last user left it, contents and
-    /// length (a fresh one is as long as its capacity): the caller
-    /// overwrites what it uses, or clears it. More than
-    /// [`MAX_SPARE_CAPACITY`] is a buffer of its own, no concern of the
-    /// owner's.
+    /// long enough, a fresh one otherwise. A spare too short is let go
+    /// for one twice its size, at least: an owner's frames are rarely
+    /// all one length, and a buffer outgrown by a slightly longer frame
+    /// must not be outgrown again by the next — each buffer grows to its
+    /// owner's traffic once, early, whichever frames it happens to meet.
+    /// A spare comes as its last user left it, contents and length; a
+    /// fresh one is empty, nothing written to it: the caller clears and
+    /// appends. A room no spare fits is the frame's own buffer, no
+    /// concern of the owner's.
     pub fn buffer(&mut self, room: usize) -> BytesMut {
-        if room > MAX_SPARE_CAPACITY {
-            return BytesMut::zeroed(room);
-        }
-        match self.take() {
+        let due = if is_spare(room) { self.take() } else { None };
+        match due {
             Some(spare) if spare.capacity() >= room => spare,
-            Some(short) => BytesMut::zeroed(room.max(2 * short.capacity()).min(MAX_SPARE_CAPACITY)),
-            None => BytesMut::zeroed(room),
+            Some(short) => {
+                BytesMut::with_capacity(room.max(2 * short.capacity()).min(MAX_SPARE_CAPACITY))
+            }
+            None => BytesMut::with_capacity(room),
         }
     }
 
@@ -205,9 +218,15 @@ impl Spares<BytesMut> {
 pub struct Lent([Option<Bytes>; WINDOW]);
 
 impl Lent {
-    /// Keep `handle` if there is a free place for it; a buffer with no
-    /// handle kept is simply freed by whoever drops it last.
+    /// Keep `handle` if its buffer is a spare ([`is_spare`]; no buffer
+    /// at all is nothing to take back) and there is a free place for it;
+    /// a buffer with no handle kept is simply freed by whoever drops it
+    /// last.
     pub fn keep(&mut self, handle: Bytes) {
+        let pins = handle.buffer_capacity();
+        if pins == 0 || !is_spare(pins) {
+            return;
+        }
         if let Some(free) = self.0.iter_mut().find(|lent| lent.is_none()) {
             *free = Some(handle);
         }
@@ -226,7 +245,7 @@ mod tests {
         let mut made = Vec::new();
         for i in 0..WINDOW {
             let buf = spares.buffer(100 + i);
-            assert_eq!((buf.len(), buf.capacity()), (100 + i, 100 + i));
+            assert_eq!((buf.len(), buf.capacity()), (0, 100 + i));
             made.push(buf.as_ptr());
             spares.give(buf);
         }
@@ -279,16 +298,22 @@ mod tests {
         // Each short buffer is let go when it meets a longer frame, for
         // one with room for frames longer still.
         let longer: Vec<_> = (0..WINDOW).map(|_| spares.buffer(20)).collect();
-        assert!(longer.iter().all(|b| b.capacity() == 32 && b.len() == 32));
+        assert!(longer.iter().all(|b| b.capacity() == 32 && b.is_empty()));
         longer.into_iter().for_each(|b| spares.give(b));
         let long: Vec<_> = (0..WINDOW).map(|_| spares.buffer(4096)).collect();
         assert!(long.iter().all(|b| b.capacity() == 4096));
-        long.into_iter().for_each(|b| spares.give(b));
+        for mut b in long {
+            b.resize(4000, 1);
+            spares.give(b);
+        }
+        // A spare comes back as its last user left it.
         let again = spares.buffer(16);
-        assert!(again.capacity() == 4096 && again.len() == 4096);
+        assert!(again.capacity() == 4096 && again[..] == [1; 4000]);
         spares.give(again);
-        // More than the bound never counts as one of the owner's.
+        // More than the bound never counts as one of the owner's: made
+        // empty, to be appended to, and not kept.
         let big = spares.buffer(MAX_SPARE_CAPACITY + 1);
+        assert!(big.is_empty() && big.capacity() == MAX_SPARE_CAPACITY + 1);
         spares.give(big);
         for _ in 0..WINDOW {
             assert!(spares
@@ -302,6 +327,28 @@ mod tests {
             (0..2 * WINDOW).filter_map(|_| spares.take()).count(),
             WINDOW
         );
+    }
+
+    #[test]
+    fn a_buffer_at_the_bound_is_kept_and_one_byte_over_it_is_not() {
+        assert!(is_spare(MAX_SPARE_CAPACITY) && !is_spare(MAX_SPARE_CAPACITY + 1));
+        for (capacity, kept) in [(MAX_SPARE_CAPACITY, true), (MAX_SPARE_CAPACITY + 1, false)] {
+            let mut spares = Spares::new(1);
+            assert!(spares.take().is_none());
+            spares.give(BytesMut::with_capacity(capacity));
+            assert_eq!(spares.take().is_some(), kept, "given back at {capacity}");
+            // A handle on one, as a reader or a lane keeps, likewise.
+            let mut lent = Lent::default();
+            let mut buffer = BytesMut::with_capacity(capacity);
+            buffer.extend_from_slice(b"a frame");
+            lent.keep(buffer.freeze());
+            spares.sweep(&mut lent);
+            assert_eq!(spares.take().is_some(), kept, "lent at {capacity}");
+        }
+        // No buffer at all is nothing to keep a handle on.
+        let mut lent = Lent::default();
+        lent.keep(Bytes::new());
+        assert!(lent.0.iter().all(Option::is_none));
     }
 
     #[test]

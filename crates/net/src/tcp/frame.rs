@@ -43,7 +43,6 @@ use pvfs_proto::{Frame, MAX_WIRE_FRAME};
 use pvfs_types::PvfsError;
 use std::io::{self, IoSlice, Read, Write};
 
-pub use crate::spares::MAX_SPARE_CAPACITY;
 use crate::spares::{Lent, Spares};
 use crate::WINDOW;
 
@@ -167,8 +166,8 @@ fn write_all_vectored<const N: usize>(w: &mut impl Write, parts: [&[u8]; N]) -> 
 /// The reader owns the connection's receive buffers — a [`Spares`], so:
 /// the first [`WINDOW`] frames allocate, the rest reuse, the buffer
 /// freed last first; a buffer too short for the frame at hand is let go for one that
-/// fits; a frame over [`MAX_SPARE_CAPACITY`] gets a buffer of its own
-/// that is not kept. Nobody gives a frame's buffer back: the reader keeps
+/// fits; a frame no spare fits gets a buffer of its own that is not
+/// kept. Nobody gives a frame's buffer back: the reader keeps
 /// a handle on the (up to `WINDOW`) frames it has handed out and, when
 /// the next frame's prefix has arrived, takes back every buffer it is by
 /// then the last handle on ([`Bytes::try_into_mut`], control block and
@@ -182,9 +181,9 @@ fn write_all_vectored<const N: usize>(w: &mut impl Write, parts: [&[u8]; N]) -> 
 /// reader simply allocates, as a one-shot [`read_frame`] does; a buffer a
 /// live `Bytes` points into is never written.
 ///
-/// A buffer keeps the length of the longest frame it has held — the
-/// frame handed out is a view of its front — so a reused buffer is not
-/// zeroed again before it is overwritten.
+/// A frame is read into its buffer's spare capacity
+/// (`Read::take(len).read_to_end`), which std fills from a socket
+/// without zeroing it first: no buffer is zeroed before it is filled.
 ///
 /// A read that gives out with [`FrameError::is_timeout`] loses nothing:
 /// the prefix bytes and the part of the body that arrived are kept, and
@@ -203,12 +202,10 @@ pub struct FrameReader {
 
 #[derive(Debug)]
 struct Body {
-    /// At least `len` bytes long; the frame is its first `len`.
+    /// What of the frame has arrived, with room for the rest.
     buf: BytesMut,
     /// The frame's announced length.
     len: usize,
-    /// How much of the frame has arrived.
-    got: usize,
 }
 
 impl FrameReader {
@@ -254,40 +251,25 @@ impl FrameReader {
                 }));
             }
             self.prefix_got = 0;
-            let buf = self.buffer_for(len);
-            self.body = Some(Body { buf, len, got: 0 });
+            self.spares.sweep(&mut self.lent);
+            let mut buf = self.spares.buffer(len);
+            buf.clear();
+            self.body = Some(Body { buf, len });
         }
-        let Body { buf, len, got } = self.body.as_mut().expect("the prefix is in");
-        // What arrived before an error stays where it is.
-        while got < len {
-            match r.read(&mut buf[*got..*len]) {
-                Ok(0) => return Err(died_mid_frame()),
-                Ok(n) => *got += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(FrameError::Io(e)),
-            }
+        let Body { buf, len } = self.body.as_mut().expect("the prefix is in");
+        // Appended into the room the buffer has; what arrived before an
+        // error stays.
+        let rest = (*len - buf.len()) as u64;
+        r.take(rest)
+            .read_to_end(buf.as_mut_vec())
+            .map_err(FrameError::Io)?;
+        if buf.len() < *len {
+            return Err(died_mid_frame());
         }
-        let Body { buf, len, .. } = self.body.take().expect("just filled");
-        // An oversized buffer is the frame's alone: no handle kept, it is
-        // freed when the frame is dropped.
-        let keep = buf.capacity() <= MAX_SPARE_CAPACITY;
-        let whole = buf.freeze();
-        let frame = whole.slice(..len);
-        if keep {
-            self.lent.keep(whole);
-        }
+        let frame = self.body.take().expect("just filled").buf.freeze();
+        // Kept a handle on unless the buffer is the frame's own.
+        self.lent.keep(frame.clone());
         Ok(frame)
-    }
-
-    /// The buffer a frame of `len` bytes is read into: at least that
-    /// long.
-    fn buffer_for(&mut self, len: usize) -> BytesMut {
-        self.spares.sweep(&mut self.lent);
-        let mut buf = self.spares.buffer(len);
-        if buf.len() < len {
-            buf.resize(len, 0);
-        }
-        buf
     }
 }
 
@@ -624,6 +606,7 @@ mod tests {
 
     #[test]
     fn an_oversized_spare_is_dropped_not_pinned() {
+        use crate::spares::MAX_SPARE_CAPACITY;
         let big = vec![7u8; MAX_SPARE_CAPACITY + 1];
         let mut wire = framed(&big);
         wire.extend_from_slice(&framed(&big[1..]));

@@ -34,7 +34,7 @@ use std::thread::Thread;
 use std::time::Duration;
 
 use crate::serve::{Driver, ReplyPath};
-use crate::spares::{Lent, Spares, MAX_SPARE_CAPACITY};
+use crate::spares::{Lent, Spares};
 use crate::WINDOW;
 
 /// Where an RPC is addressed.
@@ -320,11 +320,12 @@ impl Transport for ChanTransport {
 /// its replies — the reply channel, and the buffers `Data` replies are
 /// built in, which the lane owns (the rule of [`crate::spares`]). One
 /// goes out with each request; the daemon's worker gathers a read into
-/// it (making it, the lane's first [`WINDOW`] times, and growing one too
-/// short) and it comes back as the reply's payload, or unused beside a
-/// reply that has none. As a connection's `FrameReader` does, the lane
-/// keeps a handle on each payload it has handed out and takes back, when
-/// it next sends, every buffer it is by then the last handle on. One
+/// it (making it, the lane's first [`WINDOW`] times, and letting one too
+/// short go for one that fits) and it comes back as the reply's payload,
+/// or unused beside a reply that has none. As a connection's
+/// `FrameReader` does, the lane keeps a handle on each spare-sized
+/// payload it has handed out and takes back, when it next sends, every
+/// buffer it is by then the last handle on. One
 /// always is, whichever worker was faster: whoever drives a lane has
 /// scattered and dropped a reply before sending that lane's next frame.
 /// A reply the caller still holds is never written again: the daemon
@@ -413,11 +414,8 @@ impl Lane for ChanLane {
         let lost = |id| WaitError::Lost(id, PvfsError::Transport("server dropped reply".into()));
         let (reply, unused) = answer.map_err(lost)?;
         self.keep(unused);
-        // A payload too large to keep is the reply's alone: no handle on
-        // it, it is freed when the reply is dropped.
-        if (1..=MAX_SPARE_CAPACITY).contains(&reply.payload.len()) {
-            self.lent.keep(reply.payload.clone());
-        }
+        // Kept a handle on unless the buffer is the reply's own.
+        self.lent.keep(reply.payload.clone());
         Ok(reply)
     }
 

@@ -92,20 +92,22 @@ const FILE_SHARDS: usize = 16;
 /// always has.
 ///
 /// Nothing in it outlives its request as *data*: the read buffer is
-/// dirty when it comes round again, so a read must write every byte of
-/// the share it answers with — holes, the range past EOF and
-/// never-written handles included (the storage backends zero-fill them,
-/// and a read's local runs leave no gap between them) — and a failed read
-/// answers with an error and no part of the buffer.
+/// cleared and the share appended to it, every byte — holes, the range
+/// past EOF and never-written handles included (the storage backends
+/// append zeros for them, and a read's local runs leave no gap between
+/// them) — and a failed read answers with an error and no part of the
+/// buffer.
 #[derive(Debug, Default)]
 pub struct Scratch {
     /// Where the transport decodes a list request's regions
     /// (`pvfs_proto::decode_frame_reusing`), and where it puts them back
     /// once the request is served.
     pub regions: RegionList,
-    /// The buffer a read gathers its share into: kept at the longest
-    /// share it has held and sliced, never cleared and regrown, so it is
-    /// zero-filled once.
+    /// The buffer a read appends its share to. One too short for a
+    /// share is let go for one that fits and is at least twice as long
+    /// (outgrown once, not by every slightly longer share), never
+    /// zeroed: the store fills it. Whether a scratch whose buffer grew
+    /// for a bulk share is kept is its owner's rule (`pvfs_net::spares`).
     read: BytesMut,
     /// The handle on all of `read` while a `Data` reply views it.
     lent: Option<Bytes>,
@@ -126,8 +128,8 @@ impl Scratch {
     }
 
     /// Serve the next read into `buffer` — whatever it holds, however
-    /// short (one too short is grown; the empty buffer owns no memory and
-    /// is as good as none). For a driver whose read buffers belong to
+    /// short (one too short is let go; the empty buffer owns no memory
+    /// and is as good as none). For a driver whose read buffers belong to
     /// whoever sent the request, and travel with it.
     pub fn adopt_read(&mut self, buffer: BytesMut) {
         (self.read, self.lent) = (buffer, None);
@@ -561,9 +563,9 @@ impl IoDaemon {
     /// as is: every run read straight into its place. `Read`, `ReadList`
     /// and `ReadVectors` all come through here.
     ///
-    /// The buffer is whatever the last read left in it: every byte of
-    /// the share is overwritten (see [`Scratch`]), and on an error the
-    /// buffer stays in the scratch, no part of it in the reply.
+    /// The buffer is cleared and the share appended to it (see
+    /// [`Scratch`]); on an error it stays in the scratch, no part of it
+    /// in the reply.
     ///
     /// Region lengths come off the wire, so the share is checked against
     /// what one reply frame may carry *before* anything is allocated: a
@@ -591,28 +593,24 @@ impl IoDaemon {
             }
         }
         let share = share as usize;
-        if scratch.read.capacity() == 0 {
-            // No buffer yet: zeroed memory from the allocator, which for
-            // a large share is cheaper than writing the zeros.
-            scratch.read = BytesMut::zeroed(share);
-        } else if scratch.read.len() < share {
-            scratch.read.resize(share, 0);
+        if scratch.read.capacity() < share {
+            scratch.read = BytesMut::with_capacity(share.max(2 * scratch.read.capacity()));
         }
-        let out = &mut scratch.read[..share];
+        let out = scratch.read.as_mut_vec();
+        out.clear();
         let mut shard = self.shard(handle).lock().unwrap();
         let file = self.file_entry(&mut shard, handle)?;
         // One storage:read span per traced request; a no-op when no sink
         // is active on this thread.
         let started = now_ns();
-        let mut filled = 0usize;
         for (at, len) in regions().flat_map(|r| local_runs(layout, slot, r)) {
-            file.read_into(at, &mut out[filled..filled + len])?;
-            filled += len;
+            file.read_append(at, len, out)?;
         }
         drop(shard);
         trace::sink_add("storage:read", started, now_ns());
+        let filled = out.len();
         if filled != share {
-            // Whatever was not written is the last reply's bytes.
+            // Runs that do not tile the share: answer with none of it.
             return Err(PvfsError::Storage(format!(
                 "read filled {filled} of the {share} bytes this server owns"
             )));
@@ -623,9 +621,8 @@ impl IoDaemon {
         self.ledger
             .bytes_read
             .fetch_add(share as u64, Ordering::Relaxed);
-        let whole = std::mem::take(&mut scratch.read).freeze();
-        let data = whole.slice(..share);
-        scratch.lent = Some(whole);
+        let data = std::mem::take(&mut scratch.read).freeze();
+        scratch.lent = Some(data.clone());
         Ok(Response::Data { data })
     }
 
@@ -1709,8 +1706,7 @@ mod tests {
                     assert_eq!(at, buffer, "a buffer of its own is no test");
                 }
             }
-            // A longer reply grows the buffer; the part that is new is
-            // as clean as the rest.
+            // A longer reply is built in a longer buffer, as clean.
             let (reply, _, _) = serve(read(fh(), 250, 2000));
             let mut expect = vec![0u8; 2000];
             expect[..50].fill(0xAB);
@@ -1815,12 +1811,12 @@ mod tests {
         let (bytes, served_at, home) = serve(read(10, 50), unused);
         assert_eq!((bytes, served_at), (content[10..60].to_vec(), at));
         assert_eq!(home.capacity(), 64, "the reply's buffer is the one lent");
-        // Too short: grown, once, and the longer one comes home — clean
+        // Too short: let go for one that fits, which comes home — clean
         // where the file has a hole behind its end.
         let (bytes, _, home) = serve(read(900, 300), home);
         assert_eq!(bytes[..100], content[900..]);
         assert!(bytes[100..].iter().all(|b| *b == 0));
-        assert!(home.capacity() >= 300);
+        assert_eq!(home.capacity(), 300);
         let at = home.as_ptr();
         let (bytes, served_at, _) = serve(read(0, 300), home);
         assert_eq!((bytes, served_at), (content[..300].to_vec(), at));

@@ -29,6 +29,11 @@
 //! journal file from where the runs lie, so the payload itself is the
 //! only payload-sized allocation left.
 //!
+//! The paper's largest list frames stay spares: a tiled-visualization
+//! read (768 rows of 3072 B, twelve ≈ 48 KiB replies per daemon) costs
+//! the same one allocation an op, every reply landing in a buffer an
+//! earlier one arrived in.
+//!
 //! The counter also keeps the bytes live at any moment and their peak,
 //! which is what pins the planners' memory: a data-sieving or hybrid read
 //! of that FLASH op held its 98 304 aligned pieces — 3 MiB — in one
@@ -43,7 +48,7 @@ use pvfs::disk::{LocalFile, ScratchDir, SparseStore, StorageConfig, SyncPolicy};
 use pvfs::net::{LiveCluster, TransportKind};
 use pvfs::server::IodConfig;
 use pvfs::types::{FileHandle, StripeLayout};
-use pvfs::workloads::{verify, Cyclic, FlashIo};
+use pvfs::workloads::{verify, Cyclic, FlashIo, TiledViz};
 
 /// What every op costs, whatever its method, its frames or its
 /// cluster: one allocation — the report's `requests_by_server`, the
@@ -106,6 +111,7 @@ fn a_list_op_allocates_a_fixed_small_multiple_of_its_payload() {
     planning_again_reads_the_lists_indexes();
     a_plan_is_a_value();
     cyclic_list_ops();
+    tiled_list_read();
     durable_flash_checkpoint();
     scrub_digests();
 }
@@ -234,6 +240,54 @@ fn cyclic_list_ops() {
             );
         }
     }
+}
+
+/// A tile of the paper's display wall read over tcp: the ≈ 48 KiB
+/// replies are list frames, not bulk ones, and every owner keeps them.
+fn tiled_list_read() {
+    let tiled = TiledViz::paper();
+    let request = tiled.request_for(0).unwrap();
+    let payload = request.total_len() as usize;
+    assert_eq!((request.file.count(), payload), (768, 768 * 3072));
+    let frame = verify::content(0, tiled.file_size() as usize);
+    let cluster = LiveCluster::spawn_storage(
+        4,
+        IodConfig::default(),
+        TransportKind::Tcp,
+        StorageConfig::Mem,
+    );
+    let client = cluster.client();
+    let layout = StripeLayout::new(0, 4, 16 * 1024).unwrap();
+    let mut file = PvfsFile::create(&client, "/pvfs/budget-tiled", layout).unwrap();
+    file.write_at(0, &frame).unwrap();
+    let mut tile = vec![0u8; payload];
+    let mut read = || {
+        allocated_by(|| {
+            let report = file
+                .read_list(&request.mem, &request.file, &mut tile, Method::List)
+                .unwrap();
+            assert_eq!(report.requests, 48);
+        })
+    };
+    // Twelve frames a daemon against the client's window of sixteen:
+    // two ops before every owner has made its first window.
+    read();
+    read();
+    let reads = [read(), read()];
+    assert_eq!(reads[0], reads[1], "tiled read count is not exact");
+    let per_byte = reads[0].1 as f64 / payload as f64;
+    assert!(
+        per_byte <= READ_BUDGET && reads[0].0 <= READ_ALLOCS,
+        "a tiled read_list allocates {per_byte:.5} bytes per payload byte in {} allocations \
+         (budget {READ_BUDGET} in {READ_ALLOCS})",
+        reads[0].0
+    );
+    // The tile's rows, one after the other in the display's memory.
+    let rows = request
+        .file
+        .iter()
+        .flat_map(|f| &frame[f.offset as usize..f.end() as usize]);
+    assert!(tile.iter().eq(rows), "the tile differs");
 }
 
 /// What a scrub asks of each daemon: the digests of a file, chunk by

@@ -10,9 +10,11 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
 static LIVE: AtomicU64 = AtomicU64::new(0);
 static PEAK: AtomicU64 = AtomicU64::new(0);
+static ZEROED: AtomicU64 = AtomicU64::new(0);
 
-/// The system allocator with a call counter, a byte counter and a
-/// live-byte gauge (with its high-water mark) in front.
+/// The system allocator with a call counter, a byte counter, a
+/// live-byte gauge (with its high-water mark) and a counter of the bytes
+/// asked for zeroed in front.
 struct Counting;
 
 fn count(bytes: usize) {
@@ -39,6 +41,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        ZEROED.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -75,17 +78,24 @@ pub fn hermetic() {
             std::env::remove_var(name);
         }
     }
-    let mut seen = ALLOCS.load(Ordering::Relaxed);
-    loop {
+    at_rest(&ALLOCS, 1);
+}
+
+/// Wait until `counter` has not moved for `quiet` 10 ms naps in a row.
+fn at_rest(counter: &AtomicU64, quiet: u32) -> u64 {
+    let (mut seen, mut still) = (counter.load(Ordering::Relaxed), 0);
+    while still < quiet {
         std::thread::sleep(std::time::Duration::from_millis(10));
-        match ALLOCS.load(Ordering::Relaxed) {
-            now if now == seen => break,
-            now => seen = now,
+        match counter.load(Ordering::Relaxed) {
+            now if now == seen => still += 1,
+            now => (seen, still) = (now, 0),
         }
     }
+    seen
 }
 
 /// `(allocations, bytes requested)` of running `op`, process-wide.
+#[allow(dead_code)] // two test binaries of three count
 pub fn allocated_by(op: impl FnOnce()) -> (u64, u64) {
     let before = (
         ALLOCS.load(Ordering::Relaxed),
@@ -98,9 +108,23 @@ pub fn allocated_by(op: impl FnOnce()) -> (u64, u64) {
     )
 }
 
+/// What running `op` left live above what was live when it began, and
+/// the bytes it asked for zeroed, process-wide. A daemon that answered
+/// may still be letting go of the frame: the gauge is let come to rest
+/// (50 ms without a change) before it is read.
+#[allow(dead_code)] // one test binary of three looks
+pub fn left_and_zeroed_by(op: impl FnOnce()) -> (i64, u64) {
+    let before = (LIVE.load(Ordering::Relaxed), ZEROED.load(Ordering::Relaxed));
+    op();
+    (
+        at_rest(&LIVE, 5) as i64 - before.0 as i64,
+        ZEROED.load(Ordering::Relaxed) - before.1,
+    )
+}
+
 /// The most that running `op` ever held live above what was live when it
 /// began, process-wide.
-#[allow(dead_code)] // one test binary of two peeks
+#[allow(dead_code)] // one test binary of three peeks
 pub fn peak_above_start(op: impl FnOnce()) -> u64 {
     let start = LIVE.load(Ordering::Relaxed);
     PEAK.store(start, Ordering::Relaxed);
