@@ -34,8 +34,10 @@ pub enum SyncPolicy {
     /// Never fsync on the write path; durability only at explicit
     /// [`StorageBackend::sync`] barriers (and checkpoints).
     Never,
-    /// Group commit: fsync the journal at most once per interval; a
-    /// batch may be lost to a crash within the window.
+    /// Fsync the journal on a write that finds the last fsync older
+    /// than the interval. A timer checked only by writes: the last
+    /// batch before a quiet spell stays unsynced until the next write,
+    /// barrier or checkpoint.
     Interval(Duration),
     /// Fsync the journal before every write acknowledges — a committed
     /// batch is durable when the RPC reply leaves the daemon.
@@ -63,9 +65,8 @@ impl SyncPolicy {
         }
     }
 
-    /// The policy selected by `PVFS_SYNC` (default: `interval:100`, a
-    /// group-commit window wide enough to batch bursts without letting
-    /// more than 100 ms of writes ride on a crash).
+    /// The policy selected by `PVFS_SYNC` (default: `interval:100`:
+    /// a burst of writes shares one fsync per 100 ms).
     pub fn from_env() -> PvfsResult<SyncPolicy> {
         match pvfs_types::env::lookup("PVFS_SYNC") {
             Some(v) => SyncPolicy::parse(&v),
@@ -157,29 +158,6 @@ impl std::fmt::Display for StorageConfig {
 /// no copy in between. The memory backend touches none of it.
 pub type StorageMetrics = pvfs_types::Ledger;
 
-/// Crash injection for the durable backend: where a
-/// [`FileStore`](crate::FileStore) "loses power" mid-write. After the
-/// injected crash the store is wedged (every subsequent operation fails
-/// with [`PvfsError::Storage`]) and its on-disk state is exactly what a
-/// SIGKILL at that instant would leave — the recovery tests reopen the
-/// data directory and assert all-or-nothing semantics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrashPoint {
-    /// Power loss mid-journal-append: only a prefix of the intent
-    /// record reaches the journal. The batch was never committed, so
-    /// recovery must discard the torn record — none of the batch's
-    /// regions may be visible after restart.
-    TornJournal,
-    /// Power loss after the intent record committed (appended and
-    /// synced) but after only `applied` of the batch's runs reached the
-    /// data file. Recovery must replay the journal and complete the
-    /// batch — all of its regions must be visible after restart.
-    AfterCommit {
-        /// Data-file runs applied before the lights went out.
-        applied: usize,
-    },
-}
-
 /// What one I/O daemon's per-handle store must provide.
 ///
 /// Implementations: [`SparseStore`](crate::SparseStore) (memory) and
@@ -221,10 +199,6 @@ pub trait StorageBackend: std::fmt::Debug + Send {
     fn journal_depth(&self) -> u64 {
         0
     }
-
-    /// Arm a crash at the given point (test fault injection; no-op for
-    /// backends with no crash surface).
-    fn inject_crash(&mut self, _point: CrashPoint) {}
 
     /// Append the `len` bytes at `offset` to `out`, as [`read_at`]
     /// reads them. By default the room is zero-filled, then read into; a

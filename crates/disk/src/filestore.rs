@@ -16,16 +16,19 @@
 //!
 //! Durability is tunable per [`SyncPolicy`]: `always` fsyncs the
 //! journal before a write acknowledges (collective `write_all` results
-//! are durable at return), `interval:<ms>` group-commits, `never`
-//! leaves fsync to explicit [`FileStore::sync`] barriers.
+//! are durable at return), `interval:<ms>` fsyncs it on a write that
+//! finds the last fsync older than the interval, `never` leaves fsync to
+//! explicit [`FileStore::sync`] barriers. No batch is torn by a process
+//! kill; against a power cut that holds at `always` only, since at
+//! `never` and `interval` a batch's data writes can reach the disk
+//! ahead of its record.
 
-use crate::backend::{CrashPoint, StorageBackend, StorageMetrics, SyncPolicy};
-use crate::journal::{write_batch_record_len, Journal, JournalRecord};
+use crate::backend::{StorageBackend, StorageMetrics, SyncPolicy};
+use crate::journal::{Journal, JournalRecord, StoreFile};
 use pvfs_types::clock::{self, now_ns};
 use pvfs_types::{PvfsError, PvfsResult};
 use std::fs::{File, OpenOptions};
 use std::io;
-use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -35,24 +38,25 @@ pub const JOURNAL_CHECKPOINT_RECORDS: u64 = 128;
 /// …or after this many journal bytes, whichever comes first.
 pub const JOURNAL_CHECKPOINT_BYTES: u64 = 4 << 20;
 
-/// One handle's durable store: data file + intent journal.
+/// One handle's durable store: data file + intent journal, both behind
+/// the [`StoreFile`] seam (`File`s, but for the tests).
 #[derive(Debug)]
-pub struct FileStore {
-    data: File,
+pub struct FileStore<F = File> {
+    data: F,
     data_path: PathBuf,
     /// One past the highest byte written (== data file length).
     size: u64,
     /// Bytes guaranteed recoverable after a crash right now.
     durable: u64,
-    journal: Journal,
+    journal: Journal<F>,
     sync: SyncPolicy,
     /// The clock reading the journal was last made durable at.
     last_sync: u64,
     metrics: Arc<StorageMetrics>,
-    crash: Option<CrashPoint>,
-    /// Set once an injected crash fires, or a failed journal append
-    /// cannot be cut back off: the store is dead until the daemon
-    /// restarts, like a powered-off disk.
+    /// Set once a failed journal append cannot be cut back off, or an
+    /// operation fails behind its committed record (the live store is
+    /// then short of what replay makes of it): the store is dead until
+    /// the daemon restarts and replays.
     wedged: bool,
 }
 
@@ -89,16 +93,18 @@ impl FileStore {
         let data_path = dir.join(format!("h{handle}.data"));
         let journal_path = dir.join(format!("h{handle}.journal"));
         let fresh = !data_path.exists() || !journal_path.exists();
-        let data = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&data_path)
-            .map_err(|e| storage_err("open data file", &data_path, e))?;
-        let mut raw = Vec::new();
-        let (mut journal, replay) = Journal::open(&journal_path, &mut raw)
-            .map_err(|e| storage_err("open journal", &journal_path, e))?;
+        // The journal is appended to: every record lands at its end.
+        let open = |path: &Path, append: bool| {
+            OpenOptions::new()
+                .read(true)
+                .write(true)
+                .append(append)
+                .create(true)
+                .truncate(false)
+                .open(path)
+                .map_err(|e| storage_err("open", path, e))
+        };
+        let (data, journal) = (open(&data_path, false)?, open(&journal_path, true)?);
         if fresh {
             // Durability gap: creating h<N>.{data,journal} only stages
             // directory entries in the parent's page cache. A power cut
@@ -109,10 +115,28 @@ impl FileStore {
                 File::open(dir).and_then(|d| d.sync_all())
             })?;
         }
+        FileStore::recover(data, journal, data_path, sync, metrics)
+    }
+}
+
+impl<F: StoreFile> FileStore<F> {
+    /// The store over `data` and `journal` (`data_path` names it in
+    /// errors), replaying every committed journal record a crash left
+    /// and checkpointing after: the journal is then empty and the data
+    /// file authoritative.
+    pub fn recover(
+        mut data: F,
+        journal: F,
+        data_path: PathBuf,
+        sync: SyncPolicy,
+        metrics: Arc<StorageMetrics>,
+    ) -> PvfsResult<FileStore<F>> {
+        let mut raw = Vec::new();
+        let (mut journal, replay) = Journal::open(journal, &mut raw)
+            .map_err(|e| storage_err("open journal", &data_path, e))?;
         let mut size = data
-            .metadata()
-            .map_err(|e| storage_err("stat data file", &data_path, e))?
-            .len();
+            .size()
+            .map_err(|e| storage_err("stat data file", &data_path, e))?;
         if !replay.is_empty() {
             // Recovery: apply every committed intent in order, then
             // checkpoint so the journal never replays twice.
@@ -120,7 +144,7 @@ impl FileStore {
                 match record {
                     JournalRecord::WriteBatch { runs, .. } => {
                         for (offset, payload) in runs {
-                            data.write_all_at(payload, *offset)
+                            data.write_at(payload, *offset)
                                 .map_err(|e| storage_err("replay write", &data_path, e))?;
                             size = size.max(offset + payload.len() as u64);
                         }
@@ -139,7 +163,7 @@ impl FileStore {
                 .fetch_add(replay.len() as u64, Ordering::Relaxed);
             fsync(&metrics, "fsync data file", &data_path, || data.sync_data())?;
             let checkpoint = || journal.checkpoint();
-            fsync(&metrics, "checkpoint journal", &journal_path, checkpoint)?;
+            fsync(&metrics, "checkpoint journal", &data_path, checkpoint)?;
             metrics.flushes.fetch_add(1, Ordering::Relaxed);
         }
         Ok(FileStore {
@@ -151,7 +175,6 @@ impl FileStore {
             sync,
             last_sync: now_ns(),
             metrics,
-            crash: None,
             wedged: false,
         })
     }
@@ -159,8 +182,8 @@ impl FileStore {
     fn check_live(&self) -> PvfsResult<()> {
         if self.wedged {
             return Err(PvfsError::Storage(format!(
-                "store {} is wedged by a crash or a journal it cannot append to \
-                 (restart the daemon to recover)",
+                "store {} is wedged by a journal it cannot append to or a write \
+                 that failed behind its record (restart the daemon to recover)",
                 self.data_path.display()
             )));
         }
@@ -182,6 +205,15 @@ impl FileStore {
         Ok(())
     }
 
+    /// Finish an operation whose record has committed. The record
+    /// replays at restart whatever happens now, so a failure here leaves
+    /// the live store short of what replay makes of it: fence it.
+    fn behind_record<T>(&mut self, rest: impl FnOnce(&mut Self) -> PvfsResult<T>) -> PvfsResult<T> {
+        let done = rest(self);
+        self.wedged |= done.is_err();
+        done
+    }
+
     /// Fsync the journal if the policy says this write must commit to
     /// stable storage now.
     fn sync_journal_per_policy(&mut self) -> PvfsResult<bool> {
@@ -191,15 +223,10 @@ impl FileStore {
             SyncPolicy::Never => false,
         };
         if due {
-            self.last_sync = self.sync_journal()?;
+            let sync = || self.journal.sync();
+            self.last_sync = fsync(&self.metrics, "fsync journal", &self.data_path, sync)?;
         }
         Ok(due)
-    }
-
-    /// Fsync the journal; returns the reading it ended at.
-    fn sync_journal(&mut self) -> PvfsResult<u64> {
-        let sync = || self.journal.sync();
-        fsync(&self.metrics, "fsync journal", &self.data_path, sync)
     }
 
     /// Fsync the data file and zero the journal: everything written so
@@ -229,7 +256,7 @@ fn sub_gauge(metrics: &StorageMetrics, n: u64) {
     }
 }
 
-impl Drop for FileStore {
+impl<F> Drop for FileStore<F> {
     fn drop(&mut self) {
         // The journal stays on disk (it will replay at reopen); only
         // the gauge must stop counting this store's records.
@@ -237,7 +264,7 @@ impl Drop for FileStore {
     }
 }
 
-impl StorageBackend for FileStore {
+impl<F: StoreFile + Send + std::fmt::Debug> StorageBackend for FileStore<F> {
     fn size(&self) -> u64 {
         self.size
     }
@@ -263,20 +290,9 @@ impl StorageBackend for FileStore {
         let readable = (self.size - offset).min(buf.len() as u64) as usize;
         let (buf, hole) = buf.split_at_mut(readable);
         hole.fill(0);
-        let mut pos = 0usize;
-        while pos < buf.len() {
-            match self.data.read_at(&mut buf[pos..], offset + pos as u64) {
-                // Past EOF: the rest of the request is a hole.
-                Ok(0) => {
-                    buf[pos..].fill(0);
-                    break;
-                }
-                Ok(n) => pos += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(storage_err("read data file", &self.data_path, e)),
-            }
-        }
-        Ok(())
+        self.data
+            .read_at(buf, offset)
+            .map_err(|e| storage_err("read data file", &self.data_path, e))
     }
 
     fn write_batch(&mut self, runs: &[(u64, &[u8])]) -> PvfsResult<()> {
@@ -289,45 +305,23 @@ impl StorageBackend for FileStore {
             let keep = (data.len() as u64).min(addressable) as usize;
             (keep > 0).then(|| (offset, &data[..keep]))
         });
-        let count = runs.clone().count();
-        if count == 0 {
+        if runs.clone().next().is_none() {
             return Ok(());
         }
         // Journaling copies nothing: the record's payloads go to the
         // journal file from the caller's runs.
-        if self.crash == Some(CrashPoint::TornJournal) {
-            // Power cut mid-append: half the intent record reaches the
-            // journal. The batch never committed.
-            let half = write_batch_record_len(runs.clone()) / 2;
-            self.journal
-                .append_write_batch(runs, Some(half))
-                .and_then(|_| self.journal.sync())
-                .map_err(|e| storage_err("append journal", &self.data_path, e))?;
-            self.wedged = true;
-            return Err(PvfsError::Storage(format!(
-                "injected crash: torn journal append on {}",
-                self.data_path.display()
-            )));
-        }
-        let appended = self.journal.append_write_batch(runs.clone(), None);
+        let appended = self.journal.append_write_batch(runs.clone());
         self.committed(appended)?;
-        let synced = self.sync_journal_per_policy()?;
-        for (i, (offset, data)) in runs.enumerate() {
-            if self.crash == Some(CrashPoint::AfterCommit { applied: i }) {
-                // Power cut mid-apply: the intent committed, the data
-                // file holds a prefix. Replay finishes the batch.
-                self.sync_journal()?;
-                self.wedged = true;
-                return Err(PvfsError::Storage(format!(
-                    "injected crash: power loss after {i} of {count} runs on {}",
-                    self.data_path.display()
-                )));
+        let synced = self.behind_record(|s| {
+            let synced = s.sync_journal_per_policy()?;
+            for (offset, data) in runs {
+                s.data
+                    .write_at(data, offset)
+                    .map_err(|e| storage_err("write data file", &s.data_path, e))?;
+                s.size = s.size.max(offset + data.len() as u64);
             }
-            self.data
-                .write_all_at(data, offset)
-                .map_err(|e| storage_err("write data file", &self.data_path, e))?;
-            self.size = self.size.max(offset + data.len() as u64);
-        }
+            Ok(synced)
+        })?;
         if synced {
             // The journal covers everything up to here.
             self.durable = self.size;
@@ -349,10 +343,12 @@ impl StorageBackend for FileStore {
         // would resurrect bytes past the new tail.
         let appended = self.journal.append_truncate(size);
         self.committed(appended)?;
-        self.sync_journal_per_policy()?;
-        self.data
-            .set_len(size)
-            .map_err(|e| storage_err("truncate data file", &self.data_path, e))?;
+        self.behind_record(|s| {
+            s.sync_journal_per_policy()?;
+            s.data
+                .set_len(size)
+                .map_err(|e| storage_err("truncate data file", &s.data_path, e))
+        })?;
         self.size = size;
         self.durable = self.durable.min(size);
         Ok(())
@@ -377,15 +373,12 @@ impl StorageBackend for FileStore {
     fn journal_depth(&self) -> u64 {
         self.journal.depth()
     }
-
-    fn inject_crash(&mut self, point: CrashPoint) {
-        self.crash = Some(point);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::flaky::Flaky;
     use crate::scratch::ScratchDir;
 
     fn open(dir: &Path, sync: SyncPolicy) -> (FileStore, Arc<StorageMetrics>) {
@@ -475,19 +468,35 @@ mod tests {
         assert_eq!(s2.read_vec(0, 9).unwrap(), b"list-ioxy");
     }
 
+    /// Lay down on disk what a crash in the middle of `runs` leaves.
+    /// The store takes the batch whole and is dropped; then its data
+    /// file goes back to what it held before, with only the first
+    /// `applied` runs on it, and, if `torn`, the journal loses the back
+    /// half of the batch's record.
+    fn crash_in(dir: &Path, mut s: FileStore, runs: &[(u64, &[u8])], applied: usize, torn: bool) {
+        let (data, journal) = (dir.join("h1.data"), dir.join("h1.journal"));
+        let before = std::fs::read(&data).unwrap();
+        let committed = std::fs::metadata(&journal).unwrap().len();
+        s.write_batch(runs).unwrap();
+        drop(s);
+        std::fs::write(&data, before).unwrap();
+        let mut file = OpenOptions::new().write(true).open(&data).unwrap();
+        for &(offset, bytes) in &runs[..applied] {
+            StoreFile::write_at(&mut file, bytes, offset).unwrap();
+        }
+        if torn {
+            let record = std::fs::metadata(&journal).unwrap().len() - committed;
+            let file = OpenOptions::new().write(true).open(&journal).unwrap();
+            file.set_len(committed + record / 2).unwrap();
+        }
+    }
+
     #[test]
     fn torn_journal_append_loses_the_whole_batch() {
         let dir = ScratchDir::new("fs-torn");
         let (mut s, _) = open(dir.path(), SyncPolicy::Always);
         s.write_batch(&[(0, &[1u8; 64])]).unwrap();
-        s.inject_crash(CrashPoint::TornJournal);
-        let err = s
-            .write_batch(&[(0, &[2u8; 32]), (64, &[2u8; 32])])
-            .unwrap_err();
-        assert!(matches!(err, PvfsError::Storage(_)));
-        // Wedged: everything fails until "restart".
-        assert!(s.read_vec(0, 1).is_err());
-        drop(s);
+        crash_in(dir.path(), s, &[(0, &[2u8; 32]), (64, &[2u8; 32])], 0, true);
         let (s2, _) = open(dir.path(), SyncPolicy::Always);
         // None of the torn batch is visible; the committed one is.
         assert_eq!(s2.read_vec(0, 64).unwrap(), vec![1u8; 64]);
@@ -499,12 +508,8 @@ mod tests {
         let dir = ScratchDir::new("fs-aftercommit");
         let (mut s, _) = open(dir.path(), SyncPolicy::Always);
         s.write_batch(&[(0, &[1u8; 64])]).unwrap();
-        s.inject_crash(CrashPoint::AfterCommit { applied: 1 });
-        let err = s
-            .write_batch(&[(0, &[2u8; 16]), (32, &[3u8; 16]), (64, &[4u8; 16])])
-            .unwrap_err();
-        assert!(matches!(err, PvfsError::Storage(_)));
-        drop(s);
+        let runs: [(u64, &[u8]); 3] = [(0, &[2u8; 16]), (32, &[3u8; 16]), (64, &[4u8; 16])];
+        crash_in(dir.path(), s, &runs, 1, false);
         let (s2, m) = open(dir.path(), SyncPolicy::Always);
         assert!(m.journal_replays.load(Ordering::Relaxed) >= 1);
         // The whole batch is visible — never a prefix.
@@ -512,6 +517,46 @@ mod tests {
         assert_eq!(s2.read_vec(32, 16).unwrap(), vec![3u8; 16]);
         assert_eq!(s2.read_vec(64, 16).unwrap(), vec![4u8; 16]);
         assert_eq!(s2.size(), 80);
+    }
+
+    #[test]
+    fn a_data_write_that_fails_behind_its_record_fences_the_store() {
+        // The record committed, the first run landed, the second failed:
+        // the live store must not serve a half-applied batch that replay
+        // will complete at restart.
+        let dir = ScratchDir::new("fs-fence");
+        let (s, _) = open(dir.path(), SyncPolicy::Always);
+        drop(s);
+        let file = |name: &str, append| {
+            let path = dir.path().join(name);
+            let mut options = OpenOptions::new();
+            let file = options.read(true).write(true).append(append).open(path);
+            Flaky::new(file.unwrap())
+        };
+        let data = Flaky {
+            writes_at: 1,
+            ..file("h1.data", false)
+        };
+        let metrics = Arc::new(StorageMetrics::default());
+        let path = dir.path().join("h1.data");
+        let mut s = FileStore::recover(
+            data,
+            file("h1.journal", true),
+            path,
+            SyncPolicy::Always,
+            metrics,
+        )
+        .unwrap();
+        let err = s
+            .write_batch(&[(0, &[5u8; 8]), (100, &[6u8; 8])])
+            .unwrap_err();
+        assert!(err.to_string().contains("injected"), "{err}");
+        let refused = s.read_vec(0, 8).unwrap_err();
+        assert!(refused.to_string().contains("wedged"), "{refused}");
+        drop(s);
+        let (s2, _) = open(dir.path(), SyncPolicy::Always);
+        assert_eq!(s2.read_vec(0, 8).unwrap(), vec![5u8; 8]);
+        assert_eq!(s2.read_vec(100, 8).unwrap(), vec![6u8; 8]);
     }
 
     #[test]
@@ -584,16 +629,12 @@ mod tests {
 
     #[test]
     fn crash_on_the_first_ever_write_still_replays_after_reopen() {
-        // Regression for the create-durability gap: the very first
-        // write against a brand-new store commits to the journal and
-        // crashes mid-apply. Recovery depends on the journal's
-        // directory entry having been made durable at create time.
+        // The very first write against a brand-new store commits to the
+        // journal, and the crash comes before any run reached the data
+        // file: replay alone brings the batch back.
         let dir = ScratchDir::new("fs-dirsync-crash");
-        let (mut s, _) = open(dir.path(), SyncPolicy::Always);
-        s.inject_crash(CrashPoint::AfterCommit { applied: 0 });
-        let err = s.write_batch(&[(5, &[3u8; 20])]).unwrap_err();
-        assert!(matches!(err, PvfsError::Storage(_)));
-        drop(s);
+        let (s, _) = open(dir.path(), SyncPolicy::Always);
+        crash_in(dir.path(), s, &[(5, &[3u8; 20])], 0, false);
         let (s2, m2) = open(dir.path(), SyncPolicy::Always);
         assert!(m2.journal_replays.load(Ordering::Relaxed) >= 1);
         assert_eq!(s2.read_vec(5, 20).unwrap(), vec![3u8; 20]);

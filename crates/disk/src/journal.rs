@@ -36,13 +36,13 @@
 //! without it, replaying an older write record could resurrect
 //! truncated bytes past the logical tail.
 //!
-//! After replay (or whenever the journal grows past the group-commit
+//! After replay (or whenever the journal grows past its checkpoint
 //! thresholds) the store *checkpoints*: fsync the data file, then
 //! truncate the journal to zero. The journal is the durability
 //! authority between checkpoints; the data file is authoritative after.
 //!
-//! The file is opened in append mode and [`Journal::open`] cuts a torn
-//! tail off, so every record lands directly behind the last committed
+//! The store opens the file for appending and [`Journal::open`] cuts a
+//! torn tail off, so every record lands directly behind the last committed
 //! one — at offset 0 after a checkpoint. Recovery stops at the first
 //! byte that is not a record; a record written anywhere else (past a
 //! hole a checkpoint left, behind a torn tail) would never replay.
@@ -57,9 +57,9 @@
 //! journal refuses every later append ([`Journal::is_torn`]).
 
 use crate::checksum::{checksum, Checksum};
-use std::fs::{File, OpenOptions};
-use std::io::{self, IoSlice, Read, Write};
-use std::path::Path;
+use std::fs::File;
+use std::io::{self, IoSlice, Write};
+use std::os::unix::fs::FileExt;
 
 /// Leading magic of every record the writer emits (format v2).
 pub const RECORD_MAGIC: [u8; 4] = *b"PVJ2";
@@ -72,11 +72,6 @@ const KIND_TRUNCATE: u8 = 2;
 
 /// Bytes of a record around its body: magic, kind, seq, checksum.
 const RECORD_OVERHEAD: usize = 4 + 1 + 8 + 8;
-
-/// Length of the record that commits `runs` as one write batch.
-pub fn write_batch_record_len<'d>(runs: impl Iterator<Item = (u64, &'d [u8])>) -> usize {
-    runs.fold(RECORD_OVERHEAD + 4, |len, (_, data)| len + 16 + data.len())
-}
 
 /// One committed intent, its payloads borrowed from the bytes
 /// [`Journal::open`] read.
@@ -161,17 +156,54 @@ fn parse_record(buf: &[u8], pos: usize) -> Option<(JournalRecord<'_>, usize)> {
     Some((record, pos + body_end + 8))
 }
 
-/// What the journal appends to: a sink for bytes that can cut a failed
-/// append back off. A `File` in production; the tests substitute one
-/// that fails part-way.
-pub trait Tail: Write {
-    /// Shorten the file to `len` bytes.
-    fn cut_to(&mut self, len: u64) -> io::Result<()>;
+/// One of a [`FileStore`](crate::FileStore)'s two files, its data file
+/// or its journal, as the store uses it: positional reads and writes,
+/// appends (`Write`; the journal's file is opened for appending),
+/// `set_len`, `sync_data` and `size`. A `File` in production; the tests
+/// substitute one that fails part-way, and a model disk that loses what
+/// no `sync_data` covered.
+pub trait StoreFile: Write {
+    /// Fill `buf` from `offset`; bytes past the end read as zeros.
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()>;
+    /// Write all of `buf` at `offset`.
+    fn write_at(&mut self, buf: &[u8], offset: u64) -> io::Result<()>;
+    /// Cut or extend the file to `len` bytes.
+    fn set_len(&mut self, len: u64) -> io::Result<()>;
+    /// Make every byte written so far durable.
+    fn sync_data(&mut self) -> io::Result<()>;
+    /// The file's length in bytes.
+    fn size(&self) -> io::Result<u64>;
 }
 
-impl Tail for File {
-    fn cut_to(&mut self, len: u64) -> io::Result<()> {
-        self.set_len(len)
+impl StoreFile for File {
+    fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+        let mut pos = 0;
+        while pos < buf.len() {
+            match FileExt::read_at(self, &mut buf[pos..], offset + pos as u64) {
+                Ok(0) => break,
+                Ok(n) => pos += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        buf[pos..].fill(0);
+        Ok(())
+    }
+
+    fn write_at(&mut self, buf: &[u8], offset: u64) -> io::Result<()> {
+        FileExt::write_all_at(self, buf, offset)
+    }
+
+    fn set_len(&mut self, len: u64) -> io::Result<()> {
+        File::set_len(self, len)
+    }
+
+    fn sync_data(&mut self) -> io::Result<()> {
+        File::sync_data(self)
+    }
+
+    fn size(&self) -> io::Result<u64> {
+        Ok(self.metadata()?.len())
     }
 }
 
@@ -195,19 +227,12 @@ fn write_all_vectored(out: &mut impl Write, mut parts: &mut [IoSlice<'_>]) -> io
 /// `writev`; a longer one takes several.
 const IOV_BATCH: usize = 72;
 
-/// Write the first `limit` bytes of `parts` laid end to end, from where
-/// they lie: the slices are lined up in a fixed array on the stack, a
-/// batch at a time.
-fn write_parts<'p>(
-    out: &mut impl Write,
-    parts: impl Iterator<Item = &'p [u8]>,
-    mut limit: usize,
-) -> io::Result<()> {
+/// Write `parts` laid end to end, from where they lie: the slices are
+/// lined up in a fixed array on the stack, a batch at a time.
+fn write_parts<'p>(out: &mut impl Write, parts: impl Iterator<Item = &'p [u8]>) -> io::Result<()> {
     let mut batch = [IoSlice::new(&[]); IOV_BATCH];
     let mut lined_up = 0;
     for part in parts {
-        let part = &part[..part.len().min(limit)];
-        limit -= part.len();
         if part.is_empty() {
             continue;
         }
@@ -232,32 +257,26 @@ pub struct Journal<F = File> {
     bytes: u64,
     /// Next record sequence number.
     next_seq: u64,
-    /// Bytes sit behind the last committed record — a failed append
-    /// that could not be cut off, or an injected tear: nothing appended
-    /// now would replay.
+    /// Bytes sit behind the last committed record, a failed append that
+    /// could not be cut off: nothing appended now would replay.
     torn: bool,
     /// Where each record's head is put together: one buffer for the
     /// journal's life (it has one writer, behind the store's lock).
     head: Vec<u8>,
 }
 
-impl Journal {
-    /// Open (or create) the journal at `path`, returning it together
-    /// with every committed record found — the valid prefix; a torn or
-    /// corrupt tail is dropped and will be overwritten by the
-    /// post-replay checkpoint. The file is read into `raw`, once, and
-    /// the records borrow their payloads from it.
-    pub fn open<'r>(
-        path: &Path,
-        raw: &'r mut Vec<u8>,
-    ) -> io::Result<(Journal, Vec<JournalRecord<'r>>)> {
-        let mut file = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .create(true)
-            .open(path)?;
+impl<F: StoreFile> Journal<F> {
+    /// Take over the journal in `file`, returning it together with every
+    /// committed record found — the valid prefix; a torn or corrupt tail
+    /// is cut off. The file is read into `raw`, once, and the records
+    /// borrow their payloads from it.
+    pub fn open(
+        mut file: F,
+        raw: &mut Vec<u8>,
+    ) -> io::Result<(Journal<F>, Vec<JournalRecord<'_>>)> {
         raw.clear();
-        file.read_to_end(raw)?;
+        raw.resize(file.size()? as usize, 0);
+        file.read_at(raw, 0)?;
         let raw = &raw[..];
         let mut records = Vec::new();
         let mut pos = 0usize;
@@ -291,7 +310,7 @@ impl Journal {
 
     /// Drop every record: called once the data file itself has been
     /// fsynced, making the journal's contents redundant. The next
-    /// append starts the file over at offset 0 (append mode).
+    /// append starts the file over at offset 0.
     pub fn checkpoint(&mut self) -> io::Result<()> {
         self.file.set_len(0)?;
         self.file.sync_data()?;
@@ -300,9 +319,7 @@ impl Journal {
         self.torn = false;
         Ok(())
     }
-}
 
-impl<F: Tail> Journal<F> {
     /// Start the next record (consuming its sequence number) in the
     /// journal's head buffer, taken out of it for the caller to finish
     /// and hand to [`append`](Self::append): magic, kind, sequence
@@ -324,19 +341,14 @@ impl<F: Tail> Journal<F> {
     /// this returns (and durable once [`Journal::sync`] has). The head
     /// buffer goes back to the journal.
     ///
-    /// `keep` is crash injection: only the first `keep` bytes of the
-    /// record (never all of it) reach the file — the torn tail a power
-    /// cut mid-append leaves behind — and nothing is committed.
-    ///
     /// On an error the bytes that did land are cut back off, so the next
     /// append still sits directly behind the last committed record.
     fn append<'d>(
         &mut self,
         head: Vec<u8>,
         payloads: impl Iterator<Item = &'d [u8]> + Clone,
-        keep: Option<usize>,
     ) -> io::Result<u64> {
-        let appended = self.append_parts(&head, payloads, keep);
+        let appended = self.append_parts(&head, payloads);
         self.head = head;
         appended
     }
@@ -345,7 +357,6 @@ impl<F: Tail> Journal<F> {
         &mut self,
         head: &[u8],
         payloads: impl Iterator<Item = &'d [u8]> + Clone,
-        keep: Option<usize>,
     ) -> io::Result<u64> {
         if self.torn {
             return Err(io::Error::other(
@@ -360,33 +371,24 @@ impl<F: Tail> Journal<F> {
             len += data.len();
         }
         let sum = sum.finish().to_le_bytes();
-        let limit = keep.map_or(len, |keep| keep.min(len - 1));
         // (The identity map shortens the payloads' lifetime to the
         // head's and the checksum's.)
         let payloads = payloads.map(|data| -> &[u8] { data });
         let parts = std::iter::once(head).chain(payloads).chain([&sum[..]]);
-        if let Err(e) = write_parts(&mut self.file, parts, limit) {
-            self.torn = self.file.cut_to(self.bytes).is_err();
+        if let Err(e) = write_parts(&mut self.file, parts) {
+            self.torn = self.file.set_len(self.bytes).is_err();
             return Err(e);
         }
-        if keep.is_some() {
-            self.torn = true;
-        } else {
-            self.depth += 1;
-            self.bytes += len as u64;
-        }
+        self.depth += 1;
+        self.bytes += len as u64;
         Ok(len as u64)
     }
 
     /// Commit one write batch — every `(offset, payload)` run of it, in
     /// application order — as a single record; returns its length.
-    /// `tear` is crash injection: `Some(keep)` lets only the first `keep`
-    /// bytes of the record (never all of it) reach the file and commits
-    /// nothing.
     pub fn append_write_batch<'d>(
         &mut self,
         runs: impl Iterator<Item = (u64, &'d [u8])> + Clone,
-        tear: Option<usize>,
     ) -> io::Result<u64> {
         let count = runs.clone().count();
         let mut head = self.begin(KIND_WRITE_BATCH, 4 + 16 * count);
@@ -395,7 +397,7 @@ impl<F: Tail> Journal<F> {
             head.extend_from_slice(&offset.to_le_bytes());
             head.extend_from_slice(&(data.len() as u64).to_le_bytes());
         }
-        self.append(head, runs.map(|(_, data)| data), tear)
+        self.append(head, runs.map(|(_, data)| data))
     }
 
     /// Commit a truncate of the data file to `size` bytes; returns the
@@ -403,12 +405,14 @@ impl<F: Tail> Journal<F> {
     pub fn append_truncate(&mut self, size: u64) -> io::Result<u64> {
         let mut head = self.begin(KIND_TRUNCATE, 8);
         head.extend_from_slice(&size.to_le_bytes());
-        self.append(head, std::iter::empty(), None)
+        self.append(head, std::iter::empty())
     }
+}
 
-    /// True once a failed append could not be cut back off the file
-    /// (or a tear was injected): the journal accepts nothing more until
-    /// it is reopened, or checkpointed to empty.
+impl<F> Journal<F> {
+    /// True once a failed append could not be cut back off the file: the
+    /// journal accepts nothing more until it is reopened, or
+    /// checkpointed to empty.
     pub fn is_torn(&self) -> bool {
         self.torn
     }
@@ -454,9 +458,95 @@ pub(crate) mod fixtures {
 }
 
 #[cfg(test)]
+/// A file that fails part-way: a test double for either of a store's
+/// files.
+pub(crate) mod flaky {
+    use super::StoreFile;
+    use std::fs::File;
+    use std::io::{self, Write};
+
+    /// A real file that takes `budget` more appended bytes and then fails
+    /// every append (ENOSPC, as it were), takes `writes_at` more
+    /// positional writes and then fails those, and optionally cannot be
+    /// cut back.
+    #[derive(Debug)]
+    pub(crate) struct Flaky {
+        pub(crate) file: File,
+        pub(crate) budget: usize,
+        pub(crate) writes_at: usize,
+        pub(crate) cut_fails: bool,
+    }
+
+    impl Flaky {
+        /// `file`, failing nothing yet.
+        pub(crate) fn new(file: File) -> Flaky {
+            Flaky {
+                file,
+                budget: usize::MAX,
+                writes_at: usize::MAX,
+                cut_fails: false,
+            }
+        }
+    }
+
+    impl Write for Flaky {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.budget == 0 {
+                return Err(io::Error::other("injected: no space left on device"));
+            }
+            // Short on purpose: at most 7 bytes a call, so an append
+            // also has to resume mid-slice.
+            let n = buf.len().min(self.budget).min(7);
+            self.budget -= n;
+            self.file.write(&buf[..n])
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.file.flush()
+        }
+    }
+
+    impl StoreFile for Flaky {
+        fn read_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
+            self.file.read_at(buf, offset)
+        }
+
+        fn write_at(&mut self, buf: &[u8], offset: u64) -> io::Result<()> {
+            if self.writes_at == 0 {
+                return Err(io::Error::other("injected: I/O error"));
+            }
+            self.writes_at -= 1;
+            self.file.write_at(buf, offset)
+        }
+
+        fn set_len(&mut self, len: u64) -> io::Result<()> {
+            if self.cut_fails {
+                return Err(io::Error::other("injected: cannot truncate"));
+            }
+            StoreFile::set_len(&mut self.file, len)
+        }
+
+        fn sync_data(&mut self) -> io::Result<()> {
+            StoreFile::sync_data(&mut self.file)
+        }
+
+        fn size(&self) -> io::Result<u64> {
+            StoreFile::size(&self.file)
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
+    use super::flaky::Flaky;
     use super::*;
     use crate::scratch::ScratchDir;
+    use std::path::Path;
+
+    /// Length of the record that commits `runs` as one write batch.
+    fn write_batch_record_len<'d>(runs: impl Iterator<Item = (u64, &'d [u8])>) -> usize {
+        runs.fold(RECORD_OVERHEAD + 4, |len, (_, data)| len + 16 + data.len())
+    }
 
     /// The contiguous encoding the journal used to build in memory
     /// before appending it in one write — the reference the vectored
@@ -499,22 +589,40 @@ mod tests {
         })
     }
 
+    /// The journal file at `path`, as the store opens it: for appending.
+    fn append_file(path: &Path) -> File {
+        std::fs::OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(path)
+            .unwrap()
+    }
+
+    /// Open the journal at `path`, reading it into `raw`.
+    fn open<'r>(
+        path: &Path,
+        raw: &'r mut Vec<u8>,
+    ) -> io::Result<(Journal, Vec<JournalRecord<'r>>)> {
+        Journal::open(append_file(path), raw)
+    }
+
     /// The journal at `path`, open for appending; what it replays is the
     /// caller's to check elsewhere.
     fn writer(path: &Path) -> Journal {
-        Journal::open(path, &mut Vec::new()).unwrap().0
+        open(path, &mut Vec::new()).unwrap().0
     }
 
     /// Commit a write batch; returns its encoding and the record replay
     /// must hand back for it.
-    fn append_batch<'d, F: Tail>(
+    fn append_batch<'d, F: StoreFile>(
         j: &mut Journal<F>,
         runs: &[(u64, &'d [u8])],
     ) -> (Vec<u8>, JournalRecord<'d>) {
         let seq = j.next_seq;
         let encoded = reference_write_batch(RECORD_MAGIC, seq, runs);
         assert_eq!(
-            j.append_write_batch(runs.iter().copied(), None).unwrap(),
+            j.append_write_batch(runs.iter().copied()).unwrap(),
             encoded.len() as u64
         );
         let runs = runs.to_vec();
@@ -541,7 +649,7 @@ mod tests {
         let dir = ScratchDir::new("journal-roundtrip");
         let path = dir.path().join("j");
         let mut raw = Vec::new();
-        let (mut j, replay) = Journal::open(&path, &mut raw).unwrap();
+        let (mut j, replay) = open(&path, &mut raw).unwrap();
         assert!(replay.is_empty());
         let (_, a) = append_batch(&mut j, &[(0, b"abc"), (100, b"defg")]);
         j.append_truncate(50).unwrap();
@@ -550,7 +658,7 @@ mod tests {
         assert_eq!(j.depth(), 3);
         j.sync().unwrap();
         drop(j);
-        let (j2, replay) = Journal::open(&path, &mut raw).unwrap();
+        let (j2, replay) = open(&path, &mut raw).unwrap();
         assert_eq!(replay, vec![a, b, c]);
         assert_eq!(j2.depth(), 3);
     }
@@ -563,7 +671,7 @@ mod tests {
         for record in fixture_records() {
             match record {
                 JournalRecord::WriteBatch { runs, .. } => {
-                    j.append_write_batch(runs.into_iter(), None).unwrap()
+                    j.append_write_batch(runs.into_iter()).unwrap()
                 }
                 JournalRecord::Truncate { size, .. } => j.append_truncate(size).unwrap(),
             };
@@ -574,7 +682,7 @@ mod tests {
             "journal bytes differ"
         );
         let mut raw = Vec::new();
-        let (_, replay) = Journal::open(&path, &mut raw).unwrap();
+        let (_, replay) = open(&path, &mut raw).unwrap();
         assert_eq!(replay, fixture_records());
     }
 
@@ -589,7 +697,7 @@ mod tests {
         let v1 = fixtures::bytes(fixtures::V1);
         std::fs::write(&path, &v1).unwrap();
         let mut raw = Vec::new();
-        let (mut j, replay) = Journal::open(&path, &mut raw).unwrap();
+        let (mut j, replay) = open(&path, &mut raw).unwrap();
         assert_eq!(replay, fixture_records());
         assert_eq!((j.depth(), j.bytes()), (3, v1.len() as u64));
         let (encoded, appended) = append_batch(&mut j, &[(9, b"second format")]);
@@ -605,7 +713,7 @@ mod tests {
             "journal bytes differ"
         );
         let mut raw = Vec::new();
-        let (j, replay) = Journal::open(&path, &mut raw).unwrap();
+        let (j, replay) = open(&path, &mut raw).unwrap();
         let mut want = fixture_records();
         want.extend([appended, JournalRecord::Truncate { seq: 4, size: 5 }]);
         assert_eq!(replay, want);
@@ -634,7 +742,7 @@ mod tests {
         ];
         let mut want = Vec::new();
         for (seq, runs) in batches.into_iter().enumerate() {
-            let len = j.append_write_batch(runs.iter().copied(), None).unwrap();
+            let len = j.append_write_batch(runs.iter().copied()).unwrap();
             assert_eq!(len as usize, write_batch_record_len(runs.iter().copied()));
             want.extend(reference_write_batch(RECORD_MAGIC, seq as u64, runs));
         }
@@ -648,7 +756,7 @@ mod tests {
             "journal bytes differ"
         );
         let mut raw = Vec::new();
-        let (_, replay) = Journal::open(&path, &mut raw).unwrap();
+        let (_, replay) = open(&path, &mut raw).unwrap();
         assert_eq!(replay.len(), 5);
     }
 
@@ -657,9 +765,9 @@ mod tests {
         // Every write boundary of an append: whatever prefix of the
         // record a crash leaves — cut inside the head, inside either
         // run, inside the checksum — commits nothing, and the record
-        // before it still replays. In both formats: the v2 tail is torn
-        // by the writer's own crash injection, the v1 tail (behind a v1
-        // record) is laid down as the bytes the old writer made.
+        // before it still replays. In both formats, each tail laid down
+        // as the bytes its writer made: the reference encoder's, which
+        // this writer reproduces.
         let dir = ScratchDir::new("journal-prefixes");
         let runs: [(u64, &[u8]); 2] = [(64, &[0xAA; 19]), (4096, b"second run")];
         let len = write_batch_record_len(runs.iter().copied());
@@ -672,25 +780,16 @@ mod tests {
             let first = reference_write_batch(magic, 0, &[(0, b"committed")]);
             let lost = reference_write_batch(magic, 1, &runs);
             assert_eq!(lost.len(), len);
+            if magic == RECORD_MAGIC {
+                let path = dir.path().join("whole");
+                let mut j = writer(&path);
+                assert_eq!(append_batch(&mut j, &[(0, b"committed")]).0, first);
+                assert_eq!(append_batch(&mut j, &runs).0, lost);
+            }
             for keep in 0..len {
                 let path = dir.path().join(format!("j{keep}"));
-                if magic == RECORD_MAGIC {
-                    let mut j = writer(&path);
-                    assert_eq!(append_batch(&mut j, &[(0, b"committed")]).0, first);
-                    assert_eq!(
-                        j.append_write_batch(runs.iter().copied(), Some(keep))
-                            .unwrap(),
-                        len as u64
-                    );
-                    assert_eq!((j.depth(), j.bytes()), (1, first.len() as u64));
-                    assert!(j.is_torn());
-                    drop(j);
-                    let torn = [&first[..], &lost[..keep]].concat();
-                    assert!(std::fs::read(&path).unwrap() == torn, "torn bytes differ");
-                } else {
-                    std::fs::write(&path, [&first[..], &lost[..keep]].concat()).unwrap();
-                }
-                let (j, replay) = Journal::open(&path, &mut raw).unwrap();
+                std::fs::write(&path, [&first[..], &lost[..keep]].concat()).unwrap();
+                let (j, replay) = open(&path, &mut raw).unwrap();
                 assert_eq!(
                     replay,
                     std::slice::from_ref(&committed),
@@ -701,14 +800,6 @@ mod tests {
                 std::fs::remove_file(&path).unwrap();
             }
         }
-        // Asking to keep the whole record still tears it.
-        let path = dir.path().join("all");
-        let mut j = writer(&path);
-        j.append_write_batch(runs.iter().copied(), Some(usize::MAX))
-            .unwrap();
-        drop(j);
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), len as u64 - 1);
-        assert!(Journal::open(&path, &mut raw).unwrap().1.is_empty());
     }
 
     #[test]
@@ -733,64 +824,23 @@ mod tests {
                     continue;
                 }
                 std::fs::write(&path, &holed).unwrap();
-                let (j, replay) = Journal::open(&path, &mut raw).unwrap();
+                let (j, replay) = open(&path, &mut raw).unwrap();
                 assert_eq!(replay.len(), 1, "{keep} bytes, then zeros, replayed");
                 assert_eq!(j.bytes(), first.len() as u64);
             }
         }
     }
 
-    /// A journal file that takes `budget` more bytes and then fails
-    /// every write (ENOSPC, as it were); optionally it cannot be cut
-    /// back either.
-    struct Flaky {
-        file: File,
-        budget: usize,
-        cut_fails: bool,
-    }
-
-    impl Write for Flaky {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            if self.budget == 0 {
-                return Err(io::Error::other("injected: no space left on device"));
-            }
-            // Short on purpose: at most 7 bytes a call, so an append
-            // also has to resume mid-slice.
-            let n = buf.len().min(self.budget).min(7);
-            self.budget -= n;
-            self.file.write(&buf[..n])
-        }
-
-        fn flush(&mut self) -> io::Result<()> {
-            self.file.flush()
-        }
-    }
-
-    impl Tail for Flaky {
-        fn cut_to(&mut self, len: u64) -> io::Result<()> {
-            if self.cut_fails {
-                return Err(io::Error::other("injected: cannot truncate"));
-            }
-            self.file.set_len(len)
-        }
-    }
-
     fn flaky_journal(path: &Path, budget: usize, cut_fails: bool) -> Journal<Flaky> {
+        let file = Flaky {
+            budget,
+            cut_fails,
+            ..Flaky::new(append_file(path))
+        };
         let mut raw = Vec::new();
-        let (j, replay) = Journal::open(path, &mut raw).unwrap();
+        let (j, replay) = Journal::open(file, &mut raw).unwrap();
         assert!(replay.is_empty());
-        Journal {
-            file: Flaky {
-                file: j.file,
-                budget,
-                cut_fails,
-            },
-            depth: 0,
-            bytes: 0,
-            next_seq: 0,
-            torn: false,
-            head: Vec::new(),
-        }
+        j
     }
 
     #[test]
@@ -809,9 +859,7 @@ mod tests {
             let mut j = flaky_journal(&path, usize::MAX, false);
             let (first, a) = append_batch(&mut j, &[(7, b"before")]);
             j.file.budget = accepted;
-            let err = j
-                .append_write_batch(lost.iter().copied(), None)
-                .unwrap_err();
+            let err = j.append_write_batch(lost.iter().copied()).unwrap_err();
             assert!(err.to_string().contains("no space left"), "{err}");
             assert_eq!((j.depth(), j.bytes()), (1, first.len() as u64));
             assert!(!j.is_torn());
@@ -824,7 +872,7 @@ mod tests {
             let (_, b) = append_batch(&mut j, &[(9, b"after the failure")]);
             assert_eq!(j.depth(), 2);
             drop(j);
-            let (_, replay) = Journal::open(&path, &mut raw).unwrap();
+            let (_, replay) = open(&path, &mut raw).unwrap();
             assert_eq!(replay, vec![a, b], "failed after {accepted} bytes");
         }
     }
@@ -836,21 +884,21 @@ mod tests {
         let mut j = flaky_journal(&path, usize::MAX, true);
         let (_, a) = append_batch(&mut j, &[(7, b"before")]);
         j.file.budget = 20;
-        j.append_write_batch([(0, &[0x11; 40][..])].into_iter(), None)
+        j.append_write_batch([(0, &[0x11; 40][..])].into_iter())
             .unwrap_err();
         assert!(j.is_torn());
         // Space is back, but a record written now would sit behind the
         // torn bytes: refuse rather than acknowledge what cannot replay.
         j.file.budget = usize::MAX;
         let err = j
-            .append_write_batch([(9, &b"after"[..])].into_iter(), None)
+            .append_write_batch([(9, &b"after"[..])].into_iter())
             .unwrap_err();
         assert!(err.to_string().contains("torn tail"), "{err}");
         assert!(j.append_truncate(3).is_err());
         assert_eq!(j.depth(), 1);
         drop(j);
         let mut raw = Vec::new();
-        let (_, replay) = Journal::open(&path, &mut raw).unwrap();
+        let (_, replay) = open(&path, &mut raw).unwrap();
         assert_eq!(replay, vec![a]);
     }
 
@@ -858,16 +906,18 @@ mod tests {
     fn torn_tail_is_discarded_not_replayed() {
         let dir = ScratchDir::new("journal-torn");
         let path = dir.path().join("j");
-        let mut j = writer(&path);
-        let (_, committed) = append_batch(&mut j, &[(0, b"committed")]);
-        j.append_write_batch([(64, &[0xAA; 128][..])].into_iter(), Some(40))
-            .unwrap();
-        drop(j);
+        let first = reference_write_batch(RECORD_MAGIC, 0, &[(0, b"committed")]);
+        let torn = reference_write_batch(RECORD_MAGIC, 1, &[(64, &[0xAA; 128])]);
+        std::fs::write(&path, [&first[..], &torn[..40]].concat()).unwrap();
         let mut raw = Vec::new();
-        let (j2, replay) = Journal::open(&path, &mut raw).unwrap();
+        let (j, replay) = open(&path, &mut raw).unwrap();
+        let committed = JournalRecord::WriteBatch {
+            seq: 0,
+            runs: vec![(0, b"committed")],
+        };
         assert_eq!(replay, vec![committed]);
         // The reopened journal only counts the valid prefix.
-        assert_eq!(j2.depth(), 1);
+        assert_eq!(j.depth(), 1);
     }
 
     #[test]
@@ -877,12 +927,10 @@ mod tests {
         // stops at the first byte that is not a record) never looks.
         let dir = ScratchDir::new("journal-torn-then-append");
         let path = dir.path().join("j");
-        let mut j = writer(&path);
-        j.append_write_batch([(0, &[0xAA; 64][..])].into_iter(), Some(30))
-            .unwrap();
-        drop(j);
+        let torn = reference_write_batch(RECORD_MAGIC, 0, &[(0, &[0xAA; 64])]);
+        std::fs::write(&path, &torn[..30]).unwrap();
         let mut raw = Vec::new();
-        let (mut j, replay) = Journal::open(&path, &mut raw).unwrap();
+        let (mut j, replay) = open(&path, &mut raw).unwrap();
         assert!(replay.is_empty());
         let (encoded, after) = append_batch(&mut j, &[(8, b"after the tear")]);
         drop(j);
@@ -890,7 +938,7 @@ mod tests {
             std::fs::metadata(&path).unwrap().len(),
             encoded.len() as u64
         );
-        let (_, replay) = Journal::open(&path, &mut raw).unwrap();
+        let (_, replay) = open(&path, &mut raw).unwrap();
         assert_eq!(replay, vec![after]);
     }
 
@@ -907,7 +955,7 @@ mod tests {
         bytes[a_encoded.len() + 30] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         let mut raw = Vec::new();
-        let (_, replay) = Journal::open(&path, &mut raw).unwrap();
+        let (_, replay) = open(&path, &mut raw).unwrap();
         assert_eq!(replay, vec![a]);
     }
 
@@ -922,7 +970,7 @@ mod tests {
         assert_eq!(j.bytes(), 0);
         drop(j);
         let mut raw = Vec::new();
-        let (_, replay) = Journal::open(&path, &mut raw).unwrap();
+        let (_, replay) = open(&path, &mut raw).unwrap();
         assert!(replay.is_empty());
         // Sequence numbers keep rising across a checkpoint within one
         // session; after reopen they restart — both are fine because
@@ -951,7 +999,7 @@ mod tests {
             "the journal is exactly one record long"
         );
         let mut raw = Vec::new();
-        let (_, replay) = Journal::open(&path, &mut raw).unwrap();
+        let (_, replay) = open(&path, &mut raw).unwrap();
         assert_eq!(replay, vec![second]);
     }
 
@@ -961,7 +1009,7 @@ mod tests {
         let path = dir.path().join("j");
         std::fs::write(&path, b"this is not a journal at all").unwrap();
         let mut raw = Vec::new();
-        let (j, replay) = Journal::open(&path, &mut raw).unwrap();
+        let (j, replay) = open(&path, &mut raw).unwrap();
         assert!(replay.is_empty());
         assert_eq!(j.depth(), 0);
     }
@@ -984,7 +1032,7 @@ mod tests {
             }
             std::fs::write(&path, &bytes).unwrap();
             let mut raw = Vec::new();
-            let (_, replay) = Journal::open(&path, &mut raw).unwrap();
+            let (_, replay) = open(&path, &mut raw).unwrap();
             assert!(replay.is_empty());
         }
     }

@@ -36,10 +36,10 @@ pub mod model;
 pub mod scratch;
 pub mod store;
 
-pub use backend::{CrashPoint, StorageBackend, StorageConfig, StorageMetrics, SyncPolicy};
+pub use backend::{StorageBackend, StorageConfig, StorageMetrics, SyncPolicy};
 pub use cache::{BufferCache, CacheConfig, CacheOutcome, CachePolicy};
 pub use filestore::FileStore;
-pub use journal::{Journal, JournalRecord};
+pub use journal::{Journal, JournalRecord, StoreFile};
 pub use localfile::{CostReport, LocalFile};
 pub use model::DiskModel;
 pub use scratch::ScratchDir;

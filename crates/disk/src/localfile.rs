@@ -10,7 +10,7 @@
 //! turns into virtual time. A live daemon's files
 //! ([`LocalFile::unmodelled`]) move the bytes and meter nothing.
 
-use crate::backend::{CrashPoint, StorageBackend};
+use crate::backend::StorageBackend;
 use crate::cache::{BufferCache, CacheConfig, CacheOutcome};
 use crate::checksum::checksum;
 use crate::model::{DiskModel, HeadTracker};
@@ -243,11 +243,6 @@ impl LocalFile {
             chunks.push(checksum(piece));
         }
         Ok((self.write_version, chunks))
-    }
-
-    /// Arm a storage crash (test fault injection; no-op on memory).
-    pub fn inject_crash(&mut self, point: CrashPoint) {
-        self.store.inject_crash(point);
     }
 }
 

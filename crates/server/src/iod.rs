@@ -20,8 +20,8 @@
 
 use bytes::{Bytes, BytesMut};
 use pvfs_disk::{
-    CacheConfig, CostReport, CrashPoint, DiskModel, FileStore, LocalFile, SparseStore,
-    StorageBackend, StorageConfig,
+    CacheConfig, CostReport, DiskModel, FileStore, LocalFile, SparseStore, StorageBackend,
+    StorageConfig,
 };
 use pvfs_proto::{Request, Response, MAX_BULK_BYTES};
 use pvfs_types::clock::now_ns;
@@ -299,15 +299,6 @@ impl IoDaemon {
     pub fn flush_handle(&self, handle: FileHandle) {
         if let Some(file) = self.shard(handle).lock().unwrap().get_mut(&handle) {
             file.flush();
-        }
-    }
-
-    /// Arm a storage crash on a handle's backend (test fault injection;
-    /// a no-op for the memory backend or an untouched handle).
-    pub fn inject_storage_crash(&self, handle: FileHandle, point: CrashPoint) {
-        let mut shard = self.shard(handle).lock().unwrap();
-        if let Some(file) = shard.get_mut(&handle) {
-            file.inject_crash(point);
         }
     }
 
@@ -1581,7 +1572,7 @@ mod tests {
     }
 
     #[test]
-    fn storage_crash_wedges_the_handle_until_restart() {
+    fn a_batch_a_crash_left_unapplied_replays_at_restart() {
         let scratch = pvfs_disk::ScratchDir::new("iod-crash");
         let storage = StorageConfig::File {
             dir: scratch.path().to_path_buf(),
@@ -1595,7 +1586,11 @@ mod tests {
             region: Region::new(0, 10),
             data: Bytes::from(vec![1u8; 10]),
         });
-        d.inject_storage_crash(fh(), pvfs_disk::CrashPoint::AfterCommit { applied: 0 });
+        // The crash comes once the next write's record has committed and
+        // before any of its bytes reached the data file: the data file
+        // goes back to what it holds now.
+        let data = scratch.path().join(format!("h{}.data", fh().0));
+        let before = std::fs::read(&data).unwrap();
         // Stripe 4 ([40,50)) also belongs to server 0.
         let (resp, _) = d.handle(&Request::Write {
             handle: fh(),
@@ -1603,8 +1598,9 @@ mod tests {
             region: Region::new(40, 10),
             data: Bytes::from(vec![2u8; 10]),
         });
-        assert!(matches!(resp, Response::Error(PvfsError::Storage(_))));
-        assert_eq!(d.ledger().snapshot().errors, 1);
+        assert!(matches!(resp, Response::Written { .. }));
+        drop(d);
+        std::fs::write(&data, before).unwrap();
         // A fresh daemon over the same directory replays the journal and
         // recovers the committed-but-unapplied batch.
         let d2 = IoDaemon::with_storage(ServerId(0), IodConfig::default(), storage);
@@ -1618,6 +1614,72 @@ mod tests {
         expect.extend_from_slice(&[2u8; 10]);
         assert_eq!(
             resp,
+            Response::Data {
+                data: Bytes::from(expect)
+            }
+        );
+        assert!(d2.ledger().snapshot().journal_replays > 0);
+    }
+
+    #[test]
+    fn storage_crash_wedges_the_handle_until_restart() {
+        let scratch = pvfs_disk::ScratchDir::new("iod-wedge");
+        let storage = StorageConfig::File {
+            dir: scratch.path().to_path_buf(),
+            sync: pvfs_disk::SyncPolicy::Always,
+        };
+        let l = layout();
+        let write = |d: &IoDaemon, offset, byte| {
+            d.handle(&Request::Write {
+                handle: fh(),
+                layout: l,
+                region: Region::new(offset, 10),
+                data: Bytes::from(vec![byte; 10]),
+            })
+            .0
+        };
+        let read = |d: &IoDaemon, len| {
+            d.handle(&Request::Read {
+                handle: fh(),
+                layout: l,
+                region: Region::new(0, len),
+            })
+            .0
+        };
+        let d = IoDaemon::with_storage(ServerId(0), IodConfig::default(), storage.clone());
+        assert_eq!(write(&d, 0, 1), Response::Written { bytes: 10 });
+        // Checkpointed: the journal is empty, the data file holds it all.
+        assert!(matches!(
+            d.handle(&Request::Sync { handle: fh() }).0,
+            Response::Synced { .. }
+        ));
+        drop(d);
+        // The disk fills up under the data file: a write's record commits
+        // to the journal and its bytes fail behind it.
+        let data = scratch.path().join(format!("h{}.data", fh().0));
+        let kept = scratch.path().join("kept.data");
+        std::fs::rename(&data, &kept).unwrap();
+        std::os::unix::fs::symlink("/dev/full", &data).unwrap();
+        let d = IoDaemon::with_storage(ServerId(0), IodConfig::default(), storage.clone());
+        // Stripe 4 ([40,50)) also belongs to server 0.
+        let resp = write(&d, 40, 2);
+        assert!(matches!(resp, Response::Error(PvfsError::Storage(_))));
+        assert_eq!(d.ledger().snapshot().errors, 1);
+        // Wedged: not even a read is served until the daemon restarts.
+        assert!(matches!(
+            read(&d, 10),
+            Response::Error(PvfsError::Storage(_))
+        ));
+        drop(d);
+        std::fs::rename(&kept, &data).unwrap();
+        // A fresh daemon over the same directory replays the journal and
+        // recovers the committed-but-unapplied batch.
+        let d2 = IoDaemon::with_storage(ServerId(0), IodConfig::default(), storage);
+        // Server 0's share of [0,50) is [0,10) ++ [40,50): 20 bytes.
+        let mut expect = vec![1u8; 10];
+        expect.extend_from_slice(&[2u8; 10]);
+        assert_eq!(
+            read(&d2, 50),
             Response::Data {
                 data: Bytes::from(expect)
             }
@@ -1730,30 +1792,32 @@ mod tests {
         let l = StripeLayout::new(0, 1, 64).unwrap();
         let d = IoDaemon::with_storage(ServerId(0), IodConfig::default(), storage);
         let scratch = &mut Scratch::default();
-        let write = |offset, scratch: &mut Scratch| {
+        let write = |handle, offset, scratch: &mut Scratch| {
             let request = Request::Write {
-                handle: fh(),
+                handle,
                 layout: l,
                 region: Region::new(offset, 100),
                 data: Bytes::from(vec![0xAB; 100]),
             };
             d.handle_with(&request, scratch)
         };
-        let read = Request::Read {
-            handle: fh(),
+        let read = |handle| Request::Read {
+            handle,
             layout: l,
             region: Region::new(0, 100),
         };
-        assert_eq!(write(0, scratch), Response::Written { bytes: 100 });
-        let dirty = d.handle_with(&read, scratch);
+        assert_eq!(write(fh(), 0, scratch), Response::Written { bytes: 100 });
+        let dirty = d.handle_with(&read(fh()), scratch);
         assert!(matches!(dirty, Response::Data { .. }));
         drop(dirty);
         scratch.reclaim_read();
         let room = scratch.capacity();
-        // The store wedges: every access fails from here on.
-        d.inject_storage_crash(fh(), pvfs_disk::CrashPoint::TornJournal);
-        assert!(matches!(write(200, scratch), Response::Error(_)));
-        let refused = d.handle_with(&read, scratch);
+        // A second handle's store cannot open: a directory squats on its
+        // data file's name, so every access to it fails.
+        let squatted = FileHandle(fh().0 + 1);
+        std::fs::create_dir(dir.path().join(format!("h{}.data", squatted.0))).unwrap();
+        assert!(matches!(write(squatted, 200, scratch), Response::Error(_)));
+        let refused = d.handle_with(&read(squatted), scratch);
         assert!(matches!(refused, Response::Error(PvfsError::Storage(_))));
         scratch.reclaim_read();
         assert_eq!(

@@ -3,21 +3,25 @@
 //! be byte-for-byte indistinguishable from the memory backend for every
 //! read a client can issue.
 //!
-//! The crash tests use [`CrashPoint`] injection to freeze a daemon's
-//! store exactly as SIGKILL would — either with a torn journal record
-//! (batch never committed) or after the intent record committed but
-//! before the data-file runs finished (batch must complete on replay) —
-//! then respawn a cluster over the same data directory and check what a
-//! client observes.
+//! The crash tests lay down on disk what a crash mid-list-write leaves:
+//! they copy the daemon's data file before the write, let the real
+//! daemon journal and apply it, drop the cluster, and put the copy back —
+//! with a prefix of the batch's runs written on it by hand, or with the
+//! journal cut inside its last record (the batch never committed) — then
+//! respawn a cluster over the same data directory and check what a client
+//! observes. Every crash point and every cut is walked against the store
+//! itself by `pvfs-disk`'s crash walk.
 
 use proptest::prelude::*;
 use pvfs::client::PvfsFile;
 use pvfs::core::Method;
-use pvfs::disk::{CrashPoint, ScratchDir, StorageConfig, SyncPolicy};
+use pvfs::disk::{ScratchDir, StorageConfig, SyncPolicy};
 use pvfs::net::{LiveCluster, TransportKind};
 use pvfs::server::IodConfig;
 use pvfs::types::{Region, RegionList, ServerId, StripeLayout};
 use pvfs::workloads::verify;
+use std::os::unix::fs::FileExt;
+use std::path::{Path, PathBuf};
 
 /// Spawn a file-backed cluster over `dir` that leaves its data behind
 /// when dropped, so a second spawn can recover from it.
@@ -68,6 +72,25 @@ fn crash_batch() -> Vec<Region> {
     (0..33).map(|i| Region::new(i * 64, 32)).collect()
 }
 
+/// `iod0`'s data file and journal for `f`, under the cluster's `dir`.
+fn store_files(dir: &Path, f: &PvfsFile) -> (PathBuf, PathBuf) {
+    let at = |ext| dir.join("iod0").join(format!("h{}.{ext}", f.handle().0));
+    (at("data"), at("journal"))
+}
+
+/// Put the data file back as it was `before` a write of `regions`, with
+/// the first `applied` of them written on it by hand, as a crash
+/// part-way through applying the batch leaves it. One daemon holds the
+/// whole file, so its local offsets are the file's.
+fn restore(data: &Path, before: &[u8], regions: &[Region], fill: u8, applied: usize) {
+    std::fs::write(data, before).unwrap();
+    let file = std::fs::OpenOptions::new().write(true).open(data).unwrap();
+    for r in &regions[..applied] {
+        file.write_all_at(&vec![fill; r.len as usize], r.offset)
+            .unwrap();
+    }
+}
+
 #[test]
 fn torn_list_write_is_invisible_after_restart() {
     let dir = ScratchDir::new("dur-torn");
@@ -82,9 +105,15 @@ fn torn_list_write_is_invisible_after_restart() {
 
         // Power fails mid-journal-append: the intent record tears and
         // the batch must never have happened.
-        let daemon = cluster.daemon(ServerId(0)).unwrap();
-        daemon.inject_storage_crash(f.handle(), CrashPoint::TornJournal);
-        list_write(&mut f, &crash_batch(), 0xEE).unwrap_err();
+        let (data, journal) = store_files(dir.path(), &f);
+        let before = std::fs::read(&data).unwrap();
+        let committed = std::fs::metadata(&journal).unwrap().len();
+        list_write(&mut f, &crash_batch(), 0xEE).unwrap();
+        drop(cluster);
+        restore(&data, &before, &crash_batch(), 0xEE, 0);
+        let record = std::fs::metadata(&journal).unwrap().len() - committed;
+        let file = std::fs::OpenOptions::new().write(true).open(&journal);
+        file.unwrap().set_len(committed + record / 2).unwrap();
     }
 
     // Recover from the data directory alone.
@@ -115,9 +144,11 @@ fn committed_list_write_completes_after_restart() {
 
         // Power fails after the intent record committed but before any
         // data-file run landed: replay must complete the whole batch.
-        let daemon = cluster.daemon(ServerId(0)).unwrap();
-        daemon.inject_storage_crash(f.handle(), CrashPoint::AfterCommit { applied: 0 });
-        list_write(&mut f, &batch, 0xEE).unwrap_err();
+        let (data, _) = store_files(dir.path(), &f);
+        let before = std::fs::read(&data).unwrap();
+        list_write(&mut f, &batch, 0xEE).unwrap();
+        drop(cluster);
+        restore(&data, &before, &batch, 0xEE, 0);
     }
 
     let cluster = spawn_file(1, dir.path(), SyncPolicy::Always, TransportKind::Chan);
@@ -154,9 +185,11 @@ fn batch_committed_after_a_checkpoint_completes_after_restart() {
         f.write_at(0, &baseline).unwrap();
         assert_eq!(f.sync().unwrap(), 4096);
 
-        let daemon = cluster.daemon(ServerId(0)).unwrap();
-        daemon.inject_storage_crash(f.handle(), CrashPoint::AfterCommit { applied: 0 });
-        list_write(&mut f, &batch, 0xEE).unwrap_err();
+        let (data, _) = store_files(dir.path(), &f);
+        let before = std::fs::read(&data).unwrap();
+        list_write(&mut f, &batch, 0xEE).unwrap();
+        drop(cluster);
+        restore(&data, &before, &batch, 0xEE, 0);
     }
 
     let cluster = spawn_file(1, dir.path(), SyncPolicy::Always, TransportKind::Chan);
@@ -182,13 +215,15 @@ fn partially_applied_batch_is_completed_not_double_applied() {
         let cluster = spawn_file(1, dir.path(), SyncPolicy::Always, TransportKind::Chan);
         let client = cluster.client();
         let mut f = PvfsFile::create(&client, "/pvfs/crash", layout).unwrap();
-        // Touch the handle so the daemon has a store to wedge.
+        // Touch the handle so the daemon has a store to copy.
         f.write_at(0, &[0u8; 16]).unwrap();
         // Crash with some of the batch's runs already in the data file:
         // replay must be idempotent over the applied prefix.
-        let daemon = cluster.daemon(ServerId(0)).unwrap();
-        daemon.inject_storage_crash(f.handle(), CrashPoint::AfterCommit { applied: 5 });
-        list_write(&mut f, &batch, 0xEE).unwrap_err();
+        let (data, _) = store_files(dir.path(), &f);
+        let before = std::fs::read(&data).unwrap();
+        list_write(&mut f, &batch, 0xEE).unwrap();
+        drop(cluster);
+        restore(&data, &before, &batch, 0xEE, 5);
     }
 
     let cluster = spawn_file(1, dir.path(), SyncPolicy::Always, TransportKind::Chan);
