@@ -16,6 +16,7 @@
 
 use crate::method::MethodConfig;
 use crate::plan::{AccessPlan, IoKind, Item, Steps, Walk};
+use crate::planutil::CappedChunks;
 use crate::request::ListRequest;
 use pvfs_types::{FileHandle, PieceMap, PvfsResult, Region, RegionList, StripeLayout};
 
@@ -29,11 +30,11 @@ pub(crate) fn plan(
     config: &MethodConfig,
 ) -> PvfsResult<AccessPlan> {
     let items = match kind {
-        IoKind::Read => build_read_items(request, config),
+        IoKind::Read => build_read_items(request, layout, config),
         // Writes: coalesce gapless neighbours, then plain list chunks.
         IoKind::Write => {
             let coalesced = request.file.coalesced();
-            let chunks = coalesced.chunks(config.max_list_regions);
+            let chunks = CappedChunks::new(&coalesced, config.max_list_regions, layout);
             chunks.map(Item::Chunk).collect()
         }
     };
@@ -61,7 +62,11 @@ pub fn auto_gap(request: &ListRequest, min_density: f64) -> u64 {
 
 /// Cluster the regions of a read request into sieved windows and list
 /// leftovers.
-fn build_read_items(request: &ListRequest, config: &MethodConfig) -> Vec<Item> {
+fn build_read_items(
+    request: &ListRequest,
+    layout: StripeLayout,
+    config: &MethodConfig,
+) -> Vec<Item> {
     let gap_threshold = if config.hybrid_auto {
         auto_gap(request, config.hybrid_min_density)
     } else {
@@ -94,15 +99,15 @@ fn build_read_items(request: &ListRequest, config: &MethodConfig) -> Vec<Item> {
             for r in &regions[i..j] {
                 leftovers.push(*r);
                 if leftovers.count() == config.max_list_regions {
-                    items.push(Item::Chunk(std::mem::take(&mut leftovers)));
+                    let chunks =
+                        CappedChunks::new(&std::mem::take(&mut leftovers), usize::MAX, layout);
+                    items.extend(chunks.map(Item::Chunk));
                 }
             }
         }
         i = j;
     }
-    if !leftovers.is_empty() {
-        items.push(Item::Chunk(leftovers));
-    }
+    items.extend(CappedChunks::new(&leftovers, usize::MAX, layout).map(Item::Chunk));
     items
 }
 

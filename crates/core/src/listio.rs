@@ -8,16 +8,19 @@
 //! for all responses, then moves to the next chunk. Request count is
 //! therefore ⌈regions / 64⌉ × (servers touched per chunk) instead of
 //! `regions`, the 64× reduction behind the paper's two-orders-of-
-//! magnitude write gap.
+//! magnitude write gap. A chunk also closes early before a region that
+//! would put more than one frame's bulk on a server
+//! ([`CappedChunks`]).
 
 use crate::method::MethodConfig;
 use crate::plan::{AccessPlan, IoKind, Item, Steps, Walk};
+use crate::planutil::CappedChunks;
 use crate::request::ListRequest;
-use pvfs_types::{Chunks, FileHandle, PieceMap, PvfsResult, RegionList, StripeLayout};
+use pvfs_types::{FileHandle, PieceMap, PvfsResult, RegionList, StripeLayout};
 use std::iter::Map;
 
 /// A list plan's items: the request's file list in chunks.
-pub(crate) type ListItems = Map<Chunks, fn(RegionList) -> Item>;
+pub(crate) type ListItems = Map<CappedChunks, fn(RegionList) -> Item>;
 
 /// Compile a list-I/O plan.
 pub(crate) fn plan(
@@ -31,7 +34,7 @@ pub(crate) fn plan(
     // Chunk lazily over the request's own (shared) region list: every
     // chunk is an O(1) sub-list of it, so a million-region plan never
     // duplicates its regions — not per chunk, not per server, not once.
-    let chunks = request.file.chunks(config.max_list_regions);
+    let chunks = CappedChunks::new(&request.file, config.max_list_regions, layout);
     let items: ListItems = chunks.map(Item::Chunk);
     let steps = Steps::List(Walk::new(items, kind, layout, map, false));
     Ok(AccessPlan::walk(handle, layout, kind, vec![], steps))

@@ -10,11 +10,16 @@
 //! single request usually, a small fan-out when the piece straddles
 //! stripe boundaries. Request count grows linearly with the number of
 //! pieces, which is the overhead the paper's figures show dominating.
+//! A piece carrying more than [`BULK_PIECE`] to a server is cut, and the
+//! window pipelines the cuts: a transfer of any size stages `WINDOW` of
+//! them per daemon, not the daemon's whole share (§3.3: bulk streams
+//! behind its requests).
 
 use crate::method::MethodConfig;
 use crate::plan::{AccessPlan, IoKind, Item, Steps, Walk};
 use crate::planutil::{bulk_pieces, Cuts};
 use crate::request::ListRequest;
+use pvfs_proto::BULK_PIECE;
 use pvfs_types::{FileHandle, PieceMap, Pieces, PvfsResult, Region, StripeLayout, TransferPiece};
 use std::iter::{FlatMap, Map, Repeat, Zip};
 
@@ -27,8 +32,8 @@ pub(crate) type PieceCuts = Map<
 
 /// Compile a multiple-I/O plan: one round per aligned piece, streamed
 /// from the map's lazy walk of them rather than held for the life of the
-/// plan — a piece that would carry more than one frame's bulk to a
-/// server ([`bulk_pieces`]) is as many rounds as it takes.
+/// plan — a piece that would carry more than [`BULK_PIECE`] to a server
+/// ([`bulk_pieces`]) is as many rounds as it takes.
 pub(crate) fn plan(
     kind: IoKind,
     _request: &ListRequest,
@@ -37,7 +42,7 @@ pub(crate) fn plan(
     layout: StripeLayout,
     _config: &MethodConfig,
 ) -> PvfsResult<AccessPlan> {
-    let cut = |((_, piece), layout): (TransferPiece, StripeLayout)| bulk_pieces(&layout, piece);
+    let cut = |((_, p), l): (TransferPiece, StripeLayout)| bulk_pieces(&l, p, BULK_PIECE);
     let pieces = map.pieces().zip(std::iter::repeat(layout));
     let items: PieceCuts = pieces.flat_map(cut as fn(_) -> _).map(Item::Piece);
     let steps = Steps::Multiple(Walk::new(items, kind, layout, map, false));

@@ -16,7 +16,7 @@
 
 use crate::method::MethodConfig;
 use crate::plan::{AccessPlan, IoKind, Item, Steps, Walk};
-use crate::planutil::Servers;
+use crate::planutil::{CappedChunks, Servers};
 use crate::request::ListRequest;
 use pvfs_proto::VectorRun;
 use pvfs_types::{FileHandle, PieceMap, PvfsResult, Region, StripeLayout};
@@ -112,9 +112,12 @@ pub(crate) fn plan(
     layout: StripeLayout,
     config: &MethodConfig,
 ) -> PvfsResult<AccessPlan> {
-    let runs = compress_runs(request.file.regions());
-    let chunks = runs.chunks(config.max_vector_runs);
-    let items: Vec<Item> = chunks.map(|c| Item::Runs(c.to_vec())).collect();
+    let mut items = Vec::new();
+    for regions in CappedChunks::new(&request.file, usize::MAX, layout) {
+        let runs = compress_runs(regions.regions());
+        let chunks = runs.chunks(config.max_vector_runs);
+        items.extend(chunks.map(|c| Item::Runs(c.to_vec())));
+    }
     let steps = Steps::Datatype(Walk::new(items.into_iter(), kind, layout, map, false));
     Ok(AccessPlan::walk(handle, layout, kind, vec![], steps))
 }

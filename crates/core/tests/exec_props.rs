@@ -6,6 +6,7 @@ use bytes::BytesMut;
 use proptest::prelude::*;
 use pvfs_core::exec::{gather_payload_into, scatter_response, server_share, Buffers};
 use pvfs_core::plan::{OpKind, Target};
+use pvfs_core::planutil::CappedChunks;
 use pvfs_core::{ListRequest, PieceMap};
 use pvfs_types::{align_lists, Region, RegionList, StripeLayout};
 
@@ -60,7 +61,7 @@ proptest! {
         let src_bufs = Buffers { user: &mut source, temps: &mut source_temps };
 
         // Chunk regions like list I/O would.
-        for chunk in request.file.chunks(64) {
+        for chunk in CappedChunks::new(&request.file, 64, layout) {
             let wop = OpKind::WriteList {
                 regions: chunk.clone(),
                 src: Target::Pieces(pieces.clone()),

@@ -62,16 +62,20 @@
 //! lane's next frame, whatever the workers do.
 
 use bytes::{Bytes, BytesMut};
+use pvfs_proto::BULK_PIECE;
 use pvfs_server::Scratch;
 use std::collections::VecDeque;
 
 use crate::WINDOW;
 
 /// The most memory a spare pins: twice the largest list frame the
-/// paper's workloads send (FLASH's ≈ 64 KiB write frame). A contiguous
-/// transfer or a sieving window is larger, and must not pin its size
-/// for the life of a connection.
+/// paper's workloads send (FLASH's ≈ 64 KiB write frame). A sieving
+/// window is larger, and must not pin its size for the life of a
+/// connection; so, as the assertion below keeps it, is a piece of a
+/// contiguous transfer cut in several: near-equal pieces of at most a
+/// [`BULK_PIECE`] to a daemon carry about half of one or more.
 pub const MAX_SPARE_CAPACITY: usize = 128 << 10;
+const _: () = assert!(MAX_SPARE_CAPACITY <= BULK_PIECE / 2);
 
 /// The keep rule: whether a buffer pinning `capacity` bytes is a spare
 /// (kept and reused), not its frame's own.

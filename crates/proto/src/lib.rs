@@ -33,8 +33,8 @@ pub use codec::{
     Frame, DATA_HEAD_LEN, RESPONSE_ENVELOPE_LEN, VERSION_TRACED,
 };
 pub use limits::{
-    list_request_fits_frame, max_regions_per_frame, ETHERNET_MTU, MAX_BULK_BYTES, MAX_LIST_REGIONS,
-    MAX_VECTOR_RUNS, MAX_WIRE_FRAME,
+    list_request_fits_frame, max_regions_per_frame, BULK_PIECE, ETHERNET_MTU, MAX_BULK_BYTES,
+    MAX_LIST_REGIONS, MAX_VECTOR_RUNS, MAX_WIRE_FRAME,
 };
 pub use message::{Message, OpClass, Request, Response, VectorRun};
 

@@ -36,10 +36,18 @@ pub const MAX_VECTOR_RUNS: usize = (ETHERNET_MTU - LIST_HEADER_SIZE) / VECTOR_RU
 /// wire frame may carry. Bulk streams *behind* the MTU-bounded request
 /// header on a real network; on the framed TCP transport it travels in
 /// the same length-prefixed frame, so the frame cap must budget for it.
-/// 64 MiB comfortably exceeds any per-round per-server share the
-/// planner produces while keeping a malformed length prefix from
-/// turning into a multi-gigabyte allocation.
+/// It is the wire guard — a malformed length prefix does not turn into
+/// a multi-gigabyte allocation — and the sieve buffer's ceiling; a list
+/// or datatype chunk closes before it, and a contiguous transfer moves
+/// in [`BULK_PIECE`]s far below it.
 pub const MAX_BULK_BYTES: usize = 64 << 20;
+
+/// The most bulk one piece of a contiguous transfer (multiple I/O)
+/// carries to any one daemon. The request pipeline keeps a window of
+/// pieces in flight per daemon, so a transfer of any size stages at most
+/// that window of pieces on either side of the wire — as ROMIO's
+/// fixed-size buffer bounds its staging whatever the access's size.
+pub const BULK_PIECE: usize = 256 << 10;
 
 /// Hard cap on one length-prefixed wire frame of the TCP transport:
 /// the MTU-bounded control part (header + trailing data, see

@@ -42,7 +42,7 @@ pub use ids::{ClientId, FileHandle, RequestId, ServerId};
 pub use metrics::{
     ClientLedger, ClientStats, Histogram, Ledger, ScrubReport, SharedHistogram, StatsSnapshot,
 };
-pub use region::{Chunks, PieceMap, Pieces, Region, RegionList, TransferPiece};
+pub use region::{PieceMap, Pieces, Region, RegionList, TransferPiece};
 // The reference walk, for the tests' oracles and the benchmark's inputs.
 pub use region::align_lists;
 pub use striping::{StripeLayout, StripeSegment};

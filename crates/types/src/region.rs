@@ -491,35 +491,14 @@ impl RegionList {
         RegionList::from_regions_unchecked(out)
     }
 
-    /// Split the list into consecutive chunks of at most `max_regions`
-    /// regions each — exactly how list I/O breaks a long request into
-    /// several ≤64-region wire requests. Each chunk is an O(1)
-    /// [`slice`](RegionList::slice) of this list.
-    pub fn chunks(&self, max_regions: usize) -> Chunks {
+    /// The list in consecutive O(1) [`slice`](RegionList::slice)s of at
+    /// most `max_regions` regions each.
+    pub fn chunks(&self, max_regions: usize) -> impl Iterator<Item = RegionList> + '_ {
         assert!(max_regions > 0, "chunk size must be positive");
-        Chunks {
-            rest: self.clone(),
-            max: max_regions,
-        }
-    }
-}
-
-/// A list's chunks ([`RegionList::chunks`]).
-#[derive(Debug, Clone)]
-pub struct Chunks {
-    /// What no chunk has taken yet.
-    rest: RegionList,
-    max: usize,
-}
-
-impl Iterator for Chunks {
-    type Item = RegionList;
-
-    fn next(&mut self) -> Option<RegionList> {
-        let (n, count) = (self.max.min(self.rest.count()), self.rest.count());
-        let chunk = (n > 0).then(|| self.rest.slice(0..n))?;
-        self.rest = self.rest.slice(n..count);
-        Some(chunk)
+        let count = self.count();
+        (0..count)
+            .step_by(max_regions)
+            .map(move |at| self.slice(at..count.min(at + max_regions)))
     }
 }
 

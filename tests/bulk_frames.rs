@@ -1,5 +1,6 @@
 //! A bulk frame's buffer is its own: made when the frame needs it,
-//! filled by appending, freed with its last view, never kept.
+//! filled by appending, freed with its last view, never kept — and a
+//! contiguous transfer stages a window of pieces, not its size.
 //!
 //! One 1 MiB `write_at` and its `read_at` over four memory daemons are
 //! four 256 KiB frames each way. While every owner on the frame path
@@ -9,13 +10,21 @@
 //! those buffers was asked for zeroed and then overwritten. Now the
 //! transfer leaves the store's 1 MiB and next to nothing else, and asks
 //! for next to nothing zeroed.
+//!
+//! While multiple I/O sent each daemon its whole share in one frame, a
+//! 16 MiB transfer held 16–20 MiB above the store at its peak: the
+//! client's gathered shares and the daemons' received frames, each the
+//! size of a share. Now it moves in pieces of at most `BULK_PIECE` per
+//! daemon, `WINDOW` of them in flight per daemon, and holds no more at
+//! its peak than a 4 MiB transfer, which already fills the window.
 
 mod counting;
 
-use counting::{hermetic, left_and_zeroed_by};
+use counting::{hermetic, left_and_zeroed_by, peak_above_start};
 use pvfs::client::PvfsFile;
 use pvfs::disk::StorageConfig;
-use pvfs::net::{LiveCluster, TransportKind};
+use pvfs::net::{LiveCluster, TransportKind, WINDOW};
+use pvfs::proto::BULK_PIECE;
 use pvfs::server::IodConfig;
 use pvfs::types::StripeLayout;
 use pvfs::workloads::verify;
@@ -25,12 +34,21 @@ const MIB: usize = 1 << 20;
 /// chunks, and ask for zeroed: a small frame's spares, the store's
 /// index.
 const SLACK: usize = 64 << 10;
+/// What a transfer's peak may hold above the window's pieces, on both
+/// sides of the wire: the headers, queues and region lists around them.
+const PEAK_SLACK: u64 = 256 << 10;
+/// What a 16 MiB transfer's peak may hold above a 4 MiB one's: a piece
+/// per daemon. The 4 MiB transfer is one window of pieces and ends
+/// there; the longer one refills the window as replies land, and over
+/// tcp a piece gathered or received for a new flight has been seen to
+/// overlap the one it replaces (up to ≈ 620 KiB above, on 2 CPUs).
+const REFILL_SLACK: u64 = (4 * BULK_PIECE) as u64;
 
 #[test]
 fn a_bulk_transfer_leaves_nothing_pinned_and_zeroes_nothing() {
     hermetic();
-    let content = verify::content(11, MIB);
-    let mut back = vec![0u8; MIB];
+    let content = verify::content(11, 16 * MIB);
+    let mut back = vec![0u8; 16 * MIB];
     for kind in [TransportKind::Chan, TransportKind::Tcp] {
         let cluster = LiveCluster::spawn_storage(4, IodConfig::default(), kind, StorageConfig::Mem);
         let client = cluster.client();
@@ -42,13 +60,59 @@ fn a_bulk_transfer_leaves_nothing_pinned_and_zeroes_nothing() {
             file.read_at(0, &mut back[..64 * 1024]).unwrap();
         }
         let (left, zeroed) = left_and_zeroed_by(|| {
-            file.write_at(0, &content).unwrap();
+            file.write_at(0, &content[..MIB]).unwrap();
             back.fill(0);
-            file.read_at(0, &mut back).unwrap();
+            file.read_at(0, &mut back[..MIB]).unwrap();
         });
-        assert!(back == content, "{kind}: the read-back differs");
+        assert!(
+            back[..MIB] == content[..MIB],
+            "{kind}: the read-back differs"
+        );
         a_bulk_transfer_leaves_nothing_pinned(kind, left);
         bulk_buffers_are_not_zero_filled(kind, zeroed);
+
+        // The store in place first: what the peaks see is staging.
+        file.write_at(0, &content).unwrap();
+        let peaks = [4 * MIB, 16 * MIB].map(|len| {
+            let wrote = peak_above_start(|| {
+                file.write_at(0, &content[..len]).unwrap();
+            });
+            back.fill(0);
+            let read = peak_above_start(|| {
+                file.read_at(0, &mut back[..len]).unwrap();
+            });
+            assert!(
+                back[..len] == content[..len],
+                "{kind}: the read-back differs"
+            );
+            [wrote, read]
+        });
+        a_transfer_stages_a_window_of_pieces(kind, peaks);
+    }
+}
+
+/// Each peak, written and read, of a 4 MiB and a 16 MiB transfer over
+/// four daemons stays within `WINDOW` pieces per daemon on each side of
+/// the wire, and the 16 MiB one within a piece per daemon of the 4 MiB
+/// one's.
+fn a_transfer_stages_a_window_of_pieces(kind: TransportKind, peaks: [[u64; 2]; 2]) {
+    let window = (2 * WINDOW * 4 * BULK_PIECE) as u64;
+    for (i, way) in ["write", "read"].into_iter().enumerate() {
+        let (small, large) = (peaks[0][i], peaks[1][i]);
+        for (peak, len) in [(small, 4), (large, 16)] {
+            assert!(
+                peak <= window + PEAK_SLACK,
+                "{kind}: a {len} MiB {way} peaked {} KiB above its start (at most {} KiB)",
+                peak >> 10,
+                (window + PEAK_SLACK) >> 10
+            );
+        }
+        assert!(
+            large <= small + REFILL_SLACK,
+            "{kind}: a 16 MiB {way} peaked at {} KiB, a 4 MiB one at {} KiB",
+            large >> 10,
+            small >> 10
+        );
     }
 }
 

@@ -124,7 +124,7 @@ pub fn left_and_zeroed_by(op: impl FnOnce()) -> (i64, u64) {
 
 /// The most that running `op` ever held live above what was live when it
 /// began, process-wide.
-#[allow(dead_code)] // one test binary of three peeks
+#[allow(dead_code)] // two test binaries of three peek
 pub fn peak_above_start(op: impl FnOnce()) -> u64 {
     let start = LIVE.load(Ordering::Relaxed);
     PEAK.store(start, Ordering::Relaxed);

@@ -17,7 +17,7 @@ use pvfs::net::{
     BreakerPolicy, ClusterClient, FaultPlan, Lane, LiveCluster, RetryPolicy, RpcTarget, SerialGate,
     Transport, TransportKind, WaitError, WINDOW,
 };
-use pvfs::proto::{decode_frame, decode_response_id, Frame, Request};
+use pvfs::proto::{decode_frame, decode_response_id, Frame, Request, Response};
 use pvfs::server::{IoDaemon, IodConfig};
 use pvfs::types::{
     ClientId, FileHandle, PvfsError, PvfsResult, Region, RegionList, RequestId, ServerId,
@@ -396,6 +396,12 @@ fn many_clients_overrunning_the_daemons_queues_lose_no_op() {
 /// replies to newer flights while the oldest is still in the queue —
 /// the pump must not sit on that one until the deadline (which, with
 /// retries off, would fail the read).
+///
+/// The replies are sieving windows': a whole 12 MiB window read from a
+/// daemon, which a frame may still carry (multiple I/O's pieces are at
+/// most `BULK_PIECE` a daemon). A sieving read waits for each window
+/// before the next, so the windows go as one round, `WINDOW` of them in
+/// the air at once.
 #[test]
 fn replies_larger_than_the_socket_buffers_do_not_stall_the_window() {
     const REGION: u64 = 12 << 20;
@@ -410,19 +416,32 @@ fn replies_larger_than_the_socket_buffers_do_not_stall_the_window() {
     let layout = StripeLayout::new(0, 1, 1 << 20).unwrap();
     let mut file = PvfsFile::create(&client, "/pvfs/big", layout).unwrap();
 
-    // One round per region under `Multiple`, all to the one daemon.
-    let regions = RegionList::from_pairs((0..2 * WINDOW as u64).map(|i| (i * 2 * REGION, REGION)));
-    let regions = regions.unwrap();
-    let mem = RegionList::contiguous(0, regions.total_len());
-    let content = verify::content(3, regions.total_len() as usize);
-    file.write_list(&mem, &regions, &content, Method::Multiple)
+    let windows = (0..2 * WINDOW as u64).map(|i| Region::new(i * 2 * REGION, REGION));
+    let windows: RegionList = windows.collect();
+    let mem = RegionList::contiguous(0, windows.total_len());
+    let content = verify::content(3, windows.total_len() as usize);
+    file.write_list(&mem, &windows, &content, Method::List)
         .unwrap();
-    let mut back = vec![0u8; content.len()];
-    let report = file
-        .read_list(&mem, &regions, &mut back, Method::Multiple)
-        .unwrap();
-    assert_eq!(report.rounds, 2 * WINDOW as u64);
-    assert!(back == content);
+    let handle = file.handle();
+    let read = |region| {
+        (
+            ServerId(0),
+            Request::Read {
+                handle,
+                layout,
+                region,
+            },
+        )
+    };
+    let replies = client.round(windows.iter().copied().map(read).collect());
+    let replies = replies.unwrap();
+    assert_eq!(replies.len(), 2 * WINDOW);
+    for (reply, want) in replies.iter().zip(content.chunks(REGION as usize)) {
+        match reply {
+            Response::Data { data } => assert!(data[..] == want[..]),
+            other => panic!("a window read answered {other:?}"),
+        }
+    }
 }
 
 /// A flight that times out gives its place in the window up while its
