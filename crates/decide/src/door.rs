@@ -2,17 +2,17 @@
 //!
 //! Every daemon stands behind one [`Door`], whichever transport brings
 //! its frames: a value — the frames queued, how many are in service,
-//! whether it is shut, who its driver ([`crate::serve`]) counts as
-//! parked — with no lock, clock, thread or socket (CI's lint "The door
-//! does no I/O"); each method takes the driver's reading and says what
-//! to do. A frame is **offered** ([`Door::offer`], the one admission
-//! rule) — booked; refused if shut; served on the spot (*run to
-//! completion*) if the service never blocks, nothing is queued and fewer
-//! than `workers` are in service; else queued, shed, or left to wait for
-//! room — **taken** ([`Door::take`]) in arrival order while fewer than
-//! `workers` are in service (the manager's one keeps it serial),
-//! **served** ([`serve_rpc`]), booked ([`Served::end`]) before any reply
-//! leaves, and **finished** ([`Door::finish`]) once answered.
+//! whether it is shut, who its driver (`pvfs-net`'s `serve.rs`) counts
+//! as parked — with no lock, clock, thread or socket; each method takes
+//! the driver's reading and says what to do. A frame is **offered**
+//! ([`Door::offer`], the one admission rule) — booked; refused if shut;
+//! served on the spot (*run to completion*) if the service never
+//! blocks, nothing is queued and fewer than `workers` are in service;
+//! else queued, shed, or left to wait for room — **taken**
+//! ([`Door::take`]) in arrival order while fewer than `workers` are in
+//! service (the manager's one keeps it serial), **served**
+//! ([`serve_rpc`]), booked ([`Served::end`]) before any reply leaves,
+//! and **finished** ([`Door::finish`]) once answered.
 //!
 //! A frame's readings — offered, taken (the same, served on the spot),
 //! done — are its queue-wait and service-time samples and, traced, its
@@ -25,14 +25,14 @@
 use pvfs_proto::{
     decode_frame_id, decode_frame_reusing, frame_is_stats_scrape, Frame, Message, Request, Response,
 };
-use pvfs_server::Scratch;
+use pvfs_server::{IoDaemon, Manager, Scratch};
 use pvfs_types::trace::with_span_sink;
 use pvfs_types::{FlightRecorder, Ledger, PvfsError, RequestId, Span, SpanId, TraceContext};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// One daemon as its door sees it.
-pub(crate) trait Service: Send + Sync {
+pub trait Service: Send + Sync {
     /// Serve one decoded request out of the buffers `scratch` holds.
     fn serve(&self, request: &Request, scratch: &mut Scratch) -> Response;
     /// The daemon's books, for every frame but a stats scrape.
@@ -54,32 +54,32 @@ pub(crate) trait Service: Send + Sync {
 
 /// A frame's readings at the door, and whether it is a stats scrape.
 #[derive(Clone, Copy)]
-pub(crate) struct Stamp {
-    pub(crate) queued_at: u64,
-    pub(crate) taken: u64,
-    pub(crate) scrape: bool,
+pub struct Stamp {
+    pub queued_at: u64,
+    pub taken: u64,
+    pub scrape: bool,
 }
 
 impl Stamp {
     /// The books a frame is accounted in: none for a scrape.
-    pub(crate) fn books(self, service: &dyn Service) -> Option<&Ledger> {
+    pub fn books(self, service: &dyn Service) -> Option<&Ledger> {
         (!self.scrape).then(|| service.ledger())
     }
 }
 
 /// A request frame as it arrived, what rides with it (the way its reply
 /// goes back), and its readings.
-pub(crate) struct Job<R> {
-    pub(crate) frame: Frame,
-    pub(crate) reply: R,
-    pub(crate) stamp: Stamp,
+pub struct Job<R> {
+    pub frame: Frame,
+    pub reply: R,
+    pub stamp: Stamp,
 }
 
 /// A frame not admitted, handed back for its sender to be told why.
-pub(crate) type Refused<R> = (Frame, R, PvfsError);
+pub type Refused<R> = (Frame, R, PvfsError);
 
 /// What the driver is to do with a frame it offered.
-pub(crate) enum Offer<R> {
+pub enum Offer<R> {
     /// In service already: serve it, here and now.
     Serve(Job<R>),
     /// Queued: `start` workers (all of them, for the first frame to
@@ -93,7 +93,7 @@ pub(crate) enum Offer<R> {
 }
 
 /// The rules of one daemon's door (module docs).
-pub(crate) struct Door<R> {
+pub struct Door<R> {
     service: Arc<dyn Service>,
     jobs: VecDeque<Job<R>>,
     depth: usize,
@@ -106,13 +106,13 @@ pub(crate) struct Door<R> {
     shut: bool,
     /// Threads parked for work (workers, closers) and for room
     /// (offerers), as the driver counts them.
-    pub(crate) idle_workers: usize,
-    pub(crate) waiting_offers: usize,
+    pub idle_workers: usize,
+    pub waiting_offers: usize,
 }
 
 impl<R> Door<R> {
     /// At most `workers` frames in service, `depth` queued (each ≥ 1).
-    pub(crate) fn new(service: Arc<dyn Service>, workers: usize, depth: usize) -> Door<R> {
+    pub fn new(service: Arc<dyn Service>, workers: usize, depth: usize) -> Door<R> {
         let depth = depth.max(1);
         Door {
             inline: service.never_blocks(),
@@ -128,9 +128,30 @@ impl<R> Door<R> {
         }
     }
 
+    /// A door nobody works at: it serves nothing on the spot, lets any
+    /// number of frames be taken, and never asks for a worker.
+    pub fn unmanned(service: Arc<dyn Service>, depth: usize) -> Door<R> {
+        Door {
+            inline: false,
+            unstarted: 0,
+            workers: usize::MAX,
+            ..Door::new(service, 1, depth)
+        }
+    }
+
+    /// How many frames are queued.
+    pub fn queued(&self) -> usize {
+        self.jobs.len()
+    }
+
+    /// Whether the door admits nothing more.
+    pub fn is_shut(&self) -> bool {
+        self.shut
+    }
+
     /// Offer a frame of `wire_len` bytes on the wire, arrived at the
     /// reading `now` (module docs). A scrape waits out a full queue.
-    pub(crate) fn offer(&mut self, frame: Frame, wire_len: u64, reply: R, now: u64) -> Offer<R> {
+    pub fn offer(&mut self, frame: Frame, wire_len: u64, reply: R, now: u64) -> Offer<R> {
         let scrape = frame_is_stats_scrape(&frame.head);
         let stamp = Stamp {
             queued_at: now,
@@ -160,7 +181,7 @@ impl<R> Door<R> {
     }
 
     /// Offer again a job the queue was [`Full`](Offer::Full) for.
-    pub(crate) fn retry(&mut self, job: Job<R>) -> Offer<R> {
+    pub fn retry(&mut self, job: Job<R>) -> Offer<R> {
         if self.shut {
             let gone = PvfsError::Transport("server thread gone".into());
             return Offer::Refused(self.refuse(job, gone));
@@ -175,7 +196,7 @@ impl<R> Door<R> {
     }
 
     /// Give up on a job that never entered the queue: off the books.
-    pub(crate) fn refuse(&mut self, job: Job<R>, error: PvfsError) -> Refused<R> {
+    pub fn refuse(&mut self, job: Job<R>, error: PvfsError) -> Refused<R> {
         if let Some(ledger) = job.stamp.books(&*self.service) {
             ledger.unqueued();
         }
@@ -184,7 +205,7 @@ impl<R> Door<R> {
 
     /// The next frame, in service from the reading `now` (none while
     /// `workers` are), and whether to wake an offerer parked for room.
-    pub(crate) fn take(&mut self, now: u64) -> Option<(Job<R>, bool)> {
+    pub fn take(&mut self, now: u64) -> Option<(Job<R>, bool)> {
         if self.serving >= self.workers {
             return None;
         }
@@ -203,25 +224,25 @@ impl<R> Door<R> {
 
     /// A frame left service, answered: whether to wake every parked
     /// worker — for its slot, or, shut, to drain.
-    pub(crate) fn finish(&mut self) -> bool {
+    pub fn finish(&mut self) -> bool {
         self.serving -= 1;
         self.idle_workers > 0 && (self.shut || !self.jobs.is_empty())
     }
 
     /// Admit nothing more; what is queued is still taken.
-    pub(crate) fn shut(&mut self) {
+    pub fn shut(&mut self) {
         self.shut = true;
     }
 
     /// Shut, nothing in service; once its workers leave (only with
     /// nothing to take), every frame admitted was answered.
-    pub(crate) fn drained(&self) -> bool {
+    pub fn drained(&self) -> bool {
         self.shut && self.serving == 0
     }
 }
 
 /// A served frame's answer, and what its end books.
-pub(crate) struct Served {
+pub struct Served {
     id: RequestId,
     response: Response,
     stamp: Stamp,
@@ -235,14 +256,14 @@ pub(crate) struct Served {
 ///
 /// The request is gone when this returns, and with it every view of the
 /// frame it came in, whose owner (the connection's
-/// [`FrameReader`](crate::tcp::frame::FrameReader), the chan client) is
+/// `FrameReader`, the chan client) is
 /// its last holder once the reply arrives: the reply leaves after this.
 /// What outlives it is in `scratch`, the reply path's: the region and
 /// run lists, and a read's buffer — a connection's own
 /// ([`Scratch::reclaim_read`]), or the chan lane's, adopted from the
 /// request ([`Scratch::adopt_read`]) and let go before the reply is
 /// handed over ([`Scratch::release_read`]).
-pub(crate) fn serve_rpc(
+pub fn serve_rpc(
     service: &dyn Service,
     node: &str,
     frame: Frame,
@@ -286,7 +307,7 @@ pub(crate) fn serve_rpc(
 impl Served {
     /// Service ended at the reading `done`: book it and a traced frame's
     /// spans, and hand back the answer to send.
-    pub(crate) fn end(self, service: &dyn Service, node: &str, done: u64) -> (RequestId, Response) {
+    pub fn end(self, service: &dyn Service, node: &str, done: u64) -> (RequestId, Response) {
         let (queued_at, taken) = (self.stamp.queued_at, self.stamp.taken);
         if let Some(ledger) = self.stamp.books(service) {
             ledger.end(taken, done);
@@ -301,36 +322,55 @@ impl Served {
     }
 }
 
+impl Service for IoDaemon {
+    fn serve(&self, request: &Request, scratch: &mut Scratch) -> Response {
+        IoDaemon::serve(self, request, scratch)
+    }
+    fn ledger(&self) -> &Ledger {
+        IoDaemon::ledger(self)
+    }
+    fn recorder(&self) -> &FlightRecorder {
+        IoDaemon::recorder(self)
+    }
+    fn shed(&self) -> Option<PvfsError> {
+        IoDaemon::ledger(self).shed();
+        Some(PvfsError::Overloaded {
+            server: self.id().0,
+            queue_depth: self.config().queue_depth.max(1) as u64,
+        })
+    }
+    fn never_blocks(&self) -> bool {
+        IoDaemon::never_blocks(self)
+    }
+}
+
+/// Metadata operations are rare, order-sensitive and not idempotent: a
+/// full queue waits instead of shedding; serving waits on nothing else.
+impl Service for Manager {
+    fn serve(&self, request: &Request, _: &mut Scratch) -> Response {
+        self.handle(request)
+    }
+    fn never_blocks(&self) -> bool {
+        true
+    }
+    fn ledger(&self) -> &Ledger {
+        Manager::ledger(self)
+    }
+    fn recorder(&self) -> &FlightRecorder {
+        Manager::recorder(self)
+    }
+}
+
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use pvfs_proto::encode_frame;
-    use pvfs_server::{IoDaemon, Manager};
     use pvfs_types::{ClientId, FileHandle, Region, ServerId, StripeLayout, TraceId};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     impl<R> Door<R> {
-        /// A door nobody works at: it serves nothing on the spot, lets
-        /// any number of frames be taken, and never asks for a worker.
-        pub(crate) fn unmanned(service: Arc<dyn Service>, depth: usize) -> Door<R> {
-            Door {
-                inline: false,
-                unstarted: 0,
-                workers: usize::MAX,
-                ..Door::new(service, 1, depth)
-            }
-        }
-
-        pub(crate) fn queued(&self) -> usize {
-            self.jobs.len()
-        }
-
-        pub(crate) fn in_service(&self) -> usize {
+        fn in_service(&self) -> usize {
             self.serving
-        }
-
-        pub(crate) fn is_shut(&self) -> bool {
-            self.shut
         }
     }
 
@@ -358,13 +398,13 @@ pub(crate) mod tests {
     /// A service with books of its own that counts what else it is
     /// asked.
     #[derive(Default)]
-    pub(crate) struct Recording {
-        pub(crate) ledger: Ledger,
-        pub(crate) recorder: FlightRecorder,
-        pub(crate) served: AtomicU64,
-        pub(crate) shed_asked: AtomicU64,
-        pub(crate) refusal: Option<PvfsError>,
-        pub(crate) never_blocks: bool,
+    struct Recording {
+        ledger: Ledger,
+        recorder: FlightRecorder,
+        served: AtomicU64,
+        shed_asked: AtomicU64,
+        refusal: Option<PvfsError>,
+        never_blocks: bool,
     }
 
     impl Service for Recording {
@@ -387,7 +427,7 @@ pub(crate) mod tests {
         }
     }
 
-    pub(crate) fn traced_frame(id: u64, request: Request, ctx: Option<TraceContext>) -> Frame {
+    fn traced_frame(id: u64, request: Request, ctx: Option<TraceContext>) -> Frame {
         let message = Message {
             client: ClientId(1),
             id: RequestId(id),

@@ -26,10 +26,9 @@
 //! not kept here: `ClientStats::rpc_latency` is the one record of it.
 
 use pvfs_types::{clock, PvfsError, ServerId};
-use std::sync::Mutex;
 use std::time::Duration;
 
-use crate::cluster::WINDOW;
+use crate::WINDOW;
 
 /// When a per-daemon circuit breaker opens and for how long.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,10 +89,11 @@ struct ServerHealth {
 }
 
 /// The per-daemon window and breaker, fed from every RPC outcome of a
-/// [`ClusterClient`](crate::ClusterClient) and all its clones.
+/// client endpoint and all its clones.
 #[derive(Debug)]
 pub struct HealthTracker {
-    servers: Vec<Mutex<ServerHealth>>,
+    #[allow(clippy::disallowed_types)] // every clone of a client books its replies here
+    servers: Vec<std::sync::Mutex<ServerHealth>>,
     policy: BreakerPolicy,
 }
 
@@ -104,7 +104,7 @@ impl HealthTracker {
             window: WINDOW,
             ..ServerHealth::default()
         };
-        let servers = (0..n_servers).map(|_| Mutex::new(fresh)).collect();
+        let servers = (0..n_servers).map(|_| fresh.into()).collect();
         HealthTracker { servers, policy }
     }
 

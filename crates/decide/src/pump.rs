@@ -14,20 +14,117 @@
 
 use bytes::Bytes;
 use pvfs_proto::{decode_response_frame, decode_response_id, Frame, OpClass, Request, Response};
+use pvfs_types::trace::ActiveTrace;
 use pvfs_types::{PvfsError, PvfsResult, RequestId, ServerId, SpanId, StripeLayout};
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-use crate::cluster::{ClusterClient, OpStream, WINDOW};
 use crate::health::BreakerState;
 use crate::retry::Backoff;
-use crate::trace::ActiveTrace;
-use crate::transport::{RpcTarget, WaitError};
+use crate::{Endpoint, RpcTarget};
+
+/// How many requests the pipeline keeps in flight per daemon: enough to
+/// cover a daemon's worker pool (two by default) with as many queued
+/// behind it, so a worker never waits for the client's next frame; more
+/// would only deepen the daemon's queue.
+pub const WINDOW: usize = 4;
+
+/// What the request pipeline runs: a lazy source of ops and the sink
+/// their replies land in — one object, because the two halves of a real
+/// stream share state (the plan executor gathers a write's payload out
+/// of the buffers a read's reply is scattered into).
+pub trait OpStream {
+    /// What the sink needs back with an op's reply.
+    type Ticket: Send + 'static;
+
+    /// The next op to send, built now: the pipeline asks only when the
+    /// window has room for it. `None` ends the stream; it is not asked
+    /// again.
+    fn next_op(&mut self) -> Option<(RpcTarget, Request, Self::Ticket)>;
+
+    /// One op's reply has landed. An error ends the stream.
+    fn landed(&mut self, ticket: Self::Ticket, response: Response) -> PvfsResult<()>;
+
+    /// One op has failed for good (a deterministic error, retries
+    /// exhausted, a write short of its quorum). What that means for the
+    /// rest is the stream's call: returning an error — the default,
+    /// this op's own — ends the stream; `Ok` lets the others run on.
+    fn failed(&mut self, _ticket: Self::Ticket, error: PvfsError) -> PvfsResult<()> {
+        Err(error)
+    }
+}
+
+/// A fixed batch of ops as a stream — a `call`, a `round`: every op is
+/// sent whatever becomes of the others (a round touching one dead
+/// daemon still does its work on the healthy ones), and the batch
+/// yields all their responses, in op order, or the first failure.
+pub struct Batch<I> {
+    ops: std::iter::Enumerate<I>,
+    responses: Vec<Option<Response>>,
+    error: Option<PvfsError>,
+}
+
+impl<I: ExactSizeIterator> Batch<I> {
+    pub fn new(ops: I) -> Batch<I> {
+        Batch {
+            responses: (0..ops.len()).map(|_| None).collect(),
+            ops: ops.enumerate(),
+            error: None,
+        }
+    }
+
+    pub fn finish(self) -> PvfsResult<Vec<Response>> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
+        // In place: `Option<Response>` and `Response` share a layout,
+        // so this reuses the vector's allocation.
+        Ok(self
+            .responses
+            .into_iter()
+            .map(|r| r.expect("every op resolved"))
+            .collect())
+    }
+}
+
+impl<T: Into<RpcTarget>, I: Iterator<Item = (T, Request)>> OpStream for Batch<I> {
+    type Ticket = usize;
+
+    fn next_op(&mut self) -> Option<(RpcTarget, Request, usize)> {
+        let (index, (target, request)) = self.ops.next()?;
+        Some((target.into(), request, index))
+    }
+
+    fn landed(&mut self, index: usize, response: Response) -> PvfsResult<()> {
+        self.responses[index] = Some(response);
+        Ok(())
+    }
+
+    fn failed(&mut self, _index: usize, error: PvfsError) -> PvfsResult<()> {
+        self.error.get_or_insert(error);
+        Ok(())
+    }
+}
+
+/// Why a wait on a daemon's lane produced no response frame. The caller
+/// owns the context (which server, what deadline), so the error itself
+/// stays minimal.
+#[derive(Debug)]
+pub enum WaitError {
+    /// No response within the timeout. The lane is as good as before.
+    Timeout,
+    /// The reply to one frame — the request with this id — is lost; the
+    /// lane, and everything else on it, is sound.
+    Lost(RequestId, PvfsError),
+    /// The lane failed (peer gone, frame violation, I/O error): every
+    /// frame sent on it and not yet answered is lost with it.
+    Failed(PvfsError),
+}
 
 /// What the driver is to do next.
-pub(crate) enum Action {
+pub enum Action {
     /// Queue `frame` on the lane to `target` (checked out first if
     /// there is none), then report with [`Pump::shipped`].
     Ship { target: RpcTarget, frame: Frame },
@@ -76,8 +173,8 @@ pub(crate) enum Action {
 /// lands for the books alone (latency, health, spans, each lane answered
 /// in full so that its connection can go back in its pool) before
 /// [`Action::Done`] carries that op's error.
-pub(crate) struct Pump<'a, S: OpStream> {
-    client: &'a ClusterClient,
+pub struct Pump<'a, S: OpStream> {
+    endpoint: &'a Endpoint,
     stream: &'a mut S,
     /// A lone RPC addressed literally (see `ClusterClient::drive`).
     sole: bool,
@@ -111,10 +208,10 @@ pub(crate) struct Pump<'a, S: OpStream> {
 
 /// A pump's window, its sub-ops and the slab of their ops: grown once to
 /// the most a stream of its kind holds, not sized per stream.
-pub(crate) type Window<K> = (VecDeque<Sub>, Vec<Option<Op<K>>>);
+pub type Window<K> = (VecDeque<Sub>, Vec<Option<Op<K>>>);
 
 /// One op in the window, from pull to the sink.
-pub(crate) struct Op<K> {
+pub struct Op<K> {
     ticket: K,
     /// The request as the stream gave it.
     request: Request,
@@ -146,7 +243,7 @@ impl<K> Op<K> {
 }
 
 /// One sub-op: an op as addressed to one copy.
-pub(crate) struct Sub {
+pub struct Sub {
     /// Slab index of the op this sub-op serves.
     op: usize,
     /// Where it goes right now.
@@ -185,10 +282,10 @@ struct Flight {
 }
 
 impl<'a, S: OpStream> Pump<'a, S> {
-    /// A pump over `stream` for `client`, started at the clock reading
+    /// A pump over `stream` for `endpoint`, started at the clock reading
     /// `now`, in an empty `window`. A `sole` op has a window of one.
-    pub(crate) fn new(
-        client: &'a ClusterClient,
+    pub fn new(
+        endpoint: &'a Endpoint,
         stream: &'a mut S,
         sole: bool,
         trace: Option<&'a ActiveTrace>,
@@ -198,10 +295,10 @@ impl<'a, S: OpStream> Pump<'a, S> {
         let room = if sole {
             1
         } else {
-            WINDOW * client.n_servers().max(1) as usize
+            WINDOW * endpoint.n_servers.max(1) as usize
         };
         Pump {
-            client,
+            endpoint,
             stream,
             sole,
             trace,
@@ -220,7 +317,7 @@ impl<'a, S: OpStream> Pump<'a, S> {
     }
 
     /// What to do at the clock reading `now`.
-    pub(crate) fn next(&mut self, now: u64) -> Action {
+    pub fn next(&mut self, now: u64) -> Action {
         loop {
             if self.over.is_none() {
                 let ready = |s: &Sub| s.not_before.is_none_or(|at| at <= now);
@@ -257,7 +354,7 @@ impl<'a, S: OpStream> Pump<'a, S> {
 
     /// The frame of the last [`Action::Ship`] went (`Ok`) or did not, as
     /// the clock read `now`. One that did not lands at once, failed.
-    pub(crate) fn shipped(&mut self, sent: PvfsResult<()>, now: u64) {
+    pub fn shipped(&mut self, sent: PvfsResult<()>, now: u64) {
         let newest = self.flying - 1;
         let sub = &self.subs[newest];
         let flight = sub.flight.as_ref().expect("in the air");
@@ -277,7 +374,7 @@ impl<'a, S: OpStream> Pump<'a, S> {
     /// What the wait of the last [`Action::Land`] brought from `target`,
     /// the clock reading `now` when it ended: the next reply, or why there
     /// is none. A wait cut short by a backoff's end gives up nothing.
-    pub(crate) fn landed(&mut self, target: RpcTarget, got: Result<Frame, WaitError>, now: u64) {
+    pub fn landed(&mut self, target: RpcTarget, got: Result<Frame, WaitError>, now: u64) {
         let (sole, since) = (self.sole, self.waited_from);
         let oldest = self
             .oldest_at(target)
@@ -289,14 +386,14 @@ impl<'a, S: OpStream> Pump<'a, S> {
             // The deadline runs from ship time: a flight that waited its
             // turn behind others of its window has that much less left.
             Err(WaitError::Timeout) => {
-                if Duration::from_nanos(now.saturating_sub(shipped)) < self.client.rpc_timeout() {
+                if Duration::from_nanos(now.saturating_sub(shipped)) < self.endpoint.rpc_timeout() {
                     return;
                 }
                 self.given_up[self.next_given_up] = oldest_id;
                 self.next_given_up = (self.next_given_up + 1) % self.given_up.len();
                 let timeout = PvfsError::timeout(format!(
                     "no reply to request {oldest_id} from {target} within {:?}",
-                    self.client.rpc_timeout()
+                    self.endpoint.rpc_timeout()
                 ));
                 return self.land(oldest, since, Err(timeout), now);
             }
@@ -335,7 +432,7 @@ impl<'a, S: OpStream> Pump<'a, S> {
     /// `target`'s lane has failed with `e`, as the clock read `now`: so
     /// has every flight on it. Should one of them end the stream, the
     /// rest still land, for the books.
-    pub(crate) fn lane_failed(&mut self, target: RpcTarget, e: PvfsError, now: u64) {
+    pub fn lane_failed(&mut self, target: RpcTarget, e: PvfsError, now: u64) {
         while let Some(at) = self.oldest_at(target) {
             let id = self.subs[at].flight.as_ref().expect("in the air").id;
             let lost = Err(blame(self.sole, target, id, e.clone()));
@@ -384,7 +481,7 @@ impl<'a, S: OpStream> Pump<'a, S> {
             .expect("in the air")
             .shipped;
         let waited = Duration::from_nanos(now.saturating_sub(shipped));
-        let mut wait = self.client.rpc_timeout().saturating_sub(waited);
+        let mut wait = self.endpoint.rpc_timeout().saturating_sub(waited);
         if let Some(wake) = self.wake(now) {
             wait = wait.min(Duration::from_nanos(wake - now));
         }
@@ -396,7 +493,7 @@ impl<'a, S: OpStream> Pump<'a, S> {
     /// now: [`WINDOW`], less what that daemon's sheds have closed of it.
     fn window(&self, target: RpcTarget) -> usize {
         match target {
-            RpcTarget::Server(server) => self.client.health().window(server),
+            RpcTarget::Server(server) => self.endpoint.health().window(server),
             RpcTarget::Manager => WINDOW,
         }
     }
@@ -408,8 +505,8 @@ impl<'a, S: OpStream> Pump<'a, S> {
     /// decides when the last resolves), a read one sub-op aimed at the
     /// first copy whose breaker admits it, the others its failover chain.
     fn admit(&mut self, (target, request, ticket): (RpcTarget, Request, S::Ticket), now: u64) {
-        let client = self.client;
-        let map = client.replica_map();
+        let endpoint = self.endpoint;
+        let map = endpoint.replica_map();
         let op = match self.ops.iter().position(Option::is_none) {
             Some(free) => free,
             None => {
@@ -423,7 +520,7 @@ impl<'a, S: OpStream> Pump<'a, S> {
             copies,
             failed_over: false,
             attempt: 1,
-            backoff: client.retry_policy().base_backoff,
+            backoff: endpoint.retry_policy().base_backoff,
             not_before: None,
             flight: None,
         };
@@ -438,7 +535,7 @@ impl<'a, S: OpStream> Pump<'a, S> {
                     // Copies whose breaker refuses (a probe out included)
                     // last; the sort is stable, so copy order — the primary
                     // first — decides the rest.
-                    let health = client.health();
+                    let health = endpoint.health();
                     targets.sort_by_key(|t| health.state(t.server, now) == BreakerState::Open);
                 }
                 copies.extend(
@@ -476,21 +573,21 @@ impl<'a, S: OpStream> Pump<'a, S> {
     /// `None`: it could not go (an open breaker, a request that will not
     /// encode), and is settled.
     fn ship(&mut self, at: usize, now: u64) -> Option<Action> {
-        let client = self.client;
+        let endpoint = self.endpoint;
         let mut sub = self.subs.remove(at).expect("a due sub-op");
         let request = op_of(self.ops, &sub).request(&sub);
         // Control scrapes stay off the books on this side of the wire
         // too (the daemons already exclude them): scraping `stats` or a
         // trace must not advance the very counters being read.
         if !request.is_control_scrape() {
-            client.stats.attempts.fetch_add(1, Ordering::Relaxed);
+            endpoint.stats.attempts.fetch_add(1, Ordering::Relaxed);
         }
         if let RpcTarget::Server(server) = sub.target {
             // An open breaker fails this op fast, before any work is
             // spent on it and without touching the wire; the manager is
             // never gated (metadata is rare and precious).
-            if let Err(e) = client.health().admit(server, now) {
-                client
+            if let Err(e) = endpoint.health().admit(server, now) {
+                endpoint
                     .stats
                     .breaker_rejections
                     .fetch_add(1, Ordering::Relaxed);
@@ -500,7 +597,7 @@ impl<'a, S: OpStream> Pump<'a, S> {
         }
         let span = self.trace.map(|_| SpanId::next());
         let ctx = self.trace.zip(span).map(|(a, sid)| a.ctx(sid));
-        let (id, frame) = match client.encode(request, ctx) {
+        let (id, frame) = match endpoint.encode(request, ctx) {
             Ok(encoded) => encoded,
             Err(e) => {
                 self.settle(sub, e, now);
@@ -535,7 +632,7 @@ impl<'a, S: OpStream> Pump<'a, S> {
     /// said so is no latency sample. Only transport-class failures
     /// (connection loss, timeout) count toward tripping a breaker.
     fn land(&mut self, at: usize, since: u64, outcome: PvfsResult<Response>, now: u64) {
-        let client = self.client;
+        let endpoint = self.endpoint;
         let mut sub = self.subs.remove(at).expect("a sub-op in the window");
         let Flight {
             id,
@@ -547,7 +644,7 @@ impl<'a, S: OpStream> Pump<'a, S> {
         // Landed, however: the frame's head is this endpoint's again if
         // nothing else still holds it (the lane has sent it, the daemon
         // — over chan — answered it).
-        client.frame_spares().heads.take_back(head);
+        endpoint.frame_spares().heads.take_back(head);
         let request = op_of(self.ops, &sub).request(&sub);
         if let Some((a, sid)) = self.trace.zip(span) {
             a.span_at(sid, "recv", since, now, Vec::new());
@@ -573,10 +670,10 @@ impl<'a, S: OpStream> Pump<'a, S> {
                     _ => {
                         let took = now.saturating_sub(shipped);
                         if !request.is_control_scrape() {
-                            client.stats.rpc_latency.record(took);
+                            endpoint.stats.rpc_latency.record(took);
                         }
                         if let RpcTarget::Server(server) = target {
-                            client.health().record_success(server);
+                            endpoint.health().record_success(server);
                         }
                     }
                 }
@@ -601,13 +698,16 @@ impl<'a, S: OpStream> Pump<'a, S> {
     /// endpoint may fill: it proves the daemon alive. Logical errors are
     /// neutral.
     fn observe_failure(&self, target: RpcTarget, e: &PvfsError, now: u64) {
-        let health = self.client.health();
+        let health = self.endpoint.health();
         match (e, target) {
             (PvfsError::Transport(_) | PvfsError::Timeout(_), RpcTarget::Server(s)) => {
                 health.record_failure(s, now)
             }
             (PvfsError::Overloaded { .. }, _) => {
-                self.client.stats.sheds_seen.fetch_add(1, Ordering::Relaxed);
+                self.endpoint
+                    .stats
+                    .sheds_seen
+                    .fetch_add(1, Ordering::Relaxed);
                 if let RpcTarget::Server(s) = target {
                     health.record_shed(s);
                 }
@@ -620,8 +720,8 @@ impl<'a, S: OpStream> Pump<'a, S> {
     /// the clock reading `now`: back into the window (re-aimed, shed, or
     /// backed off), or failed for good.
     fn settle(&mut self, mut sub: Sub, e: PvfsError, now: u64) {
-        let client = self.client;
-        let retry = client.retry_policy();
+        let endpoint = self.endpoint;
+        let retry = endpoint.retry_policy();
         let left = retry
             .budget
             .saturating_sub(Duration::from_nanos(now.saturating_sub(self.started)));
@@ -634,7 +734,7 @@ impl<'a, S: OpStream> Pump<'a, S> {
             sub.copies.start += 1;
             sub.target = RpcTarget::Server(op.copies[sub.copies.start].0);
             sub.failed_over = true;
-            client
+            endpoint
                 .stats
                 .replica_failovers
                 .fetch_add(1, Ordering::Relaxed);
@@ -652,7 +752,7 @@ impl<'a, S: OpStream> Pump<'a, S> {
                 Duration::ZERO
             } else {
                 let backoff = self.backoff.get_or_insert_with(|| {
-                    let seed = client.next_request.load(Ordering::Relaxed);
+                    let seed = endpoint.next_request.load(Ordering::Relaxed);
                     Backoff::new(retry, RequestId(seed))
                 });
                 let delay = backoff.next_delay(sub.backoff).min(left);
@@ -662,8 +762,8 @@ impl<'a, S: OpStream> Pump<'a, S> {
                 delay
             };
             if booked {
-                client.stats.retries.fetch_add(1, Ordering::Relaxed);
-                client
+                endpoint.stats.retries.fetch_add(1, Ordering::Relaxed);
+                endpoint
                     .stats
                     .backoff_ms
                     .fetch_add(delay.as_millis() as u64, Ordering::Relaxed);
@@ -709,12 +809,12 @@ impl<'a, S: OpStream> Pump<'a, S> {
         // no copy of the request and no frame still on its way holds it.
         drop(copies);
         if let Some(payload) = request.into_bulk() {
-            self.client.frame_spares().payloads.take_back(payload);
+            self.endpoint.frame_spares().payloads.take_back(payload);
         }
         // An op with one sub-op needs it acknowledged; a replicated
         // write needs `required()` of its copies — a failed copy dooms
         // nothing while its siblings make quorum.
-        let map = self.client.replica_map();
+        let map = self.endpoint.replica_map();
         let required = if quorum { map.policy().required() } else { 1 };
         let sunk = if acks < required {
             let e = error.expect("an op short of its acks lost a sub-op");
@@ -724,7 +824,7 @@ impl<'a, S: OpStream> Pump<'a, S> {
                 if acks < map.replicas() {
                     // Quorum met but a copy missed the write: divergence
                     // for a later scrub to repair.
-                    (self.client.stats)
+                    (self.endpoint.stats)
                         .quorum_shortfalls
                         .fetch_add(1, Ordering::Relaxed);
                 }
@@ -805,7 +905,7 @@ fn blame(sole: bool, target: RpcTarget, id: RequestId, e: PvfsError) -> PvfsErro
 /// it — takes an id-0 *error* as its own; with several requests in
 /// flight it could belong to any of them, so it is a hard protocol
 /// error. Any other mismatch always is.
-pub(crate) fn attribute(
+pub fn attribute(
     target: RpcTarget,
     id: RequestId,
     rid: RequestId,
@@ -833,15 +933,11 @@ pub(crate) fn attribute(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::Batch;
-    use crate::gate::SerialGate;
     use crate::health::BreakerPolicy;
     use crate::retry::RetryPolicy;
-    use crate::transport::{Lane, Transport, TransportKind};
     use pvfs_proto::{decode_frame_id, encode_response};
     use pvfs_replica::{ReplicaPolicy, WriteQuorum};
     use pvfs_types::{ClientId, FileHandle, Region};
-    use std::sync::Arc;
 
     const MS: u64 = 1_000_000;
     /// How long a daemon of the tables takes to answer a frame it serves.
@@ -917,23 +1013,6 @@ mod tests {
         queued: bool,
     }
 
-    /// The transport of a client whose pumps only tables drive.
-    struct Nowhere(u32);
-
-    impl Transport for Nowhere {
-        fn n_servers(&self) -> u32 {
-            self.0
-        }
-
-        fn lane(&self, _: RpcTarget) -> PvfsResult<Box<dyn Lane>> {
-            unreachable!("a table drives the pump itself")
-        }
-
-        fn kind(&self) -> TransportKind {
-            TransportKind::Chan
-        }
-    }
-
     impl Wire {
         fn new(
             daemons: usize,
@@ -955,20 +1034,14 @@ mod tests {
             }
         }
 
-        /// A client of these daemons.
-        fn client(&self) -> ClusterClient {
-            let transport = Arc::new(Nowhere(self.owed.len() as u32));
-            ClusterClient::with_transport(ClientId(9), transport, Arc::new(SerialGate::new()))
+        /// A client endpoint of these daemons.
+        fn client(&self) -> Endpoint {
+            Endpoint::new(ClientId(9), self.owed.len() as u32)
         }
 
         /// `c`'s pipeline over `stream`, as `ClusterClient`'s `drive`
         /// runs it.
-        fn run<S: OpStream>(
-            &mut self,
-            c: &ClusterClient,
-            stream: &mut S,
-            sole: bool,
-        ) -> PvfsResult<()> {
+        fn run<S: OpStream>(&mut self, c: &Endpoint, stream: &mut S, sole: bool) -> PvfsResult<()> {
             let mut window = Window::default();
             let mut pump = Pump::new(c, stream, sole, None, self.now, &mut window);
             loop {
@@ -988,12 +1061,7 @@ mod tests {
         }
 
         /// `ClusterClient::call`.
-        fn call(
-            &mut self,
-            c: &ClusterClient,
-            server: u32,
-            request: Request,
-        ) -> PvfsResult<Response> {
+        fn call(&mut self, c: &Endpoint, server: u32, request: Request) -> PvfsResult<Response> {
             let mut lone = Batch::new(std::iter::once((ServerId(server), request)));
             self.run(c, &mut lone, true)?;
             Ok(lone.finish()?.pop().expect("one op, one response"))
@@ -1002,7 +1070,7 @@ mod tests {
         /// `ClusterClient::round`.
         fn round(
             &mut self,
-            c: &ClusterClient,
+            c: &Endpoint,
             ops: Vec<(ServerId, Request)>,
         ) -> PvfsResult<Vec<Response>> {
             let mut round = Batch::new(ops.into_iter());

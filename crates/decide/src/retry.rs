@@ -15,15 +15,13 @@
 //! doubling this spreads concurrent clients' retries apart instead of
 //! letting them re-collide in synchronized waves.
 
+use pvfs_types::env::{self, parse_duration};
 use pvfs_types::RequestId;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::time::Duration;
 
-use crate::envspec::{self, parse_duration};
-
-/// When and how a [`ClusterClient`](crate::ClusterClient) retries
-/// failed RPCs.
+/// When and how a client endpoint retries failed RPCs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per operation, the first one included. `1`
@@ -78,7 +76,7 @@ impl RetryPolicy {
             return Ok(RetryPolicy::none());
         }
         let mut policy = RetryPolicy::default();
-        for option in envspec::options(spec) {
+        for option in env::options(spec) {
             let (key, value) = option?;
             match key {
                 "attempts" => {

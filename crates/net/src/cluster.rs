@@ -10,33 +10,14 @@
 //!
 //! Every RPC — a lone [`ClusterClient::call`], the fan-out of a
 //! [`ClusterClient::round`], a whole stretch of a plan through
-//! [`ClusterClient::stream_in`]; unreplicated or mirrored, traced or
-//! not — runs through one private driver, `drive`, and the pump it
-//! drives (`pump.rs`, which has the window's rules: ops pulled lazily
-//! from an [`OpStream`], at most [`WINDOW`] flights per daemon, retry,
-//! failover, quorum, shed). The pump decides and reads no clock; `drive`
-//! does what it decides, and is the only client code that sends,
+//! [`ClusterClient::stream_in`] — runs through one driver, `drive`, of
+//! one [`Pump`] over the client's [`Endpoint`] (`pvfs_decide::pump` has
+//! the window's rules). `drive` is the only client code that sends,
 //! receives, reads the clock on the request path or sleeps. It keeps one
-//! [`Lane`] per daemon it ships to, for as long as the stream runs, and
-//! before any wait flushes every lane with frames queued, so the frames
-//! shipped since the last wait leave together, one write per daemon. It
-//! starts no thread and owns no channel. What distinguishes a `call`
-//! from any other op is one parameter, `sole` (see `drive`).
-//!
-//! # Whose buffers a frame is built in
-//!
-//! No attempt allocates its frame. The head is encoded — from the
-//! request as the pump holds it, borrowed, never cloned — into a buffer
-//! out of this endpoint's [`Spares`], and a write's payload was gathered
-//! into another ([`ClusterClient::payload_buffer`], by the plan
-//! executor) when the op was pulled. The pump hands both back: the head
-//! when its flight lands, the payload when the op resolves. Each comes
-//! back only as the last handle on it ([`bytes::Bytes::try_into_mut`]) —
-//! which it is once the daemon has answered, because a daemon drops its
-//! views of a frame before its reply leaves — so a flight that timed
-//! out or a frame a fault wedged on its way simply does not come back,
-//! and the next frame allocates.
-//! The bound is the pipeline's own: [`WINDOW`] per daemon of each kind.
+//! [`Lane`] per daemon it ships to while the stream runs, and flushes
+//! every lane with frames queued before any wait, so the frames shipped
+//! since the last wait leave together, one write per daemon. It starts
+//! no thread and owns no channel.
 //!
 //! # RPC discipline
 //!
@@ -44,88 +25,50 @@
 //! cannot be attributed to a request (the frame's header itself was
 //! unreadable). Servers echo the real request id on error responses
 //! whenever the fixed header is parsable ([`pvfs_proto::decode_frame_id`]),
-//! even if the body is corrupt. Clients match every response to the
-//! request in flight at that daemon that carries its id; a response
-//! whose id none of them carries is dropped if it answers a request the
-//! client has given up waiting for (a late reply), and is otherwise a
-//! hard protocol error charged to the daemon's oldest flight — as is,
-//! on the multi-request [`ClusterClient::round`] path, an id-0 response
-//! (it could belong to *any* in-flight request). Every receive
-//! carries a deadline ([`ClusterClient::with_rpc_timeout`], default
-//! [`DEFAULT_RPC_TIMEOUT`]) that bounds the **total** elapsed time of
-//! the RPC from the moment its frame left — a TCP response dribbling in
-//! over many partial reads is charged against one deadline, not one per
-//! read, and so is the time a flight spends waiting its turn in the
-//! window — so a wedged server yields [`PvfsError::Timeout`] instead of
-//! hanging the client, and several wedged servers cost one timeout.
+//! even if the body is corrupt. The pump matches each reply to its
+//! flight by id ([`Pump::landed`]): a late reply is dropped, and an
+//! id-0 reply to one of several flights is a hard protocol error. Every
+//! RPC's deadline ([`ClusterClient::with_rpc_timeout`], default
+//! [`DEFAULT_RPC_TIMEOUT`]) bounds the **total** elapsed time from the
+//! moment its frame left, however many partial reads its reply takes,
+//! so a wedged server yields [`PvfsError::Timeout`] instead of hanging
+//! the client, and several wedged servers cost one timeout.
 
 use bytes::BytesMut;
-use pvfs_proto::{encode_frame_into, request_head_len, Frame, Request, Response};
+use pvfs_decide::pump::{Action, Batch, Pump, Window};
+use pvfs_decide::Endpoint;
+use pvfs_proto::{Request, Response};
 use pvfs_replica::{ReplicaMap, ReplicaPolicy};
 use pvfs_types::clock::now_ns;
 use pvfs_types::{
-    ClientId, ClientLedger, ClientStats, PvfsError, PvfsResult, RequestId, ServerId, TraceContext,
-    TraceId, TraceMode, TraceTree,
+    ClientId, ClientStats, PvfsError, PvfsResult, ServerId, TraceId, TraceMode, TraceTree,
 };
 use std::any::Any;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::gate::SerialGate;
 use crate::health::{BreakerPolicy, HealthTracker};
-use crate::pump::{Action, Pump, Window};
 use crate::retry::RetryPolicy;
-use crate::spares::Spares;
 use crate::trace::{ActiveTrace, Tracer};
 use crate::transport::{Lane, RpcTarget, Transport, WaitError};
 
-/// Default deadline for one RPC before the client reports
-/// [`PvfsError::Timeout`]. Generous: the in-process servers answer in
-/// microseconds unless wedged.
-pub const DEFAULT_RPC_TIMEOUT: Duration = Duration::from_secs(10);
+pub use pvfs_decide::{OpStream, DEFAULT_RPC_TIMEOUT, WINDOW};
 
 /// A client endpoint of a [`LiveCluster`](crate::LiveCluster) (or any
 /// [`Transport`]).
 #[derive(Clone)]
 pub struct ClusterClient {
-    id: ClientId,
+    /// What the pumps read and book, shared by clones.
+    endpoint: Endpoint,
     transport: Arc<dyn Transport>,
-    pub(crate) next_request: Arc<AtomicU64>,
     gate: Arc<SerialGate>,
-    rpc_timeout: Duration,
-    retry: RetryPolicy,
-    pub(crate) stats: Arc<ClientLedger>,
-    /// Per-daemon circuit breakers and shed-narrowed windows, shared by
-    /// every clone: all of an endpoint's traffic feeds them.
-    health: Arc<HealthTracker>,
-    /// Stripe replication placement (`PVFS_REPLICAS`); one copy per
-    /// slot (today's behavior) unless mirroring is configured.
-    replica: Arc<ReplicaMap>,
     /// Trace origin (`PVFS_TRACE`): sampling decisions, the client-side
     /// flight recorder, and the retained-trace index. Shared by clones.
     tracer: Arc<Tracer>,
-    /// The buffers request frames are built in. Shared by clones.
-    spares: Arc<Mutex<FrameSpares>>,
     /// What streams run in, kept between them: at most one
     /// [`StreamState`] per ticket type, boxed as `Any`. Shared by clones.
     streams: Arc<Mutex<Vec<Box<dyn Any + Send>>>>,
-}
-
-/// The request side of a client's frames: the buffers their heads are
-/// encoded into and the buffers write payloads are gathered into, each
-/// kind its own [`Spares`], bounded by the pipeline's window over the
-/// whole cluster ([`WINDOW`] per daemon) — the most requests one stream
-/// has built and not seen resolved. A head comes back when its flight
-/// lands, a payload when its op resolves: by then the daemon has
-/// answered, and it drops its views of a frame before it answers (see
-/// `serve_rpc`), so the client's handle is the last — unless the
-/// flight timed out or was wedged or dropped on the way, in which case
-/// the handle is not the last, nothing comes back, and the next frame
-/// allocates.
-pub(crate) struct FrameSpares {
-    pub(crate) heads: Spares<BytesMut>,
-    pub(crate) payloads: Spares<BytesMut>,
 }
 
 /// What one stream runs in, its pump's window and its driver's lanes, is
@@ -147,39 +90,18 @@ impl ClusterClient {
         transport: Arc<dyn Transport>,
         gate: Arc<SerialGate>,
     ) -> ClusterClient {
-        let health = Arc::new(HealthTracker::new(
-            transport.n_servers(),
-            BreakerPolicy::default(),
-        ));
-        // Malformed replication env panics like the other PVFS_*
-        // variables: a typo'd run must not silently change placement.
-        let policy = ReplicaPolicy::from_env(transport.n_servers())
-            .unwrap_or_else(|e| panic!("replica configuration rejected: {e}"));
-        let replica = Arc::new(ReplicaMap::new(transport.n_servers(), policy));
-        let window = WINDOW * transport.n_servers().max(1) as usize;
         ClusterClient {
-            id,
+            endpoint: Endpoint::new(id, transport.n_servers()),
             transport,
-            // Id 0 is reserved for unattributable responses.
-            next_request: Arc::new(AtomicU64::new(1)),
             gate,
-            rpc_timeout: DEFAULT_RPC_TIMEOUT,
-            retry: RetryPolicy::from_env(),
-            stats: Arc::new(ClientLedger::default()),
-            health,
-            replica,
             tracer: Arc::new(Tracer::from_env(format!("client{}", id.0))),
-            spares: Arc::new(Mutex::new(FrameSpares {
-                heads: Spares::new(window),
-                payloads: Spares::new(window),
-            })),
             streams: Arc::default(),
         }
     }
 
     /// This endpoint's client id.
     pub fn id(&self) -> ClientId {
-        self.id
+        self.endpoint.id()
     }
 
     /// Number of I/O servers reachable.
@@ -194,59 +116,53 @@ impl ClusterClient {
 
     /// This endpoint with a different per-RPC deadline.
     pub fn with_rpc_timeout(mut self, timeout: Duration) -> ClusterClient {
-        self.rpc_timeout = timeout;
+        self.endpoint = self.endpoint.with_rpc_timeout(timeout);
         self
     }
 
     /// The per-RPC deadline currently in force.
     pub fn rpc_timeout(&self) -> Duration {
-        self.rpc_timeout
+        self.endpoint.rpc_timeout()
     }
 
-    /// This endpoint with a different retry policy
-    /// ([`RetryPolicy::none`] turns retries off).
+    /// This endpoint with a different retry policy ([`Endpoint::with_retry_policy`]).
     pub fn with_retry_policy(mut self, retry: RetryPolicy) -> ClusterClient {
-        self.retry = retry;
+        self.endpoint = self.endpoint.with_retry_policy(retry);
         self
     }
 
     /// The retry policy currently in force.
     pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
+        self.endpoint.retry_policy()
     }
 
-    /// This endpoint with a fresh [`HealthTracker`] under a breaker
-    /// policy other than the default (tests pin thresholds with it;
-    /// [`BreakerPolicy::off`] disables breakers).
-    /// Existing clones keep the tracker they were built with; clones
-    /// taken *after* this call share the new one.
+    /// This endpoint with a fresh breaker policy ([`Endpoint::with_breaker_policy`]).
     pub fn with_breaker_policy(mut self, policy: BreakerPolicy) -> ClusterClient {
-        self.health = Arc::new(HealthTracker::new(self.transport.n_servers(), policy));
+        self.endpoint = self.endpoint.with_breaker_policy(policy);
         self
     }
 
-    /// This endpoint with an explicit replication policy (tests and
-    /// tools; the usual way in is `PVFS_REPLICAS`).
+    /// This endpoint with a replication policy ([`Endpoint::with_replica_policy`]).
     pub fn with_replica_policy(mut self, policy: ReplicaPolicy) -> ClusterClient {
-        self.replica = Arc::new(ReplicaMap::new(self.transport.n_servers(), policy));
+        self.endpoint = self.endpoint.with_replica_policy(policy);
         self
     }
 
     /// The stripe replication placement map in force.
     pub fn replica_map(&self) -> &ReplicaMap {
-        &self.replica
+        self.endpoint.replica_map()
     }
 
     /// The replication policy in force.
     pub fn replica_policy(&self) -> ReplicaPolicy {
-        self.replica.policy()
+        self.endpoint.replica_map().policy()
     }
 
     /// This endpoint with an explicit trace mode (the usual way in is
     /// `PVFS_TRACE`). Existing clones keep the tracer they were built
     /// with; clones taken after this call share the new one.
     pub fn with_trace_mode(mut self, mode: TraceMode) -> ClusterClient {
-        self.tracer = Arc::new(Tracer::new(mode, format!("client{}", self.id.0)));
+        self.tracer = Arc::new(Tracer::new(mode, format!("client{}", self.id().0)));
         self
     }
 
@@ -282,7 +198,7 @@ impl ClusterClient {
     /// The per-daemon breakers and windows of this endpoint and all its
     /// clones.
     pub fn health(&self) -> &HealthTracker {
-        &self.health
+        self.endpoint.health()
     }
 
     /// Probe one daemon's liveness with the cheap [`Request::Ping`] RPC
@@ -309,40 +225,14 @@ impl ClusterClient {
     pub fn stats(&self) -> ClientStats {
         ClientStats {
             faults_injected: self.transport.faults_injected(),
-            ..self.stats.snapshot()
+            ..self.endpoint.stats()
         }
     }
 
     /// A buffer to gather a write's `room`-byte payload into
-    /// (`pvfs_core::exec::gather_payload_into`): one of this endpoint's
-    /// spares when one is back, which it is once the op it last carried
-    /// has resolved. The buffer comes as that op left it; the gather
-    /// clears it.
+    /// ([`Endpoint::payload_buffer`]).
     pub fn payload_buffer(&self, room: usize) -> BytesMut {
-        self.frame_spares().payloads.buffer(room)
-    }
-
-    pub(crate) fn frame_spares(&self) -> std::sync::MutexGuard<'_, FrameSpares> {
-        // Spares are valid at every step: a panic elsewhere while the
-        // lock was held leaves nothing half-done.
-        self.spares.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Encode one request, borrowed, under a fresh request id, its head
-    /// into one of this endpoint's spares; `ctx` is stamped into a
-    /// version-2 frame when the operation is traced. Untraced requests
-    /// (`ctx == None`) encode byte-identical version-1 frames —
-    /// `PVFS_TRACE=off` sends exactly the bytes an untraced build sends.
-    pub(crate) fn encode(
-        &self,
-        request: &Request,
-        ctx: Option<TraceContext>,
-    ) -> PvfsResult<(RequestId, Frame)> {
-        let id = RequestId(self.next_request.fetch_add(1, Ordering::Relaxed));
-        let room = request_head_len(request, ctx);
-        let head = self.frame_spares().heads.buffer(room);
-        let frame = encode_frame_into(self.id, id, request, ctx, head)?;
-        Ok((id, frame))
+        self.endpoint.payload_buffer(room)
     }
 
     /// One synchronous RPC, addressed literally: `request` goes to
@@ -350,20 +240,9 @@ impl ClusterClient {
     /// addresses specific copies this way). Errors returned by the
     /// server come back as `Err`; no reply within the deadline is
     /// [`PvfsError::Timeout`].
-    ///
-    /// Transient failures ([`PvfsError::is_retryable`]) are retried
-    /// under this endpoint's [`RetryPolicy`], each attempt on a fresh
-    /// request id — when the request is idempotent
-    /// ([`Request::is_idempotent`]), or when the failure proves the
-    /// request never executed ([`PvfsError::is_definitely_not_executed`],
-    /// e.g. a server-side shed): replaying an op that never ran cannot
-    /// duplicate its effect. Backoff sleeps are clamped to the
-    /// remaining per-op budget, so the error surfaces at the budget
-    /// boundary instead of after one last full-length sleep. A shed
-    /// ([`PvfsError::Overloaded`]) backs off like any transient failure
-    /// but spends only the budget, never one of the policy's attempts:
-    /// the daemon is alive and working its queue off, and the request
-    /// provably did not run.
+    /// Transient failures are retried under this endpoint's
+    /// [`RetryPolicy`], each attempt on a fresh request id, as the
+    /// [`Pump`] settles them.
     pub fn call(&self, target: RpcTarget, request: Request) -> PvfsResult<Response> {
         // Control scrapes are never traced: tracing the collection of
         // traces would perturb the very rings being observed.
@@ -384,44 +263,15 @@ impl ClusterClient {
     /// Issue several requests in parallel (the fan-out of one plan
     /// round) and collect responses in request order.
     ///
-    /// Failure diagnostics name the server and request id at fault. A
-    /// response carrying the reserved id 0 is a hard protocol error on
-    /// this path: with several requests in flight it could belong to
-    /// any of them, so it must never be matched to one.
-    ///
-    /// # Partial-round recovery
-    ///
-    /// When some ops of a round fail transiently, only the *failed* ops
-    /// are re-sent (fresh request ids), only to the servers that failed
-    /// — responses already collected are kept and the healthy servers
-    /// see no duplicate traffic. This is safe because every data-path
-    /// request is idempotent ([`Request::is_idempotent`]): replaying
-    /// the failed subset cannot corrupt regions whose writes already
-    /// applied. A deterministic error (or an exhausted
-    /// [`RetryPolicy`]) fails the round with that error — the first
-    /// such, ahead of any sibling's transient one — once the other ops
-    /// have run their course.
-    ///
-    /// # Brown-out behavior
-    ///
-    /// A daemon whose circuit breaker is open fails its ops *at ship
-    /// time* with [`PvfsError::Unavailable`] — no queueing, no
-    /// timeout wait — while every other daemon's ops in the same
-    /// round ship, execute, and land as usual. The round then surfaces
-    /// the `Unavailable` (it is deliberately non-retryable: spinning
-    /// against an open breaker would defeat it), so a round touching
-    /// one dead daemon costs microseconds, not an RPC timeout per
-    /// attempt.
-    ///
-    /// # Replication
-    ///
-    /// With `PVFS_REPLICAS` > 1 every data op expands transparently:
-    /// writes fan out to all `r` copies of their stripe slot and
-    /// succeed once the configured quorum acknowledges; reads go to the
-    /// first copy whose breaker admits them (the primary, unless its
-    /// breaker is open) and *fail over* to the next mirror on
-    /// breaker-open/timeout instead of erroring the round. At `r = 1` (the default) every op goes out
-    /// as given — the same pipeline, with nothing to expand.
+    /// Failure diagnostics name the server and request id at fault. Only
+    /// the *failed* ops are re-sent, and only to the servers that failed;
+    /// a daemon whose breaker is open fails its ops at ship time with
+    /// [`PvfsError::Unavailable`] while the others' ops run as usual; and
+    /// with `PVFS_REPLICAS` > 1 a write fans out to every copy of its
+    /// slot and a read fails over to the next mirror ([`Pump`] has the
+    /// rules). The first deterministic error, ahead of any sibling's
+    /// transient one, fails the round once the other ops have run their
+    /// course.
     pub fn round(&self, requests: Vec<(ServerId, Request)>) -> PvfsResult<Vec<Response>> {
         let active = self.tracer.begin("round");
         let mut round = Batch::new(requests.into_iter());
@@ -433,21 +283,14 @@ impl ClusterClient {
     }
 
     /// Run a whole [`OpStream`] through the request pipeline: ops are
-    /// pulled from the stream only as the window has room for them —
-    /// up to [`WINDOW`] in flight per daemon (fewer at a daemon that
-    /// has been shedding), never more than `WINDOW` × daemons pulled and
-    /// unanswered — and each reply is handed back as it lands: as a
-    /// rule a daemon's oldest flight first, in no order across daemons.
-    /// This is the plan executor's entry point: a stretch of independent
-    /// rounds goes through with no barrier between them (and a
-    /// million-round plan in O(window) memory). Everything
-    /// [`ClusterClient::round`] says about recovery, brown-outs and
-    /// replication holds per op; the retry budget spans the stream.
-    /// An op that fails for good goes to [`OpStream::failed`], and by
-    /// default that ends the stream with the op's own error: nothing
-    /// more is pulled or shipped, and flights still in the air are
-    /// collected and dropped (a failed list write may have applied any
-    /// subset of its frames).
+    /// pulled only as the [`Pump`]'s window has room for them, and each
+    /// reply is handed back as it lands. This is the plan executor's
+    /// entry point: a stretch of independent rounds goes through with no
+    /// barrier between them (and a million-round plan in O(window)
+    /// memory). Everything [`ClusterClient::round`] says holds per op;
+    /// the retry budget spans the stream. An op that fails for good goes
+    /// to [`OpStream::failed`], which by default ends the stream with
+    /// the op's own error.
     pub fn stream_in(
         &self,
         stream: &mut impl OpStream,
@@ -486,7 +329,7 @@ impl ClusterClient {
         // stream is over.
         let (window, lanes) = &mut *state;
         let mut now = now_ns();
-        let mut pump = Pump::new(self, stream, sole, trace, now, window);
+        let mut pump = Pump::new(&self.endpoint, stream, sole, trace, now, window);
         let result = loop {
             let action = pump.next(now);
             if let Action::Land { .. } | Action::WaitUntil(_) = action {
@@ -548,100 +391,19 @@ impl ClusterClient {
     }
 }
 
-/// How many requests the pipeline keeps in flight per daemon: enough to
-/// cover a daemon's worker pool (two by default) with as many queued
-/// behind it, so a worker never waits for the client's next frame; more
-/// would only deepen the daemon's queue.
-pub const WINDOW: usize = 4;
-
-/// What the request pipeline runs: a lazy source of ops and the sink
-/// their replies land in — one object, because the two halves of a real
-/// stream share state (the plan executor gathers a write's payload out
-/// of the buffers a read's reply is scattered into).
-pub trait OpStream {
-    /// What the sink needs back with an op's reply.
-    type Ticket: Send + 'static;
-
-    /// The next op to send, built now: the pipeline asks only when the
-    /// window has room for it. `None` ends the stream; it is not asked
-    /// again.
-    fn next_op(&mut self) -> Option<(RpcTarget, Request, Self::Ticket)>;
-
-    /// One op's reply has landed. An error ends the stream.
-    fn landed(&mut self, ticket: Self::Ticket, response: Response) -> PvfsResult<()>;
-
-    /// One op has failed for good (a deterministic error, retries
-    /// exhausted, a write short of its quorum). What that means for the
-    /// rest is the stream's call: returning an error — the default,
-    /// this op's own — ends the stream; `Ok` lets the others run on.
-    fn failed(&mut self, _ticket: Self::Ticket, error: PvfsError) -> PvfsResult<()> {
-        Err(error)
-    }
-}
-
-/// A fixed batch of ops as a stream — a `call`, a `round`: every op is
-/// sent whatever becomes of the others (a round touching one dead
-/// daemon still does its work on the healthy ones), and the batch
-/// yields all their responses, in op order, or the first failure.
-pub(crate) struct Batch<I> {
-    ops: std::iter::Enumerate<I>,
-    responses: Vec<Option<Response>>,
-    error: Option<PvfsError>,
-}
-
-impl<I: ExactSizeIterator> Batch<I> {
-    pub(crate) fn new(ops: I) -> Batch<I> {
-        Batch {
-            responses: (0..ops.len()).map(|_| None).collect(),
-            ops: ops.enumerate(),
-            error: None,
-        }
-    }
-
-    pub(crate) fn finish(self) -> PvfsResult<Vec<Response>> {
-        if let Some(e) = self.error {
-            return Err(e);
-        }
-        // In place: `Option<Response>` and `Response` share a layout,
-        // so this reuses the vector's allocation.
-        Ok(self
-            .responses
-            .into_iter()
-            .map(|r| r.expect("every op resolved"))
-            .collect())
-    }
-}
-
-impl<T: Into<RpcTarget>, I: Iterator<Item = (T, Request)>> OpStream for Batch<I> {
-    type Ticket = usize;
-
-    fn next_op(&mut self) -> Option<(RpcTarget, Request, usize)> {
-        let (index, (target, request)) = self.ops.next()?;
-        Some((target.into(), request, index))
-    }
-
-    fn landed(&mut self, index: usize, response: Response) -> PvfsResult<()> {
-        self.responses[index] = Some(response);
-        Ok(())
-    }
-
-    fn failed(&mut self, _index: usize, error: PvfsError) -> PvfsResult<()> {
-        self.error.get_or_insert(error);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pump::attribute;
     use crate::serve::Driver;
     use crate::transport::ChanTransport;
     use crate::LiveCluster;
     use bytes::Bytes;
-    use pvfs_proto::{decode_frame, decode_frame_id, decode_response_frame, encode_response};
+    use pvfs_decide::pump::attribute;
+    use pvfs_proto::{
+        decode_frame, decode_frame_id, decode_response_frame, encode_response, Frame,
+    };
     use pvfs_server::IodConfig;
-    use pvfs_types::{FileHandle, Region, RegionList, StripeLayout};
+    use pvfs_types::{FileHandle, Region, RegionList, RequestId, StripeLayout};
 
     fn layout(n: u32) -> StripeLayout {
         StripeLayout::new(0, n, 16).unwrap()
@@ -900,6 +662,7 @@ mod tests {
         let cluster = LiveCluster::spawn(1);
         let c = cluster.client();
         let (id, frame) = c
+            .endpoint
             .encode(
                 &Request::Read {
                     handle: FileHandle(1),

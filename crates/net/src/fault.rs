@@ -54,7 +54,6 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::envspec;
 use crate::transport::{Lane, RpcTarget, Transport, TransportKind, WaitError};
 
 /// Which fault an injection point chose.
@@ -133,7 +132,7 @@ impl FaultPlan {
     /// reason naming the offending token.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
-        for (token, option) in envspec::tokens(spec) {
+        for (token, option) in pvfs_types::env::tokens(spec) {
             if let Some((key, value)) = option {
                 match key {
                     "seed" => {

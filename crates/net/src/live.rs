@@ -3,36 +3,24 @@
 //!
 //! # Concurrency model
 //!
-//! Each I/O daemon stands behind one door ([`crate::door`] decides on
-//! the readings it is given, one threaded driver, [`crate::serve`],
-//! does): at most [`IodConfig::workers`] frames in service at once
-//! (default [`pvfs_server::default_workers`], at least one) and one
-//! request queue bounded at [`IodConfig::queue_depth`] frames. A daemon
-//! in memory with no emulated latency is served by whoever offers the
-//! frame while nothing queues; the worker threads start the first time
-//! a frame has to wait. The daemon itself is thread-safe
-//! ([`IoDaemon::handle`] takes `&self` over a handle-sharded file
-//! table), so requests for different file handles execute genuinely in
-//! parallel; the bounded queue gives backpressure instead of unbounded
-//! memory growth when clients outrun a server. The manager's door
-//! serves one frame at a time (metadata is rare and order-sensitive).
-//! Teardown closes every door, answering what was admitted, then dumps.
+//! Each daemon stands behind one door (`pvfs_decide::door` decides on
+//! the readings it is given, one threaded driver, `serve.rs`, does): at
+//! most [`IodConfig::workers`] frames in service at once (default
+//! [`pvfs_server::default_workers`]; the manager's one) and a queue of
+//! [`IodConfig::queue_depth`] frames, the backpressure. The daemon itself
+//! is thread-safe ([`IoDaemon::handle`] takes `&self` over a
+//! handle-sharded file table), so requests for different handles run in
+//! parallel. Teardown closes every door, answering what was admitted,
+//! then dumps.
 //!
 //! # Transports
 //!
-//! The cluster speaks one of two [`Transport`]s, chosen by
-//! [`TransportKind::from_env`] (`PVFS_TRANSPORT=chan|tcp`, default
-//! `chan`) or explicitly via [`LiveCluster::spawn_transport`]:
-//!
-//! * **chan** — a client's lane offers its frames to the door itself;
-//! * **tcp** — every door gets a loopback `TcpListener`
-//!   ([`crate::tcp`]), and clients speak length-prefixed frames over
-//!   one pooled socket per daemon, their window of requests pipelined
-//!   on it; the connection's reader offers them.
-//!
-//! Past the door nothing differs — one admission rule, one serve step,
-//! one drain — and [`ClusterClient`] is identical over both: same codec,
-//! same request ids, same deadlines, same diagnostics.
+//! [`TransportKind::from_env`] (`PVFS_TRANSPORT=chan|tcp`) or
+//! [`LiveCluster::spawn_transport`] chooses the [`Transport`]: over chan a
+//! client's lane offers its frames to the door itself; over tcp
+//! ([`crate::tcp`]) every door has a loopback listener, and the reader of
+//! a client's one pooled connection offers them. Past the door nothing
+//! differs, and [`ClusterClient`] is identical over both.
 
 use pvfs_disk::StorageConfig;
 use pvfs_server::{IoDaemon, IodConfig};

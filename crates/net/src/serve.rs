@@ -1,5 +1,5 @@
 //! The daemon side of one RPC: the one threaded driver of a daemon's
-//! [`Door`] ([`crate::door`] decides, this does), for chan and tcp alike.
+//! [`Door`] (which decides; this does), for chan and tcp alike.
 //!
 //! A [`Driver`] holds the door under one mutex, parks threads on it, takes
 //! every clock reading, and starts the door's `workers` threads
@@ -20,16 +20,16 @@
 //! needed, never one somebody did. Shutting wakes everyone.
 
 use bytes::Bytes;
-use pvfs_proto::{data_response_head, encode_response, Frame, Request, Response};
+use pvfs_decide::door::{serve_rpc, Door, Job, Offer, Refused, Service};
+use pvfs_proto::{data_response_head, encode_response, Frame, Response};
 use pvfs_server::{IoDaemon, IodConfig, Manager, Scratch};
 use pvfs_types::clock::{self, now_ns};
-use pvfs_types::{FlightRecorder, Ledger, PvfsError, RequestId};
+use pvfs_types::{Ledger, PvfsError, RequestId};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::door::{serve_rpc, Door, Job, Offer, Refused, Service};
 use crate::spares::Spares;
 use crate::tcp::server::ConnOut;
 use crate::transport::ReplyTo;
@@ -313,64 +313,61 @@ pub(crate) fn open_doors(daemons: &[Arc<IoDaemon>], config: IodConfig) -> Vec<Ar
     iods.chain([mgr]).collect()
 }
 
-impl Service for IoDaemon {
-    fn serve(&self, request: &Request, scratch: &mut Scratch) -> Response {
-        let response = self.handle_with(request, scratch);
-        // Emulated service time occupies the worker, the way a blocking
-        // disk access would; the reply leaves only after the stall.
-        if let Some(stall) = self.config().emulated_latency {
-            std::thread::sleep(stall);
-        }
-        response
-    }
-    fn ledger(&self) -> &Ledger {
-        IoDaemon::ledger(self)
-    }
-    fn recorder(&self) -> &FlightRecorder {
-        IoDaemon::recorder(self)
-    }
-    fn shed(&self) -> Option<PvfsError> {
-        IoDaemon::ledger(self).shed();
-        Some(PvfsError::Overloaded {
-            server: self.id().0,
-            queue_depth: self.config().queue_depth.max(1) as u64,
-        })
-    }
-    fn never_blocks(&self) -> bool {
-        IoDaemon::never_blocks(self)
-    }
-}
-
-/// Metadata operations are rare, order-sensitive and not idempotent: a
-/// full queue waits instead of shedding; serving waits on nothing else.
-impl Service for Manager {
-    fn serve(&self, request: &Request, _: &mut Scratch) -> Response {
-        self.handle(request)
-    }
-    fn never_blocks(&self) -> bool {
-        true
-    }
-    fn ledger(&self) -> &Ledger {
-        Manager::ledger(self)
-    }
-    fn recorder(&self) -> &FlightRecorder {
-        Manager::recorder(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::door::tests::{traced_frame, Recording};
     use crate::transport::{ChanTransport, RpcTarget, Transport, WaitError};
-    use pvfs_proto::{decode_frame_id, decode_response_id, encode_message, Message};
+    use pvfs_proto::{
+        decode_frame_id, decode_response_id, encode_frame, encode_message, Message, Request,
+    };
     use pvfs_types::{
-        ClientId, FileHandle, Region, ServerId, Span, SpanId, StatsSnapshot, StripeLayout,
-        TraceContext, TraceId,
+        ClientId, FileHandle, FlightRecorder, Region, ServerId, Span, SpanId, StatsSnapshot,
+        StripeLayout, TraceContext, TraceId,
     };
     use std::net::{TcpListener, TcpStream};
     use std::sync::atomic::{AtomicBool, AtomicU64};
     use std::sync::mpsc::{self, sync_channel, SyncSender};
+
+    /// A service with books of its own that counts what else it is
+    /// asked.
+    #[derive(Default)]
+    struct Recording {
+        ledger: Ledger,
+        recorder: FlightRecorder,
+        served: AtomicU64,
+        shed_asked: AtomicU64,
+        refusal: Option<PvfsError>,
+        never_blocks: bool,
+    }
+
+    impl Service for Recording {
+        fn serve(&self, request: &Request, _: &mut Scratch) -> Response {
+            self.served.fetch_add(1, Ordering::Relaxed);
+            Response::Error(PvfsError::invalid(request.op_name()))
+        }
+        fn ledger(&self) -> &Ledger {
+            &self.ledger
+        }
+        fn recorder(&self) -> &FlightRecorder {
+            &self.recorder
+        }
+        fn shed(&self) -> Option<PvfsError> {
+            self.shed_asked.fetch_add(1, Ordering::Relaxed);
+            self.refusal.clone().inspect(|_| self.ledger.shed())
+        }
+        fn never_blocks(&self) -> bool {
+            self.never_blocks
+        }
+    }
+
+    fn traced_frame(id: u64, request: Request, ctx: Option<TraceContext>) -> Frame {
+        let message = Message {
+            client: ClientId(1),
+            id: RequestId(id),
+            request,
+        };
+        encode_frame(&message, ctx).unwrap()
+    }
 
     impl Driver {
         /// A driver nobody works at: what is admitted waits in the queue
@@ -1244,7 +1241,7 @@ mod tests {
         let (tx, rx) = sync_channel(1);
         assert!(offer_ping(&door, &tx, 1, None).is_ok());
         door.close();
-        assert_eq!(door.queue.door.lock().unwrap().in_service(), 0);
+        assert!(door.queue.door.lock().unwrap().drained());
         assert!(
             matches!(rx.try_recv(), Ok(Err(RequestId(1)))),
             "the frame is lost"

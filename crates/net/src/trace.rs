@@ -9,19 +9,20 @@
 //! byte-identical to a build without tracing, which is what pins the
 //! `PVFS_TRACE=off` zero-overhead guarantee.
 //!
-//! A traced operation carries an [`ActiveTrace`]: the root span plus a
-//! buffer of client-side spans (plan, per-attempt RPCs, send/recv).
-//! Nothing is committed to the client's [`FlightRecorder`] until
-//! [`Tracer::finish`] — which is where `slow:<ms>` retention happens.
+//! A traced operation carries an [`ActiveTrace`], committed to the
+//! client's [`FlightRecorder`] at [`Tracer::finish`] — which is where
+//! `slow:<ms>` retention happens.
 //! A fast request under `slow` discards its client spans and is never
 //! indexed, so the recorder holds only the interesting traces; its
 //! server-side spans die by ring-buffer attrition. `sample:1/n` and
 //! `all` retain everything they trace.
 
 use pvfs_types::clock::{self, now_ns};
-use pvfs_types::{FlightRecorder, Span, SpanId, TraceContext, TraceId, TraceMode};
+use pvfs_types::{FlightRecorder, TraceId, TraceMode};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+pub use pvfs_types::trace::ActiveTrace;
 
 /// How many retained trace ids the `trace last` index remembers.
 const RECENT_TRACES: usize = 64;
@@ -94,35 +95,23 @@ impl Tracer {
             }
             TraceMode::Slow(_) | TraceMode::All => {}
         }
-        Some(ActiveTrace {
-            trace: TraceId::next(),
-            root: SpanId::next(),
-            root_op: root_op.to_string(),
-            node: self.node.clone(),
-            start_ns: now_ns(),
-            spans: Mutex::new(Vec::new()),
-            root_notes: Mutex::new(Vec::new()),
-        })
+        Some(ActiveTrace::new(root_op, &self.node, now_ns()))
     }
 
     /// Close one traced operation: decide retention, and if retained,
     /// commit the root span plus every buffered client span to the
     /// recorder and index the trace id for `trace last`.
     pub fn finish(&self, active: ActiveTrace) -> TraceId {
-        let (trace, end_ns) = (active.trace, now_ns());
+        let (trace, end_ns) = (active.trace(), now_ns());
         let retain = match self.mode {
             TraceMode::Off => false,
-            TraceMode::Slow(threshold) => end_ns - active.start_ns >= clock::nanos(threshold),
+            TraceMode::Slow(threshold) => end_ns - active.start_ns() >= clock::nanos(threshold),
             TraceMode::Sample(_) | TraceMode::All => true,
         };
         if !retain {
             return trace;
         }
-        let (ctx, id, start) = (active.ctx(SpanId::NONE), active.root, active.start_ns);
-        let mut root = Span::new(ctx, id, active.node, active.root_op, start, end_ns);
-        root.notes = active.root_notes.into_inner().unwrap();
-        self.recorder.push(root);
-        self.recorder.extend(active.spans.into_inner().unwrap());
+        self.recorder.extend(active.into_spans(end_ns));
         let mut recent = self.recent.lock().unwrap();
         if recent.len() >= RECENT_TRACES {
             recent.remove(0);
@@ -142,86 +131,10 @@ impl Tracer {
     }
 }
 
-/// One in-flight traced client operation: identity plus a buffer of
-/// finished client-side spans. Methods take `&self` (spans buffer under
-/// a mutex) so the trace can be threaded through fan-out helpers
-/// without exclusive borrows.
-pub struct ActiveTrace {
-    trace: TraceId,
-    root: SpanId,
-    root_op: String,
-    node: String,
-    start_ns: u64,
-    spans: Mutex<Vec<Span>>,
-    root_notes: Mutex<Vec<String>>,
-}
-
-impl ActiveTrace {
-    /// This trace's id.
-    pub fn trace(&self) -> TraceId {
-        self.trace
-    }
-
-    /// The root span's id — the default parent for client spans.
-    pub fn root(&self) -> SpanId {
-        self.root
-    }
-
-    /// Wire context parenting server-side work to span `parent`.
-    pub fn ctx(&self, parent: SpanId) -> TraceContext {
-        TraceContext {
-            trace: self.trace,
-            parent,
-        }
-    }
-
-    /// When the root span started: a clock reading.
-    pub fn start_ns(&self) -> u64 {
-        self.start_ns
-    }
-
-    /// Record a finished client-side span under `parent` that ran from
-    /// the clock reading `start_ns` to `end_ns`; returns its id (for
-    /// parenting children).
-    pub fn span_at(
-        &self,
-        parent: SpanId,
-        op: impl Into<String>,
-        start_ns: u64,
-        end_ns: u64,
-        notes: Vec<String>,
-    ) -> SpanId {
-        let id = SpanId::next();
-        self.span_with_id(id, parent, op, start_ns, end_ns, notes);
-        id
-    }
-
-    /// [`span_at`](Self::span_at) with a pre-allocated id (when the id
-    /// had to be minted before the work, to parent server-side spans
-    /// under it).
-    pub fn span_with_id(
-        &self,
-        id: SpanId,
-        parent: SpanId,
-        op: impl Into<String>,
-        start_ns: u64,
-        end_ns: u64,
-        notes: Vec<String>,
-    ) {
-        let mut span = Span::new(self.ctx(parent), id, &self.node, op, start_ns, end_ns);
-        span.notes = notes;
-        self.spans.lock().unwrap().push(span);
-    }
-
-    /// Annotate the root span (e.g. `quorum_ack`, `failover`).
-    pub fn annotate(&self, note: impl Into<String>) {
-        self.root_notes.lock().unwrap().push(note.into());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pvfs_types::SpanId;
     use std::time::Duration;
 
     #[test]

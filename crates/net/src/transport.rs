@@ -7,27 +7,18 @@
 //! the in-process channel transport ([`ChanTransport`]) or real TCP
 //! sockets ([`TcpTransport`](crate::tcp::TcpTransport)).
 //!
-//! RPCs to a daemon travel on a [`Lane`]: [`Transport::lane`] checks
-//! out the way to one daemon — a pooled connection, a reply channel —
-//! and everything sent on it shares it. [`Lane::send`] queues a request
-//! frame (blocking only on backpressure — a full daemon queue),
-//! [`Lane::flush`] pushes what is queued out together, and
-//! [`Lane::recv`] yields the *next* reply from that daemon, whichever
-//! of the lane's frames it answers: replies carry their request's id,
-//! and matching them up is the caller's business
-//! ([`ClusterClient`](crate::ClusterClient)'s request pipeline holds one
-//! lane per daemon for as long as a stream of ops runs). [`Lane::park`]
-//! gives a lane back — the lane itself, in the box it was checked out
-//! in, so a checkout allocates nothing once a daemon has a parked lane;
-//! a lane with frames still unanswered, or one that is dropped instead,
-//! is not reused. What is parked on both transports — a connection with
-//! its receive buffers, a reply channel with the buffers replies are
-//! built in — is where the next stream's replies arrive, as the last
-//! one's did.
+//! RPCs to a daemon travel on a [`Lane`], checked out of
+//! [`Transport::lane`]: the way to one daemon — a pooled connection, a
+//! reply channel — shared by everything sent on it, its replies matched
+//! to their requests by id by the caller. A lane is parked box and all,
+//! so a checkout allocates nothing once a daemon has a parked lane, and
+//! what is parked — a connection with its receive buffers, a reply
+//! channel with the buffers replies are built in — is where the next
+//! stream's replies arrive, as the last one's did.
 
 use bytes::BytesMut;
 use pvfs_proto::{decode_frame_id, Frame};
-use pvfs_types::{clock, PvfsError, PvfsResult, RequestId, ServerId};
+use pvfs_types::{clock, PvfsError, PvfsResult, RequestId};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, Weak};
 use std::thread::Thread;
@@ -37,30 +28,7 @@ use crate::serve::{Driver, ReplyPath};
 use crate::spares::{Lent, Spares};
 use crate::WINDOW;
 
-/// Where an RPC is addressed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RpcTarget {
-    /// The manager daemon (metadata).
-    Manager,
-    /// An I/O daemon (data).
-    Server(ServerId),
-}
-
-impl From<ServerId> for RpcTarget {
-    fn from(server: ServerId) -> RpcTarget {
-        RpcTarget::Server(server)
-    }
-}
-
-/// `manager` / `iod3` — how diagnostics name the peer.
-impl std::fmt::Display for RpcTarget {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RpcTarget::Manager => write!(f, "manager"),
-            RpcTarget::Server(s) => write!(f, "{s}"),
-        }
-    }
-}
+pub use pvfs_decide::{RpcTarget, WaitError};
 
 /// Which transport a cluster speaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -99,21 +67,6 @@ impl std::fmt::Display for TransportKind {
             TransportKind::Tcp => write!(f, "tcp"),
         }
     }
-}
-
-/// Why a [`Lane::recv`] produced no response frame. The caller owns
-/// the context (which server, what deadline), so the error itself stays
-/// minimal.
-#[derive(Debug)]
-pub enum WaitError {
-    /// No response within the timeout. The lane is as good as before.
-    Timeout,
-    /// The reply to one frame — the request with this id — is lost; the
-    /// lane, and everything else on it, is sound.
-    Lost(RequestId, PvfsError),
-    /// The lane failed (peer gone, frame violation, I/O error): every
-    /// frame sent on it and not yet answered is lost with it.
-    Failed(PvfsError),
 }
 
 /// The way to one daemon, checked out of a [`Transport`]: request frames
@@ -432,7 +385,7 @@ mod tests {
     use pvfs_proto::{
         decode_response_id, encode_frame, encode_response, Message, Request, Response,
     };
-    use pvfs_types::ClientId;
+    use pvfs_types::{ClientId, ServerId};
 
     impl ReplyTo {
         /// The way back to `lane` for request `id`, with no buffer.

@@ -11,9 +11,9 @@ use pvfs_net::{
 };
 use pvfs_proto::{Request, Response};
 use pvfs_server::IodConfig;
-use pvfs_types::clock::now_ns;
+use pvfs_types::clock::{now_ns, since};
 use pvfs_types::{FileHandle, PvfsError, Region, ServerId, StripeLayout};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn layout(n: u32) -> StripeLayout {
     StripeLayout::new(0, n, 16).unwrap()
@@ -246,7 +246,7 @@ fn wedge_times_out_then_retry_succeeds_with_backoff() {
             base_backoff: Duration::from_millis(5),
             ..RetryPolicy::default()
         });
-    let started = Instant::now();
+    let started = now_ns();
     let resp = c
         .call(
             RpcTarget::Server(ServerId(0)),
@@ -255,7 +255,7 @@ fn wedge_times_out_then_retry_succeeds_with_backoff() {
             },
         )
         .unwrap();
-    let elapsed = started.elapsed();
+    let elapsed = since(started);
     assert_eq!(resp, Response::LocalSize { size: 0 });
     assert!(
         elapsed >= timeout,
@@ -299,7 +299,7 @@ fn retry_budget_bounds_total_time() {
             max_backoff: Duration::from_secs(5),
             budget,
         });
-    let started = Instant::now();
+    let started = now_ns();
     let err = c
         .call(
             RpcTarget::Server(ServerId(0)),
@@ -308,7 +308,7 @@ fn retry_budget_bounds_total_time() {
             },
         )
         .unwrap_err();
-    let elapsed = started.elapsed();
+    let elapsed = since(started);
     assert!(err.is_retryable());
     assert!(
         elapsed < budget + Duration::from_millis(150),
@@ -486,11 +486,11 @@ fn brownout_survives_a_wedged_daemon(kind: TransportKind) {
         .iter()
         .map(|&s| frames_rx(&cluster, s))
         .collect();
-    let started = Instant::now();
+    let started = now_ns();
     let err = c
         .round((0..4u32).map(|s| (ServerId(s), write(s))).collect())
         .unwrap_err();
-    let elapsed = started.elapsed();
+    let elapsed = since(started);
     assert!(
         matches!(err, PvfsError::Unavailable { server: 2, .. }),
         "got {err:?}"
@@ -584,13 +584,13 @@ fn breaker_trips_and_recovers_on_disconnects(kind: TransportKind) {
     assert_eq!(c.health().state(ServerId(0), now_ns()), BreakerState::Open);
 
     // Open: rejected at admission, typed and attributed.
-    let started = Instant::now();
+    let started = now_ns();
     let err = c.ping(ServerId(0)).unwrap_err();
     assert!(
         matches!(err, PvfsError::Unavailable { server: 0, .. }),
         "got {err:?}"
     );
-    assert!(started.elapsed() < Duration::from_millis(20));
+    assert!(since(started) < Duration::from_millis(20));
     assert_eq!(c.stats().breaker_rejections, 1);
 
     // The sibling daemon is untouched throughout.

@@ -424,6 +424,7 @@ fn client_latency_attribution_over_tcp() {
 /// in its daemon's line. The test runs itself again as a child process
 /// with the variable set, and reads the child's stderr.
 #[test]
+#[allow(clippy::disallowed_methods)] // the child-process marker is the harness's, not a PVFS_* one
 fn the_teardown_dump_counts_a_frame_served_during_teardown() {
     const NAME: &str = "the_teardown_dump_counts_a_frame_served_during_teardown";
     if std::env::var_os("STATS_RPC_CHILD").is_some() {

@@ -13,13 +13,14 @@ use pvfs_proto::{
     Response,
 };
 use pvfs_server::{IoDaemon, IodConfig};
+use pvfs_types::clock::{self, now_ns, since};
 use pvfs_types::{
     ClientId, FileHandle, PvfsError, Region, RegionList, RequestId, ServerId, StripeLayout,
 };
 use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn layout(n: u32) -> StripeLayout {
     StripeLayout::new(0, n, 16).unwrap()
@@ -196,9 +197,9 @@ fn trickled_response_cannot_stretch_the_rpc_deadline() {
     let mut lane = transport
         .dispatch(RpcTarget::Server(ServerId(0)), frame.into())
         .unwrap();
-    let start = Instant::now();
+    let start = now_ns();
     let err = lane.recv(Duration::from_millis(150)).unwrap_err();
-    let elapsed = start.elapsed();
+    let elapsed = since(start);
     assert!(matches!(err, WaitError::Timeout), "got {err:?}");
     assert!(
         elapsed < Duration::from_millis(600),
@@ -482,8 +483,8 @@ fn closed_connections_are_released_not_hoarded_until_shutdown() {
         read_frame(&mut conn).unwrap();
     }
     // The readers see the EOFs asynchronously; give them a moment.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while tcp.open_connections() > 0 && Instant::now() < deadline {
+    let deadline = clock::deadline(Duration::from_secs(10));
+    while tcp.open_connections() > 0 && now_ns() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
     assert_eq!(
@@ -530,8 +531,8 @@ fn shutdown_still_serves_what_was_already_accepted() {
     // Shut down only once the connection's reader has the frame (it
     // counts the frame, then queues it; shutdown joins the reader, so
     // the hand-off to the pool completes either way).
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while daemons[0].ledger().snapshot().frames_rx == 0 && Instant::now() < deadline {
+    let deadline = clock::deadline(Duration::from_secs(10));
+    while daemons[0].ledger().snapshot().frames_rx == 0 && now_ns() < deadline {
         std::thread::sleep(Duration::from_millis(1));
     }
     tcp.shutdown();

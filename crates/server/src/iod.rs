@@ -107,7 +107,7 @@ pub struct Scratch {
     /// share is let go for one that fits and is at least twice as long
     /// (outgrown once, not by every slightly longer share), never
     /// zeroed: the store fills it. Whether a scratch whose buffer grew
-    /// for a bulk share is kept is its owner's rule (`pvfs_net::spares`).
+    /// for a bulk share is kept is its owner's rule (`pvfs_decide::spares`).
     read: BytesMut,
     /// The handle on all of `read` while a `Data` reply views it.
     lent: Option<Bytes>,
@@ -326,6 +326,16 @@ impl IoDaemon {
         let before = meter();
         let response = self.handle_with(request, &mut Scratch::default());
         (response, meter().since(before))
+    }
+
+    /// [`handle_with`](Self::handle_with), then the `emulated_latency`
+    /// stall on the calling thread, as a blocking disk access would take.
+    pub fn serve(&self, request: &Request, scratch: &mut Scratch) -> Response {
+        let response = self.handle_with(request, scratch);
+        if let Some(stall) = self.config.emulated_latency {
+            std::thread::sleep(stall);
+        }
+        response
     }
 
     /// Serve one request, its buffers taken from (and, but for a `Data`

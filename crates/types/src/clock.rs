@@ -14,10 +14,12 @@
 //! the one seam a virtual clock would replace.
 
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Nanoseconds since the process-global monotonic epoch.
+#[allow(clippy::disallowed_types)] // the one reader of the machine's clock
 pub fn now_ns() -> u64 {
+    use std::time::Instant;
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }

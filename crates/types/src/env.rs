@@ -6,7 +6,8 @@
 //! ([`lookup`]) and the parse-or-panic lookup most of them go through
 //! ([`parsed`]). The typed parsers stay with the types they produce, in
 //! their own crates; each hands its parser to [`parsed`], or calls
-//! [`lookup`] and returns its own `PvfsError::Config`.
+//! [`lookup`] and returns its own `PvfsError::Config`. The grammar the
+//! specs share is here: [`tokens`], [`options`], [`parse_duration`].
 //!
 //! A configuration that is not the one asked for must not run: a
 //! malformed *value* is rejected by the variable's parser, and a
@@ -15,6 +16,7 @@
 //! if the environment holds a `PVFS_*` name the table does not.
 
 use std::sync::OnceLock;
+use std::time::Duration;
 
 /// One `PVFS_*` variable.
 #[derive(Debug)]
@@ -135,6 +137,7 @@ fn check_names(names: impl IntoIterator<Item = String>) -> Result<(), String> {
 ///
 /// When the environment holds a `PVFS_*` variable that is not in the
 /// table (checked once, at the first lookup of any variable).
+#[allow(clippy::disallowed_methods)] // the one reader of the environment
 pub fn lookup(name: &str) -> Option<String> {
     static NAMES: OnceLock<Result<(), String>> = OnceLock::new();
     let checked = NAMES.get_or_init(|| {
@@ -161,6 +164,43 @@ pub fn parsed<T>(name: &str, parse: impl FnOnce(&str) -> Result<T, String>, defa
         Some(v) => parse(&v).unwrap_or_else(|e| panic!("{name}={v:?} is rejected: {e}")),
         None => default,
     }
+}
+
+/// The non-empty, trimmed tokens of a comma-separated spec, each split
+/// at its first `=` (key and value trimmed) when it has one.
+pub fn tokens(spec: &str) -> impl Iterator<Item = (&str, Option<(&str, &str)>)> {
+    spec.split(',')
+        .map(str::trim)
+        .filter(|token| !token.is_empty())
+        .map(|token| {
+            let option = token.split_once('=').map(|(k, v)| (k.trim(), v.trim()));
+            (token, option)
+        })
+}
+
+/// The `key=value` options of a spec made of nothing else; a token
+/// without `=` is an error naming it.
+pub fn options(spec: &str) -> impl Iterator<Item = Result<(&str, &str), String>> {
+    tokens(spec)
+        .map(|(token, option)| option.ok_or_else(|| format!("expected key=value, got {token:?}")))
+}
+
+/// Parse `"250ms"` / `"2s"` / bare milliseconds.
+pub fn parse_duration(s: &str) -> Result<Duration, String> {
+    let s = s.trim();
+    let (digits, scale) = if let Some(d) = s.strip_suffix("ms") {
+        (d, 1)
+    } else if let Some(d) = s.strip_suffix('s') {
+        (d, 1000)
+    } else {
+        (s, 1)
+    };
+    digits
+        .parse::<u64>()
+        .ok()
+        .and_then(|n| n.checked_mul(scale))
+        .map(Duration::from_millis)
+        .ok_or_else(|| format!("duration {s:?} is malformed (try 250ms or 2s)"))
 }
 
 #[cfg(test)]
@@ -199,6 +239,24 @@ mod tests {
             for text in [var.grammar, var.default, var.meaning, var.malformed] {
                 assert!(!text.is_empty(), "{var:?}");
             }
+        }
+    }
+
+    #[test]
+    fn durations_parse_in_either_unit_and_never_wrap() {
+        assert_eq!(parse_duration(" 250ms"), Ok(Duration::from_millis(250)));
+        assert_eq!(parse_duration("2s"), Ok(Duration::from_secs(2)));
+        assert_eq!(parse_duration("40"), Ok(Duration::from_millis(40)));
+        let most = u64::MAX / 1000;
+        assert_eq!(
+            parse_duration(&format!("{most}s")),
+            Ok(Duration::from_secs(most))
+        );
+        // One second more is past u64 milliseconds: malformed, not a
+        // panic (debug) or a wrapped 384 ms budget (release).
+        for spec in ["18446744073709552s", "2x", "s", ""] {
+            let err = parse_duration(spec).unwrap_err();
+            assert!(err.contains("malformed"), "{spec:?}: {err}");
         }
     }
 }

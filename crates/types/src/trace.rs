@@ -157,6 +157,106 @@ impl Span {
     }
 }
 
+/// One traced client operation while it runs: its identity and a buffer
+/// of its finished client-side spans (plan, per-attempt RPCs,
+/// send/recv). Methods take `&self` (spans buffer under a mutex) so the
+/// trace can be threaded through fan-out helpers without exclusive borrows.
+pub struct ActiveTrace {
+    trace: TraceId,
+    root: SpanId,
+    root_op: String,
+    node: String,
+    start_ns: u64,
+    spans: Mutex<Vec<Span>>,
+    root_notes: Mutex<Vec<String>>,
+}
+
+impl ActiveTrace {
+    /// A fresh trace of the operation `root_op` on `node`, begun at the
+    /// clock reading `start_ns`.
+    pub fn new(root_op: &str, node: &str, start_ns: u64) -> ActiveTrace {
+        ActiveTrace {
+            trace: TraceId::next(),
+            root: SpanId::next(),
+            root_op: root_op.to_string(),
+            node: node.to_string(),
+            start_ns,
+            spans: Mutex::new(Vec::new()),
+            root_notes: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// This trace's id.
+    pub fn trace(&self) -> TraceId {
+        self.trace
+    }
+
+    /// The root span's id — the default parent for client spans.
+    pub fn root(&self) -> SpanId {
+        self.root
+    }
+
+    /// Wire context parenting server-side work to span `parent`.
+    pub fn ctx(&self, parent: SpanId) -> TraceContext {
+        TraceContext {
+            trace: self.trace,
+            parent,
+        }
+    }
+
+    /// When the root span started: a clock reading.
+    pub fn start_ns(&self) -> u64 {
+        self.start_ns
+    }
+
+    /// Record a finished client-side span under `parent` that ran from
+    /// the clock reading `start_ns` to `end_ns`; returns its id (for
+    /// parenting children).
+    pub fn span_at(
+        &self,
+        parent: SpanId,
+        op: impl Into<String>,
+        start_ns: u64,
+        end_ns: u64,
+        notes: Vec<String>,
+    ) -> SpanId {
+        let id = SpanId::next();
+        self.span_with_id(id, parent, op, start_ns, end_ns, notes);
+        id
+    }
+
+    /// [`span_at`](Self::span_at) with a pre-allocated id (when the id
+    /// had to be minted before the work, to parent server-side spans
+    /// under it).
+    pub fn span_with_id(
+        &self,
+        id: SpanId,
+        parent: SpanId,
+        op: impl Into<String>,
+        start_ns: u64,
+        end_ns: u64,
+        notes: Vec<String>,
+    ) {
+        let mut span = Span::new(self.ctx(parent), id, &self.node, op, start_ns, end_ns);
+        span.notes = notes;
+        self.spans.lock().unwrap().push(span);
+    }
+
+    /// Annotate the root span (e.g. `quorum_ack`, `failover`).
+    pub fn annotate(&self, note: impl Into<String>) {
+        self.root_notes.lock().unwrap().push(note.into());
+    }
+
+    /// The root span, ended at the clock reading `end_ns`, then every
+    /// span buffered under it.
+    pub fn into_spans(self, end_ns: u64) -> impl Iterator<Item = Span> {
+        let (ctx, start) = (self.ctx(SpanId::NONE), self.start_ns);
+        let mut root = Span::new(ctx, self.root, self.node, self.root_op, start, end_ns);
+        root.notes = self.root_notes.into_inner().unwrap();
+        std::iter::once(root).chain(self.spans.into_inner().unwrap())
+    }
+}
+
 struct Ring {
     spans: VecDeque<Span>,
     dropped: u64,

@@ -72,6 +72,7 @@ static ALLOCATOR: Counting = Counting;
 /// the test, books it (its name, a timeout entry: four allocations)
 /// whenever it is next scheduled, which on a busy box has been seen to
 /// be after the first op counted: the counter is let come to rest first.
+#[allow(clippy::disallowed_methods)] // unsets the PVFS_* variables, reads none
 pub fn hermetic() {
     for (name, _) in std::env::vars_os() {
         if name.to_string_lossy().starts_with("PVFS_") {

@@ -19,13 +19,14 @@ use pvfs::net::{
 };
 use pvfs::proto::{decode_frame, decode_response_id, Frame, Request, Response};
 use pvfs::server::{IoDaemon, IodConfig};
+use pvfs::types::clock::{now_ns, since};
 use pvfs::types::{
     ClientId, FileHandle, PvfsError, PvfsResult, Region, RegionList, RequestId, ServerId,
     StripeLayout,
 };
 use pvfs::workloads::{verify, Cyclic};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One frame to a daemon, as it left: what it asked, how many flights
 /// that daemon then had in the air (this one included), how many
@@ -289,11 +290,11 @@ fn a_list_read_overlaps_its_rounds_on_the_daemons() {
     let (mem, file_regions, _) = cyclic_1024();
     let mut file = PvfsFile::create(&client, "/pvfs/overlap", layout()).unwrap();
     let mut back = vec![0u8; mem.total_len() as usize];
-    let started = Instant::now();
+    let started = now_ns();
     let report = file
         .read_list(&mem, &file_regions, &mut back, Method::List)
         .unwrap();
-    let elapsed = started.elapsed();
+    let elapsed = since(started);
     assert_eq!(report.rounds, 16);
     assert!(
         latency * 8 <= elapsed && elapsed < latency * 14,
@@ -477,9 +478,9 @@ fn a_chan_lane_may_owe_more_than_a_window_after_timeouts() {
         layout: StripeLayout::new(0, 1, 16).unwrap(),
         region: Region::new(i * 10, 10),
     };
-    let started = Instant::now();
+    let started = now_ns();
     let reads = (0..2 * WINDOW as u64).map(|i| (ServerId(0), read(i)));
     let outcome = client.round(reads.collect());
     assert!(matches!(outcome, Err(PvfsError::Timeout(_))), "{outcome:?}");
-    assert!(started.elapsed() < Duration::from_secs(5));
+    assert!(since(started) < Duration::from_secs(5));
 }
