@@ -2,32 +2,20 @@
 //!
 //! ```text
 //! figures [FIGURE ...] [--scale quick|mid|paper] [--out DIR]
-//!
-//! FIGURE: fig9 fig10 fig11 fig12 fig15 fig17 ext-datatype ext-hybrid ablation all
 //! ```
 //!
-//! Writes one CSV per figure into `--out` (default `results/`) and
-//! prints the tables. `ablation` runs the same grid at every scale. Simulated seconds come from the calibrated Chiba
-//! City cost model; compare *shapes* with the paper, not absolute
-//! values (see EXPERIMENTS.md). The live cluster is timed by `perf/`.
+//! FIGURE is one of [`pvfs_bench::FIGURES`] or `all`. Writes one CSV per
+//! figure into `--out` (default `results/`) and prints the tables.
+//! `ablation` runs the same grid at every scale. Simulated seconds come
+//! from the calibrated Chiba City cost model; compare *shapes* with the
+//! paper, not absolute values (see EXPERIMENTS.md).
 
 use pvfs_bench::figures::{ablation, ext_datatype, ext_hybrid};
 use pvfs_bench::{
     fig10, fig11, fig12, fig15, fig17, fig9, render_bars, render_table, write_csv, Row, Scale,
+    FIGURES,
 };
 use std::path::PathBuf;
-
-const ALL: [&str; 9] = [
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig15",
-    "fig17",
-    "ext-datatype",
-    "ext-hybrid",
-    "ablation",
-];
 
 fn main() {
     let mut figures: Vec<String> = Vec::new();
@@ -49,7 +37,7 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "usage: figures [{} | all] [--scale quick|mid|paper] [--out DIR]",
-                    ALL.join(" ")
+                    FIGURES.join(" ")
                 );
                 return;
             }
@@ -57,7 +45,7 @@ fn main() {
         }
     }
     if figures.is_empty() || figures.iter().any(|f| f == "all") {
-        figures = ALL.map(String::from).to_vec();
+        figures = FIGURES.map(String::from).to_vec();
     }
 
     for name in &figures {

@@ -35,7 +35,7 @@ pub(crate) fn to_csv(rows: &[Row]) -> String {
     out
 }
 
-/// Write [`to_csv`] of `rows` to `path`.
+/// Write `to_csv` of `rows` to `path`.
 pub fn write_csv(rows: &[Row], path: &Path) -> std::io::Result<()> {
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir)?;

@@ -3,7 +3,7 @@
 //! Pulls steps from an [`AccessPlan`] and runs them against a
 //! [`ClusterClient`]: rounds stream through the client's windowed
 //! request pipeline — every maximal run of independent rounds as one
-//! stream, no barrier between them ([`Stretch`]) — copies run at memcpy
+//! stream, no barrier between them (`Stretch`) — copies run at memcpy
 //! speed, and serial sections take the cluster-wide
 //! [`SerialGate`](pvfs_net::SerialGate) (data sieving writes). The
 //! scatter/gather semantics live in `pvfs_core::exec`, shared with the
@@ -242,7 +242,7 @@ impl OpStream for Stretch<'_, '_> {
 /// writes). Returns the measured execution report.
 ///
 /// Rounds are not barriers unless the plan needs them to be: each
-/// [`Stretch`] of independent rounds goes through
+/// `Stretch` of independent rounds goes through
 /// [`ClusterClient::stream_in`] as one stream — requests built as the
 /// pipeline's window opens, replies scattered as they land — so a list
 /// op's ⌈n/64⌉ rounds overlap on the daemons. `Copy`, `SerialBegin` and

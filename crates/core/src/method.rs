@@ -26,7 +26,7 @@ impl Method {
     /// The three methods the paper evaluates.
     pub const PAPER: [Method; 3] = [Method::Multiple, Method::DataSieving, Method::List];
 
-    /// Every method [`plan`](crate::plan) compiles.
+    /// Every method [`plan`](fn@crate::plan) compiles.
     pub const ALL: [Method; 5] = [
         Method::Multiple,
         Method::DataSieving,
@@ -90,7 +90,7 @@ impl MethodConfig {
     /// Check the limits every planner relies on: lists and vector
     /// chunks of at least one and at most a frame's worth (the limits
     /// the daemons enforce), and a sieve buffer that holds a byte.
-    /// [`plan`](crate::plan) checks them before any method sees them.
+    /// [`plan`](fn@crate::plan) checks them before any method sees them.
     pub fn validate(&self) -> PvfsResult<()> {
         let (regions, runs) = (self.max_list_regions, self.max_vector_runs);
         if !(1..=MAX_LIST_REGIONS).contains(&regions) {

@@ -75,7 +75,7 @@ pub struct CopyPair {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Target {
     /// Scatter/gather through the request's [`PieceMap`] (user buffer),
-    /// the one map [`crate::plan`] builds per request — two list
+    /// the one map [`crate::plan`](fn@crate::plan) builds per request — two list
     /// handles, cloned into each op.
     Pieces(PieceMap),
     /// A contiguous window in temp buffer `temp`: file offset `x` maps

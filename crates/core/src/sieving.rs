@@ -19,8 +19,8 @@
 //! nearly constant in the number of accesses but pays for sparsity —
 //! and write traffic is doubled by the RMW.
 //!
-//! One window is one mechanism, whoever sieves: [`window_copies`] walks
-//! the request's [`PieceMap`] across it and [`window_steps`] lays out its
+//! One window is one mechanism, whoever sieves: `window_copies` walks
+//! the request's [`PieceMap`] across it and `window_steps` lays out its
 //! read, copy and write-back. Hybrid I/O's dense clusters are the same
 //! `Item::Sieve` windows, walked by the same walk.
 

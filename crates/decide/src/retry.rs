@@ -1,13 +1,13 @@
 //! Client-side retry policy: bounded attempts, exponential backoff with
 //! decorrelated jitter, and a per-operation deadline budget.
 //!
-//! The policy only ever replays RPCs that are safe to replay: the error
-//! must be transient ([`PvfsError::is_retryable`]) *and* the request
-//! idempotent ([`pvfs_proto::Request::is_idempotent`]) — reads have no
-//! side effects and writes are idempotent per region, so a request that
-//! "may have executed" ([`PvfsError::is_definitely_not_executed`] =
-//! `false`) is still safe to send again. Metadata mutations (`Create`,
-//! `Remove`, `Close`) are never replayed.
+//! The policy only ever replays RPCs that are safe to replay: the error must be
+//! transient ([`pvfs_types::PvfsError::is_retryable`]) *and* the request idempotent
+//! ([`pvfs_proto::Request::is_idempotent`]) — reads have no side effects and writes
+//! are idempotent per region, so a request that "may have executed"
+//! ([`pvfs_types::PvfsError::is_definitely_not_executed`] = `false`) is still
+//! safe to send again. Metadata mutations (`Create`, `Remove`, `Close`) are
+//! never replayed.
 //!
 //! Backoff follows the decorrelated-jitter scheme: each sleep is a
 //! uniform draw from `[base, 3 * previous]`, clamped to

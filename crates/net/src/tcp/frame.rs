@@ -18,7 +18,7 @@
 //! Two hard rules keep a malformed peer from hurting the process:
 //!
 //! * the announced length is checked against
-//!   [`MAX_WIRE_FRAME`](pvfs_proto::MAX_WIRE_FRAME) **before** any
+//!   [`MAX_WIRE_FRAME`] **before** any
 //!   allocation — a hostile prefix yields a typed
 //!   [`PvfsError::FrameTooLarge`], never an OOM;
 //! * reassembly uses `read_exact`-style loops, so a frame split across
@@ -27,7 +27,7 @@
 //!
 //! A connection's receive buffers belong to its [`FrameReader`], which
 //! takes each back once the frame it handed out, and every view cut from
-//! it, is gone — one owner of [`Spares`](crate::spares::Spares) among
+//! it, is gone — one owner of [`Spares`] among
 //! several; the rule they share is in [`crate::spares`]. [`read_frame`]
 //! is a reader used once: the same code, a buffer of its own.
 //!

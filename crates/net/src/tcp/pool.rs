@@ -9,7 +9,7 @@
 //! traffic reuses persistent connections instead of paying a handshake
 //! per request, and checks one out without an allocation. A [`Lane`]
 //! *is* one connection, and every frame sent on
-//! the lane shares it: the client's window of [`WINDOW`](crate::WINDOW)
+//! the lane shares it: the client's window of [`WINDOW`]
 //! requests per daemon leaves in one vectored write
 //! ([`Lane::flush`]; frames that add up to a staging buffer's worth of
 //! bytes do not wait for it) and the daemon's replies come back on the same

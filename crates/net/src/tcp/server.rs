@@ -1,5 +1,5 @@
 //! Server side of the TCP transport: per-daemon listeners in front of
-//! the same doors ([`Driver`]s) the channel transport offers its frames to.
+//! the same doors (`Driver`s) the channel transport offers its frames to.
 //!
 //! One daemon = one `TcpListener` on loopback + one acceptor thread +
 //! one reader thread per accepted connection + the daemon's door, whose
@@ -7,7 +7,7 @@
 //! keeps one connection per daemon and pipelines its window of requests
 //! on it, so a reader reassembles length-prefixed frames — every
 //! complete frame a `read` delivered, through a staging buffer, before
-//! it blocks again — and offers them to the door ([`Driver::offer`] has
+//! it blocks again — and offers them to the door (`Driver::offer` has
 //! the admission rule). A frame the door refuses — shed off an I/O
 //! daemon's full queue — the reader answers itself, at once, with the
 //! error. Where nothing is shed (the manager, stats scrapes) the reader
@@ -22,12 +22,12 @@
 //! never fills, so the large one always drains.
 //!
 //! Responses go back over the connection the request arrived on
-//! ([`ReplyPath::Conn`]), in the order they are served. The write
+//! (`ReplyPath::Conn`), in the order they are served. The write
 //! half is wrapped in a mutex so workers finishing out of order (the
 //! requests pipelined on one connection) interleave whole frames, never
 //! partial ones; request ids let the peer attribute them.
 //! A `Data` reply leaves as `prefix ‖ head ‖ payload` in one vectored
-//! write ([`ConnOut::reply`]): the payload the daemon gathered is the
+//! write (`ConnOut::reply`): the payload the daemon gathered is the
 //! buffer the socket reads from, never staged behind its head in a
 //! second one.
 //!
@@ -40,10 +40,10 @@
 //!
 //! # Shutdown
 //!
-//! [`TcpServer::shutdown`] stops the front, then the door: stop
+//! `TcpServer::shutdown` stops the front, then the door: stop
 //! accepting (flag + self-connect to unblock `accept`), shut down the
 //! read half of every connection so readers finish offering the frames
-//! they have read, join the readers, then [`Driver::close`] — every
+//! they have read, join the readers, then `Driver::close` — every
 //! accepted request is served and its response written first.
 
 use pvfs_proto::{data_response_head, decode_frame_id, encode_response, Response};
@@ -310,7 +310,7 @@ fn spawn_reader(stream: TcpStream, door: Arc<Driver>, key: usize, conns: Conns) 
         .expect("spawn tcp reader")
 }
 
-/// The TCP server side of a whole cluster: one [`TcpServer`] per I/O
+/// The TCP server side of a whole cluster: one `TcpServer` per I/O
 /// daemon plus one for the manager.
 pub struct TcpCluster {
     servers: Vec<TcpServer>,

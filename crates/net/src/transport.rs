@@ -195,8 +195,8 @@ impl Drop for ReplyTo {
 
 /// The in-process transport: a lane is one bounded reply channel (std's
 /// `sync_channel`), a sender of which goes with every frame sent on it,
-/// and [`Lane::send`] is to a daemon's door ([`Driver`]) what a TCP connection's
-/// reader is — it offers the frame ([`Driver::offer`] has the admission
+/// and [`Lane::send`] is to a daemon's door (`Driver`) what a TCP connection's
+/// reader is — it offers the frame (`Driver::offer` has the admission
 /// rule) and tells a refusal to the sender's face. Where the manager's
 /// full queue makes a connection's reader wait for ever, a lane waits at
 /// most [`DEFAULT_RPC_TIMEOUT`]: a wedged manager must yield
