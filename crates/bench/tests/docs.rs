@@ -1,9 +1,10 @@
 //! The prose quotes the tree, and the tree answers: every `figures`
 //! name, `--test`/`--example`/`--bin` target, repo path and
 //! `DESIGN §<id>` that README, DESIGN, EXPERIMENTS, the verify skill,
-//! ROADMAP or CI names resolves, and every number in EXPERIMENTS.md's
-//! per-figure tables is its `results-paper/*.csv` row at the precision
-//! shown.
+//! ROADMAP or CI names resolves, as does every lint they cite (a CI
+//! step or a tombstone row), and every number in EXPERIMENTS.md's
+//! per-figure and ablation tables is its `results-paper/*.csv` row at
+//! the precision shown.
 
 use pvfs_bench::FIGURES;
 use std::fs;
@@ -347,16 +348,18 @@ fn at_precision(value: f64, shown: &str) -> String {
     format!("{value:.decimals$}")
 }
 
+/// The trimmed cells of a markdown table's row.
+fn cells(line: &str) -> Vec<String> {
+    let inner = line.trim().trim_start_matches('|').trim_end_matches('|');
+    inner.split('|').map(|c| c.trim().to_string()).collect()
+}
+
 /// Checks one table against `rows`: each row is keyed by its first
 /// cell, an `x` or a panel (within `panel`, when the caption names
 /// one), and a column is a method's seconds (`List`), its requests
 /// (`List requests`) or the ratio of two methods' seconds
 /// (`Multiple/List`, printed with `×`).
 fn check_table(rows: &[CsvRow], panel: Option<&str>, table: &[&str], wrong: &mut Vec<String>) {
-    let cells = |line: &str| -> Vec<String> {
-        let inner = line.trim().trim_start_matches('|').trim_end_matches('|');
-        inner.split('|').map(|c| c.trim().to_string()).collect()
-    };
     let header = cells(table[0]);
     for line in &table[2..] {
         let row = cells(line);
@@ -436,6 +439,83 @@ fn experiments_figure_tables_are_the_paper_grid_csvs() {
     }
     for figure in lines.iter().filter(|l| l.starts_with("## Fig. ")) {
         assert!(checked.contains(figure), "no checked table under {figure}");
+    }
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
+}
+
+/// EXPERIMENTS.md's ablation table: each row opens with a panel of
+/// `results-paper/ablation.csv`, and its slash-separated `seconds` and
+/// `requests` are that panel's rows, in order, at the precision shown.
+#[test]
+fn experiments_ablation_table_is_the_ablation_csv() {
+    let rows = csv("ablation");
+    let text = read("EXPERIMENTS.md");
+    let table: Vec<Vec<String>> = text
+        .lines()
+        .skip_while(|l| !l.starts_with("## Ablations"))
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'))
+        .map(cells)
+        .collect();
+    let column = |name: &str| table[0].iter().position(|c| c == name).unwrap();
+    let (s, r) = (column("seconds"), column("requests"));
+    let mut panels: Vec<&str> = rows.iter().map(|r| r.panel.as_str()).collect();
+    panels.dedup();
+    assert_eq!(table.len() - 2, panels.len(), "one row per panel");
+    let mut wrong = Vec::new();
+    for row in &table[2..] {
+        let points: Vec<&CsvRow> = rows
+            .iter()
+            .filter(|p| row[0].starts_with(&p.panel))
+            .collect();
+        let shown = [&row[s], &row[r]].map(|cell| cell.replace(' ', ""));
+        let mut precision = shown[0].split('/').chain(std::iter::repeat(""));
+        let seconds = points
+            .iter()
+            .map(|p| at_precision(p.seconds, precision.next().unwrap()));
+        let requests = points.iter().map(|p| p.requests.to_string());
+        let csv = [seconds.collect::<Vec<_>>(), requests.collect()].map(|cells| cells.join("/"));
+        if shown != csv {
+            wrong.push(format!(
+                "{}: the table says {shown:?}, the CSV {csv:?}",
+                row[0]
+            ));
+        }
+    }
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
+}
+
+/// The names a lint is cited by: CI's steps, and the rows of
+/// `crates/bench/tests/tombstones.txt`.
+fn lint_names() -> Vec<String> {
+    let ci = read(CI);
+    let steps = ci
+        .lines()
+        .filter_map(|l| l.trim_start().strip_prefix("- name: "));
+    let table = read("crates/bench/tests/tombstones.txt");
+    let rows = table.lines().filter(|l| !l.starts_with('#'));
+    let rows = rows.filter_map(|l| l.split(" | ").next());
+    steps.chain(rows).map(str::to_string).collect()
+}
+
+/// Every `CI's lint "…"` and `tombstone "…"` the prose cites, however
+/// its lines wrap, names a step of CI or a tombstone row.
+#[test]
+fn every_cited_lint_exists() {
+    let names = lint_names();
+    let mut wrong = Vec::new();
+    for file in PROSE {
+        let text = read(file).split_whitespace().collect::<Vec<_>>().join(" ");
+        for cite in ["CI's lint \"", "tombstone \""] {
+            for (at, _) in text.match_indices(cite) {
+                let name = text[at + cite.len()..].split('"').next().unwrap();
+                if !names.iter().any(|n| n == name) {
+                    wrong.push(format!(
+                        "{file}: {cite}{name}\" is no CI step or tombstone row"
+                    ));
+                }
+            }
+        }
     }
     assert!(wrong.is_empty(), "{}", wrong.join("\n"));
 }

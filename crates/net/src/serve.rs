@@ -26,13 +26,16 @@ use pvfs_server::{IoDaemon, IodConfig, Manager, Scratch};
 use pvfs_types::clock::{self, now_ns};
 use pvfs_types::{Ledger, PvfsError, RequestId};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::spares::Spares;
 use crate::tcp::server::ConnOut;
 use crate::transport::ReplyTo;
+
+#[allow(clippy::disallowed_types)] // the driver parks its door's workers, closers and offerers
+type Condvar = std::sync::Condvar;
 
 /// How the reply to one frame goes back: all of its transport a server needs.
 pub(crate) enum ReplyPath {
@@ -187,6 +190,7 @@ impl Driver {
     }
 
     /// Start the workers, under the door's lock: the only spawn.
+    #[allow(clippy::disallowed_methods)] // a daemon's threads start here and only here
     fn start(&self, workers: usize) {
         let mut threads = self.threads.lock().unwrap();
         threads.extend((0..workers).map(|i| {
@@ -280,14 +284,14 @@ fn work(queue: &Queue, service: &dyn Service, node: &str) {
 
 /// The one serve step, a worker's or the offering thread's: scratch →
 /// `serve_rpc` → end (a reading) → answer; then out of service.
+#[allow(clippy::disallowed_methods)] // `serve_rpc`'s one caller
 fn serve_job(queue: &Queue, service: &dyn Service, node: &str, mut job: Job<ReplyPath>) {
     let _slot = Slot(queue);
     let mut scratch = job.reply.scratch(&queue.spares);
-    let served = serve_rpc(service, node, job.frame, job.stamp, &mut scratch);
-    let (id, response) = served.end(service, node, now_ns());
     let account = job.stamp.books(service);
-    job.reply
-        .answer(id, response, scratch, &queue.spares, account);
+    let (served, reply) = serve_rpc(service, node, job, &mut scratch);
+    let (id, response) = served.end(service, node, now_ns());
+    reply.answer(id, response, scratch, &queue.spares, account);
 }
 
 /// A frame's place in service, given back however its service ends: a
@@ -483,7 +487,8 @@ mod tests {
         ));
         let (job, _) = door.take(readings()).unwrap();
         let scratch = &mut Scratch::default();
-        let served = serve_rpc(&**service, node, job.frame, job.stamp, scratch);
+        #[allow(clippy::disallowed_methods)] // a door with no thread, served by hand
+        let (served, ()) = serve_rpc(&**service, node, job, scratch);
         let answer = served.end(&**service, node, readings());
         door.finish();
         answer

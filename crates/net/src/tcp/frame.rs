@@ -606,8 +606,11 @@ mod tests {
 
     #[test]
     fn an_oversized_spare_is_dropped_not_pinned() {
-        use crate::spares::MAX_SPARE_CAPACITY;
-        let big = vec![7u8; MAX_SPARE_CAPACITY + 1];
+        use crate::spares::is_spare;
+        use pvfs_proto::BULK_PIECE;
+        // One byte over the keep rule's bound, the largest spare.
+        let cap = (0..BULK_PIECE).take_while(|&n| is_spare(n)).last();
+        let big = vec![7u8; cap.unwrap() + 1];
         let mut wire = framed(&big);
         wire.extend_from_slice(&framed(&big[1..]));
         for _ in 0..WINDOW {
@@ -619,7 +622,7 @@ mod tests {
         let first = frames.read_frame(&mut r).unwrap();
         assert_eq!(first.len(), big.len());
         // The reader kept no handle: the caller's is the only one, so
-        // dropping the frame frees the 1 MiB right away.
+        // dropping the frame frees its buffer right away.
         assert_eq!(first.try_into_mut().map(|b| b.len()), Ok(big.len()));
         // One byte less is exactly the cap, and is kept: once the set is
         // complete, a frame lands in it again (the one on top of the

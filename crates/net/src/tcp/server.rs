@@ -175,6 +175,7 @@ impl TcpServer {
         let accept_conns = conns.clone();
         let accept_readers = readers.clone();
         let accept_door = door.clone();
+        #[allow(clippy::disallowed_methods)] // the daemon's accept loop
         let accept_thread = std::thread::Builder::new()
             .name(format!("{}-accept", door.name))
             .spawn(move || {
@@ -249,6 +250,7 @@ impl Drop for TcpServer {
 /// peer hangs up, dies mid-frame, or violates the frame cap; then take
 /// the connection's entry (`key` in `conns`) back out, so the daemon's
 /// duplicate of the socket closes with the connection.
+#[allow(clippy::disallowed_methods)] // a connection's reader, one per connection
 fn spawn_reader(stream: TcpStream, door: Arc<Driver>, key: usize, conns: Conns) -> JoinHandle<()> {
     /// Removes the entry however the reader exits.
     struct Deregister(usize, Conns);

@@ -27,7 +27,7 @@ pub struct Var {
     pub grammar: &'static str,
     /// What an unset variable means.
     pub default: &'static str,
-    /// What it does, in a line.
+    /// What it does: README's table renders its row from this one.
     pub meaning: &'static str,
     /// A value its parser rejects (the table's test holds each parser to
     /// it).
@@ -41,70 +41,70 @@ pub const VARS: [Var; 10] = [
         name: "PVFS_TRANSPORT",
         grammar: "chan|tcp",
         default: "chan",
-        meaning: "client↔daemon transport: in-process channels or real loopback sockets",
+        meaning: "Client↔daemon transport: in-process channels or real loopback sockets. The whole suite runs under either (`PVFS_TRANSPORT=tcp cargo test`).",
         malformed: "udp",
     },
     Var {
         name: "PVFS_FAULTS",
         grammar: "drop:P,delay[:Nms],disconnect:P,corrupt:P,wedge:P[,seed=N,target=S,limit=N]",
         default: "unset (no faults)",
-        meaning: "seeded fault injection wrapping either transport, probabilities per frame",
+        meaning: "Seeded deterministic fault injection wrapping either transport; probabilities per frame. Manager RPCs are never injected.",
         malformed: "drop:often",
     },
     Var {
         name: "PVFS_RETRY",
         grammar: "off|attempts=N,base=D,cap=D,budget=D",
         default: "attempts=4,base=1ms,cap=100ms,budget=30s",
-        meaning: "client retry policy: bounded attempts, jittered backoff, per-op budget",
+        meaning: "Client retry policy: bounded attempts, decorrelated-jitter backoff, per-op budget. Only idempotent (data) requests are retried.",
         malformed: "atempts=3",
     },
     Var {
         name: "PVFS_AGGREGATORS",
         grammar: "positive integer",
         default: "unset (one per I/O daemon)",
-        meaning: "collective aggregator count (the ROMIO cb_nodes hint)",
+        meaning: "Collective aggregator count; clamped to `min(daemons, ranks)`. The ROMIO `cb_nodes` hint.",
         malformed: "0",
     },
     Var {
         name: "PVFS_STORAGE",
         grammar: "mem|file:<dir>",
         default: "mem",
-        meaning: "daemon storage backend: in-memory stores or data file + journal per handle",
+        meaning: "Daemon storage backend: in-memory sparse stores, or the durable file-backed engine (data file + write-ahead journal per handle, under `<dir>/iod<N>`). See Durability.",
         malformed: "disk",
     },
     Var {
         name: "PVFS_SYNC",
         grammar: "never|interval:<ms>|always",
         default: "interval:100",
-        meaning: "journal fsync policy of the file backend",
+        meaning: "Journal fsync policy for the file backend: fsync on a write once the interval has passed, fsync-per-batch, or only at explicit `Sync`/`Flush` barriers.",
         malformed: "sometimes",
     },
     Var {
         name: "PVFS_STATS",
         grammar: "dump",
         default: "unset (nothing printed)",
-        meaning: "one JSON stats line per daemon on stderr when a LiveCluster tears down",
+        meaning: "Print one JSON `StatsSnapshot` line per daemon to stderr when a `LiveCluster` tears down (see Observability). Any other value is rejected when the cluster spawns.",
         malformed: "dumpp",
     },
     Var {
         name: "PVFS_TRACE",
         grammar: "off|all|slow:<ms>|sample:<1/n>",
         default: "off",
-        meaning: "distributed request tracing: which operations are traced and retained",
+        meaning: "Distributed request tracing: trace everything, retain only ops slower than `<ms>`, or head-sample 1 in `<n>`. Off costs zero wire bytes (v1 frames, pinned by test). See Tracing.",
         malformed: "slow:soon",
     },
     Var {
         name: "PVFS_REPLICAS",
         grammar: "1..=255, at most the daemon count",
         default: "1",
-        meaning: "r-way stripe mirroring",
+        meaning: "r-way stripe mirroring: copy *j* of slot *s* on daemon `(base+s+j) mod n`. `1` = the paper's single-owner striping, byte-identical. See Replication.",
         malformed: "0",
     },
     Var {
         name: "PVFS_WRITE_QUORUM",
         grammar: "all|majority",
         default: "all",
-        meaning: "acks a replicated write needs before it succeeds",
+        meaning: "Acks a replicated write needs before success; `majority` (⌊r/2⌋+1) keeps writes available with a minority of daemons down, at the price of divergence for `scrub` to repair.",
         malformed: "most",
     },
 ];

@@ -1,12 +1,12 @@
 //! The table of `PVFS_*` variables (`pvfs::types::env::VARS`) against
-//! the parsers that live with the types they produce, and against
-//! README's table.
+//! the parsers that live with the types they produce, and README's
+//! table rendered from it.
 
 use pvfs::collective::config::parse_aggregators;
 use pvfs::disk::{StorageConfig, SyncPolicy};
 use pvfs::net::{FaultPlan, RetryPolicy, TransportKind};
 use pvfs::replica::{parse_quorum, parse_replicas};
-use pvfs::types::env::VARS;
+use pvfs::types::env::{Var, VARS};
 use pvfs::types::TraceMode;
 
 /// Whether the parser of variable `name` takes `value`. A variable
@@ -49,18 +49,27 @@ fn every_variable_rejects_its_malformed_value_and_takes_its_default() {
     }
 }
 
+/// README's row of `var`: name, values, default and meaning.
+fn readme_row(var: &Var) -> String {
+    let default = match var.default {
+        unset if unset.starts_with("unset") => unset.to_string(),
+        value => format!("`{value}`"),
+    };
+    let values = var.grammar.replace('|', "\\|");
+    format!(
+        "| `{}` | `{values}` | {default} | {} |",
+        var.name, var.meaning
+    )
+}
+
 #[test]
 fn readme_lists_exactly_the_tables_variables_in_its_order() {
     let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md"))
         .expect("README.md sits beside Cargo.toml");
     let listed: Vec<&str> = readme
         .lines()
-        .filter_map(|line| line.strip_prefix("| `PVFS_"))
-        .filter_map(|rest| rest.split('`').next())
+        .filter(|line| line.starts_with("| `PVFS_"))
         .collect();
-    let table: Vec<&str> = VARS
-        .iter()
-        .map(|var| var.name.trim_start_matches("PVFS_"))
-        .collect();
+    let table: Vec<String> = VARS.iter().map(readme_row).collect();
     assert_eq!(listed, table);
 }
