@@ -6,7 +6,10 @@
 //! per-figure and ablation tables is its `results-paper/*.csv` row at
 //! the precision shown.
 
+mod repo;
+
 use pvfs_bench::FIGURES;
+use repo::{read, root, rows, TABLE};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -34,14 +37,6 @@ const ROOTS: [&str; 11] = [
     ".github/",
     ".claude/",
 ];
-
-fn root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
-fn read(rel: &str) -> String {
-    fs::read_to_string(root().join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
-}
 
 /// What a markdown file quotes as code: its inline spans (which may
 /// wrap a line) and each line of its fenced blocks.
@@ -485,31 +480,22 @@ fn experiments_ablation_table_is_the_ablation_csv() {
     assert!(wrong.is_empty(), "{}", wrong.join("\n"));
 }
 
-/// The names a lint is cited by: CI's steps, and the rows of
-/// `crates/bench/tests/tombstones.txt`.
-fn lint_names() -> Vec<String> {
-    let ci = read(CI);
-    let steps = ci
-        .lines()
-        .filter_map(|l| l.trim_start().strip_prefix("- name: "));
-    let table = read("crates/bench/tests/tombstones.txt");
-    let rows = table.lines().filter(|l| !l.starts_with('#'));
-    let rows = rows.filter_map(|l| l.split(" | ").next());
-    steps.chain(rows).map(str::to_string).collect()
-}
-
 /// Every `CI's lint "…"` and `tombstone "…"` the prose cites, however
 /// its lines wrap, names a step of CI or a tombstone row.
 #[test]
 fn every_cited_lint_exists() {
-    let names = lint_names();
+    let (ci, table) = (read(CI), read(TABLE));
+    let steps = ci
+        .lines()
+        .filter_map(|l| l.trim_start().strip_prefix("- name: "));
+    let names: Vec<&str> = steps.chain(rows(&table).iter().map(|r| r[0])).collect();
     let mut wrong = Vec::new();
     for file in PROSE {
         let text = read(file).split_whitespace().collect::<Vec<_>>().join(" ");
         for cite in ["CI's lint \"", "tombstone \""] {
             for (at, _) in text.match_indices(cite) {
                 let name = text[at + cite.len()..].split('"').next().unwrap();
-                if !names.iter().any(|n| n == name) {
+                if !names.contains(&name) {
                     wrong.push(format!(
                         "{file}: {cite}{name}\" is no CI step or tombstone row"
                     ));

@@ -3,19 +3,11 @@
 //! one) finds nothing, and every crate that replaces the root
 //! `clippy.toml` with its own keeps all of the root's rules.
 
+mod repo;
+
+use repo::{read, root, rows, TABLE};
 use std::fs;
-use std::path::{Path, PathBuf};
-
-/// The rows, which name what they forbid.
-const TABLE: &str = "crates/bench/tests/tombstones.txt";
-
-fn root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
-fn read(rel: &str) -> String {
-    fs::read_to_string(root().join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
-}
+use std::path::Path;
 
 /// Every file of the repo, repo-relative, but under `target` and dot
 /// directories.
@@ -73,13 +65,9 @@ fn no_tombstone_is_dug_up() {
     let mut all = Vec::new();
     files(&root(), &mut all);
     let mut wrong = Vec::new();
-    for row in table.lines().filter(|l| !l.starts_with('#')) {
-        let cells: Vec<&str> = row.split(" | ").collect();
-        let [name, scope, patterns, paths, _reason] = cells[..] else {
-            panic!("{row}: not name | lines | patterns | paths | reason");
-        };
+    for [name, scope, patterns, paths, _reason] in rows(&table) {
         assert!(
-            ["all", "program", "code"].contains(&scope),
+            matches!(scope, "all" | "program" | "code"),
             "{name}: {scope}"
         );
         let globs: Vec<&str> = paths.split(", ").collect();
@@ -92,6 +80,11 @@ fn no_tombstone_is_dug_up() {
         }
         let (exempt, banned): (Vec<&str>, Vec<&str>) =
             patterns.split(", ").partition(|p| p.starts_with('!'));
+        let exempt: Vec<(&str, &str)> = exempt
+            .iter()
+            .map(|p| p[1..].split_once(':').expect("!file:text"))
+            .inspect(|(file, _)| assert!(root().join(file).is_file(), "{name}: no {file}"))
+            .collect();
         let mut read_any = false;
         for file in matched {
             let Ok(text) = fs::read_to_string(root().join(file)) else {
@@ -100,7 +93,7 @@ fn no_tombstone_is_dug_up() {
             read_any = true;
             for (n, line) in lines(file, &text, scope) {
                 let hit = banned.iter().find(|p| holds(line, p));
-                if hit.is_some() && !exempt.iter().any(|p| holds(line, &p[1..])) {
+                if hit.is_some() && !exempt.iter().any(|&(f, p)| f == file && holds(line, p)) {
                     wrong.push(format!("{file}:{n}: {line}\n    ({name}: {hit:?})"));
                 }
             }

@@ -20,9 +20,6 @@ use std::any::Any;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Barrier, Mutex};
 
-#[allow(clippy::disallowed_types)] // ranks park until the group has gathered
-type Condvar = std::sync::Condvar;
-
 type BoxedMsg = Box<dyn Any + Send>;
 
 pvfs_types::ledger! {
@@ -34,7 +31,7 @@ pvfs_types::ledger! {
     ledger CommLedger;
     counters {
         /// Explicit `barrier` calls (the internal synchronization inside
-        /// `exchange` is not counted).
+        /// `exchange` and `allgather` is not counted).
         barriers,
         /// `allgather` calls.
         allgathers,
@@ -63,12 +60,6 @@ pub struct Envelope<T> {
     pub msg: T,
 }
 
-struct GatherState {
-    slots: Vec<Option<BoxedMsg>>,
-    deposited: usize,
-    collected: usize,
-}
-
 struct MailState {
     // One inbox per rank: (source rank, bytes, message), in deposit
     // order.
@@ -78,8 +69,8 @@ struct MailState {
 struct Core {
     size: usize,
     barrier: Barrier,
-    gather: Mutex<GatherState>,
-    gather_cv: Condvar,
+    /// One `allgather` slot per rank.
+    gather: Mutex<Vec<Option<BoxedMsg>>>,
     mail: Mutex<MailState>,
 }
 
@@ -110,12 +101,7 @@ impl Communicator {
         let core = Arc::new(Core {
             size,
             barrier: Barrier::new(size),
-            gather: Mutex::new(GatherState {
-                slots: (0..size).map(|_| None).collect(),
-                deposited: 0,
-                collected: 0,
-            }),
-            gather_cv: Condvar::new(),
+            gather: Mutex::new((0..size).map(|_| None).collect()),
             mail: Mutex::new(MailState {
                 boxes: (0..size).map(|_| Vec::new()).collect(),
             }),
@@ -145,36 +131,21 @@ impl Communicator {
         self.sync();
     }
 
-    /// The uncounted barrier `exchange` uses internally.
+    /// The uncounted barrier `exchange` and `allgather` use internally.
     fn sync(&self) {
         self.core.barrier.wait();
     }
 
     /// Contribute `value` and receive every rank's contribution, in
-    /// rank order. All ranks must call with the same `T`.
+    /// rank order. All ranks must call with the same `T`: each deposits
+    /// in its slot, waits, reads every slot, and waits again, so no
+    /// deposit of the next round lands before the last read of this one.
     pub fn allgather<T: Clone + Send + 'static>(&self, value: T) -> Vec<T> {
         self.counters.allgathers.fetch_add(1, Ordering::Relaxed);
-        let mut st = self.core.gather.lock().unwrap();
-        // A previous round may still be draining; deposits reopen once
-        // its last collector resets the slots.
-        while st.deposited == self.core.size {
-            st = self.core.gather_cv.wait(st).unwrap();
-        }
-        debug_assert!(
-            st.slots[self.rank].is_none(),
-            "rank {} called allgather out of collective order",
-            self.rank
-        );
-        st.slots[self.rank] = Some(Box::new(value));
-        st.deposited += 1;
-        if st.deposited == self.core.size {
-            self.core.gather_cv.notify_all();
-        }
-        while st.deposited < self.core.size {
-            st = self.core.gather_cv.wait(st).unwrap();
-        }
-        let out: Vec<T> = st
-            .slots
+        self.core.gather.lock().unwrap()[self.rank] = Some(Box::new(value));
+        self.sync();
+        let slots = self.core.gather.lock().unwrap();
+        let out: Vec<T> = slots
             .iter()
             .map(|slot| {
                 slot.as_ref()
@@ -184,16 +155,8 @@ impl Communicator {
                     .clone()
             })
             .collect();
-        st.collected += 1;
-        if st.collected == self.core.size {
-            for slot in st.slots.iter_mut() {
-                *slot = None;
-            }
-            st.deposited = 0;
-            st.collected = 0;
-            // Wake ranks already blocked on the next round's deposit.
-            self.core.gather_cv.notify_all();
-        }
+        drop(slots);
+        self.sync();
         out
     }
 

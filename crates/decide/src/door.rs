@@ -19,7 +19,7 @@
 //! `queue` and `service` spans, to the nanosecond; storage spans nest
 //! under `service`. Stats scrapes ([`pvfs_proto::frame_is_stats_scrape`])
 //! reach [`Service::serve`] and nothing else — no accounting, sample or
-//! span, never shed; [`Stamp::books`] is the one guard — so a scraped
+//! span, never shed; [`Job::books`] is the one guard — so a scraped
 //! snapshot equals the in-process one (the observer-effect guarantee).
 
 use pvfs_proto::{
@@ -53,26 +53,41 @@ pub trait Service: Send + Sync {
 }
 
 /// A frame's readings at the door, and whether it is a stats scrape.
-pub struct Stamp {
+struct Stamp {
     queued_at: u64,
     taken: u64,
     scrape: bool,
 }
 
 impl Stamp {
-    /// The books a frame is accounted in: none for a scrape.
-    pub fn books<'s>(&self, service: &'s dyn Service) -> Option<&'s Ledger> {
+    fn books<'s>(&self, service: &'s dyn Service) -> Option<&'s Ledger> {
         (!self.scrape).then(|| service.ledger())
     }
 }
 
 /// A request frame as it arrived, what rides with it (the way its reply
-/// goes back), and its readings — which only a door stamps, so a frame
-/// reaches [`serve_rpc`] only through a door.
+/// goes back), and its readings. Only a door makes one, and nothing
+/// swaps its frame, so [`serve_rpc`] serves only frames a door admitted.
 pub struct Job<R> {
-    pub frame: Frame,
-    pub reply: R,
-    pub stamp: Stamp,
+    frame: Frame,
+    reply: R,
+    stamp: Stamp,
+}
+
+impl<R> Job<R> {
+    pub fn reply_mut(&mut self) -> &mut R {
+        &mut self.reply
+    }
+
+    /// The books the frame is accounted in: none for a scrape.
+    pub fn books<'s>(&self, service: &'s dyn Service) -> Option<&'s Ledger> {
+        self.stamp.books(service)
+    }
+
+    /// The frame and its reply path, unserved.
+    pub fn into_parts(self) -> (Frame, R) {
+        (self.frame, self.reply)
+    }
 }
 
 /// A frame not admitted, handed back for its sender to be told why.

@@ -287,8 +287,8 @@ fn work(queue: &Queue, service: &dyn Service, node: &str) {
 #[allow(clippy::disallowed_methods)] // `serve_rpc`'s one caller
 fn serve_job(queue: &Queue, service: &dyn Service, node: &str, mut job: Job<ReplyPath>) {
     let _slot = Slot(queue);
-    let mut scratch = job.reply.scratch(&queue.spares);
-    let account = job.stamp.books(service);
+    let mut scratch = job.reply_mut().scratch(&queue.spares);
+    let account = job.books(service);
     let (served, reply) = serve_rpc(service, node, job, &mut scratch);
     let (id, response) = served.end(service, node, now_ns());
     reply.answer(id, response, scratch, &queue.spares, account);
@@ -403,12 +403,8 @@ mod tests {
             depth: usize,
         ) -> (Arc<Driver>, impl Fn() -> Option<(Frame, ReplyTo)> + Send) {
             let (door, far) = Driver::unmanned(depth, Arc::new(Recording::default()));
-            let next = move || match far.take() {
-                Some(Job {
-                    frame,
-                    reply: ReplyPath::Lane(reply),
-                    ..
-                }) => Some((frame, reply)),
+            let next = move || match far.take()?.into_parts() {
+                (frame, ReplyPath::Lane(reply)) => Some((frame, reply)),
                 _ => None,
             };
             (door, next)
@@ -439,7 +435,7 @@ mod tests {
         /// and drained.
         fn next_id(&self) -> Option<u64> {
             let job = self.take()?;
-            Some(decode_frame_id(&job.frame.head).unwrap().0)
+            Some(decode_frame_id(&job.into_parts().0.head).unwrap().0)
         }
     }
 
