@@ -4,17 +4,13 @@
 //! figures [FIGURE ...] [--scale quick|mid|paper] [--out DIR]
 //! ```
 //!
-//! FIGURE is one of [`pvfs_bench::FIGURES`] or `all`. Writes one CSV per
-//! figure into `--out` (default `results/`) and prints the tables.
-//! `ablation` runs the same grid at every scale. Simulated seconds come
-//! from the calibrated Chiba City cost model; compare *shapes* with the
-//! paper, not absolute values (see EXPERIMENTS.md).
+//! FIGURE is a name in [`pvfs_bench::FIGURES`] or `all`. Writes one CSV
+//! per figure into `--out` (default `results/`) and prints the tables.
+//! Simulated seconds come from the calibrated Chiba City cost model;
+//! compare *shapes* with the paper, not absolute values (see
+//! EXPERIMENTS.md).
 
-use pvfs_bench::figures::{ablation, ext_datatype, ext_hybrid};
-use pvfs_bench::{
-    fig10, fig11, fig12, fig15, fig17, fig9, render_bars, render_table, write_csv, Row, Scale,
-    FIGURES,
-};
+use pvfs_bench::{render_bars, render_table, write_csv, Scale, FIGURES};
 use std::path::PathBuf;
 
 fn main() {
@@ -35,36 +31,24 @@ fn main() {
                 out_dir = PathBuf::from(args.next().unwrap_or_else(|| "results".into()));
             }
             "--help" | "-h" => {
-                println!(
-                    "usage: figures [{} | all] [--scale quick|mid|paper] [--out DIR]",
-                    FIGURES.join(" ")
-                );
+                let names = FIGURES.map(|(name, _)| name).join(" ");
+                println!("usage: figures [{names} | all] [--scale quick|mid|paper] [--out DIR]");
                 return;
             }
             other => figures.push(other.to_string()),
         }
     }
     if figures.is_empty() || figures.iter().any(|f| f == "all") {
-        figures = FIGURES.map(String::from).to_vec();
+        figures = FIGURES.iter().map(|(name, _)| name.to_string()).collect();
     }
 
     for name in &figures {
-        eprintln!("running {name} at {scale:?} scale ...");
-        let rows: Vec<Row> = match name.as_str() {
-            "fig9" => fig9(scale),
-            "fig10" => fig10(scale),
-            "fig11" => fig11(scale),
-            "fig12" => fig12(scale),
-            "fig15" => fig15(scale),
-            "fig17" => fig17(scale),
-            "ext-datatype" => ext_datatype(scale),
-            "ext-hybrid" => ext_hybrid(scale),
-            "ablation" => ablation(),
-            other => {
-                eprintln!("unknown figure '{other}'");
-                std::process::exit(2);
-            }
+        let Some((_, run)) = FIGURES.iter().find(|(known, _)| known == name) else {
+            eprintln!("unknown figure '{name}'");
+            std::process::exit(2);
         };
+        eprintln!("running {name} at {scale:?} scale ...");
+        let rows = run(scale);
         let path = out_dir.join(format!("{name}.csv"));
         write_csv(&rows, &path).expect("write csv");
         println!("{}", render_table(&rows));

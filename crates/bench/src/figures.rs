@@ -3,10 +3,14 @@
 use crate::report::Row;
 use pvfs_core::{IoKind, ListRequest, Method, MethodConfig};
 use pvfs_sim::{metadata_rtt_ns, ClientJob, CostConfig, SimCluster};
-use pvfs_types::{FileHandle, Region, RegionList, StripeLayout};
+use pvfs_types::{FileHandle, PvfsResult, Region, RegionList, StripeLayout};
 use pvfs_workloads::{BlockBlock, Cyclic, FlashIo, TiledViz};
 
 const FH: FileHandle = FileHandle(42);
+
+/// The methods the paper's write figures compare (its data sieving
+/// writes would need a file lock).
+const WRITERS: [Method; 2] = [Method::Multiple, Method::List];
 
 /// Experiment scale. `Paper` reproduces the paper's parameter grid
 /// (1 GiB aggregate, up to 1 M accesses, up to 32 clients); `Mid`
@@ -33,28 +37,14 @@ impl Scale {
         }
     }
 
-    fn cyclic_clients(self) -> &'static [u64] {
-        match self {
-            Scale::Quick => &[4],
-            Scale::Mid => &[8, 16],
-            Scale::Paper => &[8, 16, 32],
-        }
-    }
-
-    fn cyclic_accesses(self) -> &'static [u64] {
-        match self {
-            Scale::Quick => &[1024, 4096],
-            Scale::Mid => &[16_384, 65_536, 262_144],
-            Scale::Paper => &[65_536, 262_144, 1_048_576],
-        }
-    }
-
-    fn cyclic_aggregate(self) -> u64 {
-        match self {
-            Scale::Quick => 8 << 20,
-            Scale::Mid => 256 << 20,
-            Scale::Paper => 1 << 30,
-        }
+    /// Cyclic panels: (clients, aggregate bytes).
+    fn cyclic_panels(self) -> Vec<(u64, u64)> {
+        let (clients, aggregate): (&[u64], u64) = match self {
+            Scale::Quick => (&[4], 8 << 20),
+            Scale::Mid => (&[8, 16], 256 << 20),
+            Scale::Paper => (&[8, 16, 32], 1 << 30),
+        };
+        clients.iter().map(|&c| (c, aggregate)).collect()
     }
 
     /// Block-block panels: (clients, aggregate bytes). 9 clients need
@@ -68,7 +58,9 @@ impl Scale {
         }
     }
 
-    fn blockblock_accesses(self) -> &'static [u64] {
+    /// Accesses per client, the x axis of every cyclic and block-block
+    /// panel.
+    fn accesses(self) -> &'static [u64] {
         match self {
             Scale::Quick => &[1024, 4096],
             Scale::Mid => &[16_384, 65_536, 262_144],
@@ -93,7 +85,11 @@ impl Scale {
     }
 }
 
+/// A figure: its rows at a scale.
+pub type Runner = fn(Scale) -> Vec<Row>;
+
 /// Outcome of one simulated run.
+#[derive(Debug, Clone, Copy)]
 pub struct RunOutcome {
     /// Simulated makespan in seconds.
     pub seconds: f64,
@@ -156,17 +152,13 @@ pub fn run_method_configured(
     }
 }
 
-fn art_row(
-    figure: &'static str,
-    panel: String,
-    method: Method,
-    x: u64,
-    outcome: RunOutcome,
-) -> Row {
+/// The one place a [`Row`] is built: `outcome` as the point `x` of
+/// `series` in `panel` of `figure`.
+fn row(figure: &'static str, panel: String, series: &str, x: u64, outcome: RunOutcome) -> Row {
     Row {
         figure,
         panel,
-        series: method.name().to_string(),
+        series: series.to_string(),
         x,
         seconds: outcome.seconds,
         requests: outcome.requests,
@@ -174,124 +166,114 @@ fn art_row(
     }
 }
 
-/// Fig. 9 — one-dimensional cyclic **reads**: multiple vs data sieving
-/// vs list I/O across access counts, one panel per client count.
-pub fn fig9(scale: Scale) -> Vec<Row> {
+/// Ranks `0..clients`' requests of a workload.
+fn per_client(clients: u64, request: impl Fn(u64) -> PvfsResult<ListRequest>) -> Vec<ListRequest> {
+    (0..clients)
+        .map(|k| request(k).expect("valid workload"))
+        .collect()
+}
+
+/// The two artificial patterns of the paper's §4.3.
+#[derive(Clone, Copy)]
+enum Pattern {
+    Cyclic,
+    BlockBlock,
+}
+
+/// The grid of Figs. 9–12 and ext-datatype: in each `(clients,
+/// aggregate bytes)` panel of `pattern`, at each access count, every
+/// method of each `(kind, methods)` run, reads warm. A figure that runs
+/// both kinds names the kind in its panels.
+fn sweep(
+    figure: &'static str,
+    pattern: Pattern,
+    panels: &[(u64, u64)],
+    counts: &[u64],
+    runs: &[(IoKind, &[Method])],
+) -> Vec<Row> {
     let mut rows = Vec::new();
-    for &clients in scale.cyclic_clients() {
-        for &accesses in scale.cyclic_accesses() {
-            let pattern = Cyclic {
-                clients,
-                accesses_per_client: accesses,
-                aggregate_bytes: scale.cyclic_aggregate(),
+    for &(clients, aggregate_bytes) in panels {
+        for &accesses in counts {
+            let (requests, file_size) = match pattern {
+                Pattern::Cyclic => {
+                    let p = Cyclic {
+                        clients,
+                        accesses_per_client: accesses,
+                        aggregate_bytes,
+                    };
+                    (per_client(clients, |k| p.request_for(k)), p.file_size())
+                }
+                Pattern::BlockBlock => {
+                    let p = BlockBlock {
+                        clients,
+                        accesses_per_client: accesses,
+                        aggregate_bytes,
+                    };
+                    (per_client(clients, |k| p.request_for(k)), p.file_size())
+                }
             };
-            let requests: Vec<ListRequest> = (0..clients)
-                .map(|k| pattern.request_for(k).expect("valid pattern"))
-                .collect();
-            for method in Method::PAPER {
-                let outcome =
-                    run_method(&requests, IoKind::Read, method, pattern.file_size(), true);
-                rows.push(art_row(
-                    "fig9",
-                    format!("{clients} clients"),
-                    method,
-                    accesses,
-                    outcome,
-                ));
+            for &(kind, methods) in runs {
+                let panel = match runs.len() {
+                    1 => format!("{clients} clients"),
+                    _ => format!("{clients} clients {kind:?}"),
+                };
+                let warm = kind == IoKind::Read;
+                for &method in methods {
+                    let outcome = run_method(&requests, kind, method, file_size, warm);
+                    rows.push(row(figure, panel.clone(), method.name(), accesses, outcome));
+                }
             }
         }
     }
     rows
+}
+
+/// Fig. 9 — one-dimensional cyclic **reads**: multiple vs data sieving
+/// vs list I/O across access counts, one panel per client count.
+pub fn fig9(scale: Scale) -> Vec<Row> {
+    sweep(
+        "fig9",
+        Pattern::Cyclic,
+        &scale.cyclic_panels(),
+        scale.accesses(),
+        &[(IoKind::Read, &Method::PAPER)],
+    )
 }
 
 /// Fig. 10 — one-dimensional cyclic **writes**: multiple vs list I/O
 /// (the paper omits data sieving writes here; with no file locking the
 /// artificial benchmark's writers would need full serialization).
 pub fn fig10(scale: Scale) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for &clients in scale.cyclic_clients() {
-        for &accesses in scale.cyclic_accesses() {
-            let pattern = Cyclic {
-                clients,
-                accesses_per_client: accesses,
-                aggregate_bytes: scale.cyclic_aggregate(),
-            };
-            let requests: Vec<ListRequest> = (0..clients)
-                .map(|k| pattern.request_for(k).expect("valid pattern"))
-                .collect();
-            for method in [Method::Multiple, Method::List] {
-                let outcome =
-                    run_method(&requests, IoKind::Write, method, pattern.file_size(), false);
-                rows.push(art_row(
-                    "fig10",
-                    format!("{clients} clients"),
-                    method,
-                    accesses,
-                    outcome,
-                ));
-            }
-        }
-    }
-    rows
+    sweep(
+        "fig10",
+        Pattern::Cyclic,
+        &scale.cyclic_panels(),
+        scale.accesses(),
+        &[(IoKind::Write, &WRITERS)],
+    )
 }
 
 /// Fig. 11 — block-block **reads**: the panel set where the paper
 /// observes the list-I/O upturn near ≈150 bytes/access.
 pub fn fig11(scale: Scale) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for (clients, aggregate) in scale.blockblock_panels() {
-        for &accesses in scale.blockblock_accesses() {
-            let pattern = BlockBlock {
-                clients,
-                accesses_per_client: accesses,
-                aggregate_bytes: aggregate,
-            };
-            let requests: Vec<ListRequest> = (0..clients)
-                .map(|k| pattern.request_for(k).expect("valid pattern"))
-                .collect();
-            for method in Method::PAPER {
-                let outcome =
-                    run_method(&requests, IoKind::Read, method, pattern.file_size(), true);
-                rows.push(art_row(
-                    "fig11",
-                    format!("{clients} clients"),
-                    method,
-                    accesses,
-                    outcome,
-                ));
-            }
-        }
-    }
-    rows
+    sweep(
+        "fig11",
+        Pattern::BlockBlock,
+        &scale.blockblock_panels(),
+        scale.accesses(),
+        &[(IoKind::Read, &Method::PAPER)],
+    )
 }
 
 /// Fig. 12 — block-block **writes**: multiple vs list I/O.
 pub fn fig12(scale: Scale) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for (clients, aggregate) in scale.blockblock_panels() {
-        for &accesses in scale.blockblock_accesses() {
-            let pattern = BlockBlock {
-                clients,
-                accesses_per_client: accesses,
-                aggregate_bytes: aggregate,
-            };
-            let requests: Vec<ListRequest> = (0..clients)
-                .map(|k| pattern.request_for(k).expect("valid pattern"))
-                .collect();
-            for method in [Method::Multiple, Method::List] {
-                let outcome =
-                    run_method(&requests, IoKind::Write, method, pattern.file_size(), false);
-                rows.push(art_row(
-                    "fig12",
-                    format!("{clients} clients"),
-                    method,
-                    accesses,
-                    outcome,
-                ));
-            }
-        }
-    }
-    rows
+    sweep(
+        "fig12",
+        Pattern::BlockBlock,
+        &scale.blockblock_panels(),
+        scale.accesses(),
+        &[(IoKind::Write, &WRITERS)],
+    )
 }
 
 /// Fig. 15 — the FLASH I/O checkpoint write across client counts,
@@ -300,20 +282,16 @@ pub fn fig15(scale: Scale) -> Vec<Row> {
     let mut rows = Vec::new();
     for &nprocs in scale.flash_procs() {
         let flash = FlashIo::scaled(nprocs, scale.flash_blocks());
-        let requests: Vec<ListRequest> = (0..nprocs)
-            .map(|p| flash.request_for(p).expect("valid flash request"))
-            .collect();
+        let requests = per_client(nprocs, |p| flash.request_for(p));
         for method in Method::PAPER {
             let outcome = run_method(&requests, IoKind::Write, method, flash.file_size(), false);
-            rows.push(Row {
-                figure: "fig15",
-                panel: "checkpoint write".into(),
-                series: method.name().to_string(),
-                x: nprocs,
-                seconds: outcome.seconds,
-                requests: outcome.requests,
-                wire_bytes: outcome.wire_bytes,
-            });
+            rows.push(row(
+                "fig15",
+                "checkpoint write".into(),
+                method.name(),
+                nprocs,
+                outcome,
+            ));
         }
     }
     rows
@@ -324,9 +302,7 @@ pub fn fig15(scale: Scale) -> Vec<Row> {
 /// (the frame is only 10.2 MiB).
 pub fn fig17(_scale: Scale) -> Vec<Row> {
     let t = TiledViz::paper();
-    let requests: Vec<ListRequest> = (0..t.clients())
-        .map(|k| t.request_for(k).expect("valid tile request"))
-        .collect();
+    let requests = per_client(t.clients(), |k| t.request_for(k));
     let open_close = metadata_rtt_ns(&CostConfig::paper_default()) as f64 / 1e9;
     let mut rows = Vec::new();
     for method in Method::PAPER {
@@ -336,15 +312,14 @@ pub fn fig17(_scale: Scale) -> Vec<Row> {
             ("read", outcome.seconds),
             ("close", open_close),
         ] {
-            rows.push(Row {
-                figure: "fig17",
-                panel: phase.to_string(),
-                series: method.name().to_string(),
-                x: t.clients(),
-                seconds,
-                requests: outcome.requests,
-                wire_bytes: outcome.wire_bytes,
-            });
+            let point = RunOutcome { seconds, ..outcome };
+            rows.push(row(
+                "fig17",
+                phase.into(),
+                method.name(),
+                t.clients(),
+                point,
+            ));
         }
     }
     rows
@@ -355,80 +330,46 @@ pub fn fig17(_scale: Scale) -> Vec<Row> {
 /// request count stays constant as fragmentation grows, which pays off
 /// most on writes where each round stalls on the write acknowledgement.
 pub fn ext_datatype(scale: Scale) -> Vec<Row> {
-    let mut rows = Vec::new();
-    let clients = *scale.cyclic_clients().first().unwrap();
-    for &accesses in scale.cyclic_accesses() {
-        let pattern = Cyclic {
-            clients,
-            accesses_per_client: accesses,
-            aggregate_bytes: scale.cyclic_aggregate(),
-        };
-        let requests: Vec<ListRequest> = (0..clients)
-            .map(|k| pattern.request_for(k).expect("valid pattern"))
-            .collect();
-        for (kind, warm) in [(IoKind::Read, true), (IoKind::Write, false)] {
-            for method in [Method::Multiple, Method::List, Method::Datatype] {
-                let outcome = run_method(&requests, kind, method, pattern.file_size(), warm);
-                rows.push(art_row(
-                    "ext-datatype",
-                    format!("{clients} clients {kind:?}"),
-                    method,
-                    accesses,
-                    outcome,
-                ));
-            }
-        }
-    }
-    rows
+    let methods: &[Method] = &[Method::Multiple, Method::List, Method::Datatype];
+    let runs = [(IoKind::Read, methods), (IoKind::Write, methods)];
+    let (first, counts) = (&scale.cyclic_panels()[..1], scale.accesses());
+    sweep("ext-datatype", Pattern::Cyclic, first, counts, &runs)
 }
 
 /// Extension experiment — hybrid list+sieving (§5 future work) across
 /// gap densities on a clustered pattern.
 pub fn ext_hybrid(scale: Scale) -> Vec<Row> {
     let mut rows = Vec::new();
-    let n_clusters = match scale {
-        Scale::Quick => 64,
-        _ => 512,
+    let n_clusters = if scale == Scale::Quick { 64 } else { 512 };
+    let auto = MethodConfig {
+        hybrid_auto: true,
+        ..MethodConfig::paper_default()
     };
     for gap in [64u64, 512, 4096] {
         let (file, end) = clusters(n_clusters, gap);
         let file_size = end + 4096;
         let requests = vec![ListRequest::gather(file)];
+        let panel = format!("intra-cluster gap {gap} B");
         for method in [Method::DataSieving, Method::List, Method::Hybrid] {
             let outcome = run_method(&requests, IoKind::Read, method, file_size, true);
-            rows.push(Row {
-                figure: "ext-hybrid",
-                panel: format!("intra-cluster gap {gap} B"),
-                series: method.name().to_string(),
-                x: gap,
-                seconds: outcome.seconds,
-                requests: outcome.requests,
-                wire_bytes: outcome.wire_bytes,
-            });
+            rows.push(row(
+                "ext-hybrid",
+                panel.clone(),
+                method.name(),
+                gap,
+                outcome,
+            ));
         }
         // Auto-tuned hybrid: derives its gap threshold from the request.
-        {
-            let outcome = run_method_configured(
-                &requests,
-                IoKind::Read,
-                Method::Hybrid,
-                file_size,
-                true,
-                &MethodConfig {
-                    hybrid_auto: true,
-                    ..MethodConfig::paper_default()
-                },
-            );
-            rows.push(Row {
-                figure: "ext-hybrid",
-                panel: format!("intra-cluster gap {gap} B"),
-                series: "Hybrid I/O (auto)".to_string(),
-                x: gap,
-                seconds: outcome.seconds,
-                requests: outcome.requests,
-                wire_bytes: outcome.wire_bytes,
-            });
-        }
+        let outcome = run_method_configured(
+            &requests,
+            IoKind::Read,
+            Method::Hybrid,
+            file_size,
+            true,
+            &auto,
+        );
+        rows.push(row("ext-hybrid", panel, "Hybrid I/O (auto)", gap, outcome));
     }
     rows
 }
@@ -473,7 +414,7 @@ pub fn ablation() -> Vec<Row> {
         let warm = kind == IoKind::Read;
         let requests = std::slice::from_ref(request);
         let outcome = run_method_configured(requests, kind, method, file_size, warm, &cfg);
-        rows.push(art_row("ablation", panel.into(), method, x, outcome));
+        rows.push(row("ablation", panel.into(), method.name(), x, outcome));
     };
     let paper = MethodConfig::paper_default;
     let writes = strided(8192, 64, 256);
@@ -607,6 +548,14 @@ mod tests {
     fn ablation_matches_the_committed_csv() {
         let committed = include_str!("../../../results/ablation.csv");
         assert_eq!(crate::report::to_csv(&ablation()), committed);
+    }
+
+    /// Fig. 17 ignores its scale: it always runs the paper's frame, so
+    /// its rows are `results/fig17.csv` exactly.
+    #[test]
+    fn fig17_matches_the_committed_csv() {
+        let committed = include_str!("../../../results/fig17.csv");
+        assert_eq!(crate::report::to_csv(&fig17(Scale::Quick)), committed);
     }
 
     #[test]

@@ -14,19 +14,20 @@ pub mod figures;
 pub mod plot;
 pub mod report;
 
-pub use figures::{fig10, fig11, fig12, fig15, fig17, fig9, Scale};
+pub use figures::{fig10, fig11, fig12, fig15, fig17, fig9, Runner, Scale};
 pub use plot::render_bars;
 pub use report::{render_table, write_csv, Row};
 
-/// Every figure the `figures` binary runs, in the order `all` runs them.
-pub const FIGURES: [&str; 9] = [
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig15",
-    "fig17",
-    "ext-datatype",
-    "ext-hybrid",
-    "ablation",
+/// Every figure the `figures` binary runs, by name, in the order `all`
+/// runs them. `ablation` runs the same grid at every scale.
+pub const FIGURES: [(&str, Runner); 9] = [
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig15", fig15),
+    ("fig17", fig17),
+    ("ext-datatype", figures::ext_datatype),
+    ("ext-hybrid", figures::ext_hybrid),
+    ("ablation", |_| figures::ablation()),
 ];

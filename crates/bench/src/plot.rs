@@ -6,7 +6,7 @@
 //! magnitude relationships — the thing the reproduction is about —
 //! visible at a glance in `figures` output and in CI logs.
 
-use crate::report::Row;
+use crate::report::{panels, Row};
 use std::fmt::Write as _;
 
 /// Width of the bar area in characters.
@@ -20,24 +20,11 @@ const BAR_WIDTH: usize = 48;
 /// two-thirds of the width on a three-decade panel.
 pub fn render_bars(rows: &[Row]) -> String {
     let mut out = String::new();
-    let mut panels: Vec<&str> = Vec::new();
-    for r in rows {
-        if !panels.contains(&r.panel.as_str()) {
-            panels.push(&r.panel);
-        }
-    }
-    for panel in panels {
+    for panel in panels(rows) {
         let panel_rows: Vec<&Row> = rows.iter().filter(|r| r.panel == panel).collect();
-        let min = panel_rows
-            .iter()
-            .map(|r| r.seconds)
-            .fold(f64::INFINITY, f64::min)
-            .max(1e-9);
-        let max = panel_rows
-            .iter()
-            .map(|r| r.seconds)
-            .fold(0.0f64, f64::max)
-            .max(min * 1.0001);
+        let seconds = panel_rows.iter().map(|r| r.seconds);
+        let min = seconds.clone().fold(f64::INFINITY, f64::min).max(1e-9);
+        let max = seconds.fold(0.0f64, f64::max).max(min * 1.0001);
         let decades = (max / min).log10().max(0.1);
         let _ = writeln!(
             out,

@@ -22,6 +22,17 @@ pub struct Row {
     pub wire_bytes: u64,
 }
 
+/// The panels of `rows`, each once, in the order they first appear.
+pub(crate) fn panels(rows: &[Row]) -> Vec<&str> {
+    let mut panels: Vec<&str> = Vec::new();
+    for r in rows {
+        if !panels.contains(&r.panel.as_str()) {
+            panels.push(&r.panel);
+        }
+    }
+    panels
+}
+
 /// Rows as CSV text, header first.
 pub(crate) fn to_csv(rows: &[Row]) -> String {
     let mut out = String::from("figure,panel,series,x,seconds,requests,wire_bytes\n");
@@ -46,11 +57,7 @@ pub fn write_csv(rows: &[Row], path: &Path) -> std::io::Result<()> {
 /// Render rows as an aligned text table grouped by panel.
 pub fn render_table(rows: &[Row]) -> String {
     let mut out = String::new();
-    let mut panels: Vec<&str> = rows.iter().map(|r| r.panel.as_str()).collect();
-    panels.dedup();
-    let mut seen = std::collections::HashSet::new();
-    panels.retain(|p| seen.insert(*p));
-    for panel in panels {
+    for panel in panels(rows) {
         let _ = writeln!(out, "--- {} / {panel} ---", rows[0].figure);
         let _ = writeln!(
             out,

@@ -2,13 +2,17 @@
 //! name, `--test`/`--example`/`--bin` target, repo path and
 //! `DESIGN §<id>` that README, DESIGN, EXPERIMENTS, the verify skill,
 //! ROADMAP or CI names resolves, as does every lint they cite (a CI
-//! step or a tombstone row), and every number in EXPERIMENTS.md's
+//! step or a tombstone row), every number in EXPERIMENTS.md's
 //! per-figure and ablation tables is its `results-paper/*.csv` row at
-//! the precision shown.
+//! the precision shown, and every number DESIGN's calibration line
+//! quotes is a default the simulator runs.
 
 mod repo;
 
 use pvfs_bench::FIGURES;
+use pvfs_disk::CacheConfig;
+use pvfs_sim::SimCluster;
+use pvfs_types::ServerId;
 use repo::{read, root, rows, TABLE};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -130,7 +134,7 @@ fn every_quoted_figure_and_target_exists() {
     let mut wrong = Vec::new();
     for (file, text) in commands() {
         for name in figure_names(&text) {
-            if name != "all" && !FIGURES.contains(&name) {
+            if name != "all" && !FIGURES.iter().any(|(known, _)| *known == name) {
                 wrong.push(format!("{file}: `figures {name}`: no such figure"));
             }
         }
@@ -504,4 +508,63 @@ fn every_cited_lint_exists() {
         }
     }
     assert!(wrong.is_empty(), "{}", wrong.join("\n"));
+}
+
+/// DESIGN §4d's calibration line quotes what the simulator runs: each
+/// of its numbers is one the paper-default cluster's cost model or
+/// cache is built with, and it quotes no other.
+#[test]
+fn the_calibration_line_quotes_the_defaults() {
+    let design = read("DESIGN.md");
+    let mut lines = design
+        .lines()
+        .skip_while(|l| !l.starts_with("* **Calibration**"));
+    let head = lines.next().expect("DESIGN §4d has a calibration line");
+    let bullet: Vec<&str> = [head]
+        .into_iter()
+        .chain(lines.take_while(|l| l.starts_with("  ")))
+        .collect();
+    let flat = bullet
+        .join(" ")
+        .split_whitespace()
+        .collect::<Vec<_>>()
+        .join(" ");
+    let sim = SimCluster::paper_default();
+    let (cost, cache) = (sim.cost(), sim.daemon(ServerId(0)).config().cache);
+    let rate = cost.net.bandwidth_bps as f64;
+    let quoted = [
+        format!("{} Mb/s", rate * 8.0 / 1e6),
+        format!("({} MB/s", rate / 1e6),
+        format!("{} µs latency", cost.net.latency_ns / 1_000),
+        format!(
+            "{} ms write-ACK stall",
+            cost.net.write_ack_stall_ns / 1_000_000
+        ),
+        format!("{} µs per request", cost.server.per_request_ns / 1_000),
+        format!("{} µs per region", cost.server.per_region_ns / 1_000),
+        format!("{} µs per access", cost.server.per_access_ns / 1_000),
+        format!(
+            "{} MiB",
+            (cache.capacity_blocks as u64 * cache.block_size) >> 20
+        ),
+    ];
+    for phrase in &quoted {
+        assert!(
+            flat.contains(phrase),
+            "DESIGN §4d does not say {phrase:?}: {flat}"
+        );
+    }
+    assert_eq!(
+        cache,
+        CacheConfig::paper_default(),
+        "the cache is not the paper's"
+    );
+    let numbers = flat
+        .split(|c: char| !c.is_ascii_digit() && c != '.')
+        .filter(|w| w.starts_with(|c: char| c.is_ascii_digit()));
+    assert_eq!(
+        numbers.count(),
+        quoted.len(),
+        "a number in {flat:?} is not checked"
+    );
 }

@@ -76,6 +76,27 @@ impl PieceBatch {
         }
         self.data.extend_from_slice(bytes);
     }
+
+    /// Append the file `region`, its bytes read from `from` where `map`
+    /// places them.
+    fn gather(&mut self, map: &PieceMap, region: Region, from: &[u8]) {
+        let mut at = region.offset;
+        map.for_each_slice(region, |m| {
+            let bytes = &from[m.offset as usize..m.end() as usize];
+            self.push(Region::new(at, m.len), bytes);
+            at += m.len;
+        });
+    }
+}
+
+/// Copy the file `region`'s bytes, which `from` opens with, to where
+/// `map` places them in `to`.
+fn place(map: &PieceMap, region: Region, mut from: &[u8], to: &mut [u8]) {
+    map.for_each_slice(region, |m| {
+        let (bytes, rest) = from.split_at(m.len as usize);
+        to[m.offset as usize..m.end() as usize].copy_from_slice(bytes);
+        from = rest;
+    });
 }
 
 /// One rank's handle on a collectively-accessed PVFS file.
@@ -95,18 +116,13 @@ impl CollectiveFile {
         layout: StripeLayout,
         comm: Communicator,
     ) -> PvfsResult<CollectiveFile> {
-        let file = if comm.rank() == 0 {
-            let res = PvfsFile::create(client, path, layout);
-            comm.allgather(res.is_ok());
-            res?
-        } else {
-            let flags = comm.allgather(true);
-            if !flags[0] {
-                return Err(PvfsError::protocol(format!(
-                    "collective create of {path:?} failed on rank 0"
-                )));
-            }
-            PvfsFile::open(client, path)?
+        let created = match comm.rank() {
+            0 => PvfsFile::create(client, path, layout).map(Some),
+            _ => Ok(None),
+        };
+        let file = match agree(&comm, created, &format!("collective create of {path:?}"))? {
+            Some(file) => file,
+            None => PvfsFile::open(client, path)?,
         };
         Ok(CollectiveFile {
             file,
@@ -173,87 +189,7 @@ impl CollectiveFile {
         file: &RegionList,
         buf: &[u8],
     ) -> PvfsResult<ExecReport> {
-        let comm_before = self.comm.stats();
-        // One trace per collective call: the two-phase segments land as
-        // phase_* spans under this root, alongside the separate
-        // "execute" trees the inner list plans open for their rounds.
-        let mut phases = Phases::begin(self.file.client(), "write_all");
-        let local = validate_local(mem, file, buf.len());
-        phases.close("phase_plan");
-        // First collective: share every rank's file list (and argument
-        // validity, so a bad rank aborts the group instead of hanging
-        // it).
-        let shared: Vec<(RegionList, bool)> = self.comm.allgather((file.clone(), local.is_ok()));
-        phases.close("phase_exchange");
-        if shared.iter().any(|(_, ok)| !ok) {
-            local?;
-            return Err(PvfsError::invalid(
-                "collective write aborted: invalid arguments on another rank",
-            ));
-        }
-        let map = local.expect("checked above");
-        let all_files: Vec<RegionList> = shared.into_iter().map(|(f, _)| f).collect();
-        let dmap = DomainMap::new(self.file.layout(), self.comm.size(), &self.config)?;
-
-        // Exchange phase: cut this rank's file regions at stripe
-        // boundaries and ship each segment's bytes, gathered through the
-        // piece map, to the aggregator owning its slot.
-        let mut outbound: Vec<PieceBatch> = (0..dmap.aggregators())
-            .map(|_| PieceBatch::default())
-            .collect();
-        let layout = self.file.layout();
-        for f in file.iter() {
-            for seg in layout.segments(*f) {
-                let batch = &mut outbound[dmap.aggregator_of_slot(seg.slot)];
-                let mut at = seg.logical.offset;
-                map.for_each_slice(seg.logical, |m| {
-                    let src = m.offset as usize..m.end() as usize;
-                    batch.push(Region::new(at, m.len), &buf[src]);
-                    at += m.len;
-                });
-            }
-        }
-        let outbox = outbound
-            .into_iter()
-            .enumerate()
-            .filter(|(_, b)| !b.regions.is_empty())
-            .map(|(agg, b)| Envelope {
-                peer: agg,
-                bytes: b.wire_bytes(),
-                msg: b,
-            })
-            .collect();
-        phases.close("phase_plan");
-        let inbox = self.comm.exchange::<PieceBatch>(outbox);
-        phases.close("phase_exchange");
-
-        // I/O phase (aggregator ranks only): merge received pieces per
-        // stripe slot, stage one cb_buffer window at a time, write each
-        // window with one single-daemon list plan.
-        let mut report = ExecReport::default();
-        let result = if self.comm.rank() < dmap.aggregators() {
-            let written = self.aggregate_write(&dmap, &all_files, &inbox, &mut report);
-            phases.close("phase_wire");
-            written
-        } else {
-            Ok(())
-        };
-
-        // Completion collective: every rank learns whether every domain
-        // landed (and no rank outruns the writes).
-        let flags = self.comm.allgather(result.is_ok());
-        phases.close("phase_exchange");
-        result?;
-        if !flags.iter().all(|ok| *ok) {
-            return Err(PvfsError::protocol(
-                "collective write failed on another rank",
-            ));
-        }
-        let comm_delta = self.comm.stats().since(&comm_before);
-        report.exchange_bytes = comm_delta.bytes_sent;
-        report.exchange_msgs = comm_delta.msgs_sent;
-        phases.finish(self.file.client());
-        Ok(report)
+        self.two_phase(mem, file, Order::Write(buf))
     }
 
     /// Collective noncontiguous read into `buf`. The mirror image of
@@ -265,80 +201,123 @@ impl CollectiveFile {
         file: &RegionList,
         buf: &mut [u8],
     ) -> PvfsResult<ExecReport> {
+        self.two_phase(mem, file, Order::Read(buf))
+    }
+
+    /// The collective call in either `order`: argument checks and the
+    /// allgather that aborts every rank, the domain map, the I/O phase,
+    /// the verdict, the exchange and the report's exchange counts.
+    fn two_phase(
+        &mut self,
+        mem: &RegionList,
+        file: &RegionList,
+        order: Order,
+    ) -> PvfsResult<ExecReport> {
         let comm_before = self.comm.stats();
-        let mut phases = Phases::begin(self.file.client(), "read_all");
-        let local = validate_local(mem, file, buf.len());
+        let (verb, buf_len) = match &order {
+            Order::Write(buf) => ("write", buf.len()),
+            Order::Read(buf) => ("read", buf.len()),
+        };
+        // One trace per collective call: the two-phase segments land as
+        // phase_* spans under this root, alongside the separate
+        // "execute" trees the inner list plans open for their rounds.
+        let mut phases = Phases::begin(self.file.client(), &format!("{verb}_all"));
+        let local = validate_local(mem, file, buf_len);
         phases.close("phase_plan");
+        // First collective: share every rank's file list (and argument
+        // validity, so a bad rank aborts the group instead of hanging
+        // it).
         let shared: Vec<(RegionList, bool)> = self.comm.allgather((file.clone(), local.is_ok()));
         phases.close("phase_exchange");
         if shared.iter().any(|(_, ok)| !ok) {
             local?;
-            return Err(PvfsError::invalid(
-                "collective read aborted: invalid arguments on another rank",
-            ));
+            return Err(PvfsError::invalid(format!(
+                "collective {verb} aborted: invalid arguments on another rank"
+            )));
         }
         let map = local.expect("checked above");
         let all_files: Vec<RegionList> = shared.into_iter().map(|(f, _)| f).collect();
         let dmap = DomainMap::new(self.file.layout(), self.comm.size(), &self.config)?;
-        phases.close("phase_plan");
 
-        // I/O phase (aggregators): read each domain window once, carve
-        // the staging buffer into per-rank batches.
-        let mut report = ExecReport::default();
-        let mut outbound: Vec<PieceBatch> = (0..self.comm.size())
-            .map(|_| PieceBatch::default())
-            .collect();
-        let result = if self.comm.rank() < dmap.aggregators() {
-            let read = self.aggregate_read(&dmap, &all_files, &mut outbound, &mut report);
-            phases.close("phase_wire");
-            read
-        } else {
-            Ok(())
+        // A write's exchange comes first: cut this rank's file regions
+        // at stripe boundaries and ship each segment's bytes, gathered
+        // through the piece map, to the aggregator owning its slot.
+        let inbox = match &order {
+            Order::Write(buf) => {
+                let (layout, mut outbound) = (self.file.layout(), batches(dmap.aggregators()));
+                for seg in file.iter().flat_map(|f| layout.segments(*f)) {
+                    outbound[dmap.aggregator_of_slot(seg.slot)].gather(&map, seg.logical, buf);
+                }
+                phases.close("phase_plan");
+                let inbox = self.exchange(outbound);
+                phases.close("phase_exchange");
+                Some(inbox)
+            }
+            Order::Read(_) => {
+                phases.close("phase_plan");
+                None
+            }
         };
 
-        // Outcome collective *before* the scatter: if any domain read
-        // failed no rank enters the exchange, and every rank returns an
-        // error instead of scattering partial data.
-        let flags = self.comm.allgather(result.is_ok());
-        phases.close("phase_exchange");
-        result?;
-        if !flags.iter().all(|ok| *ok) {
-            return Err(PvfsError::protocol(
-                "collective read failed on another rank",
-            ));
-        }
+        // I/O phase (aggregator ranks only), one cb_buffer window at a
+        // time: a write merges what it received into each window and
+        // writes it, a read reads each window into per-rank batches.
+        let mut report = ExecReport::default();
+        let scatter = if self.comm.rank() < dmap.aggregators() {
+            let done = match &inbox {
+                Some(inbox) => self
+                    .aggregate_write(&dmap, &all_files, inbox, &mut report)
+                    .map(|()| Vec::new()),
+                None => self.aggregate_read(&dmap, &all_files, &mut report),
+            };
+            phases.close("phase_wire");
+            done
+        } else {
+            Ok(Vec::new())
+        };
 
-        // Exchange phase: aggregators scatter, every rank lands its
-        // pieces through the request's piece map.
-        let outbox = outbound
-            .into_iter()
-            .enumerate()
-            .filter(|(_, b)| !b.regions.is_empty())
-            .map(|(rank, b)| Envelope {
-                peer: rank,
-                bytes: b.wire_bytes(),
-                msg: b,
-            })
-            .collect();
-        let inbox = self.comm.exchange::<PieceBatch>(outbox);
+        // The verdict: every rank learns whether every domain landed (and
+        // no rank outruns the writes); a read decides before its
+        // scatter, so no rank scatters partial data.
+        let verdict = agree(&self.comm, scatter, &format!("collective {verb}"));
         phases.close("phase_exchange");
-        for env in inbox {
-            let batch: PieceBatch = env.msg;
-            let mut doff = 0usize;
-            for r in &batch.regions {
-                map.for_each_slice(*r, |s| {
-                    let (o, l) = (s.offset as usize, s.len as usize);
-                    buf[o..o + l].copy_from_slice(&batch.data[doff..doff + l]);
-                    doff += l;
-                });
+        let scatter = verdict?;
+
+        // A read's exchange comes last: aggregators scatter, every rank
+        // lands its pieces through the request's piece map.
+        if let Order::Read(buf) = order {
+            let inbox = self.exchange(scatter);
+            phases.close("phase_exchange");
+            for batch in inbox.iter().map(|env| &env.msg) {
+                let mut doff = 0usize;
+                for r in &batch.regions {
+                    place(&map, *r, &batch.data[doff..], buf);
+                    doff += r.len as usize;
+                }
             }
+            phases.close("phase_merge");
         }
-        phases.close("phase_merge");
         let comm_delta = self.comm.stats().since(&comm_before);
         report.exchange_bytes = comm_delta.bytes_sent;
         report.exchange_msgs = comm_delta.msgs_sent;
         phases.finish(self.file.client());
         Ok(report)
+    }
+
+    /// Send each non-empty batch to the rank at its index, in one
+    /// `exchange`.
+    fn exchange(&self, outbound: Vec<PieceBatch>) -> Vec<Envelope<PieceBatch>> {
+        let outbox = outbound
+            .into_iter()
+            .enumerate()
+            .filter(|(_, b)| !b.regions.is_empty())
+            .map(|(peer, b)| Envelope {
+                peer,
+                bytes: b.wire_bytes(),
+                msg: b,
+            })
+            .collect();
+        self.comm.exchange::<PieceBatch>(outbox)
     }
 
     /// Aggregator write half: bucket received segments per stripe slot
@@ -374,19 +353,12 @@ impl CollectiveFile {
         for (slot, wlist) in dmap.slot_lists(agg, all_files) {
             let pieces = slot_pieces.get(&slot).map(Vec::as_slice).unwrap_or(&[]);
             for window in windows(&wlist, self.config.cb_buffer) {
-                let (staged, place, extent) = staging(&window)?;
-                let mut staging = vec![0u8; staged.total_len() as usize];
+                let (staged, map, extent, mut staging) = staging(&window)?;
                 for (pr, bi, doff) in pieces {
                     if !extent.contains(*pr) {
                         continue; // belongs to another window of this slot
                     }
-                    let mut src = *doff;
-                    place.for_each_slice(*pr, |s| {
-                        let n = s.len as usize;
-                        staging[s.offset as usize..s.end() as usize]
-                            .copy_from_slice(&inbox[*bi].msg.data[src..src + n]);
-                        src += n;
-                    });
+                    place(&map, *pr, &inbox[*bi].msg.data[*doff..], &mut staging);
                 }
                 let w = self
                     .file
@@ -403,10 +375,10 @@ impl CollectiveFile {
         &mut self,
         dmap: &DomainMap,
         all_files: &[RegionList],
-        outbound: &mut [PieceBatch],
         report: &mut ExecReport,
-    ) -> PvfsResult<()> {
+    ) -> PvfsResult<Vec<PieceBatch>> {
         let agg = self.comm.rank();
+        let mut outbound = batches(all_files.len());
         let layout = self.file.layout();
         // Which segments of my domain each rank asked for, per slot.
         let mut rank_segs: Vec<Vec<(u32, Region)>> = vec![Vec::new(); all_files.len()];
@@ -421,8 +393,7 @@ impl CollectiveFile {
         }
         for (slot, wlist) in dmap.slot_lists(agg, all_files) {
             for window in windows(&wlist, self.config.cb_buffer) {
-                let (staged, place, extent) = staging(&window)?;
-                let mut staging = vec![0u8; staged.total_len() as usize];
+                let (staged, map, extent, mut staging) = staging(&window)?;
                 let r = self
                     .file
                     .read_list(&staged, &window, &mut staging, Method::List)?;
@@ -432,18 +403,41 @@ impl CollectiveFile {
                         if *s != slot || !extent.contains(*reg) {
                             continue;
                         }
-                        let mut at = reg.offset;
-                        place.for_each_slice(*reg, |held| {
-                            let src = held.offset as usize..held.end() as usize;
-                            outbound[rank].push(Region::new(at, held.len), &staging[src]);
-                            at += held.len;
-                        });
+                        outbound[rank].gather(&map, *reg, &staging);
                     }
                 }
             }
         }
-        Ok(())
+        Ok(outbound)
     }
+}
+
+/// Which way a collective call moves data, and so the order of its
+/// phases: a write exchanges, then writes at the aggregators; a read
+/// reads at the aggregators, then exchanges.
+enum Order<'a> {
+    Write(&'a [u8]),
+    Read(&'a mut [u8]),
+}
+
+/// `n` empty batches, one per peer.
+fn batches(n: usize) -> Vec<PieceBatch> {
+    (0..n).map(|_| PieceBatch::default()).collect()
+}
+
+/// A collective step's verdict, allgathered: either every rank of
+/// `comm` returns `Ok` or every rank returns an error (its own, or that
+/// `what` failed on another rank), and no rank is left blocked in a
+/// collective the others abandoned.
+fn agree<T>(comm: &Communicator, result: PvfsResult<T>, what: &str) -> PvfsResult<T> {
+    let flags = comm.allgather(result.is_ok());
+    let value = result?;
+    if !flags.iter().all(|ok| *ok) {
+        return Err(PvfsError::protocol(format!(
+            "{what} failed on another rank"
+        )));
+    }
+    Ok(value)
 }
 
 /// The two-phase segments of one collective call, as `phase_*` spans
@@ -497,14 +491,19 @@ fn validate_local(mem: &RegionList, file: &RegionList, buf_len: usize) -> PvfsRe
 }
 
 /// An aggregator's staging for one window: the buffer's one contiguous
-/// region, the map placing the window's regions in it end to end, and
-/// the window's extent — a piece belongs to the window whose extent
-/// holds it.
-fn staging(window: &RegionList) -> PvfsResult<(RegionList, PieceMap, Region)> {
+/// region, the map placing the window's regions in it end to end, the
+/// window's extent — a piece belongs to the window whose extent holds
+/// it — and the zeroed buffer.
+fn staging(window: &RegionList) -> PvfsResult<(RegionList, PieceMap, Region, Vec<u8>)> {
     let staged = RegionList::contiguous(0, window.total_len());
     let place = PieceMap::new(&staged, window)?;
     let extent = window.extent().expect("a window holds at least one region");
-    Ok((staged, place, extent))
+    Ok((
+        staged,
+        place,
+        extent,
+        vec![0u8; window.total_len() as usize],
+    ))
 }
 
 #[cfg(test)]

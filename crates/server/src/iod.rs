@@ -347,27 +347,8 @@ impl IoDaemon {
     /// (`pvfs_types::trace::with_span_sink`), what it did: `storage:read`,
     /// `storage:write`, and through the ledger `journal:fsync`.
     pub fn handle_with(&self, request: &Request, scratch: &mut Scratch) -> Response {
-        // Stats scrapes answer before any counter moves: a monitoring
-        // poll must observe the daemon, not perturb it, so the snapshot
-        // a client scrapes equals the in-process snapshot byte for
-        // byte. ResetStats hands back the counters it is about to zero.
-        match request {
-            Request::GetStats => return Response::Stats(Box::new(self.ledger.snapshot())),
-            Request::ResetStats => {
-                let snap = self.ledger.snapshot();
-                self.ledger.reset();
-                return Response::Stats(Box::new(snap));
-            }
-            // Same contract as GetStats: answer before any counter moves,
-            // and reading the ring clones spans without consuming or
-            // reordering them — scraping a trace never perturbs it.
-            Request::GetTrace { trace } => return Response::Spans(self.recorder.for_trace(*trace)),
-            _ => {}
-        }
-        self.ledger.requests.fetch_add(1, Ordering::Relaxed);
-        self.dispatch(request, scratch).unwrap_or_else(|e| {
-            self.ledger.errors.fetch_add(1, Ordering::Relaxed);
-            Response::Error(e)
+        crate::answer(request, &self.ledger, &self.recorder, || {
+            self.dispatch(request, scratch)
         })
     }
 

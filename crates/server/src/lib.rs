@@ -25,3 +25,37 @@ pub mod manager;
 
 pub use iod::{default_workers, IoDaemon, IodConfig, Scratch};
 pub use manager::Manager;
+
+use pvfs_proto::{Request, Response};
+use pvfs_types::{FlightRecorder, Ledger, PvfsError};
+use std::sync::atomic::Ordering;
+
+/// Answer `request` for a daemon keeping `ledger` and `recorder`: a
+/// scrape from them before any counter moves — a poll observes the
+/// daemon without perturbing it, `ResetStats` hands back what it zeroes,
+/// and reading the ring clones spans — anything else from `dispatch`,
+/// counted. Allocates only a scrape's reply: it is on the data path.
+fn answer(
+    request: &Request,
+    ledger: &Ledger,
+    recorder: &FlightRecorder,
+    dispatch: impl FnOnce() -> Result<Response, PvfsError>,
+) -> Response {
+    let snapshot = || Response::Stats(Box::new(ledger.snapshot()));
+    match request {
+        Request::GetStats => snapshot(),
+        Request::ResetStats => {
+            let snap = snapshot();
+            ledger.reset();
+            snap
+        }
+        Request::GetTrace { trace } => Response::Spans(recorder.for_trace(*trace)),
+        _ => {
+            ledger.requests.fetch_add(1, Ordering::Relaxed);
+            dispatch().unwrap_or_else(|e| {
+                ledger.errors.fetch_add(1, Ordering::Relaxed);
+                Response::Error(e)
+            })
+        }
+    }
+}

@@ -17,7 +17,6 @@ use pvfs_proto::{Request, Response};
 use pvfs_types::FlightRecorder;
 use pvfs_types::{FileHandle, Ledger, PvfsError, StripeLayout};
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 #[derive(Debug, Clone)]
@@ -100,30 +99,9 @@ impl Manager {
 
     /// Serve one metadata request.
     pub fn handle(&self, request: &Request) -> Response {
-        // Stats scrapes answer before any counter moves, so a scraped
-        // snapshot equals the in-process one byte for byte.
-        match request {
-            Request::GetStats => return Response::Stats(Box::new(self.ledger.snapshot())),
-            Request::ResetStats => {
-                let snap = self.ledger.snapshot();
-                self.ledger.reset();
-                return Response::Stats(Box::new(snap));
-            }
-            Request::GetTrace { trace } => {
-                // Joins GetStats under the observer-effect guarantee:
-                // unaccounted, and reading the ring is a pure clone.
-                return Response::Spans(self.recorder.for_trace(*trace));
-            }
-            _ => {}
-        }
-        self.ledger.requests.fetch_add(1, Ordering::Relaxed);
-        match self.namespace().dispatch(request) {
-            Ok(resp) => resp,
-            Err(e) => {
-                self.ledger.errors.fetch_add(1, Ordering::Relaxed);
-                Response::Error(e)
-            }
-        }
+        crate::answer(request, &self.ledger, &self.recorder, || {
+            self.namespace().dispatch(request)
+        })
     }
 }
 

@@ -122,25 +122,8 @@ impl SimCluster {
     /// Pre-load file content outside simulated time (test/bench setup
     /// for read experiments).
     pub fn seed_file(&mut self, handle: FileHandle, layout: &StripeLayout, content: &[u8]) {
-        let region = Region::new(0, content.len() as u64);
-        for slot in 0..layout.pcount {
-            let server = layout.server_at_slot(slot);
-            let share: Vec<u8> = layout
-                .segments(region)
-                .filter(|s| s.slot == slot)
-                .flat_map(|s| content[s.logical.offset as usize..s.logical.end() as usize].to_vec())
-                .collect();
-            if share.is_empty() {
-                continue;
-            }
-            let (resp, _) = self.daemons[server.index()].handle(&Request::Write {
-                handle,
-                layout: *layout,
-                region,
-                data: Bytes::from(share),
-            });
-            assert!(matches!(resp, Response::Written { .. }), "seed failed");
-        }
+        let whole = Region::new(0, content.len() as u64);
+        self.seed(handle, layout, whole, content);
     }
 
     /// Warm-seed a file: write zeros across `[0, len)` and flush, so
@@ -151,25 +134,9 @@ impl SimCluster {
     pub fn seed_warm(&mut self, handle: FileHandle, layout: &StripeLayout, len: u64) {
         const CHUNK: u64 = 1 << 20;
         let zeros = vec![0u8; CHUNK as usize];
-        let mut off = 0;
-        while off < len {
-            let n = CHUNK.min(len - off);
-            let region = Region::new(off, n);
-            for server in layout.servers_touched(region) {
-                let slot = layout.slot_of_server(server).expect("in layout");
-                let share = layout.bytes_on_slot(region, slot);
-                if share == 0 {
-                    continue;
-                }
-                let (resp, _) = self.daemons[server.index()].handle(&Request::Write {
-                    handle,
-                    layout: *layout,
-                    region,
-                    data: Bytes::from(zeros[..share as usize].to_vec()),
-                });
-                assert!(matches!(resp, Response::Written { .. }), "seed_warm failed");
-            }
-            off += n;
+        for off in (0..len).step_by(CHUNK as usize) {
+            let region = Region::new(off, CHUNK.min(len - off));
+            self.seed(handle, layout, region, &zeros);
         }
         for d in &mut self.daemons {
             d.flush_handle(handle);
@@ -178,60 +145,71 @@ impl SimCluster {
 
     /// Pre-extend a file with zeros up to `len` bytes outside simulated
     /// time — cheap setup for paper-scale read workloads where content
-    /// is irrelevant to timing.
+    /// is irrelevant to timing: one byte, the last of `[0, len)` each
+    /// slot holds.
     pub fn seed_extent(&mut self, handle: FileHandle, layout: &StripeLayout, len: u64) {
-        if len == 0 {
-            return;
-        }
         for slot in 0..layout.pcount {
-            let server = layout.server_at_slot(slot);
-            // Write a single byte at each server's last local offset.
-            let mut last: Option<u64> = None;
-            // The last stripe this slot owns below `len`.
-            let last_stripe = (len - 1) / layout.ssize;
-            for g in (0..=last_stripe).rev() {
-                if (g % layout.pcount as u64) as u32 == slot {
-                    let start = g * layout.ssize;
-                    let end = (start + layout.ssize).min(len);
-                    let (_, local) = layout.to_local(end - 1);
-                    last = Some(local);
-                    break;
-                }
+            let last = layout
+                .segments(Region::new(0, len))
+                .filter(|s| s.slot == slot)
+                .last();
+            if let Some(seg) = last {
+                self.seed(handle, layout, Region::new(seg.logical.end() - 1, 1), &[0]);
             }
-            if let Some(local_last) = last {
-                let logical = layout.to_logical(slot, local_last);
-                let (resp, _) = self.daemons[server.index()].handle(&Request::Write {
-                    handle,
-                    layout: *layout,
-                    region: Region::new(logical, 1),
-                    data: Bytes::from(vec![0u8]),
-                });
-                assert!(matches!(resp, Response::Written { .. }));
+        }
+    }
+
+    /// The one share walk seeding writes through, outside simulated
+    /// time: to each slot holding part of `region`, in slot order, one
+    /// `Write` of `region` carrying that part of `content` (which holds
+    /// `region`'s bytes from its start).
+    fn seed(&mut self, handle: FileHandle, layout: &StripeLayout, region: Region, content: &[u8]) {
+        for slot in 0..layout.pcount {
+            let share: Vec<u8> = layout
+                .segments(region)
+                .filter(|s| s.slot == slot)
+                .flat_map(|s| {
+                    let at = (s.logical.offset - region.offset) as usize;
+                    &content[at..at + s.logical.len as usize]
+                })
+                .copied()
+                .collect();
+            if share.is_empty() {
+                continue;
             }
+            let daemon = &self.daemons[layout.server_at_slot(slot).index()];
+            let (resp, _) = daemon.handle(&Request::Write {
+                handle,
+                layout: *layout,
+                region,
+                data: Bytes::from(share),
+            });
+            assert!(matches!(resp, Response::Written { .. }), "seeding failed");
         }
     }
 
     /// Execute all jobs to completion in virtual time; returns the
     /// report and the final user buffers (read results), in job order.
-    /// Server request counts in the report cover this run only (seeding
-    /// is excluded).
+    /// Server request counts and busy times in the report cover this run
+    /// only (seeding is excluded).
     pub fn run(&mut self, jobs: Vec<ClientJob>) -> PvfsResult<(SimReport, Vec<Vec<u8>>)> {
-        let base_requests: Vec<u64> = self
-            .daemons
-            .iter()
-            .map(|d| d.ledger().snapshot().requests)
-            .collect();
-        let base_busy: Vec<u64> = self.server_cpu.iter().map(|r| r.busy_ns()).collect();
+        let (base_requests, base_busy) = self.server_counts();
         let mut engine = Engine::new(self, jobs);
         engine.run()?;
         let (mut report, users) = engine.into_report();
-        for (r, base) in report.server_requests.iter_mut().zip(base_requests) {
-            *r -= base;
-        }
-        for (b, base) in report.server_busy_ns.iter_mut().zip(base_busy) {
-            *b -= base;
-        }
+        let (requests, busy) = self.server_counts();
+        let since =
+            |now: Vec<u64>, base: Vec<u64>| now.iter().zip(base).map(|(n, b)| n - b).collect();
+        report.server_requests = since(requests, base_requests);
+        report.server_busy_ns = since(busy, base_busy);
         Ok((report, users))
+    }
+
+    /// Requests served and CPU time busy so far, per daemon.
+    fn server_counts(&self) -> (Vec<u64>, Vec<u64>) {
+        let requests = self.daemons.iter().map(|d| d.ledger().snapshot().requests);
+        let busy = self.server_cpu.iter().map(FifoResource::busy_ns);
+        (requests.collect(), busy.collect())
     }
 }
 
@@ -273,6 +251,15 @@ struct ClientState {
     report: ClientReport,
     rtt: Histogram,
     done: bool,
+}
+
+impl ClientState {
+    fn bufs(&mut self) -> Buffers<'_> {
+        Buffers {
+            user: &mut self.user,
+            temps: &mut self.temps,
+        }
+    }
 }
 
 struct Engine<'a> {
@@ -361,13 +348,13 @@ impl<'a> Engine<'a> {
                 for wire in ops {
                     // Build the request, gathering real payload bytes
                     // (a read's fragments are counted at scatter time).
-                    let (request, fragments) = {
-                        let bufs = Buffers {
-                            user: &mut state.user,
-                            temps: &mut state.temps,
-                        };
-                        wire_request_into(&wire, handle, &layout, &bufs, BytesMut::with_capacity)
-                    };
+                    let (request, fragments) = wire_request_into(
+                        &wire,
+                        handle,
+                        &layout,
+                        &state.bufs(),
+                        BytesMut::with_capacity,
+                    );
                     let req_control = request.control_wire_size();
                     let req_bulk = request.bulk_len();
                     state.report.bytes_sent += req_bulk;
@@ -411,13 +398,7 @@ impl<'a> Engine<'a> {
             Some(Step::Copy(pairs)) => {
                 let bytes = copy_bytes(&pairs);
                 state.report.copy_bytes += bytes;
-                {
-                    let mut bufs = Buffers {
-                        user: &mut state.user,
-                        temps: &mut state.temps,
-                    };
-                    apply_copies(&pairs, &mut bufs);
-                }
+                apply_copies(&pairs, &mut state.bufs());
                 let (_, end) = state.cpu.acquire(t, cost.client.memcpy_ns(bytes));
                 self.queue.push(end, Ev::Step(c));
                 Ok(())
@@ -501,13 +482,9 @@ impl<'a> Engine<'a> {
         let recv_cpu = match response {
             Response::Data { ref data } => {
                 state.report.bytes_received += data.len() as u64;
-                let layout = state.plan.layout;
-                let mut bufs = Buffers {
-                    user: &mut state.user,
-                    temps: &mut state.temps,
-                };
+                let (op, layout) = (&flight.wire.op, state.plan.layout);
                 let fragments =
-                    scatter_response(&flight.wire.op, &layout, flight.server, data, &mut bufs)?;
+                    scatter_response(op, &layout, flight.server, data, &mut state.bufs())?;
                 fragments * cost.client.per_fragment_ns + cost.client.memcpy_ns(data.len() as u64)
             }
             Response::Written { .. } => 0,
@@ -529,21 +506,8 @@ impl<'a> Engine<'a> {
 
     fn into_report(self) -> (SimReport, Vec<Vec<u8>>) {
         let mut report = SimReport {
-            makespan: SimTime::ZERO,
             clients: Vec::with_capacity(self.clients.len()),
-            server_requests: self
-                .cluster
-                .daemons
-                .iter()
-                .map(|d| d.ledger().snapshot().requests)
-                .collect(),
-            server_busy_ns: self
-                .cluster
-                .server_cpu
-                .iter()
-                .map(|r| r.busy_ns())
-                .collect(),
-            rtt: Histogram::new(),
+            ..SimReport::default()
         };
         let mut users = Vec::with_capacity(self.clients.len());
         for c in self.clients {

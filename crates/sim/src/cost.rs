@@ -67,10 +67,7 @@ pub struct NetCost {
 impl NetCost {
     /// Time for `bytes` to cross one NIC direction.
     pub fn transfer_ns(&self, bytes: u64) -> u64 {
-        if self.bandwidth_bps == 0 {
-            return 0;
-        }
-        ((bytes as u128 * 1_000_000_000) / self.bandwidth_bps as u128) as u64
+        at_rate(bytes, self.bandwidth_bps)
     }
 }
 
@@ -90,11 +87,15 @@ pub struct ClientCost {
 impl ClientCost {
     /// Time to locally copy `bytes`.
     pub fn memcpy_ns(&self, bytes: u64) -> u64 {
-        if self.memcpy_bps == 0 {
-            return 0;
-        }
-        ((bytes as u128 * 1_000_000_000) / self.memcpy_bps as u128) as u64
+        at_rate(bytes, self.memcpy_bps)
     }
+}
+
+/// Nanoseconds to move `bytes` at `bps` bytes per second (free at 0).
+fn at_rate(bytes: u64, bps: u64) -> u64 {
+    (bytes as u128 * 1_000_000_000)
+        .checked_div(bps as u128)
+        .unwrap_or(0) as u64
 }
 
 /// Server-side CPU cost model (the I/O daemon's request loop).
