@@ -100,22 +100,16 @@ pub struct RunOutcome {
 }
 
 /// Run one (method, kind) over a set of per-client requests on the
-/// paper's 8-server cluster with the paper-default method tuning.
+/// paper's 8-server cluster with the paper-default method tuning. A
+/// read runs warm: the daemons' caches hold the file first.
 pub fn run_method(
     requests: &[ListRequest],
     kind: IoKind,
     method: Method,
     file_size: u64,
-    warm: bool,
 ) -> RunOutcome {
-    run_method_configured(
-        requests,
-        kind,
-        method,
-        file_size,
-        warm,
-        &MethodConfig::paper_default(),
-    )
+    let paper = MethodConfig::paper_default();
+    run_method_configured(requests, kind, method, file_size, &paper)
 }
 
 /// [`run_method`] with explicit method tuning.
@@ -124,12 +118,11 @@ pub fn run_method_configured(
     kind: IoKind,
     method: Method,
     file_size: u64,
-    warm: bool,
     cfg: &MethodConfig,
 ) -> RunOutcome {
     let layout = StripeLayout::paper_default(8);
     let mut sim = SimCluster::paper_default();
-    if warm {
+    if kind == IoKind::Read {
         sim.seed_warm(FH, &layout, file_size);
     }
     let jobs: Vec<ClientJob> = requests
@@ -217,9 +210,8 @@ fn sweep(
                     1 => format!("{clients} clients"),
                     _ => format!("{clients} clients {kind:?}"),
                 };
-                let warm = kind == IoKind::Read;
                 for &method in methods {
-                    let outcome = run_method(&requests, kind, method, file_size, warm);
+                    let outcome = run_method(&requests, kind, method, file_size);
                     rows.push(row(figure, panel.clone(), method.name(), accesses, outcome));
                 }
             }
@@ -284,7 +276,7 @@ pub fn fig15(scale: Scale) -> Vec<Row> {
         let flash = FlashIo::scaled(nprocs, scale.flash_blocks());
         let requests = per_client(nprocs, |p| flash.request_for(p));
         for method in Method::PAPER {
-            let outcome = run_method(&requests, IoKind::Write, method, flash.file_size(), false);
+            let outcome = run_method(&requests, IoKind::Write, method, flash.file_size());
             rows.push(row(
                 "fig15",
                 "checkpoint write".into(),
@@ -306,7 +298,7 @@ pub fn fig17(_scale: Scale) -> Vec<Row> {
     let open_close = metadata_rtt_ns(&CostConfig::paper_default()) as f64 / 1e9;
     let mut rows = Vec::new();
     for method in Method::PAPER {
-        let outcome = run_method(&requests, IoKind::Read, method, t.file_size(), true);
+        let outcome = run_method(&requests, IoKind::Read, method, t.file_size());
         for (phase, seconds) in [
             ("open", open_close),
             ("read", outcome.seconds),
@@ -351,7 +343,7 @@ pub fn ext_hybrid(scale: Scale) -> Vec<Row> {
         let requests = vec![ListRequest::gather(file)];
         let panel = format!("intra-cluster gap {gap} B");
         for method in [Method::DataSieving, Method::List, Method::Hybrid] {
-            let outcome = run_method(&requests, IoKind::Read, method, file_size, true);
+            let outcome = run_method(&requests, IoKind::Read, method, file_size);
             rows.push(row(
                 "ext-hybrid",
                 panel.clone(),
@@ -361,14 +353,8 @@ pub fn ext_hybrid(scale: Scale) -> Vec<Row> {
             ));
         }
         // Auto-tuned hybrid: derives its gap threshold from the request.
-        let outcome = run_method_configured(
-            &requests,
-            IoKind::Read,
-            Method::Hybrid,
-            file_size,
-            true,
-            &auto,
-        );
+        let outcome =
+            run_method_configured(&requests, IoKind::Read, Method::Hybrid, file_size, &auto);
         rows.push(row("ext-hybrid", panel, "Hybrid I/O (auto)", gap, outcome));
     }
     rows
@@ -411,9 +397,8 @@ pub fn ablation() -> Vec<Row> {
     let mut rows = Vec::new();
     let mut run = |panel: &str, request: &ListRequest, kind: IoKind, method, x, cfg| {
         let file_size = request.file.extent().expect("regions").end();
-        let warm = kind == IoKind::Read;
         let requests = std::slice::from_ref(request);
-        let outcome = run_method_configured(requests, kind, method, file_size, warm, &cfg);
+        let outcome = run_method_configured(requests, kind, method, file_size, &cfg);
         rows.push(row("ablation", panel.into(), method.name(), x, outcome));
     };
     let paper = MethodConfig::paper_default;

@@ -10,15 +10,17 @@
 //! simulator — which keeps executing rounds lock-step, as the paper's
 //! client did.
 
+use bytes::Bytes;
 use pvfs_core::exec::{
-    alloc_temps, apply_copies, copy_bytes, scatter_response, stage_copies, wire_request_into,
-    Buffers, Sources,
+    alloc_temps, apply_copies, copy_bytes, direct_share, lend_share, place_share, scatter_response,
+    stage_copies, wire_request_into, wire_request_with, Buffers, Sources,
 };
 use pvfs_core::{AccessPlan, IoKind, Round, RoundOps, Step, Target, WireOp};
-use pvfs_net::{ClusterClient, OpStream, RpcTarget};
+use pvfs_net::{ClusterClient, Fill, OpStream, Placed, Put, RpcTarget, TransportKind};
 use pvfs_proto::{Request, Response};
 use pvfs_types::clock::now_ns;
 use pvfs_types::{Histogram, PvfsError, PvfsResult};
+use std::io;
 
 /// What actually happened while executing a plan. Its rounds, requests,
 /// copy bytes and serial sections are the plan's
@@ -162,10 +164,18 @@ impl UserBuf<'_> {
 /// A round through a [`Target::Window`] temp
 /// (sieving's read → modify → write) is a stretch of its own: it
 /// depends on the steps around it.
+///
+/// Over tcp, an op whose share of a daemon is a
+/// [`direct_share`] moves straight between the caller's buffer and the
+/// socket: a write lends its slices, a read's reply is placed in them.
+/// The buffer is borrowed for the whole stream, so a retry sends from,
+/// or lands in, the same slices.
 struct Stretch<'a, 'u> {
     /// Whose spares write payloads are gathered into (and go back to,
     /// when the pipeline has seen the op resolve).
     client: &'a ClusterClient,
+    /// The client speaks tcp: a direct share need not be copied.
+    direct: bool,
     plan: &'a mut AccessPlan,
     user: &'a mut UserBuf<'u>,
     temps: &'a mut [Vec<u8>],
@@ -182,10 +192,14 @@ fn through_pieces(round: &Round) -> bool {
     matches!(round.op().target(), Target::Pieces(_))
 }
 
-impl OpStream for Stretch<'_, '_> {
-    type Ticket = WireOp;
+/// An op, and how many bytes of its share go straight between the
+/// caller's buffer and the socket: all of them or (0) none.
+type Ticket = (WireOp, usize);
 
-    fn next_op(&mut self) -> Option<(RpcTarget, Request, WireOp)> {
+impl OpStream for Stretch<'_, '_> {
+    type Ticket = Ticket;
+
+    fn next_op(&mut self) -> Option<(RpcTarget, Request, Ticket)> {
         let wire = loop {
             if let Some(wire) = self.round.next() {
                 break wire;
@@ -209,15 +223,56 @@ impl OpStream for Stretch<'_, '_> {
             temps: self.temps,
         };
         let (handle, layout) = (self.plan.handle, &self.plan.layout);
-        let (request, _) = wire_request_into(&wire, handle, layout, sources, |room| {
-            self.client.payload_buffer(room)
-        });
+        let direct = self
+            .direct
+            .then(|| direct_share(&wire.op, layout, wire.server));
+        let direct = direct.unwrap_or(0) as usize;
+        let request = if direct > 0 && wire.op.is_write() {
+            self.report.bytes_sent += direct as u64;
+            wire_request_with(&wire, handle, layout, Bytes::new())
+        } else {
+            let spare = |room| self.client.payload_buffer(room);
+            wire_request_into(&wire, handle, layout, sources, spare).0
+        };
         self.report.bytes_sent += request.bulk_len();
-        Some((wire.server.into(), request, wire))
+        Some((wire.server.into(), request, (wire, direct)))
     }
 
-    fn landed(&mut self, wire: WireOp, response: Response) -> PvfsResult<()> {
+    fn lent(&self, (wire, direct): &Ticket) -> usize {
+        direct * usize::from(wire.op.is_write())
+    }
+
+    fn lend<'m>(&'m self, (wire, _): &Ticket, put: &mut Put<'m, '_>) -> io::Result<()> {
+        let (layout, user) = (&self.plan.layout, self.user.source());
+        lend_share(&wire.op, layout, wire.server, user, put)
+    }
+
+    fn place(
+        &mut self,
+        (wire, direct): &Ticket,
+        len: usize,
+        skip: usize,
+        fill: &mut Fill,
+    ) -> Placed {
+        if wire.op.is_write() || *direct == 0 || len != *direct {
+            return None;
+        }
+        let (layout, user) = (&self.plan.layout, self.user.dest());
+        Some(place_share(&wire.op, layout, wire.server, user, skip, fill))
+    }
+
+    fn landed(
+        &mut self,
+        (wire, direct): Ticket,
+        response: Response,
+        placed: usize,
+    ) -> PvfsResult<()> {
         match response {
+            // Placed whole; anything else is scattered, and refused there.
+            Response::Data { data } if placed == direct && placed > 0 && data.is_empty() => {
+                self.report.bytes_received += placed as u64;
+                Ok(())
+            }
             Response::Data { data } => {
                 self.report.bytes_received += data.len() as u64;
                 let mut bufs = Buffers {
@@ -276,6 +331,7 @@ pub fn execute_plan(
                 Step::Round(round) => {
                     let mut stretch = Stretch {
                         client,
+                        direct: client.transport_kind() == TransportKind::Tcp,
                         open: through_pieces(&round),
                         round: report.count_round(round),
                         plan: &mut plan,

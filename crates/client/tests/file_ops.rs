@@ -122,6 +122,53 @@ fn read_list_and_write_list_roundtrip_every_method() {
     }
 }
 
+/// Fragments of KiB: over tcp each daemon's share moves straight
+/// between the caller's buffer and the socket — a write sent from its
+/// slices, a read's replies landing in them — and nothing is written
+/// between them. 48 file regions of 3 KiB, 5 KiB apart, from and into
+/// memory fragments of 3 KiB, 4 KiB apart; a read into memory slices out
+/// of order goes through a reply buffer instead.
+#[test]
+fn kib_fragments_move_between_the_callers_buffer_and_the_wire() {
+    let cluster = LiveCluster::spawn(4);
+    let client = cluster.client();
+    let layout = StripeLayout::new(0, 4, 16 << 10).unwrap();
+    let file = RegionList::from_pairs((0..48u64).map(|k| (k * 5120, 3072))).unwrap();
+    let mem = RegionList::from_pairs((0..48u64).map(|k| (k * 4096, 3072))).unwrap();
+    let total = file.total_len();
+    for (i, method) in [Method::List, Method::Multiple].into_iter().enumerate() {
+        let mut f = PvfsFile::create(&client, &format!("/pvfs/kib{i}"), layout).unwrap();
+        let src = pattern(48 * 4096, i as u8);
+        let w = f.write_list(&mem, &file, &src, method).unwrap();
+        assert_eq!(w.bytes_sent, total, "{method}");
+
+        let mut back = vec![0xeeu8; src.len()];
+        let r = f.read_list(&mem, &file, &mut back, method).unwrap();
+        assert_eq!(r.bytes_received, total, "{method}");
+        for (k, chunk) in back.chunks(4096).enumerate() {
+            let at = k * 4096;
+            assert_eq!(chunk[..3072], src[at..at + 3072], "{method}: fragment {k}");
+            assert!(
+                chunk[3072..].iter().all(|&b| b == 0xee),
+                "{method}: gap {k}"
+            );
+        }
+
+        // The same file regions read into the memory fragments reversed.
+        let reversed = RegionList::from_pairs((0..48u64).rev().map(|k| (k * 4096, 3072))).unwrap();
+        let mut back = vec![0u8; src.len()];
+        f.read_list(&reversed, &file, &mut back, method).unwrap();
+        for k in 0..48 {
+            let (to, from) = ((47 - k) * 4096, k * 4096);
+            assert_eq!(
+                back[to..to + 3072],
+                src[from..from + 3072],
+                "{method}: reversed {k}"
+            );
+        }
+    }
+}
+
 /// The live executor runs exactly what a plan's steps say: for every
 /// method and both kinds, its report counts the plan's tally, and the
 /// payload bytes it sent and received are the tally's wire bytes.

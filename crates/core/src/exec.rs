@@ -20,10 +20,24 @@
 //! fragment count for its cost model. [`wire_request`] is the same code
 //! with a buffer of its own, which the benchmark's per-layer timings
 //! call.
+//!
+//! Over a stream, a share of fragments of at least [`DIRECT_FRAGMENT`]
+//! bytes on average needs no buffer at all ([`direct_share`]): a write
+//! lends the caller's slices to the socket ([`lend_share`]) and a read's
+//! reply is read into them ([`place_share`]).
 
 use crate::plan::{CopyPair, MemSlice, OpKind, Space, Target, WireOp};
 use bytes::{Bytes, BytesMut};
+use pvfs_types::iov::IOV_BATCH;
 use pvfs_types::{FileHandle, PvfsError, PvfsResult, Region, ServerId, StripeLayout};
+use std::io::{self, IoSliceMut};
+
+/// The average fragment, in bytes, from which a daemon's share of an op
+/// moves straight between the caller's memory and a socket, one slice a
+/// fragment, rather than through a buffer of its own: FLASH's 8 B and
+/// cyclic's 128 B fragments stay on the copy loops, tiled's ≈ 3 KiB and
+/// a contiguous transfer's stripe pieces go direct.
+pub const DIRECT_FRAGMENT: u64 = 1024;
 
 /// The client-side buffers a plan operates on: the caller's buffer and
 /// the plan's temporary buffers (allocated from
@@ -154,6 +168,106 @@ pub fn server_share(op: &OpKind, layout: &StripeLayout, server: ServerId) -> u64
     share
 }
 
+/// `server`'s share of `op`, in bytes, if it can move straight between
+/// the caller's buffer and a socket: its slices are that buffer's (a
+/// pieces target), each begins where the last ended or further on, and
+/// they average at least [`DIRECT_FRAGMENT`] bytes. 0 otherwise.
+pub fn direct_share(op: &OpKind, layout: &StripeLayout, server: ServerId) -> u64 {
+    let (Target::Pieces(map), Some(slot)) = (op.target(), layout.slot_of_server(server)) else {
+        return 0;
+    };
+    // No fragment is longer than its file region: short ones settle it.
+    let mut longest = 0;
+    for_each_region(op, |r| longest = longest.max(r.len));
+    if longest < DIRECT_FRAGMENT {
+        return 0;
+    }
+    let (mut share, mut fragments, mut ascending) = (0, 0, true);
+    for_each_region(op, |r| {
+        for seg in layout.segments(r).filter(|seg| seg.slot == slot) {
+            (share, fragments) = (share + seg.logical.len, fragments + 1);
+        }
+    });
+    // A fragment a segment, each further on, unless the memory list cuts
+    // one: only then are the fragments walked.
+    if map.mem().count() > 1 && share >= fragments * DIRECT_FRAGMENT {
+        let mut end = 0;
+        fragments = for_each_share_slice(op, layout, slot, |s| {
+            ascending &= s.offset >= end;
+            end = s.offset + s.len;
+        });
+    }
+    let direct = ascending && fragments > 0 && share >= fragments * DIRECT_FRAGMENT;
+    if direct {
+        share
+    } else {
+        0
+    }
+}
+
+/// Hand `put` the slices of `user` that `server`'s share of `op` is, in
+/// wire order: a write's payload, lent where it lies ([`direct_share`]
+/// says when). Stops at `put`'s first error.
+pub fn lend_share<'u>(
+    op: &OpKind,
+    layout: &StripeLayout,
+    server: ServerId,
+    user: &'u [u8],
+    put: &mut dyn FnMut(&'u [u8]) -> io::Result<()>,
+) -> io::Result<()> {
+    let Some(slot) = layout.slot_of_server(server) else {
+        return Ok(());
+    };
+    let mut result = Ok(());
+    let sources = Sources { user, temps: &[] };
+    for_each_share_slice(op, layout, slot, |s| {
+        if result.is_ok() {
+            result = put(sources.slice(s));
+        }
+    });
+    result
+}
+
+/// Carve `user` into the slices `server`'s share of a read `op` lands
+/// in, in wire order and less their first `skip` bytes, and hand them to
+/// `fill` a batch of up to [`IOV_BATCH`] at a time; the share must be a
+/// [`direct_share`]. Stops at `fill`'s first error.
+pub fn place_share(
+    op: &OpKind,
+    layout: &StripeLayout,
+    server: ServerId,
+    user: &mut [u8],
+    mut skip: usize,
+    fill: &mut dyn FnMut(&mut [IoSliceMut<'_>]) -> io::Result<()>,
+) -> io::Result<()> {
+    let Some(slot) = layout.slot_of_server(server) else {
+        return Ok(());
+    };
+    let mut batch: [IoSliceMut; IOV_BATCH] = std::array::from_fn(|_| IoSliceMut::new(&mut []));
+    let (mut rest, mut at, mut lined_up, mut result) = (user, 0, 0, Ok(()));
+    for_each_share_slice(op, layout, slot, |s| {
+        // Ascending: each slice is cut off the front of what is left.
+        let (_, tail) = std::mem::take(&mut rest).split_at_mut((s.offset - at) as usize);
+        let (slice, tail) = tail.split_at_mut(s.len as usize);
+        (rest, at) = (tail, s.offset + s.len);
+        let skipped = skip.min(slice.len());
+        skip -= skipped;
+        if result.is_ok() && skipped < slice.len() {
+            batch[lined_up] = IoSliceMut::new(&mut slice[skipped..]);
+            lined_up += 1;
+            if lined_up == IOV_BATCH {
+                result = fill(&mut batch);
+                lined_up = 0;
+            }
+        }
+    });
+    result?;
+    match lined_up {
+        0 => Ok(()),
+        n => fill(&mut batch[..n]),
+    }
+}
+
 /// Build the wire request for a wire op (gathering the write payload
 /// from `bufs`, into a buffer of its own, when the op is a write).
 pub fn wire_request<'a>(
@@ -177,13 +291,24 @@ pub fn wire_request_into<'a>(
     bufs: impl Into<Sources<'a>>,
     spare: impl FnOnce(usize) -> BytesMut,
 ) -> (pvfs_proto::Request, u64) {
-    use pvfs_proto::Request;
     let (data, fragments) = if wire.op.is_write() {
         gather_payload_into(&wire.op, layout, wire.server, bufs, spare)
     } else {
         (Bytes::new(), 0)
     };
-    let request = match &wire.op {
+    (wire_request_with(wire, handle, layout, data), fragments)
+}
+
+/// The wire request for a wire op, carrying `data` (empty for a read,
+/// and for a write whose payload is lent).
+pub fn wire_request_with(
+    wire: &WireOp,
+    handle: FileHandle,
+    layout: &StripeLayout,
+    data: Bytes,
+) -> pvfs_proto::Request {
+    use pvfs_proto::Request;
+    match &wire.op {
         OpKind::Read { region, .. } => Request::Read {
             handle,
             layout: *layout,
@@ -217,8 +342,7 @@ pub fn wire_request_into<'a>(
             runs: runs.clone(),
             data,
         },
-    };
-    (request, fragments)
+    }
 }
 
 /// Gather the write payload for `server` — its share of every region in
@@ -374,6 +498,77 @@ mod tests {
     fn pieces_target(mem: &[(u64, u64)], file: &[(u64, u64)]) -> Target {
         let list = |pairs: &[(u64, u64)]| RegionList::from_pairs(pairs.iter().copied()).unwrap();
         Target::Pieces(PieceMap::new(&list(mem), &list(file)).unwrap())
+    }
+
+    /// A share goes direct when its fragments average a KiB or more and
+    /// ascend in memory; its slices are then lent and placed in wire
+    /// order, placing leaving the gaps between them alone.
+    #[test]
+    fn direct_shares_are_lent_and_placed_in_wire_order() {
+        // Stripes of 4 KiB over 4 slots: daemon 1 holds [4K, 8K) and
+        // [20K, 24K) of these two 2 KiB-aligned file regions.
+        let l = StripeLayout::new(0, 4, 4096).unwrap();
+        let file = [(4096 + 1024, 2048), (20480, 3072)];
+        let read = |mem: &[(u64, u64)]| OpKind::Read {
+            region: Region::new(0, 0),
+            dest: pieces_target(mem, &file),
+        };
+        let list = |mem: &[(u64, u64)]| OpKind::ReadList {
+            regions: RegionList::from_pairs(file).unwrap(),
+            dest: pieces_target(mem, &file),
+        };
+        let gapped = [(0, 2048), (3000, 3072)];
+        assert_eq!(direct_share(&list(&[(0, 5120)]), &l, ServerId(1)), 5120);
+        assert_eq!(direct_share(&list(&gapped), &l, ServerId(1)), 5120);
+        let (descending, small) = (
+            [(3000, 2048), (0, 3072)],
+            [(0, 1024), (1024, 512), (1536, 3584)],
+        );
+        assert_eq!(direct_share(&list(&descending), &l, ServerId(1)), 0);
+        assert_eq!(direct_share(&list(&small), &l, ServerId(1)), 5120);
+        let shredded: Vec<(u64, u64)> = (0..40).map(|k| (k * 200, 128)).collect();
+        assert_eq!(direct_share(&list(&shredded), &l, ServerId(1)), 0);
+        assert_eq!(direct_share(&list(&gapped), &l, ServerId(0)), 0, "no share");
+        assert_eq!(
+            direct_share(&read(&gapped), &l, ServerId(1)),
+            0,
+            "no region"
+        );
+
+        let user: Vec<u8> = (0..6100u32).map(|i| i as u8).collect();
+        let mut lent = Vec::new();
+        lend_share(&list(&gapped), &l, ServerId(1), &user, &mut |s| {
+            lent.extend_from_slice(s);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(lent, [&user[..2048], &user[3000..6072]].concat());
+        for skip in [0, 100, 2048, 5000] {
+            let mut dest = vec![0u8; 6100];
+            let mut next = 0u8;
+            place_share(
+                &list(&gapped),
+                &l,
+                ServerId(1),
+                &mut dest,
+                skip,
+                &mut |bufs| {
+                    for buf in bufs.iter_mut() {
+                        buf.iter_mut()
+                            .for_each(|b| (*b, next) = (next, next.wrapping_add(1)));
+                    }
+                    Ok(())
+                },
+            )
+            .unwrap();
+            let placed = [&dest[..2048], &dest[3000..6072]].concat();
+            let want: Vec<u8> = (0..5120 - skip).map(|i| i as u8).collect();
+            assert_eq!(placed[skip..], want[..], "skip {skip}");
+            assert!(placed[..skip]
+                .iter()
+                .chain(&dest[2048..3000])
+                .all(|&b| b == 0));
+        }
     }
 
     #[test]

@@ -184,15 +184,18 @@ impl Endpoint {
     /// version-2 frame when the operation is traced. Untraced requests
     /// (`ctx == None`) encode byte-identical version-1 frames —
     /// `PVFS_TRACE=off` sends exactly the bytes an untraced build sends.
+    /// A write whose payload is `lent` leaves it out of the frame (see
+    /// [`encode_frame_into`]).
     pub fn encode(
         &self,
         request: &Request,
         ctx: Option<TraceContext>,
+        lent: usize,
     ) -> PvfsResult<(RequestId, Frame)> {
         let id = RequestId(self.next_request.fetch_add(1, Ordering::Relaxed));
         let room = request_head_len(request, ctx);
         let head = self.frame_spares().heads.buffer(room);
-        let frame = encode_frame_into(self.id, id, request, ctx, head)?;
+        let frame = encode_frame_into(self.id, id, request, ctx, head, lent)?;
         Ok((id, frame))
     }
 }

@@ -19,5 +19,5 @@ pub mod spares;
 
 pub use endpoint::{Endpoint, RpcTarget, DEFAULT_RPC_TIMEOUT};
 pub use health::{BreakerPolicy, BreakerState, HealthTracker};
-pub use pump::{OpStream, Pump, WaitError, WINDOW};
+pub use pump::{Fill, Memory, OpStream, Placed, Pump, Put, WaitError, WINDOW};
 pub use retry::RetryPolicy;

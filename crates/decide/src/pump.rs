@@ -17,6 +17,7 @@ use pvfs_proto::{decode_response_frame, decode_response_id, Frame, OpClass, Requ
 use pvfs_types::trace::ActiveTrace;
 use pvfs_types::{PvfsError, PvfsResult, RequestId, ServerId, SpanId, StripeLayout};
 use std::collections::VecDeque;
+use std::io::{self, IoSliceMut};
 use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
@@ -44,8 +45,30 @@ pub trait OpStream {
     /// again.
     fn next_op(&mut self) -> Option<(RpcTarget, Request, Self::Ticket)>;
 
-    /// One op's reply has landed. An error ends the stream.
-    fn landed(&mut self, ticket: Self::Ticket, response: Response) -> PvfsResult<()>;
+    /// One op's reply has landed, `placed` bytes of its body already
+    /// where they belong ([`place`](Self::place)) and the rest, if any,
+    /// in `response`. An error ends the stream.
+    fn landed(&mut self, ticket: Self::Ticket, response: Response, placed: usize)
+        -> PvfsResult<()>;
+
+    /// Payload bytes `ticket`'s request leaves out, for a lane to send
+    /// from where they lie in the caller's memory ([`lend`](Self::lend)):
+    /// 0, the default, when the request carries its payload.
+    fn lent(&self, _ticket: &Self::Ticket) -> usize {
+        0
+    }
+
+    /// Hand `put` the payload `ticket`'s op lent, slice by slice in wire
+    /// order.
+    fn lend<'m>(&'m self, _ticket: &Self::Ticket, _put: &mut Put<'m, '_>) -> io::Result<()> {
+        Ok(())
+    }
+
+    /// [`Memory::place`], for the reply to `ticket`'s op. `None`, the
+    /// default: its body lands in a buffer and comes with the response.
+    fn place(&mut self, _ticket: &Self::Ticket, _: usize, _: usize, _: &mut Fill) -> Placed {
+        None
+    }
 
     /// One op has failed for good (a deterministic error, retries
     /// exhausted, a write short of its quorum). What that means for the
@@ -97,7 +120,7 @@ impl<T: Into<RpcTarget>, I: Iterator<Item = (T, Request)>> OpStream for Batch<I>
         Some((target.into(), request, index))
     }
 
-    fn landed(&mut self, index: usize, response: Response) -> PvfsResult<()> {
+    fn landed(&mut self, index: usize, response: Response, _: usize) -> PvfsResult<()> {
         self.responses[index] = Some(response);
         Ok(())
     }
@@ -105,6 +128,42 @@ impl<T: Into<RpcTarget>, I: Iterator<Item = (T, Request)>> OpStream for Batch<I>
     fn failed(&mut self, _index: usize, error: PvfsError) -> PvfsResult<()> {
         self.error.get_or_insert(error);
         Ok(())
+    }
+}
+
+/// The caller's memory as a lane reaches it while a stream is driven: a
+/// lent payload ([`Frame::lent`]) leaves from it, and a `Data` reply's
+/// body may land in it. A [`Pump`] is the memory of its stream's ops;
+/// `()` has nothing in it.
+pub trait Memory {
+    /// Hand `put` the payload request `id` lent, slice by slice in wire
+    /// order; an error when no flight is request `id`.
+    fn lend<'m>(&'m self, id: RequestId, put: &mut Put<'m, '_>) -> io::Result<()>;
+
+    /// Land the `len`-byte body of the `Data` reply to request `id`, from
+    /// its `skip`th byte on, where its op wants it: `fill` is handed the
+    /// places, a batch at a time, to fill whole. `None`, with `fill`
+    /// never called: no flight is request `id`, or its op takes its
+    /// body in a buffer.
+    fn place(&mut self, id: RequestId, len: usize, skip: usize, fill: &mut Fill) -> Placed;
+}
+
+/// Where a lent payload's slices go, one after the other.
+pub type Put<'m, 'p> = dyn FnMut(&'m [u8]) -> io::Result<()> + 'p;
+/// What fills a batch of places whole.
+pub type Fill<'f> = dyn FnMut(&mut [IoSliceMut<'_>]) -> io::Result<()> + 'f;
+/// Whether a body was placed ([`Memory::place`]).
+pub type Placed = Option<io::Result<()>>;
+
+impl Memory for () {
+    fn lend<'m>(&'m self, id: RequestId, _: &mut Put<'m, '_>) -> io::Result<()> {
+        Err(io::Error::other(format!(
+            "nothing lends request {id}'s payload"
+        )))
+    }
+
+    fn place(&mut self, _: RequestId, _: usize, _: usize, _: &mut Fill) -> Placed {
+        None
     }
 }
 
@@ -221,12 +280,15 @@ pub struct Op<K> {
     /// A replicated write: its sub-ops are copies, judged together
     /// against the quorum rather than each on its own.
     quorum: bool,
+    /// Payload bytes its frames lend ([`OpStream::lent`]).
+    lent: usize,
     /// Sub-ops not yet resolved.
     pending: usize,
     acks: u32,
     /// Copies of a write apply identical local runs, so any
-    /// acknowledged copy's reply stands for the op.
-    response: Option<Response>,
+    /// acknowledged copy's reply stands for the op (with the bytes of
+    /// it placed).
+    response: Option<(Response, usize)>,
     /// Why a copy of a quorum write failed, should the quorum fail.
     error: Option<PvfsError>,
 }
@@ -406,11 +468,12 @@ impl<'a, S: OpStream> Pump<'a, S> {
             Err(WaitError::Failed(e)) => return self.lane_failed(target, e, now),
         };
         let rid = decode_response_id(&reply.head);
+        let placed = reply.lent;
         let decoded = decode_response_frame(reply);
         if let Some(id) = rid.filter(|rid| *rid != RequestId(0)) {
             if let Some(at) = self.flight_with(target, id) {
                 let outcome = decoded
-                    .map(|(_, response)| response)
+                    .map(|(_, response)| (response, placed))
                     .map_err(|e| blame(sole, target, id, e));
                 return self.land(at, since, outcome, now);
             }
@@ -426,7 +489,7 @@ impl<'a, S: OpStream> Pump<'a, S> {
         let outcome = decoded
             .map_err(|e| blame(sole, target, oldest_id, e))
             .and_then(|(rid, response)| attribute(target, oldest_id, rid, response, sole));
-        self.land(oldest, since, outcome, now)
+        self.land(oldest, since, outcome.map(|response| (response, 0)), now)
     }
 
     /// `target`'s lane has failed with `e`, as the clock read `now`: so
@@ -554,6 +617,7 @@ impl<'a, S: OpStream> Pump<'a, S> {
             _ => self.subs.push_back(sub(target, 0..0)),
         }
         self.ops[op] = Some(Op {
+            lent: self.stream.lent(&ticket),
             ticket,
             request,
             pending: if quorum { copies.len() } else { 1 },
@@ -575,7 +639,8 @@ impl<'a, S: OpStream> Pump<'a, S> {
     fn ship(&mut self, at: usize, now: u64) -> Option<Action> {
         let endpoint = self.endpoint;
         let mut sub = self.subs.remove(at).expect("a due sub-op");
-        let request = op_of(self.ops, &sub).request(&sub);
+        let op = op_of(self.ops, &sub);
+        let (request, lent) = (op.request(&sub), op.lent);
         // Control scrapes stay off the books on this side of the wire
         // too (the daemons already exclude them): scraping `stats` or a
         // trace must not advance the very counters being read.
@@ -597,7 +662,7 @@ impl<'a, S: OpStream> Pump<'a, S> {
         }
         let span = self.trace.map(|_| SpanId::next());
         let ctx = self.trace.zip(span).map(|(a, sid)| a.ctx(sid));
-        let (id, frame) = match endpoint.encode(request, ctx) {
+        let (id, frame) = match endpoint.encode(request, ctx, lent) {
             Ok(encoded) => encoded,
             Err(e) => {
                 self.settle(sub, e, now);
@@ -631,7 +696,7 @@ impl<'a, S: OpStream> Pump<'a, S> {
     /// exception: the daemon is alive but served nothing, and how fast it
     /// said so is no latency sample. Only transport-class failures
     /// (connection loss, timeout) count toward tripping a breaker.
-    fn land(&mut self, at: usize, since: u64, outcome: PvfsResult<Response>, now: u64) {
+    fn land(&mut self, at: usize, since: u64, outcome: PvfsResult<(Response, usize)>, now: u64) {
         let endpoint = self.endpoint;
         let mut sub = self.subs.remove(at).expect("a sub-op in the window");
         let Flight {
@@ -663,7 +728,7 @@ impl<'a, S: OpStream> Pump<'a, S> {
         }
         let target = sub.target;
         let outcome = match outcome {
-            Ok(response) => {
+            Ok((response, placed)) => {
                 let served = response.into_result();
                 match &served {
                     Err(e @ PvfsError::Overloaded { .. }) => self.observe_failure(target, e, now),
@@ -677,7 +742,9 @@ impl<'a, S: OpStream> Pump<'a, S> {
                         }
                     }
                 }
-                served.map_err(|e| blame(self.sole, target, id, e))
+                served
+                    .map(|response| (response, placed))
+                    .map_err(|e| blame(self.sole, target, id, e))
             }
             Err(e) => {
                 self.observe_failure(target, &e, now);
@@ -778,7 +845,7 @@ impl<'a, S: OpStream> Pump<'a, S> {
     /// Book a sub-op's final outcome with its op, and hand the op to
     /// the stream once its last sub-op is in. The stream saying this
     /// is the end makes the pump over.
-    fn resolve(&mut self, sub: Sub, outcome: PvfsResult<Response>) {
+    fn resolve(&mut self, sub: Sub, outcome: PvfsResult<(Response, usize)>) {
         let op = self.ops[sub.op]
             .as_mut()
             .expect("a sub-op's op is in the window");
@@ -832,8 +899,8 @@ impl<'a, S: OpStream> Pump<'a, S> {
                     a.annotate(format!("quorum_ack:{acks}/{}", map.replicas()));
                 }
             }
-            let response = response.expect("an acknowledged op has a response");
-            self.stream.landed(ticket, response)
+            let (response, placed) = response.expect("an acknowledged op has a response");
+            self.stream.landed(ticket, response, placed)
         };
         if let Err(e) = sunk {
             // The stream is over: what is due out never goes.
@@ -841,6 +908,34 @@ impl<'a, S: OpStream> Pump<'a, S> {
             self.subs.truncate(self.flying);
         }
     }
+}
+
+/// A flight's op lends its payload, and its reply's body lands where the
+/// op wants it — unless the stream is over: what lands then is for the
+/// books.
+impl<S: OpStream> Memory for Pump<'_, S> {
+    fn lend<'m>(&'m self, id: RequestId, put: &mut Put<'m, '_>) -> io::Result<()> {
+        let op = flying_op(self.subs, self.flying, self.ops, id);
+        let op = op.ok_or_else(|| io::Error::other(format!("request {id} is not in the air")))?;
+        self.stream.lend(&op.ticket, put)
+    }
+
+    fn place(&mut self, id: RequestId, len: usize, skip: usize, fill: &mut Fill) -> Placed {
+        let op = flying_op(self.subs, self.flying, self.ops, id).filter(|_| self.over.is_none())?;
+        self.stream.place(&op.ticket, len, skip, fill)
+    }
+}
+
+/// The op of the flight in the air as request `id`.
+fn flying_op<'o, K>(
+    subs: &VecDeque<Sub>,
+    flying: usize,
+    ops: &'o [Option<Op<K>>],
+    id: RequestId,
+) -> Option<&'o Op<K>> {
+    let mut flights = subs.iter().take(flying);
+    let sub = flights.find(|s| s.flight.as_ref().is_some_and(|f| f.id == id))?;
+    Some(op_of(ops, sub))
 }
 
 /// The op a sub-op in the window serves.
@@ -1163,7 +1258,7 @@ mod tests {
             Some((server.into(), Request::GetLocalSize { handle }, ()))
         }
 
-        fn landed(&mut self, (): (), response: Response) -> PvfsResult<()> {
+        fn landed(&mut self, (): (), response: Response, _: usize) -> PvfsResult<()> {
             assert_eq!(response, SIZE);
             self.landed += 1;
             Ok(())

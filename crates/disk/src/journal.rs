@@ -57,8 +57,9 @@
 //! journal refuses every later append ([`Journal::is_torn`]).
 
 use crate::checksum::{checksum, Checksum};
+use pvfs_types::iov::write_parts;
 use std::fs::File;
-use std::io::{self, IoSlice, Write};
+use std::io::{self, Write};
 use std::os::unix::fs::FileExt;
 
 /// Leading magic of every record the writer emits (format v2).
@@ -205,45 +206,6 @@ impl StoreFile for File {
     fn size(&self) -> io::Result<u64> {
         Ok(self.metadata()?.len())
     }
-}
-
-/// Write every byte of `parts`, in order, with vectored writes. One
-/// call takes at most `IOV_MAX` slices and may write short, so resume
-/// from the byte count until nothing is left.
-fn write_all_vectored(out: &mut impl Write, mut parts: &mut [IoSlice<'_>]) -> io::Result<()> {
-    while !parts.is_empty() {
-        match out.write_vectored(parts) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => IoSlice::advance_slices(&mut parts, n),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-/// How many slices one vectored write is handed: the head, the runs of a
-/// full list request and the checksum fit, so such a record is still one
-/// `writev`; a longer one takes several.
-const IOV_BATCH: usize = 72;
-
-/// Write `parts` laid end to end, from where they lie: the slices are
-/// lined up in a fixed array on the stack, a batch at a time.
-fn write_parts<'p>(out: &mut impl Write, parts: impl Iterator<Item = &'p [u8]>) -> io::Result<()> {
-    let mut batch = [IoSlice::new(&[]); IOV_BATCH];
-    let mut lined_up = 0;
-    for part in parts {
-        if part.is_empty() {
-            continue;
-        }
-        batch[lined_up] = IoSlice::new(part);
-        lined_up += 1;
-        if lined_up == IOV_BATCH {
-            write_all_vectored(out, &mut batch)?;
-            lined_up = 0;
-        }
-    }
-    write_all_vectored(out, &mut batch[..lined_up])
 }
 
 /// The on-disk journal of one [`FileStore`](crate::FileStore).

@@ -51,7 +51,7 @@ use crate::gate::SerialGate;
 use crate::health::{BreakerPolicy, HealthTracker};
 use crate::retry::RetryPolicy;
 use crate::trace::{ActiveTrace, Tracer};
-use crate::transport::{Lane, RpcTarget, Transport, WaitError};
+use crate::transport::{Lane, RpcTarget, Transport, TransportKind, WaitError};
 
 pub use pvfs_decide::{OpStream, DEFAULT_RPC_TIMEOUT, WINDOW};
 
@@ -107,6 +107,11 @@ impl ClusterClient {
     /// Number of I/O servers reachable.
     pub fn n_servers(&self) -> u32 {
         self.transport.n_servers()
+    }
+
+    /// Which transport this client speaks.
+    pub fn transport_kind(&self) -> TransportKind {
+        self.transport.kind()
     }
 
     /// The cluster's serialization gate.
@@ -334,17 +339,17 @@ impl ClusterClient {
             let action = pump.next(now);
             if let Action::Land { .. } | Action::WaitUntil(_) = action {
                 // About to wait: what was shipped since the last wait
-                // leaves now, one write per daemon. A lane that fails at
-                // it is dropped, its flights with it, and the pump
-                // decides again.
+                // leaves now, one write per daemon, lent payloads out of
+                // the pump's ops. A lane that fails at it is dropped, its
+                // flights with it, and the pump decides again.
                 let before = lanes.len();
-                lanes.retain_mut(|(target, lane)| match lane.flush() {
-                    Ok(()) => true,
-                    Err(e) => {
-                        pump.lane_failed(*target, e, now);
-                        false
+                let mut at = 0;
+                while at < lanes.len() {
+                    match lanes[at].1.flush(&pump) {
+                        Ok(()) => at += 1,
+                        Err(e) => pump.lane_failed(lanes.swap_remove(at).0, e, now),
                     }
-                });
+                }
                 if lanes.len() < before {
                     continue;
                 }
@@ -352,9 +357,9 @@ impl ClusterClient {
             match action {
                 Action::Ship { target, frame } => {
                     let sent = match lanes.iter_mut().find(|(t, _)| *t == target) {
-                        Some((_, lane)) => lane.send(frame),
+                        Some((_, lane)) => lane.send(frame, &pump),
                         None => self.transport.lane(target).and_then(|mut lane| {
-                            let sent = lane.send(frame);
+                            let sent = lane.send(frame, &pump);
                             lanes.push((target, lane));
                             sent
                         }),
@@ -365,7 +370,7 @@ impl ClusterClient {
                 Action::Land { target, wait } => {
                     let at = lanes.iter().position(|(t, _)| *t == target);
                     let at = at.expect("a flight in the air has its lane");
-                    let got = lanes[at].1.recv(wait);
+                    let got = lanes[at].1.recv(wait, &mut pump);
                     if let Err(WaitError::Failed(_)) = got {
                         lanes.swap_remove(at);
                     }
@@ -670,6 +675,7 @@ mod tests {
                     region: Region::new(0, 16),
                 },
                 None,
+                0,
             )
             .unwrap();
         assert_ne!(id, RequestId(0), "request ids must never be 0");
@@ -680,7 +686,7 @@ mod tests {
             .transport()
             .dispatch(RpcTarget::Server(ServerId(0)), corrupted)
             .unwrap()
-            .recv(Duration::from_secs(5))
+            .recv(Duration::from_secs(5), &mut ())
             .unwrap();
         let (rid, response) = decode_response_frame(raw).unwrap();
         assert_eq!(rid, id, "server must echo the request id from the header");
@@ -698,7 +704,7 @@ mod tests {
                 Bytes::from(vec![0xffu8; 7]).into(),
             )
             .unwrap()
-            .recv(Duration::from_secs(5))
+            .recv(Duration::from_secs(5), &mut ())
             .unwrap();
         let (rid, response) = decode_response_frame(raw).unwrap();
         assert_eq!(rid, RequestId(0));

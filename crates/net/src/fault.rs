@@ -54,7 +54,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::transport::{Lane, RpcTarget, Transport, TransportKind, WaitError};
+use crate::transport::{Lane, Memory, RpcTarget, Transport, TransportKind, WaitError};
 
 /// Which fault an injection point chose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -392,37 +392,37 @@ struct FaultyLane {
 }
 
 impl Lane for FaultyLane {
-    fn send(&mut self, frame: Frame) -> PvfsResult<()> {
+    fn send(&mut self, frame: Frame, memory: &dyn Memory) -> PvfsResult<()> {
         let target = self.target;
         match self.dice.roll(target) {
-            None => self.inner.send(frame),
+            None => self.inner.send(frame, memory),
             Some(FaultKind::Drop) => Err(PvfsError::Transport(format!(
                 "injected fault: request frame to {target:?} dropped"
             ))),
             Some(FaultKind::Delay) => {
                 std::thread::sleep(self.dice.plan.delay_for);
-                self.inner.send(frame)
+                self.inner.send(frame, memory)
             }
             // The remaining faults deliver the request — the server
             // executes it — and sabotage only the response path.
             Some(kind) => {
                 let id = decode_frame_id(&frame.head);
-                self.inner.send(frame)?;
+                self.inner.send(frame, memory)?;
                 self.doomed.extend(id.map(|id| (id, kind)));
                 Ok(())
             }
         }
     }
 
-    fn flush(&mut self) -> PvfsResult<()> {
-        self.inner.flush()
+    fn flush(&mut self, memory: &dyn Memory) -> PvfsResult<()> {
+        self.inner.flush(memory)
     }
 
-    fn recv(&mut self, timeout: Duration) -> Result<Frame, WaitError> {
+    fn recv(&mut self, timeout: Duration, memory: &mut dyn Memory) -> Result<Frame, WaitError> {
         let deadline = clock::deadline(timeout);
         loop {
             let left = clock::until(deadline);
-            let reply = self.inner.recv(left)?;
+            let reply = self.inner.recv(left, memory)?;
             let fault = decode_response_id(&reply.head).and_then(|id| {
                 let at = self.doomed.iter().position(|(doomed, _)| *doomed == id)?;
                 Some(self.doomed.swap_remove(at))
@@ -459,12 +459,14 @@ impl Lane for FaultyLane {
 /// still says whose it is. Truncation (rather than a random bit flip)
 /// guarantees the codec *detects* the damage — a flip in bulk data would
 /// decode cleanly and silently corrupt user bytes, which no transport
-/// can catch without checksums.
+/// can catch without checksums. A body already placed in the caller's
+/// memory is cut the same way: the reply no longer says it is whole.
 fn truncated(reply: Frame) -> Frame {
-    let Frame { head, payload } = reply;
+    let head_len = (reply.head.len() / 2).max(RESPONSE_ENVELOPE_LEN);
     Frame {
-        head: head.slice(0..(head.len() / 2).max(RESPONSE_ENVELOPE_LEN)),
-        payload: payload.slice(0..payload.len() / 2),
+        head: reply.head.slice(0..head_len),
+        payload: reply.payload.slice(0..reply.payload.len() / 2),
+        lent: reply.lent / 2,
     }
 }
 

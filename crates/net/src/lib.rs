@@ -34,4 +34,6 @@ pub use pvfs_types::ClientStats;
 pub use retry::RetryPolicy;
 pub use tcp::TcpTransport;
 pub use trace::{ActiveTrace, Tracer};
-pub use transport::{Lane, RpcTarget, Transport, TransportKind, WaitError};
+pub use transport::{
+    Fill, Lane, Memory, Placed, Put, RpcTarget, Transport, TransportKind, WaitError,
+};

@@ -82,6 +82,7 @@ impl ReplyPath {
                     Response::Data { data } => Frame {
                         head: Bytes::copy_from_slice(&data_response_head(id, data.len() as u64)),
                         payload: data,
+                        lent: 0,
                     },
                     other => encode_response(id, &other).into(),
                 };
@@ -865,7 +866,7 @@ mod tests {
         let transport = ChanTransport::new(vec![door.clone(), Driver::bare(1).0]);
         let mut lane = transport.lane(RpcTarget::Server(ServerId(0))).unwrap();
         for id in 1..=crate::WINDOW as u64 {
-            lane.send(frame(id, Request::Ping)).unwrap();
+            lane.send(frame(id, Request::Ping), &()).unwrap();
         }
         // Both workers hold a frame, and the rest wait in the queue.
         while service.0.served.load(Ordering::Relaxed) < 2 {
@@ -882,13 +883,16 @@ mod tests {
         });
         // Nothing is waited for: the replies are already there.
         for _ in 0..crate::WINDOW {
-            assert!(lane.recv(Duration::ZERO).is_ok());
+            assert!(lane.recv(Duration::ZERO, &mut ()).is_ok());
         }
-        assert!(matches!(lane.recv(Duration::ZERO), Err(WaitError::Timeout)));
+        assert!(matches!(
+            lane.recv(Duration::ZERO, &mut ()),
+            Err(WaitError::Timeout)
+        ));
         let served = door.ledger().snapshot().service_time.count();
         assert_eq!(served, crate::WINDOW as u64);
         assert!(
-            lane.send(frame(9, Request::Ping)).is_err(),
+            lane.send(frame(9, Request::Ping), &()).is_err(),
             "the door is shut"
         );
     }
@@ -904,7 +908,7 @@ mod tests {
         let door = Driver::spawn("t", 1, 4, service.clone());
         let transport = ChanTransport::new(vec![door.clone(), Driver::bare(1).0]);
         let mut lane = transport.lane(RpcTarget::Server(ServerId(0))).unwrap();
-        lane.send(frame(1, Request::Ping)).unwrap();
+        lane.send(frame(1, Request::Ping), &()).unwrap();
         while service.0.served.load(Ordering::Relaxed) == 0 {
             std::thread::yield_now();
         }
@@ -913,7 +917,7 @@ mod tests {
             while !door.queue.is_shut() {
                 std::thread::yield_now();
             }
-            let late = lane.send(frame(2, Request::Ping));
+            let late = lane.send(frame(2, Request::Ping), &());
             release.send(()).unwrap();
             closing.join().unwrap();
             late
@@ -923,10 +927,13 @@ mod tests {
             "the closing door admitted {late:?}"
         );
         let answer = lane
-            .recv(Duration::ZERO)
+            .recv(Duration::ZERO, &mut ())
             .expect("answered before close returned");
         assert_eq!(decode_response_id(&answer.head), Some(RequestId(1)));
-        assert!(matches!(lane.recv(Duration::ZERO), Err(WaitError::Timeout)));
+        assert!(matches!(
+            lane.recv(Duration::ZERO, &mut ()),
+            Err(WaitError::Timeout)
+        ));
         assert_eq!(service.0.served.load(Ordering::Relaxed), 1);
     }
 

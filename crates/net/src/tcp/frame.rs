@@ -9,11 +9,14 @@
 //! ```
 //!
 //! A frame goes out as one vectored write of `len ‖ head ‖ tail`
-//! ([`write_frame_parts`]): the prefix never costs a syscall (or, under
+//! ([`write_frame_parts`], through the workspace's one vectored writer,
+//! [`pvfs_types::iov`]): the prefix never costs a syscall (or, under
 //! `TCP_NODELAY`, a segment) of its own, and a frame whose bulk payload
 //! already sits in its own buffer is never staged behind its head in a
 //! second one. Several frames queued for one connection leave the same
-//! way, together ([`write_frames`]).
+//! way, together ([`write_frames`]) — and a payload the frame lent
+//! ([`Frame::lent`]) leaves from the caller's memory, its slices lined up
+//! behind the head.
 //!
 //! Two hard rules keep a malformed peer from hurting the process:
 //!
@@ -36,14 +39,18 @@
 //! a `BufReader` of [`STAGING`] bytes under it: several small frames that
 //! arrived together then cost one `read`, while a body larger than the
 //! staging buffer is still read straight into its own frame buffer
-//! (`BufReader` steps aside for a read at least its own size).
+//! (`BufReader` steps aside for a read at least its own size). A client
+//! reads a `Data` reply's head first, and a body its op has a place for
+//! never enters a frame buffer at all ([`FrameReader::read_reply`]).
 
 use bytes::{Bytes, BytesMut};
-use pvfs_proto::{Frame, MAX_WIRE_FRAME};
-use pvfs_types::PvfsError;
-use std::io::{self, IoSlice, Read, Write};
+use pvfs_proto::{decode_data_head, decode_frame_id, Frame, DATA_HEAD_LEN, MAX_WIRE_FRAME};
+use pvfs_types::iov::{write_parts, Writev};
+use pvfs_types::{PvfsError, RequestId};
+use std::io::{self, BufReader, IoSliceMut, Read, Write};
 
 use crate::spares::{Lent, Spares};
+use crate::transport::Memory;
 use crate::WINDOW;
 
 /// Bytes of framing overhead per frame (the length prefix).
@@ -97,24 +104,41 @@ pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
 /// an oversized `head + tail` before anything reaches the wire.
 pub fn write_frame_parts(w: &mut impl Write, head: &[u8], tail: &[u8]) -> io::Result<()> {
     let prefix = prefix_of(head.len() + tail.len())?;
-    write_all_vectored(w, [&prefix, head, tail])
+    write_parts(w, [&prefix[..], head, tail])
 }
 
-/// Write `frames`, each `prefix ‖ head ‖ payload`, in one
-/// `write_vectored` per [`WINDOW`] of them (resumed after a short write,
-/// as [`write_frame_parts`] is). An oversized frame is rejected before
-/// anything of its batch reaches the wire.
-pub fn write_frames(w: &mut impl Write, frames: &[Frame]) -> io::Result<()> {
+/// Write `frames`, each `prefix ‖ head ‖ payload` and then the payload it
+/// lent, handed over by `memory`, in one `write_vectored` per [`WINDOW`]
+/// of them (per [`IOV_BATCH`](pvfs_types::iov::IOV_BATCH) slices, when a
+/// lent payload is in many), resumed after a short write as
+/// [`write_frame_parts`] is. An oversized frame is rejected before
+/// anything of its batch reaches the wire; a lent payload `memory` does
+/// not hand over whole fails the write.
+pub fn write_frames(w: &mut impl Write, frames: &[Frame], memory: &dyn Memory) -> io::Result<()> {
     for batch in frames.chunks(WINDOW) {
         let mut prefixes = [[0u8; LEN_PREFIX]; WINDOW];
         for (prefix, frame) in prefixes.iter_mut().zip(batch) {
             *prefix = prefix_of(frame.len())?;
         }
-        let mut parts: [&[u8]; 3 * WINDOW] = [&[]; 3 * WINDOW];
-        for (i, (prefix, frame)) in prefixes.iter().zip(batch).enumerate() {
-            parts[3 * i..3 * i + 3].copy_from_slice(&[prefix, &frame.head, &frame.payload]);
+        let mut out = Writev::new(&mut *w);
+        for (prefix, frame) in prefixes.iter().zip(batch) {
+            for part in [&prefix[..], &frame.head, &frame.payload] {
+                out.push(part)?;
+            }
+            if frame.lent > 0 {
+                let id = decode_frame_id(&frame.head).unwrap_or(RequestId(0));
+                let mut lent = 0;
+                memory.lend(id, &mut |slice| {
+                    lent += slice.len();
+                    out.push(slice)
+                })?;
+                if lent != frame.lent {
+                    let short = format!("request {id} lent {lent} of {} bytes", frame.lent);
+                    return Err(io::Error::other(short));
+                }
+            }
         }
-        write_all_vectored(w, parts)?;
+        out.finish()?;
     }
     Ok(())
 }
@@ -128,35 +152,6 @@ fn prefix_of(len: usize) -> io::Result<[u8; LEN_PREFIX]> {
         ));
     }
     Ok((len as u32).to_le_bytes())
-}
-
-/// Write every byte of `parts`, in order: one `write_vectored` when the
-/// writer takes them all, resumed from wherever a short write stopped
-/// otherwise.
-fn write_all_vectored<const N: usize>(w: &mut impl Write, parts: [&[u8]; N]) -> io::Result<()> {
-    let total: usize = parts.iter().map(|p| p.len()).sum();
-    let mut sent = 0;
-    while sent < total {
-        // The unsent remainder: drop whole parts already written, cut
-        // into the one a short write stopped in.
-        let mut skip = sent;
-        let mut bufs = [IoSlice::new(&[]); N];
-        let mut n = 0;
-        for part in parts {
-            if skip < part.len() {
-                bufs[n] = IoSlice::new(&part[skip..]);
-                n += 1;
-            }
-            skip = skip.saturating_sub(part.len());
-        }
-        match w.write_vectored(&bufs[..n]) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(k) => sent += k,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
 }
 
 /// The receiving end of one connection: reads length-prefixed frames,
@@ -194,19 +189,28 @@ pub struct FrameReader {
     spares: Spares<BytesMut>,
     /// The buffers of frames handed out, whole, to be taken back.
     lent: Lent,
-    prefix: [u8; LEN_PREFIX],
-    prefix_got: usize,
-    /// The frame being assembled, once its prefix is in.
+    /// The frame's length prefix and its first bytes, as many as a
+    /// `Data` reply's head: what is read before the body has a place.
+    pre: [u8; LEN_PREFIX + DATA_HEAD_LEN],
+    pre_got: usize,
+    /// The frame's body, once `pre` is in.
     body: Option<Body>,
 }
 
 #[derive(Debug)]
-struct Body {
-    /// What of the frame has arrived, with room for the rest.
-    buf: BytesMut,
-    /// The frame's announced length.
-    len: usize,
+enum Body {
+    /// What of the frame has arrived, with room for the rest, in a
+    /// buffer of the reader's; and the frame's announced length.
+    Buffered(BytesMut, usize),
+    /// A `Data` reply's body, landing where the caller's memory placed
+    /// it: the request it answers, and how many of its bytes are in, of
+    /// how many.
+    Placed(RequestId, usize, usize),
 }
+
+/// Reads a frame's bytes from `R`; a placed body, straight from the
+/// stream beneath `R`'s staging buffer once that is empty.
+type ReadVectored<R> = fn(&mut R, &mut [IoSliceMut<'_>]) -> io::Result<usize>;
 
 impl FrameReader {
     /// A reader with no spare buffer yet.
@@ -216,47 +220,83 @@ impl FrameReader {
 
     /// Whether part of a frame has arrived and the rest has not.
     pub fn mid_frame(&self) -> bool {
-        self.prefix_got > 0 || self.body.is_some()
+        self.pre_got > 0 || self.body.is_some()
     }
 
     /// Read one length-prefixed frame, surviving arbitrary short reads.
     /// Blocking: the caller controls deadlines via socket read timeouts
     /// (client pool) or by shutting the socket down (server teardown).
     pub fn read_frame(&mut self, r: &mut impl Read) -> Result<Bytes, FrameError> {
-        self.assemble(r).inspect_err(|e| {
+        let frame = self.read(r, &mut (), Read::read_vectored)?;
+        Ok(frame.head)
+    }
+
+    /// [`read_frame`](Self::read_frame) for a client reading replies
+    /// through a staging buffer: a `Data` reply's body lands where
+    /// `memory` places it, if it does — what the buffer has staged of it
+    /// first, the rest read straight from the stream — and the frame
+    /// holds the reply's head, with the body's length as
+    /// [`lent`](Frame::lent). Should the place be gone when a body that
+    /// timed out part-way resumes, the read fails.
+    pub fn read_reply<S: Read>(
+        &mut self,
+        r: &mut BufReader<S>,
+        memory: &mut dyn Memory,
+    ) -> Result<Frame, FrameError> {
+        self.read(r, memory, |r, bufs| match r.buffer() {
+            [] => r.get_mut().read_vectored(bufs),
+            _ => r.read_vectored(bufs),
+        })
+    }
+
+    fn read<R: Read>(
+        &mut self,
+        r: &mut R,
+        memory: &mut dyn Memory,
+        unstaged: ReadVectored<R>,
+    ) -> Result<Frame, FrameError> {
+        let read = self.assemble(r, memory, unstaged);
+        read.inspect_err(|e| {
             if !e.is_timeout() {
-                (self.prefix_got, self.body) = (0, None);
+                (self.pre_got, self.body) = (0, None);
             }
         })
     }
 
-    fn assemble(&mut self, r: &mut impl Read) -> Result<Bytes, FrameError> {
+    fn assemble<R: Read>(
+        &mut self,
+        r: &mut R,
+        memory: &mut dyn Memory,
+        unstaged: ReadVectored<R>,
+    ) -> Result<Frame, FrameError> {
         if self.body.is_none() {
-            while self.prefix_got < LEN_PREFIX {
-                match r.read(&mut self.prefix[self.prefix_got..]) {
-                    // A clean EOF before the first byte: the peer hung
-                    // up between frames.
-                    Ok(0) if self.prefix_got == 0 => return Err(FrameError::Closed),
-                    Ok(0) => return Err(died_mid_frame()),
-                    Ok(n) => self.prefix_got += n,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) => return Err(FrameError::Io(e)),
+            self.preamble(r)?;
+        }
+        if let Some(Body::Placed(id, got, len)) = &mut self.body {
+            let (id, skip, len) = (*id, *got, *len);
+            let mut fill = |bufs: &mut [IoSliceMut<'_>]| read_exact(r, unstaged, bufs, got);
+            match memory.place(id, len, skip, &mut fill) {
+                Some(Ok(())) if *got == len => {
+                    let head = Bytes::copy_from_slice(&self.pre[LEN_PREFIX..self.pre_got]);
+                    (self.pre_got, self.body) = (0, None);
+                    return Ok(Frame {
+                        lent: len,
+                        ..head.into()
+                    });
+                }
+                Some(Err(e)) => return Err(FrameError::Io(e)),
+                // Nowhere to land: into a buffer, as any frame.
+                None if skip == 0 => self.body = Some(self.buffered()),
+                // Placed short, or the place went while the body came.
+                _ => {
+                    let lost = format!("request {id}'s reply lost its place part-way");
+                    return Err(FrameError::Io(io::Error::other(lost)));
                 }
             }
-            let len = u32::from_le_bytes(self.prefix) as usize;
-            if len > MAX_WIRE_FRAME {
-                return Err(FrameError::TooLarge(PvfsError::FrameTooLarge {
-                    len: len as u64,
-                    max: MAX_WIRE_FRAME as u64,
-                }));
-            }
-            self.prefix_got = 0;
-            self.spares.sweep(&mut self.lent);
-            let mut buf = self.spares.buffer(len);
-            buf.clear();
-            self.body = Some(Body { buf, len });
         }
-        let Body { buf, len } = self.body.as_mut().expect("the prefix is in");
+        let Some(Body::Buffered(buf, len)) = &mut self.body else {
+            unreachable!("a body not placed is buffered");
+        };
         // Appended into the room the buffer has; what arrived before an
         // error stays.
         let rest = (*len - buf.len()) as u64;
@@ -266,11 +306,90 @@ impl FrameReader {
         if buf.len() < *len {
             return Err(died_mid_frame());
         }
-        let frame = self.body.take().expect("just filled").buf.freeze();
+        let frame = std::mem::take(buf).freeze();
+        (self.pre_got, self.body) = (0, None);
         // Kept a handle on unless the buffer is the frame's own.
         self.lent.keep(frame.clone());
-        Ok(frame)
+        Ok(frame.into())
     }
+
+    /// The frame's announced length, once its prefix is in.
+    fn frame_len(&self) -> usize {
+        u32::from_le_bytes(self.pre[..LEN_PREFIX].try_into().expect("a prefix")) as usize
+    }
+
+    /// Read the frame's prefix and as much of the frame as a `Data`
+    /// reply's head is into `pre`, and say where its body goes: a `Data`
+    /// reply's is placed, if it can be, any other frame's buffered.
+    fn preamble(&mut self, r: &mut impl Read) -> Result<(), FrameError> {
+        loop {
+            let want = match self.pre_got {
+                got if got < LEN_PREFIX => LEN_PREFIX,
+                _ => match self.frame_len() {
+                    len if len > MAX_WIRE_FRAME => {
+                        return Err(FrameError::TooLarge(PvfsError::FrameTooLarge {
+                            len: len as u64,
+                            max: MAX_WIRE_FRAME as u64,
+                        }))
+                    }
+                    len => LEN_PREFIX + len.min(DATA_HEAD_LEN),
+                },
+            };
+            if self.pre_got == want {
+                break;
+            }
+            match r.read(&mut self.pre[self.pre_got..want]) {
+                // A clean EOF before the first byte: the peer hung up
+                // between frames.
+                Ok(0) if self.pre_got == 0 => return Err(FrameError::Closed),
+                Ok(0) => return Err(died_mid_frame()),
+                Ok(n) => self.pre_got += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(FrameError::Io(e)),
+            }
+        }
+        let body = self.frame_len().saturating_sub(DATA_HEAD_LEN);
+        self.body = Some(
+            match decode_data_head(&self.pre[LEN_PREFIX..self.pre_got]) {
+                Some((id, len)) if len > 0 && len == body as u64 => Body::Placed(id, 0, body),
+                _ => self.buffered(),
+            },
+        );
+        Ok(())
+    }
+
+    /// A buffer of the reader's for the frame, holding what `pre` has of
+    /// it.
+    fn buffered(&mut self) -> Body {
+        let len = self.frame_len();
+        self.spares.sweep(&mut self.lent);
+        let mut buf = self.spares.buffer(len);
+        buf.clear();
+        buf.extend_from_slice(&self.pre[LEN_PREFIX..self.pre_got]);
+        Body::Buffered(buf, len)
+    }
+}
+
+/// Fill `bufs` whole with `read`s of `r`, counting into `got` what
+/// arrives.
+fn read_exact<R>(
+    r: &mut R,
+    read: ReadVectored<R>,
+    mut bufs: &mut [IoSliceMut<'_>],
+    got: &mut usize,
+) -> io::Result<()> {
+    while !bufs.is_empty() {
+        match read(r, bufs) {
+            Ok(0) => return Err(io::Error::new(io::ErrorKind::UnexpectedEof, MID_FRAME)),
+            Ok(n) => {
+                *got += n;
+                IoSliceMut::advance_slices(&mut bufs, n);
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Read one length-prefixed frame: a [`FrameReader`] used once.
@@ -281,11 +400,10 @@ pub fn read_frame(r: &mut impl Read) -> Result<Bytes, FrameError> {
 /// An EOF inside a frame (as opposed to [`FrameError::Closed`], between
 /// two).
 fn died_mid_frame() -> FrameError {
-    FrameError::Io(io::Error::new(
-        io::ErrorKind::UnexpectedEof,
-        "peer died mid-frame",
-    ))
+    FrameError::Io(io::Error::new(io::ErrorKind::UnexpectedEof, MID_FRAME))
 }
+
+const MID_FRAME: &str = "peer died mid-frame";
 
 /// Total wire bytes a frame of `frame_len` bytes occupies (prefix +
 /// body).
@@ -296,6 +414,9 @@ pub fn wire_len(frame_len: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::{Fill, Placed, Put};
+    use pvfs_proto::data_response_head;
+    use std::io::IoSlice;
 
     /// A reader that hands out its bytes at most `chunk` at a time —
     /// the short-read behavior of a congested socket.
@@ -711,11 +832,93 @@ mod tests {
         }
     }
 
+    /// A memory with a place for the reply to request 7: three slices of
+    /// `dest`, with gaps between them.
+    struct Places {
+        dest: Vec<u8>,
+        most_skipped: usize,
+    }
+
+    impl Memory for Places {
+        fn lend<'m>(&'m self, _: RequestId, _: &mut Put<'m, '_>) -> io::Result<()> {
+            unreachable!("nothing is sent")
+        }
+
+        fn place(&mut self, id: RequestId, len: usize, mut skip: usize, fill: &mut Fill) -> Placed {
+            if id != RequestId(7) {
+                return None;
+            }
+            assert_eq!(len, 500);
+            self.most_skipped = self.most_skipped.max(skip);
+            let (a, rest) = self.dest[10..].split_at_mut(100);
+            let (b, rest) = rest[20..].split_at_mut(200);
+            let mut bufs = Vec::new();
+            for slice in [a, b, &mut rest[10..210]] {
+                let skipped = skip.min(slice.len());
+                skip -= skipped;
+                bufs.push(IoSliceMut::new(&mut slice[skipped..]));
+            }
+            Some(fill(&mut bufs))
+        }
+    }
+
+    /// A `Data` reply its memory has a place for is read head first and
+    /// its body straight to that place — what the staging buffer holds
+    /// of it first — surviving a timeout anywhere; one it has none for,
+    /// and any other frame, come whole, as from `read_frame`.
+    #[test]
+    fn a_reply_body_lands_in_its_place_across_timeouts() {
+        let body: Vec<u8> = (0..500u32).map(|i| (i % 251) as u8 + 1).collect();
+        let reply = |id| [&data_response_head(RequestId(id), 500)[..], &body].concat();
+        let mut wire = framed(&reply(7));
+        wire.extend_from_slice(&framed(&reply(8)));
+        wire.extend_from_slice(&framed(b"not a data reply"));
+        for runs in [
+            vec![2, 30, 7, 1, 100, 200, 9, 600],
+            vec![1000],
+            vec![13; 200],
+        ] {
+            let stalls_mid_body = runs.len() > 1;
+            let stalling = Stalling {
+                data: wire.clone(),
+                pos: 0,
+                runs,
+                left_in_run: 0,
+            };
+            let mut r = BufReader::with_capacity(64, stalling);
+            let mut places = Places {
+                dest: vec![0; 600],
+                most_skipped: 0,
+            };
+            let mut frames = FrameReader::new();
+            let mut got = Vec::new();
+            while got.len() < 3 {
+                match frames.read_reply(&mut r, &mut places) {
+                    Ok(frame) => got.push(frame),
+                    Err(e) if e.is_timeout() => {}
+                    Err(e) => panic!("{e:?}"),
+                }
+            }
+            assert_eq!(got[0].head.as_ref(), &data_response_head(RequestId(7), 500));
+            assert_eq!((got[0].payload.len(), got[0].lent), (0, 500));
+            let dest = &places.dest;
+            let placed = [&dest[10..110], &dest[130..330], &dest[340..540]].concat();
+            assert_eq!(placed, body);
+            let gaps = [&dest[..10], &dest[110..130], &dest[330..340], &dest[540..]];
+            assert!(gaps.iter().all(|gap| gap.iter().all(|&b| b == 0)));
+            assert_eq!((got[1].head.as_ref(), got[1].lent), (&reply(8)[..], 0));
+            assert_eq!(got[2].head.as_ref(), b"not a data reply");
+            assert!(!frames.mid_frame());
+            assert_eq!(places.most_skipped > 0, stalls_mid_body, "resumed part-way");
+        }
+    }
+
     #[test]
     fn queued_frames_leave_in_one_vectored_write_of_unchanged_bytes() {
         let frame = |i: u8, payload: usize| Frame {
             head: Bytes::from(vec![i; 20 + i as usize]),
             payload: Bytes::from(vec![!i; payload]),
+            lent: 0,
         };
         let frames: Vec<Frame> = (0..2 * WINDOW as u8 + 1)
             .map(|i| frame(i, 64 * i as usize))
@@ -729,9 +932,9 @@ mod tests {
             chunk: usize::MAX,
             calls: 0,
         };
-        write_frames(&mut w, &frames[..WINDOW]).unwrap();
+        write_frames(&mut w, &frames[..WINDOW], &()).unwrap();
         assert_eq!(w.calls, 1, "a window of frames is one call");
-        write_frames(&mut w, &frames[WINDOW..]).unwrap();
+        write_frames(&mut w, &frames[WINDOW..], &()).unwrap();
         assert_eq!(w.calls, 1 + 2, "and more than a window one call per window");
         assert_eq!(w.out, expected);
         // Short writes resume wherever they stopped, across frames.
@@ -741,16 +944,17 @@ mod tests {
                 chunk,
                 calls: 0,
             };
-            write_frames(&mut w, &frames).unwrap();
+            write_frames(&mut w, &frames, &()).unwrap();
             assert_eq!(w.out, expected, "chunk {chunk}");
         }
         // An oversized frame stops its batch before any of it is out.
         let huge = Frame {
             head: Bytes::from(vec![0u8; 20]),
             payload: Bytes::from(vec![0u8; MAX_WIRE_FRAME]),
+            lent: 0,
         };
         let mut out = Vec::new();
-        let err = write_frames(&mut out, &[frame(1, 8), huge]).unwrap_err();
+        let err = write_frames(&mut out, &[frame(1, 8), huge], &()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert!(out.is_empty(), "nothing may hit the wire");
     }

@@ -18,6 +18,18 @@
 //! connection per daemon, whatever its window; only concurrent
 //! operations dial more.
 //!
+//! # The payload crosses the client once
+//!
+//! A lane is handed the caller's memory with every frame it writes and
+//! every reply it reads ([`Memory`]: the driving stream's ops). A write
+//! whose frame lent its payload ([`Frame::lent`]) leaves from the
+//! caller's buffer — its share's slices lined up behind the head in the
+//! same vectored write — and a `Data` reply whose op has a place for it
+//! is read, head first, with its body going straight to that place
+//! ([`FrameReader::read_reply`]). The ops with fragments too small to be
+//! worth a slice each gather and scatter through buffers, as every op
+//! over the channel transport does.
+//!
 //! # Deadlines
 //!
 //! The socket's read timeout is set once, when the connection is
@@ -58,7 +70,6 @@
 //! error and the client-level [`RetryPolicy`](crate::RetryPolicy)
 //! decides.
 
-use bytes::Bytes;
 use pvfs_proto::{Frame, MAX_WIRE_FRAME};
 use pvfs_types::clock::{self, now_ns};
 use pvfs_types::{PvfsError, PvfsResult};
@@ -68,7 +79,9 @@ use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use super::frame::{write_frames, FrameError, FrameReader, STAGING};
-use crate::transport::{parked, Lane, Parked, RpcTarget, Transport, TransportKind, WaitError};
+use crate::transport::{
+    parked, Lane, Memory, Parked, RpcTarget, Transport, TransportKind, WaitError,
+};
 use crate::WINDOW;
 
 /// The read timeout every pooled socket carries: how long a blocked
@@ -107,19 +120,21 @@ impl<S: Read + Write> Wire<S> {
     }
 
     /// Everything queued, in one vectored write: a write's payload goes
-    /// from the buffer it was gathered into straight to the socket.
-    fn flush(&mut self) -> io::Result<()> {
-        write_frames(self.stream.get_mut(), &self.queued)?;
+    /// from the buffer it was gathered into, or from the caller's memory
+    /// it lent, straight to the socket.
+    fn flush(&mut self, memory: &dyn Memory) -> io::Result<()> {
+        write_frames(self.stream.get_mut(), &self.queued, memory)?;
         self.owed += self.queued.len();
         self.queued.clear();
         Ok(())
     }
 
     /// The next frame, if it is complete by the clock reading `deadline`
-    /// (one look at the stream even when that has passed).
-    fn recv(&mut self, deadline: u64) -> Result<Bytes, FrameError> {
+    /// (one look at the stream even when that has passed), a `Data`
+    /// body landing where `memory` places it.
+    fn recv(&mut self, deadline: u64, memory: &mut dyn Memory) -> Result<Frame, FrameError> {
         loop {
-            match self.frames.read_frame(&mut self.stream) {
+            match self.frames.read_reply(&mut self.stream, memory) {
                 Err(e) if e.is_timeout() && now_ns() < deadline => {}
                 Ok(frame) => {
                     self.owed = self.owed.saturating_sub(1);
@@ -246,12 +261,12 @@ impl TcpLane {
     /// re-send of every frame flushed so far (two O(1) handles each; a
     /// frame still queued goes with the next flush). The fresh
     /// connection gets no second replay.
-    fn heal(&mut self) -> PvfsResult<()> {
+    fn heal(&mut self, memory: &dyn Memory) -> PvfsResult<()> {
         self.unproven = false;
         let stale = self.wire.take().expect("a failed connection to replace");
         let mut wire = dial(self.addr)?;
         wire.queued = std::mem::take(&mut self.replay);
-        wire.flush().map_err(|e| {
+        wire.flush(memory).map_err(|e| {
             PvfsError::Transport(format!(
                 "resend to {} after stale connection: {e}",
                 self.addr
@@ -264,7 +279,7 @@ impl TcpLane {
 }
 
 impl Lane for TcpLane {
-    fn send(&mut self, frame: Frame) -> PvfsResult<()> {
+    fn send(&mut self, frame: Frame, memory: &dyn Memory) -> PvfsResult<()> {
         if frame.len() > MAX_WIRE_FRAME {
             // This frame's own fault; checked here so that it cannot
             // fail the flush of its lane-mates.
@@ -278,14 +293,14 @@ impl Lane for TcpLane {
         // Queueing is for small frames, which share a write; a staging
         // buffer's worth of bytes is worth a write of its own, now —
         // the daemon can be receiving one large payload while the
-        // client gathers the next.
+        // client builds the next.
         if wire.queued.iter().map(Frame::len).sum::<usize>() >= STAGING {
-            return self.flush();
+            return self.flush(memory);
         }
         Ok(())
     }
 
-    fn flush(&mut self) -> PvfsResult<()> {
+    fn flush(&mut self, memory: &dyn Memory) -> PvfsResult<()> {
         let unproven = self.unproven;
         let wire = self.wire.as_mut().ok_or_else(spent)?;
         if wire.queued.is_empty() {
@@ -294,20 +309,20 @@ impl Lane for TcpLane {
         if unproven {
             self.replay.extend_from_slice(&wire.queued);
         }
-        let Err(e) = wire.flush() else {
+        let Err(e) = wire.flush(memory) else {
             return Ok(());
         };
         if unproven {
             // The connection went stale while idle: evict it and send
             // on a fresh one. Only a fresh connection's failure is fatal.
             wire.queued.clear();
-            return self.heal();
+            return self.heal(memory);
         }
         self.wire = None;
         Err(PvfsError::Transport(format!("send to {}: {e}", self.addr)))
     }
 
-    fn recv(&mut self, timeout: Duration) -> Result<Frame, WaitError> {
+    fn recv(&mut self, timeout: Duration, memory: &mut dyn Memory) -> Result<Frame, WaitError> {
         let deadline = clock::deadline(timeout);
         loop {
             let unproven = self.unproven;
@@ -323,17 +338,17 @@ impl Lane for TcpLane {
             let received = if timeout.is_zero() {
                 let socket = wire.stream.get_ref();
                 let _ = socket.set_nonblocking(true);
-                let received = wire.recv(deadline);
+                let received = wire.recv(deadline, memory);
                 let _ = wire.stream.get_ref().set_nonblocking(false);
                 received
             } else {
-                wire.recv(deadline)
+                wire.recv(deadline, memory)
             };
             let error = match received {
                 Ok(frame) => {
                     self.unproven = false;
                     self.replay.clear();
-                    return Ok(frame.into());
+                    return Ok(frame);
                 }
                 Err(e) if e.is_timeout() => return Err(WaitError::Timeout),
                 Err(e) => e,
@@ -343,7 +358,7 @@ impl Lane for TcpLane {
             // it while it sat idle — replay once on a fresh connection,
             // under the same deadline.
             if unproven && !wire.mid_reply() && peer_went_away(&error) {
-                match self.heal() {
+                match self.heal(&*memory) {
                     Ok(()) => continue,
                     Err(e) => return Err(WaitError::Failed(e)),
                 }
@@ -395,6 +410,7 @@ fn peer_went_away(e: &FrameError) -> bool {
 mod tests {
     use super::*;
     use crate::tcp::frame::write_frame;
+    use bytes::Bytes;
     use std::collections::VecDeque;
     use std::io::IoSlice;
 
@@ -464,10 +480,11 @@ mod tests {
             .map(|i| Frame {
                 head: Bytes::from(vec![i; 1100]),
                 payload: Bytes::from(vec![!i; 2048]),
+                lent: 0,
             })
             .collect();
         wire.queued.extend(requests.iter().cloned());
-        wire.flush().unwrap();
+        wire.flush(&()).unwrap();
         let stream = wire.stream.get_ref();
         assert_eq!((stream.vectored_writes, stream.plain_writes), (1, 0));
         let joined = |f: &Frame| [&f.head[..], &f.payload[..]].concat();
@@ -486,14 +503,14 @@ mod tests {
         wire.stream.get_mut().segments.push_back(framed(&replies));
         let soon = clock::deadline(Duration::from_secs(5));
         for reply in &replies {
-            assert_eq!(wire.recv(soon).unwrap().as_ref(), &reply[..]);
+            assert_eq!(wire.recv(soon, &mut ()).unwrap().head.as_ref(), &reply[..]);
         }
         assert_eq!(wire.stream.get_ref().reads, 1, "one read for the segment");
         assert!(wire.is_quiet());
 
         // Nothing more has come: the deadline, not the stream, ends the
         // wait, and nothing is lost by it.
-        let timed_out = wire.recv(now_ns()).unwrap_err();
+        let timed_out = wire.recv(now_ns(), &mut ()).unwrap_err();
         assert!(timed_out.is_timeout());
         assert!(wire.is_quiet());
     }
@@ -511,14 +528,14 @@ mod tests {
         let rest = bytes.split_off(STAGING + 100);
         let (first, second) = (bytes.split_off(10), bytes);
         wire.stream.get_mut().segments.push_back(second);
-        assert!(wire.recv(now_ns()).unwrap_err().is_timeout());
+        assert!(wire.recv(now_ns(), &mut ()).unwrap_err().is_timeout());
         assert!(wire.mid_reply() && !wire.is_quiet());
         wire.stream.get_mut().segments.push_back(first);
-        assert!(wire.recv(now_ns()).unwrap_err().is_timeout());
+        assert!(wire.recv(now_ns(), &mut ()).unwrap_err().is_timeout());
         wire.stream.get_mut().segments.push_back(rest);
         let soon = clock::deadline(Duration::from_secs(5));
-        assert_eq!(wire.recv(soon).unwrap().as_ref(), &long[..]);
-        assert_eq!(wire.recv(soon).unwrap().as_ref(), b"short");
+        assert_eq!(wire.recv(soon, &mut ()).unwrap().head.as_ref(), &long[..]);
+        assert_eq!(wire.recv(soon, &mut ()).unwrap().head.as_ref(), b"short");
         // 3 segments, 2 timeouts, and one read that found the stream
         // dry after the last frame's bytes were in: the body took one
         // read per segment, however many staging buffers long it is.

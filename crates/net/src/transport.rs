@@ -28,7 +28,7 @@ use crate::serve::{Driver, ReplyPath};
 use crate::spares::{Lent, Spares};
 use crate::WINDOW;
 
-pub use pvfs_decide::{RpcTarget, WaitError};
+pub use pvfs_decide::{Fill, Memory, Placed, Put, RpcTarget, WaitError};
 
 /// Which transport a cluster speaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -79,13 +79,15 @@ pub trait Lane: Send {
     /// not go, and the lane is as good as before. (A lane may flush by
     /// itself once a lot is queued; should it fail at that, the frames
     /// sent before this one hear of it at the next `flush` or `recv`.)
-    fn send(&mut self, frame: Frame) -> PvfsResult<()>;
+    /// A frame that lent its payload ([`Frame::lent`]) leaves with it out
+    /// of `memory`, whenever a stream lane writes it.
+    fn send(&mut self, frame: Frame, memory: &dyn Memory) -> PvfsResult<()>;
 
     /// Push every frame queued since the last flush out — over a socket
-    /// in one vectored write. Whoever is about to wait for a reply
-    /// flushes first. An error is the lane's, as [`WaitError::Failed`]
-    /// is.
-    fn flush(&mut self) -> PvfsResult<()>;
+    /// in one vectored write, lent payloads out of `memory`. Whoever is
+    /// about to wait for a reply flushes first. An error is the lane's,
+    /// as [`WaitError::Failed`] is.
+    fn flush(&mut self, memory: &dyn Memory) -> PvfsResult<()>;
 
     /// Block until the daemon's next raw response frame arrives, at most
     /// `timeout` in total — a lane that reassembles the response from
@@ -93,8 +95,9 @@ pub trait Lane: Send {
     /// already here is yielded even with no time left; a `recv` with no
     /// time at all never blocks. Replies arrive in
     /// the order the daemon finished them, not the order their requests
-    /// left; a `Data` reply may come in two parts.
-    fn recv(&mut self, timeout: Duration) -> Result<Frame, WaitError>;
+    /// left; a `Data` reply may come in two parts, or with its body
+    /// already where `memory` placed it ([`Frame::lent`]: over a stream).
+    fn recv(&mut self, timeout: Duration, memory: &mut dyn Memory) -> Result<Frame, WaitError>;
 
     /// Give the lane back, box and all, to where its transport keeps
     /// lanes, for the next checkout to the same daemon — if every frame
@@ -120,8 +123,8 @@ pub trait Transport: Send + Sync {
     /// next dispatch to that daemon dials a fresh one.
     fn dispatch(&self, target: RpcTarget, frame: Frame) -> PvfsResult<Box<dyn Lane>> {
         let mut lane = self.lane(target)?;
-        lane.send(frame)?;
-        lane.flush()?;
+        lane.send(frame, &())?;
+        lane.flush(&())?;
         Ok(lane)
     }
 
@@ -319,7 +322,9 @@ impl ChanLane {
 }
 
 impl Lane for ChanLane {
-    fn send(&mut self, frame: Frame) -> PvfsResult<()> {
+    /// A frame crosses threads here and must own its bytes: one that
+    /// lent its payload arrives without it, and its daemon refuses it.
+    fn send(&mut self, frame: Frame, _: &dyn Memory) -> PvfsResult<()> {
         // Whoever sends the next frame is done with the replies so far.
         self.spares.sweep(&mut self.lent);
         let reply = ReplyPath::Lane(ReplyTo {
@@ -342,11 +347,12 @@ impl Lane for ChanLane {
     }
 
     /// Nothing is ever queued on this side: `send` hands the frame over.
-    fn flush(&mut self) -> PvfsResult<()> {
+    fn flush(&mut self, _: &dyn Memory) -> PvfsResult<()> {
         Ok(())
     }
 
-    fn recv(&mut self, timeout: Duration) -> Result<Frame, WaitError> {
+    /// A reply comes whole: it was built in a buffer on the daemon's side.
+    fn recv(&mut self, timeout: Duration, _: &mut dyn Memory) -> Result<Frame, WaitError> {
         // The thread parks itself, and the reply's `ReplyTo` unparks it:
         // the channel's own `recv_timeout` makes its list of parked
         // receivers the first time one parks, and whether an op's wait
@@ -428,7 +434,7 @@ mod tests {
         let mut first = transport.dispatch(target, ping(1)).unwrap();
         let (id, late) = received();
         assert!(matches!(
-            first.recv(Duration::from_millis(1)),
+            first.recv(Duration::from_millis(1), &mut ()),
             Err(WaitError::Timeout)
         ));
         first.park();
@@ -440,10 +446,10 @@ mod tests {
         late.send(pong(id));
         let (id, reply) = received();
         reply.send(pong(id));
-        let answer = second.recv(Duration::from_secs(5)).unwrap();
+        let answer = second.recv(Duration::from_secs(5), &mut ()).unwrap();
         assert_eq!(decode_response_id(&answer.head), Some(RequestId(2)));
         assert!(matches!(
-            second.recv(Duration::ZERO),
+            second.recv(Duration::ZERO, &mut ()),
             Err(WaitError::Timeout)
         ));
         let at = |lane: &dyn Lane| lane as *const dyn Lane as *const u8;
@@ -471,12 +477,15 @@ mod tests {
         let transport = ChanTransport::new(doors);
         let mut lane = transport.lane(RpcTarget::Server(ServerId(0))).unwrap();
         for id in 1..=WINDOW as u64 {
-            lane.send(ping(id)).unwrap();
+            lane.send(ping(id), &()).unwrap();
         }
         for id in 1..=WINDOW as u64 {
-            let reply = lane.recv(Duration::ZERO).unwrap();
+            let reply = lane.recv(Duration::ZERO, &mut ()).unwrap();
             assert_eq!(decode_response_id(&reply.head), Some(RequestId(id)));
         }
-        assert!(matches!(lane.recv(Duration::ZERO), Err(WaitError::Timeout)));
+        assert!(matches!(
+            lane.recv(Duration::ZERO, &mut ()),
+            Err(WaitError::Timeout)
+        ));
     }
 }

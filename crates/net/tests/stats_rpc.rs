@@ -165,7 +165,7 @@ fn books_after_mixed_traffic(kind: TransportKind) -> StatsSnapshot {
         encode_frame(&message, None).unwrap()
     };
     let reply = |mut lane: Box<dyn pvfs_net::Lane>| {
-        let raw = lane.recv(Duration::from_secs(10)).unwrap();
+        let raw = lane.recv(Duration::from_secs(10), &mut ()).unwrap();
         decode_response_frame(raw).unwrap()
     };
     // Header intact, body cut short: answered under the header's id,
@@ -444,7 +444,10 @@ fn the_teardown_dump_counts_a_frame_served_during_teardown() {
             };
             let frame = encode_frame(&message, None).unwrap();
             let mut lane = transport.dispatch(RpcTarget::Server(ServerId(0)), frame);
-            lane.as_mut().unwrap().recv(Duration::from_secs(10)).is_ok()
+            lane.as_mut()
+                .unwrap()
+                .recv(Duration::from_secs(10), &mut ())
+                .is_ok()
         });
         while cluster.stats_snapshot(ServerId(0)).unwrap().frames_rx == 0 {
             std::thread::yield_now();

@@ -107,7 +107,7 @@ fn wire_bytes_count_the_length_prefix() {
     transport
         .dispatch(RpcTarget::Server(ServerId(0)), frame.into())
         .unwrap()
-        .recv(Duration::from_secs(5))
+        .recv(Duration::from_secs(5), &mut ())
         .unwrap();
     let stats = daemons[0].ledger().snapshot();
     assert_eq!(stats.frames_rx, 1);
@@ -148,7 +148,7 @@ fn bytes_tx_includes_every_reply_the_client_already_holds() {
         let reply = transport
             .dispatch(RpcTarget::Server(ServerId(0)), frame.into())
             .unwrap()
-            .recv(Duration::from_secs(5))
+            .recv(Duration::from_secs(5), &mut ())
             .unwrap();
         expected_tx += 4 + reply.len() as u64;
         assert_eq!(
@@ -198,7 +198,7 @@ fn trickled_response_cannot_stretch_the_rpc_deadline() {
         .dispatch(RpcTarget::Server(ServerId(0)), frame.into())
         .unwrap();
     let start = now_ns();
-    let err = lane.recv(Duration::from_millis(150)).unwrap_err();
+    let err = lane.recv(Duration::from_millis(150), &mut ()).unwrap_err();
     let elapsed = since(start);
     assert!(matches!(err, WaitError::Timeout), "got {err:?}");
     assert!(
@@ -256,7 +256,7 @@ fn client_rejects_oversized_response_announcement() {
     let err = transport
         .dispatch(RpcTarget::Server(ServerId(0)), frame.into())
         .unwrap()
-        .recv(Duration::from_secs(5))
+        .recv(Duration::from_secs(5), &mut ())
         .unwrap_err();
     match err {
         WaitError::Failed(PvfsError::FrameTooLarge { len, .. }) => {
@@ -365,7 +365,7 @@ fn second_rpc_after_server_side_disconnect_succeeds() {
             "rpc {i} went out on the parked connection, not a fresh one"
         );
         let reply = lane
-            .recv(Duration::from_secs(5))
+            .recv(Duration::from_secs(5), &mut ())
             .unwrap_or_else(|e| panic!("rpc {i} after server-side disconnect failed: {e:?}"));
         let (rid, resp) = decode_response_frame(reply).unwrap();
         assert_eq!(rid, RequestId(i));
@@ -448,7 +448,7 @@ fn a_write_request_is_one_vectored_write_of_unchanged_bytes() {
     TcpTransport::new(vec![addr], addr)
         .dispatch(RpcTarget::Server(ServerId(0)), frame)
         .unwrap()
-        .recv(Duration::from_secs(5))
+        .recv(Duration::from_secs(5), &mut ())
         .unwrap();
     assert_eq!(server.join().unwrap(), contiguous);
 }
@@ -788,14 +788,14 @@ fn small_frames_wait_for_the_flush_and_a_large_one_does_not() {
     };
     let arrived = |conn: &mut TcpStream| read_frame(conn).map(pvfs_proto::decode_message);
 
-    lane.send(write(1, 100)).unwrap();
-    lane.send(write(2, 100)).unwrap();
+    lane.send(write(1, 100), &()).unwrap();
+    lane.send(write(2, 100), &()).unwrap();
     assert!(arrived(&mut conn).is_err(), "a queued frame left unflushed");
-    lane.flush().unwrap();
+    lane.flush(&()).unwrap();
     for id in [1, 2] {
         assert_eq!(arrived(&mut conn).unwrap().unwrap().id, RequestId(id));
     }
-    lane.send(write(3, 64 << 10)).unwrap();
+    lane.send(write(3, 64 << 10), &()).unwrap();
     assert_eq!(arrived(&mut conn).unwrap().unwrap().id, RequestId(3));
 }
 

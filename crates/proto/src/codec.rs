@@ -69,6 +69,13 @@ pub const DATA_HEAD_LEN: usize = RESPONSE_ENVELOPE_LEN + 1 + 8;
 /// daemon read) — shared, never copied behind the head. A message
 /// without one is all head. A stream transport writes the two parts with
 /// one vectored write; the channel transport hands both over untouched.
+///
+/// Over a stream a payload may also be the caller's memory, [`lent`]
+/// for the frame's flight: a write's share sent from where it lies, a
+/// `Data` reply's body read straight to where it belongs. The frame
+/// then holds its head and the payload's length alone.
+///
+/// [`lent`]: Frame::lent
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Frame {
     /// Everything before the bulk payload (the whole frame when there
@@ -76,12 +83,15 @@ pub struct Frame {
     pub head: Bytes,
     /// A write request's or data reply's bulk payload; empty otherwise.
     pub payload: Bytes,
+    /// Payload bytes behind `payload` on the wire that are the caller's
+    /// memory, not the frame's (0: none).
+    pub lent: usize,
 }
 
 impl Frame {
     /// Bytes the frame occupies on the wire (before any stream framing).
     pub fn len(&self) -> usize {
-        self.head.len() + self.payload.len()
+        self.head.len() + self.payload.len() + self.lent
     }
 
     /// True iff both parts are empty.
@@ -95,7 +105,7 @@ impl From<Bytes> for Frame {
     fn from(head: Bytes) -> Frame {
         Frame {
             head,
-            payload: Bytes::new(),
+            ..Frame::default()
         }
     }
 }
@@ -281,11 +291,13 @@ pub(crate) trait Field: Sized {
     }
 }
 
-/// A frame being decoded: its head, its payload part, and the spare a
-/// list request's regions are decoded into.
+/// A frame being decoded: its head, its payload part, what of its
+/// payload is the caller's memory, and the spare a list request's
+/// regions are decoded into.
 pub(crate) struct Reader<'s> {
     head: Bytes,
     payload: Bytes,
+    lent: usize,
     spare: &'s mut RegionList,
 }
 
@@ -294,6 +306,7 @@ impl<'s> Reader<'s> {
         Reader {
             head: frame.head,
             payload: frame.payload,
+            lent: frame.lent,
             spare,
         }
     }
@@ -317,7 +330,7 @@ impl<'s> Reader<'s> {
     /// The frame is spent: bytes left over in either part are garbage
     /// after `what`.
     fn finish(self, what: &str) -> PvfsResult<()> {
-        match self.head.remaining() + self.payload.remaining() {
+        match self.head.remaining() + self.payload.remaining() + self.lent {
             0 => Ok(()),
             garbage => Err(PvfsError::protocol(format!(
                 "{garbage} bytes of garbage after {what}"
@@ -376,7 +389,8 @@ impl Field for String {
 
 /// A bulk payload, always a row's last field: its length word in the
 /// head, its bytes out of the rest of the head (a contiguous frame) or,
-/// once the head is spent, out of the frame's payload part.
+/// once the head is spent, out of the frame's payload part — or none,
+/// every one of them lent: already in the caller's memory.
 impl Field for Bytes {
     const MIN_LEN: u64 = 8;
 
@@ -386,6 +400,10 @@ impl Field for Bytes {
 
     fn get(r: &mut Reader) -> PvfsResult<Self> {
         let len = u64::get(r)? as usize;
+        if r.lent == len && !r.head.has_remaining() && r.payload.is_empty() {
+            r.lent = 0;
+            return Ok(Bytes::new());
+        }
         let part = if r.head.has_remaining() {
             &mut r.head
         } else {
@@ -705,7 +723,7 @@ pub fn encode_message(m: &Message) -> PvfsResult<Bytes> {
 /// [`encode_frame_into`] for callers with no spare to offer.
 pub fn encode_frame(m: &Message, ctx: Option<TraceContext>) -> PvfsResult<Frame> {
     let head = BytesMut::with_capacity(request_head_len(&m.request, ctx));
-    encode_frame_into(m.client, m.id, &m.request, ctx, head)
+    encode_frame_into(m.client, m.id, &m.request, ctx, head, 0)
 }
 
 /// Encode a request as a two-part [`Frame`] — the same head encoder as
@@ -720,18 +738,35 @@ pub fn encode_frame(m: &Message, ctx: Option<TraceContext>) -> PvfsResult<Frame>
 /// without allocating. [`request_head_len`] is the room it needs. The
 /// request is only borrowed: nothing of it is cloned but the handle on a
 /// write's payload.
+///
+/// A write whose (empty) payload is `lent` bytes of the caller's memory
+/// instead says so in its length word, the head's last field, and its
+/// frame carries them as [`Frame::lent`].
 pub fn encode_frame_into(
     client: ClientId,
     id: RequestId,
     request: &Request,
     ctx: Option<TraceContext>,
     mut head: BytesMut,
+    lent: usize,
 ) -> PvfsResult<Frame> {
     head.clear();
     let payload = put_head(&mut head, client, id, request, ctx)?;
+    if lent > 0 {
+        if !payload.is_some_and(Bytes::is_empty) {
+            return Err(PvfsError::invalid("only a write's empty payload is lent"));
+        }
+        if lent > MAX_BULK_BYTES {
+            let (len, max) = (lent as u64, MAX_BULK_BYTES as u64);
+            return Err(PvfsError::FrameTooLarge { len, max });
+        }
+        let at = head.len() - 8;
+        head[at..].copy_from_slice(&(lent as u64).to_le_bytes());
+    }
     Ok(Frame {
         payload: payload.cloned().unwrap_or_default(),
         head: head.freeze(),
+        lent,
     })
 }
 
@@ -861,6 +896,16 @@ pub fn data_response_head(id: RequestId, payload_len: u64) -> [u8; DATA_HEAD_LEN
     Response::Data { data: Bytes::new() }.tag().put(&mut w);
     payload_len.put(&mut w);
     head
+}
+
+/// The request id and payload length in `head`, if it is the head of a
+/// [`Response::Data`] frame ([`data_response_head`]'s bytes).
+pub fn decode_data_head(head: &[u8]) -> Option<(RequestId, u64)> {
+    let head: &[u8; DATA_HEAD_LEN] = head.try_into().ok()?;
+    let word = |at: usize| u64::from_le_bytes(head[at..at + 8].try_into().expect("8 bytes"));
+    let blank = data_response_head(RequestId(0), 0);
+    let data = head[..3] == blank[..3] && head[11] == blank[11];
+    data.then(|| (RequestId(word(3)), word(12)))
 }
 
 /// The one response encoder: envelope, tag, fields, and a `Data`
@@ -1681,6 +1726,51 @@ mod tests {
         }
     }
 
+    /// A lent payload is its length word alone: the head is the bytes a
+    /// whole frame starts with, and a frame whose lent bytes are the
+    /// length word's decodes with them in place — any other count is an
+    /// error, as a short or long payload part is.
+    #[test]
+    fn a_lent_payload_is_its_length_word() {
+        let data = Bytes::from(vec![7u8; 300]);
+        let write = |data| {
+            msg(Request::Write {
+                handle: FileHandle(1),
+                layout: layout(),
+                region: Region::new(0, 300),
+                data,
+            })
+        };
+        let whole = encode_frame(&write(data.clone()), None).unwrap();
+        let m = write(Bytes::new());
+        let head = BytesMut::new();
+        let lent = encode_frame_into(m.client, m.id, &m.request, None, head, 300).unwrap();
+        assert_eq!(
+            (&lent.head, lent.payload.len(), lent.len()),
+            (&whole.head, 0, whole.len())
+        );
+        let (decoded, _) = decode_frame(lent.clone()).unwrap();
+        assert_eq!(decoded.request.bulk_len(), 0);
+        for wrong in [299, 301] {
+            let frame = Frame {
+                lent: wrong,
+                ..lent.clone()
+            };
+            assert!(decode_frame(frame).is_err(), "{wrong} lent bytes");
+        }
+        let head = BytesMut::new();
+        let carried = encode_frame_into(m.client, m.id, &write(data).request, None, head, 300);
+        assert!(carried.is_err(), "a payload both carried and lent");
+
+        let reply = Frame {
+            lent: 300,
+            ..Bytes::copy_from_slice(&data_response_head(m.id, 300)).into()
+        };
+        assert_eq!(decode_data_head(&reply.head), Some((m.id, 300)));
+        let (id, response) = decode_response_frame(reply).unwrap();
+        assert_eq!((id, response.bulk_len()), (m.id, 0));
+    }
+
     #[test]
     fn vector_frame_fits_mtu_at_limit() {
         let runs: Vec<VectorRun> = (0..MAX_VECTOR_RUNS as u64)
@@ -1902,7 +1992,7 @@ mod tests {
         for (n, ctx) in [(64, None), (3, Some(ctx)), (64, Some(ctx))] {
             let m = list(n);
             // Whatever the last frame left in the buffer is gone.
-            let frame = encode_frame_into(m.client, m.id, &m.request, ctx, spare).unwrap();
+            let frame = encode_frame_into(m.client, m.id, &m.request, ctx, spare, 0).unwrap();
             assert_eq!(frame, encode_frame(&m, ctx).unwrap());
             assert_eq!(frame.head.len(), request_head_len(&m.request, ctx));
             assert_eq!(frame.head.as_ptr(), at, "encoded where the spare lies");
@@ -1912,7 +2002,7 @@ mod tests {
                 frame.payload.as_ptr(),
                 m.request.clone().into_bulk().unwrap().as_ptr()
             );
-            let Frame { head, payload } = frame;
+            let Frame { head, payload, .. } = frame;
             drop(payload);
             spare = head.try_into_mut().expect("the frame's last handle");
         }
@@ -2231,6 +2321,7 @@ mod tests {
         let parts = |payload: Bytes| Frame {
             head: head.clone(),
             payload,
+            lent: 0,
         };
         let decoded = decode_response_frame(parts(data.clone())).unwrap();
         assert_eq!(decoded, decode_response(whole.clone()).unwrap());
@@ -2266,6 +2357,7 @@ mod tests {
         let closed = Frame {
             head: encode_response(id, &Response::Closed),
             payload: Bytes::from(vec![1u8]),
+            lent: 0,
         };
         assert_eq!(
             decode_response_frame(closed).unwrap_err(),
@@ -2291,6 +2383,7 @@ mod tests {
         let short = Frame {
             head: frame.head.clone(),
             payload: frame.payload.slice(..63),
+            lent: 0,
         };
         assert_eq!(
             decode_frame(short).unwrap_err(),
@@ -2308,6 +2401,7 @@ mod tests {
         let long = Frame {
             head: frame.head.clone(),
             payload: Bytes::from([&frame.payload[..], &[0, 0, 0]].concat()),
+            lent: 0,
         };
         assert_eq!(
             decode_frame(long).unwrap_err(),
@@ -2319,6 +2413,7 @@ mod tests {
         let ping = Frame {
             head: encode_message(&msg(Request::Ping)).unwrap(),
             payload: Bytes::from(vec![1u8]),
+            lent: 0,
         };
         assert_eq!(
             decode_frame(ping).unwrap_err(),
@@ -2327,6 +2422,7 @@ mod tests {
         let doubled = Frame {
             head: whole.clone(),
             payload: frame.payload.clone(),
+            lent: 0,
         };
         assert_eq!(
             decode_frame(doubled).unwrap_err(),
@@ -2337,6 +2433,7 @@ mod tests {
         let straddling = Frame {
             head: whole.slice(..whole.len() - 10),
             payload: whole.slice(whole.len() - 10..),
+            lent: 0,
         };
         assert!(decode_frame(straddling).is_err());
     }

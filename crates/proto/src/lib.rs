@@ -27,10 +27,11 @@ pub mod limits;
 pub mod message;
 
 pub use codec::{
-    check_list, data_response_head, decode_frame, decode_frame_id, decode_frame_reusing,
-    decode_message, decode_response, decode_response_frame, decode_response_id, encode_frame,
-    encode_frame_into, encode_message, encode_response, frame_is_stats_scrape, request_head_len,
-    Frame, DATA_HEAD_LEN, RESPONSE_ENVELOPE_LEN, VERSION_TRACED,
+    check_list, data_response_head, decode_data_head, decode_frame, decode_frame_id,
+    decode_frame_reusing, decode_message, decode_response, decode_response_frame,
+    decode_response_id, encode_frame, encode_frame_into, encode_message, encode_response,
+    frame_is_stats_scrape, request_head_len, Frame, DATA_HEAD_LEN, RESPONSE_ENVELOPE_LEN,
+    VERSION_TRACED,
 };
 pub use limits::{
     list_request_fits_frame, max_regions_per_frame, BULK_PIECE, ETHERNET_MTU, MAX_BULK_BYTES,

@@ -22,16 +22,20 @@
 //!   buffer, and the [`TraceTree`] waterfall assembler.
 //! * [`mod@env`] — the table of every `PVFS_*` environment variable and the
 //!   only code that reads one.
+//! * [`iov`] — the one vectored writer, for a journal record and a
+//!   socket's frames alike.
 //! * ids and error types used across the wire protocol, servers and
 //!   clients.
 //!
-//! Nothing here performs I/O; these are pure data structures with heavily
+//! Nothing here performs I/O of its own ([`iov`] writes to whatever
+//! writer it is handed); these are pure data structures with heavily
 //! tested invariants.
 
 pub mod clock;
 pub mod env;
 pub mod error;
 pub mod ids;
+pub mod iov;
 pub mod metrics;
 pub mod region;
 pub mod striping;

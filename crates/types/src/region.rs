@@ -612,6 +612,11 @@ impl PieceMap {
         })
     }
 
+    /// The memory list.
+    pub fn mem(&self) -> &RegionList {
+        &self.mem
+    }
+
     /// The file list, sorted and disjoint.
     pub fn file(&self) -> &RegionList {
         &self.file

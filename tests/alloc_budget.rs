@@ -46,6 +46,7 @@ use pvfs::client::PvfsFile;
 use pvfs::core::{IoKind, ListRequest, Method, MethodConfig};
 use pvfs::disk::{LocalFile, ScratchDir, SparseStore, StorageConfig, SyncPolicy};
 use pvfs::net::{LiveCluster, TransportKind};
+use pvfs::proto::BULK_PIECE;
 use pvfs::server::IodConfig;
 use pvfs::types::{FileHandle, StripeLayout};
 use pvfs::workloads::{verify, Cyclic, FlashIo, TiledViz};
@@ -75,6 +76,12 @@ const READ_ALLOCS: u64 = 1;
 /// the in-place reuse of it ever stop working), a read one reply.
 const WRITE_ALLOCS_PER_FRAME: f64 = 2.0;
 const READ_ALLOCS_PER_FRAME: f64 = 1.0;
+/// What a bulk piece of a tcp write costs the daemon that receives it:
+/// its buffer, and the handle that buffer is frozen into.
+const DAEMON_PIECE_ALLOCS: u64 = 2;
+/// What that write asks for above its pieces, a payload byte: the
+/// handles, the report — 0.0006. It was 1.0, the pieces gathered.
+const DIRECT_BUDGET: f64 = 0.001;
 /// One durable FLASH checkpoint op over chan: the same one, 0.00004
 /// bytes per payload byte. It was two and 0.00019 while the plan boxed
 /// its steps, five and 0.016 while its piece map
@@ -112,6 +119,7 @@ fn a_list_op_allocates_a_fixed_small_multiple_of_its_payload() {
     a_plan_is_a_value();
     cyclic_list_ops();
     tiled_list_read();
+    direct_write_at();
     durable_flash_checkpoint();
     scrub_digests();
 }
@@ -288,6 +296,57 @@ fn tiled_list_read() {
         .iter()
         .flat_map(|f| &frame[f.offset as usize..f.end() as usize]);
     assert!(tile.iter().eq(rows), "the tile differs");
+}
+
+/// A 1 MiB and a 2 MiB `write_at` over tcp: four and eight 256 KiB
+/// pieces, each of sixteen stripe fragments sent from where they lie in
+/// the caller's buffer. The client gathers nothing, so a piece costs
+/// only the daemon that receives it: the piece's own buffer (a bulk
+/// frame's buffer is not kept: `bulk_frames.rs`) and the handle it is
+/// frozen into. Beyond its pieces the op costs its one allocation and
+/// one a daemon it reaches, 5 in all, as it did while each piece was
+/// gathered first — then a piece cost four allocations and twice its
+/// bytes.
+fn direct_write_at() {
+    let content = verify::content(9, 2 << 20);
+    let cluster = LiveCluster::spawn_storage(
+        4,
+        IodConfig::default(),
+        TransportKind::Tcp,
+        StorageConfig::Mem,
+    );
+    let client = cluster.client();
+    let layout = StripeLayout::new(0, 4, 16 * 1024).unwrap();
+    let mut file = PvfsFile::create(&client, "/pvfs/budget-direct", layout).unwrap();
+    let [small, large] = [1 << 20, 2 << 20].map(|len| {
+        let mut write = || allocated_by(|| drop(file.write_at(0, &content[..len]).unwrap()));
+        // Warm up: the store grown to size, every owner's spares made.
+        for _ in 0..4 {
+            write();
+        }
+        let writes = [write(), write()];
+        assert_eq!(writes[0], writes[1], "direct write count is not exact");
+        writes[0]
+    });
+    let pieces = (1 << 20) / BULK_PIECE as u64;
+    let per_piece = (large.0 - small.0) / pieces;
+    let beyond = small.0 - pieces * per_piece;
+    let beyond_budget = WRITE_ALLOCS + 4;
+    assert!(
+        per_piece <= DAEMON_PIECE_ALLOCS && beyond <= beyond_budget,
+        "a 1 MiB tcp write_at costs {} allocations: {per_piece} a piece (budget \
+         {DAEMON_PIECE_ALLOCS}) and {beyond} beyond (budget {beyond_budget})",
+        small.0
+    );
+    let gathered = small.1.saturating_sub(1 << 20) as f64 / (1 << 20) as f64;
+    assert!(
+        gathered <= DIRECT_BUDGET,
+        "a 1 MiB tcp write_at allocates {gathered:.5} bytes per payload byte above its \
+         pieces (budget {DIRECT_BUDGET})"
+    );
+    let mut back = vec![0u8; content.len()];
+    file.read_at(0, &mut back).unwrap();
+    assert!(back == content, "the direct write reads back differently");
 }
 
 /// What a scrub asks of each daemon: the digests of a file, chunk by

@@ -14,8 +14,8 @@ use pvfs::client::PvfsFile;
 use pvfs::core::{Method, MethodConfig};
 use pvfs::net::tcp::{TcpCluster, TcpTransport};
 use pvfs::net::{
-    BreakerPolicy, ClusterClient, FaultPlan, Lane, LiveCluster, RetryPolicy, RpcTarget, SerialGate,
-    Transport, TransportKind, WaitError, WINDOW,
+    BreakerPolicy, ClusterClient, FaultPlan, Lane, LiveCluster, Memory, RetryPolicy, RpcTarget,
+    SerialGate, Transport, TransportKind, WaitError, WINDOW,
 };
 use pvfs::proto::{decode_frame, decode_response_id, Frame, Request, Response};
 use pvfs::server::{IoDaemon, IodConfig};
@@ -83,10 +83,10 @@ impl Transport for Watched {
 }
 
 impl Lane for WatchedLane {
-    fn send(&mut self, frame: Frame) -> PvfsResult<()> {
+    fn send(&mut self, frame: Frame, memory: &dyn Memory) -> PvfsResult<()> {
         let (message, _) = decode_frame(frame.clone())?;
         let op = message.request.op_name();
-        self.inner.send(frame)?;
+        self.inner.send(frame, memory)?;
         let mut watch = self.watch.lock().unwrap();
         watch.flying[self.server].push((message.id, op));
         let flying = watch.flying.iter().flatten();
@@ -100,12 +100,12 @@ impl Lane for WatchedLane {
         Ok(())
     }
 
-    fn flush(&mut self) -> PvfsResult<()> {
-        self.inner.flush()
+    fn flush(&mut self, memory: &dyn Memory) -> PvfsResult<()> {
+        self.inner.flush(memory)
     }
 
-    fn recv(&mut self, timeout: Duration) -> Result<Frame, WaitError> {
-        let reply = self.inner.recv(timeout);
+    fn recv(&mut self, timeout: Duration, memory: &mut dyn Memory) -> Result<Frame, WaitError> {
+        let reply = self.inner.recv(timeout, memory);
         let landed = match &reply {
             Ok(frame) => decode_response_id(&frame.head),
             Err(WaitError::Lost(id, _)) => Some(*id),
