@@ -2,7 +2,7 @@
 
 use crate::report::Row;
 use pvfs_core::{IoKind, ListRequest, Method, MethodConfig};
-use pvfs_sim::{metadata_rtt_ns, ClientJob, CostConfig, SimCluster};
+use pvfs_sim::{metadata_rtt_ns, ClientJob, SimCluster};
 use pvfs_types::{FileHandle, PvfsResult, Region, RegionList, StripeLayout};
 use pvfs_workloads::{BlockBlock, Cyclic, FlashIo, TiledViz};
 
@@ -295,7 +295,7 @@ pub fn fig15(scale: Scale) -> Vec<Row> {
 pub fn fig17(_scale: Scale) -> Vec<Row> {
     let t = TiledViz::paper();
     let requests = per_client(t.clients(), |k| t.request_for(k));
-    let open_close = metadata_rtt_ns(&CostConfig::paper_default()) as f64 / 1e9;
+    let open_close = metadata_rtt_ns() as f64 / 1e9;
     let mut rows = Vec::new();
     for method in Method::PAPER {
         let outcome = run_method(&requests, IoKind::Read, method, t.file_size());

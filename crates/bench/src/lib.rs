@@ -4,7 +4,7 @@
 //! and one for the ablation sweeps. Each returns [`Row`]s — `(panel,
 //! series, x, simulated seconds, …)` — which the `figures` binary renders
 //! as CSV + text tables and EXPERIMENTS.md quotes. Seconds come from the
-//! calibrated cost model (`pvfs_sim::CostConfig`); the target is the
+//! calibration (`pvfs_sim::COST`); the target is the
 //! *shape*: who wins, by how much, and where the crossovers fall.
 //!
 //! All experiments run on the paper's cluster: 8 I/O servers (one

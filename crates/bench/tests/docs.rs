@@ -11,7 +11,7 @@ mod repo;
 
 use pvfs_bench::FIGURES;
 use pvfs_disk::CacheConfig;
-use pvfs_sim::SimCluster;
+use pvfs_sim::{SimCluster, COST};
 use pvfs_types::ServerId;
 use repo::{read, root, rows, TABLE};
 use std::fs;
@@ -511,8 +511,9 @@ fn every_cited_lint_exists() {
 }
 
 /// DESIGN §4d's calibration line quotes what the simulator runs: each
-/// of its numbers is one the paper-default cluster's cost model or
-/// cache is built with, and it quotes no other.
+/// of its numbers is one of the calibration's (`pvfs_sim::COST`) or one
+/// the paper-default cluster's cache is built with, and it quotes no
+/// other.
 #[test]
 fn the_calibration_line_quotes_the_defaults() {
     let design = read("DESIGN.md");
@@ -530,7 +531,7 @@ fn the_calibration_line_quotes_the_defaults() {
         .collect::<Vec<_>>()
         .join(" ");
     let sim = SimCluster::paper_default();
-    let (cost, cache) = (sim.cost(), sim.daemon(ServerId(0)).config().cache);
+    let (cost, cache) = (COST, sim.daemon(ServerId(0)).config().cache);
     let rate = cost.net.bandwidth_bps as f64;
     let quoted = [
         format!("{} Mb/s", rate * 8.0 / 1e6),

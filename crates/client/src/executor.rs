@@ -13,7 +13,7 @@
 use bytes::Bytes;
 use pvfs_core::exec::{
     alloc_temps, apply_copies, copy_bytes, direct_share, lend_share, place_share, scatter_response,
-    stage_copies, wire_request_into, wire_request_with, Buffers, Sources,
+    stage_copies, wire_request_into, Buffers, Sources,
 };
 use pvfs_core::{AccessPlan, IoKind, Round, RoundOps, Step, Target, WireOp};
 use pvfs_net::{ClusterClient, Fill, OpStream, Placed, Put, RpcTarget, TransportKind};
@@ -189,7 +189,7 @@ struct Stretch<'a, 'u> {
 }
 
 fn through_pieces(round: &Round) -> bool {
-    matches!(round.op().target(), Target::Pieces(_))
+    matches!(round.op().target, Target::Pieces(_))
 }
 
 /// An op, and how many bytes of its share go straight between the
@@ -227,9 +227,10 @@ impl OpStream for Stretch<'_, '_> {
             .direct
             .then(|| direct_share(&wire.op, layout, wire.server));
         let direct = direct.unwrap_or(0) as usize;
-        let request = if direct > 0 && wire.op.is_write() {
+        let request = if direct > 0 && wire.op.kind == IoKind::Write {
             self.report.bytes_sent += direct as u64;
-            wire_request_with(&wire, handle, layout, Bytes::new())
+            let (kind, shape) = (wire.op.kind, wire.op.shape.clone());
+            Request::data(kind, handle, *layout, shape, Bytes::new())
         } else {
             let spare = |room| self.client.payload_buffer(room);
             wire_request_into(&wire, handle, layout, sources, spare).0
@@ -239,7 +240,7 @@ impl OpStream for Stretch<'_, '_> {
     }
 
     fn lent(&self, (wire, direct): &Ticket) -> usize {
-        direct * usize::from(wire.op.is_write())
+        direct * usize::from(wire.op.kind == IoKind::Write)
     }
 
     fn lend<'m>(&'m self, (wire, _): &Ticket, put: &mut Put<'m, '_>) -> io::Result<()> {
@@ -254,7 +255,7 @@ impl OpStream for Stretch<'_, '_> {
         skip: usize,
         fill: &mut Fill,
     ) -> Placed {
-        if wire.op.is_write() || *direct == 0 || len != *direct {
+        if wire.op.kind == IoKind::Write || *direct == 0 || len != *direct {
             return None;
         }
         let (layout, user) = (&self.plan.layout, self.user.dest());

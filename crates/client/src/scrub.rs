@@ -13,11 +13,10 @@
 //!
 //! [`StripeDigest`]: pvfs_proto::Request::StripeDigest
 
+use bytes::Bytes;
 use pvfs_net::{ClusterClient, RpcTarget};
-use pvfs_proto::{Request, Response, MAX_LIST_REGIONS};
-use pvfs_replica::{
-    divergent_spans, local_span_logical_regions, pick_repair_source, replica_handle, DigestReply,
-};
+use pvfs_proto::{IoKind, Request, Response, Shape, MAX_LIST_REGIONS};
+use pvfs_replica::{divergent_spans, local_span_logical_regions, pick_repair_source, DigestReply};
 use pvfs_types::{
     FileHandle, PvfsError, PvfsResult, Region, RegionList, ScrubReport, StripeLayout,
 };
@@ -64,10 +63,8 @@ pub fn scrub_file_with_chunk(
         let targets = map.copies(layout, slot);
         let mut replies: Vec<Option<DigestReply>> = Vec::with_capacity(targets.len());
         for target in &targets {
-            let request = Request::StripeDigest {
-                handle: replica_handle(handle, target.copy),
-                chunk,
-            };
+            let digest = Request::StripeDigest { handle, chunk };
+            let request = map.rewrite_request(&digest, slot, target.copy);
             match client.call(RpcTarget::Server(target.server), request) {
                 Ok(Response::Digests {
                     version,
@@ -109,13 +106,10 @@ pub fn scrub_file_with_chunk(
             if overlong {
                 // Cut the tail first so the rewrites below leave the
                 // copy byte-identical to the source, size included.
-                match client.call(
-                    RpcTarget::Server(stale_t.server),
-                    Request::Truncate {
-                        handle: replica_handle(handle, stale_t.copy),
-                        size: source.size,
-                    },
-                )? {
+                let size = source.size;
+                let truncate =
+                    map.rewrite_request(&Request::Truncate { handle, size }, slot, stale_t.copy);
+                match client.call(RpcTarget::Server(stale_t.server), truncate)? {
                     Response::LocalSize { .. } => report.copies_truncated += 1,
                     other => return Err(PvfsError::protocol(format!("unexpected {other:?}"))),
                 }
@@ -128,28 +122,17 @@ pub fn scrub_file_with_chunk(
                 .flat_map(|span| local_span_logical_regions(layout, slot, *span))
                 .collect();
             for batch in regions.chunks(MAX_LIST_REGIONS) {
-                let file_regions = RegionList::from_regions_slice(batch);
-                let data = match client.call(
-                    RpcTarget::Server(src.server),
-                    Request::ReadList {
-                        handle: replica_handle(handle, src.copy),
-                        layout: map.rewrite_layout(layout, slot, src.copy),
-                        regions: file_regions.clone(),
-                    },
-                )? {
+                let list = Shape::List(RegionList::from_regions_slice(batch));
+                let read = Request::data(IoKind::Read, handle, *layout, list.clone(), Bytes::new());
+                let read = map.rewrite_request(&read, slot, src.copy);
+                let data = match client.call(RpcTarget::Server(src.server), read)? {
                     Response::Data { data } => data,
                     other => return Err(PvfsError::protocol(format!("unexpected {other:?}"))),
                 };
                 report.repair_bytes += data.len() as u64;
-                match client.call(
-                    RpcTarget::Server(stale_t.server),
-                    Request::WriteList {
-                        handle: replica_handle(handle, stale_t.copy),
-                        layout: map.rewrite_layout(layout, slot, stale_t.copy),
-                        regions: file_regions,
-                        data,
-                    },
-                )? {
+                let write = Request::data(IoKind::Write, handle, *layout, list, data);
+                let write = map.rewrite_request(&write, slot, stale_t.copy);
+                match client.call(RpcTarget::Server(stale_t.server), write)? {
                     Response::Written { .. } => {}
                     other => return Err(PvfsError::protocol(format!("unexpected {other:?}"))),
                 }
@@ -175,10 +158,8 @@ pub fn replicas_converged(
     for slot in 0..layout.pcount {
         let mut reference: Option<(u64, Vec<u64>)> = None;
         for target in map.copies(layout, slot) {
-            let request = Request::StripeDigest {
-                handle: replica_handle(handle, target.copy),
-                chunk,
-            };
+            let digest = Request::StripeDigest { handle, chunk };
+            let request = map.rewrite_request(&digest, slot, target.copy);
             let (size, chunks) = match client.call(RpcTarget::Server(target.server), request)? {
                 Response::Digests { size, chunks, .. } => (size, chunks),
                 other => return Err(PvfsError::protocol(format!("unexpected {other:?}"))),

@@ -26,7 +26,7 @@
 //! lends the caller's slices to the socket ([`lend_share`]) and a read's
 //! reply is read into them ([`place_share`]).
 
-use crate::plan::{CopyPair, MemSlice, OpKind, Space, Target, WireOp};
+use crate::plan::{CopyPair, IoKind, MemSlice, OpKind, Space, Target, WireOp};
 use bytes::{Bytes, BytesMut};
 use pvfs_types::iov::IOV_BATCH;
 use pvfs_types::{FileHandle, PvfsError, PvfsResult, Region, ServerId, StripeLayout};
@@ -95,19 +95,6 @@ pub fn alloc_temps(sizes: &[u64]) -> Vec<Vec<u8>> {
     sizes.iter().map(|&n| vec![0u8; n as usize]).collect()
 }
 
-/// Call `f` with each file region a wire op names, in request order.
-fn for_each_region(op: &OpKind, mut f: impl FnMut(Region)) {
-    match op {
-        OpKind::Read { region, .. } | OpKind::Write { region, .. } => f(*region),
-        OpKind::ReadList { regions, .. } | OpKind::WriteList { regions, .. } => {
-            regions.iter().copied().for_each(f)
-        }
-        OpKind::ReadVectors { runs, .. } | OpKind::WriteVectors { runs, .. } => {
-            runs.iter().flat_map(|r| r.regions()).for_each(f)
-        }
-    }
-}
-
 /// Call `f` with each memory slice backing file subregion `file` under
 /// `target`, in file order.
 fn for_each_slice(target: &Target, file: Region, mut f: impl FnMut(MemSlice)) {
@@ -140,18 +127,16 @@ fn for_each_share_slice(
     slot: u32,
     mut f: impl FnMut(MemSlice),
 ) -> u64 {
-    let target = op.target();
+    let target = &op.target;
     let mut slices = 0u64;
-    for_each_region(op, |region| {
-        for seg in layout.segments(region) {
-            if seg.slot == slot {
-                for_each_slice(target, seg.logical, |s| {
-                    slices += 1;
-                    f(s)
-                });
-            }
+    for region in op.shape.view().regions() {
+        for seg in layout.segments(region).filter(|seg| seg.slot == slot) {
+            for_each_slice(target, seg.logical, |s| {
+                slices += 1;
+                f(s)
+            });
         }
-    });
+    }
     match target {
         Target::Pieces(_) => slices,
         Target::Window { .. } => slices.min(1),
@@ -163,9 +148,8 @@ pub fn server_share(op: &OpKind, layout: &StripeLayout, server: ServerId) -> u64
     let Some(slot) = layout.slot_of_server(server) else {
         return 0;
     };
-    let mut share = 0;
-    for_each_region(op, |r| share += layout.bytes_on_slot(r, slot));
-    share
+    let regions = op.shape.view().regions();
+    regions.map(|r| layout.bytes_on_slot(r, slot)).sum()
 }
 
 /// `server`'s share of `op`, in bytes, if it can move straight between
@@ -173,21 +157,20 @@ pub fn server_share(op: &OpKind, layout: &StripeLayout, server: ServerId) -> u64
 /// pieces target), each begins where the last ended or further on, and
 /// they average at least [`DIRECT_FRAGMENT`] bytes. 0 otherwise.
 pub fn direct_share(op: &OpKind, layout: &StripeLayout, server: ServerId) -> u64 {
-    let (Target::Pieces(map), Some(slot)) = (op.target(), layout.slot_of_server(server)) else {
+    let (Target::Pieces(map), Some(slot)) = (&op.target, layout.slot_of_server(server)) else {
         return 0;
     };
     // No fragment is longer than its file region: short ones settle it.
-    let mut longest = 0;
-    for_each_region(op, |r| longest = longest.max(r.len));
-    if longest < DIRECT_FRAGMENT {
+    let regions = || op.shape.view().regions();
+    if regions().all(|r| r.len < DIRECT_FRAGMENT) {
         return 0;
     }
     let (mut share, mut fragments, mut ascending) = (0, 0, true);
-    for_each_region(op, |r| {
+    for r in regions() {
         for seg in layout.segments(r).filter(|seg| seg.slot == slot) {
             (share, fragments) = (share + seg.logical.len, fragments + 1);
         }
-    });
+    }
     // A fragment a segment, each further on, unless the memory list cuts
     // one: only then are the fragments walked.
     if map.mem().count() > 1 && share >= fragments * DIRECT_FRAGMENT {
@@ -291,58 +274,14 @@ pub fn wire_request_into<'a>(
     bufs: impl Into<Sources<'a>>,
     spare: impl FnOnce(usize) -> BytesMut,
 ) -> (pvfs_proto::Request, u64) {
-    let (data, fragments) = if wire.op.is_write() {
+    let (data, fragments) = if wire.op.kind == IoKind::Write {
         gather_payload_into(&wire.op, layout, wire.server, bufs, spare)
     } else {
         (Bytes::new(), 0)
     };
-    (wire_request_with(wire, handle, layout, data), fragments)
-}
-
-/// The wire request for a wire op, carrying `data` (empty for a read,
-/// and for a write whose payload is lent).
-pub fn wire_request_with(
-    wire: &WireOp,
-    handle: FileHandle,
-    layout: &StripeLayout,
-    data: Bytes,
-) -> pvfs_proto::Request {
-    use pvfs_proto::Request;
-    match &wire.op {
-        OpKind::Read { region, .. } => Request::Read {
-            handle,
-            layout: *layout,
-            region: *region,
-        },
-        OpKind::ReadList { regions, .. } => Request::ReadList {
-            handle,
-            layout: *layout,
-            regions: regions.clone(),
-        },
-        OpKind::ReadVectors { runs, .. } => Request::ReadVectors {
-            handle,
-            layout: *layout,
-            runs: runs.clone(),
-        },
-        OpKind::Write { region, .. } => Request::Write {
-            handle,
-            layout: *layout,
-            region: *region,
-            data,
-        },
-        OpKind::WriteList { regions, .. } => Request::WriteList {
-            handle,
-            layout: *layout,
-            regions: regions.clone(),
-            data,
-        },
-        OpKind::WriteVectors { runs, .. } => Request::WriteVectors {
-            handle,
-            layout: *layout,
-            runs: runs.clone(),
-            data,
-        },
-    }
+    let (kind, shape) = (wire.op.kind, wire.op.shape.clone());
+    let request = pvfs_proto::Request::data(kind, handle, *layout, shape, data);
+    (request, fragments)
 }
 
 /// Gather the write payload for `server` — its share of every region in
@@ -363,7 +302,7 @@ pub fn gather_payload_into<'a>(
     bufs: impl Into<Sources<'a>>,
     spare: impl FnOnce(usize) -> BytesMut,
 ) -> (Bytes, u64) {
-    debug_assert!(op.is_write());
+    debug_assert_eq!(op.kind, IoKind::Write);
     let bufs = bufs.into();
     let Some(slot) = layout.slot_of_server(server) else {
         return (Bytes::new(), 0);
@@ -387,7 +326,7 @@ pub fn scatter_response(
     data: &[u8],
     bufs: &mut Buffers<'_>,
 ) -> PvfsResult<u64> {
-    debug_assert!(!op.is_write());
+    debug_assert_eq!(op.kind, IoKind::Read);
     let expected = server_share(op, layout, server);
     if data.len() as u64 != expected {
         return Err(PvfsError::protocol(format!(
@@ -482,6 +421,7 @@ pub fn copy_bytes(pairs: &[CopyPair]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pvfs_proto::Shape;
     use pvfs_types::{PieceMap, RegionList};
 
     fn layout() -> StripeLayout {
@@ -509,13 +449,15 @@ mod tests {
         // [20K, 24K) of these two 2 KiB-aligned file regions.
         let l = StripeLayout::new(0, 4, 4096).unwrap();
         let file = [(4096 + 1024, 2048), (20480, 3072)];
-        let read = |mem: &[(u64, u64)]| OpKind::Read {
-            region: Region::new(0, 0),
-            dest: pieces_target(mem, &file),
+        let read = |mem: &[(u64, u64)]| OpKind {
+            kind: IoKind::Read,
+            shape: Shape::Contiguous(Region::new(0, 0)),
+            target: pieces_target(mem, &file),
         };
-        let list = |mem: &[(u64, u64)]| OpKind::ReadList {
-            regions: RegionList::from_pairs(file).unwrap(),
-            dest: pieces_target(mem, &file),
+        let list = |mem: &[(u64, u64)]| OpKind {
+            kind: IoKind::Read,
+            shape: Shape::List(RegionList::from_pairs(file).unwrap()),
+            target: pieces_target(mem, &file),
         };
         let gapped = [(0, 2048), (3000, 3072)];
         assert_eq!(direct_share(&list(&[(0, 5120)]), &l, ServerId(1)), 5120);
@@ -583,9 +525,10 @@ mod tests {
     #[test]
     fn server_share_matches_proto_convention() {
         let l = layout();
-        let op = OpKind::Read {
-            region: Region::new(5, 20),
-            dest: pieces_target(&[(0, 20)], &[(5, 20)]),
+        let op = OpKind {
+            kind: IoKind::Read,
+            shape: Shape::Contiguous(Region::new(5, 20)),
+            target: pieces_target(&[(0, 20)], &[(5, 20)]),
         };
         assert_eq!(server_share(&op, &l, ServerId(0)), 5);
         assert_eq!(server_share(&op, &l, ServerId(1)), 10);
@@ -607,13 +550,15 @@ mod tests {
             temps: &mut temps,
         };
         let target = pieces_target(&[(0, 20)], &[(5, 20)]);
-        let write = OpKind::Write {
-            region: Region::new(5, 20),
-            src: target.clone(),
+        let write = OpKind {
+            kind: IoKind::Write,
+            shape: Shape::Contiguous(Region::new(5, 20)),
+            target: target.clone(),
         };
-        let read = OpKind::Read {
-            region: Region::new(5, 20),
-            dest: target,
+        let read = OpKind {
+            kind: IoKind::Read,
+            shape: Shape::Contiguous(Region::new(5, 20)),
+            target,
         };
         for outsider in [ServerId(0), ServerId(1), ServerId(6)] {
             assert_eq!(server_share(&write, &l, outsider), 0);
@@ -637,9 +582,10 @@ mod tests {
     fn a_wrapped_base_still_finds_each_servers_slot() {
         let l = StripeLayout::new(u32::MAX, 4, 10).unwrap();
         let region = Region::new(5, 40);
-        let op = OpKind::Read {
-            region,
-            dest: pieces_target(&[(0, 40)], &[(5, 40)]),
+        let op = OpKind {
+            kind: IoKind::Read,
+            shape: Shape::Contiguous(region),
+            target: pieces_target(&[(0, 40)], &[(5, 40)]),
         };
         let mut total = 0;
         for (slot, server) in l.servers().enumerate() {
@@ -662,9 +608,10 @@ mod tests {
             user: &mut user,
             temps: &mut temps,
         };
-        let op = OpKind::Write {
-            region: Region::new(5, 20),
-            src: pieces_target(&[(0, 20)], &[(5, 20)]),
+        let op = OpKind {
+            kind: IoKind::Write,
+            shape: Shape::Contiguous(Region::new(5, 20)),
+            target: pieces_target(&[(0, 20)], &[(5, 20)]),
         };
         let (payload, _) = gather(&op, &l, ServerId(1), &bufs);
         // Server 1's bytes are file [10,20) => mem [5,15) => values 5..15.
@@ -680,9 +627,10 @@ mod tests {
             user: &mut user,
             temps: &mut temps,
         };
-        let op = OpKind::Read {
-            region: Region::new(5, 20),
-            dest: pieces_target(&[(0, 20)], &[(5, 20)]),
+        let op = OpKind {
+            kind: IoKind::Read,
+            shape: Shape::Contiguous(Region::new(5, 20)),
+            target: pieces_target(&[(0, 20)], &[(5, 20)]),
         };
         // Server 1 returns its 10 bytes (file [10, 20)).
         scatter_response(&op, &l, ServerId(1), &[9u8; 10], &mut bufs).unwrap();
@@ -700,9 +648,10 @@ mod tests {
             user: &mut user,
             temps: &mut temps,
         };
-        let op = OpKind::Read {
-            region: Region::new(5, 20),
-            dest: pieces_target(&[(0, 20)], &[(5, 20)]),
+        let op = OpKind {
+            kind: IoKind::Read,
+            shape: Shape::Contiguous(Region::new(5, 20)),
+            target: pieces_target(&[(0, 20)], &[(5, 20)]),
         };
         assert!(scatter_response(&op, &l, ServerId(1), &[9u8; 3], &mut bufs).is_err());
     }
@@ -716,10 +665,7 @@ mod tests {
             user: &mut user,
             temps: &mut temps,
         };
-        let op = OpKind::Read {
-            region: Region::new(100, 40),
-            dest: Target::Window { temp: 0, base: 100 },
-        };
+        let op = OpKind::window(IoKind::Read, Region::new(100, 40));
         // Server 0 owns stripes 10 ([100,110)) — wait, stripe index of
         // 100 with ssize 10 is 10, slot 10 % 4 = 2. Use server 2.
         let share = server_share(&op, &l, ServerId(2));
@@ -850,9 +796,10 @@ mod tests {
             user: &mut user,
             temps: &mut temps,
         };
-        let wop = OpKind::WriteList {
-            regions: regions.clone(),
-            src: map.clone(),
+        let wop = OpKind {
+            kind: IoKind::Write,
+            shape: Shape::List(regions.clone()),
+            target: map.clone(),
         };
         let (payload, _) = gather(&wop, &l, ServerId(0), &bufs);
         assert_eq!(payload.as_ref(), &(10..20u8).collect::<Vec<_>>()[..]);
@@ -863,7 +810,11 @@ mod tests {
             user: &mut user2,
             temps: &mut temps2,
         };
-        let rop = OpKind::ReadList { regions, dest: map };
+        let rop = OpKind {
+            kind: IoKind::Read,
+            shape: Shape::List(regions),
+            target: map,
+        };
         scatter_response(&rop, &l, ServerId(0), &payload, &mut bufs2).unwrap();
         assert_eq!(user2, (10..20u8).collect::<Vec<_>>());
     }
@@ -879,7 +830,11 @@ mod tests {
         }];
         // Regions [0,2) [10,12) [20,22) [30,32): one per server.
         let map = pieces_target(&[(0, 8)], &[(0, 2), (10, 2), (20, 2), (30, 2)]);
-        let op = OpKind::WriteVectors { runs, src: map };
+        let op = OpKind {
+            kind: IoKind::Write,
+            shape: Shape::Vectors(runs),
+            target: map,
+        };
         for s in 0..4 {
             assert_eq!(server_share(&op, &l, ServerId(s)), 2);
         }

@@ -115,6 +115,7 @@ fn build_read_items(
 mod tests {
     use super::*;
     use crate::{Method, OpKind, Step};
+    use pvfs_proto::Shape;
     use pvfs_types::PvfsError;
 
     fn layout() -> StripeLayout {
@@ -203,7 +204,11 @@ mod tests {
         assert_eq!(steps.len(), 1);
         match &steps[0] {
             Step::Round(ops) => match &ops[0].op {
-                OpKind::WriteList { regions, .. } => {
+                OpKind {
+                    kind: IoKind::Write,
+                    shape: Shape::List(regions),
+                    ..
+                } => {
                     assert_eq!(regions.count(), 2); // [0,12) and [1000,1004)
                     assert_eq!(regions.regions()[0], Region::new(0, 12));
                 }
@@ -282,7 +287,11 @@ mod tests {
             .iter()
             .filter_map(|s| match s {
                 Step::Round(ops) => match &ops[0].op {
-                    OpKind::ReadList { regions, .. } => Some(regions.total_len()),
+                    OpKind {
+                        kind: IoKind::Read,
+                        shape: Shape::List(regions),
+                        ..
+                    } => Some(regions.total_len()),
                     _ => None,
                 },
                 _ => None,

@@ -44,6 +44,7 @@ pub(crate) fn plan(
 mod tests {
     use super::*;
     use crate::{Method, OpKind, Step};
+    use pvfs_proto::Shape;
     use pvfs_types::RegionList;
 
     fn layout() -> StripeLayout {
@@ -74,7 +75,11 @@ mod tests {
             .iter()
             .map(|s| match s {
                 Step::Round(ops) => match &ops[0].op {
-                    OpKind::ReadList { regions, .. } => regions.count(),
+                    OpKind {
+                        kind: IoKind::Read,
+                        shape: Shape::List(regions),
+                        ..
+                    } => regions.count(),
                     other => panic!("unexpected op {other:?}"),
                 },
                 other => panic!("unexpected step {other:?}"),

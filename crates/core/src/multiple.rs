@@ -121,7 +121,7 @@ mod tests {
     fn write_plans_use_write_ops() {
         let steps = compile(IoKind::Write, &req(&[(0, 4)])).collect_steps();
         match &steps[0] {
-            Step::Round(ops) => assert!(ops[0].op.is_write()),
+            Step::Round(ops) => assert!(ops[0].op.kind == IoKind::Write),
             other => panic!("unexpected step {other:?}"),
         }
     }

@@ -25,21 +25,13 @@ use crate::multiple::PieceCuts;
 use crate::pattern::chunk_servers;
 use crate::planutil::{servers_for, Servers};
 use crate::sieving::{window_copies, window_steps, Windows};
-use pvfs_proto::VectorRun;
+pub use pvfs_proto::IoKind;
+use pvfs_proto::{Shape, VectorRun};
 use pvfs_types::{FileHandle, PieceMap, Region, RegionList, ServerId, StripeLayout};
 use std::fmt;
 use std::iter::{Flatten, Map, RepeatN, Zip};
 use std::sync::OnceLock;
 use std::vec;
-
-/// Read or write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IoKind {
-    /// File → memory.
-    Read,
-    /// Memory → file.
-    Write,
-}
 
 /// Which buffer a memory slice lives in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -92,78 +84,33 @@ pub struct WireOp {
     pub op: OpKind,
 }
 
-/// The operation kinds a plan can issue.
+/// What a wire op does: which way its bytes go, the file regions it
+/// names in the shape its request carries them, and where its byte
+/// stream comes from (a write) or goes to (a read) on the client.
 #[derive(Debug, Clone, PartialEq)]
-pub enum OpKind {
-    /// Contiguous read of `region`; the server's share lands in `dest`.
-    Read { region: Region, dest: Target },
-    /// Contiguous write of `region`; the server's share is gathered from
-    /// `src`.
-    Write { region: Region, src: Target },
-    /// List read (≤64 regions of trailing data).
-    ReadList { regions: RegionList, dest: Target },
-    /// List write.
-    WriteList { regions: RegionList, src: Target },
-    /// Datatype (vector-run) read.
-    ReadVectors { runs: Vec<VectorRun>, dest: Target },
-    /// Datatype write.
-    WriteVectors { runs: Vec<VectorRun>, src: Target },
+pub struct OpKind {
+    /// Read or write.
+    pub kind: IoKind,
+    /// Its file regions.
+    pub shape: Shape,
+    /// Its bytes on the client.
+    pub target: Target,
 }
 
 impl OpKind {
-    /// The contiguous op of `kind` on `region`, its byte stream at `at`.
-    pub(crate) fn contiguous(kind: IoKind, region: Region, at: Target) -> OpKind {
-        match kind {
-            IoKind::Read => OpKind::Read { region, dest: at },
-            IoKind::Write => OpKind::Write { region, src: at },
-        }
-    }
-
-    /// The datatype op of `kind` on `runs`, its byte stream at `at`.
-    pub(crate) fn vectors(kind: IoKind, runs: Vec<VectorRun>, at: Target) -> OpKind {
-        match kind {
-            IoKind::Read => OpKind::ReadVectors { runs, dest: at },
-            IoKind::Write => OpKind::WriteVectors { runs, src: at },
-        }
-    }
-
-    /// The list op of `kind` on `regions`, its byte stream at `at`.
-    pub fn list(kind: IoKind, regions: RegionList, at: Target) -> OpKind {
-        match kind {
-            IoKind::Read => OpKind::ReadList { regions, dest: at },
-            IoKind::Write => OpKind::WriteList { regions, src: at },
-        }
-    }
-
     /// The contiguous op of `kind` on `region` through temp buffer 0, a
     /// window based at the region's start (data sieving).
     pub fn window(kind: IoKind, region: Region) -> OpKind {
-        let at = Target::Window {
+        let target = Target::Window {
             temp: 0,
             base: region.offset,
         };
-        OpKind::contiguous(kind, region, at)
-    }
-
-    /// Where this op's byte stream comes from (writes) or goes to
-    /// (reads) on the client.
-    pub fn target(&self) -> &Target {
-        match self {
-            OpKind::Read { dest, .. }
-            | OpKind::ReadList { dest, .. }
-            | OpKind::ReadVectors { dest, .. } => dest,
-            OpKind::Write { src, .. }
-            | OpKind::WriteList { src, .. }
-            | OpKind::WriteVectors { src, .. } => src,
+        let shape = Shape::Contiguous(region);
+        OpKind {
+            kind,
+            shape,
+            target,
         }
-    }
-
-    /// True for write ops.
-    pub fn is_write(&self) -> bool {
-        matches!(
-            self,
-            OpKind::Write { .. } | OpKind::WriteList { .. } | OpKind::WriteVectors { .. }
-        )
     }
 }
 
@@ -349,20 +296,13 @@ impl<I: Iterator<Item = Item>> Iterator for Walk<I> {
             let Some(item) = self.items.next() else {
                 return self.end.take();
             };
-            let at = || Target::Pieces(self.map.clone());
-            let (servers, op) = match item {
+            let (servers, shape) = match item {
                 Item::Chunk(chunk) => (
                     servers_for(layout, chunk.iter().copied()),
-                    OpKind::list(kind, chunk, at()),
+                    Shape::List(chunk),
                 ),
-                Item::Piece(region) => (
-                    servers_for(layout, [region]),
-                    OpKind::contiguous(kind, region, at()),
-                ),
-                Item::Runs(runs) => (
-                    chunk_servers(&runs, layout),
-                    OpKind::vectors(kind, runs, at()),
-                ),
+                Item::Piece(region) => (servers_for(layout, [region]), Shape::Contiguous(region)),
+                Item::Runs(runs) => (chunk_servers(&runs, layout), Shape::Vectors(runs)),
                 Item::Sieve(window) => {
                     let copies = window_copies(&self.map, window, kind);
                     if !copies.is_empty() {
@@ -370,6 +310,12 @@ impl<I: Iterator<Item = Item>> Iterator for Walk<I> {
                     }
                     continue;
                 }
+            };
+            let target = Target::Pieces(self.map.clone());
+            let op = OpKind {
+                kind,
+                shape,
+                target,
             };
             return Some(Step::Round(Round::fan_out(servers, op)));
         }
@@ -457,10 +403,8 @@ impl AccessPlan {
                 Step::Round(round) => {
                     stats.rounds += 1;
                     let requests = round.len() as u64;
-                    match round.op() {
-                        OpKind::Read { .. } | OpKind::Write { .. } => {
-                            stats.contig_requests += requests
-                        }
+                    match round.op().shape {
+                        Shape::Contiguous(_) => stats.contig_requests += requests,
                         _ => stats.list_requests += requests,
                     }
                     for server in round.servers() {
@@ -802,11 +746,11 @@ mod tests {
         let layout = StripeLayout::new(0, 4, 10).unwrap();
         let window = Region::new(5, 20); // servers 0, 1, 2
         let read = OpKind::window(IoKind::Read, window);
-        let list = OpKind::list(
-            IoKind::Read,
-            rl(&[(0, 4), (40, 4)]),
-            Target::Window { temp: 0, base: 0 },
-        );
+        let list = OpKind {
+            kind: IoKind::Read,
+            shape: Shape::List(rl(&[(0, 4), (40, 4)])),
+            target: Target::Window { temp: 0, base: 0 },
+        };
         let copy = CopyPair {
             dst: user(0, 6),
             src: MemSlice {

@@ -270,8 +270,8 @@ mod tests {
         let steps = compile(IoKind::Write, &r, 1024).collect_steps();
         match (&steps[1], &steps[3]) {
             (Step::Round(read_ops), Step::Round(write_ops)) => {
-                assert!(read_ops.iter().all(|o| !o.op.is_write()));
-                assert!(write_ops.iter().all(|o| o.op.is_write()));
+                assert!(read_ops.iter().all(|o| o.op.kind == IoKind::Read));
+                assert!(write_ops.iter().all(|o| o.op.kind == IoKind::Write));
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -5,9 +5,10 @@
 use bytes::BytesMut;
 use proptest::prelude::*;
 use pvfs_core::exec::{gather_payload_into, scatter_response, server_share, Buffers};
-use pvfs_core::plan::{OpKind, Target};
+use pvfs_core::plan::{IoKind, OpKind, Target};
 use pvfs_core::planutil::CappedChunks;
 use pvfs_core::{ListRequest, PieceMap};
+use pvfs_proto::Shape;
 use pvfs_types::{align_lists, Region, RegionList, StripeLayout};
 
 fn arb_layout() -> impl Strategy<Value = StripeLayout> {
@@ -62,14 +63,12 @@ proptest! {
 
         // Chunk regions like list I/O would.
         for chunk in CappedChunks::new(&request.file, 64, layout) {
-            let wop = OpKind::WriteList {
-                regions: chunk.clone(),
-                src: Target::Pieces(pieces.clone()),
+            let op = |kind| OpKind {
+                kind,
+                shape: Shape::List(chunk.clone()),
+                target: Target::Pieces(pieces.clone()),
             };
-            let rop = OpKind::ReadList {
-                regions: chunk.clone(),
-                dest: Target::Pieces(pieces.clone()),
-            };
+            let (wop, rop) = (op(IoKind::Write), op(IoKind::Read));
             let mut dest = vec![0u8; buf_len];
             let mut dest_temps = vec![];
             let mut dst_bufs = Buffers { user: &mut dest, temps: &mut dest_temps };
@@ -113,18 +112,19 @@ proptest! {
         let pieces = PieceMap::new(&request.mem, &request.file).unwrap();
         let regions = request.file.clone();
         let ops = vec![
-            OpKind::ReadList { regions: regions.clone(), dest: Target::Pieces(pieces.clone()) },
-            OpKind::Read {
-                region: regions.extent().unwrap(),
-                dest: Target::Window { temp: 0, base: regions.extent().unwrap().offset },
+            OpKind {
+                kind: IoKind::Read,
+                shape: Shape::List(regions.clone()),
+                target: Target::Pieces(pieces.clone()),
             },
+            OpKind::window(IoKind::Read, regions.extent().unwrap()),
         ];
         for op in &ops {
             let total: u64 = (0..layout.pcount)
                 .map(|s| server_share(op, &layout, layout.server_at_slot(s)))
                 .sum();
-            let expect = match op {
-                OpKind::Read { region, .. } => region.len,
+            let expect = match op.shape {
+                Shape::Contiguous(region) => region.len,
                 _ => request.total_len(),
             };
             prop_assert_eq!(total, expect);
@@ -145,10 +145,7 @@ proptest! {
         let mut bufs = Buffers { user: &mut user, temps: &mut temps };
         for slot in 0..layout.pcount {
             let server = layout.server_at_slot(slot);
-            let op = OpKind::Read {
-                region: window,
-                dest: Target::Window { temp: 0, base: start },
-            };
+            let op = OpKind::window(IoKind::Read, window);
             let share = server_share(&op, &layout, server);
             let payload = vec![slot as u8 + 1; share as usize];
             scatter_response(&op, &layout, server, &payload, &mut bufs).unwrap();

@@ -15,7 +15,7 @@
 use bytes::Bytes;
 use pvfs_proto::{decode_response_frame, decode_response_id, Frame, OpClass, Request, Response};
 use pvfs_types::trace::ActiveTrace;
-use pvfs_types::{PvfsError, PvfsResult, RequestId, ServerId, SpanId, StripeLayout};
+use pvfs_types::{PvfsError, PvfsResult, RequestId, ServerId, SpanId};
 use std::collections::VecDeque;
 use std::io::{self, IoSliceMut};
 use std::ops::Range;
@@ -589,7 +589,7 @@ impl<'a, S: OpStream> Pump<'a, S> {
         };
         let mut copies = Vec::new();
         let mut quorum = false;
-        match (target, request_layout(&request)) {
+        match (target, request.io().map(|io| io.layout)) {
             (RpcTarget::Server(server), Some(layout)) if !self.sole && map.policy().enabled() => {
                 let slot = layout.slot_of_server(server).expect("target in layout");
                 let mut targets = map.copies(layout, slot);
@@ -960,21 +960,6 @@ fn failover_worthy(e: &PvfsError) -> bool {
     )
 }
 
-/// The stripe layout a data request routes by, if it carries one.
-/// Placement-free requests (metadata, stats, sync) return None and are
-/// not expanded across replicas.
-fn request_layout(request: &Request) -> Option<&StripeLayout> {
-    match request {
-        Request::Read { layout, .. }
-        | Request::Write { layout, .. }
-        | Request::ReadList { layout, .. }
-        | Request::WriteList { layout, .. }
-        | Request::ReadVectors { layout, .. }
-        | Request::WriteVectors { layout, .. } => Some(layout),
-        _ => None,
-    }
-}
-
 /// Attach which-server / which-request context to an error from a
 /// fan-out round, preserving the variant (callers match on it). A
 /// `sole` RPC's caller already knows both, and gets the error as is.
@@ -1032,7 +1017,7 @@ mod tests {
     use crate::retry::RetryPolicy;
     use pvfs_proto::{decode_frame_id, encode_response};
     use pvfs_replica::{ReplicaPolicy, WriteQuorum};
-    use pvfs_types::{ClientId, FileHandle, Region};
+    use pvfs_types::{ClientId, FileHandle, Region, StripeLayout};
 
     const MS: u64 = 1_000_000;
     /// How long a daemon of the tables takes to answer a frame it serves.

@@ -48,10 +48,10 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::gate::SerialGate;
-use crate::health::{BreakerPolicy, HealthTracker};
-use crate::retry::RetryPolicy;
 use crate::trace::{ActiveTrace, Tracer};
 use crate::transport::{Lane, RpcTarget, Transport, TransportKind, WaitError};
+use pvfs_decide::health::{BreakerPolicy, HealthTracker};
+use pvfs_decide::retry::RetryPolicy;
 
 pub use pvfs_decide::{OpStream, DEFAULT_RPC_TIMEOUT, WINDOW};
 

@@ -3,8 +3,8 @@
 //!
 //! * `pvfs-decide` decides, on clock readings it is given: the request
 //!   pipeline's pump over a client's [`Endpoint`](pvfs_decide::Endpoint),
-//!   a daemon's door, the per-daemon window and breaker ([`health`]),
-//!   retries ([`retry`]) and who owns a frame's buffers ([`spares`]).
+//!   a daemon's door, the per-daemon window and breaker, retries and who
+//!   owns a frame's buffers (`pvfs_decide::{health, retry, spares}`).
 //! * This crate drives: [`ClusterClient`] and its one loop, `drive`
 //!   ([`cluster`]); each daemon's door and its workers (`serve.rs`); the
 //!   [`Transport`]s, in-process channels ([`transport`]) or TCP
@@ -22,16 +22,14 @@ pub mod tcp;
 pub mod trace;
 pub mod transport;
 
-pub use pvfs_decide::{health, retry, spares};
-
 pub use cluster::{ClusterClient, OpStream, DEFAULT_RPC_TIMEOUT, WINDOW};
 pub use fault::{FaultCounts, FaultKind, FaultPlan, FaultyTransport};
 pub use gate::SerialGate;
-pub use health::{BreakerPolicy, BreakerState, HealthTracker};
 pub use live::LiveCluster;
+pub use pvfs_decide::health::{BreakerPolicy, BreakerState, HealthTracker};
+pub use pvfs_decide::retry::RetryPolicy;
 pub use pvfs_replica::{ReplicaMap, ReplicaPolicy, ReplicaTarget, WriteQuorum};
 pub use pvfs_types::ClientStats;
-pub use retry::RetryPolicy;
 pub use tcp::TcpTransport;
 pub use trace::{ActiveTrace, Tracer};
 pub use transport::{

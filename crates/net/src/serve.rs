@@ -30,9 +30,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::spares::Spares;
 use crate::tcp::server::ConnOut;
 use crate::transport::ReplyTo;
+use pvfs_decide::spares::Spares;
 
 #[allow(clippy::disallowed_types)] // the driver parks its door's workers, closers and offerers
 type Condvar = std::sync::Condvar;
@@ -332,6 +332,7 @@ mod tests {
     use std::net::{TcpListener, TcpStream};
     use std::sync::atomic::{AtomicBool, AtomicU64};
     use std::sync::mpsc::{self, sync_channel, SyncSender};
+    use std::sync::{OnceLock, Weak};
 
     /// A service with books of its own that counts what else it is
     /// asked.
@@ -1121,7 +1122,14 @@ mod tests {
     #[test]
     fn no_more_than_workers_frames_are_ever_in_service() {
         #[derive(Default)]
-        struct Peak(Recording, AtomicU64, AtomicU64, AtomicU64, AtomicBool);
+        struct Peak(
+            Recording,
+            AtomicU64,
+            AtomicU64,
+            AtomicU64,
+            AtomicBool,
+            OnceLock<Weak<Queue>>,
+        );
         impl Service for Peak {
             fn serve(&self, request: &Request, scratch: &mut Scratch) -> Response {
                 let now = self.1.fetch_add(1, Ordering::SeqCst) + 1;
@@ -1130,10 +1138,14 @@ mod tests {
                 if name == Some(true) {
                     self.3.fetch_add(1, Ordering::Relaxed);
                 } else {
-                    // Served where it was offered: held until a frame
-                    // has found every slot taken and queued, once.
+                    // Served where it was offered: held, once, until a
+                    // frame has found every slot taken and sits in the
+                    // door's queue, which only a worker takes from — not
+                    // on the `queue_depth` gauge, which also counts a
+                    // frame on its way to being served inline.
+                    let queue = self.5.get().and_then(Weak::upgrade).unwrap();
                     while !self.4.load(Ordering::SeqCst) {
-                        if self.0.ledger.queue_depth.load(Ordering::SeqCst) > 0 {
+                        if queue.door.lock().unwrap().queued() > 0 {
                             self.4.store(true, Ordering::SeqCst);
                         }
                         std::thread::yield_now();
@@ -1156,6 +1168,7 @@ mod tests {
         for workers in [2, 1] {
             let service = Arc::new(Peak::default());
             let door = Driver::spawn("t", workers, 64, service.clone());
+            let _ = service.5.set(Arc::downgrade(&door.queue));
             std::thread::scope(|scope| {
                 for t in 0..4 {
                     let door = &door;

@@ -31,7 +31,7 @@
 //! A connection's receive buffers belong to its [`FrameReader`], which
 //! takes each back once the frame it handed out, and every view cut from
 //! it, is gone — one owner of [`Spares`] among
-//! several; the rule they share is in [`crate::spares`]. [`read_frame`]
+//! several; the rule they share is in [`pvfs_decide::spares`]. [`read_frame`]
 //! is a reader used once: the same code, a buffer of its own.
 //!
 //! [`FrameReader`] asks its stream for exactly the bytes of the frame it
@@ -49,9 +49,9 @@ use pvfs_types::iov::{write_parts, Writev};
 use pvfs_types::{PvfsError, RequestId};
 use std::io::{self, BufReader, IoSliceMut, Read, Write};
 
-use crate::spares::{Lent, Spares};
 use crate::transport::Memory;
 use crate::WINDOW;
+use pvfs_decide::spares::{Lent, Spares};
 
 /// Bytes of framing overhead per frame (the length prefix).
 pub const LEN_PREFIX: usize = 4;
@@ -727,7 +727,7 @@ mod tests {
 
     #[test]
     fn an_oversized_spare_is_dropped_not_pinned() {
-        use crate::spares::is_spare;
+        use pvfs_decide::spares::is_spare;
         use pvfs_proto::BULK_PIECE;
         // One byte over the keep rule's bound, the largest spare.
         let cap = (0..BULK_PIECE).take_while(|&n| is_spare(n)).last();

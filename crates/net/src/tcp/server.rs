@@ -58,7 +58,7 @@ use std::thread::JoinHandle;
 
 use super::frame::{wire_len, write_frame_parts, FrameError, FrameReader, STAGING};
 use crate::serve::{open_doors, Driver, ReplyPath};
-use crate::spares::Spares;
+use pvfs_decide::spares::Spares;
 
 /// The answering side of one connection, shared by the workers serving
 /// its frames: the write half, and the scratch its requests are served

@@ -25,8 +25,8 @@ use std::thread::Thread;
 use std::time::Duration;
 
 use crate::serve::{Driver, ReplyPath};
-use crate::spares::{Lent, Spares};
 use crate::WINDOW;
+use pvfs_decide::spares::{Lent, Spares};
 
 pub use pvfs_decide::{Fill, Memory, Placed, Put, RpcTarget, WaitError};
 
@@ -274,7 +274,7 @@ impl Transport for ChanTransport {
 
 /// A channel lane: the way to one daemon's door, and the client's end of
 /// its replies — the reply channel, and the buffers `Data` replies are
-/// built in, which the lane owns (the rule of [`crate::spares`]). One
+/// built in, which the lane owns (the rule of [`pvfs_decide::spares`]). One
 /// goes out with each request; the daemon's worker gathers a read into
 /// it (making it, the lane's first [`WINDOW`] times, and letting one too
 /// short go for one that fits) and it comes back as the reply's payload,

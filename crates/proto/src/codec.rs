@@ -2105,6 +2105,40 @@ mod tests {
         assert!(matches!(err, PvfsError::Protocol(m) if m.contains("overflows")));
     }
 
+    /// A vector run whose block ends past `u64::MAX` is refused at decode
+    /// with a typed error, as at encode: no daemon ever expands it.
+    #[test]
+    fn a_vector_run_ending_past_u64_max_is_a_protocol_error() {
+        let run = VectorRun {
+            base: 0,
+            blocklen: 100,
+            stride: 100,
+            count: 1,
+        };
+        let request = |run| {
+            msg(Request::ReadVectors {
+                handle: FileHandle(1),
+                layout: layout(),
+                runs: vec![run],
+            })
+        };
+        let full = encode_message(&request(run)).unwrap();
+        // The run is the last 32 bytes of the frame: base first.
+        let mut evil = full.to_vec();
+        let n = evil.len();
+        evil[n - 32..n - 24].copy_from_slice(&(u64::MAX - 10).to_le_bytes());
+        let err = decode_message(Bytes::from(evil)).unwrap_err();
+        assert!(
+            matches!(&err, PvfsError::Protocol(m) if m.contains("past u64::MAX")),
+            "{err:?}"
+        );
+        let far = VectorRun {
+            base: u64::MAX - 10,
+            ..run
+        };
+        assert!(encode_message(&request(far)).is_err());
+    }
+
     /// decode_frame_id reads ids out of frames whose bodies are
     /// corrupt, and refuses frames whose headers are unreadable.
     #[test]

@@ -17,6 +17,9 @@
 //! * [`Request`] / [`Response`] — every message clients, I/O daemons and
 //!   the manager exchange;
 //! * [`Message`] — the request envelope carrying client and request ids;
+//! * [`Io`] — a data request's one view ([`Request::io`]): its kind,
+//!   handle, layout, [`Shape`] and payload, whichever of the six I/O
+//!   variants it is, and [`Request::data`], their one constructor;
 //! * a complete binary codec ([`codec`]) so frame sizes are real, not
 //!   estimated — the simulator charges network time for exactly the
 //!   bytes `encode` produces;
@@ -37,7 +40,7 @@ pub use limits::{
     list_request_fits_frame, max_regions_per_frame, BULK_PIECE, ETHERNET_MTU, MAX_BULK_BYTES,
     MAX_LIST_REGIONS, MAX_VECTOR_RUNS, MAX_WIRE_FRAME,
 };
-pub use message::{Message, OpClass, Request, Response, VectorRun};
+pub use message::{Io, IoKind, Message, OpClass, Request, Response, Shape, ShapeRef, VectorRun};
 
 #[cfg(test)]
 mod fixtures;

@@ -74,8 +74,8 @@ impl VectorRun {
         (0..self.count).map(|i| self.region(i))
     }
 
-    /// Structural validity: nonzero block length and count, and
-    /// non-overlapping blocks.
+    /// Structural validity: nonzero block length and count,
+    /// non-overlapping blocks, and a last block that ends inside `u64`.
     pub fn validate(&self) -> Result<(), PvfsError> {
         if self.blocklen == 0 || self.count == 0 {
             return Err(PvfsError::invalid("vector run with zero blocklen or count"));
@@ -86,8 +86,123 @@ impl VectorRun {
                 self.stride, self.blocklen
             )));
         }
+        let last = (self.count - 1).checked_mul(self.stride);
+        let end = last.and_then(|at| at.checked_add(self.base)?.checked_add(self.blocklen));
+        if end.is_none() {
+            return Err(PvfsError::invalid(format!(
+                "vector run of {} blocks from {} ends past u64::MAX",
+                self.count, self.base
+            )));
+        }
         Ok(())
     }
+}
+
+/// Which way a data request's bytes go.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum IoKind {
+    /// File → memory.
+    Read,
+    /// Memory → file.
+    Write,
+}
+
+/// The file regions of a data request, in the shape it carries them:
+/// one contiguous region, the paper's trailing (offset, length) list, or
+/// Datatype I/O's vector runs.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Shape {
+    /// `Read` / `Write`.
+    Contiguous(Region),
+    /// `ReadList` / `WriteList`.
+    List(RegionList),
+    /// `ReadVectors` / `WriteVectors`.
+    Vectors(Vec<VectorRun>),
+}
+
+impl Shape {
+    /// The shape, borrowed.
+    pub fn view(&self) -> ShapeRef<'_> {
+        match self {
+            Shape::Contiguous(region) => ShapeRef::Contiguous(*region),
+            Shape::List(regions) => ShapeRef::List(regions),
+            Shape::Vectors(runs) => ShapeRef::Vectors(runs),
+        }
+    }
+}
+
+/// A [`Shape`] borrowed from whoever holds it: a request or a plan's op.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ShapeRef<'a> {
+    /// One contiguous region.
+    Contiguous(Region),
+    /// A region list.
+    List(&'a RegionList),
+    /// Vector runs.
+    Vectors(&'a [VectorRun]),
+}
+
+impl<'a> ShapeRef<'a> {
+    /// The file regions in wire order — a list's in list order, runs'
+    /// run by run, block by block — without materializing them.
+    pub fn regions(self) -> impl Iterator<Item = Region> + 'a {
+        let (one, list, runs): (_, &'a [Region], &'a [VectorRun]) = match self {
+            ShapeRef::Contiguous(region) => (Some(region), &[], &[]),
+            ShapeRef::List(regions) => (None, regions.regions(), &[]),
+            ShapeRef::Vectors(runs) => (None, &[], runs),
+        };
+        let blocks = runs.iter().flat_map(VectorRun::regions);
+        one.into_iter().chain(list.iter().copied()).chain(blocks)
+    }
+
+    /// How many file regions the shape names (saturating).
+    pub fn count(self) -> u64 {
+        match self {
+            ShapeRef::Contiguous(_) => 1,
+            ShapeRef::List(regions) => regions.count() as u64,
+            ShapeRef::Vectors(runs) => runs.iter().fold(0, |n, run| n.saturating_add(run.count)),
+        }
+    }
+
+    /// The limits a daemon holds a shape that came to it to: a list's
+    /// ([`check_list`](crate::check_list)), each run's
+    /// ([`VectorRun::validate`]).
+    pub fn check(self) -> Result<(), PvfsError> {
+        match self {
+            ShapeRef::Contiguous(_) => Ok(()),
+            ShapeRef::List(regions) => crate::check_list(regions),
+            ShapeRef::Vectors(runs) => runs.iter().try_for_each(VectorRun::validate),
+        }
+    }
+
+    /// What stripe slot `slot` of `layout` holds of the regions: `(bytes,
+    /// regions it holds any byte of)`, or `None` once the bytes pass
+    /// `cap`. A region costs O(1) ([`StripeLayout::bytes_on_slot`]); the
+    /// blocks of a vector run are summed one by one.
+    pub fn share(self, layout: &StripeLayout, slot: u32, cap: u64) -> Option<(u64, usize)> {
+        self.regions().try_fold((0u64, 0), |(bytes, held), region| {
+            let on_slot = layout.bytes_on_slot(region, slot);
+            let bytes = bytes.checked_add(on_slot).filter(|&bytes| bytes <= cap)?;
+            Some((bytes, held + usize::from(on_slot > 0)))
+        })
+    }
+}
+
+/// A data request, borrowed: one view of the six I/O variants, which
+/// allocates nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct Io<'a> {
+    /// Read or write.
+    pub kind: IoKind,
+    /// The file.
+    pub handle: FileHandle,
+    /// Its striping.
+    pub layout: &'a StripeLayout,
+    /// Its file regions.
+    pub shape: ShapeRef<'a>,
+    /// A write's payload: this server's share in wire order. Empty for a
+    /// read.
+    pub payload: &'a [u8],
 }
 
 /// A request envelope: who is asking, which request this is, and the
@@ -297,37 +412,118 @@ impl Request {
         )
     }
 
+    /// The data request of `kind` on `shape`'s regions of the file
+    /// `handle`, striped by `layout`; a write carries `payload`, a read
+    /// drops it.
+    pub fn data(
+        kind: IoKind,
+        handle: FileHandle,
+        layout: StripeLayout,
+        shape: Shape,
+        payload: Bytes,
+    ) -> Request {
+        use {IoKind::*, Shape::*};
+        match (kind, shape) {
+            (Read, Contiguous(region)) => Request::Read {
+                handle,
+                layout,
+                region,
+            },
+            (Read, List(regions)) => Request::ReadList {
+                handle,
+                layout,
+                regions,
+            },
+            (Read, Vectors(runs)) => Request::ReadVectors {
+                handle,
+                layout,
+                runs,
+            },
+            (Write, Contiguous(region)) => Request::Write {
+                handle,
+                layout,
+                region,
+                data: payload,
+            },
+            (Write, List(regions)) => Request::WriteList {
+                handle,
+                layout,
+                regions,
+                data: payload,
+            },
+            (Write, Vectors(runs)) => Request::WriteVectors {
+                handle,
+                layout,
+                runs,
+                data: payload,
+            },
+        }
+    }
+
+    /// The request as a data request, if it is one.
+    pub fn io(&self) -> Option<Io<'_>> {
+        let (handle, layout) = match self {
+            Request::Read { handle, layout, .. }
+            | Request::Write { handle, layout, .. }
+            | Request::ReadList { handle, layout, .. }
+            | Request::WriteList { handle, layout, .. }
+            | Request::ReadVectors { handle, layout, .. }
+            | Request::WriteVectors { handle, layout, .. } => (*handle, layout),
+            _ => return None,
+        };
+        use {IoKind::*, ShapeRef::*};
+        let (kind, shape, payload): (_, _, &[u8]) = match self {
+            Request::Read { region, .. } => (Read, Contiguous(*region), &[]),
+            Request::ReadList { regions, .. } => (Read, List(regions), &[]),
+            Request::ReadVectors { runs, .. } => (Read, Vectors(runs), &[]),
+            Request::Write { region, data, .. } => (Write, Contiguous(*region), data),
+            Request::WriteList { regions, data, .. } => (Write, List(regions), data),
+            Request::WriteVectors { runs, data, .. } => (Write, Vectors(runs), data),
+            _ => unreachable!("{} is a data request", self.op_name()),
+        };
+        let io = Io {
+            kind,
+            handle,
+            layout,
+            shape,
+            payload,
+        };
+        Some(io)
+    }
+
+    /// The file a request names — its handle and, for a data request, the
+    /// layout it is striped by — to be rewritten in place (a replica's
+    /// copy of the request).
+    pub fn file_mut(&mut self) -> Option<(&mut FileHandle, Option<&mut StripeLayout>)> {
+        match self {
+            Request::Read { handle, layout, .. }
+            | Request::Write { handle, layout, .. }
+            | Request::ReadList { handle, layout, .. }
+            | Request::WriteList { handle, layout, .. }
+            | Request::ReadVectors { handle, layout, .. }
+            | Request::WriteVectors { handle, layout, .. } => Some((handle, Some(layout))),
+            Request::GetLocalSize { handle }
+            | Request::Sync { handle }
+            | Request::StripeDigest { handle, .. }
+            | Request::Truncate { handle, .. } => Some((handle, None)),
+            _ => None,
+        }
+    }
+
     /// True for write-path operations (used by cost accounting).
     pub fn is_write(&self) -> bool {
-        matches!(
-            self,
-            Request::Write { .. } | Request::WriteList { .. } | Request::WriteVectors { .. }
-        )
+        self.op_class() == OpClass::Write
     }
 
     /// Number of file regions this request describes (1 for contiguous,
     /// the full expansion for vector requests).
     pub fn region_count(&self) -> usize {
-        match self {
-            Request::Read { .. } | Request::Write { .. } => 1,
-            Request::ReadList { regions, .. } | Request::WriteList { regions, .. } => {
-                regions.count()
-            }
-            Request::ReadVectors { runs, .. } | Request::WriteVectors { runs, .. } => {
-                runs.iter().map(|r| r.count as usize).sum()
-            }
-            _ => 0,
-        }
+        self.io().map_or(0, |io| io.shape.count() as usize)
     }
 
     /// Bulk payload bytes travelling *with* the request (write data).
     pub fn bulk_len(&self) -> u64 {
-        match self {
-            Request::Write { data, .. }
-            | Request::WriteList { data, .. }
-            | Request::WriteVectors { data, .. } => data.len() as u64,
-            _ => 0,
-        }
+        self.io().map_or(0, |io| io.payload.len() as u64)
     }
 
     /// The bulk payload itself, the request consumed: what a client
@@ -374,15 +570,10 @@ impl Request {
     /// writes. Stats scrapes ride with metadata — they are small
     /// control frames with the same cost shape.
     pub fn op_class(&self) -> OpClass {
-        if self.is_write() {
-            OpClass::Write
-        } else if matches!(
-            self,
-            Request::Read { .. } | Request::ReadList { .. } | Request::ReadVectors { .. }
-        ) {
-            OpClass::Read
-        } else {
-            OpClass::Meta
+        match self.io().map(|io| io.kind) {
+            Some(IoKind::Read) => OpClass::Read,
+            Some(IoKind::Write) => OpClass::Write,
+            None => OpClass::Meta,
         }
     }
 }
@@ -650,6 +841,115 @@ mod tests {
             .op_class(),
             OpClass::Write
         );
+    }
+
+    fn shapes() -> [Shape; 3] {
+        let run = |base| VectorRun {
+            base,
+            blocklen: 2,
+            stride: 10,
+            count: 3,
+        };
+        [
+            Shape::Contiguous(Region::new(5, 20)),
+            Shape::List(RegionList::from_pairs([(12, 4), (2, 4)]).unwrap()),
+            Shape::Vectors(vec![run(40), run(0)]),
+        ]
+    }
+
+    /// `Request::data` builds each of the six I/O variants and
+    /// `Request::io` reads each back as it was built; nothing else has a
+    /// view.
+    #[test]
+    fn the_view_reads_back_what_the_constructor_builds() {
+        let mut names = Vec::new();
+        for kind in [IoKind::Read, IoKind::Write] {
+            for shape in shapes() {
+                let payload = Bytes::from(vec![7u8; 6]);
+                let request = Request::data(kind, FileHandle(3), layout(), shape.clone(), payload);
+                let io = request.io().unwrap();
+                let carried = if kind == IoKind::Write { 6 } else { 0 };
+                assert_eq!(
+                    (io.kind, io.handle, *io.layout, io.shape, io.payload.len()),
+                    (kind, FileHandle(3), layout(), shape.view(), carried)
+                );
+                assert_eq!(request.bulk_len(), carried as u64);
+                assert_eq!(request.region_count() as u64, shape.view().count());
+                assert_eq!(request.is_write(), kind == IoKind::Write);
+                let payload = Bytes::copy_from_slice(io.payload);
+                let again = Request::data(io.kind, io.handle, *io.layout, shape, payload);
+                assert_eq!(again, request);
+                names.push(request.op_name());
+            }
+        }
+        let six = [
+            "read",
+            "read_list",
+            "read_vectors",
+            "write",
+            "write_list",
+            "write_vectors",
+        ];
+        assert_eq!(names, six);
+        for other in [
+            Request::Sync {
+                handle: FileHandle(3),
+            },
+            Request::Ping,
+        ] {
+            assert!(other.io().is_none(), "{other:?}");
+        }
+    }
+
+    /// A shape's regions come in wire order — a list's as listed, runs'
+    /// run by run — and a slot's share of them stops at its cap.
+    #[test]
+    fn a_shape_names_its_regions_in_wire_order_and_shares_them_by_slot() {
+        let [one, list, runs] = shapes();
+        let regions = |shape: &Shape| shape.view().regions().collect::<Vec<_>>();
+        assert_eq!(regions(&one), [Region::new(5, 20)]);
+        assert_eq!(regions(&list), [Region::new(12, 4), Region::new(2, 4)]);
+        let blocks = [40, 50, 60, 0, 10, 20].map(|at| Region::new(at, 2));
+        assert_eq!(regions(&runs), blocks);
+        assert_eq!(shapes().map(|s| s.view().count()), [1, 2, 6]);
+        // Stripes of 10 over four slots: slot 1 holds [10, 20) and
+        // [50, 60), and so both of the runs' blocks there.
+        let l = layout();
+        assert_eq!(one.view().share(&l, 1, u64::MAX), Some((10, 1)));
+        assert_eq!(one.view().share(&l, 1, 9), None);
+        assert_eq!(list.view().share(&l, 1, 4), Some((4, 1)));
+        assert_eq!(runs.view().share(&l, 1, u64::MAX), Some((4, 2)));
+        assert_eq!(runs.view().share(&l, 3, u64::MAX), Some((0, 0)));
+        let endless = VectorRun {
+            base: 0,
+            blocklen: 1,
+            stride: 1,
+            count: u64::MAX,
+        };
+        assert_eq!(ShapeRef::Vectors(&[endless; 2]).count(), u64::MAX);
+        let overlapping = VectorRun {
+            stride: 0,
+            ..endless
+        };
+        assert!(ShapeRef::Vectors(&[overlapping]).check().is_err());
+        assert!(ShapeRef::List(&RegionList::new()).check().is_err());
+    }
+
+    /// The file a request names is rewritten in place: a data request's
+    /// handle and layout, another request's handle, no file for the rest.
+    #[test]
+    fn the_named_file_is_rewritten_in_place() {
+        let [_, list, _] = shapes();
+        let mut read = Request::data(IoKind::Read, FileHandle(3), layout(), list, Bytes::new());
+        let (handle, layout) = read.file_mut().unwrap();
+        (*handle, layout.unwrap().base) = (FileHandle(9), 2);
+        let io = read.io().unwrap();
+        assert_eq!((io.handle, io.layout.base), (FileHandle(9), 2));
+        let mut size = Request::GetLocalSize {
+            handle: FileHandle(3),
+        };
+        assert!(matches!(size.file_mut(), Some((FileHandle(3), None))));
+        assert!(Request::ListDir.file_mut().is_none());
     }
 
     #[test]

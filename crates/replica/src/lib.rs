@@ -236,23 +236,11 @@ impl ReplicaMap {
     /// (ping, stats, ...) pass through unchanged.
     pub fn rewrite_request(&self, request: &Request, slot: u32, copy: u32) -> Request {
         let mut r = request.clone();
-        match &mut r {
-            Request::Read { handle, layout, .. }
-            | Request::Write { handle, layout, .. }
-            | Request::ReadList { handle, layout, .. }
-            | Request::WriteList { handle, layout, .. }
-            | Request::ReadVectors { handle, layout, .. }
-            | Request::WriteVectors { handle, layout, .. } => {
+        if let Some((handle, layout)) = r.file_mut() {
+            *handle = replica_handle(*handle, copy);
+            if let Some(layout) = layout {
                 *layout = self.rewrite_layout(layout, slot, copy);
-                *handle = replica_handle(*handle, copy);
             }
-            Request::GetLocalSize { handle }
-            | Request::Sync { handle }
-            | Request::StripeDigest { handle, .. }
-            | Request::Truncate { handle, .. } => {
-                *handle = replica_handle(*handle, copy);
-            }
-            _ => {}
         }
         r
     }

@@ -23,7 +23,7 @@ use pvfs_disk::{
     CacheConfig, CostReport, DiskModel, FileStore, LocalFile, SparseStore, StorageBackend,
     StorageConfig,
 };
-use pvfs_proto::{Request, Response, MAX_BULK_BYTES};
+use pvfs_proto::{Io, IoKind, Request, Response, ShapeRef, MAX_BULK_BYTES};
 use pvfs_types::clock::now_ns;
 use pvfs_types::trace::{self, FlightRecorder};
 use pvfs_types::{
@@ -309,14 +309,8 @@ impl IoDaemon {
     /// request names no handle).
     pub fn handle(&self, request: &Request) -> (Response, CostReport) {
         let named = match request {
-            Request::Read { handle, .. }
-            | Request::Write { handle, .. }
-            | Request::ReadList { handle, .. }
-            | Request::WriteList { handle, .. }
-            | Request::ReadVectors { handle, .. }
-            | Request::WriteVectors { handle, .. }
-            | Request::Sync { handle } => Some(*handle),
-            _ => None,
+            Request::Sync { handle } => Some(*handle),
+            other => other.io().map(|io| io.handle),
         };
         let meter = || {
             named
@@ -353,6 +347,19 @@ impl IoDaemon {
     }
 
     fn dispatch(&self, request: &Request, scratch: &mut Scratch) -> Result<Response, PvfsError> {
+        if let Some(io) = request.io() {
+            let counter = match io.shape {
+                ShapeRef::Contiguous(_) => &self.ledger.contiguous_requests,
+                ShapeRef::List(_) | ShapeRef::Vectors(_) => &self.ledger.list_requests,
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+            io.shape.check()?;
+            let slot = self.slot_in(io.layout)?;
+            return match io.kind {
+                IoKind::Read => self.gather(io, slot, scratch),
+                IoKind::Write => self.scatter(io, slot, scratch),
+            };
+        }
         match request {
             Request::GetLocalSize { handle } => {
                 let mut shard = self.shard(*handle).lock().unwrap();
@@ -360,89 +367,6 @@ impl IoDaemon {
                     .known_file(&mut shard, *handle)?
                     .map_or(0, |f| f.size());
                 Ok(Response::LocalSize { size })
-            }
-            Request::Read {
-                handle,
-                layout,
-                region,
-            } => {
-                self.ledger
-                    .contiguous_requests
-                    .fetch_add(1, Ordering::Relaxed);
-                let slot = self.slot_in(layout)?;
-                self.gather(*handle, layout, slot, 1, scratch, || {
-                    std::iter::once(*region)
-                })
-            }
-            Request::Write {
-                handle,
-                layout,
-                region,
-                data,
-            } => {
-                self.ledger
-                    .contiguous_requests
-                    .fetch_add(1, Ordering::Relaxed);
-                let slot = self.slot_in(layout)?;
-                self.scatter(*handle, layout, slot, data, scratch, || {
-                    std::iter::once(*region)
-                })
-            }
-            Request::ReadList {
-                handle,
-                layout,
-                regions,
-            } => {
-                self.ledger.list_requests.fetch_add(1, Ordering::Relaxed);
-                pvfs_proto::check_list(regions)?;
-                let slot = self.slot_in(layout)?;
-                let count = regions.count() as u64;
-                self.gather(*handle, layout, slot, count, scratch, || {
-                    regions.iter().copied()
-                })
-            }
-            Request::WriteList {
-                handle,
-                layout,
-                regions,
-                data,
-            } => {
-                self.ledger.list_requests.fetch_add(1, Ordering::Relaxed);
-                pvfs_proto::check_list(regions)?;
-                let slot = self.slot_in(layout)?;
-                self.scatter(*handle, layout, slot, data, scratch, || {
-                    regions.iter().copied()
-                })
-            }
-            Request::ReadVectors {
-                handle,
-                layout,
-                runs,
-            } => {
-                self.ledger.list_requests.fetch_add(1, Ordering::Relaxed);
-                let slot = self.slot_in(layout)?;
-                for run in runs {
-                    run.validate()?;
-                }
-                let count = runs.iter().fold(0u64, |n, run| n.saturating_add(run.count));
-                self.gather(*handle, layout, slot, count, scratch, || {
-                    runs.iter().flat_map(|run| run.regions())
-                })
-            }
-            Request::WriteVectors {
-                handle,
-                layout,
-                runs,
-                data,
-            } => {
-                self.ledger.list_requests.fetch_add(1, Ordering::Relaxed);
-                let slot = self.slot_in(layout)?;
-                for run in runs {
-                    run.validate()?;
-                }
-                self.scatter(*handle, layout, slot, data, scratch, || {
-                    runs.iter().flat_map(|run| run.regions())
-                })
             }
             Request::Sync { handle } => {
                 // A durability barrier on a handle this daemon has never
@@ -538,12 +462,11 @@ impl IoDaemon {
         }
     }
 
-    /// Serve a read: gather this server's share of `regions` —
-    /// concatenated in request order, the convention of
+    /// Serve a read: gather this server's share of the request's regions
+    /// — concatenated in request order, the convention of
     /// `pvfs_core::exec::server_share` — from the handle's local file into the
     /// scratch's read buffer, the front of which becomes the `Data` reply
-    /// as is: every run read straight into its place. `Read`, `ReadList`
-    /// and `ReadVectors` all come through here.
+    /// as is: every run read straight into its place.
     ///
     /// The buffer is cleared and the share appended to it (see
     /// [`Scratch`]); on an error it stays in the scratch, no part of it
@@ -553,39 +476,29 @@ impl IoDaemon {
     /// what one reply frame may carry *before* anything is allocated: a
     /// frame naming a 2^40-byte region gets a typed error, not an
     /// allocation failure that takes the daemon down.
-    fn gather<I: Iterator<Item = Region>>(
-        &self,
-        handle: FileHandle,
-        layout: &StripeLayout,
-        slot: u32,
-        region_count: u64,
-        scratch: &mut Scratch,
-        regions: impl Fn() -> I,
-    ) -> Result<Response, PvfsError> {
-        let mut share = 0u64;
-        for seg in regions().flat_map(|r| layout.segments(r)) {
-            if seg.slot == slot {
-                share += seg.logical.len;
-                if share > MAX_BULK_BYTES as u64 {
-                    return Err(PvfsError::protocol(format!(
-                        "read asks this server for more than the {MAX_BULK_BYTES} bytes \
-                         one reply frame may carry"
-                    )));
-                }
-            }
-        }
+    fn gather(&self, io: Io, slot: u32, scratch: &mut Scratch) -> Result<Response, PvfsError> {
+        let Some((share, _)) = io.shape.share(io.layout, slot, MAX_BULK_BYTES as u64) else {
+            return Err(PvfsError::protocol(format!(
+                "read asks this server for more than the {MAX_BULK_BYTES} bytes \
+                 one reply frame may carry"
+            )));
+        };
         let share = share as usize;
         if scratch.read.capacity() < share {
             scratch.read = BytesMut::with_capacity(share.max(2 * scratch.read.capacity()));
         }
         let out = scratch.read.as_mut_vec();
         out.clear();
-        let mut shard = self.shard(handle).lock().unwrap();
-        let file = self.file_entry(&mut shard, handle)?;
+        let mut shard = self.shard(io.handle).lock().unwrap();
+        let file = self.file_entry(&mut shard, io.handle)?;
         // One storage:read span per traced request; a no-op when no sink
         // is active on this thread.
         let started = now_ns();
-        for (at, len) in regions().flat_map(|r| local_runs(layout, slot, r)) {
+        let runs = io
+            .shape
+            .regions()
+            .flat_map(|r| local_runs(io.layout, slot, r));
+        for (at, len) in runs {
             file.read_append(at, len, out)?;
         }
         drop(shard);
@@ -597,9 +510,8 @@ impl IoDaemon {
                 "read filled {filled} of the {share} bytes this server owns"
             )));
         }
-        self.ledger
-            .regions
-            .fetch_add(region_count, Ordering::Relaxed);
+        let regions = io.shape.count();
+        self.ledger.regions.fetch_add(regions, Ordering::Relaxed);
         self.ledger
             .bytes_read
             .fetch_add(share as u64, Ordering::Relaxed);
@@ -608,45 +520,41 @@ impl IoDaemon {
         Ok(Response::Data { data })
     }
 
-    /// Serve a write: `data` is this server's share of `regions`,
-    /// concatenated in request order. Every region's local runs are
-    /// planned first and committed as ONE batch: on the durable backend a
-    /// whole ⌈n/64⌉-region list write is a single journal record,
-    /// all-or-nothing across a crash. `Write`, `WriteList` and
-    /// `WriteVectors` all come through here.
-    fn scatter<I: Iterator<Item = Region>>(
-        &self,
-        handle: FileHandle,
-        layout: &StripeLayout,
-        slot: u32,
-        data: &[u8],
-        scratch: &mut Scratch,
-        regions: impl Fn() -> I,
-    ) -> Result<Response, PvfsError> {
-        let (expected, owned) = owned_share(layout, slot, regions());
-        if data.len() as u64 != expected {
-            return Err(PvfsError::protocol(format!(
-                "write payload is {} bytes but this server owns {expected}",
-                data.len()
-            )));
-        }
-        let (mut count, mut consumed) = (0u64, 0usize);
+    /// Serve a write: the payload is this server's share of the
+    /// request's regions, concatenated in request order. Every region's
+    /// local runs are planned first and committed as ONE batch: on the
+    /// durable backend a whole ⌈n/64⌉-region list write is a single
+    /// journal record, all-or-nothing across a crash. The share is
+    /// measured against the payload before any region is walked stripe by
+    /// stripe.
+    fn scatter(&self, io: Io, slot: u32, scratch: &mut Scratch) -> Result<Response, PvfsError> {
+        let (data, payload) = (io.payload, io.payload.len() as u64);
+        let owned = match io.shape.share(io.layout, slot, payload) {
+            Some((bytes, owned)) if bytes == payload => owned,
+            other => {
+                let owns = other.map_or(format!("more than {payload}"), |(b, _)| b.to_string());
+                return Err(PvfsError::protocol(format!(
+                    "write payload is {payload} bytes but this server owns {owns}"
+                )));
+            }
+        };
+        let mut consumed = 0usize;
         let mut runs = scratch.take_runs(owned);
-        for region in regions() {
-            count += 1;
-            for (at, len) in local_runs(layout, slot, region) {
+        for region in io.shape.regions() {
+            for (at, len) in local_runs(io.layout, slot, region) {
                 runs.push((at, &data[consumed..consumed + len]));
                 consumed += len;
             }
         }
-        let applied = self.apply(handle, &runs);
+        let applied = self.apply(io.handle, &runs);
         scratch.put_runs(runs);
         applied?;
-        self.ledger.regions.fetch_add(count, Ordering::Relaxed);
+        let regions = io.shape.count();
+        self.ledger.regions.fetch_add(regions, Ordering::Relaxed);
         self.ledger
             .bytes_written
-            .fetch_add(expected, Ordering::Relaxed);
-        Ok(Response::Written { bytes: expected })
+            .fetch_add(payload, Ordering::Relaxed);
+        Ok(Response::Written { bytes: payload })
     }
 
     /// Commit a write's planned runs to the handle's local file as one
@@ -735,22 +643,6 @@ impl IoDaemon {
             }
         }
     }
-}
-
-/// What `slot` owns of a request's regions: `(bytes, regions it owns
-/// any byte of)`. The first is what the payload must measure; the second
-/// is how many local runs the request plans — the stripes a slot owns of
-/// one region sit back to back in its local file, so each owned region
-/// is one merged run.
-fn owned_share(
-    layout: &StripeLayout,
-    slot: u32,
-    regions: impl Iterator<Item = Region>,
-) -> (u64, usize) {
-    regions.fold((0, 0), |(bytes, owned), r| {
-        let share = layout.bytes_on_slot(r, slot);
-        (bytes + share, owned + usize::from(share > 0))
-    })
 }
 
 /// `slot`'s local runs of one logical region, in logical order, as
@@ -1497,6 +1389,80 @@ mod tests {
         ));
     }
 
+    /// A run whose block ends past `u64::MAX`, in a request built the way
+    /// the simulator builds its requests (`Request::data`, under
+    /// `pvfs_core::exec`), gets an error reply, read or write; the daemon
+    /// does not panic on it, and serves on.
+    #[test]
+    fn a_vector_run_ending_past_u64_max_is_refused_not_a_panic() {
+        let l = layout();
+        let d = IoDaemon::with_defaults(ServerId(0));
+        let run = pvfs_proto::VectorRun {
+            base: u64::MAX - 10,
+            blocklen: 100,
+            stride: 100,
+            count: 1,
+        };
+        for kind in [IoKind::Read, IoKind::Write] {
+            let shape = pvfs_proto::Shape::Vectors(vec![run]);
+            let request = Request::data(kind, fh(), l, shape, Bytes::from(vec![0u8; 10]));
+            match d.handle(&request).0 {
+                Response::Error(PvfsError::InvalidArgument(why)) => {
+                    assert!(why.contains("past u64::MAX"), "{why}")
+                }
+                other => panic!("{kind:?}: expected an error reply, got {other:?}"),
+            }
+        }
+        assert_eq!(d.ledger().snapshot().errors, 2);
+        let read = Request::Read {
+            handle: fh(),
+            layout: l,
+            region: Region::new(0, 4),
+        };
+        assert!(matches!(d.handle(&read).0, Response::Data { .. }));
+    }
+
+    /// A read in the stripe that ends past `u64::MAX` is served — zeros:
+    /// nothing was written there — where cutting it into segments used
+    /// to panic the serving thread.
+    #[test]
+    fn a_read_at_the_top_of_the_offset_space_is_served() {
+        let l = StripeLayout::new(0, 4, 16384).unwrap();
+        let d = IoDaemon::with_defaults(l.server_of(u64::MAX));
+        let (resp, _) = d.handle(&Request::Read {
+            handle: fh(),
+            layout: l,
+            region: Region::new(u64::MAX - 100, 50),
+        });
+        let zeros = Bytes::from(vec![0u8; 50]);
+        assert_eq!(resp, Response::Data { data: zeros });
+    }
+
+    /// A write's share is measured in closed form: a `Write` naming a
+    /// 2^62-byte region — 2^46 stripes — with a payload that cannot be its
+    /// share is refused at once, where walking its stripes would hold the
+    /// serving thread for weeks.
+    #[test]
+    fn a_write_naming_a_huge_region_is_refused_in_closed_form() {
+        let l = StripeLayout::new(0, 4, 64 << 10).unwrap();
+        let d = IoDaemon::with_defaults(ServerId(1));
+        let started = now_ns();
+        let (resp, _) = d.handle(&Request::Write {
+            handle: fh(),
+            layout: l,
+            region: Region::new(0, 1 << 62),
+            data: Bytes::new(),
+        });
+        let took_ms = (now_ns() - started) / 1_000_000;
+        match resp {
+            Response::Error(PvfsError::Protocol(why)) => {
+                assert!(why.contains("write payload is 0 bytes"), "{why}")
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        assert!(took_ms < 1_000, "refused after {took_ms} ms");
+    }
+
     #[test]
     fn sync_on_untouched_handle_reports_nothing_durable() {
         let d = IoDaemon::with_defaults(ServerId(0));
@@ -1920,7 +1886,7 @@ mod proptests {
     proptest! {
         /// Writing any byte range through per-server contiguous requests
         /// and reading it back — whole through per-server `Read`s, and
-        /// strided through `ReadList` and `ReadVectors` (every read arm
+        /// strided through `ReadList` and `ReadVectors` (every read shape
         /// shares one gather) — reproduces a flat in-memory model of
         /// the file, for arbitrary layouts, on both storage backends.
         #[test]

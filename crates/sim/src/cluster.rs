@@ -1,12 +1,12 @@
 //! The discrete-event plan executor.
 
-use crate::{CostConfig, EventQueue, FifoResource, SimTime};
-use bytes::{Bytes, BytesMut};
+use crate::{EventQueue, FifoResource, SimTime, COST};
+use bytes::BytesMut;
 use pvfs_core::exec::{
     alloc_temps, apply_copies, copy_bytes, scatter_response, wire_request_into, Buffers,
 };
 use pvfs_core::{AccessPlan, Step, WireOp};
-use pvfs_proto::{Request, Response};
+use pvfs_proto::{IoKind, Request, Response, Shape};
 use pvfs_server::{IoDaemon, IodConfig};
 use pvfs_types::{FileHandle, Histogram, PvfsError, PvfsResult, Region, ServerId, StripeLayout};
 use std::collections::VecDeque;
@@ -69,19 +69,18 @@ impl SimReport {
     }
 }
 
-/// One metadata round trip (open/close at the manager) under `cost` —
-/// used by the Fig. 17 harness for its open/close bars; the manager is
-/// deliberately outside the simulated data path, as in PVFS.
-pub fn metadata_rtt_ns(cost: &CostConfig) -> u64 {
-    cost.client.per_request_ns
-        + 2 * cost.net.latency_ns
-        + cost.net.transfer_ns(64) * 2
-        + cost.server.per_request_ns
+/// One metadata round trip (open/close at the manager), for the Fig. 17
+/// harness's open/close bars; the manager is deliberately outside the
+/// simulated data path, as in PVFS.
+pub fn metadata_rtt_ns() -> u64 {
+    COST.client.per_request_ns
+        + 2 * COST.net.latency_ns
+        + COST.net.transfer_ns(64) * 2
+        + COST.server.per_request_ns
 }
 
 /// The simulated cluster: real daemons + virtual-time resources.
 pub struct SimCluster {
-    cost: CostConfig,
     daemons: Vec<IoDaemon>,
     server_cpu: Vec<FifoResource>,
     server_tx: Vec<FifoResource>,
@@ -89,12 +88,12 @@ pub struct SimCluster {
 }
 
 impl SimCluster {
-    /// A cluster of `n_servers` I/O daemons with the given disk/cache
-    /// configuration and cost calibration.
-    pub fn new(n_servers: u32, iod: IodConfig, cost: CostConfig) -> SimCluster {
+    /// A cluster of `n_servers` I/O daemons, each with the default
+    /// disk and cache models, priced by [`COST`].
+    pub fn new(n_servers: u32) -> SimCluster {
         assert!(n_servers > 0);
+        let iod = IodConfig::default();
         SimCluster {
-            cost,
             daemons: (0..n_servers)
                 .map(|i| IoDaemon::with_cost_model(ServerId(i), iod))
                 .collect(),
@@ -104,14 +103,9 @@ impl SimCluster {
         }
     }
 
-    /// Paper-default cluster: 8 I/O servers, default disk/cache/cost.
+    /// Paper-default cluster: 8 I/O servers, default disk and cache.
     pub fn paper_default() -> SimCluster {
-        SimCluster::new(8, IodConfig::default(), CostConfig::paper_default())
-    }
-
-    /// The cost calibration in use.
-    pub fn cost(&self) -> &CostConfig {
-        &self.cost
+        SimCluster::new(8)
     }
 
     /// Direct daemon access (verification).
@@ -178,12 +172,9 @@ impl SimCluster {
                 continue;
             }
             let daemon = &self.daemons[layout.server_at_slot(slot).index()];
-            let (resp, _) = daemon.handle(&Request::Write {
-                handle,
-                layout: *layout,
-                region,
-                data: Bytes::from(share),
-            });
+            let shape = Shape::Contiguous(region);
+            let write = Request::data(IoKind::Write, handle, *layout, shape, share.into());
+            let (resp, _) = daemon.handle(&write);
             assert!(matches!(resp, Response::Written { .. }), "seeding failed");
         }
     }
@@ -329,7 +320,6 @@ impl<'a> Engine<'a> {
     }
 
     fn on_step(&mut self, c: usize, t: SimTime) -> PvfsResult<()> {
-        let cost = self.cluster.cost;
         let state = &mut self.clients[c];
         match state.plan.next_step() {
             None => {
@@ -360,15 +350,15 @@ impl<'a> Engine<'a> {
                     state.report.bytes_sent += req_bulk;
                     // Client CPU: issue + per-fragment gather work +
                     // payload copy.
-                    let send_cpu = cost.client.per_request_ns
-                        + fragments * cost.client.per_fragment_ns
-                        + cost.client.memcpy_ns(req_bulk);
+                    let send_cpu = COST.client.per_request_ns
+                        + fragments * COST.client.per_fragment_ns
+                        + COST.client.memcpy_ns(req_bulk);
                     let (_, cpu_end) = state.cpu.acquire(cur, send_cpu);
                     cur = cpu_end;
                     // Client NIC tx, then the wire.
-                    let wire_ns = cost.net.transfer_ns(req_control + req_bulk);
+                    let wire_ns = COST.net.transfer_ns(req_control + req_bulk);
                     let (_, tx_end) = state.tx.acquire(cpu_end, wire_ns);
-                    let arrive_at = tx_end + cost.net.latency_ns;
+                    let arrive_at = tx_end + COST.net.latency_ns;
                     let flight = InFlight {
                         client: c,
                         server: wire.server,
@@ -399,7 +389,7 @@ impl<'a> Engine<'a> {
                 let bytes = copy_bytes(&pairs);
                 state.report.copy_bytes += bytes;
                 apply_copies(&pairs, &mut state.bufs());
-                let (_, end) = state.cpu.acquire(t, cost.client.memcpy_ns(bytes));
+                let (_, end) = state.cpu.acquire(t, COST.client.memcpy_ns(bytes));
                 self.queue.push(end, Ev::Step(c));
                 Ok(())
             }
@@ -416,7 +406,7 @@ impl<'a> Engine<'a> {
             Some(Step::SerialEnd) => {
                 debug_assert!(self.serial_held, "SerialEnd without SerialBegin");
                 self.serial_held = false;
-                let release = t + cost.serial_handoff_ns;
+                let release = t + COST.serial_handoff_ns;
                 if let Some(next) = self.serial_waiting.pop_front() {
                     self.serial_held = true;
                     self.queue.push(release, Ev::Step(next));
@@ -428,14 +418,13 @@ impl<'a> Engine<'a> {
     }
 
     fn on_arrive(&mut self, slot: usize, t: SimTime) -> PvfsResult<()> {
-        let cost = self.cluster.cost;
         let flight = self.inflight[slot].as_mut().expect("live flight");
         let sidx = flight.server.index();
         if sidx >= self.cluster.daemons.len() {
             return Err(PvfsError::NoSuchServer(flight.server.0));
         }
         // Receiving NIC drains the frame.
-        let wire_ns = cost.net.transfer_ns(flight.req_control + flight.req_bulk);
+        let wire_ns = COST.net.transfer_ns(flight.req_control + flight.req_bulk);
         let (_, rx_end) = self.cluster.server_rx[sidx].acquire(t, wire_ns);
         // Serve (real data movement) and charge the CPU + disk: per
         // request, per region it names, per local access its file made.
@@ -444,15 +433,15 @@ impl<'a> Engine<'a> {
         if let Response::Error(e) = response {
             return Err(e);
         }
-        let service = cost.server.per_request_ns
-            + request.region_count() as u64 * cost.server.per_region_ns
-            + charged.accesses * cost.server.per_access_ns
+        let service = COST.server.per_request_ns
+            + request.region_count() as u64 * COST.server.per_region_ns
+            + charged.accesses * COST.server.per_access_ns
             + charged.disk_ns;
         let (_, cpu_end) = self.cluster.server_cpu[sidx].acquire(rx_end, service);
         // The write-ACK stall delays the response without occupying any
         // resource: parallel writes in one round overlap their stalls.
         let ack_stall = if request.is_write() {
-            cost.net.write_ack_stall_ns
+            COST.net.write_ack_stall_ns
         } else {
             0
         };
@@ -460,22 +449,21 @@ impl<'a> Engine<'a> {
         flight.resp_bulk = response.bulk_len();
         flight.resp_control = 32;
         flight.response = Some(response);
-        let resp_wire = cost.net.transfer_ns(flight.resp_control + flight.resp_bulk);
+        let resp_wire = COST.net.transfer_ns(flight.resp_control + flight.resp_bulk);
         let (_, stx_end) = self.cluster.server_tx[sidx].acquire(cpu_end, resp_wire);
         self.queue.push(
-            stx_end + cost.net.latency_ns + ack_stall,
+            stx_end + COST.net.latency_ns + ack_stall,
             Ev::Complete(slot),
         );
         Ok(())
     }
 
     fn on_complete(&mut self, slot: usize, t: SimTime) -> PvfsResult<()> {
-        let cost = self.cluster.cost;
         let flight = self.inflight[slot].take().expect("live flight");
         self.free_slots.push(slot);
         let state = &mut self.clients[flight.client];
         // Client NIC rx.
-        let wire_ns = cost.net.transfer_ns(flight.resp_control + flight.resp_bulk);
+        let wire_ns = COST.net.transfer_ns(flight.resp_control + flight.resp_bulk);
         let (_, rx_end) = state.rx.acquire(t, wire_ns);
         // Receive processing: scatter (real bytes) + per-fragment cost.
         let response = flight.response.expect("response present");
@@ -485,7 +473,7 @@ impl<'a> Engine<'a> {
                 let (op, layout) = (&flight.wire.op, state.plan.layout);
                 let fragments =
                     scatter_response(op, &layout, flight.server, data, &mut state.bufs())?;
-                fragments * cost.client.per_fragment_ns + cost.client.memcpy_ns(data.len() as u64)
+                fragments * COST.client.per_fragment_ns + COST.client.memcpy_ns(data.len() as u64)
             }
             Response::Written { .. } => 0,
             other => {

@@ -126,35 +126,26 @@ pub struct CostConfig {
     pub serial_handoff_ns: u64,
 }
 
-impl CostConfig {
-    /// Chiba City calibration (see module docs for derivations).
-    pub fn paper_default() -> CostConfig {
-        CostConfig {
-            net: NetCost {
-                latency_ns: 60_000,             // 60 µs one-way
-                bandwidth_bps: 12_500_000,      // 100 Mb/s
-                write_ack_stall_ns: 40_000_000, // 40 ms
-            },
-            client: ClientCost {
-                per_request_ns: 50_000,   // 50 µs
-                per_fragment_ns: 400_000, // 400 µs
-                memcpy_bps: 400_000_000,  // 400 MB/s
-            },
-            server: ServerCost {
-                per_request_ns: 300_000, // 300 µs
-                per_region_ns: 2_000,    // 2 µs
-                per_access_ns: 250_000,  // 250 µs
-            },
-            serial_handoff_ns: 1_000_000, // 1 ms
-        }
-    }
-}
-
-impl Default for CostConfig {
-    fn default() -> Self {
-        CostConfig::paper_default()
-    }
-}
+/// The Chiba City calibration (see module docs for derivations): the one
+/// every simulated cluster runs.
+pub const COST: CostConfig = CostConfig {
+    net: NetCost {
+        latency_ns: 60_000,             // 60 µs one-way
+        bandwidth_bps: 12_500_000,      // 100 Mb/s
+        write_ack_stall_ns: 40_000_000, // 40 ms
+    },
+    client: ClientCost {
+        per_request_ns: 50_000,   // 50 µs
+        per_fragment_ns: 400_000, // 400 µs
+        memcpy_bps: 400_000_000,  // 400 MB/s
+    },
+    server: ServerCost {
+        per_request_ns: 300_000, // 300 µs
+        per_region_ns: 2_000,    // 2 µs
+        per_access_ns: 250_000,  // 250 µs
+    },
+    serial_handoff_ns: 1_000_000, // 1 ms
+};
 
 #[cfg(test)]
 mod tests {
@@ -162,7 +153,7 @@ mod tests {
 
     #[test]
     fn transfer_time_at_fast_ethernet() {
-        let net = CostConfig::paper_default().net;
+        let net = COST.net;
         // 12.5 MB in one second.
         assert_eq!(net.transfer_ns(12_500_000), 1_000_000_000);
         // A 1500-byte frame takes 120 µs on the wire.
@@ -172,7 +163,7 @@ mod tests {
 
     #[test]
     fn memcpy_time() {
-        let c = CostConfig::paper_default().client;
+        let c = COST.client;
         assert_eq!(c.memcpy_ns(400_000_000), 1_000_000_000);
         assert_eq!(c.memcpy_ns(0), 0);
     }
@@ -182,7 +173,7 @@ mod tests {
         // The calibrated write-ACK stall against the read-path
         // request cost (~0.4 ms RTT) gives the ~50× read/write gap of
         // Figs. 9 vs 10.
-        let c = CostConfig::paper_default();
+        let c = COST;
         let read_rtt = c.client.per_request_ns
             + 2 * c.net.latency_ns
             + c.server.per_request_ns
@@ -195,7 +186,7 @@ mod tests {
 
     #[test]
     fn no_overflow_on_huge_transfers() {
-        let net = CostConfig::paper_default().net;
+        let net = COST.net;
         assert!(net.transfer_ns(1 << 40) > 0);
     }
 }

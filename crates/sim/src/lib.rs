@@ -32,8 +32,8 @@
 //!   FIFO tie-breaking.
 //! * [`FifoResource`] — serializes users of a contended resource (a
 //!   server's CPU, one direction of a NIC) in arrival order.
-//! * [`CostConfig`] — every calibration constant in one documented
-//!   place, with the derivations EXPERIMENTS.md relies on.
+//! * [`COST`] — every calibration constant in one documented place,
+//!   with the derivations EXPERIMENTS.md relies on.
 //! * [`SimCluster`] — the plan executor over all of the above.
 
 mod cluster;
@@ -45,7 +45,7 @@ mod tests;
 pub mod time;
 
 pub use cluster::{metadata_rtt_ns, ClientJob, ClientReport, SimCluster, SimReport};
-pub use cost::{ClientCost, CostConfig, NetCost, ServerCost};
+pub use cost::{ClientCost, CostConfig, NetCost, ServerCost, COST};
 pub use queue::EventQueue;
 pub use resource::FifoResource;
 pub use time::SimTime;

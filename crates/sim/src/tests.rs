@@ -3,7 +3,6 @@
 
 use super::*;
 use pvfs_core::{plan, IoKind, ListRequest, Method, MethodConfig};
-use pvfs_server::IodConfig;
 use pvfs_types::{FileHandle, RegionList, StripeLayout};
 
 const FH: FileHandle = FileHandle(1);
@@ -13,7 +12,7 @@ fn layout(pcount: u32, ssize: u64) -> StripeLayout {
 }
 
 fn cluster(pcount: u32) -> SimCluster {
-    SimCluster::new(pcount, IodConfig::default(), CostConfig::paper_default())
+    SimCluster::new(pcount)
 }
 
 fn strided_request(n: u64, len: u64, stride: u64) -> ListRequest {
@@ -401,7 +400,7 @@ fn rtt_histogram_counts_every_request() {
         .unwrap();
     assert_eq!(report.rtt.count(), report.clients[0].requests);
     // Every RTT includes at least the two-way wire latency.
-    assert!(report.rtt.min_ns() >= 2 * sim.cost().net.latency_ns);
+    assert!(report.rtt.min_ns() >= 2 * COST.net.latency_ns);
     assert!(report.rtt.percentile_ns(0.5) <= report.rtt.max_ns());
 }
 
@@ -419,7 +418,7 @@ fn write_rtts_carry_the_ack_stall() {
             vec![1u8; request.total_len() as usize],
         )])
         .unwrap();
-    let stall = sim.cost().net.write_ack_stall_ns;
+    let stall = COST.net.write_ack_stall_ns;
     assert!(
         report.rtt.min_ns() >= stall,
         "{} < {stall}",
@@ -450,7 +449,7 @@ fn serialized_writers_trace_exclusive_sections() {
     assert!(report.clients.iter().all(|c| c.serial_sections == 1));
     let mut finishes: Vec<SimTime> = report.clients.iter().map(|c| c.finish).collect();
     finishes.sort_unstable();
-    let handoff = sim.cost().serial_handoff_ns;
+    let handoff = COST.serial_handoff_ns;
     assert!(
         finishes.windows(2).all(|w| w[1] - w[0] >= handoff),
         "sections overlapped: {finishes:?}"
@@ -487,9 +486,8 @@ fn hybrid_and_datatype_also_run_under_simulation() {
 
 #[test]
 fn metadata_rtt_is_small_but_nonzero() {
-    let cost = CostConfig::paper_default();
-    let rtt = metadata_rtt_ns(&cost);
-    assert!(rtt > 2 * cost.net.latency_ns);
+    let rtt = metadata_rtt_ns();
+    assert!(rtt > 2 * COST.net.latency_ns);
     assert!(rtt < 10_000_000); // well under 10 ms
 }
 

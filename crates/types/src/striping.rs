@@ -163,14 +163,26 @@ impl StripeLayout {
         slots.into_iter().map(|s| self.server_at_slot(s)).collect()
     }
 
-    /// Bytes of `region` stored on `slot`. Closed-form would be fiddly;
-    /// regions in this system are modest in stripe count, so walk the
-    /// segments.
+    /// Bytes of `region` stored on `slot`, in O(1) whatever the region's
+    /// stripe count: every `pcount × ssize` bytes from offset 0 put
+    /// `ssize` on each slot, so the bytes below an offset `x` that `slot`
+    /// holds are `ssize` per whole period plus what of `slot`'s stripe the
+    /// rest reaches; the region's share is that at its end less that at
+    /// its start.
     pub fn bytes_on_slot(&self, region: Region, slot: u32) -> u64 {
-        self.segments(region)
-            .filter(|s| s.slot == slot)
-            .map(|s| s.logical.len)
-            .sum()
+        if slot >= self.pcount {
+            return 0;
+        }
+        let (ssize, start) = (
+            u128::from(self.ssize),
+            u128::from(slot) * u128::from(self.ssize),
+        );
+        let period = u128::from(self.pcount) * ssize;
+        let below = |x: u64| {
+            let x = u128::from(x);
+            x / period * ssize + (x % period).saturating_sub(start).min(ssize)
+        };
+        (below(region.end()) - below(region.offset)) as u64
     }
 }
 
@@ -209,8 +221,9 @@ impl Iterator for SegmentIter<'_> {
             return None;
         }
         let l = self.layout;
-        let stripe_end = (l.stripe_index(self.cursor) + 1) * l.ssize;
-        let seg_end = stripe_end.min(self.end);
+        // The last stripe of the offset space ends past `u64::MAX`.
+        let stripe_end = (l.stripe_index(self.cursor) + 1).checked_mul(l.ssize);
+        let seg_end = stripe_end.map_or(self.end, |end| end.min(self.end));
         let logical = Region::new(self.cursor, seg_end - self.cursor);
         let (server, local_offset) = l.to_local(self.cursor);
         let slot = l.slot_of(self.cursor);
@@ -345,6 +358,30 @@ mod tests {
         assert_eq!(total, 97);
         assert_eq!(l.bytes_on_slot(Region::new(0, 10), 0), 10);
         assert_eq!(l.bytes_on_slot(Region::new(0, 10), 1), 0);
+        // Closed form: a region of 2^60 stripes, and one ending at the
+        // top of the offset space, cost no more than a short one.
+        let l = layout(4, 1 << 20);
+        assert_eq!(l.bytes_on_slot(Region::new(5, 1 << 62), 1), 1 << 60);
+        let top = Region::new(u64::MAX - (4 << 20), 4 << 20);
+        let total: u64 = (0..4).map(|s| l.bytes_on_slot(top, s)).sum();
+        assert_eq!(total, 4 << 20);
+        assert_eq!(l.bytes_on_slot(top, 3), 1 << 20);
+    }
+
+    /// A region in the stripe that ends past `u64::MAX` is cut like any
+    /// other: the segments end at the region's end, not at a wrapped
+    /// stripe end.
+    #[test]
+    fn segments_reach_the_top_of_the_offset_space() {
+        for l in [layout(4, 16384), layout(3, 7)] {
+            let r = Region::new(u64::MAX - 100, 100);
+            let segs: Vec<_> = l.segments(r).collect();
+            assert_eq!(segs.last().unwrap().logical.end(), u64::MAX);
+            assert_eq!(segs.iter().map(|s| s.logical.len).sum::<u64>(), 100);
+            for s in &segs {
+                assert_eq!(l.bytes_on_slot(s.logical, s.slot), s.logical.len);
+            }
+        }
     }
 
     #[test]
@@ -365,8 +402,8 @@ mod tests {
             let slot = plain.slot_of(off);
             assert_eq!(mirrored.to_logical(slot, plain.to_local(off).1), off);
         }
-        // bytes_on_slot walks segments, which call server_at_slot on
-        // every stripe — must not overflow in debug builds.
+        // Nor does a wrapped base overflow the share's arithmetic in
+        // debug builds.
         assert_eq!(mirrored.bytes_on_slot(Region::new(0, 40), 3), 10);
     }
 }
@@ -415,6 +452,24 @@ mod proptests {
                 cursor = s.logical.end();
             }
             prop_assert_eq!(cursor, r.end());
+        }
+
+        /// The closed form is the segment walk it replaced, for any
+        /// slot: one outside the layout holds nothing.
+        #[test]
+        fn bytes_on_slot_is_the_segment_walk(
+            l in arb_layout(),
+            off in 0u64..1_000_000,
+            len in 0u64..300_000,
+            slot in 0u32..17,
+        ) {
+            let r = Region::new(off, len);
+            let walked: u64 = l
+                .segments(r)
+                .filter(|s| s.slot == slot)
+                .map(|s| s.logical.len)
+                .sum();
+            prop_assert_eq!(l.bytes_on_slot(r, slot), walked);
         }
 
         #[test]

@@ -9,8 +9,7 @@
 use pvfs::client::PvfsFile;
 use pvfs::core::{IoKind, Method, MethodConfig};
 use pvfs::net::LiveCluster;
-use pvfs::server::IodConfig;
-use pvfs::sim::{ClientJob, CostConfig, SimCluster};
+use pvfs::sim::{ClientJob, SimCluster};
 use pvfs::types::{FileHandle, StripeLayout};
 use pvfs::workloads::FlashIo;
 
@@ -67,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nsimulated Chiba City checkpoint times:");
     println!("{:<20} {:>12} {:>12}", "method", "seconds", "requests");
     for method in [Method::Multiple, Method::DataSieving, Method::List] {
-        let mut sim = SimCluster::new(8, IodConfig::default(), CostConfig::paper_default());
+        let mut sim = SimCluster::new(8);
         let cfg = MethodConfig::paper_default();
         let jobs: Vec<ClientJob> = (0..nprocs)
             .map(|p| {

@@ -9,8 +9,7 @@
 use pvfs::client::PvfsFile;
 use pvfs::core::{IoKind, Method, MethodConfig};
 use pvfs::net::LiveCluster;
-use pvfs::server::IodConfig;
-use pvfs::sim::{metadata_rtt_ns, ClientJob, CostConfig, SimCluster};
+use pvfs::sim::{metadata_rtt_ns, ClientJob, SimCluster};
 use pvfs::types::{FileHandle, StripeLayout};
 use pvfs::workloads::{verify, TiledViz};
 
@@ -71,10 +70,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<20} {:>10} {:>10} {:>10} {:>10}",
         "method", "open s", "read s", "close s", "requests"
     );
-    let cost = CostConfig::paper_default();
-    let meta = metadata_rtt_ns(&cost) as f64 / 1e9;
+    let meta = metadata_rtt_ns() as f64 / 1e9;
     for method in [Method::Multiple, Method::DataSieving, Method::List] {
-        let mut sim = SimCluster::new(8, IodConfig::default(), cost);
+        let mut sim = SimCluster::new(8);
         sim.seed_warm(FileHandle(7), &layout, wall.file_size());
         let cfg = MethodConfig::paper_default();
         let jobs: Vec<ClientJob> = (0..wall.clients())

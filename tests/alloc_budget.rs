@@ -71,7 +71,7 @@ const WRITE_ALLOCS: u64 = 1;
 const READ_ALLOCS: u64 = 1;
 /// What one more frame may cost an op over tcp: allocations per frame
 /// when the same pattern is twice as long (128 frames against 64). Every
-/// per-frame buffer has an owner that takes it back (`pvfs::net::spares`),
+/// per-frame buffer has an owner that takes it back (`pvfs_decide::spares`),
 /// so this is 0 today; a write is allowed a run list per frame (should
 /// the in-place reuse of it ever stop working), a read one reply.
 const WRITE_ALLOCS_PER_FRAME: f64 = 2.0;
@@ -100,7 +100,7 @@ const FLASH_ALLOCS: u64 = 1;
 /// is its op and a server set, and a `Data`
 /// reply is gathered into a buffer of the lane's that went out with the
 /// request and is swept back, control block and all, when the lane next
-/// sends (`pvfs::net::spares`). It was 0.012 and 8.2 while each stream
+/// sends (`pvfs_decide::spares`). It was 0.012 and 8.2 while each stream
 /// sized its window and lane table for every daemon and boxed its lanes;
 /// 3.0 and 433 while the step was a vector and the reply's buffer and
 /// reference count were made per reply and freed on the client's thread;

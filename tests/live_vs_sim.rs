@@ -6,8 +6,7 @@
 use pvfs::client::PvfsFile;
 use pvfs::core::{plan, IoKind, Method, MethodConfig};
 use pvfs::net::LiveCluster;
-use pvfs::server::IodConfig;
-use pvfs::sim::{ClientJob, CostConfig, SimCluster};
+use pvfs::sim::{ClientJob, SimCluster};
 use pvfs::types::{FileHandle, StripeLayout};
 use pvfs::workloads::{verify, BlockBlock, Cyclic, FlashIo, TiledViz};
 
@@ -21,7 +20,7 @@ fn sim_read(
     layout: StripeLayout,
     file_size: u64,
 ) -> Vec<u8> {
-    let mut sim = SimCluster::new(8, IodConfig::default(), CostConfig::paper_default());
+    let mut sim = SimCluster::new(8);
     sim.seed_file(FH, &layout, &verify::content(0, file_size as usize));
     let cfg = MethodConfig::paper_default();
     let p = plan(method, IoKind::Read, request, FH, layout, &cfg).unwrap();
@@ -117,7 +116,7 @@ fn flash_checkpoints_agree_between_live_and_sim() {
     let file_size = flash.file_size() as usize;
 
     // Simulated: both procs write, then dump every daemon's bytes.
-    let mut sim = SimCluster::new(8, IodConfig::default(), CostConfig::paper_default());
+    let mut sim = SimCluster::new(8);
     let cfg = MethodConfig::paper_default();
     let jobs: Vec<ClientJob> = (0..2)
         .map(|p| {

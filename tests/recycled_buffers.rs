@@ -2,7 +2,7 @@
 //! request's bytes to another.
 //!
 //! A daemon's read buffer, a client's payload and head buffers and both
-//! ends' receive buffers all come round again dirty (`pvfs::net::spares`).
+//! ends' receive buffers all come round again dirty (`pvfs_decide::spares`).
 //! Two properties keep that invisible, and each gets a test against live
 //! clusters here: a read writes *every* byte of the share it answers
 //! with — holes, the tail past EOF and never-written handles are zeros,
