@@ -1,12 +1,12 @@
 //! Shared execution semantics for access plans.
 //!
-//! Both executors — the live threaded cluster and the discrete-event
-//! simulator — move bytes through these functions, so the data-movement
-//! convention is defined in exactly one place and matches the I/O
-//! daemon's: *for each file region in request order, for each stripe
-//! segment owned by the addressed server in logical order*, bytes are
-//! consumed from (writes) or delivered to (reads) the op's
-//! [`Target`].
+//! The plan runner ([`crate::Runner`]) moves every byte of both of its
+//! drivers — the live threaded cluster and the discrete-event simulator
+//! — through these functions, so the data-movement convention is
+//! defined in exactly one place and matches the I/O daemon's: *for each
+//! file region in request order, for each stripe segment owned by the
+//! addressed server in logical order*, bytes are consumed from (writes)
+//! or delivered to (reads) the op's [`Target`].
 //!
 //! The planners guarantee a wire op is only addressed to servers that
 //! own at least one byte of it; these helpers tolerate zero-share ops
@@ -14,12 +14,11 @@
 //!
 //! A write's payload is the one payload-sized buffer the client side of
 //! an op needs, and it need not be a new one: [`gather_payload_into`]
-//! (under [`wire_request_into`]) gathers into whatever buffer its caller
-//! hands out — the live executor's come from, and go back to, its
-//! client's spares; the simulator hands out fresh ones and keeps the
-//! fragment count for its cost model. [`wire_request`] is the same code
-//! with a buffer of its own, which the benchmark's per-layer timings
-//! call.
+//! gathers into whatever buffer its caller hands out — the live
+//! executor's come from, and go back to, its client's spares; the
+//! simulator hands out fresh ones and keeps the fragment count for its
+//! cost model. [`wire_request`] gathers into a buffer of its own, for
+//! the benchmark's per-layer timings.
 //!
 //! Over a stream, a share of fragments of at least [`DIRECT_FRAGMENT`]
 //! bytes on average needs no buffer at all ([`direct_share`]): a write
@@ -27,6 +26,7 @@
 //! reply is read into them ([`place_share`]).
 
 use crate::plan::{CopyPair, IoKind, MemSlice, OpKind, Space, Target, WireOp};
+use crate::runner::UserBuf;
 use bytes::{Bytes, BytesMut};
 use pvfs_types::iov::IOV_BATCH;
 use pvfs_types::{FileHandle, PvfsError, PvfsResult, Region, ServerId, StripeLayout};
@@ -51,7 +51,7 @@ pub struct Buffers<'a> {
 
 /// What a write payload is gathered from: the same buffers, read-only.
 /// A write plan never needs more of the caller's buffer than this, so
-/// the live executor builds one straight from the `&[u8]` it was handed;
+/// the runner builds one straight from the `&[u8]` it was handed;
 /// `&Buffers` converts for everyone holding the mutable form.
 #[derive(Clone, Copy)]
 pub struct Sources<'a> {
@@ -91,7 +91,7 @@ impl Buffers<'_> {
 }
 
 /// Allocate the temp buffers a plan asks for.
-pub fn alloc_temps(sizes: &[u64]) -> Vec<Vec<u8>> {
+pub(crate) fn alloc_temps(sizes: &[u64]) -> Vec<Vec<u8>> {
     sizes.iter().map(|&n| vec![0u8; n as usize]).collect()
 }
 
@@ -259,29 +259,14 @@ pub fn wire_request<'a>(
     layout: &StripeLayout,
     bufs: impl Into<Sources<'a>>,
 ) -> pvfs_proto::Request {
-    wire_request_into(wire, handle, layout, bufs, BytesMut::with_capacity).0
-}
-
-/// [`wire_request`], a write's payload gathered into the buffer `spare`
-/// hands out for it (see [`gather_payload_into`]); a read asks for none.
-/// Also returns the write's gathered memory fragment count — the client
-/// cost model's per-fragment unit; 0 for a read, whose fragments are
-/// counted when its reply is scattered.
-pub fn wire_request_into<'a>(
-    wire: &WireOp,
-    handle: FileHandle,
-    layout: &StripeLayout,
-    bufs: impl Into<Sources<'a>>,
-    spare: impl FnOnce(usize) -> BytesMut,
-) -> (pvfs_proto::Request, u64) {
-    let (data, fragments) = if wire.op.kind == IoKind::Write {
-        gather_payload_into(&wire.op, layout, wire.server, bufs, spare)
-    } else {
-        (Bytes::new(), 0)
+    let data = match wire.op.kind {
+        IoKind::Write => {
+            gather_payload_into(&wire.op, layout, wire.server, bufs, BytesMut::with_capacity).0
+        }
+        IoKind::Read => Bytes::new(),
     };
     let (kind, shape) = (wire.op.kind, wire.op.shape.clone());
-    let request = pvfs_proto::Request::data(kind, handle, *layout, shape, data);
-    (request, fragments)
+    pvfs_proto::Request::data(kind, handle, *layout, shape, data)
 }
 
 /// Gather the write payload for `server` — its share of every region in
@@ -375,41 +360,27 @@ fn copy_between_temps(temps: &mut [Vec<u8>], s: usize, src: usize, d: usize, dst
     to[dst..dst + n].copy_from_slice(&from[src..src + n]);
 }
 
-/// One pair whose destination is a temp — all a write plan stages, and
-/// what a read plan's pairs share with it. The user buffer is only read.
-fn copy_into_temp(p: &CopyPair, user: &[u8], temps: &mut [Vec<u8>]) {
-    let (src, dst, n) = copy_span(p);
-    match (p.src.space, p.dst.space) {
-        (Space::User, Space::Temp(t)) => {
-            temps[t][dst..dst + n].copy_from_slice(&user[src..src + n])
-        }
-        (Space::Temp(s), Space::Temp(d)) => copy_between_temps(temps, s, src, d, dst, n),
-        (_, Space::User) => panic!("a write plan copies into the caller's buffer: {p:?}"),
-    }
-}
-
 /// Apply a copy step (`src` → `dst` for each pair, in order; a pair
-/// whose two slices overlap in one buffer copies as `memmove` does).
-pub fn apply_copies(pairs: &[CopyPair], bufs: &mut Buffers<'_>) {
+/// whose two slices overlap in one buffer copies as `memmove` does). A
+/// write plan holds the caller's buffer read-only, so every pair of its
+/// stages into a temp (data sieving's user → sieve-buffer merge): a pair
+/// aimed at the caller's buffer is a planner bug and panics.
+pub(crate) fn apply_copies(pairs: &[CopyPair], user: &mut UserBuf<'_>, temps: &mut [Vec<u8>]) {
     for p in pairs {
         let (src, dst, n) = copy_span(p);
-        match (p.src.space, p.dst.space) {
-            (Space::User, Space::User) => bufs.user.copy_within(src..src + n, dst),
-            (Space::Temp(t), Space::User) => {
-                bufs.user[dst..dst + n].copy_from_slice(&bufs.temps[t][src..src + n])
+        match (p.src.space, p.dst.space, &mut *user) {
+            (Space::User, Space::User, UserBuf::Read(user)) => user.copy_within(src..src + n, dst),
+            (Space::Temp(t), Space::User, UserBuf::Read(user)) => {
+                user[dst..dst + n].copy_from_slice(&temps[t][src..src + n])
             }
-            (_, Space::Temp(_)) => copy_into_temp(p, bufs.user, bufs.temps),
+            (_, Space::User, UserBuf::Write(_)) => {
+                panic!("a write plan copies into the caller's buffer: {p:?}")
+            }
+            (Space::User, Space::Temp(t), user) => {
+                temps[t][dst..dst + n].copy_from_slice(&user.source()[src..src + n])
+            }
+            (Space::Temp(s), Space::Temp(d), _) => copy_between_temps(temps, s, src, d, dst, n),
         }
-    }
-}
-
-/// [`apply_copies`] for a write plan, which holds the caller's buffer
-/// read-only: every pair stages into a temp (data sieving's
-/// user → sieve-buffer merge). A pair aimed at the caller's buffer is a
-/// planner bug and panics.
-pub fn stage_copies(pairs: &[CopyPair], user: &[u8], temps: &mut [Vec<u8>]) {
-    for p in pairs {
-        copy_into_temp(p, user, temps);
     }
 }
 
@@ -678,10 +649,6 @@ mod tests {
     fn copies_move_between_spaces() {
         let mut user = vec![1u8, 2, 3, 4];
         let mut temps = vec![vec![0u8; 4]];
-        let mut bufs = Buffers {
-            user: &mut user,
-            temps: &mut temps,
-        };
         let pairs = vec![CopyPair {
             dst: MemSlice {
                 space: Space::Temp(0),
@@ -694,7 +661,7 @@ mod tests {
                 len: 3,
             },
         }];
-        apply_copies(&pairs, &mut bufs);
+        apply_copies(&pairs, &mut UserBuf::Read(&mut user), &mut temps);
         assert_eq!(temps[0], vec![0, 1, 2, 3]);
         assert_eq!(copy_bytes(&pairs), 3);
     }
@@ -748,13 +715,7 @@ mod tests {
         let (mut want_user, mut want_temps) = fresh();
         copy_through_scratch(&pairs, &mut want_user, &mut want_temps);
         let (mut user, mut temps) = fresh();
-        apply_copies(
-            &pairs,
-            &mut Buffers {
-                user: &mut user,
-                temps: &mut temps,
-            },
-        );
+        apply_copies(&pairs, &mut UserBuf::Read(&mut user), &mut temps);
         assert_eq!((user, temps), (want_user, want_temps));
     }
 
@@ -771,7 +732,7 @@ mod tests {
         let mut want = fresh();
         copy_through_scratch(&pairs, &mut user.clone(), &mut want);
         let mut temps = fresh();
-        stage_copies(&pairs, &user, &mut temps);
+        apply_copies(&pairs, &mut UserBuf::Write(&user), &mut temps);
         assert_eq!(temps, want);
         assert_eq!(temps[1], vec![0, 0, 1, 2]);
     }
@@ -780,7 +741,7 @@ mod tests {
     #[should_panic(expected = "copies into the caller's buffer")]
     fn staging_refuses_to_write_the_user_buffer() {
         let pairs = [pair((Space::User, 0), (Space::Temp(0), 0), 1)];
-        stage_copies(&pairs, &[0u8; 4], &mut [vec![0u8; 4]]);
+        apply_copies(&pairs, &mut UserBuf::Write(&[0u8; 4]), &mut [vec![0u8; 4]]);
     }
 
     #[test]

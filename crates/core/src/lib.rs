@@ -25,11 +25,11 @@
 //!
 //! An [`AccessPlan`] is a lazy sequence of [`Step`]s — parallel rounds of
 //! per-server wire operations, client-side copies, and serialization
-//! markers. Two executors run plans: the live threaded cluster
-//! (`pvfs-client` over `pvfs-net`) and the discrete-event simulator
-//! (`pvfs-sim`). Both use the scatter/gather helpers in [`exec`],
-//! so the bytes the correctness tests verify are produced by exactly the
-//! code the timed figures measure.
+//! markers. One [`Runner`] interprets them, and two drivers run it: the
+//! live threaded cluster (`pvfs-client` over `pvfs-net`) and the
+//! discrete-event simulator (`pvfs-sim`). It counts each step and moves
+//! each byte through [`exec`], so the bytes the correctness tests verify
+//! are produced by exactly the code the timed figures measure.
 
 pub mod exec;
 pub mod hybrid;
@@ -40,9 +40,9 @@ pub mod pattern;
 pub mod plan;
 pub mod planutil;
 pub mod request;
+pub mod runner;
 pub mod sieving;
 
-pub use exec::Buffers;
 pub use method::{Method, MethodConfig};
 pub use plan::{
     AccessPlan, CopyPair, IoKind, MemSlice, OpKind, PlanStats, Round, RoundOps, Space, Step,
@@ -50,6 +50,7 @@ pub use plan::{
 };
 pub use pvfs_types::PieceMap;
 pub use request::ListRequest;
+pub use runner::{ExecReport, Runner, UserBuf};
 
 use pvfs_types::{FileHandle, PvfsResult, StripeLayout};
 

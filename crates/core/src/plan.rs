@@ -1,12 +1,12 @@
 //! The access-plan intermediate representation.
 //!
 //! Every access method compiles a [`crate::ListRequest`] into an
-//! [`AccessPlan`]: a lazy sequence of [`Step`]s that two executors can
-//! run — the live threaded cluster with real wall-clock time, and the
-//! discrete-event simulator with virtual time. Keeping strategy logic in
-//! *one* place (the planners) and execution semantics in *one* place
-//! ([`crate::exec`]) is what makes the timed figures trustworthy: the
-//! bytes they move are the bytes the correctness tests verify.
+//! [`AccessPlan`]: a lazy sequence of [`Step`]s that one [`crate::Runner`]
+//! interprets for two drivers — the live threaded cluster in wall-clock
+//! time, the discrete-event simulator in virtual time. Keeping strategy
+//! logic in *one* place (the planners) and execution semantics in *one*
+//! place (the runner and [`crate::exec`]) is what makes the timed figures
+//! trustworthy: the bytes they move are the bytes the tests verify.
 //!
 //! Plans are lazy (steps are generated on demand) because a 1M-access
 //! multiple-I/O plan would otherwise materialize a million rounds up
@@ -212,8 +212,8 @@ impl Step {
 
 /// What a plan's steps add up to — the paper's counts (§3.4): counted
 /// by [`AccessPlan::tally`], which walks the steps, and by nothing else.
-/// A plan makes no prediction of its own; both executors are checked
-/// against this tally. Useful bytes are the request's
+/// A plan makes no prediction of its own; the runner's drivers are
+/// checked against this tally. Useful bytes are the request's
 /// [`total_len`](crate::ListRequest::total_len), and data sieving's
 /// "impertinent data" is `wire_bytes` minus them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -1,15 +1,17 @@
 //! Cross-method correctness: every access method must move exactly the
 //! same bytes.
 //!
-//! These tests execute compiled [`AccessPlan`]s directly against real
-//! [`IoDaemon`] state machines (no threads, no simulator) and compare
-//! the outcome with a flat-array oracle. If multiple I/O, data sieving,
+//! These tests run compiled [`AccessPlan`]s through the plan [`Runner`]
+//! directly against real [`IoDaemon`] state machines (no threads, no
+//! simulator) and compare the outcome with a flat-array oracle, and the
+//! runner's counts with the plan's tally. If multiple I/O, data sieving,
 //! list I/O, hybrid and datatype I/O ever disagree on a single byte, the
 //! timing figures comparing them would be meaningless — this is the
 //! contract that makes the reproduction trustworthy.
 
-use pvfs_core::exec::{alloc_temps, apply_copies, scatter_response, wire_request, Buffers};
-use pvfs_core::{plan, AccessPlan, IoKind, ListRequest, Method, MethodConfig, Step};
+use bytes::BytesMut;
+use pvfs_core::{plan, AccessPlan, ExecReport, IoKind, ListRequest, Method, MethodConfig};
+use pvfs_core::{Runner, Step, UserBuf};
 use pvfs_proto::{Request, Response};
 use pvfs_server::IoDaemon;
 use pvfs_types::{align_lists, FileHandle, Region, RegionList, ServerId, StripeLayout};
@@ -25,34 +27,34 @@ fn daemons(layout: &StripeLayout) -> Vec<IoDaemon> {
 }
 
 /// Run a plan to completion against daemons (single client, so serial
-/// markers are no-ops).
-fn execute(mut plan: AccessPlan, user: &mut [u8], daemons: &mut [IoDaemon]) {
-    let mut temps = alloc_temps(&plan.temp_sizes);
-    let mut bufs = Buffers {
-        user,
-        temps: &mut temps,
-    };
-    while let Some(step) = plan.next_step() {
-        match step {
-            Step::Round(ops) => {
-                for wire in ops {
-                    let req = wire_request(&wire, plan.handle, &plan.layout, &bufs);
-                    let (resp, _) = daemons[wire.server.index()].handle(&req);
-                    match resp {
-                        Response::Data { data } => {
-                            scatter_response(&wire.op, &plan.layout, wire.server, &data, &mut bufs)
-                                .expect("scatter");
-                        }
-                        Response::Written { .. } => {}
-                        Response::Error(e) => panic!("server error: {e}"),
-                        other => panic!("unexpected response {other:?}"),
-                    }
-                }
+/// markers are no-ops): the runner's third driver, beside the live
+/// client and the simulator, sending each request straight to its
+/// daemon in plan order.
+fn execute(plan: AccessPlan, user: UserBuf, daemons: &mut [IoDaemon]) -> ExecReport {
+    let mut runner = Runner::new(plan, user).unwrap();
+    while let Some(step) = runner.step() {
+        let Step::Round(round) = step else { continue };
+        for wire in runner.count(round) {
+            let (request, _) = runner.request(&wire, 0, BytesMut::with_capacity);
+            let (response, _) = daemons[wire.server.index()].handle(&request);
+            if let Response::Error(e) = response {
+                panic!("server error: {e}");
             }
-            Step::Copy(pairs) => apply_copies(&pairs, &mut bufs),
-            Step::SerialBegin | Step::SerialEnd => {}
+            runner.landed(&wire, response, 0).expect("landed");
         }
     }
+    runner.into_report()
+}
+
+/// The runner counted exactly what the plan's tally says.
+fn assert_counts_tally(report: &ExecReport, plan: AccessPlan, at: &str) {
+    let tally = plan.tally();
+    let counted = (report.rounds, report.requests);
+    assert_eq!(counted, (tally.rounds, tally.requests), "{at}");
+    assert_eq!(report.copy_bytes, tally.copy_bytes, "{at}");
+    assert_eq!(report.serial_sections, tally.serial_sections, "{at}");
+    let wire = report.bytes_sent + report.bytes_received;
+    assert_eq!(wire, tally.wire_bytes, "{at}");
 }
 
 /// Seed the distributed file with `content` via contiguous writes.
@@ -154,10 +156,11 @@ fn check_all_methods(request: &ListRequest, layout: StripeLayout, file_len: usiz
     for method in Method::ALL {
         let mut ds = daemons(&layout);
         seed_file(&initial, &layout, &mut ds);
-        let p = plan(method, IoKind::Read, request, FH, layout, &cfg).unwrap();
+        let p = || plan(method, IoKind::Read, request, FH, layout, &cfg).unwrap();
         let mut user = vec![0u8; buf_len];
-        execute(p, &mut user, &mut ds);
+        let report = execute(p(), UserBuf::Read(&mut user), &mut ds);
         assert_eq!(user, expected_read, "read mismatch for {method}");
+        assert_counts_tally(&report, p(), &format!("read, {method}"));
     }
 
     // Writes: every method leaves the same file.
@@ -166,9 +169,10 @@ fn check_all_methods(request: &ListRequest, layout: StripeLayout, file_len: usiz
     for method in Method::ALL {
         let mut ds = daemons(&layout);
         seed_file(&initial, &layout, &mut ds);
-        let p = plan(method, IoKind::Write, request, FH, layout, &cfg).unwrap();
-        let mut user = user_src.clone();
-        execute(p, &mut user, &mut ds);
+        let p = || plan(method, IoKind::Write, request, FH, layout, &cfg).unwrap();
+        let user = user_src.clone();
+        let report = execute(p(), UserBuf::Write(&user), &mut ds);
+        assert_counts_tally(&report, p(), &format!("write, {method}"));
         let file_after = dump_file(file_len, &layout, &mut ds);
         assert_eq!(file_after, expected_file, "write mismatch for {method}");
         assert_eq!(user, user_src, "user buffer mutated by write for {method}");

@@ -2,10 +2,8 @@
 
 use crate::{EventQueue, FifoResource, SimTime, COST};
 use bytes::BytesMut;
-use pvfs_core::exec::{
-    alloc_temps, apply_copies, copy_bytes, scatter_response, wire_request_into, Buffers,
-};
-use pvfs_core::{AccessPlan, Step, WireOp};
+use pvfs_core::exec::copy_bytes;
+use pvfs_core::{AccessPlan, ExecReport, Runner, Step, UserBuf, WireOp};
 use pvfs_proto::{IoKind, Request, Response, Shape};
 use pvfs_server::{IoDaemon, IodConfig};
 use pvfs_types::{FileHandle, Histogram, PvfsError, PvfsResult, Region, ServerId, StripeLayout};
@@ -20,41 +18,22 @@ pub struct ClientJob {
     pub user: Vec<u8>,
 }
 
-/// Per-client outcome.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClientReport {
-    /// Virtual time at which this client's plan completed.
-    pub finish: SimTime,
-    /// Wire requests issued.
-    pub requests: u64,
-    /// Rounds executed.
-    pub rounds: u64,
-    /// Bytes sent (request bulk payloads).
-    pub bytes_sent: u64,
-    /// Bytes received (response bulk payloads).
-    pub bytes_received: u64,
-    /// Client-side copy traffic.
-    pub copy_bytes: u64,
-    /// Serial sections entered.
-    pub serial_sections: u64,
-}
-
 /// Whole-run outcome.
 #[derive(Debug, Clone, Default)]
 pub struct SimReport {
     /// Completion time of the slowest client — the paper's reported
     /// per-test time.
     pub makespan: SimTime,
-    /// Per-client details.
-    pub clients: Vec<ClientReport>,
+    /// What each client's runner counted, its virtual round trips
+    /// (issue → response fully processed) in `rpc_latency`.
+    pub clients: Vec<ExecReport>,
+    /// Virtual time at which each client's plan completed.
+    pub finish: Vec<SimTime>,
     /// Total requests served per I/O daemon.
     pub server_requests: Vec<u64>,
     /// Per-server CPU busy time (ns) — queueing evidence for the
     /// block-block analysis.
     pub server_busy_ns: Vec<u64>,
-    /// Request round-trip latency distribution across all clients
-    /// (issue → response fully processed).
-    pub rtt: Histogram,
 }
 
 impl SimReport {
@@ -185,9 +164,9 @@ impl SimCluster {
     /// only (seeding is excluded).
     pub fn run(&mut self, jobs: Vec<ClientJob>) -> PvfsResult<(SimReport, Vec<Vec<u8>>)> {
         let (base_requests, base_busy) = self.server_counts();
-        let mut engine = Engine::new(self, jobs);
-        engine.run()?;
-        let (mut report, users) = engine.into_report();
+        let (plans, mut users): (Vec<_>, Vec<_>) =
+            jobs.into_iter().map(|j| (j.plan, j.user)).unzip();
+        let mut report = Engine::new(self, plans, &mut users)?.run()?;
         let (requests, busy) = self.server_counts();
         let since =
             |now: Vec<u64>, base: Vec<u64>| now.iter().zip(base).map(|(n, b)| n - b).collect();
@@ -219,7 +198,6 @@ enum Ev {
 
 struct InFlight {
     client: usize,
-    server: ServerId,
     issued_at: SimTime,
     wire: WireOp,
     request: Option<Request>,
@@ -230,32 +208,20 @@ struct InFlight {
     resp_bulk: u64,
 }
 
-struct ClientState {
-    plan: AccessPlan,
-    user: Vec<u8>,
-    temps: Vec<Vec<u8>>,
+struct ClientState<'u> {
+    runner: Runner<'u>,
     cpu: FifoResource,
     tx: FifoResource,
     rx: FifoResource,
     pending: usize,
     round_finish: SimTime,
-    report: ClientReport,
     rtt: Histogram,
-    done: bool,
+    finish: Option<SimTime>,
 }
 
-impl ClientState {
-    fn bufs(&mut self) -> Buffers<'_> {
-        Buffers {
-            user: &mut self.user,
-            temps: &mut self.temps,
-        }
-    }
-}
-
-struct Engine<'a> {
+struct Engine<'a, 'u> {
     cluster: &'a mut SimCluster,
-    clients: Vec<ClientState>,
+    clients: Vec<ClientState<'u>>,
     queue: EventQueue<Ev>,
     inflight: Vec<Option<InFlight>>,
     free_slots: Vec<usize>,
@@ -264,32 +230,32 @@ struct Engine<'a> {
     now: SimTime,
 }
 
-impl<'a> Engine<'a> {
-    fn new(cluster: &'a mut SimCluster, jobs: Vec<ClientJob>) -> Engine<'a> {
+impl<'a, 'u> Engine<'a, 'u> {
+    fn new(
+        cluster: &'a mut SimCluster,
+        plans: Vec<AccessPlan>,
+        users: &'u mut [Vec<u8>],
+    ) -> PvfsResult<Engine<'a, 'u>> {
         let mut queue = EventQueue::new();
-        let clients: Vec<ClientState> = jobs
-            .into_iter()
-            .map(|job| {
-                let temps = alloc_temps(&job.plan.temp_sizes);
-                ClientState {
-                    plan: job.plan,
-                    user: job.user,
-                    temps,
-                    cpu: FifoResource::new(),
-                    tx: FifoResource::new(),
-                    rx: FifoResource::new(),
-                    pending: 0,
-                    round_finish: SimTime::ZERO,
-                    report: ClientReport::default(),
-                    rtt: Histogram::new(),
-                    done: false,
-                }
-            })
-            .collect();
-        for i in 0..clients.len() {
-            queue.push(SimTime::ZERO, Ev::Step(i));
+        let mut clients = Vec::with_capacity(plans.len());
+        for (plan, user) in plans.into_iter().zip(users) {
+            let user = match plan.kind {
+                IoKind::Read => UserBuf::Read(user),
+                IoKind::Write => UserBuf::Write(user),
+            };
+            queue.push(SimTime::ZERO, Ev::Step(clients.len()));
+            clients.push(ClientState {
+                runner: Runner::new(plan, user)?,
+                cpu: FifoResource::new(),
+                tx: FifoResource::new(),
+                rx: FifoResource::new(),
+                pending: 0,
+                round_finish: SimTime::ZERO,
+                rtt: Histogram::new(),
+                finish: None,
+            });
         }
-        Engine {
+        Ok(Engine {
             cluster,
             clients,
             queue,
@@ -298,10 +264,11 @@ impl<'a> Engine<'a> {
             serial_held: false,
             serial_waiting: VecDeque::new(),
             now: SimTime::ZERO,
-        }
+        })
     }
 
-    fn run(&mut self) -> PvfsResult<()> {
+    /// Run every client's plan to completion.
+    fn run(mut self) -> PvfsResult<SimReport> {
         while let Some((t, ev)) = self.queue.pop() {
             debug_assert!(t >= self.now, "time went backwards");
             self.now = t;
@@ -311,43 +278,40 @@ impl<'a> Engine<'a> {
                 Ev::Complete(slot) => self.on_complete(slot, t)?,
             }
         }
-        if let Some(c) = self.clients.iter().position(|c| !c.done) {
-            return Err(PvfsError::protocol(format!(
-                "simulation deadlock: client {c} never finished (serial section misuse?)"
-            )));
+        let mut report = SimReport::default();
+        for (c, client) in self.clients.into_iter().enumerate() {
+            let Some(finish) = client.finish else {
+                return Err(PvfsError::protocol(format!(
+                    "simulation deadlock: client {c} never finished (serial section misuse?)"
+                )));
+            };
+            report.makespan = report.makespan.max(finish);
+            report.finish.push(finish);
+            let mut counted = client.runner.into_report();
+            counted.rpc_latency = client.rtt;
+            report.clients.push(counted);
         }
-        Ok(())
+        Ok(report)
     }
 
     fn on_step(&mut self, c: usize, t: SimTime) -> PvfsResult<()> {
         let state = &mut self.clients[c];
-        match state.plan.next_step() {
+        match state.runner.step() {
             None => {
-                state.done = true;
-                state.report.finish = t;
+                state.finish = Some(t);
                 Ok(())
             }
-            Some(Step::Round(ops)) => {
-                state.pending = ops.len();
+            Some(Step::Round(round)) => {
+                state.pending = round.len();
                 state.round_finish = t;
-                state.report.rounds += 1;
-                state.report.requests += ops.len() as u64;
-                let handle = state.plan.handle;
-                let layout = state.plan.layout;
                 let mut cur = t;
-                for wire in ops {
+                for wire in state.runner.count(round) {
                     // Build the request, gathering real payload bytes
                     // (a read's fragments are counted at scatter time).
-                    let (request, fragments) = wire_request_into(
-                        &wire,
-                        handle,
-                        &layout,
-                        &state.bufs(),
-                        BytesMut::with_capacity,
-                    );
+                    let (request, fragments) =
+                        state.runner.request(&wire, 0, BytesMut::with_capacity);
                     let req_control = request.control_wire_size();
                     let req_bulk = request.bulk_len();
-                    state.report.bytes_sent += req_bulk;
                     // Client CPU: issue + per-fragment gather work +
                     // payload copy.
                     let send_cpu = COST.client.per_request_ns
@@ -361,7 +325,6 @@ impl<'a> Engine<'a> {
                     let arrive_at = tx_end + COST.net.latency_ns;
                     let flight = InFlight {
                         client: c,
-                        server: wire.server,
                         issued_at: t,
                         wire,
                         request: Some(request),
@@ -386,15 +349,12 @@ impl<'a> Engine<'a> {
                 Ok(())
             }
             Some(Step::Copy(pairs)) => {
-                let bytes = copy_bytes(&pairs);
-                state.report.copy_bytes += bytes;
-                apply_copies(&pairs, &mut state.bufs());
-                let (_, end) = state.cpu.acquire(t, COST.client.memcpy_ns(bytes));
+                let copied = COST.client.memcpy_ns(copy_bytes(&pairs));
+                let (_, end) = state.cpu.acquire(t, copied);
                 self.queue.push(end, Ev::Step(c));
                 Ok(())
             }
             Some(Step::SerialBegin) => {
-                state.report.serial_sections += 1;
                 if self.serial_held {
                     self.serial_waiting.push_back(c);
                 } else {
@@ -419,9 +379,10 @@ impl<'a> Engine<'a> {
 
     fn on_arrive(&mut self, slot: usize, t: SimTime) -> PvfsResult<()> {
         let flight = self.inflight[slot].as_mut().expect("live flight");
-        let sidx = flight.server.index();
+        let server = flight.wire.server;
+        let sidx = server.index();
         if sidx >= self.cluster.daemons.len() {
-            return Err(PvfsError::NoSuchServer(flight.server.0));
+            return Err(PvfsError::NoSuchServer(server.0));
         }
         // Receiving NIC drains the frame.
         let wire_ns = COST.net.transfer_ns(flight.req_control + flight.req_bulk);
@@ -467,21 +428,9 @@ impl<'a> Engine<'a> {
         let (_, rx_end) = state.rx.acquire(t, wire_ns);
         // Receive processing: scatter (real bytes) + per-fragment cost.
         let response = flight.response.expect("response present");
-        let recv_cpu = match response {
-            Response::Data { ref data } => {
-                state.report.bytes_received += data.len() as u64;
-                let (op, layout) = (&flight.wire.op, state.plan.layout);
-                let fragments =
-                    scatter_response(op, &layout, flight.server, data, &mut state.bufs())?;
-                fragments * COST.client.per_fragment_ns + COST.client.memcpy_ns(data.len() as u64)
-            }
-            Response::Written { .. } => 0,
-            other => {
-                return Err(PvfsError::protocol(format!(
-                    "unexpected simulated response {other:?}"
-                )))
-            }
-        };
+        let fragments = state.runner.landed(&flight.wire, response, 0)?;
+        let recv_cpu =
+            fragments * COST.client.per_fragment_ns + COST.client.memcpy_ns(flight.resp_bulk);
         let (_, done) = state.cpu.acquire(rx_end, recv_cpu);
         state.rtt.record(done - flight.issued_at);
         state.round_finish = state.round_finish.max(done);
@@ -490,20 +439,5 @@ impl<'a> Engine<'a> {
             self.queue.push(state.round_finish, Ev::Step(flight.client));
         }
         Ok(())
-    }
-
-    fn into_report(self) -> (SimReport, Vec<Vec<u8>>) {
-        let mut report = SimReport {
-            clients: Vec::with_capacity(self.clients.len()),
-            ..SimReport::default()
-        };
-        let mut users = Vec::with_capacity(self.clients.len());
-        for c in self.clients {
-            report.makespan = report.makespan.max(c.report.finish);
-            report.rtt.merge(&c.rtt);
-            report.clients.push(c.report);
-            users.push(c.user);
-        }
-        (report, users)
     }
 }

@@ -44,7 +44,7 @@ pub mod resource;
 mod tests;
 pub mod time;
 
-pub use cluster::{metadata_rtt_ns, ClientJob, ClientReport, SimCluster, SimReport};
+pub use cluster::{metadata_rtt_ns, ClientJob, SimCluster, SimReport};
 pub use cost::{ClientCost, CostConfig, NetCost, ServerCost, COST};
 pub use queue::EventQueue;
 pub use resource::FifoResource;

@@ -315,7 +315,7 @@ fn report_counts_match_plan_stats() {
             sim.seed_extent(FH, &l, 100 * 80);
             let user = vec![1u8; request.total_len() as usize];
             let (report, _) = sim.run(vec![job(method, kind, &request, l, user)]).unwrap();
-            let c = report.clients[0];
+            let c = &report.clients[0];
             let at = format!("{method}, {kind:?}");
             assert_eq!(
                 (c.rounds, c.requests),
@@ -398,10 +398,11 @@ fn rtt_histogram_counts_every_request() {
             vec![0u8; request.total_len() as usize],
         )])
         .unwrap();
-    assert_eq!(report.rtt.count(), report.clients[0].requests);
+    let (rtt, c) = (&report.clients[0].rpc_latency, &report.clients[0]);
+    assert_eq!(rtt.count(), c.requests);
     // Every RTT includes at least the two-way wire latency.
-    assert!(report.rtt.min_ns() >= 2 * COST.net.latency_ns);
-    assert!(report.rtt.percentile_ns(0.5) <= report.rtt.max_ns());
+    assert!(rtt.min_ns() >= 2 * COST.net.latency_ns);
+    assert!(rtt.percentile_ns(0.5) <= rtt.max_ns());
 }
 
 #[test]
@@ -419,11 +420,8 @@ fn write_rtts_carry_the_ack_stall() {
         )])
         .unwrap();
     let stall = COST.net.write_ack_stall_ns;
-    assert!(
-        report.rtt.min_ns() >= stall,
-        "{} < {stall}",
-        report.rtt.min_ns()
-    );
+    let rtt = &report.clients[0].rpc_latency;
+    assert!(rtt.min_ns() >= stall, "{} < {stall}", rtt.min_ns());
 }
 
 #[test]
@@ -447,7 +445,7 @@ fn serialized_writers_trace_exclusive_sections() {
         .collect();
     let (report, _) = sim.run(jobs).unwrap();
     assert!(report.clients.iter().all(|c| c.serial_sections == 1));
-    let mut finishes: Vec<SimTime> = report.clients.iter().map(|c| c.finish).collect();
+    let mut finishes: Vec<SimTime> = report.finish.clone();
     finishes.sort_unstable();
     let handoff = COST.serial_handoff_ns;
     assert!(
