@@ -11,12 +11,12 @@
 //! client did.
 
 use pvfs_core::exec::{direct_share, lend_share, place_share};
-use pvfs_core::{AccessPlan, IoKind, RoundOps, Runner, Step, WireOp};
+use pvfs_core::{AccessPlan, Exchange, IoKind, RoundOps, Runner, Step, WireOp};
 pub use pvfs_core::{ExecReport, UserBuf};
-use pvfs_net::{ClusterClient, Fill, OpStream, Placed, Put, RpcTarget, TransportKind};
+use pvfs_net::{ActiveTrace, ClusterClient, Fill, OpStream, Placed, Put, RpcTarget, TransportKind};
 use pvfs_proto::{Request, Response};
 use pvfs_types::clock::now_ns;
-use pvfs_types::{PvfsResult, StripeLayout};
+use pvfs_types::{ClientStats, PvfsError, PvfsResult, StripeLayout};
 use std::io;
 
 /// One barrier-free stretch of a plan, as the request pipeline pulls
@@ -107,77 +107,121 @@ impl OpStream for Stretch<'_, '_> {
     }
 }
 
-/// Execute a plan to completion against the live cluster.
-///
-/// `user` is the caller's buffer (destination for reads, source for
-/// writes). Returns the measured execution report.
+/// A plan being run against the live cluster: its [`Runner`] and what
+/// the loop keeps between [`run`](Self::run)s — the trace its RPCs land
+/// in, the gate it may hold, the endpoint counters it started from.
 ///
 /// Rounds are not barriers unless the plan needs them to be: each
 /// `Stretch` of independent rounds goes through
 /// [`ClusterClient::stream_in`] as one stream — requests built as the
 /// pipeline's window opens, replies scattered as they land — so a list
 /// op's ⌈n/64⌉ rounds overlap on the daemons. `Copy`, `SerialBegin` and
-/// `SerialEnd` steps, and any round through a temp, run strictly in
-/// plan order. [`ExecReport::rounds`] counts plan rounds either way.
-pub fn execute_plan(
-    plan: AccessPlan,
-    user: UserBuf<'_>,
-    client: &ClusterClient,
-) -> PvfsResult<ExecReport> {
-    let layout = plan.layout;
-    let mut runner = Runner::new(plan, user)?;
-    let direct = client.transport_kind() == TransportKind::Tcp;
-    let stats_before = client.stats();
-    // One trace per plan execution: every stretch's RPC attempts and
-    // every merge/copy phase land in a single tree under this root.
-    let active = client.tracer().begin("execute");
-    let mut holding_gate = false;
-    let result = (|| -> PvfsResult<()> {
+/// `SerialEnd` steps, and any round through a window temp, run strictly
+/// in plan order. [`ExecReport::rounds`] counts plan rounds either way.
+pub struct Execution<'c, 'u> {
+    /// The plan's runner: an exchange's bytes are packed and unpacked
+    /// through it.
+    pub runner: Runner<'u>,
+    client: &'c ClusterClient,
+    layout: StripeLayout,
+    direct: bool,
+    stats_before: ClientStats,
+    /// One trace per plan execution: every stretch's RPC attempts and
+    /// every merge/copy phase land in a single tree under this root.
+    active: Option<ActiveTrace>,
+    holding_gate: bool,
+}
+
+impl<'c, 'u> Execution<'c, 'u> {
+    /// Start running `plan` over `user`, the caller's buffer
+    /// (destination for reads, source for writes).
+    pub fn new(
+        plan: AccessPlan,
+        user: UserBuf<'u>,
+        client: &'c ClusterClient,
+    ) -> PvfsResult<Execution<'c, 'u>> {
+        Ok(Execution {
+            layout: plan.layout,
+            runner: Runner::new(plan, user)?,
+            client,
+            direct: client.transport_kind() == TransportKind::Tcp,
+            stats_before: client.stats(),
+            active: client.tracer().begin("execute"),
+            holding_gate: false,
+        })
+    }
+
+    /// Run rounds, copies and serial sections until the plan ends
+    /// (`None`) or hands back an exchange, which its caller moves
+    /// through [`runner`](Self::runner) before running on.
+    pub fn run(&mut self) -> PvfsResult<Option<Exchange>> {
+        let (client, layout) = (self.client, self.layout);
         loop {
             // Pulling a copy is popping it: the span times the copy.
             let copy_ns = now_ns();
-            let Some(step) = runner.step() else {
-                return Ok(());
+            let Some(step) = self.runner.step() else {
+                return Ok(None);
             };
             match step {
                 Step::Round(round) => {
-                    let round = runner.count(round);
-                    let runner = &mut runner;
+                    let round = self.runner.count(round);
                     let mut stretch = Stretch {
                         client,
-                        direct,
+                        direct: self.direct,
                         layout,
-                        runner,
+                        runner: &mut self.runner,
                         round,
                     };
-                    client.stream_in(&mut stretch, active.as_ref())?;
+                    client.stream_in(&mut stretch, self.active.as_ref())?;
                 }
                 Step::Copy(_) => {
-                    if let Some(a) = &active {
+                    if let Some(a) = &self.active {
                         a.span_at(a.root(), "phase_merge", copy_ns, now_ns(), Vec::new());
                     }
                 }
                 Step::SerialBegin => {
                     client.gate().acquire();
-                    holding_gate = true;
+                    self.holding_gate = true;
                 }
                 Step::SerialEnd => {
                     client.gate().release();
-                    holding_gate = false;
+                    self.holding_gate = false;
                 }
+                Step::Exchange(exchange) => return Ok(Some(exchange)),
             }
         }
-    })();
-    if holding_gate {
-        client.gate().release();
     }
-    if let Some(a) = active {
-        client.tracer().finish(a);
+
+    /// What the run counted, the endpoint's RPC counters over it
+    /// included; releases the gate if a failed run left it held.
+    pub fn finish(self) -> ExecReport {
+        if self.holding_gate {
+            self.client.gate().release();
+        }
+        if let Some(a) = self.active {
+            self.client.tracer().finish(a);
+        }
+        // The endpoint's ledger is shared across clones and plans; the
+        // delta isolates exactly the RPCs this execution issued.
+        let mut report = self.runner.into_report();
+        report.client = self.client.stats().since(&self.stats_before);
+        report.rpc_latency = report.client.rpc_latency.clone();
+        report
     }
-    // The endpoint's ledger is shared across clones and plans; the delta
-    // isolates exactly the RPCs this execution issued.
-    let mut report = runner.into_report();
-    report.client = client.stats().since(&stats_before);
-    report.rpc_latency = report.client.rpc_latency.clone();
+}
+
+/// Execute a plan to completion against the live cluster: one
+/// [`Execution`], run to its end. An independent plan holds no exchange.
+pub fn execute_plan(
+    plan: AccessPlan,
+    user: UserBuf<'_>,
+    client: &ClusterClient,
+) -> PvfsResult<ExecReport> {
+    let mut execution = Execution::new(plan, user, client)?;
+    let result = match execution.run() {
+        Ok(Some(_)) => Err(PvfsError::invalid("an exchange needs a collective call")),
+        done => done.map(drop),
+    };
+    let report = execution.finish();
     result.map(|()| report)
 }

@@ -1,6 +1,7 @@
 //! `PvfsFile`: the user-facing file handle.
 
 use crate::executor::{execute_plan, ExecReport, UserBuf};
+use pvfs_core::request::check_buffer;
 use pvfs_core::{IoKind, ListRequest, Method, MethodConfig};
 use pvfs_net::{ClusterClient, RpcTarget};
 use pvfs_proto::{Request, Response};
@@ -132,6 +133,11 @@ impl PvfsFile {
     /// trailing-data limit, ...).
     pub fn set_method_config(&mut self, config: MethodConfig) {
         self.config = config;
+    }
+
+    /// The noncontiguous method parameters in force.
+    pub fn method_config(&self) -> &MethodConfig {
+        &self.config
     }
 
     /// Set the per-RPC deadline for this file's metadata and data calls.
@@ -306,12 +312,7 @@ impl PvfsFile {
             UserBuf::Read(buf) => (IoKind::Read, buf.len()),
             UserBuf::Write(buf) => (IoKind::Write, buf.len()),
         };
-        if let Some(extent) = request.mem.extent().filter(|e| e.end() > len as u64) {
-            return Err(PvfsError::invalid(format!(
-                "memory list reaches offset {} but the buffer is {len} bytes",
-                extent.end()
-            )));
-        }
+        check_buffer(&request.mem, len)?;
         let plan = pvfs_core::plan(
             method,
             kind,

@@ -1,6 +1,5 @@
-//! The in-process communicator: `barrier`, `allgather`, and
-//! point-to-point `exchange` across the client threads of one
-//! collective job.
+//! The in-process communicator: `allgather` and point-to-point
+//! `exchange` across the client threads of one collective job.
 //!
 //! The benches and tests in this workspace drive "N clients" as N
 //! threads over `ClusterClient` clones; a [`Communicator`] gives those
@@ -11,9 +10,8 @@
 //! a rank that skips a collective hangs the group).
 //!
 //! Like `pvfs_net::ClientStats` for RPCs, every handle counts what it
-//! does ([`CommStats`]): barriers, allgathers, exchanges, and exchange
-//! message/byte volume. The byte counter is what `ExecReport` reports
-//! as `exchange_bytes` — the memory-to-memory traffic that replaced
+//! does ([`CommStats`]): allgathers, exchanges, and exchange
+//! message/byte volume — the memory-to-memory traffic that replaced
 //! wire traffic.
 
 use std::any::Any;
@@ -30,9 +28,6 @@ pvfs_types::ledger! {
     /// One rank's [`CommStats`] as they are kept.
     ledger CommLedger;
     counters {
-        /// Explicit `barrier` calls (the internal synchronization inside
-        /// `exchange` and `allgather` is not counted).
-        barriers,
         /// `allgather` calls.
         allgathers,
         /// `exchange` calls.
@@ -125,13 +120,8 @@ impl Communicator {
         self.core.size
     }
 
-    /// Block until every rank of the group has reached the barrier.
-    pub fn barrier(&self) {
-        self.counters.barriers.fetch_add(1, Ordering::Relaxed);
-        self.sync();
-    }
-
-    /// The uncounted barrier `exchange` and `allgather` use internally.
+    /// The barrier `exchange` and `allgather` use internally: every
+    /// rank of the group has reached it.
     fn sync(&self) {
         self.core.barrier.wait();
     }
@@ -213,7 +203,6 @@ impl Communicator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
     use std::thread;
 
     fn run_group<F, R>(size: usize, f: F) -> Vec<R>
@@ -246,7 +235,6 @@ mod tests {
     fn single_rank_collectives_are_noops() {
         let mut comms = Communicator::group(1);
         let c = comms.pop().unwrap();
-        c.barrier();
         assert_eq!(c.allgather(7u32), vec![7]);
         let got = c.exchange(vec![Envelope {
             peer: 0,
@@ -256,32 +244,9 @@ mod tests {
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].peer, 0);
         assert_eq!(got[0].msg, vec![1, 2, 3]);
-        assert_eq!(c.stats().barriers, 1);
+        assert_eq!(c.stats().allgathers, 1);
         assert_eq!(c.stats().exchanges, 1);
         assert_eq!(c.stats().bytes_sent, 3);
-    }
-
-    #[test]
-    fn barrier_separates_phases() {
-        // No rank may observe phase-2 work before every rank finished
-        // phase 1.
-        let before = Arc::new(AtomicUsize::new(0));
-        let b = before.clone();
-        run_group(8, move |comm| {
-            b.fetch_add(1, Ordering::SeqCst);
-            comm.barrier();
-            assert_eq!(b.load(Ordering::SeqCst), 8);
-        });
-    }
-
-    #[test]
-    fn barrier_is_reusable_across_generations() {
-        run_group(4, |comm| {
-            for _ in 0..100 {
-                comm.barrier();
-            }
-            assert_eq!(comm.stats().barriers, 100);
-        });
     }
 
     #[test]
@@ -381,12 +346,12 @@ mod tests {
     fn stats_since_subtracts() {
         let mut comms = Communicator::group(1);
         let c = comms.pop().unwrap();
-        c.barrier();
+        c.allgather(());
         let snap = c.stats();
-        c.barrier();
-        c.barrier();
+        c.allgather(());
+        c.allgather(());
         let d = c.stats().since(&snap);
-        assert_eq!(d.barriers, 2);
-        assert_eq!(d.allgathers, 0);
+        assert_eq!(d.allgathers, 2);
+        assert_eq!(d.exchanges, 0);
     }
 }

@@ -1,24 +1,10 @@
 //! Collective-I/O tuning knobs, mirroring ROMIO's `cb_nodes` /
-//! `cb_buffer_size` hints.
-//!
-//! Like the transport (`PVFS_TRANSPORT`), fault (`PVFS_FAULTS`), and
-//! retry (`PVFS_RETRY`) knobs, the collective layer reads one default
-//! from the environment:
-//!
-//! * `PVFS_AGGREGATORS` — how many ranks act as aggregators. Clamped
-//!   to the stripe's `pcount` and the group size; default is one
-//!   aggregator per I/O daemon, which keeps the aggregator→daemon
-//!   fan-in at exactly one.
-//!
-//! Each aggregator's staging-buffer bound is
-//! [`CollectiveConfig::cb_buffer`], 16 MiB unless a caller sets the
-//! field. A malformed value surfaces as [`PvfsError::Config`] — a typed error
-//! the collective entry points propagate, so a misconfigured experiment
-//! fails with a diagnosable message instead of aborting the process.
+//! `cb_buffer_size` hints: how many ranks aggregate (one per I/O daemon
+//! unless a caller sets [`CollectiveConfig::aggregators`]), and each
+//! aggregator's window bound, [`CollectiveConfig::cb_buffer`] (16 MiB
+//! unless a caller sets it).
 
-use pvfs_types::{PvfsError, PvfsResult};
-
-/// Default per-aggregator staging-buffer bound: 16 MiB, ROMIO's
+/// Default per-aggregator window bound: 16 MiB, ROMIO's
 /// long-standing `cb_buffer_size` default.
 pub const DEFAULT_CB_BUFFER: u64 = 16 * 1024 * 1024;
 
@@ -29,10 +15,10 @@ pub struct CollectiveConfig {
     /// aggregator per I/O daemon. The effective count is always clamped
     /// — see [`CollectiveConfig::effective_aggregators`].
     pub aggregators: Option<usize>,
-    /// Per-aggregator staging-buffer bound in bytes (ROMIO
-    /// `cb_buffer_size`): each aggregator splits its file domain into
-    /// windows of at most this many payload bytes and stages one window
-    /// at a time.
+    /// Per-aggregator window bound in bytes (ROMIO `cb_buffer_size`):
+    /// each aggregator cuts its file domain into windows of at most this
+    /// many payload bytes, each a temp of its own and list requests of
+    /// its own.
     pub cb_buffer: u64,
 }
 
@@ -46,16 +32,6 @@ impl Default for CollectiveConfig {
 }
 
 impl CollectiveConfig {
-    /// Defaults overridden by `PVFS_AGGREGATORS`. A malformed value
-    /// is a [`PvfsError::Config`].
-    pub fn from_env() -> PvfsResult<Self> {
-        let mut cfg = CollectiveConfig::default();
-        if let Some(v) = pvfs_types::env::lookup("PVFS_AGGREGATORS") {
-            cfg.aggregators = Some(parse_aggregators(&v)?);
-        }
-        Ok(cfg)
-    }
-
     /// The aggregator count actually used for a job of `ranks` clients
     /// over a stripe of `pcount` I/O daemons: the request (or `pcount`
     /// when unset), never more than `pcount` (extra aggregators would
@@ -70,47 +46,15 @@ impl CollectiveConfig {
     }
 }
 
-/// Parse `PVFS_AGGREGATORS`: a positive integer.
-pub fn parse_aggregators(s: &str) -> PvfsResult<usize> {
-    let n: usize = s.trim().parse().map_err(|_| {
-        PvfsError::config(format!(
-            "PVFS_AGGREGATORS: expected a positive integer, got {s:?}"
-        ))
-    })?;
-    if n < 1 {
-        return Err(PvfsError::config(format!(
-            "PVFS_AGGREGATORS must be at least 1, got {s:?}"
-        )));
-    }
-    Ok(n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn config_err(e: PvfsError) -> String {
-        match e {
-            PvfsError::Config(msg) => msg,
-            other => panic!("expected Config error, got {other:?}"),
-        }
-    }
 
     #[test]
     fn default_is_one_aggregator_per_daemon_16m() {
         let cfg = CollectiveConfig::default();
         assert_eq!(cfg.aggregators, None);
         assert_eq!(cfg.cb_buffer, 16 * 1024 * 1024);
-    }
-
-    #[test]
-    fn parse_aggregators_rejects_zero_junk_and_empty() {
-        let msg = config_err(parse_aggregators("0").unwrap_err());
-        assert!(msg.contains("PVFS_AGGREGATORS"), "{msg}");
-        assert!(parse_aggregators("four").is_err());
-        assert!(parse_aggregators("").is_err());
-        assert!(parse_aggregators("-2").is_err());
-        assert_eq!(parse_aggregators(" 4 ").unwrap(), 4);
     }
 
     #[test]

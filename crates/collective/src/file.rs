@@ -1,4 +1,4 @@
-//! `CollectiveFile`: the two-phase read/write engines.
+//! `CollectiveFile`: the collective call, a driver of one plan.
 //!
 //! A `CollectiveFile` is one rank's handle on a collectively-accessed
 //! file: a plain [`PvfsFile`] plus this rank's [`Communicator`]
@@ -6,98 +6,48 @@
 //! of the communicator must call them in the same order (a rank that
 //! skips one hangs the group, the MPI contract).
 //!
-//! # The two phases
+//! # Allgather → plan → run
 //!
-//! **Write** (`write_all`): every rank allgathers its file list so all
-//! ranks see the full collective pattern; a [`DomainMap`] assigns each
-//! stripe slot to an aggregator (ranks `0..aggregators` play that
-//! role). Each rank cuts its data into stripe segments and ships them
-//! to the owning aggregators through one `exchange`. An aggregator
-//! merges everything it received — in sender-rank order, so overlapping
-//! writes resolve deterministically (highest rank wins) — into a
-//! staging buffer per `cb_buffer` window and writes each window with a
-//! single-daemon list request. Because domains are disjoint stripe
-//! slots, merged writes need no [`pvfs_net::SerialGate`]: the
-//! equivalence suite pins `serial_sections == 0` and
-//! `gate().acquisitions() == 0`.
+//! Every rank allgathers its file list, so all ranks see the whole
+//! collective pattern; a [`DomainMap`] deals the stripe slots out to the
+//! aggregators (ranks `0..aggregators`). Each rank then compiles its own
+//! share with [`plan_collective`] and runs it through the live executor
+//! ([`Execution`]): an aggregator's list rounds over its domain, one
+//! temp per `cb_buffer` window, and one exchange, whose bytes this
+//! driver moves through the communicator.
+//!
+//! **Write** (`write_all`): the exchange comes first — each rank sends
+//! its stripe segments to the aggregators owning their slots, and an
+//! aggregator lands what it receives in sender-rank order, so
+//! overlapping writes resolve deterministically (highest rank wins) —
+//! then each aggregator writes its windows with single-daemon list
+//! requests. Because domains are disjoint stripe slots, merged writes
+//! need no [`pvfs_net::SerialGate`]: the equivalence suite pins
+//! `serial_sections == 0` and `gate().acquisitions() == 0`.
 //!
 //! **Read** (`read_all`) runs the phases in reverse: aggregators read
-//! their domains with large list requests, slice the staging buffers
-//! into per-rank pieces, and one `exchange` scatters them; each rank
-//! lands its pieces in its buffer through the request's
+//! their windows with large list requests, and the exchange sends each
+//! rank its bytes, which land in its buffer through the request's
 //! [`PieceMap`].
 //!
 //! # Failure
 //!
 //! Collective calls agree on the outcome: success flags are allgathered
 //! (after the I/O phase on writes — doubling as the completion barrier
-//! — and *before* the scatter exchange on reads), so either every rank
-//! returns `Ok` or every rank returns an error, and no rank is left
-//! blocked in a collective the others abandoned. Aggregator retries
-//! under fault injection are safe: the aggregate phase issues only data
-//! requests, which are idempotent (`Request::is_idempotent`).
+//! — and *before* the exchange on reads), so either every rank returns
+//! `Ok` or every rank returns an error, and no rank is left blocked in a
+//! collective the others abandoned. Aggregator retries under fault
+//! injection are safe: a collective plan issues only data requests,
+//! which are idempotent (`Request::is_idempotent`).
 
 use crate::comm::{Communicator, Envelope};
 use crate::config::CollectiveConfig;
-use crate::domain::{windows, DomainMap};
-use pvfs_client::{ExecReport, PvfsFile};
-use pvfs_core::{Method, PieceMap};
+use pvfs_client::{ExecReport, Execution, PvfsFile, UserBuf};
+use pvfs_core::request::check_buffer;
+use pvfs_core::{plan_collective, CollectiveCall, DomainMap, IoKind, ListRequest, PieceMap};
 use pvfs_net::{ActiveTrace, ClusterClient};
 use pvfs_types::clock::now_ns;
-use pvfs_types::{PvfsError, PvfsResult, Region, RegionList, StripeLayout};
-use std::collections::BTreeMap;
-
-/// One hop of exchanged data: file regions and their bytes,
-/// concatenated in region-list order.
-#[derive(Debug, Default)]
-struct PieceBatch {
-    regions: Vec<Region>,
-    data: Vec<u8>,
-}
-
-impl PieceBatch {
-    /// Accounted exchange size: payload plus 16 bytes of (offset, len)
-    /// framing per region.
-    fn wire_bytes(&self) -> u64 {
-        self.data.len() as u64 + 16 * self.regions.len() as u64
-    }
-
-    /// Append a region and its bytes, merging with the previous region
-    /// when file-contiguous — a FLASH-style pattern of thousands of
-    /// 8-byte memory pieces assembling one 4 KiB file chunk collapses
-    /// to a single region this way.
-    fn push(&mut self, region: Region, bytes: &[u8]) {
-        debug_assert_eq!(region.len as usize, bytes.len());
-        match self.regions.last_mut() {
-            Some(last) if last.end() == region.offset => {
-                *last = Region::new(last.offset, last.len + region.len);
-            }
-            _ => self.regions.push(region),
-        }
-        self.data.extend_from_slice(bytes);
-    }
-
-    /// Append the file `region`, its bytes read from `from` where `map`
-    /// places them.
-    fn gather(&mut self, map: &PieceMap, region: Region, from: &[u8]) {
-        let mut at = region.offset;
-        map.for_each_slice(region, |m| {
-            let bytes = &from[m.offset as usize..m.end() as usize];
-            self.push(Region::new(at, m.len), bytes);
-            at += m.len;
-        });
-    }
-}
-
-/// Copy the file `region`'s bytes, which `from` opens with, to where
-/// `map` places them in `to`.
-fn place(map: &PieceMap, region: Region, mut from: &[u8], to: &mut [u8]) {
-    map.for_each_slice(region, |m| {
-        let (bytes, rest) = from.split_at(m.len as usize);
-        to[m.offset as usize..m.end() as usize].copy_from_slice(bytes);
-        from = rest;
-    });
-}
+use pvfs_types::{PvfsError, PvfsResult, RegionList, StripeLayout};
 
 /// One rank's handle on a collectively-accessed PVFS file.
 pub struct CollectiveFile {
@@ -124,11 +74,7 @@ impl CollectiveFile {
             Some(file) => file,
             None => PvfsFile::open(client, path)?,
         };
-        Ok(CollectiveFile {
-            file,
-            comm,
-            config: CollectiveConfig::from_env()?,
-        })
+        Ok(CollectiveFile::new(file, comm))
     }
 
     /// Open an existing file collectively. All ranks of `comm` must
@@ -138,12 +84,13 @@ impl CollectiveFile {
         path: &str,
         comm: Communicator,
     ) -> PvfsResult<CollectiveFile> {
-        let file = PvfsFile::open(client, path)?;
-        Ok(CollectiveFile {
-            file,
-            comm,
-            config: CollectiveConfig::from_env()?,
-        })
+        PvfsFile::open(client, path).map(|file| CollectiveFile::new(file, comm))
+    }
+
+    /// `file`, for `comm`'s ranks, under the default knobs.
+    fn new(file: PvfsFile, comm: Communicator) -> CollectiveFile {
+        let config = CollectiveConfig::default();
+        CollectiveFile { file, comm, config }
     }
 
     /// The underlying independent file handle.
@@ -167,8 +114,8 @@ impl CollectiveFile {
         self.file
     }
 
-    /// Override the collective knobs (aggregator count, staging-buffer
-    /// bound). Must be set identically on every rank.
+    /// Override the collective knobs (aggregator count, window bound).
+    /// Must be set identically on every rank.
     pub fn set_collective_config(&mut self, config: CollectiveConfig) {
         self.config = config;
     }
@@ -189,40 +136,39 @@ impl CollectiveFile {
         file: &RegionList,
         buf: &[u8],
     ) -> PvfsResult<ExecReport> {
-        self.two_phase(mem, file, Order::Write(buf))
+        self.two_phase(mem, file, UserBuf::Write(buf))
     }
 
     /// Collective noncontiguous read into `buf`. The mirror image of
     /// [`CollectiveFile::write_all`]: aggregators read their domains
-    /// large, then scatter pieces back to the requesting ranks.
+    /// large, then send each rank its bytes.
     pub fn read_all(
         &mut self,
         mem: &RegionList,
         file: &RegionList,
         buf: &mut [u8],
     ) -> PvfsResult<ExecReport> {
-        self.two_phase(mem, file, Order::Read(buf))
+        self.two_phase(mem, file, UserBuf::Read(buf))
     }
 
-    /// The collective call in either `order`: argument checks and the
-    /// allgather that aborts every rank, the domain map, the I/O phase,
-    /// the verdict, the exchange and the report's exchange counts.
+    /// The collective call over `user`: argument checks and the
+    /// allgather that aborts every rank, this rank's plan, and its run.
     fn two_phase(
-        &mut self,
+        &self,
         mem: &RegionList,
         file: &RegionList,
-        order: Order,
+        user: UserBuf<'_>,
     ) -> PvfsResult<ExecReport> {
-        let comm_before = self.comm.stats();
-        let (verb, buf_len) = match &order {
-            Order::Write(buf) => ("write", buf.len()),
-            Order::Read(buf) => ("read", buf.len()),
+        let (kind, verb, buf_len) = match &user {
+            UserBuf::Write(buf) => (IoKind::Write, "write", buf.len()),
+            UserBuf::Read(buf) => (IoKind::Read, "read", buf.len()),
         };
-        // One trace per collective call: the two-phase segments land as
-        // phase_* spans under this root, alongside the separate
-        // "execute" trees the inner list plans open for their rounds.
-        let mut phases = Phases::begin(self.file.client(), &format!("{verb}_all"));
-        let local = validate_local(mem, file, buf_len);
+        let (client, config) = (self.file.client(), self.file.method_config());
+        // One trace per collective call: its phases land as phase_*
+        // spans under this root, beside the "execute" tree its plan's
+        // rounds open.
+        let mut phases = Phases::begin(client, &format!("{verb}_all"));
+        let local = validate_local(mem, file, buf_len).and_then(|_| config.validate());
         phases.close("phase_plan");
         // First collective: share every rank's file list (and argument
         // validity, so a bad rank aborts the group instead of hanging
@@ -235,194 +181,83 @@ impl CollectiveFile {
                 "collective {verb} aborted: invalid arguments on another rank"
             )));
         }
-        let map = local.expect("checked above");
-        let all_files: Vec<RegionList> = shared.into_iter().map(|(f, _)| f).collect();
-        let dmap = DomainMap::new(self.file.layout(), self.comm.size(), &self.config)?;
-
-        // A write's exchange comes first: cut this rank's file regions
-        // at stripe boundaries and ship each segment's bytes, gathered
-        // through the piece map, to the aggregator owning its slot.
-        let inbox = match &order {
-            Order::Write(buf) => {
-                let (layout, mut outbound) = (self.file.layout(), batches(dmap.aggregators()));
-                for seg in file.iter().flat_map(|f| layout.segments(*f)) {
-                    outbound[dmap.aggregator_of_slot(seg.slot)].gather(&map, seg.logical, buf);
-                }
-                phases.close("phase_plan");
-                let inbox = self.exchange(outbound);
-                phases.close("phase_exchange");
-                Some(inbox)
-            }
-            Order::Read(_) => {
-                phases.close("phase_plan");
-                None
-            }
+        // What every rank now plans from alike: a failure here is every
+        // rank's.
+        let files: Vec<RegionList> = shared.into_iter().map(|(f, _)| f).collect();
+        let (rank, layout) = (self.comm.rank(), self.file.layout());
+        let aggregators = self
+            .config
+            .effective_aggregators(files.len(), layout.pcount);
+        let call = CollectiveCall {
+            files: &files,
+            domains: DomainMap::new(layout, aggregators)?,
+            cb_buffer: self.config.cb_buffer,
         };
-
-        // I/O phase (aggregator ranks only), one cb_buffer window at a
-        // time: a write merges what it received into each window and
-        // writes it, a read reads each window into per-rank batches.
-        let mut report = ExecReport::default();
-        let scatter = if self.comm.rank() < dmap.aggregators() {
-            let done = match &inbox {
-                Some(inbox) => self
-                    .aggregate_write(&dmap, &all_files, inbox, &mut report)
-                    .map(|()| Vec::new()),
-                None => self.aggregate_read(&dmap, &all_files, &mut report),
-            };
-            phases.close("phase_wire");
-            done
-        } else {
-            Ok(Vec::new())
+        let request = ListRequest {
+            mem: mem.clone(),
+            file: file.clone(),
         };
-
-        // The verdict: every rank learns whether every domain landed (and
-        // no rank outruns the writes); a read decides before its
-        // scatter, so no rank scatters partial data.
-        let verdict = agree(&self.comm, scatter, &format!("collective {verb}"));
-        phases.close("phase_exchange");
-        let scatter = verdict?;
-
-        // A read's exchange comes last: aggregators scatter, every rank
-        // lands its pieces through the request's piece map.
-        if let Order::Read(buf) = order {
-            let inbox = self.exchange(scatter);
-            phases.close("phase_exchange");
-            for batch in inbox.iter().map(|env| &env.msg) {
-                let mut doff = 0usize;
-                for r in &batch.regions {
-                    place(&map, *r, &batch.data[doff..], buf);
-                    doff += r.len as usize;
-                }
-            }
-            phases.close("phase_merge");
-        }
-        let comm_delta = self.comm.stats().since(&comm_before);
-        report.exchange_bytes = comm_delta.bytes_sent;
-        report.exchange_msgs = comm_delta.msgs_sent;
-        phases.finish(self.file.client());
+        let plan = plan_collective(kind, rank, &request, &call, self.file.handle(), config)?;
+        let mut execution = Execution::new(plan, user, client)?;
+        phases.close("phase_plan");
+        let done = drive(&self.comm, &mut execution, &mut phases, rank < aggregators);
+        let report = execution.finish();
+        done?;
+        phases.finish(client);
         Ok(report)
     }
-
-    /// Send each non-empty batch to the rank at its index, in one
-    /// `exchange`.
-    fn exchange(&self, outbound: Vec<PieceBatch>) -> Vec<Envelope<PieceBatch>> {
-        let outbox = outbound
-            .into_iter()
-            .enumerate()
-            .filter(|(_, b)| !b.regions.is_empty())
-            .map(|(peer, b)| Envelope {
-                peer,
-                bytes: b.wire_bytes(),
-                msg: b,
-            })
-            .collect();
-        self.comm.exchange::<PieceBatch>(outbox)
-    }
-
-    /// Aggregator write half: bucket received segments per stripe slot
-    /// (preserving sender-rank order for deterministic overwrite), then
-    /// for each slot window stage + write once.
-    fn aggregate_write(
-        &mut self,
-        dmap: &DomainMap,
-        all_files: &[RegionList],
-        inbox: &[Envelope<PieceBatch>],
-        report: &mut ExecReport,
-    ) -> PvfsResult<()> {
-        let agg = self.comm.rank();
-        let layout = self.file.layout();
-        // (region, batch index, offset into that batch's data), in
-        // sender-rank order per slot. Received regions can span slots
-        // (rank-side merging), so re-segment here.
-        let mut slot_pieces: BTreeMap<u32, Vec<(Region, usize, usize)>> = BTreeMap::new();
-        for (bi, env) in inbox.iter().enumerate() {
-            let mut doff = 0usize;
-            for r in &env.msg.regions {
-                for seg in layout.segments(*r) {
-                    debug_assert_eq!(dmap.aggregator_of_slot(seg.slot), agg);
-                    slot_pieces.entry(seg.slot).or_default().push((
-                        seg.logical,
-                        bi,
-                        doff + (seg.logical.offset - r.offset) as usize,
-                    ));
-                }
-                doff += r.len as usize;
-            }
-        }
-        for (slot, wlist) in dmap.slot_lists(agg, all_files) {
-            let pieces = slot_pieces.get(&slot).map(Vec::as_slice).unwrap_or(&[]);
-            for window in windows(&wlist, self.config.cb_buffer) {
-                let (staged, map, extent, mut staging) = staging(&window)?;
-                for (pr, bi, doff) in pieces {
-                    if !extent.contains(*pr) {
-                        continue; // belongs to another window of this slot
-                    }
-                    place(&map, *pr, &inbox[*bi].msg.data[*doff..], &mut staging);
-                }
-                let w = self
-                    .file
-                    .write_list(&staged, &window, &staging, Method::List)?;
-                report.absorb(&w);
-            }
-        }
-        Ok(())
-    }
-
-    /// Aggregator read half: read each domain window with one list
-    /// plan, then carve the staging buffer into per-rank batches.
-    fn aggregate_read(
-        &mut self,
-        dmap: &DomainMap,
-        all_files: &[RegionList],
-        report: &mut ExecReport,
-    ) -> PvfsResult<Vec<PieceBatch>> {
-        let agg = self.comm.rank();
-        let mut outbound = batches(all_files.len());
-        let layout = self.file.layout();
-        // Which segments of my domain each rank asked for, per slot.
-        let mut rank_segs: Vec<Vec<(u32, Region)>> = vec![Vec::new(); all_files.len()];
-        for (rank, flist) in all_files.iter().enumerate() {
-            for region in flist.iter() {
-                for seg in layout.segments(*region) {
-                    if dmap.aggregator_of_slot(seg.slot) == agg {
-                        rank_segs[rank].push((seg.slot, seg.logical));
-                    }
-                }
-            }
-        }
-        for (slot, wlist) in dmap.slot_lists(agg, all_files) {
-            for window in windows(&wlist, self.config.cb_buffer) {
-                let (staged, map, extent, mut staging) = staging(&window)?;
-                let r = self
-                    .file
-                    .read_list(&staged, &window, &mut staging, Method::List)?;
-                report.absorb(&r);
-                for (rank, segs) in rank_segs.iter().enumerate() {
-                    for (s, reg) in segs {
-                        if *s != slot || !extent.contains(*reg) {
-                            continue;
-                        }
-                        outbound[rank].gather(&map, *reg, &staging);
-                    }
-                }
-            }
-        }
-        Ok(outbound)
-    }
 }
 
-/// Which way a collective call moves data, and so the order of its
-/// phases: a write exchanges, then writes at the aggregators; a read
-/// reads at the aggregators, then exchanges.
-enum Order<'a> {
-    Write(&'a [u8]),
-    Read(&'a mut [u8]),
-}
-
-/// `n` empty batches, one per peer.
-fn batches(n: usize) -> Vec<PieceBatch> {
-    (0..n).map(|_| PieceBatch::default()).collect()
+/// Run a collective plan and its call's collectives in order. A read
+/// runs its aggregator's rounds, agrees on them — so no rank scatters
+/// partial data — and exchanges; a write exchanges, runs its
+/// aggregator's rounds, and agrees on them.
+fn drive(
+    comm: &Communicator,
+    execution: &mut Execution<'_, '_>,
+    phases: &mut Phases,
+    aggregator: bool,
+) -> PvfsResult<()> {
+    let read = matches!(execution.runner.user, UserBuf::Read(_));
+    let mut next = execution.run();
+    if read {
+        if aggregator {
+            phases.close("phase_wire");
+        }
+        next = agree(comm, next, "collective read");
+        phases.close("phase_exchange");
+    }
+    let exchange = next?.expect("a collective plan holds an exchange");
+    let runner = &mut execution.runner;
+    let outbox = (0..)
+        .zip(&exchange.send)
+        .filter(|(_, to)| !to.is_empty())
+        .map(|(peer, to)| {
+            let msg = runner.pack(to);
+            let bytes = msg.len() as u64;
+            Envelope { peer, bytes, msg }
+        })
+        .collect();
+    let mut inbox = comm.exchange::<Vec<u8>>(outbox).into_iter().peekable();
+    phases.close("phase_exchange");
+    // In sender-rank order: where writes overlap, the highest rank's
+    // bytes land last.
+    let mut landed = Ok(());
+    for (peer, from) in exchange.recv.iter().enumerate() {
+        let msg = inbox.next_if(|env| env.peer == peer).map(|env| env.msg);
+        landed = landed.and_then(|()| runner.unpack(from, &msg.unwrap_or_default()));
+    }
+    if read {
+        phases.close("phase_merge");
+        return landed;
+    }
+    let done = landed.and_then(|()| execution.run());
+    if aggregator {
+        phases.close("phase_wire");
+    }
+    let verdict = agree(comm, done, "collective write");
+    phases.close("phase_exchange");
+    verdict.map(drop)
 }
 
 /// A collective step's verdict, allgathered: either every rank of
@@ -478,37 +313,14 @@ impl Phases {
 /// non-contributing rank passes. Returns the rank's piece map (which
 /// demands equal totals and a sorted, disjoint file list).
 fn validate_local(mem: &RegionList, file: &RegionList, buf_len: usize) -> PvfsResult<PieceMap> {
-    let map = PieceMap::new(mem, file)?;
-    if let Some(extent) = mem.extent() {
-        if extent.end() > buf_len as u64 {
-            return Err(PvfsError::invalid(format!(
-                "memory list reaches offset {} but the buffer is {buf_len} bytes",
-                extent.end()
-            )));
-        }
-    }
-    Ok(map)
-}
-
-/// An aggregator's staging for one window: the buffer's one contiguous
-/// region, the map placing the window's regions in it end to end, the
-/// window's extent — a piece belongs to the window whose extent holds
-/// it — and the zeroed buffer.
-fn staging(window: &RegionList) -> PvfsResult<(RegionList, PieceMap, Region, Vec<u8>)> {
-    let staged = RegionList::contiguous(0, window.total_len());
-    let place = PieceMap::new(&staged, window)?;
-    let extent = window.extent().expect("a window holds at least one region");
-    Ok((
-        staged,
-        place,
-        extent,
-        vec![0u8; window.total_len() as usize],
-    ))
+    check_buffer(mem, buf_len)?;
+    PieceMap::new(mem, file)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pvfs_types::Region;
 
     /// The bounds check reads the memory list's index: an unsorted list
     /// of 256 regions, four blocks, whose one region past the buffer

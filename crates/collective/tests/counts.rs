@@ -5,7 +5,8 @@
 //! daemons on chan, with no emulated latency, so every number is exact:
 //!
 //! * the daemons receive **exactly** the data requests the partitioner
-//!   predicts ([`DomainMap::predicted_data_requests`]);
+//!   predicts ([`DomainMap::predicted_data_requests`]), which are the
+//!   requests the ranks' plans tally (`plan_collective`);
 //! * every daemon hears from **at most one** aggregator
 //!   (`ExecReport::requests_by_server`), and no rank takes the gate;
 //! * with one aggregator per daemon (ranks ≥ daemons) two-phase sends
@@ -17,11 +18,12 @@
 //! with no gap between them.
 
 use pvfs_client::{ExecReport, PvfsFile};
-use pvfs_collective::{CollectiveConfig, CollectiveFile, Communicator, DomainMap};
-use pvfs_core::{ListRequest, Method};
+use pvfs_collective::{CollectiveConfig, CollectiveFile, Communicator};
+use pvfs_core::MethodConfig;
+use pvfs_core::{plan_collective, CollectiveCall, DomainMap, IoKind, ListRequest, Method};
 use pvfs_net::{FaultPlan, LiveCluster, TransportKind};
 use pvfs_server::IodConfig;
-use pvfs_types::{RegionList, ServerId, Span, SpanId, StripeLayout, TraceMode};
+use pvfs_types::{FileHandle, RegionList, ServerId, Span, SpanId, StripeLayout, TraceMode};
 use pvfs_workloads::{Cyclic, FlashIo};
 use std::collections::BTreeSet;
 use std::thread;
@@ -117,9 +119,24 @@ fn independent_list(reqs: &[ListRequest]) -> u64 {
 fn assert_counts(name: &str, reqs: &[ListRequest]) {
     let all_files: Vec<RegionList> = reqs.iter().map(|r| r.file.clone()).collect();
     let (frames, reports, config) = two_phase(reqs);
-    let dmap = DomainMap::new(layout(), reqs.len(), &config).unwrap();
+    let aggregators = config.effective_aggregators(reqs.len(), DAEMONS);
+    let dmap = DomainMap::new(layout(), aggregators).unwrap();
     let predicted = dmap.predicted_data_requests(&all_files, config.cb_buffer, LIST_REGIONS);
     assert_eq!(frames, predicted, "{name}: frames vs the partitioner");
+    let call = CollectiveCall {
+        files: &all_files,
+        domains: dmap,
+        cb_buffer: config.cb_buffer,
+    };
+    let tallied: u64 = (0..)
+        .zip(reqs)
+        .map(|(rank, req)| {
+            let method = MethodConfig::paper_default();
+            let plan = plan_collective(IoKind::Write, rank, req, &call, FileHandle(1), &method);
+            plan.unwrap().tally().requests
+        })
+        .sum();
+    assert_eq!(frames, tallied, "{name}: frames vs the ranks' plans");
 
     let mut heard_from = [0u32; DAEMONS as usize];
     for report in &reports {

@@ -9,7 +9,8 @@
 //! layouts and request patterns with proptest.
 
 use proptest::prelude::*;
-use pvfs_collective::{windows, CollectiveConfig, DomainMap};
+use pvfs_collective::CollectiveConfig;
+use pvfs_core::{windows, DomainMap};
 use pvfs_types::{Region, RegionList, StripeLayout};
 
 fn dmap(pcount: u32, ssize: u64, ranks: usize, aggregators: Option<usize>) -> DomainMap {
@@ -17,7 +18,8 @@ fn dmap(pcount: u32, ssize: u64, ranks: usize, aggregators: Option<usize>) -> Do
         aggregators,
         ..CollectiveConfig::default()
     };
-    DomainMap::new(StripeLayout::new(0, pcount, ssize).unwrap(), ranks, &cfg).unwrap()
+    let aggregators = cfg.effective_aggregators(ranks, pcount);
+    DomainMap::new(StripeLayout::new(0, pcount, ssize).unwrap(), aggregators).unwrap()
 }
 
 /// Every byte of `list` appears in exactly one of `parts`.

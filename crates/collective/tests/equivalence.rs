@@ -180,3 +180,39 @@ proptest! {
         roundtrip_case(TransportKind::Chan, pcount, ssize, deal(&segs, ranks));
     }
 }
+
+/// Where collective writes overlap, the highest rank's bytes are left:
+/// 3 ranks write `[1000 r, 1000 r + 3000)` filled with `r + 1` on 2
+/// daemons of 1 KiB stripes, and each byte reads back as the highest
+/// rank covering it wrote it.
+#[test]
+fn overlapping_writes_leave_the_highest_rank() {
+    for kind in [TransportKind::Chan, TransportKind::Tcp] {
+        let cluster = LiveCluster::spawn_transport(2, IodConfig::default(), kind);
+        let layout = StripeLayout::new(0, 2, 1024).unwrap();
+        let handles: Vec<_> = Communicator::group(3)
+            .into_iter()
+            .map(|comm| {
+                let client = cluster.client();
+                thread::spawn(move || {
+                    let rank = comm.rank();
+                    let mut cf =
+                        CollectiveFile::create(&client, "/pvfs/overlap", layout, comm).unwrap();
+                    let file = RegionList::contiguous(rank as u64 * 1000, 3000);
+                    let mem = RegionList::contiguous(0, 3000);
+                    cf.write_all(&mem, &file, &[rank as u8 + 1; 3000]).unwrap();
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let mut back = vec![0u8; 5000];
+        let mut file = PvfsFile::open(&cluster.client(), "/pvfs/overlap").unwrap();
+        file.read_at(0, &mut back).unwrap();
+        for (at, byte) in back.iter().enumerate() {
+            let highest = (at / 1000).min(2) as u8;
+            assert_eq!(*byte, highest + 1, "{kind:?}: byte {at}");
+        }
+    }
+}

@@ -19,11 +19,10 @@
 //!
 //! [`DomainMap::predicted_data_requests`] computes, from the
 //! partitioning alone, exactly how many wire requests the aggregate
-//! phase will issue — the bench asserts the executor's measured count
-//! matches it.
+//! phase will issue — the collective suite holds the daemons' count to
+//! it.
 
-use crate::config::CollectiveConfig;
-use pvfs_types::{PvfsResult, Region, RegionList, ServerId, StripeLayout};
+use pvfs_types::{PvfsError, PvfsResult, Region, RegionList, ServerId, StripeLayout};
 
 /// The file-domain partitioner: which aggregator owns which stripe
 /// slots of one file's layout.
@@ -34,18 +33,19 @@ pub struct DomainMap {
 }
 
 impl DomainMap {
-    /// Partition `layout`'s slots among the effective aggregator count
-    /// for a job of `ranks` clients (see
-    /// [`CollectiveConfig::effective_aggregators`]).
-    pub fn new(
-        layout: StripeLayout,
-        ranks: usize,
-        config: &CollectiveConfig,
-    ) -> PvfsResult<DomainMap> {
+    /// Partition `layout`'s slots among `aggregators` ranks, 1 ..=
+    /// `pcount` of them.
+    pub fn new(layout: StripeLayout, aggregators: usize) -> PvfsResult<DomainMap> {
         layout.validate()?;
+        if aggregators == 0 || aggregators > layout.pcount as usize {
+            return Err(PvfsError::invalid(format!(
+                "{aggregators} aggregators for {} stripe slots",
+                layout.pcount
+            )));
+        }
         Ok(DomainMap {
             layout,
-            aggregators: config.effective_aggregators(ranks, layout.pcount),
+            aggregators,
         })
     }
 
@@ -88,20 +88,13 @@ impl DomainMap {
         let mut out: Vec<Vec<Region>> = vec![Vec::new(); self.aggregators];
         for region in file.iter() {
             for seg in self.layout.segments(*region) {
-                let agg = self.aggregator_of_slot(seg.slot);
-                // Consecutive segments of one region can hit the same
-                // aggregator (pcount-periodic); merge contiguous runs.
-                match out[agg].last_mut() {
-                    Some(last) if last.end() == seg.logical.offset => {
-                        *last = Region::new(last.offset, last.len + seg.logical.len);
-                    }
-                    _ => out[agg].push(seg.logical),
-                }
+                out[self.aggregator_of_slot(seg.slot)].push(seg.logical);
             }
         }
-        out.into_iter()
-            .map(|v| RegionList::from_regions_slice(&v))
-            .collect()
+        // Consecutive segments can hit the same aggregator
+        // (pcount-periodic): contiguous runs merge.
+        let merged = |v: &Vec<Region>| RegionList::from_regions_slice(v).coalesced();
+        out.iter().map(merged).collect()
     }
 
     /// Aggregator `agg`'s workload for one collective operation: the
@@ -119,14 +112,12 @@ impl DomainMap {
         for rank_list in all_ranks {
             for region in rank_list.iter() {
                 for seg in self.layout.segments(*region) {
-                    if self.aggregator_of_slot(seg.slot) != agg {
-                        continue;
+                    // Slot `agg + k·aggregators` is bucket k.
+                    if self.aggregator_of_slot(seg.slot) == agg {
+                        buckets[seg.slot as usize / self.aggregators]
+                            .1
+                            .push(seg.logical);
                     }
-                    let idx = buckets
-                        .iter()
-                        .position(|(s, _)| *s == seg.slot)
-                        .expect("slot belongs to this aggregator");
-                    buckets[idx].1.push(seg.logical);
                 }
             }
         }
@@ -140,8 +131,8 @@ impl DomainMap {
     /// Exactly how many wire data requests the aggregate phase will
     /// issue for this operation: for every aggregator, every non-empty
     /// slot, and every `cb_buffer` window over that slot's coalesced
-    /// regions, one list request per `max_list_regions` regions. The
-    /// engine in [`crate::file`] iterates the same way, so the measured
+    /// regions, one list request per `max_list_regions` regions.
+    /// [`crate::plan_collective`] plans the same windows, so the measured
     /// daemon frame count must equal this number.
     pub fn predicted_data_requests(
         &self,
@@ -163,8 +154,8 @@ impl DomainMap {
 
 /// Split a sorted-disjoint list into consecutive windows of at most
 /// `cb_buffer` payload bytes each (whole regions only; a single region
-/// larger than `cb_buffer` gets a window to itself). This is how an
-/// aggregator bounds its staging allocation.
+/// larger than `cb_buffer` gets a window to itself): an aggregator's
+/// temps, each read or written by list requests of its own.
 pub fn windows(list: &RegionList, cb_buffer: u64) -> Vec<RegionList> {
     let mut out = Vec::new();
     let mut cur: Vec<Region> = Vec::new();
@@ -187,17 +178,13 @@ pub fn windows(list: &RegionList, cb_buffer: u64) -> Vec<RegionList> {
 mod tests {
     use super::*;
 
-    fn map(pcount: u32, ssize: u64, ranks: usize, aggregators: Option<usize>) -> DomainMap {
-        let cfg = CollectiveConfig {
-            aggregators,
-            ..CollectiveConfig::default()
-        };
-        DomainMap::new(StripeLayout::new(0, pcount, ssize).unwrap(), ranks, &cfg).unwrap()
+    fn map(pcount: u32, ssize: u64, aggregators: usize) -> DomainMap {
+        DomainMap::new(StripeLayout::new(0, pcount, ssize).unwrap(), aggregators).unwrap()
     }
 
     #[test]
     fn slots_round_robin_to_aggregators() {
-        let m = map(8, 1024, 16, Some(3));
+        let m = map(8, 1024, 3);
         assert_eq!(m.aggregators(), 3);
         assert_eq!(m.slots_of(0).collect::<Vec<_>>(), vec![0, 3, 6]);
         assert_eq!(m.slots_of(1).collect::<Vec<_>>(), vec![1, 4, 7]);
@@ -209,7 +196,7 @@ mod tests {
 
     #[test]
     fn servers_of_are_disjoint_across_aggregators() {
-        let m = map(8, 1024, 16, Some(3));
+        let m = map(8, 1024, 3);
         let mut seen = std::collections::HashSet::new();
         for agg in 0..3 {
             for s in m.servers_of(agg) {
@@ -222,7 +209,7 @@ mod tests {
     #[test]
     fn split_cuts_at_slot_boundaries() {
         // 4 slots of 10 bytes; one region spanning all of [0, 80).
-        let m = map(4, 10, 8, Some(2));
+        let m = map(4, 10, 2);
         let parts = m.split(&RegionList::contiguous(0, 80));
         // agg 0 owns slots 0,2 → stripes [0,10) [20,30) [40,50) [60,70)
         assert_eq!(
@@ -249,7 +236,7 @@ mod tests {
     fn split_merges_contiguous_same_aggregator_runs() {
         // One aggregator owns everything: the whole region must come
         // back as a single merged run, not per-stripe confetti.
-        let m = map(4, 10, 8, Some(1));
+        let m = map(4, 10, 1);
         let parts = m.split(&RegionList::contiguous(5, 70));
         assert_eq!(parts.len(), 1);
         assert_eq!(parts[0].regions(), &[Region::new(5, 70)]);
@@ -257,7 +244,7 @@ mod tests {
 
     #[test]
     fn slot_lists_union_ranks_and_coalesce() {
-        let m = map(2, 10, 4, Some(2));
+        let m = map(2, 10, 2);
         // Rank 0 takes even 5-byte pieces, rank 1 the odd ones: slot 0
         // ([0,10) ∪ [20,30)) sees both ranks and must coalesce.
         let r0 = RegionList::from_pairs([(0, 5), (20, 5)]).unwrap();
@@ -291,7 +278,7 @@ mod tests {
     fn predicted_requests_count_windows_and_chunks() {
         // 1 aggregator, 1 slot, 130 one-byte regions in one window:
         // ⌈130/64⌉ = 3 list requests.
-        let m = map(1, 1 << 20, 4, None);
+        let m = map(1, 1 << 20, 1);
         let ranks = vec![RegionList::from_pairs((0..130u64).map(|i| (i * 2, 1))).unwrap()];
         assert_eq!(m.predicted_data_requests(&ranks, u64::MAX, 64), 3);
         // A 10-byte cb_buffer over 130 single-byte regions → 13 windows

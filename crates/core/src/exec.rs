@@ -29,7 +29,7 @@ use crate::plan::{CopyPair, IoKind, MemSlice, OpKind, Space, Target, WireOp};
 use crate::runner::UserBuf;
 use bytes::{Bytes, BytesMut};
 use pvfs_types::iov::IOV_BATCH;
-use pvfs_types::{FileHandle, PvfsError, PvfsResult, Region, ServerId, StripeLayout};
+use pvfs_types::{FileHandle, PieceMap, PvfsError, PvfsResult, Region, ServerId, StripeLayout};
 use std::io::{self, IoSliceMut};
 
 /// The average fragment, in bytes, from which a daemon's share of an op
@@ -71,7 +71,7 @@ impl<'a> From<&'a Buffers<'_>> for Sources<'a> {
 }
 
 impl<'a> Sources<'a> {
-    fn slice(self, s: MemSlice) -> &'a [u8] {
+    pub(crate) fn slice(self, s: MemSlice) -> &'a [u8] {
         let (off, len) = (s.offset as usize, s.len as usize);
         match s.space {
             Space::User => &self.user[off..off + len],
@@ -81,7 +81,7 @@ impl<'a> Sources<'a> {
 }
 
 impl Buffers<'_> {
-    fn slice_mut(&mut self, s: MemSlice) -> &mut [u8] {
+    pub(crate) fn slice_mut(&mut self, s: MemSlice) -> &mut [u8] {
         let (off, len) = (s.offset as usize, s.len as usize);
         match s.space {
             Space::User => &mut self.user[off..off + len],
@@ -99,19 +99,26 @@ pub(crate) fn alloc_temps(sizes: &[u64]) -> Vec<Vec<u8>> {
 /// `target`, in file order.
 fn for_each_slice(target: &Target, file: Region, mut f: impl FnMut(MemSlice)) {
     match target {
-        Target::Pieces(map) => map.for_each_slice(file, |mem| {
-            f(MemSlice {
-                space: Space::User,
-                offset: mem.offset,
-                len: mem.len,
-            })
-        }),
         Target::Window { temp, base } => f(MemSlice {
             space: Space::Temp(*temp),
             offset: file.offset - base,
             len: file.len,
         }),
+        Target::Pieces(map) => pieces(Space::User, map, file, f),
+        Target::TempPieces { temp, map } => pieces(Space::Temp(*temp), map, file, f),
     }
+}
+
+/// Call `f` with each slice of `space` that `map` backs file subregion
+/// `file` with, in file order.
+pub(crate) fn pieces(space: Space, map: &PieceMap, file: Region, mut f: impl FnMut(MemSlice)) {
+    map.for_each_slice(file, |mem| {
+        f(MemSlice {
+            space,
+            offset: mem.offset,
+            len: mem.len,
+        })
+    })
 }
 
 /// Call `f` with each slice of client memory that stripe slot `slot`'s
@@ -138,7 +145,7 @@ fn for_each_share_slice(
         }
     }
     match target {
-        Target::Pieces(_) => slices,
+        Target::Pieces(_) | Target::TempPieces { .. } => slices,
         Target::Window { .. } => slices.min(1),
     }
 }

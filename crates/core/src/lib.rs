@@ -24,13 +24,17 @@
 //!   no longer grows with the region count.
 //!
 //! An [`AccessPlan`] is a lazy sequence of [`Step`]s — parallel rounds of
-//! per-server wire operations, client-side copies, and serialization
-//! markers. One [`Runner`] interprets them, and two drivers run it: the
-//! live threaded cluster (`pvfs-client` over `pvfs-net`) and the
-//! discrete-event simulator (`pvfs-sim`). It counts each step and moves
-//! each byte through [`exec`], so the bytes the correctness tests verify
-//! are produced by exactly the code the timed figures measure.
+//! per-server wire operations, client-side copies, serialization markers
+//! and, in one rank's share of a collective call ([`plan_collective`]),
+//! an exchange between ranks. One [`Runner`] interprets them, and two
+//! drivers run it: the live threaded cluster (`pvfs-client` over
+//! `pvfs-net`) and the discrete-event simulator (`pvfs-sim`). It counts
+//! each step and moves each byte through [`exec`], so the bytes the
+//! correctness tests verify are produced by exactly the code the timed
+//! figures measure.
 
+pub mod collective;
+pub mod domain;
 pub mod exec;
 pub mod hybrid;
 pub mod listio;
@@ -43,10 +47,12 @@ pub mod request;
 pub mod runner;
 pub mod sieving;
 
+pub use collective::{plan_collective, CollectiveCall};
+pub use domain::{windows, DomainMap};
 pub use method::{Method, MethodConfig};
 pub use plan::{
-    AccessPlan, CopyPair, IoKind, MemSlice, OpKind, PlanStats, Round, RoundOps, Space, Step,
-    Target, WireOp,
+    AccessPlan, CopyPair, Exchange, IoKind, MemSlice, OpKind, PlanStats, Round, RoundOps, Space,
+    Step, Target, WireOp,
 };
 pub use pvfs_types::PieceMap;
 pub use request::ListRequest;

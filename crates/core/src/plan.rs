@@ -73,6 +73,10 @@ pub enum Target {
     /// A contiguous window in temp buffer `temp`: file offset `x` maps
     /// to temp offset `x - base`. Used by data sieving.
     Window { temp: usize, base: u64 },
+    /// Scatter/gather through `map` into temp buffer `temp` rather than
+    /// the caller's buffer: a collective aggregator's window
+    /// ([`crate::plan_collective`]).
+    TempPieces { temp: usize, map: PieceMap },
 }
 
 /// One wire operation addressed to one I/O daemon.
@@ -196,6 +200,22 @@ pub enum Step {
     SerialBegin,
     /// End the exclusive section.
     SerialEnd,
+    /// Move bytes between the ranks of a collective call: the plan's
+    /// driver sends and receives them, the runner packs and unpacks them.
+    Exchange(Exchange),
+}
+
+/// A collective call's one exchange, indexed by peer rank: the slices of
+/// client memory this rank sends each peer, and those what each peer
+/// sends it lands in, each list in wire order. Both ends derive the same
+/// lists from the allgathered file lists, so a message is its bytes
+/// alone.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Exchange {
+    /// What goes to each peer.
+    pub send: Vec<Vec<MemSlice>>,
+    /// Where what comes from each peer lands.
+    pub recv: Vec<Vec<MemSlice>>,
 }
 
 impl Step {
@@ -206,6 +226,7 @@ impl Step {
             Step::Copy(_) => "copy",
             Step::SerialBegin => "serial_begin",
             Step::SerialEnd => "serial_end",
+            Step::Exchange(_) => "exchange",
         }
     }
 }
@@ -413,7 +434,7 @@ impl AccessPlan {
                 }
                 Step::Copy(pairs) => stats.copy_bytes += copy_bytes(&pairs),
                 Step::SerialBegin => stats.serial_sections += 1,
-                Step::SerialEnd => {}
+                Step::SerialEnd | Step::Exchange(_) => {}
             }
         }
         stats.requests = stats.list_requests + stats.contig_requests;

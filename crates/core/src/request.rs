@@ -77,6 +77,17 @@ impl ListRequest {
     }
 }
 
+/// Refuse a memory list that reaches past a buffer of `len` bytes.
+pub fn check_buffer(mem: &RegionList, len: usize) -> PvfsResult<()> {
+    match mem.extent().filter(|e| e.end() > len as u64) {
+        Some(extent) => Err(PvfsError::invalid(format!(
+            "memory list reaches offset {} but the buffer is {len} bytes",
+            extent.end()
+        ))),
+        None => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,14 +2,16 @@
 //!
 //! Sans I/O, like the request pump and the daemon's door: it counts every
 //! step into one [`ExecReport`] and moves every byte through
-//! [`crate::exec`], but sends nothing and keeps no time. Its two drivers,
-//! the live executor (`pvfs-client`, a stream a stretch: [`Runner::join`])
-//! and the simulator (`pvfs-sim`, rounds lock-step in virtual time), are
-//! both checked against the plan's [`tally`](AccessPlan::tally).
+//! [`crate::exec`], but sends nothing and keeps no time. Its drivers —
+//! the live executor (`pvfs-client`, a stream a stretch: [`Runner::join`]),
+//! which a collective call drives in turn, moving an exchange's bytes
+//! ([`Runner::pack`], [`Runner::unpack`]), and the simulator (`pvfs-sim`,
+//! rounds lock-step in virtual time) — are checked against the plan's
+//! [`tally`](AccessPlan::tally).
 
 use crate::exec::{alloc_temps, apply_copies, copy_bytes, gather_payload_into, scatter_response};
 use crate::exec::{Buffers, Sources};
-use crate::plan::{AccessPlan, IoKind, Round, RoundOps, Step, Target, WireOp};
+use crate::plan::{AccessPlan, IoKind, MemSlice, Round, RoundOps, Step, Target, WireOp};
 use bytes::{Bytes, BytesMut};
 use pvfs_proto::{Request, Response};
 use pvfs_types::{ClientStats, Histogram, PvfsError, PvfsResult};
@@ -44,62 +46,20 @@ pub struct ExecReport {
     /// where independent list I/O has every rank knocking on every
     /// daemon.
     pub requests_by_server: Vec<u64>,
-    /// Bytes this rank shipped through the client-side exchange fabric
-    /// (collective two-phase only; zero for independent methods).
-    /// Exchange traffic is memory-to-memory between ranks — comparing
-    /// it against `bytes_sent`/`bytes_received` shows how much wire
-    /// traffic the aggregation phase replaced.
+    /// Bytes this rank sent its peers in a collective call's
+    /// [`Step::Exchange`] (zero for independent methods). Exchange
+    /// traffic is memory-to-memory between ranks — comparing it against
+    /// `bytes_sent`/`bytes_received` shows how much wire traffic the
+    /// aggregation phase replaced.
     pub exchange_bytes: u64,
-    /// Exchange messages this rank sent (collective two-phase only).
+    /// Exchange messages this rank sent: one to each peer it sends
+    /// anything, itself included.
     pub exchange_msgs: u64,
     /// Client-perceived latency of every RPC of this execution that a
     /// daemon served (ship → reply decoded): `client.rpc_latency`, under
     /// the name reports read it by — in the simulator, each request's
     /// virtual round trip (issue → response fully processed).
     pub rpc_latency: Histogram,
-}
-
-impl ExecReport {
-    /// Accumulate another report into this one, counter by counter —
-    /// used by multi-plan operations (a collective op runs one plan per
-    /// aggregator window) to report a single total.
-    ///
-    /// The destructuring is deliberately exhaustive: a field added to
-    /// [`ExecReport`] without a merge rule here is a compile error, not
-    /// a counter that silently vanishes from aggregated reports (the
-    /// fate the resilience counters narrowly escaped when they were
-    /// bolted on after this method was first written).
-    pub fn absorb(&mut self, other: &ExecReport) {
-        let ExecReport {
-            rounds,
-            requests,
-            bytes_sent,
-            bytes_received,
-            copy_bytes,
-            serial_sections,
-            client,
-            requests_by_server,
-            exchange_bytes,
-            exchange_msgs,
-            rpc_latency,
-        } = other;
-        self.rounds += rounds;
-        self.requests += requests;
-        self.bytes_sent += bytes_sent;
-        self.bytes_received += bytes_received;
-        self.copy_bytes += copy_bytes;
-        self.serial_sections += serial_sections;
-        self.client.absorb(client);
-        self.exchange_bytes += exchange_bytes;
-        self.exchange_msgs += exchange_msgs;
-        self.rpc_latency.merge(rpc_latency);
-        if self.requests_by_server.len() < requests_by_server.len() {
-            self.requests_by_server.resize(requests_by_server.len(), 0);
-        }
-        for (mine, theirs) in self.requests_by_server.iter_mut().zip(requests_by_server) {
-            *mine += theirs;
-        }
-    }
 }
 
 /// The caller's buffer as a plan uses it: a read plan fills it, a write
@@ -187,6 +147,11 @@ impl<'u> Runner<'u> {
                 apply_copies(pairs, &mut self.user, &mut self.temps);
             }
             Step::SerialBegin => self.report.serial_sections += 1,
+            Step::Exchange(exchange) => {
+                let sent = exchange.send.iter().filter(|to| !to.is_empty());
+                self.report.exchange_msgs += sent.clone().count() as u64;
+                self.report.exchange_bytes += sent.flatten().map(|s| s.len).sum::<u64>();
+            }
             Step::Round(_) | Step::SerialEnd => {}
         }
         Some(step)
@@ -194,7 +159,7 @@ impl<'u> Runner<'u> {
 
     /// Book `round` and hand out its ops.
     pub fn count(&mut self, round: Round) -> RoundOps {
-        self.joinable = matches!(round.op().target, Target::Pieces(_));
+        self.joinable = streams(&round);
         self.report.rounds += 1;
         self.report.requests += round.len() as u64;
         for server in round.servers() {
@@ -205,20 +170,18 @@ impl<'u> Runner<'u> {
 
     /// The ops of the next round, booked, if it joins the stretch the
     /// last booked round belongs to: a stretch is a run of rounds that
-    /// scatter and gather through [`Target::Pieces`]. Such ops touch
-    /// disjoint bytes of the file and of the caller's buffer, and may
-    /// be sent and landed in any order. A round through a
-    /// [`Target::Window`] temp (sieving's read → modify → write) is a
-    /// stretch of its own. Any other step ends the stretch and is held
-    /// for the next [`step`](Self::step).
+    /// scatter and gather through a piece map, [`Target::Pieces`] or
+    /// [`Target::TempPieces`]. Such ops touch disjoint bytes of the file
+    /// and of the client's memory, and may be sent and landed in any
+    /// order. A round through a [`Target::Window`] temp (sieving's read
+    /// → modify → write) is a stretch of its own. Any other step ends
+    /// the stretch and is held for the next [`step`](Self::step).
     pub fn join(&mut self) -> Option<RoundOps> {
         if !self.joinable {
             return None;
         }
         match self.plan.next_step() {
-            Some(Step::Round(round)) if matches!(round.op().target, Target::Pieces(_)) => {
-                Some(self.count(round))
-            }
+            Some(Step::Round(round)) if streams(&round) => Some(self.count(round)),
             step => {
                 (self.joinable, self.held) = (false, step);
                 None
@@ -277,10 +240,49 @@ impl<'u> Runner<'u> {
         }
     }
 
+    /// The bytes of `slices`, packed in order: an exchange message.
+    pub fn pack(&self, slices: &[MemSlice]) -> Vec<u8> {
+        let (user, temps) = (self.user.source(), &self.temps[..]);
+        let sources = Sources { user, temps };
+        slices
+            .iter()
+            .map(|s| sources.slice(*s))
+            .collect::<Vec<_>>()
+            .concat()
+    }
+
+    /// Land the exchange message `data` in `slices`, in order; refuses a
+    /// message of any length but theirs.
+    pub fn unpack(&mut self, slices: &[MemSlice], mut data: &[u8]) -> PvfsResult<()> {
+        let expected: u64 = slices.iter().map(|s| s.len).sum();
+        if data.len() as u64 != expected {
+            return Err(PvfsError::protocol(format!(
+                "an exchange message of {} bytes, expected {expected}",
+                data.len()
+            )));
+        }
+        let (user, temps) = (self.user.dest(), &mut self.temps[..]);
+        let mut bufs = Buffers { user, temps };
+        for s in slices {
+            let (bytes, rest) = data.split_at(s.len as usize);
+            bufs.slice_mut(*s).copy_from_slice(bytes);
+            data = rest;
+        }
+        Ok(())
+    }
+
     /// What running the plan counted.
     pub fn into_report(self) -> ExecReport {
         self.report
     }
+}
+
+/// Whether `round` streams: its ops go through a piece map.
+fn streams(round: &Round) -> bool {
+    matches!(
+        round.op().target,
+        Target::Pieces(_) | Target::TempPieces { .. }
+    )
 }
 
 #[cfg(test)]

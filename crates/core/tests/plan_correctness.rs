@@ -7,11 +7,13 @@
 //! runner's counts with the plan's tally. If multiple I/O, data sieving,
 //! list I/O, hybrid and datatype I/O ever disagree on a single byte, the
 //! timing figures comparing them would be meaningless — this is the
-//! contract that makes the reproduction trustworthy.
+//! contract that makes the reproduction trustworthy. A collective call's
+//! plans ([`plan_collective`]) run here too, one runner per rank, this
+//! driver delivering each exchange itself.
 
 use bytes::BytesMut;
 use pvfs_core::{plan, AccessPlan, ExecReport, IoKind, ListRequest, Method, MethodConfig};
-use pvfs_core::{Runner, Step, UserBuf};
+use pvfs_core::{plan_collective, CollectiveCall, DomainMap, Exchange, Runner, Step, UserBuf};
 use pvfs_proto::{Request, Response};
 use pvfs_server::IoDaemon;
 use pvfs_types::{align_lists, FileHandle, Region, RegionList, ServerId, StripeLayout};
@@ -26,14 +28,17 @@ fn daemons(layout: &StripeLayout) -> Vec<IoDaemon> {
         .collect()
 }
 
-/// Run a plan to completion against daemons (single client, so serial
-/// markers are no-ops): the runner's third driver, beside the live
-/// client and the simulator, sending each request straight to its
-/// daemon in plan order.
-fn execute(plan: AccessPlan, user: UserBuf, daemons: &mut [IoDaemon]) -> ExecReport {
-    let mut runner = Runner::new(plan, user).unwrap();
+/// Run a plan against daemons until it ends or hands back an exchange
+/// (single client, so serial markers are no-ops): the runner's in-process
+/// driver, beside the live client and the simulator, sending each
+/// request straight to its daemon in plan order.
+fn run(runner: &mut Runner, daemons: &mut [IoDaemon]) -> Option<Exchange> {
     while let Some(step) = runner.step() {
-        let Step::Round(round) = step else { continue };
+        let round = match step {
+            Step::Round(round) => round,
+            Step::Exchange(exchange) => return Some(exchange),
+            _ => continue,
+        };
         for wire in runner.count(round) {
             let (request, _) = runner.request(&wire, 0, BytesMut::with_capacity);
             let (response, _) = daemons[wire.server.index()].handle(&request);
@@ -43,6 +48,13 @@ fn execute(plan: AccessPlan, user: UserBuf, daemons: &mut [IoDaemon]) -> ExecRep
             runner.landed(&wire, response, 0).expect("landed");
         }
     }
+    None
+}
+
+/// Run an independent plan to completion against daemons.
+fn execute(plan: AccessPlan, user: UserBuf, daemons: &mut [IoDaemon]) -> ExecReport {
+    let mut runner = Runner::new(plan, user).unwrap();
+    assert!(run(&mut runner, daemons).is_none(), "an exchange");
     runner.into_report()
 }
 
@@ -266,5 +278,156 @@ fn randomized_requests_fuzz_all_methods() {
         let request = ListRequest::new(mem, file).expect("valid random request");
         check_all_methods(&request, layout, file_len);
         let _ = round;
+    }
+}
+
+/// One collective `kind` call of `requests`, rank `r` over `users[r]`:
+/// one runner per rank, no threads. Each runs to its exchange, which
+/// this driver delivers in rank order (every message packed, then every
+/// rank unpacking in sender order), and then to its end. Each runner
+/// counts its plan's tally; what all ranks send, all ranks receive.
+fn collective(
+    kind: IoKind,
+    requests: &[ListRequest],
+    users: &mut [Vec<u8>],
+    call: &CollectiveCall,
+    config: &MethodConfig,
+    daemons: &mut [IoDaemon],
+) {
+    let plan = |rank| plan_collective(kind, rank, &requests[rank], call, FH, config).unwrap();
+    let mut runners: Vec<Runner> = (0..)
+        .zip(users.iter_mut())
+        .map(|(rank, user)| {
+            let user = match kind {
+                IoKind::Read => UserBuf::Read(user),
+                IoKind::Write => UserBuf::Write(user),
+            };
+            Runner::new(plan(rank), user).unwrap()
+        })
+        .collect();
+    let exchanges: Vec<Exchange> = runners
+        .iter_mut()
+        .map(|runner| run(runner, daemons).expect("a collective plan holds an exchange"))
+        .collect();
+    let sent: Vec<Vec<Vec<u8>>> = runners
+        .iter()
+        .zip(&exchanges)
+        .map(|(runner, exchange)| exchange.send.iter().map(|to| runner.pack(to)).collect())
+        .collect();
+    let mut received = 0;
+    for (to, (runner, exchange)) in runners.iter_mut().zip(&exchanges).enumerate() {
+        for (from, slices) in exchange.recv.iter().enumerate() {
+            runner.unpack(slices, &sent[from][to]).unwrap();
+            received += sent[from][to].len() as u64;
+        }
+    }
+    let mut exchanged = 0;
+    for (rank, mut runner) in runners.into_iter().enumerate() {
+        assert!(run(&mut runner, daemons).is_none(), "a second exchange");
+        let report = runner.into_report();
+        assert_counts_tally(&report, plan(rank), &format!("{kind:?}, rank {rank}"));
+        assert_eq!(report.serial_sections, 0);
+        exchanged += report.exchange_bytes;
+    }
+    assert_eq!(exchanged, received, "{kind:?}: sent vs received");
+}
+
+/// `ranks` random requests over a file of `file_len` bytes, each sorted
+/// and disjoint, across ranks overlapping anywhere, each memory list cut
+/// up and gapped; an empty one now and then (a rank contributing
+/// nothing).
+fn random_requests(rng: &mut StdRng, ranks: usize, file_len: u64) -> Vec<ListRequest> {
+    (0..ranks)
+        .map(|_| {
+            let (mut file, mut at) = (RegionList::new(), rng.gen_range(0..32u64));
+            for _ in 0..rng.gen_range(0..=24) {
+                let len = rng.gen_range(1..=24u64);
+                if at + len > file_len {
+                    break;
+                }
+                file.push(Region::new(at, len));
+                at += len + rng.gen_range(0..40u64);
+            }
+            let (mut mem, mut mem_off, mut left) = (RegionList::new(), 0, file.total_len());
+            while left > 0 {
+                let len = rng.gen_range(1..=left.min(19));
+                mem.push(Region::new(mem_off, len));
+                (mem_off, left) = (mem_off + len + rng.gen_range(0..5u64), left - len);
+            }
+            ListRequest { mem, file }
+        })
+        .collect()
+}
+
+/// Collective plans against the flat model, for every aggregator count
+/// and windows of a few bytes: a write leaves the bytes of every rank's
+/// write applied in rank order (where writes overlap, the highest rank's),
+/// which independent list reads read back; a read fills each rank's
+/// buffer as the model does.
+#[test]
+fn collective_plans_move_the_flat_models_bytes() {
+    let mut rng = StdRng::seed_from_u64(0x2F4A5E);
+    for round in 0..40 {
+        let pcount = rng.gen_range(1..=4u32);
+        let layout = StripeLayout::new(0, pcount, rng.gen_range(4..=32)).unwrap();
+        let ranks = rng.gen_range(pcount as usize..=5);
+        let file_len = 640;
+        let requests = random_requests(&mut rng, ranks, file_len as u64);
+        let files: Vec<RegionList> = requests.iter().map(|r| r.file.clone()).collect();
+        let buf_len = |r: &ListRequest| r.mem.extent().map_or(0, |e| e.end() as usize);
+        let config = MethodConfig {
+            max_list_regions: rng.gen_range(2..=64),
+            ..MethodConfig::default()
+        };
+        let initial = pattern_bytes(file_len, 101);
+        for aggregators in 1..=pcount as usize {
+            let call = CollectiveCall {
+                files: &files,
+                domains: DomainMap::new(layout, aggregators).unwrap(),
+                cb_buffer: rng.gen_range(1..=64),
+            };
+            let at = format!("round {round}: {ranks} ranks, {aggregators} aggregators");
+
+            let mut ds = daemons(&layout);
+            seed_file(&initial, &layout, &mut ds);
+            let mut users: Vec<Vec<u8>> = (0..ranks)
+                .map(|rank| pattern_bytes(buf_len(&requests[rank]), 59 + rank as u8))
+                .collect();
+            let expected = (0..ranks).fold(initial.clone(), |file, rank| {
+                oracle_write(&requests[rank], &users[rank], &file)
+            });
+            collective(
+                IoKind::Write,
+                &requests,
+                &mut users,
+                &call,
+                &config,
+                &mut ds,
+            );
+            assert_eq!(
+                dump_file(file_len, &layout, &mut ds),
+                expected,
+                "{at}: write"
+            );
+            for request in requests.iter().filter(|r| !r.file.is_empty()) {
+                let p = plan(Method::List, IoKind::Read, request, FH, layout, &config).unwrap();
+                let mut back = vec![0u8; buf_len(request)];
+                execute(p, UserBuf::Read(&mut back), &mut ds);
+                assert_eq!(
+                    back,
+                    oracle_read(request, &expected, back.len()),
+                    "{at}: read-back"
+                );
+            }
+
+            let mut ds = daemons(&layout);
+            seed_file(&initial, &layout, &mut ds);
+            let mut users: Vec<Vec<u8>> = requests.iter().map(|r| vec![0; buf_len(r)]).collect();
+            collective(IoKind::Read, &requests, &mut users, &call, &config, &mut ds);
+            for (rank, (request, user)) in requests.iter().zip(&users).enumerate() {
+                let want = oracle_read(request, &initial, user.len());
+                assert_eq!(user, &want, "{at}: rank {rank}'s read");
+            }
+        }
     }
 }

@@ -27,9 +27,9 @@
 //!   slot `s` and a mirror for slot `s'` of the same file; tagging copy
 //!   `j` with `handle | j << 56` keeps the two local files apart.
 //!
-//! `PVFS_REPLICAS=r` turns replication on (default 1);
-//! `PVFS_WRITE_QUORUM=all|majority` picks how many copies must
-//! acknowledge a write before it succeeds.
+//! `PVFS_REPLICAS=r` turns replication on (default 1); every copy must
+//! acknowledge a write before it succeeds, unless a caller's
+//! [`ReplicaPolicy`] asks for a [`WriteQuorum::Majority`].
 
 use pvfs_proto::Request;
 use pvfs_types::{FileHandle, PvfsError, PvfsResult, Region, ServerId, StripeLayout};
@@ -91,17 +91,14 @@ impl ReplicaPolicy {
         Ok(ReplicaPolicy { replicas, quorum })
     }
 
-    /// Read `PVFS_REPLICAS` / `PVFS_WRITE_QUORUM`, validated against
-    /// the cluster size. Unset variables mean "unreplicated".
+    /// Read `PVFS_REPLICAS`, validated against the cluster size, with
+    /// every copy acknowledging a write. Unset means "unreplicated".
     pub fn from_env(n_servers: u32) -> PvfsResult<ReplicaPolicy> {
         let replicas = match pvfs_types::env::lookup("PVFS_REPLICAS") {
             Some(v) => parse_replicas(&v, n_servers)?,
             None => 1,
         };
-        let quorum = match pvfs_types::env::lookup("PVFS_WRITE_QUORUM") {
-            Some(v) => parse_quorum(&v)?,
-            None => WriteQuorum::All,
-        };
+        let quorum = WriteQuorum::All;
         Ok(ReplicaPolicy { replicas, quorum })
     }
 
@@ -146,17 +143,6 @@ fn check_replicas(r: u32, n_servers: u32, s: &str) -> PvfsResult<()> {
         )));
     }
     Ok(())
-}
-
-/// Parse `PVFS_WRITE_QUORUM`: `all` or `majority`.
-pub fn parse_quorum(s: &str) -> PvfsResult<WriteQuorum> {
-    match s.trim().to_ascii_lowercase().as_str() {
-        "all" => Ok(WriteQuorum::All),
-        "majority" => Ok(WriteQuorum::Majority),
-        _ => Err(PvfsError::config(format!(
-            "PVFS_WRITE_QUORUM: expected \"all\" or \"majority\", got {s:?}"
-        ))),
-    }
 }
 
 /// One copy of one stripe slot: where it lives and how to address it.
@@ -454,8 +440,7 @@ mod tests {
 
     #[test]
     fn parse_rejects_zero_empty_junk_and_oversubscription() {
-        // Satellite: typed PvfsError::Config for every malformed
-        // setting, mirroring the PVFS_AGGREGATORS tests.
+        // A typed PvfsError::Config for every malformed setting.
         for bad in ["0", "", " ", "two", "-1", "1.5"] {
             let msg = config_err(parse_replicas(bad, 4).unwrap_err());
             assert!(msg.contains("PVFS_REPLICAS"), "{msg}");
@@ -464,14 +449,8 @@ mod tests {
         assert!(msg.contains("exceeds the 4"), "{msg}");
         let msg = config_err(parse_replicas("9999", 4).unwrap_err());
         assert!(msg.contains("PVFS_REPLICAS"), "{msg}");
-        for bad in ["", "most", "2", "ALL OF THEM"] {
-            let msg = config_err(parse_quorum(bad).unwrap_err());
-            assert!(msg.contains("PVFS_WRITE_QUORUM"), "{msg}");
-        }
-        // The happy paths parse (case-insensitively for the quorum).
+        // The happy path parses.
         assert_eq!(parse_replicas(" 3 ", 4).unwrap(), 3);
-        assert_eq!(parse_quorum("all").unwrap(), WriteQuorum::All);
-        assert_eq!(parse_quorum("Majority").unwrap(), WriteQuorum::Majority);
         assert!(ReplicaPolicy::new(0, WriteQuorum::All, 4).is_err());
         assert!(ReplicaPolicy::new(5, WriteQuorum::All, 4).is_err());
     }

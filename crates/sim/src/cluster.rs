@@ -374,6 +374,10 @@ impl<'a, 'u> Engine<'a, 'u> {
                 self.queue.push(t, Ev::Step(c));
                 Ok(())
             }
+            // No cost model prices a collective's exchange yet.
+            Some(Step::Exchange(_)) => Err(PvfsError::invalid(format!(
+                "client {c}'s plan holds an exchange, which the simulator does not price"
+            ))),
         }
     }
 

@@ -36,7 +36,7 @@ pub struct Var {
 
 /// Every variable the program reads, in the order README's table lists
 /// them.
-pub const VARS: [Var; 10] = [
+pub const VARS: [Var; 8] = [
     Var {
         name: "PVFS_TRANSPORT",
         grammar: "chan|tcp",
@@ -57,13 +57,6 @@ pub const VARS: [Var; 10] = [
         default: "attempts=4,base=1ms,cap=100ms,budget=30s",
         meaning: "Client retry policy: bounded attempts, decorrelated-jitter backoff, per-op budget. Only idempotent (data) requests are retried.",
         malformed: "atempts=3",
-    },
-    Var {
-        name: "PVFS_AGGREGATORS",
-        grammar: "positive integer",
-        default: "unset (one per I/O daemon)",
-        meaning: "Collective aggregator count; clamped to `min(daemons, ranks)`. The ROMIO `cb_nodes` hint.",
-        malformed: "0",
     },
     Var {
         name: "PVFS_STORAGE",
@@ -99,13 +92,6 @@ pub const VARS: [Var; 10] = [
         default: "1",
         meaning: "r-way stripe mirroring: copy *j* of slot *s* on daemon `(base+s+j) mod n`. `1` = the paper's single-owner striping, byte-identical. See Replication.",
         malformed: "0",
-    },
-    Var {
-        name: "PVFS_WRITE_QUORUM",
-        grammar: "all|majority",
-        default: "all",
-        meaning: "Acks a replicated write needs before success; `majority` (⌊r/2⌋+1) keeps writes available with a minority of daemons down, at the price of divergence for `scrub` to repair.",
-        malformed: "most",
     },
 ];
 
@@ -221,7 +207,14 @@ mod tests {
         }
         // A variable this program used to read is a stranger like any
         // other: a stale setting must not pass for one that took effect.
-        for stale in ["PVFS_HEDGE", "PVFS_CB_BUFFER", "PVFS_BREAKER"] {
+        let stale_names = [
+            "PVFS_HEDGE",
+            "PVFS_CB_BUFFER",
+            "PVFS_BREAKER",
+            "PVFS_AGGREGATORS",
+            "PVFS_WRITE_QUORUM",
+        ];
+        for stale in stale_names {
             let rejected = check_names(env(&["PVFS_TRACE", stale])).unwrap_err();
             assert!(
                 rejected.contains(&format!("{stale} is not one")),
@@ -231,9 +224,9 @@ mod tests {
     }
 
     #[test]
-    fn the_table_has_ten_distinct_well_formed_rows() {
+    fn the_table_has_eight_distinct_well_formed_rows() {
         let names: std::collections::HashSet<_> = VARS.iter().map(|var| var.name).collect();
-        assert_eq!(names.len(), 10);
+        assert_eq!(names.len(), 8);
         for var in &VARS {
             assert!(var.name.starts_with(PREFIX), "{var:?}");
             for text in [var.grammar, var.default, var.meaning, var.malformed] {

@@ -391,14 +391,6 @@ macro_rules! ledger {
                 }
             }
 
-            /// Add `other` in (the sum of several endpoints, or of
-            /// several runs): counters and histograms accumulate; gauges
-            /// describe one moment of one ledger and are left alone.
-            pub fn absorb(&mut self, other: &Self) {
-                $(self.$c += other.$c;)*
-                $(self.$h.merge(&other.$h);)*
-            }
-
             /// The snapshot as one JSON object, a member per metric in
             /// wire order (no external deps; the schema is documented in
             /// README § Observability).

@@ -2,10 +2,9 @@
 //! the parsers that live with the types they produce, and README's
 //! table rendered from it.
 
-use pvfs::collective::config::parse_aggregators;
 use pvfs::disk::{StorageConfig, SyncPolicy};
 use pvfs::net::{FaultPlan, RetryPolicy, TransportKind};
-use pvfs::replica::{parse_quorum, parse_replicas};
+use pvfs::replica::parse_replicas;
 use pvfs::types::env::{Var, VARS};
 use pvfs::types::TraceMode;
 
@@ -16,13 +15,11 @@ fn accepted(name: &str, value: &str) -> bool {
         "PVFS_TRANSPORT" => TransportKind::parse(value).is_some(),
         "PVFS_FAULTS" => FaultPlan::parse(value).is_ok(),
         "PVFS_RETRY" => RetryPolicy::parse(value).is_ok(),
-        "PVFS_AGGREGATORS" => parse_aggregators(value).is_ok(),
         "PVFS_STORAGE" => StorageConfig::parse(value, SyncPolicy::Never).is_ok(),
         "PVFS_SYNC" => SyncPolicy::parse(value).is_ok(),
         "PVFS_STATS" => pvfs::net::live::parse_stats(value).is_ok(),
         "PVFS_TRACE" => TraceMode::parse(value).is_ok(),
         "PVFS_REPLICAS" => parse_replicas(value, 8).is_ok(),
-        "PVFS_WRITE_QUORUM" => parse_quorum(value).is_ok(),
         other => panic!("{other} is in the table and has no parser here"),
     }
 }
