@@ -2,11 +2,10 @@
 //!
 //! The plan runner ([`crate::Runner`]) moves every byte of both of its
 //! drivers — the live threaded cluster and the discrete-event simulator
-//! — through these functions, so the data-movement convention is
-//! defined in exactly one place and matches the I/O daemon's: *for each
-//! file region in request order, for each stripe segment owned by the
-//! addressed server in logical order*, bytes are consumed from (writes)
-//! or delivered to (reads) the op's [`Target`].
+//! — through these functions: a server's share of an op is consumed
+//! from (writes) or delivered to (reads) the op's [`Target`] in the
+//! order [`ShapeRef::on_slot`](pvfs_proto::ShapeRef::on_slot) walks it,
+//! the order the I/O daemon reads and writes it in.
 //!
 //! The planners guarantee a wire op is only addressed to servers that
 //! own at least one byte of it; these helpers tolerate zero-share ops
@@ -122,12 +121,10 @@ pub(crate) fn pieces(space: Space, map: &PieceMap, file: Region, mut f: impl FnM
 }
 
 /// Call `f` with each slice of client memory that stripe slot `slot`'s
-/// share of `op` streams through, in wire order (each region in request
-/// order, each of the slot's segments of it in logical order — the
-/// daemon's convention); returns how many contiguous
-/// memory fragments that is — the unit the client cost model charges
-/// per-fragment processing for. A pieces target pays per slice, a
-/// window streams contiguously: one fragment per op.
+/// share of `op` streams through, in wire order; returns how many
+/// contiguous memory fragments that is — the unit the client cost model
+/// charges per-fragment processing for. A pieces target pays per slice,
+/// a window streams contiguously: one fragment per op.
 fn for_each_share_slice(
     op: &OpKind,
     layout: &StripeLayout,
@@ -136,13 +133,11 @@ fn for_each_share_slice(
 ) -> u64 {
     let target = &op.target;
     let mut slices = 0u64;
-    for region in op.shape.view().regions() {
-        for seg in layout.segments(region).filter(|seg| seg.slot == slot) {
-            for_each_slice(target, seg.logical, |s| {
-                slices += 1;
-                f(s)
-            });
-        }
+    for seg in op.shape.view().on_slot(layout, slot) {
+        for_each_slice(target, seg.logical, |s| {
+            slices += 1;
+            f(s)
+        });
     }
     match target {
         Target::Pieces(_) | Target::TempPieces { .. } => slices,
@@ -155,8 +150,8 @@ pub fn server_share(op: &OpKind, layout: &StripeLayout, server: ServerId) -> u64
     let Some(slot) = layout.slot_of_server(server) else {
         return 0;
     };
-    let regions = op.shape.view().regions();
-    regions.map(|r| layout.bytes_on_slot(r, slot)).sum()
+    let share = op.shape.view().share(layout, slot, u64::MAX);
+    share.map_or(u64::MAX, |(bytes, _)| bytes)
 }
 
 /// `server`'s share of `op`, in bytes, if it can move straight between
@@ -168,15 +163,12 @@ pub fn direct_share(op: &OpKind, layout: &StripeLayout, server: ServerId) -> u64
         return 0;
     };
     // No fragment is longer than its file region: short ones settle it.
-    let regions = || op.shape.view().regions();
-    if regions().all(|r| r.len < DIRECT_FRAGMENT) {
+    if op.shape.view().regions().all(|r| r.len < DIRECT_FRAGMENT) {
         return 0;
     }
     let (mut share, mut fragments, mut ascending) = (0, 0, true);
-    for r in regions() {
-        for seg in layout.segments(r).filter(|seg| seg.slot == slot) {
-            (share, fragments) = (share + seg.logical.len, fragments + 1);
-        }
+    for seg in op.shape.view().on_slot(layout, slot) {
+        (share, fragments) = (share + seg.logical.len, fragments + 1);
     }
     // A fragment a segment, each further on, unless the memory list cuts
     // one: only then are the fragments walked.
@@ -566,9 +558,10 @@ mod tests {
             target: pieces_target(&[(0, 40)], &[(5, 40)]),
         };
         let mut total = 0;
-        for (slot, server) in l.servers().enumerate() {
+        for slot in 0..l.pcount {
+            let server = l.server_at_slot(slot);
             let share = server_share(&op, &l, server);
-            assert_eq!(share, l.bytes_on_slot(region, slot as u32), "{server}");
+            assert_eq!(share, l.bytes_on_slot(region, slot), "{server}");
             total += share;
         }
         assert_eq!(server_share(&op, &l, ServerId(0)), 10);

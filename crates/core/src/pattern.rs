@@ -16,7 +16,7 @@
 
 use crate::method::MethodConfig;
 use crate::plan::{AccessPlan, IoKind, Item, Steps, Walk};
-use crate::planutil::{CappedChunks, Servers};
+use crate::planutil::{servers_for, CappedChunks, Servers};
 use crate::request::ListRequest;
 use pvfs_proto::VectorRun;
 use pvfs_types::{FileHandle, PieceMap, PvfsResult, Region, StripeLayout};
@@ -47,60 +47,18 @@ pub fn compress_runs(regions: &[Region]) -> Vec<VectorRun> {
     runs
 }
 
-/// Mark the slots (servers) a run touches. Uses a closed form when the
-/// stride is stripe-aligned (the slot sequence is then periodic), and
-/// falls back to walking the regions with early exit otherwise.
-fn mark_run_servers(run: &VectorRun, layout: &StripeLayout, servers: &mut Servers) {
-    let p = layout.pcount as u64;
-    let ssize = layout.ssize;
-    // Stripes spanned by one block (constant when stride % ssize == 0).
-    if run.stride.is_multiple_of(ssize) {
-        let first_stripe = run.base / ssize;
-        let last_stripe = (run.base + run.blocklen - 1) / ssize;
-        let block_stripes = last_stripe - first_stripe + 1;
-        if block_stripes >= p {
-            *servers = Servers::all(layout);
-            return;
-        }
-        let k = run.stride / ssize; // slot advance per block
-                                    // The slot sequence (first_stripe + i*k) mod p repeats with
-                                    // period p / gcd(p, k) ≤ p: visiting p blocks covers every slot
-                                    // the run will ever touch.
-        let distinct = run.count.min(p);
-        for i in 0..distinct {
-            let s0 = (first_stripe + i * k) % p;
-            for b in 0..block_stripes {
-                servers.mark(((s0 + b) % p) as usize);
-            }
-        }
-        return;
-    }
-    // Irregular stride: walk regions, early-exit once all slots marked.
-    for region in run.regions() {
-        let first = layout.stripe_index(region.offset);
-        let last = layout.stripe_index(region.end() - 1);
-        if last - first + 1 >= p {
-            *servers = Servers::all(layout);
-            return;
-        }
-        for g in first..=last {
-            if servers.mark((g % p) as usize) && servers.len() == layout.pcount as usize {
-                return;
-            }
-        }
-    }
-}
-
-/// Servers touched by a chunk of runs, in slot order.
+/// Servers touched by a chunk of runs, in slot order: [`servers_for`]
+/// over each run's blocks — only the first `pcount` of them when the
+/// stride is whole stripes, because block i + pcount then lands on block
+/// i's slots.
 pub(crate) fn chunk_servers(runs: &[VectorRun], layout: &StripeLayout) -> Servers {
-    let mut servers = Servers::none(layout);
-    for run in runs {
-        mark_run_servers(run, layout, &mut servers);
-        if servers.len() == layout.pcount as usize {
-            break;
-        }
-    }
-    servers
+    let pcount = u64::from(layout.pcount);
+    let blocks = runs.iter().flat_map(|run| {
+        let periodic = run.stride.is_multiple_of(layout.ssize);
+        let count = run.count.min(if periodic { pcount } else { u64::MAX });
+        (0..count).map(|i| run.region(i))
+    });
+    servers_for(layout, blocks)
 }
 
 /// Compile a datatype-I/O plan.
@@ -209,13 +167,18 @@ mod tests {
         assert_eq!(tb.rounds, 1);
     }
 
-    /// The slots `run` marks, one flag each.
+    /// The slots `run` touches, one flag each.
     fn marked(run: &VectorRun, l: &StripeLayout) -> Vec<bool> {
-        let mut servers = Servers::none(l);
-        mark_run_servers(run, l, &mut servers);
-        let touched: Vec<_> = servers.collect();
+        let touched: Vec<_> = chunk_servers(&[*run], l).collect();
         (0..l.pcount)
             .map(|slot| touched.contains(&l.server_at_slot(slot)))
+            .collect()
+    }
+
+    /// The slots holding a byte of one of `run`'s blocks, one flag each.
+    fn holding(run: &VectorRun, l: &StripeLayout) -> Vec<bool> {
+        (0..l.pcount)
+            .map(|slot| run.regions().any(|r| l.bytes_on_slot(r, slot) > 0))
             .collect()
     }
 
@@ -255,19 +218,11 @@ mod tests {
             count: 5,
         };
         let l = layout();
-        let marked = marked(&run, &l);
-        // Oracle via explicit expansion.
-        let mut oracle = vec![false; 4];
-        for r in run.regions() {
-            for s in l.servers_touched(r) {
-                oracle[s.index()] = true;
-            }
-        }
-        assert_eq!(marked, oracle);
+        assert_eq!(marked(&run, &l), holding(&run, &l));
     }
 
     #[test]
-    fn mark_run_servers_matches_oracle_for_many_runs() {
+    fn chunk_servers_matches_oracle_for_many_runs() {
         let l = StripeLayout::new(0, 8, 16).unwrap();
         for (base, blocklen, stride, count) in [
             (0u64, 4u64, 16u64, 10u64),
@@ -283,14 +238,7 @@ mod tests {
                 stride,
                 count,
             };
-            let marked = marked(&run, &l);
-            let mut oracle = vec![false; 8];
-            for r in run.regions() {
-                for s in l.servers_touched(r) {
-                    oracle[s.index()] = true;
-                }
-            }
-            assert_eq!(marked, oracle, "run {run:?}");
+            assert_eq!(marked(&run, &l), holding(&run, &l), "run {run:?}");
         }
     }
 

@@ -243,17 +243,25 @@ mod tests {
         StripeLayout::new(0, 4, 10).unwrap()
     }
 
+    /// A region touches exactly the slots that hold a byte of it: none
+    /// for an empty one, all of them once it spans `pcount` stripes, and
+    /// a set that wraps past the last slot in slot order.
     #[test]
-    fn servers_for_matches_servers_touched() {
+    fn servers_for_is_the_slots_holding_bytes() {
         let l = layout();
-        for (off, len) in [(0u64, 5u64), (5, 10), (0, 40), (30, 20), (95, 3)] {
+        for (off, len) in [(0u64, 5u64), (5, 10), (0, 40), (0, 0), (30, 20), (95, 3)] {
             let r = Region::new(off, len);
+            let holding = (0..l.pcount).filter(|&slot| l.bytes_on_slot(r, slot) > 0);
             assert_eq!(
                 servers_for(&l, [r]).collect::<Vec<_>>(),
-                l.servers_touched(r),
+                holding
+                    .map(|slot| l.server_at_slot(slot))
+                    .collect::<Vec<_>>(),
                 "region {r}"
             );
         }
+        let wrapping = servers_for(&l, [Region::new(30, 20)]);
+        assert_eq!(wrapping.collect::<Vec<_>>(), [ServerId(0), ServerId(3)]);
     }
 
     #[test]

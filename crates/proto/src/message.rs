@@ -11,9 +11,9 @@
 //! offsets onto its local file without consulting the manager.
 //!
 //! For writes the client sends each I/O daemon *only the bytes that
-//! daemon owns*, concatenated in logical/list order; for reads each
-//! daemon replies with its own bytes in the same order
-//! (`pvfs_core::exec::server_share` is that convention).
+//! daemon owns*, concatenated in wire order; for reads each daemon
+//! replies with its own bytes in the same order ([`ShapeRef::on_slot`]
+//! is that convention).
 //!
 //! Each row of the table is one message: its variant, its fields in wire
 //! order (a field's type is its wire type), and its opcode or tag — a
@@ -24,7 +24,7 @@ use crate::codec::{wire, Tagged, REQUEST_ENVELOPE_LEN};
 use bytes::Bytes;
 use pvfs_types::{
     FileHandle, PvfsError, Region, RegionList, RequestId, Span, StatsSnapshot, StripeLayout,
-    TraceId,
+    StripeSegment, TraceId,
 };
 
 /// A strided run of file regions: `count` blocks of `blocklen` bytes
@@ -184,6 +184,43 @@ impl<'a> ShapeRef<'a> {
             let on_slot = layout.bytes_on_slot(region, slot);
             let bytes = bytes.checked_add(on_slot).filter(|&bytes| bytes <= cap)?;
             Some((bytes, held + usize::from(on_slot > 0)))
+        })
+    }
+
+    /// The stripe segments slot `slot` of `layout` holds of the regions,
+    /// in wire order: region by region, each region's segments on the
+    /// slot in logical order ([`StripeLayout::segments_on`]). This is the
+    /// share convention of list I/O (§3.3): the client sends the whole
+    /// list to each server it touches and each extracts its own pieces,
+    /// so a write's payload to the slot's server is these segments'
+    /// bytes back to back, and so is a read's reply.
+    pub fn on_slot(
+        self,
+        layout: &StripeLayout,
+        slot: u32,
+    ) -> impl Iterator<Item = StripeSegment> + 'a {
+        let layout = *layout;
+        self.regions()
+            .flat_map(move |region| layout.segments_on(region, slot))
+    }
+
+    /// [`on_slot`](Self::on_slot) as `(local offset, length)` runs of the
+    /// slot's local file. A slot packs its stripes back to back, so what
+    /// it holds of one region is one run — one lseek and one read or
+    /// write, as the PVFS iod does. Two regions' runs are never merged:
+    /// the simulator's `LocalFile` charges one access a run.
+    pub fn local_runs(
+        self,
+        layout: &StripeLayout,
+        slot: u32,
+    ) -> impl Iterator<Item = (u64, usize)> + 'a {
+        let layout = *layout;
+        self.regions().filter_map(move |region| {
+            let first = layout.segments_on(region, slot).next()?;
+            Some((
+                first.local_offset,
+                layout.bytes_on_slot(region, slot) as usize,
+            ))
         })
     }
 }
@@ -935,6 +972,19 @@ mod tests {
         assert!(ShapeRef::List(&RegionList::new()).check().is_err());
     }
 
+    /// What a slot holds of one region is one local run, however many of
+    /// its stripes the region spans; two regions' runs stay two, even
+    /// when they abut.
+    #[test]
+    fn a_slot_holds_one_run_a_region_and_never_merges_two() {
+        let l = StripeLayout::new(0, 2, 10).unwrap();
+        let runs = |shape: Shape| shape.view().local_runs(&l, 0).collect::<Vec<_>>();
+        let abutting = RegionList::from_pairs([(0, 5), (5, 5)]).unwrap();
+        assert_eq!(runs(Shape::List(abutting)), [(0, 5), (5, 5)]);
+        // [5, 25) is stripes 0, 1 and 2; slot 0 holds 0 and 2, packed.
+        assert_eq!(runs(Shape::Contiguous(Region::new(5, 20))), [(5, 10)]);
+    }
+
     /// The file a request names is rewritten in place: a data request's
     /// handle and layout, another request's handle, no file for the rest.
     #[test]
@@ -961,5 +1011,42 @@ mod tests {
         };
         assert_eq!(m.client, ClientId(3));
         assert_eq!(m.id, RequestId(9));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// A list's or runs' share on a slot is the whole segment walk of
+        /// each region filtered to the slot, region by region, and its
+        /// local runs move exactly the bytes `share` counts.
+        #[test]
+        fn on_slot_is_the_filtered_walk_and_local_runs_cover_the_share(
+            pcount in 1u32..6,
+            ssize in 1u64..40,
+            pairs in proptest::collection::vec((0u64..500, 1u64..120), 1..12),
+            blocklen in 1u64..30,
+            gap in 0u64..50,
+            count in 1u64..20,
+            slot in 0u32..7,
+        ) {
+            let l = StripeLayout::new(0, pcount, ssize).unwrap();
+            let run = |base| VectorRun { base, blocklen, stride: blocklen + gap, count };
+            let runs = [run(pairs[0].0), run(pairs[0].1)];
+            let list = RegionList::from_pairs(pairs).unwrap();
+            for shape in [ShapeRef::List(&list), ShapeRef::Vectors(&runs)] {
+                let walked: Vec<_> = shape
+                    .regions()
+                    .flat_map(|r| l.segments(r).filter(|s| s.slot == slot))
+                    .collect();
+                prop_assert_eq!(shape.on_slot(&l, slot).collect::<Vec<_>>(), walked);
+                let (bytes, _) = shape.share(&l, slot, u64::MAX).unwrap();
+                let moved: usize = shape.local_runs(&l, slot).map(|(_, len)| len).sum();
+                prop_assert_eq!(moved as u64, bytes);
+            }
+        }
     }
 }

@@ -463,8 +463,8 @@ impl IoDaemon {
     }
 
     /// Serve a read: gather this server's share of the request's regions
-    /// — concatenated in request order, the convention of
-    /// `pvfs_core::exec::server_share` — from the handle's local file into the
+    /// — in the order [`ShapeRef::on_slot`] walks it, a run at a time
+    /// ([`ShapeRef::local_runs`]) — from the handle's local file into the
     /// scratch's read buffer, the front of which becomes the `Data` reply
     /// as is: every run read straight into its place.
     ///
@@ -494,11 +494,7 @@ impl IoDaemon {
         // One storage:read span per traced request; a no-op when no sink
         // is active on this thread.
         let started = now_ns();
-        let runs = io
-            .shape
-            .regions()
-            .flat_map(|r| local_runs(io.layout, slot, r));
-        for (at, len) in runs {
+        for (at, len) in io.shape.local_runs(io.layout, slot) {
             file.read_append(at, len, out)?;
         }
         drop(shard);
@@ -521,7 +517,7 @@ impl IoDaemon {
     }
 
     /// Serve a write: the payload is this server's share of the
-    /// request's regions, concatenated in request order. Every region's
+    /// request's regions, in the same order as a read's. Every region's
     /// local runs are planned first and committed as ONE batch: on the
     /// durable backend a whole ⌈n/64⌉-region list write is a single
     /// journal record, all-or-nothing across a crash. The share is
@@ -540,11 +536,9 @@ impl IoDaemon {
         };
         let mut consumed = 0usize;
         let mut runs = scratch.take_runs(owned);
-        for region in io.shape.regions() {
-            for (at, len) in local_runs(io.layout, slot, region) {
-                runs.push((at, &data[consumed..consumed + len]));
-                consumed += len;
-            }
+        for (at, len) in io.shape.local_runs(io.layout, slot) {
+            runs.push((at, &data[consumed..consumed + len]));
+            consumed += len;
         }
         let applied = self.apply(io.handle, &runs);
         scratch.put_runs(runs);
@@ -643,30 +637,6 @@ impl IoDaemon {
             }
         }
     }
-}
-
-/// `slot`'s local runs of one logical region, in logical order, as
-/// `(local offset, length)`. Consecutive stripes a slot owns are packed
-/// back to back in its local file, so a logical region spanning many of
-/// them is a *single* local access (one lseek + read or write), exactly as
-/// the PVFS iod does. Reads and writes both walk a region this way.
-fn local_runs(
-    layout: &StripeLayout,
-    slot: u32,
-    region: Region,
-) -> impl Iterator<Item = (u64, usize)> + '_ {
-    let mut segments = layout
-        .segments(region)
-        .filter(move |s| s.slot == slot)
-        .peekable();
-    std::iter::from_fn(move || {
-        let first = segments.next()?;
-        let (at, mut len) = (first.local_offset, first.logical.len);
-        while let Some(next) = segments.next_if(|s| s.local_offset == at + len) {
-            len += next.logical.len;
-        }
-        Some((at, len as usize))
-    })
 }
 
 #[cfg(test)]

@@ -122,10 +122,7 @@ impl SimCluster {
     /// slot holds.
     pub fn seed_extent(&mut self, handle: FileHandle, layout: &StripeLayout, len: u64) {
         for slot in 0..layout.pcount {
-            let last = layout
-                .segments(Region::new(0, len))
-                .filter(|s| s.slot == slot)
-                .last();
+            let last = layout.segments_on(Region::new(0, len), slot).last();
             if let Some(seg) = last {
                 self.seed(handle, layout, Region::new(seg.logical.end() - 1, 1), &[0]);
             }
@@ -139,8 +136,7 @@ impl SimCluster {
     fn seed(&mut self, handle: FileHandle, layout: &StripeLayout, region: Region, content: &[u8]) {
         for slot in 0..layout.pcount {
             let share: Vec<u8> = layout
-                .segments(region)
-                .filter(|s| s.slot == slot)
+                .segments_on(region, slot)
                 .flat_map(|s| {
                     let at = (s.logical.offset - region.offset) as usize;
                     &content[at..at + s.logical.len as usize]

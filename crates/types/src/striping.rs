@@ -102,11 +102,6 @@ impl StripeLayout {
         (slot < self.pcount).then_some(slot)
     }
 
-    /// All servers this layout can touch.
-    pub fn servers(&self) -> impl Iterator<Item = ServerId> + '_ {
-        (0..self.pcount).map(|s| self.server_at_slot(s))
-    }
-
     /// Map a logical offset to `(server, local offset)`.
     ///
     /// Stripes owned by a slot are packed contiguously in local-file
@@ -135,32 +130,32 @@ impl StripeLayout {
     /// Decompose a logical region into stripe-aligned segments, each
     /// entirely owned by one server. Segments come out in logical-offset
     /// order.
-    pub fn segments(&self, region: Region) -> SegmentIter<'_> {
+    pub fn segments(&self, region: Region) -> SegmentIter {
         SegmentIter {
-            layout: self,
+            layout: *self,
             cursor: region.offset,
             end: region.end(),
+            step: 1,
         }
     }
 
-    /// The set of distinct servers a logical region touches, in slot
-    /// order. A contiguous PVFS request is sent to exactly these servers;
-    /// each extracts its own stripes.
-    pub fn servers_touched(&self, region: Region) -> Vec<ServerId> {
-        if region.is_empty() {
-            return Vec::new();
+    /// The [`segments`](Self::segments) of `region` that `slot` owns, in
+    /// logical order: the walk steps from one of the slot's stripes
+    /// straight to its next, so it costs the stripes the slot holds, not
+    /// every stripe the region spans. A slot outside the layout holds
+    /// nothing.
+    pub fn segments_on(&self, region: Region, slot: u32) -> SegmentIter {
+        let (p, first) = (u64::from(self.pcount), self.stripe_index(region.offset));
+        // The slot's first stripe at or after the region's first one.
+        let g = first.checked_add((u64::from(slot) + p - first % p) % p);
+        let start = g.and_then(|g| g.checked_mul(self.ssize));
+        let cursor = start.filter(|_| slot < self.pcount);
+        SegmentIter {
+            layout: *self,
+            cursor: cursor.map_or(region.end(), |at| at.max(region.offset)),
+            end: region.end(),
+            step: p,
         }
-        let stripes = self.stripe_index(region.end() - 1) - self.stripe_index(region.offset) + 1;
-        if stripes >= self.pcount as u64 {
-            return self.servers().collect();
-        }
-        let first = self.stripe_index(region.offset);
-        let mut slots: Vec<u32> = (0..stripes)
-            .map(|i| ((first + i) % self.pcount as u64) as u32)
-            .collect();
-        slots.sort_unstable();
-        slots.dedup();
-        slots.into_iter().map(|s| self.server_at_slot(s)).collect()
     }
 
     /// Bytes of `region` stored on `slot`, in O(1) whatever the region's
@@ -206,28 +201,35 @@ pub struct StripeSegment {
 }
 
 /// Iterator over [`StripeSegment`]s of a region. See
-/// [`StripeLayout::segments`].
-pub struct SegmentIter<'a> {
-    layout: &'a StripeLayout,
+/// [`StripeLayout::segments`] and [`StripeLayout::segments_on`].
+pub struct SegmentIter {
+    layout: StripeLayout,
     cursor: u64,
     end: u64,
+    /// Stripes from one segment's to the next's: 1, or `pcount` for one
+    /// slot's.
+    step: u64,
 }
 
-impl Iterator for SegmentIter<'_> {
+impl Iterator for SegmentIter {
     type Item = StripeSegment;
 
     fn next(&mut self) -> Option<StripeSegment> {
         if self.cursor >= self.end {
             return None;
         }
-        let l = self.layout;
+        let l = &self.layout;
+        let g = l.stripe_index(self.cursor);
         // The last stripe of the offset space ends past `u64::MAX`.
-        let stripe_end = (l.stripe_index(self.cursor) + 1).checked_mul(l.ssize);
+        let stripe_end = (g + 1).checked_mul(l.ssize);
         let seg_end = stripe_end.map_or(self.end, |end| end.min(self.end));
         let logical = Region::new(self.cursor, seg_end - self.cursor);
         let (server, local_offset) = l.to_local(self.cursor);
         let slot = l.slot_of(self.cursor);
-        self.cursor = seg_end;
+        let next = g
+            .checked_add(self.step)
+            .and_then(|n| n.checked_mul(l.ssize));
+        self.cursor = next.unwrap_or(self.end);
         Some(StripeSegment {
             slot,
             server,
@@ -330,24 +332,6 @@ mod tests {
     fn segments_of_empty_region() {
         let l = layout(3, 10);
         assert_eq!(l.segments(Region::new(5, 0)).count(), 0);
-    }
-
-    #[test]
-    fn servers_touched_small_and_large() {
-        let l = layout(4, 10);
-        assert_eq!(l.servers_touched(Region::new(0, 5)), vec![ServerId(0)]);
-        assert_eq!(
-            l.servers_touched(Region::new(5, 10)),
-            vec![ServerId(0), ServerId(1)]
-        );
-        // Spans >= pcount stripes: all servers.
-        assert_eq!(l.servers_touched(Region::new(0, 40)).len(), 4);
-        assert_eq!(l.servers_touched(Region::new(0, 0)), vec![]);
-        // Wrapping subset: stripes 3 and 4 are slots 3 and 0.
-        assert_eq!(
-            l.servers_touched(Region::new(30, 20)),
-            vec![ServerId(0), ServerId(3)]
-        );
     }
 
     #[test]
@@ -472,18 +456,22 @@ mod proptests {
             prop_assert_eq!(l.bytes_on_slot(r, slot), walked);
         }
 
+        /// One slot's walk is the whole walk filtered to that slot, for
+        /// any slot (one outside the layout holds nothing), at the
+        /// bottom of the offset space and at its top.
         #[test]
-        fn servers_touched_matches_segments(
+        fn segments_on_is_the_filtered_walk(
             l in arb_layout(),
             off in 0u64..1_000_000,
-            len in 1u64..200_000,
+            len in 0u64..300_000,
+            slot in 0u32..17,
+            top in any::<bool>(),
         ) {
-            let r = Region::new(off, len);
-            let mut via_segments: Vec<ServerId> =
-                l.segments(r).map(|s| s.server).collect();
-            via_segments.sort_unstable();
-            via_segments.dedup();
-            prop_assert_eq!(l.servers_touched(r), via_segments);
+            // At the top, the region ends in the last `ssize` bytes.
+            let at = if top { u64::MAX - len - off % l.ssize } else { off };
+            let r = Region::new(at, len);
+            let filtered: Vec<_> = l.segments(r).filter(|s| s.slot == slot).collect();
+            prop_assert_eq!(l.segments_on(r, slot).collect::<Vec<_>>(), filtered);
         }
 
         #[test]

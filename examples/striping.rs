@@ -7,6 +7,7 @@
 //! ```
 
 use pvfs::client::PvfsFile;
+use pvfs::core::planutil::servers_for;
 use pvfs::net::LiveCluster;
 use pvfs::types::{Region, StripeLayout};
 
@@ -39,12 +40,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let big = Region::new(0, 512 * 1024);
         println!(
             "  150 B access touches {:?}; 512 KiB access touches {} servers",
-            layout
-                .servers_touched(small)
-                .iter()
+            servers_for(&layout, [small])
                 .map(|s| s.0)
                 .collect::<Vec<_>>(),
-            layout.servers_touched(big).len()
+            servers_for(&layout, [big]).len()
         );
         println!();
     }
