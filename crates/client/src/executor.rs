@@ -66,7 +66,7 @@ impl OpStream for Stretch<'_, '_> {
             .then(|| direct_share(&wire.op, &self.layout, wire.server));
         let ticket = (wire, direct.unwrap_or(0) as usize);
         let (lent, client) = (self.lent(&ticket), self.client);
-        let spare = |room| client.payload_buffer(room);
+        let spare = |room| client.endpoint().payload_buffer(room);
         let (request, _) = self.runner.request(&ticket.0, lent, spare);
         Some((ticket.0.server.into(), request, ticket))
     }

@@ -123,8 +123,11 @@ impl PvfsFile {
         self.layout
     }
 
-    /// The client endpoint this file's RPCs go through (its tracer,
-    /// health tracker, and counters are this handle's diagnostics).
+    /// The client this file was created or opened with: its RPCs run
+    /// under that client's policies, and its tracer, health tracker and
+    /// counters are this handle's diagnostics. For another deadline,
+    /// open the file through a re-tuned clone
+    /// (`client.clone().with_endpoint(|e| e.with_rpc_timeout(t))`).
     pub fn client(&self) -> &ClusterClient {
         &self.client
     }
@@ -140,33 +143,6 @@ impl PvfsFile {
         &self.config
     }
 
-    /// Set the per-RPC deadline for this file's metadata and data calls.
-    ///
-    /// A file inherits the deadline of the client it was created or
-    /// opened with (default [`pvfs_net::DEFAULT_RPC_TIMEOUT`]); this
-    /// overrides it for subsequent operations on this handle only.
-    pub fn set_rpc_timeout(&mut self, timeout: std::time::Duration) {
-        self.client = self.client.clone().with_rpc_timeout(timeout);
-    }
-
-    /// The per-RPC deadline currently in force for this file.
-    pub fn rpc_timeout(&self) -> std::time::Duration {
-        self.client.rpc_timeout()
-    }
-
-    /// Set the retry policy for this file's RPCs — how many attempts,
-    /// how much backoff, and how large a per-op time budget transient
-    /// failures get before they surface. `RetryPolicy::none()` fails
-    /// fast on the first error.
-    pub fn set_retry_policy(&mut self, policy: pvfs_net::RetryPolicy) {
-        self.client = self.client.clone().with_retry_policy(policy);
-    }
-
-    /// The retry policy currently in force for this file.
-    pub fn retry_policy(&self) -> pvfs_net::RetryPolicy {
-        self.client.retry_policy()
-    }
-
     /// The logical file size, computed from the I/O daemons' local file
     /// sizes — the manager stays off the data path.
     ///
@@ -176,7 +152,7 @@ impl PvfsFile {
     /// copy is enough to answer — the call only fails when every copy of
     /// some slot is unreachable.
     pub fn size(&self) -> PvfsResult<u64> {
-        let replica = self.client.replica_map().clone();
+        let replica = self.client.endpoint().replica_map().clone();
         let mut size = 0u64;
         for slot in 0..self.layout.pcount {
             let mut local = None;
@@ -217,7 +193,7 @@ impl PvfsFile {
     /// slot acknowledged, so a single dead daemon does not block a
     /// majority-quorum sync (its copy is healed by `scrub` later).
     pub fn sync(&self) -> PvfsResult<u64> {
-        let replica = self.client.replica_map().clone();
+        let replica = self.client.endpoint().replica_map().clone();
         let required = replica.policy().required();
         let mut durable = 0u64;
         for slot in 0..self.layout.pcount {

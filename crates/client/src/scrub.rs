@@ -53,7 +53,7 @@ pub fn scrub_file_with_chunk(
     if chunk == 0 {
         return Err(PvfsError::invalid("scrub chunk must be nonzero"));
     }
-    let map = client.replica_map().clone();
+    let map = client.endpoint().replica_map().clone();
     let mut report = ScrubReport::default();
     if !map.policy().enabled() {
         return Ok(report);
@@ -151,7 +151,7 @@ pub fn replicas_converged(
     layout: &StripeLayout,
     chunk: u64,
 ) -> PvfsResult<bool> {
-    let map = client.replica_map().clone();
+    let map = client.endpoint().replica_map().clone();
     if !map.policy().enabled() {
         return Ok(true);
     }

@@ -107,8 +107,7 @@ fn read_against(script: Vec<Reply>, attempts: u32) -> (PvfsResult<ExecReport>, V
         ..RetryPolicy::default()
     };
     let client = ClusterClient::with_transport(ClientId(1), transport, Arc::new(SerialGate::new()))
-        .with_rpc_timeout(TIMEOUT)
-        .with_retry_policy(retry);
+        .with_endpoint(|e| e.with_rpc_timeout(TIMEOUT).with_retry_policy(retry));
     let layout = StripeLayout::new(0, 1, 64 << 10).unwrap();
     let file = RegionList::from_pairs((0..4u64).map(|k| (k * 8192, 2048))).unwrap();
     let mem = RegionList::from_pairs((0..4u64).map(|k| (k * 4096 + 1024, 2048))).unwrap();

@@ -2,9 +2,11 @@
 
 use pvfs_client::PvfsFile;
 use pvfs_core::{IoKind, ListRequest, Method, MethodConfig};
-use pvfs_net::{LiveCluster, RpcTarget};
+use pvfs_net::{FaultPlan, LiveCluster, RetryPolicy, RpcTarget, DEFAULT_RPC_TIMEOUT};
 use pvfs_proto::Request;
+use pvfs_types::clock::{now_ns, since};
 use pvfs_types::{PvfsError, Region, RegionList, StripeLayout};
+use std::time::Duration;
 
 fn pattern(len: usize, salt: u8) -> Vec<u8> {
     (0..len)
@@ -427,7 +429,7 @@ fn list_io_survives_five_percent_faults_with_retries_reported() {
                 report.client.attempts >= report.requests,
                 "every wire request is at least one attempt"
             );
-            if client.replica_policy().enabled() {
+            if client.endpoint().replica_map().policy().enabled() {
                 // Under PVFS_REPLICAS>1 write fan-out ships one attempt
                 // per copy and read failovers re-aim without retrying,
                 // so attempts exceed requests by more than the retries.
@@ -448,53 +450,43 @@ fn list_io_survives_five_percent_faults_with_retries_reported() {
         total_retries > 0,
         "seeded 5% faults over {total_requests} requests must force retries"
     );
-    let max = u64::from(pvfs_net::RetryPolicy::default().max_attempts)
-        * u64::from(client.replica_policy().replicas);
+    let max = u64::from(RetryPolicy::default().max_attempts)
+        * u64::from(client.endpoint().replica_map().policy().replicas);
     assert!(
         total_attempts <= total_requests * max,
         "attempts bounded: {total_attempts} > {total_requests} * {max}"
     );
 }
 
+/// A file runs under the policies of the client it was opened with.
+/// Opened through a clone tuned to a 100 ms deadline and no retries, a
+/// read of wedged daemons fails with `Timeout` long before the default
+/// deadline, and the client the clone was taken from keeps its own.
 #[test]
-fn retry_policy_is_inherited_and_tunable_per_file() {
-    let cluster = LiveCluster::spawn(2);
+fn a_file_runs_under_the_client_it_was_opened_with() {
+    let mut cluster = LiveCluster::spawn(2);
+    // Every daemon wedged: under `PVFS_REPLICAS=2` a read fails over to
+    // the other copy.
+    cluster.inject_faults(FaultPlan {
+        wedge: 1.0,
+        ..FaultPlan::default()
+    });
     let client = cluster.client();
     let layout = StripeLayout::new(0, 2, 16).unwrap();
-    let mut f = PvfsFile::create(&client, "/pvfs/retry", layout).unwrap();
-    // A fresh client (and hence the file) starts on the PVFS_RETRY
-    // policy, defaulting to RetryPolicy::default() when unset.
-    let inherited = pvfs_net::RetryPolicy::from_env();
-    assert_eq!(f.retry_policy(), inherited);
-    f.set_retry_policy(pvfs_net::RetryPolicy::none());
-    assert_eq!(f.retry_policy().max_attempts, 1);
-    assert_eq!(client.retry_policy(), inherited);
-    // Still works with retries off (no faults to absorb).
-    f.write_at(0, b"fail-fast").unwrap();
-    let mut buf = vec![0u8; 9];
-    f.read_at(0, &mut buf).unwrap();
-    assert_eq!(&buf, b"fail-fast");
-}
-
-#[test]
-fn rpc_timeout_is_inherited_and_tunable_per_file() {
-    let cluster = LiveCluster::spawn(2);
-    let client = cluster
-        .client()
-        .with_rpc_timeout(std::time::Duration::from_secs(3));
-    let layout = StripeLayout::new(0, 2, 16).unwrap();
-    let mut f = PvfsFile::create(&client, "/pvfs/deadline", layout).unwrap();
-    // The file inherits the deadline of the client that created it...
-    assert_eq!(f.rpc_timeout(), std::time::Duration::from_secs(3));
-    // ...and can tighten it without affecting the original client.
-    f.set_rpc_timeout(std::time::Duration::from_millis(250));
-    assert_eq!(f.rpc_timeout(), std::time::Duration::from_millis(250));
-    assert_eq!(client.rpc_timeout(), std::time::Duration::from_secs(3));
-    // The file still works after retuning.
-    f.write_at(0, b"still alive").unwrap();
-    let mut buf = vec![0u8; 11];
-    f.read_at(0, &mut buf).unwrap();
-    assert_eq!(&buf, b"still alive");
+    PvfsFile::create(&client, "/pvfs/deadline", layout).unwrap();
+    let deadline = Duration::from_millis(100);
+    let tuned = client.clone().with_endpoint(|e| {
+        e.with_rpc_timeout(deadline)
+            .with_retry_policy(RetryPolicy::none())
+    });
+    let mut f = PvfsFile::open(&tuned, "/pvfs/deadline").unwrap();
+    let started = now_ns();
+    let outcome = f.read_at(0, &mut [0u8; 8]);
+    let took = since(started);
+    assert!(matches!(outcome, Err(PvfsError::Timeout(_))), "{outcome:?}");
+    assert!(took < DEFAULT_RPC_TIMEOUT / 5, "took {took:?}");
+    assert_eq!(f.client().endpoint().rpc_timeout(), deadline);
+    assert_eq!(client.endpoint().rpc_timeout(), DEFAULT_RPC_TIMEOUT);
 }
 
 /// Tracing must never touch the data path: the same strided list

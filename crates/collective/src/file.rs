@@ -98,8 +98,8 @@ impl CollectiveFile {
         &self.file
     }
 
-    /// Mutable access to the underlying handle (retry policy, method
-    /// config, independent I/O between collective calls).
+    /// Mutable access to the underlying handle (method config,
+    /// independent I/O between collective calls).
     pub fn file_mut(&mut self) -> &mut PvfsFile {
         &mut self.file
     }

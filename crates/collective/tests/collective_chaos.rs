@@ -64,11 +64,12 @@ fn two_phase_survives_faulty_tcp() {
         .into_iter()
         .zip(patterns.clone())
         .map(|(comm, pattern)| {
-            let client = cluster.client();
+            let client = cluster
+                .client()
+                .with_endpoint(|e| e.with_retry_policy(retry_hard()));
             thread::spawn(move || {
                 let rank = comm.rank();
                 let mut cf = CollectiveFile::create(&client, "/pvfs/chaos", layout, comm).unwrap();
-                cf.file_mut().set_retry_policy(retry_hard());
                 let mut ccfg = cf.collective_config();
                 ccfg.cb_buffer = 64;
                 cf.set_collective_config(ccfg);
@@ -107,9 +108,10 @@ fn two_phase_survives_faulty_tcp() {
     // read of every written record must see each rank's bytes exactly
     // once, in place.
     let extent = ranks * 64 * 32;
-    let client = cluster.client();
+    let client = cluster
+        .client()
+        .with_endpoint(|e| e.with_retry_policy(retry_hard()));
     let mut file = PvfsFile::open(&client, "/pvfs/chaos").unwrap();
-    file.set_retry_policy(retry_hard());
     let mut all = vec![0u8; extent];
     for (rank, pattern) in patterns.iter().enumerate() {
         let mem: RegionList = pattern.iter().copied().collect(); // land in place
@@ -161,10 +163,11 @@ fn faults_without_retries_fail_on_every_rank() {
         .into_iter()
         .zip(patterns)
         .map(|(comm, pattern)| {
-            let client = cluster.client();
+            let client = cluster
+                .client()
+                .with_endpoint(|e| e.with_retry_policy(RetryPolicy::none()));
             thread::spawn(move || {
                 let mut cf = CollectiveFile::create(&client, "/pvfs/flaky", layout, comm).unwrap();
-                cf.file_mut().set_retry_policy(RetryPolicy::none());
                 let data = fill(cf.comm().rank(), pattern.total_len() as usize);
                 let mem = RegionList::contiguous(0, data.len() as u64);
                 cf.write_all(&mem, &pattern, &data).is_err()

@@ -28,17 +28,15 @@
 //! even if the body is corrupt. The pump matches each reply to its
 //! flight by id ([`Pump::landed`]): a late reply is dropped, and an
 //! id-0 reply to one of several flights is a hard protocol error. Every
-//! RPC's deadline ([`ClusterClient::with_rpc_timeout`], default
+//! RPC's deadline ([`Endpoint::with_rpc_timeout`], default
 //! [`DEFAULT_RPC_TIMEOUT`]) bounds the **total** elapsed time from the
 //! moment its frame left, however many partial reads its reply takes,
 //! so a wedged server yields [`PvfsError::Timeout`] instead of hanging
 //! the client, and several wedged servers cost one timeout.
 
-use bytes::BytesMut;
 use pvfs_decide::pump::{Action, Batch, Pump, Window};
 use pvfs_decide::Endpoint;
 use pvfs_proto::{Request, Response};
-use pvfs_replica::{ReplicaMap, ReplicaPolicy};
 use pvfs_types::clock::now_ns;
 use pvfs_types::{
     ClientId, ClientStats, PvfsError, PvfsResult, ServerId, TraceId, TraceMode, TraceTree,
@@ -50,8 +48,6 @@ use std::time::Duration;
 use crate::gate::SerialGate;
 use crate::trace::{ActiveTrace, Tracer};
 use crate::transport::{Lane, RpcTarget, Transport, TransportKind, WaitError};
-use pvfs_decide::health::{BreakerPolicy, HealthTracker};
-use pvfs_decide::retry::RetryPolicy;
 
 pub use pvfs_decide::{OpStream, DEFAULT_RPC_TIMEOUT, WINDOW};
 
@@ -99,9 +95,19 @@ impl ClusterClient {
         }
     }
 
-    /// This endpoint's client id.
-    pub fn id(&self) -> ClientId {
-        self.endpoint.id()
+    /// What this client decides by: its id, its deadline, retry,
+    /// breaker and replication policies, and the per-daemon health and
+    /// books it shares with its clones.
+    pub fn endpoint(&self) -> &Endpoint {
+        &self.endpoint
+    }
+
+    /// This client with its endpoint re-tuned, say
+    /// `client.with_endpoint(|e| e.with_rpc_timeout(t))`: each policy is
+    /// set where it is kept, by [`Endpoint`]'s `with_*`.
+    pub fn with_endpoint(mut self, f: impl FnOnce(Endpoint) -> Endpoint) -> ClusterClient {
+        self.endpoint = f(self.endpoint);
+        self
     }
 
     /// Number of I/O servers reachable.
@@ -119,55 +125,11 @@ impl ClusterClient {
         &self.gate
     }
 
-    /// This endpoint with a different per-RPC deadline.
-    pub fn with_rpc_timeout(mut self, timeout: Duration) -> ClusterClient {
-        self.endpoint = self.endpoint.with_rpc_timeout(timeout);
-        self
-    }
-
-    /// The per-RPC deadline currently in force.
-    pub fn rpc_timeout(&self) -> Duration {
-        self.endpoint.rpc_timeout()
-    }
-
-    /// This endpoint with a different retry policy ([`Endpoint::with_retry_policy`]).
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> ClusterClient {
-        self.endpoint = self.endpoint.with_retry_policy(retry);
-        self
-    }
-
-    /// The retry policy currently in force.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.endpoint.retry_policy()
-    }
-
-    /// This endpoint with a fresh breaker policy ([`Endpoint::with_breaker_policy`]).
-    pub fn with_breaker_policy(mut self, policy: BreakerPolicy) -> ClusterClient {
-        self.endpoint = self.endpoint.with_breaker_policy(policy);
-        self
-    }
-
-    /// This endpoint with a replication policy ([`Endpoint::with_replica_policy`]).
-    pub fn with_replica_policy(mut self, policy: ReplicaPolicy) -> ClusterClient {
-        self.endpoint = self.endpoint.with_replica_policy(policy);
-        self
-    }
-
-    /// The stripe replication placement map in force.
-    pub fn replica_map(&self) -> &ReplicaMap {
-        self.endpoint.replica_map()
-    }
-
-    /// The replication policy in force.
-    pub fn replica_policy(&self) -> ReplicaPolicy {
-        self.endpoint.replica_map().policy()
-    }
-
     /// This endpoint with an explicit trace mode (the usual way in is
     /// `PVFS_TRACE`). Existing clones keep the tracer they were built
     /// with; clones taken after this call share the new one.
     pub fn with_trace_mode(mut self, mode: TraceMode) -> ClusterClient {
-        self.tracer = Arc::new(Tracer::new(mode, format!("client{}", self.id().0)));
+        self.tracer = Arc::new(Tracer::new(mode, format!("client{}", self.endpoint.id().0)));
         self
     }
 
@@ -200,19 +162,13 @@ impl ClusterClient {
         TraceTree::assemble(trace, spans)
     }
 
-    /// The per-daemon breakers and windows of this endpoint and all its
-    /// clones.
-    pub fn health(&self) -> &HealthTracker {
-        self.endpoint.health()
-    }
-
     /// Probe one daemon's liveness with the cheap [`Request::Ping`] RPC
     /// and return its current queue depth. The probe rides the ordinary
     /// call path on purpose: its outcome feeds the same breaker, and its
     /// round trip the same `rpc_latency`, as real traffic, so a
     /// background pinger doubles as a failure detector. A ping to an
     /// open-circuit daemon fails fast with `Unavailable` — use
-    /// [`ClusterClient::health`] to watch for the half-open window if
+    /// [`Endpoint::health`] to watch for the half-open window if
     /// you are probing for recovery.
     pub fn ping(&self, server: ServerId) -> PvfsResult<u64> {
         match self.call(RpcTarget::Server(server), Request::Ping)? {
@@ -234,20 +190,14 @@ impl ClusterClient {
         }
     }
 
-    /// A buffer to gather a write's `room`-byte payload into
-    /// ([`Endpoint::payload_buffer`]).
-    pub fn payload_buffer(&self, room: usize) -> BytesMut {
-        self.endpoint.payload_buffer(room)
-    }
-
     /// One synchronous RPC, addressed literally: `request` goes to
     /// `target` as given, whatever the replication policy (`scrub`
     /// addresses specific copies this way). Errors returned by the
     /// server come back as `Err`; no reply within the deadline is
     /// [`PvfsError::Timeout`].
-    /// Transient failures are retried under this endpoint's
-    /// [`RetryPolicy`], each attempt on a fresh request id, as the
-    /// [`Pump`] settles them.
+    /// Transient failures are retried under this endpoint's retry
+    /// policy ([`Endpoint::with_retry_policy`]), each attempt on a fresh
+    /// request id, as the [`Pump`] settles them.
     pub fn call(&self, target: RpcTarget, request: Request) -> PvfsResult<Response> {
         // Control scrapes are never traced: tracing the collection of
         // traces would perturb the very rings being observed.
@@ -404,6 +354,7 @@ mod tests {
     use crate::LiveCluster;
     use bytes::Bytes;
     use pvfs_decide::pump::attribute;
+    use pvfs_decide::{BreakerPolicy, RetryPolicy};
     use pvfs_proto::{
         decode_frame, decode_frame_id, decode_response_frame, encode_response, Frame,
     };
@@ -565,7 +516,7 @@ mod tests {
         let cluster = LiveCluster::spawn(1);
         let a = cluster.client();
         let b = cluster.client();
-        assert_ne!(a.id(), b.id());
+        assert_ne!(a.endpoint().id(), b.endpoint().id());
     }
 
     #[test]
@@ -736,13 +687,16 @@ mod tests {
             }
             held
         });
-        let c = client_over(fake_tx)
-            .with_rpc_timeout(Duration::from_millis(20))
-            .with_retry_policy(RetryPolicy::none());
+        let c = client_over(fake_tx).with_endpoint(|e| {
+            e.with_rpc_timeout(Duration::from_millis(20))
+                .with_retry_policy(RetryPolicy::none())
+        });
         // The answered writes go through a clone that waits them out: on
         // a loaded machine an answer can take longer than 20 ms. Clones
         // share the spares, which are what this test watches.
-        let patient = c.clone().with_rpc_timeout(Duration::from_secs(10));
+        let patient = c
+            .clone()
+            .with_endpoint(|e| e.with_rpc_timeout(Duration::from_secs(10)));
         let write = |i: u8, data: Bytes| Request::Write {
             handle: FileHandle(1),
             layout: layout(1),
@@ -752,7 +706,7 @@ mod tests {
         // (Ten times the client's window: every spare it keeps goes
         // round several times — `tests/alloc_budget.rs` counts that.)
         for i in 0..40u8 {
-            let mut payload = c.payload_buffer(LEN);
+            let mut payload = c.endpoint().payload_buffer(LEN);
             payload.clear();
             payload.extend_from_slice(&[i; LEN]);
             let caller = if i % 3 == 0 { &c } else { &patient };
@@ -804,9 +758,10 @@ mod tests {
             }
             heard_first
         });
-        let c = client_over_all(vec![holding_tx, lossy_tx])
-            .with_retry_policy(RetryPolicy::default())
-            .with_breaker_policy(BreakerPolicy::off());
+        let c = client_over_all(vec![holding_tx, lossy_tx]).with_endpoint(|e| {
+            e.with_retry_policy(RetryPolicy::default())
+                .with_breaker_policy(BreakerPolicy::off())
+        });
         let size = |s| {
             let handle = FileHandle(1);
             (ServerId(s), Request::GetLocalSize { handle })

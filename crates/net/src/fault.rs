@@ -328,25 +328,12 @@ impl Dice {
             rng.gen::<f64>()
         };
         let kind = self.plan.pick(u)?;
-        if let Some(limit) = self.plan.limit {
-            let mut cur = self.counts.injected.load(Ordering::Relaxed);
-            loop {
-                if cur >= limit {
-                    return None;
-                }
-                match self.counts.injected.compare_exchange(
-                    cur,
-                    cur + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => break,
-                    Err(actual) => cur = actual,
-                }
-            }
-        } else {
-            self.counts.injected.fetch_add(1, Ordering::Relaxed);
-        }
+        let limit = self.plan.limit.unwrap_or(u64::MAX);
+        let below = |n: u64| (n < limit).then_some(n + 1);
+        self.counts
+            .injected
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, below)
+            .ok()?;
         let counter = match kind {
             FaultKind::Drop => &self.counts.drops,
             FaultKind::Delay => &self.counts.delays,

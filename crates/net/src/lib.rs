@@ -10,7 +10,7 @@
 //!   [`Transport`]s, in-process channels ([`transport`]) or TCP
 //!   ([`tcp`]), chosen by `PVFS_TRANSPORT`; seeded fault injection
 //!   ([`fault`], `PVFS_FAULTS`); the [`SerialGate`] of sieving writes;
-//!   the client's [`Tracer`]; and [`LiveCluster`], one process of daemons
+//!   the client's [`Tracer`](trace::Tracer); and [`LiveCluster`], one process of daemons
 //!   and their doors ([`live`] has the concurrency model).
 
 pub mod cluster;
@@ -23,15 +23,15 @@ pub mod trace;
 pub mod transport;
 
 pub use cluster::{ClusterClient, OpStream, DEFAULT_RPC_TIMEOUT, WINDOW};
-pub use fault::{FaultCounts, FaultKind, FaultPlan, FaultyTransport};
+pub use fault::FaultPlan;
 pub use gate::SerialGate;
 pub use live::LiveCluster;
-pub use pvfs_decide::health::{BreakerPolicy, BreakerState, HealthTracker};
+pub use pvfs_decide::health::{BreakerPolicy, BreakerState};
 pub use pvfs_decide::retry::RetryPolicy;
-pub use pvfs_replica::{ReplicaMap, ReplicaPolicy, ReplicaTarget, WriteQuorum};
+pub use pvfs_replica::{ReplicaPolicy, WriteQuorum};
 pub use pvfs_types::ClientStats;
 pub use tcp::TcpTransport;
-pub use trace::{ActiveTrace, Tracer};
+pub use trace::ActiveTrace;
 pub use transport::{
     Fill, Lane, Memory, Placed, Put, RpcTarget, Transport, TransportKind, WaitError,
 };

@@ -133,7 +133,7 @@ pub trait Transport: Send + Sync {
 
     /// Faults injected by this transport so far. Real transports never
     /// inject; only the chaos wrapper
-    /// ([`FaultyTransport`](crate::FaultyTransport)) overrides this.
+    /// ([`FaultyTransport`](crate::fault::FaultyTransport)) overrides this.
     fn faults_injected(&self) -> u64 {
         0
     }

@@ -7,7 +7,8 @@
 
 use bytes::Bytes;
 use pvfs_net::{
-    BreakerPolicy, BreakerState, FaultPlan, LiveCluster, RetryPolicy, RpcTarget, TransportKind,
+    BreakerPolicy, BreakerState, ClusterClient, FaultPlan, LiveCluster, RetryPolicy, RpcTarget,
+    TransportKind,
 };
 use pvfs_proto::{Request, Response};
 use pvfs_server::IodConfig;
@@ -21,6 +22,10 @@ fn layout(n: u32) -> StripeLayout {
 
 fn frames_rx(cluster: &LiveCluster, server: u32) -> u64 {
     cluster.stats_snapshot(ServerId(server)).unwrap().frames_rx
+}
+
+fn breaker(c: &ClusterClient, server: u32) -> BreakerState {
+    c.endpoint().health().state(ServerId(server), now_ns())
 }
 
 /// The partial-round recovery contract, pinned exactly: when one op of
@@ -188,7 +193,9 @@ fn retry_off_surfaces_the_injected_fault() {
         limit: Some(1),
         ..FaultPlan::default()
     });
-    let c = cluster.client().with_retry_policy(RetryPolicy::none());
+    let c = cluster
+        .client()
+        .with_endpoint(|e| e.with_retry_policy(RetryPolicy::none()));
     let l = layout(2);
 
     let err = c
@@ -239,13 +246,12 @@ fn wedge_times_out_then_retry_succeeds_with_backoff() {
         ..FaultPlan::default()
     });
     let timeout = Duration::from_millis(60);
-    let c = cluster
-        .client()
-        .with_rpc_timeout(timeout)
-        .with_retry_policy(RetryPolicy {
+    let c = cluster.client().with_endpoint(|e| {
+        e.with_rpc_timeout(timeout).with_retry_policy(RetryPolicy {
             base_backoff: Duration::from_millis(5),
             ..RetryPolicy::default()
-        });
+        })
+    });
     let started = now_ns();
     let resp = c
         .call(
@@ -290,15 +296,15 @@ fn retry_budget_bounds_total_time() {
     // base_backoff far beyond the budget: the decorrelated-jitter delay
     // after the first failure is at least 400 ms, so only the clamp can
     // keep the total anywhere near 100 ms.
-    let c = cluster
-        .client()
-        .with_breaker_policy(BreakerPolicy::off())
-        .with_retry_policy(RetryPolicy {
-            max_attempts: u32::MAX,
-            base_backoff: Duration::from_millis(400),
-            max_backoff: Duration::from_secs(5),
-            budget,
-        });
+    let c = cluster.client().with_endpoint(|e| {
+        e.with_breaker_policy(BreakerPolicy::off())
+            .with_retry_policy(RetryPolicy {
+                max_attempts: u32::MAX,
+                base_backoff: Duration::from_millis(400),
+                max_backoff: Duration::from_secs(5),
+                budget,
+            })
+    });
     let started = now_ns();
     let err = c
         .call(
@@ -454,14 +460,14 @@ fn brownout_survives_a_wedged_daemon(kind: TransportKind) {
         limit: Some(2),
         ..FaultPlan::default()
     });
-    let c = cluster
-        .client()
-        .with_rpc_timeout(Duration::from_millis(40))
-        .with_retry_policy(RetryPolicy::none())
-        .with_breaker_policy(BreakerPolicy {
-            threshold: 2,
-            open_for: Duration::from_millis(150),
-        });
+    let c = cluster.client().with_endpoint(|e| {
+        e.with_rpc_timeout(Duration::from_millis(40))
+            .with_retry_policy(RetryPolicy::none())
+            .with_breaker_policy(BreakerPolicy {
+                threshold: 2,
+                open_for: Duration::from_millis(150),
+            })
+    });
     let l = layout(4);
     let fh = FileHandle(31);
     let write = |s: u32| Request::Write {
@@ -478,7 +484,7 @@ fn brownout_survives_a_wedged_daemon(kind: TransportKind) {
             .unwrap_err();
         assert!(matches!(err, PvfsError::Timeout(_)), "got {err:?}");
     }
-    assert_eq!(c.health().state(ServerId(2), now_ns()), BreakerState::Open);
+    assert_eq!(breaker(&c, 2), BreakerState::Open);
 
     // A fan-out round across all four: the wedged server is rejected at
     // admission — in microseconds — while the healthy daemons execute.
@@ -529,15 +535,9 @@ fn brownout_survives_a_wedged_daemon(kind: TransportKind) {
     // The wedge burned its fault limit; once the open window elapses,
     // the half-open probe sails through and the circuit closes.
     std::thread::sleep(Duration::from_millis(160));
-    assert_eq!(
-        c.health().state(ServerId(2), now_ns()),
-        BreakerState::HalfOpen
-    );
+    assert_eq!(breaker(&c, 2), BreakerState::HalfOpen);
     c.ping(ServerId(2)).unwrap();
-    assert_eq!(
-        c.health().state(ServerId(2), now_ns()),
-        BreakerState::Closed
-    );
+    assert_eq!(breaker(&c, 2), BreakerState::Closed);
     let resp = c.call(RpcTarget::Server(ServerId(2)), write(2)).unwrap();
     assert_eq!(resp, Response::Written { bytes: 16 });
 }
@@ -564,24 +564,21 @@ fn breaker_trips_and_recovers_on_disconnects(kind: TransportKind) {
         limit: Some(3),
         ..FaultPlan::default()
     });
-    let c = cluster
-        .client()
-        .with_retry_policy(RetryPolicy::none())
-        .with_breaker_policy(BreakerPolicy {
-            threshold: 3,
-            open_for: Duration::from_millis(120),
-        });
+    let c = cluster.client().with_endpoint(|e| {
+        e.with_retry_policy(RetryPolicy::none())
+            .with_breaker_policy(BreakerPolicy {
+                threshold: 3,
+                open_for: Duration::from_millis(120),
+            })
+    });
 
     // Three consecutive disconnects: closed all the way to the trip.
     for i in 0..3 {
-        assert_eq!(
-            c.health().state(ServerId(0), now_ns()),
-            BreakerState::Closed
-        );
+        assert_eq!(breaker(&c, 0), BreakerState::Closed);
         let err = c.ping(ServerId(0)).unwrap_err();
         assert!(matches!(err, PvfsError::Transport(_)), "probe {i}: {err:?}");
     }
-    assert_eq!(c.health().state(ServerId(0), now_ns()), BreakerState::Open);
+    assert_eq!(breaker(&c, 0), BreakerState::Open);
 
     // Open: rejected at admission, typed and attributed.
     let started = now_ns();
@@ -594,28 +591,16 @@ fn breaker_trips_and_recovers_on_disconnects(kind: TransportKind) {
     assert_eq!(c.stats().breaker_rejections, 1);
 
     // The sibling daemon is untouched throughout.
-    assert_eq!(
-        c.health().state(ServerId(1), now_ns()),
-        BreakerState::Closed
-    );
+    assert_eq!(breaker(&c, 1), BreakerState::Closed);
     c.ping(ServerId(1)).unwrap();
 
     // Recovery: window elapses, the half-open probe (faults are spent)
     // closes the circuit.
     std::thread::sleep(Duration::from_millis(130));
-    assert_eq!(
-        c.health().state(ServerId(0), now_ns()),
-        BreakerState::HalfOpen
-    );
+    assert_eq!(breaker(&c, 0), BreakerState::HalfOpen);
     c.ping(ServerId(0)).unwrap();
-    assert_eq!(
-        c.health().state(ServerId(0), now_ns()),
-        BreakerState::Closed
-    );
-    assert_eq!(
-        c.health().state(ServerId(1), now_ns()),
-        BreakerState::Closed
-    );
+    assert_eq!(breaker(&c, 0), BreakerState::Closed);
+    assert_eq!(breaker(&c, 1), BreakerState::Closed);
 }
 
 #[test]
@@ -649,11 +634,13 @@ fn full_queue_sheds_and_retries_absorb(kind: TransportKind) {
     let sheds_seen: u64 = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..n)
             .map(|i| {
-                let c = cluster.client().with_retry_policy(RetryPolicy {
-                    max_attempts: 1000,
-                    base_backoff: Duration::from_millis(2),
-                    max_backoff: Duration::from_millis(50),
-                    budget: Duration::from_secs(10),
+                let c = cluster.client().with_endpoint(|e| {
+                    e.with_retry_policy(RetryPolicy {
+                        max_attempts: 1000,
+                        base_backoff: Duration::from_millis(2),
+                        max_backoff: Duration::from_millis(50),
+                        budget: Duration::from_secs(10),
+                    })
                 });
                 scope.spawn(move || {
                     let resp = c

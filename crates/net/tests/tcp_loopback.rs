@@ -724,7 +724,7 @@ fn a_reply_that_arrives_after_its_flight_timed_out_is_dropped_by_id() {
     let transport = Arc::new(TcpTransport::new(vec![addr], addr));
     let client =
         ClusterClient::with_transport(ClientId(1), transport.clone(), Arc::new(SerialGate::new()))
-            .with_rpc_timeout(timeout);
+            .with_endpoint(|e| e.with_rpc_timeout(timeout));
     let read = |i: u64| Request::Read {
         handle: FileHandle(1),
         layout: layout(1),

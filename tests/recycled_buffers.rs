@@ -207,14 +207,14 @@ fn faults_never_put_a_buffer_still_in_use_back_in_circulation() {
         // long done with it or not. (No breaker: at this fault rate
         // three failures in a row at one daemon are a matter of time,
         // and an open breaker fails the op rather than the frame.)
-        let client = cluster
-            .client()
-            .with_rpc_timeout(Duration::from_millis(100))
-            .with_breaker_policy(BreakerPolicy::off())
-            .with_retry_policy(RetryPolicy {
-                max_attempts: 8,
-                ..RetryPolicy::default()
-            });
+        let client = cluster.client().with_endpoint(|e| {
+            e.with_rpc_timeout(Duration::from_millis(100))
+                .with_breaker_policy(BreakerPolicy::off())
+                .with_retry_policy(RetryPolicy {
+                    max_attempts: 8,
+                    ..RetryPolicy::default()
+                })
+        });
         let pattern = Cyclic {
             clients: 8,
             accesses_per_client: 1024,

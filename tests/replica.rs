@@ -32,10 +32,10 @@ const CHUNK: u64 = 64;
 
 fn rclient(cluster: &LiveCluster, replicas: u32, quorum: WriteQuorum) -> ClusterClient {
     let policy = ReplicaPolicy::new(replicas, quorum, cluster.n_servers()).unwrap();
-    cluster
-        .client()
-        .with_replica_policy(policy)
-        .with_rpc_timeout(Duration::from_millis(250))
+    cluster.client().with_endpoint(|e| {
+        e.with_replica_policy(policy)
+            .with_rpc_timeout(Duration::from_millis(250))
+    })
 }
 
 fn strided(offset: u64, count: u64, len: u64, stride: u64) -> RegionList {

@@ -411,9 +411,10 @@ fn replies_larger_than_the_socket_buffers_do_not_stall_the_window() {
     let tcp = TcpCluster::spawn(&daemons, config);
     let transport = Arc::new(TcpTransport::new(tcp.server_addrs(), tcp.mgr_addr()));
     let gate = Arc::new(SerialGate::new());
-    let client = ClusterClient::with_transport(ClientId(1), transport, gate)
-        .with_rpc_timeout(Duration::from_secs(5))
-        .with_retry_policy(RetryPolicy::none());
+    let client = ClusterClient::with_transport(ClientId(1), transport, gate).with_endpoint(|e| {
+        e.with_rpc_timeout(Duration::from_secs(5))
+            .with_retry_policy(RetryPolicy::none())
+    });
     let layout = StripeLayout::new(0, 1, 1 << 20).unwrap();
     let mut file = PvfsFile::create(&client, "/pvfs/big", layout).unwrap();
 
@@ -468,11 +469,11 @@ fn a_chan_lane_may_owe_more_than_a_window_after_timeouts() {
         threshold: 1000,
         open_for: Duration::from_millis(1),
     };
-    let client = cluster
-        .client()
-        .with_rpc_timeout(Duration::from_millis(5))
-        .with_retry_policy(retry)
-        .with_breaker_policy(never_open);
+    let client = cluster.client().with_endpoint(|e| {
+        e.with_rpc_timeout(Duration::from_millis(5))
+            .with_retry_policy(retry)
+            .with_breaker_policy(never_open)
+    });
     let read = |i: u64| Request::Read {
         handle: FileHandle(1),
         layout: StripeLayout::new(0, 1, 16).unwrap(),
