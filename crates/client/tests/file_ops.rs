@@ -458,12 +458,37 @@ fn list_io_survives_five_percent_faults_with_retries_reported() {
     );
 }
 
-/// A file runs under the policies of the client it was opened with.
+/// A file runs under the retry policy of the client it was opened with:
+/// a fresh client's (and so its file's) policy is `PVFS_RETRY`'s, and a
+/// file opened through a clone with retries off has none, while the
+/// client the clone was taken from keeps its own.
+#[test]
+fn retry_policy_is_inherited_and_tunable_per_file() {
+    let cluster = LiveCluster::spawn(2);
+    let client = cluster.client();
+    let layout = StripeLayout::new(0, 2, 16).unwrap();
+    let f = PvfsFile::create(&client, "/pvfs/retry", layout).unwrap();
+    let inherited = RetryPolicy::from_env();
+    assert_eq!(f.client().endpoint().retry_policy(), inherited);
+    let tuned = client
+        .clone()
+        .with_endpoint(|e| e.with_retry_policy(RetryPolicy::none()));
+    let mut f = PvfsFile::open(&tuned, "/pvfs/retry").unwrap();
+    assert_eq!(f.client().endpoint().retry_policy().max_attempts, 1);
+    assert_eq!(client.endpoint().retry_policy(), inherited);
+    // Still works with retries off (no faults to absorb).
+    f.write_at(0, b"fail-fast").unwrap();
+    let mut buf = vec![0u8; 9];
+    f.read_at(0, &mut buf).unwrap();
+    assert_eq!(&buf, b"fail-fast");
+}
+
+/// A file runs under the deadline of the client it was opened with.
 /// Opened through a clone tuned to a 100 ms deadline and no retries, a
 /// read of wedged daemons fails with `Timeout` long before the default
 /// deadline, and the client the clone was taken from keeps its own.
 #[test]
-fn a_file_runs_under_the_client_it_was_opened_with() {
+fn rpc_timeout_is_inherited_and_tunable_per_file() {
     let mut cluster = LiveCluster::spawn(2);
     // Every daemon wedged: under `PVFS_REPLICAS=2` a read fails over to
     // the other copy.
@@ -473,7 +498,8 @@ fn a_file_runs_under_the_client_it_was_opened_with() {
     });
     let client = cluster.client();
     let layout = StripeLayout::new(0, 2, 16).unwrap();
-    PvfsFile::create(&client, "/pvfs/deadline", layout).unwrap();
+    let f = PvfsFile::create(&client, "/pvfs/deadline", layout).unwrap();
+    assert_eq!(f.client().endpoint().rpc_timeout(), DEFAULT_RPC_TIMEOUT);
     let deadline = Duration::from_millis(100);
     let tuned = client.clone().with_endpoint(|e| {
         e.with_rpc_timeout(deadline)
