@@ -1,6 +1,6 @@
 //! Access-method selection and tuning knobs.
 
-use pvfs_proto::{MAX_BULK_BYTES, MAX_LIST_REGIONS, MAX_VECTOR_RUNS};
+use pvfs_proto::{MAX_BULK_BYTES, MAX_LIST_REGIONS};
 use pvfs_types::{PvfsError, PvfsResult};
 
 /// The noncontiguous access methods compared in the paper, plus the two
@@ -70,8 +70,6 @@ pub struct MethodConfig {
     /// Hybrid: a cluster is sieved only if useful bytes / window bytes
     /// is at least this fraction (avoids dragging useless data).
     pub hybrid_min_density: f64,
-    /// Vector runs per datatype request (frame-limited).
-    pub max_vector_runs: usize,
 }
 
 impl MethodConfig {
@@ -83,24 +81,18 @@ impl MethodConfig {
             hybrid_gap: 4096,
             hybrid_auto: false,
             hybrid_min_density: 0.5,
-            max_vector_runs: MAX_VECTOR_RUNS,
         }
     }
 
-    /// Check the limits every planner relies on: lists and vector
-    /// chunks of at least one and at most a frame's worth (the limits
-    /// the daemons enforce), and a sieve buffer that holds a byte.
+    /// Check the limits every planner relies on: lists of at least one
+    /// and at most a frame's worth of regions (the limit the daemons
+    /// enforce), and a sieve buffer that holds a byte.
     /// [`plan`](fn@crate::plan) checks them before any method sees them.
     pub fn validate(&self) -> PvfsResult<()> {
-        let (regions, runs) = (self.max_list_regions, self.max_vector_runs);
+        let regions = self.max_list_regions;
         if !(1..=MAX_LIST_REGIONS).contains(&regions) {
             return Err(PvfsError::invalid(format!(
                 "max_list_regions {regions} out of range 1..={MAX_LIST_REGIONS}"
-            )));
-        }
-        if !(1..=MAX_VECTOR_RUNS).contains(&runs) {
-            return Err(PvfsError::invalid(format!(
-                "max_vector_runs {runs} out of range 1..={MAX_VECTOR_RUNS}"
             )));
         }
         // A sieve window is one request: no more than one frame's bulk.
@@ -129,7 +121,6 @@ mod tests {
         let c = MethodConfig::paper_default();
         assert_eq!(c.max_list_regions, 64);
         assert_eq!(c.sieve_buffer, 32 * 1024 * 1024);
-        assert_eq!(c.max_vector_runs, 45);
     }
 
     /// A sieve window is one request: at most one frame's bulk.

@@ -8,7 +8,7 @@
 //! The planner compresses the explicit file-region list into
 //! [`VectorRun`]s — maximal `(base, blocklen, stride, count)` arithmetic
 //! progressions — and ships them in `ReadVectors`/`WriteVectors`
-//! requests of at most [`MethodConfig::max_vector_runs`] runs (45, one
+//! requests of at most [`MAX_VECTOR_RUNS`] runs (45, one
 //! Ethernet frame, mirroring list I/O's 64-region discipline). A fully
 //! regular million-region pattern compresses to a *single* run and
 //! therefore a single request per touched server, regardless of the
@@ -18,7 +18,7 @@ use crate::method::MethodConfig;
 use crate::plan::{AccessPlan, IoKind, Item, Steps, Walk};
 use crate::planutil::{servers_for, CappedChunks, Servers};
 use crate::request::ListRequest;
-use pvfs_proto::VectorRun;
+use pvfs_proto::{VectorRun, MAX_VECTOR_RUNS};
 use pvfs_types::{FileHandle, PieceMap, PvfsResult, Region, StripeLayout};
 
 /// Greedily compress a sorted, disjoint region list into maximal vector
@@ -68,12 +68,12 @@ pub(crate) fn plan(
     map: PieceMap,
     handle: FileHandle,
     layout: StripeLayout,
-    config: &MethodConfig,
+    _config: &MethodConfig,
 ) -> PvfsResult<AccessPlan> {
     let mut items = Vec::new();
     for regions in CappedChunks::new(&request.file, usize::MAX, layout) {
         let runs = compress_runs(regions.regions());
-        let chunks = runs.chunks(config.max_vector_runs);
+        let chunks = runs.chunks(MAX_VECTOR_RUNS);
         items.extend(chunks.map(|c| Item::Runs(c.to_vec())));
     }
     let steps = Steps::Datatype(Walk::new(items.into_iter(), kind, layout, map, false));
@@ -245,7 +245,7 @@ mod tests {
     #[test]
     fn irregular_list_chunks_runs() {
         // Fully irregular regions: every region its own run, chunked at
-        // max_vector_runs.
+        // MAX_VECTOR_RUNS.
         let mut pairs = Vec::new();
         let mut off = 0u64;
         for i in 0..100u64 {
@@ -256,25 +256,5 @@ mod tests {
         let cfg = MethodConfig::default();
         let p = compile(IoKind::Read, &r, &cfg);
         assert!(p.tally().rounds >= 2); // 100 runs / 45 per request
-    }
-
-    #[test]
-    fn invalid_run_limit_rejected() {
-        let r = ListRequest::gather(RegionList::from_pairs([(0u64, 4u64)]).unwrap());
-        for bad in [0, 1000] {
-            let cfg = MethodConfig {
-                max_vector_runs: bad,
-                ..MethodConfig::default()
-            };
-            let planned = crate::plan(
-                crate::Method::Datatype,
-                IoKind::Read,
-                &r,
-                FileHandle(1),
-                layout(),
-                &cfg,
-            );
-            assert!(planned.is_err());
-        }
     }
 }

@@ -7,17 +7,17 @@
 //!
 //! * [`SparseStore`] — the functional byte content (chunked, sparse,
 //!   zero-filled holes), playing the role of platter + page contents;
-//! * [`BufferCache`] — an LRU block cache *residency model*: it tracks
-//!   which blocks would be memory-resident and which accesses would go
-//!   to disk, without duplicating the data;
+//! * [`BufferCache`] — an LRU, write-allocate, write-back block cache
+//!   *residency model*: it tracks which blocks would be memory-resident
+//!   and which accesses would go to disk, without duplicating the data;
 //! * [`DiskModel`] — a seek + rotational + transfer cost model for the
 //!   accesses that miss the cache (calibrated to the paper's 9 GB
 //!   Quantum Atlas IV SCSI disks).
 //!
 //! The cache and disk models run only in a file built with them (the
 //! simulator's): such a file adds what each access costs to its meter, a
-//! running [`CostReport`] the discrete-event simulator converts to
-//! virtual time. A live daemon's files run neither model.
+//! running [`CostReport`] of disk time and accesses that the simulator
+//! converts to virtual time. A live daemon's files run neither model.
 //!
 //! The byte content itself sits behind the [`StorageBackend`] seam:
 //! [`SparseStore`] is the volatile in-memory backend, and [`FileStore`]
@@ -37,7 +37,7 @@ pub mod scratch;
 pub mod store;
 
 pub use backend::{StorageBackend, StorageConfig, StorageMetrics, SyncPolicy};
-pub use cache::{BufferCache, CacheConfig, CacheOutcome, CachePolicy};
+pub use cache::{BufferCache, CacheConfig, CacheOutcome};
 pub use filestore::FileStore;
 pub use journal::{Journal, JournalRecord, StoreFile};
 pub use localfile::{CostReport, LocalFile};

@@ -1,17 +1,19 @@
 //! One I/O daemon's local file: the bytes, and — for the simulator —
 //! what reading and writing them would have cost.
 //!
-//! The bytes are a [`StorageBackend`]'s. The cost is a model: an LRU
-//! buffer-cache residency model and a disk timing model with head
-//! tracking. A file built *with* the model ([`LocalFile::new`],
+//! The bytes are a [`StorageBackend`]'s. The cost is a model: the LRU,
+//! write-allocate, write-back buffer-cache residency model of
+//! [`crate::cache`] and a disk timing model with head tracking. A file
+//! built *with* the model ([`LocalFile::new`],
 //! [`LocalFile::with_backend`] — what a simulated daemon's files are)
 //! prices every access and adds the charge to its meter
-//! ([`LocalFile::meter`]), whose `disk_ns` the discrete-event simulator
-//! turns into virtual time. A live daemon's files
-//! ([`LocalFile::unmodelled`]) move the bytes and meter nothing.
+//! ([`LocalFile::meter`]): the disk time its misses and write-backs took
+//! and the number of accesses it made — the two numbers the
+//! discrete-event simulator turns into virtual time. A live daemon's
+//! files ([`LocalFile::unmodelled`]) move the bytes and meter nothing.
 
 use crate::backend::StorageBackend;
-use crate::cache::{BufferCache, CacheConfig, CacheOutcome};
+use crate::cache::{BufferCache, CacheConfig};
 use crate::checksum::checksum;
 use crate::model::{DiskModel, HeadTracker};
 use crate::store::SparseStore;
@@ -26,37 +28,15 @@ pub struct CostReport {
     pub disk_ns: u64,
     /// Local accesses: one per read, one per run of a write batch.
     pub accesses: u64,
-    /// Bytes read from the store.
-    pub bytes_read: u64,
-    /// Bytes written to the store.
-    pub bytes_written: u64,
-    /// Cache residency outcome.
-    pub cache: CacheOutcome,
 }
 
 impl CostReport {
-    /// Fold another report into this one.
-    pub fn merge(&mut self, other: CostReport) {
-        self.disk_ns += other.disk_ns;
-        self.accesses += other.accesses;
-        self.bytes_read += other.bytes_read;
-        self.bytes_written += other.bytes_written;
-        self.cache.merge(other.cache);
-    }
-
     /// What was charged between `earlier`, a reading of the same meter,
     /// and this reading.
     pub fn since(self, earlier: CostReport) -> CostReport {
         CostReport {
             disk_ns: self.disk_ns - earlier.disk_ns,
             accesses: self.accesses - earlier.accesses,
-            bytes_read: self.bytes_read - earlier.bytes_read,
-            bytes_written: self.bytes_written - earlier.bytes_written,
-            cache: CacheOutcome {
-                hit_blocks: self.cache.hit_blocks - earlier.cache.hit_blocks,
-                miss_blocks: self.cache.miss_blocks - earlier.cache.miss_blocks,
-                writeback_blocks: self.cache.writeback_blocks - earlier.cache.writeback_blocks,
-            },
         }
     }
 }
@@ -145,14 +125,6 @@ impl LocalFile {
             .expect("oracle read failed")
     }
 
-    /// Cache statistics (all zero on an unmodelled file).
-    pub fn cache_stats(&self) -> crate::cache::CacheStats {
-        self.model
-            .as_ref()
-            .map(|m| m.cache.stats())
-            .unwrap_or_default()
-    }
-
     /// Read into a caller-provided buffer (zero-filled past EOF): one
     /// access.
     pub fn read_into(&mut self, offset: u64, buf: &mut [u8]) -> PvfsResult<()> {
@@ -171,8 +143,8 @@ impl LocalFile {
 
     fn charge_read(&mut self, offset: u64, len: usize) {
         if let Some(model) = &mut self.model {
-            let charge = model.price_read(offset, len as u64);
-            model.charge(charge);
+            let disk_ns = model.price_read(offset, len as u64);
+            model.charge(disk_ns);
         }
     }
 
@@ -186,8 +158,8 @@ impl LocalFile {
         if let Some(model) = &mut self.model {
             for (offset, data) in runs {
                 let len = data.len() as u64;
-                let charge = model.price_write(*offset, len, prev_size);
-                model.charge(charge);
+                let disk_ns = model.price_write(*offset, len, prev_size);
+                model.charge(disk_ns);
                 prev_size = prev_size.max(offset.saturating_add(len));
             }
         }
@@ -247,17 +219,15 @@ impl LocalFile {
 }
 
 impl CostModel {
-    /// Add one access, priced at `charge`, to the meter.
-    fn charge(&mut self, charge: CostReport) {
-        self.meter.merge(CostReport {
-            accesses: 1,
-            ..charge
-        });
+    /// Add one access, priced at `disk_ns`, to the meter.
+    fn charge(&mut self, disk_ns: u64) {
+        self.meter.disk_ns += disk_ns;
+        self.meter.accesses += 1;
     }
 
-    fn price_write(&mut self, offset: u64, len: u64, prev_size: u64) -> CostReport {
+    fn price_write(&mut self, offset: u64, len: u64, prev_size: u64) -> u64 {
         if len == 0 {
-            return CostReport::default();
+            return 0;
         }
         let cache = self.cache.access(offset, len, true);
         let mut disk_ns = 0;
@@ -278,19 +248,14 @@ impl CostModel {
                 .disk
                 .writeback_ns(cache.writeback_blocks, self.cache.config().block_size);
         }
-        CostReport {
-            disk_ns,
-            bytes_written: len,
-            cache,
-            ..CostReport::default()
-        }
+        disk_ns
     }
 
-    fn price_read(&mut self, offset: u64, len: u64) -> CostReport {
+    fn price_read(&mut self, offset: u64, len: u64) -> u64 {
         if len == 0 {
-            return CostReport::default();
+            return 0;
         }
-        let mut cache = self.cache.access(offset, len, false);
+        let cache = self.cache.access(offset, len, false);
         let mut disk_ns = 0;
         if cache.miss_blocks > 0 {
             // Foreground read of the missed bytes. Misses within one
@@ -301,34 +266,13 @@ impl CostModel {
                 cache.miss_blocks * self.cache.config().block_size,
                 sequential,
             );
-            // Sequential misses trigger read-ahead: the next blocks are
-            // pulled in at pure transfer cost (the head is already
-            // positioned), so the next sequential access hits.
-            let ra = self.cache.config().readahead_blocks;
-            if sequential && ra > 0 {
-                let bs = self.cache.config().block_size;
-                let next = (offset + len - 1) / bs + 1;
-                for b in next..next + ra {
-                    cache.writeback_blocks += self.cache.prefetch(b);
-                }
-                disk_ns += self.disk.transfer_ns(ra * bs);
-                // The head physically moved through the prefetched
-                // range: the next miss past it is sequential.
-                self.head
-                    .observe(offset + len, (next + ra) * bs - (offset + len));
-            }
         }
         if cache.writeback_blocks > 0 {
             disk_ns += self
                 .disk
                 .writeback_ns(cache.writeback_blocks, self.cache.config().block_size);
         }
-        CostReport {
-            disk_ns,
-            bytes_read: len,
-            cache,
-            ..CostReport::default()
-        }
+        disk_ns
     }
 }
 
@@ -380,11 +324,13 @@ mod tests {
         write(&mut f, 0, &[1u8; 64]);
         let warm = read(&mut f, 0, 64); // resident from write-allocate
         assert_eq!(warm.disk_ns, 0);
-        assert_eq!(warm.cache.hit_blocks, 4);
-        // A never-touched range costs positioning + transfer.
+        // A never-touched range costs positioning + transfer of its four
+        // missed blocks.
         let cold = read(&mut f, 1024, 64);
-        assert!(cold.disk_ns > 0);
-        assert_eq!(cold.cache.miss_blocks, 4);
+        assert_eq!(
+            cold.disk_ns,
+            DiskModel::paper_default().access_ns(64, false)
+        );
     }
 
     #[test]
@@ -392,7 +338,7 @@ mod tests {
         let mut f = small_file(); // 16-byte blocks
         let r = write(&mut f, 0, &[7u8; 32]); // aligned, 2 blocks
         assert_eq!(r.disk_ns, 0);
-        assert_eq!(r.bytes_written, 32);
+        assert_eq!(r.accesses, 1);
     }
 
     #[test]
@@ -423,8 +369,7 @@ mod tests {
         write(&mut f, 0, &[1u8; 16]);
         write(&mut f, 16, &[1u8; 16]);
         let r = write(&mut f, 32, &[1u8; 16]); // evicts a dirty block
-        assert!(r.cache.writeback_blocks >= 1);
-        assert!(r.disk_ns > 0);
+        assert_eq!(r.disk_ns, DiskModel::paper_default().writeback_ns(1, 16));
     }
 
     #[test]
@@ -450,40 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn cost_report_merge_accumulates() {
-        let mut a = CostReport {
-            disk_ns: 10,
-            accesses: 1,
-            bytes_read: 1,
-            bytes_written: 2,
-            cache: CacheOutcome {
-                hit_blocks: 1,
-                miss_blocks: 1,
-                writeback_blocks: 0,
-            },
-        };
-        let b = CostReport {
-            disk_ns: 5,
-            accesses: 2,
-            bytes_read: 10,
-            bytes_written: 20,
-            cache: CacheOutcome {
-                hit_blocks: 2,
-                miss_blocks: 3,
-                writeback_blocks: 4,
-            },
-        };
-        let earlier = a;
-        a.merge(b);
-        assert_eq!(a.disk_ns, 15);
-        assert_eq!(a.accesses, 3);
-        assert_eq!(a.bytes_read, 11);
-        assert_eq!(a.bytes_written, 22);
-        assert_eq!(a.cache.hit_blocks, 3);
-        assert_eq!(a.since(earlier), b);
-    }
-
-    #[test]
     fn sequential_reads_cost_less_than_scattered() {
         // Same bytes, same cold cache: sequential walk vs random walk.
         let cold = || LocalFile::new(CacheConfig::tiny(4), DiskModel::paper_default());
@@ -496,80 +407,6 @@ mod tests {
         }
         let (seq_ns, rnd_ns) = (seq.meter().disk_ns, scattered.meter().disk_ns);
         assert!(seq_ns < rnd_ns, "seq {seq_ns} vs random {rnd_ns}");
-    }
-
-    #[test]
-    fn readahead_turns_sequential_cold_reads_into_hits() {
-        let mut cfg = CacheConfig::tiny(64);
-        cfg.readahead_blocks = 4;
-        let mut f = LocalFile::new(cfg, DiskModel::paper_default());
-        // First read misses and positions the head...
-        assert_eq!(read(&mut f, 0, 16).cache.miss_blocks, 1);
-        // ...the second sequential read misses but triggers read-ahead,
-        // so the following sequential reads hit at zero disk cost.
-        read(&mut f, 16, 16);
-        let r2 = read(&mut f, 32, 16);
-        assert_eq!(r2.cache.hit_blocks, 1, "readahead should have prefetched");
-        assert_eq!(r2.disk_ns, 0);
-        assert_eq!(read(&mut f, 48, 16).cache.hit_blocks, 1);
-    }
-
-    #[test]
-    fn no_readahead_on_random_misses() {
-        let mut cfg = CacheConfig::tiny(64);
-        cfg.readahead_blocks = 4;
-        let mut f = LocalFile::new(cfg, DiskModel::paper_default());
-        read(&mut f, 1000, 16);
-        assert_eq!(read(&mut f, 0, 16).cache.miss_blocks, 1); // jump: random
-                                                              // A block near neither access was not prefetched.
-        assert_eq!(read(&mut f, 512, 16).cache.miss_blocks, 1);
-    }
-
-    /// EXPERIMENTS.md's readahead ablation: a cold sequential 2 MiB
-    /// read in 4 KiB calls, without readahead and with 32 blocks of it.
-    #[test]
-    fn readahead_cuts_a_cold_sequential_read_by_a_third() {
-        let disk_ms = |readahead_blocks| {
-            let cfg = CacheConfig {
-                readahead_blocks,
-                ..CacheConfig::paper_default()
-            };
-            let mut f = LocalFile::new(cfg, DiskModel::paper_default());
-            for i in 0..512u64 {
-                read(&mut f, i * 4096, 4096);
-            }
-            format!("{:.1}", f.meter().disk_ns as f64 / 1e6)
-        };
-        assert_eq!([disk_ms(0), disk_ms(32)], ["146.1", "99.4"]);
-    }
-
-    /// EXPERIMENTS.md's replacement-policy ablation: a re-referenced hot
-    /// set that fits plus one-touch scans that do not — the scan
-    /// resistance CLOCK's second chances give and exact LRU lacks.
-    #[test]
-    fn clock_keeps_more_hits_than_lru_under_scan_pressure() {
-        use crate::cache::CachePolicy;
-        let hits = |policy| {
-            let cfg = CacheConfig {
-                capacity_blocks: 256,
-                policy,
-                ..CacheConfig::paper_default()
-            };
-            let mut f = LocalFile::new(cfg, DiskModel::paper_default());
-            for round in 0..64u64 {
-                for _ in 0..3 {
-                    for h in 0..128u64 {
-                        read(&mut f, h * 4096, 64);
-                    }
-                }
-                read(&mut f, (1000 + round * 200) * 4096, 200 * 4096);
-            }
-            f.meter().cache.hit_blocks
-        };
-        assert_eq!(
-            (hits(CachePolicy::Lru), hits(CachePolicy::Clock)),
-            (16_384, 20_273)
-        );
     }
 
     #[test]
@@ -589,7 +426,13 @@ mod tests {
         let r = charged(&mut f, |f| {
             f.write_batch(&[(0, &[1u8; 16]), (64, &[2u8; 32])]).unwrap()
         });
-        assert_eq!((r.bytes_written, r.accesses), (48, 2));
+        assert_eq!(
+            r,
+            CostReport {
+                disk_ns: 0,
+                accesses: 2
+            }
+        );
         assert_eq!(f.size(), 96);
         assert_eq!(f.peek_vec(0, 16), vec![1u8; 16]);
         assert_eq!(f.peek_vec(64, 32), vec![2u8; 32]);
@@ -636,7 +479,6 @@ mod tests {
         f.flush();
         assert_eq!(f.sync().unwrap(), 0);
         assert_eq!(f.meter(), CostReport::default());
-        assert_eq!(f.cache_stats(), crate::cache::CacheStats::default());
         assert_eq!(f.write_version(), 1);
     }
 

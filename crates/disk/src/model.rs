@@ -37,23 +37,8 @@ impl DiskModel {
         }
     }
 
-    /// A free disk — useful for isolating network/CPU effects in
-    /// sensitivity experiments.
-    pub fn free() -> DiskModel {
-        DiskModel {
-            avg_seek_ns: 0,
-            avg_rotation_ns: 0,
-            transfer_bps: u64::MAX,
-            per_op_ns: 0,
-            writeback_positioning_pct: 0,
-        }
-    }
-
     /// Pure transfer time for `bytes` at the media rate.
     pub fn transfer_ns(&self, bytes: u64) -> u64 {
-        if self.transfer_bps == u64::MAX {
-            return 0;
-        }
         // bytes / (bytes per ns) = bytes * 1e9 / bps, computed without
         // overflow for realistic sizes via u128.
         ((bytes as u128 * 1_000_000_000) / self.transfer_bps as u128) as u64
@@ -128,13 +113,6 @@ mod tests {
         let seq = m.access_ns(4096, true);
         assert_eq!(random - seq, m.avg_seek_ns + m.avg_rotation_ns);
         assert!(seq >= m.per_op_ns);
-    }
-
-    #[test]
-    fn free_disk_costs_nothing() {
-        let m = DiskModel::free();
-        assert_eq!(m.access_ns(1 << 30, false), 0);
-        assert_eq!(m.writeback_ns(1000, 4096), 0);
     }
 
     #[test]

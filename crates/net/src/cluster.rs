@@ -585,8 +585,6 @@ mod tests {
         c.call(target, read).unwrap();
         let daemon = cluster.daemon(ServerId(0)).unwrap();
         daemon.flush_handle(handle);
-        let cache = daemon.with_local_file(handle, |f| f.cache_stats());
-        assert_eq!(cache, Some(pvfs_disk::cache::CacheStats::default()));
         let meter = daemon.with_local_file(handle, pvfs_disk::LocalFile::meter);
         assert_eq!(meter, Some(pvfs_disk::CostReport::default()));
     }
